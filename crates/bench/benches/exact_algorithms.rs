@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msj_datagen::{blob, BlobParams};
-use msj_exact::{quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarTree};
+use msj_exact::{quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarStore};
 use msj_geom::{Point, PolygonWithHoles};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,15 +58,14 @@ fn bench_exact(c: &mut Criterion) {
             );
             // TR* with precomputed trees (the paper's setting: trees are
             // built at insertion time).
-            let ta = TrStarTree::build(&pair.0, 3);
-            let tb = TrStarTree::build(&pair.1, 3);
+            let trees = TrStarStore::from_regions([&pair.0, &pair.1], 3);
             group.bench_with_input(
                 BenchmarkId::new(format!("trstar_m3/{tag}"), vertices),
-                &(&ta, &tb),
-                |b, (ta, tb)| {
+                &trees,
+                |b, trees| {
                     b.iter(|| {
                         let mut counts = OpCounts::new();
-                        black_box(trees_intersect(ta, tb, &mut counts))
+                        black_box(trees_intersect(trees.get(0), trees.get(1), &mut counts))
                     })
                 },
             );
@@ -80,7 +79,7 @@ fn bench_trstar_build(c: &mut Criterion) {
     for &vertices in &[32usize, 128, 512] {
         let region = blob_region(9, vertices, 0.0);
         group.bench_with_input(BenchmarkId::new("build_m3", vertices), &region, |b, r| {
-            b.iter(|| black_box(TrStarTree::build(r, 3)))
+            b.iter(|| black_box(TrStarStore::from_regions([r], 3)))
         });
     }
     group.finish();

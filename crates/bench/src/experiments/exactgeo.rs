@@ -9,6 +9,7 @@ use msj_exact::{
     quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarStore, Weights,
 };
 use msj_geom::ObjectId;
+use std::time::Instant;
 
 /// Table 6: the operation weights (constants by construction — printed for
 /// completeness and checked against the published values).
@@ -62,12 +63,13 @@ fn surviving_candidates(data: &SeriesData) -> Vec<(ObjectId, ObjectId, bool)> {
 }
 
 /// Per-algorithm accumulation for Table 7: weighted cost split into hit
-/// and false-hit pairs.
+/// and false-hit pairs, plus the wall-clock the tests actually took.
 struct AlgoCost {
     hit_pairs: u64,
     false_pairs: u64,
     hit_ms: f64,
     false_ms: f64,
+    wall_nanos: u64,
 }
 
 impl AlgoCost {
@@ -88,6 +90,11 @@ impl AlgoCost {
             self.false_ms / self.false_pairs as f64
         }
     }
+    /// Measured nanoseconds per exact test (the model's counterpart in
+    /// wall-clock: Table 6's weights are 1994 microseconds).
+    fn wall_ns_per_test(&self) -> f64 {
+        self.wall_nanos as f64 / (self.hit_pairs + self.false_pairs).max(1) as f64
+    }
 }
 
 fn run_algo<F: FnMut(ObjectId, ObjectId, &mut OpCounts) -> bool>(
@@ -100,10 +107,13 @@ fn run_algo<F: FnMut(ObjectId, ObjectId, &mut OpCounts) -> bool>(
         false_pairs: 0,
         hit_ms: 0.0,
         false_ms: 0.0,
+        wall_nanos: 0,
     };
     for &(a, b, truth) in pairs {
         let mut counts = OpCounts::new();
+        let started = Instant::now();
         let result = test(a, b, &mut counts);
+        cost.wall_nanos += started.elapsed().as_nanos() as u64;
         debug_assert_eq!(result, truth, "exact algorithm disagrees with ground truth");
         let ms = counts.cost_ms(weights);
         if truth {
@@ -185,6 +195,7 @@ pub fn table7(cfg: &ExpConfig) -> String {
             "cost/hit (ms)",
             "cost/false hit (ms)",
             "total (ms)",
+            "wall ns/test",
             "paper hit/false/total",
         ]);
         let p = paper
@@ -210,6 +221,7 @@ pub fn table7(cfg: &ExpConfig) -> String {
                 f(cost.per_hit(), 1),
                 f(cost.per_false(), 1),
                 f(cost.total_ms(), 0),
+                f(cost.wall_ns_per_test(), 0),
                 pap,
             ]);
         }
@@ -223,6 +235,11 @@ pub fn table7(cfg: &ExpConfig) -> String {
             "speedup quadratic/TR*: {:.0}x, plane-sweep/TR*: {:.1}x (paper: ≥ one order of magnitude)\n",
             quad.total_ms() / tr.total_ms().max(1e-9),
             sweep.total_ms() / tr.total_ms().max(1e-9)
+        ));
+        out.push_str(&format!(
+            "in wall-clock on this machine: quadratic/TR* {:.0}x, plane-sweep/TR* {:.1}x\n",
+            quad.wall_ns_per_test() / tr.wall_ns_per_test().max(1e-9),
+            sweep.wall_ns_per_test() / tr.wall_ns_per_test().max(1e-9)
         ));
     }
     out

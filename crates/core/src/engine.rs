@@ -1345,7 +1345,7 @@ impl SpatialEngine {
             tree: artifacts.tree.as_ref().map(|t| t.export()),
             conservative: artifacts.conservative.as_ref().and_then(|c| c.export()),
             progressive: artifacts.progressive.as_ref().map(|p| p.export()),
-            trstar: artifacts.trstar.as_ref().map(|t| t.export()),
+            trstar: artifacts.trstar.as_deref(),
         };
         backend.store.write_dataset(id, self.tag, &parts).ok()
     }
@@ -1395,7 +1395,7 @@ impl SpatialEngine {
         tree: Option<Result<msj_sam::TreeExport, msj_store::SectionError>>,
         conservative: Option<Result<msj_approx::ConsExport, msj_store::SectionError>>,
         progressive: Option<Result<msj_approx::ProgExport, msj_store::SectionError>>,
-        trstar: Option<Result<msj_exact::TrStarExport, msj_store::SectionError>>,
+        trstar: Option<Result<TrStarStore, msj_store::SectionError>>,
         corrupt: &mut Vec<&'static str>,
     ) -> DatasetArtifacts {
         let tree = match (matches!(self.config.backend, Backend::RStarTraversal), tree) {
@@ -1449,17 +1449,11 @@ impl SpatialEngine {
             }
         };
         let trstar = match (self.config.exact, trstar) {
-            (ExactAlgorithm::TrStar { .. }, Some(Ok(export))) => {
-                match TrStarStore::from_export(export) {
-                    Ok(t) => Some(Arc::new(t)),
-                    Err(_) => {
-                        corrupt.push(Section::TrStar.name());
-                        let ExactAlgorithm::TrStar { max_entries } = self.config.exact else {
-                            unreachable!("matched TrStar");
-                        };
-                        Some(Arc::new(TrStarStore::build(relation, max_entries)))
-                    }
-                }
+            // The store validated the arena's structure on decode; one
+            // that does not cover this relation's ids is rebuilt like a
+            // corrupt one.
+            (ExactAlgorithm::TrStar { .. }, Some(Ok(arena))) if arena.len() == relation.len() => {
+                Some(Arc::new(arena))
             }
             (ExactAlgorithm::TrStar { max_entries }, other) => {
                 if other.is_some() {

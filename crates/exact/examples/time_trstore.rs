@@ -19,4 +19,18 @@ fn main() {
         store.avg_trapezoids(),
         store.avg_height()
     );
+    // The arena is its own persistent image: writing is a column copy,
+    // loading a column copy plus one validating pass.
+    let t1 = Instant::now();
+    let image = store.to_bytes();
+    let wrote = t1.elapsed();
+    let t2 = Instant::now();
+    let back = msj_exact::TrStarStore::from_bytes(&image).expect("own image validates");
+    println!(
+        "arena image: {} B ({:.0} B/trapezoid); to_bytes {wrote:?}, from_bytes {:?}",
+        image.len(),
+        image.len() as f64 / store.num_trapezoids().max(1) as f64,
+        t2.elapsed()
+    );
+    assert!(back == store);
 }

@@ -12,8 +12,9 @@
 //!   *search-space restriction* to the MBR intersection window (§4.1);
 //! * [`trstar`] — the paper's proposal: trapezoid decomposition
 //!   ([`trapezoid::decompose`]) organized per object in a main-memory
-//!   [`trstar::TrStarTree`] with tiny node capacity, intersected by a
-//!   dual-tree traversal.
+//!   TR*-tree with tiny node capacity — all trees of a relation in one
+//!   flat [`trstar::TrStarStore`] arena — intersected by a dual-tree
+//!   traversal over [`trstar::TrStarView`]s.
 //!
 //! All three implement the same *closed-region* predicate (touching and
 //! containment count as intersection); a cross-algorithm agreement
@@ -36,5 +37,5 @@ pub use processor::{ExactAlgorithm, ExactProcessor};
 pub use quadratic::quadratic_intersects;
 pub use sweep::sweep_intersects;
 pub use trapezoid::{decompose, Trapezoid};
-pub use trstar::{trees_intersect, TrStarExport, TrStarStore, TrStarTree};
+pub use trstar::{trees_intersect, TrStarFormatError, TrStarStore, TrStarView};
 pub use window::{region_contains_point, region_intersects_rect};

@@ -9,7 +9,7 @@
 //! the even–odd pairing of band crossings. See DESIGN.md §3 for the
 //! relation to the minimum partition of [AA 83].
 
-use msj_geom::{convex_intersect, Point, PolygonWithHoles, Rect};
+use msj_geom::{convex_intersect, edge_separates, Point, PolygonWithHoles, Rect};
 
 /// A trapezoid with horizontal bottom (`y_lo`) and top (`y_hi`) sides.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,6 +21,10 @@ pub struct Trapezoid {
     /// x-interval on the top side.
     pub x_hi: (f64, f64),
 }
+
+/// The relative margin of [`Trapezoid::decide_fast`]'s "intersecting"
+/// claim: `128 · u` with `u = f64::EPSILON / 2` (derivation there).
+const MARGIN: f64 = 64.0 * f64::EPSILON;
 
 impl Trapezoid {
     /// The MBR of the trapezoid.
@@ -52,8 +56,111 @@ impl Trapezoid {
 
     /// Closed trapezoid-trapezoid intersection — the *trapezoid
     /// intersection test* of Table 6 (weight 38). The caller counts it.
+    ///
+    /// Always the answer of `convex_intersect` on the two corner rings:
+    /// [`Trapezoid::decide_fast`] answers the pairs it can prove, the
+    /// full SAT answers the rest.
+    #[inline]
     pub fn intersects(&self, other: &Trapezoid) -> bool {
-        convex_intersect(&self.ring(), &other.ring())
+        self.decide_fast(other)
+            .unwrap_or_else(|| convex_intersect(&self.ring(), &other.ring()))
+    }
+
+    /// The horizontal-base specialisation of the SAT test: clips both
+    /// trapezoids to their common y-band and compares the interpolated
+    /// left/right side positions at the two band ends. `Some(answer)` is
+    /// returned only where `convex_intersect` provably gives the same
+    /// answer; `None` means the pair sits inside the margin and the
+    /// caller must run the full SAT.
+    ///
+    /// **Disjoint** is never claimed from the band comparison itself.
+    /// When one trapezoid lies to the side of the other at both band
+    /// ends, the two facing side edges are handed to
+    /// [`edge_separates`] — the SAT's own per-axis inequality, tolerance
+    /// included — and only its `true` (which makes `convex_intersect`
+    /// `false` by definition) is returned.
+    ///
+    /// **Intersecting** is claimed from a horizontal segment `S` of
+    /// computed length `w` that the two cross-sections share at a band
+    /// end. With `u = f64::EPSILON / 2`, `X`/`Y` the largest |x| / |y|
+    /// of the eight corners:
+    ///
+    /// * Axes of the horizontal edges are `(∓0, ±len)`; every projection
+    ///   is the single rounding `fl(len · y)`, monotone in `y`, so
+    ///   overlapping y-ranges can never look separated.
+    /// * The axis of a side edge `(dx, h)` is `(−h, dx)`. Each
+    ///   projection `fl(−h·x + dx·y)` is within
+    ///   `E = 2.05u · (h·X + |dx|·Y)` of its exact value, and the exact
+    ///   projections of both rings contain those of `S`, an interval of
+    ///   length `h · |S|`. So `h · |S| ≥ 2E` forces `a_max ≥ b_min` and
+    ///   `b_max ≥ a_min` as computed, and `has_separating_axis` then
+    ///   subtracts its `1e-12 · scale > 0` tolerance on top — the
+    ///   tolerance only ever moves the SAT towards "intersecting", which
+    ///   is why no multiple of it appears below.
+    /// * Each interpolated side position is within `14u · X` of exact
+    ///   (one rounding each for `y − y_lo`, the division, `dx`, the
+    ///   product, the sum; `|dx| ≤ 2X`), and the width subtraction adds
+    ///   `2u · X`, so `|S| ≥ w − 30u · X`.
+    ///
+    /// Together: claim when `h · w ≥ u · (34.1·h·X + 4.1·|dx|·Y)` for
+    /// all four side edges; `MARGIN` is `128u` on both terms, which
+    /// also absorbs the rounding of the comparison itself. A steep
+    /// margin (`|dx| / h` large: near-horizontal sides in a thin band)
+    /// or a sliver narrower than it falls through to the SAT.
+    pub fn decide_fast(&self, other: &Trapezoid) -> Option<bool> {
+        let (a, b) = (self, other);
+        let (ha, hb) = (a.y_hi - a.y_lo, b.y_hi - b.y_lo);
+        let (y0, y1) = (a.y_lo.max(b.y_lo), a.y_hi.min(b.y_hi));
+        // Written so that NaNs, flat trapezoids and disjoint y-ranges
+        // (which the MBR pretest has already removed) all take `None`.
+        if !(ha > 0.0 && hb > 0.0 && y0 <= y1) {
+            return None;
+        }
+        let (la0, ra0) = a.cross_section(y0, ha);
+        let (la1, ra1) = a.cross_section(y1, ha);
+        let (lb0, rb0) = b.cross_section(y0, hb);
+        let (lb1, rb1) = b.cross_section(y1, hb);
+        if ra0 < lb0 && ra1 < lb1 {
+            // `a` left of `b` across the band: a's right side (ring
+            // edge 1) or b's left side (ring edge 3) should separate.
+            let (ring_a, ring_b) = (a.ring(), b.ring());
+            return (edge_separates(&ring_a, 1, &ring_b) || edge_separates(&ring_b, 3, &ring_a))
+                .then_some(false);
+        }
+        if rb0 < la0 && rb1 < la1 {
+            let (ring_a, ring_b) = (a.ring(), b.ring());
+            return (edge_separates(&ring_a, 3, &ring_b) || edge_separates(&ring_b, 1, &ring_a))
+                .then_some(false);
+        }
+        let w0 = ra0.min(rb0) - la0.max(lb0);
+        let w1 = ra1.min(rb1) - la1.max(lb1);
+        let w = w0.max(w1);
+        let x = a.max_abs_x().max(b.max_abs_x());
+        let y = a
+            .y_lo
+            .abs()
+            .max(a.y_hi.abs())
+            .max(b.y_lo.abs().max(b.y_hi.abs()));
+        let slant_a = (a.x_hi.0 - a.x_lo.0).abs().max((a.x_hi.1 - a.x_lo.1).abs());
+        let slant_b = (b.x_hi.0 - b.x_lo.0).abs().max((b.x_hi.1 - b.x_lo.1).abs());
+        (ha * w >= MARGIN * (ha * x + slant_a * y) && hb * w >= MARGIN * (hb * x + slant_b * y))
+            .then_some(true)
+    }
+
+    /// The x-interval of the trapezoid at height `y` (`y_lo ≤ y ≤ y_hi`,
+    /// `h = y_hi − y_lo > 0`).
+    #[inline]
+    fn cross_section(&self, y: f64, h: f64) -> (f64, f64) {
+        let t = (y - self.y_lo) / h;
+        (
+            self.x_lo.0 + t * (self.x_hi.0 - self.x_lo.0),
+            self.x_lo.1 + t * (self.x_hi.1 - self.x_lo.1),
+        )
+    }
+
+    #[inline]
+    fn max_abs_x(&self) -> f64 {
+        (self.x_lo.0.abs().max(self.x_lo.1.abs())).max(self.x_hi.0.abs().max(self.x_hi.1.abs()))
     }
 
     /// Whether `p` lies in the closed trapezoid.

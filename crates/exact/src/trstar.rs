@@ -6,63 +6,378 @@
 //! directory rectangles prune subtree pairs (rectangle intersection tests,
 //! weight 28), and leaf trapezoid pairs decide (trapezoid intersection
 //! tests, weight 38).
+//!
+//! # Layout
+//!
+//! All trees of a relation live in one [`TrStarStore`] — a flat arena of
+//! four columns with no per-node or per-object allocation:
+//!
+//! | column | element | meaning |
+//! |---|---|---|
+//! | `node_offsets` | `u32` × (objects + 1) | object *i* owns nodes `[o[i], o[i+1])`; its root is the first |
+//! | `trap_offsets` | `u32` × (objects + 1) | object *i* owns trapezoids `[o[i], o[i+1])` |
+//! | `nodes` | 40 B: rect 4 × `f64`, `first: u32`, `level: u16`, `count: u16` | children are the object-local run `[first, first + count)` of nodes (`level > 0`) or trapezoids (`level = 0`) |
+//! | `traps` | 48 B: `y_lo, y_hi, x_lo.0, x_lo.1, x_hi.0, x_hi.1` | the decomposition, in leaf order |
+//!
+//! Nodes are stored breadth-first, so sibling headers share cache lines
+//! and child ids are implicit. [`TrStarStore::to_bytes`] writes these
+//! columns little-endian behind a 32-byte header and
+//! [`TrStarStore::from_bytes`] adopts them after one validating pass —
+//! the persistent store's TR* section *is* the arena.
+//!
+//! Queries run over [`TrStarView`], a `Copy` pair of borrowed slices,
+//! with a fixed inline stack: the dual traversal pushes at most
+//! `count ≤ M` entries per popped pair and descends one level per pop,
+//! so it holds at most `(h₁ + h₂) · (M − 1) + 1` entries —
+//! [`INLINE_STACK`] covers combined heights up to 31 at M = 3; taller
+//! trees spill to the heap.
+
+mod builder;
 
 use crate::cost::OpCounts;
 use crate::trapezoid::{decompose, Trapezoid};
+use builder::TreeBuilder;
 use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, Relation};
+use std::fmt;
+use std::ops::Range;
 
-/// A node of the TR*-tree. Children are indices into the tree's node
-/// arena; leaves hold trapezoid indices.
-#[derive(Debug, Clone)]
-struct Node {
+/// Entries the traversal stacks hold before spilling to the heap.
+pub const INLINE_STACK: usize = 64;
+
+const HEADER_BYTES: usize = 32;
+const NODE_BYTES: usize = 40;
+const TRAP_BYTES: usize = 48;
+
+/// One node of the arena (see the module docs for the layout).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct NodeHeader {
     rect: Rect,
+    /// First child, object-local: a node index when `level > 0`, a
+    /// trapezoid index when `level == 0`.
+    first: u32,
     /// Height above the leaves (0 = leaf).
-    level: u32,
-    children: Vec<u32>,
+    level: u16,
+    count: u16,
 }
 
-/// A main-memory TR*-tree over the trapezoids of one object.
-#[derive(Debug, Clone)]
-pub struct TrStarTree {
-    nodes: Vec<Node>,
+impl NodeHeader {
+    #[inline]
+    fn children(&self) -> Range<usize> {
+        let first = self.first as usize;
+        first..first.saturating_add(self.count as usize)
+    }
+}
+
+/// The TR*-trees of every object of a relation — the paper's decomposed
+/// object representation, built once at "insertion time" — as one flat
+/// arena (module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrStarStore {
+    max_entries: u32,
+    node_offsets: Vec<u32>,
+    trap_offsets: Vec<u32>,
+    nodes: Vec<NodeHeader>,
     traps: Vec<Trapezoid>,
-    /// In-memory parent pointers (construction bookkeeping only).
-    parents: Vec<Option<u32>>,
-    root: u32,
-    max_entries: usize,
-    min_entries: usize,
 }
 
-impl TrStarTree {
-    /// Builds the tree for a region with maximum node capacity
-    /// `max_entries` (the paper's M; 3–5 are sensible, 3 is best).
-    pub fn build(region: &PolygonWithHoles, max_entries: usize) -> Self {
-        let traps = decompose(region);
-        Self::from_trapezoids(traps, max_entries)
+/// Why [`TrStarStore::from_bytes`] rejected a section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrStarFormatError {
+    /// The byte length does not match the counts in the header.
+    Length,
+    /// An offset table is not monotone, does not start at 0 or does not
+    /// end at the column length, or an object has no root node.
+    Offsets,
+    /// A node holds more children than the arena's node capacity.
+    Fanout,
+    /// A child run is not the next unclaimed run of its object — out of
+    /// range, shared with another parent, or leaving entries unowned.
+    ChildRange,
+    /// A directory node's child is not exactly one level below it (this
+    /// is what rules out cycles).
+    Level,
+}
+
+impl fmt::Display for TrStarFormatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            TrStarFormatError::Length => "TR* arena length does not match its header",
+            TrStarFormatError::Offsets => "TR* arena offset table malformed",
+            TrStarFormatError::Fanout => "TR* arena node exceeds the node capacity",
+            TrStarFormatError::ChildRange => "TR* arena child run out of place",
+            TrStarFormatError::Level => "TR* arena child level is not parent level - 1",
+        })
+    }
+}
+
+impl std::error::Error for TrStarFormatError {}
+
+impl TrStarStore {
+    /// Builds the trees of every object of `relation` with maximum node
+    /// capacity `max_entries` (the paper's M; 3–5 are sensible, 3 is
+    /// best; clamped to `2..=u16::MAX`).
+    pub fn build(relation: &Relation, max_entries: usize) -> Self {
+        Self::from_regions(relation.iter().map(|o| &o.region), max_entries)
     }
 
-    /// Builds the tree from precomputed trapezoids.
-    pub fn from_trapezoids(traps: Vec<Trapezoid>, max_entries: usize) -> Self {
-        let max_entries = max_entries.max(2);
-        let min_entries = (max_entries / 2).max(1);
-        let mut tree = TrStarTree {
-            nodes: vec![Node {
-                rect: Rect::from_bounds(0.0, 0.0, 0.0, 0.0),
-                level: 0,
-                children: Vec::new(),
-            }],
-            traps: Vec::with_capacity(traps.len()),
-            parents: vec![None],
-            root: 0,
-            max_entries,
-            min_entries,
+    /// Builds one tree per region, in iteration order (object ids are
+    /// the positions).
+    pub fn from_regions<'r>(
+        regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
+        max_entries: usize,
+    ) -> Self {
+        let max_entries = max_entries.clamp(2, u16::MAX as usize);
+        let mut arena = TrStarStore {
+            max_entries: max_entries as u32,
+            node_offsets: vec![0],
+            trap_offsets: vec![0],
+            nodes: Vec::new(),
+            traps: Vec::new(),
         };
-        for t in traps {
-            tree.insert(t);
+        for region in regions {
+            TreeBuilder::new(decompose(region), max_entries).freeze_into(&mut arena);
         }
-        tree
+        arena
     }
 
+    /// Seals the object whose nodes and trapezoids were just appended.
+    fn close_object(&mut self) {
+        let as_offset = |len: usize| u32::try_from(len).expect("TR* arena exceeds u32 offsets");
+        self.node_offsets.push(as_offset(self.nodes.len()));
+        self.trap_offsets.push(as_offset(self.traps.len()));
+    }
+
+    /// The tree of object `id`.
+    #[inline]
+    pub fn get(&self, id: ObjectId) -> TrStarView<'_> {
+        let i = id as usize;
+        TrStarView {
+            nodes: &self.nodes[self.node_offsets[i] as usize..self.node_offsets[i + 1] as usize],
+            traps: &self.traps[self.trap_offsets[i] as usize..self.trap_offsets[i + 1] as usize],
+        }
+    }
+
+    /// Number of objects.
+    pub fn len(&self) -> usize {
+        self.node_offsets.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    pub fn max_entries(&self) -> usize {
+        self.max_entries as usize
+    }
+
+    /// Total trapezoids over all objects.
+    pub fn num_trapezoids(&self) -> usize {
+        self.traps.len()
+    }
+
+    /// Average tree height — the paper relates cost ratios to the ratio of
+    /// average heights (7.6 / 5.0 for BW / Europe).
+    pub fn avg_height(&self) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        let roots = &self.node_offsets[..self.len()];
+        let total: f64 = roots
+            .iter()
+            .map(|&root| f64::from(self.nodes[root as usize].level) + 1.0)
+            .sum();
+        total / self.len() as f64
+    }
+
+    /// Average number of trapezoids per object.
+    pub fn avg_trapezoids(&self) -> f64 {
+        if self.is_empty() {
+            return 0.0;
+        }
+        self.traps.len() as f64 / self.len() as f64
+    }
+
+    /// The arena as its persistent image: a 32-byte header
+    /// (`max_entries: u32`, zero `u32`, then object / node / trapezoid
+    /// counts as `u64`) followed by the four columns of the module docs,
+    /// everything little-endian.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(
+            HEADER_BYTES
+                + 4 * (self.node_offsets.len() + self.trap_offsets.len())
+                + NODE_BYTES * self.nodes.len()
+                + TRAP_BYTES * self.traps.len(),
+        );
+        out.extend_from_slice(&self.max_entries.to_le_bytes());
+        out.extend_from_slice(&0u32.to_le_bytes());
+        for count in [self.len(), self.nodes.len(), self.traps.len()] {
+            out.extend_from_slice(&(count as u64).to_le_bytes());
+        }
+        for &o in self.node_offsets.iter().chain(&self.trap_offsets) {
+            out.extend_from_slice(&o.to_le_bytes());
+        }
+        for n in &self.nodes {
+            let mut rec = [0u8; NODE_BYTES];
+            let r = n.rect;
+            put_f64s(&mut rec, &[r.xmin(), r.ymin(), r.xmax(), r.ymax()]);
+            rec[32..36].copy_from_slice(&n.first.to_le_bytes());
+            rec[36..38].copy_from_slice(&n.level.to_le_bytes());
+            rec[38..40].copy_from_slice(&n.count.to_le_bytes());
+            out.extend_from_slice(&rec);
+        }
+        for t in &self.traps {
+            let mut rec = [0u8; TRAP_BYTES];
+            put_f64s(
+                &mut rec,
+                &[t.y_lo, t.y_hi, t.x_lo.0, t.x_lo.1, t.x_hi.0, t.x_hi.1],
+            );
+            out.extend_from_slice(&rec);
+        }
+        out
+    }
+
+    /// Adopts a [`TrStarStore::to_bytes`] image: one pass to lift the
+    /// columns out of the byte stream, one to validate them. Nothing is
+    /// allocated before the length implied by the header's counts has
+    /// been checked against `bytes`.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TrStarFormatError> {
+        if bytes.len() < HEADER_BYTES {
+            return Err(TrStarFormatError::Length);
+        }
+        let count_at = |at: usize| usize::try_from(u64_at(bytes, at)).ok();
+        let (Some(objects), Some(nodes), Some(traps)) = (count_at(8), count_at(16), count_at(24))
+        else {
+            return Err(TrStarFormatError::Length);
+        };
+        let layout = (|| {
+            let offsets_bytes = objects.checked_add(1)?.checked_mul(4)?;
+            let total = HEADER_BYTES
+                .checked_add(offsets_bytes.checked_mul(2)?)?
+                .checked_add(nodes.checked_mul(NODE_BYTES)?)?
+                .checked_add(traps.checked_mul(TRAP_BYTES)?)?;
+            (total == bytes.len()).then_some(offsets_bytes)
+        })();
+        let Some(offsets_bytes) = layout else {
+            return Err(TrStarFormatError::Length);
+        };
+        let (node_offsets, rest) = bytes[HEADER_BYTES..].split_at(offsets_bytes);
+        let (trap_offsets, rest) = rest.split_at(offsets_bytes);
+        let (node_bytes, trap_bytes) = rest.split_at(nodes * NODE_BYTES);
+        let u32s = |col: &[u8]| col.chunks_exact(4).map(|c| u32_at(c, 0)).collect();
+        let arena = TrStarStore {
+            max_entries: u32_at(bytes, 0),
+            node_offsets: u32s(node_offsets),
+            trap_offsets: u32s(trap_offsets),
+            nodes: node_bytes
+                .chunks_exact(NODE_BYTES)
+                .map(|c| NodeHeader {
+                    rect: Rect::from_bounds(
+                        f64_at(c, 0),
+                        f64_at(c, 8),
+                        f64_at(c, 16),
+                        f64_at(c, 24),
+                    ),
+                    first: u32_at(c, 32),
+                    level: u16::from_le_bytes([c[36], c[37]]),
+                    count: u16::from_le_bytes([c[38], c[39]]),
+                })
+                .collect(),
+            traps: trap_bytes
+                .chunks_exact(TRAP_BYTES)
+                .map(|c| Trapezoid {
+                    y_lo: f64_at(c, 0),
+                    y_hi: f64_at(c, 8),
+                    x_lo: (f64_at(c, 16), f64_at(c, 24)),
+                    x_hi: (f64_at(c, 32), f64_at(c, 40)),
+                })
+                .collect(),
+        };
+        arena.validate()?;
+        Ok(arena)
+    }
+
+    /// The structural invariants every traversal relies on, checked in
+    /// one linear pass: each object has a root; every node's child run
+    /// is the *next unclaimed* run of its object's nodes (directory) or
+    /// trapezoids (leaf), so no entry has two parents or none; fan-out
+    /// is within the node capacity (which bounds the traversal stack);
+    /// and a directory node's children sit exactly one level below it,
+    /// so every descent terminates.
+    fn validate(&self) -> Result<(), TrStarFormatError> {
+        if !(2..=u32::from(u16::MAX)).contains(&self.max_entries) {
+            return Err(TrStarFormatError::Fanout);
+        }
+        let well_formed = |offsets: &[u32], len: usize| {
+            offsets.first() == Some(&0)
+                && offsets.last().map(|&o| o as usize) == Some(len)
+                && offsets.windows(2).all(|w| w[0] <= w[1])
+        };
+        if !well_formed(&self.node_offsets, self.nodes.len())
+            || !well_formed(&self.trap_offsets, self.traps.len())
+        {
+            return Err(TrStarFormatError::Offsets);
+        }
+        for id in 0..self.len() {
+            let tree = self.get(id as ObjectId);
+            if tree.nodes.is_empty() {
+                return Err(TrStarFormatError::Offsets);
+            }
+            let (mut next_node, mut next_trap) = (1usize, 0usize);
+            for node in tree.nodes {
+                if u32::from(node.count) > self.max_entries {
+                    return Err(TrStarFormatError::Fanout);
+                }
+                let run = node.children();
+                if node.level == 0 {
+                    if run.start != next_trap || run.end > tree.traps.len() {
+                        return Err(TrStarFormatError::ChildRange);
+                    }
+                    next_trap = run.end;
+                } else {
+                    if run.start != next_node || run.end > tree.nodes.len() {
+                        return Err(TrStarFormatError::ChildRange);
+                    }
+                    next_node = run.end;
+                    if tree.nodes[run].iter().any(|c| c.level != node.level - 1) {
+                        return Err(TrStarFormatError::Level);
+                    }
+                }
+            }
+            if next_node != tree.nodes.len() || next_trap != tree.traps.len() {
+                return Err(TrStarFormatError::ChildRange);
+            }
+        }
+        Ok(())
+    }
+}
+
+fn put_f64s(rec: &mut [u8], values: &[f64]) {
+    for (dst, v) in rec.chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
+}
+
+fn f64_at(bytes: &[u8], at: usize) -> f64 {
+    f64::from_bits(u64_at(bytes, at))
+}
+
+/// The TR*-tree of one object: borrowed runs of a [`TrStarStore`]'s node
+/// and trapezoid columns. The root is node 0.
+#[derive(Debug, Clone, Copy)]
+pub struct TrStarView<'a> {
+    nodes: &'a [NodeHeader],
+    traps: &'a [Trapezoid],
+}
+
+impl<'a> TrStarView<'a> {
     /// Number of trapezoids stored.
     pub fn num_trapezoids(&self) -> usize {
         self.traps.len()
@@ -70,301 +385,30 @@ impl TrStarTree {
 
     /// Tree height in levels (1 = a single leaf node).
     pub fn height(&self) -> u32 {
-        self.nodes[self.root as usize].level + 1
+        u32::from(self.nodes[0].level) + 1
     }
 
     /// The root MBR (covers the whole object).
     pub fn root_rect(&self) -> Rect {
-        self.nodes[self.root as usize].rect
+        self.nodes[0].rect
     }
 
-    /// The stored trapezoids.
-    pub fn trapezoids(&self) -> &[Trapezoid] {
-        &self.traps
-    }
-
-    fn insert(&mut self, t: Trapezoid) {
-        let trap_idx = self.traps.len() as u32;
-        let rect = t.mbr();
-        self.traps.push(t);
-        if self.traps.len() == 1 {
-            // First entry initializes the root rect.
-            self.nodes[self.root as usize].rect = rect;
-        }
-        self.place_trapezoid(trap_idx, rect, true);
-    }
-
-    /// Routes a trapezoid into a leaf. On overflow the R* *forced
-    /// reinsert* runs once per insertion (leaf level only, as in the
-    /// original heuristic's dominant case); afterwards the node splits.
-    fn place_trapezoid(&mut self, trap_idx: u32, rect: Rect, allow_reinsert: bool) {
-        let leaf = self.choose_leaf(rect);
-        self.nodes[leaf as usize].children.push(trap_idx);
-        self.nodes[leaf as usize].rect = if self.nodes[leaf as usize].children.len() == 1 {
-            rect
-        } else {
-            self.nodes[leaf as usize].rect.union(&rect)
-        };
-        self.adjust_upward(leaf, rect);
-        if self.nodes[leaf as usize].children.len() > self.max_entries {
-            if allow_reinsert && leaf != self.root {
-                self.forced_reinsert(leaf);
-            } else {
-                self.split(leaf);
-            }
-        }
-    }
-
-    /// Removes the 30 % of the leaf's trapezoids farthest from its center
-    /// and re-routes them (far-first), shrinking the node's region before
-    /// a split becomes necessary.
-    fn forced_reinsert(&mut self, leaf: u32) {
-        let center = self.nodes[leaf as usize].rect.center();
-        let mut entries = std::mem::take(&mut self.nodes[leaf as usize].children);
-        entries.sort_by(|&a, &b| {
-            let da = self.traps[a as usize].mbr().center().dist_sq(center);
-            let db = self.traps[b as usize].mbr().center().dist_sq(center);
-            db.partial_cmp(&da).expect("finite")
-        });
-        let p = (entries.len() * 3 / 10).max(1);
-        let removed: Vec<u32> = entries.drain(..p).collect();
-        self.nodes[leaf as usize].children = entries;
-        self.recompute_rects_upward(leaf);
-        for trap_idx in removed {
-            let rect = self.traps[trap_idx as usize].mbr();
-            self.place_trapezoid(trap_idx, rect, false);
-        }
-    }
-
-    /// Recomputes this node's rectangle from its children and propagates
-    /// the (possibly shrunken) rectangles to the root.
-    fn recompute_rects_upward(&mut self, node: u32) {
-        let mut current = node;
-        loop {
-            let n = &self.nodes[current as usize];
-            let rect = if n.level == 0 {
-                n.children
-                    .iter()
-                    .map(|&t| self.traps[t as usize].mbr())
-                    .reduce(|a, b| a.union(&b))
-            } else {
-                n.children
-                    .iter()
-                    .map(|&c| self.nodes[c as usize].rect)
-                    .reduce(|a, b| a.union(&b))
-            };
-            if let Some(rect) = rect {
-                self.nodes[current as usize].rect = rect;
-            }
-            match self.parent_of(current) {
-                Some(p) => current = p,
-                None => break,
-            }
-        }
-    }
-
-    /// R* choose-subtree: descend minimizing overlap enlargement at the
-    /// level above the leaves and area enlargement elsewhere.
-    fn choose_leaf(&self, rect: Rect) -> u32 {
-        let mut node = self.root;
-        loop {
-            let n = &self.nodes[node as usize];
-            if n.level == 0 {
-                return node;
-            }
-            let mut best_child = n.children[0];
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for &c in &n.children {
-                let crect = self.nodes[c as usize].rect;
-                let enlargement = crect.enlargement(&rect);
-                let overlap_delta = if n.level == 1 {
-                    // Overlap enlargement against siblings.
-                    let grown = crect.union(&rect);
-                    let mut before = 0.0;
-                    let mut after = 0.0;
-                    for &s in &n.children {
-                        if s == c {
-                            continue;
-                        }
-                        let srect = self.nodes[s as usize].rect;
-                        before += crect.intersection_area(&srect);
-                        after += grown.intersection_area(&srect);
-                    }
-                    after - before
-                } else {
-                    0.0
-                };
-                let key = (overlap_delta, enlargement, crect.area());
-                if key < best_key {
-                    best_key = key;
-                    best_child = c;
-                }
-            }
-            node = best_child;
-        }
-    }
-
-    /// Recomputes ancestor rectangles after an insertion into `node`.
-    fn adjust_upward(&mut self, node: u32, rect: Rect) {
-        let mut current = node;
-        while let Some(parent) = self.parent_of(current) {
-            self.nodes[parent as usize].rect = self.nodes[parent as usize].rect.union(&rect);
-            current = parent;
-        }
-    }
-
-    /// Parent lookup via the maintained in-memory pointer.
-    fn parent_of(&self, node: u32) -> Option<u32> {
-        self.parents[node as usize]
-    }
-
-    /// Points the parent pointers of `node`'s direct child nodes at it.
-    fn reparent_children(&mut self, node: u32) {
-        if self.nodes[node as usize].level == 0 {
-            return; // leaf children are trapezoid indices
-        }
-        let children = self.nodes[node as usize].children.clone();
-        for c in children {
-            self.parents[c as usize] = Some(node);
-        }
-    }
-
-    /// R*-style split: choose the axis with minimal margin sum, then the
-    /// distribution with minimal overlap (ties: minimal total area).
-    fn split(&mut self, node: u32) {
-        let level = self.nodes[node as usize].level;
-        let children = std::mem::take(&mut self.nodes[node as usize].children);
-        let rects: Vec<Rect> = children
-            .iter()
-            .map(|&c| self.child_rect(level, c))
-            .collect();
-
-        let (group_a, group_b) = self.best_split(&children, &rects);
-
-        let rect_of = |group: &[u32], this: &TrStarTree| -> Rect {
-            group
-                .iter()
-                .map(|&c| this.child_rect(level, c))
-                .reduce(|a, b| a.union(&b))
-                .expect("non-empty split group")
-        };
-        let rect_a = rect_of(&group_a, self);
-        let rect_b = rect_of(&group_b, self);
-
-        if node == self.root {
-            // Grow the tree: new root above two fresh nodes.
-            let a_idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                rect: rect_a,
-                level,
-                children: group_a,
-            });
-            self.parents.push(Some(node));
-            let b_idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                rect: rect_b,
-                level,
-                children: group_b,
-            });
-            self.parents.push(Some(node));
-            let root_rect = rect_a.union(&rect_b);
-            self.nodes[node as usize] = Node {
-                rect: root_rect,
-                level: level + 1,
-                children: vec![a_idx, b_idx],
-            };
-            self.reparent_children(a_idx);
-            self.reparent_children(b_idx);
-        } else {
-            let parent = self.parent_of(node).expect("non-root has a parent");
-            self.nodes[node as usize].rect = rect_a;
-            self.nodes[node as usize].children = group_a;
-            let b_idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                rect: rect_b,
-                level,
-                children: group_b,
-            });
-            self.parents.push(Some(parent));
-            self.reparent_children(node);
-            self.reparent_children(b_idx);
-            self.nodes[parent as usize].children.push(b_idx);
-            // Parent rect unchanged (children cover the same entries).
-            if self.nodes[parent as usize].children.len() > self.max_entries {
-                self.split(parent);
-            }
-        }
-    }
-
-    /// MBR of a child reference: a trapezoid for leaves, a node otherwise.
-    fn child_rect(&self, level: u32, child: u32) -> Rect {
-        if level == 0 {
-            self.traps[child as usize].mbr()
-        } else {
-            self.nodes[child as usize].rect
-        }
-    }
-
-    /// Chooses the split distribution (R* axis + index selection,
-    /// simplified to the m..M-m prefix distributions on both axes).
-    fn best_split(&self, children: &[u32], rects: &[Rect]) -> (Vec<u32>, Vec<u32>) {
-        let m = self.min_entries;
-        let n = children.len();
-        let mut best: Option<(f64, f64, Vec<u32>, Vec<u32>)> = None;
-
-        for axis in 0..2 {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&i, &j| {
-                let (ki, kj) = if axis == 0 {
-                    (
-                        (rects[i].xmin(), rects[i].xmax()),
-                        (rects[j].xmin(), rects[j].xmax()),
-                    )
-                } else {
-                    (
-                        (rects[i].ymin(), rects[i].ymax()),
-                        (rects[j].ymin(), rects[j].ymax()),
-                    )
-                };
-                ki.partial_cmp(&kj).expect("finite")
-            });
-            for k in m..=(n - m) {
-                let left: Vec<usize> = order[..k].to_vec();
-                let right: Vec<usize> = order[k..].to_vec();
-                let rect_l = left
-                    .iter()
-                    .map(|&i| rects[i])
-                    .reduce(|a, b| a.union(&b))
-                    .unwrap();
-                let rect_r = right
-                    .iter()
-                    .map(|&i| rects[i])
-                    .reduce(|a, b| a.union(&b))
-                    .unwrap();
-                let overlap = rect_l.intersection_area(&rect_r);
-                let area = rect_l.area() + rect_r.area();
-                if best
-                    .as_ref()
-                    .is_none_or(|(bo, ba, _, _)| (overlap, area) < (*bo, *ba))
-                {
-                    best = Some((
-                        overlap,
-                        area,
-                        left.iter().map(|&i| children[i]).collect(),
-                        right.iter().map(|&i| children[i]).collect(),
-                    ));
-                }
-            }
-        }
-        let (_, _, a, b) = best.expect("at least one distribution");
-        (a, b)
+    /// The stored trapezoids, in leaf order.
+    pub fn trapezoids(&self) -> &'a [Trapezoid] {
+        self.traps
     }
 
     /// Counted point query: does any trapezoid contain `p`? Each directory
     /// rectangle probe counts as a rectangle test, each leaf probe as a
     /// trapezoid test.
     pub fn contains_point(&self, p: Point, counts: &mut OpCounts) -> bool {
-        let mut stack = vec![self.root];
+        self.probe(p, counts, &mut InlineStack::new(0))
+    }
+
+    /// [`TrStarView::contains_point`] over a caller-owned stack (the
+    /// tests read the stack back to show it never spilled).
+    fn probe(&self, p: Point, counts: &mut OpCounts, stack: &mut InlineStack<u32>) -> bool {
+        stack.push_if(0, true);
         while let Some(cur) = stack.pop() {
             let n = &self.nodes[cur as usize];
             counts.rect_rect += 1;
@@ -372,17 +416,64 @@ impl TrStarTree {
                 continue;
             }
             if n.level == 0 {
-                for &t in &n.children {
+                for t in &self.traps[n.children()] {
                     counts.trapezoid += 1;
-                    if self.traps[t as usize].contains_point(p) {
+                    if t.contains_point(p) {
                         return true;
                     }
                 }
             } else {
-                stack.extend(n.children.iter().copied());
+                for c in n.children() {
+                    stack.push_if(c as u32, true);
+                }
             }
         }
         false
+    }
+}
+
+/// A LIFO stack whose first [`INLINE_STACK`] entries live in the frame;
+/// only deeper pushes touch the heap (`Vec::new` does not allocate).
+struct InlineStack<T> {
+    inline: [T; INLINE_STACK],
+    len: usize,
+    spill: Vec<T>,
+}
+
+impl<T: Copy> InlineStack<T> {
+    fn new(fill: T) -> Self {
+        InlineStack {
+            inline: [fill; INLINE_STACK],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Pushes `value` when `keep`, without a branch on `keep` while the
+    /// inline part has room: the slot past the top is written either
+    /// way and the length decides whether it counts. The traversal's
+    /// rectangle tests are coin flips to the branch predictor; this
+    /// keeps them out of the control flow.
+    #[inline]
+    fn push_if(&mut self, value: T, keep: bool) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                *slot = value;
+                self.len += usize::from(keep);
+            }
+            None if keep => self.spill.push(value),
+            None => {}
+        }
+    }
+
+    /// The spill is non-empty only while the inline part is full, so
+    /// draining it first keeps LIFO order.
+    #[inline]
+    fn pop(&mut self) -> Option<T> {
+        self.spill.pop().or_else(|| {
+            self.len = self.len.checked_sub(1)?;
+            Some(self.inline[self.len])
+        })
     }
 }
 
@@ -390,275 +481,77 @@ impl TrStarTree {
 /// returns `true` iff some trapezoid of `t1` intersects some trapezoid of
 /// `t2`. Because the trapezoids cover the closed regions, containment is
 /// detected without a separate point-in-polygon step.
-pub fn trees_intersect(t1: &TrStarTree, t2: &TrStarTree, counts: &mut OpCounts) -> bool {
+pub fn trees_intersect(t1: TrStarView<'_>, t2: TrStarView<'_>, counts: &mut OpCounts) -> bool {
+    dual_traverse(t1, t2, counts, &mut InlineStack::new((0, 0)))
+}
+
+/// [`trees_intersect`] over a caller-owned stack.
+fn dual_traverse(
+    t1: TrStarView<'_>,
+    t2: TrStarView<'_>,
+    counts: &mut OpCounts,
+    stack: &mut InlineStack<(u32, u32)>,
+) -> bool {
     if t1.traps.is_empty() || t2.traps.is_empty() {
         return false;
     }
-    // Root-level pretest.
-    counts.rect_rect += 1;
-    if !t1.root_rect().intersects(&t2.root_rect()) {
-        return false;
-    }
-    let mut stack: Vec<(u32, u32)> = vec![(t1.root, t2.root)];
-    while let Some((a, b)) = stack.pop() {
-        let na = &t1.nodes[a as usize];
-        let nb = &t2.nodes[b as usize];
-        match (na.level, nb.level) {
-            (0, 0) => {
-                for &ta in &na.children {
-                    let trap_a = &t1.traps[ta as usize];
+    let (mut rects, mut trapezoids) = (1u64, 0u64);
+    let hit = 'search: {
+        // Root-level pretest.
+        if !t1.root_rect().intersects(&t2.root_rect()) {
+            break 'search false;
+        }
+        stack.push_if((0, 0), true);
+        while let Some((a, b)) = stack.pop() {
+            let na = &t1.nodes[a as usize];
+            let nb = &t2.nodes[b as usize];
+            if na.level == 0 && nb.level == 0 {
+                let traps_b = &t2.traps[nb.children()];
+                for trap_a in &t1.traps[na.children()] {
                     let rect_a = trap_a.mbr();
-                    for &tb in &nb.children {
-                        let trap_b = &t2.traps[tb as usize];
-                        // MBR pretest on trapezoid pairs.
-                        counts.rect_rect += 1;
-                        if !rect_a.intersects(&trap_b.mbr()) {
-                            continue;
+                    // MBR pretests on trapezoid pairs, 64 at a time into
+                    // a mask; only the set bits reach the trapezoid test.
+                    for chunk in traps_b.chunks(64) {
+                        let mut passed = 0u64;
+                        for (j, trap_b) in chunk.iter().enumerate() {
+                            passed |= u64::from(rect_a.intersects(&trap_b.mbr())) << j;
                         }
-                        counts.trapezoid += 1;
-                        if trap_a.intersects(trap_b) {
-                            return true;
+                        while passed != 0 {
+                            let j = passed.trailing_zeros() as usize;
+                            passed &= passed - 1;
+                            trapezoids += 1;
+                            if trap_a.intersects(&chunk[j]) {
+                                // The pointer tree stopped here: pretests
+                                // past `j` were never made.
+                                rects += j as u64 + 1;
+                                break 'search true;
+                            }
                         }
+                        rects += chunk.len() as u64;
                     }
                 }
-            }
-            (la, lb) => {
-                // Descend the taller tree (or t1 on ties).
-                if la >= lb {
-                    for &c in &na.children {
-                        counts.rect_rect += 1;
-                        if t1.nodes[c as usize].rect.intersects(&nb.rect) {
-                            stack.push((c, b));
-                        }
-                    }
+            } else {
+                // Descend the taller tree (or t1 on ties). One loop for
+                // both sides, selected by value, so the choice is data
+                // flow rather than a second unpredictable branch.
+                let descend_a = na.level >= nb.level;
+                let (children, first, fixed) = if descend_a {
+                    (&t1.nodes[na.children()], na.first, nb.rect)
                 } else {
-                    for &c in &nb.children {
-                        counts.rect_rect += 1;
-                        if na.rect.intersects(&t2.nodes[c as usize].rect) {
-                            stack.push((a, c));
-                        }
-                    }
+                    (&t2.nodes[nb.children()], nb.first, na.rect)
+                };
+                rects += children.len() as u64;
+                for (c, child) in (first..).zip(children) {
+                    let pair = if descend_a { (c, b) } else { (a, c) };
+                    stack.push_if(pair, child.rect.intersects(&fixed));
                 }
             }
         }
-    }
-    false
-}
-
-/// Precomputed TR*-trees for every object of a relation — the paper's
-/// decomposed object representation, built once at "insertion time".
-#[derive(Debug, Clone)]
-pub struct TrStarStore {
-    trees: Vec<TrStarTree>,
-    max_entries: usize,
-}
-
-impl TrStarStore {
-    pub fn build(relation: &Relation, max_entries: usize) -> Self {
-        TrStarStore {
-            trees: relation
-                .iter()
-                .map(|o| TrStarTree::build(&o.region, max_entries))
-                .collect(),
-            max_entries,
-        }
-    }
-
-    #[inline]
-    pub fn get(&self, id: ObjectId) -> &TrStarTree {
-        &self.trees[id as usize]
-    }
-
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    pub fn max_entries(&self) -> usize {
-        self.max_entries
-    }
-
-    /// Average tree height — the paper relates cost ratios to the ratio of
-    /// average heights (7.6 / 5.0 for BW / Europe).
-    pub fn avg_height(&self) -> f64 {
-        if self.trees.is_empty() {
-            return 0.0;
-        }
-        self.trees.iter().map(|t| t.height() as f64).sum::<f64>() / self.trees.len() as f64
-    }
-
-    /// Average number of trapezoids per object.
-    pub fn avg_trapezoids(&self) -> f64 {
-        if self.trees.is_empty() {
-            return 0.0;
-        }
-        self.trees
-            .iter()
-            .map(|t| t.num_trapezoids() as f64)
-            .sum::<f64>()
-            / self.trees.len() as f64
-    }
-
-    /// Flattens every per-object tree into one serialization-ready
-    /// [`TrStarExport`]: concatenated node / trapezoid / child arenas
-    /// with per-tree offset tables. Child pointers stay tree-local (leaf
-    /// children index the tree's trapezoids, directory children its
-    /// nodes). Parent pointers are construction bookkeeping and are not
-    /// exported.
-    pub fn export(&self) -> TrStarExport {
-        let total_nodes: usize = self.trees.iter().map(|t| t.nodes.len()).sum();
-        let total_traps: usize = self.trees.iter().map(|t| t.traps.len()).sum();
-        let mut e = TrStarExport {
-            max_entries: self.max_entries as u64,
-            tree_node_offsets: Vec::with_capacity(self.trees.len() + 1),
-            tree_trap_offsets: Vec::with_capacity(self.trees.len() + 1),
-            tree_roots: Vec::with_capacity(self.trees.len()),
-            node_levels: Vec::with_capacity(total_nodes),
-            node_rects: Vec::with_capacity(4 * total_nodes),
-            child_offsets: Vec::with_capacity(total_nodes + 1),
-            children: Vec::new(),
-            traps: Vec::with_capacity(6 * total_traps),
-        };
-        e.tree_node_offsets.push(0);
-        e.tree_trap_offsets.push(0);
-        e.child_offsets.push(0);
-        for tree in &self.trees {
-            e.tree_roots.push(tree.root);
-            for node in &tree.nodes {
-                e.node_levels.push(node.level);
-                let r = node.rect;
-                e.node_rects
-                    .extend_from_slice(&[r.xmin(), r.ymin(), r.xmax(), r.ymax()]);
-                e.children.extend_from_slice(&node.children);
-                e.child_offsets.push(e.children.len() as u32);
-            }
-            for t in &tree.traps {
-                e.traps
-                    .extend_from_slice(&[t.y_lo, t.y_hi, t.x_lo.0, t.x_lo.1, t.x_hi.0, t.x_hi.1]);
-            }
-            e.tree_node_offsets.push(e.node_levels.len() as u32);
-            e.tree_trap_offsets.push((e.traps.len() / 6) as u32);
-        }
-        e
-    }
-
-    /// Reconstructs a store from an export — a linear repack of the
-    /// arenas, no trapezoid decomposition and no R*-style reinsertion
-    /// (unlike [`TrStarTree::from_trapezoids`], which rebuilds). Parent
-    /// pointers are rebuilt from the directory children; the result
-    /// traverses identically to the exported store.
-    pub fn from_export(e: TrStarExport) -> Result<Self, String> {
-        let num_trees = e.tree_roots.len();
-        if e.tree_node_offsets.len() != num_trees + 1
-            || e.tree_trap_offsets.len() != num_trees + 1
-            || e.tree_node_offsets[0] != 0
-            || e.tree_trap_offsets[0] != 0
-        {
-            return Err("tree offset tables malformed".into());
-        }
-        let total_nodes = e.node_levels.len();
-        if e.node_rects.len() != 4 * total_nodes
-            || e.child_offsets.len() != total_nodes + 1
-            || e.child_offsets[0] != 0
-            || e.tree_node_offsets[num_trees] as usize != total_nodes
-            || e.child_offsets[total_nodes] as usize != e.children.len()
-        {
-            return Err("node column lengths mismatch".into());
-        }
-        if !e.traps.len().is_multiple_of(6)
-            || e.tree_trap_offsets[num_trees] as usize != e.traps.len() / 6
-        {
-            return Err("trapezoid arena length mismatch".into());
-        }
-        let max_entries = (e.max_entries as usize).max(2);
-        let min_entries = (max_entries / 2).max(1);
-        let mut trees = Vec::with_capacity(num_trees);
-        for t in 0..num_trees {
-            let n_lo = e.tree_node_offsets[t] as usize;
-            let n_hi = e.tree_node_offsets[t + 1] as usize;
-            let t_lo = e.tree_trap_offsets[t] as usize;
-            let t_hi = e.tree_trap_offsets[t + 1] as usize;
-            if n_lo > n_hi || n_hi > total_nodes || t_lo > t_hi {
-                return Err("tree offsets not monotonic".into());
-            }
-            let n = n_hi - n_lo;
-            let num_traps = t_hi - t_lo;
-            if n == 0 || e.tree_roots[t] as usize >= n {
-                return Err("tree root out of range".into());
-            }
-            let mut nodes = Vec::with_capacity(n);
-            let mut parents: Vec<Option<u32>> = vec![None; n];
-            for i in 0..n {
-                let g = n_lo + i;
-                let level = e.node_levels[g];
-                let c_lo = e.child_offsets[g] as usize;
-                let c_hi = e.child_offsets[g + 1] as usize;
-                if c_lo > c_hi || c_hi > e.children.len() {
-                    return Err("child offsets not monotonic".into());
-                }
-                let children = e.children[c_lo..c_hi].to_vec();
-                for &c in &children {
-                    if level == 0 {
-                        if c as usize >= num_traps {
-                            return Err("leaf child out of range".into());
-                        }
-                    } else {
-                        if c as usize >= n {
-                            return Err("dir child out of range".into());
-                        }
-                        parents[c as usize] = Some(i as u32);
-                    }
-                }
-                let r = &e.node_rects[4 * g..4 * g + 4];
-                nodes.push(Node {
-                    rect: Rect::from_bounds(r[0], r[1], r[2], r[3]),
-                    level,
-                    children,
-                });
-            }
-            let traps = (t_lo..t_hi)
-                .map(|j| {
-                    let s = &e.traps[6 * j..6 * j + 6];
-                    Trapezoid {
-                        y_lo: s[0],
-                        y_hi: s[1],
-                        x_lo: (s[2], s[3]),
-                        x_hi: (s[4], s[5]),
-                    }
-                })
-                .collect();
-            trees.push(TrStarTree {
-                nodes,
-                traps,
-                parents,
-                root: e.tree_roots[t],
-                max_entries,
-                min_entries,
-            });
-        }
-        Ok(TrStarStore { trees, max_entries })
-    }
-}
-
-/// Flat image of a [`TrStarStore`] — the unit `msj-store` persists.
-/// Arenas are concatenated across the per-object trees; the
-/// `tree_*_offsets` tables (one entry per object plus a sentinel) slice
-/// them back apart. Trapezoids are 6 scalars each (`y_lo`, `y_hi`,
-/// bottom x-interval, top x-interval).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrStarExport {
-    pub max_entries: u64,
-    pub tree_node_offsets: Vec<u32>,
-    pub tree_trap_offsets: Vec<u32>,
-    pub tree_roots: Vec<u32>,
-    pub node_levels: Vec<u32>,
-    pub node_rects: Vec<f64>,
-    pub child_offsets: Vec<u32>,
-    pub children: Vec<u32>,
-    pub traps: Vec<f64>,
+        false
+    };
+    counts.rect_rect += rects;
+    counts.trapezoid += trapezoids;
+    hit
 }
 
 #[cfg(test)]
@@ -684,11 +577,18 @@ mod tests {
         region(&coords)
     }
 
+    /// The arena over `regions`, M = 3.
+    fn store(regions: &[&PolygonWithHoles]) -> TrStarStore {
+        TrStarStore::from_regions(regions.iter().copied(), 3)
+    }
+
     #[test]
     fn tree_covers_all_trapezoids() {
         let b = blob(40, 0.0, 0.0, 0.0);
-        let tree = TrStarTree::build(&b, 3);
+        let s = store(&[&b]);
+        let tree = s.get(0);
         assert!(tree.num_trapezoids() > 10);
+        assert_eq!(tree.num_trapezoids(), decompose(&b).len());
         let root = tree.root_rect();
         for t in tree.trapezoids() {
             assert!(root.contains_rect(&t.mbr()));
@@ -697,18 +597,19 @@ mod tests {
 
     #[test]
     fn height_grows_logarithmically() {
-        let small = TrStarTree::build(&blob(12, 0.0, 0.0, 0.0), 3);
-        let large = TrStarTree::build(&blob(200, 0.0, 0.0, 0.0), 3);
-        assert!(large.height() > small.height());
+        let (small, large) = (blob(12, 0.0, 0.0, 0.0), blob(200, 0.0, 0.0, 0.0));
+        let s = store(&[&small, &large]);
+        assert!(s.get(1).height() > s.get(0).height());
         // log3-ish bound: a 200-vertex blob has ≤ ~400 trapezoids; height
         // stays well under 14 even at M = 3 (min fill 1).
-        assert!(large.height() <= 14, "height {}", large.height());
+        assert!(s.get(1).height() <= 14, "height {}", s.get(1).height());
     }
 
     #[test]
     fn point_queries_match_region_membership() {
         let b = blob(60, 1.0, -2.0, 0.7);
-        let tree = TrStarTree::build(&b, 3);
+        let s = store(&[&b]);
+        let tree = s.get(0);
         let mbr = b.mbr().inflated(0.5);
         let mut counts = OpCounts::new();
         for i in 0..25 {
@@ -743,12 +644,11 @@ mod tests {
             ),
         ];
         for (i, (a, b, expect)) in cases.iter().enumerate() {
-            let ta = TrStarTree::build(a, 3);
-            let tb = TrStarTree::build(b, 3);
+            let s = store(&[a, b]);
             let mut c1 = OpCounts::new();
             let mut c2 = OpCounts::new();
             assert_eq!(
-                trees_intersect(&ta, &tb, &mut c1),
+                trees_intersect(s.get(0), s.get(1), &mut c1),
                 *expect,
                 "case {i} (tr*)"
             );
@@ -766,20 +666,19 @@ mod tests {
         // overlap directly.
         let big = blob(40, 0.0, 0.0, 0.0);
         let small = region(&[(-0.2, -0.2), (0.2, -0.2), (0.2, 0.2), (-0.2, 0.2)]);
-        let tbig = TrStarTree::build(&big, 3);
-        let tsmall = TrStarTree::build(&small, 3);
+        let s = store(&[&big, &small]);
         let mut c = OpCounts::new();
-        assert!(trees_intersect(&tbig, &tsmall, &mut c));
+        assert!(trees_intersect(s.get(0), s.get(1), &mut c));
         assert_eq!(c.pip_performed, 0);
         assert_eq!(c.edge_line, 0);
     }
 
     #[test]
     fn disjoint_roots_cost_one_rect_test() {
-        let a = TrStarTree::build(&blob(20, 0.0, 0.0, 0.0), 3);
-        let b = TrStarTree::build(&blob(20, 100.0, 100.0, 0.0), 3);
+        let (a, b) = (blob(20, 0.0, 0.0, 0.0), blob(20, 100.0, 100.0, 0.0));
+        let s = store(&[&a, &b]);
         let mut c = OpCounts::new();
-        assert!(!trees_intersect(&a, &b, &mut c));
+        assert!(!trees_intersect(s.get(0), s.get(1), &mut c));
         assert_eq!(c.rect_rect, 1);
         assert_eq!(c.trapezoid, 0);
     }
@@ -796,15 +695,20 @@ mod tests {
         assert!(store.avg_height() >= 1.0);
         assert!(store.avg_trapezoids() > 10.0);
         assert_eq!(store.max_entries(), 3);
+        // The aggregates come from the offset tables alone.
+        let per_tree: usize = (0..3).map(|i| store.get(i).num_trapezoids()).sum();
+        assert_eq!(store.num_trapezoids(), per_tree);
+        let heights: u32 = (0..3).map(|i| store.get(i).height()).sum();
+        assert!((store.avg_height() - f64::from(heights) / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn node_capacity_is_respected() {
         let b = blob(100, 0.0, 0.0, 0.3);
         for m in [3usize, 4, 5] {
-            let tree = TrStarTree::build(&b, m);
-            for node in &tree.nodes {
-                assert!(node.children.len() <= m, "node over capacity {m}");
+            let s = TrStarStore::from_regions([&b], m);
+            for node in s.get(0).nodes {
+                assert!(node.count as usize <= m, "node over capacity {m}");
             }
         }
     }
@@ -827,12 +731,127 @@ mod tests {
         .unwrap();
         let donut = PolygonWithHoles::new(outer, vec![hole]);
         let inside_hole = region(&[(4.0, 4.0), (6.0, 4.0), (6.0, 6.0), (4.0, 6.0)]);
-        let td = TrStarTree::build(&donut, 3);
-        let ti = TrStarTree::build(&inside_hole, 3);
-        let mut c = OpCounts::new();
-        assert!(!trees_intersect(&td, &ti, &mut c));
         let poking = region(&[(4.0, 4.0), (9.0, 4.0), (9.0, 6.0), (4.0, 6.0)]);
-        let tp = TrStarTree::build(&poking, 3);
-        assert!(trees_intersect(&td, &tp, &mut c));
+        let s = store(&[&donut, &inside_hole, &poking]);
+        let mut c = OpCounts::new();
+        assert!(!trees_intersect(s.get(0), s.get(1), &mut c));
+        assert!(trees_intersect(s.get(0), s.get(2), &mut c));
+    }
+
+    #[test]
+    fn bytes_round_trip_and_builds_pass_validation() {
+        let regions = [blob(20, 0.0, 0.0, 0.0), blob(90, 4.0, 1.0, 1.0)];
+        for m in [2usize, 3, 4, 5, 9] {
+            let s = TrStarStore::from_regions(&regions, m);
+            s.validate().expect("built arena is canonical");
+            let back = TrStarStore::from_bytes(&s.to_bytes()).expect("round trip");
+            assert_eq!(back, s);
+        }
+        let empty = TrStarStore::from_regions([], 3);
+        assert_eq!(TrStarStore::from_bytes(&empty.to_bytes()).unwrap(), empty);
+        assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn hostile_arenas_are_rejected() {
+        let valid = store(&[&blob(60, 0.0, 0.0, 0.0), &blob(30, 5.0, 0.0, 0.0)]);
+        assert!(valid.get(0).height() >= 3);
+        let rejects = |mutate: &dyn Fn(&mut TrStarStore), want: TrStarFormatError| {
+            let mut s = valid.clone();
+            mutate(&mut s);
+            assert_eq!(TrStarStore::from_bytes(&s.to_bytes()), Err(want));
+        };
+        // A directory node listing itself as a child: the cycle that used
+        // to hang `trees_intersect`.
+        rejects(&|s| s.nodes[0].first = 0, TrStarFormatError::ChildRange);
+        rejects(
+            &|s| {
+                // Self-reference that *is* the next unclaimed run: node 1
+                // claims the run starting at itself. Only the level rule
+                // catches it.
+                let root_children = s.nodes[0].count;
+                s.nodes[0].count = 0;
+                s.nodes[1].first = 1;
+                s.nodes[1].count = root_children;
+            },
+            TrStarFormatError::Level,
+        );
+        // A level-skipping child (root two levels above its children).
+        rejects(&|s| s.nodes[0].level += 1, TrStarFormatError::Level);
+        rejects(&|s| s.nodes[1].level += 1, TrStarFormatError::Level);
+        // Fan-out past the capacity, stolen runs, orphaned trapezoids.
+        rejects(&|s| s.nodes[0].count = 7, TrStarFormatError::Fanout);
+        rejects(
+            &|s| s.nodes[2].first = s.nodes[1].first,
+            TrStarFormatError::ChildRange,
+        );
+        rejects(
+            &|s| {
+                let last = s.node_offsets[1] as usize - 1;
+                s.nodes[last].count -= 1;
+            },
+            TrStarFormatError::ChildRange,
+        );
+        // Offset tables and lengths.
+        rejects(&|s| s.node_offsets[1] = 0, TrStarFormatError::Offsets);
+        rejects(
+            &|s| s.trap_offsets[1] += 1_000_000,
+            TrStarFormatError::Offsets,
+        );
+        rejects(&|s| s.max_entries = 1, TrStarFormatError::Fanout);
+        let bytes = valid.to_bytes();
+        assert_eq!(
+            TrStarStore::from_bytes(&bytes[..bytes.len() - 1]),
+            Err(TrStarFormatError::Length)
+        );
+        let mut huge = bytes.clone();
+        huge[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            TrStarStore::from_bytes(&huge),
+            Err(TrStarFormatError::Length)
+        );
+        assert_eq!(TrStarStore::from_bytes(&[]), Err(TrStarFormatError::Length));
+    }
+
+    #[test]
+    fn queries_within_the_inline_bound_never_touch_the_heap() {
+        // The spill `Vec` is the only allocation site on the query path;
+        // a capacity of zero after the call means it was never pushed.
+        let regions: Vec<PolygonWithHoles> = (0..12)
+            .map(|i| blob(20 + 40 * i, 0.4 * i as f64, 0.0, i as f64))
+            .collect();
+        let s = TrStarStore::from_regions(&regions, 3);
+        let tallest = (0..12).map(|i| s.get(i).height()).max().unwrap();
+        assert!(
+            (2 * tallest as usize) * 2 < INLINE_STACK,
+            "the set must stay inside the inline bound (height {tallest})"
+        );
+        let mut counts = OpCounts::new();
+        for i in 0..12 {
+            for j in 0..12 {
+                let mut stack = InlineStack::new((0, 0));
+                dual_traverse(s.get(i), s.get(j), &mut counts, &mut stack);
+                assert_eq!(stack.spill.capacity(), 0, "pair {i}/{j} spilled");
+            }
+            for x in [0.3, 50.0] {
+                let mut stack = InlineStack::new(0);
+                s.get(i).probe(Point::new(x, 0.2), &mut counts, &mut stack);
+                assert_eq!(stack.spill.capacity(), 0, "point probe {i} spilled");
+            }
+        }
+        assert!(counts.trapezoid > 0);
+    }
+
+    #[test]
+    fn inline_stack_spills_in_lifo_order() {
+        let mut stack = InlineStack::new(0usize);
+        for i in 0..3 * INLINE_STACK {
+            stack.push_if(i, true);
+            stack.push_if(usize::MAX, false);
+        }
+        for i in (0..3 * INLINE_STACK).rev() {
+            assert_eq!(stack.pop(), Some(i));
+        }
+        assert_eq!(stack.pop(), None);
     }
 }

@@ -1,9 +1,11 @@
 //! Cross-algorithm agreement: the quadratic test, the plane sweep (with
 //! and without restriction) and the TR*-tree must implement the *same*
 //! closed-region intersection predicate on arbitrary generated shapes.
+//! The TR*-tree side runs over the flat arena's views; a golden
+//! operation count pins its traversal order to the pointer tree's.
 
-use msj_datagen::{blob, BlobParams};
-use msj_exact::{quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarTree};
+use msj_datagen::{blob, carve_hole, BlobParams, HoleParams};
+use msj_exact::{quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarStore};
 use msj_geom::{Point, PolygonWithHoles};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,8 +21,95 @@ fn blob_region(seed: u64, vertices: usize, cx: f64, cy: f64) -> PolygonWithHoles
     blob(&mut rng, Point::new(cx, cy), &params).into()
 }
 
+/// `blob_region` with a lake carved out when the outline admits one.
+fn holed_region(seed: u64, vertices: usize, cx: f64, cy: f64) -> PolygonWithHoles {
+    let outer = blob_region(seed, vertices, cx, cy).outer().clone();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4C41_4B45);
+    carve_hole(&mut rng, outer, &HoleParams::default())
+}
+
+/// The TR* answer for one pair at node capacity `m`.
+fn trstar(a: &PolygonWithHoles, b: &PolygonWithHoles, m: usize, counts: &mut OpCounts) -> bool {
+    let store = TrStarStore::from_regions([a, b], m);
+    trees_intersect(store.get(0), store.get(1), counts)
+}
+
+/// The seeded 300-pair set behind the golden counts: every third `a`
+/// and every fifth `b` carries a hole, offsets sweep a 24 × 24 window.
+fn golden_pairs() -> Vec<(PolygonWithHoles, PolygonWithHoles)> {
+    (0..300u64)
+        .map(|i| {
+            let (na, nb) = (6 + (i * 7 % 74) as usize, 6 + (i * 11 % 74) as usize);
+            let dx = (i * 37 % 240) as f64 / 10.0 - 12.0;
+            let dy = (i * 53 % 240) as f64 / 10.0 - 12.0;
+            let a = if i % 3 == 0 {
+                holed_region(1_000 + i, na, 0.0, 0.0)
+            } else {
+                blob_region(1_000 + i, na, 0.0, 0.0)
+            };
+            let b = if i % 5 == 0 {
+                holed_region(5_000 + i, nb, dx, dy)
+            } else {
+                blob_region(5_000 + i, nb, dx, dy)
+            };
+            (a, b)
+        })
+        .collect()
+}
+
+/// Totals recorded at the parent commit (pointer-forest `TrStarTree`,
+/// generic SAT) on `golden_pairs()`: hits, rectangle tests, trapezoid
+/// tests per node capacity. A traversal that visits pairs in another
+/// order finds its hits at other moments and these move.
+const GOLDEN: [(usize, u64, u64, u64); 3] = [
+    (3, 135, 4713, 210),
+    (4, 135, 4591, 202),
+    (5, 135, 4921, 203),
+];
+
+#[test]
+fn arena_traversal_repeats_the_pointer_forest_counts() {
+    let pairs = golden_pairs();
+    assert!(pairs.iter().filter(|(a, _)| !a.holes().is_empty()).count() > 30);
+    for (m, hits, rect_rect, trapezoid) in GOLDEN {
+        let mut counts = OpCounts::new();
+        let mut found = 0u64;
+        for (a, b) in &pairs {
+            let mut c = OpCounts::new();
+            let expect = quadratic_intersects(a, b, &mut c);
+            assert_eq!(sweep_intersects(a, b, true, &mut c), expect);
+            assert_eq!(trstar(a, b, m, &mut counts), expect, "M={m}");
+            found += u64::from(expect);
+        }
+        assert_eq!(
+            (found, counts.rect_rect, counts.trapezoid),
+            (hits, rect_rect, trapezoid),
+            "M={m}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(150))]
+
+    #[test]
+    fn arena_agrees_with_quadratic_and_sweep_with_holes(
+        seed1 in 0u64..10_000,
+        seed2 in 0u64..10_000,
+        n1 in 6usize..80,
+        n2 in 6usize..80,
+        dx in -8.0f64..8.0,
+        dy in -8.0f64..8.0,
+    ) {
+        let a = holed_region(seed1, n1, 0.0, 0.0);
+        let b = holed_region(seed2, n2, dx, dy);
+        let mut c = OpCounts::new();
+        let quad = quadratic_intersects(&a, &b, &mut c);
+        prop_assert_eq!(quad, sweep_intersects(&a, &b, true, &mut c), "quadratic vs sweep (seeds {} {})", seed1, seed2);
+        for m in [3usize, 4, 5] {
+            prop_assert_eq!(quad, trstar(&a, &b, m, &mut c), "quadratic vs TR* M={} (seeds {} {})", m, seed1, seed2);
+        }
+    }
 
     #[test]
     fn all_exact_algorithms_agree(
@@ -38,9 +127,7 @@ proptest! {
         let quad = quadratic_intersects(&a, &b, &mut c);
         let sweep_r = sweep_intersects(&a, &b, true, &mut c);
         let sweep_u = sweep_intersects(&a, &b, false, &mut c);
-        let ta = TrStarTree::build(&a, 3);
-        let tb = TrStarTree::build(&b, 3);
-        let tr = trees_intersect(&ta, &tb, &mut c);
+        let tr = trstar(&a, &b, 3, &mut c);
 
         prop_assert_eq!(quad, sweep_r, "quadratic vs restricted sweep (seeds {} {})", seed1, seed2);
         prop_assert_eq!(quad, sweep_u, "quadratic vs unrestricted sweep (seeds {} {})", seed1, seed2);
@@ -66,9 +153,7 @@ proptest! {
         let mut c = OpCounts::new();
         let quad = quadratic_intersects(&a, &b, &mut c);
         let sweep = sweep_intersects(&a, &b, true, &mut c);
-        let ta = TrStarTree::build(&a, 3);
-        let tb = TrStarTree::build(&b, 3);
-        let tr = trees_intersect(&ta, &tb, &mut c);
+        let tr = trstar(&a, &b, 3, &mut c);
         prop_assert_eq!(quad, sweep, "containment: quad vs sweep (seed {})", seed);
         prop_assert_eq!(quad, tr, "containment: quad vs TR* (seed {})", seed);
     }
@@ -83,10 +168,8 @@ proptest! {
         let b = blob_region(seed2, 30, dx, 1.0);
         let mut expected = None;
         for m in [3usize, 4, 5, 8] {
-            let ta = TrStarTree::build(&a, m);
-            let tb = TrStarTree::build(&b, m);
             let mut c = OpCounts::new();
-            let r = trees_intersect(&ta, &tb, &mut c);
+            let r = trstar(&a, &b, m, &mut c);
             match expected {
                 None => expected = Some(r),
                 Some(e) => prop_assert_eq!(e, r, "M={} disagrees (seeds {} {})", m, seed1, seed2),
@@ -106,8 +189,6 @@ proptest! {
         let mut c = OpCounts::new();
         prop_assert!(!quadratic_intersects(&a, &b, &mut c));
         prop_assert!(!sweep_intersects(&a, &b, true, &mut c));
-        let ta = TrStarTree::build(&a, 3);
-        let tb = TrStarTree::build(&b, 3);
-        prop_assert!(!trees_intersect(&ta, &tb, &mut c));
+        prop_assert!(!trstar(&a, &b, 3, &mut c));
     }
 }

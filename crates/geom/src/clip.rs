@@ -103,27 +103,31 @@ pub fn convex_intersect(a: &[Point], b: &[Point]) -> bool {
 
 /// Whether any edge normal of `a` separates `a` from `b` strictly.
 fn has_separating_axis(a: &[Point], b: &[Point]) -> bool {
-    let n = a.len();
-    if n == 1 {
+    if a.len() == 1 {
         return false; // A point has no edges; the other polygon decides.
     }
-    for i in 0..n {
-        let p = a[i];
-        let q = a[(i + 1) % n];
-        if p == q {
-            continue;
-        }
-        let axis = (q - p).perp();
-        let (a_min, a_max) = project(a, axis);
-        let (b_min, b_max) = project(b, axis);
-        // Strict separation with a relative tolerance so touching counts
-        // as intersecting.
-        let scale = (a_max - a_min).abs() + (b_max - b_min).abs() + 1.0;
-        if a_max < b_min - 1e-12 * scale || b_max < a_min - 1e-12 * scale {
-            return true;
-        }
+    (0..a.len()).any(|i| edge_separates(a, i, b))
+}
+
+/// Whether the normal of `a`'s edge `i` (from vertex `i` to vertex
+/// `i + 1`, cyclically) strictly separates `a` from `b` — one axis of
+/// the [`convex_intersect`] test, in exactly its arithmetic: a `true`
+/// here means `convex_intersect(a, b)` is `false`. Callers that can
+/// guess the separating edge (the TR*-tree's trapezoid test) try it
+/// first and skip the other axes.
+pub fn edge_separates(a: &[Point], i: usize, b: &[Point]) -> bool {
+    let p = a[i];
+    let q = a[(i + 1) % a.len()];
+    if p == q {
+        return false;
     }
-    false
+    let axis = (q - p).perp();
+    let (a_min, a_max) = project(a, axis);
+    let (b_min, b_max) = project(b, axis);
+    // Strict separation with a relative tolerance so touching counts
+    // as intersecting.
+    let scale = (a_max - a_min).abs() + (b_max - b_min).abs() + 1.0;
+    a_max < b_min - 1e-12 * scale || b_max < a_min - 1e-12 * scale
 }
 
 fn project(ring: &[Point], axis: Point) -> (f64, f64) {

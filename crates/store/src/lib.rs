@@ -37,13 +37,16 @@
 //! artifact crates' flat export images (`f64`s via `to_bits`, so every
 //! bit pattern — including the progressive stores' NaN sentinels —
 //! round-trips exactly). Decoding is a linear repack with no geometric
-//! recomputation, which is what makes the cold start fast.
+//! recomputation, which is what makes the cold start fast. The TR*
+//! section (format version 2) goes one step further: its payload is the
+//! live arena's own image (`msj_exact::TrStarStore::to_bytes`), which
+//! `from_bytes` validates and adopts without an intermediate type.
 
 mod codec;
 mod payload;
 
 use msj_approx::{ConsExport, ProgExport, RasterExport};
-use msj_exact::TrStarExport;
+use msj_exact::TrStarStore;
 use msj_geom::{fnv1a64, AlignedBuf, Relation, PAGE_SIZE};
 use msj_sam::TreeExport;
 use std::fs;
@@ -54,8 +57,11 @@ use std::path::{Path, PathBuf};
 pub const STORE_MAGIC: u64 = 0x4d53_4a53_544f_5231;
 
 /// On-disk format version. Bump on any layout change; readers reject
-/// other versions (the engine then rebuilds from the relation source).
-pub const STORE_VERSION: u32 = 1;
+/// every other version with an "unsupported store version" error —
+/// there is no in-place migration, re-registering rewrites the segment.
+/// Version 2 replaced the TR* section's export columns with the arena
+/// image.
+pub const STORE_VERSION: u32 = 2;
 
 const FILE_KIND_DATASET: u32 = 1;
 const FILE_KIND_PAIR: u32 = 2;
@@ -147,7 +153,7 @@ pub struct DatasetParts<'a> {
     pub tree: Option<TreeExport>,
     pub conservative: Option<ConsExport>,
     pub progressive: Option<ProgExport>,
-    pub trstar: Option<TrStarExport>,
+    pub trstar: Option<&'a TrStarStore>,
 }
 
 /// Result of [`Store::read_dataset`]: per-section outcomes. `None`
@@ -162,7 +168,7 @@ pub struct DatasetLoad {
     pub tree: Option<Result<TreeExport, SectionError>>,
     pub conservative: Option<Result<ConsExport, SectionError>>,
     pub progressive: Option<Result<ProgExport, SectionError>>,
-    pub trstar: Option<Result<TrStarExport, SectionError>>,
+    pub trstar: Option<Result<TrStarStore, SectionError>>,
 }
 
 /// Result of [`Store::read_pair_raster`].
@@ -259,8 +265,8 @@ impl Store {
         if let Some(p) = &parts.progressive {
             sections.push((Section::Progressive, payload::encode_progressive(p)));
         }
-        if let Some(t) = &parts.trstar {
-            sections.push((Section::TrStar, payload::encode_trstar(t)));
+        if let Some(t) = parts.trstar {
+            sections.push((Section::TrStar, t.to_bytes()));
         }
         self.write_segment(
             &self.dataset_path(id),
@@ -336,8 +342,9 @@ impl Store {
                         Some(payload.and_then(|b| ok_or_malformed(payload::decode_progressive(b))));
                 }
                 Section::TrStar => {
-                    load.trstar =
-                        Some(payload.and_then(|b| ok_or_malformed(payload::decode_trstar(b))));
+                    load.trstar = Some(payload.and_then(|b| {
+                        TrStarStore::from_bytes(b).map_err(|_| SectionError::Malformed)
+                    }));
                 }
                 Section::RasterA | Section::RasterB => {
                     return Err(bad_data("raster section in a dataset segment"));

@@ -3,16 +3,17 @@
 //!
 //! Payloads are pure column streams over the artifact crates' flat
 //! export images ([`TreeExport`], [`ConsExport`], [`ProgExport`],
-//! [`TrStarExport`], [`RasterExport`]) plus the relation geometry
-//! itself. Decoding is a linear repack of arrays — no hull, MER,
-//! trapezoid or STR recomputation — which is what makes a store load an
-//! mmap-style cold start instead of a rebuild. Structural validation
+//! [`RasterExport`]) plus the relation geometry itself. The TR*
+//! section has no codec here: `msj_exact::TrStarStore` is its own
+//! persistent image (`to_bytes` / `from_bytes`). Decoding is a linear
+//! repack of arrays — no hull, MER, trapezoid or STR recomputation —
+//! which is what makes a store load an mmap-style cold start instead of
+//! a rebuild. Structural validation
 //! lives in the artifact crates' `from_export` constructors; this module
 //! only guarantees well-formed byte streams.
 
 use crate::codec::{Dec, DecResult, Enc};
 use msj_approx::{ConsExport, ConservativeKind, ProgExport, ProgressiveKind, RasterExport};
-use msj_exact::TrStarExport;
 use msj_geom::{Point, Polygon, PolygonWithHoles, Relation, SpatialObject};
 
 pub fn encode_relation(relation: &Relation) -> Vec<u8> {
@@ -166,37 +167,6 @@ pub fn decode_progressive(bytes: &[u8]) -> DecResult<ProgExport> {
     };
     d.finish()?;
     Ok(p)
-}
-
-pub fn encode_trstar(t: &TrStarExport) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u64(t.max_entries);
-    e.u32s(&t.tree_node_offsets);
-    e.u32s(&t.tree_trap_offsets);
-    e.u32s(&t.tree_roots);
-    e.u32s(&t.node_levels);
-    e.f64s(&t.node_rects);
-    e.u32s(&t.child_offsets);
-    e.u32s(&t.children);
-    e.f64s(&t.traps);
-    e.into_bytes()
-}
-
-pub fn decode_trstar(bytes: &[u8]) -> DecResult<TrStarExport> {
-    let mut d = Dec::new(bytes);
-    let t = TrStarExport {
-        max_entries: d.u64()?,
-        tree_node_offsets: d.u32s()?,
-        tree_trap_offsets: d.u32s()?,
-        tree_roots: d.u32s()?,
-        node_levels: d.u32s()?,
-        node_rects: d.f64s()?,
-        child_offsets: d.u32s()?,
-        children: d.u32s()?,
-        traps: d.f64s()?,
-    };
-    d.finish()?;
-    Ok(t)
 }
 
 pub fn encode_raster(r: &RasterExport) -> Vec<u8> {

@@ -14,6 +14,10 @@
 //!   degrade (rebuild the artifact, or run the pair filter-only) and
 //!   answer byte-identically — never panic, never wedge. Seeds come from
 //!   `MSJ_FAULT_SEED` when set, mirroring the CI chaos loop.
+//! * **Crafted bytes** — a TR* arena with a valid checksum but a cyclic
+//!   child run is rejected by the loader's structural pass and rebuilt
+//!   like a corrupt one; a format-version-1 segment fails the open with
+//!   the typed "unsupported store version" error.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -336,5 +340,126 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
             Ok(_) => panic!("corrupt relation section must fail the open (seed {seed})"),
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites `ds_<id>.msj` after `patch` has edited the manifest page
+/// and the payload of the section with table tag `tag`, re-sealing the
+/// section and manifest checksums so the edit passes for stored data —
+/// the crafted-but-checksummed input a bit flip cannot produce. Layout
+/// per `msj-store`'s module docs: 48-byte manifest head, 32-byte table
+/// entries (tag, offset, length, FNV-1a), manifest sum in the page's
+/// last 8 bytes.
+fn reseal_segment(
+    dir: &std::path::Path,
+    id: u32,
+    tag: u32,
+    patch: impl FnOnce(&mut [u8], &mut [u8]),
+) {
+    const PAGE: usize = 4096;
+    let path = dir.join(format!("ds_{id}.msj"));
+    let mut file = std::fs::read(&path).expect("segment exists");
+    let u64_at = |buf: &[u8], at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+    let count = u32::from_le_bytes(file[40..44].try_into().unwrap()) as usize;
+    let entry = (0..count)
+        .map(|i| 48 + 32 * i)
+        .find(|&at| u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) == tag)
+        .expect("section present");
+    let (offset, len) = (
+        u64_at(&file, entry + 8) as usize,
+        u64_at(&file, entry + 16) as usize,
+    );
+    let (manifest, payloads) = file.split_at_mut(PAGE);
+    let section = &mut payloads[offset - PAGE..offset - PAGE + len];
+    patch(manifest, section);
+    let sum = msj::geom::fnv1a64(section);
+    manifest[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+    let sum = msj::geom::fnv1a64(&manifest[..PAGE - 8]);
+    manifest[PAGE - 8..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &file).expect("rewrite segment");
+}
+
+/// Table tag of the TR* section.
+const TRSTAR_TAG: u32 = 5;
+
+/// Seeds a store with the default pipeline and returns the directory,
+/// configuration, requests and reference answers.
+fn seeded_store(tag: &str) -> (PathBuf, JoinConfig, Vec<Request>, Vec<Vec<u64>>) {
+    let a = msj::datagen::small_carto(120, 24.0, 9108);
+    let b = msj::datagen::small_carto(120, 24.0, 9109);
+    let requests = workload(&a);
+    let cfg = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    );
+    let dir = tmp_store(tag);
+    let engine = SpatialEngine::new(cfg)
+        .with_store(StoreConfig::new(&dir))
+        .expect("arm store");
+    engine.register(a);
+    engine.register(b);
+    let reference = run(&engine, &requests);
+    (dir, cfg, requests, reference)
+}
+
+#[test]
+fn crafted_cyclic_trstar_arena_degrades_not_hangs() {
+    // A checksummed TR* section whose first root lists itself as its
+    // child: the pre-v2 loader accepted it and the dual traversal then
+    // looped forever. Arena layout per `msj_exact::trstar`: 32-byte
+    // header, two u32 offset tables of objects + 1 entries, 40-byte
+    // node records with `first` at byte 32.
+    let (dir, cfg, requests, reference) = seeded_store("cyclic");
+    reseal_segment(&dir, 0, TRSTAR_TAG, |_, arena| {
+        let objects = u64::from_le_bytes(arena[8..16].try_into().unwrap()) as usize;
+        let root = 32 + 8 * (objects + 1);
+        let level = u16::from_le_bytes(arena[root + 36..root + 38].try_into().unwrap());
+        assert!(level > 0, "object 0 must have a directory root to corrupt");
+        arena[root + 32..root + 36].copy_from_slice(&0u32.to_le_bytes());
+    });
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("crafted arena wedged");
+    assert_eq!(run(&engine, &requests), reference, "rebuilt arena drifted");
+    let prom = engine.metrics().render_prometheus();
+    assert!(
+        prom.contains("msj_store_checksum_failures_total{section=\"trstar\"} 1"),
+        "the rejected arena must be counted:\n{prom}"
+    );
+    assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn version_1_segment_is_refused_with_a_typed_error() {
+    // A v1 segment (TR* export columns) must not be mis-decoded as a v2
+    // arena: hand-patch the manifest's version field back to 1 and
+    // re-seal it.
+    let (dir, cfg, _, _) = seeded_store("v1");
+    reseal_segment(&dir, 0, TRSTAR_TAG, |manifest, _| {
+        assert_eq!(
+            manifest[8..12],
+            2u32.to_le_bytes(),
+            "writer stamps version 2"
+        );
+        manifest[8..12].copy_from_slice(&1u32.to_le_bytes());
+    });
+    match SpatialEngine::open(cfg, StoreConfig::new(&dir)) {
+        Err(err) => {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains("unsupported store version"),
+                "{err}"
+            );
+        }
+        Ok(_) => panic!("a version-1 segment must fail the open"),
+    }
+    // Re-registering rewrites the segment at the current version.
+    let engine = SpatialEngine::new(cfg)
+        .with_store(StoreConfig::new(&dir))
+        .expect("arm store");
+    engine.register(msj::datagen::small_carto(120, 24.0, 9108));
+    engine.register(msj::datagen::small_carto(120, 24.0, 9109));
+    drop(engine);
+    SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("rewritten store opens");
     std::fs::remove_dir_all(&dir).ok();
 }
