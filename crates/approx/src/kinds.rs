@@ -368,7 +368,7 @@ impl Progressive {
                     Progressive::Empty
                 }
             }
-            ProgressiveKind::Mer => max_enclosed_rect(&object.region, 0)
+            ProgressiveKind::Mer => max_enclosed_rect(&object.region)
                 .map(Progressive::Mer)
                 .unwrap_or(Progressive::Empty),
         }

@@ -53,7 +53,9 @@ pub use mbc::min_bounding_circle;
 pub use mbe::min_bounding_ellipse;
 pub use mcorner::min_bounding_corner;
 pub use mec::max_enclosed_circle;
-pub use mer::{longest_horizontal_chord, max_enclosed_rect};
+pub use mer::{
+    longest_horizontal_chord, max_enclosed_rect, max_enclosed_rect_counted, MerSearchStats,
+};
 pub use quality::{
     area_extension, area_extension_overhead, mbr_based_false_area, normalized_false_area,
     progressive_quality,

@@ -3,8 +3,10 @@
 //!
 //! The paper uses Welzl's randomized algorithm [Wel 91]; Khachiyan's
 //! iteration computes the same (unique) Löwner–John ellipse to a chosen
-//! tolerance and is deterministic — see DESIGN.md §3 for the substitution
-//! note. We run it on the convex hull only, which leaves the result
+//! tolerance and is deterministic, so equal seeds give equal stores. The
+//! ellipse returned is scaled up to contain every input point, so the
+//! tolerance costs a little false area, never conservativeness. We run
+//! it on the convex hull only, which leaves the result
 //! unchanged and makes the per-iteration cost proportional to the hull
 //! size.
 

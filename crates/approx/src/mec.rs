@@ -5,7 +5,10 @@
 //! edges. We use the "polylabel" quadtree refinement of the pole of
 //! inaccessibility instead: both find the interior point maximizing the
 //! distance to the boundary; polylabel converges to any requested
-//! precision without a full medial-axis construction (DESIGN.md §3).
+//! precision without a full medial-axis construction. The substitution
+//! cannot make the filter unsound: any circle centred inside the region
+//! with radius at most the distance to the boundary is enclosed, so a
+//! looser tolerance only gives up a sliver of progressive area.
 
 use crate::circle::Circle;
 use msj_geom::{Point, PolygonWithHoles, Segment};

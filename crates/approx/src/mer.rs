@@ -2,97 +2,213 @@
 //! approximation (§3.3).
 //!
 //! The paper restricts the search to rectangles that (1) intersect the
-//! longest enclosed horizontal connection starting in a vertex and (2)
-//! have coordinates drawn from the vertex coordinates. We implement the
-//! same anchored band search; our rectangles' x-extents come from exact
-//! edge/band contact (a superset of the vertex-coordinate grid that is
-//! still strictly enclosed), and for very complex polygons the candidate
-//! y-levels are quantile-capped (DESIGN.md §3).
+//! longest enclosed horizontal connection starting in a vertex ("the
+//! anchor") and (2) have coordinates drawn from the vertex coordinates.
+//! We implement the same anchored band search. Two substitutions, both
+//! made because the paper gives the restriction but not the algorithm:
+//! our rectangles' x-extents come from exact edge/band contact (a
+//! superset of the vertex-coordinate grid that is still strictly
+//! enclosed), and the candidate y-levels are the vertex ordinates plus
+//! 15 evenly spaced ones, quantile-capped at [`MAX_LEVELS_PER_SIDE`] per
+//! side of the anchor so that a many-vertex polygon costs a bounded
+//! number of bands.
+//!
+//! # The search, and why pruning it is exact
+//!
+//! A *band* is a pair (ylo, yhi) of candidate levels with
+//! `ylo ≤ y_anchor ≤ yhi`; `i` indexes the low levels and `k` the high
+//! levels, both ascending. Inside a band every edge through the open
+//! band interior blocks its clipped x-extent; a *gap* is a bounded
+//! component of what the blocked intervals leave free, and a gap that
+//! overlaps the anchor and whose centre lies in the region is a
+//! candidate rectangle. The result is the candidate of maximum area
+//! `(x2 − x1) · (yhi − ylo)`; among candidates of exactly equal area the
+//! one first in (`i`, `k`, gap number left → right) order wins. That is
+//! what a plain loop over every band in that order with a strict `>`
+//! returns, and `tests/mer_agreement.rs` keeps such a loop as the
+//! reference.
+//!
+//! Evaluating a band costs a scan of every edge, and almost no band can
+//! win. If band′ ⊇ band then every edge blocking band blocks band′ over a
+//! superset of its x-extent (the interpolation `x_at` is monotone in `y`,
+//! also after rounding, because every operation in it is), so every free
+//! component of band′ lies inside a free component of band, overlaps the
+//! anchor only if that one does, and is no wider. Let `W[i][k]` be the
+//! width of the widest anchor-overlapping free component of band
+//! (`i`, `k`), an unbounded component counting with the part of it
+//! inside the MBR (no edge, hence no gap of any band, reaches outside
+//! the MBR by more than interpolation rounding, which a slack term
+//! covers). Then
+//!
+//! ```text
+//! W[i][k] ≤ min(W[i+1][k], W[i][k−1], mbr.width)
+//! ```
+//!
+//! so a sweep that visits bands thin → tall from the anchor outwards
+//! (`i` descending, `k` ascending) knows, before it scans a band, a
+//! bound on every gap in it: a band whose `height · bound` is *strictly*
+//! below the best area so far cannot hold the winner or tie with it, is
+//! skipped, and passes the bound on. (`mbr.width` is the reference
+//! loop's own bound; like that loop, the search takes for granted that
+//! no gap is wider than the MBR.) The sweep runs once per stride of
+//! `PASS_STRIDES`, coarse sub-grids first, all passes sharing one
+//! table of bounds: a coarse pass costs a few scans and leaves a
+//! near-best area for the full pass to prune against.
+//!
+//! Because this visits bands in another order than the reference loop,
+//! the tie rule above is applied explicitly: an equal-area candidate
+//! replaces the best when its (`i`, `k`) comes first, and the strict `<`
+//! in the prune never skips a band that could still tie. The per-edge
+//! arithmetic and the centre test are the reference's, so the returned
+//! `Rect` is the same bit for bit; the centre test runs only for a gap
+//! that would replace the best.
 
 use msj_geom::{Point, PolygonWithHoles, Rect, Segment};
+
+/// Candidate y-levels kept per side of the anchor. 48 keeps every level
+/// of an object of up to ~80 vertices; beyond that more levels would
+/// find a marginally larger rectangle at quadratically more bands.
+pub const MAX_LEVELS_PER_SIDE: usize = 48;
+
+/// The band grid is swept thin → tall once per stride, coarse sub-grids
+/// first: they find a near-best rectangle early, so the final full sweep
+/// (stride 1, which visits every band) prunes against it. Measured on
+/// `skewed_carto(10_000, 24.0, 1)`: 6 % of bands evaluated against 10 %
+/// for the full sweep alone, and a third of the region membership tests.
+const PASS_STRIDES: [usize; 4] = [8, 4, 2, 1];
+
+/// How much of the band grid one MER search touched.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MerSearchStats {
+    /// Bands of positive height — what an unpruned search evaluates.
+    pub bands_considered: u64,
+    /// Bands whose edges were actually scanned.
+    pub bands_evaluated: u64,
+}
 
 /// The longest enclosed horizontal segment that starts at a vertex of the
 /// region ("the anchor"). Returns `None` for degenerate regions where no
 /// vertex admits a horizontal extension.
 pub fn longest_horizontal_chord(region: &PolygonWithHoles) -> Option<Segment> {
     let edges: Vec<Segment> = region.edges().collect();
-    let mut best: Option<Segment> = None;
-    let mut best_len = 0.0f64;
+    anchor_chord(region, &all_vertices(region), &edges)
+}
 
-    let vertices: Vec<Point> = region
+/// The vertices of the outer ring, then of every hole.
+fn all_vertices(region: &PolygonWithHoles) -> Vec<Point> {
+    region
         .outer()
         .vertices()
         .iter()
         .chain(region.holes().iter().flat_map(|h| h.vertices().iter()))
         .copied()
-        .collect();
+        .collect()
+}
 
-    for &v in &vertices {
-        // Collect crossing abscissae of the horizontal line y = v.y.
-        let mut xs: Vec<f64> = Vec::new();
-        for e in &edges {
+fn anchor_chord(
+    region: &PolygonWithHoles,
+    vertices: &[Point],
+    edges: &[Segment],
+) -> Option<Segment> {
+    // Sweep upwards over the vertices with the edges whose y-range
+    // reaches the current line: only those can cross it.
+    let y_min = |e: u32| edges[e as usize].a.y.min(edges[e as usize].b.y);
+    let y_max = |e: u32| edges[e as usize].a.y.max(edges[e as usize].b.y);
+    let mut rising: Vec<u32> = (0..edges.len() as u32).collect();
+    rising.sort_unstable_by(|&e, &f| y_min(e).partial_cmp(&y_min(f)).expect("finite"));
+    let mut upwards: Vec<u32> = (0..vertices.len() as u32).collect();
+    upwards.sort_unstable_by(|&v, &w| {
+        let (v, w) = (vertices[v as usize], vertices[w as usize]);
+        v.y.partial_cmp(&w.y).expect("finite")
+    });
+    let mut entering = rising.iter().copied().peekable();
+    let mut active: Vec<u32> = Vec::new();
+    // Per vertex, in vertex order: length and far end of the chord to
+    // the nearest crossing on its right, then on its left (zero length
+    // where there is none).
+    let mut chords = vec![(0.0f64, 0.0f64); 2 * vertices.len()];
+    for vi in upwards {
+        let v = vertices[vi as usize];
+        while let Some(e) = entering.next_if(|&e| y_min(e) <= v.y) {
+            active.push(e);
+        }
+        active.retain(|&e| y_max(e) >= v.y);
+        let mut right = f64::INFINITY;
+        let mut left = f64::NEG_INFINITY;
+        for &e in &active {
+            let e = &edges[e as usize];
             let (y1, y2) = (e.a.y, e.b.y);
-            if (y1 - v.y) * (y2 - v.y) < 0.0 {
+            let x = if (y1 - v.y) * (y2 - v.y) < 0.0 {
                 // Proper crossing.
                 let t = (v.y - y1) / (y2 - y1);
-                xs.push(e.a.x + t * (e.b.x - e.a.x));
+                e.a.x + t * (e.b.x - e.a.x)
             } else if y1 == v.y && y2 != v.y {
-                xs.push(e.a.x);
-            }
-            // (Edges lying entirely on the line contribute their endpoints
-            // via the adjacent edges.)
-        }
-        xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        // Extend right: nearest crossing right of v.
-        for &x in xs.iter() {
+                e.a.x
+            } else {
+                // (Edges lying entirely on the line contribute their
+                // endpoints via the adjacent edges.)
+                continue;
+            };
             if x > v.x + 1e-12 {
-                let candidate = Segment::new(v, Point::new(x, v.y));
-                let mid = candidate.a.midpoint(candidate.b);
-                if region.contains_point(mid) && candidate.len() > best_len {
-                    best_len = candidate.len();
-                    best = Some(candidate);
-                }
-                break;
+                right = right.min(x);
+            } else if x < v.x - 1e-12 {
+                left = left.max(x);
             }
         }
-        // Extend left: nearest crossing left of v.
-        for &x in xs.iter().rev() {
-            if x < v.x - 1e-12 {
-                let candidate = Segment::new(Point::new(x, v.y), v);
-                let mid = candidate.a.midpoint(candidate.b);
-                if region.contains_point(mid) && candidate.len() > best_len {
-                    best_len = candidate.len();
-                    best = Some(candidate);
-                }
-                break;
+        for (slot, x) in [right, left].into_iter().enumerate() {
+            if x.is_finite() {
+                chords[2 * vi as usize + slot] = (v.dist(Point::new(x, v.y)), x);
             }
         }
     }
-    best
+
+    // The longest chord whose midpoint is inside wins, the first in
+    // vertex order among equals: try the longest until one is inside.
+    loop {
+        let mut longest = 0;
+        for (c, chord) in chords.iter().enumerate() {
+            if chord.0 > chords[longest].0 {
+                longest = c;
+            }
+        }
+        let (len, x) = chords[longest];
+        if len <= 0.0 {
+            return None;
+        }
+        let v = vertices[longest / 2];
+        let far = Point::new(x, v.y);
+        if region.contains_point(v.midpoint(far)) {
+            return Some(if longest % 2 == 0 {
+                Segment::new(v, far)
+            } else {
+                Segment::new(far, v)
+            });
+        }
+        chords[longest].0 = 0.0;
+    }
 }
 
-/// Computes the paper-style maximum enclosed rectangle.
-///
-/// `max_levels` caps the candidate y-levels per side of the anchor
-/// (quantile selection); 0 means the library default of 48. Returns `None`
+/// Computes the paper-style maximum enclosed rectangle. Returns `None`
 /// when no positive-area enclosed rectangle intersecting the anchor
 /// exists (never the case for the generated datasets).
-pub fn max_enclosed_rect(region: &PolygonWithHoles, max_levels: usize) -> Option<Rect> {
-    let anchor = longest_horizontal_chord(region)?;
+pub fn max_enclosed_rect(region: &PolygonWithHoles) -> Option<Rect> {
+    max_enclosed_rect_counted(region, &mut MerSearchStats::default())
+}
+
+/// [`max_enclosed_rect`], adding the bands it considered and evaluated
+/// to `stats`.
+pub fn max_enclosed_rect_counted(
+    region: &PolygonWithHoles,
+    stats: &mut MerSearchStats,
+) -> Option<Rect> {
+    let edges: Vec<Segment> = region.edges().collect();
+    let vertices = all_vertices(region);
+    let anchor = anchor_chord(region, &vertices, &edges)?;
     let y_a = anchor.a.y;
     let (ax1, ax2) = (anchor.a.x.min(anchor.b.x), anchor.a.x.max(anchor.b.x));
-    let max_levels = if max_levels == 0 { 48 } else { max_levels };
-
-    let edges: Vec<Segment> = region.edges().collect();
 
     // Candidate y levels from vertex coordinates, split around the anchor.
-    let mut ys: Vec<f64> = region
-        .outer()
-        .vertices()
-        .iter()
-        .chain(region.holes().iter().flat_map(|h| h.vertices().iter()))
-        .map(|p| p.y)
-        .collect();
+    let mut ys: Vec<f64> = vertices.iter().map(|p| p.y).collect();
     // Supplement sparse vertex grids (low-complexity polygons) with evenly
     // spaced levels so an enclosed rectangle always exists; for the
     // paper's many-vertex cartography objects the vertex levels dominate.
@@ -102,153 +218,202 @@ pub fn max_enclosed_rect(region: &PolygonWithHoles, max_levels: usize) -> Option
     }
     ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     ys.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    let lows: Vec<f64> = quantile_cap(
+    let lows = quantile_cap(
         ys.iter().copied().filter(|&y| y <= y_a).collect(),
-        max_levels,
+        MAX_LEVELS_PER_SIDE,
     );
-    let highs: Vec<f64> = quantile_cap(
+    let highs = quantile_cap(
         ys.iter().copied().filter(|&y| y >= y_a).collect(),
-        max_levels,
+        MAX_LEVELS_PER_SIDE,
     );
 
-    let mut best: Option<Rect> = None;
-    let mut best_area = 0.0f64;
-    let mut blocked: Vec<(f64, f64)> = Vec::new();
-
-    for &ylo in &lows {
-        for &yhi in &highs {
-            if yhi - ylo <= 1e-12 {
-                continue;
-            }
-            // Upper bound check: even the full MBR width cannot beat best.
-            let mbr = region.mbr();
-            if (yhi - ylo) * mbr.width() <= best_area {
-                continue;
-            }
-            blocked.clear();
-            collect_blocked_intervals(&edges, ylo, yhi, &mut blocked);
-            blocked.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-
-            // Walk the gaps between blocked intervals.
-            let mut x_cursor = f64::NEG_INFINITY;
-            let mut idx = 0;
-            loop {
-                // Merge all intervals starting before the cursor.
-                let mut gap_end = f64::INFINITY;
-                while idx < blocked.len() && blocked[idx].0 <= x_cursor {
-                    x_cursor = x_cursor.max(blocked[idx].1);
-                    idx += 1;
+    let mut search = BandSearch {
+        region,
+        edges: &edges,
+        ax1,
+        ax2,
+        xmin: mbr.xmin(),
+        xmax: mbr.xmax(),
+        slack: 8.0 * f64::EPSILON * mbr.xmin().abs().max(mbr.xmax().abs()),
+        best: None,
+        best_area: 0.0,
+        best_band: (0, 0),
+        near: Vec::new(),
+    };
+    // Width bound per band, row-major in (levels below the anchor,
+    // levels above it).
+    let (rows, cols) = (lows.len(), highs.len());
+    let mut bound = vec![mbr.width(); rows * cols];
+    let mut evaluated = vec![false; rows * cols];
+    for stride in PASS_STRIDES {
+        for r in (0..rows).step_by(stride) {
+            let i = rows - 1 - r;
+            for k in (0..cols).step_by(stride) {
+                let at = r * cols + k;
+                let mut cap = bound[at];
+                if r >= stride {
+                    cap = cap.min(bound[at - stride * cols]);
                 }
-                if idx < blocked.len() {
-                    gap_end = blocked[idx].0;
+                if k >= stride {
+                    cap = cap.min(bound[at - stride]);
                 }
-                // Free interval is (x_cursor, gap_end).
-                if x_cursor.is_finite() && gap_end > x_cursor {
-                    let x1 = x_cursor;
-                    let x2 = if gap_end.is_finite() {
-                        gap_end
-                    } else {
-                        x_cursor
-                    };
-                    if x2 > x1 {
-                        consider_rect(
-                            region,
-                            x1,
-                            x2,
-                            ylo,
-                            yhi,
-                            y_a,
-                            ax1,
-                            ax2,
-                            &mut best,
-                            &mut best_area,
-                        );
-                    }
+                bound[at] = cap;
+                let (ylo, yhi) = (lows[i], highs[k]);
+                let height = yhi - ylo;
+                if height <= 1e-12 {
+                    continue;
                 }
-                if idx >= blocked.len() {
-                    break;
+                stats.bands_considered += u64::from(stride == 1);
+                if evaluated[at] || height * cap < search.best_area {
+                    continue;
                 }
-                x_cursor = blocked[idx].1.max(x_cursor);
-                idx += 1;
+                stats.bands_evaluated += 1;
+                evaluated[at] = true;
+                bound[at] = cap.min(search.evaluate(i, k, ylo, yhi));
             }
         }
     }
-    best
+    search.best
 }
 
-/// Keeps at most `cap` values, evenly spread over the sorted input.
+/// The state one MER search carries from band to band.
+struct BandSearch<'a> {
+    region: &'a PolygonWithHoles,
+    edges: &'a [Segment],
+    /// The anchor's x-extent.
+    ax1: f64,
+    ax2: f64,
+    xmin: f64,
+    xmax: f64,
+    slack: f64,
+    best: Option<Rect>,
+    best_area: f64,
+    /// (ylo index, yhi index) of the band `best` came from.
+    best_band: (usize, usize),
+    /// Scratch: the blocked intervals of one band that reach the anchor.
+    near: Vec<(f64, f64)>,
+}
+
+impl BandSearch<'_> {
+    /// Scans band (`i`, `k`) = (`ylo`, `yhi`): offers every bounded gap
+    /// that overlaps the anchor as a candidate and returns the width of
+    /// the widest anchor-overlapping free component. An unbounded
+    /// component counts with its width inside the MBR: that bounds any
+    /// gap a taller band leaves of it.
+    fn evaluate(&mut self, i: usize, k: usize, ylo: f64, yhi: f64) -> f64 {
+        let (ax1, ax2) = (self.ax1, self.ax2);
+        let height = yhi - ylo;
+        // Only gaps that reach the anchor matter, so only the blocked
+        // intervals that reach it are kept and sorted. Of those wholly
+        // left of it the rightmost end, and of those wholly right of it
+        // the leftmost start, close the same gaps the full sorted list
+        // would.
+        let mut first_start = f64::INFINITY;
+        let mut x_cursor = f64::NEG_INFINITY;
+        let mut right_start = f64::INFINITY;
+        self.near.clear();
+        for e in self.edges {
+            let Some((start, end)) = blocked_interval(e, ylo, yhi) else {
+                continue;
+            };
+            first_start = first_start.min(start);
+            if end < ax1 {
+                x_cursor = x_cursor.max(end);
+            } else if start > ax2 {
+                right_start = right_start.min(start);
+            } else {
+                self.near.push((start, end));
+            }
+        }
+        self.near
+            .sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
+        if right_start.is_finite() {
+            self.near.push((right_start, f64::INFINITY));
+        }
+
+        // The unbounded component left of every edge.
+        let mut widest = if first_start >= ax1 {
+            (first_start - self.xmin) + self.slack
+        } else {
+            0.0
+        };
+        // Walk the gaps between blocked intervals, left to right.
+        for &(start, end) in &self.near {
+            if start > x_cursor && x_cursor > f64::NEG_INFINITY {
+                // Free interval is (x_cursor, start).
+                let (x1, x2) = (x_cursor, start);
+                if x1 > ax2 {
+                    return widest;
+                }
+                if x2 >= ax1 {
+                    let width = x2 - x1;
+                    widest = widest.max(width);
+                    let area = width * height;
+                    let replaces = area > self.best_area
+                        || (area == self.best_area
+                            && self.best.is_some()
+                            && (i, k) < self.best_band);
+                    // The gap logic guarantees no edge crosses the rect
+                    // interior; one interior sample decides in/out.
+                    if replaces
+                        && self
+                            .region
+                            .contains_point(Point::new(0.5 * (x1 + x2), 0.5 * (ylo + yhi)))
+                    {
+                        self.best = Some(Rect::from_bounds(x1, ylo, x2, yhi));
+                        self.best_area = area;
+                        self.best_band = (i, k);
+                    }
+                }
+            }
+            x_cursor = x_cursor.max(end);
+        }
+        if x_cursor <= ax2 {
+            // The unbounded component right of every edge reaches the
+            // anchor.
+            widest = widest.max((self.xmax - x_cursor) + self.slack);
+        }
+        widest
+    }
+}
+
+/// Keeps at most `cap` values, evenly spread over the sorted input (the
+/// first and last survive whenever `cap ≥ 2`).
 fn quantile_cap(values: Vec<f64>, cap: usize) -> Vec<f64> {
-    if values.len() <= cap {
+    let n = values.len();
+    if n <= cap {
         return values;
     }
-    let n = values.len();
+    if cap < 2 {
+        return values[..cap].to_vec();
+    }
     (0..cap).map(|i| values[i * (n - 1) / (cap - 1)]).collect()
 }
 
-/// For the horizontal band `(ylo, yhi)`, appends for every edge crossing
-/// the band's open interior its x-extent within the band.
-fn collect_blocked_intervals(edges: &[Segment], ylo: f64, yhi: f64, out: &mut Vec<(f64, f64)>) {
-    for e in edges {
-        let (ey_min, ey_max) = (e.a.y.min(e.b.y), e.a.y.max(e.b.y));
-        // Edge must pass through the open band interior.
-        if ey_max <= ylo || ey_min >= yhi {
-            continue;
-        }
-        // Clip edge to the band.
-        let x_at = |y: f64| -> f64 {
-            if (e.b.y - e.a.y).abs() < 1e-300 {
-                e.a.x
-            } else {
-                e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x)
-            }
-        };
-        let y1 = ey_min.max(ylo);
-        let y2 = ey_max.min(yhi);
-        if ey_min == ey_max {
-            // Horizontal edge strictly inside the band blocks its span.
-            out.push((e.a.x.min(e.b.x), e.a.x.max(e.b.x)));
+/// The x-extent edge `e` blocks within the horizontal band `(ylo, yhi)`,
+/// if it crosses the band's open interior.
+#[inline]
+fn blocked_interval(e: &Segment, ylo: f64, yhi: f64) -> Option<(f64, f64)> {
+    let (ey_min, ey_max) = (e.a.y.min(e.b.y), e.a.y.max(e.b.y));
+    // Edge must pass through the open band interior.
+    if ey_max <= ylo || ey_min >= yhi {
+        return None;
+    }
+    if ey_min == ey_max {
+        // Horizontal edge strictly inside the band blocks its span.
+        return Some((e.a.x.min(e.b.x), e.a.x.max(e.b.x)));
+    }
+    // Clip edge to the band.
+    let x_at = |y: f64| -> f64 {
+        if (e.b.y - e.a.y).abs() < 1e-300 {
+            e.a.x
         } else {
-            let xa = x_at(y1);
-            let xb = x_at(y2);
-            out.push((xa.min(xb), xa.max(xb)));
+            e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x)
         }
-    }
-}
-
-/// Registers the rectangle `[x1,x2]×[ylo,yhi]` if it is enclosed,
-/// anchor-intersecting and larger than the current best.
-#[allow(clippy::too_many_arguments)]
-fn consider_rect(
-    region: &PolygonWithHoles,
-    x1: f64,
-    x2: f64,
-    ylo: f64,
-    yhi: f64,
-    y_a: f64,
-    ax1: f64,
-    ax2: f64,
-    best: &mut Option<Rect>,
-    best_area: &mut f64,
-) {
-    // Must overlap the anchor segment (band already spans y_a by
-    // construction, but guard anyway).
-    if y_a < ylo || y_a > yhi {
-        return;
-    }
-    if x2 < ax1 || x1 > ax2 {
-        return;
-    }
-    let area = (x2 - x1) * (yhi - ylo);
-    if area <= *best_area {
-        return;
-    }
-    // Final containment check: the band gap logic guarantees no edge
-    // crosses the rect interior; one interior sample decides in/out.
-    let mid = Point::new(0.5 * (x1 + x2), 0.5 * (ylo + yhi));
-    if region.contains_point(mid) {
-        *best = Some(Rect::from_bounds(x1, ylo, x2, yhi));
-        *best_area = area;
-    }
+    };
+    let xa = x_at(ey_min.max(ylo));
+    let xb = x_at(ey_max.min(yhi));
+    Some((xa.min(xb), xa.max(xb)))
 }
 
 #[cfg(test)]
@@ -280,7 +445,7 @@ mod tests {
     #[test]
     fn square_mer_is_the_square() {
         let sq = poly(&[(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)]);
-        let r = max_enclosed_rect(&sq, 0).unwrap();
+        let r = max_enclosed_rect(&sq).unwrap();
         assert!((r.area() - 16.0).abs() < 1e-9, "area {}", r.area());
     }
 
@@ -303,7 +468,7 @@ mod tests {
             (2.0, 6.0),
             (0.0, 6.0),
         ]);
-        let r = max_enclosed_rect(&l, 0).unwrap();
+        let r = max_enclosed_rect(&l).unwrap();
         assert_enclosed(&l, &r);
         assert!(
             (r.area() - 12.0).abs() < 1e-6,
@@ -330,7 +495,7 @@ mod tests {
         )
         .unwrap();
         let region = PolygonWithHoles::new(outer, vec![hole]);
-        let r = max_enclosed_rect(&region, 0).unwrap();
+        let r = max_enclosed_rect(&region).unwrap();
         assert_enclosed(&region, &r);
         // Best full-height rect left of the hole is [0,3.5]×[0,4] = 14.
         assert!(r.area() >= 13.9, "area {}", r.area());
@@ -341,7 +506,7 @@ mod tests {
     #[test]
     fn mer_of_triangle_is_enclosed_and_substantial() {
         let tri = poly(&[(0.0, 0.0), (8.0, 0.0), (0.0, 8.0)]);
-        let r = max_enclosed_rect(&tri, 0).unwrap();
+        let r = max_enclosed_rect(&tri).unwrap();
         assert_enclosed(&tri, &r);
         // Optimal inscribed axis-parallel rectangle of a right triangle
         // has half the triangle's area (16); the vertex-anchored variant
@@ -361,6 +526,17 @@ mod tests {
     }
 
     #[test]
+    fn quantile_cap_is_total() {
+        let vals: Vec<f64> = (0..7).map(|i| i as f64).collect();
+        let n = vals.len();
+        assert_eq!(quantile_cap(vals.clone(), 0), Vec::<f64>::new());
+        assert_eq!(quantile_cap(vals.clone(), 1), [0.0]);
+        assert_eq!(quantile_cap(vals.clone(), 2), [0.0, 6.0]);
+        assert_eq!(quantile_cap(vals.clone(), n), vals);
+        assert_eq!(quantile_cap(vals.clone(), n + 1), vals);
+    }
+
+    #[test]
     fn concave_blob_mer_enclosed() {
         let blob = poly(&[
             (0.0, 0.0),
@@ -372,7 +548,7 @@ mod tests {
             (-1.0, 4.0),
             (-2.0, 1.0),
         ]);
-        let r = max_enclosed_rect(&blob, 0).unwrap();
+        let r = max_enclosed_rect(&blob).unwrap();
         assert!(r.area() > 0.0);
         assert_enclosed(&blob, &r);
     }

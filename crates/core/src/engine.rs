@@ -65,7 +65,8 @@ use msj_exact::{ExactAlgorithm, ExactProcessor, OpCounts, TrStarStore};
 use msj_fault::{FaultConfig, FaultSession};
 use msj_geom::{CancelReason, CancelToken, ObjectId, Point, Rect, RelHandle, Relation};
 use msj_obs::{
-    LaneRole, MetricsRegistry, ObsConfig, Span, Step, StepSpans, Trace, TraceRing, TraceSteps,
+    Counter, LaneRole, MetricsRegistry, ObsConfig, Span, Step, StepSpans, Trace, TraceRing,
+    TraceSteps,
 };
 use msj_sam::RStarTree;
 use msj_store::{DatasetParts, Section, Store};
@@ -190,11 +191,45 @@ const FAULT_SITES: [&str; 9] = [
     "drop_before_reply",
 ];
 
+/// What a registration spends its time on: the four per-dataset
+/// Step-0 artifacts and the write-through to the store — the `artifact`
+/// labels of `msj_step0_artifact_nanos_total`.
+#[derive(Debug, Clone, Copy)]
+enum Step0Artifact {
+    Tree,
+    Conservative,
+    Progressive,
+    TrStar,
+    Persist,
+}
+
+impl Step0Artifact {
+    const ALL: [Step0Artifact; 5] = [
+        Step0Artifact::Tree,
+        Step0Artifact::Conservative,
+        Step0Artifact::Progressive,
+        Step0Artifact::TrStar,
+        Step0Artifact::Persist,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Step0Artifact::Tree => "tree",
+            Step0Artifact::Conservative => "conservative",
+            Step0Artifact::Progressive => "progressive",
+            Step0Artifact::TrStar => "trstar",
+            Step0Artifact::Persist => "persist",
+        }
+    }
+}
+
 /// Shared observability state of one engine: the metrics registry plus
 /// the trace ring, `Arc`-co-owned by every [`PreparedJoin`] so direct
 /// `prepared.run()` calls record exactly like submitted requests.
 struct EngineObs {
     registry: MetricsRegistry,
+    /// `msj_step0_artifact_nanos_total`, indexed by [`Step0Artifact`].
+    step0_artifacts: [Arc<Counter>; 5],
     traces: TraceRing,
     /// Kernel dispatch label (`"scalar"`/`"sse2"`/`"avx2"`) the engine's
     /// batched loops run on — stamped onto every trace.
@@ -250,6 +285,10 @@ impl EngineObs {
         registry.describe(
             "msj_registration_nanos",
             "Step-0 registration wall-clock nanoseconds per dataset",
+        );
+        registry.describe(
+            "msj_step0_artifact_nanos_total",
+            "Cumulative Step-0 wall-clock nanoseconds, by artifact built or persisted",
         );
         registry.describe(
             "msj_worker_pairs_total",
@@ -336,6 +375,12 @@ impl EngineObs {
         registry.counter("msj_prepared_cache_evictions_total", &[]);
         registry.counter("msj_datasets_registered_total", &[]);
         registry.histogram("msj_registration_nanos", &[]);
+        let step0_artifacts = Step0Artifact::ALL.map(|artifact| {
+            registry.counter(
+                "msj_step0_artifact_nanos_total",
+                &[("artifact", artifact.name())],
+            )
+        });
         registry.gauge("msj_admission_error_ratio", &[]);
         // The dispatch gauge family carries every path the engine could
         // run on; the selected one sits at 1.
@@ -349,9 +394,21 @@ impl EngineObs {
         }
         EngineObs {
             registry,
+            step0_artifacts,
             traces: TraceRing::new(config.trace_capacity),
             dispatch: dispatch.label(),
         }
+    }
+
+    /// Runs `work`, charging its wall-clock time to `artifact`.
+    fn time_artifact<T>(&self, artifact: Step0Artifact, work: impl FnOnce() -> T) -> T {
+        if !self.registry.is_enabled() {
+            return work();
+        }
+        let start = Instant::now();
+        let out = work();
+        self.step0_artifacts[artifact as usize].add(start.elapsed().as_nanos() as u64);
+        out
     }
 }
 
@@ -1298,19 +1355,27 @@ impl SpatialEngine {
     /// configuration — the rebuild path of registration and of any load
     /// whose stored sections cannot be used.
     fn build_artifacts(&self, relation: &Arc<Relation>) -> DatasetArtifacts {
-        let tree = matches!(self.config.backend, Backend::RStarTraversal)
-            .then(|| Arc::new(candidates::build_tree(&self.config, relation)));
-        let conservative = self
-            .config
-            .conservative
-            .map(|k| Arc::new(ConservativeStore::build(k, relation)));
-        let progressive = self
-            .config
-            .progressive
-            .map(|k| Arc::new(ProgressiveStore::build(k, relation)));
+        let obs = &self.obs;
+        let tree = matches!(self.config.backend, Backend::RStarTraversal).then(|| {
+            obs.time_artifact(Step0Artifact::Tree, || {
+                Arc::new(candidates::build_tree(&self.config, relation))
+            })
+        });
+        let conservative = self.config.conservative.map(|k| {
+            obs.time_artifact(Step0Artifact::Conservative, || {
+                Arc::new(ConservativeStore::build(k, relation))
+            })
+        });
+        let progressive = self.config.progressive.map(|k| {
+            obs.time_artifact(Step0Artifact::Progressive, || {
+                Arc::new(ProgressiveStore::build(k, relation))
+            })
+        });
         let trstar = match self.config.exact {
             ExactAlgorithm::TrStar { max_entries } => {
-                Some(Arc::new(TrStarStore::build(relation, max_entries)))
+                Some(obs.time_artifact(Step0Artifact::TrStar, || {
+                    Arc::new(TrStarStore::build(relation, max_entries))
+                }))
             }
             _ => None,
         };
@@ -1340,14 +1405,16 @@ impl SpatialEngine {
         artifacts: &DatasetArtifacts,
     ) -> Option<u64> {
         let backend = self.store.as_ref()?;
-        let parts = DatasetParts {
-            relation,
-            tree: artifacts.tree.as_ref().map(|t| t.export()),
-            conservative: artifacts.conservative.as_ref().and_then(|c| c.export()),
-            progressive: artifacts.progressive.as_ref().map(|p| p.export()),
-            trstar: artifacts.trstar.as_deref(),
-        };
-        backend.store.write_dataset(id, self.tag, &parts).ok()
+        self.obs.time_artifact(Step0Artifact::Persist, || {
+            let parts = DatasetParts {
+                relation,
+                tree: artifacts.tree.as_ref().map(|t| t.export()),
+                conservative: artifacts.conservative.as_ref().and_then(|c| c.export()),
+                progressive: artifacts.progressive.as_ref().map(|p| p.export()),
+                trstar: artifacts.trstar.as_deref(),
+            };
+            backend.store.write_dataset(id, self.tag, &parts).ok()
+        })
     }
 
     /// Runs `read` with the engine's `store_corrupt` fault plan armed as

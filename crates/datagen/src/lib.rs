@@ -6,8 +6,11 @@
 //! are not available, so this crate generates seeded synthetic substitutes
 //! whose *statistics* — vertex-count distribution, MBR normalized false
 //! area, pairwise candidate/hit ratios — are calibrated against the values
-//! the paper publishes (Figure 2, Table 1, Table 2). See DESIGN.md §3 for
-//! the substitution rationale.
+//! the paper publishes (Figure 2, Table 1, Table 2). The paper's results
+//! are ratios — filter selectivity, false area, cost shares per step —
+//! and those depend on these statistics, not on the particular
+//! coastlines, so the `repro` tables compare ratios and shapes against
+//! the published ones, never absolute object identities.
 //!
 //! Main entry points:
 //! * [`relations::europe_like`], [`relations::bw_like`] — the two

@@ -6,8 +6,11 @@
 //! horizontal-band decomposition: the region is cut at every distinct
 //! vertex y-coordinate, producing trapezoids with horizontal top/bottom
 //! sides (triangles appear as degenerate trapezoids). Holes are handled by
-//! the even–odd pairing of band crossings. See DESIGN.md §3 for the
-//! relation to the minimum partition of [AA 83].
+//! the even–odd pairing of band crossings. The paper cites the minimum
+//! partition of [AA 83]; the TR*-tree only needs *a* partition into
+//! trapezoids, so we take the simpler band decomposition and merge
+//! vertically adjacent pieces bounded by the same edge pair (see
+//! [`decompose`]), which brings the count close to the minimum.
 
 use msj_geom::{convex_intersect, edge_separates, Point, PolygonWithHoles, Rect};
 

@@ -134,8 +134,10 @@ impl TrStarStore {
             nodes: Vec::new(),
             traps: Vec::new(),
         };
+        let mut builder = TreeBuilder::new(max_entries);
         for region in regions {
-            TreeBuilder::new(decompose(region), max_entries).freeze_into(&mut arena);
+            builder.build(decompose(region));
+            builder.freeze_into(&mut arena);
         }
         arena
     }

@@ -6,7 +6,7 @@
 
 use msj_datagen::{blob, carve_hole, BlobParams, HoleParams};
 use msj_exact::{quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarStore};
-use msj_geom::{Point, PolygonWithHoles};
+use msj_geom::{fnv1a64, Point, PolygonWithHoles};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,6 +87,22 @@ fn arena_traversal_repeats_the_pointer_forest_counts() {
             "M={m}"
         );
     }
+}
+
+/// FNV-1a of `TrStarStore::to_bytes()` as the parent commit (PR 12,
+/// per-node `Vec` builder) wrote it: the image pins every split,
+/// forced reinsert and child order the builder chooses.
+#[test]
+fn builder_writes_the_parent_commits_arena_bytes() {
+    let plain = msj_datagen::skewed_carto(1_500, 24.0, 7);
+    let image = TrStarStore::build(&plain, 3).to_bytes();
+    assert_eq!(image.len(), 2_449_160);
+    assert_eq!(fnv1a64(&image), 0xd3d2_0be8_3b74_cd0a);
+
+    let holed = msj_datagen::carto_with_holes(600, 30.0, 11);
+    let image = TrStarStore::build(&holed, 5).to_bytes();
+    assert_eq!(image.len(), 1_123_824);
+    assert_eq!(fnv1a64(&image), 0x2c1c_ee04_dbba_a92f);
 }
 
 proptest! {

@@ -7,6 +7,7 @@
 
 use msj::core::{
     Backend, Execution, JoinConfig, MultiStepJoin, ObsConfig, Request, Response, SpatialEngine,
+    StoreConfig,
 };
 use msj::geom::{Point, Rect};
 use std::sync::Arc;
@@ -143,6 +144,67 @@ fn engine_request_surface_agrees_with_observability_off() {
         dark.metrics()
             .snapshot()
             .counter("msj_admission_accept_total"),
+        0
+    );
+}
+
+/// A register's time is itemised: every artifact the configuration
+/// builds reports its share, the shares fit inside the registration
+/// they were measured in (plus the write-through, which runs after
+/// it), and the family reaches both exporters — the Prometheus text is
+/// what the wire `Metrics` request serves.
+#[test]
+fn registration_time_is_itemised_by_artifact() {
+    let artifact = |name: &str| format!("msj_step0_artifact_nanos_total{{artifact=\"{name}\"}}");
+    let built = ["tree", "conservative", "progressive", "trstar"];
+    let (a, b) = workload(8301);
+
+    let dir = std::env::temp_dir().join(format!("msj-obs-agreement-{}", std::process::id()));
+    let engine = SpatialEngine::new(JoinConfig::default())
+        .with_store(StoreConfig::new(&dir))
+        .expect("arm store");
+    engine.register(a.clone());
+    engine.register(b.clone());
+    let snap = engine.metrics().snapshot();
+    std::fs::remove_dir_all(&dir).ok();
+
+    for name in built.iter().chain(&["persist"]) {
+        assert!(snap.counter(&artifact(name)) > 0, "{name} not timed");
+    }
+    let registration = snap
+        .histogram("msj_registration_nanos")
+        .expect("registration histogram");
+    assert_eq!(registration.count, 2);
+    let built_nanos: u64 = built.iter().map(|name| snap.counter(&artifact(name))).sum();
+    assert!(
+        built_nanos <= registration.sum,
+        "artifacts {built_nanos} ns exceed the registrations' {} ns",
+        registration.sum
+    );
+    let prom = engine.metrics().render_prometheus();
+    let json = snap.to_json();
+    for name in built.iter().chain(&["persist"]) {
+        assert!(
+            prom.contains(&artifact(name)),
+            "{name} missing from Prometheus text"
+        );
+        assert!(
+            json.contains(&format!("artifact=\\\"{name}\\\"")),
+            "{name} missing from JSON"
+        );
+    }
+
+    // No store armed: nothing persists; observability off: nothing is
+    // timed at all.
+    let memory_only = SpatialEngine::new(JoinConfig::default());
+    memory_only.register(a.clone());
+    let snap = memory_only.metrics().snapshot();
+    assert!(snap.counter(&artifact("progressive")) > 0);
+    assert_eq!(snap.counter(&artifact("persist")), 0);
+    let dark = SpatialEngine::new(JoinConfig::builder().obs(ObsConfig::disabled()).build());
+    dark.register(a);
+    assert_eq!(
+        dark.metrics().snapshot().counter(&artifact("progressive")),
         0
     );
 }
