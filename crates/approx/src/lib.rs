@@ -62,10 +62,9 @@ pub use quality::{
 };
 pub use raster::{
     auto_grid_bits, hilbert_index, raster_decide, raster_decide_with, rasterize, CellClass,
-    RasterDecision, RasterExport, RasterGrid, RasterInterval, RasterSignature, RasterStore,
-    MAX_GRID_BITS, MIN_GRID_BITS,
+    RasterDecision, RasterGrid, RasterInterval, RasterSignature, RasterStore, MAX_GRID_BITS,
+    MIN_GRID_BITS,
 };
 pub use store::{
-    conservative_bytes, progressive_bytes, ConsExport, ConservativeStore, ConvexSlices, ProgExport,
-    ProgressiveStore,
+    conservative_bytes, progressive_bytes, ConservativeStore, ConvexSlices, ProgressiveStore,
 };

@@ -32,6 +32,7 @@
 //! Spatial Intersection Joins"), adapted to this workspace's columnar
 //! stores and batch protocol.
 
+use msj_geom::bytes::{Dec, DecResult, Enc};
 use msj_geom::{KernelDispatch, ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment};
 
 /// Smallest sensible grid resolution (`2^2 = 4` cells per axis).
@@ -607,80 +608,72 @@ impl RasterStore {
         h
     }
 
-    /// Flattens the store into a serialization-ready [`RasterExport`]:
-    /// grid geometry as raw scalars, the offset table, and the interval
-    /// arena as `(start, end_class)` word pairs — the packed class bit
+    /// The store as its persistent image: the grid geometry as raw scalars
+    /// (`origin.x`, `origin.y`, `cell_w`, `cell_h` as `f64`, `bits: u32`),
+    /// the counted offset table (`len + 1` entries) and the interval arena
+    /// as counted `(start, end_class)` word pairs — the packed class bit
     /// included, so signatures round-trip bit-exactly.
-    pub fn export(&self) -> RasterExport {
-        let mut words = Vec::with_capacity(2 * self.intervals.len());
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::with_capacity(52 + 4 * self.offsets.len() + 8 * self.intervals.len());
+        e.f64(self.grid.origin.x);
+        e.f64(self.grid.origin.y);
+        e.f64(self.grid.cell_w);
+        e.f64(self.grid.cell_h);
+        e.u32(self.grid.bits);
+        e.u32s(&self.offsets);
+        e.count(2 * self.intervals.len());
         for iv in &self.intervals {
-            words.push(iv.start);
-            words.push(iv.end_class);
+            e.u32(iv.start);
+            e.u32(iv.end_class);
         }
-        RasterExport {
-            origin_x: self.grid.origin.x,
-            origin_y: self.grid.origin.y,
-            cell_w: self.grid.cell_w,
-            cell_h: self.grid.cell_h,
-            bits: self.grid.bits,
-            offsets: self.offsets.clone(),
-            intervals: words,
-        }
+        e.into_bytes()
     }
 
-    /// Reconstructs a store from an export without re-rasterizing. The
-    /// grid is restored verbatim (no re-clamping — the exported values
+    /// Adopts a [`RasterStore::to_bytes`] image without re-rasterizing.
+    /// The grid is restored verbatim (no re-clamping — the stored values
     /// came from a validly constructed grid), so [`RasterStore::checksum`]
-    /// of the result equals the exported store's.
-    pub fn from_export(e: RasterExport) -> Result<Self, String> {
-        if e.bits < MIN_GRID_BITS || e.bits > MAX_GRID_BITS {
-            return Err("raster grid bits out of range".into());
+    /// of the result equals the written store's.
+    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
+        let mut d = Dec::new(bytes);
+        let origin = Point::new(d.f64()?, d.f64()?);
+        let (cell_w, cell_h) = (d.f64()?, d.f64()?);
+        let bits = d.u32()?;
+        let offsets = d.u32s()?.to_vec();
+        let words = d.u32s()?;
+        d.finish()?;
+        if !(MIN_GRID_BITS..=MAX_GRID_BITS).contains(&bits) {
+            return Err("raster grid bits out of range");
         }
-        if !(e.cell_w > 0.0 && e.cell_h > 0.0 && e.origin_x.is_finite() && e.origin_y.is_finite()) {
-            return Err("raster grid geometry malformed".into());
+        if !(cell_w > 0.0 && cell_h > 0.0 && origin.is_finite()) {
+            return Err("raster grid geometry malformed");
         }
-        if !e.intervals.len().is_multiple_of(2) {
-            return Err("raster interval arena truncated".into());
+        if !words.len().is_multiple_of(2) {
+            return Err("raster interval arena truncated");
         }
-        let count = e.intervals.len() / 2;
-        if e.offsets.first() != Some(&0)
-            || e.offsets.last().copied() != Some(count as u32)
-            || e.offsets.windows(2).any(|w| w[0] > w[1])
+        let count = words.len() / 2;
+        if offsets.first() != Some(&0)
+            || offsets.last().map(|&o| o as usize) != Some(count)
+            || offsets.windows(2).any(|w| w[0] > w[1])
         {
-            return Err("raster offset table malformed".into());
+            return Err("raster offset table malformed");
         }
         let intervals = (0..count)
             .map(|i| RasterInterval {
-                start: e.intervals[2 * i],
-                end_class: e.intervals[2 * i + 1],
+                start: words.get(2 * i),
+                end_class: words.get(2 * i + 1),
             })
             .collect();
         Ok(RasterStore {
             grid: RasterGrid {
-                origin: Point::new(e.origin_x, e.origin_y),
-                cell_w: e.cell_w,
-                cell_h: e.cell_h,
-                bits: e.bits,
+                origin,
+                cell_w,
+                cell_h,
+                bits,
             },
-            offsets: e.offsets,
+            offsets,
             intervals,
         })
     }
-}
-
-/// Flat image of a [`RasterStore`] — the unit `msj-store` persists for
-/// each side of a prepared join pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RasterExport {
-    pub origin_x: f64,
-    pub origin_y: f64,
-    pub cell_w: f64,
-    pub cell_h: f64,
-    pub bits: u32,
-    /// Per-object interval offsets (`len + 1` entries).
-    pub offsets: Vec<u32>,
-    /// The interval arena as raw `(start, end_class)` word pairs.
-    pub intervals: Vec<u32>,
 }
 
 /// Auto-sizes `grid_bits` from the workload, following the §5 cost-model
@@ -1063,6 +1056,35 @@ mod tests {
             auto_grid_bits(&Relation::default(), &Relation::default()),
             MIN_GRID_BITS
         );
+    }
+
+    #[test]
+    fn image_round_trips_grid_signatures_and_checksum() {
+        let a = rel(vec![
+            poly(&[(0.0, 0.0), (6.0, 0.0), (6.0, 5.0), (0.0, 5.0)]),
+            poly(&[(7.0, 1.0), (11.0, 2.0), (8.0, 9.0)]),
+        ]);
+        let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 12.0, 12.0), 4);
+        let store = RasterStore::build(&grid, &a);
+        let bytes = store.to_bytes();
+        let back = RasterStore::from_bytes(&bytes).expect("own image decodes");
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.grid(), store.grid());
+        assert_eq!(back.checksum(), store.checksum());
+        assert_eq!(
+            (back.len(), back.interval_count()),
+            (2, store.interval_count())
+        );
+        let mut no_grid = bytes.clone();
+        no_grid[32..36].copy_from_slice(&(MAX_GRID_BITS + 1).to_le_bytes());
+        assert_eq!(
+            RasterStore::from_bytes(&no_grid).err(),
+            Some("raster grid bits out of range")
+        );
+        let empty = RasterStore::build(&grid, &Relation::default());
+        assert!(RasterStore::from_bytes(&empty.to_bytes())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -32,6 +32,7 @@ use crate::circle::Circle;
 use crate::ellipse::Ellipse;
 use crate::false_area::view_intersection_area;
 use crate::kinds::{ConsView, Conservative, ConservativeKind, Progressive, ProgressiveKind};
+use msj_geom::bytes::{Col, Dec, DecResult, Enc};
 use msj_geom::{ObjectId, Point, Rect, Relation};
 
 /// Byte size of a stored conservative approximation, following §3.4/§5:
@@ -376,222 +377,199 @@ impl ProgressiveStore {
     }
 }
 
-/// Flat, serialization-ready image of a [`ConservativeStore`] — the unit
-/// `msj-store` persists. The column shape follows the kind: MBR packs 4
-/// scalars per object, MBC 3, MBE 5, the convex kinds a point arena (2
-/// scalars per point) indexed by `offsets`. All `f64`s round-trip
-/// bit-exactly (the store encodes them via `to_bits`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConsExport {
-    pub kind: ConservativeKind,
-    /// Convex ring offsets (`len + 1` entries, in points); empty for the
-    /// fixed-width kinds.
-    pub offsets: Vec<u32>,
-    /// The payload column, flattened to scalars.
-    pub scalars: Vec<f64>,
-    /// The per-object false-area column.
-    pub false_area: Vec<f64>,
-    /// §3.4 byte-model total, carried through so a reloaded store reports
-    /// the same storage accounting as the built one.
-    pub total_bytes: u64,
+/// A fixed-width scalar column cut into `STRIDE`-scalar records; `Err`
+/// when the column is not a whole number of records.
+fn records<'a, const STRIDE: usize>(
+    scalars: Col<'a, f64>,
+) -> DecResult<impl ExactSizeIterator<Item = [f64; STRIDE]> + 'a> {
+    if !scalars.len().is_multiple_of(STRIDE) {
+        return Err("approximation column shape mismatch");
+    }
+    Ok((0..scalars.len() / STRIDE)
+        .map(move |i| std::array::from_fn(|k| scalars.get(STRIDE * i + k))))
 }
 
-/// Scalars per object for the fixed-width conservative columns (`None`
-/// for the variable convex kinds).
-fn cons_stride(kind: ConservativeKind) -> Option<usize> {
-    match kind {
-        ConservativeKind::Mbr => Some(4),
-        ConservativeKind::Mbc => Some(3),
-        ConservativeKind::Mbe => Some(5),
-        ConservativeKind::Rmbr
-        | ConservativeKind::FourCorner
-        | ConservativeKind::FiveCorner
-        | ConservativeKind::ConvexHull => None,
-    }
+fn ordered_rect(bounds: [f64; 4]) -> DecResult<Rect> {
+    Rect::from_ordered_bounds(bounds).ok_or("rectangle bounds not ordered")
 }
 
 impl ConservativeStore {
-    /// Flattens the columns into a [`ConsExport`]. Returns `None` for the
-    /// rare `Mixed` escape hatch (a curved kind that degenerated to MBR
-    /// fallbacks on some objects) — those stores are rebuilt from the
-    /// relation on load instead of persisted.
-    pub fn export(&self) -> Option<ConsExport> {
-        let (offsets, scalars) = match &self.cols {
-            ConsColumns::Rects(rects) => {
-                let mut s = Vec::with_capacity(4 * rects.len());
-                for r in rects {
-                    s.extend_from_slice(&[r.xmin(), r.ymin(), r.xmax(), r.ymax()]);
-                }
-                (Vec::new(), s)
-            }
-            ConsColumns::Circles(circles) => {
-                let mut s = Vec::with_capacity(3 * circles.len());
-                for c in circles {
-                    s.extend_from_slice(&[c.center.x, c.center.y, c.radius]);
-                }
-                (Vec::new(), s)
-            }
-            ConsColumns::Ellipses(ellipses) => {
-                let mut s = Vec::with_capacity(5 * ellipses.len());
-                for e in ellipses {
-                    s.extend_from_slice(&[e.center.x, e.center.y, e.a, e.b, e.angle]);
-                }
-                (Vec::new(), s)
-            }
-            ConsColumns::Convex { offsets, points } => {
-                let mut s = Vec::with_capacity(2 * points.len());
-                for p in points {
-                    s.extend_from_slice(&[p.x, p.y]);
-                }
-                (offsets.clone(), s)
-            }
+    /// The store as its persistent image: the kind code (`u32`), the §3.4
+    /// byte-model total (`u64`, so a reloaded store reports the same
+    /// storage accounting as the built one), then three counted columns —
+    /// convex ring offsets (`len + 1` entries, in points; empty for the
+    /// fixed-width kinds), the payload flattened to scalars (MBR 4 per
+    /// object, MBC 3, MBE 5, the convex kinds 2 per arena point) and the
+    /// per-object false area. Returns `None` for the rare `Mixed` escape
+    /// hatch (a curved kind that degenerated to MBR fallbacks on some
+    /// objects) — those stores are rebuilt from the relation on load
+    /// instead of persisted.
+    pub fn to_bytes(&self) -> Option<Vec<u8>> {
+        let (offsets, scalars): (&[u32], usize) = match &self.cols {
+            ConsColumns::Rects(rects) => (&[], 4 * rects.len()),
+            ConsColumns::Circles(circles) => (&[], 3 * circles.len()),
+            ConsColumns::Ellipses(ellipses) => (&[], 5 * ellipses.len()),
+            ConsColumns::Convex { offsets, points } => (offsets, 2 * points.len()),
             ConsColumns::Mixed(_) => return None,
         };
-        Some(ConsExport {
-            kind: self.kind,
-            offsets,
-            scalars,
-            false_area: self.false_area.clone(),
-            total_bytes: self.total_bytes as u64,
-        })
+        let mut e =
+            Enc::with_capacity(36 + 4 * offsets.len() + 8 * (scalars + self.false_area.len()));
+        e.u32(self.kind.code() as u32);
+        e.u64(self.total_bytes as u64);
+        e.u32s(offsets);
+        e.count(scalars);
+        match &self.cols {
+            ConsColumns::Rects(rects) => rects.iter().for_each(|r| e.f64x(r.bounds())),
+            ConsColumns::Circles(circles) => circles
+                .iter()
+                .for_each(|c| e.f64x([c.center.x, c.center.y, c.radius])),
+            ConsColumns::Ellipses(ellipses) => ellipses
+                .iter()
+                .for_each(|el| e.f64x([el.center.x, el.center.y, el.a, el.b, el.angle])),
+            ConsColumns::Convex { points, .. } => points.iter().for_each(|p| e.f64x([p.x, p.y])),
+            ConsColumns::Mixed(_) => unreachable!("returned above"),
+        }
+        e.f64s(&self.false_area);
+        Some(e.into_bytes())
     }
 
-    /// Reconstructs a store from an export — a linear repack of the
-    /// scalar columns, no hull/ellipse/circle recomputation. The result
-    /// is column-identical to the exported store.
-    pub fn from_export(e: ConsExport) -> Result<Self, String> {
-        let n = e.false_area.len();
-        let cols = match cons_stride(e.kind) {
-            Some(stride) => {
-                if e.scalars.len() != stride * n || !e.offsets.is_empty() {
-                    return Err("conservative column shape mismatch".into());
-                }
-                match e.kind {
-                    ConservativeKind::Mbr => ConsColumns::Rects(
-                        (0..n)
-                            .map(|i| {
-                                let s = &e.scalars[4 * i..4 * i + 4];
-                                Rect::from_bounds(s[0], s[1], s[2], s[3])
-                            })
-                            .collect(),
-                    ),
-                    ConservativeKind::Mbc => ConsColumns::Circles(
-                        (0..n)
-                            .map(|i| {
-                                let s = &e.scalars[3 * i..3 * i + 3];
-                                Circle::new(Point::new(s[0], s[1]), s[2])
-                            })
-                            .collect(),
-                    ),
-                    ConservativeKind::Mbe => ConsColumns::Ellipses(
-                        (0..n)
-                            .map(|i| {
-                                let s = &e.scalars[5 * i..5 * i + 5];
-                                Ellipse {
-                                    center: Point::new(s[0], s[1]),
-                                    a: s[2],
-                                    b: s[3],
-                                    angle: s[4],
-                                }
-                            })
-                            .collect(),
-                    ),
-                    _ => unreachable!("stride implies fixed-width kind"),
-                }
+    /// Adopts a [`ConservativeStore::to_bytes`] image — a linear pass over
+    /// the scalar columns, no hull/ellipse/circle recomputation. The
+    /// result is column-identical to the store that was written.
+    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
+        let mut d = Dec::new(bytes);
+        let kind = u8::try_from(d.u32()?)
+            .ok()
+            .and_then(ConservativeKind::from_code)
+            .ok_or("unknown conservative kind code")?;
+        let total_bytes = usize::try_from(d.u64()?).map_err(|_| "byte total overflow")?;
+        let offsets = d.u32s()?;
+        let scalars = d.f64s()?;
+        let false_area = d.f64s()?;
+        d.finish()?;
+        let n = false_area.len();
+        let fixed_width = |records: usize| {
+            if records == n && offsets.is_empty() {
+                Ok(())
+            } else {
+                Err("conservative column shape mismatch")
             }
-            None => {
-                if e.offsets.len() != n + 1 || e.offsets.first() != Some(&0) {
-                    return Err("convex offset table malformed".into());
+        };
+        let cols = match kind {
+            ConservativeKind::Mbr => {
+                let records = records::<4>(scalars)?;
+                fixed_width(records.len())?;
+                ConsColumns::Rects(records.map(ordered_rect).collect::<DecResult<_>>()?)
+            }
+            ConservativeKind::Mbc => {
+                let records = records::<3>(scalars)?;
+                fixed_width(records.len())?;
+                ConsColumns::Circles(
+                    records
+                        .map(|[x, y, r]| Circle::new(Point::new(x, y), r))
+                        .collect(),
+                )
+            }
+            ConservativeKind::Mbe => {
+                let records = records::<5>(scalars)?;
+                fixed_width(records.len())?;
+                ConsColumns::Ellipses(
+                    records
+                        .map(|[x, y, a, b, angle]| Ellipse {
+                            center: Point::new(x, y),
+                            a,
+                            b,
+                            angle,
+                        })
+                        .collect(),
+                )
+            }
+            ConservativeKind::Rmbr
+            | ConservativeKind::FourCorner
+            | ConservativeKind::FiveCorner
+            | ConservativeKind::ConvexHull => {
+                let offsets = offsets.to_vec();
+                if offsets.len() != n + 1 || offsets[0] != 0 {
+                    return Err("convex offset table malformed");
                 }
-                if e.offsets.windows(2).any(|w| w[0] > w[1]) {
-                    return Err("convex offsets not monotonic".into());
+                if offsets.windows(2).any(|w| w[0] > w[1]) {
+                    return Err("convex offsets not monotonic");
                 }
-                let total = e.offsets[n] as usize;
-                if e.scalars.len() != 2 * total {
-                    return Err("convex point arena length mismatch".into());
+                let points = records::<2>(scalars)?;
+                if points.len() != offsets[n] as usize {
+                    return Err("convex point arena length mismatch");
                 }
-                let points = (0..total)
-                    .map(|i| Point::new(e.scalars[2 * i], e.scalars[2 * i + 1]))
-                    .collect();
                 ConsColumns::Convex {
-                    offsets: e.offsets,
-                    points,
+                    offsets,
+                    points: points.map(|[x, y]| Point::new(x, y)).collect(),
                 }
             }
         };
         Ok(ConservativeStore {
-            kind: e.kind,
+            kind,
             cols,
-            false_area: e.false_area,
-            total_bytes: e.total_bytes as usize,
+            false_area: false_area.to_vec(),
+            total_bytes,
         })
     }
 }
 
-/// Flat image of a [`ProgressiveStore`]: 4 scalars per object for MER, 3
-/// for MEC. NaN sentinel slots (empty approximations) round-trip
-/// bit-exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgExport {
-    pub kind: ProgressiveKind,
-    pub scalars: Vec<f64>,
-}
-
 impl ProgressiveStore {
-    /// Flattens the column into a [`ProgExport`].
-    pub fn export(&self) -> ProgExport {
+    /// The store as its persistent image: the kind code (`u32`) and one
+    /// counted scalar column, 4 per object for MER, 3 for MEC. NaN
+    /// sentinel slots (empty approximations) are written like any other
+    /// bit pattern.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let scalars = match &self.cols {
-            ProgColumns::Mers(rects) => {
-                let mut s = Vec::with_capacity(4 * rects.len());
-                for r in rects {
-                    s.extend_from_slice(&[r.xmin(), r.ymin(), r.xmax(), r.ymax()]);
-                }
-                s
-            }
-            ProgColumns::Mecs(circles) => {
-                let mut s = Vec::with_capacity(3 * circles.len());
-                for c in circles {
-                    s.extend_from_slice(&[c.center.x, c.center.y, c.radius]);
-                }
-                s
-            }
+            ProgColumns::Mers(rects) => 4 * rects.len(),
+            ProgColumns::Mecs(circles) => 3 * circles.len(),
         };
-        ProgExport {
-            kind: self.kind,
-            scalars,
+        let mut e = Enc::with_capacity(12 + 8 * scalars);
+        e.u32(self.kind.code() as u32);
+        e.count(scalars);
+        match &self.cols {
+            ProgColumns::Mers(rects) => rects.iter().for_each(|r| e.f64x(r.bounds())),
+            ProgColumns::Mecs(circles) => circles
+                .iter()
+                .for_each(|c| e.f64x([c.center.x, c.center.y, c.radius])),
         }
+        e.into_bytes()
     }
 
-    /// Reconstructs a store from an export, column-identical to the
-    /// exported one.
-    pub fn from_export(e: ProgExport) -> Result<Self, String> {
-        let stride = match e.kind {
-            ProgressiveKind::Mer => 4,
-            ProgressiveKind::Mec => 3,
-        };
-        if !e.scalars.len().is_multiple_of(stride) {
-            return Err("progressive column shape mismatch".into());
-        }
-        let n = e.scalars.len() / stride;
-        let cols = match e.kind {
-            ProgressiveKind::Mer => ProgColumns::Mers(
-                (0..n)
-                    .map(|i| {
-                        let s = &e.scalars[4 * i..4 * i + 4];
-                        Rect::from_bounds(s[0], s[1], s[2], s[3])
-                    })
-                    .collect(),
-            ),
+    /// Adopts a [`ProgressiveStore::to_bytes`] image, column-identical to
+    /// the store that was written. A MER slot is either an ordered
+    /// rectangle or exactly the empty sentinel.
+    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
+        let mut d = Dec::new(bytes);
+        let kind = u8::try_from(d.u32()?)
+            .ok()
+            .and_then(ProgressiveKind::from_code)
+            .ok_or("unknown progressive kind code")?;
+        let scalars = d.f64s()?;
+        d.finish()?;
+        let cols = match kind {
+            ProgressiveKind::Mer => {
+                let empty = nan_rect();
+                let empty_bits = empty.bounds().map(f64::to_bits);
+                ProgColumns::Mers(
+                    records::<4>(scalars)?
+                        .map(|slot| {
+                            if slot.map(f64::to_bits) == empty_bits {
+                                Ok(empty)
+                            } else {
+                                ordered_rect(slot)
+                            }
+                        })
+                        .collect::<DecResult<_>>()?,
+                )
+            }
             ProgressiveKind::Mec => ProgColumns::Mecs(
-                (0..n)
-                    .map(|i| {
-                        let s = &e.scalars[3 * i..3 * i + 3];
-                        Circle::new(Point::new(s[0], s[1]), s[2])
-                    })
+                records::<3>(scalars)?
+                    .map(|[x, y, r]| Circle::new(Point::new(x, y), r))
                     .collect(),
             ),
         };
-        Ok(ProgressiveStore { kind: e.kind, cols })
+        Ok(ProgressiveStore { kind, cols })
     }
 }
 
@@ -711,6 +689,74 @@ mod tests {
         assert!(!empty_circle.intersects_circle(&unit));
         assert!(!unit.intersects_circle(&empty_circle));
         assert!(!empty_circle.intersects_circle(&empty_circle));
+    }
+
+    #[test]
+    fn conservative_image_round_trips_for_every_kind() {
+        let rel = small_relation();
+        for kind in ConservativeKind::ALL {
+            let store = ConservativeStore::build(kind, &rel);
+            let bytes = store.to_bytes().expect("no MBR fallbacks here");
+            let back = ConservativeStore::from_bytes(&bytes).expect("own image decodes");
+            assert_eq!(
+                back.to_bytes().as_deref(),
+                Some(&bytes[..]),
+                "{}",
+                kind.name()
+            );
+            assert_eq!(back.kind, kind);
+            assert_eq!(back.avg_bytes(), store.avg_bytes());
+            assert_eq!(back.false_area_column(), store.false_area_column());
+            for id in 0..3u32 {
+                assert_eq!(back.view(id).area(), store.view(id).area());
+            }
+        }
+        let mixed = ConservativeStore {
+            kind: ConservativeKind::Mbc,
+            cols: ConsColumns::Mixed(vec![Conservative::Mbr(Rect::from_bounds(
+                0.0, 0.0, 1.0, 1.0,
+            ))]),
+            false_area: vec![0.0],
+            total_bytes: 16,
+        };
+        assert!(mixed.to_bytes().is_none(), "the escape hatch has no image");
+    }
+
+    #[test]
+    fn conservative_image_of_the_wrong_shape_is_refused() {
+        let rel = small_relation();
+        let hull = ConservativeStore::build(ConservativeKind::ConvexHull, &rel)
+            .to_bytes()
+            .unwrap();
+        // Same columns under a fixed-width kind's code: the offset table
+        // must be empty there.
+        let mut as_mbr = hull.clone();
+        as_mbr[0] = ConservativeKind::Mbr.code();
+        assert!(ConservativeStore::from_bytes(&as_mbr).is_err());
+        let mut unknown = hull;
+        unknown[0] = 200;
+        assert_eq!(
+            ConservativeStore::from_bytes(&unknown).err(),
+            Some("unknown conservative kind code")
+        );
+    }
+
+    #[test]
+    fn progressive_image_round_trips_with_empty_slots() {
+        let rel = small_relation();
+        for kind in ProgressiveKind::ALL {
+            let mut store = ProgressiveStore::build(kind, &rel);
+            match &mut store.cols {
+                ProgColumns::Mers(rects) => rects[1] = nan_rect(),
+                ProgColumns::Mecs(circles) => circles[1] = nan_circle(),
+            }
+            let bytes = store.to_bytes();
+            let back = ProgressiveStore::from_bytes(&bytes).expect("own image decodes");
+            assert_eq!(back.to_bytes(), bytes, "{}", kind.name());
+            assert_eq!(back.get(0), store.get(0));
+            assert_eq!(back.get(1), Progressive::Empty);
+            assert_eq!(back.len(), 3);
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ use msj_obs::{
     TraceSteps,
 };
 use msj_sam::RStarTree;
-use msj_store::{DatasetParts, Section, Store};
+use msj_store::{Section, Segment, Store};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
@@ -87,7 +87,7 @@ pub type DatasetId = u32;
 /// The artifacts live behind an `RwLock<Option<…>>` so a store-backed
 /// engine can **evict** a cold dataset's artifacts under a byte budget
 /// and re-materialize them on next touch — from the persistent store
-/// when one is armed (a linear repack of the segment's columns), from
+/// when one is armed (each section's image adopted by `from_bytes`), from
 /// the relation otherwise (a full Step-0 rebuild). In-flight work is
 /// never invalidated: anything using the artifacts holds the `Arc`, so
 /// eviction only drops this state's reference.
@@ -927,8 +927,8 @@ impl std::error::Error for EngineError {}
 ///   and every first preparation of a raster-enabled pair persists the
 ///   pair's raster signatures.
 /// * [`SpatialEngine::open`] restarts from such a directory: registered
-///   datasets come back in id order with their artifacts **loaded** (a
-///   linear repack of the segment columns — no hulls, MERs, trapezoids
+///   datasets come back in id order with their artifacts **loaded** (one
+///   validating pass over each stored image — no hulls, MERs, trapezoids
 ///   or STR packing recomputed) instead of rebuilt.
 /// * With a byte budget set, the engine keeps at most that many artifact
 ///   bytes resident: the stalest dataset's artifacts are evicted and
@@ -1046,6 +1046,33 @@ fn splitmix64(seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The one way a stored section becomes a resident artifact: its
+/// verified bytes must decode (`from_bytes`) *and* describe exactly the
+/// `objects` of the relation the artifact is about to be attached to — a
+/// checksum-valid image of another length would index out of bounds at
+/// query time. `None` means rebuild (or, for a pair's raster side, run
+/// without); a section that was written but cannot be adopted is named in
+/// `corrupt` for `msj_store_checksum_failures_total`, one that was never
+/// written is not.
+fn adopt<T, E>(
+    stored: Option<&Segment>,
+    section: Section,
+    objects: usize,
+    from_bytes: impl FnOnce(&[u8]) -> Result<T, E>,
+    len: impl FnOnce(&T) -> usize,
+    corrupt: &mut Vec<&'static str>,
+) -> Option<T> {
+    let adopted = stored?
+        .section(section)?
+        .ok()
+        .and_then(|bytes| from_bytes(bytes).ok())
+        .filter(|artifact| len(artifact) == objects);
+    if adopted.is_none() {
+        corrupt.push(section.name());
+    }
+    adopted
 }
 
 /// The resident spatial query engine (see the module docs).
@@ -1313,7 +1340,7 @@ impl SpatialEngine {
         let relation = relation.into();
         let enabled = self.obs.registry.is_enabled();
         let t_step0 = enabled.then(Instant::now);
-        let artifacts = self.build_artifacts(&relation);
+        let (artifacts, _) = self.step0(&relation, None);
         let step0_nanos = t_step0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         if enabled {
             let reg = &self.obs.registry;
@@ -1351,50 +1378,6 @@ impl SpatialEngine {
         DatasetHandle { state }
     }
 
-    /// Runs one relation's share of Step 0 under the engine
-    /// configuration — the rebuild path of registration and of any load
-    /// whose stored sections cannot be used.
-    fn build_artifacts(&self, relation: &Arc<Relation>) -> DatasetArtifacts {
-        let obs = &self.obs;
-        let tree = matches!(self.config.backend, Backend::RStarTraversal).then(|| {
-            obs.time_artifact(Step0Artifact::Tree, || {
-                Arc::new(candidates::build_tree(&self.config, relation))
-            })
-        });
-        let conservative = self.config.conservative.map(|k| {
-            obs.time_artifact(Step0Artifact::Conservative, || {
-                Arc::new(ConservativeStore::build(k, relation))
-            })
-        });
-        let progressive = self.config.progressive.map(|k| {
-            obs.time_artifact(Step0Artifact::Progressive, || {
-                Arc::new(ProgressiveStore::build(k, relation))
-            })
-        });
-        let trstar = match self.config.exact {
-            ExactAlgorithm::TrStar { max_entries } => {
-                Some(obs.time_artifact(Step0Artifact::TrStar, || {
-                    Arc::new(TrStarStore::build(relation, max_entries))
-                }))
-            }
-            _ => None,
-        };
-        let selection = SelectionState::from_shared_with_step1(
-            RelHandle::from(relation.clone()),
-            &self.config,
-            SharedStep1 { tree: tree.clone() },
-            conservative.clone(),
-            progressive.clone(),
-        );
-        DatasetArtifacts {
-            tree,
-            conservative,
-            progressive,
-            trstar,
-            selection,
-        }
-    }
-
     /// Writes one dataset's artifacts through to the armed store;
     /// returns the segment size. `None` when no store is armed or the
     /// write failed — the engine keeps serving from memory either way.
@@ -1406,14 +1389,21 @@ impl SpatialEngine {
     ) -> Option<u64> {
         let backend = self.store.as_ref()?;
         self.obs.time_artifact(Step0Artifact::Persist, || {
-            let parts = DatasetParts {
-                relation,
-                tree: artifacts.tree.as_ref().map(|t| t.export()),
-                conservative: artifacts.conservative.as_ref().and_then(|c| c.export()),
-                progressive: artifacts.progressive.as_ref().map(|p| p.export()),
-                trstar: artifacts.trstar.as_deref(),
-            };
-            backend.store.write_dataset(id, self.tag, &parts).ok()
+            let mut sections = vec![(Section::Relation, relation.to_bytes())];
+            sections.extend(artifacts.tree.iter().map(|t| (Section::Tree, t.to_bytes())));
+            // A `Mixed` conservative store has no image: its section is
+            // left out and rebuilt on load.
+            let conservative = artifacts.conservative.iter().filter_map(|c| c.to_bytes());
+            sections.extend(conservative.map(|image| (Section::Conservative, image)));
+            let progressive = artifacts.progressive.iter().map(|p| p.to_bytes());
+            sections.extend(progressive.map(|image| (Section::Progressive, image)));
+            sections.extend(
+                artifacts
+                    .trstar
+                    .iter()
+                    .map(|t| (Section::TrStar, t.to_bytes())),
+            );
+            backend.store.write_dataset(id, self.tag, &sections).ok()
         })
     }
 
@@ -1451,85 +1441,88 @@ impl SpatialEngine {
         out
     }
 
-    /// Decodes a segment's artifact sections into resident artifacts —
-    /// a linear repack of the stored columns, no Step-0 recomputation.
-    /// Any corrupt or missing section is rebuilt from `relation`
-    /// (answers stay identical; only that section's load speedup is
-    /// lost); failed section names accumulate into `corrupt`.
-    fn artifacts_from_sections(
+    /// One relation's share of Step 0 under the engine configuration:
+    /// each artifact is adopted from its `stored` section — one validating
+    /// pass over the image, no recomputation — or, when there is no
+    /// segment or the section cannot be adopted, built from `relation`
+    /// (answers are identical; only that section's load speedup is
+    /// lost). Returns the artifacts and the names of the sections that
+    /// were written but could not be used.
+    fn step0(
         &self,
         relation: &Arc<Relation>,
-        tree: Option<Result<msj_sam::TreeExport, msj_store::SectionError>>,
-        conservative: Option<Result<msj_approx::ConsExport, msj_store::SectionError>>,
-        progressive: Option<Result<msj_approx::ProgExport, msj_store::SectionError>>,
-        trstar: Option<Result<TrStarStore, msj_store::SectionError>>,
-        corrupt: &mut Vec<&'static str>,
-    ) -> DatasetArtifacts {
-        let tree = match (matches!(self.config.backend, Backend::RStarTraversal), tree) {
-            (false, _) => None,
-            (true, Some(Ok(export))) => match RStarTree::from_export(export) {
-                Ok(t) => Some(Arc::new(t)),
-                Err(_) => {
-                    corrupt.push(Section::Tree.name());
-                    Some(Arc::new(candidates::build_tree(&self.config, relation)))
-                }
-            },
-            (true, other) => {
-                if other.is_some() {
-                    corrupt.push(Section::Tree.name());
-                }
-                Some(Arc::new(candidates::build_tree(&self.config, relation)))
-            }
-        };
-        let conservative = match (self.config.conservative, conservative) {
-            (None, _) => None,
-            (Some(_), Some(Ok(export))) => match ConservativeStore::from_export(export) {
-                Ok(c) => Some(Arc::new(c)),
-                Err(_) => {
-                    corrupt.push(Section::Conservative.name());
-                    let k = self.config.conservative.expect("matched Some");
-                    Some(Arc::new(ConservativeStore::build(k, relation)))
-                }
-            },
-            (Some(k), other) => {
-                if other.is_some() {
-                    corrupt.push(Section::Conservative.name());
-                }
-                Some(Arc::new(ConservativeStore::build(k, relation)))
-            }
-        };
-        let progressive = match (self.config.progressive, progressive) {
-            (None, _) => None,
-            (Some(_), Some(Ok(export))) => match ProgressiveStore::from_export(export) {
-                Ok(p) => Some(Arc::new(p)),
-                Err(_) => {
-                    corrupt.push(Section::Progressive.name());
-                    let k = self.config.progressive.expect("matched Some");
-                    Some(Arc::new(ProgressiveStore::build(k, relation)))
-                }
-            },
-            (Some(k), other) => {
-                if other.is_some() {
-                    corrupt.push(Section::Progressive.name());
-                }
-                Some(Arc::new(ProgressiveStore::build(k, relation)))
-            }
-        };
-        let trstar = match (self.config.exact, trstar) {
-            // The store validated the arena's structure on decode; one
-            // that does not cover this relation's ids is rebuilt like a
-            // corrupt one.
-            (ExactAlgorithm::TrStar { .. }, Some(Ok(arena))) if arena.len() == relation.len() => {
-                Some(Arc::new(arena))
-            }
-            (ExactAlgorithm::TrStar { max_entries }, other) => {
-                if other.is_some() {
-                    corrupt.push(Section::TrStar.name());
-                }
-                Some(Arc::new(TrStarStore::build(relation, max_entries)))
-            }
+        stored: Option<&Segment>,
+    ) -> (DatasetArtifacts, Vec<&'static str>) {
+        let (obs, objects) = (&self.obs, relation.len());
+        let mut corrupt = Vec::new();
+        let tree = matches!(self.config.backend, Backend::RStarTraversal).then(|| {
+            adopt(
+                stored,
+                Section::Tree,
+                objects,
+                RStarTree::from_bytes,
+                RStarTree::len,
+                &mut corrupt,
+            )
+            .unwrap_or_else(|| {
+                obs.time_artifact(Step0Artifact::Tree, || {
+                    candidates::build_tree(&self.config, relation)
+                })
+            })
+        });
+        let conservative = self.config.conservative.map(|k| {
+            adopt(
+                stored,
+                Section::Conservative,
+                objects,
+                ConservativeStore::from_bytes,
+                ConservativeStore::len,
+                &mut corrupt,
+            )
+            .unwrap_or_else(|| {
+                obs.time_artifact(Step0Artifact::Conservative, || {
+                    ConservativeStore::build(k, relation)
+                })
+            })
+        });
+        let progressive = self.config.progressive.map(|k| {
+            adopt(
+                stored,
+                Section::Progressive,
+                objects,
+                ProgressiveStore::from_bytes,
+                ProgressiveStore::len,
+                &mut corrupt,
+            )
+            .unwrap_or_else(|| {
+                obs.time_artifact(Step0Artifact::Progressive, || {
+                    ProgressiveStore::build(k, relation)
+                })
+            })
+        });
+        let trstar = match self.config.exact {
+            ExactAlgorithm::TrStar { max_entries } => Some(
+                adopt(
+                    stored,
+                    Section::TrStar,
+                    objects,
+                    TrStarStore::from_bytes,
+                    TrStarStore::len,
+                    &mut corrupt,
+                )
+                .unwrap_or_else(|| {
+                    obs.time_artifact(Step0Artifact::TrStar, || {
+                        TrStarStore::build(relation, max_entries)
+                    })
+                }),
+            ),
             _ => None,
         };
+        let (tree, conservative, progressive) = (
+            tree.map(Arc::new),
+            conservative.map(Arc::new),
+            progressive.map(Arc::new),
+        );
         let selection = SelectionState::from_shared_with_step1(
             RelHandle::from(relation.clone()),
             &self.config,
@@ -1537,13 +1530,14 @@ impl SpatialEngine {
             conservative.clone(),
             progressive.clone(),
         );
-        DatasetArtifacts {
+        let artifacts = DatasetArtifacts {
             tree,
             conservative,
             progressive,
-            trstar,
+            trstar: trstar.map(Arc::new),
             selection,
-        }
+        };
+        (artifacts, corrupt)
     }
 
     /// Publishes one finished store load: wall-clock plus any
@@ -1570,54 +1564,33 @@ impl SpatialEngine {
         let backend = self.store.as_ref().expect("load_dataset requires a store");
         let enabled = self.obs.registry.is_enabled();
         let t_load = enabled.then(Instant::now);
-        let load = self.with_store_fault(|tamper| backend.store.read_dataset(id, tamper))?;
-        let msj_store::DatasetLoad {
-            config_tag,
-            bytes,
-            relation,
-            tree,
-            conservative,
-            progressive,
-            trstar,
-        } = load;
-        let mut corrupt: Vec<&'static str> = Vec::new();
-        let relation = match relation {
-            Ok(rel) => Arc::new(rel),
-            Err(_) => {
-                // The relation is the one section with no rebuild
-                // source; its corruption fails the open.
-                self.record_store_load(
-                    t_load.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                    &[Section::Relation.name()],
-                );
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("dataset {id}: relation section corrupt"),
-                ));
-            }
+        let segment = self.with_store_fault(|tamper| backend.store.read_dataset(id, tamper))?;
+        let stored = segment
+            .section(Section::Relation)
+            .and_then(Result::ok)
+            .and_then(|bytes| Relation::from_bytes(bytes).ok());
+        let Some(relation) = stored.map(Arc::new) else {
+            // The relation is the one section with no rebuild source;
+            // without it the open fails.
+            self.record_store_load(
+                t_load.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                &[Section::Relation.name()],
+            );
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("dataset {id}: relation section missing or corrupt"),
+            ));
         };
-        let (artifacts, bytes) = if config_tag == self.tag {
-            (
-                self.artifacts_from_sections(
-                    &relation,
-                    tree,
-                    conservative,
-                    progressive,
-                    trstar,
-                    &mut corrupt,
-                ),
-                bytes,
-            )
+        let current = segment.config_tag == self.tag;
+        let (artifacts, corrupt) = self.step0(&relation, current.then_some(&segment));
+        // A segment written under an artifact-shaping configuration this
+        // engine does not run was rebuilt in full: refresh it in place.
+        let refreshed = if current {
+            None
         } else {
-            // The segment was written under an artifact-shaping
-            // configuration this engine does not run: rebuild everything
-            // from the relation and refresh the segment in place.
-            let artifacts = self.build_artifacts(&relation);
-            let bytes = self
-                .persist_dataset(id, &relation, &artifacts)
-                .unwrap_or(bytes);
-            (artifacts, bytes)
+            self.persist_dataset(id, &relation, &artifacts)
         };
+        let bytes = refreshed.unwrap_or(segment.bytes);
         let step0_nanos = t_load.map_or(0, |t| t.elapsed().as_nanos() as u64);
         self.record_store_load(step0_nanos, &corrupt);
         let mut datasets = self
@@ -1674,32 +1647,22 @@ impl SpatialEngine {
 
     /// Re-materializes evicted artifacts (see [`SpatialEngine::artifacts`]).
     fn materialize(&self, state: &DatasetState) -> DatasetArtifacts {
-        if let Some(backend) = &self.store {
-            let enabled = self.obs.registry.is_enabled();
-            let t_load = enabled.then(Instant::now);
-            let load = self.with_store_fault(|tamper| backend.store.read_dataset(state.id, tamper));
-            if let Ok(load) = load {
-                if load.config_tag == self.tag {
-                    let mut corrupt: Vec<&'static str> = Vec::new();
-                    // The relation is already resident; only the
-                    // artifact sections matter here.
-                    let artifacts = self.artifacts_from_sections(
-                        &state.relation,
-                        load.tree,
-                        load.conservative,
-                        load.progressive,
-                        load.trstar,
-                        &mut corrupt,
-                    );
-                    self.record_store_load(
-                        t_load.map_or(0, |t| t.elapsed().as_nanos() as u64),
-                        &corrupt,
-                    );
-                    return artifacts;
-                }
-            }
+        let t_load = self.obs.registry.is_enabled().then(Instant::now);
+        let segment = self.store.as_ref().and_then(|backend| {
+            self.with_store_fault(|tamper| backend.store.read_dataset(state.id, tamper))
+                .ok()
+                .filter(|segment| segment.config_tag == self.tag)
+        });
+        // The relation is already resident; only the artifact sections
+        // matter here.
+        let (artifacts, corrupt) = self.step0(&state.relation, segment.as_ref());
+        if segment.is_some() {
+            self.record_store_load(
+                t_load.map_or(0, |t| t.elapsed().as_nanos() as u64),
+                &corrupt,
+            );
         }
-        self.build_artifacts(&state.relation)
+        artifacts
     }
 
     /// Marks `state` most-recently-used in the residency accounting and
@@ -1951,47 +1914,42 @@ impl SpatialEngine {
         // the §4 filter speedup is lost.
         let mut degraded = None;
         if self.config.raster.enabled {
-            // Store-backed pairs load their persisted signatures (a
-            // linear repack onto the shared grid, checksums verified)
-            // instead of re-rasterizing; misses and stale tags rebuild
-            // and write through.
+            // Store-backed pairs adopt their persisted signatures
+            // (checksums verified, both sides on one grid and as long as
+            // their relations) instead of re-rasterizing; misses and
+            // stale tags rebuild and write through.
             let mut attached = false;
             let mut corrupt: Vec<&'static str> = Vec::new();
             if let Some(backend) = &self.store {
-                let read = self.with_store_fault(|tamper| {
-                    backend.store.read_pair_raster(sa.id, sb.id, tamper)
-                });
-                if let Ok(Some(load)) = read {
-                    if load.config_tag == self.tag {
-                        match (load.raster_a, load.raster_b) {
-                            (Ok(ea), Ok(eb)) => {
-                                match (RasterStore::from_export(ea), RasterStore::from_export(eb)) {
-                                    (Ok(ra), Ok(rb)) => {
-                                        filter =
-                                            filter.with_shared_raster(Arc::new(ra), Arc::new(rb));
-                                        attached = true;
-                                    }
-                                    (ra, rb) => {
-                                        if ra.is_err() {
-                                            corrupt.push(Section::RasterA.name());
-                                        }
-                                        if rb.is_err() {
-                                            corrupt.push(Section::RasterB.name());
-                                        }
-                                        degraded = Some("store_corrupt");
-                                    }
-                                }
-                            }
-                            (ra, rb) => {
-                                if ra.is_err() {
-                                    corrupt.push(Section::RasterA.name());
-                                }
-                                if rb.is_err() {
-                                    corrupt.push(Section::RasterB.name());
-                                }
-                                degraded = Some("store_corrupt");
-                            }
+                let read =
+                    self.with_store_fault(|tamper| backend.store.read_pair(sa.id, sb.id, tamper));
+                if let Some(pair) = read.ok().flatten().filter(|p| p.config_tag == self.tag) {
+                    let side = |section, relation: &Relation, corrupt: &mut Vec<_>| {
+                        adopt(
+                            Some(&pair),
+                            section,
+                            relation.len(),
+                            RasterStore::from_bytes,
+                            RasterStore::len,
+                            corrupt,
+                        )
+                    };
+                    let ra = side(Section::RasterA, &sa.relation, &mut corrupt);
+                    let rb = side(Section::RasterB, &sb.relation, &mut corrupt);
+                    match (ra, rb) {
+                        (Some(ra), Some(rb)) if ra.grid() == rb.grid() => {
+                            filter = filter.with_shared_raster(Arc::new(ra), Arc::new(rb));
+                            attached = true;
                         }
+                        // Signatures on two grids are not comparable:
+                        // neither side can be trusted.
+                        (Some(_), Some(_)) => {
+                            corrupt.extend([Section::RasterA.name(), Section::RasterB.name()])
+                        }
+                        _ => {}
+                    }
+                    if !corrupt.is_empty() {
+                        degraded = Some("store_corrupt");
                     }
                 }
             }
@@ -2011,12 +1969,14 @@ impl SpatialEngine {
                     filter.with_raster(&sa.relation, &sb.relation, self.config.raster.grid_bits);
                 if let Some(backend) = &self.store {
                     if let Some((ra, rb)) = filter.raster_stores() {
-                        let _ = backend.store.write_pair_raster(
+                        let _ = backend.store.write_pair(
                             sa.id,
                             sb.id,
                             self.tag,
-                            &ra.export(),
-                            &rb.export(),
+                            &[
+                                (Section::RasterA, ra.to_bytes()),
+                                (Section::RasterB, rb.to_bytes()),
+                            ],
                         );
                     }
                 }

@@ -540,8 +540,8 @@ pub(crate) fn prepare<'a>(
 }
 
 /// Runs the full three-step join of `rel_a` with `rel_b` under the
-/// configured [`Execution`] policy. The single entry point behind
-/// [`crate::MultiStepJoin::execute`] and [`crate::parallel_join`].
+/// configured [`Execution`] policy — the entry point behind
+/// [`crate::MultiStepJoin::execute`].
 pub(crate) fn run_join(config: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> JoinResult {
     prepare(config, rel_a, rel_b).run()
 }

@@ -45,9 +45,6 @@
 //!   deterministically and sorted canonically, so `Fused` is
 //!   byte-identical to `Serial`.
 //!
-//! [`parallel::parallel_join`] is the deprecated compatibility front for
-//! `Fused`; prefer setting the policy on the config.
-//!
 //! ## The resident engine
 //!
 //! One-shot joins rebuild Step 0 every call. The [`engine`] module keeps
@@ -98,7 +95,6 @@ pub mod cost;
 pub mod engine;
 pub mod execution;
 pub mod filter;
-pub mod parallel;
 pub mod pipeline;
 pub mod queries;
 pub mod stats;
@@ -120,11 +116,7 @@ pub use engine::{
 };
 pub use execution::{Execution, ScopedPreparedJoin};
 pub use filter::{FilterOutcome, FilterPlan, GeometricFilter};
-#[allow(deprecated)]
-pub use parallel::parallel_join;
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
-#[allow(deprecated)]
-pub use queries::QueryProcessor;
 pub use queries::QueryStats;
 pub use stats::MultiStepStats;
 // Re-exported observability surface (vendored `msj-obs`): configure via

@@ -15,7 +15,7 @@ use crate::config::JoinConfig;
 use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
 use msj_exact::{region_contains_point, region_intersects_rect, OpCounts};
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{ObjectId, Point, Rect, RelHandle, Relation};
+use msj_geom::{ObjectId, Point, Rect, RelHandle};
 use msj_obs::{Span, Step, StepSpans};
 use std::sync::Arc;
 
@@ -36,8 +36,7 @@ pub struct QueryStats {
 
 /// The resident multi-step selection state over one relation: candidate
 /// source plus `Arc`-shared approximation stores. This is what a
-/// [`crate::SpatialEngine`] dataset keeps registered; the deprecated
-/// [`QueryProcessor`] wraps the same state over a borrowed relation.
+/// [`crate::SpatialEngine`] dataset keeps registered.
 pub(crate) struct SelectionState<'a> {
     pub relation: RelHandle<'a>,
     pub source: Box<dyn CandidateSource + 'a>,
@@ -50,42 +49,27 @@ pub(crate) struct SelectionState<'a> {
 }
 
 impl<'a> SelectionState<'a> {
-    /// Builds the candidate source and the configured approximation
-    /// stores (or adopts pre-built shared stores).
-    pub fn build(relation: RelHandle<'a>, config: &JoinConfig) -> Self {
+    /// Builds everything from the relation alone — what the engine does
+    /// at registration, without the engine.
+    #[cfg(test)]
+    fn build(relation: RelHandle<'a>, config: &JoinConfig) -> Self {
         let conservative = config
             .conservative
             .map(|k| Arc::new(ConservativeStore::build(k, &relation)));
         let progressive = config
             .progressive
             .map(|k| Arc::new(ProgressiveStore::build(k, &relation)));
-        Self::from_shared(relation, config, conservative, progressive)
-    }
-
-    /// Assembles the state around stores built once at dataset
-    /// registration (the engine's path).
-    pub fn from_shared(
-        relation: RelHandle<'a>,
-        config: &JoinConfig,
-        conservative: Option<Arc<ConservativeStore>>,
-        progressive: Option<Arc<ProgressiveStore>>,
-    ) -> Self {
-        let source = candidates::selection_source_with(
-            config,
-            relation.clone(),
-            candidates::SharedStep1::default(),
-        );
-        SelectionState {
+        Self::from_shared_with_step1(
             relation,
-            source,
+            config,
+            candidates::SharedStep1::default(),
             conservative,
             progressive,
-            dispatch: config.kernel_dispatch(),
-        }
+        )
     }
 
-    /// Like [`SelectionState::from_shared`], reusing a pre-built Step-1
-    /// index.
+    /// Assembles the state around a Step-1 index and stores built once at
+    /// dataset registration.
     pub fn from_shared_with_step1(
         relation: RelHandle<'a>,
         config: &JoinConfig,
@@ -438,47 +422,6 @@ impl<'a> SelectionState<'a> {
     }
 }
 
-/// A prepared multi-step query processor over one **borrowed** relation.
-///
-/// Superseded by the resident engine: register the relation once with
-/// [`crate::SpatialEngine::register`] and submit
-/// [`crate::Request::Point`] / [`crate::Request::Window`] queries (or
-/// call the engine's query methods directly) — the engine owns the
-/// Step-0 state, shares it across threads and attaches §5 cost estimates.
-/// This processor remains as a thin shim over the same execution path
-/// and produces byte-identical results.
-pub struct QueryProcessor<'a> {
-    state: SelectionState<'a>,
-}
-
-impl<'a> QueryProcessor<'a> {
-    /// Builds the candidate source and the configured approximation
-    /// stores.
-    #[deprecated(
-        since = "0.1.0",
-        note = "register the relation on a resident `SpatialEngine` and use its point/window queries (or `Request`/`submit`) instead"
-    )]
-    pub fn build(relation: &'a Relation, config: &JoinConfig) -> Self {
-        QueryProcessor {
-            state: SelectionState::build(relation.into(), config),
-        }
-    }
-
-    /// All objects whose region contains `p` (closed semantics).
-    pub fn point_query(&mut self, p: Point, counts: &mut OpCounts) -> (Vec<ObjectId>, QueryStats) {
-        self.state.point_query(p, counts)
-    }
-
-    /// All objects whose region intersects `window` (closed semantics).
-    pub fn window_query(
-        &mut self,
-        window: Rect,
-        counts: &mut OpCounts,
-    ) -> (Vec<ObjectId>, QueryStats) {
-        self.state.window_query(window, counts)
-    }
-}
-
 fn progressive_contains(prog: &Progressive, p: Point) -> bool {
     match prog {
         Progressive::Mec(c) => c.contains_point(p),
@@ -509,7 +452,6 @@ fn conservative_intersects_window(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shim must stay covered until it is removed
 mod tests {
     use super::*;
     use msj_approx::{ConservativeKind, ProgressiveKind};
@@ -544,7 +486,7 @@ mod tests {
         let rel = msj_datagen::small_carto(60, 24.0, 17);
         let world = rel.bounding_rect().unwrap();
         for config in processor_configs() {
-            let mut proc = QueryProcessor::build(&rel, &config);
+            let proc = SelectionState::build((&rel).into(), &config);
             let mut counts = OpCounts::new();
             for i in 0..40 {
                 let p = Point::new(
@@ -573,7 +515,7 @@ mod tests {
         let rel = msj_datagen::small_carto(60, 24.0, 18);
         let world = rel.bounding_rect().unwrap();
         for config in processor_configs() {
-            let mut proc = QueryProcessor::build(&rel, &config);
+            let proc = SelectionState::build((&rel).into(), &config);
             let mut counts = OpCounts::new();
             for i in 0..25 {
                 let cx = world.xmin() + world.width() * (i as f64 * 0.31).fract();
@@ -649,8 +591,8 @@ mod tests {
     fn filter_reduces_exact_tests_for_point_queries() {
         let rel = msj_datagen::small_carto(80, 30.0, 19);
         let world = rel.bounding_rect().unwrap();
-        let mut with_filter = QueryProcessor::build(&rel, &JoinConfig::default());
-        let mut without = QueryProcessor::build(&rel, &JoinConfig::version1());
+        let with_filter = SelectionState::build((&rel).into(), &JoinConfig::default());
+        let without = SelectionState::build((&rel).into(), &JoinConfig::version1());
         let mut c1 = OpCounts::new();
         let mut c2 = OpCounts::new();
         let mut exact_with = 0;

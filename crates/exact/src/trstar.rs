@@ -83,7 +83,8 @@ pub struct TrStarStore {
 /// Why [`TrStarStore::from_bytes`] rejected a section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrStarFormatError {
-    /// The byte length does not match the counts in the header.
+    /// The byte length does not match the counts in the header, or the
+    /// header's reserved word is not zero.
     Length,
     /// An offset table is not monotone, does not start at 0 or does not
     /// end at the column length, or an object has no root node.
@@ -96,6 +97,9 @@ pub enum TrStarFormatError {
     /// A directory node's child is not exactly one level below it (this
     /// is what rules out cycles).
     Level,
+    /// A node rectangle's bounds are not ordered (`min ≤ max`; NaN is
+    /// not).
+    Rect,
 }
 
 impl fmt::Display for TrStarFormatError {
@@ -106,6 +110,7 @@ impl fmt::Display for TrStarFormatError {
             TrStarFormatError::Fanout => "TR* arena node exceeds the node capacity",
             TrStarFormatError::ChildRange => "TR* arena child run out of place",
             TrStarFormatError::Level => "TR* arena child level is not parent level - 1",
+            TrStarFormatError::Rect => "TR* arena node rectangle bounds not ordered",
         })
     }
 }
@@ -220,8 +225,7 @@ impl TrStarStore {
         }
         for n in &self.nodes {
             let mut rec = [0u8; NODE_BYTES];
-            let r = n.rect;
-            put_f64s(&mut rec, &[r.xmin(), r.ymin(), r.xmax(), r.ymax()]);
+            put_f64s(&mut rec, &n.rect.bounds());
             rec[32..36].copy_from_slice(&n.first.to_le_bytes());
             rec[36..38].copy_from_slice(&n.level.to_le_bytes());
             rec[38..40].copy_from_slice(&n.count.to_le_bytes());
@@ -243,7 +247,7 @@ impl TrStarStore {
     /// allocated before the length implied by the header's counts has
     /// been checked against `bytes`.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, TrStarFormatError> {
-        if bytes.len() < HEADER_BYTES {
+        if bytes.len() < HEADER_BYTES || u32_at(bytes, 4) != 0 {
             return Err(TrStarFormatError::Length);
         }
         let count_at = |at: usize| usize::try_from(u64_at(bytes, at)).ok();
@@ -266,24 +270,23 @@ impl TrStarStore {
         let (trap_offsets, rest) = rest.split_at(offsets_bytes);
         let (node_bytes, trap_bytes) = rest.split_at(nodes * NODE_BYTES);
         let u32s = |col: &[u8]| col.chunks_exact(4).map(|c| u32_at(c, 0)).collect();
-        let arena = TrStarStore {
-            max_entries: u32_at(bytes, 0),
-            node_offsets: u32s(node_offsets),
-            trap_offsets: u32s(trap_offsets),
-            nodes: node_bytes
-                .chunks_exact(NODE_BYTES)
-                .map(|c| NodeHeader {
-                    rect: Rect::from_bounds(
-                        f64_at(c, 0),
-                        f64_at(c, 8),
-                        f64_at(c, 16),
-                        f64_at(c, 24),
-                    ),
+        let nodes = node_bytes
+            .chunks_exact(NODE_BYTES)
+            .map(|c| {
+                Some(NodeHeader {
+                    rect: Rect::from_ordered_bounds(std::array::from_fn(|k| f64_at(c, 8 * k)))?,
                     first: u32_at(c, 32),
                     level: u16::from_le_bytes([c[36], c[37]]),
                     count: u16::from_le_bytes([c[38], c[39]]),
                 })
-                .collect(),
+            })
+            .collect::<Option<Vec<_>>>()
+            .ok_or(TrStarFormatError::Rect)?;
+        let arena = TrStarStore {
+            max_entries: u32_at(bytes, 0),
+            node_offsets: u32s(node_offsets),
+            trap_offsets: u32s(trap_offsets),
+            nodes,
             traps: trap_bytes
                 .chunks_exact(TRAP_BYTES)
                 .map(|c| Trapezoid {

@@ -1,15 +1,30 @@
-//! Byte-level primitives for the persistent Step-0 store: a page-aligned
-//! heap buffer and the FNV-1a checksum.
+//! Byte-level primitives of the persistent Step-0 store: a page-aligned
+//! heap buffer, the FNV-1a checksum, and the little-endian [`Enc`] /
+//! [`Dec`] cursor every artifact image is written with.
 //!
-//! `msj-store` serializes every Step-0 artifact (R*-tree node arena,
-//! columnar approximation stores, TR* representations, raster interval
-//! arenas) into 4096-byte-aligned segment files. The two primitives it
-//! needs from the geometry layer live here so the store crate stays a
-//! pure codec: [`AlignedBuf`], a `Vec<u8>` whose payload starts on a
-//! [`PAGE_SIZE`] boundary (segment files are read back into one of these,
-//! mmap-style — one aligned allocation, one read, zero re-parse), and
-//! [`fnv1a64`], the checksum recorded per section in the segment manifest
-//! and re-verified on every load.
+//! Each Step-0 artifact — [`Relation`](crate::Relation), the R*-tree,
+//! the conservative / progressive columns, the raster signatures — is its
+//! own persistent image: `to_bytes` streams the live columns through an
+//! [`Enc`], a validating `from_bytes` lifts them back out of a [`Dec`].
+//! The cursor lives here, below every artifact crate, so the format of an
+//! artifact is known to exactly one module (the artifact's own) and
+//! `msj-store` stays a container of opaque checksummed sections.
+//!
+//! Every multi-byte value is little-endian; `f64`s go through
+//! `to_bits`/`from_bits`, so NaN sentinels (the progressive stores' empty
+//! slots) and every other bit pattern round-trip exactly. Columns carry a
+//! `u64` element-count prefix; the decoder checks each count against
+//! the bytes that remain before anything is sized from it, so a corrupted
+//! count is a decode error, never an over-allocation. A decoded column is
+//! a [`Col`] borrowed from the payload — decoders build their live
+//! structures straight from it, with no intermediate copy.
+//!
+//! [`AlignedBuf`] is a `Vec<u8>` whose payload starts on a [`PAGE_SIZE`]
+//! boundary (segment files are read back into one of these — one aligned
+//! allocation, one read), and [`fnv1a64`] is the checksum recorded per
+//! section in the segment manifest and re-verified on every load.
+
+use std::marker::PhantomData;
 
 /// The store's page size in bytes. Matches the paper's 4 KB R*-tree page
 /// (§3.4) and the common OS page, so an aligned buffer is also
@@ -89,6 +104,204 @@ impl AlignedBuf {
     }
 }
 
+/// Append-only little-endian encoder over a growable byte buffer.
+#[derive(Debug, Default)]
+pub struct Enc {
+    buf: Vec<u8>,
+}
+
+impl Enc {
+    /// An encoder whose buffer already holds room for `bytes` bytes — an
+    /// image knows its size before it writes its first column.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    pub fn u32(&mut self, v: u32) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub fn u64(&mut self, v: u64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
+    pub fn f64(&mut self, v: f64) {
+        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+
+    /// `N` scalars in a row — one record of a fixed-width column.
+    pub fn f64x<const N: usize>(&mut self, vs: [f64; N]) {
+        for v in vs {
+            self.f64(v);
+        }
+    }
+
+    /// The element-count prefix of a column whose `n` elements the caller
+    /// writes next, one scalar at a time.
+    pub fn count(&mut self, n: usize) {
+        self.u64(n as u64);
+    }
+
+    /// A counted `u32` column.
+    pub fn u32s(&mut self, vs: &[u32]) {
+        self.count(vs.len());
+        for &v in vs {
+            self.u32(v);
+        }
+    }
+
+    /// A counted `f64` column.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        self.count(vs.len());
+        for &v in vs {
+            self.f64(v);
+        }
+    }
+}
+
+/// Why a [`Dec`] read — or an artifact's `from_bytes` built on it —
+/// rejected a payload.
+pub type DecResult<T> = Result<T, &'static str>;
+
+/// Cursor-style decoder over a section payload. All reads are checked;
+/// a truncated payload or an oversized count yields `Err`, never a panic.
+#[derive(Debug)]
+pub struct Dec<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Dec<'a> {
+    pub fn new(buf: &'a [u8]) -> Self {
+        Dec { buf, pos: 0 }
+    }
+
+    fn take(&mut self, n: usize) -> DecResult<&'a [u8]> {
+        let end = self.pos.checked_add(n).ok_or("length overflow")?;
+        let s = self.buf.get(self.pos..end).ok_or("payload truncated")?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    pub fn u32(&mut self) -> DecResult<u32> {
+        self.take(4).map(u32::read)
+    }
+
+    pub fn u64(&mut self) -> DecResult<u64> {
+        self.take(8).map(u64::read)
+    }
+
+    pub fn f64(&mut self) -> DecResult<f64> {
+        self.take(8).map(f64::read)
+    }
+
+    /// Reads a column's element-count prefix and checks that `count`
+    /// elements of `elem_bytes` bytes each are still in the payload —
+    /// the one place a stored length may become an allocation size.
+    fn count(&mut self, elem_bytes: usize) -> DecResult<usize> {
+        let n = usize::try_from(self.u64()?).map_err(|_| "count overflow")?;
+        let bytes = n.checked_mul(elem_bytes).ok_or("count overflow")?;
+        if bytes > self.buf.len() - self.pos {
+            return Err("count exceeds payload");
+        }
+        Ok(n)
+    }
+
+    fn col<T: Le>(&mut self) -> DecResult<Col<'a, T>> {
+        let n = self.count(T::BYTES)?;
+        Ok(Col {
+            bytes: self.take(n * T::BYTES)?,
+            elem: PhantomData,
+        })
+    }
+
+    /// A counted `u32` column, borrowed from the payload.
+    pub fn u32s(&mut self) -> DecResult<Col<'a, u32>> {
+        self.col()
+    }
+
+    /// A counted `f64` column, borrowed from the payload.
+    pub fn f64s(&mut self) -> DecResult<Col<'a, f64>> {
+        self.col()
+    }
+
+    /// Asserts the payload is fully consumed — trailing garbage means a
+    /// malformed section.
+    pub fn finish(self) -> DecResult<()> {
+        if self.pos == self.buf.len() {
+            Ok(())
+        } else {
+            Err("trailing bytes in payload")
+        }
+    }
+}
+
+/// A scalar with a fixed little-endian encoding — what a [`Col`] holds.
+pub trait Le: Copy + 'static {
+    const BYTES: usize;
+    /// Decodes exactly [`Le::BYTES`] bytes.
+    fn read(bytes: &[u8]) -> Self;
+}
+
+impl Le for u32 {
+    const BYTES: usize = 4;
+    fn read(bytes: &[u8]) -> Self {
+        u32::from_le_bytes(bytes.try_into().expect("4-byte slice"))
+    }
+}
+
+impl Le for u64 {
+    const BYTES: usize = 8;
+    fn read(bytes: &[u8]) -> Self {
+        u64::from_le_bytes(bytes.try_into().expect("8-byte slice"))
+    }
+}
+
+impl Le for f64 {
+    const BYTES: usize = 8;
+    fn read(bytes: &[u8]) -> Self {
+        f64::from_bits(u64::read(bytes))
+    }
+}
+
+/// A decoded column: `len` little-endian scalars still sitting in the
+/// payload they were read from. Indexing panics out of range, like a
+/// slice; decoders check their offsets against [`Col::len`] first.
+#[derive(Debug, Clone, Copy)]
+pub struct Col<'a, T> {
+    bytes: &'a [u8],
+    elem: PhantomData<T>,
+}
+
+impl<'a, T: Le> Col<'a, T> {
+    pub fn len(&self) -> usize {
+        self.bytes.len() / T::BYTES
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    #[inline]
+    pub fn get(&self, i: usize) -> T {
+        T::read(&self.bytes[i * T::BYTES..(i + 1) * T::BYTES])
+    }
+
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        self.bytes.chunks_exact(T::BYTES).map(T::read)
+    }
+
+    pub fn to_vec(&self) -> Vec<T> {
+        self.iter().collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,6 +318,49 @@ mod tests {
                 assert_eq!(buf.as_slice()[len - 1], 0xAB);
             }
         }
+    }
+
+    #[test]
+    fn cursor_round_trips_scalars_and_columns() {
+        let mut e = Enc::with_capacity(64);
+        e.u32(7);
+        e.u64(u64::MAX - 1);
+        e.f64(f64::NAN);
+        e.u32s(&[1, 2, 3]);
+        e.f64s(&[-0.0, 1.5]);
+        e.count(0);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.u32(), Ok(7));
+        assert_eq!(d.u64(), Ok(u64::MAX - 1));
+        assert_eq!(d.f64().map(f64::to_bits), Ok(f64::NAN.to_bits()));
+        let col = d.u32s().unwrap();
+        assert_eq!((col.len(), col.get(2), col.to_vec()), (3, 3, vec![1, 2, 3]));
+        let col = d.f64s().unwrap();
+        assert_eq!(col.get(0).to_bits(), (-0.0f64).to_bits());
+        assert!(d.u32s().unwrap().is_empty());
+        assert_eq!(d.finish(), Ok(()));
+        assert!(Dec::new(&bytes[..bytes.len() - 1]).finish().is_err());
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_that_remain() {
+        // A count of 2^61 f64s: refused before anything is sized from it,
+        // and without overflowing the byte computation.
+        let mut e = Enc::default();
+        e.u64(1 << 61);
+        e.f64(0.0);
+        let bytes = e.into_bytes();
+        assert_eq!(Dec::new(&bytes).f64s().err(), Some("count overflow"));
+        let mut e = Enc::default();
+        e.count(2);
+        e.u32(0);
+        let bytes = e.into_bytes();
+        assert_eq!(Dec::new(&bytes).u32s().err(), Some("count exceeds payload"));
+        assert_eq!(
+            Dec::new(&bytes[..7]).u32s().err(),
+            Some("payload truncated")
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! intersection join only the geometric attribute matters, so an object is
 //! an identifier plus a polygonal region.
 
-use crate::polygon::PolygonWithHoles;
+use crate::bytes::{Dec, DecResult, Enc};
+use crate::point::Point;
+use crate::polygon::{is_ccw, Polygon, PolygonWithHoles};
 use crate::rect::Rect;
 
 /// Identifier of a spatial object within its relation.
@@ -122,6 +124,103 @@ impl Relation {
     }
 }
 
+/// The rings of a region in image order: the outer ring, then the holes.
+fn rings(region: &PolygonWithHoles) -> impl Iterator<Item = &Polygon> {
+    std::iter::once(region.outer()).chain(region.holes())
+}
+
+impl Relation {
+    /// The relation as its persistent image — four counted columns: the
+    /// object ids, per-object ring offsets (`len + 1`, in rings), per-ring
+    /// point offsets (`rings + 1`, in points) and the point arena as
+    /// `x, y` scalars. An object's first ring is its outer ring, the rest
+    /// are its holes.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let total_rings: usize = self.iter().map(|o| 1 + o.region.holes().len()).sum();
+        let total_points: usize = self.iter().map(|o| o.num_vertices()).sum();
+        let mut e =
+            Enc::with_capacity(4 * 8 + 4 * (2 * self.len() + total_rings + 2) + 16 * total_points);
+        e.count(self.len());
+        for o in self.iter() {
+            e.u32(o.id);
+        }
+        e.count(self.len() + 1);
+        let mut rings_so_far = 0u32;
+        e.u32(0);
+        for o in self.iter() {
+            rings_so_far += 1 + o.region.holes().len() as u32;
+            e.u32(rings_so_far);
+        }
+        e.count(total_rings + 1);
+        let mut points_so_far = 0u32;
+        e.u32(0);
+        for ring in self.iter().flat_map(|o| rings(&o.region)) {
+            points_so_far += ring.len() as u32;
+            e.u32(points_so_far);
+        }
+        e.count(2 * total_points);
+        for ring in self.iter().flat_map(|o| rings(&o.region)) {
+            for p in ring.vertices() {
+                e.f64x([p.x, p.y]);
+            }
+        }
+        e.into_bytes()
+    }
+
+    /// Adopts a [`Relation::to_bytes`] image. Every ring goes through
+    /// [`Polygon::new`]'s validation and must already be counter-clockwise
+    /// (the only order `to_bytes` writes), so an accepted image re-encodes
+    /// to the same bytes.
+    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
+        let mut d = Dec::new(bytes);
+        let ids = d.u32s()?;
+        let ring_offsets = d.u32s()?;
+        let point_offsets = d.u32s()?;
+        let points = d.f64s()?;
+        d.finish()?;
+        let n = ids.len();
+        if ring_offsets.len() != n + 1 || ring_offsets.get(0) != 0 {
+            return Err("relation ring offsets malformed");
+        }
+        let total_rings = ring_offsets.get(n) as usize;
+        if point_offsets.len() != total_rings + 1 || point_offsets.get(0) != 0 {
+            return Err("relation point offsets malformed");
+        }
+        if point_offsets.get(total_rings) as usize * 2 != points.len() {
+            return Err("relation point arena length mismatch");
+        }
+        let ring = |r: usize| -> DecResult<Polygon> {
+            let lo = point_offsets.get(r) as usize;
+            let hi = point_offsets.get(r + 1) as usize;
+            if lo > hi || hi * 2 > points.len() {
+                return Err("relation point offsets not monotonic");
+            }
+            let vertices: Vec<Point> = (lo..hi)
+                .map(|i| Point::new(points.get(2 * i), points.get(2 * i + 1)))
+                .collect();
+            if !is_ccw(&vertices) {
+                return Err("relation ring is not counter-clockwise");
+            }
+            Polygon::new(vertices).map_err(|_| "relation ring fails polygon validation")
+        };
+        let mut objects = Vec::with_capacity(n);
+        let mut next_ring = 0;
+        for (i, id) in ids.iter().enumerate() {
+            let r_hi = ring_offsets.get(i + 1) as usize;
+            if next_ring >= r_hi || r_hi > total_rings {
+                return Err("relation object has no rings");
+            }
+            let outer = ring(next_ring)?;
+            let holes = (next_ring + 1..r_hi)
+                .map(ring)
+                .collect::<DecResult<Vec<_>>>()?;
+            objects.push(SpatialObject::new(id, PolygonWithHoles::new(outer, holes)));
+            next_ring = r_hi;
+        }
+        Ok(Relation::new(objects))
+    }
+}
+
 impl std::ops::Index<ObjectId> for Relation {
     type Output = SpatialObject;
     fn index(&self, id: ObjectId) -> &SpatialObject {
@@ -208,6 +307,50 @@ mod tests {
             Rect::from_bounds(0.0, 0.0, 4.0, 2.0)
         );
         assert_eq!(rel.total_area(), 5.0);
+    }
+
+    #[test]
+    fn image_round_trips_rings_ids_and_holes() {
+        let outer = Polygon::new(vec![
+            Point::new(0.0, 0.0),
+            Point::new(10.0, 0.0),
+            Point::new(10.0, 10.0),
+            Point::new(0.0, 10.0),
+        ])
+        .unwrap();
+        let hole = sq(4.0, 4.0, 2.0).outer().clone();
+        let rel = Relation::new(vec![
+            SpatialObject::new(7, PolygonWithHoles::new(outer, vec![hole])),
+            SpatialObject::new(3, sq(20.0, 0.0, 1.0)),
+        ]);
+        let bytes = rel.to_bytes();
+        let back = Relation::from_bytes(&bytes).expect("own image decodes");
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.len(), 2);
+        for (a, b) in rel.iter().zip(back.iter()) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(a.region.outer().vertices(), b.region.outer().vertices());
+            assert_eq!(a.region.holes().len(), b.region.holes().len());
+            assert_eq!(a.mbr(), b.mbr());
+        }
+        let empty = Relation::default();
+        assert!(Relation::from_bytes(&empty.to_bytes()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn clockwise_ring_is_refused_not_silently_reversed() {
+        let rel = Relation::from_regions(vec![sq(0.0, 0.0, 1.0)]);
+        let mut bytes = rel.to_bytes();
+        // Swap vertices 1 and 3 of the only ring: same square, clockwise.
+        let points = bytes.len() - 4 * 16;
+        let (v1, v3) = (points + 16, points + 48);
+        for k in 0..16 {
+            bytes.swap(v1 + k, v3 + k);
+        }
+        assert_eq!(
+            Relation::from_bytes(&bytes).err(),
+            Some("relation ring is not counter-clockwise")
+        );
     }
 
     #[test]

@@ -190,6 +190,12 @@ fn shoelace_sum(vertices: &[Point]) -> f64 {
     s
 }
 
+/// Whether a vertex ring runs counter-clockwise — the order
+/// [`Polygon::new`] keeps as given (a clockwise ring it reverses).
+pub(crate) fn is_ccw(vertices: &[Point]) -> bool {
+    shoelace_sum(vertices) > 0.0
+}
+
 /// Even–odd crossing test for a point strictly against a ring's interior.
 /// Assumes the boundary case has been handled by the caller.
 fn point_in_ring_interior(vertices: &[Point], p: Point) -> bool {

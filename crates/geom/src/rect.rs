@@ -35,6 +35,27 @@ impl Rect {
         Rect::new(Point::new(xmin, ymin), Point::new(xmax, ymax))
     }
 
+    /// A rectangle from bounds that are **already ordered** — the
+    /// decoders' constructor. Unlike [`Rect::from_bounds`] nothing is
+    /// normalised, so the accessors hand the four values back bit for bit
+    /// and an image re-encodes to the bytes it was decoded from. `None`
+    /// unless `xmin ≤ xmax` and `ymin ≤ ymax`, which NaN fails too.
+    #[inline]
+    pub fn from_ordered_bounds([xmin, ymin, xmax, ymax]: [f64; 4]) -> Option<Self> {
+        (xmin <= xmax && ymin <= ymax).then_some(Rect {
+            lo: Point::new(xmin, ymin),
+            hi: Point::new(xmax, ymax),
+        })
+    }
+
+    /// `[xmin, ymin, xmax, ymax]` — the arguments of
+    /// [`Rect::from_bounds`], and the rectangle's four scalars in every
+    /// persistent image.
+    #[inline]
+    pub fn bounds(&self) -> [f64; 4] {
+        [self.lo.x, self.lo.y, self.hi.x, self.hi.y]
+    }
+
     /// The MBR of a non-empty point set; `None` for an empty iterator.
     pub fn bounding<I: IntoIterator<Item = Point>>(points: I) -> Option<Self> {
         let mut it = points.into_iter();

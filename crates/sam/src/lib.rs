@@ -25,4 +25,4 @@ pub use join::{
     nested_loops_join, tree_join, tree_join_cancellable_with, tree_join_chunked,
     tree_join_chunked_observed, tree_join_chunked_observed_with, tree_join_with, JoinStats,
 };
-pub use rstar::{Entry, PageLayout, RStarTree, TreeExport};
+pub use rstar::{Entry, PageLayout, RStarTree};

@@ -9,6 +9,7 @@
 //! leaf level, margin-driven split-axis selection, and forced reinsert.
 
 use crate::buffer::{LruBuffer, PageId};
+use msj_geom::bytes::{Col, Dec, DecResult, Enc};
 use msj_geom::{ObjectId, Point, Rect};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
@@ -833,95 +834,124 @@ impl RStarTree {
         Ok(())
     }
 
-    /// Flattens the node arena into a serialization-ready [`TreeExport`]:
-    /// per-node levels and rectangles plus one offset-indexed entry
-    /// column. Entry kind is implied by the owning node's level (level 0
-    /// holds leaf entries, higher levels hold directory entries), so the
-    /// value column packs object ids and child pointers into one `u32`
-    /// lane. Parent pointers, the buffer tag and the SoA repack are
-    /// derived state and are not exported.
-    pub fn export(&self) -> TreeExport {
+    /// The tree as its persistent image: the page layout, root, and object
+    /// count (`page_size`, `leaf_entry_bytes`, `dir_entry_bytes` as `u64`,
+    /// `root: u32`, `len: u64`), then five counted columns — per-node
+    /// levels, per-node rectangles (4 `f64`s: xmin, ymin, xmax, ymax),
+    /// per-node entry offsets (`nodes + 1`), entry rectangles and entry
+    /// values. Entry kind is implied by the owning node's level (level 0
+    /// holds leaf entries, higher levels directory entries), so the value
+    /// column packs object ids and child pointers into one `u32` lane.
+    /// Parent pointers, the buffer tag and the SoA repack are derived
+    /// state and are not written.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.nodes.len();
         let total: usize = self.nodes.iter().map(|nd| nd.entries.len()).sum();
-        let mut e = TreeExport {
-            page_size: self.layout.page_size as u64,
-            leaf_entry_bytes: self.layout.leaf_entry_bytes as u64,
-            dir_entry_bytes: self.layout.dir_entry_bytes as u64,
-            root: self.root,
-            len: self.len as u64,
-            node_levels: Vec::with_capacity(n),
-            node_rects: Vec::with_capacity(4 * n),
-            entry_offsets: Vec::with_capacity(n + 1),
-            entry_rects: Vec::with_capacity(4 * total),
-            entry_vals: Vec::with_capacity(total),
-        };
-        e.entry_offsets.push(0);
+        let mut e = Enc::with_capacity(36 + 5 * 8 + 4 * (2 * n + 1 + total) + 32 * (n + total));
+        e.u64(self.layout.page_size as u64);
+        e.u64(self.layout.leaf_entry_bytes as u64);
+        e.u64(self.layout.dir_entry_bytes as u64);
+        e.u32(self.root);
+        e.u64(self.len as u64);
+        e.count(n);
         for node in &self.nodes {
-            e.node_levels.push(node.level);
-            push_rect(&mut e.node_rects, node.rect);
-            for entry in &node.entries {
-                push_rect(&mut e.entry_rects, entry.rect());
-                e.entry_vals.push(match entry {
-                    Entry::Leaf { id, .. } => *id,
-                    Entry::Dir { child, .. } => *child,
-                });
-            }
-            e.entry_offsets.push(e.entry_vals.len() as u32);
+            e.u32(node.level);
         }
-        e
+        e.count(4 * n);
+        for node in &self.nodes {
+            e.f64x(node.rect.bounds());
+        }
+        e.count(n + 1);
+        let mut entries_so_far = 0u32;
+        e.u32(0);
+        for node in &self.nodes {
+            entries_so_far += node.entries.len() as u32;
+            e.u32(entries_so_far);
+        }
+        e.count(4 * total);
+        for entry in self.nodes.iter().flat_map(|nd| &nd.entries) {
+            e.f64x(entry.rect().bounds());
+        }
+        e.count(total);
+        for entry in self.nodes.iter().flat_map(|nd| &nd.entries) {
+            e.u32(match entry {
+                Entry::Leaf { id, .. } => *id,
+                Entry::Dir { child, .. } => *child,
+            });
+        }
+        e.into_bytes()
     }
 
-    /// Reconstructs a tree from an export — a linear pass over the
-    /// arrays, no STR repacking or reinsertion. Parent pointers are
+    /// Adopts an [`RStarTree::to_bytes`] image — a linear pass over the
+    /// columns, no STR repacking or reinsertion. Parent pointers are
     /// rebuilt from the directory entries, and the tree receives a fresh
     /// buffer tag and an empty SoA cache (both are process-local state).
-    /// Structural validation rejects malformed images; the result
-    /// traverses identically to the exported tree.
-    pub fn from_export(e: TreeExport) -> Result<Self, String> {
-        let n = e.node_levels.len();
+    /// Structural validation rejects malformed images (a child exactly
+    /// one level below its parent rules out cycles); the result traverses
+    /// identically to the tree that was written.
+    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
+        let mut d = Dec::new(bytes);
+        let mut layout_field = || -> DecResult<usize> {
+            match usize::try_from(d.u64()?) {
+                Ok(0) | Err(_) => Err("degenerate page layout"),
+                Ok(v) => Ok(v),
+            }
+        };
+        let layout = PageLayout {
+            page_size: layout_field()?,
+            leaf_entry_bytes: layout_field()?,
+            dir_entry_bytes: layout_field()?,
+        };
+        let root = d.u32()?;
+        let len = d.u64()?;
+        let levels = d.u32s()?;
+        let node_rects = d.f64s()?;
+        let offsets = d.u32s()?;
+        let entry_rects = d.f64s()?;
+        let vals = d.u32s()?;
+        d.finish()?;
+
+        let n = levels.len();
         if n == 0 {
-            return Err("tree export has no nodes".into());
+            return Err("tree image has no nodes");
         }
-        if e.node_rects.len() != 4 * n {
-            return Err("node rect column length mismatch".into());
+        if node_rects.len() != 4 * n {
+            return Err("node rect column length mismatch");
         }
-        if e.entry_offsets.len() != n + 1 || e.entry_offsets[0] != 0 {
-            return Err("entry offset table malformed".into());
+        if offsets.len() != n + 1 || offsets.get(0) != 0 {
+            return Err("entry offset table malformed");
         }
-        let total = e.entry_vals.len();
-        if e.entry_offsets[n] as usize != total || e.entry_rects.len() != 4 * total {
-            return Err("entry column length mismatch".into());
+        let total = vals.len();
+        if offsets.get(n) as usize != total || entry_rects.len() != 4 * total {
+            return Err("entry column length mismatch");
         }
-        if e.root as usize >= n {
-            return Err("root out of range".into());
-        }
-        if e.page_size == 0 || e.leaf_entry_bytes == 0 || e.dir_entry_bytes == 0 {
-            return Err("degenerate page layout".into());
+        if root as usize >= n {
+            return Err("root out of range");
         }
         let mut nodes = Vec::with_capacity(n);
         let mut parents: Vec<Option<u32>> = vec![None; n];
-        let mut leaf_entries = 0usize;
+        let mut leaf_entries = 0u64;
         for i in 0..n {
-            let level = e.node_levels[i];
-            let lo = e.entry_offsets[i] as usize;
-            let hi = e.entry_offsets[i + 1] as usize;
+            let level = levels.get(i);
+            let lo = offsets.get(i) as usize;
+            let hi = offsets.get(i + 1) as usize;
             if lo > hi || hi > total {
-                return Err("entry offsets not monotonic".into());
+                return Err("entry offsets not monotonic");
             }
             let mut entries = Vec::with_capacity(hi - lo);
             for j in lo..hi {
-                let rect = read_rect(&e.entry_rects, j);
-                let val = e.entry_vals[j];
+                let rect = read_rect(&entry_rects, j)?;
+                let val = vals.get(j);
                 if level == 0 {
                     entries.push(Entry::Leaf { rect, id: val });
                     leaf_entries += 1;
                 } else {
                     let child = val as usize;
                     if child >= n {
-                        return Err("child pointer out of range".into());
+                        return Err("child pointer out of range");
                     }
-                    if e.node_levels[child] + 1 != level {
-                        return Err("child level inconsistent".into());
+                    if levels.get(child) != level - 1 {
+                        return Err("child level inconsistent");
                     }
                     parents[child] = Some(i as u32);
                     entries.push(Entry::Dir { rect, child: val });
@@ -929,58 +959,29 @@ impl RStarTree {
             }
             nodes.push(Node {
                 level,
-                rect: read_rect(&e.node_rects, i),
+                rect: read_rect(&node_rects, i)?,
                 entries,
             });
         }
-        if leaf_entries != e.len as usize {
-            return Err(format!(
-                "object count mismatch: {leaf_entries} leaf entries, len {}",
-                e.len
-            ));
+        if leaf_entries != len {
+            return Err("object count does not match the leaf entries");
         }
         Ok(RStarTree {
-            layout: PageLayout {
-                page_size: e.page_size as usize,
-                leaf_entry_bytes: e.leaf_entry_bytes as usize,
-                dir_entry_bytes: e.dir_entry_bytes as usize,
-            },
+            layout,
             nodes,
             parents,
-            root: e.root,
-            len: e.len as usize,
+            root,
+            len: leaf_entries as usize,
             tag: TREE_TAG.fetch_add(1, Ordering::Relaxed),
             soa: OnceLock::new(),
         })
     }
 }
 
-/// Flat image of an [`RStarTree`] — the unit `msj-store` serializes.
-/// Column layout mirrors the in-memory arena: rectangles are 4 `f64`s
-/// (xmin, ymin, xmax, ymax) per element, entries of node `i` live at
-/// `entry_offsets[i]..entry_offsets[i + 1]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeExport {
-    pub page_size: u64,
-    pub leaf_entry_bytes: u64,
-    pub dir_entry_bytes: u64,
-    pub root: u32,
-    pub len: u64,
-    pub node_levels: Vec<u32>,
-    pub node_rects: Vec<f64>,
-    pub entry_offsets: Vec<u32>,
-    pub entry_rects: Vec<f64>,
-    pub entry_vals: Vec<u32>,
-}
-
-#[inline]
-fn push_rect(col: &mut Vec<f64>, r: Rect) {
-    col.extend_from_slice(&[r.xmin(), r.ymin(), r.xmax(), r.ymax()]);
-}
-
-#[inline]
-fn read_rect(col: &[f64], i: usize) -> Rect {
-    Rect::from_bounds(col[4 * i], col[4 * i + 1], col[4 * i + 2], col[4 * i + 3])
+/// Rectangle `i` of a 4-scalars-per-rectangle column.
+fn read_rect(col: &Col<'_, f64>, i: usize) -> DecResult<Rect> {
+    Rect::from_ordered_bounds(std::array::from_fn(|k| col.get(4 * i + k)))
+        .ok_or("rectangle bounds not ordered")
 }
 
 /// One STR tiling pass: sorts `(rect, payload)` items by x-center, cuts
@@ -1354,6 +1355,49 @@ mod tests {
         }
         tree.check_invariants().expect("after reinserts");
         assert_eq!(tree.len(), 144);
+    }
+
+    #[test]
+    fn image_round_trips_and_traverses_identically() {
+        let layout = PageLayout {
+            page_size: 256,
+            leaf_entry_bytes: 48,
+            dir_entry_bytes: 20,
+        };
+        for tree in [
+            RStarTree::bulk_load(layout, grid_items(14)),
+            RStarTree::insert_all(layout, grid_items(9)),
+            RStarTree::new(layout),
+        ] {
+            let bytes = tree.to_bytes();
+            let back = RStarTree::from_bytes(&bytes).expect("own image decodes");
+            assert_eq!(back.to_bytes(), bytes);
+            back.check_invariants().unwrap();
+            assert_eq!((back.len(), back.height()), (tree.len(), tree.height()));
+            assert_ne!(back.page_id(0), tree.page_id(0), "fresh buffer tag");
+            let w = Rect::from_bounds(12.0, 3.0, 77.0, 58.0);
+            let (mut b1, mut b2) = (LruBuffer::new(4096), LruBuffer::new(4096));
+            assert_eq!(tree.window_query(w, &mut b1), back.window_query(w, &mut b2));
+            assert_eq!(b1.stats().logical, b2.stats().logical);
+        }
+    }
+
+    #[test]
+    fn image_with_a_child_on_the_wrong_level_is_refused() {
+        let layout = PageLayout {
+            page_size: 256,
+            leaf_entry_bytes: 48,
+            dir_entry_bytes: 20,
+        };
+        let tree = RStarTree::bulk_load(layout, grid_items(14));
+        assert!(tree.height() >= 3);
+        let mut bytes = tree.to_bytes();
+        // The level column follows the 36-byte header and its own count;
+        // node 0 is a leaf. Calling it a level-1 node makes its object ids
+        // child pointers to leaves' siblings, and its parent's level wrong.
+        assert_eq!(bytes[44..48], 0u32.to_le_bytes());
+        bytes[44] = 1;
+        assert!(RStarTree::from_bytes(&bytes).is_err());
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! # msj-store — persistent page-aligned Step-0 artifact store
+//! # msj-store — persistent page-aligned section container
 //!
 //! Step 0 of the multi-step pipeline (Brinkhoff, Kriegel, Schneider,
 //! Seeger; SIGMOD 1994) — R*-tree construction, conservative /
 //! progressive approximation stores, TR* decompositions and raster
 //! signatures — is by far the most expensive phase of a join. This crate
-//! persists those artifacts so an engine restart is an **mmap-style
-//! load** instead of a rebuild, and so a registered set larger than RAM
+//! keeps the bytes of those artifacts on disk so an engine restart is a
+//! **load** instead of a rebuild, and so a registered set larger than RAM
 //! can be served by evicting and reloading cold datasets.
 //!
 //! ## Segment format
 //!
 //! One file per dataset (`ds_<id>.msj`) plus one file per prepared join
-//! pair's shared-grid raster signatures (`pair_<a>_<b>.msj`). A file is
+//! pair (`pair_<a>_<b>.msj`, the shared-grid raster signatures). A file is
 //! a sequence of [`PAGE_SIZE`]-aligned sections preceded by a one-page
 //! **manifest**:
 //!
@@ -24,31 +24,26 @@
 //! ```
 //!
 //! Readers pull the whole file into one page-aligned buffer
-//! ([`msj_geom::AlignedBuf`]), verify the manifest, then verify and
-//! decode each section independently. **Corruption degrades per
-//! section**: a bad checksum surfaces as [`SectionError::Checksum`] for
-//! that section only, so the engine can rebuild one artifact from the
-//! relation (or drop a pair to the filter-only path) instead of refusing
-//! the dataset. Only a corrupt manifest or relation section — the
-//! geometry itself, which cannot be rebuilt from anything else — fails
-//! the whole load.
+//! ([`msj_geom::AlignedBuf`]), verify the manifest, and hand each section
+//! back as `Result<&[u8], SectionError>` — the verified payload, borrowed
+//! from that buffer. **Corruption degrades per section**: a bad checksum
+//! surfaces as [`SectionError::Checksum`] for that section only, so the
+//! engine can rebuild one artifact from the relation (or drop a pair to
+//! the filter-only path) instead of refusing the dataset. Only a corrupt
+//! manifest fails the whole file.
 //!
-//! Section payloads are pure little-endian column streams over the
-//! artifact crates' flat export images (`f64`s via `to_bits`, so every
-//! bit pattern — including the progressive stores' NaN sentinels —
-//! round-trips exactly). Decoding is a linear repack with no geometric
-//! recomputation, which is what makes the cold start fast. The TR*
-//! section (format version 2) goes one step further: its payload is the
-//! live arena's own image (`msj_exact::TrStarStore::to_bytes`), which
-//! `from_bytes` validates and adopts without an intermediate type.
+//! ## What this crate does not know
+//!
+//! A section is an opaque byte string with a name. What is *in* it — an
+//! R*-tree, approximation columns, a TR* arena, raster signatures, the
+//! relation itself — is the business of the artifact that owns the
+//! format: each one is its own persistent image (`to_bytes` / validating
+//! `from_bytes`, written over [`msj_geom::bytes`]), and the engine
+//! decides which sections a file must carry and what to do when one is
+//! missing or fails. The crate therefore depends on `msj-geom` alone, for
+//! the aligned buffer and the checksum; CI keeps it that way.
 
-mod codec;
-mod payload;
-
-use msj_approx::{ConsExport, ProgExport, RasterExport};
-use msj_exact::TrStarStore;
-use msj_geom::{fnv1a64, AlignedBuf, Relation, PAGE_SIZE};
-use msj_sam::TreeExport;
+use msj_geom::{fnv1a64, AlignedBuf, PAGE_SIZE};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -73,27 +68,29 @@ const SECTION_ENTRY: usize = 32;
 /// Offset of the manifest checksum within page 0.
 const MANIFEST_SUM_AT: usize = PAGE_SIZE - 8;
 
-/// The artifact sections a segment file can carry.
+/// The artifact sections a segment file can carry; the discriminant is
+/// the section's tag in the manifest table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
 pub enum Section {
-    /// The relation geometry itself — required; not rebuildable.
-    Relation,
+    /// The relation geometry itself — not rebuildable.
+    Relation = 1,
     /// STR-packed R*-tree node arena.
-    Tree,
+    Tree = 2,
     /// Conservative approximation columns + false-area table.
-    Conservative,
+    Conservative = 3,
     /// Progressive approximation columns.
-    Progressive,
+    Progressive = 4,
     /// TR* trapezoid decompositions.
-    TrStar,
+    TrStar = 5,
     /// Raster interval arena of pair side A.
-    RasterA,
+    RasterA = 6,
     /// Raster interval arena of pair side B.
-    RasterB,
+    RasterB = 7,
 }
 
 impl Section {
-    /// Every section kind, in table order.
+    /// Every section kind, in tag order.
     pub const ALL: [Section; 7] = [
         Section::Relation,
         Section::Tree,
@@ -117,66 +114,18 @@ impl Section {
         }
     }
 
-    fn tag(self) -> u32 {
-        match self {
-            Section::Relation => 1,
-            Section::Tree => 2,
-            Section::Conservative => 3,
-            Section::Progressive => 4,
-            Section::TrStar => 5,
-            Section::RasterA => 6,
-            Section::RasterB => 7,
-        }
-    }
-
     fn from_tag(tag: u32) -> Option<Self> {
-        Section::ALL.into_iter().find(|s| s.tag() == tag)
+        Section::ALL.into_iter().find(|&s| s as u32 == tag)
     }
 }
 
 /// Why one section failed to load while the rest of the file was fine.
+/// (A payload that verifies but does not decode is the owning artifact's
+/// `from_bytes` error, not the container's.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionError {
     /// Stored FNV-1a checksum does not match the section bytes.
     Checksum,
-    /// Checksum matched but the payload does not decode (format bug or
-    /// a collision-grade corruption).
-    Malformed,
-}
-
-/// The per-dataset artifacts handed to [`Store::write_dataset`].
-/// `relation` is mandatory; every artifact export is optional (a
-/// configuration may not build that artifact, or a `Mixed` conservative
-/// store may decline to export).
-pub struct DatasetParts<'a> {
-    pub relation: &'a Relation,
-    pub tree: Option<TreeExport>,
-    pub conservative: Option<ConsExport>,
-    pub progressive: Option<ProgExport>,
-    pub trstar: Option<&'a TrStarStore>,
-}
-
-/// Result of [`Store::read_dataset`]: per-section outcomes. `None`
-/// means the section was never written; `Some(Err(_))` means it was
-/// written but failed verification or decoding — the caller rebuilds
-/// that artifact from the relation.
-pub struct DatasetLoad {
-    pub config_tag: u64,
-    /// Total file bytes (the dataset's footprint for residency budgets).
-    pub bytes: u64,
-    pub relation: Result<Relation, SectionError>,
-    pub tree: Option<Result<TreeExport, SectionError>>,
-    pub conservative: Option<Result<ConsExport, SectionError>>,
-    pub progressive: Option<Result<ProgExport, SectionError>>,
-    pub trstar: Option<Result<TrStarStore, SectionError>>,
-}
-
-/// Result of [`Store::read_pair_raster`].
-pub struct PairLoad {
-    pub config_tag: u64,
-    pub bytes: u64,
-    pub raster_a: Result<RasterExport, SectionError>,
-    pub raster_b: Result<RasterExport, SectionError>,
 }
 
 /// Hook invoked on each raw section payload after the file is read and
@@ -235,171 +184,86 @@ impl Store {
         Ok(fs::metadata(self.dataset_path(id))?.len())
     }
 
-    /// Per-section payload sizes of a persisted dataset's segment file,
-    /// in section-table order — the bench's file-size breakdown.
-    pub fn dataset_sections(&self, id: u32) -> io::Result<Vec<(Section, u64)>> {
-        let (seg, _) = self.read_segment(&self.dataset_path(id), FILE_KIND_DATASET)?;
-        Ok(seg
-            .sections
-            .iter()
-            .map(|e| (e.section, e.len as u64))
-            .collect())
-    }
-
-    /// Serializes a dataset's Step-0 artifacts into its segment file
-    /// (atomically: write-temp + rename). Returns the file size.
+    /// Writes a dataset's sections into its segment file (atomically:
+    /// write-temp + rename) and returns the file size. Every pair segment
+    /// naming `id` is removed first: it was derived from the dataset this
+    /// write replaces, and nothing in a pair file says which.
     pub fn write_dataset(
         &self,
         id: u32,
         config_tag: u64,
-        parts: &DatasetParts<'_>,
+        sections: &[(Section, Vec<u8>)],
     ) -> io::Result<u64> {
-        let mut sections: Vec<(Section, Vec<u8>)> = Vec::with_capacity(5);
-        sections.push((Section::Relation, payload::encode_relation(parts.relation)));
-        if let Some(t) = &parts.tree {
-            sections.push((Section::Tree, payload::encode_tree(t)));
-        }
-        if let Some(c) = &parts.conservative {
-            sections.push((Section::Conservative, payload::encode_conservative(c)));
-        }
-        if let Some(p) = &parts.progressive {
-            sections.push((Section::Progressive, payload::encode_progressive(p)));
-        }
-        if let Some(t) = parts.trstar {
-            sections.push((Section::TrStar, t.to_bytes()));
-        }
+        self.remove_pairs_naming(id)?;
         self.write_segment(
             &self.dataset_path(id),
             FILE_KIND_DATASET,
             config_tag,
             id as u64,
             0,
-            &sections,
+            sections,
         )
     }
 
-    /// Serializes a prepared pair's shared-grid raster stores. Returns
-    /// the file size.
-    pub fn write_pair_raster(
+    /// Writes the sections of the pair `(a, b)` into its segment file.
+    /// Returns the file size.
+    pub fn write_pair(
         &self,
         a: u32,
         b: u32,
         config_tag: u64,
-        raster_a: &RasterExport,
-        raster_b: &RasterExport,
+        sections: &[(Section, Vec<u8>)],
     ) -> io::Result<u64> {
-        let sections = vec![
-            (Section::RasterA, payload::encode_raster(raster_a)),
-            (Section::RasterB, payload::encode_raster(raster_b)),
-        ];
         self.write_segment(
             &self.pair_path(a, b),
             FILE_KIND_PAIR,
             config_tag,
             a as u64,
             b as u64,
-            &sections,
+            sections,
         )
     }
 
     /// Loads a dataset's segment file. File-level failures (missing
     /// file, bad magic / version / manifest) are `Err`; section-level
-    /// failures degrade inside the returned [`DatasetLoad`].
-    pub fn read_dataset(&self, id: u32, mut tamper: Option<Tamper<'_>>) -> io::Result<DatasetLoad> {
-        let (seg, bytes) = self.read_segment(&self.dataset_path(id), FILE_KIND_DATASET)?;
-        if seg.meta_a != id as u64 {
-            return Err(bad_data("segment file claims a different dataset id"));
-        }
-        let mut load = DatasetLoad {
-            config_tag: seg.config_tag,
-            bytes,
-            relation: Err(SectionError::Checksum),
-            tree: None,
-            conservative: None,
-            progressive: None,
-            trstar: None,
-        };
-        let mut saw_relation = false;
-        for entry in &seg.sections {
-            let payload = seg.section_bytes(entry, &mut tamper);
-            match entry.section {
-                Section::Relation => {
-                    saw_relation = true;
-                    load.relation =
-                        payload.and_then(|b| ok_or_malformed(payload::decode_relation(b)));
-                }
-                Section::Tree => {
-                    load.tree =
-                        Some(payload.and_then(|b| ok_or_malformed(payload::decode_tree(b))));
-                }
-                Section::Conservative => {
-                    load.conservative = Some(
-                        payload.and_then(|b| ok_or_malformed(payload::decode_conservative(b))),
-                    );
-                }
-                Section::Progressive => {
-                    load.progressive =
-                        Some(payload.and_then(|b| ok_or_malformed(payload::decode_progressive(b))));
-                }
-                Section::TrStar => {
-                    load.trstar = Some(payload.and_then(|b| {
-                        TrStarStore::from_bytes(b).map_err(|_| SectionError::Malformed)
-                    }));
-                }
-                Section::RasterA | Section::RasterB => {
-                    return Err(bad_data("raster section in a dataset segment"));
-                }
-            }
-        }
-        if !saw_relation {
-            return Err(bad_data("dataset segment missing relation section"));
-        }
-        Ok(load)
+    /// failures degrade inside the returned [`Segment`].
+    pub fn read_dataset(&self, id: u32, tamper: Option<Tamper<'_>>) -> io::Result<Segment> {
+        self.read_segment(&self.dataset_path(id), FILE_KIND_DATASET, (id, 0), tamper)
     }
 
-    /// Loads a pair's raster segment. `Ok(None)` when the pair was never
-    /// persisted (the caller builds and writes through).
-    pub fn read_pair_raster(
+    /// Loads the segment of the pair `(a, b)`. `Ok(None)` when the pair
+    /// was never persisted (the caller builds and writes through).
+    pub fn read_pair(
         &self,
         a: u32,
         b: u32,
-        mut tamper: Option<Tamper<'_>>,
-    ) -> io::Result<Option<PairLoad>> {
+        tamper: Option<Tamper<'_>>,
+    ) -> io::Result<Option<Segment>> {
         let path = self.pair_path(a, b);
         if !path.exists() {
             return Ok(None);
         }
-        let (seg, bytes) = self.read_segment(&path, FILE_KIND_PAIR)?;
-        if seg.meta_a != a as u64 || seg.meta_b != b as u64 {
-            return Err(bad_data("pair segment claims different dataset ids"));
-        }
-        let mut load = PairLoad {
-            config_tag: seg.config_tag,
-            bytes,
-            raster_a: Err(SectionError::Checksum),
-            raster_b: Err(SectionError::Checksum),
-        };
-        let (mut saw_a, mut saw_b) = (false, false);
-        for entry in &seg.sections {
-            let payload = seg.section_bytes(entry, &mut tamper);
-            match entry.section {
-                Section::RasterA => {
-                    saw_a = true;
-                    load.raster_a =
-                        payload.and_then(|b| ok_or_malformed(payload::decode_raster(b)));
-                }
-                Section::RasterB => {
-                    saw_b = true;
-                    load.raster_b =
-                        payload.and_then(|b| ok_or_malformed(payload::decode_raster(b)));
-                }
-                _ => return Err(bad_data("non-raster section in a pair segment")),
+        self.read_segment(&path, FILE_KIND_PAIR, (a, b), tamper)
+            .map(Some)
+    }
+
+    fn remove_pairs_naming(&self, id: u32) -> io::Result<()> {
+        for entry in fs::read_dir(&self.root)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let names_id = name
+                .to_str()
+                .and_then(|s| {
+                    s.strip_prefix("pair_")?
+                        .strip_suffix(".msj")?
+                        .split_once('_')
+                })
+                .is_some_and(|(a, b)| a.parse() == Ok(id) || b.parse() == Ok(id));
+            if names_id {
+                fs::remove_file(entry.path())?;
             }
         }
-        if !saw_a || !saw_b {
-            return Err(bad_data("pair segment missing a raster section"));
-        }
-        Ok(Some(load))
+        Ok(())
     }
 
     fn write_segment(
@@ -433,7 +297,7 @@ impl Store {
         manifest[40..44].copy_from_slice(&(sections.len() as u32).to_le_bytes());
         for (i, (section, off, len, sum)) in table.iter().enumerate() {
             let at = MANIFEST_HEAD + i * SECTION_ENTRY;
-            manifest[at..at + 4].copy_from_slice(&section.tag().to_le_bytes());
+            manifest[at..at + 4].copy_from_slice(&(*section as u32).to_le_bytes());
             manifest[at + 8..at + 16].copy_from_slice(&off.to_le_bytes());
             manifest[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
             manifest[at + 24..at + 32].copy_from_slice(&sum.to_le_bytes());
@@ -458,7 +322,13 @@ impl Store {
         Ok(total)
     }
 
-    fn read_segment(&self, path: &Path, expect_kind: u32) -> io::Result<(Segment, u64)> {
+    fn read_segment(
+        &self,
+        path: &Path,
+        expect_kind: u32,
+        expect_ids: (u32, u32),
+        mut tamper: Option<Tamper<'_>>,
+    ) -> io::Result<Segment> {
         let meta = fs::metadata(path)?;
         let size = usize::try_from(meta.len()).map_err(|_| bad_data("segment too large"))?;
         if size < PAGE_SIZE || size % PAGE_SIZE != 0 {
@@ -481,9 +351,10 @@ impl Store {
         if read_u32(m, 12) != expect_kind {
             return Err(bad_data("unexpected segment kind"));
         }
+        if (read_u64(m, 24), read_u64(m, 32)) != (expect_ids.0.into(), expect_ids.1.into()) {
+            return Err(bad_data("segment file claims different dataset ids"));
+        }
         let config_tag = read_u64(m, 16);
-        let meta_a = read_u64(m, 24);
-        let meta_b = read_u64(m, 32);
         let count = read_u32(m, 40) as usize;
         if MANIFEST_HEAD + count * SECTION_ENTRY > MANIFEST_SUM_AT {
             return Err(bad_data("section table overflows the manifest"));
@@ -507,16 +378,23 @@ impl Store {
                 checksum: read_u64(m, at + 24),
             });
         }
-        Ok((
-            Segment {
-                config_tag,
-                meta_a,
-                meta_b,
-                sections,
-                buf,
-            },
-            size as u64,
-        ))
+        if let Some(hook) = tamper.as_mut() {
+            // In place: the buffer is this load's own copy of the file,
+            // and a fault must corrupt exactly the bytes the checksum
+            // guards.
+            for e in &sections {
+                hook(
+                    e.section,
+                    &mut buf.as_mut_slice()[e.offset..e.offset + e.len],
+                );
+            }
+        }
+        Ok(Segment {
+            config_tag,
+            bytes: size as u64,
+            sections,
+            buf,
+        })
     }
 }
 
@@ -527,42 +405,29 @@ struct SectionEntry {
     checksum: u64,
 }
 
-struct Segment {
-    config_tag: u64,
-    meta_a: u64,
-    meta_b: u64,
+/// One segment file, read and manifest-verified; sections verify as they
+/// are asked for.
+pub struct Segment {
+    /// The writer's configuration tag.
+    pub config_tag: u64,
+    /// Total file bytes (a dataset's footprint for residency budgets).
+    pub bytes: u64,
     sections: Vec<SectionEntry>,
     buf: AlignedBuf,
 }
 
 impl Segment {
-    /// The verified payload of one section, after the optional tamper
-    /// hook has had its shot at the raw bytes.
-    fn section_bytes(
-        &self,
-        entry: &SectionEntry,
-        tamper: &mut Option<Tamper<'_>>,
-    ) -> Result<&[u8], SectionError> {
+    /// The payload of `section`, checksum-verified. `None` means the
+    /// section was never written; `Some(Err(_))` means it was written but
+    /// no longer verifies — the caller rebuilds that artifact.
+    pub fn section(&self, section: Section) -> Option<Result<&[u8], SectionError>> {
+        let entry = self.sections.iter().find(|e| e.section == section)?;
         let bytes = &self.buf.as_slice()[entry.offset..entry.offset + entry.len];
-        if let Some(hook) = tamper.as_mut() {
-            // The hook mutates a scratch copy: the aligned buffer is
-            // shared by every section read, and a fault must corrupt
-            // exactly the bytes the checksum guards.
-            let mut scratch = bytes.to_vec();
-            hook(entry.section, &mut scratch);
-            if scratch != bytes {
-                // Verify (and fail) against the tampered image.
-                return if fnv1a64(&scratch) == entry.checksum {
-                    Err(SectionError::Malformed)
-                } else {
-                    Err(SectionError::Checksum)
-                };
-            }
-        }
-        if fnv1a64(bytes) != entry.checksum {
-            return Err(SectionError::Checksum);
-        }
-        Ok(bytes)
+        Some(if fnv1a64(bytes) == entry.checksum {
+            Ok(bytes)
+        } else {
+            Err(SectionError::Checksum)
+        })
     }
 }
 
@@ -572,10 +437,6 @@ fn pages_for(len: usize) -> usize {
 
 fn bad_data(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-fn ok_or_malformed<T>(r: Result<T, &'static str>) -> Result<T, SectionError> {
-    r.map_err(|_| SectionError::Malformed)
 }
 
 fn read_u32(buf: &[u8], at: usize) -> u32 {

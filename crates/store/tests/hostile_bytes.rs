@@ -1,0 +1,127 @@
+//! Hostile bytes into every artifact decoder.
+//!
+//! A section payload is untrusted input: the checksum only says the bytes
+//! are the bytes that were written, not that a friend wrote them. For each
+//! of the six images — relation, R*-tree, conservative, progressive, TR*
+//! arena, raster — **every truncation prefix** and **every single-byte
+//! flip** (a seeded mask and the top bit at each position) must come back
+//! from `from_bytes` as an `Err`, or as a value whose `to_bytes` is exactly
+//! the input. Never a panic; and a count prefix blown up to 2⁵⁶ by a flip
+//! in its high byte must be refused before anything is sized from it, or
+//! this test dies of the allocation.
+
+use msj_approx::{
+    ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore, RasterGrid, RasterStore,
+};
+use msj_exact::TrStarStore;
+use msj_geom::Relation;
+use msj_sam::{PageLayout, RStarTree};
+
+/// Decodes and re-encodes; `None` when the decoder refuses the bytes.
+type Reencode = fn(&[u8]) -> Option<Vec<u8>>;
+
+fn images() -> Vec<(&'static str, Vec<u8>, Reencode)> {
+    // Small on purpose — the loops below are quadratic in the image size
+    // — but with holes, a three-level R*-tree and multi-level TR*-trees.
+    let rel = msj_datagen::carto_with_holes(7, 9.0, 31);
+    let other = msj_datagen::small_carto(5, 8.0, 32);
+    let two_per_page = PageLayout {
+        page_size: 96,
+        leaf_entry_bytes: 48,
+        dir_entry_bytes: 48,
+    };
+    let tree = RStarTree::bulk_load(two_per_page, rel.iter().map(|o| (o.mbr(), o.id)));
+    assert!(
+        tree.height() >= 3,
+        "the tree image must hold directory levels"
+    );
+    let cons = |kind| {
+        ConservativeStore::build(kind, &rel)
+            .to_bytes()
+            .expect("no MBR fallbacks in this relation")
+    };
+    let grid = RasterGrid::covering(&rel, &other, 4).expect("non-empty workspace");
+    vec![
+        ("relation", rel.to_bytes(), |b| {
+            Some(Relation::from_bytes(b).ok()?.to_bytes())
+        }),
+        ("tree", tree.to_bytes(), |b| {
+            Some(RStarTree::from_bytes(b).ok()?.to_bytes())
+        }),
+        (
+            "conservative 5-corner",
+            cons(ConservativeKind::FiveCorner),
+            |b| ConservativeStore::from_bytes(b).ok()?.to_bytes(),
+        ),
+        ("conservative mbr", cons(ConservativeKind::Mbr), |b| {
+            ConservativeStore::from_bytes(b).ok()?.to_bytes()
+        }),
+        ("conservative mbe", cons(ConservativeKind::Mbe), |b| {
+            ConservativeStore::from_bytes(b).ok()?.to_bytes()
+        }),
+        (
+            "progressive mer",
+            ProgressiveStore::build(ProgressiveKind::Mer, &rel).to_bytes(),
+            |b| Some(ProgressiveStore::from_bytes(b).ok()?.to_bytes()),
+        ),
+        (
+            "progressive mec",
+            ProgressiveStore::build(ProgressiveKind::Mec, &rel).to_bytes(),
+            |b| Some(ProgressiveStore::from_bytes(b).ok()?.to_bytes()),
+        ),
+        ("trstar", TrStarStore::build(&other, 3).to_bytes(), |b| {
+            Some(TrStarStore::from_bytes(b).ok()?.to_bytes())
+        }),
+        ("raster", RasterStore::build(&grid, &rel).to_bytes(), |b| {
+            Some(RasterStore::from_bytes(b).ok()?.to_bytes())
+        }),
+    ]
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[test]
+fn every_prefix_and_every_flip_is_refused_or_round_trips() {
+    let mut rng = 0x5EED_u64;
+    for (name, image, reencode) in images() {
+        assert_eq!(
+            reencode(&image).as_deref(),
+            Some(&image[..]),
+            "{name}: the untouched image must round-trip"
+        );
+        for cut in 0..image.len() {
+            assert!(
+                reencode(&image[..cut]).is_none(),
+                "{name}: a {cut}-byte prefix of {} bytes was accepted",
+                image.len()
+            );
+        }
+        let mut accepted = 0usize;
+        let mut mutated = image.clone();
+        for at in 0..image.len() {
+            let seeded = (splitmix64(&mut rng) % 255 + 1) as u8;
+            for mask in [seeded, 0x80] {
+                mutated[at] = image[at] ^ mask;
+                if let Some(back) = reencode(&mutated) {
+                    assert!(
+                        back == mutated,
+                        "{name}: byte {at} ^ {mask:#04x} decoded to a value that re-encodes differently"
+                    );
+                    accepted += 1;
+                }
+            }
+            mutated[at] = image[at];
+        }
+        // Most flips land in coordinates, which are data, not structure.
+        assert!(
+            accepted > 0,
+            "{name}: no flip decoded — is the table wired up?"
+        );
+    }
+}

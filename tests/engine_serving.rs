@@ -6,10 +6,7 @@
 //! * an `Arc<PreparedJoin>` is shared across threads, every thread
 //!   getting the identical response set;
 //! * the unified `Request`/`Response` surface agrees with the one-shot
-//!   pipeline and the linear-scan ground truth;
-//! * the deprecated shims (`parallel_join`, `QueryProcessor::build`)
-//!   keep producing byte-identical output to the engine paths they
-//!   delegate to.
+//!   pipeline and the linear-scan ground truth.
 
 use msj::core::{Execution, JoinConfig, MultiStepJoin, Request, Response, SpatialEngine};
 use msj::geom::{Point, Rect};
@@ -156,63 +153,6 @@ fn engine_serves_batches_from_multiple_threads() {
             });
         }
     });
-}
-
-/// Satellite: the deprecated `parallel_join` shim stays byte-identical
-/// to the engine path it delegates to.
-#[test]
-#[allow(deprecated)]
-fn parallel_join_shim_is_byte_identical_to_the_engine() {
-    let a = msj::datagen::small_carto(40, 24.0, 9006);
-    let b = msj::datagen::small_carto(40, 24.0, 9007);
-    let config = JoinConfig::default();
-    let engine = SpatialEngine::new(config);
-    let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
-    let prepared = engine.prepare_join(&ha, &hb);
-    for threads in [1usize, 4] {
-        let shim = msj::core::parallel_join(&a, &b, &config, threads);
-        let resident = prepared.run_with(Execution::Fused { threads });
-        assert_eq!(shim.pairs, resident.pairs, "x{threads}: pairs");
-        assert_eq!(shim.stats.exact_ops, resident.stats.exact_ops);
-        assert_eq!(shim.stats.exact_tests, resident.stats.exact_tests);
-        assert_eq!(shim.stats.raster_hits, resident.stats.raster_hits);
-        assert_eq!(
-            shim.stats.filter_false_hits,
-            resident.stats.filter_false_hits
-        );
-        assert_eq!(shim.stats.result_pairs, resident.stats.result_pairs);
-    }
-}
-
-/// Satellite: the deprecated `QueryProcessor::build` shim stays
-/// byte-identical to the engine's selection queries.
-#[test]
-#[allow(deprecated)]
-fn query_processor_shim_is_byte_identical_to_the_engine() {
-    let rel = msj::datagen::small_carto(60, 24.0, 9008);
-    let world = rel.bounding_rect().unwrap();
-    for config in [JoinConfig::default(), JoinConfig::version1()] {
-        let engine = SpatialEngine::new(config);
-        let h = engine.register(rel.clone());
-        let mut shim = msj::core::QueryProcessor::build(&rel, &config);
-        let mut counts = msj::exact::OpCounts::new();
-        for i in 0..30 {
-            let p = Point::new(
-                world.xmin() + world.width() * (i as f64 * 0.37).fract(),
-                world.ymin() + world.height() * (i as f64 * 0.61).fract(),
-            );
-            let (shim_ids, shim_stats) = shim.point_query(p, &mut counts);
-            let resp = engine.point_query(&h, p);
-            assert_eq!(shim_ids, resp.ids, "point {p:?}");
-            assert_eq!(shim_stats, resp.stats, "point stats {p:?}");
-            let side = world.width() * 0.08;
-            let w = Rect::from_bounds(p.x, p.y, p.x + side, p.y + side);
-            let (shim_ids, shim_stats) = shim.window_query(w, &mut counts);
-            let resp = engine.window_query(&h, w);
-            assert_eq!(shim_ids, resp.ids, "window {w:?}");
-            assert_eq!(shim_stats, resp.stats, "window stats {w:?}");
-        }
-    }
 }
 
 /// The serving surface agrees with the classic one-shot pipeline on the

@@ -463,3 +463,120 @@ fn version_1_segment_is_refused_with_a_typed_error() {
     SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("rewritten store opens");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn reused_store_directory_does_not_serve_the_previous_pair() {
+    // Engine A leaves `pair_0_1.msj` behind; engine B re-registers other
+    // relations under the same ids. Adopting A's raster signatures for
+    // B's datasets drops true results (276 pairs of 300 before the store
+    // retired a dataset's pair files on rewrite).
+    let dir = tmp_store("reuse");
+    let cfg = JoinConfig::default();
+    {
+        let engine = SpatialEngine::new(cfg)
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        let a = engine.register(msj::datagen::small_carto(64, 24.0, 1));
+        let b = engine.register(msj::datagen::small_carto(64, 24.0, 2));
+        assert!(!engine.prepare_join(&a, &b).run().pairs.is_empty());
+    }
+    let (a, b) = (
+        msj::datagen::small_carto(64, 24.0, 101),
+        msj::datagen::small_carto(64, 24.0, 102),
+    );
+    let truth = msj::core::ground_truth_join(&a, &b);
+    let engine = SpatialEngine::new(cfg)
+        .with_store(StoreConfig::new(&dir))
+        .expect("arm store");
+    let (ha, hb) = (engine.register(a), engine.register(b));
+    let mut got = engine.prepare_join(&ha, &hb).run().pairs;
+    got.sort_unstable();
+    assert_eq!(got, truth, "a stale pair segment was adopted");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn section_of_another_length_is_rebuilt_not_adopted() {
+    // A checksum-valid, well-formed section that describes a different
+    // number of objects than the relation it sits next to: ds_0's
+    // artifact sections are replaced, one at a time, by ds_1's. Adopting
+    // one would index out of bounds at query time.
+    let a = msj::datagen::small_carto(120, 24.0, 9110);
+    let b = msj::datagen::small_carto(90, 24.0, 9111);
+    let requests = workload(&a);
+    let cfg = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    );
+    let dir = tmp_store("length");
+    let reference = {
+        let engine = SpatialEngine::new(cfg)
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        engine.register(a);
+        engine.register(b);
+        run(&engine, &requests)
+    };
+    let store = msj_store::Store::open(&dir).expect("open container");
+    let sections_of = |id| {
+        let segment = store.read_dataset(id, None).expect("segment reads");
+        let sections: Vec<(msj_store::Section, Vec<u8>)> = msj_store::Section::ALL
+            .into_iter()
+            .filter_map(|s| Some((s, segment.section(s)?.expect("verifies").to_vec())))
+            .collect();
+        (segment.config_tag, sections)
+    };
+    let (tag, original) = sections_of(0);
+    let (_, donor) = sections_of(1);
+    for (i, (section, _)) in original.iter().enumerate().skip(1) {
+        let mut crafted = original.clone();
+        crafted[i] = donor[i].clone();
+        store.write_dataset(0, tag, &crafted).expect("rewrite ds_0");
+        let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("open wedged");
+        assert_eq!(
+            run(&engine, &requests),
+            reference,
+            "answers drifted with a transplanted {} section",
+            section.name()
+        );
+        let prom = engine.metrics().render_prometheus();
+        assert!(
+            prom.contains(&format!(
+                "msj_store_checksum_failures_total{{section=\"{}\"}} 1",
+                section.name()
+            )),
+            "the transplanted {} section must be counted:\n{prom}",
+            section.name()
+        );
+    }
+
+    // The same for the pair file: its two sides swapped, each signature
+    // set well-formed but as long as the *other* relation. The pair runs
+    // filter-only, like one with a corrupt raster section.
+    store
+        .write_dataset(0, tag, &original)
+        .expect("restore ds_0");
+    let rebuilt = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("clean open");
+    assert_eq!(run(&rebuilt, &requests), reference); // writes pair_0_1 again
+    let pair = store
+        .read_pair(0, 1, None)
+        .unwrap()
+        .expect("pair persisted");
+    let side = |s| pair.section(s).unwrap().unwrap().to_vec();
+    let (ra, rb) = (msj_store::Section::RasterA, msj_store::Section::RasterB);
+    store
+        .write_pair(0, 1, pair.config_tag, &[(ra, side(rb)), (rb, side(ra))])
+        .expect("rewrite pair_0_1");
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("open wedged");
+    assert_eq!(run(&engine, &requests), reference, "swapped raster sides");
+    let prom = engine.metrics().render_prometheus();
+    for section in [ra, rb] {
+        assert!(prom.contains(&format!(
+            "msj_store_checksum_failures_total{{section=\"{}\"}} 1",
+            section.name()
+        )));
+    }
+    assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
+    std::fs::remove_dir_all(&dir).ok();
+}
