@@ -23,9 +23,10 @@
 //! Plus the [`false_area::false_area_test`] (§3.3), the quality metrics of
 //! Figures 4/8/9 ([`quality`]), per-relation stores with the byte-level
 //! storage model of §3.4 ([`store`]), and the **raster-interval
-//! signatures** of the Step-2a pre-filter ([`raster`]): Hilbert-order
-//! FULL/PARTIAL cell intervals decided by a merge-intersect, combining a
-//! conservative and a progressive test in one bitwise-cheap stage.
+//! signatures** of the Step-2a pre-filter ([`raster`]): per object an A
+//! list (all cells) and an F list (FULL cells) of Hilbert-order cell runs,
+//! decided by at most three binary-search list intersections — a conservative
+//! and a progressive test in one stage.
 
 pub mod circle;
 pub mod ellipse;
@@ -61,9 +62,8 @@ pub use quality::{
     progressive_quality,
 };
 pub use raster::{
-    auto_grid_bits, hilbert_index, raster_decide, raster_decide_with, rasterize, CellClass,
-    RasterDecision, RasterGrid, RasterInterval, RasterSignature, RasterStore, MAX_GRID_BITS,
-    MIN_GRID_BITS,
+    auto_grid_bits, hilbert_index, raster_decide, rasterize, CellRun, RasterDecision, RasterGrid,
+    RasterSignature, RasterStore, Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
 };
 pub use store::{
     conservative_bytes, progressive_bytes, ConservativeStore, ConvexSlices, ProgressiveStore,

@@ -13,33 +13,41 @@
 //!   object point — the boundary belongs to the closed region — but may
 //!   not be covered by it).
 //!
-//! The classified cells are stored as **sorted Hilbert-order cell-ID
-//! intervals** with a per-interval class bit, one flat interval arena plus
-//! a per-object offset table (the same struct-of-arrays discipline as
-//! [`crate::store`]). Two signatures are compared by a merge-intersect of
-//! their sorted interval lists ([`raster_decide`]):
+//! A signature is **two sorted lists of Hilbert-order cell-ID runs**
+//! ([`CellRun`], `start..end`): the **A** list covers *all* of the
+//! object's cells (FULL ∪ PARTIAL), the **F** list its FULL cells. Neither
+//! list carries a class, so a FULL run next to a PARTIAL run coalesces in
+//! A, and both lists are canonical — strictly increasing, runs never
+//! touching. [`RasterStore`] keeps a flat run arena plus a per-object
+//! offset table per list, like [`crate::store`]. Two signatures are
+//! compared by at most three "do these lists share a cell?" searches
+//! ([`raster_decide`]):
 //!
-//! * an overlapping cell run where either side is FULL proves the objects
-//!   **intersect** (FULL ∩ any ≠ ∅: the cell is covered by one object and
-//!   touched by the other);
-//! * an empty intersection proves the objects are **disjoint** (the cell
-//!   sets cover the objects entirely);
-//! * PARTIAL-only overlap is **inconclusive** and falls through to the
-//!   conservative/progressive chain.
+//! * `A × A` share no cell → the objects are **disjoint** (the A cells
+//!   cover the objects entirely);
+//! * `A × F` or `F × A` share a cell → the objects **intersect** (the cell
+//!   is covered by one object and touched by the other);
+//! * otherwise only PARTIAL cells overlap: **inconclusive**, and the pair
+//!   falls through to the conservative/progressive chain.
 //!
-//! This is the raster-interval technique of Georgiadis, Tzirita
-//! Zacharatou & Mamoulis ("Raster Interval Object Approximations for
-//! Spatial Intersection Joins"), adapted to this workspace's columnar
-//! stores and batch protocol.
+//! Each search walks the *shorter* list, binary-searches the longer one
+//! once per run and stops at the first shared cell: `O(short · log long)`,
+//! which is what a parcel-against-region candidate (3 runs against 100)
+//! needs.
+//!
+//! This is the A/F form of APRIL (Georgiadis, Tzirita Zacharatou &
+//! Mamoulis, "Raster Interval Object Approximations for Spatial
+//! Intersection Joins") on this workspace's columnar stores.
 
 use msj_geom::bytes::{Dec, DecResult, Enc};
-use msj_geom::{KernelDispatch, ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment};
+use msj_geom::{
+    fnv1a64, fnv1a64_update, ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment,
+};
 
 /// Smallest sensible grid resolution (`2^2 = 4` cells per axis).
 pub const MIN_GRID_BITS: u32 = 2;
 /// Largest supported grid resolution (`2^12 = 4096` cells per axis; the
-/// Hilbert index then spans 24 bits, leaving the class bit and headroom
-/// in a `u32`).
+/// Hilbert index then spans 24 bits of a `u32`).
 pub const MAX_GRID_BITS: u32 = 12;
 
 /// The raster grid: a `2^bits × 2^bits` partition of the workspace
@@ -156,92 +164,40 @@ pub fn hilbert_index(bits: u32, mut x: u32, mut y: u32) -> u32 {
     d
 }
 
-/// Class of a rasterized cell (see the module docs).
+/// One run of consecutive Hilbert cell IDs, `start..end` (8 bytes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CellClass {
-    /// Cell entirely inside the closed region.
-    Full,
-    /// The region boundary passes through the cell.
-    Partial,
-}
-
-/// One run of consecutive Hilbert cell IDs sharing a class, packed into
-/// 8 bytes: the class bit lives in the top bit of the exclusive end
-/// (Hilbert indexes use at most `2 * MAX_GRID_BITS = 24` bits).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(C)]
-pub struct RasterInterval {
-    start: u32,
-    end_class: u32,
-}
-
-const FULL_BIT: u32 = 1 << 31;
-
-impl RasterInterval {
-    /// An interval covering cells `start..end` of class `class`.
-    #[inline]
-    pub fn new(start: u32, end: u32, class: CellClass) -> Self {
-        debug_assert!(start < end && end < FULL_BIT);
-        RasterInterval {
-            start,
-            end_class: end
-                | if class == CellClass::Full {
-                    FULL_BIT
-                } else {
-                    0
-                },
-        }
-    }
-
+pub struct CellRun {
     /// First covered Hilbert cell ID.
-    #[inline]
-    pub fn start(&self) -> u32 {
-        self.start
-    }
-
+    pub start: u32,
     /// One past the last covered Hilbert cell ID.
-    #[inline]
-    pub fn end(&self) -> u32 {
-        self.end_class & !FULL_BIT
-    }
-
-    /// Whether every cell of the interval is FULL.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.end_class & FULL_BIT != 0
-    }
+    pub end: u32,
 }
 
-/// Borrow-only view of one object's signature: its sorted,
-/// non-overlapping intervals in the flat arena.
+/// Borrow-only view of one object's signature: its A and F run lists in
+/// the flat arenas, both canonical (see the module docs) and F ⊆ A.
 #[derive(Debug, Clone, Copy)]
 pub struct RasterSignature<'a> {
-    intervals: &'a [RasterInterval],
+    all: &'a [CellRun],
+    full: &'a [CellRun],
 }
 
 impl<'a> RasterSignature<'a> {
-    /// A view over an externally held interval slice — must be sorted
-    /// and non-overlapping, as produced by [`rasterize`].
-    pub fn from_intervals(intervals: &'a [RasterInterval]) -> Self {
-        RasterSignature { intervals }
+    /// A view over externally held lists — both must be canonical, as
+    /// produced by [`rasterize`].
+    pub fn from_lists(all: &'a [CellRun], full: &'a [CellRun]) -> Self {
+        RasterSignature { all, full }
     }
 
-    /// The sorted interval run.
+    /// The A list: every cell of the object (FULL ∪ PARTIAL).
     #[inline]
-    pub fn intervals(&self) -> &'a [RasterInterval] {
-        self.intervals
+    pub fn all(&self) -> &'a [CellRun] {
+        self.all
     }
 
-    /// Number of intervals (0 for an object that rasterized to nothing —
-    /// cannot happen for constructed polygons, which have positive area).
+    /// The F list: the object's FULL cells.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.intervals.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+    pub fn full(&self) -> &'a [CellRun] {
+        self.full
     }
 }
 
@@ -257,290 +213,383 @@ pub enum RasterDecision {
     Inconclusive,
 }
 
-/// Merge-intersect of two sorted interval lists: the whole Step-2a test,
-/// branch-light and allocation-free. This is the scalar reference;
-/// [`raster_decide_with`] selects a wide path that evaluates the same
-/// decision predicate four interval endpoints at a time.
+/// The whole Step-2a test (see the module docs): allocation-free, the
+/// same function on every kernel dispatch path.
+#[inline]
 pub fn raster_decide(a: RasterSignature<'_>, b: RasterSignature<'_>) -> RasterDecision {
-    let (xs, ys) = (a.intervals, b.intervals);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut overlapped = false;
-    while i < xs.len() && j < ys.len() {
-        let x = xs[i];
-        let y = ys[j];
-        let lo = x.start().max(y.start());
-        let hi = x.end().min(y.end());
-        if lo < hi {
-            if x.is_full() || y.is_full() {
-                return RasterDecision::Hit;
-            }
-            overlapped = true;
-        }
-        // Advance whichever run ends first.
-        if x.end() <= y.end() {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    if overlapped {
-        RasterDecision::Inconclusive
-    } else {
+    if !runs_overlap(a.all, b.all) {
         RasterDecision::Drop
+    } else if runs_overlap(a.all, b.full) || runs_overlap(a.full, b.all) {
+        RasterDecision::Hit
+    } else {
+        RasterDecision::Inconclusive
     }
 }
 
-/// [`raster_decide`] under an explicit [`KernelDispatch`]: the decision
-/// is a pure existential predicate over overlapping interval pairs
-/// (*any* overlap with a FULL side → `Hit`; *any* overlap → at least
-/// `Inconclusive`; none → `Drop`), so evaluation order cannot change the
-/// outcome and the wide paths are decision-identical to the scalar
-/// merge by construction (and by test).
-///
-/// The wide paths walk the shorter-signature side `x` and scan the
-/// partner's candidate window four intervals at a time: a
-/// `#[repr(C)]` [`RasterInterval`] is a `(start, end|class)` `u32`
-/// pair, so a 4-interval block is eight lanes deinterleaved into a
-/// start vector and an end vector; the FULL class bit (bit 31) is an
-/// arithmetic-shift mask applied vectorwise, and all compares are
-/// signed 32-bit (Hilbert indexes use at most 24 bits).
-pub fn raster_decide_with(
-    d: KernelDispatch,
-    a: RasterSignature<'_>,
-    b: RasterSignature<'_>,
-) -> RasterDecision {
-    match d {
-        KernelDispatch::Scalar => raster_decide(a, b),
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 | KernelDispatch::Avx2 => raster_decide_wide(a, b),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => raster_decide(a, b),
-    }
+/// Whether two canonical run lists share a cell. Walks the shorter list
+/// and binary-searches the longer one for the first run ending after each
+/// of its runs' starts — the only run that can overlap it. The searches
+/// are independent of one another (no cursor carried from run to run), so
+/// the processor overlaps them; a rolling, galloping cursor was measured
+/// slower on every candidate stream of the benchmark for that reason.
+fn runs_overlap(xs: &[CellRun], ys: &[CellRun]) -> bool {
+    let (short, long) = if xs.len() <= ys.len() {
+        (xs, ys)
+    } else {
+        (ys, xs)
+    };
+    short.iter().any(|s| {
+        long.get(long.partition_point(|r| r.end <= s.start))
+            .is_some_and(|l| l.start < s.end)
+    })
 }
 
-/// Block-scanning evaluation of the Step-2a predicate (see
-/// [`raster_decide_with`]). Outer loop over `a`'s intervals with a
-/// rolling lower bound into `b`; the 4-wide SSE2 inner block test works
-/// on every x86-64 (SSE2 is baseline), so both wide dispatch paths
-/// share it.
-#[cfg(target_arch = "x86_64")]
-fn raster_decide_wide(a: RasterSignature<'_>, b: RasterSignature<'_>) -> RasterDecision {
-    use std::arch::x86_64::*;
-    let (xs, ys) = (a.intervals, b.intervals);
-    if xs.is_empty() || ys.is_empty() {
-        return RasterDecision::Drop;
-    }
-    let mut overlapped = false;
-    // Rolling start of y's candidate window: ys are sorted and
-    // non-overlapping, and xs only move right, so the window start is
-    // monotone.
-    let mut j0 = 0usize;
-    unsafe {
-        for x in xs {
-            let (x_start, x_end, x_full) = (x.start() as i32, x.end() as i32, x.is_full());
-            while j0 < ys.len() && (ys[j0].end() as i32) <= x_start {
-                j0 += 1;
-            }
-            if j0 == ys.len() {
-                break;
-            }
-            let xs_start = _mm_set1_epi32(x_start);
-            let xs_end = _mm_set1_epi32(x_end);
-            let mut j = j0;
-            loop {
-                if j + 4 <= ys.len() {
-                    // Deinterleave 4 intervals: [s0 e0 s1 e1 | s2 e2 s3 e3]
-                    // → starts [s0..s3], raw ends [e0..e3].
-                    let v0 = _mm_loadu_si128(ys.as_ptr().add(j) as *const __m128i);
-                    let v1 = _mm_loadu_si128(ys.as_ptr().add(j + 2) as *const __m128i);
-                    let p0 = _mm_shuffle_epi32::<0b11_01_10_00>(v0);
-                    let p1 = _mm_shuffle_epi32::<0b11_01_10_00>(v1);
-                    let starts = _mm_unpacklo_epi64(p0, p1);
-                    let ends_raw = _mm_unpackhi_epi64(p0, p1);
-                    // FULL lanes: the class bit is bit 31, so an
-                    // arithmetic shift turns it into an all-ones mask.
-                    let full = _mm_srai_epi32::<31>(ends_raw);
-                    let ends = _mm_andnot_si128(_mm_set1_epi32(i32::MIN), ends_raw);
-                    // Overlap of non-empty runs: y.start < x.end  ∧
-                    // x.start < y.end.
-                    let ov = _mm_and_si128(
-                        _mm_cmplt_epi32(starts, xs_end),
-                        _mm_cmpgt_epi32(ends, xs_start),
-                    );
-                    let ov_bits = _mm_movemask_epi8(ov);
-                    if ov_bits != 0 {
-                        if x_full || _mm_movemask_epi8(_mm_and_si128(ov, full)) != 0 {
-                            return RasterDecision::Hit;
-                        }
-                        overlapped = true;
-                    }
-                    // Every later y starts at or beyond this block's last
-                    // start; if that is already past x, x is done.
-                    if ys[j + 3].start() as i32 >= x_end {
-                        break;
-                    }
-                    j += 4;
+/// Reusable working memory of the rasterizer: the class grid over the
+/// cell block of one region's MBR and the scratch of both steps —
+/// [`Rasterizer::classify`] fills the grid, [`Rasterizer::emit`] turns it
+/// into run lists. [`RasterStore::build`] runs one of these over a whole
+/// relation without allocating per object.
+#[derive(Debug, Default)]
+pub struct Rasterizer {
+    bits: u32,
+    cx0: u32,
+    cy0: u32,
+    w: usize,
+    h: usize,
+    /// Row-major over the block: 0 = outside, 1 = PARTIAL, 2 = FULL.
+    classes: Vec<u8>,
+    edges: Vec<Segment>,
+    crossings: Vec<f64>,
+    /// Summed-area table over `classes`, `(w + 1) × (h + 1)`: stored
+    /// cells in the low half of each entry, FULL cells in the high half.
+    sat: Vec<u64>,
+}
+
+impl Rasterizer {
+    /// Classifies every cell of `region`'s MBR block on `grid`, in two
+    /// passes:
+    ///
+    /// 1. **boundary** — each edge walks its cell rows and, per row, only
+    ///    the columns its segment's y-band clip can touch (±1 column of
+    ///    float slack; the closed segment-rectangle test remains the
+    ///    arbiter), marking intersected cells PARTIAL — the cost tracks
+    ///    the cells the boundary actually crosses, not the edge-MBR block
+    ///    area (a diagonal needle visits O(cells per axis) cells, not
+    ///    their square);
+    /// 2. **interior** — per cell row, one even–odd scanline through the
+    ///    row center collects the crossings of all rings; unmarked cells
+    ///    with an interior center are FULL. A cell untouched by any edge
+    ///    is entirely inside or entirely outside, so the center decides
+    ///    exactly.
+    pub fn classify(&mut self, grid: &RasterGrid, region: &PolygonWithHoles) {
+        let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
+        let w = (cx1 - cx0 + 1) as usize;
+        let h = (cy1 - cy0 + 1) as usize;
+        (self.bits, self.cx0, self.cy0, self.w, self.h) = (grid.bits, cx0, cy0, w, h);
+        let classes = &mut self.classes;
+        classes.clear();
+        classes.resize(w * h, 0);
+        self.edges.clear();
+        self.edges.extend(region.edges());
+
+        // Pass 1: boundary cells, by per-row band clipping of each edge.
+        for edge in &self.edges {
+            let (ex0, ey0, ex1, ey1) = grid.cell_range(&edge.mbr());
+            for cy in ey0.max(cy0)..=ey1.min(cy1) {
+                // The x-extent of the segment within this row's y-band; x is
+                // linear in t, so clamping t to the band endpoints bounds it.
+                let band = grid.cell_rect(ex0, cy);
+                let (sx0, sx1) = if edge.a.y == edge.b.y {
+                    (edge.a.x.min(edge.b.x), edge.a.x.max(edge.b.x))
                 } else {
-                    // Scalar tail of the window.
-                    while j < ys.len() {
-                        let y = ys[j];
-                        if y.start() as i32 >= x_end {
-                            break;
-                        }
-                        if (y.end() as i32) > x_start {
-                            if x_full || y.is_full() {
-                                return RasterDecision::Hit;
-                            }
-                            overlapped = true;
-                        }
-                        j += 1;
+                    let t0 = ((band.ymin() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
+                    let t1 = ((band.ymax() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
+                    let x0 = edge.a.x + t0 * (edge.b.x - edge.a.x);
+                    let x1 = edge.a.x + t1 * (edge.b.x - edge.a.x);
+                    (x0.min(x1), x0.max(x1))
+                };
+                let lo = grid.col(sx0).saturating_sub(1).max(ex0.max(cx0));
+                let hi = (grid.col(sx1) + 1).min(ex1.min(cx1));
+                for cx in lo..=hi {
+                    let slot = &mut classes[(cy - cy0) as usize * w + (cx - cx0) as usize];
+                    if *slot == 0 && edge.intersects_rect(&grid.cell_rect(cx, cy)) {
+                        *slot = 1;
                     }
-                    break;
                 }
             }
         }
-    }
-    if overlapped {
-        RasterDecision::Inconclusive
-    } else {
-        RasterDecision::Drop
-    }
-}
 
-/// Rasterizes one region on `grid`: every cell intersecting the closed
-/// region appears in the result, classified FULL or PARTIAL, merged into
-/// sorted Hilbert-order intervals.
-///
-/// Two passes over the cell block of the region's MBR:
-///
-/// 1. **boundary** — each edge walks its cell rows and, per row, only
-///    the columns its segment's y-band clip can touch (±1 column of
-///    float slack; the closed segment-rectangle test remains the
-///    arbiter), marking intersected cells PARTIAL — the cost tracks the
-///    cells the boundary actually crosses, not the edge-MBR block area
-///    (a diagonal needle visits O(cells per axis) cells, not their
-///    square);
-/// 2. **interior** — per cell row, one even–odd scanline through the row
-///    center collects the crossings of all rings; unmarked cells with an
-///    interior center are FULL. A cell untouched by any edge is entirely
-///    inside or entirely outside, so the center decides exactly.
-pub fn rasterize(grid: &RasterGrid, region: &PolygonWithHoles) -> Vec<RasterInterval> {
-    let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
-    let w = (cx1 - cx0 + 1) as usize;
-    let h = (cy1 - cy0 + 1) as usize;
-    // 0 = outside, 1 = PARTIAL, 2 = FULL.
-    let mut classes = vec![0u8; w * h];
-
-    // Pass 1: boundary cells, by per-row band clipping of each edge.
-    for edge in region.edges() {
-        let (ex0, ey0, ex1, ey1) = grid.cell_range(&edge.mbr());
-        for cy in ey0.max(cy0)..=ey1.min(cy1) {
-            // The x-extent of the segment within this row's y-band; x is
-            // linear in t, so clamping t to the band endpoints bounds it.
-            let band = grid.cell_rect(ex0, cy);
-            let (sx0, sx1) = if edge.a.y == edge.b.y {
-                (edge.a.x.min(edge.b.x), edge.a.x.max(edge.b.x))
-            } else {
-                let t0 = ((band.ymin() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
-                let t1 = ((band.ymax() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
-                let x0 = edge.a.x + t0 * (edge.b.x - edge.a.x);
-                let x1 = edge.a.x + t1 * (edge.b.x - edge.a.x);
-                (x0.min(x1), x0.max(x1))
-            };
-            let lo = grid.col(sx0).saturating_sub(1).max(ex0.max(cx0));
-            let hi = (grid.col(sx1) + 1).min(ex1.min(cx1));
-            for cx in lo..=hi {
-                let slot = &mut classes[(cy - cy0) as usize * w + (cx - cx0) as usize];
-                if *slot == 0 && edge.intersects_rect(&grid.cell_rect(cx, cy)) {
-                    *slot = 1;
+        // Pass 2: interior fill by scanline parity at row centers.
+        let crossings = &mut self.crossings;
+        for cy in cy0..=cy1 {
+            let row = (cy - cy0) as usize;
+            if classes[row * w..(row + 1) * w].iter().all(|&c| c != 0) {
+                continue; // fully boundary-marked row
+            }
+            let y = grid.cell_rect(cx0, cy).center().y;
+            crossings.clear();
+            for e in &self.edges {
+                // Half-open rule, identical to the point-in-polygon test.
+                if (e.a.y > y) != (e.b.y > y) {
+                    crossings.push(e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x));
+                }
+            }
+            crossings.sort_unstable_by(f64::total_cmp);
+            // Walk the row once; parity = crossings strictly left of the
+            // center. An unmarked cell's center is never on the boundary
+            // (the edge would intersect the cell), so the parity is exact.
+            let mut k = 0usize;
+            for cx in cx0..=cx1 {
+                let slot = &mut classes[row * w + (cx - cx0) as usize];
+                let x = grid.cell_rect(cx, cy).center().x;
+                while k < crossings.len() && crossings[k] < x {
+                    k += 1;
+                }
+                if *slot == 0 && k % 2 == 1 {
+                    *slot = 2;
                 }
             }
         }
     }
 
-    // Pass 2: interior fill by scanline parity at row centers.
-    let mut crossings: Vec<f64> = Vec::new();
-    let edges: Vec<Segment> = region.edges().collect();
-    for cy in cy0..=cy1 {
-        let row = (cy - cy0) as usize;
-        if classes[row * w..(row + 1) * w].iter().all(|&c| c != 0) {
-            continue; // fully boundary-marked row
-        }
-        let y = grid.cell_rect(cx0, cy).center().y;
-        crossings.clear();
-        for e in &edges {
-            // Half-open rule, identical to the point-in-polygon test.
-            if (e.a.y > y) != (e.b.y > y) {
-                crossings.push(e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x));
-            }
-        }
-        crossings.sort_unstable_by(f64::total_cmp);
-        // Walk the row once; parity = crossings strictly left of the
-        // center. An unmarked cell's center is never on the boundary
-        // (the edge would intersect the cell), so the parity is exact.
-        let mut k = 0usize;
-        for cx in cx0..=cx1 {
-            let slot = &mut classes[row * w + (cx - cx0) as usize];
-            let x = grid.cell_rect(cx, cy).center().x;
-            while k < crossings.len() && crossings[k] < x {
-                k += 1;
-            }
-            if *slot == 0 && k % 2 == 1 {
-                *slot = 2;
-            }
-        }
+    /// The stored cells of the classified block, row-major:
+    /// `(cx, cy, is_full)`.
+    pub fn cells(&self) -> impl Iterator<Item = (u32, u32, bool)> + '_ {
+        let at = |i: usize| {
+            (
+                self.cx0 + (i % self.w) as u32,
+                self.cy0 + (i / self.w) as u32,
+            )
+        };
+        let stored = self.classes.iter().enumerate().filter(|(_, &c)| c != 0);
+        stored.map(move |(i, &c)| (at(i).0, at(i).1, c == 2))
     }
 
-    // Collect classified cells in Hilbert order and merge runs.
-    let mut cells: Vec<(u32, CellClass)> = Vec::new();
-    for cy in cy0..=cy1 {
-        for cx in cx0..=cx1 {
-            match classes[(cy - cy0) as usize * w + (cx - cx0) as usize] {
-                0 => {}
-                1 => cells.push((hilbert_index(grid.bits, cx, cy), CellClass::Partial)),
-                _ => cells.push((hilbert_index(grid.bits, cx, cy), CellClass::Full)),
+    /// Appends the classified block's A and F lists to `all` and `full`
+    /// (arenas that may already hold other objects' runs; nothing before
+    /// their current ends is touched).
+    ///
+    /// The block is walked by a recursive descent through the Hilbert
+    /// curve's quadrants, clipped to the block: cells arrive in curve
+    /// order, so each run extends the list's last run or opens a new one
+    /// — no per-cell index computation, no sort. A summed-area table over
+    /// the class grid counts a quadrant's stored and FULL cells in four
+    /// loads, so an empty quadrant is skipped and a uniformly FULL one is
+    /// emitted as a single run without being entered.
+    pub fn emit(&mut self, all: &mut Vec<CellRun>, full: &mut Vec<CellRun>) {
+        let (w, h) = (self.w, self.h);
+        self.sat.clear();
+        self.sat.resize((w + 1) * (h + 1), 0);
+        for y in 0..h {
+            let mut row = 0u64;
+            for x in 0..w {
+                row += [0, 1, 1 | 1 << 32][self.classes[y * w + x] as usize];
+                self.sat[(y + 1) * (w + 1) + x + 1] = self.sat[y * (w + 1) + x + 1] + row;
             }
         }
-    }
-    cells.sort_unstable_by_key(|&(d, _)| d);
-    let mut intervals: Vec<RasterInterval> = Vec::new();
-    for (d, class) in cells {
-        match intervals.last_mut() {
-            Some(last) if last.end() == d && last.is_full() == (class == CellClass::Full) => {
-                *last = RasterInterval::new(last.start(), d + 1, class);
-            }
-            _ => intervals.push(RasterInterval::new(d, d + 1, class)),
+        let (block, bases) = (&*self, (all.len(), full.len()));
+        Emission {
+            block,
+            all,
+            full,
+            bases,
         }
+        .descend(0, 0, 1 << self.bits, 0, false, false);
     }
-    intervals
 }
 
-/// Per-relation raster signatures in columnar layout: one flat interval
-/// arena plus a per-object offset table. Built once in Step 0 and shared
+/// Appends `start..end` to one object's list, which begins at `base` in
+/// the arena `list`: the run extends the object's last run when it
+/// touches it, never the previous object's.
+#[inline]
+fn push_run(list: &mut Vec<CellRun>, base: usize, start: u32, end: u32) {
+    let own = list.len() > base;
+    match list.last_mut() {
+        Some(last) if own && last.end == start => last.end = end,
+        _ => list.push(CellRun { start, end }),
+    }
+}
+
+/// The state of one [`Rasterizer::emit`] descent.
+struct Emission<'a> {
+    block: &'a Rasterizer,
+    all: &'a mut Vec<CellRun>,
+    full: &'a mut Vec<CellRun>,
+    /// Where this object's lists begin in `all` and `full`.
+    bases: (usize, usize),
+}
+
+impl Emission<'_> {
+    /// Emits the cells of the curve's sub-square at `(x, y)` with side
+    /// `size`, whose first cell has Hilbert index `d`. `(swap, flip)` is
+    /// the coordinate transform [`hilbert_index`] has accumulated on the
+    /// way down to this square: transpose and/or rotate by 180° (the two
+    /// generate every orientation the curve takes, and they commute).
+    fn descend(&mut self, x: u32, y: u32, size: u32, d: u32, swap: bool, flip: bool) {
+        let b = self.block;
+        // Clip to the block, in block-local cell coordinates.
+        let x0 = x.max(b.cx0) - b.cx0;
+        let y0 = y.max(b.cy0) - b.cy0;
+        let x1 = ((x + size).min(b.cx0 + b.w as u32)).saturating_sub(b.cx0);
+        let y1 = ((y + size).min(b.cy0 + b.h as u32)).saturating_sub(b.cy0);
+        if x0 >= x1 || y0 >= y1 {
+            return;
+        }
+        let at = |x: u32, y: u32| b.sat[y as usize * (b.w + 1) + x as usize];
+        let count =
+            (at(x1, y1).wrapping_sub(at(x0, y1))).wrapping_sub(at(x1, y0).wrapping_sub(at(x0, y0)));
+        let (stored, full) = (count as u32, (count >> 32) as u32);
+        let area = size * size;
+        if stored == 0 {
+            return;
+        }
+        if full == area || size == 1 {
+            push_run(self.all, self.bases.0, d, d + area);
+            if full == area {
+                push_run(self.full, self.bases.1, d, d + area);
+            }
+            return;
+        }
+        // The curve visits a square's quadrants in the order (0,0), (0,1),
+        // (1,1), (1,0) of its *transformed* coordinates; the first is
+        // entered transposed, the last anti-transposed.
+        let half = size / 2;
+        for (q, (rx, ry)) in [(0, 0), (0, 1), (1, 1), (1, 0)].into_iter().enumerate() {
+            let (mut qx, mut qy) = if flip { (1 - rx, 1 - ry) } else { (rx, ry) };
+            if swap {
+                std::mem::swap(&mut qx, &mut qy);
+            }
+            self.descend(
+                x + qx * half,
+                y + qy * half,
+                half,
+                d + q as u32 * half * half,
+                swap ^ (q == 0 || q == 3),
+                flip ^ (q == 3),
+            );
+        }
+    }
+}
+
+/// Rasterizes one region on `grid` into its `(A, F)` run lists: every
+/// cell intersecting the closed region is in A, every cell inside it in
+/// F, both in canonical Hilbert-order form.
+pub fn rasterize(grid: &RasterGrid, region: &PolygonWithHoles) -> (Vec<CellRun>, Vec<CellRun>) {
+    let mut rasterizer = Rasterizer::default();
+    let (mut all, mut full) = (Vec::new(), Vec::new());
+    rasterizer.classify(grid, region);
+    rasterizer.emit(&mut all, &mut full);
+    (all, full)
+}
+
+/// One run list per object in columnar layout: a flat run arena plus a
+/// per-object offset table (`len + 1` entries).
+#[derive(Debug, Clone)]
+struct RunColumn {
+    offsets: Vec<u32>,
+    runs: Vec<CellRun>,
+}
+
+impl RunColumn {
+    fn new() -> Self {
+        let (offsets, runs) = (vec![0], Vec::new());
+        RunColumn { offsets, runs }
+    }
+
+    /// Closes the current object's list at the arena's end.
+    fn seal(&mut self) {
+        self.offsets
+            .push(u32::try_from(self.runs.len()).expect("run arena exceeds u32 offsets"));
+    }
+
+    #[inline]
+    fn list(&self, i: usize) -> &[CellRun] {
+        &self.runs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    fn checksum(&self, mut h: u64) -> u64 {
+        h = fnv1a64_update(h, &(self.offsets.len() as u64).to_le_bytes());
+        for off in &self.offsets {
+            h = fnv1a64_update(h, &off.to_le_bytes());
+        }
+        for run in &self.runs {
+            h = fnv1a64_update(h, &run.start.to_le_bytes());
+            h = fnv1a64_update(h, &run.end.to_le_bytes());
+        }
+        h
+    }
+
+    /// The counted offset table, then the arena as counted
+    /// `(start, end)` word pairs.
+    fn encode(&self, e: &mut Enc) {
+        e.u32s(&self.offsets);
+        e.count(2 * self.runs.len());
+        for run in &self.runs {
+            e.u32(run.start);
+            e.u32(run.end);
+        }
+    }
+
+    /// Lifts a column back out of its image, refusing any per-object
+    /// list that is not canonical on a grid of `cells` cells — the
+    /// searches of [`raster_decide`] silently mis-decide on anything else.
+    fn decode(d: &mut Dec<'_>, cells: u32) -> DecResult<Self> {
+        let offsets = d.u32s()?.to_vec();
+        let words = d.u32s()?;
+        if !words.len().is_multiple_of(2) {
+            return Err("raster run arena truncated");
+        }
+        let runs: Vec<CellRun> = (0..words.len() / 2)
+            .map(|i| CellRun {
+                start: words.get(2 * i),
+                end: words.get(2 * i + 1),
+            })
+            .collect();
+        if offsets.first() != Some(&0)
+            || offsets.last().map(|&o| o as usize) != Some(runs.len())
+            || offsets.windows(2).any(|w| w[0] > w[1])
+        {
+            return Err("raster offset table malformed");
+        }
+        let column = RunColumn { offsets, runs };
+        for i in 0..column.offsets.len() - 1 {
+            // Lowest start the next run may have: one past its
+            // predecessor's end, so runs neither overlap nor touch.
+            let mut floor = 0u32;
+            for run in column.list(i) {
+                if !(floor <= run.start && run.start < run.end && run.end <= cells) {
+                    return Err("raster run list not canonical");
+                }
+                floor = run.end + 1;
+            }
+        }
+        Ok(column)
+    }
+}
+
+/// Per-relation raster signatures in columnar layout: an A column and an
+/// F column over the same objects. Built once in Step 0 and shared
 /// read-only across all workers.
 #[derive(Debug, Clone)]
 pub struct RasterStore {
     grid: RasterGrid,
-    offsets: Vec<u32>,
-    intervals: Vec<RasterInterval>,
+    all: RunColumn,
+    full: RunColumn,
 }
 
 impl RasterStore {
     /// Rasterizes every object of `relation` on `grid`.
     pub fn build(grid: &RasterGrid, relation: &Relation) -> Self {
-        let mut offsets = Vec::with_capacity(relation.len() + 1);
-        let mut intervals = Vec::new();
-        offsets.push(0u32);
+        let (mut all, mut full) = (RunColumn::new(), RunColumn::new());
+        let mut rasterizer = Rasterizer::default();
         for o in relation.iter() {
-            intervals.extend(rasterize(grid, &o.region));
-            offsets
-                .push(u32::try_from(intervals.len()).expect("interval arena exceeds u32 offsets"));
+            rasterizer.classify(grid, &o.region);
+            rasterizer.emit(&mut all.runs, &mut full.runs);
+            all.seal();
+            full.seal();
         }
-        RasterStore {
-            grid: *grid,
-            offsets,
-            intervals,
-        }
+        let grid = *grid;
+        RasterStore { grid, all, full }
     }
 
     /// The grid all signatures of this store live on.
@@ -549,130 +598,102 @@ impl RasterStore {
         &self.grid
     }
 
-    /// The signature of object `id` (borrow-only view into the arena).
+    /// The signature of object `id` (borrow-only view into the arenas).
     #[inline]
     pub fn signature(&self, id: ObjectId) -> RasterSignature<'_> {
-        let i = id as usize;
         RasterSignature {
-            intervals: &self.intervals[self.offsets[i] as usize..self.offsets[i + 1] as usize],
+            all: self.all.list(id as usize),
+            full: self.full.list(id as usize),
         }
     }
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.all.offsets.len() - 1
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Total intervals across all objects (the arena length — 8 bytes
+    /// Total runs across all objects, A + F (the arena lengths — 8 bytes
     /// each, the storage cost of the stage).
     pub fn interval_count(&self) -> usize {
-        self.intervals.len()
+        self.all.runs.len() + self.full.runs.len()
     }
 
-    /// FNV-1a checksum over the whole store — grid geometry, offset
-    /// table, and interval arena. Recorded when the store is built and
-    /// re-verified before a join trusts the Step-2a pre-filter; a
+    /// FNV-1a checksum over the whole store — the grid scalars and both
+    /// columns, each value little-endian. Recorded when the store is built
+    /// and re-verified before a join trusts the Step-2a pre-filter; a
     /// mismatch means corrupted signatures, and the engine falls back to
     /// the filter-only path rather than risk wrong join answers.
     pub fn checksum(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        let mut byte = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        };
-        for word in [self.grid.bits() as u64, self.offsets.len() as u64] {
-            for b in word.to_le_bytes() {
-                byte(b);
-            }
+        let g = &self.grid;
+        let mut h = fnv1a64(&g.bits.to_le_bytes());
+        for scalar in [g.origin.x, g.origin.y, g.cell_w, g.cell_h] {
+            h = fnv1a64_update(h, &scalar.to_bits().to_le_bytes());
         }
-        for &off in &self.offsets {
-            for b in off.to_le_bytes() {
-                byte(b);
-            }
-        }
-        for iv in &self.intervals {
-            for b in iv.start().to_le_bytes() {
-                byte(b);
-            }
-            for b in iv.end().to_le_bytes() {
-                byte(b);
-            }
-            byte(iv.is_full() as u8);
-        }
-        h
+        self.full.checksum(self.all.checksum(h))
     }
 
     /// The store as its persistent image: the grid geometry as raw scalars
     /// (`origin.x`, `origin.y`, `cell_w`, `cell_h` as `f64`, `bits: u32`),
-    /// the counted offset table (`len + 1` entries) and the interval arena
-    /// as counted `(start, end_class)` word pairs — the packed class bit
-    /// included, so signatures round-trip bit-exactly.
+    /// then the A column and the F column, each a counted offset table
+    /// (`len + 1` entries) and its arena as counted `(start, end)` word
+    /// pairs.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut e = Enc::with_capacity(52 + 4 * self.offsets.len() + 8 * self.intervals.len());
-        e.f64(self.grid.origin.x);
-        e.f64(self.grid.origin.y);
-        e.f64(self.grid.cell_w);
-        e.f64(self.grid.cell_h);
-        e.u32(self.grid.bits);
-        e.u32s(&self.offsets);
-        e.count(2 * self.intervals.len());
-        for iv in &self.intervals {
-            e.u32(iv.start);
-            e.u32(iv.end_class);
-        }
+        let words = self.all.offsets.len() + self.full.offsets.len() + 2 * self.interval_count();
+        let mut e = Enc::with_capacity(68 + 4 * words);
+        let g = &self.grid;
+        e.f64x([g.origin.x, g.origin.y, g.cell_w, g.cell_h]);
+        e.u32(g.bits);
+        self.all.encode(&mut e);
+        self.full.encode(&mut e);
         e.into_bytes()
     }
 
     /// Adopts a [`RasterStore::to_bytes`] image without re-rasterizing.
     /// The grid is restored verbatim (no re-clamping — the stored values
     /// came from a validly constructed grid), so [`RasterStore::checksum`]
-    /// of the result equals the written store's.
+    /// of the result equals the written store's. Everything the Step-2a
+    /// searches rely on is checked first: both columns canonical, over the
+    /// same objects, and every F list inside its A list.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
         let origin = Point::new(d.f64()?, d.f64()?);
         let (cell_w, cell_h) = (d.f64()?, d.f64()?);
         let bits = d.u32()?;
-        let offsets = d.u32s()?.to_vec();
-        let words = d.u32s()?;
-        d.finish()?;
         if !(MIN_GRID_BITS..=MAX_GRID_BITS).contains(&bits) {
             return Err("raster grid bits out of range");
         }
         if !(cell_w > 0.0 && cell_h > 0.0 && origin.is_finite()) {
             return Err("raster grid geometry malformed");
         }
-        if !words.len().is_multiple_of(2) {
-            return Err("raster interval arena truncated");
+        let all = RunColumn::decode(&mut d, 1 << (2 * bits))?;
+        let full = RunColumn::decode(&mut d, 1 << (2 * bits))?;
+        d.finish()?;
+        if all.offsets.len() != full.offsets.len() {
+            return Err("raster A and F columns differ in object count");
         }
-        let count = words.len() / 2;
-        if offsets.first() != Some(&0)
-            || offsets.last().map(|&o| o as usize) != Some(count)
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err("raster offset table malformed");
+        for i in 0..all.offsets.len() - 1 {
+            let mut cover = all.list(i);
+            for f in full.list(i) {
+                cover = &cover[cover.partition_point(|a| a.end <= f.start)..];
+                if !cover
+                    .first()
+                    .is_some_and(|a| a.start <= f.start && f.end <= a.end)
+                {
+                    return Err("raster F list not inside its A list");
+                }
+            }
         }
-        let intervals = (0..count)
-            .map(|i| RasterInterval {
-                start: words.get(2 * i),
-                end_class: words.get(2 * i + 1),
-            })
-            .collect();
-        Ok(RasterStore {
-            grid: RasterGrid {
-                origin,
-                cell_w,
-                cell_h,
-                bits,
-            },
-            offsets,
-            intervals,
-        })
+        let grid = RasterGrid {
+            origin,
+            cell_w,
+            cell_h,
+            bits,
+        };
+        Ok(RasterStore { grid, all, full })
     }
 }
 
@@ -724,7 +745,6 @@ fn pad_extent(e: f64) -> f64 {
         1.0
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,8 +778,8 @@ mod tests {
             && cell.corners().iter().all(|&c| region.contains_point(c))
     }
 
-    /// Expands a signature back into `(cx, cy, class)` cells.
-    fn cells_of(grid: &RasterGrid, sig: RasterSignature<'_>) -> Vec<(u32, u32, CellClass)> {
+    /// Expands a signature back into `(cx, cy, is_full)` cells.
+    fn cells_of(grid: &RasterGrid, sig: RasterSignature<'_>) -> Vec<(u32, u32, bool)> {
         let n = grid.cells_per_axis();
         let mut map = std::collections::HashMap::new();
         for cy in 0..n {
@@ -767,19 +787,21 @@ mod tests {
                 map.insert(hilbert_index(grid.bits(), cx, cy), (cx, cy));
             }
         }
+        let is_full = |d: u32| sig.full().iter().any(|r| r.start <= d && d < r.end);
         let mut out = Vec::new();
-        for iv in sig.intervals() {
-            for d in iv.start()..iv.end() {
+        for run in sig.all() {
+            for d in run.start..run.end {
                 let (cx, cy) = map[&d];
-                let class = if iv.is_full() {
-                    CellClass::Full
-                } else {
-                    CellClass::Partial
-                };
-                out.push((cx, cy, class));
+                out.push((cx, cy, is_full(d)));
             }
         }
         out
+    }
+
+    fn runs(list: &[(u32, u32)]) -> Vec<CellRun> {
+        list.iter()
+            .map(|&(start, end)| CellRun { start, end })
+            .collect()
     }
 
     #[test]
@@ -819,14 +841,16 @@ mod tests {
     fn square_rasterizes_to_full_interior_and_partial_rim() {
         let region = poly(&[(0.0, 0.0), (8.0, 0.0), (8.0, 8.0), (0.0, 8.0)]);
         let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 8.0, 8.0), 3);
-        let sig_intervals = rasterize(&grid, &region);
+        let (all, full) = rasterize(&grid, &region);
         let store = RasterStore::build(&grid, &rel(vec![region.clone()]));
-        assert_eq!(store.signature(0).intervals(), &sig_intervals[..]);
+        assert_eq!(store.signature(0).all(), &all[..]);
+        assert_eq!(store.signature(0).full(), &full[..]);
+        // The square covers the whole workspace: A is the whole curve.
+        assert_eq!(all, runs(&[(0, 64)]));
         let cells = cells_of(&grid, store.signature(0));
-        // The square covers the whole workspace: all 64 cells appear.
         assert_eq!(cells.len(), 64);
-        for (cx, cy, class) in cells {
-            if class == CellClass::Full {
+        for (cx, cy, full) in cells {
+            if full {
                 assert!(
                     cell_inside(&region, &grid.cell_rect(cx, cy)),
                     "cell ({cx},{cy}) marked FULL but not inside"
@@ -872,8 +896,8 @@ mod tests {
             );
         }
         // FULL cells are truly inside the holed region.
-        for (cx, cy, class) in cells {
-            if class == CellClass::Full {
+        for (cx, cy, full) in cells {
+            if full {
                 assert!(cell_inside(&region, &grid.cell_rect(cx, cy)));
             }
         }
@@ -910,120 +934,51 @@ mod tests {
                 poly(&[(0.0, 15.9), (16.0, 0.1), (16.0, 0.2), (0.0, 16.0)]),
             ]),
         );
-        assert!(thin.signature(0).intervals().iter().all(|i| !i.is_full()));
+        assert!(thin.signature(0).full().is_empty());
         assert_eq!(
             raster_decide(thin.signature(0), thin.signature(1)),
             RasterDecision::Inconclusive
         );
     }
 
-    /// The wide merge-intersect must produce the identical decision as
-    /// the scalar two-pointer reference on every signature pair —
-    /// including interval counts at every lane boundary (len % 4 ∈
-    /// {0,1,2,3}) and hand-built adversarial lists.
     #[test]
-    fn raster_decide_with_matches_scalar_reference() {
-        // Real signatures from rasterized workloads.
-        let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 32.0, 32.0), 6);
-        let rel_a = msj_datagen::small_carto(40, 30.0, 9301);
-        let rel_b = msj_datagen::skewed_carto(40, 30.0, 9302);
-        let sa = RasterStore::build(&grid, &rel_a);
-        let sb = RasterStore::build(&grid, &rel_b);
-        for d in KernelDispatch::all_available() {
-            for i in 0..rel_a.len() as u32 {
-                for j in 0..rel_b.len() as u32 {
-                    assert_eq!(
-                        raster_decide_with(d, sa.signature(i), sb.signature(j)),
-                        raster_decide(sa.signature(i), sb.signature(j)),
-                        "{d:?} diverged on pair ({i},{j})"
-                    );
-                }
-            }
-        }
-        // Synthetic lists at every block length and class mix.
-        let mk = |runs: &[(u32, u32, bool)]| -> Vec<RasterInterval> {
-            runs.iter()
-                .map(|&(s, e, full)| {
-                    RasterInterval::new(
-                        s,
-                        e,
-                        if full {
-                            CellClass::Full
-                        } else {
-                            CellClass::Partial
-                        },
-                    )
-                })
-                .collect()
-        };
-        let mut lists: Vec<Vec<RasterInterval>> = vec![
-            vec![],
-            mk(&[(0, 1, false)]),
-            mk(&[(5, 9, true)]),
-            mk(&[(0, 2, false), (4, 6, true), (8, 10, false)]),
-        ];
-        // Lengths 1..=9 alternating classes, gapped and adjacent runs.
-        for n in 1..=9u32 {
-            lists.push(
-                (0..n)
-                    .map(|k| {
-                        RasterInterval::new(
-                            3 * k,
-                            3 * k + 2,
-                            if k % 2 == 0 {
-                                CellClass::Partial
-                            } else {
-                                CellClass::Full
-                            },
-                        )
-                    })
-                    .collect(),
-            );
-            lists.push(
-                (0..n)
-                    .map(|k| RasterInterval::new(2 * k + 1, 2 * k + 2, CellClass::Partial))
-                    .collect(),
-            );
-        }
-        for d in KernelDispatch::all_available() {
-            for xs in &lists {
-                for ys in &lists {
-                    let a = RasterSignature::from_intervals(xs);
-                    let b = RasterSignature::from_intervals(ys);
-                    assert_eq!(
-                        raster_decide_with(d, a, b),
-                        raster_decide(a, b),
-                        "{d:?} diverged on {xs:?} vs {ys:?}"
-                    );
-                }
-            }
+    fn runs_overlap_handles_touching_empty_and_far_cursors() {
+        let long: Vec<CellRun> = (0..1000)
+            .map(|k| CellRun {
+                start: 4 * k,
+                end: 4 * k + 2,
+            })
+            .collect();
+        for (probe, expect) in [
+            (vec![], false),
+            (runs(&[(2, 4)]), false), // touches both neighbors, overlaps neither
+            (runs(&[(2, 5)]), true),  // one cell into the next run
+            (runs(&[(3998, 3999)]), false), // the last gap
+            (runs(&[(3997, 3998)]), true), // only the last run of the long list
+            (runs(&[(2, 3), (6, 8), (3994, 3996), (3997, 4000)]), true),
+            (runs(&[(4000, 4010)]), false), // past the end
+        ] {
+            assert_eq!(runs_overlap(&probe, &long), expect, "{probe:?}");
+            assert_eq!(runs_overlap(&long, &probe), expect, "{probe:?} swapped");
         }
     }
 
     #[test]
-    fn interval_packing_round_trips() {
-        let iv = RasterInterval::new(17, 42, CellClass::Full);
-        assert_eq!(iv.start(), 17);
-        assert_eq!(iv.end(), 42);
-        assert!(iv.is_full());
-        let iv = RasterInterval::new(0, 1, CellClass::Partial);
-        assert!(!iv.is_full());
-        assert_eq!((iv.start(), iv.end()), (0, 1));
-        assert_eq!(std::mem::size_of::<RasterInterval>(), 8);
-    }
-
-    #[test]
-    fn signatures_are_sorted_and_disjoint() {
+    fn lists_are_canonical_and_full_sits_inside_all() {
         let region = poly(&[(0.5, 0.5), (11.0, 2.0), (9.0, 10.5), (2.0, 9.0)]);
         let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 12.0, 12.0), 5);
-        let ivs = rasterize(&grid, &region);
-        assert!(!ivs.is_empty());
-        for pair in ivs.windows(2) {
-            assert!(pair[0].end() <= pair[1].start(), "unsorted/overlapping");
-            // Adjacent same-class runs must have been merged.
+        let (all, full) = rasterize(&grid, &region);
+        assert!(!all.is_empty() && !full.is_empty());
+        for list in [&all, &full] {
+            assert!(list.iter().all(|r| r.start < r.end));
+            for pair in list.windows(2) {
+                assert!(pair[0].end < pair[1].start, "unsorted or unmerged runs");
+            }
+        }
+        for f in &full {
             assert!(
-                pair[0].end() < pair[1].start() || pair[0].is_full() != pair[1].is_full(),
-                "unmerged adjacent runs"
+                all.iter().any(|a| a.start <= f.start && f.end <= a.end),
+                "FULL run {f:?} outside A"
             );
         }
     }
@@ -1058,14 +1013,18 @@ mod tests {
         );
     }
 
-    #[test]
-    fn image_round_trips_grid_signatures_and_checksum() {
+    fn two_object_store() -> RasterStore {
         let a = rel(vec![
             poly(&[(0.0, 0.0), (6.0, 0.0), (6.0, 5.0), (0.0, 5.0)]),
             poly(&[(7.0, 1.0), (11.0, 2.0), (8.0, 9.0)]),
         ]);
         let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 12.0, 12.0), 4);
-        let store = RasterStore::build(&grid, &a);
+        RasterStore::build(&grid, &a)
+    }
+
+    #[test]
+    fn image_round_trips_grid_signatures_and_checksum() {
+        let store = two_object_store();
         let bytes = store.to_bytes();
         let back = RasterStore::from_bytes(&bytes).expect("own image decodes");
         assert_eq!(back.to_bytes(), bytes);
@@ -1081,10 +1040,91 @@ mod tests {
             RasterStore::from_bytes(&no_grid).err(),
             Some("raster grid bits out of range")
         );
-        let empty = RasterStore::build(&grid, &Relation::default());
+        let empty = RasterStore::build(store.grid(), &Relation::default());
         assert!(RasterStore::from_bytes(&empty.to_bytes())
             .unwrap()
             .is_empty());
+    }
+
+    /// A checksum-valid image is still untrusted: every way a list can
+    /// break the searches' preconditions must be refused by name.
+    #[test]
+    fn image_with_non_canonical_lists_is_refused() {
+        let store = two_object_store();
+        let refused = |edit: &dyn Fn(&mut RasterStore)| {
+            let mut bad = store.clone();
+            edit(&mut bad);
+            RasterStore::from_bytes(&bad.to_bytes()).err()
+        };
+        assert!(store.all.list(0).len() >= 2 && !store.full.list(0).is_empty());
+        let canonical = Some("raster run list not canonical");
+        // Unsorted: the first two runs of object 0 swapped.
+        assert_eq!(refused(&|s| s.all.runs.swap(0, 1)), canonical);
+        // Touching: a run stretched to its successor's start.
+        assert_eq!(
+            refused(&|s| s.all.runs[0].end = s.all.runs[1].start),
+            canonical
+        );
+        // Overlapping.
+        assert_eq!(
+            refused(&|s| s.all.runs[0].end = s.all.runs[1].start + 1),
+            canonical
+        );
+        // Empty and inverted runs.
+        assert_eq!(
+            refused(&|s| s.full.runs[0].end = s.full.runs[0].start),
+            canonical
+        );
+        // Past the end of the curve (4^bits cells).
+        assert_eq!(
+            refused(&|s| s.all.runs.last_mut().unwrap().end = 257),
+            canonical
+        );
+        // F outside A: object 0's first FULL run loses its first cell
+        // from A (the A run that held it now starts one cell later).
+        assert_eq!(
+            refused(&|s| {
+                let f = s.full.runs[0];
+                let a = s.all.runs.iter_mut().find(|a| a.end >= f.end).unwrap();
+                assert!(a.start <= f.start && f.start + 1 < a.end);
+                a.start = f.start + 1;
+            }),
+            Some("raster F list not inside its A list")
+        );
+        // Columns over different object counts.
+        assert_eq!(
+            refused(&|s| {
+                let end = *s.full.offsets.last().unwrap();
+                s.full.offsets.push(end);
+            }),
+            Some("raster A and F columns differ in object count")
+        );
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_either_arena_changes_the_checksum() {
+        let store = two_object_store();
+        let sum = store.checksum();
+        let mut flipped = store.clone();
+        for bit in 0..32 {
+            for i in 0..store.all.runs.len() {
+                flipped.all.runs[i].start ^= 1 << bit;
+                assert_ne!(flipped.checksum(), sum, "A[{i}].start bit {bit}");
+                flipped.all.runs[i].start ^= 1 << bit;
+                flipped.all.runs[i].end ^= 1 << bit;
+                assert_ne!(flipped.checksum(), sum, "A[{i}].end bit {bit}");
+                flipped.all.runs[i].end ^= 1 << bit;
+            }
+            for i in 0..store.full.runs.len() {
+                flipped.full.runs[i].start ^= 1 << bit;
+                assert_ne!(flipped.checksum(), sum, "F[{i}].start bit {bit}");
+                flipped.full.runs[i].start ^= 1 << bit;
+                flipped.full.runs[i].end ^= 1 << bit;
+                assert_ne!(flipped.checksum(), sum, "F[{i}].end bit {bit}");
+                flipped.full.runs[i].end ^= 1 << bit;
+            }
+        }
+        assert_eq!(flipped.checksum(), sum);
     }
 
     #[test]

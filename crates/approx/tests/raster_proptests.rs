@@ -10,9 +10,21 @@
 //!
 //! Exercised on cartographic blobs, holed regions, slivers, and
 //! polygons with collinear vertex runs.
+//!
+//! Both halves of the A/F form are then held to the code they replaced,
+//! which survives only here, as test oracles:
+//!
+//! * **decide** — [`raster_decide`] (binary searches over A and F
+//!   lists) ≡ the linear merge over one class-tagged list ≡ a brute-force
+//!   intersection of the cell sets, on seeded random list pairs of every
+//!   length ratio the join sees and on the shapes a search gets wrong
+//!   first (empty lists, touching runs, overlap only at the far end);
+//! * **emit** — the Hilbert-quadrant descent ≡ per-cell
+//!   [`hilbert_index`] + sort + run merge over the same class grid.
 
 use msj_approx::raster::{
-    hilbert_index, rasterize, RasterGrid, RasterSignature, MAX_GRID_BITS, MIN_GRID_BITS,
+    hilbert_index, raster_decide, rasterize, CellRun, RasterDecision, RasterGrid, RasterSignature,
+    Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
 };
 use msj_datagen::{blob, BlobParams};
 use msj_geom::{Point, Polygon, PolygonWithHoles, Rect};
@@ -89,12 +101,12 @@ fn grid_for(region: &PolygonWithHoles, bits: u32, pad: f64) -> RasterGrid {
     )
 }
 
-/// Cell ids of a signature, with per-cell class.
-fn signature_cells(sig: RasterSignature<'_>) -> Vec<(u32, bool)> {
+/// Cell ids of an `(A, F)` list pair, with per-cell class.
+fn signature_cells(all: &[CellRun], full: &[CellRun]) -> Vec<(u32, bool)> {
     let mut out = Vec::new();
-    for iv in sig.intervals() {
-        for d in iv.start()..iv.end() {
-            out.push((d, iv.is_full()));
+    for run in all {
+        for d in run.start..run.end {
+            out.push((d, full.iter().any(|f| f.start <= d && d < f.end)));
         }
     }
     out
@@ -123,13 +135,12 @@ fn assert_sound(
     grid: &RasterGrid,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let intervals = rasterize(grid, region);
+    let (all, full) = rasterize(grid, region);
     prop_assert!(
-        !intervals.is_empty(),
+        !all.is_empty(),
         "positive-area region rasterized to nothing"
     );
-    let sig = RasterSignatureOwned { intervals };
-    let cells = signature_cells(sig.view());
+    let cells = signature_cells(&all, &full);
     let stored: HashSet<u32> = cells.iter().map(|&(d, _)| d).collect();
     prop_assert_eq!(stored.len(), cells.len(), "duplicate cells in signature");
 
@@ -187,18 +198,6 @@ fn assert_sound(
     Ok(())
 }
 
-/// Owning wrapper so the helper can hand out a borrow-only view.
-struct RasterSignatureOwned {
-    intervals: Vec<msj_approx::raster::RasterInterval>,
-}
-
-impl RasterSignatureOwned {
-    fn view(&self) -> RasterSignature<'_> {
-        // Round-trip through a store to honor the public borrow-only API.
-        RasterSignature::from_intervals(&self.intervals)
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -235,4 +234,327 @@ proptest! {
         let g = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), bits);
         prop_assert!(g.bits() >= MIN_GRID_BITS && g.bits() <= MAX_GRID_BITS);
     }
+}
+
+// ---- decide: A/F binary searches ≡ linear merge ≡ brute force ----
+
+/// One run of the pre-A/F signature: consecutive cells sharing a class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TaggedRun {
+    start: u32,
+    end: u32,
+    full: bool,
+}
+
+/// The linear merge-intersect [`raster_decide`] replaced, verbatim: both
+/// class-tagged lists walked in step, whichever run ends first advances.
+fn linear_merge_decide(xs: &[TaggedRun], ys: &[TaggedRun]) -> RasterDecision {
+    let (mut i, mut j) = (0usize, 0usize);
+    let mut overlapped = false;
+    while i < xs.len() && j < ys.len() {
+        let (x, y) = (xs[i], ys[j]);
+        if x.start.max(y.start) < x.end.min(y.end) {
+            if x.full || y.full {
+                return RasterDecision::Hit;
+            }
+            overlapped = true;
+        }
+        if x.end <= y.end {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
+    if overlapped {
+        RasterDecision::Inconclusive
+    } else {
+        RasterDecision::Drop
+    }
+}
+
+/// Cell by cell over the whole curve: 0 = absent, 1 = PARTIAL, 2 = FULL.
+fn brute_force_decide(xs: &[TaggedRun], ys: &[TaggedRun], cells: u32) -> RasterDecision {
+    let paint = |runs: &[TaggedRun]| {
+        let mut classes = vec![0u8; cells as usize];
+        for r in runs {
+            classes[r.start as usize..r.end as usize].fill(1 + r.full as u8);
+        }
+        classes
+    };
+    let (cx, cy) = (paint(xs), paint(ys));
+    let shared = || cx.iter().zip(&cy).filter(|(&x, &y)| x > 0 && y > 0);
+    if shared().any(|(&x, &y)| x == 2 || y == 2) {
+        RasterDecision::Hit
+    } else if shared().next().is_some() {
+        RasterDecision::Inconclusive
+    } else {
+        RasterDecision::Drop
+    }
+}
+
+/// The canonical `(A, F)` lists of a class-tagged list: A coalesces every
+/// touching pair of runs, F the touching FULL ones.
+fn af_lists(tagged: &[TaggedRun]) -> (Vec<CellRun>, Vec<CellRun>) {
+    fn push(list: &mut Vec<CellRun>, start: u32, end: u32) {
+        match list.last_mut() {
+            Some(last) if last.end == start => last.end = end,
+            _ => list.push(CellRun { start, end }),
+        }
+    }
+    let (mut all, mut full) = (Vec::new(), Vec::new());
+    for r in tagged {
+        push(&mut all, r.start, r.end);
+        if r.full {
+            push(&mut full, r.start, r.end);
+        }
+    }
+    (all, full)
+}
+
+/// `n` sorted, non-overlapping class-tagged runs inside `lo..hi`: gaps of
+/// zero (touching runs, of either class mix) are as likely as any other.
+fn random_tagged(rng: &mut StdRng, n: usize, lo: u32, hi: u32, full_share: f64) -> Vec<TaggedRun> {
+    let stride = ((hi - lo) as usize / n.max(1)).max(2) as u32;
+    let mut out = Vec::with_capacity(n);
+    let mut at = lo;
+    for _ in 0..n {
+        let start = at + rng.gen_range(0..stride / 2 + 1);
+        let end = start + rng.gen_range(1..stride / 2 + 1);
+        if end > hi {
+            break;
+        }
+        out.push(TaggedRun {
+            start,
+            end,
+            full: rng.gen_bool(full_share),
+        });
+        at = end;
+    }
+    out
+}
+
+/// All three deciders on one pair, both operand orders.
+fn assert_deciders_agree(xs: &[TaggedRun], ys: &[TaggedRun], cells: u32, what: &str) {
+    let (xa, xf) = af_lists(xs);
+    let (ya, yf) = af_lists(ys);
+    let x = RasterSignature::from_lists(&xa, &xf);
+    let y = RasterSignature::from_lists(&ya, &yf);
+    let truth = brute_force_decide(xs, ys, cells);
+    assert_eq!(linear_merge_decide(xs, ys), truth, "{what}: linear merge");
+    assert_eq!(
+        linear_merge_decide(ys, xs),
+        truth,
+        "{what}: linear merge, swapped"
+    );
+    assert_eq!(raster_decide(x, y), truth, "{what}: raster_decide");
+    assert_eq!(raster_decide(y, x), truth, "{what}: raster_decide, swapped");
+}
+
+#[test]
+fn decide_agrees_with_linear_merge_and_brute_force_at_every_length_ratio() {
+    const CELLS: u32 = 1 << 16;
+    let mut rng = StdRng::seed_from_u64(0xA1F0);
+    let mut seen = [0usize; 3];
+    for ratio in [1usize, 2, 7, 30, 100, 1000] {
+        for short_len in [1usize, 2, 5, 8] {
+            for round in 0..24 {
+                // The short list sits in a random window of the curve so
+                // that the long list has runs before, inside and after it.
+                let span = rng.gen_range(CELLS / 64..CELLS);
+                let lo = rng.gen_range(0..CELLS - span + 1);
+                let full_share = [0.0, 0.3, 0.9][round % 3];
+                let short = random_tagged(&mut rng, short_len, lo, lo + span, full_share);
+                let long = random_tagged(&mut rng, short_len * ratio, 0, CELLS, full_share);
+                let what = format!("ratio 1:{ratio}, short {short_len}, round {round}");
+                assert_deciders_agree(&short, &long, CELLS, &what);
+                seen[brute_force_decide(&short, &long, CELLS) as usize] += 1;
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 20),
+        "every decision must be exercised: {seen:?}"
+    );
+}
+
+#[test]
+fn decide_agrees_on_the_shapes_a_search_gets_wrong_first() {
+    const CELLS: u32 = 1 << 12;
+    let run = |start, end, full| TaggedRun { start, end, full };
+    // 1000 PARTIAL runs `4k..4k+2`, and the same with a FULL last run.
+    let comb: Vec<TaggedRun> = (0..1000).map(|k| run(4 * k, 4 * k + 2, false)).collect();
+    let mut comb_full_tail = comb.clone();
+    comb_full_tail.last_mut().unwrap().full = true;
+    let cases: Vec<(&str, Vec<TaggedRun>)> = vec![
+        ("empty", vec![]),
+        // `end == start` on both sides of every gap it sits in.
+        (
+            "touching",
+            vec![run(2, 4, true), run(6, 8, true), run(3994, 3996, true)],
+        ),
+        ("one cell in", vec![run(2, 5, false)]),
+        ("last run only", vec![run(3997, 3998, false)]),
+        ("last gap only", vec![run(3998, 4000, true)]),
+        ("past the end", vec![run(4000, 4096, true)]),
+        ("whole curve", vec![run(0, CELLS, false)]),
+        ("whole curve, full", vec![run(0, CELLS, true)]),
+        // PARTIAL and FULL runs touching: A coalesces them, F does not.
+        (
+            "mixed touching",
+            vec![run(0, 1, false), run(1, 2, true), run(2, 4, false)],
+        ),
+    ];
+    for long in [&comb, &comb_full_tail] {
+        for (name, short) in &cases {
+            assert_deciders_agree(short, long, CELLS, name);
+        }
+    }
+    for (name_x, xs) in &cases {
+        for (name_y, ys) in &cases {
+            assert_deciders_agree(xs, ys, CELLS, &format!("{name_x} × {name_y}"));
+        }
+    }
+}
+
+// ---- emit: Hilbert-quadrant descent ≡ per-cell index + sort ----
+
+/// The emission step [`Rasterizer::emit`] replaced, verbatim: every
+/// stored cell of the class grid gets its [`hilbert_index`], the cells
+/// are sorted, and consecutive cells of one class merge into a run.
+fn emit_by_sort(bits: u32, block: &Rasterizer) -> Vec<TaggedRun> {
+    let mut cells: Vec<(u32, bool)> = block
+        .cells()
+        .map(|(cx, cy, full)| (hilbert_index(bits, cx, cy), full))
+        .collect();
+    cells.sort_unstable_by_key(|&(d, _)| d);
+    let mut runs: Vec<TaggedRun> = Vec::new();
+    for (d, full) in cells {
+        match runs.last_mut() {
+            Some(last) if last.end == d && last.full == full => last.end = d + 1,
+            _ => runs.push(TaggedRun {
+                start: d,
+                end: d + 1,
+                full,
+            }),
+        }
+    }
+    runs
+}
+
+/// Descent and sort path on one region. Canonical lists are a unique
+/// encoding of their cell sets, so list equality is cell-for-cell
+/// equality.
+fn assert_emission_agrees(grid: &RasterGrid, region: &PolygonWithHoles, what: &str) {
+    let mut block = Rasterizer::default();
+    block.classify(grid, region);
+    let (mut all, mut full) = (Vec::new(), Vec::new());
+    block.emit(&mut all, &mut full);
+    let expect = af_lists(&emit_by_sort(grid.bits(), &block));
+    assert!(all == expect.0, "{what}: A list diverged");
+    assert!(full == expect.1, "{what}: F list diverged");
+    assert_eq!((all, full), rasterize(grid, region), "{what}: rasterize");
+}
+
+/// The crossing slivers of `tests/raster_agreement.rs`.
+fn needle_regions() -> Vec<PolygonWithHoles> {
+    let needle = |x0: f64, y0: f64, dx: f64, dy: f64| -> PolygonWithHoles {
+        let along = Point::new(dx, dy);
+        let across = along.perp().normalized().unwrap() * 1e-3;
+        Polygon::new(vec![
+            Point::new(x0, y0),
+            Point::new(x0 + along.x, y0 + along.y),
+            Point::new(x0 + along.x + across.x, y0 + along.y + across.y),
+            Point::new(x0 + across.x, y0 + across.y),
+        ])
+        .unwrap()
+        .into()
+    };
+    (0..12)
+        .flat_map(|i| {
+            let t = i as f64 / 12.0 * std::f64::consts::TAU;
+            let u = (i as f64 + 0.5) / 12.0 * std::f64::consts::TAU;
+            [
+                needle(0.0, 0.0, 10.0 * t.cos(), 10.0 * t.sin()),
+                needle(
+                    5.0 * u.cos(),
+                    5.0 * u.sin(),
+                    -10.0 * u.sin(),
+                    10.0 * u.cos(),
+                ),
+            ]
+        })
+        .collect()
+}
+
+#[test]
+fn quadrant_descent_emits_what_the_sort_path_emitted() {
+    let regions_of = |rel: msj_geom::Relation| -> Vec<PolygonWithHoles> {
+        rel.iter().map(|o| o.region.clone()).collect()
+    };
+    let workloads: Vec<(&str, Vec<PolygonWithHoles>)> = vec![
+        (
+            "small_carto",
+            regions_of(msj_datagen::small_carto(24, 24.0, 41)),
+        ),
+        (
+            "skewed_carto",
+            regions_of(msj_datagen::skewed_carto(24, 24.0, 45)),
+        ),
+        (
+            "carto_with_holes",
+            regions_of(msj_datagen::carto_with_holes(16, 20.0, 43)),
+        ),
+        ("needles", needle_regions()),
+    ];
+    for bits in [2u32, 5, 9, 12] {
+        for (name, regions) in &workloads {
+            let world = Rect::bounding_rects(regions.iter().map(|r| r.mbr())).unwrap();
+            let grid = RasterGrid::new(world, bits);
+            for (i, region) in regions.iter().enumerate() {
+                assert_emission_agrees(&grid, region, &format!("{name}[{i}] at {bits} bits"));
+            }
+        }
+        // An object covering the whole grid, and one inside a single cell
+        // (of the finest grid, away from every cell boundary).
+        let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0);
+        let grid = RasterGrid::new(world, bits);
+        let rect =
+            |r: Rect| -> PolygonWithHoles { Polygon::new(r.corners().to_vec()).unwrap().into() };
+        assert_emission_agrees(&grid, &rect(world), &format!("whole grid at {bits} bits"));
+        let cell = 8.0 / 4096.0;
+        let speck = Rect::from_bounds(
+            5.0 + 0.25 * cell,
+            3.0 + 0.25 * cell,
+            5.0 + 0.75 * cell,
+            3.0 + 0.75 * cell,
+        );
+        let (all, full) = rasterize(&grid, &rect(speck));
+        assert_eq!((all.len(), full.len()), (1, 0), "speck at {bits} bits");
+        assert_eq!(all[0].end - all[0].start, 1);
+        assert_emission_agrees(&grid, &rect(speck), &format!("speck at {bits} bits"));
+    }
+}
+
+/// Appending to arenas that already hold other objects' runs must neither
+/// touch nor coalesce with them, even when the curve positions touch.
+#[test]
+fn emission_never_coalesces_across_objects() {
+    let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 8.0, 8.0), 3);
+    let rect = |x0, y0, x1, y1| -> PolygonWithHoles {
+        Polygon::new(Rect::from_bounds(x0, y0, x1, y1).corners().to_vec())
+            .unwrap()
+            .into()
+    };
+    // Hilbert cells 0..4 (the lower-left 2×2 block) and 4..8 (the block
+    // to its right: the curve enters the lower-left quadrant transposed).
+    let first = rasterize(&grid, &rect(0.1, 0.1, 1.9, 1.9));
+    let second = rasterize(&grid, &rect(2.1, 0.1, 3.9, 1.9));
+    assert_eq!((first.0[0].start, first.0[0].end), (0, 4));
+    assert_eq!((second.0[0].start, second.0[0].end), (4, 8));
+    let mut block = Rasterizer::default();
+    let (mut all, mut full) = (first.0.clone(), first.1.clone());
+    block.classify(&grid, &rect(2.1, 0.1, 3.9, 1.9));
+    block.emit(&mut all, &mut full);
+    assert_eq!(all, [first.0, second.0].concat());
+    assert_eq!(full, [first.1, second.1].concat());
 }

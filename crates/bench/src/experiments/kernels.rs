@@ -1,9 +1,9 @@
 //! The `kernels` experiment: the vectorized hot-path kernels measured in
 //! isolation, per dispatch path.
 //!
-//! Three microbenches mirror the three batched loops the join pipeline
-//! runs hottest (the same inputs every path, straight out of the skewed
-//! cartographic workload):
+//! Two microbenches mirror the two batched loops the join pipeline runs
+//! per dispatch path (the same inputs every path, straight out of the
+//! skewed cartographic workload):
 //!
 //! * **sweep** — the forward plane-sweep MBR kernel
 //!   ([`msj_geom::kernels::sweep_scan`]) over the xmin-sorted SoA
@@ -11,10 +11,10 @@
 //!   partitioned backend and the R*-traversal's equal-level merge;
 //! * **mer-accept** — the pair-gathered MER fast-accept
 //!   ([`msj_geom::kernels::rect_pairs_intersect`]) over the candidate
-//!   stream, the Step-2 `ConvexMer` wide mask;
-//! * **raster-decide** — the Step-2a interval merge-intersect
-//!   ([`msj_approx::raster_decide_with`]) over the candidate stream's
-//!   Hilbert signatures.
+//!   stream, the Step-2 `ConvexMer` wide mask.
+//!
+//! (Step 2a, [`msj_approx::raster_decide`], is one search-based function
+//! on every path, so it has no row here.)
 //!
 //! Every cell reports items/sec and ns/item; the FNV digest of each
 //! kernel's full output is asserted equal across dispatch paths —
@@ -23,10 +23,7 @@
 use super::ExpConfig;
 use crate::report::{f, section, Table};
 use crate::timing::timed;
-use msj_approx::{
-    auto_grid_bits, raster_decide_with, ProgressiveKind, ProgressiveStore, RasterDecision,
-    RasterGrid, RasterStore,
-};
+use msj_approx::{ProgressiveKind, ProgressiveStore};
 use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{ObjectId, Rect, Relation};
 
@@ -139,9 +136,6 @@ pub(crate) fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
         mer_a.mer_column().expect("MER column"),
         mer_b.mer_column().expect("MER column"),
     );
-    let grid = RasterGrid::covering(&a, &b, auto_grid_bits(&a, &b)).expect("raster grid");
-    let raster_a = RasterStore::build(&grid, &a);
-    let raster_b = RasterStore::build(&grid, &b);
 
     let mut cells: Vec<KernelCell> = Vec::new();
     let push = |kernel: &'static str,
@@ -193,32 +187,6 @@ pub(crate) fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
             .fold(FNV_OFFSET, |acc, &hit| fnv_bytes(acc, &[hit as u8]));
         push(
             "mer-accept",
-            path,
-            candidates.len() as u64,
-            secs,
-            digest,
-            &mut cells,
-        );
-
-        // Kernel 3: the Step-2a raster interval merge-intersect.
-        let run_raster = || {
-            let mut out = Vec::with_capacity(candidates.len());
-            for &(ia, ib) in &candidates {
-                out.push(
-                    match raster_decide_with(d, raster_a.signature(ia), raster_b.signature(ib)) {
-                        RasterDecision::Hit => 1u8,
-                        RasterDecision::Drop => 2,
-                        RasterDecision::Inconclusive => 0,
-                    },
-                );
-            }
-            out
-        };
-        let _ = run_raster();
-        let (decisions, secs) = timed(run_raster);
-        let digest = fnv_bytes(FNV_OFFSET, &decisions);
-        push(
-            "raster-decide",
             path,
             candidates.len() as u64,
             secs,
@@ -282,7 +250,6 @@ mod tests {
         let report = kernels(&cfg);
         assert!(report.contains("sweep"));
         assert!(report.contains("mer-accept"));
-        assert!(report.contains("raster-decide"));
         assert!(report.contains("scalar"));
         assert!(report.contains("identical kernel outputs"));
     }

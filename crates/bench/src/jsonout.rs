@@ -30,8 +30,8 @@
 //! Throughput fields are **omitted** when the corresponding stage did
 //! not run in a cell (schema `msj-bench-pr10`; earlier schemas emitted a
 //! misleading `0`). Since PR 7 the document also carries the `kernels`
-//! section: the vectorized hot-path kernels (sweep / MER-accept /
-//! raster-decide) measured per dispatch path, scalar vs wide, with
+//! section: the vectorized hot-path kernels (sweep / MER-accept)
+//! measured per dispatch path, scalar vs wide, with
 //! cross-path output digests asserted equal. Since PR 8 the top-level
 //! `"robustness"` object reports the failure story: the time-to-error of
 //! a join issued with a deadline at 50% of its §5 estimate (overshoot
@@ -986,7 +986,6 @@ mod tests {
             "\"experiment\":\"kernels\"",
             "\"kernel\":\"sweep\"",
             "\"kernel\":\"mer-accept\"",
-            "\"kernel\":\"raster-decide\"",
             "\"dispatch\":\"scalar\"",
             "\"speedup_vs_scalar\":",
         ] {
@@ -1110,12 +1109,12 @@ mod tests {
         // One record per kernel × available dispatch path.
         assert_eq!(
             json.matches("\"experiment\":\"kernels\"").count(),
-            3 * paths
+            2 * paths
         );
         assert!(json.contains("\"dispatch\":\"scalar\""));
         // Cross-path digest agreement per kernel (the measurement panics
         // on divergence; this re-checks from the rendered document).
-        for kernel in ["sweep", "mer-accept", "raster-decide"] {
+        for kernel in ["sweep", "mer-accept"] {
             let digests: Vec<&str> = json
                 .lines()
                 .filter(|l| l.contains(&format!("\"kernel\":\"{kernel}\"")))

@@ -67,8 +67,8 @@ pub const DEFAULT_BATCH_PAIRS: usize = 1024;
 pub const DEFAULT_PREPARED_CACHE_CAP: usize = 64;
 
 /// Configuration of the **Step-2a raster pre-filter**
-/// ([`msj_approx::raster`]): Hilbert-interval signatures decided by a
-/// merge-intersect, run on every candidate batch *before* the
+/// ([`msj_approx::raster`]): A/F Hilbert-run signatures decided by a few
+/// list searches, run on every candidate batch *before* the
 /// conservative/progressive approximation chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RasterConfig {

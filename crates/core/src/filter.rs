@@ -8,12 +8,13 @@
 //!
 //! When [`crate::config::RasterConfig`] is enabled (the default), every
 //! candidate batch first runs through the **raster-interval signature
-//! stage** ([`msj_approx::raster`]): a merge-intersect of two sorted
-//! Hilbert-interval lists that proves intersection (a FULL cell shared
-//! with any cell of the partner), proves disjointness (no shared cells),
-//! or falls through. The stage touches only the flat interval arenas —
-//! the convex/MER columns are never loaded for candidates it decides —
-//! and both relations are rasterized on one shared grid built in Step 0.
+//! stage** ([`msj_approx::raster`]): up to three binary-search intersections
+//! of the pair's A (all cells) and F (FULL cells) Hilbert-run lists that
+//! prove disjointness (`A × A` empty), prove intersection (`A × F` or
+//! `F × A` non-empty), or fall through. The stage touches only the flat
+//! run arenas — the convex/MER columns are never loaded for candidates it
+//! decides — and both relations are rasterized on one shared grid built
+//! in Step 0.
 //!
 //! ## The compiled plan
 //!
@@ -22,16 +23,15 @@
 //! approximation kinds decide it once. The filter therefore compiles a
 //! [`FilterPlan`] when it is built and
 //! [`GeometricFilter::classify_batch`] runs the chain as a monomorphized
-//! loop over the columnar store payloads (`msj-approx`'s interval arena /
+//! loop over the columnar store payloads (`msj-approx`'s run arenas /
 //! flat convex arena / MER rectangle column) — one plan dispatch per
 //! batch instead of four `Option`/enum branches per candidate. Per-pair
 //! [`GeometricFilter::classify`] remains as the reference chain; the two
 //! are outcome-identical by construction (and by test).
 
 use msj_approx::{
-    auto_grid_bits, raster_decide, raster_decide_with, ConservativeKind, ConservativeStore,
-    ProgressiveKind, ProgressiveStore, RasterDecision, RasterGrid, RasterStore, MAX_GRID_BITS,
-    MIN_GRID_BITS,
+    auto_grid_bits, raster_decide, ConservativeKind, ConservativeStore, ProgressiveKind,
+    ProgressiveStore, RasterDecision, RasterGrid, RasterStore, MAX_GRID_BITS, MIN_GRID_BITS,
 };
 use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{convex_intersect, ObjectId, Relation};
@@ -100,9 +100,9 @@ pub struct GeometricFilter {
     progressive_b: Option<Arc<ProgressiveStore>>,
     use_false_area: bool,
     plan: FilterPlan,
-    /// Kernel path for the batched loops (Step-2a wide merge-intersect,
-    /// MER fast-accept). The per-pair reference chain stays scalar; both
-    /// are outcome-identical.
+    /// Kernel path for the batched MER fast-accept (Step 2a is one
+    /// function on every path). The per-pair reference chain stays
+    /// scalar; both are outcome-identical.
     dispatch: KernelDispatch,
 }
 
@@ -170,18 +170,16 @@ impl GeometricFilter {
     /// one shared grid (`grid_bits == 0` auto-sizes from the workload,
     /// explicit values are clamped to the supported range). A no-op for
     /// empty workspaces.
-    pub fn with_raster(mut self, rel_a: &Relation, rel_b: &Relation, grid_bits: u32) -> Self {
+    pub fn with_raster(self, rel_a: &Relation, rel_b: &Relation, grid_bits: u32) -> Self {
         let bits = if grid_bits == 0 {
             auto_grid_bits(rel_a, rel_b)
         } else {
             grid_bits.clamp(MIN_GRID_BITS, MAX_GRID_BITS)
         };
         if let Some(grid) = RasterGrid::covering(rel_a, rel_b, bits) {
-            let store_a = RasterStore::build(&grid, rel_a);
-            let store_b = RasterStore::build(&grid, rel_b);
-            self.raster_checksums = Some((store_a.checksum(), store_b.checksum()));
-            self.raster_a = Some(Arc::new(store_a));
-            self.raster_b = Some(Arc::new(store_b));
+            let store_a = Arc::new(RasterStore::build(&grid, rel_a));
+            let store_b = Arc::new(RasterStore::build(&grid, rel_b));
+            return self.with_shared_raster(store_a, store_b);
         }
         self
     }
@@ -255,30 +253,13 @@ impl GeometricFilter {
     /// A filter that does nothing (version 1: every candidate goes to the
     /// exact step).
     pub fn disabled() -> Self {
-        GeometricFilter {
-            raster_a: None,
-            raster_b: None,
-            raster_checksums: None,
-            conservative_a: None,
-            conservative_b: None,
-            progressive_a: None,
-            progressive_b: None,
-            use_false_area: false,
-            plan: FilterPlan::Passthrough,
-            dispatch: KernelDispatch::auto(),
-        }
+        Self::from_shared(None, None, None, None, false)
     }
 
     /// Selects the batched loop the configured stores admit.
     fn compile(&self) -> FilterPlan {
         let cons_convex = match (&self.conservative_a, &self.conservative_b) {
-            (Some(a), Some(b)) => {
-                if a.convex_slices().is_some() && b.convex_slices().is_some() {
-                    Some(true)
-                } else {
-                    Some(false)
-                }
-            }
+            (Some(a), Some(b)) => Some(a.convex_slices().is_some() && b.convex_slices().is_some()),
             (None, None) => None,
             _ => Some(false),
         };
@@ -308,16 +289,13 @@ impl GeometricFilter {
 
     /// The raster stores, when the stage is active (Step-0 reporting).
     pub fn raster_stores(&self) -> Option<(&RasterStore, &RasterStore)> {
-        match (&self.raster_a, &self.raster_b) {
-            (Some(a), Some(b)) => Some((a, b)),
-            _ => None,
-        }
+        self.raster_a.as_deref().zip(self.raster_b.as_deref())
     }
 
     /// Classifies one candidate pair.
     ///
     /// Test order follows the paper, extended by Step 2a: the raster
-    /// signature test first (bitwise-cheap, decides both directions),
+    /// signature test first (a few list searches, decides both directions),
     /// then the conservative test (§3.2 — most surviving disjoint pairs
     /// die here), then the progressive hit test (§3.3), then optionally
     /// the false-area test (§3.3 notes it adds almost nothing once
@@ -367,7 +345,7 @@ impl GeometricFilter {
     /// [`crate::MultiStepStats::step2a_nanos`].
     ///
     /// When the raster stage is active it runs first as its own loop
-    /// over the whole batch — a merge-intersect of interval slices per
+    /// over the whole batch — [`raster_decide`] on two run-list views per
     /// pair, the convex/MER columns untouched — and only the undecided
     /// remainder reaches the compiled [`FilterPlan`]: the plan dispatch
     /// and the column lookups happen once per batch, and the per-pair
@@ -403,8 +381,7 @@ impl GeometricFilter {
                 // `Candidate`, so the fill below is unambiguous).
                 let t_raster = spans.map(|_| Span::start());
                 out.extend(pairs.iter().map(|&(id_a, id_b)| {
-                    match raster_decide_with(self.dispatch, ra.signature(id_a), rb.signature(id_b))
-                    {
+                    match raster_decide(ra.signature(id_a), rb.signature(id_b)) {
                         RasterDecision::Hit => FilterOutcome::HitRaster,
                         RasterDecision::Drop => FilterOutcome::DropRaster,
                         RasterDecision::Inconclusive => FilterOutcome::Candidate,

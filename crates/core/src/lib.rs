@@ -11,7 +11,7 @@
 //!    the partitioned parallel sweep of `msj-partition`
 //!    ([`config::Backend::PartitionedSweep`]);
 //! 2. **Geometric filter** — the Step-2a raster pre-filter decides most
-//!    candidates by a merge-intersect of Hilbert-interval signatures
+//!    candidates by intersecting A/F Hilbert-run signatures
 //!    ([`config::RasterConfig`], on by default); conservative
 //!    approximations identify false hits, progressive approximations and
 //!    the false-area test identify hits among the remainder, all without

@@ -69,7 +69,7 @@ pub struct MultiStepStats {
     /// share reported separately in
     /// [`MultiStepStats::step2a_nanos`].
     pub step2_nanos: u64,
-    /// Step 2a (raster signature merge-intersect) time in nanoseconds,
+    /// Step 2a (raster signature intersection) time in nanoseconds,
     /// summed across all workers; a subset of
     /// [`MultiStepStats::step2_nanos`]. 0 when the stage is disabled.
     pub step2a_nanos: u64,

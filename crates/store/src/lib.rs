@@ -55,8 +55,9 @@ pub const STORE_MAGIC: u64 = 0x4d53_4a53_544f_5231;
 /// every other version with an "unsupported store version" error —
 /// there is no in-place migration, re-registering rewrites the segment.
 /// Version 2 replaced the TR* section's export columns with the arena
-/// image.
-pub const STORE_VERSION: u32 = 2;
+/// image; version 3 replaced the raster sections' one class-tagged
+/// interval list with an A column and an F column.
+pub const STORE_VERSION: u32 = 3;
 
 const FILE_KIND_DATASET: u32 = 1;
 const FILE_KIND_PAIR: u32 = 2;
@@ -83,9 +84,9 @@ pub enum Section {
     Progressive = 4,
     /// TR* trapezoid decompositions.
     TrStar = 5,
-    /// Raster interval arena of pair side A.
+    /// Raster signatures (A and F run columns) of pair side A.
     RasterA = 6,
-    /// Raster interval arena of pair side B.
+    /// Raster signatures (A and F run columns) of pair side B.
     RasterB = 7,
 }
 

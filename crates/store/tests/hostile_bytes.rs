@@ -8,7 +8,9 @@
 //! from `from_bytes` as an `Err`, or as a value whose `to_bytes` is exactly
 //! the input. Never a panic; and a count prefix blown up to 2⁵⁶ by a flip
 //! in its high byte must be refused before anything is sized from it, or
-//! this test dies of the allocation.
+//! this test dies of the allocation. A raster image that is accepted must
+//! also still hold what the Step-2a binary searches rely on — an
+//! unsorted list re-encodes to itself just as faithfully as a sorted one.
 
 use msj_approx::{
     ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore, RasterGrid, RasterStore,
@@ -73,9 +75,33 @@ fn images() -> Vec<(&'static str, Vec<u8>, Reencode)> {
             Some(TrStarStore::from_bytes(b).ok()?.to_bytes())
         }),
         ("raster", RasterStore::build(&grid, &rel).to_bytes(), |b| {
-            Some(RasterStore::from_bytes(b).ok()?.to_bytes())
+            let store = RasterStore::from_bytes(b).ok()?;
+            assert_searchable(&store);
+            Some(store.to_bytes())
         }),
     ]
+}
+
+/// What `raster_decide` assumes of every signature, checked from the
+/// outside: both lists made of non-empty runs inside the curve, strictly
+/// increasing and never touching, and every F run inside one A run.
+fn assert_searchable(store: &RasterStore) {
+    let cells = 1u32 << (2 * store.grid().bits());
+    for id in 0..store.len() as u32 {
+        let sig = store.signature(id);
+        for list in [sig.all(), sig.full()] {
+            assert!(list.iter().all(|r| r.start < r.end && r.end <= cells));
+            assert!(list.windows(2).all(|w| w[0].end < w[1].start));
+        }
+        for f in sig.full() {
+            assert!(
+                sig.all()
+                    .iter()
+                    .any(|a| a.start <= f.start && f.end <= a.end),
+                "object {id}: FULL run {f:?} outside the A list"
+            );
+        }
+    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

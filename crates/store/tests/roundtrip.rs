@@ -1,8 +1,9 @@
 //! The container's own behaviour — opaque sections survive persist + load
 //! byte for byte, corruption degrades per section instead of failing the
 //! file, a dataset write retires the pair files derived from it — and the
-//! golden bytes that pin every artifact image to the format the store has
-//! carried since version 2.
+//! golden bytes that pin every artifact image to the format the store
+//! carries: the dataset sections since version 2, the raster pair
+//! sections since version 3.
 
 use msj_approx::{
     auto_grid_bits, ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore,
@@ -124,12 +125,12 @@ fn writing_a_dataset_retires_the_pairs_that_name_it() {
 
 /// FNV-1a of every section payload the engine writes for
 /// `small_carto(48, 24.0, 7)` × `small_carto(48, 24.0, 8)` under
-/// `JoinConfig::default()`, read out of `ds_0.msj`, `ds_1.msj` (section
-/// table order) and `pair_0_1.msj` at the last commit (99ecc75) that still
-/// encoded through per-artifact export structs and a payload codec inside
-/// this crate. The images below are built the way that
-/// configuration builds them (4 KB pages with the 5-corner + MER leaf
-/// bytes, STR loading, TR* with M = 3, the auto-sized shared grid).
+/// `JoinConfig::default()`. The dataset sections were read out of
+/// `ds_0.msj`, `ds_1.msj` (section table order) at the last commit
+/// (99ecc75) that still encoded through per-artifact export structs and a
+/// payload codec inside this crate. The images below are built the way
+/// that configuration builds them (4 KB pages with the 5-corner + MER
+/// leaf bytes, STR loading, TR* with M = 3, the auto-sized shared grid).
 const GOLDEN_DATASETS: [[(Section, usize, u64); 5]; 2] = [
     [
         (Section::Relation, 15720, 0xe141d5463cabec31),
@@ -146,9 +147,11 @@ const GOLDEN_DATASETS: [[(Section, usize, u64); 5]; 2] = [
         (Section::TrStar, 79968, 0xeaa9d3200ba98861),
     ],
 ];
+/// `pair_0_1.msj` of the same pair at format version 3: an A column and an
+/// F column per side (5408 and 5208 bytes as one class-tagged list in v2).
 const GOLDEN_PAIR: [(Section, usize, u64); 2] = [
-    (Section::RasterA, 5408, 0x227eba3dfc18afa6),
-    (Section::RasterB, 5208, 0x0601307dddbaa9f7),
+    (Section::RasterA, 4356, 0xfbc217c0a6d32d1a),
+    (Section::RasterB, 4188, 0x43a97613a6349392),
 ];
 
 fn dataset_images(rel: &Relation) -> [Vec<u8>; 5] {

@@ -17,7 +17,8 @@
 //! * **Crafted bytes** — a TR* arena with a valid checksum but a cyclic
 //!   child run is rejected by the loader's structural pass and rebuilt
 //!   like a corrupt one; a format-version-1 segment fails the open with
-//!   the typed "unsupported store version" error.
+//!   the typed "unsupported store version" error; a version-2 *pair*
+//!   segment beside current dataset files is rebuilt and rewritten.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -343,7 +344,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rewrites `ds_<id>.msj` after `patch` has edited the manifest page
+/// Rewrites the segment file `name` after `patch` has edited the manifest page
 /// and the payload of the section with table tag `tag`, re-sealing the
 /// section and manifest checksums so the edit passes for stored data —
 /// the crafted-but-checksummed input a bit flip cannot produce. Layout
@@ -352,12 +353,12 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
 /// last 8 bytes.
 fn reseal_segment(
     dir: &std::path::Path,
-    id: u32,
+    name: &str,
     tag: u32,
     patch: impl FnOnce(&mut [u8], &mut [u8]),
 ) {
     const PAGE: usize = 4096;
-    let path = dir.join(format!("ds_{id}.msj"));
+    let path = dir.join(name);
     let mut file = std::fs::read(&path).expect("segment exists");
     let u64_at = |buf: &[u8], at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
     let count = u32::from_le_bytes(file[40..44].try_into().unwrap()) as usize;
@@ -379,8 +380,10 @@ fn reseal_segment(
     std::fs::write(&path, &file).expect("rewrite segment");
 }
 
-/// Table tag of the TR* section.
+/// Table tags of the TR* section and of the pair file's first raster
+/// section.
 const TRSTAR_TAG: u32 = 5;
+const RASTER_A_TAG: u32 = 6;
 
 /// Seeds a store with the default pipeline and returns the directory,
 /// configuration, requests and reference answers.
@@ -411,7 +414,7 @@ fn crafted_cyclic_trstar_arena_degrades_not_hangs() {
     // header, two u32 offset tables of objects + 1 entries, 40-byte
     // node records with `first` at byte 32.
     let (dir, cfg, requests, reference) = seeded_store("cyclic");
-    reseal_segment(&dir, 0, TRSTAR_TAG, |_, arena| {
+    reseal_segment(&dir, "ds_0.msj", TRSTAR_TAG, |_, arena| {
         let objects = u64::from_le_bytes(arena[8..16].try_into().unwrap()) as usize;
         let root = 32 + 8 * (objects + 1);
         let level = u16::from_le_bytes(arena[root + 36..root + 38].try_into().unwrap());
@@ -431,15 +434,15 @@ fn crafted_cyclic_trstar_arena_degrades_not_hangs() {
 
 #[test]
 fn version_1_segment_is_refused_with_a_typed_error() {
-    // A v1 segment (TR* export columns) must not be mis-decoded as a v2
+    // A v1 segment (TR* export columns) must not be mis-decoded as an
     // arena: hand-patch the manifest's version field back to 1 and
     // re-seal it.
     let (dir, cfg, _, _) = seeded_store("v1");
-    reseal_segment(&dir, 0, TRSTAR_TAG, |manifest, _| {
+    reseal_segment(&dir, "ds_0.msj", TRSTAR_TAG, |manifest, _| {
         assert_eq!(
             manifest[8..12],
-            2u32.to_le_bytes(),
-            "writer stamps version 2"
+            3u32.to_le_bytes(),
+            "writer stamps version 3"
         );
         manifest[8..12].copy_from_slice(&1u32.to_le_bytes());
     });
@@ -461,6 +464,96 @@ fn version_1_segment_is_refused_with_a_typed_error() {
     engine.register(msj::datagen::small_carto(120, 24.0, 9109));
     drop(engine);
     SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("rewritten store opens");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn version_2_pair_segment_is_rebuilt_and_rewritten_not_degraded() {
+    // A `pair_0_1.msj` left behind by a v2 writer beside current dataset
+    // files: its raster sections hold one class-tagged interval list per
+    // object (grid scalars, one counted offset table, one counted arena
+    // of `(start, end | class << 31)` words), which a v3 reader must not
+    // try to decode as an A column followed by an F column. The manifest
+    // says version 2, so the pair is a miss: signatures are rebuilt from
+    // the relations, the file is rewritten at version 3, and the join
+    // runs with the full filter — not in degraded mode.
+    let (dir, cfg, requests, reference) = seeded_store("v2pair");
+    let store = msj_store::Store::open(&dir).expect("open container");
+    let pair = store
+        .read_pair(0, 1, None)
+        .unwrap()
+        .expect("pair persisted");
+    let v2_layout = |section| {
+        let v3 = pair.section(section).unwrap().unwrap();
+        let store = msj::approx::RasterStore::from_bytes(v3).expect("v3 image decodes");
+        let mut image = v3[..36].to_vec(); // the grid scalars did not change
+        let mut offsets = vec![0u32];
+        let mut words = Vec::new();
+        for id in 0..store.len() as u32 {
+            // One tagged list: the FULL runs, flagged in the top bit of
+            // their end, between the PARTIAL remainders of the A runs.
+            let sig = store.signature(id);
+            let mut full = sig.full().iter().peekable();
+            for a in sig.all() {
+                let mut at = a.start;
+                while let Some(f) = full.next_if(|f| f.end <= a.end) {
+                    if at < f.start {
+                        words.extend([at, f.start]);
+                    }
+                    words.extend([f.start, f.end | 1 << 31]);
+                    at = f.end;
+                }
+                if at < a.end {
+                    words.extend([at, a.end]);
+                }
+            }
+            offsets.push(words.len() as u32 / 2);
+        }
+        for column in [&offsets, &words] {
+            image.extend((column.len() as u64).to_le_bytes());
+            image.extend(column.iter().flat_map(|w| w.to_le_bytes()));
+        }
+        assert!(
+            msj::approx::RasterStore::from_bytes(&image).is_err(),
+            "a v2 image must not pass for a v3 one"
+        );
+        (section, image)
+    };
+    let (ra, rb) = (msj_store::Section::RasterA, msj_store::Section::RasterB);
+    let v2_sections = [v2_layout(ra), v2_layout(rb)];
+    let v2_lengths = v2_sections.clone().map(|(_, image)| image.len());
+    store
+        .write_pair(0, 1, pair.config_tag, &v2_sections)
+        .expect("write the v2 payloads");
+    reseal_segment(&dir, "pair_0_1.msj", RASTER_A_TAG, |manifest, _| {
+        manifest[8..12].copy_from_slice(&2u32.to_le_bytes());
+    });
+    assert!(
+        store.read_pair(0, 1, None).is_err(),
+        "the v2 pair file must be refused as a file"
+    );
+
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("open wedged");
+    assert_eq!(run(&engine, &requests), reference, "join digest drifted");
+    let prom = engine.metrics().render_prometheus();
+    for line in prom.lines().filter(|l| {
+        l.starts_with("msj_degraded_mode_total{")
+            || l.starts_with("msj_store_checksum_failures_total{")
+    }) {
+        assert!(
+            line.ends_with(" 0"),
+            "a version miss is neither corruption nor a degraded mode: {line}"
+        );
+    }
+    let rewritten = store
+        .read_pair(0, 1, None)
+        .expect("rewritten at the current version")
+        .expect("pair persisted again");
+    for (section, v2_len) in [ra, rb].into_iter().zip(v2_lengths) {
+        let image = rewritten.section(section).unwrap().unwrap();
+        assert_eq!(image, pair.section(section).unwrap().unwrap());
+        assert!(image.len() < v2_len, "the A/F image is the smaller one");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
