@@ -78,13 +78,16 @@ fn run_workloads(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut buffer = LruBuffer::with_bytes(BUFFER_BYTES, page_size);
 
+    // Only the page accesses are read; the hits land in one reused sink.
+    let mut hits = Vec::new();
     let mut point = 0u64;
     for _ in 0..queries {
         let p = Point::new(
             rng.gen_range(world.xmin()..world.xmax()),
             rng.gen_range(world.ymin()..world.ymax()),
         );
-        tree_a.point_query(p, &mut buffer);
+        hits.clear();
+        tree_a.point_query(p, &mut buffer, &mut hits);
     }
     point += buffer.stats().physical;
 
@@ -94,7 +97,12 @@ fn run_workloads(
         for _ in 0..queries {
             let x = rng.gen_range(world.xmin()..world.xmax() - side);
             let y = rng.gen_range(world.ymin()..world.ymax() - side);
-            tree_a.window_query(Rect::from_bounds(x, y, x + side, y + side), buffer);
+            hits.clear();
+            tree_a.window_query(
+                Rect::from_bounds(x, y, x + side, y + side),
+                buffer,
+                &mut hits,
+            );
         }
         buffer.stats().physical
     };

@@ -27,9 +27,9 @@ use msj_partition::{
     partition_join_cancellable_with, partition_join_workers_observed_with, GridIndex,
     PartitionStats,
 };
-use msj_sam::{tree_join_chunked_observed_with, JoinStats, LruBuffer, PageLayout, RStarTree};
+use msj_sam::{tree_join_chunked, JoinControl, JoinStats, LruBuffer, PageLayout, RStarTree};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 
 /// Default candidate pairs per batch/chunk
 /// ([`crate::config::DEFAULT_BATCH_PAIRS`]; override per join with
@@ -366,6 +366,30 @@ impl RStarSource {
             dispatch: config.kernel_dispatch(),
         }
     }
+
+    /// The simulated I/O buffer. Poison is recovered: a sink panic can
+    /// unwind through a traversal while the guard is live, and the buffer
+    /// is only I/O accounting — always safe to reuse.
+    fn lock_buffer(&self) -> MutexGuard<'_, LruBuffer> {
+        self.buffer
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// One selection descent of `tree_a` appending straight into `out`.
+    fn probe(
+        &self,
+        buffer: &mut LruBuffer,
+        out: &mut Vec<ObjectId>,
+        descend: impl FnOnce(&RStarTree, &mut LruBuffer, &mut Vec<ObjectId>),
+    ) -> SelectionStats {
+        let (before, reads) = (out.len(), buffer.stats().physical);
+        descend(&self.tree_a, buffer, out);
+        SelectionStats {
+            candidates: (out.len() - before) as u64,
+            physical_reads: buffer.stats().physical - reads,
+        }
+    }
 }
 
 impl CandidateSource for RStarSource {
@@ -396,34 +420,27 @@ impl CandidateSource for RStarSource {
         let tree_a = &*self.tree_a;
         let tree_b = self.tree_b.as_deref().unwrap_or(tree_a);
         let batch = self.batch;
-        // The traversal is single-producer: all chunks come off lane 0.
-        let lane = telemetry.map(|t| t.backend_lane(0));
+        let control = JoinControl {
+            dispatch: self.dispatch,
+            cancel,
+            chunk_capacity: batch,
+            // The traversal is single-producer: all chunks come off lane 0.
+            lane: telemetry.map(|t| t.backend_lane(0)),
+        };
         // One lock for the whole traversal: the simulated I/O buffer is
         // inherently serial state. Concurrent runs of a shared prepared
         // join serialize here (Steps 2–3 still parallelize per run).
-        // Poison is recovered: a sink panic can unwind through the
-        // traversal while this guard is live, and the buffer is only
-        // I/O accounting — always safe to reuse.
-        let mut buffer = self
-            .buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let mut buffer = self.lock_buffer();
         let buffer = &mut *buffer;
         if workers <= 1 {
             // Serial: the traversal's chunks double as sink batches — one
             // virtual dispatch (and one batched classification
-            // downstream) per `batch` pairs, order unchanged.
+            // downstream) per `batch` pairs, order unchanged, and the one
+            // chunk buffer refilled in place.
             let mut sink = consumer.attach();
-            let join = tree_join_chunked_observed_with(
-                self.dispatch,
-                tree_a,
-                tree_b,
-                buffer,
-                batch,
-                lane,
-                cancel,
-                |chunk| sink.consume_batch(&chunk),
-            );
+            let join = tree_join_chunked(&control, tree_a, tree_b, buffer, |chunk| {
+                sink.consume_batch(chunk)
+            });
             return Step1Stats {
                 join,
                 partition: None,
@@ -491,21 +508,15 @@ impl CandidateSource for RStarSource {
                     }
                 });
             }
-            let join = tree_join_chunked_observed_with(
-                self.dispatch,
-                tree_a,
-                tree_b,
-                buffer,
-                batch,
-                lane,
-                cancel,
-                |chunk| {
-                    let now = buffered.fetch_add(chunk.len() as u64, Ordering::Relaxed)
-                        + chunk.len() as u64;
-                    peak.fetch_max(now, Ordering::Relaxed);
-                    tx.send(chunk).expect("queue receiver alive");
-                },
-            );
+            let join = tree_join_chunked(&control, tree_a, tree_b, buffer, |chunk| {
+                // A worker thread needs the chunk itself: leave the
+                // traversal a fresh one to fill.
+                let chunk = std::mem::replace(chunk, Vec::with_capacity(batch));
+                let now =
+                    buffered.fetch_add(chunk.len() as u64, Ordering::Relaxed) + chunk.len() as u64;
+                peak.fetch_max(now, Ordering::Relaxed);
+                tx.send(chunk).expect("queue receiver alive");
+            });
             drop(tx); // workers drain and exit; the scope joins them
             join
         });
@@ -524,33 +535,15 @@ impl CandidateSource for RStarSource {
     }
 
     fn point_candidates(&self, p: Point, out: &mut Vec<ObjectId>) -> SelectionStats {
-        let mut buffer = self
-            .buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let before = buffer.stats().physical;
-        let hits = self.tree_a.point_query(p, &mut buffer);
-        let stats = SelectionStats {
-            candidates: hits.len() as u64,
-            physical_reads: buffer.stats().physical - before,
-        };
-        out.extend(hits);
-        stats
+        self.probe(&mut self.lock_buffer(), out, |tree, buffer, out| {
+            tree.point_query(p, buffer, out)
+        })
     }
 
     fn window_candidates(&self, window: Rect, out: &mut Vec<ObjectId>) -> SelectionStats {
-        let mut buffer = self
-            .buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let before = buffer.stats().physical;
-        let hits = self.tree_a.window_query(window, &mut buffer);
-        let stats = SelectionStats {
-            candidates: hits.len() as u64,
-            physical_reads: buffer.stats().physical - before,
-        };
-        out.extend(hits);
-        stats
+        self.probe(&mut self.lock_buffer(), out, |tree, buffer, out| {
+            tree.window_query(window, buffer, out)
+        })
     }
 
     // The batched probes take the simulated-buffer lock once for the
@@ -564,19 +557,12 @@ impl CandidateSource for RStarSource {
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
     ) {
-        let mut buffer = self
-            .buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for &p in points {
-            let before = buffer.stats().physical;
-            let hits = self.tree_a.point_query(p, &mut buffer);
-            stats.push(SelectionStats {
-                candidates: hits.len() as u64,
-                physical_reads: buffer.stats().physical - before,
-            });
-            out.extend(hits);
-        }
+        let mut buffer = self.lock_buffer();
+        stats.extend(points.iter().map(|&p| {
+            self.probe(&mut buffer, out, |tree, buffer, out| {
+                tree.point_query(p, buffer, out)
+            })
+        }));
     }
 
     fn window_candidates_batch(
@@ -585,19 +571,12 @@ impl CandidateSource for RStarSource {
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
     ) {
-        let mut buffer = self
-            .buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        for &w in windows {
-            let before = buffer.stats().physical;
-            let hits = self.tree_a.window_query(w, &mut buffer);
-            stats.push(SelectionStats {
-                candidates: hits.len() as u64,
-                physical_reads: buffer.stats().physical - before,
-            });
-            out.extend(hits);
-        }
+        let mut buffer = self.lock_buffer();
+        stats.extend(windows.iter().map(|&w| {
+            self.probe(&mut buffer, out, |tree, buffer, out| {
+                tree.window_query(w, buffer, out)
+            })
+        }));
     }
 }
 

@@ -27,7 +27,7 @@
 
 use crate::candidates;
 use crate::config::JoinConfig;
-use crate::filter::{FilterOutcome, GeometricFilter};
+use crate::filter::{FilterOutcome, FilterScratch, GeometricFilter};
 use crate::pipeline::JoinResult;
 use crate::stats::MultiStepStats;
 use msj_exact::ExactProcessor;
@@ -179,6 +179,7 @@ impl PairConsumer for FusedConsumer<'_> {
             pairs: Vec::new(),
             stats: MultiStepStats::default(),
             outcomes: Vec::new(),
+            filter_scratch: FilterScratch::default(),
         })
     }
 }
@@ -195,6 +196,7 @@ struct FusedSink<'a> {
     stats: MultiStepStats,
     /// Scratch for batched classification (reused across batches).
     outcomes: Vec<FilterOutcome>,
+    filter_scratch: FilterScratch,
 }
 
 impl FusedSink<'_> {
@@ -289,9 +291,12 @@ impl PairSink for FusedSink<'_> {
             // (the raster prepass reports its own share of the time into
             // the Step-2a span; Step 2 covers it).
             let t_filter = Span::start();
-            self.owner
-                .filter
-                .classify_batch_observed(batch, &mut outcomes, Some(spans));
+            self.owner.filter.classify_batch_observed(
+                batch,
+                &mut outcomes,
+                &mut self.filter_scratch,
+                Some(spans),
+            );
             spans.finish(Step::Step2, t_filter);
             // Step 3 (plus cheap bookkeeping) for the whole batch.
             let t_exact = Span::start();
@@ -299,9 +304,12 @@ impl PairSink for FusedSink<'_> {
             spans.finish(Step::Step3, t_exact);
         } else {
             // Observability off: the identical work, zero clock reads.
-            self.owner
-                .filter
-                .classify_batch_observed(batch, &mut outcomes, None);
+            self.owner.filter.classify_batch_observed(
+                batch,
+                &mut outcomes,
+                &mut self.filter_scratch,
+                None,
+            );
             self.apply_batch(batch, &outcomes);
         }
         self.outcomes = outcomes;

@@ -57,6 +57,16 @@ pub enum FilterOutcome {
     Candidate,
 }
 
+/// Working columns of the batched plan loop, owned by the caller so that
+/// consecutive [`GeometricFilter::classify_batch_observed`] calls reuse
+/// them: the pairs the raster stage left undecided and their MER
+/// fast-accept lane.
+#[derive(Debug, Default)]
+pub struct FilterScratch {
+    undecided: Vec<(ObjectId, ObjectId)>,
+    mer_hits: Vec<bool>,
+}
+
 /// The monomorphized classification loop selected once per join (see the
 /// module docs). Which plan a filter compiled is observable for tests and
 /// reports via [`GeometricFilter::plan`].
@@ -357,19 +367,22 @@ impl GeometricFilter {
         out: &mut Vec<FilterOutcome>,
     ) -> u64 {
         let spans = StepSpans::new();
-        self.classify_batch_observed(pairs, out, Some(&spans));
+        self.classify_batch_observed(pairs, out, &mut FilterScratch::default(), Some(&spans));
         spans.get(Step::Step2a)
     }
 
-    /// [`classify_batch`](GeometricFilter::classify_batch) with explicit
-    /// span accounting: the Step-2a raster time lands in `spans` when
-    /// given, and `None` skips the clock reads entirely (the
-    /// [`msj_obs::ObsConfig::disabled`] path). Outcomes are identical
-    /// either way.
+    /// [`classify_batch`](GeometricFilter::classify_batch) for a caller
+    /// that classifies batch after batch: `scratch` carries the plan
+    /// loop's working columns from one call to the next, so a warm call
+    /// allocates nothing. Span accounting is explicit: the Step-2a raster
+    /// time lands in `spans` when given, and `None` skips the clock reads
+    /// entirely (the [`msj_obs::ObsConfig::disabled`] path). Outcomes are
+    /// identical either way.
     pub fn classify_batch_observed(
         &self,
         pairs: &[(ObjectId, ObjectId)],
         out: &mut Vec<FilterOutcome>,
+        scratch: &mut FilterScratch,
         spans: Option<&StepSpans>,
     ) {
         out.clear();
@@ -395,14 +408,19 @@ impl GeometricFilter {
                 out.extend(std::iter::repeat_n(FilterOutcome::Candidate, pairs.len()));
             }
         };
-        self.classify_plan_fill(pairs, out);
+        self.classify_plan_fill(pairs, out, scratch);
     }
 
     /// The compiled-plan loop (Step 2b): classifies every slot still
     /// `Candidate` through the conservative/progressive chain, leaving
     /// decided slots untouched. The plan dispatch and column lookups
-    /// happen once per call; no allocation.
-    fn classify_plan_fill(&self, pairs: &[(ObjectId, ObjectId)], out: &mut [FilterOutcome]) {
+    /// happen once per call; the only buffers it fills are `scratch`'s.
+    fn classify_plan_fill(
+        &self,
+        pairs: &[(ObjectId, ObjectId)],
+        out: &mut [FilterOutcome],
+        scratch: &mut FilterScratch,
+    ) {
         debug_assert_eq!(pairs.len(), out.len());
         match self.plan {
             FilterPlan::Passthrough => {}
@@ -418,37 +436,43 @@ impl GeometricFilter {
                     unreachable!("ConvexMer plan requires MER columns");
                 };
                 // The MER fast-accept column is gathered wide for the
-                // whole undecided remainder up front; the per-slot loop
-                // keeps the paper's test order (conservative first) and
-                // consumes the precomputed lane only when the convex test
-                // passes — outcome-identical to testing inline. NaN
-                // sentinel slots (degenerate MERs) compare false in every
-                // lane, exactly like `Progressive::Empty`.
-                let undecided: Vec<(u32, u32)> = out
-                    .iter()
-                    .zip(pairs)
-                    .filter(|(slot, _)| **slot == FilterOutcome::Candidate)
-                    .map(|(_, &pair)| pair)
-                    .collect();
-                let mut mer_hits = Vec::new();
-                kernels::rect_pairs_intersect(
-                    self.dispatch,
-                    mer_a,
-                    mer_b,
-                    &undecided,
-                    &mut mer_hits,
+                // whole undecided remainder up front, and the per-slot
+                // loop consumes that lane *before* the 5-corner SAT — the
+                // cheap test first. The outcome is the paper-order
+                // chain's ([`GeometricFilter::classify_chain`], the
+                // reference): MER ⊆ object ⊆ 5-corner and the SAT's
+                // tolerance only widens "intersects", so a MER hit is
+                // never a 5-corner miss; a pair where the orders disagreed
+                // would be a SAT false drop. NaN sentinel slots
+                // (degenerate MERs) compare false in every lane, exactly
+                // like `Progressive::Empty`.
+                let FilterScratch {
+                    undecided,
+                    mer_hits,
+                } = scratch;
+                undecided.clear();
+                undecided.extend(
+                    out.iter()
+                        .zip(pairs)
+                        .filter(|(slot, _)| **slot == FilterOutcome::Candidate)
+                        .map(|(_, &pair)| pair),
                 );
-                let mut next = 0usize;
+                mer_hits.clear();
+                kernels::rect_pairs_intersect(self.dispatch, mer_a, mer_b, undecided, mer_hits);
+                let mut mer_hits = mer_hits.iter();
                 for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
                     if *slot != FilterOutcome::Candidate {
                         continue;
                     }
-                    let mer_hit = mer_hits[next];
-                    next += 1;
-                    *slot = if !convex_intersect(rings_a.ring(id_a), rings_b.ring(id_b)) {
-                        FilterOutcome::FalseHit
-                    } else if mer_hit {
+                    let mer_hit = *mer_hits.next().expect("one lane per undecided slot");
+                    debug_assert!(
+                        !mer_hit || convex_intersect(rings_a.ring(id_a), rings_b.ring(id_b)),
+                        "5-corner SAT drops ({id_a}, {id_b}) although their MERs intersect"
+                    );
+                    *slot = if mer_hit {
                         FilterOutcome::HitProgressive
+                    } else if !convex_intersect(rings_a.ring(id_a), rings_b.ring(id_b)) {
+                        FilterOutcome::FalseHit
                     } else {
                         FilterOutcome::Candidate
                     };

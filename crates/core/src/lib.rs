@@ -115,7 +115,7 @@ pub use engine::{
     Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,
 };
 pub use execution::{Execution, ScopedPreparedJoin};
-pub use filter::{FilterOutcome, FilterPlan, GeometricFilter};
+pub use filter::{FilterOutcome, FilterPlan, FilterScratch, GeometricFilter};
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;
 pub use stats::MultiStepStats;

@@ -41,7 +41,7 @@ use crate::{Point, Rect};
 
 /// Environment variable that pins every kernel to the scalar reference
 /// path, overriding runtime CPU feature detection (any non-empty value
-/// other than `0`).
+/// other than `0`; read when the process first selects a dispatch).
 pub const FORCE_SCALAR_ENV: &str = "MSJ_FORCE_SCALAR";
 
 /// The kernel implementation family, chosen once per join (or probe
@@ -118,8 +118,14 @@ impl KernelDispatch {
     }
 }
 
+/// Read once per process: [`KernelDispatch::auto`] sits on per-join and
+/// per-probe paths that must not allocate, and reading a set variable
+/// does.
 fn env_force_scalar() -> bool {
-    std::env::var_os(FORCE_SCALAR_ENV).is_some_and(|v| !v.is_empty() && v != *"0")
+    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FORCED.get_or_init(|| {
+        std::env::var_os(FORCE_SCALAR_ENV).is_some_and(|v| !v.is_empty() && v != *"0")
+    })
 }
 
 // ---------------------------------------------------------------------

@@ -18,6 +18,8 @@
 //!   `Sync` pair-consumer protocol and thread-count resolution, plus the
 //!   cooperative [`CancelToken`] every backend polls at batch boundaries
 //!   ([`cancel`]);
+//! * the inline traversal stack shared by the flat tree arenas
+//!   ([`stack`]);
 //! * runtime-dispatched wide kernels for the hot loops ([`kernels`]):
 //!   SoA MBR scans, MER fast-accept and probe masks, with a scalar
 //!   reference path selectable via [`KernelDispatch`].
@@ -39,6 +41,7 @@ pub mod polygon;
 pub mod predicates;
 pub mod rect;
 pub mod segment;
+pub mod stack;
 pub mod svg;
 pub mod validate;
 pub mod wkt;

@@ -43,10 +43,14 @@ pub struct LruBuffer {
 impl LruBuffer {
     /// A buffer holding `capacity` pages (at least 1).
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         LruBuffer {
-            capacity: capacity.max(1),
+            capacity,
             clock: 0,
-            resident: HashMap::with_capacity(capacity + 1),
+            // Twice the pages ever resident: evictions leave tombstones,
+            // and a table at most half full clears them in place instead
+            // of reallocating — a warm buffer never allocates.
+            resident: HashMap::with_capacity(2 * capacity + 2),
             stats: IoStats::default(),
         }
     }
@@ -61,8 +65,8 @@ impl LruBuffer {
     pub fn access(&mut self, page: PageId) {
         self.clock += 1;
         self.stats.logical += 1;
-        if self.resident.contains_key(&page) {
-            self.resident.insert(page, self.clock);
+        if let Some(last_used) = self.resident.get_mut(&page) {
+            *last_used = self.clock;
             return;
         }
         self.stats.physical += 1;
@@ -155,6 +159,63 @@ mod tests {
         assert_eq!(b.resident_pages(), 0);
         b.access(1);
         assert_eq!(b.stats().physical, 1);
+    }
+
+    /// LRU as a recency list: front = least recently used.
+    struct NaiveLru {
+        capacity: usize,
+        pages: Vec<PageId>,
+        stats: IoStats,
+    }
+
+    impl NaiveLru {
+        fn access(&mut self, page: PageId) {
+            self.stats.logical += 1;
+            match self.pages.iter().position(|&p| p == page) {
+                Some(i) => {
+                    self.pages.remove(i);
+                }
+                None => {
+                    self.stats.physical += 1;
+                    if self.pages.len() == self.capacity {
+                        self.pages.remove(0);
+                    }
+                }
+            }
+            self.pages.push(page);
+        }
+    }
+
+    #[test]
+    fn seeded_trace_matches_a_naive_lru_after_every_access() {
+        for capacity in [1usize, 4, 32] {
+            let mut buffer = LruBuffer::new(capacity);
+            let mut naive = NaiveLru {
+                capacity,
+                pages: Vec::new(),
+                stats: IoStats::default(),
+            };
+            // A seeded LCG over a page universe twice the largest
+            // capacity, with runs of re-references like a tree descent.
+            let mut state = 0x2545_f491_4f6c_dd1du64;
+            let mut page = 0;
+            for step in 0..10_000 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                if (state >> 60) > 4 {
+                    page = (state >> 33) % 64;
+                }
+                buffer.access(page);
+                naive.access(page);
+                assert_eq!(
+                    buffer.stats(),
+                    naive.stats,
+                    "capacity {capacity}, step {step}"
+                );
+            }
+            assert_eq!(buffer.resident_pages(), naive.pages.len());
+        }
     }
 
     #[test]

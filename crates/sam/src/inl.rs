@@ -23,10 +23,12 @@ pub fn index_nested_loop_join<F: FnMut(ObjectId, ObjectId)>(
 ) -> JoinStats {
     let mut stats = JoinStats::default();
     let start = buffer.stats();
+    let mut matches = Vec::new();
     for &(rect, outer_id) in outer {
-        let matches = inner_tree.window_query(rect, buffer);
+        matches.clear();
+        inner_tree.window_query(rect, buffer, &mut matches);
         stats.mbr_tests += (inner_tree.len() as u64).min(matches.len() as u64 + 1);
-        for inner_id in matches {
+        for &inner_id in &matches {
             stats.candidates += 1;
             on_pair(outer_id, inner_id);
         }

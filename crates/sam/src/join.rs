@@ -3,11 +3,20 @@
 //! [BKS 93a] with its two CPU optimizations — *restricting the search
 //! space* to the intersection of the node rectangles and *plane-sweep
 //! order* for matching entries within a node pair.
+//!
+//! [BKS 93a] keeps a page's entries in sweep order; so does the arena
+//! (see [`crate::rstar`]). A node-pair visit therefore only *compares*:
+//! one restriction mask per side over the pre-sorted columns, a merge of
+//! the two restricted runs, and ids or child pairs read straight from the
+//! value column. All scratch lives in one per-thread `Scratch` that a
+//! join takes and puts back: it grows to the two trees' fan-out once, and
+//! a warm join does not touch the allocator.
 
 use crate::buffer::{IoStats, LruBuffer};
-use crate::rstar::{Entry, RStarTree};
+use crate::rstar::RStarTree;
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{CancelToken, ObjectId};
+use msj_geom::{CancelToken, ObjectId, Rect};
+use std::cell::Cell;
 
 /// Statistics of one MBR-join execution.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,63 +43,201 @@ pub fn tree_join<F: FnMut(ObjectId, ObjectId)>(
     buffer: &mut LruBuffer,
     on_pair: F,
 ) -> JoinStats {
-    tree_join_with(KernelDispatch::auto(), a, b, buffer, on_pair)
+    with_scratch(|s| traverse(&JoinControl::new(1), a, b, buffer, &mut s.nodes, on_pair))
 }
 
-/// [`tree_join`] with an explicit kernel dispatch path. The candidate
-/// stream and every statistic are byte-identical across paths; only the
-/// instruction mix differs.
-pub fn tree_join_with<F: FnMut(ObjectId, ObjectId)>(
-    dispatch: KernelDispatch,
+/// How [`tree_join_chunked`] runs: everything [`tree_join`] fixes.
+#[derive(Clone, Copy)]
+pub struct JoinControl<'c> {
+    /// Kernel path of the restriction masks. The candidate stream and
+    /// every statistic are byte-identical across paths.
+    pub dispatch: KernelDispatch,
+    /// Polled once per node pair (one page's worth of sweep work); once
+    /// cancelled the recursion unwinds without visiting further nodes.
+    /// Pairs already streamed stay streamed and the returned stats cover
+    /// exactly the work performed, but the trailing partial chunk is
+    /// dropped — a cancelled join's candidates are discarded anyway.
+    pub cancel: Option<&'c CancelToken>,
+    /// Candidate pairs per delivered chunk (at least 1).
+    pub chunk_capacity: usize,
+    /// Producer-side telemetry: every delivered chunk is counted into the
+    /// lane (pairs produced, chunks flushed, largest chunk as the
+    /// buffered peak).
+    pub lane: Option<&'c msj_obs::WorkerLane>,
+}
+
+impl JoinControl<'_> {
+    /// Chunks of `chunk_capacity` pairs on the detected kernel path, no
+    /// cancellation, no telemetry.
+    pub fn new(chunk_capacity: usize) -> Self {
+        JoinControl {
+            dispatch: KernelDispatch::auto(),
+            cancel: None,
+            chunk_capacity,
+            lane: None,
+        }
+    }
+}
+
+/// [`tree_join`] under a [`JoinControl`], delivering candidates in chunks
+/// instead of one at a time — the producer half of the fused execution
+/// engine: the traversal itself is inherently serial (its I/O accounting
+/// needs one buffer), but whole chunks can be handed to a batched sink or
+/// to downstream worker threads.
+///
+/// Every chunk is non-empty and at most `chunk_capacity` long, chunks
+/// arrive in traversal order, and their concatenation equals the
+/// [`tree_join`] stream. `on_chunk` borrows the one chunk buffer the join
+/// fills; a consumer that needs ownership swaps in a replacement
+/// (`mem::replace`), and whatever is left is cleared on return.
+pub fn tree_join_chunked<F: FnMut(&mut Vec<(ObjectId, ObjectId)>)>(
+    control: &JoinControl<'_>,
     a: &RStarTree,
     b: &RStarTree,
     buffer: &mut LruBuffer,
+    mut on_chunk: F,
+) -> JoinStats {
+    let capacity = control.chunk_capacity.max(1);
+    let mut emit = |chunk: &mut Vec<(ObjectId, ObjectId)>| {
+        if let Some(lane) = control.lane {
+            lane.add_pairs(chunk.len() as u64);
+            lane.inc_batches();
+            lane.record_buffered(chunk.len() as u64);
+        }
+        on_chunk(chunk);
+        chunk.clear();
+    };
+    with_scratch(|s| {
+        let chunk = &mut s.chunk;
+        chunk.clear();
+        chunk.reserve(capacity);
+        let stats = traverse(control, a, b, buffer, &mut s.nodes, |id_a, id_b| {
+            chunk.push((id_a, id_b));
+            if chunk.len() == capacity {
+                emit(chunk);
+            }
+        });
+        if !chunk.is_empty() && !control.cancel.is_some_and(|c| c.is_cancelled()) {
+            emit(chunk);
+        }
+        stats
+    })
+}
+
+/// Everything a join allocates, kept per thread between joins.
+#[derive(Default)]
+struct Scratch {
+    nodes: NodeScratch,
+    /// The chunk buffer of [`tree_join_chunked`].
+    chunk: Vec<(ObjectId, ObjectId)>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// Runs `f` on this thread's scratch. The scratch is *taken*, so a join
+/// started from inside a pair callback finds an empty one and allocates
+/// its own instead of aliasing.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let result = f(&mut scratch);
+    SCRATCH.set(scratch);
+    result
+}
+
+/// Scratch of the traversal proper.
+#[derive(Default)]
+struct NodeScratch {
+    /// Restriction hit indices of the side being restricted.
+    hits: Vec<u32>,
+    /// The restricted entries of the current node pair, in sweep order.
+    a: Side,
+    b: Side,
+    /// Child pairs waiting to be descended into, innermost visit last:
+    /// each visit appends its matches, recurses through them and
+    /// truncates back.
+    pending: Vec<(u32, u32)>,
+}
+
+/// One side's restricted entries: sweep columns plus the value (object id
+/// or child node) of each.
+#[derive(Default)]
+struct Side {
+    xmin: Vec<f64>,
+    ymin: Vec<f64>,
+    ymax: Vec<f64>,
+    xmax: Vec<f64>,
+    val: Vec<u32>,
+}
+
+impl Side {
+    /// Keeps the entries of `node` that meet `window`; returns the number
+    /// tested. A subsequence of the stably sorted node is its own stable
+    /// sort, so no order is re-established here.
+    fn restrict(
+        &mut self,
+        dispatch: KernelDispatch,
+        window: &Rect,
+        tree: &RStarTree,
+        node: u32,
+        hits: &mut Vec<u32>,
+    ) -> u64 {
+        let all = tree.sweep(node);
+        hits.clear();
+        kernels::rects_vs_rect(
+            dispatch, window, all.xmin, all.ymin, all.xmax, all.ymax, hits,
+        );
+        self.clear();
+        for &k in hits.iter() {
+            let k = k as usize;
+            self.xmin.push(all.xmin[k]);
+            self.ymin.push(all.ymin[k]);
+            self.ymax.push(all.ymax[k]);
+            self.xmax.push(all.xmax[k]);
+            self.val.push(tree.entry_val(all.perm[k]));
+        }
+        all.xmin.len() as u64
+    }
+
+    fn clear(&mut self) {
+        for column in [
+            &mut self.xmin,
+            &mut self.ymin,
+            &mut self.ymax,
+            &mut self.xmax,
+        ] {
+            column.clear();
+        }
+        self.val.clear();
+    }
+}
+
+fn traverse<F: FnMut(ObjectId, ObjectId)>(
+    control: &JoinControl<'_>,
+    a: &RStarTree,
+    b: &RStarTree,
+    buffer: &mut LruBuffer,
+    scratch: &mut NodeScratch,
     on_pair: F,
 ) -> JoinStats {
-    tree_join_cancellable_with(dispatch, a, b, buffer, None, on_pair)
-}
-
-/// [`tree_join_with`] with a cooperative [`CancelToken`]: the traversal
-/// polls the token once per node pair (one page's worth of sweep work)
-/// and, once cancelled, unwinds the recursion without visiting further
-/// nodes. Pairs already streamed stay streamed; the returned stats cover
-/// exactly the work performed. `None` is the zero-overhead path.
-pub fn tree_join_cancellable_with<F: FnMut(ObjectId, ObjectId)>(
-    dispatch: KernelDispatch,
-    a: &RStarTree,
-    b: &RStarTree,
-    buffer: &mut LruBuffer,
-    cancel: Option<&CancelToken>,
-    mut on_pair: F,
-) -> JoinStats {
-    let mut stats = JoinStats::default();
-    let start = buffer.stats();
     if a.is_empty() || b.is_empty() || !a.root_rect().intersects(&b.root_rect()) {
-        return stats;
+        return JoinStats::default();
     }
-    let mut ctx = TraversalCtx {
-        dispatch,
-        cancel,
-        hits: Vec::new(),
-        ax: Vec::new(),
-        ay0: Vec::new(),
-        ay1: Vec::new(),
-        axm: Vec::new(),
-        bx: Vec::new(),
-        by0: Vec::new(),
-        by1: Vec::new(),
-        bxm: Vec::new(),
-    };
-    join_nodes(
-        &mut ctx,
+    let start = buffer.stats();
+    scratch.pending.clear();
+    let mut traversal = Traversal {
+        dispatch: control.dispatch,
+        cancel: control.cancel,
         a,
-        a.root_page(),
         b,
-        b.root_page(),
         buffer,
-        &mut stats,
-        &mut on_pair,
-    );
+        scratch,
+        stats: JoinStats::default(),
+        on_pair,
+    };
+    traversal.visit(a.root_page(), b.root_page());
+    let mut stats = traversal.stats;
     let end = buffer.stats();
     stats.io = IoStats {
         logical: end.logical - start.logical,
@@ -99,298 +246,124 @@ pub fn tree_join_cancellable_with<F: FnMut(ObjectId, ObjectId)>(
     stats
 }
 
-/// Reusable scratch for the kernel-driven traversal: the hit-index list
-/// and the x-sorted entry columns of the current node pair (xmin, ymin,
-/// ymax, xmax per side). One allocation set serves the whole join.
-struct TraversalCtx<'c> {
+struct Traversal<'t, F> {
     dispatch: KernelDispatch,
-    /// Polled once per node pair; `Some` + cancelled unwinds the
-    /// recursion at the next node boundary.
-    cancel: Option<&'c CancelToken>,
-    hits: Vec<u32>,
-    ax: Vec<f64>,
-    ay0: Vec<f64>,
-    ay1: Vec<f64>,
-    axm: Vec<f64>,
-    bx: Vec<f64>,
-    by0: Vec<f64>,
-    by1: Vec<f64>,
-    bxm: Vec<f64>,
+    cancel: Option<&'t CancelToken>,
+    a: &'t RStarTree,
+    b: &'t RStarTree,
+    buffer: &'t mut LruBuffer,
+    scratch: &'t mut NodeScratch,
+    stats: JoinStats,
+    on_pair: F,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn join_nodes<F: FnMut(ObjectId, ObjectId)>(
-    ctx: &mut TraversalCtx<'_>,
-    a: &RStarTree,
-    pa: u32,
-    b: &RStarTree,
-    pb: u32,
-    buffer: &mut LruBuffer,
-    stats: &mut JoinStats,
-    on_pair: &mut F,
-) {
-    // The cooperative cancellation point: one relaxed load per node pair
-    // keeps an over-deadline join within one page of extra sweep work.
-    if ctx.cancel.is_some_and(|c| c.is_cancelled()) {
-        return;
-    }
-    let la = a.node_level(pa);
-    let lb = b.node_level(pb);
-
-    // Unequal levels (trees of different height): descend the deeper side
-    // against the whole other node. Directory nodes hold only `Dir`
-    // entries (a tree invariant), so pruning runs branchless over the
-    // node's SoA columns and every entry counts as one MBR test.
-    if la > lb {
-        buffer.access(a.page_id(pa));
-        let rect_b = b.node_rect(pb);
-        let (xmin, ymin, xmax, ymax) = a.entry_soa().node_columns(pa);
-        stats.mbr_tests += xmin.len() as u64;
-        let mut hits = std::mem::take(&mut ctx.hits);
-        hits.clear();
-        kernels::rects_vs_rect(ctx.dispatch, &rect_b, xmin, ymin, xmax, ymax, &mut hits);
-        let entries = a.node_entries(pa);
-        for &k in &hits {
-            let Entry::Dir { child, .. } = entries[k as usize] else {
-                continue;
-            };
-            join_nodes(ctx, a, child, b, pb, buffer, stats, on_pair);
+impl<F: FnMut(ObjectId, ObjectId)> Traversal<'_, F> {
+    fn visit(&mut self, pa: u32, pb: u32) {
+        // The cooperative cancellation point: one relaxed load per node pair
+        // keeps an over-deadline join within one page of extra sweep work.
+        if self.cancel.is_some_and(|c| c.is_cancelled()) {
+            return;
         }
-        ctx.hits = hits;
-        return;
-    }
-    if lb > la {
-        buffer.access(b.page_id(pb));
-        let rect_a = a.node_rect(pa);
-        let (xmin, ymin, xmax, ymax) = b.entry_soa().node_columns(pb);
-        stats.mbr_tests += xmin.len() as u64;
-        let mut hits = std::mem::take(&mut ctx.hits);
-        hits.clear();
-        kernels::rects_vs_rect(ctx.dispatch, &rect_a, xmin, ymin, xmax, ymax, &mut hits);
-        let entries = b.node_entries(pb);
-        for &k in &hits {
-            let Entry::Dir { child, .. } = entries[k as usize] else {
-                continue;
+        let (a, b) = (self.a, self.b);
+        let (la, lb) = (a.node_level(pa), b.node_level(pb));
+        let pending_from = self.scratch.pending.len();
+
+        if la != lb {
+            // Trees of different height: descend the deeper side against
+            // the whole other node, children in builder order, every
+            // entry one MBR test.
+            let (deep, page, other) = if la > lb {
+                (a, pa, b.node_rect(pb))
+            } else {
+                (b, pb, a.node_rect(pa))
             };
-            join_nodes(ctx, a, pa, b, child, buffer, stats, on_pair);
+            self.buffer.access(deep.page_id(page));
+            let (rects, children) = deep.entries(page);
+            self.stats.mbr_tests += rects.len() as u64;
+            for (rect, &child) in rects.iter().zip(children) {
+                if rect.intersects(&other) {
+                    let pair = if la > lb { (child, pb) } else { (pa, child) };
+                    self.scratch.pending.push(pair);
+                }
+            }
+        } else {
+            // Equal levels: fetch both pages, restrict to the common
+            // window, and sweep-match the remaining entries.
+            self.buffer.access(a.page_id(pa));
+            self.buffer.access(b.page_id(pb));
+            let Some(window) = a.node_rect(pa).intersection(&b.node_rect(pb)) else {
+                return;
+            };
+            let NodeScratch {
+                hits,
+                a: sa,
+                b: sb,
+                pending,
+            } = &mut *self.scratch;
+            self.stats.restriction_tests += sa.restrict(self.dispatch, &window, a, pa, hits)
+                + sb.restrict(self.dispatch, &window, b, pb, hits);
+            let (candidates, on_pair) = (&mut self.stats.candidates, &mut self.on_pair);
+            self.stats.mbr_tests += sweep(sa, sb, |va, vb| {
+                if la == 0 {
+                    *candidates += 1;
+                    on_pair(va, vb);
+                } else {
+                    pending.push((va, vb));
+                }
+            });
         }
-        ctx.hits = hits;
-        return;
+
+        // Descend into what this visit queued; deeper visits queue behind
+        // it and clean up after themselves.
+        for k in pending_from..self.scratch.pending.len() {
+            let (ca, cb) = self.scratch.pending[k];
+            self.visit(ca, cb);
+        }
+        self.scratch.pending.truncate(pending_from);
     }
+}
 
-    // Equal levels: fetch both pages, restrict to the common window, and
-    // sweep-match the remaining entries.
-    buffer.access(a.page_id(pa));
-    buffer.access(b.page_id(pb));
-    let Some(window) = a.node_rect(pa).intersection(&b.node_rect(pb)) else {
-        return;
-    };
-
-    // Search-space restriction (one window test per entry), wide over the
-    // per-node SoA columns; the surviving indices select the entries.
-    let entries_a = a.node_entries(pa);
-    let (xmin, ymin, xmax, ymax) = a.entry_soa().node_columns(pa);
-    stats.restriction_tests += xmin.len() as u64;
-    ctx.hits.clear();
-    kernels::rects_vs_rect(ctx.dispatch, &window, xmin, ymin, xmax, ymax, &mut ctx.hits);
-    let mut ea: Vec<&Entry> = ctx.hits.iter().map(|&k| &entries_a[k as usize]).collect();
-
-    let entries_b = b.node_entries(pb);
-    let (xmin, ymin, xmax, ymax) = b.entry_soa().node_columns(pb);
-    stats.restriction_tests += xmin.len() as u64;
-    ctx.hits.clear();
-    kernels::rects_vs_rect(ctx.dispatch, &window, xmin, ymin, xmax, ymax, &mut ctx.hits);
-    let mut eb: Vec<&Entry> = ctx.hits.iter().map(|&k| &entries_b[k as usize]).collect();
-
-    // Plane-sweep order: sort by xmin, then match x-overlapping runs and
-    // test only the y-axis.
-    ea.sort_by(|p, q| {
-        p.rect()
-            .xmin()
-            .partial_cmp(&q.rect().xmin())
-            .expect("finite")
-    });
-    eb.sort_by(|p, q| {
-        p.rect()
-            .xmin()
-            .partial_cmp(&q.rect().xmin())
-            .expect("finite")
-    });
-
-    // Repack both sorted sides into sweep columns so the inner runs are
-    // a wide scan instead of per-entry pointer chasing.
-    ctx.ax.clear();
-    ctx.ay0.clear();
-    ctx.ay1.clear();
-    ctx.axm.clear();
-    for e in &ea {
-        let r = e.rect();
-        ctx.ax.push(r.xmin());
-        ctx.ay0.push(r.ymin());
-        ctx.ay1.push(r.ymax());
-        ctx.axm.push(r.xmax());
-    }
-    ctx.bx.clear();
-    ctx.by0.clear();
-    ctx.by1.clear();
-    ctx.bxm.clear();
-    for e in &eb {
-        let r = e.rect();
-        ctx.bx.push(r.xmin());
-        ctx.by0.push(r.ymin());
-        ctx.by1.push(r.ymax());
-        ctx.bxm.push(r.xmax());
-    }
-
-    let mut i = 0;
-    let mut j = 0;
-    let mut matches: Vec<(Entry, Entry)> = Vec::new();
-    while i < ea.len() && j < eb.len() {
-        if ctx.ax[i] <= ctx.bx[j] {
-            ctx.hits.clear();
-            stats.mbr_tests += kernels::sweep_scan(
-                ctx.dispatch,
-                ctx.axm[i],
-                ctx.ay0[i],
-                ctx.ay1[i],
-                &ctx.bx,
-                &ctx.by0,
-                &ctx.by1,
-                j,
-                &mut ctx.hits,
-            );
-            for &k in &ctx.hits {
-                matches.push((*ea[i], *eb[k as usize]));
+/// The plane sweep of [BKS 93a] over two x-sorted runs: the run with the
+/// smaller `xmin` at its head sweeps the other run up to its `xmax` and
+/// reports every entry whose y-extent overlaps. Returns the number of
+/// entries scanned — the y-band comparisons made.
+fn sweep(a: &Side, b: &Side, mut matched: impl FnMut(u32, u32)) -> u64 {
+    // One length per side up front lets the bounds checks go.
+    let (na, nb) = (a.val.len(), b.val.len());
+    let (ax, ay0, ay1, axm) = (&a.xmin[..na], &a.ymin[..na], &a.ymax[..na], &a.xmax[..na]);
+    let (bx, by0, by1, bxm) = (&b.xmin[..nb], &b.ymin[..nb], &b.ymax[..nb], &b.xmax[..nb]);
+    let (mut i, mut j, mut tests) = (0, 0, 0u64);
+    while i < na && j < nb {
+        if ax[i] <= bx[j] {
+            let mut k = j;
+            while k < nb && bx[k] <= axm[i] {
+                tests += 1;
+                if (ay0[i] <= by1[k]) & (by0[k] <= ay1[i]) {
+                    matched(a.val[i], b.val[k]);
+                }
+                k += 1;
             }
             i += 1;
         } else {
-            ctx.hits.clear();
-            stats.mbr_tests += kernels::sweep_scan(
-                ctx.dispatch,
-                ctx.bxm[j],
-                ctx.by0[j],
-                ctx.by1[j],
-                &ctx.ax,
-                &ctx.ay0,
-                &ctx.ay1,
-                i,
-                &mut ctx.hits,
-            );
-            for &k in &ctx.hits {
-                matches.push((*ea[k as usize], *eb[j]));
+            let mut k = i;
+            while k < na && ax[k] <= bxm[j] {
+                tests += 1;
+                if (by0[j] <= ay1[k]) & (ay0[k] <= by1[j]) {
+                    matched(a.val[k], b.val[j]);
+                }
+                k += 1;
             }
             j += 1;
         }
     }
-    drop(ea);
-    drop(eb);
-
-    if la == 0 {
-        for (x, y) in matches {
-            let (Entry::Leaf { id: ida, .. }, Entry::Leaf { id: idb, .. }) = (x, y) else {
-                continue;
-            };
-            stats.candidates += 1;
-            on_pair(ida, idb);
-        }
-    } else {
-        for (x, y) in matches {
-            let (Entry::Dir { child: ca, .. }, Entry::Dir { child: cb, .. }) = (x, y) else {
-                continue;
-            };
-            join_nodes(ctx, a, ca, b, cb, buffer, stats, on_pair);
-        }
-    }
-}
-
-/// Computes the MBR-join of two R*-trees, delivering candidates in owned
-/// chunks of at most `chunk_capacity` pairs instead of one at a time.
-///
-/// This is the producer half of the fused execution engine: the traversal
-/// itself is inherently serial (its I/O accounting needs one buffer), but
-/// chunked delivery lets the caller hand whole chunks to downstream
-/// worker threads — e.g. over bounded channels — without re-buffering.
-/// Every chunk is non-empty, chunks arrive in traversal order, and the
-/// concatenation of all chunks equals the [`tree_join`] stream. At most
-/// `chunk_capacity` pairs are ever buffered inside this function.
-pub fn tree_join_chunked<F: FnMut(Vec<(ObjectId, ObjectId)>)>(
-    a: &RStarTree,
-    b: &RStarTree,
-    buffer: &mut LruBuffer,
-    chunk_capacity: usize,
-    on_chunk: F,
-) -> JoinStats {
-    tree_join_chunked_observed(a, b, buffer, chunk_capacity, None, on_chunk)
-}
-
-/// [`tree_join_chunked`] with producer-side telemetry: when `lane` is
-/// given, every emitted chunk is counted into it (pairs produced,
-/// chunks flushed, largest chunk as the buffered peak) — the per-worker
-/// view fused-execution imbalance diagnostics read.
-pub fn tree_join_chunked_observed<F: FnMut(Vec<(ObjectId, ObjectId)>)>(
-    a: &RStarTree,
-    b: &RStarTree,
-    buffer: &mut LruBuffer,
-    chunk_capacity: usize,
-    lane: Option<&msj_obs::WorkerLane>,
-    on_chunk: F,
-) -> JoinStats {
-    tree_join_chunked_observed_with(
-        KernelDispatch::auto(),
-        a,
-        b,
-        buffer,
-        chunk_capacity,
-        lane,
-        None,
-        on_chunk,
-    )
-}
-
-/// [`tree_join_chunked_observed`] with an explicit kernel dispatch path
-/// and an optional cooperative [`CancelToken`]. Cancellation stops the
-/// traversal at the next node boundary and suppresses the trailing
-/// partial chunk — a cancelled join's candidates are discarded anyway,
-/// so no downstream work is queued for them.
-#[allow(clippy::too_many_arguments)]
-pub fn tree_join_chunked_observed_with<F: FnMut(Vec<(ObjectId, ObjectId)>)>(
-    dispatch: KernelDispatch,
-    a: &RStarTree,
-    b: &RStarTree,
-    buffer: &mut LruBuffer,
-    chunk_capacity: usize,
-    lane: Option<&msj_obs::WorkerLane>,
-    cancel: Option<&CancelToken>,
-    mut on_chunk: F,
-) -> JoinStats {
-    let chunk_capacity = chunk_capacity.max(1);
-    let mut emit = |chunk: Vec<(ObjectId, ObjectId)>| {
-        if let Some(lane) = lane {
-            lane.add_pairs(chunk.len() as u64);
-            lane.inc_batches();
-            lane.record_buffered(chunk.len() as u64);
-        }
-        on_chunk(chunk);
-    };
-    let mut chunk: Vec<(ObjectId, ObjectId)> = Vec::with_capacity(chunk_capacity);
-    let stats = tree_join_cancellable_with(dispatch, a, b, buffer, cancel, |id_a, id_b| {
-        chunk.push((id_a, id_b));
-        if chunk.len() == chunk_capacity {
-            let full = std::mem::replace(&mut chunk, Vec::with_capacity(chunk_capacity));
-            emit(full);
-        }
-    });
-    if !chunk.is_empty() && !cancel.is_some_and(|c| c.is_cancelled()) {
-        emit(chunk);
-    }
-    stats
+    tests
 }
 
 /// Reference nested-loops MBR join (§2.3) for correctness checks and the
 /// Figure 18 baseline narrative: O(n·m) rectangle tests, no index.
 pub fn nested_loops_join<F: FnMut(ObjectId, ObjectId)>(
-    a: &[(msj_geom::Rect, ObjectId)],
-    b: &[(msj_geom::Rect, ObjectId)],
+    a: &[(Rect, ObjectId)],
+    b: &[(Rect, ObjectId)],
     mut on_pair: F,
 ) -> u64 {
     let mut tests = 0;
@@ -464,10 +437,11 @@ mod tests {
         for chunk_capacity in [1usize, 7, 64, 100_000] {
             let mut buffer = LruBuffer::new(4096);
             let mut chunked = Vec::new();
-            let stats = tree_join_chunked(&ta, &tb, &mut buffer, chunk_capacity, |chunk| {
+            let control = JoinControl::new(chunk_capacity);
+            let stats = tree_join_chunked(&control, &ta, &tb, &mut buffer, |chunk| {
                 assert!(!chunk.is_empty(), "chunks are never empty");
                 assert!(chunk.len() <= chunk_capacity, "chunk overflows capacity");
-                chunked.extend(chunk);
+                chunked.extend_from_slice(chunk);
             });
             assert_eq!(chunked, streamed, "capacity {chunk_capacity}");
             assert_eq!(stats.candidates, streamed_stats.candidates);
@@ -475,29 +449,26 @@ mod tests {
         // Zero capacity is clamped, not a panic or an infinite loop.
         let mut buffer = LruBuffer::new(4096);
         let mut n = 0u64;
-        tree_join_chunked(&ta, &tb, &mut buffer, 0, |chunk| n += chunk.len() as u64);
+        tree_join_chunked(&JoinControl::new(0), &ta, &tb, &mut buffer, |chunk| {
+            n += chunk.len() as u64
+        });
         assert_eq!(n, streamed.len() as u64);
-        // The observed variant records the producer lane without
-        // changing the delivered stream.
+        // A lane records the producer side without changing the delivered
+        // stream, and a consumer may keep the chunk it is handed.
         let telemetry = msj_obs::WorkerTelemetry::new(1);
+        let control = JoinControl {
+            lane: Some(telemetry.backend_lane(0)),
+            ..JoinControl::new(7)
+        };
         let mut buffer = LruBuffer::new(4096);
-        let mut observed = Vec::new();
-        let mut chunks = 0u64;
-        tree_join_chunked_observed(
-            &ta,
-            &tb,
-            &mut buffer,
-            7,
-            Some(telemetry.backend_lane(0)),
-            |chunk| {
-                chunks += 1;
-                observed.extend(chunk);
-            },
-        );
-        assert_eq!(observed, streamed);
+        let mut owned = Vec::new();
+        tree_join_chunked(&control, &ta, &tb, &mut buffer, |chunk| {
+            owned.push(std::mem::take(chunk))
+        });
+        assert_eq!(owned.concat(), streamed);
         let lane = telemetry.snapshot()[0];
         assert_eq!(lane.pairs, streamed.len() as u64);
-        assert_eq!(lane.batches, chunks);
+        assert_eq!(lane.batches, owned.len() as u64);
         assert!(lane.peak_buffered >= 1 && lane.peak_buffered <= 7);
     }
 
@@ -519,22 +490,17 @@ mod tests {
         let mut got = Vec::new();
         let mut chunks = 0;
         let mut buffer = LruBuffer::new(4096);
-        let stats = tree_join_chunked_observed_with(
-            KernelDispatch::auto(),
-            &ta,
-            &tb,
-            &mut buffer,
-            16,
-            None,
-            Some(&token),
-            |chunk| {
-                chunks += 1;
-                got.extend(chunk);
-                if chunks == 2 {
-                    token.cancel();
-                }
-            },
-        );
+        let control = JoinControl {
+            cancel: Some(&token),
+            ..JoinControl::new(16)
+        };
+        let stats = tree_join_chunked(&control, &ta, &tb, &mut buffer, |chunk| {
+            chunks += 1;
+            got.extend_from_slice(chunk);
+            if chunks == 2 {
+                token.cancel();
+            }
+        });
         assert_eq!(chunks, 2, "no chunks delivered after cancellation");
         assert_eq!(got, full[..got.len()], "prefix of the full stream");
         assert!(got.len() < full.len());
@@ -547,14 +513,13 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut buffer = LruBuffer::new(4096);
-        tree_join_cancellable_with(
-            KernelDispatch::auto(),
-            &ta,
-            &tb,
-            &mut buffer,
-            Some(&token),
-            |_, _| panic!("no pairs expected"),
-        );
+        let control = JoinControl {
+            cancel: Some(&token),
+            ..JoinControl::new(1)
+        };
+        tree_join_chunked(&control, &ta, &tb, &mut buffer, |_| {
+            panic!("no pairs expected")
+        });
     }
 
     #[test]
@@ -631,7 +596,13 @@ mod tests {
         for d in KernelDispatch::all_available() {
             let mut buffer = LruBuffer::new(4096);
             let mut got = Vec::new();
-            let stats = tree_join_with(d, &ta, &tb, &mut buffer, |x, y| got.push((x, y)));
+            let control = JoinControl {
+                dispatch: d,
+                ..JoinControl::new(64)
+            };
+            let stats = tree_join_chunked(&control, &ta, &tb, &mut buffer, |chunk| {
+                got.extend_from_slice(chunk)
+            });
             let cell = (
                 got,
                 stats.candidates,

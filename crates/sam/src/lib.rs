@@ -12,17 +12,34 @@
 //! * point and window queries;
 //! * the [BKS 93a] [`tree_join`]: synchronized R*-tree traversal with
 //!   search-space restriction and plane-sweep entry matching, streaming
-//!   candidate pairs to the next step.
+//!   candidate pairs to the next step ([`tree_join_chunked`] is the same
+//!   traversal under a [`JoinControl`]: kernel dispatch, cancellation,
+//!   chunked delivery, telemetry).
+//!
+//! # One form of the tree
+//!
+//! A tree is a frozen, flat column arena ([`rstar`]) and nothing else
+//! traverses anything else. Five builder-order columns — node levels,
+//! node rectangles, entry offsets, entry rectangles, entry values — are
+//! the persistent image, byte for byte: `to_bytes` writes them,
+//! `from_bytes` validates and adopts them. Beside them sits the one
+//! derived structure: every node's entries once more as `xmin` / `ymin` /
+//! `ymax` / `xmax` columns stably sorted by `xmin`, plus the permutation
+//! back. [BKS 93a] assumes entries are *kept* in sweep order on the
+//! page; here they are, so a join sorts nothing — it masks, merges and
+//! emits — and because a subsequence of a stable sort is the stable sort
+//! of the subsequence, the candidate stream, its order and every
+//! `mbr_tests` / I/O count are exactly those of sorting per node pair.
+//! Growable nodes with parent pointers exist only inside the insertion
+//! path (`insert_all` / `insert` / `delete`: thaw → mutate → freeze).
 
 pub mod buffer;
+mod builder;
 pub mod inl;
 pub mod join;
 pub mod rstar;
 
 pub use buffer::{IoStats, LruBuffer, PageId};
 pub use inl::index_nested_loop_join;
-pub use join::{
-    nested_loops_join, tree_join, tree_join_cancellable_with, tree_join_chunked,
-    tree_join_chunked_observed, tree_join_chunked_observed_with, tree_join_with, JoinStats,
-};
-pub use rstar::{Entry, PageLayout, RStarTree};
+pub use join::{nested_loops_join, tree_join, tree_join_chunked, JoinControl, JoinStats};
+pub use rstar::{PageLayout, RStarTree};

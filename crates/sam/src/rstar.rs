@@ -1,18 +1,46 @@
 //! A paged R*-tree ([BKSS 90]) with the byte-level storage model of the
-//! paper.
+//! paper, held as one frozen, flat column arena.
 //!
 //! The tree simulates secondary storage: every node is a page whose
 //! capacity derives from the page size and the entry byte size. Queries
 //! route node visits through an external [`LruBuffer`], which yields the
-//! physical-page-access counts the paper reports (§3.4, §5). Insertion
-//! implements the R* heuristics: overlap-minimizing subtree choice at the
-//! leaf level, margin-driven split-axis selection, and forced reinsert.
+//! physical-page-access counts the paper reports (§3.4, §5).
+//!
+//! # The arena
+//!
+//! Nodes are numbered in the order their builder created them; every
+//! column below is indexed by that number, or by a position in the entry
+//! run `entry_offsets[node]..entry_offsets[node + 1]`.
+//!
+//! * **The image** — `levels`, `node_rects`, `entry_offsets`, the entry
+//!   rectangles and one `u32` value column (object id at level 0, child
+//!   node above), in builder order. These five columns, after the layout
+//!   scalars, *are* [`RStarTree::to_bytes`]; [`RStarTree::from_bytes`]
+//!   validates and adopts them. Point and window descents read them, as
+//!   does the pruning step between trees of unequal height, so results
+//!   arrive in builder order.
+//! * **Derived, never stored** — per node, a copy of the entry
+//!   rectangles as four `f64` sweep columns (`xmin`, `ymin`, `ymax`,
+//!   `xmax`) *stably sorted by `xmin`*, with the `u32` permutation back to
+//!   the builder-order entry. [`tree_join`](crate::tree_join) restricts
+//!   and plane-sweeps these without sorting: a subsequence of a stably
+//!   sorted column is the stable sort of that subsequence, so the order
+//!   [BKS 93a] would establish per node pair — ties included — is the
+//!   order already on the "page". They are derived in the same pass that
+//!   appends (or adopts) a node's entries.
+//!
+//! Insertion and deletion (the R* heuristics) live in the private
+//! `builder` module: [`RStarTree::insert`] / [`RStarTree::delete`] thaw
+//! the arena into growable nodes, mutate, and freeze again — linear in
+//! the tree, so build from a batch with [`RStarTree::insert_all`] or
+//! [`RStarTree::bulk_load`] and keep single edits for small trees.
 
 use crate::buffer::{LruBuffer, PageId};
+use crate::builder::{group_rect, TreeBuilder};
 use msj_geom::bytes::{Col, Dec, DecResult, Enc};
+use msj_geom::stack::InlineStack;
 use msj_geom::{ObjectId, Point, Rect};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::OnceLock;
 
 /// Page / entry byte layout (§3.4: "each description of an object stored
 /// in an R*-tree needs 16 Byte for the MBR, ... and 32 Byte for additional
@@ -30,11 +58,7 @@ pub struct PageLayout {
 impl PageLayout {
     /// The baseline layout: MBR key (16 B) + object info (32 B).
     pub fn baseline(page_size: usize) -> Self {
-        PageLayout {
-            page_size,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        }
+        PageLayout::with_extra_bytes(page_size, 0)
     }
 
     /// A layout with `extra` approximation bytes per leaf entry.
@@ -55,129 +79,128 @@ impl PageLayout {
     pub fn max_dir_entries(&self) -> usize {
         (self.page_size / self.dir_entry_bytes).max(2)
     }
-}
 
-/// An entry of a node: a leaf object reference or a child page reference.
-#[derive(Debug, Clone, Copy)]
-pub enum Entry {
-    Leaf { rect: Rect, id: ObjectId },
-    Dir { rect: Rect, child: u32 },
-}
-
-impl Entry {
-    #[inline]
-    pub fn rect(&self) -> Rect {
-        match self {
-            Entry::Leaf { rect, .. } | Entry::Dir { rect, .. } => *rect,
+    /// Maximum entries of a node on `level` (0 = leaf).
+    pub fn max_entries(&self, level: u32) -> usize {
+        if level == 0 {
+            self.max_leaf_entries()
+        } else {
+            self.max_dir_entries()
         }
     }
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    level: u32,
-    rect: Rect,
-    entries: Vec<Entry>,
-}
-
-impl Node {
-    fn recompute_rect(&mut self) {
-        self.rect = self
-            .entries
-            .iter()
-            .map(|e| e.rect())
-            .reduce(|a, b| a.union(&b))
-            .unwrap_or(Rect::from_bounds(0.0, 0.0, 0.0, 0.0));
-    }
+/// The rectangle an empty node carries.
+pub(crate) fn empty_rect() -> Rect {
+    Rect::from_bounds(0.0, 0.0, 0.0, 0.0)
 }
 
 static TREE_TAG: AtomicU32 = AtomicU32::new(1);
 
-/// The paged R*-tree.
+/// The paged R*-tree (see the [module docs](self) for the column arena).
 #[derive(Debug, Clone)]
 pub struct RStarTree {
     layout: PageLayout,
-    nodes: Vec<Node>,
-    /// In-memory parent pointers (bookkeeping only — not part of the
-    /// simulated page content; real pages do not store them either).
-    parents: Vec<Option<u32>>,
     root: u32,
     len: usize,
     /// Globally unique tag namespacing this tree's pages in shared
     /// buffers.
     tag: u32,
-    /// Lazily built per-node SoA repack of the entry MBRs, consumed by the
-    /// wide join kernels. Invalidated on every mutation; rebuilding is one
-    /// linear pass over the arena.
-    soa: OnceLock<EntrySoa>,
+    levels: Vec<u32>,
+    node_rects: Vec<Rect>,
+    entry_offsets: Vec<u32>,
+    entry_rects: Vec<Rect>,
+    vals: Vec<u32>,
+    sweep: SweepColumns,
 }
 
-/// Structure-of-arrays view of every node's entry rectangles: four f64
-/// columns per node (xmin/ymin/xmax/ymax), sliced by node via `offsets`.
-/// The column order within a node matches the node's entry order, so a
-/// column index is directly an index into [`RStarTree::node_entries`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EntrySoa {
-    offsets: Vec<u32>,
+/// The derived half of the arena: every node's entry run stably sorted by
+/// `xmin`, as the four columns the plane sweep scans plus the position of
+/// each sorted entry in the builder-order columns.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct SweepColumns {
     xmin: Vec<f64>,
     ymin: Vec<f64>,
-    xmax: Vec<f64>,
     ymax: Vec<f64>,
+    xmax: Vec<f64>,
+    perm: Vec<u32>,
 }
 
-impl EntrySoa {
-    fn build(nodes: &[Node]) -> Self {
-        let total: usize = nodes.iter().map(|n| n.entries.len()).sum();
-        let mut soa = EntrySoa {
-            offsets: Vec::with_capacity(nodes.len() + 1),
-            xmin: Vec::with_capacity(total),
-            ymin: Vec::with_capacity(total),
-            xmax: Vec::with_capacity(total),
-            ymax: Vec::with_capacity(total),
-        };
-        soa.offsets.push(0);
-        for n in nodes {
-            for e in &n.entries {
-                let r = e.rect();
-                soa.xmin.push(r.xmin());
-                soa.ymin.push(r.ymin());
-                soa.xmax.push(r.xmax());
-                soa.ymax.push(r.ymax());
-            }
-            soa.offsets.push(soa.xmin.len() as u32);
-        }
-        soa
-    }
-
-    /// The four MBR columns of one node, in entry order.
-    pub(crate) fn node_columns(&self, node: u32) -> (&[f64], &[f64], &[f64], &[f64]) {
-        let lo = self.offsets[node as usize] as usize;
-        let hi = self.offsets[node as usize + 1] as usize;
-        (
-            &self.xmin[lo..hi],
-            &self.ymin[lo..hi],
-            &self.xmax[lo..hi],
-            &self.ymax[lo..hi],
-        )
-    }
+/// One node's slice of the sweep columns.
+#[derive(Clone, Copy)]
+pub(crate) struct SweepNode<'a> {
+    pub xmin: &'a [f64],
+    pub ymin: &'a [f64],
+    pub ymax: &'a [f64],
+    pub xmax: &'a [f64],
+    /// Where each sorted entry sits in the builder-order columns
+    /// ([`RStarTree::entry_val`] resolves it).
+    pub perm: &'a [u32],
 }
 
 impl RStarTree {
     /// An empty tree with the given layout.
     pub fn new(layout: PageLayout) -> Self {
+        RStarTree::bulk_load(layout, [])
+    }
+
+    /// A tree of `len` objects with no nodes yet, paging through `tag`.
+    pub(crate) fn bare(layout: PageLayout, tag: u32, len: usize) -> Self {
         RStarTree {
             layout,
-            nodes: vec![Node {
-                level: 0,
-                rect: Rect::from_bounds(0.0, 0.0, 0.0, 0.0),
-                entries: Vec::new(),
-            }],
-            parents: vec![None],
             root: 0,
-            len: 0,
-            tag: TREE_TAG.fetch_add(1, Ordering::Relaxed),
-            soa: OnceLock::new(),
+            len,
+            tag,
+            levels: Vec::new(),
+            node_rects: Vec::new(),
+            entry_offsets: vec![0],
+            entry_rects: Vec::new(),
+            vals: Vec::new(),
+            sweep: SweepColumns::default(),
         }
+    }
+
+    /// Appends the next node to the image columns and returns its number.
+    pub(crate) fn push_node(&mut self, level: u32, rect: Rect, entries: &[(Rect, u32)]) -> u32 {
+        let node = self.levels.len() as u32;
+        self.levels.push(level);
+        self.node_rects.push(rect);
+        self.entry_rects.extend(entries.iter().map(|e| e.0));
+        self.vals.extend(entries.iter().map(|e| e.1));
+        self.entry_offsets.push(self.vals.len() as u32);
+        node
+    }
+
+    /// Freezes the image columns under `root`: derives the sweep columns,
+    /// one pass over the nodes. Sorting `(xmin, position)` pairs leaves
+    /// entries of equal `xmin` in builder order — the stable sort by
+    /// `xmin` that a per-visit sort of any restricted subset would yield.
+    pub(crate) fn seal(mut self, root: u32) -> Self {
+        self.root = root;
+        let rects = &self.entry_rects;
+        // Sized up front: growing five columns of a large tree by
+        // doubling costs as much as deriving them.
+        let column = || Vec::with_capacity(rects.len());
+        let mut sweep = SweepColumns {
+            xmin: column(),
+            ymin: column(),
+            ymax: column(),
+            xmax: column(),
+            perm: Vec::with_capacity(rects.len()),
+        };
+        let mut keys = Vec::new();
+        for span in self.entry_offsets.windows(2) {
+            let node = &rects[span[0] as usize..span[1] as usize];
+            stable_order(&mut keys, span[0], node.iter().map(Rect::xmin));
+            let sorted = || keys.iter().map(|&(_, i)| &rects[i as usize]);
+            sweep.xmin.extend(sorted().map(Rect::xmin));
+            sweep.ymin.extend(sorted().map(Rect::ymin));
+            sweep.ymax.extend(sorted().map(Rect::ymax));
+            sweep.xmax.extend(sorted().map(Rect::xmax));
+            sweep.perm.extend(keys.iter().map(|k| k.1));
+        }
+        self.sweep = sweep;
+        self
     }
 
     /// Builds a tree by inserting `(rect, id)` pairs one at a time, in
@@ -191,11 +214,11 @@ impl RStarTree {
         layout: PageLayout,
         items: I,
     ) -> Self {
-        let mut tree = RStarTree::new(layout);
+        let mut builder = TreeBuilder::new(layout);
         for (rect, id) in items {
-            tree.insert(rect, id);
+            builder.insert(rect, id);
         }
-        tree
+        builder.freeze(TREE_TAG.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Builds a tree by **sort-tile-recursive (STR) bulk loading**
@@ -217,80 +240,35 @@ impl RStarTree {
         items: I,
     ) -> Self {
         let mut items: Vec<(Rect, ObjectId)> = items.into_iter().collect();
-        let len = items.len();
-        let leaf_cap = layout.max_leaf_entries();
-        if len <= leaf_cap {
-            // Single leaf root; also covers the empty tree.
-            let mut tree = RStarTree::new(layout);
-            tree.nodes[0].entries = items
-                .iter()
-                .map(|&(rect, id)| Entry::Leaf { rect, id })
-                .collect();
-            tree.nodes[0].recompute_rect();
-            tree.len = len;
-            return tree;
-        }
-
-        let mut tree = RStarTree {
-            layout,
-            nodes: Vec::new(),
-            parents: Vec::new(),
-            root: 0,
-            len,
-            tag: TREE_TAG.fetch_add(1, Ordering::Relaxed),
-            soa: OnceLock::new(),
+        let tag = TREE_TAG.fetch_add(1, Ordering::Relaxed);
+        let mut tree = RStarTree::bare(layout, tag, items.len());
+        tree.entry_rects.reserve(items.len());
+        tree.vals.reserve(items.len());
+        let mut pack = |level: u32, run: &[(Rect, u32)]| {
+            let rect = group_rect(run).unwrap_or_else(empty_rect);
+            (rect, tree.push_node(level, rect, run))
         };
-
-        // Pack the leaf level from the raw keys.
-        let mut level_nodes: Vec<u32> = Vec::new();
-        str_tile(&mut items, leaf_cap, |run| {
-            let idx = tree.nodes.len() as u32;
-            let mut node = Node {
-                level: 0,
-                rect: Rect::from_bounds(0.0, 0.0, 0.0, 0.0),
-                entries: run
-                    .iter()
-                    .map(|&(rect, id)| Entry::Leaf { rect, id })
-                    .collect(),
-            };
-            node.recompute_rect();
-            tree.nodes.push(node);
-            tree.parents.push(None);
-            level_nodes.push(idx);
+        if items.len() <= layout.max_leaf_entries() {
+            // Single leaf root, in input order; also covers the empty tree.
+            pack(0, &items);
+            return tree.seal(0);
+        }
+        // Pack the leaf level from the raw keys, then directory levels
+        // from the level below until one node remains.
+        let mut level = 0;
+        let mut level_nodes: Vec<(Rect, u32)> = Vec::new();
+        str_tile(&mut items, layout.max_leaf_entries(), |run| {
+            level_nodes.push(pack(level, run));
         });
-
-        // Pack directory levels until one node remains.
-        let dir_cap = layout.max_dir_entries();
-        let mut level = 0u32;
         while level_nodes.len() > 1 {
             level += 1;
-            let mut children: Vec<(Rect, u32)> = level_nodes
-                .iter()
-                .map(|&idx| (tree.nodes[idx as usize].rect, idx))
-                .collect();
-            let mut next_level: Vec<u32> = Vec::new();
-            str_tile(&mut children, dir_cap, |run| {
-                let idx = tree.nodes.len() as u32;
-                let mut node = Node {
-                    level,
-                    rect: Rect::from_bounds(0.0, 0.0, 0.0, 0.0),
-                    entries: run
-                        .iter()
-                        .map(|&(rect, child)| Entry::Dir { rect, child })
-                        .collect(),
-                };
-                node.recompute_rect();
-                tree.nodes.push(node);
-                tree.parents.push(None);
-                for &(_, child) in run {
-                    tree.parents[child as usize] = Some(idx);
-                }
-                next_level.push(idx);
+            let mut next_level = Vec::new();
+            str_tile(&mut level_nodes, layout.max_dir_entries(), |run| {
+                next_level.push(pack(level, run));
             });
             level_nodes = next_level;
         }
-        tree.root = level_nodes[0];
-        tree
+        tree.seal(level_nodes[0].1)
     }
 
     pub fn layout(&self) -> PageLayout {
@@ -308,12 +286,12 @@ impl RStarTree {
 
     /// Number of pages (nodes).
     pub fn num_pages(&self) -> usize {
-        self.nodes.len()
+        self.levels.len()
     }
 
     /// Tree height (1 = root is a leaf).
     pub fn height(&self) -> u32 {
-        self.nodes[self.root as usize].level + 1
+        self.levels[self.root as usize] + 1
     }
 
     /// The root page id within this tree.
@@ -323,21 +301,22 @@ impl RStarTree {
 
     /// The root MBR covering all keys.
     pub fn root_rect(&self) -> Rect {
-        self.nodes[self.root as usize].rect
+        self.node_rects[self.root as usize]
     }
 
     /// Average leaf fill factor (entries / capacity).
     pub fn avg_leaf_fill(&self) -> f64 {
         let cap = self.layout.max_leaf_entries() as f64;
-        let leaves: Vec<&Node> = self.nodes.iter().filter(|n| n.level == 0).collect();
-        if leaves.is_empty() {
-            return 0.0;
+        let (fill, leaves) = (0..self.num_pages() as u32)
+            .filter(|&n| self.node_level(n) == 0)
+            .fold((0.0, 0usize), |(fill, leaves), n| {
+                (fill + self.span(n).len() as f64 / cap, leaves + 1)
+            });
+        if leaves == 0 {
+            0.0
+        } else {
+            fill / leaves as f64
         }
-        leaves
-            .iter()
-            .map(|n| n.entries.len() as f64 / cap)
-            .sum::<f64>()
-            / leaves.len() as f64
     }
 
     /// Namespaced page id for buffer accounting.
@@ -346,442 +325,100 @@ impl RStarTree {
         ((self.tag as u64) << 32) | node as u64
     }
 
-    fn max_entries(&self, level: u32) -> usize {
-        if level == 0 {
-            self.layout.max_leaf_entries()
-        } else {
-            self.layout.max_dir_entries()
-        }
-    }
-
-    fn min_entries(&self, level: u32) -> usize {
-        (self.max_entries(level) * 2 / 5).max(1)
-    }
-
-    /// Inserts one object key.
+    /// Inserts one object key (thaw → R* insertion → freeze: linear in the
+    /// tree; see the [module docs](self)).
     pub fn insert(&mut self, rect: Rect, id: ObjectId) {
-        self.soa = OnceLock::new();
-        let mut reinserted = [false; 32];
-        self.insert_entry(Entry::Leaf { rect, id }, 0, &mut reinserted);
-        self.len += 1;
+        let mut builder = TreeBuilder::thaw(self);
+        builder.insert(rect, id);
+        *self = builder.freeze(self.tag);
     }
 
     /// Deletes the entry `(rect, id)` from the tree (R-tree deletion with
-    /// underflow reinsertion, [Gut 84] §3.3 adapted to the R* variant).
+    /// underflow reinsertion, [Gut 84] §3.3 adapted to the R* variant;
+    /// thaw → mutate → freeze like [`RStarTree::insert`]).
     ///
-    /// Returns `true` when the entry existed. Underfull nodes on the
-    /// deletion path are dissolved and their surviving entries reinserted
-    /// at their original level; a root with a single directory entry is
-    /// shortened.
+    /// Returns `true` when the entry existed.
     pub fn delete(&mut self, rect: Rect, id: ObjectId) -> bool {
-        self.soa = OnceLock::new();
-        let Some(leaf) = self.find_leaf(self.root, rect, id) else {
-            return false;
-        };
-        let node = &mut self.nodes[leaf as usize];
-        let idx = node
-            .entries
-            .iter()
-            .position(|e| matches!(e, Entry::Leaf { rect: r, id: i } if *i == id && *r == rect))
-            .expect("find_leaf returned a leaf containing the entry");
-        node.entries.swap_remove(idx);
-        self.len -= 1;
-        self.condense_path(leaf);
-        self.shorten_root();
-        true
+        let mut builder = TreeBuilder::thaw(self);
+        let found = builder.delete(rect, id);
+        if found {
+            *self = builder.freeze(self.tag);
+        }
+        found
     }
 
-    /// Locates the leaf containing the exact entry `(rect, id)`.
-    fn find_leaf(&self, node: u32, rect: Rect, id: ObjectId) -> Option<u32> {
-        let n = &self.nodes[node as usize];
-        if n.level == 0 {
-            return n
-                .entries
-                .iter()
-                .any(|e| matches!(e, Entry::Leaf { rect: r, id: i } if *i == id && *r == rect))
-                .then_some(node);
-        }
-        for e in &n.entries {
-            if let Entry::Dir { rect: crect, child } = e {
-                if crect.contains_rect(&rect) {
-                    if let Some(found) = self.find_leaf(*child, rect, id) {
-                        return Some(found);
-                    }
-                }
-            }
-        }
-        None
+    /// Point query: appends to `out` the ids of all leaf entries whose
+    /// rectangles contain `p`. Every node visit goes through `buffer`.
+    pub fn point_query(&self, p: Point, buffer: &mut LruBuffer, out: &mut Vec<ObjectId>) {
+        self.descend(buffer, out, |r| r.contains_point(p));
     }
 
-    /// Walks from `node` to the root, dissolving underfull nodes and
-    /// recomputing rectangles; dissolved subtrees are reinserted.
-    fn condense_path(&mut self, node: u32) {
-        let mut current = node;
-        // Entries to reinsert, tagged with their level.
-        let mut orphans: Vec<(Entry, u32)> = Vec::new();
-        loop {
-            let parent = self.find_parent(current);
-            let level = self.nodes[current as usize].level;
-            let underfull = self.nodes[current as usize].entries.len() < self.min_entries(level)
-                && current != self.root;
-            if underfull {
-                let parent = parent.expect("non-root node has a parent");
-                // Detach `current` from its parent and orphan its entries.
-                let entries = std::mem::take(&mut self.nodes[current as usize].entries);
-                for e in entries {
-                    orphans.push((e, level));
-                }
-                self.nodes[parent as usize]
-                    .entries
-                    .retain(|e| !matches!(e, Entry::Dir { child, .. } if *child == current));
-                self.nodes[parent as usize].recompute_rect();
-                // (The empty node stays in the arena as garbage; the
-                // simulated store does not reuse pages.)
-                current = parent;
-            } else {
-                // Recompute this node's rect and fix the parent entry.
-                self.nodes[current as usize].recompute_rect();
-                match parent {
-                    Some(p) => {
-                        let rect = self.nodes[current as usize].rect;
-                        for e in self.nodes[p as usize].entries.iter_mut() {
-                            if let Entry::Dir { rect: r, child } = e {
-                                if *child == current {
-                                    *r = rect;
-                                }
-                            }
-                        }
-                        current = p;
-                    }
-                    None => break,
-                }
-            }
-        }
-        // Reinsert orphans at their original levels (leaf entries re-add
-        // objects; directory entries re-add whole subtrees).
-        for (entry, level) in orphans {
-            let mut reinserted = [false; 32];
-            self.insert_entry(entry, level, &mut reinserted);
-        }
+    /// Window query: appends to `out` the ids of all leaf entries
+    /// intersecting `window`.
+    pub fn window_query(&self, window: Rect, buffer: &mut LruBuffer, out: &mut Vec<ObjectId>) {
+        self.descend(buffer, out, |r| r.intersects(&window));
     }
 
-    /// Shrinks the root while it is a directory node with one child.
-    fn shorten_root(&mut self) {
-        while self.nodes[self.root as usize].level > 0
-            && self.nodes[self.root as usize].entries.len() == 1
-        {
-            let Entry::Dir { child, .. } = self.nodes[self.root as usize].entries[0] else {
-                unreachable!("directory node holds dir entries");
-            };
-            self.root = child;
-            self.parents[child as usize] = None;
-        }
-        if self.nodes[self.root as usize].entries.is_empty() {
-            // Tree became empty: reset to a fresh leaf root.
-            self.nodes[self.root as usize].level = 0;
-            self.nodes[self.root as usize].rect = Rect::from_bounds(0.0, 0.0, 0.0, 0.0);
-        }
-    }
-
-    fn insert_entry(&mut self, entry: Entry, level: u32, reinserted: &mut [bool; 32]) {
-        let target = self.choose_subtree(entry.rect(), level);
-        self.nodes[target as usize].entries.push(entry);
-        if let Entry::Dir { child, .. } = entry {
-            // Reinserted subtrees move: keep the parent pointer current.
-            self.parents[child as usize] = Some(target);
-        }
-        if self.nodes[target as usize].entries.len() == 1 {
-            self.nodes[target as usize].rect = entry.rect();
-        } else {
-            let r = self.nodes[target as usize].rect.union(&entry.rect());
-            self.nodes[target as usize].rect = r;
-        }
-        self.adjust_path_rects(target);
-        if self.nodes[target as usize].entries.len() > self.max_entries(level) {
-            self.overflow(target, reinserted);
-        }
-    }
-
-    /// R* choose-subtree descending to `level`.
-    ///
-    /// Directly above the leaves the R* overlap-enlargement criterion is
-    /// applied; following the original paper's optimization, only the 32
-    /// entries with the least area enlargement are examined for overlap.
-    fn choose_subtree(&self, rect: Rect, level: u32) -> u32 {
-        let mut node = self.root;
-        while self.nodes[node as usize].level > level {
-            let n = &self.nodes[node as usize];
-            let child_level = n.level - 1;
-            let mut best = u32::MAX;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            if child_level == 0 && n.entries.len() > 2 {
-                // Rank children by area enlargement, examine the top 32.
-                let mut ranked: Vec<(f64, f64, Rect, u32)> = n
-                    .entries
-                    .iter()
-                    .filter_map(|e| match e {
-                        Entry::Dir { rect: crect, child } => {
-                            Some((crect.enlargement(&rect), crect.area(), *crect, *child))
-                        }
-                        Entry::Leaf { .. } => None,
-                    })
-                    .collect();
-                ranked.sort_by(|a, b| (a.0, a.1).partial_cmp(&(b.0, b.1)).expect("finite"));
-                ranked.truncate(32);
-                for &(enlargement, area, crect, child) in &ranked {
-                    let grown = crect.union(&rect);
-                    let mut delta = 0.0;
-                    for e in &n.entries {
-                        let Entry::Dir {
-                            rect: srect,
-                            child: sc,
-                        } = e
-                        else {
-                            continue;
-                        };
-                        if *sc == child {
-                            continue;
-                        }
-                        delta += grown.intersection_area(srect) - crect.intersection_area(srect);
-                    }
-                    let key = (delta, enlargement, area);
-                    if key < best_key {
-                        best_key = key;
-                        best = child;
-                    }
-                }
-            } else {
-                for e in &n.entries {
-                    let Entry::Dir { rect: crect, child } = e else {
-                        continue;
-                    };
-                    let key = (0.0, crect.enlargement(&rect), crect.area());
-                    if key < best_key {
-                        best_key = key;
-                        best = *child;
-                    }
-                }
-            }
-            node = best;
-        }
-        node
-    }
-
-    /// Recomputes the rectangles from `node` up to the root.
-    fn adjust_path_rects(&mut self, node: u32) {
-        let mut current = node;
-        while let Some(parent) = self.find_parent(current) {
-            let child_rect = self.nodes[current as usize].rect;
-            for e in self.nodes[parent as usize].entries.iter_mut() {
-                if let Entry::Dir { rect, child } = e {
-                    if *child == current {
-                        *rect = child_rect;
-                    }
-                }
-            }
-            self.nodes[parent as usize].recompute_rect();
-            current = parent;
-        }
-    }
-
-    /// Parent lookup via the maintained in-memory pointer.
-    fn find_parent(&self, node: u32) -> Option<u32> {
-        self.parents[node as usize]
-    }
-
-    /// Points the parent pointers of `node`'s direct children at `node`.
-    fn reparent_children(&mut self, node: u32) {
-        if self.nodes[node as usize].level == 0 {
-            return;
-        }
-        let children: Vec<u32> = self.nodes[node as usize]
-            .entries
-            .iter()
-            .filter_map(|e| match e {
-                Entry::Dir { child, .. } => Some(*child),
-                Entry::Leaf { .. } => None,
-            })
-            .collect();
-        for c in children {
-            self.parents[c as usize] = Some(node);
-        }
-    }
-
-    /// R* overflow treatment: forced reinsert once per level per
-    /// insertion, then splits.
-    fn overflow(&mut self, node: u32, reinserted: &mut [bool; 32]) {
-        let level = self.nodes[node as usize].level as usize;
-        if node != self.root && level < reinserted.len() && !reinserted[level] {
-            reinserted[level] = true;
-            self.reinsert(node, reinserted);
-        } else {
-            self.split(node, reinserted);
-        }
-    }
-
-    /// Forced reinsert: remove the 30 % of entries whose centers are
-    /// farthest from the node center and insert them again (far-first).
-    fn reinsert(&mut self, node: u32, reinserted: &mut [bool; 32]) {
-        let level = self.nodes[node as usize].level;
-        let center = self.nodes[node as usize].rect.center();
-        let mut entries = std::mem::take(&mut self.nodes[node as usize].entries);
-        entries.sort_by(|a, b| {
-            let da = a.rect().center().dist_sq(center);
-            let db = b.rect().center().dist_sq(center);
-            db.partial_cmp(&da).expect("finite")
-        });
-        let p = (entries.len() * 3 / 10).max(1);
-        let removed: Vec<Entry> = entries.drain(..p).collect();
-        self.nodes[node as usize].entries = entries;
-        self.nodes[node as usize].recompute_rect();
-        self.adjust_path_rects(node);
-        for e in removed {
-            self.insert_entry(e, level, reinserted);
-        }
-    }
-
-    /// R* split: margin-minimal axis, overlap-minimal distribution.
-    fn split(&mut self, node: u32, reinserted: &mut [bool; 32]) {
-        let level = self.nodes[node as usize].level;
-        let entries = std::mem::take(&mut self.nodes[node as usize].entries);
-        let m = self.min_entries(level);
-        let (group_a, group_b) = split_entries(&entries, m);
-
-        let rect_a = group_rect(&group_a);
-        let rect_b = group_rect(&group_b);
-
-        if node == self.root {
-            let a_idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                level,
-                rect: rect_a,
-                entries: group_a,
-            });
-            self.parents.push(Some(node));
-            let b_idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                level,
-                rect: rect_b,
-                entries: group_b,
-            });
-            self.parents.push(Some(node));
-            for idx in [a_idx, b_idx] {
-                self.reparent_children(idx);
-            }
-            self.nodes[node as usize] = Node {
-                level: level + 1,
-                rect: rect_a.union(&rect_b),
-                entries: vec![
-                    Entry::Dir {
-                        rect: rect_a,
-                        child: a_idx,
-                    },
-                    Entry::Dir {
-                        rect: rect_b,
-                        child: b_idx,
-                    },
-                ],
-            };
-        } else {
-            let parent = self.find_parent(node).expect("non-root parent");
-            self.nodes[node as usize].entries = group_a;
-            self.nodes[node as usize].rect = rect_a;
-            let b_idx = self.nodes.len() as u32;
-            self.nodes.push(Node {
-                level,
-                rect: rect_b,
-                entries: group_b,
-            });
-            self.parents.push(Some(parent));
-            self.reparent_children(b_idx);
-            // Fix the parent's entry for `node` and add the new sibling.
-            for e in self.nodes[parent as usize].entries.iter_mut() {
-                if let Entry::Dir { rect, child } = e {
-                    if *child == node {
-                        *rect = rect_a;
-                    }
-                }
-            }
-            self.nodes[parent as usize].entries.push(Entry::Dir {
-                rect: rect_b,
-                child: b_idx,
-            });
-            self.nodes[parent as usize].recompute_rect();
-            self.adjust_path_rects(parent);
-            if self.nodes[parent as usize].entries.len() > self.max_entries(level + 1) {
-                self.overflow(parent, reinserted);
-            }
-        }
-    }
-
-    /// Point query: ids of all leaf entries whose rectangles contain `p`.
-    /// Every node visit goes through `buffer`.
-    pub fn point_query(&self, p: Point, buffer: &mut LruBuffer) -> Vec<ObjectId> {
-        let mut result = Vec::new();
-        let mut stack = vec![self.root];
+    /// Depth-first descent over the builder-order columns on an inline
+    /// stack: no allocation while at most
+    /// [`INLINE_STACK`](msj_geom::stack::INLINE_STACK) subtrees wait.
+    fn descend(
+        &self,
+        buffer: &mut LruBuffer,
+        out: &mut Vec<ObjectId>,
+        hit: impl Fn(&Rect) -> bool,
+    ) {
+        let mut stack = InlineStack::new(self.root);
+        stack.push_if(self.root, true);
         while let Some(cur) = stack.pop() {
             buffer.access(self.page_id(cur));
-            let n = &self.nodes[cur as usize];
-            for e in &n.entries {
-                match e {
-                    Entry::Leaf { rect, id } => {
-                        if rect.contains_point(p) {
-                            result.push(*id);
-                        }
-                    }
-                    Entry::Dir { rect, child } => {
-                        if rect.contains_point(p) {
-                            stack.push(*child);
-                        }
-                    }
+            let (rects, vals) = self.entries(cur);
+            if self.node_level(cur) == 0 {
+                out.extend(rects.iter().zip(vals).filter(|e| hit(e.0)).map(|e| *e.1));
+            } else {
+                for (r, &child) in rects.iter().zip(vals) {
+                    stack.push_if(child, hit(r));
                 }
             }
         }
-        result
     }
 
-    /// Window query: ids of all leaf entries intersecting `window`.
-    pub fn window_query(&self, window: Rect, buffer: &mut LruBuffer) -> Vec<ObjectId> {
-        let mut result = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(cur) = stack.pop() {
-            buffer.access(self.page_id(cur));
-            let n = &self.nodes[cur as usize];
-            for e in &n.entries {
-                match e {
-                    Entry::Leaf { rect, id } => {
-                        if rect.intersects(&window) {
-                            result.push(*id);
-                        }
-                    }
-                    Entry::Dir { rect, child } => {
-                        if rect.intersects(&window) {
-                            stack.push(*child);
-                        }
-                    }
-                }
-            }
-        }
-        result
-    }
-
-    /// Internal access for the join module.
     pub(crate) fn node_level(&self, node: u32) -> u32 {
-        self.nodes[node as usize].level
+        self.levels[node as usize]
     }
 
     pub(crate) fn node_rect(&self, node: u32) -> Rect {
-        self.nodes[node as usize].rect
+        self.node_rects[node as usize]
     }
 
-    pub(crate) fn node_entries(&self, node: u32) -> &[Entry] {
-        &self.nodes[node as usize].entries
+    fn span(&self, node: u32) -> std::ops::Range<usize> {
+        self.entry_offsets[node as usize] as usize..self.entry_offsets[node as usize + 1] as usize
     }
 
-    /// The lazily built SoA repack of all entry MBRs (see [`EntrySoa`]).
-    /// First call after a mutation pays one linear rebuild pass.
-    pub(crate) fn entry_soa(&self) -> &EntrySoa {
-        self.soa.get_or_init(|| EntrySoa::build(&self.nodes))
+    /// The entries of `node` in builder order: rectangles and values
+    /// (object ids at level 0, child nodes above).
+    pub(crate) fn entries(&self, node: u32) -> (&[Rect], &[u32]) {
+        let span = self.span(node);
+        (&self.entry_rects[span.clone()], &self.vals[span])
+    }
+
+    /// The entries of `node` in sweep order.
+    pub(crate) fn sweep(&self, node: u32) -> SweepNode<'_> {
+        let span = self.span(node);
+        SweepNode {
+            xmin: &self.sweep.xmin[span.clone()],
+            ymin: &self.sweep.ymin[span.clone()],
+            ymax: &self.sweep.ymax[span.clone()],
+            xmax: &self.sweep.xmax[span.clone()],
+            perm: &self.sweep.perm[span],
+        }
+    }
+
+    /// The value (object id or child node) of builder-order entry `i` —
+    /// what a [`SweepNode::perm`] element resolves to.
+    #[inline]
+    pub(crate) fn entry_val(&self, i: u32) -> u32 {
+        self.vals[i as usize]
     }
 
     /// Structural invariant checks (used by tests): entry capacities,
@@ -790,42 +427,34 @@ impl RStarTree {
         let mut seen = 0usize;
         let mut stack = vec![self.root];
         while let Some(cur) = stack.pop() {
-            let n = &self.nodes[cur as usize];
-            if cur != self.root && n.entries.is_empty() {
+            let (level, rect) = (self.node_level(cur), self.node_rect(cur));
+            let (rects, vals) = self.entries(cur);
+            if cur != self.root && rects.is_empty() {
                 return Err(format!("empty non-root node {cur}"));
             }
-            if n.entries.len() > self.max_entries(n.level) {
+            if rects.len() > self.layout.max_entries(level) {
                 return Err(format!(
                     "node {cur} over capacity: {} > {}",
-                    n.entries.len(),
-                    self.max_entries(n.level)
+                    rects.len(),
+                    self.layout.max_entries(level)
                 ));
             }
-            for e in &n.entries {
-                if !n.rect.contains_rect(&e.rect()) {
-                    return Err(format!("node {cur} rect does not cover an entry"));
+            if !rects.iter().all(|r| rect.contains_rect(r)) {
+                return Err(format!("node {cur} rect does not cover an entry"));
+            }
+            if level == 0 {
+                seen += rects.len();
+                continue;
+            }
+            for (r, &child) in rects.iter().zip(vals) {
+                if self.node_level(child) + 1 != level {
+                    let child_level = self.node_level(child);
+                    return Err(format!("child level {child_level} under level {level}"));
                 }
-                match e {
-                    Entry::Leaf { .. } => {
-                        if n.level != 0 {
-                            return Err(format!("leaf entry in level-{} node", n.level));
-                        }
-                        seen += 1;
-                    }
-                    Entry::Dir { rect, child } => {
-                        if n.level == 0 {
-                            return Err("dir entry in leaf".into());
-                        }
-                        let c = &self.nodes[*child as usize];
-                        if c.level + 1 != n.level {
-                            return Err(format!("child level {} under level {}", c.level, n.level));
-                        }
-                        if *rect != c.rect {
-                            return Err(format!("stale dir rect for child {child}"));
-                        }
-                        stack.push(*child);
-                    }
+                if *r != self.node_rect(child) {
+                    return Err(format!("stale dir rect for child {child}"));
                 }
+                stack.push(child);
             }
         }
         if seen != self.len {
@@ -836,59 +465,37 @@ impl RStarTree {
 
     /// The tree as its persistent image: the page layout, root, and object
     /// count (`page_size`, `leaf_entry_bytes`, `dir_entry_bytes` as `u64`,
-    /// `root: u32`, `len: u64`), then five counted columns — per-node
-    /// levels, per-node rectangles (4 `f64`s: xmin, ymin, xmax, ymax),
-    /// per-node entry offsets (`nodes + 1`), entry rectangles and entry
-    /// values. Entry kind is implied by the owning node's level (level 0
-    /// holds leaf entries, higher levels directory entries), so the value
-    /// column packs object ids and child pointers into one `u32` lane.
-    /// Parent pointers, the buffer tag and the SoA repack are derived
-    /// state and are not written.
+    /// `root: u32`, `len: u64`), then the five builder-order columns of the
+    /// arena, each counted — per-node levels, per-node rectangles (4
+    /// `f64`s: xmin, ymin, xmax, ymax), per-node entry offsets
+    /// (`nodes + 1`), entry rectangles and entry values. Entry kind is
+    /// implied by the owning node's level (level 0 holds leaf entries,
+    /// higher levels directory entries), so the value column packs object
+    /// ids and child pointers into one `u32` lane. The buffer tag and the
+    /// sweep columns are derived state and are not written.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.nodes.len();
-        let total: usize = self.nodes.iter().map(|nd| nd.entries.len()).sum();
+        let (n, total) = (self.num_pages(), self.vals.len());
         let mut e = Enc::with_capacity(36 + 5 * 8 + 4 * (2 * n + 1 + total) + 32 * (n + total));
         e.u64(self.layout.page_size as u64);
         e.u64(self.layout.leaf_entry_bytes as u64);
         e.u64(self.layout.dir_entry_bytes as u64);
         e.u32(self.root);
         e.u64(self.len as u64);
-        e.count(n);
-        for node in &self.nodes {
-            e.u32(node.level);
-        }
-        e.count(4 * n);
-        for node in &self.nodes {
-            e.f64x(node.rect.bounds());
-        }
-        e.count(n + 1);
-        let mut entries_so_far = 0u32;
-        e.u32(0);
-        for node in &self.nodes {
-            entries_so_far += node.entries.len() as u32;
-            e.u32(entries_so_far);
-        }
-        e.count(4 * total);
-        for entry in self.nodes.iter().flat_map(|nd| &nd.entries) {
-            e.f64x(entry.rect().bounds());
-        }
-        e.count(total);
-        for entry in self.nodes.iter().flat_map(|nd| &nd.entries) {
-            e.u32(match entry {
-                Entry::Leaf { id, .. } => *id,
-                Entry::Dir { child, .. } => *child,
-            });
-        }
+        e.u32s(&self.levels);
+        write_rects(&mut e, &self.node_rects);
+        e.u32s(&self.entry_offsets);
+        write_rects(&mut e, &self.entry_rects);
+        e.u32s(&self.vals);
         e.into_bytes()
     }
 
-    /// Adopts an [`RStarTree::to_bytes`] image — a linear pass over the
-    /// columns, no STR repacking or reinsertion. Parent pointers are
-    /// rebuilt from the directory entries, and the tree receives a fresh
-    /// buffer tag and an empty SoA cache (both are process-local state).
-    /// Structural validation rejects malformed images (a child exactly
-    /// one level below its parent rules out cycles); the result traverses
-    /// identically to the tree that was written.
+    /// Adopts an [`RStarTree::to_bytes`] image — one validating pass over
+    /// the columns and one pass deriving each node's sweep order, no STR
+    /// repacking or reinsertion. The tree receives a fresh buffer tag
+    /// (process-local state). Structural validation rejects malformed
+    /// images (a child exactly one level below its parent rules out
+    /// cycles); the result traverses identically to the tree that was
+    /// written.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
         let mut layout_field = || -> DecResult<usize> {
@@ -928,60 +535,74 @@ impl RStarTree {
         if root as usize >= n {
             return Err("root out of range");
         }
-        let mut nodes = Vec::with_capacity(n);
-        let mut parents: Vec<Option<u32>> = vec![None; n];
         let mut leaf_entries = 0u64;
         for i in 0..n {
             let level = levels.get(i);
-            let lo = offsets.get(i) as usize;
-            let hi = offsets.get(i + 1) as usize;
+            let (lo, hi) = (offsets.get(i) as usize, offsets.get(i + 1) as usize);
             if lo > hi || hi > total {
                 return Err("entry offsets not monotonic");
             }
-            let mut entries = Vec::with_capacity(hi - lo);
-            for j in lo..hi {
-                let rect = read_rect(&entry_rects, j)?;
-                let val = vals.get(j);
-                if level == 0 {
-                    entries.push(Entry::Leaf { rect, id: val });
-                    leaf_entries += 1;
-                } else {
-                    let child = val as usize;
-                    if child >= n {
-                        return Err("child pointer out of range");
-                    }
-                    if levels.get(child) != level - 1 {
-                        return Err("child level inconsistent");
-                    }
-                    parents[child] = Some(i as u32);
-                    entries.push(Entry::Dir { rect, child: val });
+            if level == 0 {
+                leaf_entries += (hi - lo) as u64;
+                continue;
+            }
+            for child in (lo..hi).map(|j| vals.get(j) as usize) {
+                if child >= n {
+                    return Err("child pointer out of range");
+                }
+                if levels.get(child) != level - 1 {
+                    return Err("child level inconsistent");
                 }
             }
-            nodes.push(Node {
-                level,
-                rect: read_rect(&node_rects, i)?,
-                entries,
-            });
         }
         if leaf_entries != len {
             return Err("object count does not match the leaf entries");
         }
-        Ok(RStarTree {
-            layout,
-            nodes,
-            parents,
-            root,
-            len: leaf_entries as usize,
-            tag: TREE_TAG.fetch_add(1, Ordering::Relaxed),
-            soa: OnceLock::new(),
-        })
+        let tag = TREE_TAG.fetch_add(1, Ordering::Relaxed);
+        let image = RStarTree {
+            levels: levels.to_vec(),
+            node_rects: read_rects(&node_rects)?,
+            entry_offsets: offsets.to_vec(),
+            entry_rects: read_rects(&entry_rects)?,
+            vals: vals.to_vec(),
+            ..RStarTree::bare(layout, tag, leaf_entries as usize)
+        };
+        Ok(image.seal(root))
     }
 }
 
-/// Rectangle `i` of a 4-scalars-per-rectangle column.
-fn read_rect(col: &Col<'_, f64>, i: usize) -> DecResult<Rect> {
-    Rect::from_ordered_bounds(std::array::from_fn(|k| col.get(4 * i + k)))
-        .ok_or("rectangle bounds not ordered")
+/// Fills `keys` with `(sort key, position)` of every value, positions
+/// counted from `first`, in the order a stable sort by value puts them.
+fn stable_order(keys: &mut Vec<(u64, u32)>, first: u32, values: impl Iterator<Item = f64>) {
+    keys.clear();
+    keys.extend((first..).zip(values).map(|(i, x)| (sort_key(x), i)));
+    keys.sort_unstable();
+}
+
+/// An integer that orders like `x` under `<` with `-0.0 == 0.0`, for
+/// non-NaN `x`: adding `0.0` folds the zeros together, then the usual
+/// sign-magnitude to two's-complement flip.
+fn sort_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits();
+    bits ^ (((bits as i64) >> 63) as u64 | 1 << 63)
+}
+
+/// A counted column of rectangles, 4 scalars each.
+fn write_rects(e: &mut Enc, rects: &[Rect]) {
+    e.count(4 * rects.len());
+    for r in rects {
+        e.f64x(r.bounds());
+    }
+}
+
+/// The rectangles of a 4-scalars-per-rectangle column.
+fn read_rects(col: &Col<'_, f64>) -> DecResult<Vec<Rect>> {
+    (0..col.len() / 4)
+        .map(|i| {
+            Rect::from_ordered_bounds(std::array::from_fn(|k| col.get(4 * i + k)))
+                .ok_or("rectangle bounds not ordered")
+        })
+        .collect()
 }
 
 /// One STR tiling pass: sorts `(rect, payload)` items by x-center, cuts
@@ -992,76 +613,43 @@ fn read_rect(col: &Col<'_, f64>, i: usize) -> DecResult<Rect> {
 /// Sorting is *stable* in the input order, so the packing — and with it
 /// the whole bulk-loaded tree — is deterministic.
 fn str_tile<T: Copy>(items: &mut [(Rect, T)], cap: usize, mut emit: impl FnMut(&[(Rect, T)])) {
-    let center_x = |r: &Rect| r.xmin() + r.xmax();
-    let center_y = |r: &Rect| r.ymin() + r.ymax();
     let pages = items.len().div_ceil(cap);
     let slices = ((pages as f64).sqrt().ceil() as usize).max(1);
     let slice_len = pages.div_ceil(slices) * cap;
-    items.sort_by(|a, b| center_x(&a.0).partial_cmp(&center_x(&b.0)).expect("finite"));
+    let (mut keys, mut sorted) = (Vec::new(), Vec::new());
+    // Stable sort by `center`, as a sort of 16-byte `(key, position)`
+    // pairs instead of a merge sort moving whole items.
+    let mut sort_by = |items: &mut [(Rect, T)], center: fn(&Rect) -> f64| {
+        stable_order(&mut keys, 0, items.iter().map(|item| center(&item.0)));
+        sorted.clear();
+        sorted.extend(keys.iter().map(|k| items[k.1 as usize]));
+        items.copy_from_slice(&sorted);
+    };
+    sort_by(items, |r| r.xmin() + r.xmax());
     for slice in items.chunks_mut(slice_len) {
-        slice.sort_by(|a, b| center_y(&a.0).partial_cmp(&center_y(&b.0)).expect("finite"));
+        sort_by(slice, |r| r.ymin() + r.ymax());
         for run in slice.chunks(cap) {
             emit(run);
         }
     }
 }
 
-/// MBR of an entry group.
-fn group_rect(group: &[Entry]) -> Rect {
-    group
-        .iter()
-        .map(|e| e.rect())
-        .reduce(|a, b| a.union(&b))
-        .expect("non-empty group")
-}
-
-/// R* split of an entry set: choose the axis with minimal margin sum over
-/// all distributions, then the distribution with minimal overlap (ties:
-/// minimal area).
-fn split_entries(entries: &[Entry], m: usize) -> (Vec<Entry>, Vec<Entry>) {
-    let n = entries.len();
-    let m = m.min((n - 1) / 2).max(1);
-
-    let mut best: Option<(f64, f64, Vec<Entry>, Vec<Entry>)> = None;
-    for axis in 0..2 {
-        // R* considers sorts by lower and by upper bound.
-        for by_upper in [false, true] {
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&i, &j| {
-                let key = |k: usize| {
-                    let r = entries[k].rect();
-                    match (axis, by_upper) {
-                        (0, false) => (r.xmin(), r.xmax()),
-                        (0, true) => (r.xmax(), r.xmin()),
-                        (1, false) => (r.ymin(), r.ymax()),
-                        (_, _) => (r.ymax(), r.ymin()),
-                    }
-                };
-                key(i).partial_cmp(&key(j)).expect("finite")
-            });
-            for k in m..=(n - m) {
-                let left: Vec<Entry> = order[..k].iter().map(|&i| entries[i]).collect();
-                let right: Vec<Entry> = order[k..].iter().map(|&i| entries[i]).collect();
-                let rl = group_rect(&left);
-                let rr = group_rect(&right);
-                let overlap = rl.intersection_area(&rr);
-                let area = rl.area() + rr.area();
-                if best
-                    .as_ref()
-                    .is_none_or(|(bo, ba, _, _)| (overlap, area) < (*bo, *ba))
-                {
-                    best = Some((overlap, area, left, right));
-                }
-            }
-        }
-    }
-    let (_, _, a, b) = best.expect("at least one split");
-    (a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The query results as a fresh `Vec`.
+    fn point_hits(tree: &RStarTree, p: Point, buffer: &mut LruBuffer) -> Vec<ObjectId> {
+        let mut out = Vec::new();
+        tree.point_query(p, buffer, &mut out);
+        out
+    }
+
+    fn window_hits(tree: &RStarTree, window: Rect, buffer: &mut LruBuffer) -> Vec<ObjectId> {
+        let mut out = Vec::new();
+        tree.window_query(window, buffer, &mut out);
+        out
+    }
 
     fn grid_tree(n_side: usize, layout: PageLayout) -> RStarTree {
         let mut tree = RStarTree::new(layout);
@@ -1075,6 +663,33 @@ mod tests {
             }
         }
         tree
+    }
+
+    #[test]
+    fn sort_keys_order_like_the_floats_with_one_zero() {
+        let xs = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            1.0 + f64::EPSILON,
+            1e300,
+            f64::INFINITY,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(
+                    sort_key(a).cmp(&sort_key(b)),
+                    a.partial_cmp(&b).unwrap(),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1112,10 +727,10 @@ mod tests {
         let tree = grid_tree(10, layout);
         let mut buffer = LruBuffer::new(1024);
         // Inside cell (3, 4): object id 3*10+4 = 34.
-        let hits = tree.point_query(Point::new(34.0, 44.0), &mut buffer);
+        let hits = point_hits(&tree, Point::new(34.0, 44.0), &mut buffer);
         assert_eq!(hits, vec![34]);
         // In the gap between cells: nothing.
-        let misses = tree.point_query(Point::new(9.0, 9.0), &mut buffer);
+        let misses = point_hits(&tree, Point::new(9.0, 9.0), &mut buffer);
         assert!(misses.is_empty());
         assert!(buffer.stats().logical >= 2);
     }
@@ -1130,7 +745,7 @@ mod tests {
         let tree = grid_tree(12, layout);
         let mut buffer = LruBuffer::new(1024);
         let window = Rect::from_bounds(15.0, 25.0, 47.0, 58.0);
-        let mut hits = tree.window_query(window, &mut buffer);
+        let mut hits = window_hits(&tree, window, &mut buffer);
         hits.sort_unstable();
         // Linear reference.
         let mut expect = Vec::new();
@@ -1191,10 +806,10 @@ mod tests {
         let tree = grid_tree(12, layout);
         let mut buffer = LruBuffer::new(1024);
         let w = Rect::from_bounds(0.0, 0.0, 120.0, 120.0);
-        tree.window_query(w, &mut buffer);
+        window_hits(&tree, w, &mut buffer);
         let cold = buffer.stats().physical;
         buffer.reset_stats();
-        tree.window_query(w, &mut buffer);
+        window_hits(&tree, w, &mut buffer);
         let warm = buffer.stats().physical;
         assert!(warm == 0, "warm physical reads {warm}");
         assert!(cold > 0);
@@ -1221,7 +836,7 @@ mod tests {
         let mut one = RStarTree::new(layout);
         one.insert(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), 7);
         let mut buffer = LruBuffer::new(8);
-        assert_eq!(one.point_query(Point::new(0.5, 0.5), &mut buffer), vec![7]);
+        assert_eq!(point_hits(&one, Point::new(0.5, 0.5), &mut buffer), vec![7]);
         one.check_invariants().unwrap();
     }
 
@@ -1274,16 +889,16 @@ mod tests {
             Rect::from_bounds(-10.0, -10.0, 5.0, 5.0),
             Rect::from_bounds(0.0, 0.0, 130.0, 130.0),
         ] {
-            let mut a = packed.window_query(window, &mut b1);
-            let mut b = incremental.window_query(window, &mut b2);
+            let mut a = window_hits(&packed, window, &mut b1);
+            let mut b = window_hits(&incremental, window, &mut b2);
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
         }
         let p = Point::new(34.0, 44.0);
         assert_eq!(
-            packed.point_query(p, &mut b1),
-            incremental.point_query(p, &mut b2)
+            point_hits(&packed, p, &mut b1),
+            point_hits(&incremental, p, &mut b2)
         );
     }
 
@@ -1299,7 +914,7 @@ mod tests {
         assert_eq!(one.len(), 1);
         one.check_invariants().unwrap();
         let mut buffer = LruBuffer::new(8);
-        assert_eq!(one.point_query(Point::new(0.5, 0.5), &mut buffer), vec![7]);
+        assert_eq!(point_hits(&one, Point::new(0.5, 0.5), &mut buffer), vec![7]);
 
         // Exactly one page, one page + 1, and a capacity boundary.
         let cap = layout.max_leaf_entries();
@@ -1333,7 +948,7 @@ mod tests {
         let mut b2 = LruBuffer::new(4096);
         let w = Rect::from_bounds(0.0, 0.0, 160.0, 160.0);
         // Identical packing → identical traversal order, not just set.
-        assert_eq!(t1.window_query(w, &mut b1), t2.window_query(w, &mut b2));
+        assert_eq!(window_hits(&t1, w, &mut b1), window_hits(&t2, w, &mut b2));
     }
 
     #[test]
@@ -1371,13 +986,21 @@ mod tests {
         ] {
             let bytes = tree.to_bytes();
             let back = RStarTree::from_bytes(&bytes).expect("own image decodes");
-            assert_eq!(back.to_bytes(), bytes);
+            assert_eq!(
+                back.to_bytes(),
+                bytes,
+                "the image is the arena, byte for byte"
+            );
+            assert_eq!(back.sweep, tree.sweep, "sweep order derived on adopt");
             back.check_invariants().unwrap();
             assert_eq!((back.len(), back.height()), (tree.len(), tree.height()));
             assert_ne!(back.page_id(0), tree.page_id(0), "fresh buffer tag");
             let w = Rect::from_bounds(12.0, 3.0, 77.0, 58.0);
             let (mut b1, mut b2) = (LruBuffer::new(4096), LruBuffer::new(4096));
-            assert_eq!(tree.window_query(w, &mut b1), back.window_query(w, &mut b2));
+            assert_eq!(
+                window_hits(&tree, w, &mut b1),
+                window_hits(&back, w, &mut b2)
+            );
             assert_eq!(b1.stats().logical, b2.stats().logical);
         }
     }

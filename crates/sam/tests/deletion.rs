@@ -5,6 +5,19 @@ use msj_geom::{ObjectId, Point, Rect};
 use msj_sam::{LruBuffer, PageLayout, RStarTree};
 use proptest::prelude::*;
 
+/// The query results as a fresh `Vec`.
+fn point_hits(tree: &RStarTree, p: Point, buffer: &mut LruBuffer) -> Vec<ObjectId> {
+    let mut out = Vec::new();
+    tree.point_query(p, buffer, &mut out);
+    out
+}
+
+fn window_hits(tree: &RStarTree, window: Rect, buffer: &mut LruBuffer) -> Vec<ObjectId> {
+    let mut out = Vec::new();
+    tree.window_query(window, buffer, &mut out);
+    out
+}
+
 fn grid_items(n_side: usize) -> Vec<(Rect, ObjectId)> {
     let mut items = Vec::new();
     for i in 0..n_side {
@@ -34,7 +47,7 @@ fn delete_removes_exactly_the_entry() {
     assert_eq!(tree.len(), 99);
     tree.check_invariants().unwrap();
     let mut buffer = LruBuffer::new(1024);
-    let hits = tree.point_query(rect.center(), &mut buffer);
+    let hits = point_hits(&tree, rect.center(), &mut buffer);
     assert!(!hits.contains(&id));
     // Deleting again fails.
     assert!(!tree.delete(rect, id));
@@ -59,7 +72,10 @@ fn delete_everything_empties_the_tree() {
     // The empty tree accepts fresh inserts.
     tree.insert(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), 7);
     let mut buffer = LruBuffer::new(64);
-    assert_eq!(tree.point_query(Point::new(0.5, 0.5), &mut buffer), vec![7]);
+    assert_eq!(
+        point_hits(&tree, Point::new(0.5, 0.5), &mut buffer),
+        vec![7]
+    );
 }
 
 #[test]
@@ -106,7 +122,7 @@ proptest! {
         tree.check_invariants().map_err(TestCaseError::fail)?;
         // Window query equivalence over the whole space.
         let mut buffer = LruBuffer::new(1 << 14);
-        let mut got = tree.window_query(Rect::from_bounds(-100.0, -100.0, 100.0, 100.0), &mut buffer);
+        let mut got = window_hits(&tree, Rect::from_bounds(-100.0, -100.0, 100.0, 100.0), &mut buffer);
         let mut expect: Vec<ObjectId> = model.iter().map(|&(_, i)| i).collect();
         got.sort_unstable();
         expect.sort_unstable();

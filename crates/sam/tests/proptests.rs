@@ -6,6 +6,19 @@ use msj_geom::{ObjectId, Point, Rect};
 use msj_sam::{nested_loops_join, tree_join, LruBuffer, PageLayout, RStarTree};
 use proptest::prelude::*;
 
+/// The query results as a fresh `Vec`.
+fn point_hits(tree: &RStarTree, p: Point, buffer: &mut LruBuffer) -> Vec<ObjectId> {
+    let mut out = Vec::new();
+    tree.point_query(p, buffer, &mut out);
+    out
+}
+
+fn window_hits(tree: &RStarTree, window: Rect, buffer: &mut LruBuffer) -> Vec<ObjectId> {
+    let mut out = Vec::new();
+    tree.window_query(window, buffer, &mut out);
+    out
+}
+
 fn rect_strategy() -> impl Strategy<Value = Rect> {
     (
         -100.0f64..100.0,
@@ -55,7 +68,7 @@ proptest! {
     ) {
         let tree = RStarTree::insert_all(layout, items.iter().copied());
         let mut buffer = LruBuffer::new(1 << 16);
-        let mut got = tree.window_query(window, &mut buffer);
+        let mut got = window_hits(&tree, window, &mut buffer);
         got.sort_unstable();
         let mut expect: Vec<ObjectId> = items
             .iter()
@@ -76,7 +89,7 @@ proptest! {
         let tree = RStarTree::insert_all(layout, items.iter().copied());
         let mut buffer = LruBuffer::new(1 << 16);
         let p = Point::new(x, y);
-        let mut got = tree.point_query(p, &mut buffer);
+        let mut got = point_hits(&tree, p, &mut buffer);
         got.sort_unstable();
         let mut expect: Vec<ObjectId> = items
             .iter()
@@ -132,14 +145,14 @@ proptest! {
         let incremental = RStarTree::insert_all(layout, items.iter().copied());
         let mut b1 = LruBuffer::new(1 << 16);
         let mut b2 = LruBuffer::new(1 << 16);
-        let mut got = packed.window_query(window, &mut b1);
-        let mut expect = incremental.window_query(window, &mut b2);
+        let mut got = window_hits(&packed, window, &mut b1);
+        let mut expect = window_hits(&incremental, window, &mut b2);
         got.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(got, expect);
         let p = Point::new(x, y);
-        let mut got = packed.point_query(p, &mut b1);
-        let mut expect = incremental.point_query(p, &mut b2);
+        let mut got = point_hits(&packed, p, &mut b1);
+        let mut expect = point_hits(&incremental, p, &mut b2);
         got.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(got, expect);

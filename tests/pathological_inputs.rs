@@ -6,6 +6,19 @@ use msj::core::{ground_truth_join, JoinConfig, MultiStepJoin};
 use msj::geom::{Point, Polygon, Rect, Relation, SpatialObject};
 use msj::sam::{LruBuffer, PageLayout, RStarTree};
 
+/// The query results as a fresh `Vec`.
+fn point_hits(tree: &RStarTree, p: Point, buffer: &mut LruBuffer) -> Vec<u32> {
+    let mut out = Vec::new();
+    tree.point_query(p, buffer, &mut out);
+    out
+}
+
+fn window_hits(tree: &RStarTree, window: Rect, buffer: &mut LruBuffer) -> Vec<u32> {
+    let mut out = Vec::new();
+    tree.window_query(window, buffer, &mut out);
+    out
+}
+
 #[test]
 fn rstar_with_all_identical_rectangles() {
     // Every key identical: splits cannot separate by geometry at all.
@@ -22,7 +35,7 @@ fn rstar_with_all_identical_rectangles() {
     tree.check_invariants()
         .expect("invariants with identical keys");
     let mut buffer = LruBuffer::new(1 << 12);
-    let hits = tree.point_query(Point::new(5.5, 5.5), &mut buffer);
+    let hits = point_hits(&tree, Point::new(5.5, 5.5), &mut buffer);
     assert_eq!(hits.len(), 200);
     // Delete half of them again.
     for id in 0..100u32 {
@@ -50,7 +63,7 @@ fn rstar_with_zero_extent_rectangles() {
     let tree = RStarTree::insert_all(layout, items.iter().copied());
     tree.check_invariants().expect("invariants with point keys");
     let mut buffer = LruBuffer::new(1 << 12);
-    let hits = tree.point_query(Point::new(3.0, 4.0), &mut buffer);
+    let hits = point_hits(&tree, Point::new(3.0, 4.0), &mut buffer);
     assert_eq!(hits, vec![63]);
 }
 
@@ -72,7 +85,7 @@ fn rstar_with_huge_coordinates() {
     tree.check_invariants().expect("invariants at 1e12 scale");
     let mut buffer = LruBuffer::new(1 << 12);
     let w = Rect::from_bounds(0.0, 0.0, 2.0 * scale, 2.0 * scale);
-    let mut got = tree.window_query(w, &mut buffer);
+    let mut got = window_hits(&tree, w, &mut buffer);
     got.sort_unstable();
     let mut expect: Vec<u32> = items
         .iter()

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use msj::core::{JoinConfig, Request, SpatialEngine};
+use msj::fault::{FaultConfig, FaultKind, FaultSession};
 use msj::serve::{
     encode_response, response_body_for, Client, ServeConfig, Server, WireRequest, WireRequestBody,
     WireStatus,
@@ -112,7 +113,16 @@ fn drive_client(
 /// check: the wire projection must not depend on which engine instance
 /// ran the request.
 fn build_engines(objects: usize) -> (Arc<SpatialEngine>, Arc<SpatialEngine>, u32, u32) {
-    let engine = Arc::new(SpatialEngine::new(JoinConfig::default()));
+    build_engines_with(JoinConfig::default(), objects)
+}
+
+/// [`build_engines`] with the serving engine under `serving`; the oracle
+/// twin always runs the default configuration.
+fn build_engines_with(
+    serving: JoinConfig,
+    objects: usize,
+) -> (Arc<SpatialEngine>, Arc<SpatialEngine>, u32, u32) {
+    let engine = Arc::new(SpatialEngine::new(serving));
     let oracle = Arc::new(SpatialEngine::new(JoinConfig::default()));
     let (mut a, mut b) = (0, 0);
     for e in [&engine, &oracle] {
@@ -203,13 +213,20 @@ fn drain_under_load_completes_admitted_work_and_refuses_the_rest_explicitly() {
 
 #[test]
 fn tiny_drain_deadline_still_exits_bounded_with_explicit_abandonment() {
-    // Heavier joins and one worker: shutdown catches a deep backlog.
-    let (engine, oracle_engine, a, b) = build_engines(250);
+    // One worker, stalled inside the first join by an injected straggler
+    // (the plan fires once per engine, on the first candidate batch): the
+    // backlog behind it is deep by construction, however fast a join is.
+    let stall = (0..)
+        .map(|seed| FaultConfig::seeded(seed, FaultKind::SlowWorker { millis: 1000 }))
+        .find(|&plan| FaultSession::new(plan).target_batch() == 0)
+        .expect("some seed targets the first batch");
+    let serving = JoinConfig::builder().fault(stall).build();
+    let (engine, oracle_engine, a, b) = build_engines_with(serving, 250);
     let requests: Vec<WireRequest> = (0..6).map(|i| WireRequest::join(i, a, b)).collect();
     let oracle = oracle_for(&oracle_engine, std::slice::from_ref(&requests));
 
     let server = Server::start(
-        engine,
+        engine.clone(),
         ServeConfig {
             workers: 1,
             drain_deadline: Duration::from_millis(1),
@@ -229,10 +246,21 @@ fn tiny_drain_deadline_still_exits_bounded_with_explicit_abandonment() {
     for request in &requests {
         client.send(request).expect("send");
     }
-    // Long enough for the joins to be admitted (the first grinding on
-    // the worker, the rest queued), short enough that the backlog is
-    // still deep when the drain begins.
-    std::thread::sleep(Duration::from_millis(20));
+    // Drain once the backlog is in place: the first join on the stalled
+    // worker, the other five queued behind it.
+    let admitted = Instant::now();
+    while engine
+        .metrics()
+        .snapshot()
+        .gauge("msj_queue_depth{queue=\"join\"}")
+        < 5.0
+    {
+        assert!(
+            admitted.elapsed() < Duration::from_secs(10),
+            "the pipelined joins were never all admitted"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     server.shutdown();
     let started = Instant::now();
     let (mut completed, mut refused) = (0usize, 0usize);

@@ -1,0 +1,123 @@
+//! Step 1 does not touch the allocator once warm: the R*-tree is a frozen
+//! column arena, `tree_join` keeps its scratch per thread, and point /
+//! window probes descend on an inline stack into the caller's `Vec`.
+//!
+//! One test in one binary, because the counter is the process-wide
+//! `#[global_allocator]`; it counts only on the thread that asks, so the
+//! test harness's own threads cannot disturb it.
+
+use msj::core::{selection_source, JoinConfig};
+use msj::geom::{Point, Rect};
+use msj::sam::{tree_join, LruBuffer, PageLayout, RStarTree};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with its arguments unchanged;
+// the counter beside the call allocates nothing itself.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Heap allocations (growth included) this thread makes inside `f`.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(true);
+    f();
+    COUNTING.set(false);
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+#[test]
+fn a_warm_join_and_warm_probes_allocate_nothing() {
+    let rel_a = msj::datagen::small_carto(3000, 24.0, 71);
+    let rel_b = msj::datagen::small_carto(3000, 24.0, 72);
+    let config = JoinConfig::default();
+    let layout = PageLayout::with_extra_bytes(config.page_size, 0);
+    let keys =
+        |rel: &msj::geom::Relation| -> Vec<_> { rel.iter().map(|o| (o.mbr(), o.id)).collect() };
+    let tree_a = RStarTree::bulk_load(layout, keys(&rel_a));
+    let tree_b = RStarTree::bulk_load(layout, keys(&rel_b));
+    assert!(tree_a.height() >= 2, "the join must descend");
+
+    // The join: one run warms the per-thread scratch, the second is
+    // measured. The sink holds room for every pair up front.
+    let mut buffer = LruBuffer::with_bytes(config.buffer_bytes, config.page_size);
+    let mut pairs = Vec::new();
+    let warm = tree_join(&tree_a, &tree_b, &mut buffer, |a, b| pairs.push((a, b)));
+    assert!(warm.candidates > 1000);
+    let first = std::mem::replace(&mut pairs, Vec::with_capacity(warm.candidates as usize));
+    let mut again = warm;
+    let allocations = allocations_in(|| {
+        again = tree_join(&tree_a, &tree_b, &mut buffer, |a, b| pairs.push((a, b)));
+    });
+    assert_eq!(pairs, first, "same stream on the warm run");
+    assert_eq!(again.mbr_tests, warm.mbr_tests);
+    assert_eq!(allocations, 0, "a warm tree_join allocated");
+
+    // The probes, through the `CandidateSource` the engine uses.
+    let source = selection_source(&config, &rel_a);
+    let world = rel_a.bounding_rect().expect("non-empty relation");
+    let at = |i: usize| {
+        Point::new(
+            world.xmin() + world.width() * (i as f64 * 0.618_033_988_7).fract(),
+            world.ymin() + world.height() * (i as f64 * 0.414_213_562_3).fract(),
+        )
+    };
+    let side = world.width() * 0.02_f64.sqrt();
+    let window = |i: usize| Rect::new(at(i), Point::new(at(i).x + side, at(i).y + side));
+    let mut ids = Vec::new();
+    let probe_all = |ids: &mut Vec<u32>| {
+        let mut found = 0;
+        for i in 0..1000 {
+            ids.clear();
+            found += source.point_candidates(at(i), ids).candidates;
+            found += source.window_candidates(window(i), ids).candidates;
+        }
+        found
+    };
+    let warm = probe_all(&mut ids);
+    assert!(warm > 1000, "the probes must find candidates ({warm})");
+    let capacity = ids.capacity();
+    let mut again = 0;
+    let allocations = allocations_in(|| again = probe_all(&mut ids));
+    assert_eq!(again, warm);
+    assert_eq!(ids.capacity(), capacity);
+    assert_eq!(allocations, 0, "warm point / window probes allocated");
+}
