@@ -349,7 +349,9 @@ pub fn fig17(cfg: &ExpConfig) -> String {
     out.push_str(&t.render());
     out.push_str(
         "\npaper: both test counts are lowest for M = 3 and increase with the\n\
-         node capacity.\n",
+         node capacity.\n\
+         counts favour the paper's small capacities here too; time does not (it\n\
+         falls until M = 6, which JoinConfig::default() therefore carries).\n",
     );
     let m3 = per_m[0];
     let m5 = per_m[2];

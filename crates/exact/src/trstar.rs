@@ -1,6 +1,10 @@
 //! The TR*-tree (§4.2, [SK 91]): a main-memory R*-tree variant that
 //! organizes the trapezoids of *one* decomposed object, with a very small
-//! maximum node capacity (the paper finds M = 3 optimal).
+//! maximum node capacity (the paper finds M = 3 optimal by weighted
+//! operation counts; by the clock this arena wants M = 6–8, because a
+//! traversal pays per level — dependent loads, mispredicted loop exits —
+//! more than per rectangle test. `JoinConfig::default()` carries the
+//! measured value, `JoinConfig::version3()` the paper's).
 //!
 //! The intersection test between two objects walks both trees in tandem:
 //! directory rectangles prune subtree pairs (rectangle intersection tests,
@@ -30,7 +34,8 @@
 //! `count ≤ M` entries per popped pair and descends one level per pop,
 //! so it holds at most `(h₁ + h₂) · (M − 1) + 1` entries —
 //! [`INLINE_STACK`](msj_geom::stack::INLINE_STACK) covers combined
-//! heights up to 31 at M = 3; taller trees spill to the heap.
+//! heights up to 12 at M = 6 (31 at M = 3, 9 at M = 8); taller pairs
+//! spill to the heap and stay correct.
 
 mod builder;
 
@@ -45,6 +50,8 @@ use std::ops::Range;
 const HEADER_BYTES: usize = 32;
 const NODE_BYTES: usize = 40;
 const TRAP_BYTES: usize = 48;
+/// Trapezoid MBRs of one leaf that [`dual_traverse`] keeps in its frame.
+const LEAF_LANES: usize = 8;
 
 /// One node of the arena (see the module docs for the layout).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,8 +124,9 @@ impl std::error::Error for TrStarFormatError {}
 
 impl TrStarStore {
     /// Builds the trees of every object of `relation` with maximum node
-    /// capacity `max_entries` (the paper's M; 3–5 are sensible, 3 is
-    /// best; clamped to `2..=u16::MAX`).
+    /// capacity `max_entries` (the paper's M, clamped to `2..=u16::MAX`;
+    /// 3 makes the fewest weighted operations, 6–8 the fastest and
+    /// smallest arena).
     ///
     /// The two arena columns are sized from the relation's vertex count
     /// before the first tree is built and trimmed after the last. Grown
@@ -146,9 +154,12 @@ impl TrStarStore {
 
     /// [`TrStarStore::from_regions`] with room for regions of `vertices`
     /// vertices in total: a decomposition has at most one trapezoid per
-    /// vertex, and the generated relations need 0.85–1.16 nodes per
-    /// trapezoid at M = 3, 1.8–2.5 at M = 2 (an estimate only sizes the
-    /// columns; past it they grow as any `Vec`).
+    /// vertex, and the generated relations need 1.1–1.73 nodes per
+    /// `M − 1` vertices at every M from 3 to 10 (0.22–0.33 per vertex at
+    /// M = 6). The reservation is 1.75; twice the need — what the M = 3
+    /// fit of `3 / (M − 1)` gave at M = 6 — measured 2.6 MB more peak
+    /// resident set on a 10k-object relation. (An estimate only sizes
+    /// the columns; past it they grow as any `Vec`.)
     fn from_regions_sized<'r>(
         regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
         max_entries: usize,
@@ -159,7 +170,7 @@ impl TrStarStore {
             max_entries: max_entries as u32,
             node_offsets: vec![0],
             trap_offsets: vec![0],
-            nodes: Vec::with_capacity(3 * vertices / (max_entries - 1)),
+            nodes: Vec::with_capacity(7 * vertices / (4 * (max_entries - 1))),
             traps: Vec::with_capacity(vertices),
         };
         let mut builder = TreeBuilder::new(max_entries);
@@ -489,15 +500,23 @@ fn dual_traverse(
             let na = &t1.nodes[a as usize];
             let nb = &t2.nodes[b as usize];
             if na.level == 0 && nb.level == 0 {
-                let traps_b = &t2.traps[nb.children()];
-                for trap_a in &t1.traps[na.children()] {
-                    let rect_a = trap_a.mbr();
-                    // MBR pretests on trapezoid pairs, 64 at a time into
-                    // a mask; only the set bits reach the trapezoid test.
-                    for chunk in traps_b.chunks(64) {
-                        let mut passed = 0u64;
-                        for (j, trap_b) in chunk.iter().enumerate() {
-                            passed |= u64::from(rect_a.intersects(&trap_b.mbr())) << j;
+                let traps_a = &t1.traps[na.children()];
+                // The trapezoid MBRs of leaf `b` are computed once per
+                // leaf pair, not once per trapezoid of `a` — with wide
+                // leaves the pretests are most of a leaf visit. A leaf
+                // wider than the lanes is taken a lane-load at a time.
+                for chunk in t2.traps[nb.children()].chunks(LEAF_LANES) {
+                    let mut rects_b = [chunk[0].mbr(); LEAF_LANES];
+                    for (rect_b, trap_b) in rects_b.iter_mut().zip(chunk) {
+                        *rect_b = trap_b.mbr();
+                    }
+                    for trap_a in traps_a {
+                        let rect_a = trap_a.mbr();
+                        // MBR pretests into a mask; only the set bits
+                        // reach the trapezoid test.
+                        let mut passed = 0u32;
+                        for (j, rect_b) in rects_b[..chunk.len()].iter().enumerate() {
+                            passed |= u32::from(rect_a.intersects(rect_b)) << j;
                         }
                         while passed != 0 {
                             let j = passed.trailing_zeros() as usize;
@@ -803,23 +822,27 @@ mod tests {
         let regions: Vec<PolygonWithHoles> = (0..12)
             .map(|i| blob(20 + 40 * i, 0.4 * i as f64, 0.0, i as f64))
             .collect();
-        let s = TrStarStore::from_regions(&regions, 3);
-        let tallest = (0..12).map(|i| s.get(i).height()).max().unwrap();
-        assert!(
-            (2 * tallest as usize) * 2 < msj_geom::stack::INLINE_STACK,
-            "the set must stay inside the inline bound (height {tallest})"
-        );
         let mut counts = OpCounts::new();
-        for i in 0..12 {
-            for j in 0..12 {
-                let mut stack = InlineStack::new((0, 0));
-                dual_traverse(s.get(i), s.get(j), &mut counts, &mut stack);
-                assert!(!stack.spilled(), "pair {i}/{j} spilled");
-            }
-            for x in [0.3, 50.0] {
-                let mut stack = InlineStack::new(0);
-                s.get(i).probe(Point::new(x, 0.2), &mut counts, &mut stack);
-                assert!(!stack.spilled(), "point probe {i} spilled");
+        for m in [3usize, 6] {
+            let s = TrStarStore::from_regions(&regions, m);
+            let tallest = (0..12).map(|i| s.get(i).height()).max().unwrap() as usize;
+            // The module docs' bound: `(h₁ + h₂) · (M − 1) + 1` entries
+            // must fit the inline part.
+            assert!(
+                2 * tallest * (m - 1) < msj_geom::stack::INLINE_STACK,
+                "the set must stay inside the inline bound (M = {m}, height {tallest})"
+            );
+            for i in 0..12 {
+                for j in 0..12 {
+                    let mut stack = InlineStack::new((0, 0));
+                    dual_traverse(s.get(i), s.get(j), &mut counts, &mut stack);
+                    assert!(!stack.spilled(), "M = {m}: pair {i}/{j} spilled");
+                }
+                for x in [0.3, 50.0] {
+                    let mut stack = InlineStack::new(0);
+                    s.get(i).probe(Point::new(x, 0.2), &mut counts, &mut stack);
+                    assert!(!stack.spilled(), "M = {m}: point probe {i} spilled");
+                }
             }
         }
         assert!(counts.trapezoid > 0);

@@ -89,12 +89,39 @@ pub fn convex_intersection_area(a: &[Point], b: &[Point]) -> f64 {
     ring_area(&clip_convex(a, b))
 }
 
+/// Widest ring the fixed-width form of [`convex_intersect`] takes: the
+/// 5-corner, and with it every MBR 4-ring and trapezoid ring.
+const LANES: usize = 5;
+
 /// Closed intersection test between two convex polygons via the separating
 /// axis theorem. Touching boundaries count as intersecting.
 ///
 /// Degenerate "polygons" with one or two vertices (points / segments) are
 /// handled as their closed convex hulls.
+///
+/// Rings of at most five vertices — all the filter's 5-corner plans
+/// and the TR*-tree ever pass — are padded on the stack to exactly five
+/// by repeating the last vertex and run through the same per-axis code
+/// at a compile-time length, which unrolls it. A repeated vertex adds
+/// only `p == q` edges, which [`edge_separates`] skips, and cannot move
+/// a projection's minimum or maximum, so the answer is that of
+/// [`convex_intersect_slices`] on the unpadded rings, bit for bit.
 pub fn convex_intersect(a: &[Point], b: &[Point]) -> bool {
+    let fits = |ring: &[Point]| (1..=LANES).contains(&ring.len());
+    if !(fits(a) && fits(b)) {
+        return convex_intersect_slices(a, b);
+    }
+    let pad =
+        |ring: &[Point]| -> [Point; LANES] { std::array::from_fn(|i| ring[i.min(ring.len() - 1)]) };
+    let (a, b) = (pad(a), pad(b));
+    let separates =
+        |a: &[Point; LANES], b: &[Point; LANES]| (0..LANES).any(|i| edge_separates(a, i, b));
+    !separates(&a, &b) && !separates(&b, &a)
+}
+
+/// [`convex_intersect`] for rings of any length (hulls), and the
+/// reference its fixed-width form is tested against.
+pub fn convex_intersect_slices(a: &[Point], b: &[Point]) -> bool {
     if a.is_empty() || b.is_empty() {
         return false;
     }
@@ -115,6 +142,7 @@ fn has_separating_axis(a: &[Point], b: &[Point]) -> bool {
 /// here means `convex_intersect(a, b)` is `false`. Callers that can
 /// guess the separating edge (the TR*-tree's trapezoid test) try it
 /// first and skip the other axes.
+#[inline(always)]
 pub fn edge_separates(a: &[Point], i: usize, b: &[Point]) -> bool {
     let p = a[i];
     let q = a[(i + 1) % a.len()];
@@ -130,6 +158,7 @@ pub fn edge_separates(a: &[Point], i: usize, b: &[Point]) -> bool {
     a_max < b_min - 1e-12 * scale || b_max < a_min - 1e-12 * scale
 }
 
+#[inline(always)]
 fn project(ring: &[Point], axis: Point) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;

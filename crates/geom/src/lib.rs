@@ -50,7 +50,8 @@ pub use bytes::{fnv1a64, fnv1a64_update, AlignedBuf, PAGE_SIZE};
 pub use calipers::{min_area_rect, OrientedRect};
 pub use cancel::{CancelReason, CancelToken};
 pub use clip::{
-    clip_convex, convex_intersect, convex_intersection_area, edge_separates, ring_area,
+    clip_convex, convex_intersect, convex_intersect_slices, convex_intersection_area,
+    edge_separates, ring_area,
 };
 pub use exec::{
     panic_message, resolve_threads, FnConsumer, PairBatchBuffer, PairConsumer, PairSink,

@@ -125,7 +125,7 @@ fn writing_a_dataset_retires_the_pairs_that_name_it() {
 
 /// FNV-1a of every section payload the engine writes for
 /// `small_carto(48, 24.0, 7)` × `small_carto(48, 24.0, 8)` under
-/// `JoinConfig::default()`. The dataset sections were read out of
+/// `JoinConfig::version3()` (the default until PR 22). The dataset sections were read out of
 /// `ds_0.msj`, `ds_1.msj` (section table order) at the last commit
 /// (99ecc75) that still encoded through per-artifact export structs and a
 /// payload codec inside this crate. The images below are built the way

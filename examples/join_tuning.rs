@@ -35,6 +35,9 @@ fn main() {
             ExactCostKind::PlaneSweep,
         ),
         (
+            // The paper's M = 3: this ranking uses the paper's cost
+            // model, whose operation counts 3 minimises. The engine's
+            // default capacity (6) was chosen by the clock instead.
             ExactAlgorithm::TrStar { max_entries: 3 },
             ExactCostKind::TrStar,
         ),

@@ -23,8 +23,9 @@ fn main() {
     );
 
     // The paper's §5 "version 3" — 5-corner + MER approximations stored
-    // in addition to the MBR, TR*-trees (M = 3) for the exact geometry
-    // step — applied by a resident engine. Registration runs Step 0 once
+    // in addition to the MBR, TR*-trees for the exact geometry step, at
+    // the node capacity this engine measured (6; `JoinConfig::version3()`
+    // keeps the paper's 3) — applied by a resident engine. Registration runs Step 0 once
     // per relation and the engine owns the result.
     let engine = SpatialEngine::new(JoinConfig::default());
     let forests_handle = engine.register(forests.clone());

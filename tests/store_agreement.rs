@@ -19,6 +19,9 @@
 //!   like a corrupt one; a format-version-1 segment fails the open with
 //!   the typed "unsupported store version" error; a version-2 *pair*
 //!   segment beside current dataset files is rebuilt and rewritten.
+//! * **Another configuration** — a directory written under the paper's
+//!   TR* node capacity opens under the default one: rebuilt once,
+//!   refreshed in place, adopted from then on.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +30,7 @@ use msj::core::{
     Backend, Execution, FaultConfig, FaultKind, JoinConfig, Request, Response, SpatialEngine,
     StoreConfig,
 };
+use msj::exact::ExactAlgorithm;
 use msj::fault::StoreSection;
 use msj::geom::{Point, Rect, Relation};
 
@@ -554,6 +558,75 @@ fn version_2_pair_segment_is_rebuilt_and_rewritten_not_degraded() {
         assert_eq!(image, pair.section(section).unwrap().unwrap());
         assert!(image.len() < v2_len, "the A/F image is the smaller one");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_written_at_the_papers_capacity_is_refreshed_under_the_default() {
+    // `ExactAlgorithm::TrStar { max_entries }` is part of the config tag:
+    // a directory written by `JoinConfig::version3()` (M = 3, the default
+    // before PR 22) is a tag miss for today's default, not a corruption.
+    let (a, b) = (
+        msj::datagen::small_carto(120, 24.0, 9114),
+        msj::datagen::small_carto(120, 24.0, 9115),
+    );
+    let requests = workload(&a);
+    let cfg = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    );
+    let paper = cfg.to_builder().exact(JoinConfig::version3().exact).build();
+    assert_ne!(paper.exact, cfg.exact, "the default carries the paper's M");
+    let dir = tmp_store("capacity");
+    let reference = {
+        let engine = SpatialEngine::new(paper)
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        engine.register(a);
+        engine.register(b);
+        run(&engine, &requests)
+    };
+    let store = msj_store::Store::open(&dir).expect("open container");
+    let trstar_image = |id| {
+        let segment = store.read_dataset(id, None).expect("segment reads");
+        let image = segment.section(msj_store::Section::TrStar);
+        (segment.config_tag, image.unwrap().unwrap().to_vec())
+    };
+    let written = [trstar_image(0), trstar_image(1)];
+
+    let trstar_nanos = |engine: &SpatialEngine| {
+        let prom = engine.metrics().render_prometheus();
+        for line in prom.lines().filter(|l| {
+            l.starts_with("msj_degraded_mode_total{")
+                || l.starts_with("msj_store_checksum_failures_total{")
+        }) {
+            assert!(line.ends_with(" 0"), "a tag miss is not a fault: {line}");
+        }
+        let series = "msj_step0_artifact_nanos_total{artifact=\"trstar\"} ";
+        let line = prom.lines().find_map(|l| l.strip_prefix(series));
+        line.expect("series rendered").parse::<u64>().unwrap()
+    };
+    let first = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("first open");
+    assert_eq!(run(&first, &requests), reference, "answers moved with M");
+    assert!(trstar_nanos(&first) > 0, "TR* is rebuilt on a tag miss");
+    drop(first);
+    for (id, (old_tag, old_image)) in (0..).zip(&written) {
+        let (tag, image) = trstar_image(id);
+        assert_ne!(tag, *old_tag, "ds_{id} keeps the old tag");
+        let arena = msj::exact::TrStarStore::from_bytes(&image).expect("refreshed arena");
+        assert_eq!(
+            ExactAlgorithm::TrStar {
+                max_entries: arena.max_entries()
+            },
+            cfg.exact
+        );
+        assert!(image.len() < old_image.len(), "wider nodes, fewer of them");
+    }
+
+    let second = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("second open");
+    assert_eq!(run(&second, &requests), reference);
+    assert_eq!(trstar_nanos(&second), 0, "the refreshed section is adopted");
     std::fs::remove_dir_all(&dir).ok();
 }
 
