@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use msj_bench::baseline::PreparedBaseline;
-use msj_core::{Backend, Execution, JoinConfig, MultiStepJoin};
+use msj_core::{Backend, Execution, JoinConfig};
 use std::hint::black_box;
 
 fn bench_executors(c: &mut Criterion) {
@@ -33,7 +33,7 @@ fn bench_executors(c: &mut Criterion) {
     for (name, a, b) in &workloads {
         // Step 0 is paid once outside the timed loops: the executors
         // differ only in how they schedule Steps 1-3.
-        let prepared = MultiStepJoin::new(base).prepare(a, b);
+        let prepared = msj_bench::prepare(base, a, b);
         group.bench_with_input(BenchmarkId::new("serial", *name), &(), |bench, ()| {
             bench.iter(|| black_box(prepared.run_with(Execution::Serial).pairs.len()))
         });

@@ -25,7 +25,7 @@ fn bench_queries(c: &mut Criterion) {
                     world.xmin() + world.width() * ((i as f64 * 0.377).fract()),
                     world.ymin() + world.height() * ((i as f64 * 0.611).fract()),
                 );
-                black_box(engine.point_query(&dataset, p).ids)
+                black_box(engine.point_query_batch(&dataset, &[p]))
             })
         });
         group.bench_function(BenchmarkId::new("window_query_1pct", tag), |b| {
@@ -35,11 +35,8 @@ fn bench_queries(c: &mut Criterion) {
                 i = i.wrapping_add(1);
                 let x = world.xmin() + (world.width() - side) * ((i as f64 * 0.299).fract());
                 let y = world.ymin() + (world.height() - side) * ((i as f64 * 0.731).fract());
-                black_box(
-                    engine
-                        .window_query(&dataset, Rect::from_bounds(x, y, x + side, y + side))
-                        .ids,
-                )
+                let window = Rect::from_bounds(x, y, x + side, y + side);
+                black_box(engine.window_query_batch(&dataset, &[window]))
             })
         });
     }

@@ -23,7 +23,7 @@
 use super::ExpConfig;
 use crate::report::{f, section, Table};
 use msj_approx::{ConservativeStore, ProgressiveStore};
-use msj_core::{JoinConfig, Request, Response, SpatialEngine, StoreConfig, TreeLoader};
+use msj_core::{JoinConfig, Request, Response, SpatialEngine, StoreConfig};
 use msj_exact::{ExactAlgorithm, TrStarStore};
 use msj_geom::Relation;
 use msj_sam::{PageLayout, RStarTree};
@@ -199,11 +199,10 @@ pub(crate) fn measure_cold_start(cfg: &ExpConfig) -> ColdStart {
     row(
         Section::Tree,
         Some(&|| {
-            let keys = a.iter().map(|o| (o.mbr(), o.id));
-            match config.loader {
-                TreeLoader::Str => RStarTree::bulk_load(layout, keys),
-                TreeLoader::Incremental => RStarTree::insert_all(layout, keys),
-            };
+            drop(RStarTree::bulk_load(
+                layout,
+                a.iter().map(|o| (o.mbr(), o.id)),
+            ));
         }),
         &|b| RStarTree::from_bytes(b).is_ok(),
     );

@@ -5,7 +5,7 @@
 //! Step-1 backends.
 //!
 //! Step 0 (preprocessing, the paper's "insertion time") is paid once per
-//! backend via [`msj_core::MultiStepJoin::prepare`] and reported
+//! backend (an owned `msj_core::PreparedJoin`) and reported
 //! separately — the executors differ only in how they schedule Steps
 //! 1–3, so that is what the table times.
 //!
@@ -19,7 +19,7 @@ use super::ExpConfig;
 use crate::baseline::PreparedBaseline;
 use crate::report::{f, section, Table};
 use crate::timing::timed;
-use msj_core::{Backend, Execution, JoinConfig, JoinResult, MultiStepJoin};
+use msj_core::{Backend, Execution, JoinConfig, JoinResult};
 use msj_geom::Relation;
 use std::time::Instant;
 
@@ -125,15 +125,14 @@ pub fn fused(cfg: &ExpConfig) -> String {
     for workload in &workloads(cfg) {
         for (backend_name, backend) in backends() {
             let base = JoinConfig::builder().backend(backend).build();
-            let join = MultiStepJoin::new(base);
             let prep_start = Instant::now();
-            let prepared = join.prepare(&workload.a, &workload.b);
+            let prepared = crate::prepare(base, &workload.a, &workload.b);
             let prep_secs = prep_start.elapsed().as_secs_f64();
             // The PR-2-shaped protocol: everything identical except the
             // candidate batch size — per-pair delivery and per-pair
             // classification dispatch.
             let per_pair = base.to_builder().batch_pairs(1).build();
-            let per_pair_prepared = MultiStepJoin::new(per_pair).prepare(&workload.a, &workload.b);
+            let per_pair_prepared = crate::prepare(per_pair, &workload.a, &workload.b);
             // Warm-up run (fills the R*-traversal's simulated LRU
             // buffer) so every timed mode sees the same state.
             let _ = prepared.run_with(Execution::Serial);

@@ -9,7 +9,7 @@
 
 use super::ExpConfig;
 use crate::report::{f, section, Table};
-use msj_core::{join_source, Backend, JoinConfig, MultiStepJoin, TreeLoader};
+use msj_core::{join_source, Backend, JoinConfig, MultiStepJoin};
 use msj_geom::Relation;
 use std::time::Instant;
 
@@ -86,25 +86,11 @@ pub fn partitioned(cfg: &ExpConfig) -> String {
         "repl.",
     ]);
     let mut speedup_at_4 = Vec::new();
-    let mut str_speedups = Vec::new();
     let workloads = workloads(cfg);
     for workload in &workloads {
-        // Step-0 loader comparison on the R*-tree backend: STR bulk
-        // loading (the default) vs incremental insertion — same candidate
-        // set, packed pages and a sort-based build on the STR side.
         let rstar_config = JoinConfig::default();
         let (rstar_stats, rstar_secs) = time_step1(&rstar_config, &workload.a, &workload.b);
         let candidates = rstar_stats.join.candidates;
-        let incremental_config = JoinConfig::builder()
-            .loader(TreeLoader::Incremental)
-            .build();
-        let (inc_stats, inc_secs) = time_step1(&incremental_config, &workload.a, &workload.b);
-        assert_eq!(
-            inc_stats.join.candidates, candidates,
-            "{}: loaders must produce the same candidate count",
-            workload.name
-        );
-        str_speedups.push((workload.name.clone(), inc_secs / rstar_secs.max(1e-12)));
         table.row([
             workload.name.clone(),
             "rstar (STR)".into(),
@@ -112,16 +98,6 @@ pub fn partitioned(cfg: &ExpConfig) -> String {
             f(rstar_secs * 1e3, 2),
             f(candidates as f64 / rstar_secs.max(1e-12), 0),
             f(1.0, 2),
-            "-".into(),
-            "-".into(),
-        ]);
-        table.row([
-            workload.name.clone(),
-            "rstar (incremental)".into(),
-            candidates.to_string(),
-            f(inc_secs * 1e3, 2),
-            f(candidates as f64 / inc_secs.max(1e-12), 0),
-            f(rstar_secs / inc_secs.max(1e-12), 2),
             "-".into(),
             "-".into(),
         ]);
@@ -186,14 +162,6 @@ pub fn partitioned(cfg: &ExpConfig) -> String {
         .collect::<Vec<_>>()
         .join(", ");
     out.push_str(&format!("step-1 speedup at 4 threads: {line}\n"));
-    let line = str_speedups
-        .iter()
-        .map(|(name, s)| format!("{name} {s:.2}x"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    out.push_str(&format!(
-        "STR bulk load vs incremental insertion (full step 1): {line}\n"
-    ));
     out
 }
 
@@ -210,8 +178,6 @@ mod tests {
         };
         let report = partitioned(&cfg);
         assert!(report.contains("rstar (STR)"));
-        assert!(report.contains("rstar (incremental)"));
-        assert!(report.contains("STR bulk load vs incremental"));
         assert!(report.contains("partitioned x4"));
         assert!(report.contains("identical response sets"));
     }

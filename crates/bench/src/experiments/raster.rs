@@ -14,7 +14,7 @@
 use super::ExpConfig;
 use crate::report::{f, pct, section, Table};
 use crate::timing::timed;
-use msj_core::{Execution, JoinConfig, MultiStepJoin, RasterConfig};
+use msj_core::{Execution, JoinConfig, RasterConfig};
 use msj_geom::{ObjectId, Relation};
 use std::time::Instant;
 
@@ -102,7 +102,7 @@ pub fn raster(cfg: &ExpConfig) -> String {
         for (cell, raster) in SWEEP {
             let config = JoinConfig::builder().raster(raster).build();
             let t_prep = Instant::now();
-            let prepared = MultiStepJoin::new(config).prepare(a, b);
+            let prepared = crate::prepare(config, a, b);
             let prep_ms = t_prep.elapsed().as_secs_f64() * 1e3;
             let _ = prepared.run_with(Execution::Fused { threads: 4 });
             let (result, secs) = timed(|| prepared.run_with(Execution::Fused { threads: 4 }));

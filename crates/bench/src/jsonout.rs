@@ -1,13 +1,13 @@
-//! Machine-readable benchmark output (`BENCH_pr6.json`).
+//! Machine-readable benchmark output (`repro --json <path>`).
 //!
 //! Measures the batched hot path and the resident serving surface on the
 //! skewed cartographic workload — the PR-3/PR-4/PR-5 acceptance matrix —
 //! and emits one JSON document:
 //!
-//! * **Step 1** (`"step1"` records): candidates/sec per backend × Step-0
-//!   loader (index construction + candidate streaming);
+//! * **Step 1** (`"step1"` records): candidates/sec per backend (index
+//!   construction + candidate streaming);
 //! * **Steps 1–3** (`"join"` records): pairs/sec and filter throughput
-//!   per backend × loader × execution mode on a resident
+//!   per backend × execution mode on a resident
 //!   [`msj_core::SpatialEngine`], including the preserved
 //!   collect-then-chunk baseline and the per-pair (`batch=1`) protocol;
 //! * **Step 2a** (`"raster"` records): the raster pre-filter swept over
@@ -62,9 +62,7 @@ use crate::experiments::serving::{serving_queries, SERVING_JOIN_RUNS, SERVING_PR
 use crate::experiments::serving_load::{measure_serving_load, LOAD_CLIENTS, OVERLOAD_QUEUE_BOUND};
 use crate::experiments::ExpConfig;
 use crate::timing::timed;
-use msj_core::{
-    join_source, Backend, Execution, JoinConfig, JoinResult, ObsConfig, SpatialEngine, TreeLoader,
-};
+use msj_core::{join_source, Backend, Execution, JoinConfig, JoinResult, ObsConfig, SpatialEngine};
 use msj_geom::{ObjectId, Relation};
 use std::sync::Arc;
 use std::time::Instant;
@@ -204,16 +202,8 @@ impl Record {
 /// [`crate::timing::REPS`].
 const REPS: usize = crate::timing::REPS;
 
-fn loader_name(loader: TreeLoader) -> &'static str {
-    match loader {
-        TreeLoader::Str => "str",
-        TreeLoader::Incremental => "incremental",
-    }
-}
-
 fn join_record(
     backend: &'static str,
-    loader: TreeLoader,
     mode: String,
     threads: usize,
     result: &JoinResult,
@@ -223,7 +213,7 @@ fn join_record(
     Record {
         experiment: "join",
         backend,
-        loader: loader_name(loader),
+        loader: "str",
         mode,
         threads,
         millis: secs * 1e3,
@@ -280,7 +270,6 @@ pub fn bench_json_only(cfg: &ExpConfig, only: Option<&str>) -> String {
             },
         ),
     ];
-    let loaders = [TreeLoader::Str, TreeLoader::Incremental];
 
     let mut records: Vec<Record> = Vec::new();
     let mut reference: Option<Vec<(u32, u32)>> = None;
@@ -293,132 +282,99 @@ pub fn bench_json_only(cfg: &ExpConfig, only: Option<&str>) -> String {
         }
     };
 
-    // Step-1 throughput: backend × loader, construction + streaming.
-    // The loader only affects the R*-tree backend (the grid builds no
-    // trees), so grid cells are measured once.
+    // Step-1 throughput per backend, construction + streaming.
     if want("step1") {
         for (backend_name, backend) in backends {
-            for loader in loaders {
-                if backend_name != "rstar" && loader != TreeLoader::Str {
-                    continue;
-                }
-                let config = JoinConfig::builder()
-                    .backend(backend)
-                    .loader(loader)
-                    .build();
-                // Minimum over REPS cold construct+stream runs, like the
-                // join cells (the runs are deterministic).
-                let mut secs = f64::INFINITY;
-                let mut stats = msj_core::Step1Stats::default();
-                for _ in 0..REPS {
-                    let start = Instant::now();
-                    let source = join_source(&config, &a, &b);
-                    stats = source.stream_candidates(&mut |_, _| {});
-                    secs = secs.min(start.elapsed().as_secs_f64().max(1e-12));
-                }
-                records.push(Record {
-                    experiment: "step1",
-                    backend: backend_name,
-                    loader: loader_name(loader),
-                    mode: "construct+stream".into(),
-                    threads: 1,
-                    millis: secs * 1e3,
-                    candidates: stats.join.candidates,
-                    candidates_per_sec: stats.join.candidates as f64 / secs,
-                    pairs_per_sec: None,
-                    filter_candidates_per_sec: None,
-                    peak_buffered: stats.peak_buffered,
-                    raster: None,
-                    serving: None,
-                    kernel: None,
-                });
+            let config = JoinConfig::builder().backend(backend).build();
+            // Minimum over REPS cold construct+stream runs, like the
+            // join cells (the runs are deterministic).
+            let mut secs = f64::INFINITY;
+            let mut stats = msj_core::Step1Stats::default();
+            for _ in 0..REPS {
+                let start = Instant::now();
+                let source = join_source(&config, &a, &b);
+                stats = source.stream_candidates(&mut |_, _| {});
+                secs = secs.min(start.elapsed().as_secs_f64().max(1e-12));
             }
+            records.push(Record {
+                experiment: "step1",
+                backend: backend_name,
+                loader: "str",
+                mode: "construct+stream".into(),
+                threads: 1,
+                millis: secs * 1e3,
+                candidates: stats.join.candidates,
+                candidates_per_sec: stats.join.candidates as f64 / secs,
+                pairs_per_sec: None,
+                filter_candidates_per_sec: None,
+                peak_buffered: stats.peak_buffered,
+                raster: None,
+                serving: None,
+                kernel: None,
+            });
         }
     }
 
-    // Steps 1–3 on a resident engine: backend × loader × execution mode
-    // (grid cells once, as above). The engine owns Step 0; every timed
-    // run is Steps 1–3 against the shared prepared join.
+    // Steps 1–3 on a resident engine: backend × execution mode. The
+    // engine owns Step 0; every timed run is Steps 1–3 against the shared
+    // prepared join.
     if want("join") {
         for (backend_name, backend) in backends {
-            for loader in loaders {
-                if backend_name != "rstar" && loader != TreeLoader::Str {
-                    continue;
-                }
-                let base = JoinConfig::builder()
-                    .backend(backend)
-                    .loader(loader)
-                    .build();
-                let engine = SpatialEngine::new(base);
-                let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
-                let prepared = engine.prepare_join(&ha, &hb);
-                let _ = prepared.run_with(Execution::Serial); // warm-up
-                let (serial, serial_secs) = timed(|| prepared.run_with(Execution::Serial));
-                check(
-                    &serial,
-                    &format!("{backend_name}/{}/serial", loader_name(loader)),
-                );
+            let base = JoinConfig::builder().backend(backend).build();
+            let engine = SpatialEngine::new(base);
+            let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
+            let prepared = engine.prepare_join(&ha, &hb);
+            let _ = prepared.run_with(Execution::Serial); // warm-up
+            let (serial, serial_secs) = timed(|| prepared.run_with(Execution::Serial));
+            check(&serial, &format!("{backend_name}/serial"));
+            records.push(join_record(
+                backend_name,
+                "serial".into(),
+                1,
+                &serial,
+                serial_secs,
+            ));
+            for threads in [1usize, 4] {
+                let (fused, fused_secs) = timed(|| prepared.run_with(Execution::Fused { threads }));
+                check(&fused, &format!("{backend_name}/fused x{threads}"));
                 records.push(join_record(
                     backend_name,
-                    loader,
-                    "serial".into(),
-                    1,
-                    &serial,
-                    serial_secs,
+                    "fused".into(),
+                    threads,
+                    &fused,
+                    fused_secs,
                 ));
-                for threads in [1usize, 4] {
-                    let (fused, fused_secs) =
-                        timed(|| prepared.run_with(Execution::Fused { threads }));
-                    check(
-                        &fused,
-                        &format!("{backend_name}/{}/fused x{threads}", loader_name(loader)),
-                    );
-                    records.push(join_record(
-                        backend_name,
-                        loader,
-                        "fused".into(),
-                        threads,
-                        &fused,
-                        fused_secs,
-                    ));
-                }
-                // The per-pair protocol (batch=1) and the collect-then-chunk
-                // baseline, measured for the default loader only — they vary
-                // the execution, not Step 0.
-                if loader == TreeLoader::Str {
-                    let per_pair_engine =
-                        SpatialEngine::new(base.to_builder().batch_pairs(1).build());
-                    let (pa, pb) = (
-                        per_pair_engine.register(a.clone()),
-                        per_pair_engine.register(b.clone()),
-                    );
-                    let per_pair_prepared = per_pair_engine.prepare_join(&pa, &pb);
-                    let _ = per_pair_prepared.run_with(Execution::Serial);
-                    let (unbatched, unbatched_secs) =
-                        timed(|| per_pair_prepared.run_with(Execution::Fused { threads: 4 }));
-                    check(&unbatched, &format!("{backend_name}/str/batch1"));
-                    records.push(join_record(
-                        backend_name,
-                        loader,
-                        "fused-batch1".into(),
-                        4,
-                        &unbatched,
-                        unbatched_secs,
-                    ));
-                    let mut baseline = PreparedBaseline::new(&a, &b, &base, 4);
-                    let _ = baseline.run();
-                    let (baseline_result, baseline_secs) = timed(|| baseline.run());
-                    check(&baseline_result, &format!("{backend_name}/str/baseline"));
-                    records.push(join_record(
-                        backend_name,
-                        loader,
-                        "collect-chunk".into(),
-                        4,
-                        &baseline_result,
-                        baseline_secs,
-                    ));
-                }
             }
+            // The per-pair protocol (batch=1) and the collect-then-chunk
+            // baseline.
+            let per_pair_engine = SpatialEngine::new(base.to_builder().batch_pairs(1).build());
+            let (pa, pb) = (
+                per_pair_engine.register(a.clone()),
+                per_pair_engine.register(b.clone()),
+            );
+            let per_pair_prepared = per_pair_engine.prepare_join(&pa, &pb);
+            let _ = per_pair_prepared.run_with(Execution::Serial);
+            let (unbatched, unbatched_secs) =
+                timed(|| per_pair_prepared.run_with(Execution::Fused { threads: 4 }));
+            check(&unbatched, &format!("{backend_name}/str/batch1"));
+            records.push(join_record(
+                backend_name,
+                "fused-batch1".into(),
+                4,
+                &unbatched,
+                unbatched_secs,
+            ));
+            let mut baseline = PreparedBaseline::new(&a, &b, &base, 4);
+            let _ = baseline.run();
+            let (baseline_result, baseline_secs) = timed(|| baseline.run());
+            check(&baseline_result, &format!("{backend_name}/str/baseline"));
+            records.push(join_record(
+                backend_name,
+                "collect-chunk".into(),
+                4,
+                &baseline_result,
+                baseline_secs,
+            ));
         }
     }
 
@@ -437,7 +393,7 @@ pub fn bench_json_only(cfg: &ExpConfig, only: Option<&str>) -> String {
             let mode = format!("raster-{label}");
             check(&result, &format!("raster/{mode}"));
             let s = &result.stats;
-            let mut rec = join_record("rstar", TreeLoader::Str, mode, 4, &result, secs);
+            let mut rec = join_record("rstar", mode, 4, &result, secs);
             rec.experiment = "raster";
             rec.raster = raster.enabled.then(|| RasterCell {
                 // Report the *resolved* resolution for auto-sized cells.
@@ -651,8 +607,8 @@ fn obs_section(a: &Arc<Relation>, b: &Arc<Relation>) -> String {
     let _ = prepared.run_with(Execution::Fused { threads: 4 });
     let (points, windows) = serving_queries(a, 8);
     for (p, w) in points.iter().zip(&windows) {
-        let _ = engine.point_query(&ha, *p);
-        let _ = engine.window_query(&ha, *w);
+        let _ = engine.point_query_batch(&ha, &[*p]);
+        let _ = engine.window_query_batch(&ha, &[*w]);
     }
     let snapshot = engine.metrics().snapshot_json();
 
@@ -777,8 +733,8 @@ fn serving_records(cfg: &ExpConfig, a: &Arc<Relation>, b: &Arc<Relation>) -> Vec
     // single probe). Digests compare the shared subset.
     for kind in ["point", "window"] {
         let run_resident = |e: &SpatialEngine, h: &msj_core::DatasetHandle, i: usize| match kind {
-            "point" => e.point_query(h, points[i]).ids,
-            _ => e.window_query(h, windows[i]).ids,
+            "point" => e.point_query_batch(h, &[points[i]]).remove(0).ids,
+            _ => e.window_query_batch(h, &[windows[i]]).remove(0).ids,
         };
         // Warm the lazy parts once, then time the full workload.
         let _ = run_resident(&engine, &ha, 0);
@@ -967,7 +923,6 @@ mod tests {
             "\"experiment\":\"raster\"",
             "\"experiment\":\"serving\"",
             "\"loader\":\"str\"",
-            "\"loader\":\"incremental\"",
             "\"mode\":\"fused\"",
             "\"mode\":\"fused-batch1\"",
             "\"mode\":\"collect-chunk\"",

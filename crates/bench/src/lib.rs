@@ -20,3 +20,15 @@ pub use baseline::collect_then_chunk_join;
 pub use data::SeriesData;
 pub use experiments::{registry, ExpConfig, Experiment, Scale};
 pub use jsonout::{bench_json, bench_json_only};
+
+/// Step 0 once, outside any timed region: the owned prepared join of
+/// `a` with `b` under `config`, so Steps 1–3 can be timed alone.
+pub fn prepare(
+    config: msj_core::JoinConfig,
+    a: &msj_geom::Relation,
+    b: &msj_geom::Relation,
+) -> std::sync::Arc<msj_core::PreparedJoin> {
+    let engine = msj_core::SpatialEngine::new(config);
+    let (a, b) = (engine.register(a.clone()), engine.register(b.clone()));
+    engine.prepare_join(&a, &b)
+}

@@ -4,8 +4,7 @@
 //! objects whose MBRs intersect (for joins) or every object whose MBR
 //! meets the query point/window (for selections); *how* the candidates
 //! are found is an implementation choice. [`CandidateSource`] abstracts
-//! that choice so the pipeline, the parallel executor and the query
-//! processor are backend-agnostic:
+//! that choice so joins and selections are backend-agnostic:
 //!
 //! * [`Backend::RStarTraversal`] — the paper's synchronized R*-tree
 //!   traversal ([BKS 93a]) with simulated paged I/O, the default;
@@ -17,7 +16,7 @@
 //! exact steps are provably unaffected (the property tests in
 //! `tests/backend_agreement.rs` assert it).
 
-use crate::config::{Backend, JoinConfig, TreeLoader, DEFAULT_BATCH_PAIRS};
+use crate::config::{Backend, JoinConfig, DEFAULT_BATCH_PAIRS};
 use msj_geom::{
     CancelToken, FnConsumer, KernelDispatch, ObjectId, PairBatchBuffer, PairConsumer, Point, Rect,
     RelHandle, Relation,
@@ -113,10 +112,8 @@ pub struct SelectionStats {
     pub physical_reads: u64,
 }
 
-/// A prepared Step-1 backend over one or two relations.
-///
-/// Join sources are built by [`join_source`] from two relations; query
-/// processors build a [`selection_source`] over the queried relation.
+/// A prepared Step-1 backend over one or two relations
+/// ([`join_source`] / [`selection_source`]).
 ///
 /// Candidate delivery speaks the parallel-capable
 /// [`msj_geom::PairConsumer`] protocol: the backend attaches one
@@ -144,81 +141,43 @@ pub trait CandidateSource: Send + Sync {
     /// `workers <= 1` exactly one sink is attached on the calling thread
     /// and candidates arrive in the backend's deterministic order; with
     /// more, each backend worker thread attaches its own sink.
-    fn join_candidates(&self, consumer: &dyn PairConsumer, workers: usize) -> Step1Stats;
-
-    /// [`join_candidates`](CandidateSource::join_candidates) with
-    /// optional per-worker telemetry: when `telemetry` is given, every
-    /// backend worker records its pairs/batches/peak into its
-    /// [`msj_obs::WorkerLane`]. The default implementation ignores the
-    /// telemetry (candidate delivery is identical either way), so
-    /// third-party sources keep compiling unchanged.
-    fn join_candidates_observed(
-        &self,
-        consumer: &dyn PairConsumer,
-        workers: usize,
-        telemetry: Option<&WorkerTelemetry>,
-    ) -> Step1Stats {
-        let _ = telemetry;
-        self.join_candidates(consumer, workers)
-    }
-
-    /// [`join_candidates_observed`](CandidateSource::join_candidates_observed)
-    /// with an optional cooperative [`CancelToken`]: backends that honor
-    /// it stop delivering candidates at their next batch/tile boundary
+    ///
+    /// With `telemetry`, every backend worker records its
+    /// pairs/batches/peak into its [`msj_obs::WorkerLane`]; with
+    /// `cancel`, delivery stops at the backend's next batch/tile boundary
     /// once the token reads cancelled, reporting the partial counts
-    /// accumulated so far. The default implementation ignores the token
-    /// (delivery simply runs to completion), so third-party sources keep
-    /// compiling unchanged.
-    fn join_candidates_controlled(
+    /// accumulated so far. Candidate delivery is otherwise identical
+    /// with or without either.
+    fn join_candidates(
         &self,
         consumer: &dyn PairConsumer,
         workers: usize,
         telemetry: Option<&WorkerTelemetry>,
         cancel: Option<&CancelToken>,
-    ) -> Step1Stats {
-        let _ = cancel;
-        self.join_candidates_observed(consumer, workers, telemetry)
-    }
+    ) -> Step1Stats;
 
-    /// Appends every id of the primary relation whose MBR contains `p`.
-    fn point_candidates(&self, p: Point, out: &mut Vec<ObjectId>) -> SelectionStats;
-
-    /// Appends every id of the primary relation whose MBR intersects
-    /// `window`.
-    fn window_candidates(&self, window: Rect, out: &mut Vec<ObjectId>) -> SelectionStats;
-
-    /// One shared descent for a *batch* of point probes: candidates of
-    /// query `i` are appended to `out` contiguously (segment length =
-    /// `stats[i].candidates`), in exactly the order
-    /// [`point_candidates`](CandidateSource::point_candidates) would
-    /// produce for each query alone. Backends override this to share
-    /// per-probe setup (the R*-source holds its simulated-buffer lock
-    /// once for the whole batch); the default simply loops.
-    fn point_candidates_batch(
+    /// Point probes, batch-shaped (a single probe is a batch of one):
+    /// for each point in order, every id of the primary relation whose
+    /// MBR contains it is appended to `out` contiguously and one
+    /// [`SelectionStats`] (segment length = `candidates`) is pushed onto
+    /// `stats`. A batch shares per-probe setup, so only the physical-read
+    /// attribution depends on how probes are grouped; ids and their order
+    /// never do.
+    fn point_candidates(
         &self,
         points: &[Point],
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
-    ) {
-        for &p in points {
-            stats.push(self.point_candidates(p, out));
-        }
-    }
+    );
 
-    /// Batched counterpart of
-    /// [`window_candidates`](CandidateSource::window_candidates) — same
-    /// contract as
-    /// [`point_candidates_batch`](CandidateSource::point_candidates_batch).
-    fn window_candidates_batch(
+    /// Window probes — ids whose MBR intersects each window; same
+    /// contract as [`point_candidates`](CandidateSource::point_candidates).
+    fn window_candidates(
         &self,
         windows: &[Rect],
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
-    ) {
-        for &w in windows {
-            stats.push(self.window_candidates(w, out));
-        }
-    }
+    );
 }
 
 impl dyn CandidateSource + '_ {
@@ -230,17 +189,8 @@ impl dyn CandidateSource + '_ {
         sink: &mut (dyn FnMut(ObjectId, ObjectId) + Send),
     ) -> Step1Stats {
         let consumer = FnConsumer::new(sink);
-        self.join_candidates(&consumer, 1)
+        self.join_candidates(&consumer, 1, None, None)
     }
-}
-
-/// Pre-built Step-0 artifacts of one registered dataset that the Step-1
-/// backends can share instead of rebuilding: the paged R*-tree (`None`
-/// when the dataset was registered for a grid backend, which indexes
-/// nothing at registration).
-#[derive(Clone, Default)]
-pub(crate) struct SharedStep1 {
-    pub tree: Option<Arc<RStarTree>>,
 }
 
 /// Builds the configured backend over a relation pair (Step 1 of a join).
@@ -249,45 +199,7 @@ pub fn join_source<'a>(
     rel_a: &'a Relation,
     rel_b: &'a Relation,
 ) -> Box<dyn CandidateSource + 'a> {
-    join_source_with(
-        config,
-        rel_a.into(),
-        rel_b.into(),
-        SharedStep1::default(),
-        SharedStep1::default(),
-    )
-}
-
-/// [`join_source`] over explicit handles plus optionally pre-built shared
-/// trees (the resident engine's path: Step 0 ran at dataset registration).
-pub(crate) fn join_source_with<'a>(
-    config: &JoinConfig,
-    rel_a: RelHandle<'a>,
-    rel_b: RelHandle<'a>,
-    shared_a: SharedStep1,
-    shared_b: SharedStep1,
-) -> Box<dyn CandidateSource + 'a> {
-    match config.backend {
-        Backend::RStarTraversal => {
-            let tree_a = shared_a
-                .tree
-                .unwrap_or_else(|| Arc::new(build_tree(config, &rel_a)));
-            let tree_b = shared_b
-                .tree
-                .unwrap_or_else(|| Arc::new(build_tree(config, &rel_b)));
-            Box::new(RStarSource::new(config, tree_a, Some(tree_b)))
-        }
-        Backend::PartitionedSweep {
-            tiles_per_axis,
-            threads,
-        } => Box::new(GridSource::new(
-            config,
-            rel_a,
-            Some(rel_b),
-            tiles_per_axis,
-            threads,
-        )),
-    }
+    source_with(config, rel_a.into(), Some(rel_b.into()), None, None)
 }
 
 /// Builds the configured backend over one relation (Step 1 of selection
@@ -296,47 +208,49 @@ pub fn selection_source<'a>(
     config: &JoinConfig,
     relation: &'a Relation,
 ) -> Box<dyn CandidateSource + 'a> {
-    selection_source_with(config, relation.into(), SharedStep1::default())
+    source_with(config, relation.into(), None, None, None)
 }
 
-/// [`selection_source`] over an explicit handle plus an optionally
-/// pre-built shared tree.
-pub(crate) fn selection_source_with<'a>(
+/// The configured backend over explicit handles — `rel_b` is `None` for a
+/// single-relation source — plus optionally pre-built shared trees (the
+/// resident engine's: Step 0 ran at dataset registration). A missing tree
+/// is built here; the grid backend indexes nothing up front and ignores
+/// them.
+pub(crate) fn source_with<'a>(
     config: &JoinConfig,
-    relation: RelHandle<'a>,
-    shared: SharedStep1,
+    rel_a: RelHandle<'a>,
+    rel_b: Option<RelHandle<'a>>,
+    tree_a: Option<Arc<RStarTree>>,
+    tree_b: Option<Arc<RStarTree>>,
 ) -> Box<dyn CandidateSource + 'a> {
     match config.backend {
         Backend::RStarTraversal => {
-            let tree = shared
-                .tree
-                .unwrap_or_else(|| Arc::new(build_tree(config, &relation)));
-            Box::new(RStarSource::new(config, tree, None))
+            let tree = |shared: Option<Arc<RStarTree>>, relation: &Relation| {
+                shared.unwrap_or_else(|| Arc::new(build_tree(config, relation)))
+            };
+            let tree_b = rel_b.map(|rel_b| tree(tree_b, &rel_b));
+            Box::new(RStarSource::new(config, tree(tree_a, &rel_a), tree_b))
         }
         Backend::PartitionedSweep {
             tiles_per_axis,
             threads,
         } => Box::new(GridSource::new(
             config,
-            relation,
-            None,
+            rel_a,
+            rel_b,
             tiles_per_axis,
             threads,
         )),
     }
 }
 
-/// Step 0 for one relation under the configured [`TreeLoader`]: STR bulk
-/// loading by default (the whole relation is in hand), incremental R*
-/// insertion on request. The engine calls this once per registered
-/// dataset; the one-shot paths call it per source.
+/// Step 0 for one relation: STR bulk loading (the whole relation is in
+/// hand, so pages come fully packed from one sort). The engine calls
+/// this once per registered dataset; the borrowed sources call it per
+/// source.
 pub(crate) fn build_tree(config: &JoinConfig, relation: &Relation) -> RStarTree {
     let layout = PageLayout::with_extra_bytes(config.page_size, config.extra_leaf_bytes());
-    let keys = relation.iter().map(|o| (o.mbr(), o.id));
-    match config.loader {
-        TreeLoader::Str => RStarTree::bulk_load(layout, keys),
-        TreeLoader::Incremental => RStarTree::insert_all(layout, keys),
-    }
+    RStarTree::bulk_load(layout, relation.iter().map(|o| (o.mbr(), o.id)))
 }
 
 /// The default backend: paged R*-trees, synchronized traversal, LRU
@@ -397,20 +311,7 @@ impl CandidateSource for RStarSource {
         "rstar-traversal"
     }
 
-    fn join_candidates(&self, consumer: &dyn PairConsumer, workers: usize) -> Step1Stats {
-        self.join_candidates_controlled(consumer, workers, None, None)
-    }
-
-    fn join_candidates_observed(
-        &self,
-        consumer: &dyn PairConsumer,
-        workers: usize,
-        telemetry: Option<&WorkerTelemetry>,
-    ) -> Step1Stats {
-        self.join_candidates_controlled(consumer, workers, telemetry, None)
-    }
-
-    fn join_candidates_controlled(
+    fn join_candidates(
         &self,
         consumer: &dyn PairConsumer,
         workers: usize,
@@ -534,24 +435,11 @@ impl CandidateSource for RStarSource {
         }
     }
 
-    fn point_candidates(&self, p: Point, out: &mut Vec<ObjectId>) -> SelectionStats {
-        self.probe(&mut self.lock_buffer(), out, |tree, buffer, out| {
-            tree.point_query(p, buffer, out)
-        })
-    }
-
-    fn window_candidates(&self, window: Rect, out: &mut Vec<ObjectId>) -> SelectionStats {
-        self.probe(&mut self.lock_buffer(), out, |tree, buffer, out| {
-            tree.window_query(window, buffer, out)
-        })
-    }
-
-    // The batched probes take the simulated-buffer lock once for the
-    // whole batch: concurrent cross-request probes merged by a serving
-    // front descend back-to-back over a warm buffer instead of paying a
-    // lock handoff (and a likely-evicted root path) per query. Candidate
-    // ids and their order are identical to the per-query methods.
-    fn point_candidates_batch(
+    // One lock for the whole batch: concurrent cross-request probes
+    // merged by a serving front descend back-to-back over a warm buffer
+    // instead of paying a lock handoff (and a likely-evicted root path)
+    // per query.
+    fn point_candidates(
         &self,
         points: &[Point],
         out: &mut Vec<ObjectId>,
@@ -565,7 +453,7 @@ impl CandidateSource for RStarSource {
         }));
     }
 
-    fn window_candidates_batch(
+    fn window_candidates(
         &self,
         windows: &[Rect],
         out: &mut Vec<ObjectId>,
@@ -650,20 +538,7 @@ impl CandidateSource for GridSource<'_> {
         "partitioned-sweep"
     }
 
-    fn join_candidates(&self, consumer: &dyn PairConsumer, workers: usize) -> Step1Stats {
-        self.join_candidates_controlled(consumer, workers, None, None)
-    }
-
-    fn join_candidates_observed(
-        &self,
-        consumer: &dyn PairConsumer,
-        workers: usize,
-        telemetry: Option<&WorkerTelemetry>,
-    ) -> Step1Stats {
-        self.join_candidates_controlled(consumer, workers, telemetry, None)
-    }
-
-    fn join_candidates_controlled(
+    fn join_candidates(
         &self,
         consumer: &dyn PairConsumer,
         workers: usize,
@@ -730,22 +605,46 @@ impl CandidateSource for GridSource<'_> {
         }
     }
 
-    fn point_candidates(&self, p: Point, out: &mut Vec<ObjectId>) -> SelectionStats {
-        let before = out.len();
-        self.index().point_candidates(p, out);
-        SelectionStats {
-            candidates: (out.len() - before) as u64,
-            physical_reads: 0,
-        }
+    fn point_candidates(
+        &self,
+        points: &[Point],
+        out: &mut Vec<ObjectId>,
+        stats: &mut Vec<SelectionStats>,
+    ) {
+        let index = self.index();
+        stats.extend(
+            points
+                .iter()
+                .map(|&p| grid_probe(out, |out| index.point_candidates(p, out))),
+        );
     }
 
-    fn window_candidates(&self, window: Rect, out: &mut Vec<ObjectId>) -> SelectionStats {
-        let before = out.len();
-        self.index().window_candidates(window, out);
-        SelectionStats {
-            candidates: (out.len() - before) as u64,
-            physical_reads: 0,
-        }
+    fn window_candidates(
+        &self,
+        windows: &[Rect],
+        out: &mut Vec<ObjectId>,
+        stats: &mut Vec<SelectionStats>,
+    ) {
+        let index = self.index();
+        stats.extend(
+            windows
+                .iter()
+                .map(|&w| grid_probe(out, |out| index.window_candidates(w, out))),
+        );
+    }
+}
+
+/// One in-memory grid probe appending into `out` (the grid is not
+/// paged: no physical reads).
+fn grid_probe(
+    out: &mut Vec<ObjectId>,
+    probe: impl FnOnce(&mut Vec<ObjectId>) -> u64,
+) -> SelectionStats {
+    let before = out.len();
+    probe(out); // returns its bucket tests, which selections do not report
+    SelectionStats {
+        candidates: (out.len() - before) as u64,
+        physical_reads: 0,
     }
 }
 
@@ -836,7 +735,7 @@ mod tests {
         let a = msj_datagen::small_carto(30, 20.0, 341);
         let b = msj_datagen::small_carto(30, 20.0, 342);
         let source = join_source(&JoinConfig::default(), &a, &b);
-        source.join_candidates(&Exploding, 2);
+        source.join_candidates(&Exploding, 2, None, None);
     }
 
     #[test]
@@ -861,16 +760,16 @@ mod tests {
             let mut expect_point: Option<Vec<ObjectId>> = None;
             let mut expect_window: Option<Vec<ObjectId>> = None;
             for source in &sources {
-                let mut got = Vec::new();
-                let stats = source.point_candidates(p, &mut got);
-                assert_eq!(stats.candidates, got.len() as u64);
+                let (mut got, mut stats) = (Vec::new(), Vec::new());
+                source.point_candidates(&[p], &mut got, &mut stats);
+                assert_eq!(stats[0].candidates, got.len() as u64);
                 got.sort_unstable();
                 match &expect_point {
                     None => expect_point = Some(got),
                     Some(e) => assert_eq!(&got, e, "{} point probe", source.name()),
                 }
                 let mut got = Vec::new();
-                source.window_candidates(window, &mut got);
+                source.window_candidates(&[window], &mut got, &mut stats);
                 got.sort_unstable();
                 match &expect_window {
                     None => expect_window = Some(got),

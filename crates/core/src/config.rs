@@ -41,21 +41,6 @@ impl Backend {
     }
 }
 
-/// How Step 0 builds the R*-trees of [`Backend::RStarTraversal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TreeLoader {
-    /// Sort-tile-recursive bulk loading ([`msj_sam::RStarTree::bulk_load`])
-    /// — one sort plus a linear packing pass per level, fully packed
-    /// pages. The default: Step 0 always has the whole relation in hand.
-    #[default]
-    Str,
-    /// N top-down R* insertions
-    /// ([`msj_sam::RStarTree::insert_all`]) — what a dynamically grown
-    /// tree looks like (~70 % page fill, splits and forced reinserts).
-    /// Use this to model the paper's incrementally maintained indexes.
-    Incremental,
-}
-
 /// Default candidate batch size (pairs per
 /// [`msj_geom::PairSink::consume_batch`] delivery and per cross-thread
 /// chunk of the fused R*-traversal fan-out).
@@ -166,10 +151,6 @@ pub struct JoinConfig {
     /// calling thread, or fused into the Step-1 workers
     /// ([`crate::execution`]).
     pub execution: Execution,
-    /// How Step 0 builds the R*-trees: STR bulk loading (default) or
-    /// incremental insertion. Join/query *results* are identical either
-    /// way; page counts, I/O counters and candidate order differ.
-    pub loader: TreeLoader,
     /// Candidate pairs per batched sink delivery
     /// ([`msj_geom::PairSink::consume_batch`]) and per cross-thread chunk
     /// of the fused R*-traversal fan-out. Larger batches amortize
@@ -238,7 +219,6 @@ impl Default for JoinConfig {
                 max_entries: MEASURED_TRSTAR_CAPACITY,
             },
             execution: Execution::Serial,
-            loader: TreeLoader::Str,
             batch_pairs: DEFAULT_BATCH_PAIRS,
             obs: ObsConfig::default(),
             force_scalar: false,
@@ -388,12 +368,6 @@ impl JoinConfigBuilder {
         self
     }
 
-    /// How Step 0 builds the R*-trees.
-    pub fn loader(mut self, loader: TreeLoader) -> Self {
-        self.config.loader = loader;
-        self
-    }
-
     /// Candidate pairs per batched sink delivery (clamped to ≥ 1).
     pub fn batch_pairs(mut self, pairs: usize) -> Self {
         self.config.batch_pairs = pairs;
@@ -502,10 +476,8 @@ mod tests {
     }
 
     #[test]
-    fn default_loader_is_str_and_batch_is_bounded() {
+    fn default_batch_is_bounded() {
         let c = JoinConfig::default();
-        assert_eq!(c.loader, TreeLoader::Str);
-        assert_eq!(TreeLoader::default(), TreeLoader::Str);
         assert_eq!(c.batch_pairs, DEFAULT_BATCH_PAIRS);
         assert!(c.batch_pairs >= 1);
     }
@@ -540,7 +512,6 @@ mod tests {
             .raster(RasterConfig::with_bits(7))
             .exact(ExactAlgorithm::Quadratic)
             .execution(Execution::Fused { threads: 3 })
-            .loader(TreeLoader::Incremental)
             .batch_pairs(64)
             .obs(ObsConfig::disabled())
             .force_scalar(true)
@@ -564,7 +535,6 @@ mod tests {
         assert_eq!(c.raster, RasterConfig::with_bits(7));
         assert_eq!(c.exact, ExactAlgorithm::Quadratic);
         assert_eq!(c.execution, Execution::Fused { threads: 3 });
-        assert_eq!(c.loader, TreeLoader::Incremental);
         assert_eq!(c.batch_pairs, 64);
         assert_eq!(c.obs, ObsConfig::disabled());
         assert!(!c.obs.enabled);

@@ -1,0 +1,683 @@
+//! Joins: the owned [`PreparedJoin`], the engine's prepared-join cache,
+//! pair-level Step 0 and the admission-controlled join request.
+
+use super::datasets::{adopt, DatasetArtifacts, DatasetHandle};
+use super::obs::EngineObs;
+use super::types::{Admission, DatasetId, EngineError, JoinResponse, Request, Response};
+use super::{lock, FaultLatch, SpatialEngine};
+use crate::candidates::{self, CandidateSource};
+use crate::config::JoinConfig;
+use crate::cost::{estimate_cost, figure18_cost, CostModelParams, ExactCostKind};
+use crate::execution::{run_steps, Execution};
+use crate::filter::GeometricFilter;
+use crate::pipeline::JoinResult;
+use crate::stats::MultiStepStats;
+use msj_approx::RasterStore;
+use msj_exact::{ExactAlgorithm, ExactProcessor};
+use msj_geom::{panic_message, CancelToken, RelHandle, Relation, WorkerPanic};
+use msj_obs::Span;
+use msj_store::Section;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Per-run statistics a [`PreparedJoin`] retains as admission history
+/// ([`PreparedJoin::run_history`]).
+pub const RUN_HISTORY: usize = 32;
+
+/// What an engine's [`PreparedJoin`] answers to and a one-shot join
+/// ([`crate::MultiStepJoin::execute`]) does not: instruments, §5
+/// constants, the fault plan and the default deadline.
+struct Serving {
+    obs: Arc<EngineObs>,
+    /// §5 constants for the trace-time estimate.
+    params: CostModelParams,
+    fault: FaultLatch,
+    /// Engine-configured default deadline armed per run when the caller
+    /// passes no token of their own.
+    deadline: Option<Duration>,
+}
+
+/// A join with Step 0 (preprocessing, the paper's "insertion time") done:
+/// the Step-1 candidate source, the approximation stores and the
+/// exact-step object representations are built, and Steps 1–3 can run —
+/// repeatedly, under any [`Execution`] policy — without paying that cost
+/// again. It is an **owned** value with no borrowed lifetime: both
+/// relations and their Step-0 state are co-owned behind `Arc`, so it can
+/// be cached, moved, held in an `Arc` and executed from any thread,
+/// indefinitely. Every run takes `&self` — per-run mutability lives
+/// inside the candidate source — so it serves concurrent callers.
+///
+/// Every run produces the identical response set (canonically sorted
+/// under fused execution); the only run-to-run drift is the simulated
+/// LRU buffer of the R*-traversal staying warm (later runs report fewer
+/// physical reads). The [`RUN_HISTORY`] most recent runs' statistics are
+/// retained as the admission history the engine's §5 cost model
+/// estimates from.
+pub struct PreparedJoin {
+    datasets: (DatasetId, DatasetId),
+    /// Objects per side — all the a-priori §5 estimate needs.
+    sizes: (usize, usize),
+    execution: Execution,
+    source: Box<dyn CandidateSource>,
+    filter: GeometricFilter,
+    exact: ExactProcessor<'static>,
+    /// Step-0 wall-clock, attached to every run's statistics.
+    step0_nanos: u64,
+    /// Whether runs read clocks and collect worker telemetry
+    /// ([`msj_obs::ObsConfig::enabled`]).
+    timed: bool,
+    exact_cost_kind: ExactCostKind,
+    serving: Option<Serving>,
+    /// `Some(reason)` when Step 2a was disabled for this pair because
+    /// its raster signatures failed verification (degraded mode).
+    degraded: Option<&'static str>,
+    /// Bounded ring of per-run statistics, newest last (admission
+    /// history).
+    history: Mutex<VecDeque<MultiStepStats>>,
+}
+
+/// One side of a join being assembled: the relation, its dataset id and
+/// its Step-0 artifacts.
+type Side<'a> = (DatasetId, &'a Arc<Relation>, &'a DatasetArtifacts);
+
+impl PreparedJoin {
+    /// The one assembly of Step-0 state into a runnable join — shared by
+    /// the engine's cached pairs and the one-shot front. `filter` arrives
+    /// with its pair-level raster stage already decided.
+    fn assemble(
+        config: &JoinConfig,
+        (id_a, rel_a, arts_a): Side<'_>,
+        (id_b, rel_b, arts_b): Side<'_>,
+        filter: GeometricFilter,
+        step0_nanos: u64,
+        serving: Option<Serving>,
+        degraded: Option<&'static str>,
+    ) -> PreparedJoin {
+        let handle = |relation: &Arc<Relation>| RelHandle::from(relation.clone());
+        let (tree_a, tree_b) = (arts_a.tree.clone(), arts_b.tree.clone());
+        let (rel_a_h, rel_b_h) = (handle(rel_a), Some(handle(rel_b)));
+        let source = candidates::source_with(config, rel_a_h, rel_b_h, tree_a, tree_b);
+        let exact = ExactProcessor::from_shared(
+            config.exact,
+            handle(rel_a),
+            handle(rel_b),
+            arts_a.trstar.clone(),
+            arts_b.trstar.clone(),
+        );
+        PreparedJoin {
+            datasets: (id_a, id_b),
+            sizes: (rel_a.len(), rel_b.len()),
+            execution: config.execution,
+            source,
+            filter: filter.with_dispatch(config.kernel_dispatch()),
+            exact,
+            step0_nanos,
+            timed: config.obs.enabled,
+            exact_cost_kind: exact_cost_kind(config),
+            serving,
+            degraded,
+            history: Mutex::new(VecDeque::with_capacity(RUN_HISTORY)),
+        }
+    }
+
+    /// Step 0 for both relations from scratch, outside any engine — what
+    /// [`crate::MultiStepJoin::execute`] runs once and drops.
+    pub(crate) fn one_shot(config: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
+        let t_prep = config.obs.enabled.then(Instant::now);
+        let (rel_a, rel_b) = (Arc::new(rel_a.clone()), Arc::new(rel_b.clone()));
+        let (arts_a, _) = DatasetArtifacts::build(config, &rel_a, None, None);
+        let (arts_b, _) = DatasetArtifacts::build(config, &rel_b, None, None);
+        let mut filter = shared_filter(config, &arts_a, &arts_b);
+        if config.raster.enabled {
+            filter = filter.with_raster(&rel_a, &rel_b, config.raster.grid_bits);
+        }
+        let step0_nanos = t_prep.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (a, b) = ((0, &rel_a, &arts_a), (1, &rel_b, &arts_b));
+        Self::assemble(config, a, b, filter, step0_nanos, None, None)
+    }
+
+    /// Runs Steps 1–3 under the configured execution policy.
+    ///
+    /// Panics on cancellation / worker panic; use
+    /// [`Self::try_run_with`] when a deadline or fault plan is armed.
+    pub fn run(&self) -> JoinResult {
+        self.run_with(self.execution)
+    }
+
+    /// Runs Steps 1–3 under an explicit policy (the preparation is
+    /// policy-independent), panicking on failure.
+    pub fn run_with(&self, execution: Execution) -> JoinResult {
+        match self.try_run_with(execution, None) {
+            Ok(result) => result,
+            Err(err) => panic!("prepared join failed: {err}"),
+        }
+    }
+
+    /// Runs Steps 1–3 under an explicit policy — the one run function
+    /// everything above and every join request goes through. The run
+    /// polls `cancel` at every batch boundary and catches worker panics
+    /// at the join boundary: deadline, cancellation and a panicking
+    /// worker surface as structured errors instead of unwinding through
+    /// the caller, leaving the prepared join reusable.
+    ///
+    /// On an engine's prepared join every run — successful or failed —
+    /// records into the engine's registry and trace ring: direct runs
+    /// and submitted requests are indistinguishable to the exporters.
+    /// With no `cancel`, the engine's default deadline (if configured)
+    /// arms a fresh token; a caller-supplied token always wins.
+    pub fn try_run_with(
+        &self,
+        execution: Execution,
+        cancel: Option<&CancelToken>,
+    ) -> Result<JoinResult, EngineError> {
+        let serving = self.serving.as_ref();
+        let own_token = match (cancel, serving.and_then(|s| s.deadline)) {
+            (None, Some(deadline)) => Some(CancelToken::with_deadline(deadline)),
+            _ => None,
+        };
+        let cancel = cancel.or(own_token.as_ref());
+        let session = serving.map_or_else(msj_fault::FaultSession::inert, |s| s.fault.session());
+        let recorder = serving.filter(|s| s.obs.enabled);
+        // The trace carries the estimate the run would have been
+        // admitted under — taken before this run extends the history.
+        let estimated_s = recorder
+            .filter(|s| s.obs.traces.enabled())
+            .map_or(0.0, |s| self.admission_estimate(&s.params).0);
+        let t_run = recorder.map(|_| Span::start());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_steps(
+                &*self.source,
+                &self.filter,
+                &self.exact,
+                execution,
+                self.timed,
+                cancel,
+                &session,
+            )
+        }));
+        let latency_nanos = t_run.map_or(0, |t| t.elapsed_nanos());
+        if let (Some(site), Some(serving)) = (session.fired(), serving) {
+            serving.fault.spend();
+            serving.obs.fault_fired(site);
+        }
+        let outcome = match outcome {
+            Ok(mut result) => match cancel.filter(|token| token.reason().is_some()) {
+                Some(token) => Err(EngineError::from_cancel(
+                    token,
+                    result.stats.mbr_join.candidates,
+                )),
+                None => {
+                    result.stats.step0_nanos = self.step0_nanos;
+                    Ok(result)
+                }
+            },
+            Err(payload) => {
+                let panic = match payload.downcast::<WorkerPanic>() {
+                    Ok(panic) => *panic,
+                    Err(payload) => WorkerPanic {
+                        worker: 0,
+                        message: panic_message(payload.as_ref()),
+                    },
+                };
+                Err(EngineError::WorkerPanicked {
+                    worker: panic.worker,
+                    message: panic.message,
+                })
+            }
+        };
+        match &outcome {
+            Ok(result) => {
+                let mut history = lock(&self.history);
+                if history.len() == RUN_HISTORY {
+                    history.pop_front();
+                }
+                history.push_back(result.stats);
+                drop(history);
+                if let Some(s) = recorder {
+                    let kind = join_kind(self.datasets);
+                    s.obs
+                        .join_finished(kind, self.datasets, result, latency_nanos, estimated_s);
+                }
+            }
+            Err(err) => {
+                if let Some(s) = recorder {
+                    s.obs
+                        .join_failed(self.datasets, err, latency_nanos, estimated_s);
+                }
+            }
+        }
+        outcome
+    }
+
+    /// `Some(reason)` when this pair runs in degraded mode — its raster
+    /// signatures failed verification, so Step 2a is disabled and every
+    /// candidate surviving Step 2 goes to exact geometry. Answers stay
+    /// correct; only the §4 filter speedup is lost.
+    pub fn degraded_reason(&self) -> Option<&'static str> {
+        self.degraded
+    }
+
+    /// The joined dataset ids `(a, b)`.
+    pub fn datasets(&self) -> (DatasetId, DatasetId) {
+        self.datasets
+    }
+
+    /// Statistics of the most recent run, if any ran yet.
+    pub fn last_stats(&self) -> Option<MultiStepStats> {
+        lock(&self.history).back().copied()
+    }
+
+    /// Statistics of up to [`RUN_HISTORY`] most recent runs, oldest
+    /// first.
+    pub fn run_history(&self) -> Vec<MultiStepStats> {
+        lock(&self.history).iter().copied().collect()
+    }
+
+    /// The §5 modeled cost this join would be admitted under right now:
+    /// the observed history when a run happened (`from_history = true`),
+    /// the a-priori estimate otherwise.
+    pub fn admission_estimate(&self, params: &CostModelParams) -> (f64, bool) {
+        match self.last_stats() {
+            Some(stats) => (
+                figure18_cost(&stats, self.exact_cost_kind, params).total_s(),
+                true,
+            ),
+            None => (
+                a_priori_estimate(self.sizes.0, self.sizes.1, self.exact_cost_kind, params),
+                false,
+            ),
+        }
+    }
+}
+
+/// The §5 estimate for a join that never ran: on the paper's
+/// cartographic workloads each object meets on the order of one join
+/// partner (Table 2), so the larger side bounds the expected candidate
+/// count. Needs only the dataset sizes — admission can refuse a request
+/// before any pair-level Step 0 is built.
+fn a_priori_estimate(
+    len_a: usize,
+    len_b: usize,
+    kind: ExactCostKind,
+    params: &CostModelParams,
+) -> f64 {
+    estimate_cost(len_a.max(len_b) as u64, 0, kind, params).total_s()
+}
+
+/// Request-kind label of a join over `datasets`.
+fn join_kind((a, b): (DatasetId, DatasetId)) -> &'static str {
+    if a == b {
+        "self_join"
+    } else {
+        "join"
+    }
+}
+
+pub(super) fn exact_cost_kind(config: &JoinConfig) -> ExactCostKind {
+    match config.exact {
+        ExactAlgorithm::TrStar { .. } => ExactCostKind::TrStar,
+        _ => ExactCostKind::PlaneSweep,
+    }
+}
+
+/// The conservative / progressive filter over two datasets' shared
+/// stores, before any raster stage is attached.
+fn shared_filter(
+    config: &JoinConfig,
+    arts_a: &DatasetArtifacts,
+    arts_b: &DatasetArtifacts,
+) -> GeometricFilter {
+    GeometricFilter::from_shared(
+        arts_a.conservative.clone(),
+        arts_b.conservative.clone(),
+        arts_a.progressive.clone(),
+        arts_b.progressive.clone(),
+        config.false_area_test,
+    )
+}
+
+/// The engine's prepared-join cache: id-pair keyed, bounded by an LRU
+/// count cap. Entries carry a recency stamp refreshed on every hit; an
+/// insert beyond the cap evicts the stalest pair (its Step-0 state is
+/// rebuilt transparently on next use — results are unaffected, only the
+/// pair-level build cost is paid again).
+pub(super) struct PreparedCache {
+    cap: usize,
+    clock: u64,
+    map: HashMap<(DatasetId, DatasetId), (Arc<PreparedJoin>, u64)>,
+}
+
+impl PreparedCache {
+    pub fn new(cap: usize) -> Self {
+        PreparedCache {
+            cap: cap.max(1),
+            clock: 0,
+            map: HashMap::new(),
+        }
+    }
+
+    /// Cache lookup; a hit refreshes the entry's recency stamp.
+    fn get(&mut self, key: (DatasetId, DatasetId)) -> Option<Arc<PreparedJoin>> {
+        self.clock += 1;
+        let clock = self.clock;
+        self.map.get_mut(&key).map(|(join, stamp)| {
+            *stamp = clock;
+            join.clone()
+        })
+    }
+
+    /// Inserts `built` unless the key landed concurrently (the first
+    /// insert wins — callers build outside the lock), then evicts
+    /// least-recently-used entries beyond the cap. Returns the `Arc`
+    /// actually cached and the number of evictions.
+    fn insert(
+        &mut self,
+        key: (DatasetId, DatasetId),
+        built: Arc<PreparedJoin>,
+    ) -> (Arc<PreparedJoin>, u64) {
+        self.clock += 1;
+        let entry = self.map.entry(key).or_insert((built, 0));
+        entry.1 = self.clock;
+        let served = entry.0.clone();
+        let mut evicted = 0;
+        while self.map.len() > self.cap {
+            let stalest = self.map.iter().min_by_key(|(_, (_, stamp))| *stamp);
+            let Some(stalest) = stalest.map(|(&key, _)| key) else {
+                break;
+            };
+            self.map.remove(&stalest);
+            evicted += 1;
+        }
+        (served, evicted)
+    }
+
+    /// Drops every pair over dataset `id`.
+    pub fn forget_dataset(&mut self, id: DatasetId) {
+        self.map.retain(|&(a, b), _| a != id && b != id);
+    }
+}
+
+impl SpatialEngine {
+    /// The §5 cost the engine would model for `request` right now,
+    /// plus whether that estimate is history-informed (`true` when the
+    /// pair is already prepared and carries observed run statistics).
+    /// `None` when the request names an unregistered dataset.
+    ///
+    /// This is the read-only face of the admission estimate: a network
+    /// front uses it to derive `retry_after` hints for requests it
+    /// sheds *before* they reach the engine (full queue, connection
+    /// cap), keeping those hints on the same model admission itself
+    /// applies. Selections are modeled as one index descent of
+    /// page-access cost (coarse, a-priori — selections keep no
+    /// per-pair history).
+    pub fn estimate_request(&self, request: &Request) -> Option<(f64, bool)> {
+        let (a, b) = match *request {
+            Request::Join { a, b, .. } => (a, b),
+            Request::SelfJoin { dataset, .. } => (dataset, dataset),
+            Request::Point { dataset, .. } | Request::Window { dataset, .. } => {
+                let handle = self.dataset(dataset)?;
+                // One root-to-leaf descent plus a leaf page, in the
+                // model's page-access currency.
+                let depth = (handle.len().max(2) as f64).log2().ceil().max(1.0);
+                return Some(((depth + 1.0) * self.params.page_access_ms / 1000.0, false));
+            }
+        };
+        Some(self.join_estimate(&self.dataset(a)?, &self.dataset(b)?))
+    }
+
+    /// The admission estimate of a join: history is consulted when the
+    /// pair was already prepared; otherwise the a-priori size-based
+    /// estimate decides.
+    fn join_estimate(&self, a: &DatasetHandle, b: &DatasetHandle) -> (f64, bool) {
+        match self.cached_join((a.id(), b.id())) {
+            Some(prepared) => prepared.admission_estimate(&self.params),
+            None => {
+                let kind = exact_cost_kind(&self.config);
+                (
+                    a_priori_estimate(a.len(), b.len(), kind, &self.params),
+                    false,
+                )
+            }
+        }
+    }
+
+    /// The cached prepared join of a dataset-id pair, if one was built
+    /// (refreshes the pair's LRU recency).
+    pub(super) fn cached_join(&self, key: (DatasetId, DatasetId)) -> Option<Arc<PreparedJoin>> {
+        lock(&self.prepared).get(key)
+    }
+
+    /// The owned prepared join of two registered datasets, building it
+    /// on first use and serving the cached `Arc` afterwards. A self-join
+    /// is `prepare_join(&h, &h)`. Panics if either handle was registered
+    /// on a different engine.
+    ///
+    /// Per-dataset Step-0 state (trees, approximation stores, TR*
+    /// representations) is *shared* with the datasets — only the
+    /// pair-level state (the raster signatures on the pair's shared
+    /// grid, the Step-1 source wiring) is built here.
+    pub fn prepare_join(&self, a: &DatasetHandle, b: &DatasetHandle) -> Arc<PreparedJoin> {
+        match self.try_prepare_join(a, b) {
+            Ok(prepared) => prepared,
+            Err(err) => panic!("prepare_join failed: {err}"),
+        }
+    }
+
+    /// [`Self::prepare_join`] surfacing preparation failures — today
+    /// only [`EngineError::DegradedUnavailable`], when the pair's raster
+    /// signatures fail verification and [`JoinConfig::allow_degraded`]
+    /// is off — as structured errors.
+    pub fn try_prepare_join(
+        &self,
+        a: &DatasetHandle,
+        b: &DatasetHandle,
+    ) -> Result<Arc<PreparedJoin>, EngineError> {
+        self.assert_registered(a);
+        self.assert_registered(b);
+        let key = (a.id(), b.id());
+        let obs = &self.obs;
+        if let Some(prepared) = self.cached_join(key) {
+            obs.cache_hits.inc();
+            return Ok(prepared);
+        }
+        obs.cache_misses.inc();
+        // Build outside the cache lock so a slow pair-level Step 0 never
+        // blocks requests for other pairs; a concurrent double build is
+        // harmless (both are deterministic over the same shared state)
+        // and the first insert wins.
+        let built = Arc::new(self.build_prepared(a, b)?);
+        let (served, evicted) = lock(&self.prepared).insert(key, built);
+        obs.cache_evictions.add(evicted);
+        Ok(served)
+    }
+
+    fn build_prepared(
+        &self,
+        a: &DatasetHandle,
+        b: &DatasetHandle,
+    ) -> Result<PreparedJoin, EngineError> {
+        let t_pair = self.obs.enabled.then(Instant::now);
+        let (sa, sb) = (&a.state, &b.state);
+        let arts_a = self.artifacts(sa);
+        let arts_b = if Arc::ptr_eq(sa, sb) {
+            arts_a.clone()
+        } else {
+            self.artifacts(sb)
+        };
+        let filter = shared_filter(&self.config, &arts_a, &arts_b);
+        let (filter, degraded) = if self.config.raster.enabled {
+            self.attach_raster(filter, a, b)?
+        } else {
+            (filter, None)
+        };
+        // A self-join shares one dataset on both sides — count its
+        // registration cost once.
+        let datasets_step0 = if Arc::ptr_eq(sa, sb) {
+            sa.step0_nanos
+        } else {
+            sa.step0_nanos + sb.step0_nanos
+        };
+        let step0_nanos = datasets_step0 + t_pair.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let serving = Serving {
+            obs: self.obs.clone(),
+            params: self.params,
+            fault: self.fault.clone(),
+            deadline: self.config.deadline,
+        };
+        Ok(PreparedJoin::assemble(
+            &self.config,
+            (sa.id, &sa.relation, &arts_a),
+            (sb.id, &sb.relation, &arts_b),
+            filter,
+            step0_nanos,
+            Some(serving),
+            degraded,
+        ))
+    }
+
+    /// Pair-level Step 0: gives `filter` its Step-2a raster stage —
+    /// adopted from the pair's persisted segment, or rasterized on one
+    /// shared grid (signatures are only comparable on the same grid, so
+    /// they cannot be a per-dataset artifact) and written through.
+    ///
+    /// Returns the filter with `Some(reason)` when the stage had to be
+    /// dropped instead — **degraded mode**. The raster stores carry build-time checksums; a
+    /// mismatch (or an injected `raster_corrupt` fault) means Step 2a
+    /// would filter with untrustworthy signatures, and a persisted pair
+    /// segment whose raster sections fail *their* checksums means the
+    /// same thing one media generation earlier. The fallback strips the
+    /// rasters for this pair — every Step-2 survivor goes to exact
+    /// geometry, answers stay correct, only the §4 filter speedup is
+    /// lost — unless the configuration forbids it.
+    fn attach_raster(
+        &self,
+        mut filter: GeometricFilter,
+        a: &DatasetHandle,
+        b: &DatasetHandle,
+    ) -> Result<(GeometricFilter, Option<&'static str>), EngineError> {
+        let (sa, sb) = (&a.state, &b.state);
+        let obs = &self.obs;
+        let mut degraded = None;
+        // Store-backed pairs adopt their persisted signatures
+        // (checksums verified, both sides on one grid and as long as
+        // their relations) instead of re-rasterizing; misses and stale
+        // tags rebuild and write through.
+        let mut attached = false;
+        let mut corrupt: Vec<Section> = Vec::new();
+        if let Some(backend) = &self.store {
+            let read =
+                self.with_store_fault(|tamper| backend.store.read_pair(sa.id, sb.id, tamper));
+            if let Some(pair) = read.ok().flatten().filter(|p| p.config_tag == self.tag) {
+                let side = |section, relation: &Relation, corrupt: &mut Vec<_>| {
+                    adopt(
+                        Some(&pair),
+                        section,
+                        relation.len(),
+                        RasterStore::from_bytes,
+                        RasterStore::len,
+                        corrupt,
+                    )
+                };
+                let ra = side(Section::RasterA, &sa.relation, &mut corrupt);
+                let rb = side(Section::RasterB, &sb.relation, &mut corrupt);
+                match (ra, rb) {
+                    (Some(ra), Some(rb)) if ra.grid() == rb.grid() => {
+                        filter = filter.with_shared_raster(Arc::new(ra), Arc::new(rb));
+                        attached = true;
+                    }
+                    // Signatures on two grids are not comparable:
+                    // neither side can be trusted.
+                    (Some(_), Some(_)) => corrupt.extend([Section::RasterA, Section::RasterB]),
+                    _ => {}
+                }
+                if !corrupt.is_empty() {
+                    degraded = Some("store_corrupt");
+                }
+            }
+        }
+        obs.checksum_failed(&corrupt);
+        if degraded.is_none() && !attached {
+            filter = filter.with_raster(&sa.relation, &sb.relation, self.config.raster.grid_bits);
+            if let (Some(backend), Some((ra, rb))) = (&self.store, filter.raster_stores()) {
+                let sections = [
+                    (Section::RasterA, ra.to_bytes()),
+                    (Section::RasterB, rb.to_bytes()),
+                ];
+                let _ = backend.store.write_pair(sa.id, sb.id, self.tag, &sections);
+            }
+        }
+        let session = self.fault.session();
+        if degraded.is_none() {
+            if session.corrupt_raster() {
+                self.fault.spend();
+                degraded = Some("fault_injected");
+            } else if !filter.verify_raster() {
+                degraded = Some("raster_checksum");
+            }
+        }
+        if let Some(reason) = degraded {
+            if !self.config.allow_degraded {
+                return Err(EngineError::DegradedUnavailable { reason });
+            }
+            filter.strip_raster();
+            obs.degraded_mode(reason);
+            if let Some(site) = session.fired() {
+                obs.fault_fired(site);
+            }
+            obs.trace("degraded_mode", (a.id(), b.id()), |_| {});
+        }
+        Ok((filter, degraded))
+    }
+
+    pub(super) fn run_join_request(
+        &self,
+        a: DatasetId,
+        b: DatasetId,
+        execution: Option<Execution>,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Response, EngineError> {
+        let obs = &self.obs;
+        // A token cancelled before any work begins short-circuits the
+        // whole request — no admission, no preparation.
+        if let Some(token) = cancel.filter(|token| token.is_cancelled()) {
+            let err = EngineError::from_cancel(token, 0);
+            match err {
+                EngineError::DeadlineExceeded { .. } => obs.deadline_exceeded.inc(),
+                _ => obs.cancelled.inc(),
+            }
+            return Err(err);
+        }
+        let (ha, hb) = (self.require(a)?, self.require(b)?);
+        // Admission runs before any pair-level Step 0 is built: a
+        // request the limit refuses must not pay the preparation the
+        // limit exists to avoid.
+        let (estimated_s, from_history) = self.join_estimate(&ha, &hb);
+        if let Some(limit_s) = self.admission_limit().filter(|limit| estimated_s > *limit) {
+            obs.admission_shed.inc();
+            obs.trace(join_kind((a, b)), (a, b), |t| {
+                t.admitted = false;
+                t.estimated_s = estimated_s;
+            });
+            return Err(EngineError::AdmissionDenied {
+                estimated_s,
+                limit_s,
+                from_history,
+            });
+        }
+        obs.admission_accept.inc();
+        let prepared = self.try_prepare_join(&ha, &hb)?;
+        let result = prepared.try_run_with(execution.unwrap_or(self.config.execution), cancel)?;
+        let cost = figure18_cost(&result.stats, exact_cost_kind(&self.config), &self.params);
+        obs.admission_error(estimated_s, cost.total_s());
+        Ok(Response::Join(JoinResponse {
+            pairs: result.pairs,
+            stats: result.stats,
+            admission: Admission {
+                estimated_s,
+                from_history,
+                cost,
+            },
+        }))
+    }
+}

@@ -1,11 +1,5 @@
-//! The execution engine: **one** driver for the multi-step join,
-//! parameterized by an [`Execution`] policy.
-//!
-//! Before this engine existed the workspace had two divergent executors —
-//! a serial streaming pipeline and a `parallel_join` that materialized
-//! the *entire* candidate set into a `Vec` before fanning Steps 2–3 out
-//! (a full barrier, paying memory proportional to the candidate count).
-//! The engine replaces both:
+//! The execution engine: **one** driver for Steps 1–3 of a prepared join
+//! (`run_steps`), parameterized by an [`Execution`] policy.
 //!
 //! * [`Execution::Serial`] — one sink on the calling thread; candidates
 //!   stream through filter + exact immediately, in Step-1 order.
@@ -25,21 +19,16 @@
 //! `Serial` when Step-1 order matters (debugging, streaming consumers)
 //! or the workload is tiny; pick `Fused` on multi-core hardware.
 
-use crate::candidates;
-use crate::config::JoinConfig;
+use crate::candidates::CandidateSource;
 use crate::filter::{FilterOutcome, FilterScratch, GeometricFilter};
 use crate::pipeline::JoinResult;
 use crate::stats::MultiStepStats;
 use msj_exact::ExactProcessor;
 use msj_fault::{FaultAction, FaultSession};
-use msj_geom::{
-    panic_message, resolve_threads, CancelReason, CancelToken, ObjectId, PairConsumer, PairSink,
-    Relation, WorkerPanic,
-};
-use msj_obs::{ObsConfig, Span, Step, StepSpans, WorkerLane, WorkerTelemetry};
+use msj_geom::{resolve_threads, CancelToken, ObjectId, PairConsumer, PairSink, WorkerPanic};
+use msj_obs::{Span, Step, StepSpans, WorkerLane, WorkerTelemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// How the engine schedules Steps 2–3 relative to Step 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -81,30 +70,6 @@ const _: () = {
 /// counters (including its private `exact_ops`).
 type Partial = (Vec<(ObjectId, ObjectId)>, MultiStepStats);
 
-/// Why a controlled run ([`ScopedPreparedJoin::try_run_with`]) failed.
-/// The engine maps this onto its public [`crate::EngineError`] variants.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum RunError {
-    /// The run's cancel token read cancelled (explicitly or because its
-    /// deadline expired); the run stopped at a batch boundary.
-    Cancelled {
-        /// Why the token tripped.
-        reason: CancelReason,
-        /// Wall-clock since the token was armed.
-        elapsed: Duration,
-        /// Step-1 candidates delivered before the stop.
-        partial_candidates: u64,
-    },
-    /// A worker thread (or the calling thread's fused sink) panicked;
-    /// the panic was contained at the run boundary.
-    Panicked {
-        /// Attach-order index of the panicking worker.
-        worker: usize,
-        /// The panic payload, rendered.
-        message: String,
-    },
-}
-
 /// The engine's pair consumer: every attached sink classifies candidates
 /// through the shared filter and exact processor, accumulating into
 /// worker-local state that is published on detach (sink drop).
@@ -113,13 +78,11 @@ struct FusedConsumer<'a> {
     exact: &'a ExactProcessor<'a>,
     partials: Mutex<Vec<Partial>>,
     /// Shared per-step wall-clock accumulators of the run (every sink
-    /// adds its filter/exact time; relaxed atomics, no contention).
-    spans: &'a StepSpans,
-    /// Per-worker lanes; `None` when observability is disabled.
+    /// adds its filter/exact time; relaxed atomics, no contention);
+    /// `None` when the run is untimed — no sink then reads a clock.
+    spans: Option<&'a StepSpans>,
+    /// Per-worker lanes; `None` when the run is untimed.
     telemetry: Option<&'a WorkerTelemetry>,
-    /// Whether sinks read the clock at all
-    /// ([`msj_obs::ObsConfig::enabled`]).
-    timed: bool,
     /// The run's cooperative cancel token; sinks poll it once per batch
     /// and drop further candidates once it reads cancelled.
     cancel: Option<&'a CancelToken>,
@@ -134,32 +97,7 @@ struct FusedConsumer<'a> {
     attached: AtomicUsize,
 }
 
-impl<'a> FusedConsumer<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        filter: &'a GeometricFilter,
-        exact: &'a ExactProcessor<'a>,
-        spans: &'a StepSpans,
-        telemetry: Option<&'a WorkerTelemetry>,
-        timed: bool,
-        cancel: Option<&'a CancelToken>,
-        fault: &'a FaultSession,
-        workers: usize,
-    ) -> Self {
-        FusedConsumer {
-            filter,
-            exact,
-            partials: Mutex::new(Vec::new()),
-            spans,
-            telemetry,
-            timed,
-            cancel,
-            fault,
-            workers,
-            attached: AtomicUsize::new(0),
-        }
-    }
-
+impl FusedConsumer<'_> {
     fn into_partials(self) -> Vec<Partial> {
         // A sink that panicked mid-batch still published its partial on
         // drop but poisoned the mutex doing so; the data is a plain
@@ -285,35 +223,27 @@ impl PairSink for FusedSink<'_> {
             lane.record_buffered(batch.len() as u64);
         }
         let mut outcomes = std::mem::take(&mut self.outcomes);
-        let spans = self.owner.spans;
-        if self.owner.timed {
-            // Step 2, batch-wide: one compiled-plan dispatch for the run
-            // (the raster prepass reports its own share of the time into
-            // the Step-2a span; Step 2 covers it).
-            let t_filter = Span::start();
-            self.owner.filter.classify_batch_observed(
-                batch,
-                &mut outcomes,
-                &mut self.filter_scratch,
-                Some(spans),
-            );
-            spans.finish(Step::Step2, t_filter);
-            // Step 3 (plus cheap bookkeeping) for the whole batch.
-            let t_exact = Span::start();
-            self.apply_batch(batch, &outcomes);
-            spans.finish(Step::Step3, t_exact);
-        } else {
-            // Observability off: the identical work, zero clock reads.
-            self.owner.filter.classify_batch_observed(
-                batch,
-                &mut outcomes,
-                &mut self.filter_scratch,
-                None,
-            );
-            self.apply_batch(batch, &outcomes);
-        }
+        let (spans, filter) = (self.owner.spans, self.owner.filter);
+        // Step 2, batch-wide: one compiled-plan dispatch for the run (the
+        // raster prepass reports its own share of the time into the
+        // Step-2a span; Step 2 covers it).
+        time_step(spans, Step::Step2, || {
+            filter.classify_batch_observed(batch, &mut outcomes, &mut self.filter_scratch, spans)
+        });
+        // Step 3 (plus cheap bookkeeping) for the whole batch.
+        time_step(spans, Step::Step3, || self.apply_batch(batch, &outcomes));
         self.outcomes = outcomes;
     }
+}
+
+/// Runs `work`, charging its wall-clock to `step` of a timed run; an
+/// untimed run does the identical work with zero clock reads.
+fn time_step<T>(spans: Option<&StepSpans>, step: Step, work: impl FnOnce() -> T) -> T {
+    let Some(spans) = spans else { return work() };
+    let start = Span::start();
+    let out = work();
+    spans.finish(step, start);
+    out
 }
 
 impl Drop for FusedSink<'_> {
@@ -330,234 +260,112 @@ impl Drop for FusedSink<'_> {
     }
 }
 
-/// A join with Step 0 (preprocessing, the paper's "insertion time") done:
-/// the Step-1 candidate source, the approximation stores and the
-/// exact-step object representations are built, and Steps 1–3 can run —
-/// repeatedly, under any [`Execution`] policy — without paying that cost
-/// again. Built by [`crate::MultiStepJoin::prepare`] (borrowed, scoped to
-/// the relations) or assembled by the resident engine from `Arc`-shared
-/// Step-0 state (`ScopedPreparedJoin<'static>`, the payload of the owned
-/// [`crate::PreparedJoin`]).
+/// Runs Steps 1–3 once over prepared Step-0 state — the one driver under
+/// [`crate::PreparedJoin`], for every [`Execution`] policy and backend.
 ///
-/// Every run takes `&self` — per-run mutability lives inside the
-/// candidate source — so a prepared join can serve concurrent callers.
+/// The run polls `cancel` and offers `fault` as an injection site at
+/// every batch boundary; a cancelled run returns the partial result it
+/// had (the caller reads the token), and a panicking worker unwinds
+/// through here as a [`WorkerPanic`] payload for the caller to contain.
+/// With `timed` off no clock is read and no telemetry lane is allocated:
+/// every `*_nanos` statistic stays zero.
+///
 /// Re-running is deterministic in everything but the R*-traversal's
 /// simulated I/O counters (its LRU buffer stays warm across runs, so
 /// later runs report fewer physical reads).
-pub struct ScopedPreparedJoin<'a> {
+pub(crate) fn run_steps(
+    source: &dyn CandidateSource,
+    filter: &GeometricFilter,
+    exact: &ExactProcessor<'_>,
     execution: Execution,
-    source: Box<dyn candidates::CandidateSource + 'a>,
-    filter: GeometricFilter,
-    exact: ExactProcessor<'a>,
-    /// Step-0 wall-clock, attached to every run's statistics.
-    step0_nanos: u64,
-    /// Whether runs read clocks and collect worker telemetry.
-    obs: ObsConfig,
-}
+    timed: bool,
+    cancel: Option<&CancelToken>,
+    fault: &FaultSession,
+) -> JoinResult {
+    let (workers, fused) = match execution {
+        Execution::Serial => (1, false),
+        Execution::Fused { threads } => (resolve_threads(threads), true),
+    };
 
-impl<'a> ScopedPreparedJoin<'a> {
-    /// Assembles a prepared join from already-built components (the
-    /// resident engine's path — Step 0 ran at dataset registration).
-    pub(crate) fn from_parts(
-        execution: Execution,
-        source: Box<dyn candidates::CandidateSource + 'a>,
-        filter: GeometricFilter,
-        exact: ExactProcessor<'a>,
-        step0_nanos: u64,
-        obs: ObsConfig,
-    ) -> Self {
-        ScopedPreparedJoin {
-            execution,
-            source,
-            filter,
-            exact,
-            step0_nanos,
-            obs,
-        }
-    }
-
-    /// The execution policy configured at preparation.
-    pub fn execution(&self) -> Execution {
-        self.execution
-    }
-
-    /// Runs Steps 1–3 under the policy configured at preparation.
-    pub fn run(&self) -> JoinResult {
-        self.run_with(self.execution)
-    }
-
-    /// Runs Steps 1–3 under an explicit policy (the preparation is
-    /// policy-independent).
-    pub fn run_with(&self, execution: Execution) -> JoinResult {
-        let fault = FaultSession::inert();
-        self.run_controlled(execution, None, &fault)
-    }
-
-    /// [`run_with`](Self::run_with) that can fail: the run polls `cancel`
-    /// at every batch boundary, offers `fault` every batch as an
-    /// injection site, and catches worker panics at the join boundary —
-    /// a panicking worker yields [`RunError::Panicked`] instead of
-    /// unwinding through the caller, leaving the prepared join reusable.
-    pub(crate) fn try_run_with(
-        &self,
-        execution: Execution,
-        cancel: Option<&CancelToken>,
-        fault: &FaultSession,
-    ) -> Result<JoinResult, RunError> {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_controlled(execution, cancel, fault)
-        }));
-        let result = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                let panic = match payload.downcast::<WorkerPanic>() {
-                    Ok(panic) => *panic,
-                    Err(payload) => WorkerPanic {
-                        worker: 0,
-                        message: panic_message(payload.as_ref()),
-                    },
-                };
-                return Err(RunError::Panicked {
-                    worker: panic.worker,
-                    message: panic.message,
-                });
-            }
-        };
-        if let Some(token) = cancel {
-            if let Some(reason) = token.reason() {
-                return Err(RunError::Cancelled {
-                    reason,
-                    elapsed: token.elapsed(),
-                    partial_candidates: result.stats.mbr_join.candidates,
-                });
-            }
-        }
-        Ok(result)
-    }
-
-    fn run_controlled(
-        &self,
-        execution: Execution,
-        cancel: Option<&CancelToken>,
-        fault: &FaultSession,
-    ) -> JoinResult {
-        let (workers, fused) = match execution {
-            Execution::Serial => (1, false),
-            Execution::Fused { threads } => (resolve_threads(threads), true),
-        };
-
-        // Steps 1–3: the backend feeds candidates to one sink per
-        // worker; every sink runs filter + exact immediately. With
-        // observability disabled the spans stay zero and no clock is
-        // ever read — the telemetry lanes are never allocated either.
-        let spans = StepSpans::new();
-        let telemetry = self.obs.enabled.then(|| WorkerTelemetry::new(workers));
-        let consumer = FusedConsumer::new(
-            &self.filter,
-            &self.exact,
-            &spans,
-            telemetry.as_ref(),
-            self.obs.enabled,
-            cancel,
-            fault,
-            workers,
-        );
-        let t_run = self.obs.enabled.then(Span::start);
-        let step1 =
-            self.source
-                .join_candidates_controlled(&consumer, workers, telemetry.as_ref(), cancel);
-
-        // Deterministic merge: all counters are commutative sums, so the
-        // worker completion order cannot influence the totals.
-        let mut stats = MultiStepStats {
-            mbr_join: step1.join,
-            partition: step1.partition,
-            peak_buffered_candidates: step1.peak_buffered,
-            ..MultiStepStats::default()
-        };
-        let mut pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
-        for (p, s) in consumer.into_partials() {
-            if pairs.is_empty() {
-                // Move the first worker's output — on the serial path
-                // (exactly one partial) this is the whole response set.
-                pairs = p;
-            } else {
-                pairs.extend(p);
-            }
-            stats.raster_hits += s.raster_hits;
-            stats.raster_drops += s.raster_drops;
-            stats.raster_inconclusive += s.raster_inconclusive;
-            stats.filter_false_hits += s.filter_false_hits;
-            stats.filter_hits_progressive += s.filter_hits_progressive;
-            stats.filter_hits_false_area += s.filter_hits_false_area;
-            stats.exact_tests += s.exact_tests;
-            stats.exact_hits += s.exact_hits;
-            stats.exact_ops.merge(&s.exact_ops);
-        }
-        if fused {
-            // Canonical response order, independent of worker
-            // interleaving.
-            pairs.sort_unstable();
-        }
-        // Per-step wall-clock attribution: Step-2/2a/3 times are summed
-        // across workers in the shared spans; Step 1 is the residual of
-        // the Steps-1–3 wall (exact when serial, a lower bound under
-        // fused overlap — see the field docs). All zero when
-        // observability is disabled.
-        stats.step2_nanos = spans.get(Step::Step2);
-        stats.step2a_nanos = spans.get(Step::Step2a);
-        stats.step3_nanos = spans.get(Step::Step3);
-        let steps123 = t_run.map_or(0, |t| t.elapsed_nanos());
-        stats.step0_nanos = self.step0_nanos;
-        stats.step1_nanos = steps123.saturating_sub(stats.step2_nanos + stats.step3_nanos);
-        // The largest worker pool that actually ran anywhere in the
-        // execution: the engine's own sinks, or the backend's internal
-        // tile sweeps when Step 1 parallelized under a serial downstream.
-        stats.threads_used = step1
-            .workers_fed
-            .max(step1.partition.map_or(1, |p| p.threads))
-            .max(1);
-        stats.result_pairs = pairs.len() as u64;
-        JoinResult {
-            pairs,
-            stats,
-            worker_lanes: telemetry.map(|t| t.snapshot()).unwrap_or_default(),
-        }
-    }
-}
-
-/// Builds a [`ScopedPreparedJoin`]: Step 0 for both relations under
-/// `config`.
-pub(crate) fn prepare<'a>(
-    config: &JoinConfig,
-    rel_a: &'a Relation,
-    rel_b: &'a Relation,
-) -> ScopedPreparedJoin<'a> {
-    let t_prep = config.obs.enabled.then(Instant::now);
-    let source = candidates::join_source(config, rel_a, rel_b);
-    let filter = GeometricFilter::from_config(config, rel_a, rel_b);
-    let exact = ExactProcessor::new(config.exact, rel_a, rel_b);
-    ScopedPreparedJoin {
-        execution: config.execution,
-        source,
+    // The backend feeds candidates to one sink per worker; every sink
+    // runs filter + exact immediately.
+    let spans = StepSpans::new();
+    let telemetry = timed.then(|| WorkerTelemetry::new(workers));
+    let consumer = FusedConsumer {
         filter,
         exact,
-        step0_nanos: t_prep.map_or(0, |t| t.elapsed().as_nanos() as u64),
-        obs: config.obs,
-    }
-}
+        partials: Mutex::new(Vec::new()),
+        spans: timed.then_some(&spans),
+        telemetry: telemetry.as_ref(),
+        cancel,
+        fault,
+        workers,
+        attached: AtomicUsize::new(0),
+    };
+    let t_run = timed.then(Span::start);
+    let step1 = source.join_candidates(&consumer, workers, telemetry.as_ref(), cancel);
 
-/// Runs the full three-step join of `rel_a` with `rel_b` under the
-/// configured [`Execution`] policy — the entry point behind
-/// [`crate::MultiStepJoin::execute`].
-pub(crate) fn run_join(config: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> JoinResult {
-    prepare(config, rel_a, rel_b).run()
+    // Deterministic merge: all counters are commutative sums, so the
+    // worker completion order cannot influence the totals.
+    let mut stats = MultiStepStats {
+        mbr_join: step1.join,
+        partition: step1.partition,
+        peak_buffered_candidates: step1.peak_buffered,
+        ..MultiStepStats::default()
+    };
+    let mut pairs: Vec<(ObjectId, ObjectId)> = Vec::new();
+    for (p, s) in consumer.into_partials() {
+        if pairs.is_empty() {
+            // Move the first worker's output — on the serial path
+            // (exactly one partial) this is the whole response set.
+            pairs = p;
+        } else {
+            pairs.extend(p);
+        }
+        stats.raster_hits += s.raster_hits;
+        stats.raster_drops += s.raster_drops;
+        stats.raster_inconclusive += s.raster_inconclusive;
+        stats.filter_false_hits += s.filter_false_hits;
+        stats.filter_hits_progressive += s.filter_hits_progressive;
+        stats.filter_hits_false_area += s.filter_hits_false_area;
+        stats.exact_tests += s.exact_tests;
+        stats.exact_hits += s.exact_hits;
+        stats.exact_ops.merge(&s.exact_ops);
+    }
+    if fused {
+        // Canonical response order, independent of worker
+        // interleaving.
+        pairs.sort_unstable();
+    }
+    // Per-step wall-clock attribution: Step-2/2a/3 times are summed
+    // across workers in the shared spans; Step 1 is the residual of
+    // the Steps-1–3 wall (exact when serial, a lower bound under
+    // fused overlap — see the field docs).
+    stats.step2_nanos = spans.get(Step::Step2);
+    stats.step2a_nanos = spans.get(Step::Step2a);
+    stats.step3_nanos = spans.get(Step::Step3);
+    let steps123 = t_run.map_or(0, |t| t.elapsed_nanos());
+    stats.step1_nanos = steps123.saturating_sub(stats.step2_nanos + stats.step3_nanos);
+    // The largest worker pool that actually ran anywhere in the
+    // execution: the engine's own sinks, or the backend's internal
+    // tile sweeps when Step 1 parallelized under a serial downstream.
+    stats.threads_used = step1
+        .workers_fed
+        .max(step1.partition.map_or(1, |p| p.threads))
+        .max(1);
+    stats.result_pairs = pairs.len() as u64;
+    JoinResult {
+        pairs,
+        stats,
+        worker_lanes: telemetry.map(|t| t.snapshot()).unwrap_or_default(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Backend;
+    use crate::candidates;
+    use crate::config::{Backend, JoinConfig};
     use crate::pipeline::MultiStepJoin;
 
     fn sorted(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
@@ -669,25 +477,6 @@ mod tests {
         );
         let f = MultiStepJoin::new(grid).execute(&a, &b);
         assert_eq!(f.stats.peak_buffered_candidates, 0);
-    }
-
-    #[test]
-    fn prepared_join_runs_repeatedly_under_any_policy() {
-        let a = msj_datagen::small_carto(30, 20.0, 908);
-        let b = msj_datagen::small_carto(30, 20.0, 909);
-        let join = MultiStepJoin::new(JoinConfig::default());
-        let reference = join.execute(&a, &b);
-        let prepared = join.prepare(&a, &b);
-        let serial = prepared.run();
-        assert_eq!(serial.pairs, reference.pairs);
-        // Same preparation, different policies: identical response sets.
-        for threads in [1usize, 2, 8] {
-            let f = prepared.run_with(Execution::Fused { threads });
-            assert_eq!(f.pairs, sorted(reference.pairs.clone()), "x{threads}");
-            assert_eq!(f.stats.exact_ops, reference.stats.exact_ops);
-        }
-        // And a repeat serial run still agrees (warm buffer, same set).
-        assert_eq!(prepared.run().pairs, reference.pairs);
     }
 
     #[test]

@@ -21,73 +21,49 @@
 //!    recommendation is the TR*-tree).
 //!
 //! Candidates are streamed between steps — no intermediate candidate sets
-//! are materialized (§2.4). [`pipeline::MultiStepJoin::execute`] runs the
-//! whole pipeline and returns the response set plus the per-step
-//! statistics ([`stats::MultiStepStats`]) that feed every evaluation
-//! table, and [`cost`] implements the §5 total-cost model of Figures 11
-//! and 18.
+//! are materialized (§2.4) — in batches ([`JoinConfig::batch_pairs`]):
+//! Step 1 delivers candidate runs through
+//! [`msj_geom::PairSink::consume_batch`], Step 2 classifies each run via a
+//! [`filter::FilterPlan`] compiled once per join over `msj-approx`'s
+//! columnar stores, and [`MultiStepStats`] carries the per-step
+//! cardinalities and wall-clock that feed every evaluation table.
+//! [`cost`] implements the §5 total-cost model of Figures 11 and 18.
 //!
-//! ## The execution engine
+//! ## One path per request shape
 //!
-//! One engine ([`execution`]) drives every join, parameterized by the
-//! [`Execution`] policy on [`JoinConfig`]:
+//! * **Joins** run on one owned type, [`PreparedJoin`]: Step 0 done, both
+//!   relations and their artifacts co-owned behind `Arc`, one fallible
+//!   run function ([`PreparedJoin::try_run_with`]) over the one driver in
+//!   [`execution`]. A [`SpatialEngine`] builds it from the Step-0 state
+//!   of two registered datasets, caches it and re-runs it indefinitely;
+//!   [`MultiStepJoin::execute`] — the paper's one-shot join — builds the
+//!   same thing from scratch, runs it once and drops it.
+//! * **Selections** (point / window queries, §2) run through one
+//!   batch-shaped loop, [`queries`], generic over the probe shape; a
+//!   single query is a batch of one.
+//! * **Step 1** is one trait, [`CandidateSource`]: one join method and
+//!   one method per selection shape, implemented by the R*-tree
+//!   traversal and the partitioned sweep.
 //!
-//! * [`Execution::Serial`] — all three steps on the calling thread, in
-//!   Step-1 delivery order;
-//! * [`Execution::Fused`] — filter + exact run *inside* the Step-1
-//!   workers, the paper's §6 CPU-parallelism outlook realized along
-//!   Tsitsigkos & Mamoulis (SIGSPATIAL 2019). Candidates never
-//!   materialize: backends feed per-worker sinks through the
-//!   [`msj_geom::PairConsumer`] protocol (the partitioned sweep hands
-//!   each tile worker its own sink; the R*-traversal distributes bounded
-//!   chunks over channels), and each sink classifies candidates the
-//!   moment they are produced. Results and operation counts are merged
-//!   deterministically and sorted canonically, so `Fused` is
-//!   byte-identical to `Serial`.
+//! The [`Execution`] policy on [`JoinConfig`] decides how a join's steps
+//! are scheduled: [`Execution::Serial`] runs all three on the calling
+//! thread in Step-1 delivery order; [`Execution::Fused`] runs filter +
+//! exact *inside* the Step-1 workers (the paper's §6 CPU-parallelism
+//! outlook, along Tsitsigkos & Mamoulis, SIGSPATIAL 2019), merging
+//! results deterministically so it is byte-identical to `Serial` once
+//! sorted.
 //!
 //! ## The resident engine
 //!
-//! One-shot joins rebuild Step 0 every call. The [`engine`] module keeps
-//! it resident instead: [`SpatialEngine::register`] builds and **owns**
-//! each relation's Step-0 state behind `Arc`, prepared joins are owned
-//! values ([`PreparedJoin`], no borrowed lifetime) that are cached,
-//! shared across threads and re-run indefinitely, and join/point/window
-//! traffic is served through one [`Request`]/[`Response`] surface with
-//! batched submission and §5 cost-model admission control:
-//!
-//! ```
-//! use msj_core::{Execution, JoinConfig, RasterConfig, Request, SpatialEngine};
-//!
-//! let engine = SpatialEngine::new(
-//!     JoinConfig::builder()
-//!         .execution(Execution::Fused { threads: 4 })
-//!         .raster(RasterConfig::auto())
-//!         .build(),
-//! );
-//! let a = engine.register(msj_datagen::small_carto(16, 16.0, 1));
-//! let b = engine.register(msj_datagen::small_carto(16, 16.0, 2));
-//! let responses = engine.submit_batch([
-//!     Request::Join { a: a.id(), b: b.id(), execution: None },
-//! ]);
-//! assert!(responses[0].is_ok());
-//! ```
-//!
-//! ## The batched hot path
-//!
-//! Candidates move between the steps in batches, and every per-candidate
-//! decision that is actually per-*join* is hoisted out of the loop:
-//!
-//! * Step 0 builds the R*-trees with STR bulk loading by default
-//!   ([`config::TreeLoader`]) — fully packed pages from one sort, with
-//!   incremental insertion kept for dynamic workloads;
-//! * Step 1 delivers candidate runs through
-//!   [`msj_geom::PairSink::consume_batch`] (sized by
-//!   [`JoinConfig::batch_pairs`]), flushed at tile/chunk boundaries;
-//! * Step 2 classifies each run via a [`filter::FilterPlan`] compiled
-//!   once per join over `msj-approx`'s columnar stores
-//!   ([`GeometricFilter::classify_batch`]);
-//! * [`MultiStepStats`] carries per-step wall-clock
-//!   (`step0/1/2/3_nanos`) so speedups are attributable.
+//! [`engine`] keeps Step 0 resident: [`SpatialEngine::register`] builds
+//! and **owns** each relation's artifacts, and join / point / window
+//! traffic is served through one [`Request`] / [`Response`] surface with
+//! §5 cost-model admission control (see the module docs for an example).
+//! Its modules follow its concerns: `datasets` (registry, Step 0 per
+//! relation, the persistent store and its residency budget), `join`
+//! (prepared joins, their cache, join requests), `select` (selections),
+//! `obs` (the metric schema, every instrument resolved once) and `types`
+//! (requests, responses, errors).
 
 pub mod candidates;
 pub mod config;
@@ -103,9 +79,7 @@ pub use candidates::{
     fused_buffer_bound, join_source, selection_source, CandidateSource, PartitionSummary,
     SelectionStats, Step1Stats, FUSED_CHUNK, FUSED_QUEUE_DEPTH,
 };
-pub use config::{
-    Backend, JoinConfig, JoinConfigBuilder, RasterConfig, TreeLoader, DEFAULT_BATCH_PAIRS,
-};
+pub use config::{Backend, JoinConfig, JoinConfigBuilder, RasterConfig, DEFAULT_BATCH_PAIRS};
 pub use cost::{
     estimate_cost, figure11_loss_gain, figure18_cost, CostBreakdown, CostModelParams,
     ExactCostKind, LossGain,
@@ -114,7 +88,7 @@ pub use engine::{
     Admission, DatasetHandle, DatasetId, EngineError, JoinResponse, PreparedJoin, Request,
     Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,
 };
-pub use execution::{Execution, ScopedPreparedJoin};
+pub use execution::Execution;
 pub use filter::{FilterOutcome, FilterPlan, FilterScratch, GeometricFilter};
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;

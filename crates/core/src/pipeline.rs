@@ -1,13 +1,12 @@
 //! The multi-step join pipeline (Figure 1): MBR-join → geometric filter →
 //! exact geometry processor, with candidates streamed between steps.
 //!
-//! [`MultiStepJoin`] is a thin front over the [`crate::execution`]
-//! engine: the configured [`crate::Execution`] policy decides whether the
-//! three steps run serially on the calling thread or fused inside the
-//! Step-1 workers.
+//! [`MultiStepJoin`] is the one-shot front over [`crate::PreparedJoin`]:
+//! Step 0 for both relations, then one run under the configured
+//! [`crate::Execution`] policy.
 
 use crate::config::JoinConfig;
-use crate::execution;
+use crate::engine::PreparedJoin;
 use crate::stats::MultiStepStats;
 use msj_geom::{ObjectId, Relation};
 use msj_obs::WorkerLaneSnapshot;
@@ -56,23 +55,17 @@ impl MultiStepJoin {
     }
 
     /// Runs the full three-step join of `rel_a` with `rel_b` under the
-    /// configured [`crate::Execution`] policy.
-    pub fn execute(&self, rel_a: &Relation, rel_b: &Relation) -> JoinResult {
-        execution::run_join(&self.config, rel_a, rel_b)
-    }
-
-    /// Runs Step 0 (preprocessing, "insertion time") only, returning a
-    /// [`crate::ScopedPreparedJoin`] that executes Steps 1–3 on demand —
-    /// under the configured policy or any other, as many times as needed
-    /// — for as long as the borrowed relations live. For a resident,
-    /// owned prepared join (shareable across threads, no lifetime), use
+    /// configured [`crate::Execution`] policy: builds the same owned
+    /// [`PreparedJoin`] a [`crate::SpatialEngine`] would (Step 0 from
+    /// scratch, over a copy of each relation — the prepared join owns
+    /// its inputs), runs it once and drops it. The configuration's
+    /// deadline and fault plan are request-serving concerns and are not
+    /// applied; nothing is recorded anywhere but in the returned
+    /// statistics. To pay Step 0 once for many runs, register the
+    /// relations on an engine and use
     /// [`crate::SpatialEngine::prepare_join`].
-    pub fn prepare<'a>(
-        &self,
-        rel_a: &'a Relation,
-        rel_b: &'a Relation,
-    ) -> execution::ScopedPreparedJoin<'a> {
-        execution::prepare(&self.config, rel_a, rel_b)
+    pub fn execute(&self, rel_a: &Relation, rel_b: &Relation) -> JoinResult {
+        PreparedJoin::one_shot(&self.config, rel_a, rel_b).run()
     }
 }
 

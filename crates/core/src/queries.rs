@@ -10,13 +10,14 @@
 //!    elimination), progressive approximation test (hit identification);
 //! 3. exact geometry test for the remainder.
 
-use crate::candidates::{self, CandidateSource};
+use crate::candidates::{self, CandidateSource, SelectionStats};
 use crate::config::JoinConfig;
 use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
 use msj_exact::{region_contains_point, region_intersects_rect, OpCounts};
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{ObjectId, Point, Rect, RelHandle};
+use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle, Relation};
 use msj_obs::{Span, Step, StepSpans};
+use msj_sam::RStarTree;
 use std::sync::Arc;
 
 /// Per-query statistics of a multi-step query execution.
@@ -34,50 +35,133 @@ pub struct QueryStats {
     pub physical_reads: u64,
 }
 
+/// What a selection shape — a point or a window — asks of each step of
+/// the pipeline. [`SelectionState::select`] is the one loop over it.
+pub(crate) trait Probe: Copy {
+    /// Request-kind label of this shape (`"point"` / `"window"`).
+    const KIND: &'static str;
+
+    /// Step 1 for a batch of probes of this shape.
+    fn candidates(
+        source: &dyn CandidateSource,
+        probes: &[Self],
+        out: &mut Vec<ObjectId>,
+        stats: &mut Vec<SelectionStats>,
+    );
+
+    /// The wide MER test: pushes, per candidate id, whether the probe
+    /// provably meets `mers[id]` (NaN-sentinel slots land `false`,
+    /// exactly like [`Progressive::Empty`]).
+    fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>);
+
+    /// `false` proves a false hit: the probe misses the conservative
+    /// approximation.
+    fn meets_conservative(&self, cons: &ConsView<'_>) -> bool;
+
+    /// `true` proves a hit: the probe meets the enclosed shape.
+    fn meets_progressive(&self, prog: &Progressive) -> bool;
+
+    /// Step 3 on the exact geometry (closed semantics).
+    fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool;
+}
+
+impl Probe for Point {
+    const KIND: &'static str = "point";
+
+    fn candidates(
+        source: &dyn CandidateSource,
+        probes: &[Self],
+        out: &mut Vec<ObjectId>,
+        stats: &mut Vec<SelectionStats>,
+    ) {
+        source.point_candidates(probes, out, stats)
+    }
+
+    fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>) {
+        kernels::rects_contain_point(d, mers, ids, *self, mask)
+    }
+
+    fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
+        cons.contains_point(*self)
+    }
+
+    fn meets_progressive(&self, prog: &Progressive) -> bool {
+        match prog {
+            Progressive::Mec(c) => c.contains_point(*self),
+            Progressive::Mer(r) => r.contains_point(*self),
+            Progressive::Empty => false,
+        }
+    }
+
+    fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool {
+        region_contains_point(region, *self, counts)
+    }
+}
+
+impl Probe for Rect {
+    const KIND: &'static str = "window";
+
+    fn candidates(
+        source: &dyn CandidateSource,
+        probes: &[Self],
+        out: &mut Vec<ObjectId>,
+        stats: &mut Vec<SelectionStats>,
+    ) {
+        source.window_candidates(probes, out, stats)
+    }
+
+    fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>) {
+        kernels::rects_intersect_query(d, mers, ids, self, mask)
+    }
+
+    fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
+        match cons {
+            ConsView::Rect(r) => r.intersects(self),
+            ConsView::Circle(c) => c.intersects_rect(self),
+            ConsView::Ellipse(e) => e.intersects_convex(&self.corners()),
+            ConsView::Convex(ring) => msj_geom::convex_intersect(ring, &self.corners()),
+        }
+    }
+
+    fn meets_progressive(&self, prog: &Progressive) -> bool {
+        match prog {
+            Progressive::Mec(c) => c.intersects_rect(self),
+            Progressive::Mer(r) => r.intersects(self),
+            Progressive::Empty => false,
+        }
+    }
+
+    fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool {
+        region_intersects_rect(region, self, counts)
+    }
+}
+
 /// The resident multi-step selection state over one relation: candidate
 /// source plus `Arc`-shared approximation stores. This is what a
 /// [`crate::SpatialEngine`] dataset keeps registered.
-pub(crate) struct SelectionState<'a> {
-    pub relation: RelHandle<'a>,
-    pub source: Box<dyn CandidateSource + 'a>,
-    pub conservative: Option<Arc<ConservativeStore>>,
-    pub progressive: Option<Arc<ProgressiveStore>>,
+pub(crate) struct SelectionState {
+    relation: Arc<Relation>,
+    source: Box<dyn CandidateSource>,
+    conservative: Option<Arc<ConservativeStore>>,
+    progressive: Option<Arc<ProgressiveStore>>,
     /// Kernel path of the wide MER probe masks; the per-candidate
     /// fallback chain stays scalar. Outcomes are identical on every
     /// path.
-    pub dispatch: KernelDispatch,
+    dispatch: KernelDispatch,
 }
 
-impl<'a> SelectionState<'a> {
-    /// Builds everything from the relation alone — what the engine does
-    /// at registration, without the engine.
-    #[cfg(test)]
-    fn build(relation: RelHandle<'a>, config: &JoinConfig) -> Self {
-        let conservative = config
-            .conservative
-            .map(|k| Arc::new(ConservativeStore::build(k, &relation)));
-        let progressive = config
-            .progressive
-            .map(|k| Arc::new(ProgressiveStore::build(k, &relation)));
-        Self::from_shared_with_step1(
-            relation,
-            config,
-            candidates::SharedStep1::default(),
-            conservative,
-            progressive,
-        )
-    }
-
+impl SelectionState {
     /// Assembles the state around a Step-1 index and stores built once at
     /// dataset registration.
-    pub fn from_shared_with_step1(
-        relation: RelHandle<'a>,
+    pub fn new(
+        relation: Arc<Relation>,
         config: &JoinConfig,
-        shared: candidates::SharedStep1,
+        tree: Option<Arc<RStarTree>>,
         conservative: Option<Arc<ConservativeStore>>,
         progressive: Option<Arc<ProgressiveStore>>,
     ) -> Self {
-        let source = candidates::selection_source_with(config, relation.clone(), shared);
+        let handle = RelHandle::from(relation.clone());
+        let source = candidates::source_with(config, handle, None, tree, None);
         SelectionState {
             relation,
             source,
@@ -87,367 +171,89 @@ impl<'a> SelectionState<'a> {
         }
     }
 
-    /// All objects whose region contains `p` (closed semantics).
-    pub fn point_query(&self, p: Point, counts: &mut OpCounts) -> (Vec<ObjectId>, QueryStats) {
-        self.point_query_observed(p, counts, None)
-    }
-
-    /// [`point_query`](SelectionState::point_query) with step timing:
-    /// the index probe lands in `Step1`, the filter chain in `Step2` and
-    /// the exact tests in `Step3` of `spans`; `None` skips every clock
-    /// read. Results are identical either way.
-    pub fn point_query_observed(
+    /// Answers a batch of same-shape selections — every object whose
+    /// region contains the point / intersects the window, closed
+    /// semantics — handing each query's ids, statistics and exact-step
+    /// operation counts to `emit` in probe order. A single query is a
+    /// batch of one: the batch shares one Step-1 descent (see
+    /// [`CandidateSource::point_candidates`]) and one set of scratch
+    /// buffers, and nothing but the physical-read attribution depends on
+    /// how probes are grouped.
+    ///
+    /// With `spans`, the index probes land in `Step1`, the filter chain
+    /// in `Step2` and the exact tests in `Step3`; `None` skips every
+    /// clock read. Results are identical either way.
+    pub fn select<P: Probe>(
         &self,
-        p: Point,
-        counts: &mut OpCounts,
+        probes: &[P],
         spans: Option<&StepSpans>,
-    ) -> (Vec<ObjectId>, QueryStats) {
+        mut emit: impl FnMut(Vec<ObjectId>, QueryStats, OpCounts),
+    ) {
         let t_probe = spans.map(|_| Span::start());
-        let mut candidates = Vec::new();
-        let step1 = self.source.point_candidates(p, &mut candidates);
+        let mut all = Vec::new();
+        let mut probe_stats = Vec::with_capacity(probes.len());
+        P::candidates(&*self.source, probes, &mut all, &mut probe_stats);
         if let (Some(spans), Some(t)) = (spans, t_probe) {
             spans.finish(Step::Step1, t);
         }
-        let mut stats = QueryStats {
-            candidates: step1.candidates,
-            physical_reads: step1.physical_reads,
-            ..QueryStats::default()
-        };
         let t_rest = spans.map(|_| Span::start());
         // MER progressive columns admit a wide probe: one id-gathered
-        // point-in-rect mask over the whole candidate list (NaN-sentinel
-        // slots land `false`, exactly like `Progressive::Empty`). The
-        // per-candidate chain below consumes it by index.
-        let mer_mask = self.progressive.as_deref().and_then(|prog| {
-            prog.mer_column().map(|mers| {
-                let mut mask = Vec::new();
-                kernels::rects_contain_point(self.dispatch, mers, &candidates, p, &mut mask);
-                mask
-            })
-        });
+        // mask over a query's whole candidate list, consumed by index in
+        // the per-candidate chain below.
+        let mers = self.progressive.as_deref().and_then(|p| p.mer_column());
+        let mut mask = Vec::new();
         let mut exact_nanos = 0u64;
-        let mut result = Vec::new();
-        for (slot, id) in candidates.into_iter().enumerate() {
-            // Conservative: point outside the approximation → false hit.
-            if let Some(cons) = &self.conservative {
-                if !cons.view(id).contains_point(p) {
-                    stats.filter_false_hits += 1;
-                    continue;
-                }
+        let mut offset = 0usize;
+        for (probe, step1) in probes.iter().zip(&probe_stats) {
+            let n = step1.candidates as usize;
+            let candidates = &all[offset..offset + n];
+            offset += n;
+            let mut stats = QueryStats {
+                candidates: step1.candidates,
+                physical_reads: step1.physical_reads,
+                ..QueryStats::default()
+            };
+            if let Some(mers) = mers {
+                mask.clear();
+                probe.mer_mask(self.dispatch, mers, candidates, &mut mask);
             }
-            // Progressive: point inside the enclosed shape → hit.
-            if let Some(prog) = &self.progressive {
-                let hit = match &mer_mask {
-                    Some(mask) => mask[slot],
-                    None => progressive_contains(&prog.get(id), p),
-                };
+            let mut result = Vec::new();
+            let mut counts = OpCounts::new();
+            for (slot, &id) in candidates.iter().enumerate() {
+                if let Some(cons) = &self.conservative {
+                    if !probe.meets_conservative(&cons.view(id)) {
+                        stats.filter_false_hits += 1;
+                        continue;
+                    }
+                }
+                if let Some(prog) = &self.progressive {
+                    let hit = match mers {
+                        Some(_) => mask[slot],
+                        None => probe.meets_progressive(&prog.get(id)),
+                    };
+                    if hit {
+                        stats.filter_hits += 1;
+                        result.push(id);
+                        continue;
+                    }
+                }
+                stats.exact_tests += 1;
+                let t_exact = spans.map(|_| Span::start());
+                let hit = probe.meets_region(&self.relation.object(id).region, &mut counts);
+                if let Some(t) = t_exact {
+                    exact_nanos += t.elapsed_nanos();
+                }
                 if hit {
-                    stats.filter_hits += 1;
                     result.push(id);
-                    continue;
                 }
             }
-            stats.exact_tests += 1;
-            let t_exact = spans.map(|_| Span::start());
-            let hit = region_contains_point(&self.relation.object(id).region, p, counts);
-            if let Some(t) = t_exact {
-                exact_nanos += t.elapsed_nanos();
-            }
-            if hit {
-                result.push(id);
-            }
+            emit(result, stats, counts);
         }
         if let (Some(spans), Some(t)) = (spans, t_rest) {
             // Step 2 is the candidate loop minus its exact share.
             spans.add(Step::Step3, exact_nanos);
             spans.add(Step::Step2, t.elapsed_nanos().saturating_sub(exact_nanos));
         }
-        (result, stats)
-    }
-
-    /// A *batch* of point queries sharing one Step-1 descent (single
-    /// simulated-buffer lock, warm root path — see
-    /// [`crate::candidates::CandidateSource::point_candidates_batch`])
-    /// and one filter pass with shared scratch buffers. Per query, the
-    /// candidate order, the result ids and every deterministic stats
-    /// field are identical to [`point_query`](SelectionState::point_query)
-    /// — only the physical-read attribution can differ, because the
-    /// batch keeps the buffer warm between its queries.
-    pub fn point_query_batch(
-        &self,
-        points: &[Point],
-        counts: &mut OpCounts,
-        spans: Option<&StepSpans>,
-    ) -> Vec<(Vec<ObjectId>, QueryStats, OpCounts)> {
-        let t_probe = spans.map(|_| Span::start());
-        let mut all = Vec::new();
-        let mut probe_stats = Vec::with_capacity(points.len());
-        self.source
-            .point_candidates_batch(points, &mut all, &mut probe_stats);
-        if let (Some(spans), Some(t)) = (spans, t_probe) {
-            spans.finish(Step::Step1, t);
-        }
-        let t_rest = spans.map(|_| Span::start());
-        let mer = self.progressive.as_deref().and_then(|p| p.mer_column());
-        let mut mask = Vec::new();
-        let mut exact_nanos = 0u64;
-        let mut out = Vec::with_capacity(points.len());
-        let mut offset = 0usize;
-        for (qi, &p) in points.iter().enumerate() {
-            let n = probe_stats[qi].candidates as usize;
-            let candidates = &all[offset..offset + n];
-            offset += n;
-            let mut stats = QueryStats {
-                candidates: probe_stats[qi].candidates,
-                physical_reads: probe_stats[qi].physical_reads,
-                ..QueryStats::default()
-            };
-            let has_mask = match mer {
-                Some(mers) => {
-                    mask.clear();
-                    kernels::rects_contain_point(self.dispatch, mers, candidates, p, &mut mask);
-                    true
-                }
-                None => false,
-            };
-            let mut result = Vec::new();
-            let mut q_counts = OpCounts::new();
-            for (slot, &id) in candidates.iter().enumerate() {
-                if let Some(cons) = &self.conservative {
-                    if !cons.view(id).contains_point(p) {
-                        stats.filter_false_hits += 1;
-                        continue;
-                    }
-                }
-                if let Some(prog) = &self.progressive {
-                    let hit = if has_mask {
-                        mask[slot]
-                    } else {
-                        progressive_contains(&prog.get(id), p)
-                    };
-                    if hit {
-                        stats.filter_hits += 1;
-                        result.push(id);
-                        continue;
-                    }
-                }
-                stats.exact_tests += 1;
-                let t_exact = spans.map(|_| Span::start());
-                let hit = region_contains_point(&self.relation.object(id).region, p, &mut q_counts);
-                if let Some(t) = t_exact {
-                    exact_nanos += t.elapsed_nanos();
-                }
-                if hit {
-                    result.push(id);
-                }
-            }
-            counts.merge(&q_counts);
-            out.push((result, stats, q_counts));
-        }
-        if let (Some(spans), Some(t)) = (spans, t_rest) {
-            spans.add(Step::Step3, exact_nanos);
-            spans.add(Step::Step2, t.elapsed_nanos().saturating_sub(exact_nanos));
-        }
-        out
-    }
-
-    /// Batched window queries — the window-shaped counterpart of
-    /// [`point_query_batch`](SelectionState::point_query_batch), with
-    /// the same identical-per-query contract.
-    pub fn window_query_batch(
-        &self,
-        windows: &[Rect],
-        counts: &mut OpCounts,
-        spans: Option<&StepSpans>,
-    ) -> Vec<(Vec<ObjectId>, QueryStats, OpCounts)> {
-        let t_probe = spans.map(|_| Span::start());
-        let mut all = Vec::new();
-        let mut probe_stats = Vec::with_capacity(windows.len());
-        self.source
-            .window_candidates_batch(windows, &mut all, &mut probe_stats);
-        if let (Some(spans), Some(t)) = (spans, t_probe) {
-            spans.finish(Step::Step1, t);
-        }
-        let t_rest = spans.map(|_| Span::start());
-        let mer = self.progressive.as_deref().and_then(|p| p.mer_column());
-        let mut mask = Vec::new();
-        let mut window_ring = Vec::new();
-        let mut exact_nanos = 0u64;
-        let mut out = Vec::with_capacity(windows.len());
-        let mut offset = 0usize;
-        for (qi, window) in windows.iter().enumerate() {
-            let n = probe_stats[qi].candidates as usize;
-            let candidates = &all[offset..offset + n];
-            offset += n;
-            let mut stats = QueryStats {
-                candidates: probe_stats[qi].candidates,
-                physical_reads: probe_stats[qi].physical_reads,
-                ..QueryStats::default()
-            };
-            window_ring.clear();
-            window_ring.extend_from_slice(&window.corners());
-            let has_mask = match mer {
-                Some(mers) => {
-                    mask.clear();
-                    kernels::rects_intersect_query(
-                        self.dispatch,
-                        mers,
-                        candidates,
-                        window,
-                        &mut mask,
-                    );
-                    true
-                }
-                None => false,
-            };
-            let mut result = Vec::new();
-            let mut q_counts = OpCounts::new();
-            for (slot, &id) in candidates.iter().enumerate() {
-                if let Some(cons) = &self.conservative {
-                    if !conservative_intersects_window(&cons.view(id), window, &window_ring) {
-                        stats.filter_false_hits += 1;
-                        continue;
-                    }
-                }
-                if let Some(prog) = &self.progressive {
-                    let hit = if has_mask {
-                        mask[slot]
-                    } else {
-                        progressive_intersects_window(&prog.get(id), window)
-                    };
-                    if hit {
-                        stats.filter_hits += 1;
-                        result.push(id);
-                        continue;
-                    }
-                }
-                stats.exact_tests += 1;
-                let t_exact = spans.map(|_| Span::start());
-                let hit =
-                    region_intersects_rect(&self.relation.object(id).region, window, &mut q_counts);
-                if let Some(t) = t_exact {
-                    exact_nanos += t.elapsed_nanos();
-                }
-                if hit {
-                    result.push(id);
-                }
-            }
-            counts.merge(&q_counts);
-            out.push((result, stats, q_counts));
-        }
-        if let (Some(spans), Some(t)) = (spans, t_rest) {
-            spans.add(Step::Step3, exact_nanos);
-            spans.add(Step::Step2, t.elapsed_nanos().saturating_sub(exact_nanos));
-        }
-        out
-    }
-
-    /// All objects whose region intersects `window` (closed semantics).
-    pub fn window_query(&self, window: Rect, counts: &mut OpCounts) -> (Vec<ObjectId>, QueryStats) {
-        self.window_query_observed(window, counts, None)
-    }
-
-    /// [`window_query`](SelectionState::window_query) with step timing —
-    /// same attribution as
-    /// [`point_query_observed`](SelectionState::point_query_observed).
-    pub fn window_query_observed(
-        &self,
-        window: Rect,
-        counts: &mut OpCounts,
-        spans: Option<&StepSpans>,
-    ) -> (Vec<ObjectId>, QueryStats) {
-        let t_probe = spans.map(|_| Span::start());
-        let mut candidates = Vec::new();
-        let step1 = self.source.window_candidates(window, &mut candidates);
-        if let (Some(spans), Some(t)) = (spans, t_probe) {
-            spans.finish(Step::Step1, t);
-        }
-        let mut stats = QueryStats {
-            candidates: step1.candidates,
-            physical_reads: step1.physical_reads,
-            ..QueryStats::default()
-        };
-        let window_ring = window.corners().to_vec();
-        let t_rest = spans.map(|_| Span::start());
-        // Same wide MER probe as the point path, with the window-vs-rect
-        // kernel.
-        let mer_mask = self.progressive.as_deref().and_then(|prog| {
-            prog.mer_column().map(|mers| {
-                let mut mask = Vec::new();
-                kernels::rects_intersect_query(
-                    self.dispatch,
-                    mers,
-                    &candidates,
-                    &window,
-                    &mut mask,
-                );
-                mask
-            })
-        });
-        let mut exact_nanos = 0u64;
-        let mut result = Vec::new();
-        for (slot, id) in candidates.into_iter().enumerate() {
-            if let Some(cons) = &self.conservative {
-                if !conservative_intersects_window(&cons.view(id), &window, &window_ring) {
-                    stats.filter_false_hits += 1;
-                    continue;
-                }
-            }
-            if let Some(prog) = &self.progressive {
-                let hit = match &mer_mask {
-                    Some(mask) => mask[slot],
-                    None => progressive_intersects_window(&prog.get(id), &window),
-                };
-                if hit {
-                    stats.filter_hits += 1;
-                    result.push(id);
-                    continue;
-                }
-            }
-            stats.exact_tests += 1;
-            let t_exact = spans.map(|_| Span::start());
-            let hit = region_intersects_rect(&self.relation.object(id).region, &window, counts);
-            if let Some(t) = t_exact {
-                exact_nanos += t.elapsed_nanos();
-            }
-            if hit {
-                result.push(id);
-            }
-        }
-        if let (Some(spans), Some(t)) = (spans, t_rest) {
-            spans.add(Step::Step3, exact_nanos);
-            spans.add(Step::Step2, t.elapsed_nanos().saturating_sub(exact_nanos));
-        }
-        (result, stats)
-    }
-}
-
-fn progressive_contains(prog: &Progressive, p: Point) -> bool {
-    match prog {
-        Progressive::Mec(c) => c.contains_point(p),
-        Progressive::Mer(r) => r.contains_point(p),
-        Progressive::Empty => false,
-    }
-}
-
-fn progressive_intersects_window(prog: &Progressive, window: &Rect) -> bool {
-    match prog {
-        Progressive::Mec(c) => c.intersects_rect(window),
-        Progressive::Mer(r) => r.intersects(window),
-        Progressive::Empty => false,
-    }
-}
-
-fn conservative_intersects_window(
-    cons: &ConsView<'_>,
-    window: &Rect,
-    window_ring: &[Point],
-) -> bool {
-    match cons {
-        ConsView::Rect(r) => r.intersects(window),
-        ConsView::Circle(c) => c.intersects_rect(window),
-        ConsView::Ellipse(e) => e.intersects_convex(window_ring),
-        ConsView::Convex(ring) => msj_geom::convex_intersect(ring, window_ring),
     }
 }
 
@@ -455,6 +261,33 @@ fn conservative_intersects_window(
 mod tests {
     use super::*;
     use msj_approx::{ConservativeKind, ProgressiveKind};
+
+    /// Everything built from the relation alone — what the engine does at
+    /// registration, without the engine.
+    fn state(rel: &Relation, config: &JoinConfig) -> SelectionState {
+        let relation = Arc::new(rel.clone());
+        let conservative = config
+            .conservative
+            .map(|k| Arc::new(ConservativeStore::build(k, &relation)));
+        let progressive = config
+            .progressive
+            .map(|k| Arc::new(ProgressiveStore::build(k, &relation)));
+        SelectionState::new(relation, config, None, conservative, progressive)
+    }
+
+    fn select_all<P: Probe>(
+        state: &SelectionState,
+        probes: &[P],
+    ) -> Vec<(Vec<ObjectId>, QueryStats, OpCounts)> {
+        let mut out = Vec::new();
+        state.select(probes, None, |ids, stats, ops| out.push((ids, stats, ops)));
+        out
+    }
+
+    fn select_one<P: Probe>(state: &SelectionState, probe: P) -> (Vec<ObjectId>, QueryStats) {
+        let (ids, stats, _) = select_all(state, &[probe]).pop().expect("one answer");
+        (ids, stats)
+    }
 
     fn processor_configs() -> Vec<JoinConfig> {
         use crate::config::Backend;
@@ -486,14 +319,13 @@ mod tests {
         let rel = msj_datagen::small_carto(60, 24.0, 17);
         let world = rel.bounding_rect().unwrap();
         for config in processor_configs() {
-            let proc = SelectionState::build((&rel).into(), &config);
-            let mut counts = OpCounts::new();
+            let proc = state(&rel, &config);
             for i in 0..40 {
                 let p = Point::new(
                     world.xmin() + world.width() * (i as f64 * 0.37).fract(),
                     world.ymin() + world.height() * (i as f64 * 0.61).fract(),
                 );
-                let (mut got, stats) = proc.point_query(p, &mut counts);
+                let (mut got, stats) = select_one(&proc, p);
                 got.sort_unstable();
                 let mut expect: Vec<ObjectId> = rel
                     .iter()
@@ -515,14 +347,13 @@ mod tests {
         let rel = msj_datagen::small_carto(60, 24.0, 18);
         let world = rel.bounding_rect().unwrap();
         for config in processor_configs() {
-            let proc = SelectionState::build((&rel).into(), &config);
-            let mut counts = OpCounts::new();
+            let proc = state(&rel, &config);
             for i in 0..25 {
                 let cx = world.xmin() + world.width() * (i as f64 * 0.31).fract();
                 let cy = world.ymin() + world.height() * (i as f64 * 0.47).fract();
                 let side = world.width() * (0.01 + 0.08 * (i as f64 * 0.13).fract());
                 let w = Rect::from_bounds(cx, cy, cx + side, cy + side);
-                let (mut got, _) = proc.window_query(w, &mut counts);
+                let (mut got, _) = select_one(&proc, w);
                 got.sort_unstable();
                 let mut expect: Vec<ObjectId> = rel
                     .iter()
@@ -535,6 +366,9 @@ mod tests {
         }
     }
 
+    /// How probes are grouped into batches never shows in an answer: the
+    /// batch's shared candidate arena and mask scratch are sliced per
+    /// query exactly as a batch of one would fill them.
     #[test]
     fn batched_queries_match_serial_per_query_for_all_configs() {
         let rel = msj_datagen::small_carto(60, 24.0, 21);
@@ -556,13 +390,11 @@ mod tests {
             })
             .collect();
         for config in processor_configs() {
-            let state = SelectionState::build((&rel).into(), &config);
-            let mut counts = OpCounts::new();
-            let batched = state.point_query_batch(&points, &mut counts, None);
+            let state = state(&rel, &config);
+            let batched = select_all(&state, &points);
             assert_eq!(batched.len(), points.len());
             for (i, &p) in points.iter().enumerate() {
-                let mut serial_ops = OpCounts::new();
-                let (ids, stats) = state.point_query(p, &mut serial_ops);
+                let (ids, stats, serial_ops) = select_all(&state, &[p]).pop().unwrap();
                 assert_eq!(batched[i].0, ids, "point {p:?} config {config:?}");
                 // Everything but the buffer-warmth-dependent physical
                 // reads must agree exactly.
@@ -572,11 +404,10 @@ mod tests {
                 assert_eq!(batched[i].1.exact_tests, stats.exact_tests);
                 assert_eq!(batched[i].2, serial_ops);
             }
-            let batched = state.window_query_batch(&windows, &mut counts, None);
+            let batched = select_all(&state, &windows);
             assert_eq!(batched.len(), windows.len());
             for (i, w) in windows.iter().enumerate() {
-                let mut serial_ops = OpCounts::new();
-                let (ids, stats) = state.window_query(*w, &mut serial_ops);
+                let (ids, stats, serial_ops) = select_all(&state, &[*w]).pop().unwrap();
                 assert_eq!(batched[i].0, ids, "window {w:?} config {config:?}");
                 assert_eq!(batched[i].1.candidates, stats.candidates);
                 assert_eq!(batched[i].1.filter_false_hits, stats.filter_false_hits);
@@ -591,10 +422,8 @@ mod tests {
     fn filter_reduces_exact_tests_for_point_queries() {
         let rel = msj_datagen::small_carto(80, 30.0, 19);
         let world = rel.bounding_rect().unwrap();
-        let with_filter = SelectionState::build((&rel).into(), &JoinConfig::default());
-        let without = SelectionState::build((&rel).into(), &JoinConfig::version1());
-        let mut c1 = OpCounts::new();
-        let mut c2 = OpCounts::new();
+        let with_filter = state(&rel, &JoinConfig::default());
+        let without = state(&rel, &JoinConfig::version1());
         let mut exact_with = 0;
         let mut exact_without = 0;
         for i in 0..60 {
@@ -602,8 +431,8 @@ mod tests {
                 world.xmin() + world.width() * (i as f64 * 0.17).fract(),
                 world.ymin() + world.height() * (i as f64 * 0.29).fract(),
             );
-            exact_with += with_filter.point_query(p, &mut c1).1.exact_tests;
-            exact_without += without.point_query(p, &mut c2).1.exact_tests;
+            exact_with += select_one(&with_filter, p).1.exact_tests;
+            exact_without += select_one(&without, p).1.exact_tests;
         }
         assert!(
             exact_with < exact_without,

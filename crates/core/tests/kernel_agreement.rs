@@ -10,7 +10,7 @@
 //! rely on: `force_scalar` is an observability knob, never a result
 //! knob.
 
-use msj_core::{Backend, Execution, JoinConfig, MultiStepJoin, SpatialEngine, TreeLoader};
+use msj_core::{Backend, Execution, JoinConfig, MultiStepJoin, SpatialEngine};
 use msj_geom::{KernelDispatch, ObjectId, Point, Polygon, Rect, Relation, SpatialObject};
 
 fn square(id: ObjectId, x: f64, y: f64, side: f64) -> SpatialObject {
@@ -58,9 +58,9 @@ fn pathological(offset: f64) -> Relation {
     Relation::new(objects)
 }
 
-/// Every measured cell of the matrix: backend × loader × execution ×
-/// threads. `force_scalar` is the only axis under test — each cell runs
-/// twice and must agree byte-for-byte.
+/// Every measured cell of the matrix: backend × execution × threads.
+/// `force_scalar` is the only axis under test — each cell runs twice and
+/// must agree byte-for-byte.
 fn configs() -> Vec<(String, JoinConfig)> {
     let mut cells = Vec::new();
     let backends = [
@@ -74,34 +74,26 @@ fn configs() -> Vec<(String, JoinConfig)> {
         ),
     ];
     for (bname, backend) in backends {
-        for loader in [TreeLoader::Str, TreeLoader::Incremental] {
-            for threads in [1usize, 4] {
-                for fused in [false, true] {
-                    let execution = if fused {
-                        Execution::Fused { threads }
-                    } else {
-                        Execution::Serial
-                    };
-                    // Serial execution ignores the thread count; emit it
-                    // once.
-                    if !fused && threads != 1 {
-                        continue;
-                    }
-                    let mut builder = JoinConfig::builder()
-                        .backend(backend)
-                        .loader(loader)
-                        .execution(execution);
-                    if let Backend::PartitionedSweep { tiles_per_axis, .. } = backend {
-                        builder = builder.backend(Backend::PartitionedSweep {
-                            tiles_per_axis,
-                            threads,
-                        });
-                    }
-                    cells.push((
-                        format!("{bname}/{loader:?}/fused={fused}/t{threads}"),
-                        builder.build(),
-                    ));
+        for threads in [1usize, 4] {
+            for fused in [false, true] {
+                let execution = if fused {
+                    Execution::Fused { threads }
+                } else {
+                    Execution::Serial
+                };
+                // Serial execution ignores the thread count; emit it
+                // once.
+                if !fused && threads != 1 {
+                    continue;
                 }
+                let mut builder = JoinConfig::builder().backend(backend).execution(execution);
+                if let Backend::PartitionedSweep { tiles_per_axis, .. } = backend {
+                    builder = builder.backend(Backend::PartitionedSweep {
+                        tiles_per_axis,
+                        threads,
+                    });
+                }
+                cells.push((format!("{bname}/fused={fused}/t{threads}"), builder.build()));
             }
         }
     }
@@ -191,8 +183,8 @@ fn selection_response_sets_are_byte_identical_simd_vs_scalar() {
                     world.xmin() + world.width() * (i as f64 * 0.37).fract(),
                     world.ymin() + world.height() * (i as f64 * 0.61).fract(),
                 );
-                let got_w = wide.point_query(&hw, p);
-                let got_s = scalar.point_query(&hs, p);
+                let got_w = wide.point_query_batch(&hw, &[p]).remove(0);
+                let got_s = scalar.point_query_batch(&hs, &[p]).remove(0);
                 assert_eq!(
                     got_w.ids, got_s.ids,
                     "{wname}/{cname}: point response diverged at {p:?}"
@@ -200,8 +192,8 @@ fn selection_response_sets_are_byte_identical_simd_vs_scalar() {
                 assert_eq!(got_w.stats, got_s.stats, "{wname}/{cname}: point stats");
                 let side = world.width() * (0.02 + 0.07 * (i as f64 * 0.13).fract());
                 let win = Rect::from_bounds(p.x, p.y, p.x + side, p.y + side);
-                let got_w = wide.window_query(&hw, win);
-                let got_s = scalar.window_query(&hs, win);
+                let got_w = wide.window_query_batch(&hw, &[win]).remove(0);
+                let got_s = scalar.window_query_batch(&hs, &[win]).remove(0);
                 assert_eq!(
                     got_w.ids, got_s.ids,
                     "{wname}/{cname}: window response diverged at {win:?}"

@@ -2,9 +2,7 @@
 //! nested-loops exact join for every filter/exact configuration.
 
 use msj_approx::{ConservativeKind, ProgressiveKind};
-use msj_core::{
-    ground_truth_join, Backend, Execution, JoinConfig, MultiStepJoin, RasterConfig, TreeLoader,
-};
+use msj_core::{ground_truth_join, Backend, Execution, JoinConfig, MultiStepJoin, RasterConfig};
 use msj_exact::ExactAlgorithm;
 use proptest::prelude::*;
 
@@ -60,15 +58,9 @@ fn execution_strategy() -> impl Strategy<Value = Execution> {
     ]
 }
 
-/// Step-0 loader × sink batch size, combined into one strategy.
-fn loader_batch_strategy() -> impl Strategy<Value = (TreeLoader, usize)> {
-    prop_oneof![
-        Just((TreeLoader::Str, 1usize)),
-        Just((TreeLoader::Str, 7)),
-        Just((TreeLoader::Str, 1024)),
-        Just((TreeLoader::Incremental, 1)),
-        Just((TreeLoader::Incremental, 1024)),
-    ]
+/// Sink batch sizes: per pair, odd, and the default.
+fn batch_strategy() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(7), Just(1024)]
 }
 
 /// Step-2a raster stage: off, auto-sized, and explicit resolutions.
@@ -105,10 +97,9 @@ proptest! {
         exact in exact_strategy(),
         backend in backend_strategy(),
         execution in execution_strategy(),
-        loader_batch in loader_batch_strategy(),
+        batch_pairs in batch_strategy(),
         page_size in prop_oneof![Just(1024usize), Just(2048), Just(4096)],
     ) {
-        let (loader, batch_pairs) = loader_batch;
         let a = msj_datagen::small_carto(24, 20.0, seed_a);
         let b = msj_datagen::small_carto(24, 20.0, seed_b);
         let config = JoinConfig::builder()
@@ -121,7 +112,6 @@ proptest! {
             .raster(raster)
             .exact(exact)
             .execution(execution)
-            .loader(loader)
             .batch_pairs(batch_pairs)
             .build();
         let result = MultiStepJoin::new(config).execute(&a, &b);

@@ -85,6 +85,27 @@ pub struct TrStarStore {
     traps: Vec<Trapezoid>,
 }
 
+impl Drop for TrStarStore {
+    /// Trims the two big columns to one element before the allocator
+    /// frees them, so that no multi-MB block is ever freed whole.
+    ///
+    /// glibc serves a column of this size (≈ 10 MB per 10k objects) with
+    /// `mmap`, and *freeing* an mmapped block raises its mmap threshold
+    /// to that block's size for the rest of the process. After the first
+    /// dropped relation, whether some later 5–10 MB buffer of the caller
+    /// grows by `mremap` or by copy — both copies resident — depended on
+    /// how its size compared with this arena's: a serving process's peak
+    /// resident set flipped by 5 MB from run to run on exactly that. A
+    /// shrinking `realloc` hands the pages back without the side effect;
+    /// under any other allocator it is one cheap call.
+    fn drop(&mut self) {
+        self.nodes.clear();
+        self.nodes.shrink_to(1);
+        self.traps.clear();
+        self.traps.shrink_to(1);
+    }
+}
+
 /// Why [`TrStarStore::from_bytes`] rejected a section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrStarFormatError {

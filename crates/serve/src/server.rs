@@ -30,7 +30,7 @@ use std::time::{Duration, Instant};
 use msj_core::{Request, SpatialEngine};
 use msj_fault::{FaultConfig, FaultSession, WireAction};
 use msj_geom::{CancelToken, Point, Rect};
-use msj_obs::MetricsRegistry;
+use msj_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::poll::{new_poller, Event, Poller};
 use crate::protocol::{
@@ -141,30 +141,45 @@ struct Shared {
     inflight: AtomicUsize,
     shutdown: AtomicBool,
     wake: UnixStream,
+    metrics: ServeMetrics,
 }
 
-impl Shared {
-    fn registry(&self) -> &MetricsRegistry {
-        self.engine.metrics()
-    }
+/// Every serving instrument, resolved once at [`Server::start`]: the
+/// worker and event loops record through these handles and never look a
+/// metric up by name.
+struct ServeMetrics {
+    join_queue_depth: Arc<Gauge>,
+    selection_queue_depth: Arc<Gauge>,
+    queue_wait: Arc<Histogram>,
+    batch_size: Arc<Histogram>,
+    e2e: Arc<Histogram>,
+    /// `msj_request_shed_total{reason}`, indexed by [`ShedReason`].
+    shed: [Arc<Counter>; 3],
+    /// `msj_conn_timeouts_total{kind}`, in [`TIMEOUT_KINDS`] order.
+    conn_timeouts: [Arc<Counter>; 3],
+    connections_total: Arc<Counter>,
+    connections_open: Arc<Gauge>,
+    frames_too_large: Arc<Counter>,
+    frames_malformed: Arc<Counter>,
+    draining_responses: Arc<Counter>,
+}
 
+/// `kind` labels of `msj_conn_timeouts_total`.
+const TIMEOUT_KINDS: [&str; 3] = ["read", "write", "idle"];
+
+impl Shared {
     fn wake(&self) {
         let _ = (&self.wake).write(&[1]);
     }
 
     fn publish_depths(&self) {
         let (join, select) = self.queues.depths();
-        let reg = self.registry();
-        reg.gauge("msj_queue_depth", &[("queue", "join")])
-            .set(join as f64);
-        reg.gauge("msj_queue_depth", &[("queue", "selection")])
-            .set(select as f64);
+        self.metrics.join_queue_depth.set(join as f64);
+        self.metrics.selection_queue_depth.set(select as f64);
     }
 
     fn count_shed(&self, reason: ShedReason) {
-        self.registry()
-            .counter("msj_request_shed_total", &[("reason", reason.label())])
-            .inc();
+        self.metrics.shed[reason as usize].inc();
     }
 }
 
@@ -187,8 +202,9 @@ impl Server {
         wake_rx.set_nonblocking(true)?;
         wake_tx.set_nonblocking(true)?;
 
-        describe_metrics(engine.metrics());
+        let metrics = describe_metrics(engine.metrics());
         let shared = Arc::new(Shared {
+            metrics,
             engine,
             queues: QueueSet::new(config.queue_bound, config.batch_max),
             completions: Mutex::new(Vec::new()),
@@ -247,8 +263,9 @@ impl Server {
 }
 
 /// Pre-registers every serving metric family so the Prometheus
-/// exposition shows them (at zero) from the first scrape.
-fn describe_metrics(reg: &MetricsRegistry) {
+/// exposition shows them (at zero) from the first scrape, and hands back
+/// the resolved instruments.
+fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
     reg.describe(
         "msj_queue_depth",
         "Requests waiting in the bounded serving queues, by queue kind.",
@@ -287,24 +304,30 @@ fn describe_metrics(reg: &MetricsRegistry) {
         "msj_serve_requests_total",
         "Requests admitted into the serving queues, by kind.",
     );
-    for queue in ["join", "selection"] {
-        reg.gauge("msj_queue_depth", &[("queue", queue)]).set(0.0);
-    }
-    reg.histogram("msj_queue_wait_nanos", &[]);
-    for reason in ["queue_full", "admission", "conn_cap"] {
-        reg.counter("msj_request_shed_total", &[("reason", reason)]);
-    }
-    for kind in ["read", "write", "idle"] {
-        reg.counter("msj_conn_timeouts_total", &[("kind", kind)]);
-    }
-    reg.counter("msj_connections_total", &[]);
-    reg.gauge("msj_connections_open", &[]).set(0.0);
-    for reason in ["too_large", "malformed"] {
-        reg.counter("msj_frames_rejected_total", &[("reason", reason)]);
-    }
-    reg.histogram("msj_serve_batch_size", &[]);
-    reg.histogram("msj_serve_e2e_nanos", &[]);
-    reg.counter("msj_draining_responses_total", &[]);
+    let metrics = ServeMetrics {
+        join_queue_depth: reg.gauge("msj_queue_depth", &[("queue", "join")]),
+        selection_queue_depth: reg.gauge("msj_queue_depth", &[("queue", "selection")]),
+        queue_wait: reg.histogram("msj_queue_wait_nanos", &[]),
+        batch_size: reg.histogram("msj_serve_batch_size", &[]),
+        e2e: reg.histogram("msj_serve_e2e_nanos", &[]),
+        shed: [
+            ShedReason::QueueFull,
+            ShedReason::Admission,
+            ShedReason::ConnCap,
+        ]
+        .map(|reason| reg.counter("msj_request_shed_total", &[("reason", reason.label())])),
+        conn_timeouts: TIMEOUT_KINDS
+            .map(|kind| reg.counter("msj_conn_timeouts_total", &[("kind", kind)])),
+        connections_total: reg.counter("msj_connections_total", &[]),
+        connections_open: reg.gauge("msj_connections_open", &[]),
+        frames_too_large: reg.counter("msj_frames_rejected_total", &[("reason", "too_large")]),
+        frames_malformed: reg.counter("msj_frames_rejected_total", &[("reason", "malformed")]),
+        draining_responses: reg.counter("msj_draining_responses_total", &[]),
+    };
+    metrics.join_queue_depth.set(0.0);
+    metrics.selection_queue_depth.set(0.0);
+    metrics.connections_open.set(0.0);
+    metrics
 }
 
 // ---------------------------------------------------------------------
@@ -312,7 +335,7 @@ fn describe_metrics(reg: &MetricsRegistry) {
 // ---------------------------------------------------------------------
 
 fn worker_loop(shared: &Shared) {
-    let reg = shared.registry();
+    let metrics = &shared.metrics;
     let mut batch: Vec<Job> = Vec::new();
     loop {
         batch.clear();
@@ -322,11 +345,10 @@ fn worker_loop(shared: &Shared) {
         shared.publish_depths();
         let picked = Instant::now();
         for job in &batch {
-            reg.histogram("msj_queue_wait_nanos", &[])
-                .record(picked.duration_since(job.received).as_nanos() as u64);
+            let waited = picked.duration_since(job.received);
+            metrics.queue_wait.record(waited.as_nanos() as u64);
         }
-        reg.histogram("msj_serve_batch_size", &[])
-            .record(batch.len() as u64);
+        metrics.batch_size.record(batch.len() as u64);
 
         let mut done: Vec<Completion> = Vec::with_capacity(batch.len());
         match key {
@@ -340,8 +362,7 @@ fn worker_loop(shared: &Shared) {
         }
         for c in &done {
             if let Some(received) = c.received {
-                reg.histogram("msj_serve_e2e_nanos", &[])
-                    .record(received.elapsed().as_nanos() as u64);
+                metrics.e2e.record(received.elapsed().as_nanos() as u64);
             }
         }
         shared.completions.lock().expect("completions").extend(done);
@@ -521,6 +542,10 @@ struct EventLoop {
     conns: HashMap<u64, Conn>,
     next_token: u64,
     fault: FaultSession,
+    /// `msj_fault_injected_total{site}` of the armed wire fault plan.
+    fault_injected: Option<Arc<Counter>>,
+    /// `msj_serve_requests_total{kind}` handles, by request kind.
+    admitted: HashMap<&'static str, Arc<Counter>>,
     drain_started: Option<Instant>,
     deadline_fired: bool,
     abandoned_queued: usize,
@@ -543,7 +568,16 @@ impl EventLoop {
         } else {
             FaultConfig::from_env()
         };
+        let fault_injected = fault_config.kind.map(|kind| {
+            let site = [("site", kind.site())];
+            shared
+                .engine
+                .metrics()
+                .counter("msj_fault_injected_total", &site)
+        });
         EventLoop {
+            fault_injected,
+            admitted: HashMap::new(),
             listener: Some(listener),
             wake_rx,
             shared,
@@ -576,10 +610,8 @@ impl EventLoop {
             self.flush_all();
             self.sweep_timeouts();
             self.shared.publish_depths();
-            self.shared
-                .registry()
-                .gauge("msj_connections_open", &[])
-                .set(self.conns.len() as f64);
+            let open = self.conns.len() as f64;
+            self.shared.metrics.connections_open.set(open);
             if let Some(clean) = self.drain_step() {
                 break clean;
             }
@@ -592,10 +624,7 @@ impl EventLoop {
         }
         self.deliver_completions();
         self.flush_all();
-        self.shared
-            .registry()
-            .gauge("msj_connections_open", &[])
-            .set(0.0);
+        self.shared.metrics.connections_open.set(0.0);
         DrainReport {
             clean,
             abandoned_queued: self.abandoned_queued,
@@ -643,10 +672,7 @@ impl EventLoop {
                 // own token and will answer Cancelled.
                 for job in self.shared.queues.drain_all() {
                     self.abandoned_queued += 1;
-                    self.shared
-                        .registry()
-                        .counter("msj_draining_responses_total", &[])
-                        .inc();
+                    self.shared.metrics.draining_responses.inc();
                     self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
                     if let Some(conn) = self.conns.get_mut(&job.conn) {
                         conn.inflight = conn.inflight.saturating_sub(1);
@@ -682,10 +708,7 @@ impl EventLoop {
                     self.next_token += 1;
                     self.poller.register(stream.as_raw_fd(), token, true, false);
                     self.conns.insert(token, Conn::new(stream));
-                    self.shared
-                        .registry()
-                        .counter("msj_connections_total", &[])
-                        .inc();
+                    self.shared.metrics.connections_total.inc();
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -770,10 +793,7 @@ impl EventLoop {
                 if declared > self.config.max_frame {
                     // Cannot resync a stream after refusing to buffer a
                     // frame: answer and close.
-                    self.shared
-                        .registry()
-                        .counter("msj_frames_rejected_total", &[("reason", "too_large")])
-                        .inc();
+                    self.shared.metrics.frames_too_large.inc();
                     conn.close_after_flush = true;
                     conn.inbuf.clear();
                     conn.frame_started = None;
@@ -802,19 +822,18 @@ impl EventLoop {
     /// Admission: every path out of this function is an explicit wire
     /// response or an enqueued job.
     fn handle_frame(&mut self, token: u64, body: &[u8]) {
-        let reg = self.shared.registry();
+        let reg = self.shared.engine.metrics();
         let request = match decode_request(body) {
             Ok(request) => request,
             Err(message) => {
-                reg.counter("msj_frames_rejected_total", &[("reason", "malformed")])
-                    .inc();
+                self.shared.metrics.frames_malformed.inc();
                 let frame = encode_response(0, &ResponseBody::BadRequest { message });
                 self.queue_frame(token, frame);
                 return;
             }
         };
         if self.draining() {
-            reg.counter("msj_draining_responses_total", &[]).inc();
+            self.shared.metrics.draining_responses.inc();
             let frame = encode_response(request.request_id, &ResponseBody::Draining);
             self.queue_frame(token, frame);
             return;
@@ -869,13 +888,14 @@ impl EventLoop {
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight += 1;
                 }
-                self.shared
-                    .registry()
-                    .counter(
-                        "msj_serve_requests_total",
-                        &[("kind", request.kind_label())],
-                    )
-                    .inc();
+                // Resolved on a kind's first admitted request: the family
+                // has no samples before traffic, and the exposition says so.
+                let kind = request.kind_label();
+                let admitted = self
+                    .admitted
+                    .entry(kind)
+                    .or_insert_with(|| reg.counter("msj_serve_requests_total", &[("kind", kind)]));
+                admitted.inc();
                 self.shared.publish_depths();
             }
             Err(job) => {
@@ -944,11 +964,8 @@ impl EventLoop {
     fn queue_frame(&mut self, token: u64, frame: Vec<u8>) {
         let action = self.fault.on_response();
         if action != WireAction::Proceed {
-            if let Some(site) = self.fault.fired() {
-                self.shared
-                    .registry()
-                    .counter("msj_fault_injected_total", &[("site", site)])
-                    .inc();
+            if let (Some(_), Some(injected)) = (self.fault.fired(), &self.fault_injected) {
+                injected.inc();
             }
         }
         match action {
@@ -1055,10 +1072,8 @@ impl EventLoop {
             }
         }
         for (token, kind) in doomed {
-            self.shared
-                .registry()
-                .counter("msj_conn_timeouts_total", &[("kind", kind)])
-                .inc();
+            let slot = TIMEOUT_KINDS.iter().position(|known| *known == kind);
+            self.shared.metrics.conn_timeouts[slot.expect("a timeout kind")].inc();
             self.close_conn(token);
         }
     }

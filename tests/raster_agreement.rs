@@ -1,13 +1,13 @@
 //! The Step-2a raster pre-filter may only *accelerate* the join — never
 //! change it. This suite pins the PR-4 acceptance matrix: raster-on vs
 //! raster-off response sets must be byte-identical across
-//! {backend × loader × execution × threads 1/4} on cartographic, holed,
+//! {backend × execution × threads 1/4} on cartographic, holed,
 //! skewed and pathological workloads, and every individual raster
 //! decision must be confirmed by the exact geometry.
 
 use msj::core::{
     ground_truth_join, Backend, Execution, FilterOutcome, GeometricFilter, JoinConfig,
-    MultiStepJoin, RasterConfig, TreeLoader,
+    MultiStepJoin, RasterConfig,
 };
 use msj::exact::quadratic_intersects;
 use msj::geom::{ObjectId, Point, Polygon, Relation};
@@ -83,46 +83,42 @@ fn raster_on_equals_raster_off_across_the_matrix() {
                 threads: 2,
             },
         ] {
-            for loader in [TreeLoader::Str, TreeLoader::Incremental] {
-                for execution in [
-                    Execution::Serial,
-                    Execution::Fused { threads: 1 },
-                    Execution::Fused { threads: 4 },
-                ] {
-                    let base = JoinConfig::builder()
-                        .backend(backend)
-                        .loader(loader)
-                        .execution(execution)
-                        .build();
-                    let off =
-                        MultiStepJoin::new(base.to_builder().raster(RasterConfig::off()).build())
-                            .execute(a, b);
+            for execution in [
+                Execution::Serial,
+                Execution::Fused { threads: 1 },
+                Execution::Fused { threads: 4 },
+            ] {
+                let base = JoinConfig::builder()
+                    .backend(backend)
+                    .execution(execution)
+                    .build();
+                let off = MultiStepJoin::new(base.to_builder().raster(RasterConfig::off()).build())
+                    .execute(a, b);
+                assert_eq!(
+                    sorted(off.pairs.clone()),
+                    expect,
+                    "{name}/{backend:?}/{execution:?} raster-off vs truth"
+                );
+                for raster in [RasterConfig::default(), RasterConfig::with_bits(7)] {
+                    let on =
+                        MultiStepJoin::new(base.to_builder().raster(raster).build()).execute(a, b);
                     assert_eq!(
-                        sorted(off.pairs.clone()),
+                        sorted(on.pairs.clone()),
                         expect,
-                        "{name}/{backend:?}/{loader:?}/{execution:?} raster-off vs truth"
+                        "{name}/{backend:?}/{execution:?}/{raster:?}"
                     );
-                    for raster in [RasterConfig::default(), RasterConfig::with_bits(7)] {
-                        let on = MultiStepJoin::new(base.to_builder().raster(raster).build())
-                            .execute(a, b);
-                        assert_eq!(
-                            sorted(on.pairs.clone()),
-                            expect,
-                            "{name}/{backend:?}/{loader:?}/{execution:?}/{raster:?}"
-                        );
-                        // The stage accounted for every candidate...
-                        let s = &on.stats;
-                        assert_eq!(
-                            s.mbr_join.candidates,
-                            s.raster_hits + s.raster_drops + s.raster_inconclusive,
-                            "{name}: raster accounting"
-                        );
-                        // ...and decided ones never reached later steps.
-                        assert!(
-                            s.exact_tests <= off.stats.exact_tests,
-                            "{name}: raster increased exact tests"
-                        );
-                    }
+                    // The stage accounted for every candidate...
+                    let s = &on.stats;
+                    assert_eq!(
+                        s.mbr_join.candidates,
+                        s.raster_hits + s.raster_drops + s.raster_inconclusive,
+                        "{name}: raster accounting"
+                    );
+                    // ...and decided ones never reached later steps.
+                    assert!(
+                        s.exact_tests <= off.stats.exact_tests,
+                        "{name}: raster increased exact tests"
+                    );
                 }
             }
         }

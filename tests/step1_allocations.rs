@@ -2,30 +2,37 @@
 //! column arena, `tree_join` keeps its scratch per thread, and point /
 //! window probes descend on an inline stack into the caller's `Vec`.
 //!
-//! One test in one binary, because the counter is the process-wide
-//! `#[global_allocator]`; it counts only on the thread that asks, so the
-//! test harness's own threads cannot disturb it.
+//! The engine's own probe path on top of that costs the same number of
+//! allocations whether it records metrics or not: every instrument is a
+//! handle resolved at construction.
+//!
+//! And dropping a TR* arena frees no large block whole (why that matters
+//! is on `TrStarStore`'s `Drop`).
+//!
+//! The counter is the process-wide `#[global_allocator]`, but it counts
+//! per thread and only on the thread that asks, so neither the harness's
+//! threads nor the other tests can disturb a measurement.
 
-use msj::core::{selection_source, JoinConfig};
+use msj::core::{selection_source, JoinConfig, ObsConfig, Request, SpatialEngine};
 use msj::geom::{Point, Rect};
 use msj::sam::{tree_join, LruBuffer, PageLayout, RStarTree};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Size of the largest block freed while counting.
+    static LARGEST_FREED: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count_one() {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
@@ -38,6 +45,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            let _ = LARGEST_FREED.try_with(|n| n.set(n.get().max(layout.size())));
+        }
         System.dealloc(ptr, layout)
     }
 
@@ -57,11 +67,11 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// Heap allocations (growth included) this thread makes inside `f`.
 fn allocations_in(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     COUNTING.set(true);
     f();
     COUNTING.set(false);
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.get() - before
 }
 
 #[test]
@@ -103,12 +113,15 @@ fn a_warm_join_and_warm_probes_allocate_nothing() {
     let side = world.width() * 0.02_f64.sqrt();
     let window = |i: usize| Rect::new(at(i), Point::new(at(i).x + side, at(i).y + side));
     let mut ids = Vec::new();
-    let probe_all = |ids: &mut Vec<u32>| {
+    let mut stats = Vec::new();
+    let mut probe_all = |ids: &mut Vec<u32>| {
         let mut found = 0;
         for i in 0..1000 {
             ids.clear();
-            found += source.point_candidates(at(i), ids).candidates;
-            found += source.window_candidates(window(i), ids).candidates;
+            stats.clear();
+            source.point_candidates(&[at(i)], ids, &mut stats);
+            source.window_candidates(&[window(i)], ids, &mut stats);
+            found += stats.iter().map(|probe| probe.candidates).sum::<u64>();
         }
         found
     };
@@ -120,4 +133,60 @@ fn a_warm_join_and_warm_probes_allocate_nothing() {
     assert_eq!(again, warm);
     assert_eq!(ids.capacity(), capacity);
     assert_eq!(allocations, 0, "warm point / window probes allocated");
+}
+
+/// Observing a probe is free of allocations: a warm point / window
+/// request through `submit` allocates exactly as often on an engine that
+/// records latency, step time and traffic counters as on a dark one.
+#[test]
+fn observed_probes_allocate_no_more_than_dark_ones() {
+    let rel = std::sync::Arc::new(msj::datagen::small_carto(3000, 24.0, 73));
+    let world = rel.bounding_rect().expect("non-empty relation");
+    let at = |i: usize| {
+        Point::new(
+            world.xmin() + world.width() * (i as f64 * 0.618_033_988_7).fract(),
+            world.ymin() + world.height() * (i as f64 * 0.414_213_562_3).fract(),
+        )
+    };
+    let side = world.width() * 0.02_f64.sqrt();
+    let probes_allocate = |obs: ObsConfig| {
+        let engine = SpatialEngine::new(JoinConfig::builder().obs(obs).build());
+        let dataset = engine.register(rel.clone()).id();
+        let probe_all = || {
+            for i in 0..200 {
+                let point = at(i);
+                let window = Rect::new(point, Point::new(point.x + side, point.y + side));
+                let found = engine.submit(Request::Point { dataset, point });
+                assert!(found.is_ok());
+                let found = engine.submit(Request::Window { dataset, window });
+                assert!(found.is_ok());
+            }
+        };
+        probe_all();
+        allocations_in(probe_all)
+    };
+    let dark = probes_allocate(ObsConfig::disabled());
+    let observed = probes_allocate(ObsConfig::default());
+    assert!(
+        observed <= dark,
+        "400 observed probes allocated {observed} times, dark ones {dark}"
+    );
+}
+
+/// A dropped TR* arena gives its two big columns back through a
+/// shrinking `realloc`: the largest block it frees whole is an offset
+/// table, under a hundredth of the arena.
+#[test]
+fn a_dropped_tr_star_arena_frees_no_large_block_whole() {
+    let rel = msj::datagen::small_carto(3000, 24.0, 74);
+    let arena = msj::exact::TrStarStore::build(&rel, 6);
+    let bytes = arena.to_bytes().len();
+    assert!(bytes > 2 << 20, "the arena must be large ({bytes} B)");
+    LARGEST_FREED.set(0);
+    allocations_in(|| drop(arena));
+    let largest = LARGEST_FREED.get();
+    assert!(
+        largest * 100 < bytes,
+        "dropping a {bytes} B arena freed a {largest} B block whole"
+    );
 }
