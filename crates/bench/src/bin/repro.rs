@@ -1,10 +1,11 @@
-//! Reproduction driver: regenerates the paper's tables and figures.
+//! Reproduction driver: regenerates the paper's tables and figures (and
+//! the `fused` / `kernels` engine tables) as plain text.
 //!
 //! Usage:
 //!   repro `<experiment-id>`... [--scale quick|default|full] [--seed N] [--list]
 //!   repro all [--scale ...]
 
-use msj_bench::{bench_json_only, registry, ExpConfig, Scale};
+use msj_bench::{registry, ExpConfig, Scale};
 use std::io::Write;
 use std::time::Instant;
 
@@ -13,26 +14,10 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut cfg = ExpConfig::default();
     let mut list = false;
-    let mut json_path: Option<String> = None;
-    let mut only: Option<String> = None;
 
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--json" => {
-                i += 1;
-                json_path = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--json needs an output path");
-                    std::process::exit(2);
-                }));
-            }
-            "--only" => {
-                i += 1;
-                only = Some(args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--only needs an experiment/section name");
-                    std::process::exit(2);
-                }));
-            }
             "--scale" => {
                 i += 1;
                 cfg.scale = match args.get(i).map(String::as_str) {
@@ -60,48 +45,6 @@ fn main() {
             id => ids.push(id.to_string()),
         }
         i += 1;
-    }
-
-    // `--only` selects exactly one thing — mixing it with positional
-    // ids (or `all`) would silently change what runs.
-    if let Some(id) = &only {
-        if !ids.is_empty() {
-            eprintln!("--only {id:?} cannot be combined with positional experiment ids");
-            std::process::exit(2);
-        }
-        if id == "all" {
-            eprintln!("--only runs a single experiment; use `repro all` for the suite");
-            std::process::exit(2);
-        }
-    }
-
-    // The machine-readable bench can run standalone (`--json out.json`)
-    // or alongside named experiments; `--only <section>` restricts it to
-    // one measurement section (step1 | join | raster | serving | kernels | obs |
-    // robustness | serving_load).
-    if let Some(path) = &json_path {
-        if let Some(section) = &only {
-            if !msj_bench::jsonout::SECTIONS.contains(&section.as_str()) {
-                eprintln!(
-                    "--only {section:?} matches no bench section ({})",
-                    msj_bench::jsonout::SECTIONS.join("|")
-                );
-                std::process::exit(2);
-            }
-        }
-        let t0 = Instant::now();
-        let json = bench_json_only(&cfg, only.as_deref());
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("[bench json → {path} in {:.1?}]", t0.elapsed());
-        if ids.is_empty() {
-            return;
-        }
-    } else if let Some(id) = &only {
-        // Without --json, `--only X` is a single-experiment selection.
-        ids = vec![id.clone()];
     }
 
     let reg = registry();
@@ -153,9 +96,6 @@ fn print_help() {
          \"Multi-Step Processing of Spatial Joins\" (SIGMOD 1994)\n\n\
          usage: repro <id>... [--scale quick|default|full] [--seed N]\n\
          \u{20}      repro all [--scale ...]\n\
-         \u{20}      repro --only <id> [--scale ...]     (one experiment, no suite)\n\
-         \u{20}      repro --json <path> [--scale ...]   (machine-readable bench)\n\
-         \u{20}      repro --json <path> --only step1|join|...|serving_load     (one section)\n\
          \u{20}      repro --list"
     );
 }

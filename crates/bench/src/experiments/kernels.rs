@@ -25,34 +25,23 @@ use crate::report::{f, section, Table};
 use crate::timing::timed;
 use msj_approx::{ProgressiveKind, ProgressiveStore};
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{ObjectId, Rect, Relation};
+use msj_geom::{fnv1a64, ObjectId, Rect, Relation};
 
 /// One measured cell: a kernel on a dispatch path.
-pub(crate) struct KernelCell {
-    pub kernel: &'static str,
-    pub path: &'static str,
+struct KernelCell {
+    kernel: &'static str,
+    path: &'static str,
     /// Items the kernel consumed per run (pair tests for the sweep,
     /// candidate pairs for the mask kernels).
-    pub items: u64,
-    pub ns_per_item: f64,
-    pub items_per_sec: f64,
+    items: u64,
+    ns_per_item: f64,
+    items_per_sec: f64,
     /// Scalar ns/item over this path's ns/item (1.0 for scalar).
-    pub speedup_vs_scalar: f64,
+    speedup_vs_scalar: f64,
     /// FNV-1a over the kernel's full output — equal across paths by
     /// assertion.
-    pub digest: u64,
+    digest: u64,
 }
-
-fn fnv_bytes(acc: u64, bytes: &[u8]) -> u64 {
-    let mut h = acc;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
 /// xmin-sorted SoA columns of one relation's MBRs (the layout the
 /// partitioned sweep repacks per tile).
@@ -118,9 +107,9 @@ fn run_sweep(d: KernelDispatch, a: &SweepSide, b: &SweepSide) -> (u64, Vec<(Obje
     (tests, pairs)
 }
 
-/// Measures the three kernels on every available dispatch path over the
+/// Measures the two kernels on every available dispatch path over the
 /// skewed cartographic workload; asserts cross-path digest agreement.
-pub(crate) fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
+fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
     let n = cfg.large_count() / 2;
     let a = msj_datagen::skewed_carto(n, 24.0, cfg.seed);
     let b = msj_datagen::skewed_carto(n, 24.0, cfg.seed + 1);
@@ -169,10 +158,11 @@ pub(crate) fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
         // Kernel 1: the plane-sweep MBR join loop.
         let _ = run_sweep(d, &side_a, &side_b); // warm-up
         let ((tests, pairs), secs) = timed(|| run_sweep(d, &side_a, &side_b));
-        let digest = pairs.iter().fold(FNV_OFFSET, |acc, &(x, y)| {
-            fnv_bytes(fnv_bytes(acc, &x.to_le_bytes()), &y.to_le_bytes())
-        });
-        push("sweep", path, tests, secs, digest, &mut cells);
+        let bytes: Vec<u8> = pairs
+            .iter()
+            .flat_map(|&(x, y)| x.to_le_bytes().into_iter().chain(y.to_le_bytes()))
+            .collect();
+        push("sweep", path, tests, secs, fnv1a64(&bytes), &mut cells);
 
         // Kernel 2: the pair-gathered MER fast-accept mask.
         let run_mer = || {
@@ -182,17 +172,9 @@ pub(crate) fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
         };
         let _ = run_mer();
         let (mask, secs) = timed(run_mer);
-        let digest = mask
-            .iter()
-            .fold(FNV_OFFSET, |acc, &hit| fnv_bytes(acc, &[hit as u8]));
-        push(
-            "mer-accept",
-            path,
-            candidates.len() as u64,
-            secs,
-            digest,
-            &mut cells,
-        );
+        let bytes: Vec<u8> = mask.iter().map(|&hit| hit as u8).collect();
+        let items = candidates.len() as u64;
+        push("mer-accept", path, items, secs, fnv1a64(&bytes), &mut cells);
     }
     cells
 }

@@ -1,21 +1,17 @@
-//! One reproduction function per table/figure of the paper's evaluation.
+//! One reproduction function per table/figure of the paper's evaluation,
+//! plus the two engine tables `benchmark/` cannot produce ([`fused`],
+//! [`kernels`]).
 //!
-//! Every experiment returns a plain-text report containing the measured
-//! values next to the paper's published values. The registry at the bottom
-//! maps experiment ids (`fig2`, `table3`, ...) to their functions; the
-//! `repro` binary dispatches on it.
+//! Every experiment returns a plain-text report; the paper ones print the
+//! measured values next to the paper's published values. The registry at
+//! the bottom maps experiment ids (`fig2`, `table3`, ...) to their
+//! functions; the `repro` binary dispatches on it.
 
-pub mod cold_start;
 pub mod datasets;
 pub mod exactgeo;
 pub mod filters;
 pub mod fused;
 pub mod kernels;
-pub mod partitioned;
-pub mod raster;
-pub mod robustness;
-pub mod serving;
-pub mod serving_load;
 pub mod storage;
 pub mod total;
 
@@ -116,7 +112,8 @@ pub struct Experiment {
     pub run: fn(&ExpConfig) -> String,
 }
 
-/// The full registry in paper order.
+/// The full registry: the paper's experiments in paper order, then
+/// `fused` and `kernels`.
 pub fn registry() -> Vec<Experiment> {
     vec![
         Experiment {
@@ -240,44 +237,14 @@ pub fn registry() -> Vec<Experiment> {
             run: total::ablation_buffer,
         },
         Experiment {
-            id: "partitioned",
-            description: "step-1 backends: R*-tree traversal vs partitioned sweep",
-            run: partitioned::partitioned,
-        },
-        Experiment {
             id: "fused",
-            description: "execution engine: serial vs collect-then-chunk vs fused",
+            description: "execution engine: serial vs fused, both Step-1 backends",
             run: fused::fused,
-        },
-        Experiment {
-            id: "raster",
-            description: "step-2a raster pre-filter: grid_bits sweep vs raster-off",
-            run: raster::raster,
-        },
-        Experiment {
-            id: "serving",
-            description: "resident engine vs prepare-per-query (points, windows, joins)",
-            run: serving::serving,
         },
         Experiment {
             id: "kernels",
             description: "vectorized hot-path kernels: per-dispatch microbenchmarks",
             run: kernels::kernels,
-        },
-        Experiment {
-            id: "robustness",
-            description: "failure story: cancellation latency and fault-hook overhead",
-            run: robustness::robustness,
-        },
-        Experiment {
-            id: "serving-load",
-            description: "network front: batched throughput, overload shedding, drain",
-            run: serving_load::serving_load,
-        },
-        Experiment {
-            id: "cold-start",
-            description: "persistent store: segment load vs Step-0 rebuild",
-            run: cold_start::cold_start,
         },
     ]
 }
@@ -286,15 +253,17 @@ pub fn registry() -> Vec<Experiment> {
 mod tests {
     use super::*;
 
+    /// The 24 paper experiments in paper order, then the two engine
+    /// tables: a dropped (or duplicated) id fails here.
     #[test]
     fn registry_ids_are_unique() {
-        let reg = registry();
-        let mut ids: Vec<&str> = reg.iter().map(|e| e.id).collect();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(before, ids.len());
-        assert!(before >= 20);
+        let ids: Vec<&str> = registry().iter().map(|e| e.id).collect();
+        assert_eq!(
+            ids.join(" "),
+            "fig2 table1 table2 fig3 fig4 table3 fig5 table4 fig8 table5 fig9 fig10 fig11 fig12 \
+             table6 table7 fig16 fig17 fig18 ablation-restrict ablation-mpretest ablation-order \
+             ablation-joinstrategy ablation-buffer fused kernels"
+        );
     }
 
     #[test]

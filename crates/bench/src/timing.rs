@@ -4,7 +4,7 @@ use std::time::Instant;
 
 /// Repetitions per timed cell. The runs are deterministic, so the
 /// minimum over repetitions is the least-noise estimate.
-pub(crate) const REPS: usize = 3;
+const REPS: usize = 3;
 
 /// Runs `run` [`REPS`] times and returns the last result with the
 /// minimum wall-clock in seconds.

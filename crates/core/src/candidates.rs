@@ -16,24 +16,16 @@
 //! exact steps are provably unaffected (the property tests in
 //! `tests/backend_agreement.rs` assert it).
 
-use crate::config::{Backend, JoinConfig, DEFAULT_BATCH_PAIRS};
+use crate::config::{Backend, JoinConfig};
 use msj_geom::{
-    CancelToken, FnConsumer, KernelDispatch, ObjectId, PairBatchBuffer, PairConsumer, Point, Rect,
-    RelHandle, Relation,
+    CancelToken, KernelDispatch, ObjectId, PairBatchBuffer, PairConsumer, Point, Rect, RelHandle,
+    Relation,
 };
 use msj_obs::WorkerTelemetry;
-use msj_partition::{
-    partition_join_cancellable_with, partition_join_workers_observed_with, GridIndex,
-    PartitionStats,
-};
+use msj_partition::{partition_join_funneled, partition_join_workers, GridIndex, PartitionStats};
 use msj_sam::{tree_join_chunked, JoinControl, JoinStats, LruBuffer, PageLayout, RStarTree};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
-
-/// Default candidate pairs per batch/chunk
-/// ([`crate::config::DEFAULT_BATCH_PAIRS`]; override per join with
-/// [`JoinConfig::batch_pairs`]).
-pub const FUSED_CHUNK: usize = DEFAULT_BATCH_PAIRS;
 
 /// Bounded-channel depth per downstream worker of the R*-traversal
 /// fan-out. Together with the configured batch size this caps the
@@ -112,17 +104,16 @@ pub struct SelectionStats {
     pub physical_reads: u64,
 }
 
-/// A prepared Step-1 backend over one or two relations
-/// ([`join_source`] / [`selection_source`]).
+/// A prepared Step-1 backend over one or two relations (the engine's
+/// prepared joins and registered datasets; [`selection_source`] builds a
+/// borrowed one).
 ///
 /// Candidate delivery speaks the parallel-capable
 /// [`msj_geom::PairConsumer`] protocol: the backend attaches one
 /// [`msj_geom::PairSink`] per worker thread it feeds and streams each
 /// worker's candidates into its own sink — which is how the fused
 /// execution engine runs filter + exact right where candidates are
-/// produced. Callers that just want a single candidate stream on the
-/// calling thread use `stream_candidates` (an inherent helper on
-/// `dyn CandidateSource`).
+/// produced.
 ///
 /// Every method takes `&self`: per-run mutability (the simulated LRU
 /// buffer, lazily built grid state) lives behind interior mutability, so
@@ -178,28 +169,6 @@ pub trait CandidateSource: Send + Sync {
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
     );
-}
-
-impl dyn CandidateSource + '_ {
-    /// Convenience over
-    /// [`join_candidates`](CandidateSource::join_candidates): streams
-    /// every candidate to one closure on the calling thread.
-    pub fn stream_candidates(
-        &self,
-        sink: &mut (dyn FnMut(ObjectId, ObjectId) + Send),
-    ) -> Step1Stats {
-        let consumer = FnConsumer::new(sink);
-        self.join_candidates(&consumer, 1, None, None)
-    }
-}
-
-/// Builds the configured backend over a relation pair (Step 1 of a join).
-pub fn join_source<'a>(
-    config: &JoinConfig,
-    rel_a: &'a Relation,
-    rel_b: &'a Relation,
-) -> Box<dyn CandidateSource + 'a> {
-    source_with(config, rel_a.into(), Some(rel_b.into()), None, None)
 }
 
 /// Builds the configured backend over one relation (Step 1 of selection
@@ -554,7 +523,7 @@ impl CandidateSource for GridSource<'_> {
             // re-batched caller-side so the sink still sees runs.
             let mut sink = consumer.attach();
             let mut buffer = PairBatchBuffer::new(&mut *sink, batch);
-            let stats = partition_join_cancellable_with(
+            let stats = partition_join_funneled(
                 self.dispatch,
                 items_a,
                 items_b,
@@ -578,7 +547,7 @@ impl CandidateSource for GridSource<'_> {
             // Fused: every tile worker attaches its own sink and sweeps
             // straight into it in tile-boundary-flushed batches — nothing
             // is buffered across threads or funneled.
-            let stats = partition_join_workers_observed_with(
+            let stats = partition_join_workers(
                 self.dispatch,
                 items_a,
                 items_b,
@@ -651,6 +620,27 @@ fn grid_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msj_geom::FnConsumer;
+
+    impl dyn CandidateSource + '_ {
+        /// Streams every candidate to one closure on the calling thread.
+        fn stream_candidates(
+            &self,
+            sink: &mut (dyn FnMut(ObjectId, ObjectId) + Send),
+        ) -> Step1Stats {
+            let consumer = FnConsumer::new(sink);
+            self.join_candidates(&consumer, 1, None, None)
+        }
+    }
+
+    /// The configured backend over a borrowed relation pair.
+    fn join_source<'a>(
+        config: &JoinConfig,
+        rel_a: &'a Relation,
+        rel_b: &'a Relation,
+    ) -> Box<dyn CandidateSource + 'a> {
+        source_with(config, rel_a.into(), Some(rel_b.into()), None, None)
+    }
 
     fn sorted(mut v: Vec<(ObjectId, ObjectId)>) -> Vec<(ObjectId, ObjectId)> {
         v.sort_unstable();

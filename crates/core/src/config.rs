@@ -27,9 +27,9 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// A partitioned backend sized for the machine: ~4 tiles per
-    /// available core on each axis works well across the repro
-    /// workloads.
+    /// A partitioned backend sized for the machine: two tiles per
+    /// available core on each axis, clamped to `4..=64`, swept on all
+    /// cores.
     pub fn partitioned_auto() -> Self {
         let cores = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -460,6 +460,7 @@ mod tests {
     #[test]
     fn default_execution_is_serial() {
         assert_eq!(JoinConfig::default().execution, Execution::Serial);
+        assert_eq!(Execution::default(), Execution::Serial);
     }
 
     #[test]

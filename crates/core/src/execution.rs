@@ -50,13 +50,6 @@ pub enum Execution {
     },
 }
 
-impl Execution {
-    /// Fused execution sized for the machine.
-    pub fn fused_auto() -> Self {
-        Execution::Fused { threads: 0 }
-    }
-}
-
 // The engine shares the filter and the exact processor read-only across
 // all worker threads; per-worker mutability is confined to each sink's
 // own `OpCounts`/counters. Keep that property explicit:
@@ -477,14 +470,5 @@ mod tests {
         );
         let f = MultiStepJoin::new(grid).execute(&a, &b);
         assert_eq!(f.stats.peak_buffered_candidates, 0);
-    }
-
-    #[test]
-    fn fused_auto_resolves_to_available_parallelism() {
-        assert_eq!(Execution::default(), Execution::Serial);
-        let Execution::Fused { threads } = Execution::fused_auto() else {
-            panic!("fused_auto must be fused");
-        };
-        assert_eq!(threads, 0);
     }
 }

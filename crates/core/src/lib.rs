@@ -76,8 +76,8 @@ pub mod queries;
 pub mod stats;
 
 pub use candidates::{
-    fused_buffer_bound, join_source, selection_source, CandidateSource, PartitionSummary,
-    SelectionStats, Step1Stats, FUSED_CHUNK, FUSED_QUEUE_DEPTH,
+    fused_buffer_bound, selection_source, CandidateSource, PartitionSummary, SelectionStats,
+    Step1Stats, FUSED_QUEUE_DEPTH,
 };
 pub use config::{Backend, JoinConfig, JoinConfigBuilder, RasterConfig, DEFAULT_BATCH_PAIRS};
 pub use cost::{

@@ -158,10 +158,14 @@ pub fn sweep_scan(
         KernelDispatch::Scalar => {
             sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
         }
+        // SAFETY: `d == Sse2` only after `KernelDispatch::select` detected
+        // SSE2; the three columns are one SoA block of equal lengths.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe {
             sweep_scan_sse2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
         },
+        // SAFETY: `d == Avx2` only after `KernelDispatch::select` detected
+        // AVX2 on this CPU; column lengths as for the SSE2 arm.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Avx2 => unsafe {
             sweep_scan_avx2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
@@ -197,6 +201,10 @@ fn sweep_scan_scalar(
     tests
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `ymin` / `ymax` must be at least as
+/// long as `xmin`, the only length the 4-lane loads are checked against.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
@@ -248,6 +256,10 @@ unsafe fn sweep_scan_avx2(
     tests + sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, k, hits)
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2, and `ymin` / `ymax` must be at least as
+/// long as `xmin`, the only length the 2-lane loads are checked against.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 #[allow(clippy::too_many_arguments)]
@@ -316,8 +328,12 @@ pub fn rects_vs_rect(
     debug_assert!(xmin.len() == ymin.len() && xmin.len() == xmax.len() && xmin.len() == ymax.len());
     match d {
         KernelDispatch::Scalar => rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, 0, hits),
+        // SAFETY: SSE2 was detected when `d` was selected; the four
+        // columns are one node's repacked entries, equal in length.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe { rects_vs_rect_sse2(q, xmin, ymin, xmax, ymax, hits) },
+        // SAFETY: AVX2 was detected when `d` was selected; column lengths
+        // as for the SSE2 arm.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Avx2 => unsafe { rects_vs_rect_avx2(q, xmin, ymin, xmax, ymax, hits) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -342,6 +358,10 @@ fn rects_vs_rect_scalar(
     }
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2, and `ymin` / `xmax` / `ymax` must be at
+/// least as long as `xmin` (the loop bound of every 4-lane load).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn rects_vs_rect_avx2(
@@ -376,6 +396,10 @@ unsafe fn rects_vs_rect_avx2(
     rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, k, hits);
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2, and `ymin` / `xmax` / `ymax` must be at
+/// least as long as `xmin` (the loop bound of every 2-lane load).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn rects_vs_rect_sse2(
@@ -434,6 +458,10 @@ pub fn rect_pairs_intersect(
         // `kernels` bench measured `vgatherdpd` at ~0.5x scalar here),
         // so the widest path also runs the 2-lane direct-load form —
         // each pair's two rects are contiguous 32-byte loads.
+        // SAFETY: either variant implies SSE2 (detected at selection,
+        // and AVX2 hosts have it); every `(a, b)` in `pairs` is a Step-1
+        // candidate over the relations these two MER columns were built
+        // from, so `a < rects_a.len()` and `b < rects_b.len()`.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 | KernelDispatch::Avx2 => unsafe {
             rect_pairs_sse2(rects_a, rects_b, pairs, out)
@@ -456,6 +484,12 @@ fn rect_pairs_scalar(
     );
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2, and every pair must index inside its
+/// column (`a < rects_a.len()`, `b < rects_b.len()`): the loads are not
+/// bounds-checked. Each reads the 32 bytes of one `#[repr(C)]` `Rect` as
+/// `[xmin, ymin]` and `[xmax, ymax]`, unaligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn rect_pairs_sse2(
@@ -492,8 +526,14 @@ pub fn rects_contain_point(
 ) {
     match d {
         KernelDispatch::Scalar => rects_contain_point_scalar(rects, ids, p, out),
+        // SAFETY: SSE2 was detected when `d` was selected; `ids` are the
+        // probe's candidates, object ids of the relation `rects` has one
+        // entry per object of, so each is `< rects.len()`.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe { rects_contain_point_sse2(rects, ids, p, out) },
+        // SAFETY: AVX2 was detected when `d` was selected; ids in range as
+        // for the SSE2 arm, and below 2^29 (a column of 2^29 `Rect`s
+        // would be 16 GiB).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Avx2 => unsafe { rects_contain_point_avx2(rects, ids, p, out) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -505,6 +545,11 @@ fn rects_contain_point_scalar(rects: &[Rect], ids: &[u32], p: Point, out: &mut V
     out.extend(ids.iter().map(|&id| rects[id as usize].contains_point(p)));
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2; every id must be `< rects.len()` (the
+/// gathers are unchecked) and `< 2^29`: `4 * id`, its `f64` index into
+/// the `#[repr(C)]` `Rect` column, must fit the gather's `i32` lane.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn rects_contain_point_avx2(rects: &[Rect], ids: &[u32], p: Point, out: &mut Vec<bool>) {
@@ -538,6 +583,10 @@ unsafe fn rects_contain_point_avx2(rects: &[Rect], ids: &[u32], p: Point, out: &
     rects_contain_point_scalar(rects, &ids[k..], p, out);
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2 and every id must be `< rects.len()`: the
+/// two 16-byte loads per id read one `#[repr(C)]` `Rect` unchecked.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn rects_contain_point_sse2(rects: &[Rect], ids: &[u32], p: Point, out: &mut Vec<bool>) {
@@ -564,8 +613,12 @@ pub fn rects_intersect_query(
 ) {
     match d {
         KernelDispatch::Scalar => rects_intersect_query_scalar(rects, ids, q, out),
+        // SAFETY: SSE2 was detected when `d` was selected; `ids` are the
+        // probe's candidates, each `< rects.len()` (one entry per object).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe { rects_intersect_query_sse2(rects, ids, q, out) },
+        // SAFETY: AVX2 was detected when `d` was selected; ids in range as
+        // for the SSE2 arm, and below 2^29.
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Avx2 => unsafe { rects_intersect_query_avx2(rects, ids, q, out) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -577,6 +630,11 @@ fn rects_intersect_query_scalar(rects: &[Rect], ids: &[u32], q: &Rect, out: &mut
     out.extend(ids.iter().map(|&id| rects[id as usize].intersects(q)));
 }
 
+/// # Safety
+///
+/// The CPU must support AVX2; every id must be `< rects.len()` (the
+/// gathers are unchecked) and `< 2^29`: `4 * id`, its `f64` index into
+/// the `#[repr(C)]` `Rect` column, must fit the gather's `i32` lane.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn rects_intersect_query_avx2(rects: &[Rect], ids: &[u32], q: &Rect, out: &mut Vec<bool>) {
@@ -612,6 +670,10 @@ unsafe fn rects_intersect_query_avx2(rects: &[Rect], ids: &[u32], q: &Rect, out:
     rects_intersect_query_scalar(rects, &ids[k..], q, out);
 }
 
+/// # Safety
+///
+/// The CPU must support SSE2 and every id must be `< rects.len()`: the
+/// two 16-byte loads per id read one `#[repr(C)]` `Rect` unchecked.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
 unsafe fn rects_intersect_query_sse2(rects: &[Rect], ids: &[u32], q: &Rect, out: &mut Vec<bool>) {
@@ -640,6 +702,9 @@ mod tests {
         assert_eq!(std::mem::size_of::<Rect>(), 4 * 8);
         assert_eq!(std::mem::size_of::<Point>(), 2 * 8);
         let r = Rect::from_bounds(1.0, 2.0, 3.0, 4.0);
+        // SAFETY: `Rect` is `#[repr(C)]` over two `#[repr(C)]` `Point`s of
+        // two `f64`s each — 32 bytes, `f64`-aligned, no padding (the two
+        // size asserts above) — and `r` outlives `view`.
         let view = unsafe { std::slice::from_raw_parts(&r as *const Rect as *const f64, 4) };
         assert_eq!(view, &[1.0, 2.0, 3.0, 4.0]);
     }

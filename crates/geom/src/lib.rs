@@ -28,6 +28,8 @@
 //! *closed* semantics: touching boundaries intersect and containment counts
 //! as intersection, matching the intersection join of the paper.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod bytes;
 pub mod calipers;
 pub mod cancel;

@@ -1,7 +1,9 @@
 //! The partitioned MBR join: per-tile plane sweeps executed in parallel
 //! over scoped threads, delivered either funneled onto the calling thread
-//! ([`partition_join`]) or straight to caller-supplied per-worker sinks
-//! ([`partition_join_workers`] — the fused execution path).
+//! ([`partition_join`], or [`partition_join_funneled`] with an explicit
+//! kernel dispatch and cancel token) or straight to caller-supplied
+//! per-worker sinks ([`partition_join_workers`] — the fused execution
+//! path).
 
 use crate::grid::Grid;
 use crate::stats::PartitionStats;
@@ -100,34 +102,12 @@ impl SweepScratch {
 
 /// Forward plane sweep over one tile's two rectangle lists (already
 /// bucketed; sorted here by `xmin`), reporting intersecting pairs whose
-/// reference point lies in `tile`.
-///
-/// Exposed for tests and benches; [`partition_join`] drives it per tile
-/// via [`tile_sweep_with`].
+/// reference point lies in `tile`, on an explicit kernel dispatch path
+/// and with caller-owned scratch. After sorting, both sides are repacked
+/// into SoA columns and the inner x-overlapping runs execute as wide
+/// scans; the emitted pairs, their order, and both counters are
+/// byte-identical across paths.
 pub fn tile_sweep(
-    grid: &Grid,
-    tile: usize,
-    side_a: &mut [(Rect, ObjectId)],
-    side_b: &mut [(Rect, ObjectId)],
-    on_pair: &mut impl FnMut(ObjectId, ObjectId),
-) -> (u64, u64) {
-    let mut scratch = SweepScratch::default();
-    tile_sweep_with(
-        KernelDispatch::auto(),
-        grid,
-        tile,
-        side_a,
-        side_b,
-        &mut scratch,
-        on_pair,
-    )
-}
-
-/// [`tile_sweep`] with an explicit kernel dispatch path and caller-owned
-/// scratch. After sorting, both sides are repacked into SoA columns and
-/// the inner x-overlapping runs execute as wide scans; the emitted pairs,
-/// their order, and both counters are byte-identical across paths.
-pub fn tile_sweep_with(
     dispatch: KernelDispatch,
     grid: &Grid,
     tile: usize,
@@ -200,7 +180,8 @@ pub fn tile_sweep_with(
     (pair_tests, dedup_skipped)
 }
 
-/// Below this many total tile assignments [`partition_join`]'s sweeps run
+/// Below this many total tile assignments the funneled drivers'
+/// ([`partition_join`], [`partition_join_funneled`]) sweeps run
 /// on the calling thread regardless of the requested `threads` — spawn
 /// cost would dominate the sub-millisecond sweep work.
 /// [`PartitionStats::threads`] records the worker count actually used.
@@ -270,33 +251,23 @@ pub fn partition_join<F: FnMut(ObjectId, ObjectId)>(
     threads: usize,
     on_pair: F,
 ) -> PartitionStats {
-    partition_join_with(
+    partition_join_funneled(
         KernelDispatch::auto(),
         a,
         b,
         tiles_per_axis,
         threads,
+        None,
         on_pair,
     )
 }
 
-/// [`partition_join`] with an explicit kernel dispatch path.
-pub fn partition_join_with<F: FnMut(ObjectId, ObjectId)>(
-    dispatch: KernelDispatch,
-    a: &[(Rect, ObjectId)],
-    b: &[(Rect, ObjectId)],
-    tiles_per_axis: usize,
-    threads: usize,
-    on_pair: F,
-) -> PartitionStats {
-    partition_join_cancellable_with(dispatch, a, b, tiles_per_axis, threads, None, on_pair)
-}
-
-/// [`partition_join_with`] with a cooperative [`CancelToken`], polled at
-/// every tile boundary (sweep side and replay side). Once cancelled, no
-/// further tiles are swept and no further pairs are replayed; the stats
-/// cover exactly the tiles that ran. `None` is the zero-overhead path.
-pub fn partition_join_cancellable_with<F: FnMut(ObjectId, ObjectId)>(
+/// [`partition_join`] with an explicit kernel dispatch path and an
+/// optional cooperative [`CancelToken`], polled at every tile boundary
+/// (sweep side and replay side). Once cancelled, no further tiles are
+/// swept and no further pairs are replayed; the stats cover exactly the
+/// tiles that ran. `None` is the zero-overhead path.
+pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
     dispatch: KernelDispatch,
     a: &[(Rect, ObjectId)],
     b: &[(Rect, ObjectId)],
@@ -398,6 +369,17 @@ pub fn partition_join_cancellable_with<F: FnMut(ObjectId, ObjectId)>(
     stats
 }
 
+/// Records one tile's outcome into the worker's backend lane: pairs
+/// swept, one batch per tile flushed, the busiest tile as the peak.
+#[inline]
+fn observe_tile(lane: Option<&WorkerLane>, outcome: &TileOutcome) {
+    if let Some(lane) = lane {
+        lane.add_pairs(outcome.candidates);
+        lane.inc_batches();
+        lane.record_buffered(outcome.candidates);
+    }
+}
+
 /// The partitioned parallel MBR join delivered to caller-supplied
 /// workers: each worker thread attaches its own sink on `consumer` and
 /// the tile sweeps stream their pairs into it *on the worker thread* —
@@ -418,64 +400,17 @@ pub fn partition_join_cancellable_with<F: FnMut(ObjectId, ObjectId)>(
 /// [`PairBatchBuffer`] per worker, flushed at every tile boundary), so a
 /// consumer pays one dispatch — and can run one batched classification —
 /// per run instead of per pair. Order within a worker is unchanged.
-pub fn partition_join_workers(
-    a: &[(Rect, ObjectId)],
-    b: &[(Rect, ObjectId)],
-    tiles_per_axis: usize,
-    workers: usize,
-    batch: usize,
-    consumer: &dyn PairConsumer,
-) -> PartitionStats {
-    partition_join_workers_observed(a, b, tiles_per_axis, workers, batch, consumer, None)
-}
-
-/// Records one tile's outcome into the worker's backend lane: pairs
-/// swept, one batch per tile flushed, the busiest tile as the peak.
-#[inline]
-fn observe_tile(lane: Option<&WorkerLane>, outcome: &TileOutcome) {
-    if let Some(lane) = lane {
-        lane.add_pairs(outcome.candidates);
-        lane.inc_batches();
-        lane.record_buffered(outcome.candidates);
-    }
-}
-
-/// [`partition_join_workers`] with optional per-worker telemetry: worker
-/// `w` records into `telemetry.backend_lane(w)` the candidate pairs it
-/// swept, the tile flushes it performed, and its busiest tile's
-/// candidate count. `None` is the zero-overhead path the plain driver
-/// delegates to.
-pub fn partition_join_workers_observed(
-    a: &[(Rect, ObjectId)],
-    b: &[(Rect, ObjectId)],
-    tiles_per_axis: usize,
-    workers: usize,
-    batch: usize,
-    consumer: &dyn PairConsumer,
-    telemetry: Option<&WorkerTelemetry>,
-) -> PartitionStats {
-    partition_join_workers_observed_with(
-        KernelDispatch::auto(),
-        a,
-        b,
-        tiles_per_axis,
-        workers,
-        batch,
-        consumer,
-        telemetry,
-        None,
-    )
-}
-
-/// [`partition_join_workers_observed`] with an explicit kernel dispatch
-/// path and an optional cooperative [`CancelToken`], polled by every
-/// worker at each tile boundary: once cancelled, workers stop sweeping
+///
+/// With `telemetry`, worker `w` records into `telemetry.backend_lane(w)`
+/// the candidate pairs it swept, the tile flushes it performed, and its
+/// busiest tile's candidate count. With `cancel`, every worker polls the
+/// token at each tile boundary: once cancelled, workers stop sweeping
 /// their remaining tiles, flush nothing further, and tear down normally.
-/// A worker that *panics* is isolated: the other workers drain, then the
-/// panic is re-raised as a structured [`WorkerPanic`] for the engine
-/// layer to catch.
+/// `None` is the zero-overhead path for both. A worker that *panics* is
+/// isolated: the other workers drain, then the panic is re-raised as a
+/// structured [`WorkerPanic`] for the engine layer to catch.
 #[allow(clippy::too_many_arguments)]
-pub fn partition_join_workers_observed_with(
+pub fn partition_join_workers(
     dispatch: KernelDispatch,
     a: &[(Rect, ObjectId)],
     b: &[(Rect, ObjectId)],
@@ -597,7 +532,7 @@ fn sweep_into(
     let (pair_tests, dedup_skipped) = if bucket_a.is_empty() || bucket_b.is_empty() {
         (0, 0)
     } else {
-        tile_sweep_with(
+        tile_sweep(
             dispatch,
             grid,
             tile,
@@ -725,6 +660,29 @@ mod tests {
         }
     }
 
+    /// [`partition_join_workers`]: detected dispatch, no telemetry, no token.
+    fn workers_join(
+        a: &[(Rect, ObjectId)],
+        b: &[(Rect, ObjectId)],
+        tiles_per_axis: usize,
+        workers: usize,
+        batch: usize,
+        consumer: &dyn PairConsumer,
+    ) -> PartitionStats {
+        let auto = KernelDispatch::auto();
+        partition_join_workers(
+            auto,
+            a,
+            b,
+            tiles_per_axis,
+            workers,
+            batch,
+            consumer,
+            None,
+            None,
+        )
+    }
+
     #[test]
     fn cancelled_worker_join_stops_at_tile_boundaries() {
         let a = grid_items(10, 0.0, 8.0);
@@ -737,7 +695,7 @@ mod tests {
             let token = CancelToken::new();
             token.cancel();
             let consumer = Collecting::new();
-            let stats = partition_join_workers_observed_with(
+            let stats = partition_join_workers(
                 KernelDispatch::auto(),
                 &a,
                 &b,
@@ -776,7 +734,7 @@ mod tests {
             token: &token,
             seen: Mutex::new(Vec::new()),
         };
-        partition_join_workers_observed_with(
+        partition_join_workers(
             KernelDispatch::auto(),
             &a,
             &b,
@@ -804,7 +762,7 @@ mod tests {
             }
         }
         let caught = std::panic::catch_unwind(|| {
-            partition_join_workers(&a, &b, 4, 4, 7, &Exploding);
+            workers_join(&a, &b, 4, 4, 7, &Exploding);
         })
         .expect_err("worker panic must propagate");
         let wp = caught
@@ -839,7 +797,7 @@ mod tests {
         let funneled_stats = partition_join(&a, &b, 4, 1, |x, y| funneled.push((x, y)));
         for workers in [1usize, 2, 3, 8, 64] {
             let consumer = Collecting::new();
-            let stats = partition_join_workers(&a, &b, 4, workers, 7, &consumer);
+            let stats = workers_join(&a, &b, 4, workers, 7, &consumer);
             let got = consumer.pairs.into_inner().unwrap();
             assert_eq!(sorted(got), sorted(funneled.clone()), "workers {workers}");
             // Stats are worker-count invariant, tile detail included.
@@ -851,13 +809,22 @@ mod tests {
             assert_eq!(*consumer.attaches.lock().unwrap(), stats.threads);
         }
 
-        // The observed variant accounts every candidate to exactly one
+        // With telemetry, every candidate is accounted to exactly one
         // backend lane; peaks bound the busiest tile.
         for workers in [1usize, 3, 8] {
             let telemetry = WorkerTelemetry::new(workers);
             let consumer = Collecting::new();
-            let stats =
-                partition_join_workers_observed(&a, &b, 4, workers, 7, &consumer, Some(&telemetry));
+            let stats = partition_join_workers(
+                KernelDispatch::auto(),
+                &a,
+                &b,
+                4,
+                workers,
+                7,
+                &consumer,
+                Some(&telemetry),
+                None,
+            );
             let lanes = telemetry.snapshot();
             let backend_pairs: u64 = lanes
                 .iter()
@@ -880,7 +847,7 @@ mod tests {
     fn worker_delivery_handles_empty_sides() {
         let a = grid_items(3, 0.0, 8.0);
         let consumer = Collecting::new();
-        let stats = partition_join_workers(&a, &[], 4, 4, 16, &consumer);
+        let stats = workers_join(&a, &[], 4, 4, 16, &consumer);
         assert_eq!(stats.candidates(), 0);
         assert_eq!(stats.threads, 1);
         assert!(consumer.pairs.into_inner().unwrap().is_empty());
@@ -894,7 +861,7 @@ mod tests {
         let stats = {
             let mut push = |x: ObjectId, y: ObjectId| got.push((x, y));
             let consumer = FnConsumer::new(&mut push);
-            partition_join_workers(&a, &b, 3, 1, 4, &consumer)
+            workers_join(&a, &b, 3, 1, 4, &consumer)
         };
         assert_eq!(sorted(got), reference(&a, &b));
         assert_eq!(stats.threads, 1);
@@ -923,7 +890,7 @@ mod tests {
         let mut reference: Option<Cell> = None;
         for d in KernelDispatch::all_available() {
             let mut got = Vec::new();
-            let stats = partition_join_with(d, &a, &b, 5, 2, |x, y| got.push((x, y)));
+            let stats = partition_join_funneled(d, &a, &b, 5, 2, None, |x, y| got.push((x, y)));
             let cell = (got, stats.pair_tests, stats.dedup_skipped);
             match &reference {
                 None => reference = Some(cell),

@@ -37,8 +37,6 @@ pub mod stats;
 
 pub use grid::{Grid, GridIndex};
 pub use join::{
-    partition_join, partition_join_cancellable_with, partition_join_with, partition_join_workers,
-    partition_join_workers_observed, partition_join_workers_observed_with, tile_sweep,
-    tile_sweep_with, SweepScratch,
+    partition_join, partition_join_funneled, partition_join_workers, tile_sweep, SweepScratch,
 };
 pub use stats::PartitionStats;

@@ -48,6 +48,8 @@
 //! server.join();
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod client;
 pub mod poll;
 pub mod protocol;

@@ -128,6 +128,14 @@ mod epoll {
         data: u64,
     }
 
+    /// One raw Linux x86-64 `syscall` (result in `rax`, negative for
+    /// `-errno`; the kernel clobbers `rcx` and `r11`).
+    ///
+    /// # Safety
+    ///
+    /// Every pointer argument must be valid for what syscall `n` reads or
+    /// writes through it while the call runs, and a descriptor the call
+    /// closes must not be used again.
     #[inline]
     unsafe fn syscall4(n: usize, a: usize, b: usize, c: usize, d: usize) -> isize {
         let ret: isize;
@@ -152,6 +160,8 @@ mod epoll {
 
     impl EpollPoller {
         pub fn new() -> Option<Self> {
+            // SAFETY: `epoll_create1` takes a flags word and no pointer; it
+            // only allocates a descriptor, owned by the value built below.
             let epfd = unsafe { syscall4(SYS_EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0) };
             if epfd < 0 {
                 return None;
@@ -177,6 +187,12 @@ mod epoll {
             // Registration failures (e.g. a fd closed by the peer in the
             // same tick) surface as missing readiness; the timeout sweep
             // reaps such connections, so this is deliberately non-fatal.
+            //
+            // SAFETY: `self.epfd` is the live epoll descriptor this value
+            // owns; `ev` is a local in the kernel's packed `epoll_event`
+            // layout that outlives the call, and `epoll_ctl` only reads it
+            // (and ignores it for `EPOLL_CTL_DEL`). A stale or foreign `fd`
+            // makes the kernel return an error, nothing more.
             unsafe {
                 syscall4(
                     SYS_EPOLL_CTL,
@@ -203,6 +219,10 @@ mod epoll {
         }
 
         fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) {
+            // SAFETY: `self.epfd` is owned and open; the kernel writes at
+            // most `self.buf.len()` packed `epoll_event`s into `self.buf`,
+            // which is exclusively borrowed (`&mut self`) for the call and
+            // whose elements are plain integers valid for any bit pattern.
             let n = unsafe {
                 syscall4(
                     SYS_EPOLL_WAIT,
@@ -235,6 +255,8 @@ mod epoll {
 
     impl Drop for EpollPoller {
         fn drop(&mut self) {
+            // SAFETY: `self.epfd` came from `epoll_create1`, was never
+            // handed out, and is closed exactly once — here.
             unsafe {
                 syscall4(SYS_CLOSE, self.epfd as usize, 0, 0, 0);
             }
