@@ -10,8 +10,8 @@
 //!
 //! Beyond wall-clock, the experiment *verifies the engine's contract* on
 //! every measured cell: identical canonically-sorted response sets,
-//! exactly-merged operation counts, and a candidate buffer under its
-//! per-worker bound.
+//! exactly-merged operation counts, and a candidate buffer under
+//! `fused_buffer_bound`.
 
 use super::ExpConfig;
 use crate::report::{f, section, Table};
@@ -47,8 +47,7 @@ fn backends() -> [(&'static str, Backend); 2] {
 }
 
 /// Asserts the agreement contract between one fused result and the
-/// serial reference, and the engine's per-worker cap on resident
-/// candidates.
+/// serial reference, and the fan-out's cap on resident candidates.
 fn check_agreement(label: &str, reference: &JoinResult, got: &JoinResult, buffer_bound: u64) {
     let mut expect = reference.pairs.clone();
     expect.sort_unstable();
@@ -63,7 +62,7 @@ fn check_agreement(label: &str, reference: &JoinResult, got: &JoinResult, buffer
     );
     assert!(
         got.stats.peak_buffered_candidates <= buffer_bound,
-        "{label}: peak buffer {} over the per-worker bound {buffer_bound}",
+        "{label}: peak buffer {} over the bound {buffer_bound}",
         got.stats.peak_buffered_candidates,
     );
 }
@@ -76,8 +75,8 @@ pub fn fused(cfg: &ExpConfig) -> String {
         "join ms covers Steps 1-3 only (Step-0 preprocessing is paid once per\n\
          backend and shown in the prep column of the serial row); buffered is the\n\
          peak candidate count resident between Step 1 and the filter/exact steps\n\
-         (the fused engine is bounded per worker and streams the partitioned\n\
-         backend outright)\n\n",
+         (0 when serial; the fused fan-out's one queue feeds both backends and is\n\
+         bounded by fused_buffer_bound)\n\n",
     );
 
     let mut table = Table::new([
@@ -150,7 +149,7 @@ pub fn fused(cfg: &ExpConfig) -> String {
     out.push_str(
         "\nagreement: every measured cell produced the identical canonically-sorted\n\
          response set and exactly-merged operation counts as the serial pipeline,\n\
-         with the fused candidate buffer under its per-worker bound\n",
+         with the fused candidate buffer under fused_buffer_bound\n",
     );
     out
 }

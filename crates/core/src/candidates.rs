@@ -10,36 +10,25 @@
 //!   traversal ([BKS 93a]) with simulated paged I/O, the default;
 //! * [`Backend::PartitionedSweep`] — the uniform-grid partitioned join of
 //!   `msj-partition` (Tsitsigkos & Mamoulis 2019): per-tile plane sweeps
-//!   with reference-point deduplication, executed over scoped threads.
+//!   with reference-point deduplication, executed over the backend's own
+//!   scoped tile threads.
 //!
 //! Both deliver the identical candidate *set*; downstream filter and
 //! exact steps are provably unaffected (the property tests in
 //! `tests/backend_agreement.rs` assert it).
+//!
+//! A source is a serial producer: it delivers every batch on the calling
+//! thread, into one sink, and spawns nothing for Steps 2–3. Scheduling
+//! those over threads is [`crate::execution`]'s job alone.
 
 use crate::config::{Backend, JoinConfig};
 use msj_geom::{
-    CancelToken, KernelDispatch, ObjectId, PairBatchBuffer, PairConsumer, Point, Rect, RelHandle,
+    CancelToken, KernelDispatch, ObjectId, PairBatchBuffer, PairSink, Point, Rect, RelHandle,
     Relation,
 };
-use msj_obs::WorkerTelemetry;
-use msj_partition::{partition_join_funneled, partition_join_workers, GridIndex, PartitionStats};
+use msj_partition::{partition_join_funneled, GridIndex, PartitionStats};
 use msj_sam::{tree_join_chunked, JoinControl, JoinStats, LruBuffer, PageLayout, RStarTree};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
-
-/// Bounded-channel depth per downstream worker of the R*-traversal
-/// fan-out. Together with the configured batch size this caps the
-/// candidates in flight — see [`fused_buffer_bound`].
-pub const FUSED_QUEUE_DEPTH: usize = 4;
-
-/// Upper bound on candidates buffered between the R*-traversal and
-/// `workers` downstream sinks fed in chunks of `batch` pairs: every
-/// worker's queue full, one chunk blocked in `send`, one chunk being
-/// filled. The partitioned backend buffers nothing (sweeps feed the
-/// sinks directly).
-pub const fn fused_buffer_bound(workers: usize, batch: usize) -> u64 {
-    (workers * (FUSED_QUEUE_DEPTH + 1) * batch + batch) as u64
-}
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Step-1 statistics, backend detail included.
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,14 +39,6 @@ pub struct Step1Stats {
     pub join: JoinStats,
     /// Partition detail when the partitioned backend ran.
     pub partition: Option<PartitionSummary>,
-    /// Downstream sinks the backend attached — one per worker thread it
-    /// spawned, or 1 when it delivered on the calling thread only (the
-    /// partitioned backend spawns none at all for an empty side).
-    pub workers_fed: u64,
-    /// Peak candidate pairs buffered between Step 1 and the downstream
-    /// sinks (0 = fully streamed, as with the partitioned backend; the
-    /// R*-traversal fan-out stays under [`fused_buffer_bound`]).
-    pub peak_buffered: u64,
 }
 
 /// Copyable summary of a [`PartitionStats`] (the full per-tile candidate
@@ -75,7 +56,7 @@ pub struct PartitionSummary {
     pub replicated_assignments: u64,
     /// Sweep matches suppressed by reference-point deduplication.
     pub dedup_skipped: u64,
-    /// Worker threads the tile sweeps ran on.
+    /// Threads the Step-1 tile sweeps ran on.
     pub threads: u64,
     /// Mean tile assignments per input rectangle (1.0 = no replication).
     pub replication_factor: f64,
@@ -108,12 +89,9 @@ pub struct SelectionStats {
 /// prepared joins and registered datasets; [`selection_source`] builds a
 /// borrowed one).
 ///
-/// Candidate delivery speaks the parallel-capable
-/// [`msj_geom::PairConsumer`] protocol: the backend attaches one
-/// [`msj_geom::PairSink`] per worker thread it feeds and streams each
-/// worker's candidates into its own sink — which is how the fused
-/// execution engine runs filter + exact right where candidates are
-/// produced.
+/// Candidate delivery is serial: one [`PairSink`], on the calling thread,
+/// in batches of at most [`JoinConfig::batch_pairs`] — the executor
+/// decides whether Steps 2–3 run right there or on its worker pool.
 ///
 /// Every method takes `&self`: per-run mutability (the simulated LRU
 /// buffer, lazily built grid state) lives behind interior mutability, so
@@ -124,28 +102,14 @@ pub trait CandidateSource: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Delivers every candidate pair `(id_a, id_b)` with intersecting
-    /// MBRs, each exactly once, into sinks attached on `consumer`.
+    /// MBRs, each exactly once, into `sink` on the calling thread, in the
+    /// backend's deterministic order and in batches of at most
+    /// [`JoinConfig::batch_pairs`] ([`PairSink::consume_batch`]).
     ///
-    /// `workers` is the *requested* downstream sink count; backends may
-    /// clamp it (the partitioned sweep uses at most one worker per tile)
-    /// and report the actual count in [`Step1Stats::workers_fed`]. With
-    /// `workers <= 1` exactly one sink is attached on the calling thread
-    /// and candidates arrive in the backend's deterministic order; with
-    /// more, each backend worker thread attaches its own sink.
-    ///
-    /// With `telemetry`, every backend worker records its
-    /// pairs/batches/peak into its [`msj_obs::WorkerLane`]; with
-    /// `cancel`, delivery stops at the backend's next batch/tile boundary
-    /// once the token reads cancelled, reporting the partial counts
-    /// accumulated so far. Candidate delivery is otherwise identical
-    /// with or without either.
-    fn join_candidates(
-        &self,
-        consumer: &dyn PairConsumer,
-        workers: usize,
-        telemetry: Option<&WorkerTelemetry>,
-        cancel: Option<&CancelToken>,
-    ) -> Step1Stats;
+    /// With `cancel`, delivery stops at the backend's next batch/tile
+    /// boundary once the token reads cancelled, reporting the partial
+    /// counts accumulated so far; it is otherwise identical without it.
+    fn join_candidates(&self, sink: &mut dyn PairSink, cancel: Option<&CancelToken>) -> Step1Stats;
 
     /// Point probes, batch-shaped (a single probe is a batch of one):
     /// for each point in order, every id of the primary relation whose
@@ -280,127 +244,27 @@ impl CandidateSource for RStarSource {
         "rstar-traversal"
     }
 
-    fn join_candidates(
-        &self,
-        consumer: &dyn PairConsumer,
-        workers: usize,
-        telemetry: Option<&WorkerTelemetry>,
-        cancel: Option<&CancelToken>,
-    ) -> Step1Stats {
+    fn join_candidates(&self, sink: &mut dyn PairSink, cancel: Option<&CancelToken>) -> Step1Stats {
         let tree_a = &*self.tree_a;
         let tree_b = self.tree_b.as_deref().unwrap_or(tree_a);
-        let batch = self.batch;
         let control = JoinControl {
             dispatch: self.dispatch,
             cancel,
-            chunk_capacity: batch,
-            // The traversal is single-producer: all chunks come off lane 0.
-            lane: telemetry.map(|t| t.backend_lane(0)),
+            chunk_capacity: self.batch,
         };
         // One lock for the whole traversal: the simulated I/O buffer is
         // inherently serial state. Concurrent runs of a shared prepared
-        // join serialize here (Steps 2–3 still parallelize per run).
+        // join serialize here (Steps 2–3 still parallelize per run). The
+        // traversal's chunks double as sink batches — one virtual
+        // dispatch per `batch` pairs, and the one chunk buffer refilled
+        // in place.
         let mut buffer = self.lock_buffer();
-        let buffer = &mut *buffer;
-        if workers <= 1 {
-            // Serial: the traversal's chunks double as sink batches — one
-            // virtual dispatch (and one batched classification
-            // downstream) per `batch` pairs, order unchanged, and the one
-            // chunk buffer refilled in place.
-            let mut sink = consumer.attach();
-            let join = tree_join_chunked(&control, tree_a, tree_b, buffer, |chunk| {
-                sink.consume_batch(chunk)
-            });
-            return Step1Stats {
-                join,
-                partition: None,
-                workers_fed: 1,
-                peak_buffered: 0,
-            };
-        }
-
-        // Fan-out: the traversal is inherently serial (one I/O buffer),
-        // so it runs on the calling thread and pushes bounded chunks
-        // into one shared queue that `workers` sink threads drain —
-        // whichever worker is idle takes the next chunk, so a slow
-        // chunk never head-of-line-blocks the others. The chunk size
-        // and queue capacity cap the candidates in flight at
-        // [`fused_buffer_bound`]; `peak_buffered` records the observed
-        // maximum.
-        let buffered = AtomicU64::new(0);
-        let peak = AtomicU64::new(0);
-        let (tx, rx) = mpsc::sync_channel::<Vec<(ObjectId, ObjectId)>>(workers * FUSED_QUEUE_DEPTH);
-        // `mpsc::Receiver` is single-consumer; the mutex turns it into a
-        // shared work queue (locked per chunk, not per pair). Lock
-        // poisoning is ignored deliberately: a panicking worker must not
-        // take the queue down with it (see below).
-        let rx = Mutex::new(rx);
-        let recv = |rx: &Mutex<mpsc::Receiver<Vec<(ObjectId, ObjectId)>>>| {
-            rx.lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .recv()
-        };
-        // First worker panic, parked here until every thread joined.
-        // Rethrowing *inside* a scoped thread would make `scope` itself
-        // panic with a generic payload, losing the `WorkerPanic` the
-        // run boundary downcasts — so workers deposit the payload and
-        // the calling thread resumes it after the scope.
-        let caught: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        let join = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let (buffered, rx, recv, caught) = (&buffered, &rx, &recv, &caught);
-                scope.spawn(move || {
-                    // A panic in the sink (filter/exact code downstream)
-                    // must not deadlock: if this worker simply died, the
-                    // bounded queue could fill and block the producer
-                    // forever inside the scope. So catch the panic, keep
-                    // draining the queue so the producer always
-                    // finishes, then park the payload for the caller.
-                    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut sink = consumer.attach();
-                        while let Ok(chunk) = recv(rx) {
-                            // Chunk boundary == batch boundary: the whole
-                            // run crosses one virtual dispatch.
-                            sink.consume_batch(&chunk);
-                            buffered.fetch_sub(chunk.len() as u64, Ordering::Relaxed);
-                        }
-                    }));
-                    if let Err(panic) = attempt {
-                        while let Ok(chunk) = recv(rx) {
-                            buffered.fetch_sub(chunk.len() as u64, Ordering::Relaxed);
-                        }
-                        let mut slot = caught
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(panic);
-                        }
-                    }
-                });
-            }
-            let join = tree_join_chunked(&control, tree_a, tree_b, buffer, |chunk| {
-                // A worker thread needs the chunk itself: leave the
-                // traversal a fresh one to fill.
-                let chunk = std::mem::replace(chunk, Vec::with_capacity(batch));
-                let now =
-                    buffered.fetch_add(chunk.len() as u64, Ordering::Relaxed) + chunk.len() as u64;
-                peak.fetch_max(now, Ordering::Relaxed);
-                tx.send(chunk).expect("queue receiver alive");
-            });
-            drop(tx); // workers drain and exit; the scope joins them
-            join
+        let join = tree_join_chunked(&control, tree_a, tree_b, &mut buffer, |chunk| {
+            sink.consume_batch(chunk)
         });
-        if let Some(panic) = caught
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-        {
-            std::panic::resume_unwind(panic);
-        }
         Step1Stats {
             join,
             partition: None,
-            workers_fed: workers as u64,
-            peak_buffered: peak.load(Ordering::Relaxed),
         }
     }
 
@@ -442,11 +306,13 @@ type MbrItems = Vec<(Rect, ObjectId)>;
 type MbrItemsSlice<'b> = &'b [(Rect, ObjectId)];
 
 /// The partitioned backend: uniform grid, per-tile plane sweeps,
-/// reference-point deduplication, scoped-thread parallelism.
+/// reference-point deduplication, the tile sweeps on `threads` scoped
+/// threads of its own.
 struct GridSource<'a> {
     rel_a: RelHandle<'a>,
     rel_b: Option<RelHandle<'a>>,
     tiles_per_axis: usize,
+    /// Step-1 tile-sweep threads (`Backend::PartitionedSweep::threads`).
     threads: usize,
     /// Candidate pairs per batched sink delivery.
     batch: usize,
@@ -507,60 +373,22 @@ impl CandidateSource for GridSource<'_> {
         "partitioned-sweep"
     }
 
-    fn join_candidates(
-        &self,
-        consumer: &dyn PairConsumer,
-        workers: usize,
-        telemetry: Option<&WorkerTelemetry>,
-        cancel: Option<&CancelToken>,
-    ) -> Step1Stats {
-        let (tiles_per_axis, threads, batch) = (self.tiles_per_axis, self.threads, self.batch);
+    fn join_candidates(&self, sink: &mut dyn PairSink, cancel: Option<&CancelToken>) -> Step1Stats {
         let (items_a, items_b) = self.join_items();
-        let (stats, workers_fed) = if workers <= 1 {
-            // Single downstream sink: tile sweeps may still parallelize
-            // internally (the backend's own `threads` config) but funnel
-            // into the calling thread in deterministic tile order —
-            // re-batched caller-side so the sink still sees runs.
-            let mut sink = consumer.attach();
-            let mut buffer = PairBatchBuffer::new(&mut *sink, batch);
-            let stats = partition_join_funneled(
-                self.dispatch,
-                items_a,
-                items_b,
-                tiles_per_axis,
-                threads,
-                cancel,
-                |id_a, id_b| buffer.pair(id_a, id_b),
-            );
-            drop(buffer); // flush the tail before the sink detaches
-            if let Some(t) = telemetry {
-                // Everything funneled through one caller-side lane, in
-                // full batches plus one tail flush.
-                let lane = t.backend_lane(0);
-                let candidates = stats.candidates();
-                lane.add_pairs(candidates);
-                lane.add_batches(candidates.div_ceil(batch as u64));
-                lane.record_buffered(candidates.min(batch as u64));
-            }
-            (stats, 1)
-        } else {
-            // Fused: every tile worker attaches its own sink and sweeps
-            // straight into it in tile-boundary-flushed batches — nothing
-            // is buffered across threads or funneled.
-            let stats = partition_join_workers(
-                self.dispatch,
-                items_a,
-                items_b,
-                tiles_per_axis,
-                workers,
-                batch,
-                consumer,
-                telemetry,
-                cancel,
-            );
-            let fed = stats.threads as u64;
-            (stats, fed)
-        };
+        // Tile sweeps may parallelize internally (`threads`) but funnel
+        // into the calling thread in deterministic tile order, re-batched
+        // caller-side so the sink still sees runs.
+        let mut buffer = PairBatchBuffer::new(sink, self.batch);
+        let stats = partition_join_funneled(
+            self.dispatch,
+            items_a,
+            items_b,
+            self.tiles_per_axis,
+            self.threads,
+            cancel,
+            |id_a, id_b| buffer.pair(id_a, id_b),
+        );
+        drop(buffer); // flush the tail
         Step1Stats {
             join: JoinStats {
                 candidates: stats.candidates(),
@@ -569,8 +397,6 @@ impl CandidateSource for GridSource<'_> {
                 io: Default::default(),
             },
             partition: Some(PartitionSummary::from(&stats)),
-            workers_fed,
-            peak_buffered: 0,
         }
     }
 
@@ -620,18 +446,6 @@ fn grid_probe(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msj_geom::FnConsumer;
-
-    impl dyn CandidateSource + '_ {
-        /// Streams every candidate to one closure on the calling thread.
-        fn stream_candidates(
-            &self,
-            sink: &mut (dyn FnMut(ObjectId, ObjectId) + Send),
-        ) -> Step1Stats {
-            let consumer = FnConsumer::new(sink);
-            self.join_candidates(&consumer, 1, None, None)
-        }
-    }
 
     /// The configured backend over a borrowed relation pair.
     fn join_source<'a>(
@@ -675,7 +489,7 @@ mod tests {
         for config in configs() {
             let source = join_source(&config, &a, &b);
             let mut got = Vec::new();
-            let stats = source.stream_candidates(&mut |x, y| got.push((x, y)));
+            let stats = source.join_candidates(&mut |x, y| got.push((x, y)), None);
             assert_eq!(stats.join.candidates, got.len() as u64, "{}", source.name());
             let got = sorted(got);
             match &reference {
@@ -697,7 +511,7 @@ mod tests {
             ..JoinConfig::default()
         };
         let source = join_source(&config, &a, &b);
-        let stats = source.stream_candidates(&mut |_, _| {});
+        let stats = source.join_candidates(&mut |_, _| {}, None);
         let summary = stats.partition.expect("partition summary");
         assert_eq!(summary.tiles_per_axis, 4);
         // Tiny input: the sweep may fall back to serial, but never exceeds
@@ -707,25 +521,8 @@ mod tests {
         assert!(summary.busiest_tile_candidates <= stats.join.candidates);
         // The R*-tree backend reports none.
         let rstar = join_source(&JoinConfig::default(), &a, &b);
-        assert!(rstar.stream_candidates(&mut |_, _| {}).partition.is_none());
-    }
-
-    /// A sink panic (downstream filter/exact code) must propagate out of
-    /// the R*-traversal fan-out, not deadlock the producer behind a full
-    /// queue.
-    #[test]
-    #[should_panic]
-    fn fused_fanout_propagates_sink_panics() {
-        struct Exploding;
-        impl PairConsumer for Exploding {
-            fn attach(&self) -> Box<dyn msj_geom::PairSink + '_> {
-                Box::new(|_: ObjectId, _: ObjectId| panic!("sink exploded"))
-            }
-        }
-        let a = msj_datagen::small_carto(30, 20.0, 341);
-        let b = msj_datagen::small_carto(30, 20.0, 342);
-        let source = join_source(&JoinConfig::default(), &a, &b);
-        source.join_candidates(&Exploding, 2, None, None);
+        let stats = rstar.join_candidates(&mut |_, _| {}, None);
+        assert!(stats.partition.is_none());
     }
 
     #[test]
@@ -775,7 +572,7 @@ mod tests {
         for config in configs() {
             let source = selection_source(&config, &rel);
             let mut pairs = Vec::new();
-            source.stream_candidates(&mut |x, y| pairs.push((x, y)));
+            source.join_candidates(&mut |x, y| pairs.push((x, y)), None);
             // Every object pairs with itself in a self-join.
             for o in rel.iter() {
                 assert!(pairs.contains(&(o.id, o.id)), "{} missing ({0}, {0})", o.id);

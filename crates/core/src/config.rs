@@ -20,8 +20,10 @@ pub enum Backend {
     PartitionedSweep {
         /// Tiles per grid side (the grid has `tiles_per_axis²` tiles).
         tiles_per_axis: usize,
-        /// Worker threads for the tile sweeps (0 = available
-        /// parallelism).
+        /// Step-1 tile-sweep threads (0 = available parallelism), under
+        /// either execution policy; their pairs are funneled back to the
+        /// calling thread in tile order. Steps 2–3 are
+        /// [`Execution::Fused`]'s `threads`.
         threads: usize,
     },
 }
@@ -42,8 +44,8 @@ impl Backend {
 }
 
 /// Default candidate batch size (pairs per
-/// [`msj_geom::PairSink::consume_batch`] delivery and per cross-thread
-/// chunk of the fused R*-traversal fan-out).
+/// [`msj_geom::PairSink::consume_batch`] delivery, and so per chunk of
+/// the fused fan-out's queue).
 pub const DEFAULT_BATCH_PAIRS: usize = 1024;
 
 /// Default [`JoinConfig::prepared_cache_cap`]: generous enough that
@@ -148,12 +150,12 @@ pub struct JoinConfig {
     /// Exact geometry algorithm for the final step.
     pub exact: ExactAlgorithm,
     /// How Steps 2–3 are scheduled relative to Step 1: serially on the
-    /// calling thread, or fused into the Step-1 workers
-    /// ([`crate::execution`]).
+    /// calling thread, or on a pool of sink threads fed as Step 1
+    /// produces ([`crate::execution`]).
     pub execution: Execution,
     /// Candidate pairs per batched sink delivery
-    /// ([`msj_geom::PairSink::consume_batch`]) and per cross-thread chunk
-    /// of the fused R*-traversal fan-out. Larger batches amortize
+    /// ([`msj_geom::PairSink::consume_batch`]), and so per chunk of the
+    /// fused fan-out's queue. Larger batches amortize
     /// dispatch and synchronization; smaller ones bound latency and the
     /// in-flight candidate count. Clamped to at least 1.
     pub batch_pairs: usize,

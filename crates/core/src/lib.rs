@@ -48,10 +48,11 @@
 //! The [`Execution`] policy on [`JoinConfig`] decides how a join's steps
 //! are scheduled: [`Execution::Serial`] runs all three on the calling
 //! thread in Step-1 delivery order; [`Execution::Fused`] runs filter +
-//! exact *inside* the Step-1 workers (the paper's §6 CPU-parallelism
-//! outlook, along Tsitsigkos & Mamoulis, SIGSPATIAL 2019), merging
-//! results deterministically so it is byte-identical to `Serial` once
-//! sorted.
+//! exact on a pool of sink threads that Step 1 feeds as it produces (the
+//! paper's §6 CPU-parallelism outlook), merging results
+//! deterministically so it is byte-identical to `Serial` once sorted.
+//! Step 1 itself is a serial producer on either backend; [`execution`]
+//! is the one place that spawns threads for Steps 2–3.
 //!
 //! ## The resident engine
 //!
@@ -76,8 +77,7 @@ pub mod queries;
 pub mod stats;
 
 pub use candidates::{
-    fused_buffer_bound, selection_source, CandidateSource, PartitionSummary, SelectionStats,
-    Step1Stats, FUSED_QUEUE_DEPTH,
+    selection_source, CandidateSource, PartitionSummary, SelectionStats, Step1Stats,
 };
 pub use config::{Backend, JoinConfig, JoinConfigBuilder, RasterConfig, DEFAULT_BATCH_PAIRS};
 pub use cost::{
@@ -88,7 +88,7 @@ pub use engine::{
     Admission, DatasetHandle, DatasetId, EngineError, JoinResponse, PreparedJoin, Request,
     Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,
 };
-pub use execution::Execution;
+pub use execution::{fused_buffer_bound, Execution, FUSED_QUEUE_DEPTH};
 pub use filter::{FilterOutcome, FilterPlan, FilterScratch, GeometricFilter};
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;

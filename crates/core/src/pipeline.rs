@@ -18,9 +18,9 @@ pub struct JoinResult {
     /// The response set: pairs whose regions intersect.
     pub pairs: Vec<(ObjectId, ObjectId)>,
     pub stats: MultiStepStats,
-    /// Per-worker telemetry of the run (empty when
-    /// [`msj_obs::ObsConfig`] is disabled): one lane per Step-1 backend
-    /// worker and one per fused consumer sink.
+    /// Per-run telemetry (empty when [`msj_obs::ObsConfig`] is
+    /// disabled): the Step-1 producer's lane, then one lane per
+    /// Steps-2–3 sink.
     pub worker_lanes: Vec<WorkerLaneSnapshot>,
 }
 

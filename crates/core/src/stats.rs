@@ -13,17 +13,18 @@ pub struct MultiStepStats {
     /// Step-1 partition digest when the partitioned backend ran (`None`
     /// under the R*-tree traversal).
     pub partition: Option<PartitionSummary>,
-    /// The largest worker pool that actually ran anywhere in the
-    /// execution: the engine's fused filter/exact sinks, or the Step-1
-    /// backend's internal tile workers when the downstream ran serially
-    /// (so a serial pipeline over a parallel `PartitionedSweep` reports
-    /// the backend's worker count, not a misleading 1). Always ≥ 1.
+    /// The larger of the run's two thread pools: the executor's
+    /// Steps-2–3 sinks (`Execution::Fused::threads`, 1 when serial) and
+    /// the grid backend's Step-1 tile sweeps (the count
+    /// `Backend::PartitionedSweep::threads` actually ran, 1 below the
+    /// partition crate's parallel threshold). Always ≥ 1.
     pub threads_used: u64,
-    /// Peak candidate pairs buffered between Step 1 and the filter/exact
-    /// steps. 0 when candidates were fully streamed (the serial pipeline
-    /// and the fused partitioned backend); the fused R*-traversal
-    /// fan-out stays below [`crate::candidates::fused_buffer_bound`].
-    /// The candidate set is never materialized in full on any path.
+    /// Peak candidate pairs the executor held between Step 1 and the
+    /// filter/exact steps: 0 under `Execution::Serial`, at most
+    /// [`crate::execution::fused_buffer_bound`] under
+    /// `Execution::Fused`, on either backend. (A parallel tile sweep
+    /// holds its swept tiles until they are funneled out in tile order;
+    /// that is Step 1's own state, not counted here.)
     pub peak_buffered_candidates: u64,
     /// Step 2a: hits proved by the raster signatures (a shared FULL
     /// cell). 0 when the stage is disabled.
@@ -58,10 +59,10 @@ pub struct MultiStepStats {
     pub step0_nanos: u64,
     /// Step 1 residual wall-clock in nanoseconds: the Steps-1–3 wall
     /// time minus the measured Step-2/3 time. Exact attribution on the
-    /// serial path; under fused execution Steps 2–3 run *inside* the
-    /// Step-1 workers, so their summed time overlaps Step 1 and this
-    /// residual is a lower bound (it also absorbs the engine's merge +
-    /// canonical sort).
+    /// serial path; under fused execution Steps 2–3 run on the sink
+    /// threads while Step 1 produces, so their summed time overlaps
+    /// Step 1 and this residual is a lower bound (it also absorbs the
+    /// engine's merge + canonical sort).
     pub step1_nanos: u64,
     /// Step 2 (geometric filter) time in nanoseconds, summed across all
     /// workers — CPU time, so it can exceed the wall clock on parallel

@@ -2,7 +2,8 @@
 //! byte-identical (canonically sorted) response set and exactly-merged
 //! operation counts as `Execution::Serial` — across the paper's three
 //! configurations, both Step-1 backends, and worker counts 1/2/8, plus
-//! the empty-relation and single-candidate edge cases.
+//! the empty-relation and single-candidate edge cases and a grid whose
+//! candidates all come from one tile.
 
 use msj_core::{Backend, Execution, JoinConfig, MultiStepJoin};
 use msj_geom::{ObjectId, Point, Polygon, Relation, SpatialObject};
@@ -66,8 +67,8 @@ fn fused_equals_serial(name: &str, a: &Relation, b: &Relation, base: JoinConfig)
         assert_eq!(f.exact_hits, s.exact_hits, "{label}");
         assert_eq!(f.exact_ops, s.exact_ops, "{label}: op counts diverged");
         assert_eq!(f.result_pairs, s.result_pairs, "{label}");
-        // The candidate set is never materialized: buffering stays under
-        // the engine's per-worker bound (0 for streamed paths).
+        // The executor never holds the candidate set: buffering stays
+        // under the fan-out's bound on both backends.
         assert!(
             f.peak_buffered_candidates
                 <= msj_core::fused_buffer_bound(threads, msj_core::DEFAULT_BATCH_PAIRS),
@@ -105,24 +106,59 @@ fn empty_relations_agree() {
     }
 }
 
+/// A square of side 2 at `(x, y)`.
+fn square(id: ObjectId, x: f64, y: f64) -> SpatialObject {
+    SpatialObject::new(
+        id,
+        Polygon::new(vec![
+            Point::new(x, y),
+            Point::new(x + 2.0, y),
+            Point::new(x + 2.0, y + 2.0),
+            Point::new(x, y + 2.0),
+        ])
+        .expect("square")
+        .into(),
+    )
+}
+
+/// All the work in one tile: a far-corner square stretches an 8 × 8 grid
+/// over eight times the data's extent, so every candidate comes out of
+/// tile 0. Every thread count still classifies them all, identically.
+#[test]
+fn one_hot_tile_agrees_at_every_thread_count() {
+    let a = msj_datagen::small_carto(60, 24.0, 721);
+    let b = msj_datagen::small_carto(60, 24.0, 722);
+    let world = a
+        .bounding_rect()
+        .unwrap()
+        .union(&b.bounding_rect().unwrap());
+    let side = 8.0 * world.width().max(world.height());
+    let mut objects: Vec<SpatialObject> = a.iter().cloned().collect();
+    let id = objects.len() as ObjectId;
+    objects.push(square(id, world.xmin() + side, world.ymin() + side));
+    let a = Relation::new(objects);
+    let grid = Backend::PartitionedSweep {
+        tiles_per_axis: 8,
+        threads: 2,
+    };
+    for version in versions() {
+        let base = version.to_builder().backend(grid).build();
+        fused_equals_serial("one-hot-tile", &a, &b, base);
+        let serial = MultiStepJoin::new(base).execute(&a, &b);
+        let summary = serial.stats.partition.expect("partition summary");
+        assert_eq!(summary.nonempty_tiles, 1, "every candidate in one tile");
+        assert_eq!(
+            summary.busiest_tile_candidates,
+            serial.stats.mbr_join.candidates
+        );
+    }
+}
+
 #[test]
 fn single_candidate_agrees() {
     // Exactly one candidate pair: two overlapping squares, nothing else.
-    let square = |id: ObjectId, x: f64| {
-        SpatialObject::new(
-            id,
-            Polygon::new(vec![
-                Point::new(x, 0.0),
-                Point::new(x + 2.0, 0.0),
-                Point::new(x + 2.0, 2.0),
-                Point::new(x, 2.0),
-            ])
-            .expect("square")
-            .into(),
-        )
-    };
-    let a = Relation::new(vec![square(0, 0.0)]);
-    let b = Relation::new(vec![square(0, 1.0)]);
+    let a = Relation::new(vec![square(0, 0.0, 0.0)]);
+    let b = Relation::new(vec![square(0, 1.0, 0.0)]);
     for version in versions() {
         for backend in backends() {
             let base = version.to_builder().backend(backend).build();

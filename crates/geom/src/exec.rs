@@ -1,26 +1,22 @@
-//! Execution plumbing shared by every join path: the `Sync` pair-consumer
-//! protocol that lets a Step-1 candidate producer feed multiple downstream
-//! worker threads, and the one shared thread-count resolution helper.
+//! Execution plumbing shared by every join path: the [`PairSink`] a
+//! Step-1 producer delivers candidate batches into, its caller-side
+//! batching adapter, the structured worker-panic payload and the one
+//! thread-count resolution helper.
 //!
-//! The protocol lives here — in the lowest common dependency — because
-//! both the candidate backends (`msj-sam`, `msj-partition`) and the
-//! execution engine (`msj-core`) speak it: a producer that runs its own
-//! worker threads (the partitioned sweep) calls [`PairConsumer::attach`]
-//! once *per worker thread* and streams that worker's pairs into the
-//! returned [`PairSink`]; a serial producer attaches a single sink on the
-//! calling thread. Consumers decide what a sink does with each pair —
-//! the fused engine in `msj-core` runs the geometric filter and the exact
-//! step right there, on the producing thread.
+//! A producer runs on one thread and delivers into one sink; scheduling
+//! the downstream steps over threads is the consumer's business (the
+//! execution engine in `msj-core` runs the geometric filter and the exact
+//! step either inside the sink or on a worker pool it feeds from there).
 
 use crate::object::ObjectId;
 use std::any::Any;
-use std::sync::{Mutex, MutexGuard};
 
-/// The structured payload a Step-1 backend re-raises when one of its
-/// worker threads panicked: which worker, and the panic message it died
-/// with. The execution engine (`msj-core`) catches this at the join
-/// boundary and converts it into a structured `WorkerPanicked` error, so
-/// a panic in one tile/chunk worker fails *the request*, not the engine.
+/// The structured payload a worker thread's panic is re-raised with
+/// (a partition tile worker, a Steps-2–3 sink): which worker, and the
+/// panic message it died with. The execution engine (`msj-core`) catches
+/// this at the join boundary and converts it into a structured
+/// `WorkerPanicked` error, so a panic in one worker fails *the request*,
+/// not the engine.
 #[derive(Debug)]
 pub struct WorkerPanic {
     /// 0-based index of the worker thread that panicked.
@@ -46,9 +42,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Resolves a requested worker-thread count: `0` means "use the machine's
-/// available parallelism". Shared by every execution path (the fused
-/// engine, the partitioned sweep, the parallel-join compatibility shim) so
-/// the resolution rule cannot drift between them.
+/// available parallelism". Shared by both thread settings (the fused
+/// engine's sinks, the partitioned sweep's tiles) so the resolution rule
+/// cannot drift between them.
 pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
@@ -59,10 +55,9 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// One worker's private end of a [`PairConsumer`]: receives that worker's
-/// candidate pairs, one at a time or in batches. Not `Sync` — each worker
-/// owns its sink exclusively, so implementations need no per-pair
-/// synchronization.
+/// Where a Step-1 producer delivers its candidate pairs, one at a time or
+/// in batches. Not `Sync` — the producing thread owns the sink
+/// exclusively, so implementations need no per-pair synchronization.
 pub trait PairSink {
     /// Delivers one candidate pair `(id_a, id_b)`.
     fn pair(&mut self, id_a: ObjectId, id_b: ObjectId);
@@ -160,60 +155,9 @@ impl PairSink for PairBatchBuffer<'_, '_> {
     }
 }
 
-/// A pair consumer that can serve multiple producer worker threads
-/// concurrently.
-///
-/// Contract: a producer calls [`attach`](PairConsumer::attach) exactly
-/// once on each of its worker threads (or once on the calling thread when
-/// it runs serially), streams pairs into the returned sink, and drops the
-/// sink when the worker is done. Dropping the sink is the worker's
-/// "flush" — consumers that accumulate per-worker state publish it there.
-pub trait PairConsumer: Sync {
-    /// Creates the calling worker thread's sink.
-    fn attach(&self) -> Box<dyn PairSink + '_>;
-}
-
-/// Adapts a plain `FnMut` closure into a **single-worker** consumer — the
-/// bridge between the parallel-capable protocol and callers that just
-/// want to stream candidates on one thread (tests, benches, reports).
-///
-/// Only one sink may be attached at a time; a second concurrent
-/// [`attach`](PairConsumer::attach) panics rather than deadlocks, so a
-/// producer misconfigured with multiple workers fails loudly.
-pub struct FnConsumer<'a> {
-    sink: Mutex<&'a mut (dyn FnMut(ObjectId, ObjectId) + Send)>,
-}
-
-impl<'a> FnConsumer<'a> {
-    pub fn new(sink: &'a mut (dyn FnMut(ObjectId, ObjectId) + Send)) -> Self {
-        FnConsumer {
-            sink: Mutex::new(sink),
-        }
-    }
-}
-
-struct FnSink<'a, 'b>(MutexGuard<'a, &'b mut (dyn FnMut(ObjectId, ObjectId) + Send)>);
-
-impl PairSink for FnSink<'_, '_> {
-    fn pair(&mut self, id_a: ObjectId, id_b: ObjectId) {
-        (self.0)(id_a, id_b)
-    }
-}
-
-impl PairConsumer for FnConsumer<'_> {
-    fn attach(&self) -> Box<dyn PairSink + '_> {
-        Box::new(FnSink(
-            self.sink
-                .try_lock()
-                .expect("FnConsumer serves a single worker"),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn resolve_threads_maps_zero_to_available_parallelism() {
@@ -258,11 +202,8 @@ mod tests {
     #[test]
     fn default_consume_batch_forwards_per_pair() {
         let mut got = Vec::new();
-        {
-            let mut push = |a: ObjectId, b: ObjectId| got.push((a, b));
-            let consumer = FnConsumer::new(&mut push);
-            consumer.attach().consume_batch(&[(1, 2), (3, 4)]);
-        }
+        let mut push = |a: ObjectId, b: ObjectId| got.push((a, b));
+        PairSink::consume_batch(&mut push, &[(1, 2), (3, 4)]);
         assert_eq!(got, vec![(1, 2), (3, 4)]);
     }
 
@@ -275,64 +216,5 @@ mod tests {
             buffer.pair(9, 9);
         }
         assert_eq!(got, vec![(9, 9)]);
-    }
-
-    #[test]
-    fn fn_consumer_streams_to_the_wrapped_closure() {
-        let mut got = Vec::new();
-        {
-            let mut push = |a: ObjectId, b: ObjectId| got.push((a, b));
-            let consumer = FnConsumer::new(&mut push);
-            {
-                let mut sink = consumer.attach();
-                sink.pair(1, 2);
-                sink.pair(3, 4);
-            }
-            // Re-attach after the first sink is dropped: allowed.
-            consumer.attach().pair(5, 6);
-        }
-        assert_eq!(got, vec![(1, 2), (3, 4), (5, 6)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "single worker")]
-    fn fn_consumer_rejects_concurrent_workers() {
-        let mut ignore = |_: ObjectId, _: ObjectId| {};
-        let consumer = FnConsumer::new(&mut ignore);
-        let _first = consumer.attach();
-        let _second = consumer.attach();
-    }
-
-    /// A counting consumer usable from many threads at once — the shape
-    /// the fused engine relies on.
-    struct Counting {
-        total: AtomicU64,
-    }
-
-    impl PairConsumer for Counting {
-        fn attach(&self) -> Box<dyn PairSink + '_> {
-            Box::new(move |_: ObjectId, _: ObjectId| {
-                self.total.fetch_add(1, Ordering::Relaxed);
-            })
-        }
-    }
-
-    #[test]
-    fn consumers_serve_multiple_worker_threads() {
-        let consumer = Counting {
-            total: AtomicU64::new(0),
-        };
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let consumer = &consumer;
-                scope.spawn(move || {
-                    let mut sink = consumer.attach();
-                    for i in 0..100 {
-                        sink.pair(t, i);
-                    }
-                });
-            }
-        });
-        assert_eq!(consumer.total.load(Ordering::Relaxed), 400);
     }
 }

@@ -15,7 +15,8 @@
 //! * structural validators ([`validate`]) used by tests and the data
 //!   generator;
 //! * the execution plumbing shared by every join path ([`exec`]): the
-//!   `Sync` pair-consumer protocol and thread-count resolution, plus the
+//!   batched [`PairSink`] every Step-1 producer delivers into and
+//!   thread-count resolution, plus the
 //!   cooperative [`CancelToken`] every backend polls at batch boundaries
 //!   ([`cancel`]);
 //! * the inline traversal stack shared by the flat tree arenas
@@ -55,10 +56,7 @@ pub use clip::{
     clip_convex, convex_intersect, convex_intersect_slices, convex_intersection_area,
     edge_separates, ring_area,
 };
-pub use exec::{
-    panic_message, resolve_threads, FnConsumer, PairBatchBuffer, PairConsumer, PairSink,
-    WorkerPanic,
-};
+pub use exec::{panic_message, resolve_threads, PairBatchBuffer, PairSink, WorkerPanic};
 pub use hull::{convex_contains_point, convex_hull};
 pub use kernels::KernelDispatch;
 pub use object::{ObjectId, RelHandle, Relation, SpatialObject};

@@ -16,16 +16,16 @@
 //!   [`MetricsRegistry::snapshot_json`] exporter and a Prometheus-style
 //!   [`MetricsRegistry::render_prometheus`] text rendering;
 //! * [`Span`], [`StepSpans`] — per-step wall-clock accumulation shared
-//!   across fused worker threads;
+//!   across fused sink threads;
 //! * [`Trace`], [`TraceRing`] — an opt-in bounded ring of recent
 //!   per-request traces with the Step 0–3 breakdown;
-//! * [`WorkerTelemetry`], [`WorkerLane`] — per-worker counters (pairs
-//!   consumed, batches flushed, peak buffered) that make fused-worker
-//!   imbalance visible.
+//! * [`WorkerTelemetry`], [`WorkerLane`] — per-run counters (pairs,
+//!   batches, largest batch) for the Step-1 producer and for every
+//!   Steps-2–3 sink, which make fused-worker imbalance visible.
 //!
-//! The crate deliberately depends on nothing but `std`, so every layer
-//! of the workspace (`msj-sam`, `msj-partition`, `msj-core`) can record
-//! into it without dependency cycles.
+//! The crate deliberately depends on nothing but `std`; the layers that
+//! record into it (`msj-core`, `msj-serve`) sit above everything Step 1
+//! is built from.
 
 mod metrics;
 mod registry;

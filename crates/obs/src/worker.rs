@@ -1,16 +1,16 @@
-//! Per-worker telemetry: who consumed how many pairs, who flushed how
-//! many batches, and how skewed the distribution is.
+//! Per-run worker telemetry: how many pairs and batches Step 1 produced,
+//! and how many each Steps-2–3 sink consumed.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which side of the candidate stream a lane instruments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneRole {
-    /// Backend/producer side: the Step-1 worker (partition tile worker,
-    /// R*-traversal chunker) that *emits* candidates.
+    /// Producer side: Step 1 *emitting* candidate batches, counted once
+    /// by the executor where they leave the backend.
     Backend,
-    /// Consumer side: the fused sink that *receives* candidate batches
-    /// and runs Steps 2–3 on them.
+    /// Consumer side: a sink that *receives* candidate batches and runs
+    /// Steps 2–3 on them.
     Consumer,
 }
 
@@ -24,11 +24,9 @@ impl LaneRole {
     }
 }
 
-/// One worker's counters: candidate pairs handled, batches flushed, and
-/// the peak of whatever "buffered at once" means for its role (largest
-/// chunk in flight for a producer, busiest tile for a partition
-/// worker). All relaxed atomics — a lane is shared by reference into
-/// the worker's hot loop.
+/// One lane's counters: candidate pairs handled, batches flushed, and
+/// the largest batch seen. All relaxed atomics — a lane is shared by
+/// reference into a worker's hot loop.
 #[derive(Debug, Default)]
 pub struct WorkerLane {
     pairs: AtomicU64,
@@ -37,27 +35,11 @@ pub struct WorkerLane {
 }
 
 impl WorkerLane {
-    /// Adds `n` candidate pairs.
+    /// Counts one batch of `n` pairs: pairs, batches and the peak.
     #[inline]
-    pub fn add_pairs(&self, n: u64) {
+    pub fn record_batch(&self, n: u64) {
         self.pairs.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one flushed batch (a chunk, a tile, a sink delivery).
-    #[inline]
-    pub fn inc_batches(&self) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` flushed batches at once.
-    #[inline]
-    pub fn add_batches(&self, n: u64) {
-        self.batches.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raises the peak-buffered watermark to `n` if larger.
-    #[inline]
-    pub fn record_buffered(&self, n: u64) {
         self.peak_buffered.fetch_max(n, Ordering::Relaxed);
     }
 
@@ -76,54 +58,47 @@ impl WorkerLane {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerLaneSnapshot {
     pub role: LaneRole,
-    /// Lane index within its role group (backend lanes are indexed by
-    /// the backend's worker number; consumer lanes by attach order).
+    /// Lane index within its role group (0 for the one producer lane;
+    /// the sink's worker index for consumer lanes).
     pub worker: usize,
     pub pairs: u64,
     pub batches: u64,
     pub peak_buffered: u64,
 }
 
-/// Telemetry of one fused run: a lane per backend worker and a lane per
-/// attached consumer sink. Create one per run, hand `&self` to the
-/// candidate source and the consumer, then
+/// Telemetry of one join run: one producer lane for Step 1 and one lane
+/// per Steps-2–3 sink. Create one per run, count into it, then
 /// [`snapshot`](WorkerTelemetry::snapshot) after the run.
 #[derive(Debug)]
 pub struct WorkerTelemetry {
-    backends: Vec<WorkerLane>,
+    producer: WorkerLane,
     consumers: Vec<WorkerLane>,
-    next_consumer: AtomicUsize,
 }
 
 impl WorkerTelemetry {
-    /// Telemetry sized for `workers` lanes per role (clamped to ≥ 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
+    /// Telemetry for `sinks` consumer lanes (clamped to ≥ 1).
+    pub fn new(sinks: usize) -> Self {
         WorkerTelemetry {
-            backends: (0..workers).map(|_| WorkerLane::default()).collect(),
-            consumers: (0..workers).map(|_| WorkerLane::default()).collect(),
-            next_consumer: AtomicUsize::new(0),
+            producer: WorkerLane::default(),
+            consumers: (0..sinks.max(1)).map(|_| WorkerLane::default()).collect(),
         }
     }
 
-    /// Backend worker `w`'s lane (wrapping beyond the sized count, so a
-    /// backend that over-subscribes never panics).
-    pub fn backend_lane(&self, w: usize) -> &WorkerLane {
-        &self.backends[w % self.backends.len()]
+    /// The Step-1 producer's lane.
+    pub fn producer(&self) -> &WorkerLane {
+        &self.producer
     }
 
-    /// Claims the next consumer lane (attach order).
-    pub fn attach_consumer(&self) -> &WorkerLane {
-        let i = self.next_consumer.fetch_add(1, Ordering::Relaxed);
-        &self.consumers[i % self.consumers.len()]
+    /// Sink `w`'s lane (wrapping beyond the sized count, so an
+    /// over-subscribed pool never panics).
+    pub fn consumer(&self, w: usize) -> &WorkerLane {
+        &self.consumers[w % self.consumers.len()]
     }
 
-    /// All lanes (backends first, then consumers), including idle ones.
+    /// All lanes (the producer first, then the consumers), idle ones
+    /// included.
     pub fn snapshot(&self) -> Vec<WorkerLaneSnapshot> {
-        self.backends
-            .iter()
-            .enumerate()
-            .map(|(i, lane)| lane.snapshot(LaneRole::Backend, i))
+        std::iter::once(self.producer.snapshot(LaneRole::Backend, 0))
             .chain(
                 self.consumers
                     .iter()
@@ -132,23 +107,6 @@ impl WorkerTelemetry {
             )
             .collect()
     }
-
-    /// Consumer-side imbalance: max/mean pairs over the consumer lanes
-    /// that received anything (1.0 = perfectly balanced; 0 when idle).
-    pub fn consumer_imbalance(&self) -> f64 {
-        let pairs: Vec<u64> = self
-            .consumers
-            .iter()
-            .map(|l| l.pairs.load(Ordering::Relaxed))
-            .filter(|&p| p > 0)
-            .collect();
-        if pairs.is_empty() {
-            return 0.0;
-        }
-        let max = *pairs.iter().max().expect("nonempty") as f64;
-        let mean = pairs.iter().sum::<u64>() as f64 / pairs.len() as f64;
-        max / mean
-    }
 }
 
 #[cfg(test)]
@@ -156,48 +114,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lanes_count_per_worker() {
+    fn lanes_count_per_role_and_worker() {
         let t = WorkerTelemetry::new(2);
-        t.backend_lane(0).add_pairs(10);
-        t.backend_lane(0).inc_batches();
-        t.backend_lane(1).add_pairs(30);
-        t.backend_lane(1).record_buffered(7);
-        t.backend_lane(2).add_pairs(1); // wraps onto lane 0
+        t.producer().record_batch(10);
+        t.producer().record_batch(30);
+        t.consumer(1).record_batch(7);
+        t.consumer(2).record_batch(1); // wraps onto lane 0
         let snap = t.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert_eq!(snap[0].pairs, 11);
-        assert_eq!(snap[0].batches, 1);
-        assert_eq!(snap[1].pairs, 30);
-        assert_eq!(snap[1].peak_buffered, 7);
+        assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].role, LaneRole::Backend);
-        assert_eq!(snap[2].role, LaneRole::Consumer);
+        assert_eq!(
+            (snap[0].pairs, snap[0].batches, snap[0].peak_buffered),
+            (40, 2, 30)
+        );
+        assert_eq!(snap[1].role, LaneRole::Consumer);
+        assert_eq!((snap[1].worker, snap[1].pairs), (0, 1));
+        assert_eq!(
+            (snap[2].worker, snap[2].pairs, snap[2].peak_buffered),
+            (1, 7, 7)
+        );
         assert_eq!(LaneRole::Consumer.as_str(), "consumer");
     }
 
     #[test]
-    fn consumer_lanes_assign_by_attach_order() {
+    fn consumer_lanes_count_from_many_threads() {
         let t = WorkerTelemetry::new(3);
         std::thread::scope(|scope| {
-            for _ in 0..3 {
+            for w in 0..3 {
                 let t = &t;
-                scope.spawn(move || t.attach_consumer().add_pairs(100));
+                scope.spawn(move || t.consumer(w).record_batch(100));
             }
         });
-        let consumers: Vec<_> = t
-            .snapshot()
-            .into_iter()
-            .filter(|l| l.role == LaneRole::Consumer)
-            .collect();
-        assert_eq!(consumers.len(), 3);
-        assert!(consumers.iter().all(|l| l.pairs == 100));
-        assert!((t.consumer_imbalance() - 1.0).abs() < 1e-12);
+        let consumers = &t.snapshot()[1..];
+        assert!(consumers.iter().all(|l| l.pairs == 100 && l.batches == 1));
     }
 
     #[test]
-    fn zero_workers_clamp_to_one_lane() {
+    fn zero_sinks_clamp_to_one_lane() {
         let t = WorkerTelemetry::new(0);
-        t.backend_lane(0).add_pairs(1);
+        t.consumer(0).record_batch(1);
         assert_eq!(t.snapshot().len(), 2);
-        assert_eq!(t.consumer_imbalance(), 0.0);
     }
 }

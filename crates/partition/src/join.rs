@@ -1,18 +1,13 @@
 //! The partitioned MBR join: per-tile plane sweeps executed in parallel
-//! over scoped threads, delivered either funneled onto the calling thread
+//! over scoped threads, funneled onto the calling thread in tile order
 //! ([`partition_join`], or [`partition_join_funneled`] with an explicit
-//! kernel dispatch and cancel token) or straight to caller-supplied
-//! per-worker sinks ([`partition_join_workers`] — the fused execution
-//! path).
+//! kernel dispatch and cancel token). The tile threads are Step 1's own;
+//! whatever runs downstream of the calling thread schedules itself.
 
 use crate::grid::Grid;
 use crate::stats::PartitionStats;
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{
-    panic_message, resolve_threads, CancelToken, ObjectId, PairBatchBuffer, PairConsumer, Rect,
-    WorkerPanic,
-};
-use msj_obs::{WorkerLane, WorkerTelemetry};
+use msj_geom::{panic_message, resolve_threads, CancelToken, ObjectId, Rect, WorkerPanic};
 use std::thread::ScopedJoinHandle;
 
 /// Joins every scoped worker, isolating panics: all workers are drained
@@ -44,16 +39,6 @@ fn join_isolating_panics<T>(handles: Vec<ScopedJoinHandle<'_, T>>, mut on_ok: im
 #[derive(Debug, Default)]
 struct TileResult {
     pairs: Vec<(ObjectId, ObjectId)>,
-    pair_tests: u64,
-    dedup_skipped: u64,
-}
-
-/// Per-tile accounting of one worker-delivered tile sweep (the pairs went
-/// to the worker's sink, so only the counters travel back).
-#[derive(Debug, Clone, Copy)]
-struct TileOutcome {
-    tile: usize,
-    candidates: u64,
     pair_tests: u64,
     dedup_skipped: u64,
 }
@@ -180,18 +165,15 @@ pub fn tile_sweep(
     (pair_tests, dedup_skipped)
 }
 
-/// Below this many total tile assignments the funneled drivers'
-/// ([`partition_join`], [`partition_join_funneled`]) sweeps run
-/// on the calling thread regardless of the requested `threads` — spawn
-/// cost would dominate the sub-millisecond sweep work.
-/// [`PartitionStats::threads`] records the worker count actually used.
-/// ([`partition_join_workers`] does *not* apply this threshold: its
-/// workers also run the downstream filter + exact steps, which dwarf the
-/// spawn cost.)
+/// Below this many total tile assignments the sweeps of
+/// [`partition_join`] / [`partition_join_funneled`] run on the calling
+/// thread regardless of the requested `threads` — spawn cost would
+/// dominate the sub-millisecond sweep work. [`PartitionStats::threads`]
+/// records the worker count actually used.
 pub const PARALLEL_THRESHOLD: u64 = 4096;
 
-/// The bucketed grid both join drivers share: universe grid, per-tile
-/// rectangle lists for both sides, assignment counts.
+/// The bucketed grid of one join: universe grid, per-tile rectangle lists
+/// for both sides, assignment counts.
 struct Prepared {
     grid: Grid,
     buckets_a: Vec<Vec<(Rect, ObjectId)>>,
@@ -264,7 +246,9 @@ pub fn partition_join<F: FnMut(ObjectId, ObjectId)>(
 
 /// [`partition_join`] with an explicit kernel dispatch path and an
 /// optional cooperative [`CancelToken`], polled at every tile boundary
-/// (sweep side and replay side). Once cancelled, no further tiles are
+/// (sweep side and replay side). On one thread each tile is delivered as
+/// soon as it is swept; parallel sweeps are replayed in tile order once
+/// all have run. Once cancelled, no further tiles are
 /// swept and no further pairs are replayed; the stats cover exactly the
 /// tiles that ran. `None` is the zero-overhead path.
 pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
@@ -282,23 +266,30 @@ pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
         return PartitionStats::empty(tiles_per_axis, 1);
     };
     let tile_count = prep.grid.tile_count();
-
-    // Tiles are handed to workers round-robin (tile t → worker t mod W) so
-    // spatially clustered hot tiles spread across workers; each worker
-    // writes into its own slot of the per-tile result table.
     let workers = if prep.assignments_a + prep.assignments_b < PARALLEL_THRESHOLD {
         1
     } else {
         threads.min(tile_count).max(1)
     };
-    let mut results: Vec<TileResult> = Vec::with_capacity(tile_count);
-    results.resize_with(tile_count, TileResult::default);
+    let mut stats = base_stats(&prep, a.len(), b.len(), workers);
+    // Hands one swept tile to the calling thread's sink, tile-major.
+    let mut deliver = |result: &mut TileResult| {
+        stats.pair_tests += result.pair_tests;
+        stats.dedup_skipped += result.dedup_skipped;
+        stats.tile_candidates.push(result.pairs.len() as u64);
+        for (id_a, id_b) in result.pairs.drain(..) {
+            on_pair(id_a, id_b);
+        }
+    };
 
     if workers <= 1 {
+        // Each tile goes out as soon as it is swept: the sink overlaps
+        // the sweep, and one tile's pairs are all that is ever held.
         let mut scratch = SweepScratch::default();
-        for (tile, result) in results.iter_mut().enumerate() {
+        let mut result = TileResult::default();
+        for tile in 0..tile_count {
             if cancel.is_some_and(|c| c.is_cancelled()) {
-                break; // tile boundary: stop sweeping, replay what ran
+                break; // tile boundary: stop sweeping and delivering
             }
             run_tile(
                 dispatch,
@@ -307,255 +298,69 @@ pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
                 &mut prep.buckets_a[tile],
                 &mut prep.buckets_b[tile],
                 &mut scratch,
-                result,
+                &mut result,
             );
+            deliver(&mut result);
         }
-    } else {
-        // Split the per-tile slots round-robin into one work list per
-        // worker (tile t → worker t mod W).
-        let mut per_worker: Vec<Vec<(usize, &mut TileResult, _, _)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        let slots = results
-            .iter_mut()
-            .zip(prep.buckets_a.iter_mut())
-            .zip(prep.buckets_b.iter_mut())
-            .enumerate()
-            .map(|(tile, ((res, ba), bb))| (tile, res, ba, bb));
-        for slot in slots {
-            per_worker[slot.0 % workers].push(slot);
-        }
-        let grid = &prep.grid;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_worker
-                .into_iter()
-                .map(|own| {
-                    scope.spawn(move || {
-                        let mut scratch = SweepScratch::default();
-                        for (tile, result, bucket_a, bucket_b) in own {
-                            if cancel.is_some_and(|c| c.is_cancelled()) {
-                                break; // tile boundary: drop remaining tiles
-                            }
-                            run_tile(
-                                dispatch,
-                                grid,
-                                tile,
-                                bucket_a,
-                                bucket_b,
-                                &mut scratch,
-                                result,
-                            );
-                        }
-                    })
-                })
-                .collect();
-            join_isolating_panics(handles, |()| {});
-        });
+        return stats;
     }
+
+    // Tiles are handed to workers round-robin (tile t → worker t mod W) so
+    // spatially clustered hot tiles spread across workers; each worker
+    // writes into its own slot of the per-tile result table.
+    let mut results: Vec<TileResult> = Vec::with_capacity(tile_count);
+    results.resize_with(tile_count, TileResult::default);
+    let mut per_worker: Vec<Vec<(usize, &mut TileResult, _, _)>> =
+        (0..workers).map(|_| Vec::new()).collect();
+    let slots = results
+        .iter_mut()
+        .zip(prep.buckets_a.iter_mut())
+        .zip(prep.buckets_b.iter_mut())
+        .enumerate()
+        .map(|(tile, ((res, ba), bb))| (tile, res, ba, bb));
+    for slot in slots {
+        per_worker[slot.0 % workers].push(slot);
+    }
+    let grid = &prep.grid;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = per_worker
+            .into_iter()
+            .map(|own| {
+                scope.spawn(move || {
+                    let mut scratch = SweepScratch::default();
+                    for (tile, result, bucket_a, bucket_b) in own {
+                        if cancel.is_some_and(|c| c.is_cancelled()) {
+                            break; // tile boundary: drop remaining tiles
+                        }
+                        run_tile(
+                            dispatch,
+                            grid,
+                            tile,
+                            bucket_a,
+                            bucket_b,
+                            &mut scratch,
+                            result,
+                        );
+                    }
+                })
+            })
+            .collect();
+        join_isolating_panics(handles, |()| {});
+    });
 
     // Deterministic merge: replay pairs in tile-major order on the
     // calling thread.
-    let mut stats = base_stats(&prep, a.len(), b.len(), workers);
-    for result in results {
+    for result in &mut results {
         if cancel.is_some_and(|c| c.is_cancelled()) {
             break; // tile boundary: stop replaying delivered pairs
         }
-        stats.pair_tests += result.pair_tests;
-        stats.dedup_skipped += result.dedup_skipped;
-        stats.tile_candidates.push(result.pairs.len() as u64);
-        for (id_a, id_b) in result.pairs {
-            on_pair(id_a, id_b);
-        }
+        deliver(result);
     }
     stats
 }
 
-/// Records one tile's outcome into the worker's backend lane: pairs
-/// swept, one batch per tile flushed, the busiest tile as the peak.
-#[inline]
-fn observe_tile(lane: Option<&WorkerLane>, outcome: &TileOutcome) {
-    if let Some(lane) = lane {
-        lane.add_pairs(outcome.candidates);
-        lane.inc_batches();
-        lane.record_buffered(outcome.candidates);
-    }
-}
-
-/// The partitioned parallel MBR join delivered to caller-supplied
-/// workers: each worker thread attaches its own sink on `consumer` and
-/// the tile sweeps stream their pairs into it *on the worker thread* —
-/// no funnel, no intermediate pair buffer. This is the Step-1 producer of
-/// the fused execution engine: the consumer typically runs the geometric
-/// filter and the exact step right in the sink.
-///
-/// `workers == 0` uses the machine's available parallelism; the count is
-/// clamped to the tile count (a tile is the unit of work). Each worker
-/// processes tiles `w, w + W, w + 2W, …` in increasing order, so every
-/// worker's pair stream — and therefore any per-worker accumulation — is
-/// deterministic for a fixed worker count. Pairs are emitted exactly once
-/// (reference-point deduplication, as with [`partition_join`]); the
-/// *union* across workers equals [`partition_join`]'s stream as a set.
-///
-/// Pairs are delivered in runs of up to `batch` through
-/// [`msj_geom::PairSink::consume_batch`] (a caller-side
-/// [`PairBatchBuffer`] per worker, flushed at every tile boundary), so a
-/// consumer pays one dispatch — and can run one batched classification —
-/// per run instead of per pair. Order within a worker is unchanged.
-///
-/// With `telemetry`, worker `w` records into `telemetry.backend_lane(w)`
-/// the candidate pairs it swept, the tile flushes it performed, and its
-/// busiest tile's candidate count. With `cancel`, every worker polls the
-/// token at each tile boundary: once cancelled, workers stop sweeping
-/// their remaining tiles, flush nothing further, and tear down normally.
-/// `None` is the zero-overhead path for both. A worker that *panics* is
-/// isolated: the other workers drain, then the panic is re-raised as a
-/// structured [`WorkerPanic`] for the engine layer to catch.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_join_workers(
-    dispatch: KernelDispatch,
-    a: &[(Rect, ObjectId)],
-    b: &[(Rect, ObjectId)],
-    tiles_per_axis: usize,
-    workers: usize,
-    batch: usize,
-    consumer: &dyn PairConsumer,
-    telemetry: Option<&WorkerTelemetry>,
-    cancel: Option<&CancelToken>,
-) -> PartitionStats {
-    let workers = resolve_threads(workers);
-    let Some(mut prep) = prepare(a, b, tiles_per_axis) else {
-        return PartitionStats::empty(tiles_per_axis, 1);
-    };
-    let tile_count = prep.grid.tile_count();
-    let workers = workers.min(tile_count).max(1);
-
-    let mut outcomes: Vec<TileOutcome> = Vec::with_capacity(tile_count);
-    if workers <= 1 {
-        let lane = telemetry.map(|t| t.backend_lane(0));
-        let mut sink = consumer.attach();
-        let mut buffer = PairBatchBuffer::new(&mut *sink, batch);
-        let mut scratch = SweepScratch::default();
-        for (tile, (bucket_a, bucket_b)) in prep
-            .buckets_a
-            .iter_mut()
-            .zip(prep.buckets_b.iter_mut())
-            .enumerate()
-        {
-            if cancel.is_some_and(|c| c.is_cancelled()) {
-                break; // tile boundary: stop sweeping
-            }
-            let outcome = sweep_into(
-                dispatch,
-                &prep.grid,
-                tile,
-                bucket_a,
-                bucket_b,
-                &mut scratch,
-                &mut buffer,
-            );
-            buffer.flush(); // tile boundary
-            observe_tile(lane, &outcome);
-            outcomes.push(outcome);
-        }
-    } else {
-        let mut per_worker: Vec<Vec<(usize, _, _)>> = (0..workers).map(|_| Vec::new()).collect();
-        let slots = prep
-            .buckets_a
-            .iter_mut()
-            .zip(prep.buckets_b.iter_mut())
-            .enumerate()
-            .map(|(tile, (ba, bb))| (tile, ba, bb));
-        for slot in slots {
-            per_worker[slot.0 % workers].push(slot);
-        }
-        let grid = &prep.grid;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = per_worker
-                .into_iter()
-                .enumerate()
-                .map(|(w, own)| {
-                    scope.spawn(move || {
-                        let lane = telemetry.map(|t| t.backend_lane(w));
-                        let mut sink = consumer.attach();
-                        let mut buffer = PairBatchBuffer::new(&mut *sink, batch);
-                        let mut scratch = SweepScratch::default();
-                        let mut done: Vec<TileOutcome> = Vec::with_capacity(own.len());
-                        for (tile, bucket_a, bucket_b) in own {
-                            if cancel.is_some_and(|c| c.is_cancelled()) {
-                                break; // tile boundary: drop remaining tiles
-                            }
-                            let outcome = sweep_into(
-                                dispatch,
-                                grid,
-                                tile,
-                                bucket_a,
-                                bucket_b,
-                                &mut scratch,
-                                &mut buffer,
-                            );
-                            buffer.flush(); // tile boundary
-                            observe_tile(lane, &outcome);
-                            done.push(outcome);
-                        }
-                        done
-                    })
-                })
-                .collect();
-            join_isolating_panics(handles, |done| outcomes.extend(done));
-        });
-    }
-
-    // Stitch the per-worker outcomes back into tile order so the stats —
-    // per-tile candidate counts included — are identical to the funneled
-    // driver's, independent of the worker count.
-    let mut stats = base_stats(&prep, a.len(), b.len(), workers);
-    stats.tile_candidates.resize(tile_count, 0);
-    for outcome in outcomes {
-        stats.pair_tests += outcome.pair_tests;
-        stats.dedup_skipped += outcome.dedup_skipped;
-        stats.tile_candidates[outcome.tile] = outcome.candidates;
-    }
-    stats
-}
-
-/// Sweeps one tile directly into a worker's sink, returning the tile's
-/// counters.
-fn sweep_into(
-    dispatch: KernelDispatch,
-    grid: &Grid,
-    tile: usize,
-    bucket_a: &mut [(Rect, ObjectId)],
-    bucket_b: &mut [(Rect, ObjectId)],
-    scratch: &mut SweepScratch,
-    sink: &mut dyn msj_geom::PairSink,
-) -> TileOutcome {
-    let mut candidates = 0u64;
-    let (pair_tests, dedup_skipped) = if bucket_a.is_empty() || bucket_b.is_empty() {
-        (0, 0)
-    } else {
-        tile_sweep(
-            dispatch,
-            grid,
-            tile,
-            bucket_a,
-            bucket_b,
-            scratch,
-            &mut |x, y| {
-                candidates += 1;
-                sink.pair(x, y);
-            },
-        )
-    };
-    TileOutcome {
-        tile,
-        candidates,
-        pair_tests,
-        dedup_skipped,
-    }
-}
-
-/// The funneled driver's per-tile step: [`sweep_into`] with a
-/// pair-collecting sink, so both drivers share one sweep-and-account
-/// implementation.
+/// One tile's mini-join into `result`, whose pair buffer is reused (an
+/// empty side sweeps nothing).
 fn run_tile(
     dispatch: KernelDispatch,
     grid: &Grid,
@@ -565,28 +370,26 @@ fn run_tile(
     scratch: &mut SweepScratch,
     result: &mut TileResult,
 ) {
-    let mut pairs = Vec::new();
-    let outcome = sweep_into(
-        dispatch,
-        grid,
-        tile,
-        bucket_a,
-        bucket_b,
-        scratch,
-        &mut |x: ObjectId, y: ObjectId| pairs.push((x, y)),
-    );
-    *result = TileResult {
-        pairs,
-        pair_tests: outcome.pair_tests,
-        dedup_skipped: outcome.dedup_skipped,
+    let pairs = &mut result.pairs;
+    pairs.clear();
+    (result.pair_tests, result.dedup_skipped) = if bucket_a.is_empty() || bucket_b.is_empty() {
+        (0, 0)
+    } else {
+        tile_sweep(
+            dispatch,
+            grid,
+            tile,
+            bucket_a,
+            bucket_b,
+            scratch,
+            &mut |x, y| pairs.push((x, y)),
+        )
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msj_geom::FnConsumer;
-    use std::sync::Mutex;
 
     fn grid_items(n_side: usize, offset: f64, size: f64) -> Vec<(Rect, ObjectId)> {
         let mut items = Vec::new();
@@ -620,156 +423,38 @@ mod tests {
         v
     }
 
-    /// A consumer whose sinks collect into a shared mutex-guarded vec —
-    /// enough to observe the union of all workers' pairs.
-    struct Collecting {
-        pairs: Mutex<Vec<(ObjectId, ObjectId)>>,
-        attaches: Mutex<usize>,
-    }
-
-    impl Collecting {
-        fn new() -> Self {
-            Collecting {
-                pairs: Mutex::new(Vec::new()),
-                attaches: Mutex::new(0),
-            }
-        }
-    }
-
-    impl msj_geom::PairConsumer for Collecting {
-        fn attach(&self) -> Box<dyn msj_geom::PairSink + '_> {
-            *self.attaches.lock().unwrap() += 1;
-            struct Sink<'a> {
-                owner: &'a Collecting,
-                local: Vec<(ObjectId, ObjectId)>,
-            }
-            impl msj_geom::PairSink for Sink<'_> {
-                fn pair(&mut self, a: ObjectId, b: ObjectId) {
-                    self.local.push((a, b));
-                }
-            }
-            impl Drop for Sink<'_> {
-                fn drop(&mut self) {
-                    self.owner.pairs.lock().unwrap().append(&mut self.local);
-                }
-            }
-            Box::new(Sink {
-                owner: self,
-                local: Vec::new(),
-            })
-        }
-    }
-
-    /// [`partition_join_workers`]: detected dispatch, no telemetry, no token.
-    fn workers_join(
-        a: &[(Rect, ObjectId)],
-        b: &[(Rect, ObjectId)],
-        tiles_per_axis: usize,
-        workers: usize,
-        batch: usize,
-        consumer: &dyn PairConsumer,
-    ) -> PartitionStats {
-        let auto = KernelDispatch::auto();
-        partition_join_workers(
-            auto,
-            a,
-            b,
-            tiles_per_axis,
-            workers,
-            batch,
-            consumer,
-            None,
-            None,
-        )
-    }
-
     #[test]
-    fn cancelled_worker_join_stops_at_tile_boundaries() {
+    fn cancelled_join_stops_at_tile_boundaries() {
         let a = grid_items(10, 0.0, 8.0);
         let b = grid_items(10, 4.0, 8.0);
         let expect = reference(&a, &b);
+        let auto = KernelDispatch::auto();
 
-        // Pre-cancelled: no tiles sweep, no pairs arrive, stats stay
+        // Pre-cancelled: no tile sweeps, no pairs arrive, stats stay
         // well-formed.
-        for workers in [1usize, 4] {
+        for threads in [1usize, 4] {
             let token = CancelToken::new();
             token.cancel();
-            let consumer = Collecting::new();
-            let stats = partition_join_workers(
-                KernelDispatch::auto(),
-                &a,
-                &b,
-                4,
-                workers,
-                7,
-                &consumer,
-                None,
-                Some(&token),
-            );
-            assert!(consumer.pairs.into_inner().unwrap().is_empty());
-            assert_eq!(stats.candidates(), 0, "workers {workers}");
+            let stats = partition_join_funneled(auto, &a, &b, 4, threads, Some(&token), |_, _| {
+                panic!("no pairs expected")
+            });
+            assert_eq!(stats.candidates(), 0, "threads {threads}");
         }
 
-        // Cancelled mid-run from a sink: the delivered pairs are a
-        // subset of the full join (tiles that completed before the poll).
+        // Cancelled mid-run from the sink: delivery stops at the next
+        // tile boundary, and what arrived is a subset of the full join.
         let token = CancelToken::new();
-        struct CancelAfter<'t> {
-            token: &'t CancelToken,
-            seen: Mutex<Vec<(ObjectId, ObjectId)>>,
-        }
-        impl msj_geom::PairConsumer for CancelAfter<'_> {
-            fn attach(&self) -> Box<dyn msj_geom::PairSink + '_> {
-                let token = self.token;
-                let seen = &self.seen;
-                Box::new(move |x: ObjectId, y: ObjectId| {
-                    let mut guard = seen.lock().unwrap();
-                    guard.push((x, y));
-                    if guard.len() == 8 {
-                        token.cancel();
-                    }
-                })
+        let mut got = Vec::new();
+        partition_join_funneled(auto, &a, &b, 4, 1, Some(&token), |x, y| {
+            got.push((x, y));
+            if got.len() == 8 {
+                token.cancel();
             }
-        }
-        let consumer = CancelAfter {
-            token: &token,
-            seen: Mutex::new(Vec::new()),
-        };
-        partition_join_workers(
-            KernelDispatch::auto(),
-            &a,
-            &b,
-            4,
-            1,
-            7,
-            &consumer,
-            None,
-            Some(&token),
-        );
-        let got = sorted(consumer.seen.into_inner().unwrap());
-        assert!(!got.is_empty());
+        });
+        let got = sorted(got);
+        assert!(got.len() >= 8);
         assert!(got.len() < expect.len(), "stopped before completion");
         assert!(got.iter().all(|p| expect.binary_search(p).is_ok()));
-    }
-
-    #[test]
-    fn worker_panic_is_reraised_as_structured_payload() {
-        let a = grid_items(10, 0.0, 8.0);
-        let b = grid_items(10, 4.0, 8.0);
-        struct Exploding;
-        impl msj_geom::PairConsumer for Exploding {
-            fn attach(&self) -> Box<dyn msj_geom::PairSink + '_> {
-                Box::new(|_: ObjectId, _: ObjectId| panic!("sink exploded"))
-            }
-        }
-        let caught = std::panic::catch_unwind(|| {
-            workers_join(&a, &b, 4, 4, 7, &Exploding);
-        })
-        .expect_err("worker panic must propagate");
-        let wp = caught
-            .downcast_ref::<msj_geom::WorkerPanic>()
-            .expect("structured WorkerPanic payload");
-        assert!(wp.worker < 4, "worker index in range, got {}", wp.worker);
-        assert_eq!(wp.message, "sink exploded");
     }
 
     #[test]
@@ -787,84 +472,6 @@ mod tests {
                 assert_eq!(stats.tile_candidates.len(), tiles * tiles);
             }
         }
-    }
-
-    #[test]
-    fn worker_delivery_matches_the_funneled_join() {
-        let a = grid_items(8, 0.0, 9.5);
-        let b = grid_items(8, 3.0, 9.5);
-        let mut funneled = Vec::new();
-        let funneled_stats = partition_join(&a, &b, 4, 1, |x, y| funneled.push((x, y)));
-        for workers in [1usize, 2, 3, 8, 64] {
-            let consumer = Collecting::new();
-            let stats = workers_join(&a, &b, 4, workers, 7, &consumer);
-            let got = consumer.pairs.into_inner().unwrap();
-            assert_eq!(sorted(got), sorted(funneled.clone()), "workers {workers}");
-            // Stats are worker-count invariant, tile detail included.
-            assert_eq!(stats.tile_candidates, funneled_stats.tile_candidates);
-            assert_eq!(stats.pair_tests, funneled_stats.pair_tests);
-            assert_eq!(stats.dedup_skipped, funneled_stats.dedup_skipped);
-            // One sink per worker, clamped to the tile count.
-            assert_eq!(stats.threads, workers.min(16));
-            assert_eq!(*consumer.attaches.lock().unwrap(), stats.threads);
-        }
-
-        // With telemetry, every candidate is accounted to exactly one
-        // backend lane; peaks bound the busiest tile.
-        for workers in [1usize, 3, 8] {
-            let telemetry = WorkerTelemetry::new(workers);
-            let consumer = Collecting::new();
-            let stats = partition_join_workers(
-                KernelDispatch::auto(),
-                &a,
-                &b,
-                4,
-                workers,
-                7,
-                &consumer,
-                Some(&telemetry),
-                None,
-            );
-            let lanes = telemetry.snapshot();
-            let backend_pairs: u64 = lanes
-                .iter()
-                .filter(|l| l.role == msj_obs::LaneRole::Backend)
-                .map(|l| l.pairs)
-                .sum();
-            let backend_batches: u64 = lanes
-                .iter()
-                .filter(|l| l.role == msj_obs::LaneRole::Backend)
-                .map(|l| l.batches)
-                .sum();
-            let peak = lanes.iter().map(|l| l.peak_buffered).max().unwrap();
-            assert_eq!(backend_pairs, stats.candidates(), "workers {workers}");
-            assert_eq!(backend_batches, stats.tile_candidates.len() as u64);
-            assert_eq!(peak, stats.busiest_tile().unwrap().1);
-        }
-    }
-
-    #[test]
-    fn worker_delivery_handles_empty_sides() {
-        let a = grid_items(3, 0.0, 8.0);
-        let consumer = Collecting::new();
-        let stats = workers_join(&a, &[], 4, 4, 16, &consumer);
-        assert_eq!(stats.candidates(), 0);
-        assert_eq!(stats.threads, 1);
-        assert!(consumer.pairs.into_inner().unwrap().is_empty());
-    }
-
-    #[test]
-    fn worker_delivery_through_fn_consumer_single_worker() {
-        let a = grid_items(5, 0.0, 9.0);
-        let b = grid_items(5, 4.0, 9.0);
-        let mut got = Vec::new();
-        let stats = {
-            let mut push = |x: ObjectId, y: ObjectId| got.push((x, y));
-            let consumer = FnConsumer::new(&mut push);
-            workers_join(&a, &b, 3, 1, 4, &consumer)
-        };
-        assert_eq!(sorted(got), reference(&a, &b));
-        assert_eq!(stats.threads, 1);
     }
 
     #[test]

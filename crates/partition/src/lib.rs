@@ -15,12 +15,11 @@
 //!    the *reference-point* method: a pair counts only in the tile that
 //!    contains the lower-left corner of the MBR intersection;
 //! 4. **Parallelism** — tiles are distributed round-robin over scoped
-//!    worker threads. [`partition_join`] funnels the results onto the
+//!    worker threads, and [`partition_join`] funnels the results onto the
 //!    calling thread in tile order (deterministic for every thread
-//!    count); [`partition_join_workers`] instead hands each worker its
-//!    own sink through the [`msj_geom::PairConsumer`] protocol, so the
-//!    fused execution engine can run the downstream filter + exact steps
-//!    right where the candidates are produced.
+//!    count). These threads are Step 1's alone: the execution engine in
+//!    `msj-core` schedules the downstream filter + exact steps over its
+//!    own worker pool, fed from the calling thread.
 //!
 //! [`PartitionStats`] surfaces per-tile candidate counts, replication and
 //! dedup counters. [`GridIndex`] reuses the same grid for single-relation
@@ -36,7 +35,5 @@ pub mod join;
 pub mod stats;
 
 pub use grid::{Grid, GridIndex};
-pub use join::{
-    partition_join, partition_join_funneled, partition_join_workers, tile_sweep, SweepScratch,
-};
+pub use join::{partition_join, partition_join_funneled, tile_sweep, SweepScratch};
 pub use stats::PartitionStats;

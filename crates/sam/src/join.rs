@@ -60,30 +60,24 @@ pub struct JoinControl<'c> {
     pub cancel: Option<&'c CancelToken>,
     /// Candidate pairs per delivered chunk (at least 1).
     pub chunk_capacity: usize,
-    /// Producer-side telemetry: every delivered chunk is counted into the
-    /// lane (pairs produced, chunks flushed, largest chunk as the
-    /// buffered peak).
-    pub lane: Option<&'c msj_obs::WorkerLane>,
 }
 
 impl JoinControl<'_> {
     /// Chunks of `chunk_capacity` pairs on the detected kernel path, no
-    /// cancellation, no telemetry.
+    /// cancellation.
     pub fn new(chunk_capacity: usize) -> Self {
         JoinControl {
             dispatch: KernelDispatch::auto(),
             cancel: None,
             chunk_capacity,
-            lane: None,
         }
     }
 }
 
 /// [`tree_join`] under a [`JoinControl`], delivering candidates in chunks
-/// instead of one at a time — the producer half of the fused execution
-/// engine: the traversal itself is inherently serial (its I/O accounting
-/// needs one buffer), but whole chunks can be handed to a batched sink or
-/// to downstream worker threads.
+/// instead of one at a time — the traversal itself is inherently serial
+/// (its I/O accounting needs one buffer), but each chunk is one batch for
+/// a batched sink, on this thread or handed on to downstream workers.
 ///
 /// Every chunk is non-empty and at most `chunk_capacity` long, chunks
 /// arrive in traversal order, and their concatenation equals the
@@ -99,11 +93,6 @@ pub fn tree_join_chunked<F: FnMut(&mut Vec<(ObjectId, ObjectId)>)>(
 ) -> JoinStats {
     let capacity = control.chunk_capacity.max(1);
     let mut emit = |chunk: &mut Vec<(ObjectId, ObjectId)>| {
-        if let Some(lane) = control.lane {
-            lane.add_pairs(chunk.len() as u64);
-            lane.inc_batches();
-            lane.record_buffered(chunk.len() as u64);
-        }
         on_chunk(chunk);
         chunk.clear();
     };
@@ -453,23 +442,13 @@ mod tests {
             n += chunk.len() as u64
         });
         assert_eq!(n, streamed.len() as u64);
-        // A lane records the producer side without changing the delivered
-        // stream, and a consumer may keep the chunk it is handed.
-        let telemetry = msj_obs::WorkerTelemetry::new(1);
-        let control = JoinControl {
-            lane: Some(telemetry.backend_lane(0)),
-            ..JoinControl::new(7)
-        };
+        // A consumer may keep the chunk it is handed.
         let mut buffer = LruBuffer::new(4096);
         let mut owned = Vec::new();
-        tree_join_chunked(&control, &ta, &tb, &mut buffer, |chunk| {
+        tree_join_chunked(&JoinControl::new(7), &ta, &tb, &mut buffer, |chunk| {
             owned.push(std::mem::take(chunk))
         });
         assert_eq!(owned.concat(), streamed);
-        let lane = telemetry.snapshot()[0];
-        assert_eq!(lane.pairs, streamed.len() as u64);
-        assert_eq!(lane.batches, owned.len() as u64);
-        assert!(lane.peak_buffered >= 1 && lane.peak_buffered <= 7);
     }
 
     #[test]

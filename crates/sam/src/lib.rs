@@ -14,7 +14,7 @@
 //!   search-space restriction and plane-sweep entry matching, streaming
 //!   candidate pairs to the next step ([`tree_join_chunked`] is the same
 //!   traversal under a [`JoinControl`]: kernel dispatch, cancellation,
-//!   chunked delivery, telemetry).
+//!   chunked delivery).
 //!
 //! # One form of the tree
 //!

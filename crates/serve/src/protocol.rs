@@ -414,6 +414,20 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A `u64` entry count for `entry_size`-byte entries, refused when
+    /// the rest of the frame cannot hold that many — checked before the
+    /// caller reserves anything, so a hostile count cannot allocate.
+    fn count(&mut self, entry_size: usize) -> Result<usize, String> {
+        let n = self.u64()?;
+        let room = (self.buf.len() - self.pos) / entry_size;
+        if n > room as u64 {
+            return Err(format!(
+                "count {n} exceeds the {room} entries left in the frame"
+            ));
+        }
+        Ok(n as usize)
+    }
+
     fn str(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
@@ -605,7 +619,7 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, ResponseBody), String> {
     let parsed = match status {
         WireStatus::Ok => match r.u8()? {
             0 => {
-                let n = r.u64()? as usize;
+                let n = r.count(8)?;
                 let mut pairs = Vec::with_capacity(n);
                 for _ in 0..n {
                     pairs.push((r.u32()?, r.u32()?));
@@ -626,7 +640,7 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, ResponseBody), String> {
                 ResponseBody::Join { pairs, stats, ops }
             }
             1 => {
-                let n = r.u64()? as usize;
+                let n = r.count(4)?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(r.u32()?);
@@ -886,6 +900,104 @@ mod tests {
         padded.push(0);
         assert!(decode_response(&padded).is_err());
         assert!(decode_request(&[1, 2, 3]).is_err());
+    }
+
+    /// A response body (no length prefix): request id, status `Ok`,
+    /// `shape`, then a declared entry count and `tail` bytes.
+    fn ok_body_declaring(shape: u8, count: u64, tail: usize) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u64(&mut body, 5);
+        body.push(WireStatus::Ok as u8);
+        body.push(shape);
+        put_u64(&mut body, count);
+        body.resize(body.len() + tail, 0);
+        body
+    }
+
+    /// A count the frame cannot hold is refused before anything is
+    /// reserved: reserving 2⁴⁰ pairs or ids for a 30-byte frame would
+    /// abort the client through allocation failure or capacity overflow.
+    #[test]
+    fn hostile_counts_are_refused_before_reserving() {
+        for shape in [0u8, 1] {
+            for count in [1u64 << 40, u64::MAX, u64::MAX / 4, 1 << 61] {
+                let body = ok_body_declaring(shape, count, 12);
+                assert!(
+                    decode_response(&body).is_err(),
+                    "shape {shape} count {count}"
+                );
+            }
+        }
+        // One entry more than the bytes left can hold: still refused.
+        let join_tail = 3 * 8 + 10 * 8 + 8 * 8; // 3 pairs + stats + ops
+        assert!(decode_response(&ok_body_declaring(0, 3, join_tail)).is_ok());
+        let room = join_tail as u64 / 8;
+        assert!(decode_response(&ok_body_declaring(0, room + 1, join_tail)).is_err());
+    }
+
+    /// The `hostile_bytes` property of the store, on the wire: every
+    /// truncation and every single-byte flip of a valid join frame and a
+    /// valid selection frame decodes to an error or to a body that
+    /// re-encodes to exactly the bytes it came from — never a panic,
+    /// never a silently different answer.
+    #[test]
+    fn truncated_and_flipped_frames_error_or_roundtrip() {
+        let frames = [
+            encode_response(
+                9,
+                &ResponseBody::Join {
+                    pairs: vec![(1, 2), (3, 4), (u32::MAX, 0)],
+                    stats: JoinWireStats {
+                        candidates: 10,
+                        exact_tests: 3,
+                        result_pairs: 3,
+                        ..JoinWireStats::default()
+                    },
+                    ops: OpCounts {
+                        trapezoid: 7,
+                        ..OpCounts::default()
+                    },
+                },
+            ),
+            encode_response(
+                10,
+                &ResponseBody::Selection {
+                    ids: vec![4, 7, 9, 12],
+                    stats: SelectionWireStats {
+                        candidates: 6,
+                        filter_false_hits: 1,
+                        filter_hits: 2,
+                        exact_tests: 3,
+                    },
+                    ops: OpCounts::default(),
+                },
+            ),
+        ];
+        let check = |body: &[u8]| {
+            if let Ok((id, decoded)) = decode_response(body) {
+                assert_eq!(
+                    &encode_response(id, &decoded)[4..],
+                    body,
+                    "{decoded:?} decoded from bytes it does not re-encode to"
+                );
+            }
+        };
+        for frame in &frames {
+            let body = &frame[4..];
+            for len in 0..body.len() {
+                assert!(
+                    decode_response(&body[..len]).is_err(),
+                    "prefix of {len} bytes"
+                );
+            }
+            for at in 0..body.len() {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut flipped = body.to_vec();
+                    flipped[at] ^= mask;
+                    check(&flipped);
+                }
+            }
+        }
     }
 
     /// Satellite: the mapping table must know **every** `EngineError`
