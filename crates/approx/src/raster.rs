@@ -40,9 +40,7 @@
 //! Intersection Joins") on this workspace's columnar stores.
 
 use msj_geom::bytes::{Dec, DecResult, Enc};
-use msj_geom::{
-    fnv1a64, fnv1a64_update, ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment,
-};
+use msj_geom::{Checksum, ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment};
 
 /// Smallest sensible grid resolution (`2^2 = 4` cells per axis).
 pub const MIN_GRID_BITS: u32 = 2;
@@ -507,16 +505,12 @@ impl RunColumn {
         &self.runs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    fn checksum(&self, mut h: u64) -> u64 {
-        h = fnv1a64_update(h, &(self.offsets.len() as u64).to_le_bytes());
-        for off in &self.offsets {
-            h = fnv1a64_update(h, &off.to_le_bytes());
-        }
-        for run in &self.runs {
-            h = fnv1a64_update(h, &run.start.to_le_bytes());
-            h = fnv1a64_update(h, &run.end.to_le_bytes());
-        }
-        h
+    fn checksum(&self, sum: &mut Checksum) {
+        sum.update(&(self.offsets.len() as u64).to_le_bytes());
+        sum.update_le(&self.offsets, u32::to_le_bytes);
+        sum.update_le(&self.runs, |run| {
+            (u64::from(run.end) << 32 | u64::from(run.start)).to_le_bytes()
+        });
     }
 
     /// The counted offset table, then the arena as counted
@@ -622,18 +616,21 @@ impl RasterStore {
         self.all.runs.len() + self.full.runs.len()
     }
 
-    /// FNV-1a checksum over the whole store — the grid scalars and both
-    /// columns, each value little-endian. Recorded when the store is built
-    /// and re-verified before a join trusts the Step-2a pre-filter; a
-    /// mismatch means corrupted signatures, and the engine falls back to
-    /// the filter-only path rather than risk wrong join answers.
+    /// [`msj_geom::checksum`] over the whole store — the grid scalars and
+    /// both columns, each value little-endian, streamed without building
+    /// the image. Recorded when the store is built and re-verified before
+    /// a join trusts the Step-2a pre-filter; a mismatch means corrupted
+    /// signatures, and the engine falls back to the filter-only path
+    /// rather than risk wrong join answers.
     pub fn checksum(&self) -> u64 {
         let g = &self.grid;
-        let mut h = fnv1a64(&g.bits.to_le_bytes());
-        for scalar in [g.origin.x, g.origin.y, g.cell_w, g.cell_h] {
-            h = fnv1a64_update(h, &scalar.to_bits().to_le_bytes());
-        }
-        self.full.checksum(self.all.checksum(h))
+        let mut sum = Checksum::default();
+        sum.update(&g.bits.to_le_bytes());
+        let scalars = [g.origin.x, g.origin.y, g.cell_w, g.cell_h];
+        sum.update_le(&scalars, |v| v.to_bits().to_le_bytes());
+        self.all.checksum(&mut sum);
+        self.full.checksum(&mut sum);
+        sum.finish()
     }
 
     /// The store as its persistent image: the grid geometry as raw scalars

@@ -19,13 +19,22 @@
 //! Every cell reports items/sec and ns/item; the FNV digest of each
 //! kernel's full output is asserted equal across dispatch paths —
 //! the scalar-agreement gate, measured rather than assumed.
+//!
+//! A second table, **checksum**, prices the two 64-bit hashes of
+//! [`msj_geom::bytes`] over one 8 MiB buffer in GB/s: the
+//! byte-serial FNV-1a digest and the store's word-parallel integrity
+//! [`checksum`] that every cold open runs over every section.
 
 use super::ExpConfig;
 use crate::report::{f, section, Table};
 use crate::timing::timed;
 use msj_approx::{ProgressiveKind, ProgressiveStore};
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{fnv1a64, ObjectId, Rect, Relation};
+use msj_geom::{checksum, fnv1a64, ObjectId, Rect, Relation};
+
+/// Bytes the checksum rows hash: more than a typical last-level cache,
+/// and about one and a half `ingest_reopen` dataset segments.
+const CHECKSUM_BYTES: usize = 8 << 20;
 
 /// One measured cell: a kernel on a dispatch path.
 struct KernelCell {
@@ -214,8 +223,39 @@ pub fn kernels(cfg: &ExpConfig) -> String {
     }
     out.push_str(&table.render());
     out.push('\n');
-    out.push_str("all dispatch paths produced identical kernel outputs\n");
+    out.push_str("all dispatch paths produced identical kernel outputs\n\n");
+    out.push_str(&checksum_table(cfg.seed));
     out
+}
+
+/// The checksum rows: FNV-1a and the store checksum over the same
+/// seeded [`CHECKSUM_BYTES`] buffer, best of three, with both digests.
+fn checksum_table(seed: u64) -> String {
+    let mut state = seed;
+    let buf: Vec<u8> = (0..CHECKSUM_BYTES / 8)
+        .flat_map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state.to_le_bytes()
+        })
+        .collect();
+    type Hash = fn(&[u8]) -> u64;
+    let mut table = Table::new(["kernel", "hash", "MiB", "GB/s", "digest"]);
+    for (name, hash) in [("fnv1a64", fnv1a64 as Hash), ("store", checksum)] {
+        let (digest, secs) = timed(|| hash(std::hint::black_box(&buf)));
+        table.row([
+            "checksum".into(),
+            name.into(),
+            format!("{}", CHECKSUM_BYTES >> 20),
+            f(CHECKSUM_BYTES as f64 / secs.max(1e-12) / 1e9, 2),
+            format!("{digest:#018x}"),
+        ]);
+    }
+    format!(
+        "checksum: the FNV-1a digest vs the store's word-parallel integrity checksum\n\n{}",
+        table.render()
+    )
 }
 
 #[cfg(test)]
@@ -234,6 +274,7 @@ mod tests {
         assert!(report.contains("mer-accept"));
         assert!(report.contains("scalar"));
         assert!(report.contains("identical kernel outputs"));
+        assert!(report.contains("checksum") && report.contains("fnv1a64"));
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct GeometricFilter {
     /// Step-2a raster signatures, both relations on one shared grid.
     raster_a: Option<Arc<RasterStore>>,
     raster_b: Option<Arc<RasterStore>>,
-    /// FNV checksums of the two raster stores recorded when they were
+    /// Checksums of the two raster stores recorded when they were
     /// built ([`msj_approx::RasterStore::checksum`]); the engine
     /// re-verifies them to detect signature corruption and fall back to
     /// the filter-only path.

@@ -5,7 +5,7 @@
 //! * **write-through** — registering datasets on a store-armed engine
 //!   serializes every Step-0 artifact (R*-tree arena, approximation
 //!   columns, TR* representations) into page-aligned, per-section
-//!   FNV-checksummed segment files; the first join adds the pair's
+//!   checksummed segment files; the first join adds the pair's
 //!   raster signatures;
 //! * **cold start** — the engine is dropped and reopened with
 //!   `SpatialEngine::open`: artifacts come back from the segments with

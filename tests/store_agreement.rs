@@ -353,8 +353,8 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
 /// section and manifest checksums so the edit passes for stored data —
 /// the crafted-but-checksummed input a bit flip cannot produce. Layout
 /// per `msj-store`'s module docs: 48-byte manifest head, 32-byte table
-/// entries (tag, offset, length, FNV-1a), manifest sum in the page's
-/// last 8 bytes.
+/// entries (tag, offset, length, checksum), manifest sum in the page's
+/// last 8 bytes, every sum [`msj::geom::checksum`].
 fn reseal_segment(
     dir: &std::path::Path,
     name: &str,
@@ -377,9 +377,9 @@ fn reseal_segment(
     let (manifest, payloads) = file.split_at_mut(PAGE);
     let section = &mut payloads[offset - PAGE..offset - PAGE + len];
     patch(manifest, section);
-    let sum = msj::geom::fnv1a64(section);
+    let sum = msj::geom::checksum(section);
     manifest[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
-    let sum = msj::geom::fnv1a64(&manifest[..PAGE - 8]);
+    let sum = msj::geom::checksum(&manifest[..PAGE - 8]);
     manifest[PAGE - 8..].copy_from_slice(&sum.to_le_bytes());
     std::fs::write(&path, &file).expect("rewrite segment");
 }
@@ -445,8 +445,8 @@ fn version_1_segment_is_refused_with_a_typed_error() {
     reseal_segment(&dir, "ds_0.msj", TRSTAR_TAG, |manifest, _| {
         assert_eq!(
             manifest[8..12],
-            3u32.to_le_bytes(),
-            "writer stamps version 3"
+            4u32.to_le_bytes(),
+            "writer stamps version 4"
         );
         manifest[8..12].copy_from_slice(&1u32.to_le_bytes());
     });
@@ -476,11 +476,11 @@ fn version_2_pair_segment_is_rebuilt_and_rewritten_not_degraded() {
     // A `pair_0_1.msj` left behind by a v2 writer beside current dataset
     // files: its raster sections hold one class-tagged interval list per
     // object (grid scalars, one counted offset table, one counted arena
-    // of `(start, end | class << 31)` words), which a v3 reader must not
+    // of `(start, end | class << 31)` words), which a v3+ reader must not
     // try to decode as an A column followed by an F column. The manifest
     // says version 2, so the pair is a miss: signatures are rebuilt from
-    // the relations, the file is rewritten at version 3, and the join
-    // runs with the full filter — not in degraded mode.
+    // the relations, the file is rewritten at the current version, and
+    // the join runs with the full filter — not in degraded mode.
     let (dir, cfg, requests, reference) = seeded_store("v2pair");
     let store = msj_store::Store::open(&dir).expect("open container");
     let pair = store
