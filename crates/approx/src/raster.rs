@@ -79,9 +79,13 @@ impl RasterGrid {
 
     /// The shared grid of a join: `2^bits` cells per axis over the union
     /// of both relations' bounding rectangles. `None` when both relations
-    /// are empty (no workspace to cover).
+    /// are empty (no workspace to cover) or the workspace's width or
+    /// height overflows `f64` — padding an infinite extent would grid one
+    /// unit of the world and misclassify everything outside it.
     pub fn covering(rel_a: &Relation, rel_b: &Relation, bits: u32) -> Option<Self> {
-        Some(RasterGrid::new(join_workspace(rel_a, rel_b)?, bits))
+        let workspace = join_workspace(rel_a, rel_b)?;
+        let finite = workspace.width().is_finite() && workspace.height().is_finite();
+        finite.then(|| RasterGrid::new(workspace, bits))
     }
 
     /// `log2` of the cells per axis.
@@ -663,7 +667,8 @@ impl RasterStore {
         if !(MIN_GRID_BITS..=MAX_GRID_BITS).contains(&bits) {
             return Err("raster grid bits out of range");
         }
-        if !(cell_w > 0.0 && cell_h > 0.0 && origin.is_finite()) {
+        let positive = |cell: f64| cell > 0.0 && cell.is_finite();
+        if !(positive(cell_w) && positive(cell_h) && origin.is_finite()) {
             return Err("raster grid geometry malformed");
         }
         let all = RunColumn::decode(&mut d, 1 << (2 * bits))?;
@@ -1037,6 +1042,15 @@ mod tests {
             RasterStore::from_bytes(&no_grid).err(),
             Some("raster grid bits out of range")
         );
+        // Infinite cell sizes (bytes 16..32) are as malformed as zero.
+        for at in [16, 24] {
+            let mut infinite = bytes.clone();
+            infinite[at..at + 8].copy_from_slice(&f64::INFINITY.to_le_bytes());
+            assert_eq!(
+                RasterStore::from_bytes(&infinite).err(),
+                Some("raster grid geometry malformed")
+            );
+        }
         let empty = RasterStore::build(store.grid(), &Relation::default());
         assert!(RasterStore::from_bytes(&empty.to_bytes())
             .unwrap()
@@ -1143,5 +1157,19 @@ mod tests {
         assert_eq!((cx0, cy0), (0, 0));
         assert_eq!((cx1, cy1), (g.cells_per_axis() - 1, g.cells_per_axis() - 1));
         assert!(RasterGrid::covering(&Relation::default(), &Relation::default(), 4).is_none());
+        // A width that overflows to infinity has no grid either.
+        let far = rel(vec![poly(&[
+            (1e308 - 2e300, 0.0),
+            (1e308 - 1e300, 0.0),
+            (1e308 - 1e300, 1e300),
+            (1e308 - 2e300, 1e300),
+        ])]);
+        let near = rel(vec![poly(&[
+            (-1e308, 0.0),
+            (-1e308 + 1e300, 0.0),
+            (-1e308 + 1e300, 1e300),
+            (-1e308, 1e300),
+        ])]);
+        assert!(RasterGrid::covering(&near, &far, 4).is_none());
     }
 }

@@ -244,28 +244,12 @@ impl ConservativeStore {
         }
     }
 
-    /// The false-area column (parallel to the object ids).
-    #[inline]
-    pub fn false_area_column(&self) -> &[f64] {
-        &self.false_area
-    }
-
     pub fn len(&self) -> usize {
         self.false_area.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.false_area.is_empty()
-    }
-
-    /// Average stored bytes per object for this kind (precomputed at
-    /// build time, so hull stores keep the 16-B price of MBR fallbacks
-    /// even after the fallback is boxed into its corner ring).
-    pub fn avg_bytes(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.total_bytes as f64 / self.len() as f64
     }
 }
 
@@ -356,15 +340,6 @@ impl ProgressiveStore {
         }
     }
 
-    /// The raw MEC column (NaN slots = empty), when this store holds MECs.
-    #[inline]
-    pub fn mec_column(&self) -> Option<&[Circle]> {
-        match &self.cols {
-            ProgColumns::Mecs(circles) => Some(circles),
-            ProgColumns::Mers(_) => None,
-        }
-    }
-
     pub fn len(&self) -> usize {
         match &self.cols {
             ProgColumns::Mers(rects) => rects.len(),
@@ -395,8 +370,8 @@ fn ordered_rect(bounds: [f64; 4]) -> DecResult<Rect> {
 
 impl ConservativeStore {
     /// The store as its persistent image: the kind code (`u32`), the §3.4
-    /// byte-model total (`u64`, so a reloaded store reports the same
-    /// storage accounting as the built one), then three counted columns —
+    /// byte-model total (`u64`, kept so images stay byte-identical to the
+    /// ones already on disk), then three counted columns —
     /// convex ring offsets (`len + 1` entries, in points; empty for the
     /// fixed-width kinds), the payload flattened to scalars (MBR 4 per
     /// object, MBC 3, MBE 5, the convex kinds 2 per arena point) and the
@@ -705,8 +680,8 @@ mod tests {
                 kind.name()
             );
             assert_eq!(back.kind, kind);
-            assert_eq!(back.avg_bytes(), store.avg_bytes());
-            assert_eq!(back.false_area_column(), store.false_area_column());
+            assert_eq!(back.total_bytes, store.total_bytes);
+            assert_eq!(back.false_area, store.false_area);
             for id in 0..3u32 {
                 assert_eq!(back.view(id).area(), store.view(id).area());
             }
@@ -778,13 +753,13 @@ mod tests {
             ConsView::Convex(ring) => assert_eq!(8 * ring.len(), 24),
             other => panic!("hull view {other:?}"),
         }
-        assert!(store.avg_bytes() > 0.0);
+        assert!(store.total_bytes > 0);
     }
 
     #[test]
-    fn fixed_kind_avg_bytes_is_constant() {
+    fn fixed_kind_bytes_are_constant_per_object() {
         let rel = small_relation();
         let store = ConservativeStore::build(ConservativeKind::FiveCorner, &rel);
-        assert_eq!(store.avg_bytes(), 40.0);
+        assert_eq!(store.total_bytes, 3 * 40);
     }
 }

@@ -5,7 +5,6 @@ use msj_approx::{ConservativeKind, ProgressiveKind};
 use msj_exact::ExactAlgorithm;
 use msj_fault::FaultConfig;
 use msj_obs::ObsConfig;
-use std::time::Duration;
 
 /// The Step-1 candidate backend (see [`crate::candidates`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,63 +47,12 @@ impl Backend {
 /// the fused fan-out's queue).
 pub const DEFAULT_BATCH_PAIRS: usize = 1024;
 
-/// Default [`JoinConfig::prepared_cache_cap`]: generous enough that
-/// typical engines never evict, small enough to bound resident pair
-/// state on engines joining many dataset combinations.
+/// Prepared joins a [`crate::SpatialEngine`] keeps resident at once; the
+/// least-recently-used pair is evicted beyond it (and rebuilt
+/// transparently on next use). Generous enough that typical engines never
+/// evict, small enough to bound resident pair state on engines joining
+/// many dataset combinations.
 pub const DEFAULT_PREPARED_CACHE_CAP: usize = 64;
-
-/// Configuration of the **Step-2a raster pre-filter**
-/// ([`msj_approx::raster`]): A/F Hilbert-run signatures decided by a few
-/// list searches, run on every candidate batch *before* the
-/// conservative/progressive approximation chain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasterConfig {
-    /// Whether the stage runs at all. On by default: the stage decides
-    /// the majority of candidates for a few bitwise comparisons each.
-    pub enabled: bool,
-    /// `log2` of the grid cells per axis. `0` (the default) auto-sizes
-    /// from the workload via [`msj_approx::auto_grid_bits`] — the §5
-    /// cost-model tradeoff between decided candidates and signature
-    /// bytes. Explicit values are clamped to
-    /// [`msj_approx::MIN_GRID_BITS`]`..=`[`msj_approx::MAX_GRID_BITS`].
-    pub grid_bits: u32,
-}
-
-impl Default for RasterConfig {
-    fn default() -> Self {
-        RasterConfig {
-            enabled: true,
-            grid_bits: 0,
-        }
-    }
-}
-
-impl RasterConfig {
-    /// The stage disabled (candidates go straight to the conservative
-    /// test, the pre-PR-4 behavior).
-    pub const fn off() -> Self {
-        RasterConfig {
-            enabled: false,
-            grid_bits: 0,
-        }
-    }
-
-    /// Enabled with the grid auto-sized from the workload (the default).
-    pub const fn auto() -> Self {
-        RasterConfig {
-            enabled: true,
-            grid_bits: 0,
-        }
-    }
-
-    /// Enabled at an explicit grid resolution (`0` = auto-size).
-    pub const fn with_bits(grid_bits: u32) -> Self {
-        RasterConfig {
-            enabled: true,
-            grid_bits,
-        }
-    }
-}
 
 /// Complete configuration of one spatial-join execution (and of a
 /// resident [`crate::SpatialEngine`], which applies it to every dataset
@@ -116,13 +64,14 @@ impl RasterConfig {
 /// so the configuration surface can grow without breaking callers.
 ///
 /// ```
-/// use msj_core::{Execution, JoinConfig, RasterConfig};
+/// use msj_core::{Execution, JoinConfig};
 ///
 /// let config = JoinConfig::builder()
 ///     .execution(Execution::Fused { threads: 4 })
-///     .raster(RasterConfig::auto())
+///     .raster(false)
 ///     .build();
 /// assert_eq!(config.execution, Execution::Fused { threads: 4 });
+/// assert!(!config.raster);
 /// ```
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,10 +92,13 @@ pub struct JoinConfig {
     /// Whether to run the false-area test (§3.3) on candidates that the
     /// progressive test could not identify.
     pub false_area_test: bool,
-    /// The Step-2a raster-interval pre-filter. Enabled by default; the
-    /// response set is identical either way (the stage only decides
-    /// candidates it can prove).
-    pub raster: RasterConfig,
+    /// Whether the Step-2a raster-interval pre-filter runs
+    /// ([`msj_approx::raster`]): A/F Hilbert-run signatures on one grid
+    /// per dataset pair, auto-sized from the workload by
+    /// [`msj_approx::auto_grid_bits`]. On by default; the response set is
+    /// identical either way (the stage only decides candidates it can
+    /// prove).
+    pub raster: bool,
     /// Exact geometry algorithm for the final step.
     pub exact: ExactAlgorithm,
     /// How Steps 2–3 are scheduled relative to Step 1: serially on the
@@ -171,27 +123,11 @@ pub struct JoinConfig {
     /// `MSJ_FORCE_SCALAR` environment variable forces scalar even when
     /// this is `false`.
     pub force_scalar: bool,
-    /// Maximum prepared joins a [`crate::SpatialEngine`] keeps resident
-    /// at once; the least-recently-used pair is evicted beyond the cap
-    /// (and rebuilt transparently on next use). Clamped to at least 1.
-    pub prepared_cache_cap: usize,
-    /// Per-request wall-clock deadline. When set, every join request
-    /// arms a [`msj_geom::CancelToken`] with this budget; a request that
-    /// outlives it stops cooperatively at the next batch boundary and
-    /// returns [`crate::EngineError::DeadlineExceeded`]. `None` (the
-    /// default) means no deadline.
-    pub deadline: Option<Duration>,
     /// Deterministic fault injection ([`msj_fault::FaultConfig`]).
     /// Disabled by default (one never-taken branch per batch); the
     /// `MSJ_FAULT_PLAN` / `MSJ_FAULT_SEED` environment variables arm a
     /// plan when this field is disabled.
     pub fault: FaultConfig,
-    /// Whether a join whose Step-2a raster signatures fail their
-    /// checksum may continue on the filter-only path (correct answers,
-    /// degraded speed). `false` turns detected corruption into
-    /// [`crate::EngineError::DegradedUnavailable`] instead. Defaults to
-    /// `true`.
-    pub allow_degraded: bool,
 }
 
 /// TR*-tree node capacity of [`JoinConfig::default`], measured on this
@@ -216,7 +152,7 @@ impl Default for JoinConfig {
             conservative: Some(ConservativeKind::FiveCorner),
             progressive: Some(ProgressiveKind::Mer),
             false_area_test: false,
-            raster: RasterConfig::default(),
+            raster: true,
             exact: ExactAlgorithm::TrStar {
                 max_entries: MEASURED_TRSTAR_CAPACITY,
             },
@@ -224,10 +160,7 @@ impl Default for JoinConfig {
             batch_pairs: DEFAULT_BATCH_PAIRS,
             obs: ObsConfig::default(),
             force_scalar: false,
-            prepared_cache_cap: DEFAULT_PREPARED_CACHE_CAP,
-            deadline: None,
             fault: FaultConfig::disabled(),
-            allow_degraded: true,
         }
     }
 }
@@ -241,7 +174,7 @@ impl JoinConfig {
             conservative: None,
             progressive: None,
             false_area_test: false,
-            raster: RasterConfig::off(),
+            raster: false,
             exact: ExactAlgorithm::PlaneSweep { restrict: true },
             ..JoinConfig::default()
         }
@@ -352,9 +285,9 @@ impl JoinConfigBuilder {
         self
     }
 
-    /// The Step-2a raster pre-filter stage.
-    pub fn raster(mut self, raster: RasterConfig) -> Self {
-        self.config.raster = raster;
+    /// Whether the Step-2a raster pre-filter stage runs.
+    pub fn raster(mut self, enabled: bool) -> Self {
+        self.config.raster = enabled;
         self
     }
 
@@ -388,29 +321,10 @@ impl JoinConfigBuilder {
         self
     }
 
-    /// Caps resident prepared joins (LRU eviction beyond `cap`).
-    pub fn prepared_cache_cap(mut self, cap: usize) -> Self {
-        self.config.prepared_cache_cap = cap;
-        self
-    }
-
-    /// Per-request wall-clock deadline (`None` = unlimited).
-    pub fn deadline(mut self, deadline: impl Into<Option<Duration>>) -> Self {
-        self.config.deadline = deadline.into();
-        self
-    }
-
     /// Deterministic fault-injection plan
     /// ([`msj_fault::FaultConfig::disabled`] by default).
     pub fn fault(mut self, fault: FaultConfig) -> Self {
         self.config.fault = fault;
-        self
-    }
-
-    /// Whether raster-corruption detection degrades to the filter-only
-    /// path (`true`, default) or fails the request (`false`).
-    pub fn allow_degraded(mut self, allow: bool) -> Self {
-        self.config.allow_degraded = allow;
         self
     }
 
@@ -486,15 +400,10 @@ mod tests {
     }
 
     #[test]
-    fn raster_defaults_on_with_auto_sizing() {
-        let c = JoinConfig::default();
-        assert!(c.raster.enabled);
-        assert_eq!(c.raster.grid_bits, 0, "0 = auto-size");
+    fn raster_defaults_on() {
+        assert!(JoinConfig::default().raster);
         // Version 1 models the filterless join: no raster either.
-        assert!(!JoinConfig::version1().raster.enabled);
-        assert_eq!(RasterConfig::with_bits(8).grid_bits, 8);
-        assert!(RasterConfig::with_bits(8).enabled);
-        assert!(!RasterConfig::off().enabled);
+        assert!(!JoinConfig::version1().raster);
     }
 
     #[test]
@@ -512,16 +421,13 @@ mod tests {
             .conservative(ConservativeKind::ConvexHull)
             .progressive(None)
             .false_area_test(true)
-            .raster(RasterConfig::with_bits(7))
+            .raster(false)
             .exact(ExactAlgorithm::Quadratic)
             .execution(Execution::Fused { threads: 3 })
             .batch_pairs(64)
             .obs(ObsConfig::disabled())
             .force_scalar(true)
-            .prepared_cache_cap(3)
-            .deadline(Duration::from_millis(250))
             .fault(FaultConfig::seeded(7, msj_fault::FaultKind::WorkerPanic))
-            .allow_degraded(false)
             .build();
         assert_eq!(
             c.backend,
@@ -535,7 +441,7 @@ mod tests {
         assert_eq!(c.conservative, Some(ConservativeKind::ConvexHull));
         assert_eq!(c.progressive, None);
         assert!(c.false_area_test);
-        assert_eq!(c.raster, RasterConfig::with_bits(7));
+        assert!(!c.raster);
         assert_eq!(c.exact, ExactAlgorithm::Quadratic);
         assert_eq!(c.execution, Execution::Fused { threads: 3 });
         assert_eq!(c.batch_pairs, 64);
@@ -543,30 +449,20 @@ mod tests {
         assert!(!c.obs.enabled);
         assert!(c.force_scalar);
         assert_eq!(c.kernel_dispatch(), msj_geom::KernelDispatch::Scalar);
-        assert_eq!(c.prepared_cache_cap, 3);
-        assert_eq!(c.deadline, Some(Duration::from_millis(250)));
         assert_eq!(
             c.fault,
             FaultConfig::seeded(7, msj_fault::FaultKind::WorkerPanic)
         );
-        assert!(!c.allow_degraded);
-        // Robustness knobs default to off / permissive.
-        assert_eq!(JoinConfig::default().deadline, None);
+        // Robustness knobs default to off.
         assert_eq!(JoinConfig::default().fault, FaultConfig::disabled());
         assert!(!JoinConfig::default().fault.enabled());
-        assert!(JoinConfig::default().allow_degraded);
         assert!(!JoinConfig::default().force_scalar);
-        assert_eq!(
-            JoinConfig::default().prepared_cache_cap,
-            DEFAULT_PREPARED_CACHE_CAP
-        );
         // The default configuration keeps observability on (no traces).
         assert!(JoinConfig::default().obs.enabled);
         assert_eq!(JoinConfig::default().obs.trace_capacity, 0);
         // to_builder picks up a preset.
         let v2 = JoinConfig::version2().to_builder().build();
         assert_eq!(v2, JoinConfig::version2());
-        assert_eq!(RasterConfig::auto(), RasterConfig::default());
     }
 
     #[test]

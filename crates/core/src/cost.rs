@@ -1,4 +1,4 @@
-//! The §5 total-cost model behind Figures 11 and 18.
+//! The §5 total-cost model behind Figure 18.
 //!
 //! The paper converts measured counts into time with fixed constants:
 //! a page access costs 10 ms; the exact investigation of one candidate
@@ -140,34 +140,6 @@ pub fn estimate_cost(
     }
 }
 
-/// The Figure 11 loss/gain accounting for storing approximations:
-/// `loss` = extra MBR-join page accesses caused by the larger entries,
-/// `gain` = pairs identified by the filter × one page access each.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LossGain {
-    /// Additional MBR-join page accesses (approximation layout vs
-    /// baseline layout).
-    pub loss_pages: i64,
-    /// Page accesses saved by filter-identified pairs.
-    pub gain_pages: i64,
-}
-
-impl LossGain {
-    /// Net saved page accesses (positive = the approximations pay off).
-    pub fn total_pages(&self) -> i64 {
-        self.gain_pages - self.loss_pages
-    }
-}
-
-/// Computes Figure 11's loss/gain from a baseline run (MBR only) and an
-/// approximation run (same data, approximations stored and used).
-pub fn figure11_loss_gain(baseline: &MultiStepStats, with_approx: &MultiStepStats) -> LossGain {
-    LossGain {
-        loss_pages: with_approx.mbr_join.io.physical as i64 - baseline.mbr_join.io.physical as i64,
-        gain_pages: with_approx.identified() as i64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,15 +221,5 @@ mod tests {
             (e.object_access_s - unidentified * 10.0 * 1.5 / 1000.0).abs() < 1e-12,
             "estimate applies the assumed yield"
         );
-    }
-
-    #[test]
-    fn loss_gain_accounting() {
-        let baseline = stats(1000, 0, 100);
-        let with_approx = stats(1000, 460, 120);
-        let lg = figure11_loss_gain(&baseline, &with_approx);
-        assert_eq!(lg.loss_pages, 20);
-        assert_eq!(lg.gain_pages, 460);
-        assert_eq!(lg.total_pages(), 440);
     }
 }

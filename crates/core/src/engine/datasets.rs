@@ -301,8 +301,10 @@ pub(super) fn config_tag(config: &JoinConfig) -> u64 {
     // STR-packed (the former 0), so segments written before the choice
     // went away keep matching.
     bytes.push(0);
-    bytes.push(config.raster.enabled as u8);
-    bytes.extend(config.raster.grid_bits.to_le_bytes());
+    bytes.push(config.raster as u8);
+    // Where an explicit grid resolution used to be tagged: grids are
+    // always auto-sized (the former 0).
+    bytes.extend(0u32.to_le_bytes());
     msj_geom::fnv1a64(&bytes)
 }
 

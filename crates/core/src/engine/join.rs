@@ -19,7 +19,7 @@ use msj_obs::Span;
 use msj_store::Section;
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Per-run statistics a [`PreparedJoin`] retains as admission history
 /// ([`PreparedJoin::run_history`]).
@@ -27,15 +27,12 @@ pub const RUN_HISTORY: usize = 32;
 
 /// What an engine's [`PreparedJoin`] answers to and a one-shot join
 /// ([`crate::MultiStepJoin::execute`]) does not: instruments, §5
-/// constants, the fault plan and the default deadline.
+/// constants and the fault plan.
 struct Serving {
     obs: Arc<EngineObs>,
     /// §5 constants for the trace-time estimate.
     params: CostModelParams,
     fault: FaultLatch,
-    /// Engine-configured default deadline armed per run when the caller
-    /// passes no token of their own.
-    deadline: Option<Duration>,
 }
 
 /// A join with Step 0 (preprocessing, the paper's "insertion time") done:
@@ -129,8 +126,8 @@ impl PreparedJoin {
         let (arts_a, _) = DatasetArtifacts::build(config, &rel_a, None, None);
         let (arts_b, _) = DatasetArtifacts::build(config, &rel_b, None, None);
         let mut filter = shared_filter(config, &arts_a, &arts_b);
-        if config.raster.enabled {
-            filter = filter.with_raster(&rel_a, &rel_b, config.raster.grid_bits);
+        if config.raster {
+            filter = filter.with_raster(&rel_a, &rel_b);
         }
         let step0_nanos = t_prep.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let (a, b) = ((0, &rel_a, &arts_a), (1, &rel_b, &arts_b));
@@ -164,19 +161,12 @@ impl PreparedJoin {
     /// On an engine's prepared join every run — successful or failed —
     /// records into the engine's registry and trace ring: direct runs
     /// and submitted requests are indistinguishable to the exporters.
-    /// With no `cancel`, the engine's default deadline (if configured)
-    /// arms a fresh token; a caller-supplied token always wins.
     pub fn try_run_with(
         &self,
         execution: Execution,
         cancel: Option<&CancelToken>,
     ) -> Result<JoinResult, EngineError> {
         let serving = self.serving.as_ref();
-        let own_token = match (cancel, serving.and_then(|s| s.deadline)) {
-            (None, Some(deadline)) => Some(CancelToken::with_deadline(deadline)),
-            _ => None,
-        };
-        let cancel = cancel.or(own_token.as_ref());
         let session = serving.map_or_else(msj_fault::FaultSession::inert, |s| s.fault.session());
         let recorder = serving.filter(|s| s.obs.enabled);
         // The trace carries the estimate the run would have been
@@ -458,45 +448,26 @@ impl SpatialEngine {
     /// pair-level state (the raster signatures on the pair's shared
     /// grid, the Step-1 source wiring) is built here.
     pub fn prepare_join(&self, a: &DatasetHandle, b: &DatasetHandle) -> Arc<PreparedJoin> {
-        match self.try_prepare_join(a, b) {
-            Ok(prepared) => prepared,
-            Err(err) => panic!("prepare_join failed: {err}"),
-        }
-    }
-
-    /// [`Self::prepare_join`] surfacing preparation failures — today
-    /// only [`EngineError::DegradedUnavailable`], when the pair's raster
-    /// signatures fail verification and [`JoinConfig::allow_degraded`]
-    /// is off — as structured errors.
-    pub fn try_prepare_join(
-        &self,
-        a: &DatasetHandle,
-        b: &DatasetHandle,
-    ) -> Result<Arc<PreparedJoin>, EngineError> {
         self.assert_registered(a);
         self.assert_registered(b);
         let key = (a.id(), b.id());
         let obs = &self.obs;
         if let Some(prepared) = self.cached_join(key) {
             obs.cache_hits.inc();
-            return Ok(prepared);
+            return prepared;
         }
         obs.cache_misses.inc();
         // Build outside the cache lock so a slow pair-level Step 0 never
         // blocks requests for other pairs; a concurrent double build is
         // harmless (both are deterministic over the same shared state)
         // and the first insert wins.
-        let built = Arc::new(self.build_prepared(a, b)?);
+        let built = Arc::new(self.build_prepared(a, b));
         let (served, evicted) = lock(&self.prepared).insert(key, built);
         obs.cache_evictions.add(evicted);
-        Ok(served)
+        served
     }
 
-    fn build_prepared(
-        &self,
-        a: &DatasetHandle,
-        b: &DatasetHandle,
-    ) -> Result<PreparedJoin, EngineError> {
+    fn build_prepared(&self, a: &DatasetHandle, b: &DatasetHandle) -> PreparedJoin {
         let t_pair = self.obs.enabled.then(Instant::now);
         let (sa, sb) = (&a.state, &b.state);
         let arts_a = self.artifacts(sa);
@@ -506,8 +477,8 @@ impl SpatialEngine {
             self.artifacts(sb)
         };
         let filter = shared_filter(&self.config, &arts_a, &arts_b);
-        let (filter, degraded) = if self.config.raster.enabled {
-            self.attach_raster(filter, a, b)?
+        let (filter, degraded) = if self.config.raster {
+            self.attach_raster(filter, a, b)
         } else {
             (filter, None)
         };
@@ -523,9 +494,8 @@ impl SpatialEngine {
             obs: self.obs.clone(),
             params: self.params,
             fault: self.fault.clone(),
-            deadline: self.config.deadline,
         };
-        Ok(PreparedJoin::assemble(
+        PreparedJoin::assemble(
             &self.config,
             (sa.id, &sa.relation, &arts_a),
             (sb.id, &sb.relation, &arts_b),
@@ -533,7 +503,7 @@ impl SpatialEngine {
             step0_nanos,
             Some(serving),
             degraded,
-        ))
+        )
     }
 
     /// Pair-level Step 0: gives `filter` its Step-2a raster stage —
@@ -549,13 +519,13 @@ impl SpatialEngine {
     /// same thing one media generation earlier. The fallback strips the
     /// rasters for this pair — every Step-2 survivor goes to exact
     /// geometry, answers stay correct, only the §4 filter speedup is
-    /// lost — unless the configuration forbids it.
+    /// lost.
     fn attach_raster(
         &self,
         mut filter: GeometricFilter,
         a: &DatasetHandle,
         b: &DatasetHandle,
-    ) -> Result<(GeometricFilter, Option<&'static str>), EngineError> {
+    ) -> (GeometricFilter, Option<&'static str>) {
         let (sa, sb) = (&a.state, &b.state);
         let obs = &self.obs;
         let mut degraded = None;
@@ -598,7 +568,7 @@ impl SpatialEngine {
         }
         obs.checksum_failed(&corrupt);
         if degraded.is_none() && !attached {
-            filter = filter.with_raster(&sa.relation, &sb.relation, self.config.raster.grid_bits);
+            filter = filter.with_raster(&sa.relation, &sb.relation);
             if let (Some(backend), Some((ra, rb))) = (&self.store, filter.raster_stores()) {
                 let sections = [
                     (Section::RasterA, ra.to_bytes()),
@@ -617,9 +587,6 @@ impl SpatialEngine {
             }
         }
         if let Some(reason) = degraded {
-            if !self.config.allow_degraded {
-                return Err(EngineError::DegradedUnavailable { reason });
-            }
             filter.strip_raster();
             obs.degraded_mode(reason);
             if let Some(site) = session.fired() {
@@ -627,7 +594,7 @@ impl SpatialEngine {
             }
             obs.trace("degraded_mode", (a.id(), b.id()), |_| {});
         }
-        Ok((filter, degraded))
+        (filter, degraded)
     }
 
     pub(super) fn run_join_request(
@@ -666,7 +633,7 @@ impl SpatialEngine {
             });
         }
         obs.admission_accept.inc();
-        let prepared = self.try_prepare_join(&ha, &hb)?;
+        let prepared = self.prepare_join(&ha, &hb);
         let result = prepared.try_run_with(execution.unwrap_or(self.config.execution), cancel)?;
         let cost = figure18_cost(&result.stats, exact_cost_kind(&self.config), &self.params);
         obs.admission_error(estimated_s, cost.total_s());
@@ -679,5 +646,31 @@ impl SpatialEngine {
                 cost,
             },
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prepared_cache_evicts_least_recently_used_beyond_cap() {
+        let config = JoinConfig::default();
+        let rel = msj_datagen::small_carto(8, 16.0, 2001);
+        let join = || Arc::new(PreparedJoin::one_shot(&config, &rel, &rel));
+        let mut cache = PreparedCache::new(2);
+        let (ab, _) = cache.insert((0, 1), join());
+        cache.insert((0, 2), join());
+        // Touch (0,1) so (0,2) is the stalest pair, then overflow the cap.
+        assert!(Arc::ptr_eq(&ab, &cache.get((0, 1)).unwrap()));
+        assert_eq!(cache.insert((1, 2), join()).1, 1);
+        assert!(Arc::ptr_eq(&ab, &cache.get((0, 1)).unwrap()));
+        assert!(cache.get((0, 2)).is_none());
+        // A concurrent double build keeps the first insert.
+        let (served, evicted) = cache.insert((0, 1), join());
+        assert!(Arc::ptr_eq(&served, &ab));
+        assert_eq!(evicted, 0);
+        cache.forget_dataset(1);
+        assert!(cache.get((0, 1)).is_none() && cache.get((1, 2)).is_none());
     }
 }

@@ -59,7 +59,7 @@ pub use types::{
     Admission, DatasetId, EngineError, JoinResponse, Request, Response, SelectionResponse,
 };
 
-use crate::config::JoinConfig;
+use crate::config::{JoinConfig, DEFAULT_PREPARED_CACHE_CAP};
 use crate::cost::CostModelParams;
 use datasets::{DatasetState, StoreBackend};
 use join::PreparedCache;
@@ -133,7 +133,7 @@ pub struct SpatialEngine {
     obs: Arc<EngineObs>,
     datasets: RwLock<Vec<Arc<DatasetState>>>,
     /// Prepared-join cache keyed by dataset-id pair, LRU-capped at
-    /// [`JoinConfig::prepared_cache_cap`].
+    /// [`DEFAULT_PREPARED_CACHE_CAP`].
     prepared: Mutex<PreparedCache>,
     /// The persistent artifact store, when armed
     /// ([`SpatialEngine::with_store`] / [`SpatialEngine::open`]).
@@ -154,7 +154,7 @@ impl SpatialEngine {
         };
         SpatialEngine {
             obs: Arc::new(EngineObs::new(config.obs, config.kernel_dispatch())),
-            prepared: Mutex::new(PreparedCache::new(config.prepared_cache_cap)),
+            prepared: Mutex::new(PreparedCache::new(DEFAULT_PREPARED_CACHE_CAP)),
             tag: datasets::config_tag(&config),
             config,
             params: CostModelParams::default(),

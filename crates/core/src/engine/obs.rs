@@ -88,7 +88,7 @@ pub(super) struct EngineObs {
     /// By [`DEGRADED_REASONS`].
     degraded: [Arc<Counter>; 3],
     /// By [`EngineError::ALL_KINDS`].
-    errors: [Arc<Counter>; 6],
+    errors: [Arc<Counter>; 5],
     /// By [`FAULT_SITES`].
     fault_injected: [Arc<Counter>; 9],
     /// By [`Section::ALL`].

@@ -50,33 +50,6 @@ fn engine_join_matches_one_shot_pipeline() {
 }
 
 #[test]
-fn prepared_cache_evicts_least_recently_used_beyond_cap() {
-    let engine = SpatialEngine::new(JoinConfig::builder().prepared_cache_cap(2).build());
-    let a = engine.register(msj_datagen::small_carto(12, 16.0, 2001));
-    let b = engine.register(msj_datagen::small_carto(12, 16.0, 2002));
-    let c = engine.register(msj_datagen::small_carto(12, 16.0, 2003));
-    let ab = engine.prepare_join(&a, &b);
-    let ac = engine.prepare_join(&a, &c);
-    let expect_ac = ac.run().pairs;
-    // Touch (a,b) so (a,c) is the stalest pair, then overflow the cap.
-    assert!(Arc::ptr_eq(&ab, &engine.prepare_join(&a, &b)));
-    let _bc = engine.prepare_join(&b, &c);
-    assert_eq!(
-        engine
-            .metrics()
-            .snapshot()
-            .counter("msj_prepared_cache_evictions_total"),
-        1
-    );
-    // The touched pair survived; the evicted pair is rebuilt on next
-    // use (fresh Arc, identical results).
-    assert!(Arc::ptr_eq(&ab, &engine.prepare_join(&a, &b)));
-    let rebuilt = engine.prepare_join(&a, &c);
-    assert!(!Arc::ptr_eq(&ac, &rebuilt));
-    assert_eq!(rebuilt.run().pairs, expect_ac);
-}
-
-#[test]
 fn kernel_dispatch_gauge_marks_the_selected_path() {
     let engine = SpatialEngine::new(JoinConfig::default());
     let snap = engine.metrics().snapshot();
@@ -535,9 +508,6 @@ fn engine_error_matches_display_and_kind_on_every_variant() {
             worker: 2,
             message: "boom".into(),
         },
-        EngineError::DegradedUnavailable {
-            reason: "raster_checksum",
-        },
     ];
     for err in variants {
         // The enum is #[non_exhaustive]; the wildcard arm is the
@@ -574,10 +544,6 @@ fn engine_error_matches_display_and_kind_on_every_variant() {
                 assert_eq!(*worker, 2);
                 assert_eq!(message, "boom");
                 "worker_panicked"
-            }
-            EngineError::DegradedUnavailable { reason } => {
-                assert_eq!(*reason, "raster_checksum");
-                "degraded_unavailable"
             }
             _ => unreachable!("non_exhaustive wildcard"),
         };
@@ -648,22 +614,6 @@ fn expired_deadline_returns_deadline_exceeded_and_engine_recovers() {
         snap.counter("msj_request_errors_total{kind=\"deadline_exceeded\"}"),
         2
     );
-}
-
-#[test]
-fn config_deadline_arms_a_token_per_request() {
-    let a = msj_datagen::small_carto(60, 24.0, 1103);
-    let b = msj_datagen::small_carto(60, 24.0, 1104);
-    let engine = SpatialEngine::new(JoinConfig::builder().deadline(Duration::ZERO).build());
-    let (ha, hb) = (engine.register(a), engine.register(b));
-    let err = engine
-        .submit(Request::Join {
-            a: ha.id(),
-            b: hb.id(),
-            execution: None,
-        })
-        .unwrap_err();
-    assert!(matches!(err, EngineError::DeadlineExceeded { .. }));
 }
 
 #[test]
@@ -828,24 +778,6 @@ fn injected_raster_corruption_degrades_and_answers_stay_correct() {
         .recent_traces()
         .iter()
         .any(|t| t.kind == "degraded_mode"));
-    // With the fallback forbidden, the same corruption is an error.
-    let strict = SpatialEngine::new(
-        JoinConfig::builder()
-            .allow_degraded(false)
-            .fault(FaultConfig::seeded(5, msj_fault::FaultKind::RasterCorrupt))
-            .build(),
-    );
-    let (sa, sb) = (strict.register(a), strict.register(b));
-    let err = strict
-        .try_prepare_join(&sa, &sb)
-        .err()
-        .expect("strict engine must refuse the corrupted pair");
-    assert_eq!(
-        err,
-        EngineError::DegradedUnavailable {
-            reason: "fault_injected"
-        }
-    );
 }
 
 #[test]

@@ -135,13 +135,6 @@ pub enum EngineError {
         /// The rendered panic payload.
         message: String,
     },
-    /// The pair's Step-2a raster signatures failed verification and the
-    /// configuration forbids the degraded filter-only fallback
-    /// ([`crate::JoinConfig::allow_degraded`] is `false`).
-    DegradedUnavailable {
-        /// What failed verification.
-        reason: &'static str,
-    },
 }
 
 impl EngineError {
@@ -149,13 +142,12 @@ impl EngineError {
     /// declaration order. Frontends that map engine errors onto another
     /// surface (e.g. `msj-serve`'s wire statuses) iterate this list in a
     /// completeness test so a new variant cannot ship unmapped.
-    pub const ALL_KINDS: [&'static str; 6] = [
+    pub const ALL_KINDS: [&'static str; 5] = [
         "unknown_dataset",
         "admission_denied",
         "deadline_exceeded",
         "cancelled",
         "worker_panicked",
-        "degraded_unavailable",
     ];
 
     /// The stable `kind` label this error is counted under in
@@ -167,7 +159,6 @@ impl EngineError {
             EngineError::DeadlineExceeded { .. } => "deadline_exceeded",
             EngineError::Cancelled { .. } => "cancelled",
             EngineError::WorkerPanicked { .. } => "worker_panicked",
-            EngineError::DegradedUnavailable { .. } => "degraded_unavailable",
         }
     }
 
@@ -210,10 +201,6 @@ impl std::fmt::Display for EngineError {
             EngineError::WorkerPanicked { worker, message } => {
                 write!(f, "worker {worker} panicked: {message}")
             }
-            EngineError::DegradedUnavailable { reason } => write!(
-                f,
-                "raster signatures unavailable ({reason}) and degraded mode is disabled"
-            ),
         }
     }
 }

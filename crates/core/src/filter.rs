@@ -6,7 +6,7 @@
 //!
 //! ## Step 2a: the raster pre-filter
 //!
-//! When [`crate::config::RasterConfig`] is enabled (the default), every
+//! When [`crate::JoinConfig::raster`] is on (the default), every
 //! candidate batch first runs through the **raster-interval signature
 //! stage** ([`msj_approx::raster`]): up to three binary-search intersections
 //! of the pair's A (all cells) and F (FULL cells) Hilbert-run lists that
@@ -31,7 +31,7 @@
 
 use msj_approx::{
     auto_grid_bits, raster_decide, ConservativeKind, ConservativeStore, ProgressiveKind,
-    ProgressiveStore, RasterDecision, RasterGrid, RasterStore, MAX_GRID_BITS, MIN_GRID_BITS,
+    ProgressiveStore, RasterDecision, RasterGrid, RasterStore,
 };
 use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{convex_intersect, ObjectId, Relation};
@@ -78,12 +78,9 @@ pub enum FilterPlan {
     /// no false-area test — the paper's recommended 5-C + MER
     /// configuration and every other convex/MER combination.
     ConvexMer,
-    /// Convex conservative rings only (no progressive store, no
-    /// false-area test).
-    ConvexOnly,
-    /// The general view-dispatching chain: curved conservative kinds,
-    /// MEC progressive stores, progressive-only configurations, or the
-    /// false-area test.
+    /// The general view-dispatching chain: every other combination —
+    /// curved conservative kinds, MEC progressive stores, a conservative
+    /// or progressive store on its own, or the false-area test.
     Generic,
 }
 
@@ -177,15 +174,11 @@ impl GeometricFilter {
     }
 
     /// Attaches the Step-2a raster stage: both relations rasterized on
-    /// one shared grid (`grid_bits == 0` auto-sizes from the workload,
-    /// explicit values are clamped to the supported range). A no-op for
-    /// empty workspaces.
-    pub fn with_raster(self, rel_a: &Relation, rel_b: &Relation, grid_bits: u32) -> Self {
-        let bits = if grid_bits == 0 {
-            auto_grid_bits(rel_a, rel_b)
-        } else {
-            grid_bits.clamp(MIN_GRID_BITS, MAX_GRID_BITS)
-        };
+    /// one shared grid, auto-sized from the workload
+    /// ([`auto_grid_bits`]). A no-op when the workspace has no finite,
+    /// non-empty extent to grid ([`RasterGrid::covering`]).
+    pub fn with_raster(self, rel_a: &Relation, rel_b: &Relation) -> Self {
+        let bits = auto_grid_bits(rel_a, rel_b);
         if let Some(grid) = RasterGrid::covering(rel_a, rel_b, bits) {
             let store_a = Arc::new(RasterStore::build(&grid, rel_a));
             let store_b = Arc::new(RasterStore::build(&grid, rel_b));
@@ -214,8 +207,7 @@ impl GeometricFilter {
     /// values recorded at build. `true` means intact (vacuously so when
     /// the stage is inactive); `false` means the signatures no longer
     /// match what was built — the engine then degrades to the
-    /// filter-only path or refuses, per
-    /// [`crate::JoinConfig::allow_degraded`].
+    /// filter-only path.
     pub fn verify_raster(&self) -> bool {
         match (&self.raster_a, &self.raster_b, self.raster_checksums) {
             (Some(a), Some(b), Some((ca, cb))) => a.checksum() == ca && b.checksum() == cb,
@@ -252,8 +244,8 @@ impl GeometricFilter {
         } else {
             GeometricFilter::disabled()
         };
-        let filter = if config.raster.enabled {
-            filter.with_raster(rel_a, rel_b, config.raster.grid_bits)
+        let filter = if config.raster {
+            filter.with_raster(rel_a, rel_b)
         } else {
             filter
         };
@@ -281,7 +273,6 @@ impl GeometricFilter {
         match (cons_convex, prog_mer, self.use_false_area) {
             (None, None, false) => FilterPlan::Passthrough,
             (Some(true), Some(true), false) => FilterPlan::ConvexMer,
-            (Some(true), None, false) => FilterPlan::ConvexOnly,
             _ => FilterPlan::Generic,
         }
     }
@@ -478,20 +469,6 @@ impl GeometricFilter {
                     };
                 }
             }
-            FilterPlan::ConvexOnly => {
-                let rings_a = self.conservative_a.as_ref().and_then(|s| s.convex_slices());
-                let rings_b = self.conservative_b.as_ref().and_then(|s| s.convex_slices());
-                let (Some(rings_a), Some(rings_b)) = (rings_a, rings_b) else {
-                    unreachable!("ConvexOnly plan requires convex columns");
-                };
-                for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
-                    if *slot == FilterOutcome::Candidate
-                        && !convex_intersect(rings_a.ring(id_a), rings_b.ring(id_b))
-                    {
-                        *slot = FilterOutcome::FalseHit;
-                    }
-                }
-            }
             FilterPlan::Generic => {
                 for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
                     if *slot == FilterOutcome::Candidate {
@@ -564,7 +541,7 @@ mod tests {
         let (a, b) = bracket_relations();
         // The brackets hug opposite corners: their hulls are disjoint.
         let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, false);
-        assert_eq!(f.plan(), FilterPlan::ConvexOnly);
+        assert_eq!(f.plan(), FilterPlan::Generic);
         // MBRs do overlap (precondition of a candidate):
         assert!(a.object(0).mbr().intersects(&b.object(0).mbr()));
         assert_eq!(f.classify(0, 0), FilterOutcome::FalseHit);
@@ -675,7 +652,7 @@ mod tests {
                 Some(ProgressiveKind::Mer),
                 false,
             ), // ConvexMer
-            (Some(ConservativeKind::ConvexHull), None, false), // ConvexOnly
+            (Some(ConservativeKind::ConvexHull), None, false), // Generic
             (
                 Some(ConservativeKind::Mbr),
                 Some(ProgressiveKind::Mer),
@@ -747,7 +724,7 @@ mod tests {
             Some(ProgressiveKind::Mer),
             false,
         )
-        .with_raster(&a, &b, 0);
+        .with_raster(&a, &b);
         assert!(rastered.raster_active() && !plain.raster_active());
         assert_eq!(rastered.plan(), plain.plan(), "raster is plan-orthogonal");
 
@@ -808,7 +785,7 @@ mod tests {
         let config = crate::JoinConfig::default();
         assert!(GeometricFilter::from_config(&config, &a, &a.clone()).raster_active());
         let off = crate::JoinConfig {
-            raster: crate::config::RasterConfig::off(),
+            raster: false,
             ..config
         };
         assert!(!GeometricFilter::from_config(&off, &a, &a.clone()).raster_active());
@@ -850,7 +827,7 @@ mod tests {
                 Some(ConservativeKind::FourCorner),
                 None,
                 false,
-                FilterPlan::ConvexOnly,
+                FilterPlan::Generic,
             ),
             (
                 Some(ConservativeKind::FiveCorner),

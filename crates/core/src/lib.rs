@@ -12,7 +12,7 @@
 //!    ([`config::Backend::PartitionedSweep`]);
 //! 2. **Geometric filter** — the Step-2a raster pre-filter decides most
 //!    candidates by intersecting A/F Hilbert-run signatures
-//!    ([`config::RasterConfig`], on by default); conservative
+//!    ([`JoinConfig::raster`], on by default); conservative
 //!    approximations identify false hits, progressive approximations and
 //!    the false-area test identify hits among the remainder, all without
 //!    touching the exact geometry ([`filter::GeometricFilter`]);
@@ -27,7 +27,7 @@
 //! [`filter::FilterPlan`] compiled once per join over `msj-approx`'s
 //! columnar stores, and [`MultiStepStats`] carries the per-step
 //! cardinalities and wall-clock that feed every evaluation table.
-//! [`cost`] implements the §5 total-cost model of Figures 11 and 18.
+//! [`cost`] implements the §5 total-cost model of Figure 18.
 //!
 //! ## One path per request shape
 //!
@@ -79,11 +79,8 @@ pub mod stats;
 pub use candidates::{
     selection_source, CandidateSource, PartitionSummary, SelectionStats, Step1Stats,
 };
-pub use config::{Backend, JoinConfig, JoinConfigBuilder, RasterConfig, DEFAULT_BATCH_PAIRS};
-pub use cost::{
-    estimate_cost, figure11_loss_gain, figure18_cost, CostBreakdown, CostModelParams,
-    ExactCostKind, LossGain,
-};
+pub use config::{Backend, JoinConfig, JoinConfigBuilder, DEFAULT_BATCH_PAIRS};
+pub use cost::{estimate_cost, figure18_cost, CostBreakdown, CostModelParams, ExactCostKind};
 pub use engine::{
     Admission, DatasetHandle, DatasetId, EngineError, JoinResponse, PreparedJoin, Request,
     Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,

@@ -58,9 +58,8 @@ impl MultiStepJoin {
     /// configured [`crate::Execution`] policy: builds the same owned
     /// [`PreparedJoin`] a [`crate::SpatialEngine`] would (Step 0 from
     /// scratch, over a copy of each relation — the prepared join owns
-    /// its inputs), runs it once and drops it. The configuration's
-    /// deadline and fault plan are request-serving concerns and are not
-    /// applied; nothing is recorded anywhere but in the returned
+    /// its inputs), runs it once and drops it. The configuration's fault
+    /// plan is a request-serving concern and is not applied; nothing is recorded anywhere but in the returned
     /// statistics. To pay Step 0 once for many runs, register the
     /// relations on an engine and use
     /// [`crate::SpatialEngine::prepare_join`].
@@ -188,12 +187,11 @@ mod tests {
 
     #[test]
     fn raster_stage_never_changes_the_response_set() {
-        use crate::config::RasterConfig;
         let a = blob_relation(71, 40);
         let b = blob_relation(72, 40);
         let on = MultiStepJoin::new(JoinConfig::default()).execute(&a, &b);
         let off = MultiStepJoin::new(JoinConfig {
-            raster: RasterConfig::off(),
+            raster: false,
             ..JoinConfig::default()
         })
         .execute(&a, &b);

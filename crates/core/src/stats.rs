@@ -107,16 +107,6 @@ impl MultiStepStats {
         }
     }
 
-    /// True hits that the filter failed to identify.
-    pub fn unidentified_hits(&self) -> u64 {
-        self.exact_hits
-    }
-
-    /// True false hits that the filter failed to identify.
-    pub fn unidentified_false_hits(&self) -> u64 {
-        self.exact_tests - self.exact_hits
-    }
-
     /// Total true hits of the join.
     pub fn hits(&self) -> u64 {
         self.result_pairs
@@ -164,8 +154,6 @@ mod tests {
         assert_eq!(s.unidentified(), 40);
         assert_eq!(s.hits(), 65);
         assert_eq!(s.false_hits(), 35);
-        assert_eq!(s.unidentified_hits(), 30);
-        assert_eq!(s.unidentified_false_hits(), 10);
         assert!((s.identified_fraction() - 0.6).abs() < 1e-12);
         assert!((s.raster_decided_fraction() - 0.25).abs() < 1e-12);
     }
@@ -188,7 +176,7 @@ mod tests {
         // false hits = raster drops + filter false hits + exact-refuted
         assert_eq!(
             s.false_hits(),
-            s.raster_drops + s.filter_false_hits + s.unidentified_false_hits()
+            s.raster_drops + s.filter_false_hits + (s.exact_tests - s.exact_hits)
         );
     }
 

@@ -2,7 +2,7 @@
 //! nested-loops exact join for every filter/exact configuration.
 
 use msj_approx::{ConservativeKind, ProgressiveKind};
-use msj_core::{ground_truth_join, Backend, Execution, JoinConfig, MultiStepJoin, RasterConfig};
+use msj_core::{ground_truth_join, Backend, Execution, JoinConfig, MultiStepJoin};
 use msj_exact::ExactAlgorithm;
 use proptest::prelude::*;
 
@@ -63,16 +63,6 @@ fn batch_strategy() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(7), Just(1024)]
 }
 
-/// Step-2a raster stage: off, auto-sized, and explicit resolutions.
-fn raster_strategy() -> impl Strategy<Value = RasterConfig> {
-    prop_oneof![
-        Just(RasterConfig::off()),
-        Just(RasterConfig::default()),
-        Just(RasterConfig::with_bits(5)),
-        Just(RasterConfig::with_bits(9)),
-    ]
-}
-
 fn exact_strategy() -> impl Strategy<Value = ExactAlgorithm> {
     prop_oneof![
         Just(ExactAlgorithm::Quadratic),
@@ -93,7 +83,7 @@ proptest! {
         conservative in conservative_strategy(),
         progressive in progressive_strategy(),
         false_area_test in any::<bool>(),
-        raster in raster_strategy(),
+        raster in any::<bool>(),
         exact in exact_strategy(),
         backend in backend_strategy(),
         execution in execution_strategy(),
@@ -125,7 +115,7 @@ proptest! {
             s.result_pairs,
             s.raster_hits + s.filter_hits_progressive + s.filter_hits_false_area + s.exact_hits
         );
-        if raster.enabled {
+        if raster {
             prop_assert_eq!(
                 s.mbr_join.candidates,
                 s.raster_hits + s.raster_drops + s.raster_inconclusive

@@ -69,11 +69,6 @@ impl OpCounts {
         micros / 1000.0
     }
 
-    /// Weighted cost in seconds.
-    pub fn cost_secs(&self, w: &Weights) -> f64 {
-        self.cost_ms(w) / 1000.0
-    }
-
     /// Component-wise sum.
     pub fn merge(&mut self, other: &OpCounts) {
         self.edge_intersection += other.edge_intersection;
@@ -84,16 +79,6 @@ impl OpCounts {
         self.trapezoid += other.trapezoid;
         self.pip_performed += other.pip_performed;
         self.pip_skipped += other.pip_skipped;
-    }
-
-    /// Total number of weighted operations.
-    pub fn total_ops(&self) -> u64 {
-        self.edge_intersection
-            + self.edge_line
-            + self.position
-            + self.edge_rect
-            + self.rect_rect
-            + self.trapezoid
     }
 }
 
@@ -119,7 +104,6 @@ mod tests {
         c.trapezoid = 500; // 500 × 38 µs = 19 ms
         let w = Weights::default();
         assert!((c.cost_ms(&w) - 34.0).abs() < 1e-9);
-        assert!((c.cost_secs(&w) - 0.034).abs() < 1e-12);
     }
 
     #[test]
@@ -142,6 +126,5 @@ mod tests {
         assert_eq!(a.edge_line, 5);
         assert_eq!(a.pip_performed, 3);
         assert_eq!(a.pip_skipped, 7);
-        assert_eq!(a.total_ops(), 11 + 2 + 5);
     }
 }

@@ -107,11 +107,6 @@ impl<'a> ExactProcessor<'a> {
         self.algorithm
     }
 
-    /// The prepared TR*-tree stores (present only for `TrStar`).
-    pub fn tree_stores(&self) -> Option<(&TrStarStore, &TrStarStore)> {
-        self.trees_a.as_deref().zip(self.trees_b.as_deref())
-    }
-
     /// Tests one candidate pair on the exact geometry, accumulating the
     /// weighted operation counts into `counts`.
     pub fn intersects(&self, id_a: ObjectId, id_b: ObjectId, counts: &mut OpCounts) -> bool {

@@ -72,19 +72,16 @@ pub fn region_intersects_rect_reference(region: &PolygonWithHoles, window: &Rect
     region.contains_point(window.center()) || window.contains_rect(&region.mbr())
 }
 
-/// A window as a degenerate region (for reuse of polygon-polygon paths in
-/// tests).
-pub fn rect_to_region(window: &Rect) -> PolygonWithHoles {
-    msj_geom::Polygon::new(window.corners().to_vec())
-        .expect("rect corners form a polygon")
-        .into()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::quadratic::quadratic_intersects;
     use msj_geom::Polygon;
+
+    /// A window as a region, for the polygon-polygon reference path.
+    fn rect_to_region(window: &Rect) -> PolygonWithHoles {
+        Polygon::new(window.corners().to_vec()).unwrap().into()
+    }
 
     fn region(coords: &[(f64, f64)]) -> PolygonWithHoles {
         Polygon::new(coords.iter().map(|&(x, y)| Point::new(x, y)).collect())

@@ -128,11 +128,6 @@ impl CancelToken {
             .deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
-
-    /// Whether a deadline is armed on this token.
-    pub fn has_deadline(&self) -> bool {
-        self.shared.deadline.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -144,7 +139,6 @@ mod tests {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());
         assert_eq!(token.reason(), None);
-        assert!(!token.has_deadline());
         assert_eq!(token.remaining(), None);
     }
 
@@ -160,7 +154,7 @@ mod tests {
     #[test]
     fn zero_deadline_expires_immediately() {
         let token = CancelToken::with_deadline(Duration::ZERO);
-        assert!(token.has_deadline());
+        assert_eq!(token.remaining(), Some(Duration::ZERO));
         assert!(token.is_cancelled());
         assert_eq!(token.reason(), Some(CancelReason::DeadlineExpired));
     }

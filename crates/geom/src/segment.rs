@@ -3,7 +3,7 @@
 //! algorithms (Table 6, weight 15).
 
 use crate::point::Point;
-use crate::predicates::{in_box, orient2d, orient2d_raw, Orientation};
+use crate::predicates::{in_box, orient2d, Orientation};
 use crate::rect::Rect;
 
 /// A closed line segment between two endpoints.
@@ -73,23 +73,6 @@ impl Segment {
             || (o4 == Orientation::Collinear && in_box(other.a, other.b, self.b))
     }
 
-    /// *Proper* intersection test: the open segments cross in exactly one
-    /// interior point. Touching at endpoints or collinear overlap does not
-    /// count. Used by the polygon simplicity validator, where adjacent
-    /// edges legitimately share endpoints.
-    pub fn intersects_properly(&self, other: &Segment) -> bool {
-        let o1 = orient2d(self.a, self.b, other.a);
-        let o2 = orient2d(self.a, self.b, other.b);
-        let o3 = orient2d(other.a, other.b, self.a);
-        let o4 = orient2d(other.a, other.b, self.b);
-        o1 != o2
-            && o3 != o4
-            && o1 != Orientation::Collinear
-            && o2 != Orientation::Collinear
-            && o3 != Orientation::Collinear
-            && o4 != Orientation::Collinear
-    }
-
     /// The intersection point of the two supporting *lines*, or `None` when
     /// they are (numerically) parallel. Used when merging hull edges into a
     /// bounding m-corner.
@@ -103,16 +86,6 @@ impl Segment {
         }
         let t = (other.a - self.a).cross(d2) / denom;
         Some(self.a + d1 * t)
-    }
-
-    /// The intersection point of the two closed segments when they cross in
-    /// a single point; `None` when disjoint or collinear-overlapping.
-    pub fn segment_intersection(&self, other: &Segment) -> Option<Point> {
-        if !self.intersects(other) {
-            return None;
-        }
-        let p = self.line_intersection(other)?;
-        Some(p)
     }
 
     /// The point's y coordinate on the supporting line at abscissa `x`.
@@ -165,13 +138,6 @@ impl Segment {
     pub fn shoelace(&self) -> f64 {
         self.a.cross(self.b)
     }
-
-    /// Signed double triangle area `(a, b, p)`; positive when `p` is left
-    /// of the directed edge.
-    #[inline]
-    pub fn side_of(&self, p: Point) -> f64 {
-        orient2d_raw(self.a, self.b, p)
-    }
 }
 
 #[cfg(test)]
@@ -187,25 +153,22 @@ mod tests {
         let e1 = s(0.0, 0.0, 2.0, 2.0);
         let e2 = s(0.0, 2.0, 2.0, 0.0);
         assert!(e1.intersects(&e2));
-        assert!(e1.intersects_properly(&e2));
-        let p = e1.segment_intersection(&e2).unwrap();
+        let p = e1.line_intersection(&e2).unwrap();
         assert!((p.x - 1.0).abs() < 1e-12 && (p.y - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn touching_at_endpoint_is_closed_but_not_proper() {
+    fn touching_at_endpoint_intersects() {
         let e1 = s(0.0, 0.0, 1.0, 1.0);
         let e2 = s(1.0, 1.0, 2.0, 0.0);
         assert!(e1.intersects(&e2));
-        assert!(!e1.intersects_properly(&e2));
     }
 
     #[test]
-    fn t_junction_is_closed_but_not_proper() {
+    fn t_junction_intersects() {
         let e1 = s(0.0, 0.0, 2.0, 0.0);
         let e2 = s(1.0, 0.0, 1.0, 3.0);
         assert!(e1.intersects(&e2));
-        assert!(!e1.intersects_properly(&e2));
     }
 
     #[test]
@@ -213,7 +176,6 @@ mod tests {
         let e1 = s(0.0, 0.0, 1.0, 0.0);
         let e2 = s(0.0, 1.0, 1.0, 1.0);
         assert!(!e1.intersects(&e2));
-        assert!(e1.segment_intersection(&e2).is_none());
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl LruBuffer {
         self.resident.insert(page, self.clock);
     }
 
-    /// Number of currently resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -152,11 +147,11 @@ mod tests {
         b.access(2);
         b.reset_stats();
         assert_eq!(b.stats().logical, 0);
-        assert_eq!(b.resident_pages(), 2);
+        assert_eq!(b.resident.len(), 2);
         b.access(1); // warm: no physical read
         assert_eq!(b.stats().physical, 0);
         b.reset();
-        assert_eq!(b.resident_pages(), 0);
+        assert_eq!(b.resident.len(), 0);
         b.access(1);
         assert_eq!(b.stats().physical, 1);
     }
@@ -214,7 +209,7 @@ mod tests {
                     "capacity {capacity}, step {step}"
                 );
             }
-            assert_eq!(buffer.resident_pages(), naive.pages.len());
+            assert_eq!(buffer.resident.len(), naive.pages.len());
         }
     }
 

@@ -3,8 +3,8 @@
 //! `msj-serve` puts a [`msj_core::SpatialEngine`] behind a TCP listener
 //! speaking the length-prefixed protocol of [`protocol`], built on a
 //! readiness loop over nonblocking `std::net` sockets (raw-syscall
-//! `epoll` on Linux/x86-64, a portable scan poller elsewhere — no
-//! external dependencies). The design goal is the robustness story of
+//! `epoll` on Linux/x86-64, a portable scan poller elsewhere or under
+//! `MSJ_SERVE_POLLER=scan` — no external dependencies). The design goal is the robustness story of
 //! the paper's §5 engineering: a server that **refuses load it cannot
 //! carry** instead of degrading for everyone.
 //!
@@ -19,6 +19,9 @@
 //!   wait spends the budget too; an over-deadline request answers a
 //!   503-style [`protocol::WireStatus::DeadlineExceeded`] carrying the
 //!   partial-work accounting.
+//! - **Hostile frames.** Every request frame is decoded bounds-checked;
+//!   a truncated frame, an unknown kind or a NaN / ∞ coordinate answers
+//!   [`protocol::WireStatus::BadRequest`] and never reaches the engine.
 //! - **Connection hardening.** Idle, stalled-read and stalled-write
 //!   timeouts; a per-connection in-flight cap; a max-frame guard that
 //!   rejects oversized requests before buffering them.

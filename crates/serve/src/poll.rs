@@ -36,12 +36,10 @@ pub trait Poller: Send {
 }
 
 /// Builds the best poller for this platform, honoring
-/// `MSJ_SERVE_POLLER=scan` (or `force_scan`) as an override.
-pub fn new_poller(force_scan: bool) -> Box<dyn Poller> {
-    let env_scan = std::env::var("MSJ_SERVE_POLLER")
-        .map(|v| v.eq_ignore_ascii_case("scan"))
-        .unwrap_or(false);
-    if !(force_scan || env_scan) {
+/// `MSJ_SERVE_POLLER=scan` as an override.
+pub fn new_poller() -> Box<dyn Poller> {
+    let scan = std::env::var("MSJ_SERVE_POLLER").is_ok_and(|v| v.eq_ignore_ascii_case("scan"));
+    if !scan {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         if let Some(epoll) = epoll::EpollPoller::new() {
             return Box::new(epoll);
@@ -311,11 +309,10 @@ mod tests {
     }
 
     #[test]
-    fn default_poller_selection_honors_force_scan() {
-        assert_eq!(new_poller(true).name(), "scan");
+    fn default_poller_is_epoll_without_the_override() {
         #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
         if std::env::var("MSJ_SERVE_POLLER").is_err() {
-            assert_eq!(new_poller(false).name(), "epoll");
+            assert_eq!(new_poller().name(), "epoll");
         }
     }
 }

@@ -6,7 +6,8 @@
 //! **Request body:** `[u64 request_id][u32 deadline_ms][u8 kind][payload]`
 //! — `deadline_ms == 0` means no deadline; a nonzero value arms the
 //! engine's cooperative [`msj_core::CancelToken`] the moment the frame
-//! is admitted, so queue wait counts against the budget.
+//! is admitted, so queue wait counts against the budget. Point and
+//! window coordinates must be finite; a NaN or ∞ fails decoding.
 //!
 //! **Response body:** `[u64 request_id][u8 status][payload]`.
 //!
@@ -152,8 +153,8 @@ pub enum WireStatus {
     UnknownDataset = 5,
     /// A worker panicked mid-run; the engine stays serviceable.
     WorkerPanicked = 6,
-    /// Raster verification failed and degraded mode is disabled.
-    DegradedUnavailable = 7,
+    // 7 is retired and never reused: older clients read it as a
+    // raster-verification refusal.
     /// The frame could not be parsed.
     BadRequest = 8,
     /// The declared frame length exceeds the server's cap.
@@ -174,7 +175,6 @@ impl WireStatus {
             4 => WireStatus::Cancelled,
             5 => WireStatus::UnknownDataset,
             6 => WireStatus::WorkerPanicked,
-            7 => WireStatus::DegradedUnavailable,
             8 => WireStatus::BadRequest,
             9 => WireStatus::FrameTooLarge,
             10 => WireStatus::Internal,
@@ -192,7 +192,6 @@ impl WireStatus {
             WireStatus::Cancelled => "cancelled",
             WireStatus::UnknownDataset => "unknown_dataset",
             WireStatus::WorkerPanicked => "worker_panicked",
-            WireStatus::DegradedUnavailable => "degraded_unavailable",
             WireStatus::BadRequest => "bad_request",
             WireStatus::FrameTooLarge => "frame_too_large",
             WireStatus::Internal => "internal",
@@ -297,9 +296,6 @@ pub enum ResponseBody {
         worker: u32,
         message: String,
     },
-    DegradedUnavailable {
-        reason: String,
-    },
     BadRequest {
         message: String,
     },
@@ -324,7 +320,6 @@ impl ResponseBody {
             ResponseBody::Cancelled { .. } => WireStatus::Cancelled,
             ResponseBody::UnknownDataset { .. } => WireStatus::UnknownDataset,
             ResponseBody::WorkerPanicked { .. } => WireStatus::WorkerPanicked,
-            ResponseBody::DegradedUnavailable { .. } => WireStatus::DegradedUnavailable,
             ResponseBody::BadRequest { .. } => WireStatus::BadRequest,
             ResponseBody::FrameTooLarge { .. } => WireStatus::FrameTooLarge,
             ResponseBody::Internal { .. } => WireStatus::Internal,
@@ -410,8 +405,15 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// A point or window coordinate: a finite `f64`. NaN and ∞ are
+    /// refused here, so they never reach the engine's predicates.
+    fn coord(&mut self) -> Result<f64, String> {
+        let v = f64::from_le_bytes(self.take(8)?.try_into().unwrap());
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(format!("non-finite coordinate {v}"))
+        }
     }
 
     /// A `u64` entry count for `entry_size`-byte entries, refused when
@@ -508,12 +510,12 @@ pub fn decode_request(body: &[u8]) -> Result<WireRequest, String> {
         KIND_SELF_JOIN => WireRequestBody::SelfJoin { dataset: r.u32()? },
         KIND_POINT => WireRequestBody::Point {
             dataset: r.u32()?,
-            x: r.f64()?,
-            y: r.f64()?,
+            x: r.coord()?,
+            y: r.coord()?,
         },
         KIND_WINDOW => WireRequestBody::Window {
             dataset: r.u32()?,
-            bounds: [r.f64()?, r.f64()?, r.f64()?, r.f64()?],
+            bounds: [r.coord()?, r.coord()?, r.coord()?, r.coord()?],
         },
         KIND_METRICS => WireRequestBody::Metrics,
         other => return Err(format!("unknown request kind {other}")),
@@ -600,7 +602,6 @@ pub fn encode_response(request_id: u64, body: &ResponseBody) -> Vec<u8> {
             put_u32(&mut payload, *worker);
             put_str(&mut payload, message);
         }
-        ResponseBody::DegradedUnavailable { reason } => put_str(&mut payload, reason),
         ResponseBody::BadRequest { message } => put_str(&mut payload, message),
         ResponseBody::FrameTooLarge { declared } => put_u32(&mut payload, *declared),
         ResponseBody::Internal { message } => put_str(&mut payload, message),
@@ -676,7 +677,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u64, ResponseBody), String> {
             worker: r.u32()?,
             message: r.str()?,
         },
-        WireStatus::DegradedUnavailable => ResponseBody::DegradedUnavailable { reason: r.str()? },
         WireStatus::BadRequest => ResponseBody::BadRequest { message: r.str()? },
         WireStatus::FrameTooLarge => ResponseBody::FrameTooLarge { declared: r.u32()? },
         WireStatus::Internal => ResponseBody::Internal { message: r.str()? },
@@ -701,7 +701,6 @@ pub fn wire_status_for_kind(kind: &str) -> Option<WireStatus> {
         "deadline_exceeded" => WireStatus::DeadlineExceeded,
         "cancelled" => WireStatus::Cancelled,
         "worker_panicked" => WireStatus::WorkerPanicked,
-        "degraded_unavailable" => WireStatus::DegradedUnavailable,
         _ => return None,
     })
 }
@@ -791,9 +790,6 @@ pub fn error_body(err: &EngineError) -> ResponseBody {
             worker: *worker as u32,
             message: message.clone(),
         },
-        EngineError::DegradedUnavailable { reason } => ResponseBody::DegradedUnavailable {
-            reason: (*reason).to_string(),
-        },
         // #[non_exhaustive] forward-compatibility seam: a variant this
         // protocol version does not know still gets an explicit,
         // decodable response. The ALL_KINDS completeness test fails
@@ -870,9 +866,6 @@ mod tests {
             ResponseBody::WorkerPanicked {
                 worker: 1,
                 message: "boom".into(),
-            },
-            ResponseBody::DegradedUnavailable {
-                reason: "raster_checksum".into(),
             },
             ResponseBody::BadRequest {
                 message: "unknown request kind 99".into(),
@@ -1000,6 +993,68 @@ mod tests {
         }
     }
 
+    /// The raw coordinate fields of a point or window request body
+    /// (request id, deadline, kind and dataset id come first).
+    fn coordinates(body: &[u8]) -> Vec<f64> {
+        let fields = match body.get(12) {
+            Some(&KIND_POINT) => 2,
+            Some(&KIND_WINDOW) => 4,
+            _ => 0,
+        };
+        (0..fields)
+            .filter_map(|i| body.get(17 + 8 * i..25 + 8 * i))
+            .map(|bytes| f64::from_le_bytes(bytes.try_into().unwrap()))
+            .collect()
+    }
+
+    /// The response sweep's property on the request side: every
+    /// truncation and every single-byte flip of each request kind decodes
+    /// to an error or to a request that re-encodes to exactly the flipped
+    /// bytes, and a flip that makes a coordinate NaN or ∞ always errors.
+    #[test]
+    fn truncated_and_flipped_requests_error_or_roundtrip() {
+        // 2^1008 and 1.5 · 2^1008: flipping the low bit of the top byte
+        // turns them into +∞ and NaN.
+        let to_inf = f64::from_bits(0x7EF0 << 48);
+        let to_nan = f64::from_bits(0x7EF8 << 48);
+        let requests = [
+            WireRequest::join(1, 2, 3).with_deadline_ms(250),
+            WireRequest::self_join(u64::MAX, 7),
+            WireRequest::point(2, 3, to_inf, -2.5),
+            WireRequest::window(3, 4, [0.0, to_nan, 2.0, 3.0]),
+            WireRequest::metrics(9),
+        ];
+        let mut non_finite = 0;
+        for request in &requests {
+            let frame = encode_request(request);
+            let body = &frame[4..];
+            for len in 0..body.len() {
+                assert!(
+                    decode_request(&body[..len]).is_err(),
+                    "{request:?}: prefix of {len} bytes"
+                );
+            }
+            for at in 0..body.len() {
+                for mask in [0x01u8, 0x80, 0xff] {
+                    let mut flipped = body.to_vec();
+                    flipped[at] ^= mask;
+                    let decoded = decode_request(&flipped);
+                    if coordinates(&flipped).iter().any(|v| !v.is_finite()) {
+                        non_finite += 1;
+                        assert!(decoded.is_err(), "non-finite coordinate in {decoded:?}");
+                    } else if let Ok(decoded) = decoded {
+                        assert_eq!(
+                            &encode_request(&decoded)[4..],
+                            &flipped[..],
+                            "{decoded:?} decoded from bytes it does not re-encode to"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(non_finite > 0, "no flip produced a non-finite coordinate");
+    }
+
     /// Satellite: the mapping table must know **every** `EngineError`
     /// kind. A new `#[non_exhaustive]` variant fails here (its kind is
     /// in `ALL_KINDS`, the table returns `None`) until it is mapped —
@@ -1032,9 +1087,6 @@ mod tests {
             EngineError::WorkerPanicked {
                 worker: 0,
                 message: "boom".into(),
-            },
-            EngineError::DegradedUnavailable {
-                reason: "raster_checksum",
             },
         ];
         assert_eq!(samples.len(), EngineError::ALL_KINDS.len());

@@ -71,8 +71,6 @@ pub struct ServeConfig {
     /// Wire fault plan for chaos tests; when disabled, falls back to
     /// `MSJ_FAULT_PLAN`/`MSJ_FAULT_SEED`.
     pub fault: FaultConfig,
-    /// Forces the portable scan poller (also `MSJ_SERVE_POLLER=scan`).
-    pub force_scan_poller: bool,
 }
 
 impl Default for ServeConfig {
@@ -89,7 +87,6 @@ impl Default for ServeConfig {
             idle_timeout: Duration::from_secs(120),
             drain_deadline: Duration::from_secs(10),
             fault: FaultConfig::disabled(),
-            force_scan_poller: false,
         }
     }
 }
@@ -560,7 +557,7 @@ impl EventLoop {
         config: ServeConfig,
         workers: Vec<JoinHandle<()>>,
     ) -> Self {
-        let mut poller = new_poller(config.force_scan_poller);
+        let mut poller = new_poller();
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
         poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false);
         let fault_config = if config.fault.enabled() {
@@ -1210,6 +1207,36 @@ mod tests {
         server.join();
     }
 
+    /// A NaN or infinite coordinate is a malformed frame: it is answered
+    /// `BadRequest` and counted, never handed to the engine (where a
+    /// window with a NaN bound would answer with ids).
+    #[test]
+    fn non_finite_coordinates_are_malformed_frames() {
+        let (engine, a, _) = engine_with_datasets();
+        let server = start(engine.clone(), ServeConfig::default());
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let hostile = [
+            WireRequest::point(1, a, f64::NAN, 0.5),
+            WireRequest::point(2, a, 0.5, f64::INFINITY),
+            WireRequest::window(3, a, [0.1, 0.1, f64::NAN, 0.5]),
+            WireRequest::window(4, a, [f64::NEG_INFINITY, 0.1, 0.5, 0.5]),
+        ];
+        for request in &hostile {
+            client.send(request).expect("send");
+            let reply = client.recv().expect("reply");
+            assert!(
+                matches!(reply.body, ResponseBody::BadRequest { .. }),
+                "{request:?} answered {:?}",
+                reply.body
+            );
+        }
+        let malformed = "msj_frames_rejected_total{reason=\"malformed\"}";
+        let counted = engine.metrics().snapshot().counter(malformed);
+        assert_eq!(counted, hostile.len() as u64);
+        server.shutdown();
+        server.join();
+    }
+
     #[test]
     fn oversized_frames_are_rejected_and_the_connection_closed() {
         let (engine, _, _) = engine_with_datasets();
@@ -1444,24 +1471,5 @@ mod tests {
         }
         server.shutdown();
         server.join();
-    }
-
-    #[test]
-    fn scan_poller_serves_the_same_protocol() {
-        let (engine, a, _) = engine_with_datasets();
-        let server = start(
-            engine.clone(),
-            ServeConfig {
-                force_scan_poller: true,
-                ..ServeConfig::default()
-            },
-        );
-        let mut client = Client::connect(server.addr()).expect("connect");
-        let request = WireRequest::point(1, a, 0.3, 0.3);
-        let reply = client.call(&request).expect("reply");
-        let expected = response_body_for(&engine.submit(to_request(&request.body)));
-        assert_eq!(reply.frame, encode_response(1, &expected));
-        server.shutdown();
-        assert!(server.join().clean);
     }
 }

@@ -194,11 +194,6 @@ impl Store {
         Ok(ids)
     }
 
-    /// Size in bytes of a persisted dataset's segment file.
-    pub fn dataset_bytes(&self, id: u32) -> io::Result<u64> {
-        Ok(fs::metadata(self.dataset_path(id))?.len())
-    }
-
     /// Writes a dataset's sections into its segment file (atomically:
     /// write-temp + rename) and returns the file size. Every pair segment
     /// naming `id` is removed first: it was derived from the dataset this

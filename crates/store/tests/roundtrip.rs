@@ -43,10 +43,10 @@ fn opaque_sections_round_trip() {
     let written = store.write_dataset(0, 0xC0FFEE, &sections).unwrap();
     // Manifest page, then 1 + 0 + 1 + 2 payload pages.
     assert_eq!(written, 4096 * 5, "page-granular");
-    assert_eq!(store.dataset_bytes(0).unwrap(), written);
     assert_eq!(store.dataset_ids().unwrap(), vec![0]);
 
     let load = store.read_dataset(0, None).unwrap();
+    assert_eq!(load.bytes, written);
     assert_eq!(load.config_tag, 0xC0FFEE);
     assert_eq!(load.bytes, written);
     for (section, payload) in &sections {

@@ -16,17 +16,16 @@
 //! cargo run --release --example serving
 //! ```
 
-use msj::core::{Execution, JoinConfig, ObsConfig, RasterConfig, Request, Response, SpatialEngine};
+use msj::core::{Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine};
 use msj::geom::{Point, Rect};
 use std::sync::Arc;
 
 fn main() {
     // The builder is the way to assemble a non-preset configuration:
-    // fused execution across 4 workers, auto-sized raster pre-filter,
-    // metrics plus a ring of the 16 most recent request traces.
+    // fused execution across 4 workers, metrics plus a ring of the 16
+    // most recent request traces.
     let config = JoinConfig::builder()
         .execution(Execution::Fused { threads: 4 })
-        .raster(RasterConfig::auto())
         .obs(ObsConfig::with_traces(16))
         .build();
 

@@ -403,7 +403,6 @@ msj_request_cancelled_total 0\n\
 msj_request_errors_total{kind=\"admission_denied\"} 0\n\
 msj_request_errors_total{kind=\"cancelled\"} 0\n\
 msj_request_errors_total{kind=\"deadline_exceeded\"} 0\n\
-msj_request_errors_total{kind=\"degraded_unavailable\"} 0\n\
 msj_request_errors_total{kind=\"unknown_dataset\"} 0\n\
 msj_request_errors_total{kind=\"worker_panicked\"} 0\n\
 msj_request_latency_nanos_count{kind=\"join\"} 0\n\

@@ -7,10 +7,10 @@
 
 use msj::core::{
     ground_truth_join, Backend, Execution, FilterOutcome, GeometricFilter, JoinConfig,
-    MultiStepJoin, RasterConfig,
+    MultiStepJoin, SpatialEngine,
 };
 use msj::exact::quadratic_intersects;
-use msj::geom::{ObjectId, Point, Polygon, Relation};
+use msj::geom::{ObjectId, Point, Polygon, PolygonWithHoles, Relation};
 
 fn sorted(mut v: Vec<(ObjectId, ObjectId)>) -> Vec<(ObjectId, ObjectId)> {
     v.sort_unstable();
@@ -92,34 +92,30 @@ fn raster_on_equals_raster_off_across_the_matrix() {
                     .backend(backend)
                     .execution(execution)
                     .build();
-                let off = MultiStepJoin::new(base.to_builder().raster(RasterConfig::off()).build())
-                    .execute(a, b);
+                let off = MultiStepJoin::new(base.to_builder().raster(false).build()).execute(a, b);
                 assert_eq!(
                     sorted(off.pairs.clone()),
                     expect,
                     "{name}/{backend:?}/{execution:?} raster-off vs truth"
                 );
-                for raster in [RasterConfig::default(), RasterConfig::with_bits(7)] {
-                    let on =
-                        MultiStepJoin::new(base.to_builder().raster(raster).build()).execute(a, b);
-                    assert_eq!(
-                        sorted(on.pairs.clone()),
-                        expect,
-                        "{name}/{backend:?}/{execution:?}/{raster:?}"
-                    );
-                    // The stage accounted for every candidate...
-                    let s = &on.stats;
-                    assert_eq!(
-                        s.mbr_join.candidates,
-                        s.raster_hits + s.raster_drops + s.raster_inconclusive,
-                        "{name}: raster accounting"
-                    );
-                    // ...and decided ones never reached later steps.
-                    assert!(
-                        s.exact_tests <= off.stats.exact_tests,
-                        "{name}: raster increased exact tests"
-                    );
-                }
+                let on = MultiStepJoin::new(base).execute(a, b);
+                assert_eq!(
+                    sorted(on.pairs.clone()),
+                    expect,
+                    "{name}/{backend:?}/{execution:?} raster-on vs truth"
+                );
+                // The stage accounted for every candidate...
+                let s = &on.stats;
+                assert_eq!(
+                    s.mbr_join.candidates,
+                    s.raster_hits + s.raster_drops + s.raster_inconclusive,
+                    "{name}: raster accounting"
+                );
+                // ...and decided ones never reached later steps.
+                assert!(
+                    s.exact_tests <= off.stats.exact_tests,
+                    "{name}: raster increased exact tests"
+                );
             }
         }
     }
@@ -171,4 +167,31 @@ fn all_partial_signatures_stay_conservative() {
     let r = MultiStepJoin::new(JoinConfig::default()).execute(&a, &b);
     assert_eq!(r.stats.raster_hits, 0, "slivers cannot own FULL cells");
     assert_eq!(sorted(r.pairs.clone()), sorted(ground_truth_join(&a, &b)));
+}
+
+/// A joint workspace whose width overflows `f64` has no raster grid: the
+/// stage is skipped, as for an empty workspace, instead of gridding one
+/// unit of the world and dropping the pairs outside it.
+#[test]
+fn overflowing_workspace_skips_the_raster_stage() {
+    let square = |x: f64, y: f64, side: f64| -> PolygonWithHoles {
+        Polygon::new(vec![
+            Point::new(x, y),
+            Point::new(x + side, y),
+            Point::new(x + side, y + side),
+            Point::new(x, y + side),
+        ])
+        .unwrap()
+        .into()
+    };
+    let a = Relation::from_regions([square(0.0, 0.0, 1.0), square(-1e308, 0.0, 1e300)]);
+    let b = Relation::from_regions([square(0.5, 0.5, 1.0), square(1e308 - 2e300, 0.0, 1e300)]);
+    let expect = vec![(0, 0)];
+    assert_eq!(sorted(ground_truth_join(&a, &b)), expect);
+    let one_shot = MultiStepJoin::new(JoinConfig::default()).execute(&a, &b);
+    assert_eq!(sorted(one_shot.pairs), expect, "one-shot join");
+    let engine = SpatialEngine::new(JoinConfig::default());
+    let (ha, hb) = (engine.register(a), engine.register(b));
+    let prepared = engine.prepare_join(&ha, &hb).run();
+    assert_eq!(sorted(prepared.pairs), expect, "engine prepared join");
 }
