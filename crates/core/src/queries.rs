@@ -6,9 +6,10 @@
 //! processor here mirrors the join pipeline:
 //!
 //! 1. R*-tree point/window query on the MBR keys → candidates;
-//! 2. geometric filter: conservative approximation test (false-hit
-//!    elimination), progressive approximation test (hit identification);
-//! 3. exact geometry test for the remainder.
+//! 2. geometric filter, cheapest proof first: the wide MER mask (a MER
+//!    hit is a hit), then the conservative test on MER misses only
+//!    (false-hit elimination), then a non-MER progressive test (MEC);
+//! 3. exact geometry test for the remainder, as one pass per batch.
 
 use crate::candidates::{self, CandidateSource, SelectionStats};
 use crate::config::JoinConfig;
@@ -144,9 +145,8 @@ pub(crate) struct SelectionState {
     source: Box<dyn CandidateSource>,
     conservative: Option<Arc<ConservativeStore>>,
     progressive: Option<Arc<ProgressiveStore>>,
-    /// Kernel path of the wide MER probe masks; the per-candidate
-    /// fallback chain stays scalar. Outcomes are identical on every
-    /// path.
+    /// Kernel path of the wide MER probe masks; the rest of the chain
+    /// stays scalar. Outcomes are identical on every path.
     dispatch: KernelDispatch,
 }
 
@@ -197,57 +197,56 @@ impl SelectionState {
             spans.finish(Step::Step1, t);
         }
         let t_rest = spans.map(|_| Span::start());
-        // MER progressive columns admit a wide probe: one id-gathered
-        // mask over a query's whole candidate list, consumed by index in
-        // the per-candidate chain below.
+        // `hit` starts as the wide MER mask over the arena. MER ⊆ object ⊆
+        // conservative, so every outcome and count is the paper-order
+        // chain's (the argument of the join's `FilterPlan::ConvexMer`).
         let mers = self.progressive.as_deref().and_then(|p| p.mer_column());
-        let mut mask = Vec::new();
-        let mut exact_nanos = 0u64;
+        let mec = self.progressive.as_deref().filter(|_| mers.is_none());
+        let conservative = self.conservative.as_deref();
+        let (mut hit, mut undecided) = (Vec::with_capacity(all.len()), Vec::new());
+        let mut answers = Vec::with_capacity(probes.len());
         let mut offset = 0usize;
         for (probe, step1) in probes.iter().zip(&probe_stats) {
-            let n = step1.candidates as usize;
-            let candidates = &all[offset..offset + n];
-            offset += n;
-            let mut stats = QueryStats {
+            let candidates = &all[offset..offset + step1.candidates as usize];
+            match mers {
+                Some(mers) => probe.mer_mask(self.dispatch, mers, candidates, &mut hit),
+                None => hit.resize(offset + candidates.len(), false),
+            }
+            let mut q = QueryStats {
                 candidates: step1.candidates,
                 physical_reads: step1.physical_reads,
                 ..QueryStats::default()
             };
-            if let Some(mers) = mers {
-                mask.clear();
-                probe.mer_mask(self.dispatch, mers, candidates, &mut mask);
-            }
-            let mut result = Vec::new();
-            let mut counts = OpCounts::new();
-            for (slot, &id) in candidates.iter().enumerate() {
-                if let Some(cons) = &self.conservative {
-                    if !probe.meets_conservative(&cons.view(id)) {
-                        stats.filter_false_hits += 1;
-                        continue;
-                    }
-                }
-                if let Some(prog) = &self.progressive {
-                    let hit = match mers {
-                        Some(_) => mask[slot],
-                        None => probe.meets_progressive(&prog.get(id)),
-                    };
-                    if hit {
-                        stats.filter_hits += 1;
-                        result.push(id);
-                        continue;
-                    }
-                }
-                stats.exact_tests += 1;
-                let t_exact = spans.map(|_| Span::start());
-                let hit = probe.meets_region(&self.relation.object(id).region, &mut counts);
-                if let Some(t) = t_exact {
-                    exact_nanos += t.elapsed_nanos();
-                }
-                if hit {
-                    result.push(id);
+            let cons = |id| conservative.is_none_or(|c| probe.meets_conservative(&c.view(id)));
+            for (slot, &id) in (offset..).zip(candidates) {
+                if hit[slot] {
+                    debug_assert!(cons(id), "conservative test drops {id} inside its MER");
+                    q.filter_hits += 1;
+                } else if !cons(id) {
+                    q.filter_false_hits += 1;
+                } else if mec.is_some_and(|p| probe.meets_progressive(&p.get(id))) {
+                    hit[slot] = true;
+                    q.filter_hits += 1;
+                } else {
+                    q.exact_tests += 1;
+                    undecided.push((slot, answers.len()));
                 }
             }
-            emit(result, stats, counts);
+            offset += candidates.len();
+            answers.push((q, OpCounts::new()));
+        }
+        // Step 3 as its own pass over the undecided slots, in probe order.
+        let t_exact = (spans.is_some() && !undecided.is_empty()).then(Span::start);
+        for (slot, k) in undecided {
+            let region = &self.relation.object(all[slot]).region;
+            hit[slot] = probes[k].meets_region(region, &mut answers[k].1);
+        }
+        let exact_nanos = t_exact.map_or(0, |t| t.elapsed_nanos());
+        let mut offset = 0usize;
+        for (q, ops) in answers {
+            let slots = offset..offset + q.candidates as usize;
+            offset = slots.end;
+            emit(slots.filter(|&s| hit[s]).map(|s| all[s]).collect(), q, ops);
         }
         if let (Some(spans), Some(t)) = (spans, t_rest) {
             // Step 2 is the candidate loop minus its exact share.

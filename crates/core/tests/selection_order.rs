@@ -1,0 +1,426 @@
+//! Selections take the cheapest proof first — the MER mask, then the
+//! conservative test on MER misses only, then MEC, then Step 3 as one
+//! pass — and that order must be invisible in every answer:
+//!
+//! * a query's ids equal a linear scan over the exact regions, and arrive
+//!   in Step-1 candidate order;
+//! * its [`QueryStats`] (false hits, filter hits, exact tests) and exact
+//!   operation counts equal the paper-order chain — conservative test
+//!   first — recomputed here from the public stores over the same
+//!   candidates.
+//!
+//! The probes go where an order change could show: windows that contain
+//! whole objects, lie inside a MER, lie inside an object but outside its
+//! MER, lie inside a hole or only touch a boundary; points on vertices,
+//! on edges and inside holes. `MER ⊆ object ⊆ conservative approximation`
+//! is a floating-point claim there, so CI also runs this file in release.
+
+use msj_approx::{
+    ConsView, ConservativeKind, ConservativeStore, Progressive, ProgressiveKind, ProgressiveStore,
+};
+use msj_core::{selection_source, Backend, CandidateSource, JoinConfig, QueryStats, SpatialEngine};
+use msj_datagen::{generate_relation, BlobParams, LayoutParams};
+use msj_exact::{region_contains_point, region_intersects_rect, OpCounts};
+use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, Relation};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// The five filter chains a selection can run.
+fn configs() -> Vec<(&'static str, JoinConfig)> {
+    let chain = |cons, prog| {
+        JoinConfig::builder()
+            .conservative(cons)
+            .progressive(prog)
+            .build()
+    };
+    vec![
+        ("5-C + MER", JoinConfig::default()),
+        (
+            "hull + MEC",
+            chain(
+                Some(ConservativeKind::ConvexHull),
+                Some(ProgressiveKind::Mec),
+            ),
+        ),
+        ("MBE only", chain(Some(ConservativeKind::Mbe), None)),
+        ("version1", JoinConfig::version1()),
+        (
+            "grid backend",
+            JoinConfig::builder()
+                .backend(Backend::PartitionedSweep {
+                    tiles_per_axis: 6,
+                    threads: 1,
+                })
+                .build(),
+        ),
+    ]
+}
+
+/// Small near-convex parcels, 4–10 vertices, as the filter-heavy join
+/// workload draws them.
+fn parcels(count: usize, seed: u64) -> Relation {
+    let params = LayoutParams {
+        world: msj_datagen::world(),
+        count,
+        vertices_mu_ln: 6f64.ln(),
+        vertices_sigma_ln: 0.2,
+        vertices_min: 4,
+        vertices_max: 10,
+        radius_frac: 0.15,
+        shape: BlobParams {
+            lobe_amp: 0.05,
+            mid_amp: 0.0,
+            rough_amp: 0.0,
+            spikes: 0,
+            spike_amp: 0.0,
+            max_elongation: 1.3,
+            ..BlobParams::default()
+        },
+    };
+    generate_relation(&mut StdRng::seed_from_u64(seed), &params)
+}
+
+fn relations() -> Vec<(&'static str, Relation)> {
+    vec![
+        ("small_carto", msj_datagen::small_carto(40, 24.0, 4401)),
+        ("parcels", parcels(100, 4402)),
+        (
+            "carto_with_holes",
+            msj_datagen::carto_with_holes(30, 24.0, 4403),
+        ),
+    ]
+}
+
+/// A point strictly inside `region` (holes excluded) and outside `mer`,
+/// from a 23 × 23 lattice over the region's MBR.
+fn inside_outside_mer(region: &PolygonWithHoles, mer: Option<Rect>) -> Option<Point> {
+    let b = region.mbr();
+    (1..23)
+        .flat_map(|i| (1..23).map(move |j| (i, j)))
+        .find_map(|(i, j)| {
+            let p = Point::new(
+                b.xmin() + b.width() * i as f64 / 23.0,
+                b.ymin() + b.height() * j as f64 / 23.0,
+            );
+            let strict = region.outer().contains_point_strict(p)
+                && !region.holes().iter().any(|h| h.contains_point(p));
+            (strict && mer.is_none_or(|m| !m.contains_point(p))).then_some(p)
+        })
+}
+
+/// A point strictly inside one of `region`'s holes.
+fn in_hole(region: &PolygonWithHoles) -> Option<Point> {
+    region.holes().iter().find_map(|hole| {
+        let b = hole.mbr();
+        (1..17)
+            .flat_map(|i| (1..17).map(move |j| (i, j)))
+            .find_map(|(i, j)| {
+                let p = Point::new(
+                    b.xmin() + b.width() * i as f64 / 17.0,
+                    b.ymin() + b.height() * j as f64 / 17.0,
+                );
+                hole.contains_point_strict(p).then_some(p)
+            })
+    })
+}
+
+/// A tiny window centred on `p`.
+fn around(p: Point, half: f64) -> Rect {
+    Rect::from_bounds(p.x - half, p.y - half, p.x + half, p.y + half)
+}
+
+/// Points and windows at every kind of contact an order change could
+/// flip — inside every hole, the rest for every fifth object — plus a
+/// coarse lattice of both.
+fn probes(rel: &Relation) -> (Vec<Point>, Vec<Rect>) {
+    let mers = ProgressiveStore::build(ProgressiveKind::Mer, rel);
+    let (mut points, mut windows) = (Vec::new(), Vec::new());
+    for (k, o) in rel.iter().enumerate() {
+        let (b, region) = (o.mbr(), &o.region);
+        let tiny = 1e-6 * b.width().max(b.height());
+        if let Some(p) = in_hole(region) {
+            windows.push(around(p, tiny));
+            points.push(p);
+        }
+        if k % 5 != 0 {
+            continue;
+        }
+        let mer = match mers.get(o.id) {
+            Progressive::Mer(r) => Some(r),
+            _ => None,
+        };
+        // Whole object inside, with and without slack.
+        windows.push(b);
+        windows.push(Rect::from_bounds(
+            b.xmin() - tiny,
+            b.ymin() - tiny,
+            b.xmax() + tiny,
+            b.ymax() + tiny,
+        ));
+        // Inside the MBR but off the object: its lower-left corner.
+        let corner = Point::new(b.xmin(), b.ymin());
+        windows.push(around(corner, tiny));
+        points.push(corner);
+        // Inside the MER, and the MER itself.
+        if let Some(m) = mer {
+            windows.push(m);
+            windows.push(around(m.center(), 0.25 * m.width().min(m.height())));
+        }
+        // Inside the object but outside its MER.
+        if let Some(p) = inside_outside_mer(region, mer) {
+            windows.push(around(p, tiny));
+            points.push(p);
+        }
+        // Touching the boundary only: a window right of the rightmost
+        // vertex, and one above the topmost, each sharing just that
+        // vertex's coordinate; plus a zero-width window on it.
+        let verts = region.outer().vertices();
+        let right = verts
+            .iter()
+            .copied()
+            .fold(verts[0], |a, v| if v.x > a.x { v } else { a });
+        let top = verts
+            .iter()
+            .copied()
+            .fold(verts[0], |a, v| if v.y > a.y { v } else { a });
+        windows.push(Rect::from_bounds(
+            right.x,
+            right.y - tiny,
+            right.x + b.width(),
+            right.y + tiny,
+        ));
+        windows.push(Rect::from_bounds(
+            top.x - tiny,
+            top.y,
+            top.x + tiny,
+            top.y + b.height(),
+        ));
+        windows.push(Rect::from_bounds(right.x, b.ymin(), right.x, b.ymax()));
+        // Points on the boundary: vertices and edge midpoints, outer ring
+        // and holes.
+        for ring in std::iter::once(region.outer()).chain(region.holes()) {
+            let v = ring.vertices();
+            for k in (0..v.len()).step_by(3) {
+                let next = v[(k + 1) % v.len()];
+                points.push(v[k]);
+                points.push(Point::new(0.5 * (v[k].x + next.x), 0.5 * (v[k].y + next.y)));
+            }
+        }
+    }
+    let world = rel.bounding_rect().expect("non-empty relation");
+    for i in 0..12 {
+        for j in 0..12 {
+            let p = Point::new(
+                world.xmin() + world.width() * (i as f64 + 0.37) / 12.0,
+                world.ymin() + world.height() * (j as f64 + 0.61) / 12.0,
+            );
+            points.push(p);
+            if (i + j) % 3 == 0 {
+                windows.push(around(p, 0.03 * world.width()));
+            }
+        }
+    }
+    (points, windows)
+}
+
+/// One answer of the paper-order chain.
+struct Chain {
+    ids: Vec<ObjectId>,
+    stats: QueryStats,
+    ops: OpCounts,
+}
+
+/// What a probe shape needs for the chain — written out independently of
+/// the engine's own `Probe` trait.
+trait Shape: Copy + std::fmt::Debug {
+    fn candidates(self, source: &dyn CandidateSource) -> Vec<ObjectId>;
+    fn meets_conservative(self, cons: ConsView<'_>) -> bool;
+    fn meets_progressive(self, prog: Progressive) -> bool;
+    fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool;
+    fn in_linear_scan(self, region: &PolygonWithHoles) -> bool;
+}
+
+impl Shape for Point {
+    fn candidates(self, source: &dyn CandidateSource) -> Vec<ObjectId> {
+        let (mut ids, mut stats) = (Vec::new(), Vec::new());
+        source.point_candidates(&[self], &mut ids, &mut stats);
+        ids
+    }
+    fn meets_conservative(self, cons: ConsView<'_>) -> bool {
+        cons.contains_point(self)
+    }
+    fn meets_progressive(self, prog: Progressive) -> bool {
+        match prog {
+            Progressive::Mec(c) => c.contains_point(self),
+            Progressive::Mer(r) => r.contains_point(self),
+            Progressive::Empty => false,
+        }
+    }
+    fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool {
+        region_contains_point(region, self, ops)
+    }
+    fn in_linear_scan(self, region: &PolygonWithHoles) -> bool {
+        region.contains_point(self)
+    }
+}
+
+impl Shape for Rect {
+    fn candidates(self, source: &dyn CandidateSource) -> Vec<ObjectId> {
+        let (mut ids, mut stats) = (Vec::new(), Vec::new());
+        source.window_candidates(&[self], &mut ids, &mut stats);
+        ids
+    }
+    fn meets_conservative(self, cons: ConsView<'_>) -> bool {
+        match cons {
+            ConsView::Rect(r) => r.intersects(&self),
+            ConsView::Circle(c) => c.intersects_rect(&self),
+            ConsView::Ellipse(e) => e.intersects_convex(&self.corners()),
+            ConsView::Convex(ring) => msj_geom::convex_intersect(ring, &self.corners()),
+        }
+    }
+    fn meets_progressive(self, prog: Progressive) -> bool {
+        match prog {
+            Progressive::Mec(c) => c.intersects_rect(&self),
+            Progressive::Mer(r) => r.intersects(&self),
+            Progressive::Empty => false,
+        }
+    }
+    fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool {
+        region_intersects_rect(region, &self, ops)
+    }
+    fn in_linear_scan(self, region: &PolygonWithHoles) -> bool {
+        msj_exact::window::region_intersects_rect_reference(region, &self)
+    }
+}
+
+/// The conservative-first chain of the paper (§2) over one relation under
+/// one configuration, built from the public stores and candidate source —
+/// nothing of the engine's resident state.
+struct PaperOrder<'a> {
+    rel: &'a Relation,
+    source: Box<dyn CandidateSource + 'a>,
+    cons: Option<ConservativeStore>,
+    prog: Option<ProgressiveStore>,
+}
+
+impl<'a> PaperOrder<'a> {
+    fn new(config: &JoinConfig, rel: &'a Relation) -> Self {
+        PaperOrder {
+            rel,
+            source: selection_source(config, rel),
+            cons: config
+                .conservative
+                .map(|k| ConservativeStore::build(k, rel)),
+            prog: config.progressive.map(|k| ProgressiveStore::build(k, rel)),
+        }
+    }
+
+    /// One candidate at a time: a conservative miss is a false hit, a
+    /// progressive hit is a hit, the rest go to the exact geometry.
+    fn answer<S: Shape>(&self, probe: S) -> Chain {
+        let candidates = probe.candidates(&*self.source);
+        let mut chain = Chain {
+            ids: Vec::new(),
+            stats: QueryStats {
+                candidates: candidates.len() as u64,
+                ..QueryStats::default()
+            },
+            ops: OpCounts::new(),
+        };
+        for id in candidates {
+            if (self.cons.as_ref()).is_some_and(|c| !probe.meets_conservative(c.view(id))) {
+                chain.stats.filter_false_hits += 1;
+            } else if (self.prog.as_ref()).is_some_and(|p| probe.meets_progressive(p.get(id))) {
+                chain.stats.filter_hits += 1;
+                chain.ids.push(id);
+            } else {
+                chain.stats.exact_tests += 1;
+                if probe.meets_region(&self.rel.object(id).region, &mut chain.ops) {
+                    chain.ids.push(id);
+                }
+            }
+        }
+        chain
+    }
+}
+
+/// Every object a linear scan over the exact regions finds, per probe.
+fn linear_scan<S: Shape>(rel: &Relation, probes: &[S]) -> Vec<Vec<ObjectId>> {
+    probes
+        .iter()
+        .map(|&probe| {
+            rel.iter()
+                .filter(|o| probe.in_linear_scan(&o.region))
+                .map(|o| o.id)
+                .collect()
+        })
+        .collect()
+}
+
+/// Checks one batch of the engine's answers against the linear scan and
+/// the chain; returns the chain's counts summed over the batch.
+fn check<S: Shape>(
+    name: &str,
+    chain: &PaperOrder,
+    probes: &[S],
+    scans: &[Vec<ObjectId>],
+    answers: Vec<msj_core::SelectionResponse>,
+) -> QueryStats {
+    assert_eq!(answers.len(), probes.len());
+    let mut total = QueryStats::default();
+    for ((answer, &probe), scan) in answers.iter().zip(probes).zip(scans) {
+        let want = chain.answer(probe);
+        let mut sorted = answer.ids.clone();
+        sorted.sort_unstable();
+        assert_eq!(
+            &sorted, scan,
+            "{name}: {probe:?} differs from the linear scan"
+        );
+        assert_eq!(answer.ids, want.ids, "{name}: {probe:?} ids or their order");
+        let got = QueryStats {
+            physical_reads: 0,
+            ..answer.stats
+        };
+        assert_eq!(got, want.stats, "{name}: {probe:?} filter counts");
+        assert_eq!(
+            answer.exact_ops, want.ops,
+            "{name}: {probe:?} exact op counts"
+        );
+        total.filter_false_hits += want.stats.filter_false_hits;
+        total.filter_hits += want.stats.filter_hits;
+        total.exact_tests += want.stats.exact_tests;
+    }
+    total
+}
+
+#[test]
+fn selections_answer_like_the_conservative_first_chain() {
+    for (rel_name, rel) in relations() {
+        if rel_name == "carto_with_holes" {
+            assert!(rel.iter().any(|o| !o.region.holes().is_empty()));
+        }
+        let (points, windows) = probes(&rel);
+        let (point_scans, window_scans) = (linear_scan(&rel, &points), linear_scan(&rel, &windows));
+        for (config_name, config) in configs() {
+            let engine = SpatialEngine::new(config);
+            let dataset = engine.register(rel.clone());
+            let chain = PaperOrder::new(&config, &rel);
+            let name = format!("{config_name} on {rel_name}");
+            let p = engine.point_query_batch(&dataset, &points);
+            let p = check(&name, &chain, &points, &point_scans, p);
+            let w = engine.window_query_batch(&dataset, &windows);
+            let w = check(&name, &chain, &windows, &window_scans, w);
+            // Every stage of the chain must have had work to do, or the
+            // comparison proves nothing about its order.
+            for (shape, t) in [("points", p), ("windows", w)] {
+                assert!(t.exact_tests > 0, "{name}: no {shape} reached Step 3");
+                if config.conservative.is_some() {
+                    assert!(t.filter_false_hits > 0, "{name}: {shape} dropped nothing");
+                }
+                if config.progressive.is_some() {
+                    assert!(t.filter_hits > 0, "{name}: {shape} identified nothing");
+                }
+            }
+        }
+    }
+}

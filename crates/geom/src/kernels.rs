@@ -824,32 +824,72 @@ mod tests {
         }
     }
 
+    /// The two selection kernels agree with scalar on every dispatch at
+    /// the edges of their contracts: closed contact (a point on an edge
+    /// or corner, a window sharing an edge or a corner, zero-width and
+    /// zero-area windows), gathered ids up to `rects.len() − 1`, repeated
+    /// ids, a NaN sentinel, and every id-list length from 0 to 17 (four
+    /// AVX2 lanes plus every remainder).
     #[test]
     fn point_and_window_masks_match_scalar() {
-        let mut rects: Vec<Rect> = (0..10)
-            .map(|i| Rect::from_bounds(i as f64 - 4.0, -1.0, i as f64 - 2.0, 1.0))
+        let mut rects: Vec<Rect> = (0..8)
+            .map(|i| Rect::from_bounds(i as f64, 0.0, i as f64 + 1.0, 1.0))
             .collect();
-        rects[2] = nan_rect();
-        let p = Point::new(0.0, 0.0);
-        let q = Rect::from_bounds(-1.0, -0.5, 1.0, 0.5);
-        for n in 0..=10usize {
-            let ids: Vec<u32> = (0..n).map(|i| ((i * 7) % 10) as u32).collect();
-            let mut want_p = Vec::new();
-            rects_contain_point_scalar(&rects, &ids, p, &mut want_p);
-            let mut want_q = Vec::new();
-            rects_intersect_query_scalar(&rects, &ids, &q, &mut want_q);
-            for (i, &id) in ids.iter().enumerate() {
-                if id == 2 {
-                    assert!(!want_p[i] && !want_q[i], "NaN sentinel accepted");
+        rects[5] = nan_rect();
+        let last = rects.len() as u32 - 1;
+        let past = 1.0 + f64::EPSILON;
+        // Each probe with its answer for rects[0] = [0, 1]².
+        let points = [
+            (Point::new(0.5, 0.0), true),
+            (Point::new(0.0, 0.0), true),
+            (Point::new(1.0, 1.0), true),
+            (Point::new(past, 0.5), false),
+            (Point::new(0.5, -f64::MIN_POSITIVE), false),
+        ];
+        let windows = [
+            (Rect::from_bounds(1.0, 0.0, 2.0, 1.0), true),
+            (Rect::from_bounds(1.0, 1.0, 2.0, 2.0), true),
+            (Rect::from_bounds(1.0, 0.2, 1.0, 0.4), true),
+            (Rect::from_bounds(0.0, 0.0, 0.0, 0.0), true),
+            (Rect::from_bounds(past, 0.0, 2.0, 1.0), false),
+            (Rect::from_bounds(past, 0.2, past, 0.4), false),
+        ];
+        for &(p, want) in &points {
+            assert_eq!(rects[0].contains_point(p), want, "closed point {p:?}");
+        }
+        for (q, want) in &windows {
+            assert_eq!(rects[0].intersects(q), *want, "closed window {q:?}");
+        }
+        let pattern = [0, last, 0, 5, last, 3, last, 0];
+        for n in 0..=17usize {
+            let ids: Vec<u32> = (0..n).map(|i| pattern[i % pattern.len()]).collect();
+            for &(p, want) in &points {
+                let mut scalar = Vec::new();
+                rects_contain_point_scalar(&rects, &ids, p, &mut scalar);
+                for (&id, &got) in ids.iter().zip(&scalar) {
+                    assert_eq!(got, rects[id as usize].contains_point(p));
+                    assert!(id != 0 || got == want, "point {p:?} vs rect 0");
+                    assert!(id != 5 || !got, "NaN sentinel accepted");
+                }
+                for d in KernelDispatch::all_available() {
+                    let mut got = Vec::new();
+                    rects_contain_point(d, &rects, &ids, p, &mut got);
+                    assert_eq!(got, scalar, "{d:?} point {p:?} n={n}");
                 }
             }
-            for d in KernelDispatch::all_available() {
-                let mut got_p = Vec::new();
-                rects_contain_point(d, &rects, &ids, p, &mut got_p);
-                assert_eq!(got_p, want_p, "{d:?} point n={n}");
-                let mut got_q = Vec::new();
-                rects_intersect_query(d, &rects, &ids, &q, &mut got_q);
-                assert_eq!(got_q, want_q, "{d:?} window n={n}");
+            for (q, want) in &windows {
+                let mut scalar = Vec::new();
+                rects_intersect_query_scalar(&rects, &ids, q, &mut scalar);
+                for (&id, &got) in ids.iter().zip(&scalar) {
+                    assert_eq!(got, rects[id as usize].intersects(q));
+                    assert!(id != 0 || got == *want, "window {q:?} vs rect 0");
+                    assert!(id != 5 || !got, "NaN sentinel accepted");
+                }
+                for d in KernelDispatch::all_available() {
+                    let mut got = Vec::new();
+                    rects_intersect_query(d, &rects, &ids, q, &mut got);
+                    assert_eq!(got, scalar, "{d:?} window {q:?} n={n}");
+                }
             }
         }
     }

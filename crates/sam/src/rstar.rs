@@ -494,8 +494,9 @@ impl RStarTree {
     /// repacking or reinsertion. The tree receives a fresh buffer tag
     /// (process-local state). Structural validation rejects malformed
     /// images (a child exactly one level below its parent rules out
-    /// cycles); the result traverses identically to the tree that was
-    /// written.
+    /// cycles) and any image whose leaf ids are not a permutation of
+    /// `0..len` — so only a tree over a relation's own ids round-trips;
+    /// the result traverses identically to the tree that was written.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
         let mut layout_field = || -> DecResult<usize> {
@@ -557,6 +558,20 @@ impl RStarTree {
         }
         if leaf_entries != len {
             return Err("object count does not match the leaf entries");
+        }
+        // Leaf ids index the per-object columns of the tree's relation —
+        // some through unchecked SIMD gathers — so they must be `0..len`,
+        // each exactly once: one pass over a bitset of `len` bits.
+        let mut seen = vec![0u32; leaf_entries.div_ceil(32) as usize];
+        for i in (0..n).filter(|&i| levels.get(i) == 0) {
+            for j in offsets.get(i) as usize..offsets.get(i + 1) as usize {
+                let id = vals.get(j) as usize;
+                let (word, bit) = (id / 32, 1u32 << (id % 32));
+                match seen.get_mut(word) {
+                    Some(w) if *w & bit == 0 && (id as u64) < len => *w |= bit,
+                    _ => return Err("leaf ids are not a permutation of 0..len"),
+                }
+            }
         }
         let tag = TREE_TAG.fetch_add(1, Ordering::Relaxed);
         let image = RStarTree {
@@ -1021,6 +1036,31 @@ mod tests {
         assert_eq!(bytes[44..48], 0u32.to_le_bytes());
         bytes[44] = 1;
         assert!(RStarTree::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn image_with_leaf_ids_outside_a_permutation_is_refused() {
+        let layout = PageLayout {
+            page_size: 256,
+            leaf_entry_bytes: 48,
+            dir_entry_bytes: 20,
+        };
+        let tree = RStarTree::bulk_load(layout, grid_items(10));
+        assert_eq!((tree.len(), tree.levels[0]), (100, 0));
+        let bytes = tree.to_bytes();
+        // The value column closes the image, and node 0 is a leaf: its
+        // entries are the column's first values.
+        let vals = bytes.len() - 4 * tree.vals.len();
+        let with_leaf = |slot: usize, id: u32| {
+            let mut image = bytes.clone();
+            image[vals + 4 * slot..vals + 4 * slot + 4].copy_from_slice(&id.to_le_bytes());
+            RStarTree::from_bytes(&image).map(|t| t.len())
+        };
+        assert_eq!(with_leaf(0, tree.vals[0]), Ok(100));
+        let refused = Err("leaf ids are not a permutation of 0..len");
+        assert_eq!(with_leaf(0, 5_000_000), refused, "far out of range");
+        assert_eq!(with_leaf(0, 100), refused, "one past the last object");
+        assert_eq!(with_leaf(0, tree.vals[1]), refused, "an id twice");
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! this test dies of the allocation. A raster image that is accepted must
 //! also still hold what the Step-2a binary searches rely on — an
 //! unsorted list re-encodes to itself just as faithfully as a sorted one.
+//! For the same reason an R*-tree image whose leaf ids stop being a
+//! permutation of the object ids is refused, flip by flip.
 
 use msj_approx::{
     ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore, RasterGrid, RasterStore,
@@ -102,6 +104,56 @@ fn assert_searchable(store: &RasterStore) {
             );
         }
     }
+}
+
+/// `(first byte, count)` of the five counted columns of an R*-tree image
+/// — levels, node rects, entry offsets, entry rects, values — walked
+/// past its 36-byte layout header.
+fn tree_columns(image: &[u8]) -> [(usize, usize); 5] {
+    let mut at = 36;
+    [4, 8, 4, 8, 4].map(|width| {
+        let count = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+        let column = (at + 8, count);
+        at += 8 + width * count;
+        column
+    })
+}
+
+/// A leaf id is an index into every per-object column of the relation,
+/// some of them read by unchecked SIMD gathers. Any change to one — out of
+/// range, or a second copy of another object's id — must be refused, not
+/// re-encoded faithfully as the byte sweep above would accept it.
+#[test]
+fn every_leaf_id_flip_is_refused() {
+    let rel = msj_datagen::carto_with_holes(7, 9.0, 31);
+    let layout = PageLayout::baseline(4096);
+    let image = RStarTree::bulk_load(layout, rel.iter().map(|o| (o.mbr(), o.id))).to_bytes();
+    let [levels, _, offsets, _, vals] = tree_columns(&image);
+    assert_eq!(
+        vals.0 + 4 * vals.1,
+        image.len(),
+        "the value column closes the image"
+    );
+    let u32_at = |col: (usize, usize), i: usize| {
+        u32::from_le_bytes(image[col.0 + 4 * i..col.0 + 4 * i + 4].try_into().unwrap()) as usize
+    };
+    let mut flips = 0;
+    for node in (0..levels.1).filter(|&node| u32_at(levels, node) == 0) {
+        for entry in u32_at(offsets, node)..u32_at(offsets, node + 1) {
+            for byte in vals.0 + 4 * entry..vals.0 + 4 * entry + 4 {
+                for mask in [0x01, 0x80] {
+                    let mut flipped = image.clone();
+                    flipped[byte] ^= mask;
+                    assert!(
+                        RStarTree::from_bytes(&flipped).is_err(),
+                        "leaf entry {entry}: byte {byte} ^ {mask:#04x} was adopted"
+                    );
+                    flips += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(flips, 8 * rel.len(), "every object's leaf id was flipped");
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

@@ -16,9 +16,11 @@
 //!   `MSJ_FAULT_SEED` when set, mirroring the CI chaos loop.
 //! * **Crafted bytes** — a TR* arena with a valid checksum but a cyclic
 //!   child run is rejected by the loader's structural pass and rebuilt
-//!   like a corrupt one; a format-version-1 segment fails the open with
-//!   the typed "unsupported store version" error; a version-2 *pair*
-//!   segment beside current dataset files is rebuilt and rewritten.
+//!   like a corrupt one, and so is an R*-tree whose leaf names an object
+//!   the relation does not have; a format-version-1 segment fails the
+//!   open with the typed "unsupported store version" error; a version-2
+//!   *pair* segment beside current dataset files is rebuilt and
+//!   rewritten.
 //! * **Another configuration** — a directory written under the paper's
 //!   TR* node capacity opens under the default one: rebuilt once,
 //!   refreshed in place, adopted from then on.
@@ -384,8 +386,9 @@ fn reseal_segment(
     std::fs::write(&path, &file).expect("rewrite segment");
 }
 
-/// Table tags of the TR* section and of the pair file's first raster
-/// section.
+/// Table tags of the R*-tree and TR* sections and of the pair file's
+/// first raster section.
+const TREE_TAG: u32 = 2;
 const TRSTAR_TAG: u32 = 5;
 const RASTER_A_TAG: u32 = 6;
 
@@ -431,6 +434,43 @@ fn crafted_cyclic_trstar_arena_degrades_not_hangs() {
     assert!(
         prom.contains("msj_store_checksum_failures_total{section=\"trstar\"} 1"),
         "the rejected arena must be counted:\n{prom}"
+    );
+    assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn crafted_out_of_range_leaf_id_rebuilds_the_tree() {
+    // A checksummed tree section whose first leaf entry names object
+    // 5,000,000 of a 120-object relation. The leaf count still matches the
+    // relation, so only the loader's permutation check stands between
+    // that id and the unchecked MER-mask gathers of every probe.
+    // Tree image layout per `msj_sam::rstar`: a 36-byte header, then five
+    // counted columns (levels, node rects, entry offsets, entry rects,
+    // values); node 0 is a leaf, so its first entry is the first value.
+    let (dir, cfg, requests, reference) = seeded_store("leafid");
+    reseal_segment(&dir, "ds_0.msj", TREE_TAG, |_, image| {
+        let count = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+        assert_eq!(image[44..48], 0u32.to_le_bytes(), "node 0 is a leaf");
+        let mut at = 36;
+        for width in [4, 8, 4, 8] {
+            at += 8 + width * count(at);
+        }
+        let values = count(at);
+        at += 8;
+        assert_eq!(
+            at + 4 * values,
+            image.len(),
+            "the value column closes the image"
+        );
+        image[at..at + 4].copy_from_slice(&5_000_000u32.to_le_bytes());
+    });
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("crafted tree wedged");
+    assert_eq!(run(&engine, &requests), reference, "rebuilt tree drifted");
+    let prom = engine.metrics().render_prometheus();
+    assert!(
+        prom.contains("msj_store_checksum_failures_total{section=\"tree\"} 1"),
+        "the rejected tree must be counted:\n{prom}"
     );
     assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
     std::fs::remove_dir_all(&dir).ok();
