@@ -190,66 +190,40 @@ impl Conservative {
         }
     }
 
+    /// This approximation as a [`ConsView`], which holds every test below.
+    pub fn as_view(&self) -> ConsView<'_> {
+        match self {
+            Conservative::Mbr(r) => ConsView::Rect(r),
+            Conservative::Mbc(c) => ConsView::Circle(c),
+            Conservative::Mbe(e) => ConsView::Ellipse(e),
+            Conservative::Convex(_, ring) => ConsView::Convex(ring),
+        }
+    }
+
     /// Enclosed area of the approximation.
     pub fn area(&self) -> f64 {
-        match self {
-            Conservative::Mbr(r) => r.area(),
-            Conservative::Mbc(c) => c.area(),
-            Conservative::Mbe(e) => e.area(),
-            Conservative::Convex(_, ring) => msj_geom::ring_area(ring),
-        }
+        self.as_view().area()
     }
 
     /// Axis-parallel bounding rectangle of the approximation (for the
     /// "area extension" analysis of §3.4).
     pub fn aabb(&self) -> Rect {
-        match self {
-            Conservative::Mbr(r) => *r,
-            Conservative::Mbc(c) => c.mbr(),
-            Conservative::Mbe(e) => e.mbr(),
-            Conservative::Convex(_, ring) => {
-                Rect::bounding(ring.iter().copied()).expect("non-empty ring")
-            }
-        }
+        self.as_view().aabb()
     }
 
     /// Whether `p` lies in the closed approximation region.
     pub fn contains_point(&self, p: Point) -> bool {
-        match self {
-            Conservative::Mbr(r) => r.contains_point(p),
-            Conservative::Mbc(c) => c.contains_point(p),
-            Conservative::Mbe(e) => e.contains_point(p),
-            Conservative::Convex(_, ring) => msj_geom::convex_contains_point(ring, p),
-        }
+        self.as_view().contains_point(p)
     }
 
-    /// A polygonal ring for area computations. Curved shapes are inscribed
-    /// (`resolution`-gon), so derived areas under-approximate — the safe
-    /// direction for the hit-identifying false-area test.
+    /// A polygonal ring for area computations (see [`ConsView::to_ring`]).
     pub fn to_ring(&self, resolution: usize) -> Vec<Point> {
-        match self {
-            Conservative::Mbr(r) => r.corners().to_vec(),
-            Conservative::Mbc(c) => c.polygonize(resolution),
-            Conservative::Mbe(e) => e.polygonize(resolution),
-            Conservative::Convex(_, ring) => ring.clone(),
-        }
+        self.as_view().to_ring(resolution)
     }
 
     /// Closed intersection test between two conservative approximations.
     pub fn intersects(&self, other: &Conservative) -> bool {
-        use Conservative::*;
-        match (self, other) {
-            (Mbr(a), Mbr(b)) => a.intersects(b),
-            (Mbc(a), Mbc(b)) => a.intersects_circle(b),
-            (Mbe(a), Mbe(b)) => a.intersects_ellipse(b),
-            (Convex(_, a), Convex(_, b)) => convex_intersect(a, b),
-            (Mbr(a), Mbc(b)) | (Mbc(b), Mbr(a)) => b.intersects_rect(a),
-            (Mbr(a), Mbe(b)) | (Mbe(b), Mbr(a)) => b.intersects_convex(&a.corners()),
-            (Mbr(a), Convex(_, b)) | (Convex(_, b), Mbr(a)) => convex_intersect(&a.corners(), b),
-            (Mbc(a), Mbe(b)) | (Mbe(b), Mbc(a)) => b.intersects_circle(a),
-            (Mbc(a), Convex(_, b)) | (Convex(_, b), Mbc(a)) => a.intersects_convex(b),
-            (Mbe(a), Convex(_, b)) | (Convex(_, b), Mbe(a)) => a.intersects_convex(b),
-        }
+        self.as_view().intersects(&other.as_view())
     }
 }
 
@@ -260,8 +234,8 @@ impl Conservative {
 /// The payload behind a view lives in a contiguous per-kind column (a
 /// flat vertex arena for the convex kinds), so reading one approximation
 /// touches exactly its own bytes: no per-object heap allocation, no
-/// `Vec<Point>` pointer chase. The intersection dispatch is identical to
-/// [`Conservative::intersects`], with one deliberate normalization: MBR
+/// `Vec<Point>` pointer chase. It is also the one home of the tests every
+/// [`Conservative`] delegates to, with one deliberate normalization: MBR
 /// *fallbacks* inside a convex-kind store are stored as their 4-corner
 /// rings (see [`crate::ConservativeStore::build`]).
 #[derive(Debug, Clone, Copy)]
@@ -274,7 +248,7 @@ pub enum ConsView<'a> {
 }
 
 impl ConsView<'_> {
-    /// Closed intersection test, mirroring [`Conservative::intersects`].
+    /// Closed intersection test between two conservative approximations.
     pub fn intersects(&self, other: &ConsView) -> bool {
         use ConsView::*;
         match (self, other) {
@@ -311,8 +285,9 @@ impl ConsView<'_> {
         }
     }
 
-    /// A polygonal ring for area computations (see
-    /// [`Conservative::to_ring`]).
+    /// A polygonal ring for area computations. Curved shapes are inscribed
+    /// (`resolution`-gon), so derived areas under-approximate — the safe
+    /// direction for the hit-identifying false-area test.
     pub fn to_ring(&self, resolution: usize) -> Vec<Point> {
         match self {
             ConsView::Rect(r) => r.corners().to_vec(),
@@ -329,18 +304,6 @@ impl ConsView<'_> {
             ConsView::Circle(c) => c.area(),
             ConsView::Ellipse(e) => e.area(),
             ConsView::Convex(ring) => msj_geom::ring_area(ring),
-        }
-    }
-}
-
-impl Conservative {
-    /// This approximation as a [`ConsView`].
-    pub fn as_view(&self) -> ConsView<'_> {
-        match self {
-            Conservative::Mbr(r) => ConsView::Rect(r),
-            Conservative::Mbc(c) => ConsView::Circle(c),
-            Conservative::Mbe(e) => ConsView::Ellipse(e),
-            Conservative::Convex(_, ring) => ConsView::Convex(ring),
         }
     }
 }

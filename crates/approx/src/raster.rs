@@ -40,7 +40,7 @@
 //! Intersection Joins") on this workspace's columnar stores.
 
 use msj_geom::bytes::{Dec, DecResult, Enc};
-use msj_geom::{Checksum, ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment};
+use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, Relation, Segment};
 
 /// Smallest sensible grid resolution (`2^2 = 4` cells per axis).
 pub const MIN_GRID_BITS: u32 = 2;
@@ -509,14 +509,6 @@ impl RunColumn {
         &self.runs[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
-    fn checksum(&self, sum: &mut Checksum) {
-        sum.update(&(self.offsets.len() as u64).to_le_bytes());
-        sum.update_le(&self.offsets, u32::to_le_bytes);
-        sum.update_le(&self.runs, |run| {
-            (u64::from(run.end) << 32 | u64::from(run.start)).to_le_bytes()
-        });
-    }
-
     /// The counted offset table, then the arena as counted
     /// `(start, end)` word pairs.
     fn encode(&self, e: &mut Enc) {
@@ -620,23 +612,6 @@ impl RasterStore {
         self.all.runs.len() + self.full.runs.len()
     }
 
-    /// [`msj_geom::checksum`] over the whole store — the grid scalars and
-    /// both columns, each value little-endian, streamed without building
-    /// the image. Recorded when the store is built and re-verified before
-    /// a join trusts the Step-2a pre-filter; a mismatch means corrupted
-    /// signatures, and the engine falls back to the filter-only path
-    /// rather than risk wrong join answers.
-    pub fn checksum(&self) -> u64 {
-        let g = &self.grid;
-        let mut sum = Checksum::default();
-        sum.update(&g.bits.to_le_bytes());
-        let scalars = [g.origin.x, g.origin.y, g.cell_w, g.cell_h];
-        sum.update_le(&scalars, |v| v.to_bits().to_le_bytes());
-        self.all.checksum(&mut sum);
-        self.full.checksum(&mut sum);
-        sum.finish()
-    }
-
     /// The store as its persistent image: the grid geometry as raw scalars
     /// (`origin.x`, `origin.y`, `cell_w`, `cell_h` as `f64`, `bits: u32`),
     /// then the A column and the F column, each a counted offset table
@@ -655,8 +630,8 @@ impl RasterStore {
 
     /// Adopts a [`RasterStore::to_bytes`] image without re-rasterizing.
     /// The grid is restored verbatim (no re-clamping — the stored values
-    /// came from a validly constructed grid), so [`RasterStore::checksum`]
-    /// of the result equals the written store's. Everything the Step-2a
+    /// came from a validly constructed grid), so the result re-encodes to
+    /// the same image. Everything the Step-2a
     /// searches rely on is checked first: both columns canonical, over the
     /// same objects, and every F list inside its A list.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
@@ -1025,13 +1000,12 @@ mod tests {
     }
 
     #[test]
-    fn image_round_trips_grid_signatures_and_checksum() {
+    fn image_round_trips_grid_and_signatures() {
         let store = two_object_store();
         let bytes = store.to_bytes();
         let back = RasterStore::from_bytes(&bytes).expect("own image decodes");
         assert_eq!(back.to_bytes(), bytes);
         assert_eq!(back.grid(), store.grid());
-        assert_eq!(back.checksum(), store.checksum());
         assert_eq!(
             (back.len(), back.interval_count()),
             (2, store.interval_count())
@@ -1110,32 +1084,6 @@ mod tests {
             }),
             Some("raster A and F columns differ in object count")
         );
-    }
-
-    #[test]
-    fn every_single_bit_flip_in_either_arena_changes_the_checksum() {
-        let store = two_object_store();
-        let sum = store.checksum();
-        let mut flipped = store.clone();
-        for bit in 0..32 {
-            for i in 0..store.all.runs.len() {
-                flipped.all.runs[i].start ^= 1 << bit;
-                assert_ne!(flipped.checksum(), sum, "A[{i}].start bit {bit}");
-                flipped.all.runs[i].start ^= 1 << bit;
-                flipped.all.runs[i].end ^= 1 << bit;
-                assert_ne!(flipped.checksum(), sum, "A[{i}].end bit {bit}");
-                flipped.all.runs[i].end ^= 1 << bit;
-            }
-            for i in 0..store.full.runs.len() {
-                flipped.full.runs[i].start ^= 1 << bit;
-                assert_ne!(flipped.checksum(), sum, "F[{i}].start bit {bit}");
-                flipped.full.runs[i].start ^= 1 << bit;
-                flipped.full.runs[i].end ^= 1 << bit;
-                assert_ne!(flipped.checksum(), sum, "F[{i}].end bit {bit}");
-                flipped.full.runs[i].end ^= 1 << bit;
-            }
-        }
-        assert_eq!(flipped.checksum(), sum);
     }
 
     #[test]

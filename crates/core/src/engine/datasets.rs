@@ -67,10 +67,9 @@ pub(super) struct DatasetArtifacts {
 /// verified bytes must decode (`from_bytes`) *and* describe exactly the
 /// `objects` of the relation the artifact is about to be attached to — a
 /// checksum-valid image of another length would index out of bounds at
-/// query time. `None` means rebuild (or, for a pair's raster side, run
-/// without); a section that was written but cannot be adopted is listed in
-/// `corrupt` for `msj_store_checksum_failures_total`, one that was never
-/// written is not.
+/// query time. `None` means rebuild; a section that was written but cannot
+/// be adopted is listed in `corrupt` for
+/// `msj_store_checksum_failures_total`, one that was never written is not.
 pub(super) fn adopt<T, E>(
     stored: Option<&Segment>,
     section: Section,
@@ -327,11 +326,11 @@ impl SpatialEngine {
     /// by a previous engine's write-through comes back registered, in id
     /// order, with its Step-0 artifacts **loaded** from the segment
     /// files (checksums verified per section) instead of rebuilt — the
-    /// store's cold-start path. Corrupt artifact sections degrade to a
-    /// rebuild from the relation (counted under
-    /// `msj_degraded_mode_total{reason="store_corrupt"}`); a corrupt
-    /// manifest or relation section fails the open, since there is
-    /// nothing to rebuild from.
+    /// store's cold-start path. An artifact section that fails its
+    /// checksum or shape is rebuilt from the relation (counted under
+    /// `msj_store_checksum_failures_total{section}`); a corrupt manifest
+    /// or relation section fails the open, since there is nothing to
+    /// rebuild from.
     pub fn open(config: JoinConfig, store: StoreConfig) -> io::Result<Self> {
         let engine = SpatialEngine::new(config).with_store(store)?;
         let backend = engine.store.as_ref().expect("store just armed");

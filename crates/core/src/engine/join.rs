@@ -66,9 +66,6 @@ pub struct PreparedJoin {
     timed: bool,
     exact_cost_kind: ExactCostKind,
     serving: Option<Serving>,
-    /// `Some(reason)` when Step 2a was disabled for this pair because
-    /// its raster signatures failed verification (degraded mode).
-    degraded: Option<&'static str>,
     /// Bounded ring of per-run statistics, newest last (admission
     /// history).
     history: Mutex<VecDeque<MultiStepStats>>,
@@ -89,7 +86,6 @@ impl PreparedJoin {
         filter: GeometricFilter,
         step0_nanos: u64,
         serving: Option<Serving>,
-        degraded: Option<&'static str>,
     ) -> PreparedJoin {
         let handle = |relation: &Arc<Relation>| RelHandle::from(relation.clone());
         let (tree_a, tree_b) = (arts_a.tree.clone(), arts_b.tree.clone());
@@ -113,7 +109,6 @@ impl PreparedJoin {
             timed: config.obs.enabled,
             exact_cost_kind: exact_cost_kind(config),
             serving,
-            degraded,
             history: Mutex::new(VecDeque::with_capacity(RUN_HISTORY)),
         }
     }
@@ -131,7 +126,7 @@ impl PreparedJoin {
         }
         let step0_nanos = t_prep.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let (a, b) = ((0, &rel_a, &arts_a), (1, &rel_b, &arts_b));
-        Self::assemble(config, a, b, filter, step0_nanos, None, None)
+        Self::assemble(config, a, b, filter, step0_nanos, None)
     }
 
     /// Runs Steps 1–3 under the configured execution policy.
@@ -238,14 +233,6 @@ impl PreparedJoin {
             }
         }
         outcome
-    }
-
-    /// `Some(reason)` when this pair runs in degraded mode — its raster
-    /// signatures failed verification, so Step 2a is disabled and every
-    /// candidate surviving Step 2 goes to exact geometry. Answers stay
-    /// correct; only the §4 filter speedup is lost.
-    pub fn degraded_reason(&self) -> Option<&'static str> {
-        self.degraded
     }
 
     /// The joined dataset ids `(a, b)`.
@@ -477,10 +464,10 @@ impl SpatialEngine {
             self.artifacts(sb)
         };
         let filter = shared_filter(&self.config, &arts_a, &arts_b);
-        let (filter, degraded) = if self.config.raster {
+        let filter = if self.config.raster {
             self.attach_raster(filter, a, b)
         } else {
-            (filter, None)
+            filter
         };
         // A self-join shares one dataset on both sides — count its
         // registration cost once.
@@ -502,99 +489,62 @@ impl SpatialEngine {
             filter,
             step0_nanos,
             Some(serving),
-            degraded,
         )
     }
 
-    /// Pair-level Step 0: gives `filter` its Step-2a raster stage —
-    /// adopted from the pair's persisted segment, or rasterized on one
-    /// shared grid (signatures are only comparable on the same grid, so
-    /// they cannot be a per-dataset artifact) and written through.
-    ///
-    /// Returns the filter with `Some(reason)` when the stage had to be
-    /// dropped instead — **degraded mode**. The raster stores carry build-time checksums; a
-    /// mismatch (or an injected `raster_corrupt` fault) means Step 2a
-    /// would filter with untrustworthy signatures, and a persisted pair
-    /// segment whose raster sections fail *their* checksums means the
-    /// same thing one media generation earlier. The fallback strips the
-    /// rasters for this pair — every Step-2 survivor goes to exact
-    /// geometry, answers stay correct, only the §4 filter speedup is
-    /// lost.
+    /// Pair-level Step 0: gives `filter` its Step-2a raster stage. Like
+    /// every dataset artifact, the pair's signatures are adopted from its
+    /// persisted segment when both sides decode, each is as long as its
+    /// relation and the two share one grid. Otherwise — no segment, a
+    /// stale tag, a corrupt side or a grid mismatch — both relations are
+    /// rasterized on one shared grid (signatures are only comparable on
+    /// the same grid, so they cannot be a per-dataset artifact) and
+    /// written through. A section that was written but could not be used
+    /// is counted under `msj_store_checksum_failures_total`.
     fn attach_raster(
         &self,
-        mut filter: GeometricFilter,
+        filter: GeometricFilter,
         a: &DatasetHandle,
         b: &DatasetHandle,
-    ) -> (GeometricFilter, Option<&'static str>) {
+    ) -> GeometricFilter {
         let (sa, sb) = (&a.state, &b.state);
-        let obs = &self.obs;
-        let mut degraded = None;
-        // Store-backed pairs adopt their persisted signatures
-        // (checksums verified, both sides on one grid and as long as
-        // their relations) instead of re-rasterizing; misses and stale
-        // tags rebuild and write through.
-        let mut attached = false;
+        let Some(backend) = &self.store else {
+            return filter.with_raster(&sa.relation, &sb.relation);
+        };
+        let read = self.with_store_fault(|tamper| backend.store.read_pair(sa.id, sb.id, tamper));
+        let stored = read.ok().flatten().filter(|p| p.config_tag == self.tag);
         let mut corrupt: Vec<Section> = Vec::new();
-        if let Some(backend) = &self.store {
-            let read =
-                self.with_store_fault(|tamper| backend.store.read_pair(sa.id, sb.id, tamper));
-            if let Some(pair) = read.ok().flatten().filter(|p| p.config_tag == self.tag) {
-                let side = |section, relation: &Relation, corrupt: &mut Vec<_>| {
-                    adopt(
-                        Some(&pair),
-                        section,
-                        relation.len(),
-                        RasterStore::from_bytes,
-                        RasterStore::len,
-                        corrupt,
-                    )
-                };
-                let ra = side(Section::RasterA, &sa.relation, &mut corrupt);
-                let rb = side(Section::RasterB, &sb.relation, &mut corrupt);
-                match (ra, rb) {
-                    (Some(ra), Some(rb)) if ra.grid() == rb.grid() => {
-                        filter = filter.with_shared_raster(Arc::new(ra), Arc::new(rb));
-                        attached = true;
-                    }
-                    // Signatures on two grids are not comparable:
-                    // neither side can be trusted.
-                    (Some(_), Some(_)) => corrupt.extend([Section::RasterA, Section::RasterB]),
-                    _ => {}
-                }
-                if !corrupt.is_empty() {
-                    degraded = Some("store_corrupt");
-                }
+        let mut side = |section, relation: &Relation| {
+            adopt(
+                stored.as_ref(),
+                section,
+                relation.len(),
+                RasterStore::from_bytes,
+                RasterStore::len,
+                &mut corrupt,
+            )
+        };
+        let ra = side(Section::RasterA, &sa.relation);
+        let rb = side(Section::RasterB, &sb.relation);
+        match (ra, rb) {
+            (Some(ra), Some(rb)) if ra.grid() == rb.grid() => {
+                return filter.with_shared_raster(Arc::new(ra), Arc::new(rb));
             }
+            // Signatures on two grids are not comparable: neither side
+            // can be trusted.
+            (Some(_), Some(_)) => corrupt.extend([Section::RasterA, Section::RasterB]),
+            _ => {}
         }
-        obs.checksum_failed(&corrupt);
-        if degraded.is_none() && !attached {
-            filter = filter.with_raster(&sa.relation, &sb.relation);
-            if let (Some(backend), Some((ra, rb))) = (&self.store, filter.raster_stores()) {
-                let sections = [
-                    (Section::RasterA, ra.to_bytes()),
-                    (Section::RasterB, rb.to_bytes()),
-                ];
-                let _ = backend.store.write_pair(sa.id, sb.id, self.tag, &sections);
-            }
+        self.obs.checksum_failed(&corrupt);
+        let filter = filter.with_raster(&sa.relation, &sb.relation);
+        if let Some((ra, rb)) = filter.raster_stores() {
+            let sections = [
+                (Section::RasterA, ra.to_bytes()),
+                (Section::RasterB, rb.to_bytes()),
+            ];
+            let _ = backend.store.write_pair(sa.id, sb.id, self.tag, &sections);
         }
-        let session = self.fault.session();
-        if degraded.is_none() {
-            if session.corrupt_raster() {
-                self.fault.spend();
-                degraded = Some("fault_injected");
-            } else if !filter.verify_raster() {
-                degraded = Some("raster_checksum");
-            }
-        }
-        if let Some(reason) = degraded {
-            filter.strip_raster();
-            obs.degraded_mode(reason);
-            if let Some(site) = session.fired() {
-                obs.fault_fired(site);
-            }
-            obs.trace("degraded_mode", (a.id(), b.id()), |_| {});
-        }
-        (filter, degraded)
+        filter
     }
 
     pub(super) fn run_join_request(

@@ -25,16 +25,12 @@ use std::time::Instant;
 /// `kind` labels of `msj_request_latency_nanos`.
 const REQUEST_KINDS: [&str; 4] = ["join", "self_join", "point", "window"];
 
-/// `reason` labels of `msj_degraded_mode_total`.
-const DEGRADED_REASONS: [&str; 3] = ["raster_checksum", "fault_injected", "store_corrupt"];
-
 /// `site` labels of `msj_fault_injected_total` — the
 /// [`msj_fault::FaultKind::site`] names, engine-internal sites and the
 /// wire-level sites a network front injects at.
-const FAULT_SITES: [&str; 9] = [
+const FAULT_SITES: [&str; 8] = [
     "worker_panic",
     "slow_worker",
-    "raster_corrupt",
     "store_corrupt",
     "cancel_at_batch",
     "conn_reset",
@@ -85,12 +81,10 @@ pub(super) struct EngineObs {
     /// By [`LaneRole`].
     worker_pairs: [Arc<Counter>; 2],
     worker_batches: [Arc<Counter>; 2],
-    /// By [`DEGRADED_REASONS`].
-    degraded: [Arc<Counter>; 3],
     /// By [`EngineError::ALL_KINDS`].
     errors: [Arc<Counter>; 5],
     /// By [`FAULT_SITES`].
-    fault_injected: [Arc<Counter>; 9],
+    fault_injected: [Arc<Counter>; 8],
     /// By [`Section::ALL`].
     checksum_failures: [Arc<Counter>; 7],
     /// By [`STEP0_ARTIFACTS`].
@@ -130,7 +124,6 @@ msj_worker_batches_total Batches flushed by execution workers, by lane role
 msj_request_cancelled_total Join requests stopped by explicit cooperative cancellation
 msj_deadline_exceeded_total Join requests stopped because their deadline expired
 msj_worker_panics_total Worker panics contained at the run boundary
-msj_degraded_mode_total Joins that fell back to the filter-only path, by reason
 msj_request_errors_total Requests that returned an error, by error kind
 msj_fault_injected_total Deterministic fault injections that fired, by site
 msj_store_bytes Resident artifact-store bytes, by dataset (0 when evicted)
@@ -187,8 +180,6 @@ impl EngineObs {
                 .map(|role| counters("msj_worker_pairs_total", "role", role.as_str())),
             worker_batches: LANE_ROLES
                 .map(|role| counters("msj_worker_batches_total", "role", role.as_str())),
-            degraded: DEGRADED_REASONS
-                .map(|reason| counters("msj_degraded_mode_total", "reason", reason)),
             errors: EngineError::ALL_KINDS
                 .map(|kind| counters("msj_request_errors_total", "kind", kind)),
             fault_injected: FAULT_SITES
@@ -269,13 +260,10 @@ impl EngineObs {
     }
 
     /// Publishes one finished store load: wall-clock plus any
-    /// per-section failures and the degraded-fallback count.
+    /// per-section failures.
     pub fn store_load(&self, nanos: u64, corrupt: &[Section]) {
         self.store_load_nanos.record(nanos);
         self.checksum_failed(corrupt);
-        if !corrupt.is_empty() {
-            self.degraded_mode("store_corrupt");
-        }
     }
 
     /// Counts sections that were written but could not be adopted.
@@ -284,10 +272,6 @@ impl EngineObs {
             let slot = Section::ALL.iter().position(|known| known == section);
             self.checksum_failures[slot.expect("every section is in ALL")].inc();
         }
-    }
-
-    pub fn degraded_mode(&self, reason: &str) {
-        labelled(&DEGRADED_REASONS, &self.degraded, reason).inc();
     }
 
     pub fn fault_fired(&self, site: &str) {

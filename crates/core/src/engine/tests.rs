@@ -744,43 +744,6 @@ fn injected_worker_panic_is_contained_and_engine_stays_clean() {
 }
 
 #[test]
-fn injected_raster_corruption_degrades_and_answers_stay_correct() {
-    let a = msj_datagen::small_carto(60, 24.0, 1111);
-    let b = msj_datagen::small_carto(60, 24.0, 1112);
-    let baseline = {
-        let engine = SpatialEngine::new(JoinConfig::default());
-        let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
-        engine.prepare_join(&ha, &hb).run().pairs
-    };
-    let engine = SpatialEngine::new(
-        JoinConfig::builder()
-            .obs(ObsConfig::with_traces(8))
-            .fault(FaultConfig::seeded(5, msj_fault::FaultKind::RasterCorrupt))
-            .build(),
-    );
-    let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
-    let prepared = engine.prepare_join(&ha, &hb);
-    assert_eq!(prepared.degraded_reason(), Some("fault_injected"));
-    // Filter-only path: answers identical, Step 2a simply absent.
-    let result = prepared.run();
-    assert_eq!(result.pairs, baseline);
-    assert_eq!(result.stats.raster_hits + result.stats.raster_drops, 0);
-    let snap = engine.metrics().snapshot();
-    assert_eq!(
-        snap.counter("msj_degraded_mode_total{reason=\"fault_injected\"}"),
-        1
-    );
-    assert_eq!(
-        snap.counter("msj_fault_injected_total{site=\"raster_corrupt\"}"),
-        1
-    );
-    assert!(engine
-        .recent_traces()
-        .iter()
-        .any(|t| t.kind == "degraded_mode"));
-}
-
-#[test]
 fn failed_requests_are_traced_and_counted_per_kind() {
     let a = msj_datagen::small_carto(40, 24.0, 1113);
     let b = msj_datagen::small_carto(40, 24.0, 1114);

@@ -96,11 +96,6 @@ pub struct GeometricFilter {
     /// Step-2a raster signatures, both relations on one shared grid.
     raster_a: Option<Arc<RasterStore>>,
     raster_b: Option<Arc<RasterStore>>,
-    /// Checksums of the two raster stores recorded when they were
-    /// built ([`msj_approx::RasterStore::checksum`]); the engine
-    /// re-verifies them to detect signature corruption and fall back to
-    /// the filter-only path.
-    raster_checksums: Option<(u64, u64)>,
     conservative_a: Option<Arc<ConservativeStore>>,
     conservative_b: Option<Arc<ConservativeStore>>,
     progressive_a: Option<Arc<ProgressiveStore>>,
@@ -147,7 +142,6 @@ impl GeometricFilter {
         let mut filter = GeometricFilter {
             raster_a: None,
             raster_b: None,
-            raster_checksums: None,
             conservative_a,
             conservative_b,
             progressive_a,
@@ -190,43 +184,12 @@ impl GeometricFilter {
     /// Attaches pre-built Step-2a raster stores — the engine's
     /// store-backed cold-start path, where both stores were decoded from
     /// a persisted pair segment instead of rasterized from the
-    /// relations. Checksums are recorded at attach exactly like
-    /// [`GeometricFilter::with_raster`] records them at build, so
-    /// [`GeometricFilter::verify_raster`] holds the same
-    /// corruption-detection contract on both paths. The caller is
-    /// responsible for the stores sharing one grid (the persisted pair
-    /// segment guarantees it).
+    /// relations. The caller is responsible for the stores sharing one
+    /// grid.
     pub fn with_shared_raster(mut self, a: Arc<RasterStore>, b: Arc<RasterStore>) -> Self {
-        self.raster_checksums = Some((a.checksum(), b.checksum()));
         self.raster_a = Some(a);
         self.raster_b = Some(b);
         self
-    }
-
-    /// Recomputes the raster-store checksums and compares them with the
-    /// values recorded at build. `true` means intact (vacuously so when
-    /// the stage is inactive); `false` means the signatures no longer
-    /// match what was built — the engine then degrades to the
-    /// filter-only path.
-    pub fn verify_raster(&self) -> bool {
-        match (&self.raster_a, &self.raster_b, self.raster_checksums) {
-            (Some(a), Some(b), Some((ca, cb))) => a.checksum() == ca && b.checksum() == cb,
-            (None, None, _) => true,
-            // Stores without recorded checksums (or vice versa) are
-            // themselves an integrity violation.
-            _ => false,
-        }
-    }
-
-    /// Drops the Step-2a raster stage, keeping the conservative /
-    /// progressive chain — the **degraded mode** entered on detected
-    /// signature corruption. The response set is unaffected (the stage
-    /// only pre-decides pairs the chain and exact step would decide the
-    /// same way); only speed degrades.
-    pub fn strip_raster(&mut self) {
-        self.raster_a = None;
-        self.raster_b = None;
-        self.raster_checksums = None;
     }
 
     /// The filter a [`crate::JoinConfig`] asks for: built stores when any

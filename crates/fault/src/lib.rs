@@ -24,8 +24,6 @@
 //! * [`FaultSession::on_batch`] — called by each consumer sink once per
 //!   candidate batch (the Step-2/Step-3 span boundary). Returns the
 //!   [`FaultAction`] to take: panic, stall, cancel, or proceed.
-//! * [`FaultSession::corrupt_raster`] — consulted when the Step-2a raster
-//!   stores are built/verified; `true` simulates a checksum mismatch.
 //! * [`FaultSession::corrupt_store`] — consulted at the persistent
 //!   store's load seam; a hit flips one seed-derived byte of the named
 //!   section so the corruption travels through the real checksum path.
@@ -39,7 +37,7 @@
 //! [`FaultConfig::from_env`] reads:
 //!
 //! * `MSJ_FAULT_PLAN` — `worker_panic`, `slow_worker:<millis>`,
-//!   `raster_corrupt`, `cancel_at_batch:<n>`, or
+//!   `cancel_at_batch:<n>`, or
 //!   `store_corrupt:<section>` (a persistent-store section name such as
 //!   `tree` or `raster_a`); unset or unparsable means *disabled*.
 //! * `MSJ_FAULT_SEED` — decimal `u64`, defaults to `0`.
@@ -58,9 +56,6 @@ pub enum FaultKind {
         /// Stall duration in milliseconds.
         millis: u32,
     },
-    /// The Step-2a raster signatures read as corrupted (checksum
-    /// mismatch), forcing the degraded filter-only path.
-    RasterCorrupt,
     /// The request's cancel token fires when the `batch`-th candidate
     /// batch (0-based, counted across all workers) is consumed.
     CancelAtBatch {
@@ -70,7 +65,7 @@ pub enum FaultKind {
     /// One byte of the named persistent-store section flips at the load
     /// seam (seed-deterministic index), so the corruption flows through
     /// the store's real checksum-verification path and the engine's
-    /// degraded fallbacks.
+    /// rebuild of the artifact.
     StoreCorrupt {
         /// Which section of the segment file the flip lands in.
         section: StoreSection,
@@ -146,7 +141,6 @@ impl FaultKind {
         match self {
             FaultKind::WorkerPanic => "worker_panic",
             FaultKind::SlowWorker { .. } => "slow_worker",
-            FaultKind::RasterCorrupt => "raster_corrupt",
             FaultKind::CancelAtBatch { .. } => "cancel_at_batch",
             FaultKind::StoreCorrupt { .. } => "store_corrupt",
             FaultKind::ConnReset => "conn_reset",
@@ -243,7 +237,6 @@ pub fn parse_plan(text: &str) -> Option<FaultKind> {
     }
     match text {
         "worker_panic" => Some(FaultKind::WorkerPanic),
-        "raster_corrupt" => Some(FaultKind::RasterCorrupt),
         "conn_reset" => Some(FaultKind::ConnReset),
         "partial_write" => Some(FaultKind::PartialWrite),
         "drop_before_reply" => Some(FaultKind::DropBeforeReply),
@@ -383,10 +376,9 @@ impl FaultSession {
                     FaultAction::Proceed
                 }
             }
-            // Raster/store corruption and the wire kinds fire at their
-            // own sites, not at batch boundaries.
-            FaultKind::RasterCorrupt
-            | FaultKind::StoreCorrupt { .. }
+            // Store corruption and the wire kinds fire at their own
+            // sites, not at batch boundaries.
+            FaultKind::StoreCorrupt { .. }
             | FaultKind::ConnReset
             | FaultKind::PartialWrite
             | FaultKind::SlowClient { .. }
@@ -425,18 +417,6 @@ impl FaultSession {
             }
             FaultKind::DropBeforeReply => WireAction::DropBeforeReply,
             _ => WireAction::Proceed,
-        }
-    }
-
-    /// Whether the Step-2a raster stores should read as corrupted this
-    /// run (consulted where the stores are built/verified).
-    #[inline]
-    pub fn corrupt_raster(&self) -> bool {
-        if matches!(self.config.kind, Some(FaultKind::RasterCorrupt)) {
-            self.latch();
-            true
-        } else {
-            false
         }
     }
 
@@ -489,7 +469,7 @@ mod tests {
         for w in 0..8 {
             assert_eq!(s.on_batch(w, 8), FaultAction::Proceed);
         }
-        assert!(!s.corrupt_raster());
+        assert_eq!(s.corrupt_store("tree"), None);
         assert_eq!(s.fired(), None);
     }
 
@@ -555,14 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn raster_corrupt_latches_the_fired_site() {
-        let s = FaultSession::new(FaultConfig::seeded(9, FaultKind::RasterCorrupt));
-        assert!(s.corrupt_raster());
-        assert_eq!(s.on_batch(0, 1), FaultAction::Proceed);
-        assert_eq!(s.fired(), Some("raster_corrupt"));
-    }
-
-    #[test]
     fn store_corrupt_fires_once_for_the_named_section_only() {
         let s = FaultSession::new(FaultConfig::seeded(
             13,
@@ -585,7 +557,6 @@ mod tests {
             parse_plan("slow_worker:15"),
             Some(FaultKind::SlowWorker { millis: 15 })
         );
-        assert_eq!(parse_plan("raster_corrupt"), Some(FaultKind::RasterCorrupt));
         assert_eq!(
             parse_plan(" cancel_at_batch:3 "),
             Some(FaultKind::CancelAtBatch { batch: 3 })
@@ -619,7 +590,6 @@ mod tests {
         for (kind, site) in [
             (FaultKind::WorkerPanic, "worker_panic"),
             (FaultKind::SlowWorker { millis: 1 }, "slow_worker"),
-            (FaultKind::RasterCorrupt, "raster_corrupt"),
             (FaultKind::CancelAtBatch { batch: 0 }, "cancel_at_batch"),
             (
                 FaultKind::StoreCorrupt {

@@ -26,14 +26,13 @@
 //!
 //! Two 64-bit hashes live here, for two different jobs:
 //!
-//! * [`checksum`] (streaming: [`Checksum`]) is the **integrity check**:
-//!   recorded per section and for the manifest in every segment file,
-//!   re-verified on every load, and taken over a raster store before a
-//!   join trusts it. It runs on every cold open, so it must run at memory
-//!   speed: four independent lanes each fold one little-endian `u64` per
-//!   32-byte stripe through an xxh64-style multiply–rotate round — ≈ 13
-//!   GB/s on one x86-64 core where byte-serial FNV-1a manages ≈ 0.85
-//!   (`repro kernels` prints both). Its value is part of the store format:
+//! * [`checksum`] is the **integrity check**: recorded per section and
+//!   for the manifest in every segment file, re-verified on every load.
+//!   It runs on every cold open, so it must run at memory speed: four
+//!   independent lanes each fold one little-endian `u64` per 32-byte
+//!   stripe through an xxh64-style multiply–rotate round — ≈ 13 GB/s on
+//!   one x86-64 core where byte-serial FNV-1a manages ≈ 0.85 (`repro
+//!   kernels` prints both). Its value is part of the store format:
 //!   changing the function is a `STORE_VERSION` bump.
 //! * [`fnv1a64`] is the **digest**: a short, stable, byte-serial name for
 //!   an answer or an image (the benchmark's response digests, golden image
@@ -117,99 +116,27 @@ fn word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
 }
 
-/// The store's 64-bit integrity checksum of `bytes` (see the module docs):
-/// the one-shot form of [`Checksum`].
+/// The store's 64-bit integrity checksum of `bytes` (see the module docs).
+/// The words of a last, partial stripe go to the first lanes in order, the
+/// final one zero-padded; the length tells a padded input from its zero
+/// extension.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut sum = Checksum::default();
-    sum.update(bytes);
-    sum.finish()
-}
-
-/// Streaming state of [`checksum`]: any split of the same bytes over
-/// [`Checksum::update`] calls finishes to the same value.
-#[derive(Debug)]
-pub struct Checksum {
-    lanes: [u64; LANES],
-    /// The bytes of a stripe not yet complete.
-    tail: [u8; STRIPE],
-    tail_len: usize,
-    len: u64,
-}
-
-impl Default for Checksum {
-    fn default() -> Self {
-        Checksum {
-            lanes: LANE_SEEDS,
-            tail: [0; STRIPE],
-            tail_len: 0,
-            len: 0,
+    let mut lanes = LANE_SEEDS;
+    let mut stripes = bytes.chunks_exact(STRIPE);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, word(w));
         }
     }
-}
-
-impl Checksum {
-    /// Folds `bytes` in.
-    pub fn update(&mut self, mut bytes: &[u8]) {
-        self.len += bytes.len() as u64;
-        if self.tail_len > 0 {
-            let take = (STRIPE - self.tail_len).min(bytes.len());
-            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
-            self.tail_len += take;
-            bytes = &bytes[take..];
-            if self.tail_len < STRIPE {
-                return;
-            }
-            let stripe = self.tail;
-            self.stripes(&stripe);
-            self.tail_len = 0;
-        }
-        let whole = bytes.len() - bytes.len() % STRIPE;
-        self.stripes(&bytes[..whole]);
-        let rest = &bytes[whole..];
-        self.tail[..rest.len()].copy_from_slice(rest);
-        self.tail_len = rest.len();
+    for (lane, w) in lanes.iter_mut().zip(stripes.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..w.len()].copy_from_slice(w);
+        *lane = round(*lane, word(&padded));
     }
-
-    /// Folds in each item's `N`-byte little-endian encoding, in order:
-    /// the bytes `items` would be written as, staged through the stack
-    /// instead of allocated.
-    pub fn update_le<T: Copy, const N: usize>(&mut self, items: &[T], le: impl Fn(T) -> [u8; N]) {
-        let mut stage = [0u8; 4096];
-        for chunk in items.chunks(stage.len() / N) {
-            for (dst, &item) in stage.chunks_exact_mut(N).zip(chunk) {
-                dst.copy_from_slice(&le(item));
-            }
-            self.update(&stage[..N * chunk.len()]);
-        }
-    }
-
-    /// Whole stripes only.
-    #[inline]
-    fn stripes(&mut self, bytes: &[u8]) {
-        let mut lanes = self.lanes;
-        for stripe in bytes.chunks_exact(STRIPE) {
-            for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
-                *lane = round(*lane, word(w));
-            }
-        }
-        self.lanes = lanes;
-    }
-
-    /// The checksum of everything folded in so far. The words of a last,
-    /// partial stripe go to the first lanes in order, the final one
-    /// zero-padded; the length tells a padded input from its zero
-    /// extension.
-    pub fn finish(&self) -> u64 {
-        let mut lanes = self.lanes;
-        for (lane, w) in lanes.iter_mut().zip(self.tail[..self.tail_len].chunks(8)) {
-            let mut padded = [0u8; 8];
-            padded[..w.len()].copy_from_slice(w);
-            *lane = round(*lane, word(&padded));
-        }
-        lanes
-            .into_iter()
-            .fold(self.len.wrapping_mul(P5), |h, lane| h ^ avalanche(lane))
-    }
+    let len = bytes.len() as u64;
+    lanes
+        .into_iter()
+        .fold(len.wrapping_mul(P5), |h, lane| h ^ avalanche(lane))
 }
 
 /// A heap buffer whose payload starts on a [`PAGE_SIZE`]-aligned address.
@@ -596,33 +523,5 @@ mod tests {
             }
         }
         assert_ne!(checksum(&[]), checksum(&[0; 32]));
-    }
-
-    #[test]
-    fn streamed_checksum_equals_one_shot_at_every_split() {
-        let bytes = pattern(200);
-        for len in [0, 1, 31, 32, 33, 64, 100, 200] {
-            let (data, whole) = (&bytes[..len], checksum(&bytes[..len]));
-            for i in 0..=len {
-                for j in i..=len {
-                    let mut sum = Checksum::default();
-                    sum.update(&data[..i]);
-                    sum.update(&data[i..j]);
-                    assert_eq!(sum.finish(), checksum(&data[..j]), "len {len}, {i} / {j}");
-                    sum.update(&data[j..]);
-                    assert_eq!(sum.finish(), whole, "len {len}, splits {i}, {j}");
-                }
-            }
-        }
-        // `update_le` is `update` over the little-endian encoding, across
-        // several 4 KiB stages and at any stream offset.
-        let words: Vec<u32> = (0..3000u32).map(|i| i.wrapping_mul(0x9e37_79b9)).collect();
-        let le: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        for lead in 0..9 {
-            let mut sum = Checksum::default();
-            sum.update(&bytes[..lead]);
-            sum.update_le(&words, u32::to_le_bytes);
-            assert_eq!(sum.finish(), checksum(&[&bytes[..lead], &le[..]].concat()));
-        }
     }
 }

@@ -49,7 +49,7 @@ pub mod svg;
 pub mod validate;
 pub mod wkt;
 
-pub use bytes::{checksum, fnv1a64, fnv1a64_update, AlignedBuf, Checksum, PAGE_SIZE};
+pub use bytes::{checksum, fnv1a64, fnv1a64_update, AlignedBuf, PAGE_SIZE};
 pub use calipers::{min_area_rect, OrientedRect};
 pub use cancel::{CancelReason, CancelToken};
 pub use clip::{

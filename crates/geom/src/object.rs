@@ -45,13 +45,28 @@ impl SpatialObject {
 }
 
 /// A spatial relation: a vector of spatial objects indexed by their id.
+/// An object's id is its position: every per-object column, index and
+/// kernel gather downstream is addressed by id.
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     objects: Vec<SpatialObject>,
 }
 
+/// The first position whose object carries another id.
+fn misplaced_id(ids: impl Iterator<Item = ObjectId>) -> Option<usize> {
+    ids.enumerate().position(|(at, id)| id as usize != at)
+}
+
 impl Relation {
+    /// A relation over `objects`. Panics, naming the first offending
+    /// position, unless every object's id is its position.
     pub fn new(objects: Vec<SpatialObject>) -> Self {
+        if let Some(at) = misplaced_id(objects.iter().map(|o| o.id)) {
+            panic!(
+                "relation object at position {at} has id {}; ids must equal positions",
+                objects[at].id
+            );
+        }
         Relation { objects }
     }
 
@@ -167,10 +182,10 @@ impl Relation {
         e.into_bytes()
     }
 
-    /// Adopts a [`Relation::to_bytes`] image. Every ring goes through
-    /// [`Polygon::new`]'s validation and must already be counter-clockwise
-    /// (the only order `to_bytes` writes), so an accepted image re-encodes
-    /// to the same bytes.
+    /// Adopts a [`Relation::to_bytes`] image. Every id must be its
+    /// position, and every ring goes through [`Polygon::new`]'s validation
+    /// and must already be counter-clockwise (the only order `to_bytes`
+    /// writes), so an accepted image re-encodes to the same bytes.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
         let ids = d.u32s()?;
@@ -178,6 +193,9 @@ impl Relation {
         let point_offsets = d.u32s()?;
         let points = d.f64s()?;
         d.finish()?;
+        if misplaced_id(ids.iter()).is_some() {
+            return Err("relation ids are not their positions");
+        }
         let n = ids.len();
         if ring_offsets.len() != n + 1 || ring_offsets.get(0) != 0 {
             return Err("relation ring offsets malformed");
@@ -320,8 +338,8 @@ mod tests {
         .unwrap();
         let hole = sq(4.0, 4.0, 2.0).outer().clone();
         let rel = Relation::new(vec![
-            SpatialObject::new(7, PolygonWithHoles::new(outer, vec![hole])),
-            SpatialObject::new(3, sq(20.0, 0.0, 1.0)),
+            SpatialObject::new(0, PolygonWithHoles::new(outer, vec![hole])),
+            SpatialObject::new(1, sq(20.0, 0.0, 1.0)),
         ]);
         let bytes = rel.to_bytes();
         let back = Relation::from_bytes(&bytes).expect("own image decodes");
@@ -335,6 +353,27 @@ mod tests {
         }
         let empty = Relation::default();
         assert!(Relation::from_bytes(&empty.to_bytes()).unwrap().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "relation object at position 1 has id 3")]
+    fn relation_with_an_id_off_its_position_panics() {
+        Relation::new(vec![
+            SpatialObject::new(0, sq(0.0, 0.0, 1.0)),
+            SpatialObject::new(3, sq(2.0, 0.0, 1.0)),
+        ]);
+    }
+
+    #[test]
+    fn image_with_an_id_off_its_position_is_refused() {
+        let rel = Relation::from_regions(vec![sq(0.0, 0.0, 1.0), sq(2.0, 0.0, 1.0)]);
+        let mut bytes = rel.to_bytes();
+        // The id column follows its 8-byte count: make object 1's id 0.
+        bytes[12..16].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            Relation::from_bytes(&bytes).err(),
+            Some("relation ids are not their positions")
+        );
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!   and an exact observed maximum, recordable from any number of
 //!   threads without locks;
 //! * [`MetricsRegistry`] — named instruments with `{label="value"}`
-//!   keys, an [`EngineSnapshot`] reader with a [`EngineSnapshot::delta`]
-//!   helper for interval rates, a schema-versioned
+//!   keys, an [`EngineSnapshot`] reader, a schema-versioned
 //!   [`MetricsRegistry::snapshot_json`] exporter and a Prometheus-style
 //!   [`MetricsRegistry::render_prometheus`] text rendering;
 //! * [`Span`], [`StepSpans`] — per-step wall-clock accumulation shared

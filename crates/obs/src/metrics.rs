@@ -193,9 +193,7 @@ impl Histogram {
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,
-    /// Exact observed maximum over the histogram's whole lifetime (in a
-    /// [`delta`](HistogramSnapshot::delta) this stays the lifetime
-    /// maximum — interval maxima are not recoverable from buckets).
+    /// Exact observed maximum over the histogram's whole lifetime.
     pub max: u64,
     pub buckets: Vec<(u64, u64)>,
 }
@@ -237,30 +235,6 @@ impl HistogramSnapshot {
 
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
-    }
-
-    /// The distribution of observations recorded after `earlier` was
-    /// taken (both snapshots of the *same* histogram): counts and sums
-    /// subtract saturating; `max` stays the lifetime maximum.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = Vec::with_capacity(self.buckets.len());
-        for &(upper, count) in &self.buckets {
-            let before = earlier
-                .buckets
-                .iter()
-                .find(|&&(u, _)| u == upper)
-                .map_or(0, |&(_, c)| c);
-            let diff = count.saturating_sub(before);
-            if diff > 0 {
-                buckets.push((upper, diff));
-            }
-        }
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.wrapping_sub(earlier.sum),
-            max: self.max,
-            buckets,
-        }
     }
 }
 
@@ -350,23 +324,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.p99(), 0);
         assert_eq!(h.snapshot().buckets, vec![(0, 2)]);
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_the_interval() {
-        let h = Histogram::new();
-        for _ in 0..10 {
-            h.record(4);
-        }
-        let before = h.snapshot();
-        for _ in 0..5 {
-            h.record(100);
-        }
-        let delta = h.snapshot().delta(&before);
-        assert_eq!(delta.count, 5);
-        assert_eq!(delta.sum, 500);
-        assert_eq!(delta.buckets, vec![(127, 5)]);
-        assert_eq!(delta.p50(), 100); // clamped to the lifetime max
     }
 
     #[test]

@@ -228,14 +228,12 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time copy of a whole [`MetricsRegistry`], keyed by the
-/// canonical [`metric_key`] strings. [`EngineSnapshot::delta`] turns
-/// two snapshots into interval rates.
+/// canonical [`metric_key`] strings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// The export schema ([`SNAPSHOT_SCHEMA`]).
     pub schema: String,
     pub counters: BTreeMap<String, u64>,
-    /// Gauges are levels, not rates — a delta keeps the newer value.
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
@@ -254,35 +252,6 @@ impl EngineSnapshot {
     /// A histogram's captured distribution, if the key registered.
     pub fn histogram(&self, key: &str) -> Option<&HistogramSnapshot> {
         self.histograms.get(key)
-    }
-
-    /// What happened between `earlier` and `self` (both snapshots of
-    /// the same registry): counters and histogram counts/sums subtract;
-    /// gauges keep the newer level.
-    pub fn delta(&self, earlier: &EngineSnapshot) -> EngineSnapshot {
-        EngineSnapshot {
-            schema: self.schema.clone(),
-            counters: self
-                .counters
-                .iter()
-                .map(|(k, &v)| (k.clone(), v.saturating_sub(earlier.counter(k))))
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    let before = earlier.histograms.get(k);
-                    (
-                        k.clone(),
-                        match before {
-                            Some(b) => h.delta(b),
-                            None => h.clone(),
-                        },
-                    )
-                })
-                .collect(),
-        }
     }
 
     /// The schema-versioned JSON document (hand-rendered — the
@@ -417,28 +386,6 @@ mod tests {
         assert!(text.contains("msj_request_latency_nanos_max{kind=\"join\"} 3000"));
         // A described family with no samples still renders (at zero).
         assert!(text.contains("msj_admission_shed_total 0"));
-    }
-
-    #[test]
-    fn snapshot_delta_subtracts_counters_and_keeps_gauges() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("events", &[]);
-        let g = reg.gauge("level", &[]);
-        let h = reg.histogram("lat", &[]);
-        c.add(5);
-        g.set(1.0);
-        h.record(10);
-        let before = reg.snapshot();
-        c.add(7);
-        g.set(2.0);
-        h.record(20);
-        h.record(30);
-        let delta = reg.snapshot().delta(&before);
-        assert_eq!(delta.counter("events"), 7);
-        assert_eq!(delta.gauge("level"), 2.0);
-        let hd = delta.histogram("lat").unwrap();
-        assert_eq!(hd.count, 2);
-        assert_eq!(hd.sum, 50);
     }
 
     #[test]

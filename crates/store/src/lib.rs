@@ -36,11 +36,11 @@
 //! Readers pull the whole file into one page-aligned buffer
 //! ([`msj_geom::AlignedBuf`]), verify the manifest, and hand each section
 //! back as `Result<&[u8], SectionError>` — the verified payload, borrowed
-//! from that buffer. **Corruption degrades per section**: a bad checksum
-//! surfaces as [`SectionError::Checksum`] for that section only, so the
-//! engine can rebuild one artifact from the relation (or drop a pair to
-//! the filter-only path) instead of refusing the dataset. Only a corrupt
-//! manifest fails the whole file.
+//! from that buffer. **Corruption is contained per section**: a bad
+//! checksum surfaces as [`SectionError::Checksum`] for that section only,
+//! so the engine rebuilds that one artifact — a dataset's from its
+//! relation, a pair's raster signatures from both relations — instead of
+//! refusing the dataset. Only a corrupt manifest fails the whole file.
 //!
 //! ## What this crate does not know
 //!
@@ -236,7 +236,7 @@ impl Store {
 
     /// Loads a dataset's segment file. File-level failures (missing
     /// file, bad magic / version / manifest) are `Err`; section-level
-    /// failures degrade inside the returned [`Segment`].
+    /// failures are reported inside the returned [`Segment`].
     pub fn read_dataset(&self, id: u32, tamper: Option<Tamper<'_>>) -> io::Result<Segment> {
         self.read_segment(&self.dataset_path(id), FILE_KIND_DATASET, (id, 0), tamper)
     }

@@ -12,7 +12,8 @@
 //! also still hold what the Step-2a binary searches rely on — an
 //! unsorted list re-encodes to itself just as faithfully as a sorted one.
 //! For the same reason an R*-tree image whose leaf ids stop being a
-//! permutation of the object ids is refused, flip by flip.
+//! permutation of the object ids is refused, flip by flip, and so is a
+//! relation image whose ids stop being their positions.
 
 use msj_approx::{
     ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore, RasterGrid, RasterStore,
@@ -154,6 +155,30 @@ fn every_leaf_id_flip_is_refused() {
         }
     }
     assert_eq!(flips, 8 * rel.len(), "every object's leaf id was flipped");
+}
+
+/// A relation's ids index every per-object column downstream: an id that
+/// is not its object's position must be refused, however it was written.
+#[test]
+fn every_relation_id_flip_is_refused() {
+    let rel = msj_datagen::carto_with_holes(7, 9.0, 31);
+    let image = rel.to_bytes();
+    assert_eq!(
+        image[..8],
+        (rel.len() as u64).to_le_bytes(),
+        "ids come first"
+    );
+    for byte in 8..8 + 4 * rel.len() {
+        for mask in [0x01, 0x20, 0x80] {
+            let mut flipped = image.clone();
+            flipped[byte] ^= mask;
+            assert_eq!(
+                Relation::from_bytes(&flipped).err(),
+                Some("relation ids are not their positions"),
+                "id byte {byte} ^ {mask:#04x}"
+            );
+        }
+    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {

@@ -1,5 +1,5 @@
 //! The container's own behaviour — opaque sections survive persist + load
-//! byte for byte, corruption degrades per section instead of failing the
+//! byte for byte, corruption is contained per section instead of failing the
 //! file, a dataset write retires the pair files derived from it — and the
 //! golden bytes that pin every artifact image to the format the store
 //! carries: the dataset sections since version 2, the raster pair

@@ -10,9 +10,6 @@
 //! * a deterministically **injected worker panic** (seed-driven
 //!   `msj-fault` plan) is contained to `WorkerPanicked` — and the *same*
 //!   engine then serves the identical request, byte-identically;
-//! * an injected **raster corruption** drops the pair to the degraded
-//!   filter-only path: correct answers, `msj_degraded_mode_total`
-//!   incremented;
 //! * the closing Prometheus exposition carries every failure counter.
 //!
 //! ```text
@@ -81,30 +78,7 @@ fn main() {
         other => panic!("expected Cancelled, got {other:?}"),
     }
 
-    // 4. Injected raster corruption: the pair degrades to the
-    // filter-only path and the answers stay correct.
-    let degraded_engine = SpatialEngine::new(
-        JoinConfig::builder()
-            .fault(FaultConfig::seeded(7, FaultKind::RasterCorrupt))
-            .build(),
-    );
-    let da = degraded_engine.register(msj::datagen::small_carto(400, 32.0, 5));
-    let db = degraded_engine.register(msj::datagen::small_carto(400, 32.0, 6));
-    let degraded = pairs(
-        &degraded_engine,
-        Request::Join {
-            a: da.id(),
-            b: db.id(),
-            execution: None,
-        },
-    );
-    assert_eq!(degraded, recovered, "degraded mode changed answers");
-    println!(
-        "raster corruption degraded the pair to filter-only: {} pairs, unchanged",
-        degraded.len()
-    );
-
-    // 5. Everything above is on the scrape.
+    // 4. Everything above is on the scrape.
     println!("\n=== Prometheus exposition (failure families) ===");
     for line in engine.metrics().render_prometheus().lines().filter(|l| {
         [
@@ -119,14 +93,4 @@ fn main() {
     }) {
         println!("{line}");
     }
-    print!(
-        "{}",
-        degraded_engine
-            .metrics()
-            .render_prometheus()
-            .lines()
-            .filter(|l| l.contains("msj_degraded_mode_total"))
-            .map(|l| format!("{l}\n"))
-            .collect::<String>()
-    );
 }

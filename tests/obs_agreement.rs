@@ -356,7 +356,6 @@ const FRESH_SCHEMA: &str = "\
 # TYPE msj_admission_shed_total counter\n\
 # TYPE msj_datasets_registered_total counter\n\
 # TYPE msj_deadline_exceeded_total counter\n\
-# TYPE msj_degraded_mode_total counter\n\
 # TYPE msj_fault_injected_total counter\n\
 # TYPE msj_kernel_dispatch gauge\n\
 # TYPE msj_prepared_cache_evictions_total counter\n\
@@ -380,14 +379,10 @@ msj_admission_error_ratio 0\n\
 msj_admission_shed_total 0\n\
 msj_datasets_registered_total 0\n\
 msj_deadline_exceeded_total 0\n\
-msj_degraded_mode_total{reason=\"fault_injected\"} 0\n\
-msj_degraded_mode_total{reason=\"raster_checksum\"} 0\n\
-msj_degraded_mode_total{reason=\"store_corrupt\"} 0\n\
 msj_fault_injected_total{site=\"cancel_at_batch\"} 0\n\
 msj_fault_injected_total{site=\"conn_reset\"} 0\n\
 msj_fault_injected_total{site=\"drop_before_reply\"} 0\n\
 msj_fault_injected_total{site=\"partial_write\"} 0\n\
-msj_fault_injected_total{site=\"raster_corrupt\"} 0\n\
 msj_fault_injected_total{site=\"slow_client\"} 0\n\
 msj_fault_injected_total{site=\"slow_worker\"} 0\n\
 msj_fault_injected_total{site=\"store_corrupt\"} 0\n\

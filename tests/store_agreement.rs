@@ -11,13 +11,15 @@
 //!   identically.
 //! * **Corruption** — a seeded `store_corrupt:<section>` fault flips one
 //!   bit in a segment section before checksum verification. Loads must
-//!   degrade (rebuild the artifact, or run the pair filter-only) and
-//!   answer byte-identically — never panic, never wedge. Seeds come from
+//!   rebuild the artifact — the pair's raster signatures included, which
+//!   are written through again — count the section once and answer
+//!   byte-identically — never panic, never wedge. Seeds come from
 //!   `MSJ_FAULT_SEED` when set, mirroring the CI chaos loop.
 //! * **Crafted bytes** — a TR* arena with a valid checksum but a cyclic
 //!   child run is rejected by the loader's structural pass and rebuilt
 //!   like a corrupt one, and so is an R*-tree whose leaf names an object
-//!   the relation does not have; a format-version-1 segment fails the
+//!   the relation does not have; a relation section whose ids are not
+//!   their positions fails the open; a format-version-1 segment fails the
 //!   open with the typed "unsupported store version" error; a version-2
 //!   *pair* segment beside current dataset files is rebuilt and
 //!   rewritten.
@@ -130,6 +132,33 @@ fn run(engine: &SpatialEngine, requests: &[Request]) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// Asserts every `msj_store_checksum_failures_total` series reads 0.
+fn assert_no_checksum_failures(prom: &str, why: &str) {
+    for line in prom
+        .lines()
+        .filter(|l| l.starts_with("msj_store_checksum_failures_total{"))
+    {
+        assert!(line.ends_with(" 0"), "{why}: {line}");
+    }
+}
+
+/// Candidates the raster stage decided in the last run of the join of
+/// datasets 0 and 1.
+fn pair_raster_decisions(engine: &SpatialEngine) -> u64 {
+    let (a, b) = (engine.dataset(0).unwrap(), engine.dataset(1).unwrap());
+    let stats = engine
+        .prepare_join(&a, &b)
+        .last_stats()
+        .expect("the join ran");
+    stats.raster_hits + stats.raster_drops
+}
+
+/// The file's identity on disk: a segment write (temp file + rename)
+/// gives the path a new one.
+fn file_id(path: &std::path::Path) -> u64 {
+    std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).expect("file exists"))
+}
+
 #[test]
 fn reopened_engine_answers_identically() {
     let a = msj::datagen::small_carto(120, 24.0, 9101);
@@ -158,8 +187,7 @@ fn reopened_engine_answers_identically() {
             reference,
             "cold start drifted on {backend:?}/{execution:?}"
         );
-        // A restored store must load clean: no checksum failures, no
-        // degraded fallback.
+        // A restored store must load clean: no checksum failures.
         let prom = reopened.metrics().render_prometheus();
         for section in StoreSection::ALL {
             assert!(
@@ -260,6 +288,8 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         run(&engine, &requests)
     };
 
+    let pair_file = dir.join("pair_0_1.msj");
+    let pair_image = std::fs::read(&pair_file).expect("the join persisted its pair");
     let dataset_sections = [
         StoreSection::Tree,
         StoreSection::Conservative,
@@ -280,7 +310,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
             assert_eq!(
                 run(&engine, &requests),
                 reference,
-                "degraded load drifted (seed {seed}, section {})",
+                "rebuilt artifact drifted (seed {seed}, section {})",
                 section.name()
             );
             let prom = engine.metrics().render_prometheus();
@@ -292,26 +322,24 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
                 "missing checksum counter for {} (seed {seed}):\n{prom}",
                 section.name()
             );
-            assert!(
-                prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"),
-                "missing degraded counter (seed {seed}, section {}):\n{prom}",
-                section.name()
-            );
         }
 
-        // --- Pair-raster sections: the prepare detects the flip and
-        // falls back to the PR-8 filter-only path — same answers.
+        // --- Pair-raster sections: the prepare detects the flip,
+        // rasterizes the pair again, runs Step 2a with the new signatures
+        // and writes the segment through. A clean open then adopts that
+        // segment as it is.
         for section in [StoreSection::RasterA, StoreSection::RasterB] {
             let faulty = config(
                 Backend::RStarTraversal,
                 Execution::Serial,
                 FaultConfig::seeded(seed, FaultKind::StoreCorrupt { section }),
             );
+            let stored = file_id(&pair_file);
             let engine = SpatialEngine::open(faulty, StoreConfig::new(&dir)).expect("open wedged");
             assert_eq!(
                 run(&engine, &requests),
                 reference,
-                "filter-only fallback drifted (seed {seed}, section {})",
+                "rebuilt pair drifted (seed {seed}, section {})",
                 section.name()
             );
             let prom = engine.metrics().render_prometheus();
@@ -324,9 +352,30 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
                 section.name()
             );
             assert!(
-                prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"),
-                "missing degraded counter (seed {seed}, section {}):\n{prom}",
+                pair_raster_decisions(&engine) > 0,
+                "the rebuilt pair must run Step 2a (seed {seed}, section {})",
                 section.name()
+            );
+            drop(engine);
+            let written = file_id(&pair_file);
+            assert_ne!(written, stored, "the rebuilt pair is written through");
+            assert_eq!(
+                std::fs::read(&pair_file).expect("pair rewritten"),
+                pair_image,
+                "the rebuilt pair segment is the one it replaces"
+            );
+
+            let clean = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("clean open");
+            assert_eq!(run(&clean, &requests), reference);
+            assert_no_checksum_failures(&clean.metrics().render_prometheus(), "clean reopen");
+            assert!(
+                pair_raster_decisions(&clean) > 0,
+                "the adopted pair runs Step 2a"
+            );
+            assert_eq!(
+                file_id(&pair_file),
+                written,
+                "a clean open adopts the pair segment instead of rewriting it"
             );
         }
 
@@ -386,8 +435,9 @@ fn reseal_segment(
     std::fs::write(&path, &file).expect("rewrite segment");
 }
 
-/// Table tags of the R*-tree and TR* sections and of the pair file's
-/// first raster section.
+/// Table tags of the relation, R*-tree and TR* sections and of the pair
+/// file's first raster section.
+const RELATION_TAG: u32 = 1;
 const TREE_TAG: u32 = 2;
 const TRSTAR_TAG: u32 = 5;
 const RASTER_A_TAG: u32 = 6;
@@ -435,7 +485,6 @@ fn crafted_cyclic_trstar_arena_degrades_not_hangs() {
         prom.contains("msj_store_checksum_failures_total{section=\"trstar\"} 1"),
         "the rejected arena must be counted:\n{prom}"
     );
-    assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -472,7 +521,24 @@ fn crafted_out_of_range_leaf_id_rebuilds_the_tree() {
         prom.contains("msj_store_checksum_failures_total{section=\"tree\"} 1"),
         "the rejected tree must be counted:\n{prom}"
     );
-    assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn crafted_relation_id_off_its_position_fails_the_open() {
+    // A checksummed relation section whose second object claims id 0.
+    // Every artifact is addressed by id, so the relation cannot be
+    // adopted, and without it there is nothing to rebuild from. Image
+    // layout per `msj_geom::object`: the counted id column comes first.
+    let (dir, cfg, _, _) = seeded_store("relid");
+    reseal_segment(&dir, "ds_0.msj", RELATION_TAG, |_, image| {
+        assert_eq!(image[12..16], 1u32.to_le_bytes(), "object 1 has id 1");
+        image[12..16].copy_from_slice(&0u32.to_le_bytes());
+    });
+    match SpatialEngine::open(cfg, StoreConfig::new(&dir)) {
+        Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}"),
+        Ok(_) => panic!("a relation with a misplaced id must fail the open"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -520,7 +586,7 @@ fn version_2_pair_segment_is_rebuilt_and_rewritten_not_degraded() {
     // try to decode as an A column followed by an F column. The manifest
     // says version 2, so the pair is a miss: signatures are rebuilt from
     // the relations, the file is rewritten at the current version, and
-    // the join runs with the full filter — not in degraded mode.
+    // nothing is counted as corrupt.
     let (dir, cfg, requests, reference) = seeded_store("v2pair");
     let store = msj_store::Store::open(&dir).expect("open container");
     let pair = store
@@ -580,15 +646,7 @@ fn version_2_pair_segment_is_rebuilt_and_rewritten_not_degraded() {
     let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("open wedged");
     assert_eq!(run(&engine, &requests), reference, "join digest drifted");
     let prom = engine.metrics().render_prometheus();
-    for line in prom.lines().filter(|l| {
-        l.starts_with("msj_degraded_mode_total{")
-            || l.starts_with("msj_store_checksum_failures_total{")
-    }) {
-        assert!(
-            line.ends_with(" 0"),
-            "a version miss is neither corruption nor a degraded mode: {line}"
-        );
-    }
+    assert_no_checksum_failures(&prom, "a version miss is not a corruption");
     let rewritten = store
         .read_pair(0, 1, None)
         .expect("rewritten at the current version")
@@ -637,12 +695,7 @@ fn store_written_at_the_papers_capacity_is_refreshed_under_the_default() {
 
     let trstar_nanos = |engine: &SpatialEngine| {
         let prom = engine.metrics().render_prometheus();
-        for line in prom.lines().filter(|l| {
-            l.starts_with("msj_degraded_mode_total{")
-                || l.starts_with("msj_store_checksum_failures_total{")
-        }) {
-            assert!(line.ends_with(" 0"), "a tag miss is not a fault: {line}");
-        }
+        assert_no_checksum_failures(&prom, "a tag miss is not a fault");
         let series = "msj_step0_artifact_nanos_total{artifact=\"trstar\"} ";
         let line = prom.lines().find_map(|l| l.strip_prefix(series));
         line.expect("series rendered").parse::<u64>().unwrap()
@@ -758,8 +811,9 @@ fn section_of_another_length_is_rebuilt_not_adopted() {
     }
 
     // The same for the pair file: its two sides swapped, each signature
-    // set well-formed but as long as the *other* relation. The pair runs
-    // filter-only, like one with a corrupt raster section.
+    // set well-formed but as long as the *other* relation. Both sides are
+    // counted and the pair is rasterized again, like one with a corrupt
+    // raster section.
     store
         .write_dataset(0, tag, &original)
         .expect("restore ds_0");
@@ -783,6 +837,5 @@ fn section_of_another_length_is_rebuilt_not_adopted() {
             section.name()
         )));
     }
-    assert!(prom.contains("msj_degraded_mode_total{reason=\"store_corrupt\"} 1"));
     std::fs::remove_dir_all(&dir).ok();
 }
