@@ -3,7 +3,7 @@
 use msj_datagen::TestSeries;
 use msj_exact::{trees_intersect, OpCounts, TrStarStore};
 use msj_geom::ObjectId;
-use msj_sam::{tree_join, LruBuffer, PageLayout, RStarTree};
+use msj_sam::{tree_join, PageLayout, RStarTree};
 
 /// A test series with its MBR-join candidates and per-candidate ground
 /// truth (computed once with the TR*-tree, the fastest exact algorithm).
@@ -24,9 +24,8 @@ impl SeriesData {
         let layout = PageLayout::baseline(4096);
         let ta = RStarTree::insert_all(layout, series.a.iter().map(|o| (o.mbr(), o.id)));
         let tb = RStarTree::insert_all(layout, series.b.iter().map(|o| (o.mbr(), o.id)));
-        let mut buffer = LruBuffer::with_bytes(128 * 1024, 4096);
         let mut candidates = Vec::new();
-        tree_join(&ta, &tb, &mut buffer, |a, b| candidates.push((a, b)));
+        tree_join(&ta, &tb, &mut (), |a, b| candidates.push((a, b)));
 
         let trees_a = TrStarStore::build(&series.a, 3);
         let trees_b = TrStarStore::build(&series.b, 3);

@@ -7,7 +7,7 @@
 //! that choice so joins and selections are backend-agnostic:
 //!
 //! * [`Backend::RStarTraversal`] — the paper's synchronized R*-tree
-//!   traversal ([BKS 93a]) with simulated paged I/O, the default;
+//!   traversal ([BKS 93a]), the default;
 //! * [`Backend::PartitionedSweep`] — the uniform-grid partitioned join of
 //!   `msj-partition` (Tsitsigkos & Mamoulis 2019): per-tile plane sweeps
 //!   with reference-point deduplication, executed over the backend's own
@@ -27,15 +27,16 @@ use msj_geom::{
     Relation,
 };
 use msj_partition::{partition_join_funneled, GridIndex, PartitionStats};
-use msj_sam::{tree_join_chunked, JoinControl, JoinStats, LruBuffer, PageLayout, RStarTree};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use msj_sam::{tree_join_chunked, JoinControl, JoinStats, PageLayout, RStarTree};
+use std::sync::{Arc, OnceLock};
 
 /// Step-1 statistics, backend detail included.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Step1Stats {
-    /// The common MBR-join counters (candidates, comparison tests, I/O).
+    /// The common MBR-join counters: candidates, comparison tests and node
+    /// visits (`io.logical`; `io.physical` is 0, no buffer is simulated).
     /// For the partitioned backend, `mbr_tests` counts sweep y-overlap
-    /// tests and the I/O counters stay zero (the grid is not paged).
+    /// tests and `io` stays zero (the grid has no nodes).
     pub join: JoinStats,
     /// Partition detail when the partitioned backend ran.
     pub partition: Option<PartitionSummary>,
@@ -81,8 +82,8 @@ impl From<&PartitionStats> for PartitionSummary {
 pub struct SelectionStats {
     /// Candidate ids delivered (MBR hits).
     pub candidates: u64,
-    /// Physical page reads of the probe (0 for the in-memory grid).
-    pub physical_reads: u64,
+    /// R*-tree nodes the probe visited (0 for the grid, which has none).
+    pub node_visits: u64,
 }
 
 /// A prepared Step-1 backend over one or two relations (the engine's
@@ -93,10 +94,10 @@ pub struct SelectionStats {
 /// in batches of at most [`JoinConfig::batch_pairs`] — the executor
 /// decides whether Steps 2–3 run right there or on its worker pool.
 ///
-/// Every method takes `&self`: per-run mutability (the simulated LRU
-/// buffer, lazily built grid state) lives behind interior mutability, so
-/// a prepared source is resident, `Sync`, and can serve queries from an
-/// `Arc`-shared [`crate::PreparedJoin`] without exclusive access.
+/// Every method takes `&self` and takes no lock on the way (the grid's
+/// lazily built state is a `OnceLock`), so a prepared source is resident,
+/// `Sync`, and serves concurrent joins and probes from an `Arc`-shared
+/// [`crate::PreparedJoin`] side by side.
 pub trait CandidateSource: Send + Sync {
     /// The backend's display name (used by reports and benches).
     fn name(&self) -> &'static str;
@@ -115,9 +116,8 @@ pub trait CandidateSource: Send + Sync {
     /// for each point in order, every id of the primary relation whose
     /// MBR contains it is appended to `out` contiguously and one
     /// [`SelectionStats`] (segment length = `candidates`) is pushed onto
-    /// `stats`. A batch shares per-probe setup, so only the physical-read
-    /// attribution depends on how probes are grouped; ids and their order
-    /// never do.
+    /// `stats`. How probes are grouped shows in neither the ids, nor
+    /// their order, nor the statistics.
     fn point_candidates(
         &self,
         points: &[Point],
@@ -186,16 +186,15 @@ pub(crate) fn build_tree(config: &JoinConfig, relation: &Relation) -> RStarTree 
     RStarTree::bulk_load(layout, relation.iter().map(|o| (o.mbr(), o.id)))
 }
 
-/// The default backend: paged R*-trees, synchronized traversal, LRU
-/// buffer I/O accounting. Trees are `Arc`-shared so registered datasets
-/// pay Step 0 once; the simulated I/O buffer is per-source state behind a
-/// mutex (locked once per join run / once per selection probe).
+/// The default backend: paged R*-trees, synchronized traversal. Trees are
+/// `Arc`-shared so registered datasets pay Step 0 once; the source holds
+/// nothing mutable, so concurrent runs and probes never wait on each
+/// other.
 struct RStarSource {
     tree_a: Arc<RStarTree>,
     /// `None` for single-relation (selection) sources; joins then run
     /// `tree_a ⋈ tree_a`.
     tree_b: Option<Arc<RStarTree>>,
-    buffer: Mutex<LruBuffer>,
     /// Candidate pairs per batched delivery / cross-thread chunk.
     batch: usize,
     /// Kernel path for the traversal's wide scans, resolved once at
@@ -208,33 +207,8 @@ impl RStarSource {
         RStarSource {
             tree_a,
             tree_b,
-            buffer: Mutex::new(LruBuffer::with_bytes(config.buffer_bytes, config.page_size)),
             batch: config.batch_pairs.max(1),
             dispatch: config.kernel_dispatch(),
-        }
-    }
-
-    /// The simulated I/O buffer. Poison is recovered: a sink panic can
-    /// unwind through a traversal while the guard is live, and the buffer
-    /// is only I/O accounting — always safe to reuse.
-    fn lock_buffer(&self) -> MutexGuard<'_, LruBuffer> {
-        self.buffer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// One selection descent of `tree_a` appending straight into `out`.
-    fn probe(
-        &self,
-        buffer: &mut LruBuffer,
-        out: &mut Vec<ObjectId>,
-        descend: impl FnOnce(&RStarTree, &mut LruBuffer, &mut Vec<ObjectId>),
-    ) -> SelectionStats {
-        let (before, reads) = (out.len(), buffer.stats().physical);
-        descend(&self.tree_a, buffer, out);
-        SelectionStats {
-            candidates: (out.len() - before) as u64,
-            physical_reads: buffer.stats().physical - reads,
         }
     }
 }
@@ -252,14 +226,10 @@ impl CandidateSource for RStarSource {
             cancel,
             chunk_capacity: self.batch,
         };
-        // One lock for the whole traversal: the simulated I/O buffer is
-        // inherently serial state. Concurrent runs of a shared prepared
-        // join serialize here (Steps 2–3 still parallelize per run). The
-        // traversal's chunks double as sink batches — one virtual
+        // The traversal's chunks double as sink batches — one virtual
         // dispatch per `batch` pairs, and the one chunk buffer refilled
         // in place.
-        let mut buffer = self.lock_buffer();
-        let join = tree_join_chunked(&control, tree_a, tree_b, &mut buffer, |chunk| {
+        let join = tree_join_chunked(&control, tree_a, tree_b, &mut (), |chunk| {
             sink.consume_batch(chunk)
         });
         Step1Stats {
@@ -268,22 +238,18 @@ impl CandidateSource for RStarSource {
         }
     }
 
-    // One lock for the whole batch: concurrent cross-request probes
-    // merged by a serving front descend back-to-back over a warm buffer
-    // instead of paying a lock handoff (and a likely-evicted root path)
-    // per query.
     fn point_candidates(
         &self,
         points: &[Point],
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
     ) {
-        let mut buffer = self.lock_buffer();
-        stats.extend(points.iter().map(|&p| {
-            self.probe(&mut buffer, out, |tree, buffer, out| {
-                tree.point_query(p, buffer, out)
-            })
-        }));
+        let tree = &*self.tree_a;
+        stats.extend(
+            points
+                .iter()
+                .map(|&p| probe(out, |out| tree.point_query(p, &mut (), out))),
+        );
     }
 
     fn window_candidates(
@@ -292,12 +258,12 @@ impl CandidateSource for RStarSource {
         out: &mut Vec<ObjectId>,
         stats: &mut Vec<SelectionStats>,
     ) {
-        let mut buffer = self.lock_buffer();
-        stats.extend(windows.iter().map(|&w| {
-            self.probe(&mut buffer, out, |tree, buffer, out| {
-                tree.window_query(w, buffer, out)
-            })
-        }));
+        let tree = &*self.tree_a;
+        stats.extend(
+            windows
+                .iter()
+                .map(|&w| probe(out, |out| tree.window_query(w, &mut (), out))),
+        );
     }
 }
 
@@ -410,7 +376,7 @@ impl CandidateSource for GridSource<'_> {
         stats.extend(
             points
                 .iter()
-                .map(|&p| grid_probe(out, |out| index.point_candidates(p, out))),
+                .map(|&p| probe(out, |out| no_nodes(index.point_candidates(p, out)))),
         );
     }
 
@@ -424,23 +390,28 @@ impl CandidateSource for GridSource<'_> {
         stats.extend(
             windows
                 .iter()
-                .map(|&w| grid_probe(out, |out| index.window_candidates(w, out))),
+                .map(|&w| probe(out, |out| no_nodes(index.window_candidates(w, out)))),
         );
     }
 }
 
-/// One in-memory grid probe appending into `out` (the grid is not
-/// paged: no physical reads).
-fn grid_probe(
+/// One probe appending into `out`; `descend` returns its node visits.
+fn probe(
     out: &mut Vec<ObjectId>,
-    probe: impl FnOnce(&mut Vec<ObjectId>) -> u64,
+    descend: impl FnOnce(&mut Vec<ObjectId>) -> u64,
 ) -> SelectionStats {
     let before = out.len();
-    probe(out); // returns its bucket tests, which selections do not report
+    let node_visits = descend(out);
     SelectionStats {
         candidates: (out.len() - before) as u64,
-        physical_reads: 0,
+        node_visits,
     }
+}
+
+/// A grid probe's node visits: none. (The probe returns its bucket tests,
+/// which selections do not report.)
+fn no_nodes(_bucket_tests: u64) -> u64 {
+    0
 }
 
 #[cfg(test)]

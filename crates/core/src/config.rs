@@ -9,8 +9,8 @@ use msj_obs::ObsConfig;
 /// The Step-1 candidate backend (see [`crate::candidates`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Synchronized R*-tree traversal with paged I/O accounting — the
-    /// paper's MBR-join and the default.
+    /// Synchronized R*-tree traversal — the paper's MBR-join and the
+    /// default.
     #[default]
     RStarTraversal,
     /// Uniform-grid partitioned plane sweep with reference-point
@@ -79,9 +79,12 @@ pub struct JoinConfig {
     /// Step-1 candidate backend (R*-tree traversal unless configured
     /// otherwise).
     pub backend: Backend,
-    /// R*-tree page size in bytes (the paper uses 2 KB and 4 KB).
+    /// R*-tree page size in bytes (the paper uses 2 KB and 4 KB); with
+    /// [`JoinConfig::extra_leaf_bytes`] it sets the tree's fanout.
     pub page_size: usize,
-    /// LRU buffer size in bytes (128 KB in §3.4; 32 pages in §5).
+    /// LRU buffer size in bytes of the paper's §3.4/§5 disk model (128 KB
+    /// in §3.4; 32 pages in §5). The engine is in memory and simulates no
+    /// buffer; the paper tables size theirs from this.
     pub buffer_bytes: usize,
     /// Conservative approximation stored in addition to the MBR; `None`
     /// disables the false-hit filter (version 1 of §5).
@@ -141,9 +144,10 @@ const MEASURED_TRSTAR_CAPACITY: usize = 6;
 impl Default for JoinConfig {
     /// The paper's recommended configuration (§3.6, §5 version 3) —
     /// 5-corner + MER in addition to the MBR, TR*-trees for the exact
-    /// step, 4 KB pages, 128 KB LRU buffer — with one constant measured
-    /// instead of inherited: the TR*-tree node capacity is 6, not the
-    /// paper's 3 (see `MEASURED_TRSTAR_CAPACITY` in this file).
+    /// step, 4 KB pages, a 128 KB LRU buffer for the §5 model — with one
+    /// constant measured instead of inherited: the TR*-tree node capacity
+    /// is 6, not the paper's 3 (see `MEASURED_TRSTAR_CAPACITY` in this
+    /// file).
     fn default() -> Self {
         JoinConfig {
             backend: Backend::RStarTraversal,
@@ -256,12 +260,6 @@ impl JoinConfigBuilder {
     /// R*-tree page size in bytes.
     pub fn page_size(mut self, bytes: usize) -> Self {
         self.config.page_size = bytes;
-        self
-    }
-
-    /// LRU buffer size in bytes.
-    pub fn buffer_bytes(mut self, bytes: usize) -> Self {
-        self.config.buffer_bytes = bytes;
         self
     }
 
@@ -417,7 +415,6 @@ mod tests {
                 threads: 2,
             })
             .page_size(2048)
-            .buffer_bytes(64 * 1024)
             .conservative(ConservativeKind::ConvexHull)
             .progressive(None)
             .false_area_test(true)
@@ -437,7 +434,6 @@ mod tests {
             }
         );
         assert_eq!(c.page_size, 2048);
-        assert_eq!(c.buffer_bytes, 64 * 1024);
         assert_eq!(c.conservative, Some(ConservativeKind::ConvexHull));
         assert_eq!(c.progressive, None);
         assert!(c.false_area_test);

@@ -86,28 +86,41 @@ pub enum ExactCostKind {
     TrStar,
 }
 
-/// Evaluates the §5 model for a measured join run.
-pub fn figure18_cost(
-    stats: &MultiStepStats,
+/// The §5 model over `join_pages` MBR-join page accesses plus one object
+/// access and one exact test per `unidentified` candidate.
+pub(crate) fn section5_cost(
+    join_pages: u64,
+    unidentified: f64,
     exact: ExactCostKind,
     params: &CostModelParams,
 ) -> CostBreakdown {
-    let access_factor = match exact {
-        ExactCostKind::PlaneSweep => 1.0,
-        ExactCostKind::TrStar => params.trstar_access_factor,
+    let (access_factor, per_pair_ms) = match exact {
+        ExactCostKind::PlaneSweep => (1.0, params.sweep_exact_ms),
+        ExactCostKind::TrStar => (params.trstar_access_factor, params.trstar_exact_ms),
     };
-    let per_pair_ms = match exact {
-        ExactCostKind::PlaneSweep => params.sweep_exact_ms,
-        ExactCostKind::TrStar => params.trstar_exact_ms,
-    };
-    let unidentified = stats.unidentified() as f64;
     CostBreakdown {
-        mbr_join_s: stats.mbr_join.io.physical as f64 * params.page_access_ms / 1000.0,
+        mbr_join_s: join_pages as f64 * params.page_access_ms / 1000.0,
         object_access_s: unidentified * params.page_access_ms * access_factor / 1000.0,
         exact_test_s: unidentified * per_pair_ms / 1000.0,
         filter_yield_estimated: params.expected_filter_yield,
+        filter_yield_observed: 0.0,
+        raster_decided_observed: 0.0,
+    }
+}
+
+/// Evaluates the §5 model for a measured join run whose MBR-join cost
+/// `join_pages` page accesses: an LRU-buffered run's physical reads in
+/// the paper's tables, the engine's node visits (it has no buffer).
+pub fn figure18_cost(
+    stats: &MultiStepStats,
+    join_pages: u64,
+    exact: ExactCostKind,
+    params: &CostModelParams,
+) -> CostBreakdown {
+    CostBreakdown {
         filter_yield_observed: stats.identified_fraction(),
         raster_decided_observed: stats.raster_decided_fraction(),
+        ..section5_cost(join_pages, stats.unidentified() as f64, exact, params)
     }
 }
 
@@ -121,34 +134,17 @@ pub fn estimate_cost(
     exact: ExactCostKind,
     params: &CostModelParams,
 ) -> CostBreakdown {
-    let access_factor = match exact {
-        ExactCostKind::PlaneSweep => 1.0,
-        ExactCostKind::TrStar => params.trstar_access_factor,
-    };
-    let per_pair_ms = match exact {
-        ExactCostKind::PlaneSweep => params.sweep_exact_ms,
-        ExactCostKind::TrStar => params.trstar_exact_ms,
-    };
     let unidentified = candidates as f64 * (1.0 - params.expected_filter_yield).max(0.0);
-    CostBreakdown {
-        mbr_join_s: join_pages as f64 * params.page_access_ms / 1000.0,
-        object_access_s: unidentified * params.page_access_ms * access_factor / 1000.0,
-        exact_test_s: unidentified * per_pair_ms / 1000.0,
-        filter_yield_estimated: params.expected_filter_yield,
-        filter_yield_observed: 0.0,
-        raster_decided_observed: 0.0,
-    }
+    section5_cost(join_pages, unidentified, exact, params)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn stats(candidates: u64, identified: u64, join_pages: u64) -> MultiStepStats {
+    fn stats(candidates: u64, identified: u64) -> MultiStepStats {
         let mut s = MultiStepStats::default();
         s.mbr_join.candidates = candidates;
-        s.mbr_join.io.physical = join_pages;
-        s.mbr_join.io.logical = join_pages * 2;
         s.filter_false_hits = identified / 2;
         s.filter_hits_progressive = identified - identified / 2;
         s.exact_tests = candidates - identified;
@@ -160,8 +156,13 @@ mod tests {
     #[test]
     fn version1_style_cost_dominated_by_exact_step() {
         // No filtering: 1000 candidates all reach the sweep.
-        let s = stats(1000, 0, 100);
-        let c = figure18_cost(&s, ExactCostKind::PlaneSweep, &CostModelParams::default());
+        let s = stats(1000, 0);
+        let c = figure18_cost(
+            &s,
+            100,
+            ExactCostKind::PlaneSweep,
+            &CostModelParams::default(),
+        );
         assert!((c.mbr_join_s - 1.0).abs() < 1e-12); // 100 × 10 ms
         assert!((c.object_access_s - 10.0).abs() < 1e-12); // 1000 × 10 ms
         assert!((c.exact_test_s - 25.0).abs() < 1e-12); // 1000 × 25 ms
@@ -170,9 +171,9 @@ mod tests {
 
     #[test]
     fn trstar_shrinks_exact_but_inflates_access() {
-        let s = stats(1000, 0, 100);
-        let sweep = figure18_cost(&s, ExactCostKind::PlaneSweep, &CostModelParams::default());
-        let trstar = figure18_cost(&s, ExactCostKind::TrStar, &CostModelParams::default());
+        let (s, params) = (stats(1000, 0), CostModelParams::default());
+        let sweep = figure18_cost(&s, 100, ExactCostKind::PlaneSweep, &params);
+        let trstar = figure18_cost(&s, 100, ExactCostKind::TrStar, &params);
         assert!(trstar.exact_test_s < sweep.exact_test_s / 10.0);
         assert!(trstar.object_access_s > sweep.object_access_s);
         assert!(trstar.total_s() < sweep.total_s());
@@ -180,18 +181,11 @@ mod tests {
 
     #[test]
     fn filtering_reduces_both_access_and_exact_cost() {
-        let unfiltered = stats(1000, 0, 100);
-        let filtered = stats(1000, 460, 110); // slightly more join pages
-        let c0 = figure18_cost(
-            &unfiltered,
-            ExactCostKind::PlaneSweep,
-            &CostModelParams::default(),
-        );
-        let c1 = figure18_cost(
-            &filtered,
-            ExactCostKind::PlaneSweep,
-            &CostModelParams::default(),
-        );
+        let (unfiltered, filtered) = (stats(1000, 0), stats(1000, 460));
+        let params = CostModelParams::default();
+        let c0 = figure18_cost(&unfiltered, 100, ExactCostKind::PlaneSweep, &params);
+        // Slightly more join pages: the approximations cost fanout.
+        let c1 = figure18_cost(&filtered, 110, ExactCostKind::PlaneSweep, &params);
         assert!(c1.object_access_s < c0.object_access_s);
         assert!(c1.exact_test_s < c0.exact_test_s);
         assert!(c1.mbr_join_s > c0.mbr_join_s);
@@ -200,14 +194,14 @@ mod tests {
 
     #[test]
     fn observed_yield_feeds_back_into_the_breakdown() {
-        let mut s = stats(1000, 460, 100);
+        let mut s = stats(1000, 460);
         s.raster_hits = 150;
         s.raster_drops = 100;
         // Keep the identity candidates = identified + exact_tests.
         s.filter_false_hits = 110;
         s.filter_hits_progressive = 100;
         let params = CostModelParams::default();
-        let c = figure18_cost(&s, ExactCostKind::TrStar, &params);
+        let c = figure18_cost(&s, 100, ExactCostKind::TrStar, &params);
         assert_eq!(c.filter_yield_estimated, params.expected_filter_yield);
         assert!((c.filter_yield_observed - s.identified_fraction()).abs() < 1e-12);
         assert!((c.raster_decided_observed - 0.25).abs() < 1e-12);

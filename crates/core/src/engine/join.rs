@@ -46,10 +46,11 @@ struct Serving {
 /// inside the candidate source — so it serves concurrent callers.
 ///
 /// Every run produces the identical response set (canonically sorted
-/// under fused execution); the only run-to-run drift is the simulated
-/// LRU buffer of the R*-traversal staying warm (later runs report fewer
-/// physical reads). The [`RUN_HISTORY`] most recent runs' statistics are
-/// retained as the admission history the engine's §5 cost model
+/// under fused execution) and the identical statistics but for the
+/// wall-clock `*_nanos` and the fused fan-out's
+/// `peak_buffered_candidates`, whether runs follow each other or overlap
+/// on several threads. The [`RUN_HISTORY`] most recent runs' statistics
+/// are retained as the admission history the engine's §5 cost model
 /// estimates from.
 pub struct PreparedJoin {
     datasets: (DatasetId, DatasetId),
@@ -253,13 +254,14 @@ impl PreparedJoin {
 
     /// The §5 modeled cost this join would be admitted under right now:
     /// the observed history when a run happened (`from_history = true`),
-    /// the a-priori estimate otherwise.
+    /// its Step-1 node visits priced as page accesses, the a-priori
+    /// estimate otherwise.
     pub fn admission_estimate(&self, params: &CostModelParams) -> (f64, bool) {
         match self.last_stats() {
-            Some(stats) => (
-                figure18_cost(&stats, self.exact_cost_kind, params).total_s(),
-                true,
-            ),
+            Some(s) => {
+                let cost = figure18_cost(&s, s.mbr_join.io.logical, self.exact_cost_kind, params);
+                (cost.total_s(), true)
+            }
             None => (
                 a_priori_estimate(self.sizes.0, self.sizes.1, self.exact_cost_kind, params),
                 false,
@@ -585,7 +587,8 @@ impl SpatialEngine {
         obs.admission_accept.inc();
         let prepared = self.prepare_join(&ha, &hb);
         let result = prepared.try_run_with(execution.unwrap_or(self.config.execution), cancel)?;
-        let cost = figure18_cost(&result.stats, exact_cost_kind(&self.config), &self.params);
+        let (stats, kind) = (&result.stats, exact_cost_kind(&self.config));
+        let cost = figure18_cost(stats, stats.mbr_join.io.logical, kind, &self.params);
         obs.admission_error(estimated_s, cost.total_s());
         Ok(Response::Join(JoinResponse {
             pairs: result.pairs,

@@ -5,7 +5,7 @@ use super::datasets::DatasetHandle;
 use super::join::exact_cost_kind;
 use super::types::{Admission, SelectionResponse};
 use super::SpatialEngine;
-use crate::cost::{CostBreakdown, ExactCostKind};
+use crate::cost::{section5_cost, CostBreakdown};
 use crate::queries::{Probe, QueryStats};
 use msj_exact::OpCounts;
 use msj_geom::{ObjectId, Point, Rect};
@@ -14,14 +14,12 @@ use msj_obs::{Span, StepSpans};
 impl SpatialEngine {
     /// Serves a batch of point selections against one dataset — every
     /// object whose region contains the point, closed semantics — through
-    /// a single shared Step-1 descent and one filter pass (three steps:
-    /// index probe, approximation filter, exact containment). This is the
-    /// cross-request batching path of a serving front;
-    /// [`submit`](SpatialEngine::submit) sends a single
-    /// [`crate::Request::Point`] through it as a batch of one. A query's
-    /// ids, filter counts and exact-op counts do not depend on what it is
-    /// batched with; only the simulated-buffer physical-read attribution
-    /// can differ, because a batch keeps the buffer warm.
+    /// one Step-1 pass and one filter pass (three steps: index probe,
+    /// approximation filter, exact containment). This is the cross-request
+    /// batching path of a serving front; [`submit`](SpatialEngine::submit)
+    /// sends a single [`crate::Request::Point`] through it as a batch of
+    /// one. Nothing in a query's response depends on what it is batched
+    /// with.
     pub fn point_query_batch(
         &self,
         dataset: &DatasetHandle,
@@ -70,28 +68,23 @@ impl SpatialEngine {
         stats: QueryStats,
         exact_ops: OpCounts,
     ) -> SelectionResponse {
-        // The §5 model applied to one selection: every index page read
-        // plus one object access + exact test per unidentified candidate.
-        let p = &self.params;
-        let (access_factor, exact_ms) = match exact_cost_kind(&self.config) {
-            ExactCostKind::PlaneSweep => (1.0, p.sweep_exact_ms),
-            ExactCostKind::TrStar => (p.trstar_access_factor, p.trstar_exact_ms),
-        };
-        let (tests, identified) = (
-            stats.exact_tests as f64,
-            (stats.filter_false_hits + stats.filter_hits) as f64,
-        );
+        // The §5 model applied to one selection: every index node visit
+        // as a page access, plus one object access + exact test per
+        // unidentified candidate.
+        let kind = exact_cost_kind(&self.config);
+        let identified = (stats.filter_false_hits + stats.filter_hits) as f64;
         let cost = CostBreakdown {
-            mbr_join_s: stats.physical_reads as f64 * p.page_access_ms / 1000.0,
-            object_access_s: tests * p.page_access_ms * access_factor / 1000.0,
-            exact_test_s: tests * exact_ms / 1000.0,
-            filter_yield_estimated: p.expected_filter_yield,
             filter_yield_observed: if stats.candidates == 0 {
                 0.0
             } else {
                 identified / stats.candidates as f64
             },
-            raster_decided_observed: 0.0,
+            ..section5_cost(
+                stats.node_visits,
+                stats.exact_tests as f64,
+                kind,
+                &self.params,
+            )
         };
         SelectionResponse {
             ids,

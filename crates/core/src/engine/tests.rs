@@ -200,8 +200,20 @@ fn responses_carry_cost_accounting() {
         })
         .unwrap();
     assert!(second.admission().from_history);
-    let observed = figure18_cost(&first.stats, ExactCostKind::TrStar, &Default::default());
+    let visits = first.stats.mbr_join.io.logical;
+    let observed = figure18_cost(
+        &first.stats,
+        visits,
+        ExactCostKind::TrStar,
+        &Default::default(),
+    );
     assert!((second.admission().estimated_s - observed.total_s()).abs() < 1e-9);
+    // Step 1 counts the same node visits every run: the history-based
+    // estimate is exactly the cost the run then observes.
+    assert_eq!(
+        second.admission().estimated_s,
+        second.admission().cost.total_s()
+    );
 }
 
 #[test]

@@ -424,9 +424,9 @@ fn fan_out(
 /// With `timed` off no clock is read and no telemetry lane is allocated:
 /// every `*_nanos` statistic stays zero.
 ///
-/// Re-running is deterministic in everything but the R*-traversal's
-/// simulated I/O counters (its LRU buffer stays warm across runs, so
-/// later runs report fewer physical reads).
+/// Re-running is deterministic in everything but the `*_nanos` and, under
+/// `Fused`, `peak_buffered_candidates`; Step 1 shares no mutable state,
+/// so runs of one source may overlap on any number of threads.
 pub(crate) fn run_steps(
     source: &dyn CandidateSource,
     filter: &GeometricFilter,

@@ -32,8 +32,8 @@ pub struct QueryStats {
     pub filter_hits: u64,
     /// Candidates that required the exact geometry.
     pub exact_tests: u64,
-    /// Physical page accesses of the index probe.
-    pub physical_reads: u64,
+    /// Index nodes the probe visited (0 on the grid backend).
+    pub node_visits: u64,
 }
 
 /// What a selection shape — a point or a window — asks of each step of
@@ -175,10 +175,8 @@ impl SelectionState {
     /// region contains the point / intersects the window, closed
     /// semantics — handing each query's ids, statistics and exact-step
     /// operation counts to `emit` in probe order. A single query is a
-    /// batch of one: the batch shares one Step-1 descent (see
-    /// [`CandidateSource::point_candidates`]) and one set of scratch
-    /// buffers, and nothing but the physical-read attribution depends on
-    /// how probes are grouped.
+    /// batch of one: the batch shares one set of scratch buffers, and
+    /// nothing emitted depends on how probes are grouped.
     ///
     /// With `spans`, the index probes land in `Step1`, the filter chain
     /// in `Step2` and the exact tests in `Step3`; `None` skips every
@@ -214,7 +212,7 @@ impl SelectionState {
             }
             let mut q = QueryStats {
                 candidates: step1.candidates,
-                physical_reads: step1.physical_reads,
+                node_visits: step1.node_visits,
                 ..QueryStats::default()
             };
             let cons = |id| conservative.is_none_or(|c| probe.meets_conservative(&c.view(id)));
@@ -393,26 +391,14 @@ mod tests {
             let batched = select_all(&state, &points);
             assert_eq!(batched.len(), points.len());
             for (i, &p) in points.iter().enumerate() {
-                let (ids, stats, serial_ops) = select_all(&state, &[p]).pop().unwrap();
-                assert_eq!(batched[i].0, ids, "point {p:?} config {config:?}");
-                // Everything but the buffer-warmth-dependent physical
-                // reads must agree exactly.
-                assert_eq!(batched[i].1.candidates, stats.candidates);
-                assert_eq!(batched[i].1.filter_false_hits, stats.filter_false_hits);
-                assert_eq!(batched[i].1.filter_hits, stats.filter_hits);
-                assert_eq!(batched[i].1.exact_tests, stats.exact_tests);
-                assert_eq!(batched[i].2, serial_ops);
+                let single = select_all(&state, &[p]).pop().unwrap();
+                assert_eq!(batched[i], single, "point {p:?} config {config:?}");
             }
             let batched = select_all(&state, &windows);
             assert_eq!(batched.len(), windows.len());
             for (i, w) in windows.iter().enumerate() {
-                let (ids, stats, serial_ops) = select_all(&state, &[*w]).pop().unwrap();
-                assert_eq!(batched[i].0, ids, "window {w:?} config {config:?}");
-                assert_eq!(batched[i].1.candidates, stats.candidates);
-                assert_eq!(batched[i].1.filter_false_hits, stats.filter_false_hits);
-                assert_eq!(batched[i].1.filter_hits, stats.filter_hits);
-                assert_eq!(batched[i].1.exact_tests, stats.exact_tests);
-                assert_eq!(batched[i].2, serial_ops);
+                let single = select_all(&state, &[*w]).pop().unwrap();
+                assert_eq!(batched[i], single, "window {w:?} config {config:?}");
             }
         }
     }

@@ -6,9 +6,9 @@ use msj_sam::JoinStats;
 
 /// What happened in each step of the join (the quantities behind
 /// Tables 2–5 and Figures 11/12/18).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MultiStepStats {
-    /// Step 1 (MBR-join): candidate pairs, MBR tests, page accesses.
+    /// Step 1 (MBR-join): candidate pairs, MBR tests, node visits.
     pub mbr_join: JoinStats,
     /// Step-1 partition digest when the partitioned backend ran (`None`
     /// under the R*-tree traversal).

@@ -95,7 +95,6 @@ proptest! {
         let config = JoinConfig::builder()
             .backend(backend)
             .page_size(page_size)
-            .buffer_bytes(32 * 1024)
             .conservative(conservative)
             .progressive(progressive)
             .false_area_test(false_area_test)

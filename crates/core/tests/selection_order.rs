@@ -4,10 +4,10 @@
 //!
 //! * a query's ids equal a linear scan over the exact regions, and arrive
 //!   in Step-1 candidate order;
-//! * its [`QueryStats`] (false hits, filter hits, exact tests) and exact
-//!   operation counts equal the paper-order chain — conservative test
-//!   first — recomputed here from the public stores over the same
-//!   candidates.
+//! * its [`QueryStats`] (node visits, false hits, filter hits, exact
+//!   tests) and exact operation counts equal the paper-order chain —
+//!   conservative test first — recomputed here from the public stores
+//!   over the same candidates.
 //!
 //! The probes go where an order change could show: windows that contain
 //! whole objects, lie inside a MER, lie inside an object but outside its
@@ -233,7 +233,8 @@ struct Chain {
 /// What a probe shape needs for the chain — written out independently of
 /// the engine's own `Probe` trait.
 trait Shape: Copy + std::fmt::Debug {
-    fn candidates(self, source: &dyn CandidateSource) -> Vec<ObjectId>;
+    /// Step 1's ids and node visits.
+    fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64);
     fn meets_conservative(self, cons: ConsView<'_>) -> bool;
     fn meets_progressive(self, prog: Progressive) -> bool;
     fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool;
@@ -241,10 +242,10 @@ trait Shape: Copy + std::fmt::Debug {
 }
 
 impl Shape for Point {
-    fn candidates(self, source: &dyn CandidateSource) -> Vec<ObjectId> {
+    fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64) {
         let (mut ids, mut stats) = (Vec::new(), Vec::new());
         source.point_candidates(&[self], &mut ids, &mut stats);
-        ids
+        (ids, stats[0].node_visits)
     }
     fn meets_conservative(self, cons: ConsView<'_>) -> bool {
         cons.contains_point(self)
@@ -265,10 +266,10 @@ impl Shape for Point {
 }
 
 impl Shape for Rect {
-    fn candidates(self, source: &dyn CandidateSource) -> Vec<ObjectId> {
+    fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64) {
         let (mut ids, mut stats) = (Vec::new(), Vec::new());
         source.window_candidates(&[self], &mut ids, &mut stats);
-        ids
+        (ids, stats[0].node_visits)
     }
     fn meets_conservative(self, cons: ConsView<'_>) -> bool {
         match cons {
@@ -318,11 +319,12 @@ impl<'a> PaperOrder<'a> {
     /// One candidate at a time: a conservative miss is a false hit, a
     /// progressive hit is a hit, the rest go to the exact geometry.
     fn answer<S: Shape>(&self, probe: S) -> Chain {
-        let candidates = probe.candidates(&*self.source);
+        let (candidates, node_visits) = probe.candidates(&*self.source);
         let mut chain = Chain {
             ids: Vec::new(),
             stats: QueryStats {
                 candidates: candidates.len() as u64,
+                node_visits,
                 ..QueryStats::default()
             },
             ops: OpCounts::new(),
@@ -377,11 +379,7 @@ fn check<S: Shape>(
             "{name}: {probe:?} differs from the linear scan"
         );
         assert_eq!(answer.ids, want.ids, "{name}: {probe:?} ids or their order");
-        let got = QueryStats {
-            physical_reads: 0,
-            ..answer.stats
-        };
-        assert_eq!(got, want.stats, "{name}: {probe:?} filter counts");
+        assert_eq!(answer.stats, want.stats, "{name}: {probe:?} counts");
         assert_eq!(
             answer.exact_ops, want.ops,
             "{name}: {probe:?} exact op counts"

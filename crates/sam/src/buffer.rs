@@ -4,19 +4,37 @@
 //! (128 KB in §3.4, 32 pages in §5) and report *physical page accesses*.
 //! This module reproduces that counting model: every node visit is a
 //! logical access; it becomes a physical access when the page is not
-//! resident.
+//! resident. Traversals count node visits themselves and report each to
+//! a [`PageObserver`]: an [`LruBuffer`] here, `()` in the in-memory engine.
 
 use std::collections::HashMap;
 
 /// Identifier of a page (node) in the simulated store.
 pub type PageId = u64;
 
-/// Access statistics of a buffer.
+/// What a traversal reports each node visit to.
+pub trait PageObserver {
+    /// Touches `page`: one node visit.
+    fn access(&mut self, page: PageId);
+
+    /// Physical reads so far (0 without a buffer).
+    fn physical(&self) -> u64 {
+        0
+    }
+}
+
+/// No buffer, no disk: the in-memory engine's observer.
+impl PageObserver for () {
+    #[inline(always)]
+    fn access(&mut self, _: PageId) {}
+}
+
+/// Access statistics of a buffer or a traversal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
     /// Node visits.
     pub logical: u64,
-    /// Buffer misses = simulated disk reads.
+    /// Buffer misses = simulated disk reads (0 without a buffer).
     pub physical: u64,
 }
 
@@ -60,9 +78,22 @@ impl LruBuffer {
         LruBuffer::new((bytes / page_size.max(1)).max(1))
     }
 
-    /// Touches `page`: counts a logical access and, on a miss, a physical
-    /// access with LRU eviction.
-    pub fn access(&mut self, page: PageId) {
+    pub fn stats(&self) -> IoStats {
+        self.stats
+    }
+
+    /// Clears residency and statistics (used between experiment phases).
+    pub fn reset(&mut self) {
+        self.resident.clear();
+        self.stats = IoStats::default();
+        self.clock = 0;
+    }
+}
+
+impl PageObserver for LruBuffer {
+    /// Counts a logical access and, on a miss, a physical access with
+    /// LRU eviction.
+    fn access(&mut self, page: PageId) {
         self.clock += 1;
         self.stats.logical += 1;
         if let Some(last_used) = self.resident.get_mut(&page) {
@@ -80,24 +111,8 @@ impl LruBuffer {
         self.resident.insert(page, self.clock);
     }
 
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    /// Clears residency and statistics (used between experiment phases).
-    pub fn reset(&mut self) {
-        self.resident.clear();
-        self.stats = IoStats::default();
-        self.clock = 0;
-    }
-
-    /// Clears statistics but keeps the resident set (warm buffer).
-    pub fn reset_stats(&mut self) {
-        self.stats = IoStats::default();
+    fn physical(&self) -> u64 {
+        self.stats.physical
     }
 }
 
@@ -133,24 +148,22 @@ mod tests {
     #[test]
     fn capacity_from_bytes() {
         let b = LruBuffer::with_bytes(128 * 1024, 4 * 1024);
-        assert_eq!(b.capacity(), 32);
+        assert_eq!(b.capacity, 32);
         let b2 = LruBuffer::with_bytes(128 * 1024, 2 * 1024);
-        assert_eq!(b2.capacity(), 64);
+        assert_eq!(b2.capacity, 64);
         // Degenerate sizes still give a 1-page buffer.
-        assert_eq!(LruBuffer::with_bytes(0, 4096).capacity(), 1);
+        assert_eq!(LruBuffer::with_bytes(0, 4096).capacity, 1);
     }
 
     #[test]
-    fn reset_variants() {
+    fn reset_clears_residency() {
         let mut b = LruBuffer::new(2);
         b.access(1);
         b.access(2);
-        b.reset_stats();
-        assert_eq!(b.stats().logical, 0);
-        assert_eq!(b.resident.len(), 2);
-        b.access(1); // warm: no physical read
-        assert_eq!(b.stats().physical, 0);
+        b.access(1); // resident: no physical read
+        assert_eq!(b.stats().physical, 2);
         b.reset();
+        assert_eq!(b.stats(), IoStats::default());
         assert_eq!(b.resident.len(), 0);
         b.access(1);
         assert_eq!(b.stats().physical, 1);

@@ -4,7 +4,7 @@
 //! to the tree join because the probed tree is traversed once per outer
 //! object instead of once overall.
 
-use crate::buffer::{IoStats, LruBuffer};
+use crate::buffer::PageObserver;
 use crate::join::JoinStats;
 use crate::rstar::RStarTree;
 use msj_geom::{ObjectId, Rect};
@@ -18,32 +18,29 @@ use msj_geom::{ObjectId, Rect};
 pub fn index_nested_loop_join<F: FnMut(ObjectId, ObjectId)>(
     outer: &[(Rect, ObjectId)],
     inner_tree: &RStarTree,
-    buffer: &mut LruBuffer,
+    pages: &mut impl PageObserver,
     mut on_pair: F,
 ) -> JoinStats {
     let mut stats = JoinStats::default();
-    let start = buffer.stats();
+    let start = pages.physical();
     let mut matches = Vec::new();
     for &(rect, outer_id) in outer {
         matches.clear();
-        inner_tree.window_query(rect, buffer, &mut matches);
+        stats.io.logical += inner_tree.window_query(rect, pages, &mut matches);
         stats.mbr_tests += (inner_tree.len() as u64).min(matches.len() as u64 + 1);
         for &inner_id in &matches {
             stats.candidates += 1;
             on_pair(outer_id, inner_id);
         }
     }
-    let end = buffer.stats();
-    stats.io = IoStats {
-        logical: end.logical - start.logical,
-        physical: end.physical - start.physical,
-    };
+    stats.io.physical = pages.physical() - start;
     stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::LruBuffer;
     use crate::join::{nested_loops_join, tree_join};
     use crate::rstar::PageLayout;
 

@@ -12,14 +12,14 @@
 //! join takes and puts back: it grows to the two trees' fan-out once, and
 //! a warm join does not touch the allocator.
 
-use crate::buffer::{IoStats, LruBuffer};
+use crate::buffer::{IoStats, PageObserver};
 use crate::rstar::RStarTree;
 use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{CancelToken, ObjectId, Rect};
 use std::cell::Cell;
 
 /// Statistics of one MBR-join execution.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Candidate pairs produced (intersecting leaf MBR pairs).
     pub candidates: u64,
@@ -28,11 +28,12 @@ pub struct JoinStats {
     pub mbr_tests: u64,
     /// Entry-vs-window tests performed by the search-space restriction.
     pub restriction_tests: u64,
-    /// Buffer statistics for the whole join.
+    /// Node visits (`logical`, counted by the traversal) and the physical
+    /// reads its [`PageObserver`] reported (0 without a buffer).
     pub io: IoStats,
 }
 
-/// Computes the MBR-join of two R*-trees.
+/// Computes the MBR-join of two R*-trees, reporting node visits to `pages`.
 ///
 /// `on_pair` receives every candidate pair `(id_a, id_b)` immediately —
 /// candidates are streamed to the next step, never materialized (§2.4
@@ -40,10 +41,10 @@ pub struct JoinStats {
 pub fn tree_join<F: FnMut(ObjectId, ObjectId)>(
     a: &RStarTree,
     b: &RStarTree,
-    buffer: &mut LruBuffer,
+    pages: &mut impl PageObserver,
     on_pair: F,
 ) -> JoinStats {
-    with_scratch(|s| traverse(&JoinControl::new(1), a, b, buffer, &mut s.nodes, on_pair))
+    with_scratch(|s| traverse(&JoinControl::new(1), a, b, pages, &mut s.nodes, on_pair))
 }
 
 /// How [`tree_join_chunked`] runs: everything [`tree_join`] fixes.
@@ -75,9 +76,8 @@ impl JoinControl<'_> {
 }
 
 /// [`tree_join`] under a [`JoinControl`], delivering candidates in chunks
-/// instead of one at a time — the traversal itself is inherently serial
-/// (its I/O accounting needs one buffer), but each chunk is one batch for
-/// a batched sink, on this thread or handed on to downstream workers.
+/// instead of one at a time — each chunk is one batch for a batched sink,
+/// on this thread or handed on to downstream workers.
 ///
 /// Every chunk is non-empty and at most `chunk_capacity` long, chunks
 /// arrive in traversal order, and their concatenation equals the
@@ -88,7 +88,7 @@ pub fn tree_join_chunked<F: FnMut(&mut Vec<(ObjectId, ObjectId)>)>(
     control: &JoinControl<'_>,
     a: &RStarTree,
     b: &RStarTree,
-    buffer: &mut LruBuffer,
+    pages: &mut impl PageObserver,
     mut on_chunk: F,
 ) -> JoinStats {
     let capacity = control.chunk_capacity.max(1);
@@ -100,7 +100,7 @@ pub fn tree_join_chunked<F: FnMut(&mut Vec<(ObjectId, ObjectId)>)>(
         let chunk = &mut s.chunk;
         chunk.clear();
         chunk.reserve(capacity);
-        let stats = traverse(control, a, b, buffer, &mut s.nodes, |id_a, id_b| {
+        let stats = traverse(control, a, b, pages, &mut s.nodes, |id_a, id_b| {
             chunk.push((id_a, id_b));
             if chunk.len() == capacity {
                 emit(chunk);
@@ -202,51 +202,47 @@ impl Side {
     }
 }
 
-fn traverse<F: FnMut(ObjectId, ObjectId)>(
+fn traverse<F: FnMut(ObjectId, ObjectId), O: PageObserver>(
     control: &JoinControl<'_>,
     a: &RStarTree,
     b: &RStarTree,
-    buffer: &mut LruBuffer,
+    pages: &mut O,
     scratch: &mut NodeScratch,
     on_pair: F,
 ) -> JoinStats {
     if a.is_empty() || b.is_empty() || !a.root_rect().intersects(&b.root_rect()) {
         return JoinStats::default();
     }
-    let start = buffer.stats();
+    let start = pages.physical();
     scratch.pending.clear();
     let mut traversal = Traversal {
         dispatch: control.dispatch,
         cancel: control.cancel,
         a,
         b,
-        buffer,
+        pages,
         scratch,
         stats: JoinStats::default(),
         on_pair,
     };
     traversal.visit(a.root_page(), b.root_page());
     let mut stats = traversal.stats;
-    let end = buffer.stats();
-    stats.io = IoStats {
-        logical: end.logical - start.logical,
-        physical: end.physical - start.physical,
-    };
+    stats.io.physical = pages.physical() - start;
     stats
 }
 
-struct Traversal<'t, F> {
+struct Traversal<'t, F, O> {
     dispatch: KernelDispatch,
     cancel: Option<&'t CancelToken>,
     a: &'t RStarTree,
     b: &'t RStarTree,
-    buffer: &'t mut LruBuffer,
+    pages: &'t mut O,
     scratch: &'t mut NodeScratch,
     stats: JoinStats,
     on_pair: F,
 }
 
-impl<F: FnMut(ObjectId, ObjectId)> Traversal<'_, F> {
+impl<F: FnMut(ObjectId, ObjectId), O: PageObserver> Traversal<'_, F, O> {
     fn visit(&mut self, pa: u32, pb: u32) {
         // The cooperative cancellation point: one relaxed load per node pair
         // keeps an over-deadline join within one page of extra sweep work.
@@ -266,7 +262,8 @@ impl<F: FnMut(ObjectId, ObjectId)> Traversal<'_, F> {
             } else {
                 (b, pb, a.node_rect(pa))
             };
-            self.buffer.access(deep.page_id(page));
+            self.stats.io.logical += 1;
+            self.pages.access(deep.page_id(page));
             let (rects, children) = deep.entries(page);
             self.stats.mbr_tests += rects.len() as u64;
             for (rect, &child) in rects.iter().zip(children) {
@@ -278,8 +275,9 @@ impl<F: FnMut(ObjectId, ObjectId)> Traversal<'_, F> {
         } else {
             // Equal levels: fetch both pages, restrict to the common
             // window, and sweep-match the remaining entries.
-            self.buffer.access(a.page_id(pa));
-            self.buffer.access(b.page_id(pb));
+            self.stats.io.logical += 2;
+            self.pages.access(a.page_id(pa));
+            self.pages.access(b.page_id(pb));
             let Some(window) = a.node_rect(pa).intersection(&b.node_rect(pb)) else {
                 return;
             };
@@ -370,6 +368,7 @@ pub fn nested_loops_join<F: FnMut(ObjectId, ObjectId)>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::LruBuffer;
     use crate::rstar::PageLayout;
     use msj_geom::Rect;
 
@@ -593,6 +592,29 @@ mod tests {
                 Some(want) => assert_eq!(&cell, want, "dispatch {}", d.label()),
             }
         }
+    }
+
+    #[test]
+    fn an_unobserved_join_counts_the_same_node_visits() {
+        let ia = grid_items(10, 0.0);
+        let ib = grid_items(10, 4.0);
+        let ta = build(&ia, 256);
+        let tb = build(&ib, 384);
+        let mut buffer = LruBuffer::new(4);
+        let mut observed = Vec::new();
+        let with_buffer = tree_join(&ta, &tb, &mut buffer, |x, y| observed.push((x, y)));
+        let mut unobserved = Vec::new();
+        let without = tree_join(&ta, &tb, &mut (), |x, y| unobserved.push((x, y)));
+        assert_eq!(unobserved, observed);
+        assert_eq!(with_buffer.io.logical, buffer.stats().logical);
+        assert_eq!(without.io.physical, 0, "no buffer, no reads");
+        assert_eq!(
+            JoinStats {
+                io: with_buffer.io,
+                ..without
+            },
+            with_buffer
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   byte-level [`PageLayout`] (page size, leaf/directory entry sizes) so
 //!   that storing approximations *in addition to the MBR* (§3.4, approach
 //!   2) costs fanout exactly as in the paper;
-//! * a simulated [`LruBuffer`] counting logical and physical page
-//!   accesses — the I/O metric of §3.4/§5;
+//! * a simulated [`LruBuffer`] counting physical page accesses — the I/O
+//!   metric of §3.4/§5 — as one [`PageObserver`] of the node visits;
 //! * point and window queries;
 //! * the [BKS 93a] [`tree_join`]: synchronized R*-tree traversal with
 //!   search-space restriction and plane-sweep entry matching, streaming
@@ -39,7 +39,7 @@ pub mod inl;
 pub mod join;
 pub mod rstar;
 
-pub use buffer::{IoStats, LruBuffer, PageId};
+pub use buffer::{IoStats, LruBuffer, PageId, PageObserver};
 pub use inl::index_nested_loop_join;
 pub use join::{nested_loops_join, tree_join, tree_join_chunked, JoinControl, JoinStats};
 pub use rstar::{PageLayout, RStarTree};

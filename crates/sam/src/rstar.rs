@@ -1,10 +1,11 @@
 //! A paged R*-tree ([BKSS 90]) with the byte-level storage model of the
 //! paper, held as one frozen, flat column arena.
 //!
-//! The tree simulates secondary storage: every node is a page whose
+//! The tree models secondary storage: every node is a page whose
 //! capacity derives from the page size and the entry byte size. Queries
-//! route node visits through an external [`LruBuffer`], which yields the
-//! physical-page-access counts the paper reports (§3.4, §5).
+//! count node visits and report each to a [`PageObserver`]; an
+//! [`LruBuffer`](crate::LruBuffer) there yields the paper's physical page
+//! accesses (§3.4, §5).
 //!
 //! # The arena
 //!
@@ -35,7 +36,7 @@
 //! the tree, so build from a batch with [`RStarTree::insert_all`] or
 //! [`RStarTree::bulk_load`] and keep single edits for small trees.
 
-use crate::buffer::{LruBuffer, PageId};
+use crate::buffer::{PageId, PageObserver};
 use crate::builder::{group_rect, TreeBuilder};
 use msj_geom::bytes::{Col, Dec, DecResult, Enc};
 use msj_geom::stack::InlineStack;
@@ -348,15 +349,25 @@ impl RStarTree {
     }
 
     /// Point query: appends to `out` the ids of all leaf entries whose
-    /// rectangles contain `p`. Every node visit goes through `buffer`.
-    pub fn point_query(&self, p: Point, buffer: &mut LruBuffer, out: &mut Vec<ObjectId>) {
-        self.descend(buffer, out, |r| r.contains_point(p));
+    /// rectangles contain `p`; returns the node visits.
+    pub fn point_query(
+        &self,
+        p: Point,
+        pages: &mut impl PageObserver,
+        out: &mut Vec<ObjectId>,
+    ) -> u64 {
+        self.descend(pages, out, |r| r.contains_point(p))
     }
 
     /// Window query: appends to `out` the ids of all leaf entries
-    /// intersecting `window`.
-    pub fn window_query(&self, window: Rect, buffer: &mut LruBuffer, out: &mut Vec<ObjectId>) {
-        self.descend(buffer, out, |r| r.intersects(&window));
+    /// intersecting `window`; returns the node visits.
+    pub fn window_query(
+        &self,
+        window: Rect,
+        pages: &mut impl PageObserver,
+        out: &mut Vec<ObjectId>,
+    ) -> u64 {
+        self.descend(pages, out, |r| r.intersects(&window))
     }
 
     /// Depth-first descent over the builder-order columns on an inline
@@ -364,14 +375,16 @@ impl RStarTree {
     /// [`INLINE_STACK`](msj_geom::stack::INLINE_STACK) subtrees wait.
     fn descend(
         &self,
-        buffer: &mut LruBuffer,
+        pages: &mut impl PageObserver,
         out: &mut Vec<ObjectId>,
         hit: impl Fn(&Rect) -> bool,
-    ) {
+    ) -> u64 {
+        let mut visits = 0;
         let mut stack = InlineStack::new(self.root);
         stack.push_if(self.root, true);
         while let Some(cur) = stack.pop() {
-            buffer.access(self.page_id(cur));
+            visits += 1;
+            pages.access(self.page_id(cur));
             let (rects, vals) = self.entries(cur);
             if self.node_level(cur) == 0 {
                 out.extend(rects.iter().zip(vals).filter(|e| hit(e.0)).map(|e| *e.1));
@@ -381,6 +394,7 @@ impl RStarTree {
                 }
             }
         }
+        visits
     }
 
     pub(crate) fn node_level(&self, node: u32) -> u32 {
@@ -652,6 +666,7 @@ fn str_tile<T: Copy>(items: &mut [(Rect, T)], cap: usize, mut emit: impl FnMut(&
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::LruBuffer;
 
     /// The query results as a fresh `Vec`.
     fn point_hits(tree: &RStarTree, p: Point, buffer: &mut LruBuffer) -> Vec<ObjectId> {
@@ -823,11 +838,37 @@ mod tests {
         let w = Rect::from_bounds(0.0, 0.0, 120.0, 120.0);
         window_hits(&tree, w, &mut buffer);
         let cold = buffer.stats().physical;
-        buffer.reset_stats();
         window_hits(&tree, w, &mut buffer);
-        let warm = buffer.stats().physical;
+        let warm = buffer.stats().physical - cold;
         assert!(warm == 0, "warm physical reads {warm}");
         assert!(cold > 0);
+    }
+
+    #[test]
+    fn descents_count_their_node_visits_with_or_without_a_buffer() {
+        let layout = PageLayout {
+            page_size: 256,
+            leaf_entry_bytes: 48,
+            dir_entry_bytes: 20,
+        };
+        let tree = grid_tree(12, layout);
+        let mut buffer = LruBuffer::new(8);
+        for w in [
+            Rect::from_bounds(15.0, 25.0, 47.0, 58.0),
+            Rect::from_bounds(0.0, 0.0, 120.0, 120.0),
+            Rect::from_bounds(500.0, 500.0, 501.0, 501.0),
+        ] {
+            let (mut observed, mut unobserved) = (Vec::new(), Vec::new());
+            let before = buffer.stats().logical;
+            let visits = tree.window_query(w, &mut buffer, &mut observed);
+            assert_eq!(visits, buffer.stats().logical - before);
+            assert!(visits >= 1, "the root is always visited");
+            assert_eq!(tree.window_query(w, &mut (), &mut unobserved), visits);
+            assert_eq!(unobserved, observed);
+        }
+        let p = Point::new(34.0, 44.0);
+        let visits = tree.point_query(p, &mut (), &mut Vec::new());
+        assert_eq!(tree.point_query(p, &mut buffer, &mut Vec::new()), visits);
     }
 
     #[test]

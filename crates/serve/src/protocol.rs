@@ -13,14 +13,13 @@
 //!
 //! The `Ok` payload carries the *deterministic* projection of an engine
 //! response: result ids/pairs, filter accounting and exact-geometry
-//! operation counts. It deliberately excludes wall-clock nanoseconds
-//! and simulated-buffer physical reads — those describe the serving
-//! instance's momentary state (a warm LRU buffer reports fewer reads),
-//! not the query's answer, and leaving them out is what makes the
-//! protocol's headline guarantee testable: a completed response is
-//! **byte-identical** however the request was scheduled, batched, or
-//! retried. Instance-local measurement stays observable through the
-//! engine's metrics registry and traces.
+//! operation counts. It deliberately excludes wall-clock nanoseconds —
+//! they describe the serving instance's momentary state, not the query's
+//! answer, and leaving them out is what makes the protocol's headline
+//! guarantee testable: a completed response is **byte-identical** however
+//! the request was scheduled, batched, or retried. Instance-local
+//! measurement stays observable through the engine's metrics registry and
+//! traces.
 
 use msj_core::{EngineError, JoinResponse, Response, SelectionResponse};
 use msj_exact::OpCounts;

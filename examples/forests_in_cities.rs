@@ -44,7 +44,10 @@ fn main() {
     let mut reference: Option<Vec<(u32, u32)>> = None;
     for (name, config, cost_kind) in versions {
         let result = MultiStepJoin::new(config).execute(&forests, &cities);
-        let cost = figure18_cost(&result.stats, cost_kind, &params);
+        // Step 1 priced by its node visits, one page access each: the
+        // engine is in memory and keeps no page buffer.
+        let visits = result.stats.mbr_join.io.logical;
+        let cost = figure18_cost(&result.stats, visits, cost_kind, &params);
         println!("{name}");
         println!(
             "  result: {} pairs | candidates {} | filter-identified {} | exact tests {}",

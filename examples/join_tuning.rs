@@ -61,7 +61,10 @@ fn main() {
                         assert_eq!(r, result.pairs.len(), "result must not depend on config")
                     }
                 }
-                let cost = figure18_cost(&result.stats, cost_kind, &params).total_s();
+                // The engine keeps no page buffer: every Step-1 node
+                // visit is priced as a page access.
+                let visits = result.stats.mbr_join.io.logical;
+                let cost = figure18_cost(&result.stats, visits, cost_kind, &params).total_s();
                 let name = format!(
                     "{:<5} + {:<4} + {}",
                     conservative.map_or("none", |k| k.name()),

@@ -42,8 +42,8 @@ fn main() {
     let s = &result.stats;
     println!("\n--- three-step execution ---");
     println!(
-        "step 1 (MBR-join):        {} candidate pairs, {} physical page reads",
-        s.mbr_join.candidates, s.mbr_join.io.physical
+        "step 1 (MBR-join):        {} candidate pairs, {} R*-tree node visits",
+        s.mbr_join.candidates, s.mbr_join.io.logical
     );
     println!(
         "step 2 (geometric filter): {} false hits + {} hits identified ({} of candidates)",

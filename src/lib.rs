@@ -13,8 +13,9 @@
 //! * [`approx`] — conservative (MBR, RMBR, CH, 4-C/5-C, MBC, MBE) and
 //!   progressive (MEC, MER) approximations, the false-area test, quality
 //!   metrics;
-//! * [`sam`] — a paged R*-tree with byte-level layout, LRU buffer I/O
-//!   accounting and the synchronized-traversal MBR join;
+//! * [`sam`] — a paged R*-tree with byte-level layout and the
+//!   synchronized-traversal MBR join, counting node visits, with the
+//!   paper's LRU buffer I/O model for the paper tables;
 //! * [`partition`] — the partitioned parallel MBR join (uniform grid,
 //!   per-tile plane sweeps, reference-point deduplication) selectable as
 //!   the Step-1 backend via [`core::Backend::PartitionedSweep`];

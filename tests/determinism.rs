@@ -2,7 +2,7 @@
 //! joins and statistics across runs — the property that makes every
 //! experiment in EXPERIMENTS.md re-checkable.
 
-use msj::core::{JoinConfig, MultiStepJoin};
+use msj::core::{JoinConfig, MultiStepJoin, SpatialEngine};
 
 #[test]
 fn datasets_are_bit_identical_per_seed() {
@@ -32,7 +32,14 @@ fn joins_are_deterministic() {
     assert_eq!(r1.stats.mbr_join.candidates, r2.stats.mbr_join.candidates);
     assert_eq!(r1.stats.filter_false_hits, r2.stats.filter_false_hits);
     assert_eq!(r1.stats.exact_ops, r2.stats.exact_ops);
-    assert_eq!(r1.stats.mbr_join.io.physical, r2.stats.mbr_join.io.physical);
+    // Step 1's node visits are the engine's I/O count: the same on every
+    // run, cold one-shot or the second run of a resident join.
+    assert!(r1.stats.mbr_join.io.logical > 0);
+    assert_eq!(r1.stats.mbr_join.io.logical, r2.stats.mbr_join.io.logical);
+    let engine = SpatialEngine::new(JoinConfig::default());
+    let prepared = engine.prepare_join(&engine.register(a), &engine.register(b));
+    prepared.run();
+    assert_eq!(prepared.run().stats.mbr_join, r1.stats.mbr_join);
 }
 
 #[test]

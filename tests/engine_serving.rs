@@ -2,13 +2,16 @@
 //!
 //! * an owned `PreparedJoin` (no borrowed lifetime) built once runs
 //!   repeatedly — Serial and Fused ×4 — with byte-identical response
-//!   sets and stable statistics;
+//!   sets and the one-shot pipeline's statistics on every run;
 //! * an `Arc<PreparedJoin>` is shared across threads, every thread
-//!   getting the identical response set;
+//!   getting the identical response set and the statistics of a run
+//!   alone;
 //! * the unified `Request`/`Response` surface agrees with the one-shot
 //!   pipeline and the linear-scan ground truth.
 
-use msj::core::{Execution, JoinConfig, MultiStepJoin, Request, Response, SpatialEngine};
+use msj::core::{
+    Execution, JoinConfig, MultiStepJoin, MultiStepStats, Request, Response, SpatialEngine,
+};
 use msj::geom::{Point, Rect};
 use std::sync::Arc;
 
@@ -17,8 +20,9 @@ fn sorted(mut v: Vec<(u32, u32)>) -> Vec<(u32, u32)> {
     v
 }
 
-/// Satellite: one owned prepared join, 10 runs under Serial and Fused ×4
-/// each — byte-identical response sets, stable statistics.
+/// One owned prepared join, 10 runs under Serial and Fused ×4 each —
+/// byte-identical response sets, and every run's Step 1 (node visits
+/// included) and Steps 2–3 counters those of the one-shot reference.
 #[test]
 fn owned_prepared_join_is_stable_over_ten_runs() {
     let a = msj::datagen::small_carto(60, 24.0, 9001);
@@ -33,7 +37,6 @@ fn owned_prepared_join_is_stable_over_ten_runs() {
             Execution::Serial => reference.pairs.clone(),
             Execution::Fused { .. } => sorted(reference.pairs.clone()),
         };
-        let mut steady: Option<msj::core::MultiStepStats> = None;
         for run in 0..10 {
             let result = prepared.run_with(execution);
             assert_eq!(
@@ -41,8 +44,10 @@ fn owned_prepared_join_is_stable_over_ten_runs() {
                 "{execution:?} run {run}: response set drifted"
             );
             let s = result.stats;
-            // Deterministic counters are identical on every run.
-            assert_eq!(s.mbr_join.candidates, reference.stats.mbr_join.candidates);
+            assert_eq!(
+                s.mbr_join, reference.stats.mbr_join,
+                "{execution:?} run {run}: Step 1 drifted"
+            );
             assert_eq!(s.raster_hits, reference.stats.raster_hits);
             assert_eq!(s.raster_drops, reference.stats.raster_drops);
             assert_eq!(s.filter_false_hits, reference.stats.filter_false_hits);
@@ -54,54 +59,58 @@ fn owned_prepared_join_is_stable_over_ten_runs() {
             assert_eq!(s.exact_hits, reference.stats.exact_hits);
             assert_eq!(s.exact_ops, reference.stats.exact_ops);
             assert_eq!(s.result_pairs, reference.stats.result_pairs);
-            // The simulated I/O reaches a steady state after the first
-            // run of this execution mode (warm LRU buffer).
-            if run >= 1 {
-                if let Some(prev) = steady {
-                    assert_eq!(
-                        s.mbr_join.io.physical, prev.mbr_join.io.physical,
-                        "{execution:?} run {run}: warm-buffer I/O not steady"
-                    );
-                }
-                steady = Some(s);
-            }
         }
     }
     // The prepared join retains its last run's stats for admission.
     assert!(prepared.last_stats().is_some());
 }
 
-/// Satellite: `Arc<PreparedJoin>` shared across threads — every thread
-/// re-runs the resident join and sees the identical response set.
+/// A run's statistics without what the clock and the fan-out's
+/// scheduling decide: the `*_nanos` and the fused queue's peak.
+fn deterministic(mut s: MultiStepStats) -> MultiStepStats {
+    s.step0_nanos = 0;
+    s.step1_nanos = 0;
+    s.step2_nanos = 0;
+    s.step2a_nanos = 0;
+    s.step3_nanos = 0;
+    s.peak_buffered_candidates = 0;
+    s
+}
+
+/// `Arc<PreparedJoin>` shared across threads — every thread re-runs the
+/// resident join, several at once, and sees the identical response set
+/// and the statistics of the same join run alone, one-shot.
 #[test]
 fn prepared_join_is_shared_across_threads() {
     let a = msj::datagen::small_carto(50, 24.0, 9003);
     let b = msj::datagen::small_carto(50, 24.0, 9004);
+    // Mix execution policies across threads.
+    let executions = [Execution::Serial, Execution::Fused { threads: 2 }];
+    let alone = executions.map(|execution| {
+        let config = JoinConfig::builder().execution(execution).build();
+        deterministic(MultiStepJoin::new(config).execute(&a, &b).stats)
+    });
     let engine = SpatialEngine::new(JoinConfig::default());
     let (ha, hb) = (engine.register(a), engine.register(b));
     let prepared: Arc<_> = engine.prepare_join(&ha, &hb);
-    let expect = prepared.run_with(Execution::Fused { threads: 2 }).pairs;
+    let expect = prepared.run_with(executions[1]).pairs;
     assert!(!expect.is_empty());
 
-    let results: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
+    let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 let shared = Arc::clone(&prepared);
                 scope.spawn(move || {
-                    // Mix execution policies across threads.
-                    let execution = if i % 2 == 0 {
-                        Execution::Serial
-                    } else {
-                        Execution::Fused { threads: 2 }
-                    };
-                    sorted(shared.run_with(execution).pairs)
+                    let result = shared.run_with(executions[i % 2]);
+                    (sorted(result.pairs), result.stats)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    for (i, got) in results.iter().enumerate() {
+    for (i, (got, stats)) in results.iter().enumerate() {
         assert_eq!(got, &sorted(expect.clone()), "thread {i} diverged");
+        assert_eq!(deterministic(*stats), alone[i % 2], "thread {i} stats");
     }
 }
 

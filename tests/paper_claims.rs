@@ -175,7 +175,16 @@ fn version_costs_rank_v3_v2_v1() {
     let params = CostModelParams::default();
     let cost = |config: JoinConfig, kind: ExactCostKind| -> f64 {
         let r = MultiStepJoin::new(config).execute(&a, &b);
-        figure18_cost(&r.stats, kind, &params).total_s()
+        // The MBR-join's page reads under the §5 disk model: the
+        // engine's trees through a cold LRU buffer of the configured size.
+        let layout = PageLayout::with_extra_bytes(config.page_size, config.extra_leaf_bytes());
+        let tree =
+            |rel: &Relation| RStarTree::bulk_load(layout, rel.iter().map(|o| (o.mbr(), o.id)));
+        let mut buffer = LruBuffer::with_bytes(config.buffer_bytes, config.page_size);
+        let pages = tree_join(&tree(&a), &tree(&b), &mut buffer, |_, _| {})
+            .io
+            .physical;
+        figure18_cost(&r.stats, pages, kind, &params).total_s()
     };
     let v1 = cost(JoinConfig::version1(), ExactCostKind::PlaneSweep);
     let v2 = cost(JoinConfig::version2(), ExactCostKind::PlaneSweep);

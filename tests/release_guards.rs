@@ -13,7 +13,9 @@
 //! A ratio binds only where the clock is signal: in an optimised build,
 //! on a baseline above timer noise (≥ 20 ms for the joins, ≥ 1 ms for the
 //! store floor). Ratios are taken per round — both sides back to back, so
-//! a load spike inflates both and cancels — and the best round counts. A
+//! a load spike inflates both and cancels — and the best round counts.
+//! The observability guard, whose budget sits inside the spread between
+//! engine instances, takes the median pair over many rounds instead. A
 //! debug build runs each workload once, at a tenth of the size, keeps the
 //! assertions that are not about time, and only reports the ratio.
 //!
@@ -99,23 +101,46 @@ fn verdict(baseline: f64, noise: f64, holds: bool, reading: String) {
     assert!(!OPTIMISED || baseline < noise || holds, "{reading}");
 }
 
+/// Rounds × interleaved off/on pairs of timed joins of the observability
+/// guard: two engines built alike differ by ≈ 2 % in join wall-clock, so
+/// the guard needs many engines, not many runs of a few.
+const OBS_ROUNDS: usize = if OPTIMISED { 12 } else { 1 };
+const OBS_PAIRS: usize = if OPTIMISED { 4 } else { 1 };
+
 #[test]
 fn observability_costs_under_three_percent() {
     let (a, b) = skewed_pair();
-    // A fresh engine per side per round: Step 0, one warm-up join, then
-    // the fastest of three timed joins.
-    let timed_join = |obs: ObsConfig| {
-        let prepared = prepare(JoinConfig::builder().obs(obs).build(), &a, &b);
-        let _ = prepared.run_with(FUSED);
-        fastest(3, || secs(|| drop(prepared.run_with(FUSED))))
-    };
-    let (off, on, overhead) = best_round(
-        || timed_join(ObsConfig::disabled()),
-        || timed_join(ObsConfig::default()),
-    );
+    // Per round, a fresh engine per side (Step 0, one warm-up join), then
+    // `OBS_PAIRS` pairs of timed joins, off and on back to back with the
+    // first of each pair alternating, so the box's drift lands on both
+    // sides alike. The median pair ratio over every round counts: one
+    // stalled run or one engine pair's layout moves it little either way.
+    let time = |prepared: &PreparedJoin| secs(|| drop(prepared.run_with(FUSED)));
+    let (mut ratios, mut off, mut on) = (Vec::new(), f64::INFINITY, f64::INFINITY);
+    for _ in 0..OBS_ROUNDS {
+        let [p_off, p_on] = [ObsConfig::disabled(), ObsConfig::default()].map(|obs| {
+            let prepared = prepare(JoinConfig::builder().obs(obs).build(), &a, &b);
+            let _ = prepared.run_with(FUSED);
+            prepared
+        });
+        for pair in 0..OBS_PAIRS {
+            let (t_off, t_on) = if pair % 2 == 0 {
+                (time(&p_off), time(&p_on))
+            } else {
+                let t_on = time(&p_on);
+                (time(&p_off), t_on)
+            };
+            ratios.push(t_on / t_off);
+            (off, on) = (off.min(t_off), on.min(t_on));
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    let overhead = ratios[ratios.len() / 2] - 1.0;
     let reading = format!(
-        "observability overhead {:.2}% vs the 3% budget (metrics on {:.2} ms, off {:.2} ms)",
+        "observability overhead {:.2}% vs the 3% budget, median of {} pairs \
+         (fastest metrics on {:.2} ms, off {:.2} ms)",
         overhead * 100.0,
+        ratios.len(),
         on * 1e3,
         off * 1e3,
     );

@@ -107,8 +107,8 @@ fn run_chaos_cell(seed: u64, kind: FaultKind) {
 
     // The oracle: each request submitted in-process, encoded through the
     // same deterministic projection the server uses. Running it on the
-    // same engine beforehand is safe — the wire payload excludes
-    // buffer-warmth and timing, the two things repetition changes.
+    // same engine beforehand is safe — the wire payload excludes timing,
+    // the one thing repetition changes.
     let expected: Vec<Vec<u8>> = requests
         .iter()
         .map(|req| {
