@@ -78,7 +78,8 @@ pub enum FaultKind {
     /// truncated frame, never a corrupted complete one.
     PartialWrite,
     /// **Wire:** the server stalls `millis` before writing the selected
-    /// response — a slow-drain client/socket, not a failure.
+    /// response — a slow-drain client/socket, not a failure. The stall
+    /// runs in that connection's writer and delays only that connection.
     SlowClient {
         /// Stall duration in milliseconds.
         millis: u32,
@@ -268,7 +269,8 @@ pub enum WireAction {
     ConnReset,
     /// Write a strict prefix of the frame, then close the connection.
     PartialWrite,
-    /// Stall this long, then write the response normally.
+    /// Stall this long, then write the response normally. The stall runs
+    /// in one connection's writer and delays only that connection.
     SlowThenProceed(Duration),
     /// Discard the computed response and close the connection.
     DropBeforeReply,

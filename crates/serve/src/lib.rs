@@ -1,18 +1,21 @@
 //! Overload-safe network front for the resident spatial engine.
 //!
 //! `msj-serve` puts a [`msj_core::SpatialEngine`] behind a TCP listener
-//! speaking the length-prefixed protocol of [`protocol`], built on a
-//! readiness loop over nonblocking `std::net` sockets (raw-syscall
-//! `epoll` on Linux/x86-64, a portable scan poller elsewhere or under
-//! `MSJ_SERVE_POLLER=scan` — no external dependencies). The design goal is the robustness story of
-//! the paper's §5 engineering: a server that **refuses load it cannot
-//! carry** instead of degrading for everyone.
+//! speaking the length-prefixed protocol of [`protocol`], over blocking
+//! `std::net` sockets and plain threads — no external dependencies and
+//! no `unsafe`: one thread accepts, each connection has a reader and a
+//! writer thread, and a worker pool runs the engine. The design goal is
+//! the robustness story of the paper's §5 engineering: a server that
+//! **refuses load it cannot carry** instead of degrading for everyone.
 //!
 //! - **Bounded queues, wire backpressure.** Requests land in bounded
 //!   per-dataset-pair queues. A full queue — or a §5 cost estimate over
 //!   the admission limit — answers an immediate 429-style
 //!   [`protocol::WireStatus::Shed`] whose `retry_after_ms` is derived
-//!   from the same cost model that refused the work.
+//!   from the same cost model that refused the work. A connection's
+//!   replies wait in a bounded outbox; while it is full the server stops
+//!   reading that connection, so TCP pushes back on a client that does
+//!   not read, and no other connection waits for it.
 //! - **Client deadlines.** A nonzero `deadline_ms` in the request
 //!   header arms the engine's one and only cancellation mechanism
 //!   ([`msj_core::CancelToken::with_deadline`]) at admission, so queue
@@ -51,12 +54,11 @@
 //! server.join();
 //! ```
 
-#![deny(clippy::undocumented_unsafe_blocks)]
+#![forbid(unsafe_code)]
 
 pub mod client;
-pub mod poll;
 pub mod protocol;
-pub mod queue;
+mod queue;
 pub mod server;
 
 pub use client::{Client, WireReply};

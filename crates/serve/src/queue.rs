@@ -9,12 +9,13 @@
 //! throughput-beyond-per-query-serving comes from.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use msj_geom::CancelToken;
 
 use crate::protocol::WireRequestBody;
+use crate::server::Outbox;
 
 /// Which bounded queue a request routes to. Join keys are normalized
 /// (`a <= b`) so `Join(1, 2)` and `Join(2, 1)` share a bound.
@@ -36,21 +37,13 @@ impl QueueKey {
             WireRequestBody::Metrics => return None,
         })
     }
-
-    /// The `queue` label of `msj_queue_depth`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            QueueKey::Join(..) => "join",
-            QueueKey::Select(..) => "selection",
-        }
-    }
 }
 
 /// One admitted request waiting for (or held by) a worker.
 #[derive(Debug)]
 pub struct Job {
-    /// The connection token the response routes back to.
-    pub conn: u64,
+    /// The outbox of the connection the response goes back to.
+    pub reply: Arc<Outbox>,
     pub request_id: u64,
     pub body: WireRequestBody,
     /// The engine's cancellation/deadline token, armed at admission so
@@ -81,8 +74,8 @@ impl Inner {
     }
 }
 
-/// The bounded queue set shared between the event loop (producer) and
-/// the worker pool (consumers).
+/// The bounded queue set shared between the connection readers
+/// (producers) and the worker pool (consumers).
 pub struct QueueSet {
     inner: Mutex<Inner>,
     cond: Condvar,
@@ -100,11 +93,6 @@ impl QueueSet {
             bound: bound.max(1),
             batch_max: batch_max.max(1),
         }
-    }
-
-    /// The per-key bound.
-    pub fn bound(&self) -> usize {
-        self.bound
     }
 
     /// Enqueues `job` under `key`. `Err(job)` hands the job back when
@@ -223,10 +211,10 @@ fn discriminant(body: &WireRequestBody) -> u8 {
 mod tests {
     use super::*;
 
-    fn job(conn: u64, body: WireRequestBody) -> Job {
+    fn job(request_id: u64, body: WireRequestBody) -> Job {
         Job {
-            conn,
-            request_id: conn,
+            reply: Arc::new(Outbox::new()),
+            request_id,
             body,
             cancel: CancelToken::new(),
             received: Instant::now(),
@@ -270,7 +258,7 @@ mod tests {
         assert!(set.try_push(key, job(1, point(1))).is_ok());
         assert!(set.try_push(key, job(2, point(1))).is_ok());
         let rejected = set.try_push(key, job(3, point(1))).unwrap_err();
-        assert_eq!(rejected.conn, 3);
+        assert_eq!(rejected.request_id, 3);
         // Another key still has capacity.
         assert!(set.try_push(QueueKey::Select(2), job(4, point(2))).is_ok());
         assert_eq!(set.depths(), (0, 3));
@@ -353,7 +341,7 @@ mod tests {
 
     #[test]
     fn close_unblocks_waiting_workers_and_rejects_pushes() {
-        let set = std::sync::Arc::new(QueueSet::new(4, 4));
+        let set = Arc::new(QueueSet::new(4, 4));
         let waiter = {
             let set = set.clone();
             std::thread::spawn(move || {

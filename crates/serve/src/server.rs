@@ -1,29 +1,31 @@
-//! The serving front: a readiness event loop over nonblocking sockets,
-//! a bounded-queue admission gate, a worker pool that batches
-//! same-dataset probes, and a graceful drain path.
+//! The serving front: blocking threads over `std::net` sockets, a
+//! bounded-queue admission gate, a worker pool that batches same-dataset
+//! probes, and a graceful drain path.
 //!
-//! One thread owns every socket (accept, read, frame parse, admission,
-//! response write); `workers` threads pull admitted jobs from the
-//! bounded [`QueueSet`] and run them through the engine. Workers hand
-//! fully encoded response frames back through a completion list plus a
-//! wake pipe, so the socket thread never blocks on the engine and the
-//! engine threads never touch a socket.
+//! One thread accepts connections, and runs the drain once
+//! [`Server::shutdown`] wakes it. Each connection has two threads of its
+//! own: a *reader* that parses frames and runs admission, and a *writer*
+//! that flushes the connection's outbox. `workers` threads pull admitted
+//! jobs from the bounded `QueueSet` and run them through the engine. A
+//! job carries its connection's outbox, so the worker appends the encoded
+//! reply there and never touches a socket.
 //!
 //! Admission happens *before* a request costs anything: draining, frame
 //! and dataset validation, the per-connection in-flight cap, and the
-//! bounded queue are all checked on the event loop, and every refusal
-//! is an explicit wire response carrying a §5-derived `retry_after_ms`
-//! where retrying makes sense. Nothing is ever silently dropped: every
-//! admitted request is answered exactly once, or its connection is
-//! closed by an injected fault — never neither.
+//! bounded queue are all checked on the reader, and every refusal is an
+//! explicit wire response carrying a §5-derived `retry_after_ms` where
+//! retrying makes sense. A reader stops reading while its outbox holds
+//! `OUTBOX_BYTES` unwritten, so a client that does not read its replies
+//! is pushed back by TCP instead of buffered, and delays no other
+//! connection. Nothing is ever silently dropped: every admitted request
+//! is answered exactly once, or its connection is closed by a timeout or
+//! an injected fault — never neither.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,7 +34,6 @@ use msj_fault::{FaultConfig, FaultSession, WireAction};
 use msj_geom::{CancelToken, Point, Rect};
 use msj_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::poll::{new_poller, Event, Poller};
 use crate::protocol::{
     decode_request, encode_response, response_body_for, retry_after_ms, selection_body,
     ResponseBody, ShedReason, WireRequestBody, MAX_REQUEST_FRAME,
@@ -104,46 +105,40 @@ pub struct DrainReport {
 }
 
 /// Extra slack granted after the drain deadline for cancelled work to
-/// unwind cooperatively before the loop force-exits.
+/// unwind cooperatively before the drain gives up.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// Poll timeout: bounds wake latency for timeouts and drain checks.
-const TICK_MS: i32 = 50;
+/// How often the drain checks whether the admitted work has settled.
+const TICK: Duration = Duration::from_millis(5);
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const TOKEN_FIRST_CONN: u64 = 2;
+/// Unwritten reply bytes at which a connection's reader stops reading.
+const OUTBOX_BYTES: usize = 256 * 1024;
 
-/// One encoded response frame routed back to a connection.
-struct Completion {
-    conn: u64,
-    frame: Vec<u8>,
-    /// Admission-time anchor of the e2e latency sample; `None` for
-    /// responses synthesized outside the admitted path.
-    received: Option<Instant>,
-}
-
-/// State shared between the event loop, the workers, and [`Server`]
-/// handles.
+/// State shared between the accepting thread, the connection threads,
+/// the workers, and [`Server`] handles.
 struct Shared {
     engine: Arc<SpatialEngine>,
+    config: ServeConfig,
     queues: QueueSet,
-    completions: Mutex<Vec<Completion>>,
     /// Cancel tokens of requests a worker is executing right now, so the
     /// drain deadline can cancel them through the one token path.
     executing: Mutex<HashMap<u64, CancelToken>>,
     next_exec: AtomicUsize,
-    /// Requests admitted and not yet answered (queued + executing +
-    /// completion pending).
+    /// Requests admitted and not yet answered (queued or executing).
     inflight: AtomicUsize,
+    /// Connections whose threads are still running.
+    open: AtomicUsize,
     shutdown: AtomicBool,
-    wake: UnixStream,
+    /// The wire fault plan; every writer consults it once per frame.
+    fault: FaultSession,
+    /// `msj_fault_injected_total{site}` of the armed wire fault plan.
+    fault_injected: Option<Arc<Counter>>,
     metrics: ServeMetrics,
 }
 
 /// Every serving instrument, resolved once at [`Server::start`]: the
-/// worker and event loops record through these handles and never look a
-/// metric up by name.
+/// serving threads record through these handles and never look a metric
+/// up by name.
 struct ServeMetrics {
     join_queue_depth: Arc<Gauge>,
     selection_queue_depth: Arc<Gauge>,
@@ -161,12 +156,16 @@ struct ServeMetrics {
     draining_responses: Arc<Counter>,
 }
 
-/// `kind` labels of `msj_conn_timeouts_total`.
+/// `kind` labels of `msj_conn_timeouts_total`, indexed by [`READ`],
+/// [`WRITE`] and [`IDLE`].
 const TIMEOUT_KINDS: [&str; 3] = ["read", "write", "idle"];
+const READ: usize = 0;
+const WRITE: usize = 1;
+const IDLE: usize = 2;
 
 impl Shared {
-    fn wake(&self) {
-        let _ = (&self.wake).write(&[1]);
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
     }
 
     fn publish_depths(&self) {
@@ -177,6 +176,78 @@ impl Shared {
 
     fn count_shed(&self, reason: ShedReason) {
         self.metrics.shed[reason as usize].inc();
+    }
+
+    fn count_open(&self, opened: bool) {
+        let open = if opened {
+            self.open.fetch_add(1, Ordering::AcqRel) + 1
+        } else {
+            self.open.fetch_sub(1, Ordering::AcqRel) - 1
+        };
+        self.metrics.connections_open.set(open as f64);
+    }
+
+    /// Hands an admitted request's reply to its connection's writer.
+    fn answer(&self, job: &Job, body: &ResponseBody) {
+        self.metrics
+            .e2e
+            .record(job.received.elapsed().as_nanos() as u64);
+        job.reply.push(encode_response(job.request_id, body), true);
+        self.inflight.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// The wire fault plan's verdict on the next frame written, counted
+    /// when it fires.
+    fn wire_fault(&self) -> WireAction {
+        let action = self.fault.on_response();
+        if action != WireAction::Proceed {
+            if let Some(injected) = &self.fault_injected {
+                injected.inc();
+            }
+        }
+        action
+    }
+
+    fn unknown_dataset(&self, body: &WireRequestBody) -> Option<u32> {
+        let missing = |id: u32| self.engine.dataset(id).is_none().then_some(id);
+        match *body {
+            WireRequestBody::Join { a, b } => missing(a).or_else(|| missing(b)),
+            WireRequestBody::SelfJoin { dataset }
+            | WireRequestBody::Point { dataset, .. }
+            | WireRequestBody::Window { dataset, .. } => missing(dataset),
+            WireRequestBody::Metrics => None,
+        }
+    }
+
+    /// The §5 estimate feeding a shed's retry hint — history-informed
+    /// when the engine has run the pair before, a-priori otherwise.
+    fn estimate(&self, body: &WireRequestBody) -> (f64, bool) {
+        let request = match *body {
+            WireRequestBody::Join { a, b } => Request::Join {
+                a,
+                b,
+                execution: None,
+            },
+            WireRequestBody::SelfJoin { dataset } => Request::SelfJoin {
+                dataset,
+                execution: None,
+            },
+            WireRequestBody::Point { dataset, x, y } => Request::Point {
+                dataset,
+                point: Point::new(x, y),
+            },
+            WireRequestBody::Window { dataset, bounds } => Request::Window {
+                dataset,
+                window: Rect::new(
+                    Point::new(bounds[0], bounds[1]),
+                    Point::new(bounds[2], bounds[3]),
+                ),
+            },
+            WireRequestBody::Metrics => return (0.0, false),
+        };
+        self.engine
+            .estimate_request(&request)
+            .unwrap_or((0.0, false))
     }
 }
 
@@ -189,30 +260,35 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, spawns the event loop and the worker pool, and returns
-    /// once the listener is accepting.
+    /// Binds, spawns the accepting thread and the worker pool, and
+    /// returns once the listener is accepting.
     pub fn start(engine: Arc<SpatialEngine>, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (wake_rx, wake_tx) = UnixStream::pair()?;
-        wake_rx.set_nonblocking(true)?;
-        wake_tx.set_nonblocking(true)?;
-
-        let metrics = describe_metrics(engine.metrics());
+        let fault_config = if config.fault.enabled() {
+            config.fault
+        } else {
+            FaultConfig::from_env()
+        };
+        let fault_injected = fault_config.kind.map(|kind| {
+            let site = [("site", kind.site())];
+            engine.metrics().counter("msj_fault_injected_total", &site)
+        });
         let shared = Arc::new(Shared {
-            metrics,
-            engine,
+            metrics: describe_metrics(engine.metrics()),
             queues: QueueSet::new(config.queue_bound, config.batch_max),
-            completions: Mutex::new(Vec::new()),
+            engine,
+            config,
             executing: Mutex::new(HashMap::new()),
             next_exec: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
+            open: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            wake: wake_tx,
+            fault: FaultSession::new(fault_config),
+            fault_injected,
         });
 
-        let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
+        let workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
             .map(|_| {
                 let shared = shared.clone();
                 std::thread::spawn(move || worker_loop(&shared))
@@ -221,11 +297,7 @@ impl Server {
 
         let handle = {
             let shared = shared.clone();
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let mut state = EventLoop::new(listener, wake_rx, shared, config, workers);
-                state.run()
-            })
+            std::thread::spawn(move || serve(listener, shared, workers))
         };
 
         Ok(Server {
@@ -245,7 +317,16 @@ impl Server {
     /// Idempotent; returns immediately.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.wake();
+        // Wake the accepting thread, which then closes the listener.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            let loopback: std::net::IpAddr = match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            };
+            wake.set_ip(loopback);
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Waits for the drain to finish and reports what it took.
@@ -277,7 +358,7 @@ fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
     );
     reg.describe(
         "msj_conn_timeouts_total",
-        "Connections closed by the read/write/idle timeout sweeps.",
+        "Connections closed by the read-stall, write-stall and idle timeouts.",
     );
     reg.describe("msj_connections_total", "Connections ever accepted.");
     reg.describe("msj_connections_open", "Connections open right now.");
@@ -347,27 +428,18 @@ fn worker_loop(shared: &Shared) {
         }
         metrics.batch_size.record(batch.len() as u64);
 
-        let mut done: Vec<Completion> = Vec::with_capacity(batch.len());
         match key {
             QueueKey::Join(..) => {
                 let job = batch.pop().expect("join batches hold one job");
-                done.push(run_join(shared, job));
+                let body = run_join(shared, &job);
+                shared.answer(&job, &body);
             }
-            QueueKey::Select(dataset) => {
-                run_selection_batch(shared, dataset, &mut batch, &mut done)
-            }
+            QueueKey::Select(dataset) => run_selection_batch(shared, dataset, &mut batch),
         }
-        for c in &done {
-            if let Some(received) = c.received {
-                metrics.e2e.record(received.elapsed().as_nanos() as u64);
-            }
-        }
-        shared.completions.lock().expect("completions").extend(done);
-        shared.wake();
     }
 }
 
-fn run_join(shared: &Shared, job: Job) -> Completion {
+fn run_join(shared: &Shared, job: &Job) -> ResponseBody {
     let request = match job.body {
         WireRequestBody::Join { a, b } => Request::Join {
             a,
@@ -396,19 +468,10 @@ fn run_join(shared: &Shared, job: Job) -> Completion {
         // the shed counter complete across both shed sites.
         shared.count_shed(reason);
     }
-    Completion {
-        conn: job.conn,
-        frame: encode_response(job.request_id, &body),
-        received: Some(job.received),
-    }
+    body
 }
 
-fn run_selection_batch(
-    shared: &Shared,
-    dataset: u32,
-    batch: &mut Vec<Job>,
-    done: &mut Vec<Completion>,
-) {
+fn run_selection_batch(shared: &Shared, dataset: u32, batch: &mut Vec<Job>) {
     // Jobs whose deadline expired while queued answer without touching
     // the engine — the partial-work accounting is zero by construction.
     let mut live: Vec<Job> = Vec::with_capacity(batch.len());
@@ -423,11 +486,7 @@ fn run_selection_batch(
                     partial_candidates: 0,
                 },
             };
-            done.push(Completion {
-                conn: job.conn,
-                frame: encode_response(job.request_id, &body),
-                received: Some(job.received),
-            });
+            shared.answer(&job, &body);
         } else {
             live.push(job);
         }
@@ -436,15 +495,8 @@ fn run_selection_batch(
         return;
     }
     let Some(handle) = shared.engine.dataset(dataset) else {
-        for job in live {
-            done.push(Completion {
-                conn: job.conn,
-                frame: encode_response(
-                    job.request_id,
-                    &ResponseBody::UnknownDataset { id: dataset },
-                ),
-                received: Some(job.received),
-            });
+        for job in &live {
+            shared.answer(job, &ResponseBody::UnknownDataset { id: dataset });
         }
         return;
     };
@@ -477,643 +529,507 @@ fn run_selection_batch(
         ref other => unreachable!("selection queue held {other:?}"),
     };
     debug_assert_eq!(responses.len(), live.len());
-    for (job, response) in live.into_iter().zip(responses) {
-        done.push(Completion {
-            conn: job.conn,
-            frame: encode_response(job.request_id, &selection_body(&response)),
-            received: Some(job.received),
+    for (job, response) in live.iter().zip(responses) {
+        shared.answer(job, &selection_body(&response));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Connections
+// ---------------------------------------------------------------------
+
+/// Where a connection's replies wait for its writer. Every admitted
+/// [`Job`] carries its connection's outbox, so whoever answers the job —
+/// a worker, or the drain — appends the frame here.
+#[derive(Debug)]
+pub(crate) struct Outbox {
+    state: Mutex<OutboxState>,
+    /// Signalled on every change the reader or the writer waits for.
+    changed: Condvar,
+}
+
+#[derive(Debug)]
+struct OutboxState {
+    /// Encoded frames the writer has not taken yet.
+    frames: Vec<Vec<u8>>,
+    /// Bytes in `frames` plus those the writer holds unwritten.
+    unwritten: usize,
+    /// Admitted requests from this connection not yet answered.
+    inflight: usize,
+    /// When a byte was last read or written.
+    last_activity: Instant,
+    /// The reader has stopped: the writer ends the connection once every
+    /// admitted request is answered and written.
+    input_done: bool,
+    /// The connection is over; frames pushed now are discarded.
+    closed: bool,
+}
+
+impl Outbox {
+    pub(crate) fn new() -> Outbox {
+        Outbox {
+            state: Mutex::new(OutboxState {
+                frames: Vec::new(),
+                unwritten: 0,
+                inflight: 0,
+                last_activity: Instant::now(),
+                input_done: false,
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("outbox lock poisoned")
+    }
+
+    /// Changes the state, then wakes whoever waits on it.
+    fn update(&self, change: impl FnOnce(&mut OutboxState)) {
+        change(&mut self.lock());
+        self.changed.notify_all();
+    }
+
+    /// Appends a reply frame; `answered` settles one admitted request.
+    fn push(&self, frame: Vec<u8>, answered: bool) {
+        self.update(|s| {
+            s.inflight -= usize::from(answered);
+            if !s.closed {
+                s.unwritten += frame.len();
+                s.frames.push(frame);
+            }
+        });
+    }
+
+    /// Counts one more admitted request, unless `cap` are in flight
+    /// already; then `Err` carries how many are.
+    fn admit(&self, cap: usize) -> Result<(), usize> {
+        let mut s = self.lock();
+        if s.inflight >= cap {
+            return Err(s.inflight);
+        }
+        s.inflight += 1;
+        Ok(())
+    }
+
+    /// How long the connection has been quiet; `None` while a request is
+    /// in flight or a reply unwritten.
+    fn idle_for(&self) -> Option<Duration> {
+        let s = self.lock();
+        (s.inflight == 0 && s.unwritten == 0).then(|| s.last_activity.elapsed())
+    }
+
+    fn unwritten(&self) -> usize {
+        self.lock().unwritten
+    }
+
+    fn touch(&self) {
+        self.lock().last_activity = Instant::now();
+    }
+
+    /// Blocks while the outbox is full; `false` once the connection is
+    /// closed.
+    fn wait_for_room(&self) -> bool {
+        let mut s = self.lock();
+        while s.unwritten >= OUTBOX_BYTES && !s.closed {
+            s = self.changed.wait(s).expect("outbox lock poisoned");
+        }
+        !s.closed
+    }
+
+    /// Blocks until there are frames to write and moves them into `out`;
+    /// `false` once the connection is over.
+    fn take(&self, out: &mut Vec<Vec<u8>>) -> bool {
+        let mut s = self.lock();
+        loop {
+            if s.closed || (s.input_done && s.inflight == 0 && s.frames.is_empty()) {
+                return false;
+            }
+            if !s.frames.is_empty() {
+                std::mem::swap(out, &mut s.frames);
+                return true;
+            }
+            s = self.changed.wait(s).expect("outbox lock poisoned");
+        }
+    }
+
+    /// Settles `bytes` the writer took: written, or discarded by a fault.
+    fn wrote(&self, bytes: usize) {
+        self.update(|s| {
+            s.unwritten -= bytes;
+            s.last_activity = Instant::now();
         });
     }
 }
 
-// ---------------------------------------------------------------------
-// Event loop
-// ---------------------------------------------------------------------
-
-struct Conn {
+/// One client connection: the socket both of its threads use, and its
+/// outbox.
+struct Connection {
     stream: TcpStream,
-    inbuf: Vec<u8>,
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    /// Admitted-but-unanswered requests from this connection.
-    inflight: usize,
-    /// When the currently incomplete inbound frame started arriving.
-    frame_started: Option<Instant>,
-    /// Last successful socket write while output was pending.
-    last_write: Instant,
-    last_activity: Instant,
-    /// Whether EPOLLOUT interest is currently armed.
-    want_write: bool,
-    close_after_flush: bool,
+    outbox: Arc<Outbox>,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        let now = Instant::now();
-        Conn {
-            stream,
-            inbuf: Vec::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
-            inflight: 0,
-            frame_started: None,
-            last_write: now,
-            last_activity: now,
-            want_write: false,
-            close_after_flush: false,
+impl Connection {
+    /// Ends the connection now: unwritten replies are discarded, and
+    /// shutting the socket wakes a blocked reader or writer.
+    fn close(&self) {
+        self.outbox.update(|s| {
+            s.closed = true;
+            s.unwritten -= s.frames.drain(..).map(|f| f.len()).sum::<usize>();
+        });
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// The accepting thread: spawns a reader per connection until shutdown,
+/// then closes the listener, drains, and waits for every thread.
+fn serve(listener: TcpListener, shared: Arc<Shared>, workers: Vec<JoinHandle<()>>) -> DrainReport {
+    let mut conns: Vec<(Weak<Connection>, JoinHandle<()>)> = Vec::new();
+    for stream in listener.incoming() {
+        if shared.draining() {
+            break;
+        }
+        match stream {
+            Ok(stream) => {
+                conns.retain(|(_, thread)| !thread.is_finished());
+                conns.push(spawn_connection(stream, &shared));
+            }
+            // Out of descriptors and the like: back off instead of spinning.
+            Err(_) => std::thread::sleep(TICK),
         }
     }
+    drop(listener);
+    let report = drain(&shared, &conns);
+    // Stop the workers (close wakes any blocked pop); their last replies
+    // land in the outboxes.
+    shared.queues.close();
+    for worker in workers {
+        let _ = worker.join();
+    }
+    // Each reader sees EOF once it has read what already arrived, and
+    // each writer ends its connection once the replies are written.
+    for conn in conns.iter().filter_map(|(conn, _)| conn.upgrade()) {
+        let _ = conn.stream.shutdown(Shutdown::Read);
+    }
+    for (_, thread) in conns {
+        let _ = thread.join();
+    }
+    shared.metrics.connections_open.set(0.0);
+    report
+}
 
-    fn has_output(&self) -> bool {
-        self.out_pos < self.outbuf.len()
+/// The drain state machine: waits until every admitted request is
+/// answered and written, answering the queue `Draining` and cancelling
+/// running work once the deadline passes.
+fn drain(shared: &Shared, conns: &[(Weak<Connection>, JoinHandle<()>)]) -> DrainReport {
+    let started = Instant::now();
+    let mut report = DrainReport {
+        clean: false,
+        abandoned_queued: 0,
+        cancelled_inflight: 0,
+    };
+    let mut deadline_fired = false;
+    loop {
+        let settled = shared.queues.is_empty()
+            && shared.inflight.load(Ordering::Acquire) == 0
+            && conns
+                .iter()
+                .filter_map(|(conn, _)| conn.upgrade())
+                .all(|conn| conn.outbox.unwritten() == 0);
+        if settled {
+            report.clean = !deadline_fired;
+            return report;
+        }
+        let waited = started.elapsed();
+        if waited >= shared.config.drain_deadline && !deadline_fired {
+            deadline_fired = true;
+            // Queued work gets an explicit Draining each (never a silent
+            // drop); running work is cancelled through its own token and
+            // will answer Cancelled.
+            for job in shared.queues.drain_all() {
+                report.abandoned_queued += 1;
+                shared.metrics.draining_responses.inc();
+                let frame = encode_response(job.request_id, &ResponseBody::Draining);
+                job.reply.push(frame, true);
+                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            }
+            shared.publish_depths();
+            for token in shared.executing.lock().expect("executing").values() {
+                token.cancel();
+                report.cancelled_inflight += 1;
+            }
+        }
+        if waited >= shared.config.drain_deadline + DRAIN_GRACE {
+            return report;
+        }
+        std::thread::sleep(TICK);
     }
 }
 
-struct EventLoop {
-    listener: Option<TcpListener>,
-    wake_rx: UnixStream,
-    shared: Arc<Shared>,
-    config: ServeConfig,
-    workers: Vec<JoinHandle<()>>,
-    poller: Box<dyn Poller>,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
-    fault: FaultSession,
-    /// `msj_fault_injected_total{site}` of the armed wire fault plan.
-    fault_injected: Option<Arc<Counter>>,
+/// Starts a connection's thread, which reads and starts its writer.
+fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> (Weak<Connection>, JoinHandle<()>) {
+    let _ = stream.set_nodelay(true);
+    let outbox = Arc::new(Outbox::new());
+    let conn = Arc::new(Connection { stream, outbox });
+    shared.metrics.connections_total.inc();
+    shared.count_open(true);
+    let weak = Arc::downgrade(&conn);
+    let shared = shared.clone();
+    let thread = std::thread::spawn(move || {
+        let writer = {
+            let (shared, conn) = (shared.clone(), conn.clone());
+            std::thread::spawn(move || write_loop(&shared, &conn))
+        };
+        Reader {
+            shared: &shared,
+            conn: &conn,
+            admitted: HashMap::new(),
+        }
+        .run();
+        let _ = writer.join();
+        shared.count_open(false);
+    });
+    (weak, thread)
+}
+
+/// A connection's writer: flushes the outbox until the connection is
+/// over, applying the wire fault plan once per frame. A write that makes
+/// no progress for `write_timeout` closes the connection.
+fn write_loop(shared: &Shared, conn: &Connection) {
+    let timeout = shared.config.write_timeout.max(Duration::from_millis(1));
+    let _ = conn.stream.set_write_timeout(Some(timeout));
+    let (mut frames, mut bytes) = (Vec::new(), Vec::new());
+    while conn.outbox.take(&mut frames) {
+        let taken = frames.iter().map(Vec::len).sum();
+        let mut last = false;
+        bytes.clear();
+        for frame in frames.drain(..) {
+            match shared.wire_fault() {
+                WireAction::Proceed => {}
+                // A deliberately slow wire: the reply still goes out,
+                // later. Only this connection waits.
+                WireAction::SlowThenProceed(stall) => std::thread::sleep(stall),
+                // Computed, then never sent: the client must treat the
+                // close as request-failed.
+                WireAction::ConnReset | WireAction::DropBeforeReply => {
+                    bytes.clear();
+                    last = true;
+                    break;
+                }
+                WireAction::PartialWrite => {
+                    bytes.extend_from_slice(&frame[..(frame.len() / 2).max(1)]);
+                    last = true;
+                    break;
+                }
+            }
+            bytes.extend_from_slice(&frame);
+        }
+        let written = (&conn.stream).write_all(&bytes);
+        conn.outbox.wrote(taken);
+        match written {
+            Ok(()) if !last => continue,
+            Err(e) if stalled(&e) => shared.metrics.conn_timeouts[WRITE].inc(),
+            _ => {}
+        }
+        break;
+    }
+    conn.close();
+}
+
+/// Whether a socket call gave up at its timeout.
+fn stalled(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// A connection's reader: reads frames and admits each one.
+struct Reader<'a> {
+    shared: &'a Shared,
+    conn: &'a Connection,
     /// `msj_serve_requests_total{kind}` handles, by request kind.
     admitted: HashMap<&'static str, Arc<Counter>>,
-    drain_started: Option<Instant>,
-    deadline_fired: bool,
-    abandoned_queued: usize,
-    cancelled_inflight: usize,
 }
 
-impl EventLoop {
-    fn new(
-        listener: TcpListener,
-        wake_rx: UnixStream,
-        shared: Arc<Shared>,
-        config: ServeConfig,
-        workers: Vec<JoinHandle<()>>,
-    ) -> Self {
-        let mut poller = new_poller();
-        poller.register(listener.as_raw_fd(), TOKEN_LISTENER, true, false);
-        poller.register(wake_rx.as_raw_fd(), TOKEN_WAKE, true, false);
-        let fault_config = if config.fault.enabled() {
-            config.fault
-        } else {
-            FaultConfig::from_env()
-        };
-        let fault_injected = fault_config.kind.map(|kind| {
-            let site = [("site", kind.site())];
-            shared
-                .engine
-                .metrics()
-                .counter("msj_fault_injected_total", &site)
-        });
-        EventLoop {
-            fault_injected,
-            admitted: HashMap::new(),
-            listener: Some(listener),
-            wake_rx,
-            shared,
-            config,
-            workers,
-            poller,
-            conns: HashMap::new(),
-            next_token: TOKEN_FIRST_CONN,
-            fault: FaultSession::new(fault_config),
-            drain_started: None,
-            deadline_fired: false,
-            abandoned_queued: 0,
-            cancelled_inflight: 0,
-        }
-    }
-
-    fn run(&mut self) -> DrainReport {
-        let mut events: Vec<Event> = Vec::new();
-        let clean = loop {
-            events.clear();
-            self.poller.wait(TICK_MS, &mut events);
-            for &ev in &events {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.drain_wake_pipe(),
-                    token => self.conn_ready(token, ev),
-                }
-            }
-            self.deliver_completions();
-            self.flush_all();
-            self.sweep_timeouts();
-            self.shared.publish_depths();
-            let open = self.conns.len() as f64;
-            self.shared.metrics.connections_open.set(open);
-            if let Some(clean) = self.drain_step() {
-                break clean;
-            }
-        };
-        // Stop the workers (close wakes any blocked pop), flush what
-        // their final completions added, then let sockets close on drop.
-        self.shared.queues.close();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-        self.deliver_completions();
-        self.flush_all();
-        self.shared.metrics.connections_open.set(0.0);
-        DrainReport {
-            clean,
-            abandoned_queued: self.abandoned_queued,
-            cancelled_inflight: self.cancelled_inflight,
-        }
-    }
-
-    fn draining(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Acquire)
-    }
-
-    /// Advances the drain state machine; `Some(clean)` exits the loop.
-    fn drain_step(&mut self) -> Option<bool> {
-        if !self.draining() {
-            return None;
-        }
-        let now = Instant::now();
-        let started = *self.drain_started.get_or_insert(now);
-        if let Some(listener) = self.listener.take() {
-            self.poller.deregister(listener.as_raw_fd());
-        }
-        // Drain the sockets before judging settlement: frames already
-        // received — including bytes still in the kernel buffer that no
-        // readiness event has surfaced yet — must be answered (admission
-        // converts them to `Draining`). Exiting with unread input would
-        // reset the connection and silently discard those requests.
-        let tokens: Vec<u64> = self.conns.keys().copied().collect();
-        for token in tokens {
-            match self.read_frames(token) {
-                Ok(true) | Err(_) => self.close_conn(token),
-                Ok(false) => {}
-            }
-        }
-        let settled = self.shared.queues.is_empty()
-            && self.shared.inflight.load(Ordering::Acquire) == 0
-            && self.conns.values().all(|c| !c.has_output());
-        if settled {
-            return Some(!self.deadline_fired);
-        }
-        if now.duration_since(started) >= self.config.drain_deadline {
-            if !self.deadline_fired {
-                self.deadline_fired = true;
-                // Queued work gets an explicit Draining each (never a
-                // silent drop); running work is cancelled through its
-                // own token and will answer Cancelled.
-                for job in self.shared.queues.drain_all() {
-                    self.abandoned_queued += 1;
-                    self.shared.metrics.draining_responses.inc();
-                    self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                    if let Some(conn) = self.conns.get_mut(&job.conn) {
-                        conn.inflight = conn.inflight.saturating_sub(1);
-                    }
-                    let frame = encode_response(job.request_id, &ResponseBody::Draining);
-                    self.queue_frame(job.conn, frame);
-                }
-                let executing = self.shared.executing.lock().expect("executing");
-                for token in executing.values() {
-                    token.cancel();
-                    self.cancelled_inflight += 1;
-                }
-            }
-            if now.duration_since(started) >= self.config.drain_deadline + DRAIN_GRACE {
-                return Some(false);
-            }
-        }
-        None
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
+impl Reader<'_> {
+    /// Reads until EOF, a timeout, an oversized frame or the connection
+    /// closing, waiting whenever the outbox is full.
+    fn run(mut self) {
+        let (config, conn) = (&self.shared.config, self.conn);
+        let mut chunk = [0u8; 16 * 1024];
+        let mut inbuf: Vec<u8> = Vec::new();
+        // When the frame at the front of `inbuf` started arriving.
+        let mut frame_started: Option<Instant> = None;
+        let mut timeout_set = None;
+        while conn.outbox.wait_for_room() {
+            // A read waits out the read-stall bound while a frame is
+            // partly in, the idle bound otherwise; on expiry, the state
+            // at that moment decides whether either has passed.
+            let wait = match (frame_started, conn.outbox.idle_for()) {
+                (Some(started), _) => config.read_timeout.saturating_sub(started.elapsed()),
+                (None, Some(idle)) => config.idle_timeout.saturating_sub(idle),
+                (None, None) => config.idle_timeout,
             };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
+            let wait = Some(wait.max(Duration::from_millis(1)));
+            if timeout_set != wait {
+                let _ = conn.stream.set_read_timeout(wait);
+                timeout_set = wait;
+            }
+            let n = match (&conn.stream).read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => n,
+                Err(e) if stalled(&e) => {
+                    let timed_out = match frame_started {
+                        Some(started) => (started.elapsed() >= config.read_timeout).then_some(READ),
+                        None => conn
+                            .outbox
+                            .idle_for()
+                            .is_some_and(|idle| idle >= config.idle_timeout)
+                            .then_some(IDLE),
+                    };
+                    if let Some(kind) = timed_out {
+                        self.shared.metrics.conn_timeouts[kind].inc();
+                        conn.close();
                     }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.poller.register(stream.as_raw_fd(), token, true, false);
-                    self.conns.insert(token, Conn::new(stream));
-                    self.shared.metrics.connections_total.inc();
+                    continue;
                 }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn drain_wake_pipe(&mut self) {
-        let mut buf = [0u8; 64];
-        loop {
-            match (&self.wake_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => continue,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn conn_ready(&mut self, token: u64, ev: Event) {
-        if ev.readable {
-            match self.read_frames(token) {
-                Ok(true) | Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(false) => {}
-            }
-        }
-        if ev.writable {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if flush_conn(conn).is_err() {
-                    self.close_conn(token);
-                }
-            }
-        }
-    }
-
-    /// Reads what the socket has and handles every complete frame.
-    /// `Ok(true)` means EOF.
-    fn read_frames(&mut self, token: u64) -> io::Result<bool> {
-        let mut eof = false;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return Ok(false);
-            };
-            let mut chunk = [0u8; 16 * 1024];
-            loop {
-                match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        if conn.inbuf.is_empty() {
-                            conn.frame_started = Some(Instant::now());
-                        }
-                        conn.inbuf.extend_from_slice(&chunk[..n]);
-                        conn.last_activity = Instant::now();
-                    }
-                    Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        // Parse complete frames outside the borrow of the connection:
-        // admission may synthesize responses onto other queues.
-        loop {
-            let frame = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return Ok(false);
-                };
-                if conn.inbuf.len() < 4 {
-                    if conn.inbuf.is_empty() {
-                        conn.frame_started = None;
-                    }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    conn.close();
                     break;
                 }
-                let declared = u32::from_le_bytes(conn.inbuf[..4].try_into().unwrap());
-                if declared > self.config.max_frame {
-                    // Cannot resync a stream after refusing to buffer a
-                    // frame: answer and close.
-                    self.shared.metrics.frames_too_large.inc();
-                    conn.close_after_flush = true;
-                    conn.inbuf.clear();
-                    conn.frame_started = None;
-                    let frame = encode_response(0, &ResponseBody::FrameTooLarge { declared });
-                    self.queue_frame(token, frame);
-                    break;
-                }
-                let total = 4 + declared as usize;
-                if conn.inbuf.len() < total {
-                    break;
-                }
-                let body: Vec<u8> = conn.inbuf[4..total].to_vec();
-                conn.inbuf.drain(..total);
-                if conn.inbuf.is_empty() {
-                    conn.frame_started = None;
-                } else {
-                    conn.frame_started = Some(Instant::now());
-                }
-                body
             };
-            self.handle_frame(token, &frame);
+            conn.outbox.touch();
+            if inbuf.is_empty() {
+                frame_started = Some(Instant::now());
+            }
+            inbuf.extend_from_slice(&chunk[..n]);
+            let Some(used) = self.admit_frames(&inbuf) else {
+                break;
+            };
+            if used > 0 {
+                inbuf.drain(..used);
+                frame_started = (!inbuf.is_empty()).then(Instant::now);
+            }
         }
-        Ok(eof)
+        conn.outbox.update(|s| s.input_done = true);
+    }
+
+    /// Admits every complete frame at the front of `inbuf` and returns
+    /// the bytes they took. `None` after an oversized declaration, which
+    /// ends reading: a stream cannot be resynchronised past a frame the
+    /// server refused to buffer.
+    fn admit_frames(&mut self, inbuf: &[u8]) -> Option<usize> {
+        let mut at = 0;
+        while inbuf.len() - at >= 4 {
+            let header = inbuf[at..at + 4].try_into().expect("four header bytes");
+            let declared = u32::from_le_bytes(header);
+            if declared > self.shared.config.max_frame {
+                self.shared.metrics.frames_too_large.inc();
+                self.reply(0, &ResponseBody::FrameTooLarge { declared });
+                return None;
+            }
+            let end = at + 4 + declared as usize;
+            if inbuf.len() < end {
+                break;
+            }
+            self.handle_frame(&inbuf[at + 4..end]);
+            at = end;
+        }
+        Some(at)
+    }
+
+    fn reply(&self, request_id: u64, body: &ResponseBody) {
+        let frame = encode_response(request_id, body);
+        self.conn.outbox.push(frame, false);
     }
 
     /// Admission: every path out of this function is an explicit wire
     /// response or an enqueued job.
-    fn handle_frame(&mut self, token: u64, body: &[u8]) {
-        let reg = self.shared.engine.metrics();
+    fn handle_frame(&mut self, body: &[u8]) {
+        let shared = self.shared;
+        let reg = shared.engine.metrics();
         let request = match decode_request(body) {
             Ok(request) => request,
             Err(message) => {
-                self.shared.metrics.frames_malformed.inc();
-                let frame = encode_response(0, &ResponseBody::BadRequest { message });
-                self.queue_frame(token, frame);
-                return;
+                shared.metrics.frames_malformed.inc();
+                return self.reply(0, &ResponseBody::BadRequest { message });
             }
         };
-        if self.draining() {
-            self.shared.metrics.draining_responses.inc();
-            let frame = encode_response(request.request_id, &ResponseBody::Draining);
-            self.queue_frame(token, frame);
-            return;
+        let id = request.request_id;
+        if shared.draining() {
+            shared.metrics.draining_responses.inc();
+            return self.reply(id, &ResponseBody::Draining);
         }
         if matches!(request.body, WireRequestBody::Metrics) {
-            let text = reg.render_prometheus();
-            let frame = encode_response(request.request_id, &ResponseBody::Text(text));
-            self.queue_frame(token, frame);
-            return;
+            return self.reply(id, &ResponseBody::Text(reg.render_prometheus()));
         }
         // Validate dataset ids before the request costs a queue slot.
-        if let Some(unknown) = self.unknown_dataset(&request.body) {
-            let frame = encode_response(
-                request.request_id,
-                &ResponseBody::UnknownDataset { id: unknown },
-            );
-            self.queue_frame(token, frame);
-            return;
+        if let Some(unknown) = shared.unknown_dataset(&request.body) {
+            return self.reply(id, &ResponseBody::UnknownDataset { id: unknown });
         }
         let key = QueueKey::for_body(&request.body).expect("metrics handled above");
-        let inflight_here = self.conns.get(&token).map_or(0, |c| c.inflight);
-        if inflight_here >= self.config.conn_inflight_cap {
-            self.shared.count_shed(ShedReason::ConnCap);
-            let (estimate, from_history) = self.estimate(&request.body);
-            let frame = encode_response(
-                request.request_id,
-                &ResponseBody::Shed {
-                    retry_after_ms: retry_after_ms(estimate, inflight_here as u64),
-                    reason: ShedReason::ConnCap,
-                    from_history,
-                },
-            );
-            self.queue_frame(token, frame);
-            return;
+        let cap = shared.config.conn_inflight_cap;
+        if let Err(inflight_here) = self.conn.outbox.admit(cap) {
+            shared.count_shed(ShedReason::ConnCap);
+            let (estimate, from_history) = shared.estimate(&request.body);
+            let shed = ResponseBody::Shed {
+                retry_after_ms: retry_after_ms(estimate, inflight_here as u64),
+                reason: ShedReason::ConnCap,
+                from_history,
+            };
+            return self.reply(id, &shed);
         }
         let cancel = if request.deadline_ms > 0 {
             CancelToken::with_deadline(Duration::from_millis(u64::from(request.deadline_ms)))
         } else {
             CancelToken::new()
         };
+        let kind = request.kind_label();
         let job = Job {
-            conn: token,
-            request_id: request.request_id,
+            reply: self.conn.outbox.clone(),
+            request_id: id,
             body: request.body,
             cancel,
             received: Instant::now(),
         };
-        let pending_ahead = self.shared.queues.pending_for(key) as u64;
-        match self.shared.queues.try_push(key, job) {
+        let pending_ahead = shared.queues.pending_for(key) as u64;
+        // Counted before the push: a worker may answer the job at once.
+        shared.inflight.fetch_add(1, Ordering::AcqRel);
+        match shared.queues.try_push(key, job) {
             Ok(()) => {
-                self.shared.inflight.fetch_add(1, Ordering::AcqRel);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.inflight += 1;
-                }
                 // Resolved on a kind's first admitted request: the family
                 // has no samples before traffic, and the exposition says so.
-                let kind = request.kind_label();
                 let admitted = self
                     .admitted
                     .entry(kind)
                     .or_insert_with(|| reg.counter("msj_serve_requests_total", &[("kind", kind)]));
                 admitted.inc();
-                self.shared.publish_depths();
+                shared.publish_depths();
             }
             Err(job) => {
                 // Queue at the bound: 429 now, with the model's guess at
                 // when that backlog will have cleared.
-                self.shared.count_shed(ShedReason::QueueFull);
-                let (estimate, from_history) = self.estimate(&job.body);
-                let frame = encode_response(
-                    job.request_id,
-                    &ResponseBody::Shed {
-                        retry_after_ms: retry_after_ms(estimate, pending_ahead),
-                        reason: ShedReason::QueueFull,
-                        from_history,
-                    },
-                );
-                self.queue_frame(token, frame);
+                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                shared.count_shed(ShedReason::QueueFull);
+                let (estimate, from_history) = shared.estimate(&job.body);
+                let shed = ResponseBody::Shed {
+                    retry_after_ms: retry_after_ms(estimate, pending_ahead),
+                    reason: ShedReason::QueueFull,
+                    from_history,
+                };
+                job.reply.push(encode_response(id, &shed), true);
             }
         }
     }
-
-    fn unknown_dataset(&self, body: &WireRequestBody) -> Option<u32> {
-        let missing = |id: u32| self.shared.engine.dataset(id).is_none().then_some(id);
-        match *body {
-            WireRequestBody::Join { a, b } => missing(a).or_else(|| missing(b)),
-            WireRequestBody::SelfJoin { dataset }
-            | WireRequestBody::Point { dataset, .. }
-            | WireRequestBody::Window { dataset, .. } => missing(dataset),
-            WireRequestBody::Metrics => None,
-        }
-    }
-
-    /// The §5 estimate feeding a shed's retry hint — history-informed
-    /// when the engine has run the pair before, a-priori otherwise.
-    fn estimate(&self, body: &WireRequestBody) -> (f64, bool) {
-        let request = match *body {
-            WireRequestBody::Join { a, b } => Request::Join {
-                a,
-                b,
-                execution: None,
-            },
-            WireRequestBody::SelfJoin { dataset } => Request::SelfJoin {
-                dataset,
-                execution: None,
-            },
-            WireRequestBody::Point { dataset, x, y } => Request::Point {
-                dataset,
-                point: Point::new(x, y),
-            },
-            WireRequestBody::Window { dataset, bounds } => Request::Window {
-                dataset,
-                window: Rect::new(
-                    Point::new(bounds[0], bounds[1]),
-                    Point::new(bounds[2], bounds[3]),
-                ),
-            },
-            WireRequestBody::Metrics => return (0.0, false),
-        };
-        self.shared
-            .engine
-            .estimate_request(&request)
-            .unwrap_or((0.0, false))
-    }
-
-    /// Routes one response frame onto a connection's output buffer,
-    /// applying the wire fault plan at exactly this seam.
-    fn queue_frame(&mut self, token: u64, frame: Vec<u8>) {
-        let action = self.fault.on_response();
-        if action != WireAction::Proceed {
-            if let (Some(_), Some(injected)) = (self.fault.fired(), &self.fault_injected) {
-                injected.inc();
-            }
-        }
-        match action {
-            WireAction::Proceed => {}
-            WireAction::SlowThenProceed(stall) => {
-                // A deliberately slow wire: the response still goes out,
-                // later. Blocking the loop is the point — every other
-                // connection observes the stall, as with a real
-                // head-of-line blocking incident.
-                std::thread::sleep(stall);
-            }
-            WireAction::ConnReset | WireAction::DropBeforeReply => {
-                // Computed, then never sent: the client must treat the
-                // close as request-failed.
-                self.close_conn(token);
-                return;
-            }
-            WireAction::PartialWrite => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    let cut = (frame.len() / 2).max(1);
-                    conn.outbuf.extend_from_slice(&frame[..cut]);
-                    conn.close_after_flush = true;
-                    conn.last_write = Instant::now();
-                }
-                return;
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            if !conn.has_output() {
-                conn.last_write = Instant::now();
-            }
-            conn.outbuf.extend_from_slice(&frame);
-        }
-    }
-
-    fn deliver_completions(&mut self) {
-        let done: Vec<Completion> = {
-            let mut lock = self.shared.completions.lock().expect("completions");
-            std::mem::take(&mut *lock)
-        };
-        for completion in done {
-            self.shared.inflight.fetch_sub(1, Ordering::AcqRel);
-            if let Some(conn) = self.conns.get_mut(&completion.conn) {
-                conn.inflight = conn.inflight.saturating_sub(1);
-                self.queue_frame(completion.conn, completion.frame);
-            }
-            // A vanished connection simply discards the frame — the
-            // request was still answered from the engine's perspective.
-        }
-    }
-
-    fn flush_all(&mut self) {
-        let tokens: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.has_output() || c.close_after_flush)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in tokens {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                continue;
-            };
-            match flush_conn(conn) {
-                Err(_) => self.close_conn(token),
-                Ok(flushed) => {
-                    if flushed && conn_should_close(self.conns.get(&token)) {
-                        self.close_conn(token);
-                    } else {
-                        self.rearm(token);
-                    }
-                }
-            }
-        }
-    }
-
-    fn rearm(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let wants = conn.has_output();
-        if wants != conn.want_write {
-            conn.want_write = wants;
-            self.poller
-                .modify(conn.stream.as_raw_fd(), token, true, wants);
-        }
-    }
-
-    fn sweep_timeouts(&mut self) {
-        let now = Instant::now();
-        let mut doomed: Vec<(u64, &'static str)> = Vec::new();
-        for (&token, conn) in &self.conns {
-            if conn.has_output() && now.duration_since(conn.last_write) > self.config.write_timeout
-            {
-                doomed.push((token, "write"));
-            } else if let Some(started) = conn.frame_started {
-                if now.duration_since(started) > self.config.read_timeout {
-                    doomed.push((token, "read"));
-                }
-            } else if conn.inflight == 0
-                && !conn.has_output()
-                && now.duration_since(conn.last_activity) > self.config.idle_timeout
-            {
-                doomed.push((token, "idle"));
-            }
-        }
-        for (token, kind) in doomed {
-            let slot = TIMEOUT_KINDS.iter().position(|known| *known == kind);
-            self.shared.metrics.conn_timeouts[slot.expect("a timeout kind")].inc();
-            self.close_conn(token);
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            self.poller.deregister(conn.stream.as_raw_fd());
-            // In-flight jobs of this connection keep running; their
-            // completions are discarded on delivery.
-        }
-    }
-}
-
-fn conn_should_close(conn: Option<&Conn>) -> bool {
-    conn.is_some_and(|c| c.close_after_flush && !c.has_output())
-}
-
-/// Writes as much pending output as the socket accepts.
-/// `Ok(true)` = buffer fully flushed.
-fn flush_conn(conn: &mut Conn) -> io::Result<bool> {
-    while conn.has_output() {
-        match conn.stream.write(&conn.outbuf[conn.out_pos..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => {
-                conn.out_pos += n;
-                conn.last_write = Instant::now();
-                conn.last_activity = conn.last_write;
-            }
-            Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-            Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    conn.outbuf.clear();
-    conn.out_pos = 0;
-    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::protocol::WireRequest;
+    use crate::protocol::{decode_response, encode_request, WireRequest};
     use msj_core::JoinConfig;
     use msj_datagen::small_carto;
 
@@ -1450,6 +1366,199 @@ mod tests {
         }
         let shed_key = "msj_request_shed_total{reason=\"admission\"}";
         assert_eq!(engine.metrics().snapshot().counter(shed_key), 2);
+        server.shutdown();
+        server.join();
+    }
+
+    /// Reads `(request_id, frame)` pairs off a raw socket until EOF.
+    fn frames_until_eof(stream: &mut TcpStream) -> Vec<(u64, Vec<u8>)> {
+        let mut bytes = Vec::new();
+        stream.read_to_end(&mut bytes).expect("read to EOF");
+        let mut frames = Vec::new();
+        let mut rest = &bytes[..];
+        while rest.len() >= 4 {
+            let len = 4 + u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            let (request_id, _) = decode_response(&rest[4..len]).expect("a whole frame");
+            frames.push((request_id, rest[..len].to_vec()));
+            rest = &rest[len..];
+        }
+        assert!(rest.is_empty(), "a truncated frame before EOF");
+        frames
+    }
+
+    /// A client that half-closes after pipelining still gets every
+    /// reply: EOF on the read side stops reading, and the connection
+    /// closes only once its admitted requests are answered and written.
+    #[test]
+    fn half_closed_connection_still_gets_every_reply() {
+        let (engine, a, b) = engine_with_datasets();
+        let server = start(engine.clone(), ServeConfig::default());
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let requests = [
+            WireRequest::join(1, a, b),
+            WireRequest::point(2, a, 0.4, 0.6),
+            WireRequest::metrics(3),
+        ];
+        for request in &requests {
+            raw.write_all(&encode_request(request)).expect("send");
+        }
+        raw.shutdown(Shutdown::Write).expect("half-close");
+        let mut replies = frames_until_eof(&mut raw);
+        replies.sort_by_key(|(id, _)| *id);
+        assert_eq!(replies.len(), 3, "a half-closed connection lost replies");
+        for (request, (id, frame)) in requests.iter().zip(&replies) {
+            assert_eq!(*id, request.request_id);
+            let body = match request.body {
+                // A scrape is live text: its frame must be the encoding
+                // of what it carries.
+                WireRequestBody::Metrics => {
+                    let (_, body) = decode_response(&frame[4..]).expect("decodes");
+                    assert!(matches!(body, ResponseBody::Text(_)), "{body:?}");
+                    body
+                }
+                ref body => response_body_for(&engine.submit(to_request(body))),
+            };
+            assert_eq!(*frame, encode_response(*id, &body), "reply {id}");
+        }
+        server.shutdown();
+        assert!(server.join().clean);
+    }
+
+    /// One connection that streams probes and never reads its replies is
+    /// pushed back by TCP: the server stops reading it instead of
+    /// buffering, and a second connection is served meanwhile. The 1 s
+    /// bound, under a 5 s write timeout, also pins that no worker blocks
+    /// on the stalled socket.
+    #[test]
+    fn a_client_that_never_reads_is_pushed_back_and_starves_no_one() {
+        let (engine, a, _) = engine_with_datasets();
+        let server = start(engine, ServeConfig::default());
+        let mut hog = TcpStream::connect(server.addr()).expect("connect");
+        hog.set_write_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let probes: Vec<u8> = (0..4096)
+            .flat_map(|id| encode_request(&WireRequest::point(id, a, 0.5, 0.5)))
+            .collect();
+        let blocked = |e: &io::Error| {
+            matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            )
+        };
+        let mut at = 0;
+        let mut stream_for = |span: Duration| {
+            let until = Instant::now() + span;
+            while Instant::now() < until {
+                match hog.write(&probes[at..]) {
+                    Ok(n) => at = (at + n) % probes.len(),
+                    Err(ref e) if blocked(e) => return true,
+                    Err(e) => panic!("hog connection failed: {e}"),
+                }
+            }
+            false
+        };
+        stream_for(Duration::from_millis(1500));
+
+        let started = Instant::now();
+        let mut client =
+            Client::connect_with_timeout(server.addr(), Duration::from_secs(1)).expect("connect");
+        for id in 0..20 {
+            let reply = client
+                .call(&WireRequest::point(id, a, 0.4, 0.6))
+                .expect("a second connection is served beside the hog");
+            assert!(reply.body.is_ok(), "{:?}", reply.body);
+        }
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "20 calls took {took:?}");
+        assert!(
+            stream_for(Duration::from_secs(2)),
+            "the server kept reading a client that never reads"
+        );
+        drop(hog);
+        server.shutdown();
+        server.join();
+    }
+
+    fn timed_out(engine: &SpatialEngine, kind: &str) -> u64 {
+        let key = format!("msj_conn_timeouts_total{{kind=\"{kind}\"}}");
+        engine.metrics().snapshot().counter(&key)
+    }
+
+    /// Reads until the server closes the connection; panics after 10 s.
+    fn closed_by_server(stream: &mut TcpStream) {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut sink = Vec::new();
+        match stream.read_to_end(&mut sink) {
+            Ok(_) => {}
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset, "{e}"),
+        }
+    }
+
+    #[test]
+    fn a_stalled_frame_is_closed_by_the_read_timeout() {
+        let (engine, _, _) = engine_with_datasets();
+        let config = ServeConfig {
+            read_timeout: Duration::from_millis(200),
+            ..ServeConfig::default()
+        };
+        let server = start(engine.clone(), config);
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.write_all(&[9, 0, 0]).expect("three header bytes");
+        closed_by_server(&mut raw);
+        assert_eq!(timed_out(&engine, "read"), 1);
+        assert_eq!(timed_out(&engine, "idle"), 0);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_silent_connection_is_closed_by_the_idle_timeout() {
+        let (engine, _, _) = engine_with_datasets();
+        let config = ServeConfig {
+            idle_timeout: Duration::from_millis(300),
+            ..ServeConfig::default()
+        };
+        let server = start(engine.clone(), config);
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        closed_by_server(&mut raw);
+        assert_eq!(timed_out(&engine, "idle"), 1);
+        assert_eq!(timed_out(&engine, "read"), 0);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_closed_by_the_write_timeout() {
+        let (engine, _, _) = engine_with_datasets();
+        let config = ServeConfig {
+            write_timeout: Duration::from_millis(300),
+            ..ServeConfig::default()
+        };
+        let server = start(engine.clone(), config);
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.set_write_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        // Paced, so each scrape is answered soon after it is sent.
+        let scrapes = encode_request(&WireRequest::metrics(1)).repeat(16);
+        let (mut at, until) = (0, Instant::now() + Duration::from_secs(20));
+        while timed_out(&engine, "write") == 0 {
+            assert!(Instant::now() < until, "the write timeout never fired");
+            match raw.write(&scrapes[at..]) {
+                Ok(n) => at = (at + n) % scrapes.len(),
+                Err(ref e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) => {}
+                Err(_) => break,
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(timed_out(&engine, "write"), 1);
+        closed_by_server(&mut raw);
         server.shutdown();
         server.join();
     }

@@ -236,9 +236,9 @@ fn tiny_drain_deadline_still_exits_bounded_with_explicit_abandonment() {
     .expect("server starts");
     let mut client =
         Client::connect_with_timeout(server.addr(), Duration::from_secs(30)).expect("connect");
-    // A warm-up round trip pins the connection into the event loop, so
-    // the pipelined joins below are read and admitted promptly even
-    // under the coarse-tick scan poller.
+    // A warm-up round trip makes sure the connection's reader thread is
+    // running, so the pipelined joins below are read and admitted
+    // promptly.
     let warm = client
         .call(&WireRequest::point(100, a, 0.5, 0.5))
         .expect("warm-up");
