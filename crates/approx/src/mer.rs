@@ -90,101 +90,133 @@ pub struct MerSearchStats {
 /// region ("the anchor"). Returns `None` for degenerate regions where no
 /// vertex admits a horizontal extension.
 pub fn longest_horizontal_chord(region: &PolygonWithHoles) -> Option<Segment> {
-    let edges: Vec<Segment> = region.edges().collect();
-    anchor_chord(region, &all_vertices(region), &edges)
+    let mut scratch = MerScratch::default();
+    scratch.load(region);
+    scratch.anchor_chord(region)
 }
 
-/// The vertices of the outer ring, then of every hole.
-fn all_vertices(region: &PolygonWithHoles) -> Vec<Point> {
-    region
-        .outer()
-        .vertices()
-        .iter()
-        .chain(region.holes().iter().flat_map(|h| h.vertices().iter()))
-        .copied()
-        .collect()
+/// Reusable working memory of one MER search: the region's edges and
+/// vertices, the anchor sweep's orders and chords, the candidate levels
+/// and the band grid's bounds. [`crate::ProgressiveStore::build`] runs one
+/// of these over a whole relation without allocating per object.
+#[derive(Debug, Default)]
+pub(crate) struct MerScratch {
+    edges: Vec<Segment>,
+    /// The vertices of the outer ring, then of every hole.
+    vertices: Vec<Point>,
+    rising: Vec<u32>,
+    upwards: Vec<u32>,
+    active: Vec<u32>,
+    chords: Vec<(f64, f64)>,
+    ys: Vec<f64>,
+    lows: Vec<f64>,
+    highs: Vec<f64>,
+    bound: Vec<f64>,
+    evaluated: Vec<bool>,
+    near: Vec<(f64, f64)>,
 }
 
-fn anchor_chord(
-    region: &PolygonWithHoles,
-    vertices: &[Point],
-    edges: &[Segment],
-) -> Option<Segment> {
-    // Sweep upwards over the vertices with the edges whose y-range
-    // reaches the current line: only those can cross it.
-    let y_min = |e: u32| edges[e as usize].a.y.min(edges[e as usize].b.y);
-    let y_max = |e: u32| edges[e as usize].a.y.max(edges[e as usize].b.y);
-    let mut rising: Vec<u32> = (0..edges.len() as u32).collect();
-    rising.sort_unstable_by(|&e, &f| y_min(e).partial_cmp(&y_min(f)).expect("finite"));
-    let mut upwards: Vec<u32> = (0..vertices.len() as u32).collect();
-    upwards.sort_unstable_by(|&v, &w| {
-        let (v, w) = (vertices[v as usize], vertices[w as usize]);
-        v.y.partial_cmp(&w.y).expect("finite")
-    });
-    let mut entering = rising.iter().copied().peekable();
-    let mut active: Vec<u32> = Vec::new();
-    // Per vertex, in vertex order: length and far end of the chord to
-    // the nearest crossing on its right, then on its left (zero length
-    // where there is none).
-    let mut chords = vec![(0.0f64, 0.0f64); 2 * vertices.len()];
-    for vi in upwards {
-        let v = vertices[vi as usize];
-        while let Some(e) = entering.next_if(|&e| y_min(e) <= v.y) {
-            active.push(e);
-        }
-        active.retain(|&e| y_max(e) >= v.y);
-        let mut right = f64::INFINITY;
-        let mut left = f64::NEG_INFINITY;
-        for &e in &active {
-            let e = &edges[e as usize];
-            let (y1, y2) = (e.a.y, e.b.y);
-            let x = if (y1 - v.y) * (y2 - v.y) < 0.0 {
-                // Proper crossing.
-                let t = (v.y - y1) / (y2 - y1);
-                e.a.x + t * (e.b.x - e.a.x)
-            } else if y1 == v.y && y2 != v.y {
-                e.a.x
-            } else {
-                // (Edges lying entirely on the line contribute their
-                // endpoints via the adjacent edges.)
-                continue;
-            };
-            if x > v.x + 1e-12 {
-                right = right.min(x);
-            } else if x < v.x - 1e-12 {
-                left = left.max(x);
-            }
-        }
-        for (slot, x) in [right, left].into_iter().enumerate() {
-            if x.is_finite() {
-                chords[2 * vi as usize + slot] = (v.dist(Point::new(x, v.y)), x);
-            }
-        }
+impl MerScratch {
+    /// Takes in `region`'s edges and vertices.
+    fn load(&mut self, region: &PolygonWithHoles) {
+        self.edges.clear();
+        self.edges.extend(region.edges());
+        self.vertices.clear();
+        let holes = region.holes().iter().flat_map(|h| h.vertices().iter());
+        self.vertices
+            .extend(region.outer().vertices().iter().chain(holes));
     }
 
-    // The longest chord whose midpoint is inside wins, the first in
-    // vertex order among equals: try the longest until one is inside.
-    loop {
-        let mut longest = 0;
-        for (c, chord) in chords.iter().enumerate() {
-            if chord.0 > chords[longest].0 {
-                longest = c;
+    /// The anchor of the loaded `region` (see [`longest_horizontal_chord`]).
+    fn anchor_chord(&mut self, region: &PolygonWithHoles) -> Option<Segment> {
+        let MerScratch {
+            edges,
+            vertices,
+            rising,
+            upwards,
+            active,
+            chords,
+            ..
+        } = self;
+        // Sweep upwards over the vertices with the edges whose y-range
+        // reaches the current line: only those can cross it.
+        let y_min = |e: u32| edges[e as usize].a.y.min(edges[e as usize].b.y);
+        let y_max = |e: u32| edges[e as usize].a.y.max(edges[e as usize].b.y);
+        rising.clear();
+        rising.extend(0..edges.len() as u32);
+        rising.sort_unstable_by(|&e, &f| y_min(e).partial_cmp(&y_min(f)).expect("finite"));
+        upwards.clear();
+        upwards.extend(0..vertices.len() as u32);
+        upwards.sort_unstable_by(|&v, &w| {
+            let (v, w) = (vertices[v as usize], vertices[w as usize]);
+            v.y.partial_cmp(&w.y).expect("finite")
+        });
+        let mut entering = rising.iter().copied().peekable();
+        active.clear();
+        // Per vertex, in vertex order: length and far end of the chord to
+        // the nearest crossing on its right, then on its left (zero length
+        // where there is none).
+        chords.clear();
+        chords.resize(2 * vertices.len(), (0.0, 0.0));
+        for &vi in upwards.iter() {
+            let v = vertices[vi as usize];
+            while let Some(e) = entering.next_if(|&e| y_min(e) <= v.y) {
+                active.push(e);
+            }
+            active.retain(|&e| y_max(e) >= v.y);
+            let mut right = f64::INFINITY;
+            let mut left = f64::NEG_INFINITY;
+            for &e in active.iter() {
+                let e = &edges[e as usize];
+                let (y1, y2) = (e.a.y, e.b.y);
+                let x = if (y1 - v.y) * (y2 - v.y) < 0.0 {
+                    // Proper crossing.
+                    let t = (v.y - y1) / (y2 - y1);
+                    e.a.x + t * (e.b.x - e.a.x)
+                } else if y1 == v.y && y2 != v.y {
+                    e.a.x
+                } else {
+                    // (Edges lying entirely on the line contribute their
+                    // endpoints via the adjacent edges.)
+                    continue;
+                };
+                if x > v.x + 1e-12 {
+                    right = right.min(x);
+                } else if x < v.x - 1e-12 {
+                    left = left.max(x);
+                }
+            }
+            for (slot, x) in [right, left].into_iter().enumerate() {
+                if x.is_finite() {
+                    chords[2 * vi as usize + slot] = (v.dist(Point::new(x, v.y)), x);
+                }
             }
         }
-        let (len, x) = chords[longest];
-        if len <= 0.0 {
-            return None;
+
+        // The longest chord whose midpoint is inside wins, the first in
+        // vertex order among equals: try the longest until one is inside.
+        loop {
+            let mut longest = 0;
+            for (c, chord) in chords.iter().enumerate() {
+                if chord.0 > chords[longest].0 {
+                    longest = c;
+                }
+            }
+            let (len, x) = chords[longest];
+            if len <= 0.0 {
+                return None;
+            }
+            let v = vertices[longest / 2];
+            let far = Point::new(x, v.y);
+            if region.contains_point(v.midpoint(far)) {
+                return Some(if longest % 2 == 0 {
+                    Segment::new(v, far)
+                } else {
+                    Segment::new(far, v)
+                });
+            }
+            chords[longest].0 = 0.0;
         }
-        let v = vertices[longest / 2];
-        let far = Point::new(x, v.y);
-        if region.contains_point(v.midpoint(far)) {
-            return Some(if longest % 2 == 0 {
-                Segment::new(v, far)
-            } else {
-                Segment::new(far, v)
-            });
-        }
-        chords[longest].0 = 0.0;
     }
 }
 
@@ -201,79 +233,95 @@ pub fn max_enclosed_rect_counted(
     region: &PolygonWithHoles,
     stats: &mut MerSearchStats,
 ) -> Option<Rect> {
-    let edges: Vec<Segment> = region.edges().collect();
-    let vertices = all_vertices(region);
-    let anchor = anchor_chord(region, &vertices, &edges)?;
-    let y_a = anchor.a.y;
-    let (ax1, ax2) = (anchor.a.x.min(anchor.b.x), anchor.a.x.max(anchor.b.x));
+    MerScratch::default().max_enclosed_rect(region, stats)
+}
 
-    // Candidate y levels from vertex coordinates, split around the anchor.
-    let mut ys: Vec<f64> = vertices.iter().map(|p| p.y).collect();
-    // Supplement sparse vertex grids (low-complexity polygons) with evenly
-    // spaced levels so an enclosed rectangle always exists; for the
-    // paper's many-vertex cartography objects the vertex levels dominate.
-    let mbr = region.mbr();
-    for i in 1..16 {
-        ys.push(mbr.ymin() + mbr.height() * i as f64 / 16.0);
-    }
-    ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ys.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    let lows = quantile_cap(
-        ys.iter().copied().filter(|&y| y <= y_a).collect(),
-        MAX_LEVELS_PER_SIDE,
-    );
-    let highs = quantile_cap(
-        ys.iter().copied().filter(|&y| y >= y_a).collect(),
-        MAX_LEVELS_PER_SIDE,
-    );
+impl MerScratch {
+    /// [`max_enclosed_rect_counted`] in this scratch.
+    pub(crate) fn max_enclosed_rect(
+        &mut self,
+        region: &PolygonWithHoles,
+        stats: &mut MerSearchStats,
+    ) -> Option<Rect> {
+        self.load(region);
+        let anchor = self.anchor_chord(region)?;
+        let y_a = anchor.a.y;
+        let (ax1, ax2) = (anchor.a.x.min(anchor.b.x), anchor.a.x.max(anchor.b.x));
 
-    let mut search = BandSearch {
-        region,
-        edges: &edges,
-        ax1,
-        ax2,
-        xmin: mbr.xmin(),
-        xmax: mbr.xmax(),
-        slack: 8.0 * f64::EPSILON * mbr.xmin().abs().max(mbr.xmax().abs()),
-        best: None,
-        best_area: 0.0,
-        best_band: (0, 0),
-        near: Vec::new(),
-    };
-    // Width bound per band, row-major in (levels below the anchor,
-    // levels above it).
-    let (rows, cols) = (lows.len(), highs.len());
-    let mut bound = vec![mbr.width(); rows * cols];
-    let mut evaluated = vec![false; rows * cols];
-    for stride in PASS_STRIDES {
-        for r in (0..rows).step_by(stride) {
-            let i = rows - 1 - r;
-            for k in (0..cols).step_by(stride) {
-                let at = r * cols + k;
-                let mut cap = bound[at];
-                if r >= stride {
-                    cap = cap.min(bound[at - stride * cols]);
+        // Candidate y levels from vertex coordinates, split around the
+        // anchor.
+        let ys = &mut self.ys;
+        ys.clear();
+        ys.extend(self.vertices.iter().map(|p| p.y));
+        // Supplement sparse vertex grids (low-complexity polygons) with
+        // evenly spaced levels so an enclosed rectangle always exists; for
+        // the paper's many-vertex cartography objects the vertex levels
+        // dominate.
+        let mbr = region.mbr();
+        for i in 1..16 {
+            ys.push(mbr.ymin() + mbr.height() * i as f64 / 16.0);
+        }
+        ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        ys.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let (lows, highs) = (&mut self.lows, &mut self.highs);
+        lows.clear();
+        lows.extend(ys.iter().copied().filter(|&y| y <= y_a));
+        quantile_cap(lows, MAX_LEVELS_PER_SIDE);
+        highs.clear();
+        highs.extend(ys.iter().copied().filter(|&y| y >= y_a));
+        quantile_cap(highs, MAX_LEVELS_PER_SIDE);
+
+        let mut search = BandSearch {
+            region,
+            edges: &self.edges,
+            ax1,
+            ax2,
+            xmin: mbr.xmin(),
+            xmax: mbr.xmax(),
+            slack: 8.0 * f64::EPSILON * mbr.xmin().abs().max(mbr.xmax().abs()),
+            best: None,
+            best_area: 0.0,
+            best_band: (0, 0),
+            near: &mut self.near,
+        };
+        // Width bound per band, row-major in (levels below the anchor,
+        // levels above it).
+        let (rows, cols) = (lows.len(), highs.len());
+        let (bound, evaluated) = (&mut self.bound, &mut self.evaluated);
+        bound.clear();
+        bound.resize(rows * cols, mbr.width());
+        evaluated.clear();
+        evaluated.resize(rows * cols, false);
+        for stride in PASS_STRIDES {
+            for r in (0..rows).step_by(stride) {
+                let i = rows - 1 - r;
+                for k in (0..cols).step_by(stride) {
+                    let at = r * cols + k;
+                    let mut cap = bound[at];
+                    if r >= stride {
+                        cap = cap.min(bound[at - stride * cols]);
+                    }
+                    if k >= stride {
+                        cap = cap.min(bound[at - stride]);
+                    }
+                    bound[at] = cap;
+                    let (ylo, yhi) = (lows[i], highs[k]);
+                    let height = yhi - ylo;
+                    if height <= 1e-12 {
+                        continue;
+                    }
+                    stats.bands_considered += u64::from(stride == 1);
+                    if evaluated[at] || height * cap < search.best_area {
+                        continue;
+                    }
+                    stats.bands_evaluated += 1;
+                    evaluated[at] = true;
+                    bound[at] = cap.min(search.evaluate(i, k, ylo, yhi));
                 }
-                if k >= stride {
-                    cap = cap.min(bound[at - stride]);
-                }
-                bound[at] = cap;
-                let (ylo, yhi) = (lows[i], highs[k]);
-                let height = yhi - ylo;
-                if height <= 1e-12 {
-                    continue;
-                }
-                stats.bands_considered += u64::from(stride == 1);
-                if evaluated[at] || height * cap < search.best_area {
-                    continue;
-                }
-                stats.bands_evaluated += 1;
-                evaluated[at] = true;
-                bound[at] = cap.min(search.evaluate(i, k, ylo, yhi));
             }
         }
+        search.best
     }
-    search.best
 }
 
 /// The state one MER search carries from band to band.
@@ -291,7 +339,7 @@ struct BandSearch<'a> {
     /// (ylo index, yhi index) of the band `best` came from.
     best_band: (usize, usize),
     /// Scratch: the blocked intervals of one band that reach the anchor.
-    near: Vec<(f64, f64)>,
+    near: &'a mut Vec<(f64, f64)>,
 }
 
 impl BandSearch<'_> {
@@ -338,7 +386,7 @@ impl BandSearch<'_> {
             0.0
         };
         // Walk the gaps between blocked intervals, left to right.
-        for &(start, end) in &self.near {
+        for &(start, end) in self.near.iter() {
             if start > x_cursor && x_cursor > f64::NEG_INFINITY {
                 // Free interval is (x_cursor, start).
                 let (x1, x2) = (x_cursor, start);
@@ -378,16 +426,17 @@ impl BandSearch<'_> {
 }
 
 /// Keeps at most `cap` values, evenly spread over the sorted input (the
-/// first and last survive whenever `cap ≥ 2`).
-fn quantile_cap(values: Vec<f64>, cap: usize) -> Vec<f64> {
+/// first and last survive whenever `cap ≥ 2`). In place: the value kept
+/// at `i` comes from index `i · (n − 1) / (cap − 1) ≥ i`, not yet
+/// overwritten.
+fn quantile_cap(values: &mut Vec<f64>, cap: usize) {
     let n = values.len();
-    if n <= cap {
-        return values;
+    if n > cap && cap >= 2 {
+        for i in 0..cap {
+            values[i] = values[i * (n - 1) / (cap - 1)];
+        }
     }
-    if cap < 2 {
-        return values[..cap].to_vec();
-    }
-    (0..cap).map(|i| values[i * (n - 1) / (cap - 1)]).collect()
+    values.truncate(cap);
 }
 
 /// The x-extent edge `e` blocks within the horizontal band `(ylo, yhi)`,
@@ -514,26 +563,33 @@ mod tests {
         assert!(r.area() > 8.0, "area {}", r.area());
     }
 
+    fn capped(mut values: Vec<f64>, cap: usize) -> Vec<f64> {
+        quantile_cap(&mut values, cap);
+        values
+    }
+
     #[test]
     fn quantile_cap_limits_and_keeps_extremes() {
         let vals: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let capped = quantile_cap(vals, 10);
-        assert_eq!(capped.len(), 10);
-        assert_eq!(capped[0], 0.0);
-        assert_eq!(*capped.last().unwrap(), 99.0);
-        let small = quantile_cap(vec![1.0, 2.0], 10);
-        assert_eq!(small.len(), 2);
+        let kept = capped(vals.clone(), 10);
+        assert_eq!(kept.len(), 10);
+        assert_eq!(kept[0], 0.0);
+        assert_eq!(*kept.last().unwrap(), 99.0);
+        // The spread the copying version kept, in place.
+        let spread: Vec<f64> = (0..10).map(|i| vals[i * 99 / 9]).collect();
+        assert_eq!(kept, spread);
+        assert_eq!(capped(vec![1.0, 2.0], 10).len(), 2);
     }
 
     #[test]
     fn quantile_cap_is_total() {
         let vals: Vec<f64> = (0..7).map(|i| i as f64).collect();
         let n = vals.len();
-        assert_eq!(quantile_cap(vals.clone(), 0), Vec::<f64>::new());
-        assert_eq!(quantile_cap(vals.clone(), 1), [0.0]);
-        assert_eq!(quantile_cap(vals.clone(), 2), [0.0, 6.0]);
-        assert_eq!(quantile_cap(vals.clone(), n), vals);
-        assert_eq!(quantile_cap(vals.clone(), n + 1), vals);
+        assert_eq!(capped(vals.clone(), 0), Vec::<f64>::new());
+        assert_eq!(capped(vals.clone(), 1), [0.0]);
+        assert_eq!(capped(vals.clone(), 2), [0.0, 6.0]);
+        assert_eq!(capped(vals.clone(), n), vals);
+        assert_eq!(capped(vals.clone(), n + 1), vals);
     }
 
     #[test]

@@ -35,6 +35,16 @@
 //! which is what a parcel-against-region candidate (3 runs against 100)
 //! needs.
 //!
+//! Building a signature costs what it emits ([`Rasterizer`]): each edge
+//! decides the cells of each row it crosses from its x-span in that row,
+//! by a proven margin, and runs the exact segment–rectangle test only on
+//! the few cells within the margin; interior cells are filled per row by
+//! binary-searching the even–odd crossing pairs over the cell centres;
+//! a Hilbert-quadrant descent over a summed-area table emits the runs in
+//! curve order. The cells are exactly those of the per-cell statement —
+//! `intersects_rect` on every cell of each edge's range, centre parity
+//! for the rest — which `tests/raster_proptests.rs` keeps as the oracle.
+//!
 //! This is the A/F form of APRIL (Georgiadis, Tzirita Zacharatou &
 //! Mamoulis, "Raster Interval Object Approximations for Spatial
 //! Intersection Joins") on this workspace's columnar stores.
@@ -246,6 +256,10 @@ fn runs_overlap(xs: &[CellRun], ys: &[CellRun]) -> bool {
     })
 }
 
+/// The rasterizer's margin per unit of `|x|`, derived at
+/// [`Rasterizer::classify`].
+const MARGIN: f64 = 64.0 * f64::EPSILON;
+
 /// Reusable working memory of the rasterizer: the class grid over the
 /// cell block of one region's MBR and the scratch of both steps —
 /// [`Rasterizer::classify`] fills the grid, [`Rasterizer::emit`] turns it
@@ -269,22 +283,71 @@ pub struct Rasterizer {
 
 impl Rasterizer {
     /// Classifies every cell of `region`'s MBR block on `grid`, in two
-    /// passes:
+    /// passes. The result is, cell for cell, what the per-cell statement
+    /// gives (`tests/raster_proptests.rs` keeps it as the oracle): a cell
+    /// is PARTIAL when an edge whose cell range contains it intersects it
+    /// ([`Segment::intersects_rect`]), and otherwise FULL when its centre
+    /// lies inside the region.
     ///
-    /// 1. **boundary** — each edge walks its cell rows and, per row, only
-    ///    the columns its segment's y-band clip can touch (±1 column of
-    ///    float slack; the closed segment-rectangle test remains the
-    ///    arbiter), marking intersected cells PARTIAL — the cost tracks
-    ///    the cells the boundary actually crosses, not the edge-MBR block
-    ///    area (a diagonal needle visits O(cells per axis) cells, not
-    ///    their square);
+    /// 1. **boundary** — each edge walks the rows of its cell range. In a
+    ///    row whose y-band `[y0, y1]` its closed y-range misses, it
+    ///    touches no cell (both quick tests of `intersects_rect` fail).
+    ///    Otherwise the edge's x-extent within the band, `[sx0, sx1]`
+    ///    (computed at the band-clamped parameters), decides each cell of
+    ///    the row within ±1 column of it from the cell's x-range
+    ///    `[x0, x1]` and a margin `m`:
+    ///    * a certain **miss** when `x1 < sx0 − m` or `x0 > sx1 + m`;
+    ///    * a certain **hit** when a span end lies in `[x0 + m, x1 − m]`,
+    ///      or when `sx0 < x0 − m` and `sx1 > x1 + m`;
+    ///    * `intersects_rect` only inside the margin — a few cells per
+    ///      edge and row, where a span end is within `m` of a cell side.
     /// 2. **interior** — per cell row, one even–odd scanline through the
-    ///    row center collects the crossings of all rings; unmarked cells
-    ///    with an interior center are FULL. A cell untouched by any edge
-    ///    is entirely inside or entirely outside, so the center decides
-    ///    exactly.
+    ///    row centre collects the crossings of all rings; the unmarked
+    ///    cells whose centre lies in `(c[j], c[j+1]]` for even `j` are
+    ///    FULL, found by two binary searches over the row's cell centres
+    ///    (monotone in the column: every step of their arithmetic is).
+    ///    That is the parity of the crossings strictly left of the centre.
+    ///    A cell untouched by any edge is entirely inside or entirely
+    ///    outside, so the centre decides exactly.
+    ///
+    /// **The margin.** `m = 64ε · X`, with `ε = f64::EPSILON` and `X` the
+    /// largest `|x|` of the region's MBR and of the block's cell lines
+    /// (`|x|` of every edge endpoint and cell side is at most `X`):
+    ///
+    /// * A span end is within `6ε · X` of the exact x of the edge at its
+    ///   band-clamped parameter: three roundings make `t` (the clamp only
+    ///   narrows the error), three more `a.x + t · (b.x − a.x)`, and
+    ///   `|b.x − a.x| ≤ 2X`.
+    /// * `orient2d` has the right sign whenever it is not `Collinear`, and
+    ///   is `Collinear` only when the exact determinant is at most
+    ///   `3ε · (|dl| + |dr|)` (its threshold plus its own rounding). For a
+    ///   cell corner `c` inside the edge's bounding box, or on a row line
+    ///   the edge crosses, that puts `c` within `12ε · X` horizontally of
+    ///   the edge's line at `c.y`: the horizontal offset is
+    ///   `|det| / |dy|`, and `|c.y − a.y| ≤ |dy|`, `|c.x − a.x| ≤ 2X`.
+    ///   Corner tests against the axis-parallel cell sides, and all of a
+    ///   horizontal edge's, are exact.
+    ///
+    /// So with `m ≥ 6εX + 12εX` plus the rounding of the comparisons
+    /// (64 leaves room):
+    ///
+    /// * **miss** — the exact span is more than `12ε · X` outside the
+    ///   cell's x-range, so no endpoint is in the cell, no side is crossed
+    ///   properly, and no corner in the edge's box is `Collinear`:
+    ///   `intersects_rect` is `false`.
+    /// * **hit by a span end** — the exact end is at least `12ε · X` inside
+    ///   the x-range: either an edge endpoint lies in the cell, or the
+    ///   edge crosses the row's bottom or top line properly there, with
+    ///   both corners of that side correctly signed on either side of it.
+    /// * **hit by cover** — the edge crosses the cell's left side
+    ///   properly: its endpoints are strictly on either side, and a corner
+    ///   of that side is correctly signed or `Collinear` and inside the
+    ///   edge's box. A corner outside the box lies at least
+    ///   `(m − 6εX) · |slope|` above or below the edge's line, against a
+    ///   `Collinear` band of at most `12ε · X · |slope|` there.
     pub fn classify(&mut self, grid: &RasterGrid, region: &PolygonWithHoles) {
-        let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
+        let mbr = region.mbr();
+        let (cx0, cy0, cx1, cy1) = grid.cell_range(&mbr);
         let w = (cx1 - cx0 + 1) as usize;
         let h = (cy1 - cy0 + 1) as usize;
         (self.bits, self.cx0, self.cy0, self.w, self.h) = (grid.bits, cx0, cy0, w, h);
@@ -293,41 +356,68 @@ impl Rasterizer {
         classes.resize(w * h, 0);
         self.edges.clear();
         self.edges.extend(region.edges());
+        let (left, right) = (
+            grid.cell_rect(cx0, cy0).xmin(),
+            grid.cell_rect(cx1, cy0).xmax(),
+        );
+        let m = MARGIN
+            * mbr
+                .xmin()
+                .abs()
+                .max(mbr.xmax().abs())
+                .max(left.abs())
+                .max(right.abs());
 
-        // Pass 1: boundary cells, by per-row band clipping of each edge.
+        // Pass 1: boundary cells, decided by margin from each row's span.
         for edge in &self.edges {
             let (ex0, ey0, ex1, ey1) = grid.cell_range(&edge.mbr());
+            let (ylo, yhi) = (edge.a.y.min(edge.b.y), edge.a.y.max(edge.b.y));
             for cy in ey0.max(cy0)..=ey1.min(cy1) {
-                // The x-extent of the segment within this row's y-band; x is
-                // linear in t, so clamping t to the band endpoints bounds it.
                 let band = grid.cell_rect(ex0, cy);
-                let (sx0, sx1) = if edge.a.y == edge.b.y {
+                if yhi < band.ymin() || ylo > band.ymax() {
+                    continue;
+                }
+                // The span ends within this row's y-band; x is linear in
+                // t, so clamping t to the band endpoints bounds it.
+                let (x0, x1) = if edge.a.y == edge.b.y {
                     (edge.a.x.min(edge.b.x), edge.a.x.max(edge.b.x))
                 } else {
                     let t0 = ((band.ymin() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
                     let t1 = ((band.ymax() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
-                    let x0 = edge.a.x + t0 * (edge.b.x - edge.a.x);
-                    let x1 = edge.a.x + t1 * (edge.b.x - edge.a.x);
-                    (x0.min(x1), x0.max(x1))
+                    (
+                        edge.a.x + t0 * (edge.b.x - edge.a.x),
+                        edge.a.x + t1 * (edge.b.x - edge.a.x),
+                    )
                 };
+                let (sx0, sx1) = (x0.min(x1), x0.max(x1));
                 let lo = grid.col(sx0).saturating_sub(1).max(ex0.max(cx0));
                 let hi = (grid.col(sx1) + 1).min(ex1.min(cx1));
+                let row = &mut classes[(cy - cy0) as usize * w..][..w];
                 for cx in lo..=hi {
-                    let slot = &mut classes[(cy - cy0) as usize * w + (cx - cx0) as usize];
-                    if *slot == 0 && edge.intersects_rect(&grid.cell_rect(cx, cy)) {
+                    let slot = &mut row[(cx - cx0) as usize];
+                    if *slot != 0 {
+                        continue;
+                    }
+                    let cell = grid.cell_rect(cx, cy);
+                    let (lx, rx) = (cell.xmin(), cell.xmax());
+                    let inside = |x: f64| lx + m <= x && x <= rx - m;
+                    let hit = if rx < sx0 - m || lx > sx1 + m {
+                        false
+                    } else if inside(x0) || inside(x1) || (sx0 < lx - m && sx1 > rx + m) {
+                        true
+                    } else {
+                        edge.intersects_rect(&cell)
+                    };
+                    if hit {
                         *slot = 1;
                     }
                 }
             }
         }
 
-        // Pass 2: interior fill by scanline parity at row centers.
+        // Pass 2: interior fill by scanline parity at row centres.
         let crossings = &mut self.crossings;
         for cy in cy0..=cy1 {
-            let row = (cy - cy0) as usize;
-            if classes[row * w..(row + 1) * w].iter().all(|&c| c != 0) {
-                continue; // fully boundary-marked row
-            }
             let y = grid.cell_rect(cx0, cy).center().y;
             crossings.clear();
             for e in &self.edges {
@@ -337,18 +427,29 @@ impl Rasterizer {
                 }
             }
             crossings.sort_unstable_by(f64::total_cmp);
-            // Walk the row once; parity = crossings strictly left of the
-            // center. An unmarked cell's center is never on the boundary
-            // (the edge would intersect the cell), so the parity is exact.
-            let mut k = 0usize;
-            for cx in cx0..=cx1 {
-                let slot = &mut classes[row * w + (cx - cx0) as usize];
-                let x = grid.cell_rect(cx, cy).center().x;
-                while k < crossings.len() && crossings[k] < x {
-                    k += 1;
+            // The first column whose centre lies right of `x`. An
+            // unmarked cell's centre is never on the boundary (the edge
+            // would intersect the cell), so the parity is exact.
+            let first_right_of = |x: f64| {
+                let (mut lo, mut hi) = (cx0, cx1 + 1);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if grid.cell_rect(mid, cy).center().x <= x {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
+                    }
                 }
-                if *slot == 0 && k % 2 == 1 {
-                    *slot = 2;
+                (lo - cx0) as usize
+            };
+            let row = &mut classes[(cy - cy0) as usize * w..][..w];
+            for pair in crossings.chunks(2) {
+                let start = first_right_of(pair[0]);
+                let end = pair.get(1).map_or(w, |&x| first_right_of(x));
+                for slot in &mut row[start..end.max(start)] {
+                    if *slot == 0 {
+                        *slot = 2;
+                    }
                 }
             }
         }
@@ -382,11 +483,12 @@ impl Rasterizer {
         let (w, h) = (self.w, self.h);
         self.sat.clear();
         self.sat.resize((w + 1) * (h + 1), 0);
-        for y in 0..h {
+        for (y, classes) in self.classes.chunks_exact(w).enumerate() {
+            let (above, below) = self.sat[y * (w + 1)..].split_at_mut(w + 1);
             let mut row = 0u64;
-            for x in 0..w {
-                row += [0, 1, 1 | 1 << 32][self.classes[y * w + x] as usize];
-                self.sat[(y + 1) * (w + 1) + x + 1] = self.sat[y * (w + 1) + x + 1] + row;
+            for ((out, &up), &class) in below[1..=w].iter_mut().zip(&above[1..]).zip(classes) {
+                row += [0, 1, 1 | 1 << 32][class as usize];
+                *out = up + row;
             }
         }
         let (block, bases) = (&*self, (all.len(), full.len()));

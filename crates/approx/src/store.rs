@@ -32,6 +32,7 @@ use crate::circle::Circle;
 use crate::ellipse::Ellipse;
 use crate::false_area::view_intersection_area;
 use crate::kinds::{ConsView, Conservative, ConservativeKind, Progressive, ProgressiveKind};
+use crate::mer::{MerScratch, MerSearchStats};
 use msj_geom::bytes::{Col, Dec, DecResult, Enc};
 use msj_geom::{ObjectId, Point, Rect, Relation};
 
@@ -283,16 +284,20 @@ pub struct ProgressiveStore {
 impl ProgressiveStore {
     pub fn build(kind: ProgressiveKind, relation: &Relation) -> Self {
         let cols = match kind {
-            ProgressiveKind::Mer => ProgColumns::Mers(
-                relation
-                    .iter()
-                    .map(|o| match Progressive::compute(kind, o) {
-                        Progressive::Mer(r) => r,
-                        Progressive::Empty => nan_rect(),
-                        Progressive::Mec(_) => unreachable!("Mer kind computes Mer"),
-                    })
-                    .collect(),
-            ),
+            ProgressiveKind::Mer => {
+                let mut search = MerScratch::default();
+                let stats = &mut MerSearchStats::default();
+                ProgColumns::Mers(
+                    relation
+                        .iter()
+                        .map(|o| {
+                            search
+                                .max_enclosed_rect(&o.region, stats)
+                                .unwrap_or_else(nan_rect)
+                        })
+                        .collect(),
+                )
+            }
             ProgressiveKind::Mec => ProgColumns::Mecs(
                 relation
                     .iter()

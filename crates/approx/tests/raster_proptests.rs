@@ -558,3 +558,208 @@ fn emission_never_coalesces_across_objects() {
     assert_eq!(all, [first.0, second.0].concat());
     assert_eq!(full, [first.1, second.1].concat());
 }
+
+// ---- classify: margin rule + span fill ≡ per-cell oracle ----
+
+/// The classification [`Rasterizer::classify`] replaced, as a per-cell
+/// statement: a cell is PARTIAL when an edge whose cell range contains it
+/// intersects it (`Segment::intersects_rect`), and otherwise FULL when
+/// its centre has odd even–odd parity (half-open crossings strictly left
+/// of the centre). Row-major over the region's block, like
+/// [`Rasterizer::cells`].
+fn classify_per_cell(grid: &RasterGrid, region: &PolygonWithHoles) -> Vec<(u32, u32, bool)> {
+    let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
+    let edges: Vec<_> = region.edges().collect();
+    let ranges: Vec<_> = edges.iter().map(|e| grid.cell_range(&e.mbr())).collect();
+    let mut out = Vec::new();
+    for cy in cy0..=cy1 {
+        for cx in cx0..=cx1 {
+            let cell = grid.cell_rect(cx, cy);
+            let partial = edges.iter().zip(&ranges).any(|(e, &(ex0, ey0, ex1, ey1))| {
+                (ex0..=ex1).contains(&cx) && (ey0..=ey1).contains(&cy) && e.intersects_rect(&cell)
+            });
+            let centre = cell.center();
+            let crossings = edges
+                .iter()
+                .filter(|e| {
+                    (e.a.y > centre.y) != (e.b.y > centre.y)
+                        && e.a.x + (centre.y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x) < centre.x
+                })
+                .count();
+            if partial || crossings % 2 == 1 {
+                out.push((cx, cy, !partial));
+            }
+        }
+    }
+    out
+}
+
+fn assert_classification_agrees(grid: &RasterGrid, region: &PolygonWithHoles, what: &str) {
+    let mut block = Rasterizer::default();
+    block.classify(grid, region);
+    let got: Vec<_> = block.cells().collect();
+    let want = classify_per_cell(grid, region);
+    if got != want {
+        let diff: Vec<_> = got.iter().filter(|c| !want.contains(c)).take(4).collect();
+        let missing: Vec<_> = want.iter().filter(|c| !got.contains(c)).take(4).collect();
+        panic!("{what}: classification diverged; extra {diff:?}, missing {missing:?}");
+    }
+}
+
+/// An axis-parallel rectangle region.
+fn rect_region(x0: f64, y0: f64, x1: f64, y1: f64) -> PolygonWithHoles {
+    Polygon::new(Rect::from_bounds(x0, y0, x1, y1).corners().to_vec())
+        .unwrap()
+        .into()
+}
+
+/// Shapes laid on the lattice of `[0, 8]²`: rectangles whose edges lie
+/// on cell lines (integer ones at every resolution, quarter ones from 5
+/// bits), a square holed by another, diamonds and a triangle whose
+/// vertices sit on grid corners (their diagonals pass exactly through
+/// corners), and an L whose horizontal edge at `y = 4.0625` lies on a
+/// cell line at 8 bits and inside a row at coarser grids.
+fn lattice_regions() -> Vec<PolygonWithHoles> {
+    let poly = |pts: &[(f64, f64)]| -> PolygonWithHoles {
+        Polygon::new(pts.iter().map(|&(x, y)| Point::new(x, y)).collect())
+            .unwrap()
+            .into()
+    };
+    let holed = PolygonWithHoles::new(
+        Polygon::new(Rect::from_bounds(1.0, 1.0, 7.0, 7.0).corners().to_vec()).unwrap(),
+        vec![Polygon::new(Rect::from_bounds(3.0, 3.0, 5.0, 5.0).corners().to_vec()).unwrap()],
+    );
+    vec![
+        rect_region(0.0, 0.0, 8.0, 8.0),
+        rect_region(2.0, 1.0, 6.0, 7.0),
+        rect_region(3.5, 0.25, 4.0, 7.75),
+        holed,
+        poly(&[(4.0, 0.0), (8.0, 4.0), (4.0, 8.0), (0.0, 4.0)]),
+        poly(&[(4.0, 1.0), (7.0, 4.0), (4.0, 7.0), (1.0, 4.0)]),
+        poly(&[(1.0, 1.0), (7.0, 1.0), (1.0, 7.0)]),
+        poly(&[
+            (0.5, 0.5),
+            (7.5, 0.5),
+            (7.5, 4.0625),
+            (3.0, 4.0625),
+            (3.0, 7.5),
+            (0.5, 7.5),
+        ]),
+    ]
+}
+
+/// Star-shaped polygons whose vertices sit on the `1/4` lattice of
+/// `[0, 8]²`, at every slope the lattice offers: at 8 bits each edge
+/// crosses row lines exactly on (or, off the origin, within a few ulps
+/// of) cell corners, where a rule without its margin answers wrongly.
+fn lattice_stars(count: u64) -> Vec<PolygonWithHoles> {
+    let centre = Point::new(4.1, 3.9);
+    (0..count)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut vertices: Vec<(f64, Point)> = Vec::new();
+            while vertices.len() < 9 {
+                let p = Point::new(
+                    rng.gen_range(0..=32) as f64 / 4.0,
+                    rng.gen_range(0..=32) as f64 / 4.0,
+                );
+                let angle = (p.y - centre.y).atan2(p.x - centre.x);
+                if vertices.iter().all(|&(a, _)| (a - angle).abs() > 0.05) {
+                    vertices.push((angle, p));
+                }
+            }
+            vertices.sort_by(|a, b| a.0.total_cmp(&b.0));
+            Polygon::new(vertices.into_iter().map(|(_, p)| p).collect())
+                .unwrap()
+                .into()
+        })
+        .collect()
+}
+
+/// Every shape family of this file on its own grid and on the lattice,
+/// at `origin` and at `±1e9` (where the margin, which scales with |x|,
+/// is ≈ 1.4e-5 — no longer negligible against 1/256 cells), on a dyadic
+/// offset that keeps lattice coordinates exact and on one that rounds
+/// them.
+#[test]
+fn classify_agrees_with_the_per_cell_oracle() {
+    let mut shapes: Vec<(String, PolygonWithHoles, f64)> = Vec::new();
+    for seed in 0..24u64 {
+        shapes.push((
+            format!("blob {seed}"),
+            blob_region(seed, 8 + seed as usize * 2),
+            0.5,
+        ));
+        shapes.push((format!("holed {seed}"), holed_region(seed), 0.5));
+        shapes.push((format!("sliver {seed}"), sliver_region(seed), 0.25));
+    }
+    for seed in 0..7u64 {
+        shapes.push((format!("collinear {seed}"), collinear_region(seed), 0.25));
+    }
+    for (i, needle) in needle_regions().into_iter().enumerate() {
+        shapes.push((format!("needle {i}"), needle, 0.25));
+    }
+    let offsets = [
+        Point::new(0.0, 0.0),
+        Point::new(1e9, -1e9),
+        Point::new(-1e9, 1e9),
+        Point::new(1e9 + 0.1, 1e9 - 0.3),
+        Point::new(-0.7, 0.3),
+    ];
+    for offset in offsets {
+        for (name, region, pad) in &shapes {
+            let region = region.translated(offset);
+            for bits in [3u32, 5, 7] {
+                let grid = grid_for(&region, bits, *pad);
+                assert_classification_agrees(&grid, &region, &format!("{name} {offset:?} {bits}"));
+            }
+        }
+        let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0).translated(offset);
+        let lattice = lattice_regions().into_iter().chain(lattice_stars(48));
+        for (i, region) in lattice.enumerate() {
+            let region = region.translated(offset);
+            for bits in [3u32, 4, 6, 8] {
+                let grid = RasterGrid::new(world, bits);
+                assert_classification_agrees(
+                    &grid,
+                    &region,
+                    &format!("lattice {i} {offset:?} {bits}"),
+                );
+            }
+        }
+    }
+}
+
+/// Regions whose top vertex lies one ulp below a row line that the grid's
+/// own row lookup rounds it onto: that row is in the edges' cell ranges,
+/// but its band misses them, so the rasterizer must skip it rather than
+/// read a point span there as a hit.
+#[test]
+fn rows_that_the_row_lookup_rounds_onto_are_skipped() {
+    let mut found = 0;
+    // The lookup rounds onto a line only where the world's offset is not
+    // large against its size.
+    for offset in [0.3, -0.7, -7.9] {
+        let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0).translated(Point::new(offset, offset));
+        let grid = RasterGrid::new(world, 8);
+        for r in 1..256 {
+            let line = grid.cell_rect(0, r).ymin();
+            let below = line.next_down();
+            let x = grid.cell_rect(100, r).center().x;
+            let top = Point::new(x, below);
+            if grid.cell_range(&Rect::new(top, top)).1 != r {
+                continue;
+            }
+            found += 1;
+            let region: PolygonWithHoles = Polygon::new(vec![
+                Point::new(x - 0.5, below - 0.75),
+                Point::new(x + 0.25, below - 1.0),
+                top,
+            ])
+            .unwrap()
+            .into();
+            assert_classification_agrees(&grid, &region, &format!("offset {offset}, row {r}"));
+        }
+    }
+    assert!(found > 100, "only {found} row lines round");
+}

@@ -153,13 +153,23 @@ pub fn sweep_scan(
     from: usize,
     hits: &mut Vec<u32>,
 ) -> u64 {
-    debug_assert!(xmin.len() == ymin.len() && xmin.len() == ymax.len());
+    // The wide arms load `ymin` / `ymax` at every index below
+    // `xmin.len()`, so unequal columns are refused before any load, and a
+    // start at or past the end scans nothing (it would also overflow the
+    // lane loop's `k + 4`).
+    assert!(
+        xmin.len() == ymin.len() && xmin.len() == ymax.len(),
+        "sweep_scan columns differ in length"
+    );
+    if from >= xmin.len() {
+        return 0;
+    }
     match d {
         KernelDispatch::Scalar => {
             sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
         }
         // SAFETY: `d == Sse2` only after `KernelDispatch::select` detected
-        // SSE2; the three columns are one SoA block of equal lengths.
+        // SSE2; the three columns are of equal length (asserted above).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe {
             sweep_scan_sse2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
@@ -325,11 +335,15 @@ pub fn rects_vs_rect(
     ymax: &[f64],
     hits: &mut Vec<u32>,
 ) {
-    debug_assert!(xmin.len() == ymin.len() && xmin.len() == xmax.len() && xmin.len() == ymax.len());
+    // The wide arms load every column at every index below `xmin.len()`.
+    assert!(
+        xmin.len() == ymin.len() && xmin.len() == xmax.len() && xmin.len() == ymax.len(),
+        "rects_vs_rect columns differ in length"
+    );
     match d {
         KernelDispatch::Scalar => rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, 0, hits),
         // SAFETY: SSE2 was detected when `d` was selected; the four
-        // columns are one node's repacked entries, equal in length.
+        // columns are of equal length (asserted above).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe { rects_vs_rect_sse2(q, xmin, ymin, xmax, ymax, hits) },
         // SAFETY: AVX2 was detected when `d` was selected; column lengths
@@ -772,6 +786,46 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Whether `f` panics.
+    fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
+        std::panic::catch_unwind(f).is_err()
+    }
+
+    /// The callers' length obligations are checked in every build, on
+    /// every dispatch, before a wide load: a column shorter or longer
+    /// than `xmin` panics, and a start at or past the end scans nothing.
+    #[test]
+    fn kernel_columns_are_checked_before_any_load() {
+        let col = |n: usize| (0..n).map(|i| i as f64).collect::<Vec<f64>>();
+        for d in KernelDispatch::all_available() {
+            for (xn, yn, zn) in [(9, 8, 9), (9, 9, 8), (8, 9, 9), (9, 0, 9), (9, 9, 10)] {
+                let (x, y, z) = (col(xn), col(yn), col(zn));
+                assert!(
+                    panics(|| {
+                        sweep_scan(d, f64::MAX, -1e9, 1e9, &x, &y, &z, 0, &mut Vec::new());
+                    }),
+                    "{d:?} sweep_scan took columns {xn}/{yn}/{zn}"
+                );
+            }
+            for short in 0..4 {
+                let mut cols = [col(9), col(9), col(9), col(9)];
+                cols[short].pop();
+                let [x0, y0, x1, y1] = &cols;
+                let q = Rect::from_bounds(-1e9, -1e9, 1e9, 1e9);
+                assert!(
+                    panics(|| rects_vs_rect(d, &q, x0, y0, x1, y1, &mut Vec::new())),
+                    "{d:?} rects_vs_rect took a short column {short}"
+                );
+            }
+            let x = col(9);
+            for from in [9, 10, 13, usize::MAX - 3, usize::MAX] {
+                let mut hits = Vec::new();
+                let tests = sweep_scan(d, f64::MAX, -1e9, 1e9, &x, &x, &x, from, &mut hits);
+                assert_eq!((tests, hits.len()), (0, 0), "{d:?} from {from}");
             }
         }
     }

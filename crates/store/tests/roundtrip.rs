@@ -174,3 +174,67 @@ fn images_match_the_bytes_the_export_codec_wrote() {
         assert_eq!(fnv1a64(&image), sum, "{} bytes", section.name());
     }
 }
+
+/// The filter workload's parcels (near-convex, 4–10 vertices) and
+/// regions (large blobs, 8–100 vertices) at a quarter of its counts: both
+/// sides shrink alike, so the auto grid (10 bits here, 11 there) keeps the
+/// region blocks at the workload's scale, ≈ 6,700 cells each against
+/// ≈ 7,300.
+fn filter_pair(parcels: usize, regions: usize, seed: u64) -> [Relation; 2] {
+    use msj_datagen::{generate_relation, BlobParams, LayoutParams};
+    use rand::{rngs::StdRng, SeedableRng};
+    let parcel_params = LayoutParams {
+        world: msj_datagen::world(),
+        count: parcels,
+        vertices_mu_ln: 6f64.ln(),
+        vertices_sigma_ln: 0.2,
+        vertices_min: 4,
+        vertices_max: 10,
+        radius_frac: 0.15,
+        shape: BlobParams {
+            lobe_amp: 0.05,
+            mid_amp: 0.0,
+            rough_amp: 0.0,
+            spikes: 0,
+            spike_amp: 0.0,
+            max_elongation: 1.3,
+            ..BlobParams::default()
+        },
+    };
+    let region_params = LayoutParams {
+        world: msj_datagen::world(),
+        count: regions,
+        vertices_mu_ln: 24f64.ln(),
+        vertices_sigma_ln: 0.5,
+        vertices_min: 8,
+        vertices_max: 100,
+        radius_frac: 0.6,
+        shape: BlobParams::default(),
+    };
+    [
+        generate_relation(&mut StdRng::seed_from_u64(seed), &parcel_params),
+        generate_relation(&mut StdRng::seed_from_u64(seed + 1), &region_params),
+    ]
+}
+
+/// The raster pair of `filter_pair(15_000, 500, 1)` on its auto grid,
+/// pinned when the rasterizer still tested every cell of each edge's
+/// row span and every cell centre. `GOLDEN_PAIR`'s 48-object relations
+/// have blocks of a few cells; these regions' blocks are large enough
+/// that most boundary cells are decided by the rasterizer's margin rule
+/// and most interior cells by its span fill.
+const GOLDEN_REGION_PAIR: [(usize, u64); 2] =
+    [(585828, 0x29ac4db03c462538), (734300, 0x8151c866747903e9)];
+
+#[test]
+fn region_scale_raster_pair_is_pinned() {
+    let rels = filter_pair(15_000, 500, 1);
+    let bits = auto_grid_bits(&rels[0], &rels[1]);
+    let grid = RasterGrid::covering(&rels[0], &rels[1], bits).unwrap();
+    let pinned = rels.each_ref().map(|rel| {
+        let image = RasterStore::build(&grid, rel).to_bytes();
+        (image.len(), fnv1a64(&image))
+    });
+    assert_eq!(bits, 10);
+    assert_eq!(pinned, GOLDEN_REGION_PAIR);
+}
