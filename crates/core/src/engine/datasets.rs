@@ -9,7 +9,7 @@ use crate::config::{Backend, JoinConfig};
 use crate::queries::SelectionState;
 use msj_approx::{ConservativeStore, ProgressiveStore};
 use msj_exact::{ExactAlgorithm, TrStarStore};
-use msj_geom::Relation;
+use msj_geom::{Relation, SharedBytes};
 use msj_obs::Gauge;
 use msj_sam::RStarTree;
 use msj_store::{Section, Segment, Store};
@@ -25,7 +25,7 @@ use std::time::Instant;
 /// The artifacts live behind an `RwLock<Option<…>>` so a store-backed
 /// engine can **evict** a cold dataset's artifacts under a byte budget
 /// and re-materialize them on next touch — from the persistent store
-/// when one is armed (each section's image adopted by `from_bytes`), from
+/// when one is armed (each section's image decoded, the TR* arena's kept in place), from
 /// the relation otherwise (a full Step-0 rebuild). In-flight work is
 /// never invalidated: anything using the artifacts holds the `Arc`, so
 /// eviction only drops this state's reference.
@@ -63,8 +63,9 @@ pub(super) struct DatasetArtifacts {
     pub selection: SelectionState,
 }
 
-/// The one way a stored section becomes a resident artifact: its
-/// verified bytes must decode (`from_bytes`) *and* describe exactly the
+/// The one way a stored section becomes a resident artifact: its verified
+/// bytes (decoded, or kept as a range of the segment's shared buffer) must
+/// be adopted by `from_bytes` *and* describe exactly the
 /// `objects` of the relation the artifact is about to be attached to — a
 /// checksum-valid image of another length would index out of bounds at
 /// query time. `None` means rebuild; a section that was written but cannot
@@ -74,18 +75,16 @@ pub(super) fn adopt<T, E>(
     stored: Option<&Segment>,
     section: Section,
     objects: usize,
-    from_bytes: impl FnOnce(&[u8]) -> Result<T, E>,
+    from_bytes: impl FnOnce(SharedBytes) -> Result<T, E>,
     len: impl FnOnce(&T) -> usize,
     corrupt: &mut Vec<Section>,
 ) -> Option<T> {
     let adopted = stored?
-        .section(section)?
+        .shared_section(section)?
         .ok()
         .and_then(|bytes| from_bytes(bytes).ok())
         .filter(|artifact| len(artifact) == objects);
-    if adopted.is_none() {
-        corrupt.push(section);
-    }
+    corrupt.extend(adopted.is_none().then_some(section));
     adopted
 }
 
@@ -107,7 +106,7 @@ impl Step0<'_> {
     fn artifact<T, E>(
         &mut self,
         section: Section,
-        from_bytes: impl FnOnce(&[u8]) -> Result<T, E>,
+        from_bytes: impl FnOnce(SharedBytes) -> Result<T, E>,
         len: impl FnOnce(&T) -> usize,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
@@ -144,14 +143,15 @@ impl DatasetArtifacts {
             corrupt: Vec::new(),
         };
         let tree = matches!(config.backend, Backend::RStarTraversal).then(|| {
-            step0.artifact(Section::Tree, RStarTree::from_bytes, RStarTree::len, || {
+            let decode = |b: SharedBytes| RStarTree::from_bytes(&b);
+            step0.artifact(Section::Tree, decode, RStarTree::len, || {
                 candidates::build_tree(config, relation)
             })
         });
         let conservative = config.conservative.map(|kind| {
             step0.artifact(
                 Section::Conservative,
-                ConservativeStore::from_bytes,
+                |b| ConservativeStore::from_bytes(&b),
                 ConservativeStore::len,
                 || ConservativeStore::build(kind, relation),
             )
@@ -159,7 +159,7 @@ impl DatasetArtifacts {
         let progressive = config.progressive.map(|kind| {
             step0.artifact(
                 Section::Progressive,
-                ProgressiveStore::from_bytes,
+                |b| ProgressiveStore::from_bytes(&b),
                 ProgressiveStore::len,
                 || ProgressiveStore::build(kind, relation),
             )
@@ -167,7 +167,7 @@ impl DatasetArtifacts {
         let trstar = match config.exact {
             ExactAlgorithm::TrStar { max_entries } => Some(step0.artifact(
                 Section::TrStar,
-                TrStarStore::from_bytes,
+                TrStarStore::adopt,
                 TrStarStore::len,
                 || TrStarStore::build(relation, max_entries),
             )),

@@ -521,7 +521,7 @@ impl SpatialEngine {
                 stored.as_ref(),
                 section,
                 relation.len(),
-                RasterStore::from_bytes,
+                |b| RasterStore::from_bytes(&b),
                 RasterStore::len,
                 &mut corrupt,
             )

@@ -31,7 +31,7 @@ use crate::candidates::{CandidateSource, Step1Stats};
 use crate::filter::{FilterOutcome, FilterScratch, GeometricFilter};
 use crate::pipeline::JoinResult;
 use crate::stats::MultiStepStats;
-use msj_exact::ExactProcessor;
+use msj_exact::{ExactProcessor, ExactTester};
 use msj_fault::{FaultAction, FaultSession};
 use msj_geom::{panic_message, resolve_threads, CancelToken, ObjectId, PairSink, WorkerPanic};
 use msj_obs::{Span, Step, StepSpans, WorkerLane, WorkerTelemetry};
@@ -74,13 +74,13 @@ pub const fn fused_buffer_bound(workers: usize, batch: usize) -> u64 {
     (workers * (FUSED_QUEUE_DEPTH + 1) * batch + batch) as u64
 }
 
-// The engine shares the filter and the exact processor read-only across
+// The engine shares the filter and the exact tester read-only across
 // all sink threads; per-sink mutability is confined to each sink's own
 // `OpCounts`/counters. Keep that property explicit:
 const _: () = {
     const fn assert_sync<T: Sync>() {}
     assert_sync::<GeometricFilter>();
-    assert_sync::<ExactProcessor<'static>>();
+    assert_sync::<ExactTester<'static>>();
 };
 
 type Pair = (ObjectId, ObjectId);
@@ -92,7 +92,7 @@ type Partial = (Vec<Pair>, MultiStepStats);
 /// What every sink of one run shares, read-only.
 struct Shared<'a> {
     filter: &'a GeometricFilter,
-    exact: &'a ExactProcessor<'a>,
+    exact: ExactTester<'a>,
     /// Per-step wall-clock accumulators of the run (every sink adds its
     /// filter/exact time; relaxed atomics, no contention); `None` when
     /// the run is untimed — no sink then reads a clock.
@@ -444,7 +444,7 @@ pub(crate) fn run_steps(
     let telemetry = timed.then(|| WorkerTelemetry::new(workers));
     let shared = Shared {
         filter,
-        exact,
+        exact: exact.tester(),
         spans: timed.then_some(&spans),
         telemetry: telemetry.as_ref(),
         cancel,

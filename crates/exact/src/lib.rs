@@ -21,6 +21,12 @@
 //! property test enforces this. Costs are accounted by counting the
 //! geometric operations of Table 6 ([`cost::OpCounts`]) and weighting them
 //! with the paper's microsecond constants ([`cost::Weights`]).
+//!
+//! The crate's one `unsafe` is a pair of marker impls: the TR* arena's
+//! node and trapezoid records are [`msj_geom::Plain`], so a stored arena
+//! is viewed in place rather than decoded (see [`trstar`]).
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod containment;
 pub mod cost;
@@ -33,9 +39,9 @@ pub mod window;
 
 pub use containment::{intersect_by_containment, point_in_region_counted};
 pub use cost::{OpCounts, Weights};
-pub use processor::{ExactAlgorithm, ExactProcessor};
+pub use processor::{ExactAlgorithm, ExactProcessor, ExactTester};
 pub use quadratic::quadratic_intersects;
 pub use sweep::sweep_intersects;
-pub use trapezoid::{decompose, Trapezoid};
-pub use trstar::{trees_intersect, TrStarFormatError, TrStarStore, TrStarView};
+pub use trapezoid::{decompose, Trapezoid, XSpan};
+pub use trstar::{trees_intersect, TrStarColumns, TrStarFormatError, TrStarStore, TrStarView};
 pub use window::{region_contains_point, region_intersects_rect};

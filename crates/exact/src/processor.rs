@@ -4,7 +4,7 @@
 use crate::cost::OpCounts;
 use crate::quadratic::quadratic_intersects;
 use crate::sweep::sweep_intersects;
-use crate::trstar::{trees_intersect, TrStarStore};
+use crate::trstar::{trees_intersect, TrStarColumns, TrStarStore};
 use msj_geom::{ObjectId, RelHandle, Relation};
 use std::sync::Arc;
 
@@ -107,26 +107,72 @@ impl<'a> ExactProcessor<'a> {
         self.algorithm
     }
 
+    /// The processor resolved for a run of tests: where each TR* arena
+    /// lives is settled here, once, and every test then indexes plain
+    /// slices.
+    pub fn tester(&self) -> ExactTester<'_> {
+        let (a, b) = (&*self.rel_a, &*self.rel_b);
+        match self.algorithm {
+            ExactAlgorithm::Quadratic => ExactTester::Quadratic { a, b },
+            ExactAlgorithm::PlaneSweep { restrict } => ExactTester::PlaneSweep { a, b, restrict },
+            ExactAlgorithm::TrStar { .. } => ExactTester::TrStar {
+                a: prepared(&self.trees_a).columns(),
+                b: prepared(&self.trees_b).columns(),
+            },
+        }
+    }
+
+    /// Tests one candidate pair on the exact geometry, accumulating the
+    /// weighted operation counts into `counts` — a one-off
+    /// [`ExactProcessor::tester`]; a run of tests resolves one tester and
+    /// reuses it.
+    pub fn intersects(&self, id_a: ObjectId, id_b: ObjectId, counts: &mut OpCounts) -> bool {
+        self.tester().intersects(id_a, id_b, counts)
+    }
+}
+
+fn prepared(trees: &Option<Arc<TrStarStore>>) -> &TrStarStore {
+    trees
+        .as_deref()
+        .expect("TR* stores are prepared with the processor")
+}
+
+/// An [`ExactProcessor`] resolved for a run of tests
+/// ([`ExactProcessor::tester`]): the relations, or both TR* arenas as
+/// plain slices.
+#[derive(Clone, Copy)]
+pub enum ExactTester<'p> {
+    Quadratic {
+        a: &'p Relation,
+        b: &'p Relation,
+    },
+    PlaneSweep {
+        a: &'p Relation,
+        b: &'p Relation,
+        restrict: bool,
+    },
+    TrStar {
+        a: TrStarColumns<'p>,
+        b: TrStarColumns<'p>,
+    },
+}
+
+impl ExactTester<'_> {
     /// Tests one candidate pair on the exact geometry, accumulating the
     /// weighted operation counts into `counts`.
+    #[inline]
     pub fn intersects(&self, id_a: ObjectId, id_b: ObjectId, counts: &mut OpCounts) -> bool {
-        match self.algorithm {
-            ExactAlgorithm::Quadratic => quadratic_intersects(
-                &self.rel_a.object(id_a).region,
-                &self.rel_b.object(id_b).region,
-                counts,
-            ),
-            ExactAlgorithm::PlaneSweep { restrict } => sweep_intersects(
-                &self.rel_a.object(id_a).region,
-                &self.rel_b.object(id_b).region,
+        match *self {
+            ExactTester::Quadratic { a, b } => {
+                quadratic_intersects(&a.object(id_a).region, &b.object(id_b).region, counts)
+            }
+            ExactTester::PlaneSweep { a, b, restrict } => sweep_intersects(
+                &a.object(id_a).region,
+                &b.object(id_b).region,
                 restrict,
                 counts,
             ),
-            ExactAlgorithm::TrStar { .. } => {
-                let ta = self.trees_a.as_ref().expect("prepared").get(id_a);
-                let tb = self.trees_b.as_ref().expect("prepared").get(id_b);
-                trees_intersect(ta, tb, counts)
-            }
+            ExactTester::TrStar { a, b } => trees_intersect(a.get(id_a), b.get(id_b), counts),
         }
     }
 }

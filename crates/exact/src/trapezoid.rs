@@ -15,15 +15,26 @@
 use msj_geom::{convex_intersect, edge_separates, Point, PolygonWithHoles, Rect};
 
 /// A trapezoid with horizontal bottom (`y_lo`) and top (`y_hi`) sides.
+///
+/// `#[repr(C)]`: six `f64`s in field order, 48 bytes — the TR* arena's
+/// trapezoid record, which a stored arena is viewed as in place.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
 pub struct Trapezoid {
     pub y_lo: f64,
     pub y_hi: f64,
     /// x-interval on the bottom side.
-    pub x_lo: (f64, f64),
+    pub x_lo: XSpan,
     /// x-interval on the top side.
-    pub x_hi: (f64, f64),
+    pub x_hi: XSpan,
 }
+
+/// The x-interval `[.0, .1]` of one horizontal side of a [`Trapezoid`]:
+/// a `#[repr(C)]` pair rather than a tuple, whose layout Rust leaves
+/// unspecified.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
+pub struct XSpan(pub f64, pub f64);
 
 /// The relative margin of [`Trapezoid::decide_fast`]'s "intersecting"
 /// claim: `128 · u` with `u = f64::EPSILON / 2` (derivation there).
@@ -244,14 +255,14 @@ pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
                 open.iter().find(|&&(l, r, _)| l == left.3 && r == right.3)
             {
                 traps[t_idx].y_hi = y2;
-                traps[t_idx].x_hi = (left.1, right.1);
+                traps[t_idx].x_hi = XSpan(left.1, right.1);
                 next_open.push((left.3, right.3, t_idx));
             } else {
                 traps.push(Trapezoid {
                     y_lo: y1,
                     y_hi: y2,
-                    x_lo: (left.0, right.0),
-                    x_hi: (left.1, right.1),
+                    x_lo: XSpan(left.0, right.0),
+                    x_hi: XSpan(left.1, right.1),
                 });
                 next_open.push((left.3, right.3, traps.len() - 1));
             }
@@ -361,8 +372,8 @@ mod tests {
         let t = Trapezoid {
             y_lo: 0.0,
             y_hi: 2.0,
-            x_lo: (0.0, 4.0),
-            x_hi: (1.0, 3.0),
+            x_lo: XSpan(0.0, 4.0),
+            x_hi: XSpan(1.0, 3.0),
         };
         assert_eq!(t.mbr(), Rect::from_bounds(0.0, 0.0, 4.0, 2.0));
         assert!((t.area() - 6.0).abs() < 1e-12);
@@ -377,20 +388,20 @@ mod tests {
         let a = Trapezoid {
             y_lo: 0.0,
             y_hi: 2.0,
-            x_lo: (0.0, 2.0),
-            x_hi: (0.0, 2.0),
+            x_lo: XSpan(0.0, 2.0),
+            x_hi: XSpan(0.0, 2.0),
         };
         let b = Trapezoid {
             y_lo: 1.0,
             y_hi: 3.0,
-            x_lo: (1.0, 3.0),
-            x_hi: (1.0, 3.0),
+            x_lo: XSpan(1.0, 3.0),
+            x_hi: XSpan(1.0, 3.0),
         };
         let c = Trapezoid {
             y_lo: 5.0,
             y_hi: 6.0,
-            x_lo: (0.0, 1.0),
-            x_hi: (0.0, 1.0),
+            x_lo: XSpan(0.0, 1.0),
+            x_hi: XSpan(0.0, 1.0),
         };
         assert!(a.intersects(&b));
         assert!(b.intersects(&a));
@@ -399,16 +410,16 @@ mod tests {
         let d = Trapezoid {
             y_lo: 2.0,
             y_hi: 3.0,
-            x_lo: (0.0, 2.0),
-            x_hi: (0.0, 2.0),
+            x_lo: XSpan(0.0, 2.0),
+            x_hi: XSpan(0.0, 2.0),
         };
         assert!(a.intersects(&d));
         // Degenerate (triangle) trapezoid.
         let tri = Trapezoid {
             y_lo: 0.0,
             y_hi: 1.0,
-            x_lo: (0.0, 2.0),
-            x_hi: (1.0, 1.0),
+            x_lo: XSpan(0.0, 2.0),
+            x_hi: XSpan(1.0, 1.0),
         };
         assert!(tri.intersects(&a));
     }

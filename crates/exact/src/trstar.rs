@@ -25,9 +25,17 @@
 //!
 //! Nodes are stored breadth-first, so sibling headers share cache lines
 //! and child ids are implicit. [`TrStarStore::to_bytes`] writes these
-//! columns little-endian behind a 32-byte header and
-//! [`TrStarStore::from_bytes`] adopts them after one validating pass —
-//! the persistent store's TR* section *is* the arena.
+//! columns little-endian behind a 32-byte header, and that image **is
+//! the resident layout**: the node and trapezoid records are
+//! `#[repr(C)]` structs of exactly the bytes above (pinned by
+//! compile-time size and offset assertions), and on a page-aligned
+//! section every column starts 8-byte aligned — the header is 32 B, the
+//! two offset tables `8 · (objects + 1)` B together, a node 40 B.
+//! [`TrStarStore::adopt`] therefore copies nothing: it checks the header
+//! against the length, views the columns where they lie through
+//! [`msj_geom::cast_slice`] and runs one validating pass. A store built
+//! in this process keeps its columns in `Vec`s instead;
+//! [`TrStarStore::columns`] resolves either to the same plain slices.
 //!
 //! Queries run over [`TrStarView`], a `Copy` pair of borrowed slices,
 //! with a fixed inline stack: the dual traversal pushes at most
@@ -40,10 +48,10 @@
 mod builder;
 
 use crate::cost::OpCounts;
-use crate::trapezoid::{decompose, Trapezoid};
+use crate::trapezoid::{decompose, Trapezoid, XSpan};
 use builder::TreeBuilder;
 use msj_geom::stack::InlineStack;
-use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, Relation};
+use msj_geom::{cast_slice, ObjectId, Plain, Point, PolygonWithHoles, Rect, Relation, SharedBytes};
 use std::fmt;
 use std::ops::Range;
 
@@ -54,7 +62,9 @@ const TRAP_BYTES: usize = 48;
 const LEAF_LANES: usize = 8;
 
 /// One node of the arena (see the module docs for the layout).
+/// `#[repr(C)]`: it is the image's 40-byte node record.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C)]
 struct NodeHeader {
     rect: Rect,
     /// First child, object-local: a node index when `level > 0`, a
@@ -64,6 +74,31 @@ struct NodeHeader {
     level: u16,
     count: u16,
 }
+
+// The two records are the image's: a change to either is a format change.
+const _: () = {
+    use std::mem::{align_of, offset_of, size_of};
+    assert!(size_of::<Rect>() == 32 && align_of::<Rect>() == 8);
+    assert!(size_of::<NodeHeader>() == NODE_BYTES && align_of::<NodeHeader>() == 8);
+    assert!(offset_of!(NodeHeader, rect) == 0 && offset_of!(NodeHeader, first) == 32);
+    assert!(offset_of!(NodeHeader, level) == 36 && offset_of!(NodeHeader, count) == 38);
+    assert!(size_of::<Trapezoid>() == TRAP_BYTES && align_of::<Trapezoid>() == 8);
+    assert!(offset_of!(Trapezoid, y_lo) == 0 && offset_of!(Trapezoid, y_hi) == 8);
+    assert!(offset_of!(Trapezoid, x_lo) == 16 && offset_of!(Trapezoid, x_hi) == 32);
+    assert!(size_of::<XSpan>() == 16 && offset_of!(XSpan, 1) == 8);
+};
+
+// SAFETY: `#[repr(C)]` over a `#[repr(C)]` `Rect` (four `f64`s), a `u32`
+// and two `u16`s: 40 bytes with no padding (asserted above), every bit
+// pattern a valid value, nothing interior-mutable. `Rect`'s ordered
+// bounds are a library invariant, checked by `TrStarColumns::validate`
+// before an image is adopted.
+unsafe impl Plain for NodeHeader {}
+
+// SAFETY: `#[repr(C)]` over two `f64`s and two `#[repr(C)]` `XSpan`s of
+// two `f64`s each: 48 bytes with no padding (asserted above), every bit
+// pattern a valid value, nothing interior-mutable.
+unsafe impl Plain for Trapezoid {}
 
 impl NodeHeader {
     #[inline]
@@ -75,17 +110,43 @@ impl NodeHeader {
 
 /// The TR*-trees of every object of a relation — the paper's decomposed
 /// object representation, built once at "insertion time" — as one flat
-/// arena (module docs).
-#[derive(Debug, Clone, PartialEq)]
+/// arena (module docs). The arena was either built in this process or
+/// adopted in place from a stored image; [`TrStarStore::columns`] hands
+/// out the same plain slices either way.
+#[derive(Clone)]
 pub struct TrStarStore {
     max_entries: u32,
+    columns: Columns,
+}
+
+/// Where a [`TrStarStore`]'s columns live.
+#[derive(Clone)]
+enum Columns {
+    /// Built in this process, one `Vec` per column.
+    Built(Built),
+    /// A validated image, viewed where it lies — inside a segment's
+    /// buffer, which it keeps alive.
+    Adopted(SharedBytes),
+}
+
+#[derive(Clone)]
+struct Built {
     node_offsets: Vec<u32>,
     trap_offsets: Vec<u32>,
     nodes: Vec<NodeHeader>,
     traps: Vec<Trapezoid>,
 }
 
-impl Drop for TrStarStore {
+impl Built {
+    /// Seals the object whose nodes and trapezoids were just appended.
+    fn close_object(&mut self) {
+        let as_offset = |len: usize| u32::try_from(len).expect("TR* arena exceeds u32 offsets");
+        self.node_offsets.push(as_offset(self.nodes.len()));
+        self.trap_offsets.push(as_offset(self.traps.len()));
+    }
+}
+
+impl Drop for Built {
     /// Trims the two big columns to one element before the allocator
     /// frees them, so that no multi-MB block is ever freed whole.
     ///
@@ -98,6 +159,12 @@ impl Drop for TrStarStore {
     /// resident set flipped by 5 MB from run to run on exactly that. A
     /// shrinking `realloc` hands the pages back without the side effect;
     /// under any other allocator it is one cheap call.
+    ///
+    /// An adopted arena has no block of its own to trim: its columns are
+    /// the segment's `AlignedBuf`, freed whole when the last handle on it
+    /// goes, like the buffer of every segment a load reads. Only a
+    /// process that opens a store frees one, and reading the segment had
+    /// already made that buffer an mmapped block of the same size.
     fn drop(&mut self) {
         self.nodes.clear();
         self.nodes.shrink_to(1);
@@ -106,12 +173,15 @@ impl Drop for TrStarStore {
     }
 }
 
-/// Why [`TrStarStore::from_bytes`] rejected a section.
+/// Why [`TrStarStore::adopt`] rejected a section.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrStarFormatError {
     /// The byte length does not match the counts in the header, or the
     /// header's reserved word is not zero.
     Length,
+    /// The image does not start on an 8-byte boundary, so its columns
+    /// cannot be viewed in place.
+    Misaligned,
     /// An offset table is not monotone, does not start at 0 or does not
     /// end at the column length, or an object has no root node.
     Offsets,
@@ -132,6 +202,7 @@ impl fmt::Display for TrStarFormatError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             TrStarFormatError::Length => "TR* arena length does not match its header",
+            TrStarFormatError::Misaligned => "TR* arena image is not 8-byte aligned",
             TrStarFormatError::Offsets => "TR* arena offset table malformed",
             TrStarFormatError::Fanout => "TR* arena node exceeds the node capacity",
             TrStarFormatError::ChildRange => "TR* arena child run out of place",
@@ -158,10 +229,13 @@ impl TrStarStore {
     pub fn build(relation: &Relation, max_entries: usize) -> Self {
         let vertices = relation.iter().map(|o| o.region.num_vertices()).sum();
         let regions = relation.iter().map(|o| &o.region);
-        let mut arena = Self::from_regions_sized(regions, max_entries, vertices);
-        arena.nodes.shrink_to_fit();
-        arena.traps.shrink_to_fit();
-        arena
+        let (max_entries, mut built) = Self::build_columns(regions, max_entries, vertices);
+        built.nodes.shrink_to_fit();
+        built.traps.shrink_to_fit();
+        TrStarStore {
+            max_entries,
+            columns: Columns::Built(built),
+        }
     }
 
     /// Builds one tree per region, in iteration order (object ids are
@@ -170,25 +244,29 @@ impl TrStarStore {
         regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
         max_entries: usize,
     ) -> Self {
-        Self::from_regions_sized(regions, max_entries, 0)
+        let (max_entries, built) = Self::build_columns(regions, max_entries, 0);
+        TrStarStore {
+            max_entries,
+            columns: Columns::Built(built),
+        }
     }
 
-    /// [`TrStarStore::from_regions`] with room for regions of `vertices`
-    /// vertices in total: a decomposition has at most one trapezoid per
-    /// vertex, and the generated relations need 1.1–1.73 nodes per
-    /// `M − 1` vertices at every M from 3 to 10 (0.22–0.33 per vertex at
-    /// M = 6). The reservation is 1.75; twice the need — what the M = 3
-    /// fit of `3 / (M − 1)` gave at M = 6 — measured 2.6 MB more peak
-    /// resident set on a 10k-object relation. (An estimate only sizes
-    /// the columns; past it they grow as any `Vec`.)
-    fn from_regions_sized<'r>(
+    /// The columns of [`TrStarStore::from_regions`] with room for regions
+    /// of `vertices` vertices in total, and the clamped node capacity: a
+    /// decomposition has at most one trapezoid per vertex, and the
+    /// generated relations need 1.1–1.73 nodes per `M − 1` vertices at
+    /// every M from 3 to 10 (0.22–0.33 per vertex at M = 6). The
+    /// reservation is 1.75; twice the need — what the M = 3 fit of
+    /// `3 / (M − 1)` gave at M = 6 — measured 2.6 MB more peak resident
+    /// set on a 10k-object relation. (An estimate only sizes the columns;
+    /// past it they grow as any `Vec`.)
+    fn build_columns<'r>(
         regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
         max_entries: usize,
         vertices: usize,
-    ) -> Self {
+    ) -> (u32, Built) {
         let max_entries = max_entries.clamp(2, u16::MAX as usize);
-        let mut arena = TrStarStore {
-            max_entries: max_entries as u32,
+        let mut built = Built {
             node_offsets: vec![0],
             trap_offsets: vec![0],
             nodes: Vec::with_capacity(7 * vertices / (4 * (max_entries - 1))),
@@ -197,31 +275,42 @@ impl TrStarStore {
         let mut builder = TreeBuilder::new(max_entries);
         for region in regions {
             builder.build(decompose(region));
-            builder.freeze_into(&mut arena);
+            builder.freeze_into(&mut built);
         }
-        arena
+        (max_entries as u32, built)
     }
 
-    /// Seals the object whose nodes and trapezoids were just appended.
-    fn close_object(&mut self) {
-        let as_offset = |len: usize| u32::try_from(len).expect("TR* arena exceeds u32 offsets");
-        self.node_offsets.push(as_offset(self.nodes.len()));
-        self.trap_offsets.push(as_offset(self.traps.len()));
+    /// The four columns as plain slices. Where they live — built here or
+    /// adopted from an image — is resolved in this call, so a run of
+    /// many tests resolves once and then indexes slices only.
+    #[inline]
+    pub fn columns(&self) -> TrStarColumns<'_> {
+        match &self.columns {
+            Columns::Built(b) => TrStarColumns {
+                node_offsets: &b.node_offsets,
+                trap_offsets: &b.trap_offsets,
+                nodes: &b.nodes,
+                traps: &b.traps,
+            },
+            Columns::Adopted(image) => {
+                image_columns(image)
+                    .expect("the image was laid out when it was adopted")
+                    .1
+            }
+        }
     }
 
-    /// The tree of object `id`.
+    /// The tree of object `id` — [`TrStarStore::columns`] then
+    /// [`TrStarColumns::get`]; a loop over many objects resolves the
+    /// columns once instead.
     #[inline]
     pub fn get(&self, id: ObjectId) -> TrStarView<'_> {
-        let i = id as usize;
-        TrStarView {
-            nodes: &self.nodes[self.node_offsets[i] as usize..self.node_offsets[i + 1] as usize],
-            traps: &self.traps[self.trap_offsets[i] as usize..self.trap_offsets[i + 1] as usize],
-        }
+        self.columns().get(id)
     }
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.node_offsets.len() - 1
+        self.columns().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -234,21 +323,22 @@ impl TrStarStore {
 
     /// Total trapezoids over all objects.
     pub fn num_trapezoids(&self) -> usize {
-        self.traps.len()
+        self.columns().traps.len()
     }
 
     /// Average tree height — the paper relates cost ratios to the ratio of
     /// average heights (7.6 / 5.0 for BW / Europe).
     pub fn avg_height(&self) -> f64 {
-        if self.is_empty() {
+        let c = self.columns();
+        if c.is_empty() {
             return 0.0;
         }
-        let roots = &self.node_offsets[..self.len()];
+        let roots = &c.node_offsets[..c.len()];
         let total: f64 = roots
             .iter()
-            .map(|&root| f64::from(self.nodes[root as usize].level) + 1.0)
+            .map(|&root| f64::from(c.nodes[root as usize].level) + 1.0)
             .sum();
-        total / self.len() as f64
+        total / c.len() as f64
     }
 
     /// Average number of trapezoids per object.
@@ -256,29 +346,27 @@ impl TrStarStore {
         if self.is_empty() {
             return 0.0;
         }
-        self.traps.len() as f64 / self.len() as f64
+        self.num_trapezoids() as f64 / self.len() as f64
     }
 
     /// The arena as its persistent image: a 32-byte header
     /// (`max_entries: u32`, zero `u32`, then object / node / trapezoid
     /// counts as `u64`) followed by the four columns of the module docs,
-    /// everything little-endian.
+    /// everything little-endian. Written field by field from the
+    /// columns, so an adopted arena re-encodes to the image it was
+    /// adopted from only if the in-place view reads every field back.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            HEADER_BYTES
-                + 4 * (self.node_offsets.len() + self.trap_offsets.len())
-                + NODE_BYTES * self.nodes.len()
-                + TRAP_BYTES * self.traps.len(),
-        );
+        let c = self.columns();
+        let mut out = Vec::with_capacity(image_len(c.len(), c.nodes.len(), c.traps.len()));
         out.extend_from_slice(&self.max_entries.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes());
-        for count in [self.len(), self.nodes.len(), self.traps.len()] {
+        for count in [c.len(), c.nodes.len(), c.traps.len()] {
             out.extend_from_slice(&(count as u64).to_le_bytes());
         }
-        for &o in self.node_offsets.iter().chain(&self.trap_offsets) {
+        for &o in c.node_offsets.iter().chain(c.trap_offsets) {
             out.extend_from_slice(&o.to_le_bytes());
         }
-        for n in &self.nodes {
+        for n in c.nodes {
             let mut rec = [0u8; NODE_BYTES];
             put_f64s(&mut rec, &n.rect.bounds());
             rec[32..36].copy_from_slice(&n.first.to_le_bytes());
@@ -286,7 +374,7 @@ impl TrStarStore {
             rec[38..40].copy_from_slice(&n.count.to_le_bytes());
             out.extend_from_slice(&rec);
         }
-        for t in &self.traps {
+        for t in c.traps {
             let mut rec = [0u8; TRAP_BYTES];
             put_f64s(
                 &mut rec,
@@ -297,74 +385,150 @@ impl TrStarStore {
         out
     }
 
-    /// Adopts a [`TrStarStore::to_bytes`] image: one pass to lift the
-    /// columns out of the byte stream, one to validate them. Nothing is
-    /// allocated before the length implied by the header's counts has
-    /// been checked against `bytes`.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TrStarFormatError> {
-        if bytes.len() < HEADER_BYTES || u32_at(bytes, 4) != 0 {
-            return Err(TrStarFormatError::Length);
-        }
-        let count_at = |at: usize| usize::try_from(u64_at(bytes, at)).ok();
-        let (Some(objects), Some(nodes), Some(traps)) = (count_at(8), count_at(16), count_at(24))
-        else {
-            return Err(TrStarFormatError::Length);
-        };
-        let layout = (|| {
-            let offsets_bytes = objects.checked_add(1)?.checked_mul(4)?;
-            let total = HEADER_BYTES
-                .checked_add(offsets_bytes.checked_mul(2)?)?
-                .checked_add(nodes.checked_mul(NODE_BYTES)?)?
-                .checked_add(traps.checked_mul(TRAP_BYTES)?)?;
-            (total == bytes.len()).then_some(offsets_bytes)
-        })();
-        let Some(offsets_bytes) = layout else {
-            return Err(TrStarFormatError::Length);
-        };
-        let (node_offsets, rest) = bytes[HEADER_BYTES..].split_at(offsets_bytes);
-        let (trap_offsets, rest) = rest.split_at(offsets_bytes);
-        let (node_bytes, trap_bytes) = rest.split_at(nodes * NODE_BYTES);
-        let u32s = |col: &[u8]| col.chunks_exact(4).map(|c| u32_at(c, 0)).collect();
-        let nodes = node_bytes
-            .chunks_exact(NODE_BYTES)
-            .map(|c| {
-                Some(NodeHeader {
-                    rect: Rect::from_ordered_bounds(std::array::from_fn(|k| f64_at(c, 8 * k)))?,
-                    first: u32_at(c, 32),
-                    level: u16::from_le_bytes([c[36], c[37]]),
-                    count: u16::from_le_bytes([c[38], c[39]]),
-                })
-            })
-            .collect::<Option<Vec<_>>>()
-            .ok_or(TrStarFormatError::Rect)?;
-        let arena = TrStarStore {
-            max_entries: u32_at(bytes, 0),
-            node_offsets: u32s(node_offsets),
-            trap_offsets: u32s(trap_offsets),
-            nodes,
-            traps: trap_bytes
-                .chunks_exact(TRAP_BYTES)
-                .map(|c| Trapezoid {
-                    y_lo: f64_at(c, 0),
-                    y_hi: f64_at(c, 8),
-                    x_lo: (f64_at(c, 16), f64_at(c, 24)),
-                    x_hi: (f64_at(c, 32), f64_at(c, 40)),
-                })
-                .collect(),
-        };
-        arena.validate()?;
-        Ok(arena)
+    /// Adopts a [`TrStarStore::to_bytes`] image where it lies: the
+    /// header's counts are checked against the length, the columns are
+    /// viewed in place, and one validating pass checks what every
+    /// traversal relies on (the offset tables, fan-out, child runs,
+    /// levels and ordered node rectangles; [`TrStarFormatError`] lists
+    /// them). Nothing is copied; the arena keeps `image`'s buffer alive.
+    pub fn adopt(image: SharedBytes) -> Result<Self, TrStarFormatError> {
+        let (max_entries, columns) = image_columns(&image)?;
+        columns.validate(max_entries)?;
+        Ok(TrStarStore {
+            max_entries,
+            columns: Columns::Adopted(image),
+        })
     }
 
-    /// The structural invariants every traversal relies on, checked in
-    /// one linear pass: each object has a root; every node's child run
-    /// is the *next unclaimed* run of its object's nodes (directory) or
-    /// trapezoids (leaf), so no entry has two parents or none; fan-out
-    /// is within the node capacity (which bounds the traversal stack);
-    /// and a directory node's children sit exactly one level below it,
-    /// so every descent terminates.
-    fn validate(&self) -> Result<(), TrStarFormatError> {
-        if !(2..=u32::from(u16::MAX)).contains(&self.max_entries) {
+    /// [`TrStarStore::adopt`] for a caller that holds only a `&[u8]`: the
+    /// bytes are copied into a page-aligned buffer of their own first.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, TrStarFormatError> {
+        Self::adopt(SharedBytes::copy_of(bytes))
+    }
+}
+
+impl PartialEq for TrStarStore {
+    /// Equal arenas hold equal columns, wherever each one lives.
+    fn eq(&self, other: &Self) -> bool {
+        self.max_entries == other.max_entries && self.columns() == other.columns()
+    }
+}
+
+impl fmt::Debug for TrStarStore {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let c = self.columns();
+        f.debug_struct("TrStarStore")
+            .field("max_entries", &self.max_entries)
+            .field("objects", &c.len())
+            .field("nodes", &c.nodes.len())
+            .field("trapezoids", &c.traps.len())
+            .field("adopted", &matches!(self.columns, Columns::Adopted(_)))
+            .finish()
+    }
+}
+
+/// Image bytes of an arena of these counts; `None` on overflow.
+fn checked_image_len(objects: usize, nodes: usize, traps: usize) -> Option<usize> {
+    HEADER_BYTES
+        .checked_add(objects.checked_add(1)?.checked_mul(8)?)?
+        .checked_add(nodes.checked_mul(NODE_BYTES)?)?
+        .checked_add(traps.checked_mul(TRAP_BYTES)?)
+}
+
+fn image_len(objects: usize, nodes: usize, traps: usize) -> usize {
+    checked_image_len(objects, nodes, traps).expect("a resident arena's image fits usize")
+}
+
+/// The header's node capacity and the four columns of `image`, viewed in
+/// place — after the counts have been checked against the length and
+/// before anything else is.
+fn image_columns(image: &[u8]) -> Result<(u32, TrStarColumns<'_>), TrStarFormatError> {
+    if image.len() < HEADER_BYTES || u32_at(image, 4) != 0 {
+        return Err(TrStarFormatError::Length);
+    }
+    let count_at = |at: usize| usize::try_from(u64_at(image, at)).ok();
+    let (Some(objects), Some(nodes), Some(traps)) = (count_at(8), count_at(16), count_at(24))
+    else {
+        return Err(TrStarFormatError::Length);
+    };
+    if checked_image_len(objects, nodes, traps) != Some(image.len()) {
+        return Err(TrStarFormatError::Length);
+    }
+    let offsets_bytes = 4 * (objects + 1);
+    let (node_offsets, rest) = image[HEADER_BYTES..].split_at(offsets_bytes);
+    let (trap_offsets, rest) = rest.split_at(offsets_bytes);
+    let (nodes, traps) = rest.split_at(nodes * NODE_BYTES);
+    let columns = TrStarColumns {
+        node_offsets: column(node_offsets)?,
+        trap_offsets: column(trap_offsets)?,
+        nodes: column(nodes)?,
+        traps: column(traps)?,
+    };
+    Ok((u32_at(image, 0), columns))
+}
+
+/// One column of an image whose length is already checked, in place. Its
+/// start is 8-byte aligned exactly when the image's is: the header is 32
+/// bytes, the two offset tables `8 · (objects + 1)` together, a node 40.
+fn column<T: Plain>(bytes: &[u8]) -> Result<&[T], TrStarFormatError> {
+    cast_slice(bytes).map_err(|_| TrStarFormatError::Misaligned)
+}
+
+fn put_f64s(rec: &mut [u8], values: &[f64]) {
+    for (dst, v) in rec.chunks_exact_mut(8).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
+}
+
+/// A [`TrStarStore`]'s four columns as plain slices
+/// ([`TrStarStore::columns`]): object lookups index them with no further
+/// question of where they live.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrStarColumns<'a> {
+    node_offsets: &'a [u32],
+    trap_offsets: &'a [u32],
+    nodes: &'a [NodeHeader],
+    traps: &'a [Trapezoid],
+}
+
+impl<'a> TrStarColumns<'a> {
+    /// The tree of object `id`.
+    #[inline]
+    pub fn get(&self, id: ObjectId) -> TrStarView<'a> {
+        let i = id as usize;
+        TrStarView {
+            nodes: &self.nodes[self.node_offsets[i] as usize..self.node_offsets[i + 1] as usize],
+            traps: &self.traps[self.trap_offsets[i] as usize..self.trap_offsets[i + 1] as usize],
+        }
+    }
+
+    /// Number of objects.
+    pub fn len(&self) -> usize {
+        self.node_offsets.len().saturating_sub(1)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The invariants every traversal relies on, checked in one linear
+    /// pass: the node capacity is in `2..=u16::MAX`; each object has a
+    /// root; every node rectangle has ordered bounds (no NaN); every
+    /// node's child run is the *next unclaimed* run of its object's nodes
+    /// (directory) or trapezoids (leaf), so no entry has two parents or
+    /// none; fan-out is within the node capacity (which bounds the
+    /// traversal stack); and a directory node's children sit exactly one
+    /// level below it, so every descent terminates.
+    fn validate(&self, max_entries: u32) -> Result<(), TrStarFormatError> {
+        if !(2..=u32::from(u16::MAX)).contains(&max_entries) {
             return Err(TrStarFormatError::Fanout);
         }
         let well_formed = |offsets: &[u32], len: usize| {
@@ -372,8 +536,8 @@ impl TrStarStore {
                 && offsets.last().map(|&o| o as usize) == Some(len)
                 && offsets.windows(2).all(|w| w[0] <= w[1])
         };
-        if !well_formed(&self.node_offsets, self.nodes.len())
-            || !well_formed(&self.trap_offsets, self.traps.len())
+        if !well_formed(self.node_offsets, self.nodes.len())
+            || !well_formed(self.trap_offsets, self.traps.len())
         {
             return Err(TrStarFormatError::Offsets);
         }
@@ -384,7 +548,10 @@ impl TrStarStore {
             }
             let (mut next_node, mut next_trap) = (1usize, 0usize);
             for node in tree.nodes {
-                if u32::from(node.count) > self.max_entries {
+                if Rect::from_ordered_bounds(node.rect.bounds()).is_none() {
+                    return Err(TrStarFormatError::Rect);
+                }
+                if u32::from(node.count) > max_entries {
                     return Err(TrStarFormatError::Fanout);
                 }
                 let run = node.children();
@@ -409,24 +576,6 @@ impl TrStarStore {
         }
         Ok(())
     }
-}
-
-fn put_f64s(rec: &mut [u8], values: &[f64]) {
-    for (dst, v) in rec.chunks_exact_mut(8).zip(values) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn u32_at(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4-byte slice"))
-}
-
-fn u64_at(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
-}
-
-fn f64_at(bytes: &[u8], at: usize) -> f64 {
-    f64::from_bits(u64_at(bytes, at))
 }
 
 /// The TR*-tree of one object: borrowed runs of a [`TrStarStore`]'s node
@@ -761,14 +910,25 @@ mod tests {
         assert!(trees_intersect(s.get(0), s.get(2), &mut c));
     }
 
+    /// `image` at byte `at` of a fresh page-aligned buffer.
+    fn placed(image: &[u8], at: usize) -> SharedBytes {
+        let mut buf = msj_geom::AlignedBuf::zeroed(at + image.len());
+        buf.as_mut_slice()[at..].copy_from_slice(image);
+        SharedBytes::new(std::sync::Arc::new(buf), at..at + image.len())
+    }
+
     #[test]
     fn bytes_round_trip_and_builds_pass_validation() {
         let regions = [blob(20, 0.0, 0.0, 0.0), blob(90, 4.0, 1.0, 1.0)];
         for m in [2usize, 3, 4, 5, 9] {
             let s = TrStarStore::from_regions(&regions, m);
-            s.validate().expect("built arena is canonical");
+            s.columns()
+                .validate(s.max_entries)
+                .expect("built arena is canonical");
             let back = TrStarStore::from_bytes(&s.to_bytes()).expect("round trip");
+            assert!(matches!(back.columns, Columns::Adopted(_)));
             assert_eq!(back, s);
+            assert_eq!(back.to_bytes(), s.to_bytes());
         }
         let empty = TrStarStore::from_regions([], 3);
         assert_eq!(TrStarStore::from_bytes(&empty.to_bytes()).unwrap(), empty);
@@ -776,12 +936,94 @@ mod tests {
     }
 
     #[test]
+    fn an_adopted_arena_is_its_image_in_place() {
+        let regions = [blob(40, 0.0, 0.0, 0.0), blob(70, 3.0, 1.0, 2.0)];
+        let built = TrStarStore::from_regions(&regions, 6);
+        let image = built.to_bytes();
+        let shared = placed(&image, PAGE_SIZE);
+        let adopted = TrStarStore::adopt(shared.clone()).expect("own image adopts");
+        assert_eq!(adopted, built);
+        // Nothing was copied: both big columns point into the image.
+        let span = shared.as_ptr_range();
+        let columns = adopted.columns();
+        assert!(span.contains(&columns.nodes.as_ptr().cast()));
+        assert!(span.contains(&columns.traps.as_ptr().cast()));
+        let mut c1 = OpCounts::new();
+        let mut c2 = OpCounts::new();
+        assert_eq!(
+            trees_intersect(adopted.get(0), adopted.get(1), &mut c1),
+            trees_intersect(built.get(0), built.get(1), &mut c2)
+        );
+        assert_eq!(c1, c2);
+        // An image whose start is not 8-byte aligned cannot be viewed in
+        // place; one 8 bytes in can.
+        for at in 1..8 {
+            let err = TrStarStore::adopt(placed(&image, at));
+            assert_eq!(err, Err(TrStarFormatError::Misaligned), "image at {at}");
+        }
+        assert_eq!(TrStarStore::adopt(placed(&image, 8)).unwrap(), built);
+    }
+
+    const PAGE_SIZE: usize = msj_geom::PAGE_SIZE;
+
+    /// The cast helper's boundaries on both image records: every start 1–7
+    /// bytes off alignment is refused, a length that is not a whole number
+    /// of records is refused, zero bytes are an empty slice, and an exact
+    /// fit reads back the records the image was written from.
+    #[test]
+    fn record_casts_check_alignment_and_length() {
+        let built = TrStarStore::from_regions([&blob(50, 0.0, 0.0, 0.0)], 4);
+        let image = built.to_bytes();
+        let c = built.columns();
+        let nodes_at = HEADER_BYTES + 8 * (c.len() + 1);
+        let traps_at = nodes_at + NODE_BYTES * c.nodes.len();
+        let shared = placed(&image, 0);
+        let node_bytes = &shared[nodes_at..traps_at];
+        let trap_bytes = &shared[traps_at..];
+        assert!(c.nodes.len() >= 2 && c.traps.len() >= 2);
+
+        for off in 1..8 {
+            // Whole records, so only the alignment check can refuse them.
+            let nodes = &shared[nodes_at + off..nodes_at + off + NODE_BYTES];
+            let traps = &shared[traps_at + off..traps_at + off + TRAP_BYTES];
+            assert!(cast_slice::<NodeHeader>(nodes).is_err(), "node at +{off}");
+            assert!(
+                cast_slice::<Trapezoid>(traps).is_err(),
+                "trapezoid at +{off}"
+            );
+        }
+        for len in [1, NODE_BYTES - 1, NODE_BYTES + 1, 2 * NODE_BYTES - 8] {
+            assert!(
+                cast_slice::<NodeHeader>(&node_bytes[..len]).is_err(),
+                "{len} B"
+            );
+        }
+        for len in [1, 8, TRAP_BYTES - 8, TRAP_BYTES + 8] {
+            assert!(
+                cast_slice::<Trapezoid>(&trap_bytes[..len]).is_err(),
+                "{len} B"
+            );
+        }
+        assert_eq!(cast_slice::<NodeHeader>(&node_bytes[..0]), Ok(&[][..]));
+        assert_eq!(cast_slice::<Trapezoid>(&trap_bytes[..0]), Ok(&[][..]));
+        assert_eq!(cast_slice::<NodeHeader>(node_bytes), Ok(c.nodes));
+        assert_eq!(cast_slice::<Trapezoid>(trap_bytes), Ok(c.traps));
+        assert_eq!(
+            cast_slice::<NodeHeader>(&node_bytes[..NODE_BYTES]),
+            Ok(&c.nodes[..1])
+        );
+    }
+
+    #[test]
     fn hostile_arenas_are_rejected() {
         let valid = store(&[&blob(60, 0.0, 0.0, 0.0), &blob(30, 5.0, 0.0, 0.0)]);
         assert!(valid.get(0).height() >= 3);
-        let rejects = |mutate: &dyn Fn(&mut TrStarStore), want: TrStarFormatError| {
+        let rejects = |mutate: &dyn Fn(&mut Built), want: TrStarFormatError| {
             let mut s = valid.clone();
-            mutate(&mut s);
+            let Columns::Built(built) = &mut s.columns else {
+                unreachable!("built by `store`")
+            };
+            mutate(built);
             assert_eq!(TrStarStore::from_bytes(&s.to_bytes()), Err(want));
         };
         // A directory node listing itself as a child: the cycle that used
@@ -821,8 +1063,20 @@ mod tests {
             &|s| s.trap_offsets[1] += 1_000_000,
             TrStarFormatError::Offsets,
         );
-        rejects(&|s| s.max_entries = 1, TrStarFormatError::Fanout);
+        let mut s = valid.clone();
+        s.max_entries = 1;
+        assert_eq!(
+            TrStarStore::from_bytes(&s.to_bytes()),
+            Err(TrStarFormatError::Fanout)
+        );
         let bytes = valid.to_bytes();
+        // Node rectangles: unordered or NaN bounds, in the last node.
+        let last_node = bytes.len() - TRAP_BYTES * valid.num_trapezoids() - NODE_BYTES;
+        for (k, v) in [(0, f64::NAN), (1, f64::INFINITY), (2, f64::NEG_INFINITY)] {
+            let mut bad = bytes.clone();
+            bad[last_node + 8 * k..][..8].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(TrStarStore::from_bytes(&bad), Err(TrStarFormatError::Rect));
+        }
         assert_eq!(
             TrStarStore::from_bytes(&bytes[..bytes.len() - 1]),
             Err(TrStarFormatError::Length)

@@ -13,7 +13,7 @@
 //! One builder serves every object of a store, so after the largest
 //! object its columns never grow again.
 
-use super::{NodeHeader, TrStarStore};
+use super::{Built, NodeHeader};
 use crate::trapezoid::Trapezoid;
 use msj_geom::Rect;
 
@@ -99,7 +99,7 @@ impl TreeBuilder {
     /// trapezoids alike — occupy one contiguous run in the order the
     /// builder held them; the dual traversal therefore visits exactly
     /// the sequence the pointer tree would.
-    pub(super) fn freeze_into(&mut self, arena: &mut TrStarStore) {
+    pub(super) fn freeze_into(&mut self, arena: &mut Built) {
         let trap_base = arena.traps.len();
         let mut order = std::mem::take(&mut self.bfs);
         order.push(self.root);

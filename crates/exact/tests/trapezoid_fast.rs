@@ -6,7 +6,7 @@
 //! fixed-width `convex_intersect`) answers what the slice-generic SAT
 //! does, repeated corners of triangle rings included.
 
-use msj_exact::Trapezoid;
+use msj_exact::{Trapezoid, XSpan};
 use msj_geom::convex_intersect_slices;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,8 +22,8 @@ fn generic(rng: &mut StdRng) -> Trapezoid {
     Trapezoid {
         y_lo,
         y_hi: y_lo + rng.gen_range(0.01..6.0),
-        x_lo: (left, left + rng.gen_range(0.0..6.0)),
-        x_hi: (top_left, top_left + rng.gen_range(0.0..6.0)),
+        x_lo: XSpan(left, left + rng.gen_range(0.0..6.0)),
+        x_hi: XSpan(top_left, top_left + rng.gen_range(0.0..6.0)),
     }
 }
 
@@ -56,14 +56,14 @@ fn pair(rng: &mut StdRng, kind: usize) -> (Trapezoid, Trapezoid) {
         1 => {
             b.y_lo = a.y_lo;
             b.y_hi = a.y_hi;
-            b.x_lo = (nudge(a.x_lo.1, ulps), a.x_lo.1 + 2.0);
-            b.x_hi = (nudge(a.x_hi.1, ulps), a.x_hi.1 + 2.0);
+            b.x_lo = XSpan(nudge(a.x_lo.1, ulps), a.x_lo.1 + 2.0);
+            b.x_hi = XSpan(nudge(a.x_hi.1, ulps), a.x_hi.1 + 2.0);
         }
         // One shared corner: b's bottom-left on a's top-right.
         2 => {
             b.y_lo = a.y_hi;
             b.y_hi = a.y_hi + 1.5;
-            b.x_lo = (nudge(a.x_hi.1, ulps), a.x_hi.1 + 1.0);
+            b.x_lo = XSpan(nudge(a.x_hi.1, ulps), a.x_hi.1 + 1.0);
         }
         // Degenerate triangle poking at a's right side from inside its
         // y-range.
@@ -72,8 +72,8 @@ fn pair(rng: &mut StdRng, kind: usize) -> (Trapezoid, Trapezoid) {
             let tip = nudge(right_at(&a, y), ulps * 8);
             b.y_lo = a.y_lo - 1.0;
             b.y_hi = y;
-            b.x_lo = (tip + 1.0, tip + 3.0);
-            b.x_hi = (tip, tip);
+            b.x_lo = XSpan(tip + 1.0, tip + 3.0);
+            b.x_hi = XSpan(tip, tip);
         }
         // Zero height.
         4 => b.y_hi = b.y_lo,
@@ -83,15 +83,15 @@ fn pair(rng: &mut StdRng, kind: usize) -> (Trapezoid, Trapezoid) {
             let x = nudge(right_at(&a, y), ulps * 4);
             b.y_lo = a.y_lo;
             b.y_hi = a.y_hi;
-            b.x_lo = (x, nudge(x, 2));
-            b.x_hi = (x, nudge(x, 3));
+            b.x_lo = XSpan(x, nudge(x, 2));
+            b.x_hi = XSpan(x, nudge(x, 3));
         }
         // Near-horizontal slanted sides in a thin common band.
         6 => {
             b.y_lo = a.y_hi - 1e-9;
             b.y_hi = b.y_lo + 3e-9;
-            b.x_lo = (a.x_hi.1 - 4.0, a.x_hi.1 - 3.0);
-            b.x_hi = (a.x_hi.1 + 3.0, a.x_hi.1 + 4.0);
+            b.x_lo = XSpan(a.x_hi.1 - 4.0, a.x_hi.1 - 3.0);
+            b.x_hi = XSpan(a.x_hi.1 + 3.0, a.x_hi.1 + 4.0);
         }
         // Touching bases: b stands on a's top side.
         7 => {
@@ -101,18 +101,18 @@ fn pair(rng: &mut StdRng, kind: usize) -> (Trapezoid, Trapezoid) {
         // Two triangles, apex on apex give or take a few ulps: both
         // rings repeat a corner (a's at the end, b's at the start).
         8 => {
-            a.x_hi = (a.x_hi.0, a.x_hi.0);
+            a.x_hi = XSpan(a.x_hi.0, a.x_hi.0);
             b.y_lo = a.y_hi;
             b.y_hi = a.y_hi + 1.5;
-            b.x_lo = (nudge(a.x_hi.0, ulps), nudge(a.x_hi.0, ulps));
+            b.x_lo = XSpan(nudge(a.x_hi.0, ulps), nudge(a.x_hi.0, ulps));
         }
         // b to a's left at the band bottom and to its right at the top:
         // the sides cross inside the band.
         _ => {
             b.y_lo = a.y_lo;
             b.y_hi = a.y_hi;
-            b.x_lo = (a.x_lo.0 - 3.0, a.x_lo.0 - 1.0);
-            b.x_hi = (a.x_hi.1 + 1.0, a.x_hi.1 + 3.0);
+            b.x_lo = XSpan(a.x_lo.0 - 3.0, a.x_lo.0 - 1.0);
+            b.x_hi = XSpan(a.x_hi.1 + 1.0, a.x_hi.1 + 3.0);
         }
     }
     let (scale, shift) = match rng.gen_range(0..4) {
@@ -124,8 +124,8 @@ fn pair(rng: &mut StdRng, kind: usize) -> (Trapezoid, Trapezoid) {
     let map = |t: Trapezoid| Trapezoid {
         y_lo: t.y_lo * scale + shift,
         y_hi: t.y_hi * scale + shift,
-        x_lo: (t.x_lo.0 * scale + shift, t.x_lo.1 * scale + shift),
-        x_hi: (t.x_hi.0 * scale + shift, t.x_hi.1 * scale + shift),
+        x_lo: XSpan(t.x_lo.0 * scale + shift, t.x_lo.1 * scale + shift),
+        x_hi: XSpan(t.x_hi.0 * scale + shift, t.x_hi.1 * scale + shift),
     };
     (map(a), map(b))
 }

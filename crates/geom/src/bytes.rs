@@ -17,8 +17,17 @@
 //! `u64` element-count prefix; the decoder checks each count against
 //! the bytes that remain before anything is sized from it, so a corrupted
 //! count is a decode error, never an over-allocation. A decoded column is
-//! a [`Col`] borrowed from the payload — decoders build their live
-//! structures straight from it, with no intermediate copy.
+//! a [`Col`] borrowed from the payload; those decoders copy it into the
+//! live structure, element by element.
+//!
+//! One image is not decoded at all: the TR* arena's is already its
+//! resident layout, so its loader validates the section and keeps it
+//! where it lies. [`SharedBytes`] is such a section — a byte range of an
+//! `Arc`-shared [`AlignedBuf`] that outlives the segment read — and
+//! [`cast_slice`] views an aligned range of it as `&[T]` for a [`Plain`]
+//! record type. `cast_slice` holds this crate's one `unsafe` block outside
+//! the SIMD kernels; it checks alignment and record length, and builds
+//! only on little-endian targets, where native order is the image's.
 //!
 //! [`AlignedBuf`] is a `Vec<u8>` whose payload starts on a [`PAGE_SIZE`]
 //! boundary (segment files are read back into one of these — one aligned
@@ -47,6 +56,8 @@
 //! differently.
 
 use std::marker::PhantomData;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// The store's page size in bytes. Matches the paper's 4 KB R*-tree page
 /// (§3.4) and the common OS page, so an aligned buffer is also
@@ -185,6 +196,103 @@ impl AlignedBuf {
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         &mut self.raw[self.offset..self.offset + self.len]
     }
+}
+
+/// A byte range of an `Arc`-shared [`AlignedBuf`]: a verified store
+/// section that an artifact can keep where it lies. Cloning shares the
+/// buffer; the buffer is freed with its last range.
+#[derive(Clone)]
+pub struct SharedBytes {
+    buf: Arc<AlignedBuf>,
+    range: Range<usize>,
+}
+
+impl SharedBytes {
+    /// The bytes `range` of `buf`. Panics when `range` is not inside it.
+    pub fn new(buf: Arc<AlignedBuf>, range: Range<usize>) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= buf.len(),
+            "range outside the buffer"
+        );
+        SharedBytes { buf, range }
+    }
+
+    /// A copy of `bytes` in a buffer of its own, starting on a page
+    /// boundary — how a caller holding only a `&[u8]` reaches a loader
+    /// that adopts in place.
+    pub fn copy_of(bytes: &[u8]) -> Self {
+        let mut buf = AlignedBuf::zeroed(bytes.len());
+        buf.as_mut_slice().copy_from_slice(bytes);
+        SharedBytes::new(Arc::new(buf), 0..bytes.len())
+    }
+
+    #[inline]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf.as_slice()[self.range.clone()]
+    }
+}
+
+impl Deref for SharedBytes {
+    type Target = [u8];
+
+    #[inline]
+    fn deref(&self) -> &[u8] {
+        self.as_slice()
+    }
+}
+
+impl std::fmt::Debug for SharedBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SharedBytes")
+            .field("range", &self.range)
+            .field("buffer_len", &self.buf.len())
+            .finish()
+    }
+}
+
+/// A record type that [`cast_slice`] may view image bytes as, in place.
+///
+/// # Safety
+///
+/// An implementor is a primitive integer or float, or a `#[repr(C)]`
+/// struct of `Plain` fields with no padding bytes and no interior
+/// mutability. Then every initialised pattern of `size_of::<Self>()`
+/// bytes is a valid value, and a shared `&[Self]` over shared bytes
+/// aliases nothing mutable. Library invariants a value must also hold
+/// (ordered rectangle bounds, say) are the adopting loader's to check:
+/// breaking them is a wrong answer, never undefined behaviour. Each
+/// implementor pins its size, alignment and field offsets to its image
+/// record with compile-time assertions next to the `unsafe impl`.
+pub unsafe trait Plain: Copy + Send + Sync + 'static {}
+
+// SAFETY: four bytes, every pattern a valid `u32`, no padding, no
+// interior mutability.
+unsafe impl Plain for u32 {}
+
+/// Views `bytes` as `bytes.len() / size_of::<T>()` records of `T`, in
+/// place. Refuses a start that is not aligned for `T` and a length that is
+/// not a whole number of records; zero bytes are an empty slice. The
+/// records are read in native byte order, so the helper builds only on
+/// little-endian targets, where that is the images' order.
+#[cfg(target_endian = "little")]
+pub fn cast_slice<T: Plain>(bytes: &[u8]) -> DecResult<&[T]> {
+    let size = const {
+        assert!(std::mem::size_of::<T>() > 0, "zero-sized record");
+        std::mem::size_of::<T>()
+    };
+    if !(bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>()) {
+        return Err("column misaligned for its record type");
+    }
+    if !bytes.len().is_multiple_of(size) {
+        return Err("column is not a whole number of records");
+    }
+    // SAFETY: the pointer is non-null and aligned for `T` (checked
+    // above); the `bytes.len() / size` records cover exactly `bytes`
+    // (checked above), which is initialised, in one allocation, and
+    // borrowed shared for the returned lifetime; `T: Plain` makes every
+    // byte pattern a valid `T` with nothing interior-mutable (trait
+    // contract), and native order is little-endian (`cfg`).
+    Ok(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / size) })
 }
 
 /// Append-only little-endian encoder over a growable byte buffer.
@@ -401,6 +509,42 @@ mod tests {
                 assert_eq!(buf.as_slice()[len - 1], 0xAB);
             }
         }
+    }
+
+    #[test]
+    fn cast_slice_refuses_misaligned_and_partial_columns() {
+        let mut buf = AlignedBuf::zeroed(64);
+        for (i, b) in buf.as_mut_slice().iter_mut().enumerate() {
+            *b = i as u8;
+        }
+        let bytes = buf.as_slice();
+        for start in 1..4 {
+            let err = cast_slice::<u32>(&bytes[start..start + 8]);
+            assert_eq!(
+                err,
+                Err("column misaligned for its record type"),
+                "start {start}"
+            );
+        }
+        for len in [1, 2, 3, 5, 7] {
+            let err = cast_slice::<u32>(&bytes[..len]);
+            assert_eq!(
+                err,
+                Err("column is not a whole number of records"),
+                "len {len}"
+            );
+        }
+        assert_eq!(cast_slice::<u32>(&bytes[4..4]), Ok(&[][..]));
+        let words = cast_slice::<u32>(&bytes[4..12]).expect("exact fit");
+        assert_eq!(words, [0x0706_0504, 0x0b0a_0908]);
+        let shared = SharedBytes::new(std::sync::Arc::new(buf), 8..24);
+        assert_eq!(shared.len(), 16);
+        assert_eq!(shared[0], 8);
+        assert_eq!(SharedBytes::copy_of(&shared).as_slice(), &shared[..]);
+        assert_eq!(
+            SharedBytes::copy_of(&shared).as_ptr() as usize % PAGE_SIZE,
+            0
+        );
     }
 
     #[test]

@@ -529,8 +529,28 @@ unsafe fn rect_pairs_sse2(
 // Kernel 4: id-gathered point-in-rect / window-vs-rect masks.
 // ---------------------------------------------------------------------
 
+/// Panics unless every id indexes `rects` and, on the AVX2 arm, is below
+/// 2^29 — the obligations of the gathered-id kernels' wide arms, which
+/// load `rects[id]` unchecked. Checked in every build before any arm
+/// runs, like the column lengths of [`sweep_scan`].
+fn check_gathered_ids(d: KernelDispatch, rects: &[Rect], ids: &[u32]) {
+    let Some(max) = ids.iter().copied().max() else {
+        return;
+    };
+    assert!(
+        (max as usize) < rects.len(),
+        "gathered id {max} out of range of {} rects",
+        rects.len()
+    );
+    assert!(
+        d != KernelDispatch::Avx2 || max < 1 << 29,
+        "gathered id {max} overflows an AVX2 gather lane"
+    );
+}
+
 /// For every id pushes whether `rects[id].contains_point(p)` (closed
 /// semantics). NaN-sentinel rectangles contain nothing in every path.
+/// Panics if an id is `≥ rects.len()` (or `≥ 2^29` on AVX2).
 pub fn rects_contain_point(
     d: KernelDispatch,
     rects: &[Rect],
@@ -538,16 +558,15 @@ pub fn rects_contain_point(
     p: Point,
     out: &mut Vec<bool>,
 ) {
+    check_gathered_ids(d, rects, ids);
     match d {
         KernelDispatch::Scalar => rects_contain_point_scalar(rects, ids, p, out),
-        // SAFETY: SSE2 was detected when `d` was selected; `ids` are the
-        // probe's candidates, object ids of the relation `rects` has one
-        // entry per object of, so each is `< rects.len()`.
+        // SAFETY: SSE2 was detected when `d` was selected; every id is
+        // `< rects.len()` (checked above).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe { rects_contain_point_sse2(rects, ids, p, out) },
-        // SAFETY: AVX2 was detected when `d` was selected; ids in range as
-        // for the SSE2 arm, and below 2^29 (a column of 2^29 `Rect`s
-        // would be 16 GiB).
+        // SAFETY: AVX2 was detected when `d` was selected; every id is
+        // `< rects.len()` and `< 2^29` (checked above).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Avx2 => unsafe { rects_contain_point_avx2(rects, ids, p, out) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -617,7 +636,7 @@ unsafe fn rects_contain_point_sse2(rects: &[Rect], ids: &[u32], p: Point, out: &
 
 /// For every id pushes whether `rects[id].intersects(q)` (closed
 /// semantics) — the window-probe companion of
-/// [`rects_contain_point`].
+/// [`rects_contain_point`], with the same id checks.
 pub fn rects_intersect_query(
     d: KernelDispatch,
     rects: &[Rect],
@@ -625,14 +644,15 @@ pub fn rects_intersect_query(
     q: &Rect,
     out: &mut Vec<bool>,
 ) {
+    check_gathered_ids(d, rects, ids);
     match d {
         KernelDispatch::Scalar => rects_intersect_query_scalar(rects, ids, q, out),
-        // SAFETY: SSE2 was detected when `d` was selected; `ids` are the
-        // probe's candidates, each `< rects.len()` (one entry per object).
+        // SAFETY: SSE2 was detected when `d` was selected; every id is
+        // `< rects.len()` (checked above).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Sse2 => unsafe { rects_intersect_query_sse2(rects, ids, q, out) },
-        // SAFETY: AVX2 was detected when `d` was selected; ids in range as
-        // for the SSE2 arm, and below 2^29.
+        // SAFETY: AVX2 was detected when `d` was selected; every id is
+        // `< rects.len()` and `< 2^29` (checked above).
         #[cfg(target_arch = "x86_64")]
         KernelDispatch::Avx2 => unsafe { rects_intersect_query_avx2(rects, ids, q, out) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -874,6 +894,42 @@ mod tests {
                 let mut got = Vec::new();
                 rect_pairs_intersect(d, &rects_a, &rects_b, &pairs, &mut got);
                 assert_eq!(got, want, "{d:?} n={n}");
+            }
+        }
+    }
+
+    /// The gathered-id kernels check their ids in every build, on every
+    /// dispatch, before a wide arm loads: an id equal to `rects.len()`
+    /// panics, and short id lists — none, one, three (one short of an
+    /// AVX2 lane group), five (one past it) — agree with the scalar arm.
+    #[test]
+    fn gathered_ids_are_checked_before_any_load() {
+        let rects: Vec<Rect> = (0..6)
+            .map(|i| Rect::from_bounds(i as f64, 0.0, i as f64 + 1.5, 1.0))
+            .collect();
+        let (p, q) = (Point::new(2.2, 0.5), Rect::from_bounds(1.2, 0.2, 3.1, 0.4));
+        let past = rects.len() as u32;
+        for d in KernelDispatch::all_available() {
+            for ids in [vec![past], vec![0, 1, 2, past], vec![past, 0, 0, 0, 0]] {
+                assert!(
+                    panics(|| rects_contain_point(d, &rects, &ids, p, &mut Vec::new())),
+                    "{d:?} point kernel gathered {ids:?}"
+                );
+                assert!(
+                    panics(|| rects_intersect_query(d, &rects, &ids, &q, &mut Vec::new())),
+                    "{d:?} window kernel gathered {ids:?}"
+                );
+            }
+            for n in [0usize, 1, 3, 5] {
+                let ids: Vec<u32> = (0..n as u32).map(|i| (3 * i + 1) % past).collect();
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                rects_contain_point_scalar(&rects, &ids, p, &mut want);
+                rects_contain_point(d, &rects, &ids, p, &mut got);
+                assert_eq!(got, want, "{d:?} point, {n} ids");
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                rects_intersect_query_scalar(&rects, &ids, &q, &mut want);
+                rects_intersect_query(d, &rects, &ids, &q, &mut got);
+                assert_eq!(got, want, "{d:?} window, {n} ids");
             }
         }
     }

@@ -49,7 +49,9 @@ pub mod svg;
 pub mod validate;
 pub mod wkt;
 
-pub use bytes::{checksum, fnv1a64, fnv1a64_update, AlignedBuf, PAGE_SIZE};
+pub use bytes::{
+    cast_slice, checksum, fnv1a64, fnv1a64_update, AlignedBuf, Plain, SharedBytes, PAGE_SIZE,
+};
 pub use calipers::{min_area_rect, OrientedRect};
 pub use cancel::{CancelReason, CancelToken};
 pub use clip::{

@@ -35,8 +35,14 @@
 //!
 //! Readers pull the whole file into one page-aligned buffer
 //! ([`msj_geom::AlignedBuf`]), verify the manifest, and hand each section
-//! back as `Result<&[u8], SectionError>` — the verified payload, borrowed
-//! from that buffer. **Corruption is contained per section**: a bad
+//! back verified: as a `&[u8]` borrowed from that buffer
+//! ([`Segment::section`]), which a decoder copies out of, or as a
+//! [`msj_geom::SharedBytes`] that shares the buffer behind an `Arc`
+//! ([`Segment::shared_section`]), which an artifact whose image is its
+//! resident layout — the TR* arena — keeps where it lies. Every section
+//! starts on a page boundary of the buffer, so a column of the image
+//! that is aligned within its section is aligned in memory. **Corruption
+//! is contained per section**: a bad
 //! checksum surfaces as [`SectionError::Checksum`] for that section only,
 //! so the engine rebuilds that one artifact — a dataset's from its
 //! relation, a pair's raster signatures from both relations — instead of
@@ -53,10 +59,11 @@
 //! missing or fails. The crate therefore depends on `msj-geom` alone, for
 //! the aligned buffer and the checksum; CI keeps it that way.
 
-use msj_geom::{checksum, AlignedBuf, PAGE_SIZE};
+use msj_geom::{checksum, AlignedBuf, SharedBytes, PAGE_SIZE};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Magic number opening every segment file ("MSJSTOR1").
 pub const STORE_MAGIC: u64 = 0x4d53_4a53_544f_5231;
@@ -405,7 +412,7 @@ impl Store {
             config_tag,
             bytes: size as u64,
             sections,
-            buf,
+            buf: Arc::new(buf),
         })
     }
 }
@@ -425,7 +432,9 @@ pub struct Segment {
     /// Total file bytes (a dataset's footprint for residency budgets).
     pub bytes: u64,
     sections: Vec<SectionEntry>,
-    buf: AlignedBuf,
+    /// The whole file, shared with every section handed out by
+    /// [`Segment::shared_section`].
+    buf: Arc<AlignedBuf>,
 }
 
 impl Segment {
@@ -433,13 +442,28 @@ impl Segment {
     /// section was never written; `Some(Err(_))` means it was written but
     /// no longer verifies — the caller rebuilds that artifact.
     pub fn section(&self, section: Section) -> Option<Result<&[u8], SectionError>> {
+        let verified = self.verified(section)?;
+        Some(verified.map(|range| &self.buf.as_slice()[range]))
+    }
+
+    /// [`Segment::section`] as a range of the segment's buffer that
+    /// keeps the buffer alive: an artifact adopted from it in place
+    /// outlives the segment. The range starts on a page boundary.
+    pub fn shared_section(&self, section: Section) -> Option<Result<SharedBytes, SectionError>> {
+        let verified = self.verified(section)?;
+        Some(verified.map(|range| SharedBytes::new(self.buf.clone(), range)))
+    }
+
+    fn verified(&self, section: Section) -> Option<Result<std::ops::Range<usize>, SectionError>> {
         let entry = self.sections.iter().find(|e| e.section == section)?;
-        let bytes = &self.buf.as_slice()[entry.offset..entry.offset + entry.len];
-        Some(if checksum(bytes) == entry.checksum {
-            Ok(bytes)
-        } else {
-            Err(SectionError::Checksum)
-        })
+        let range = entry.offset..entry.offset + entry.len;
+        Some(
+            if checksum(&self.buf.as_slice()[range.clone()]) == entry.checksum {
+                Ok(range)
+            } else {
+                Err(SectionError::Checksum)
+            },
+        )
     }
 }
 

@@ -6,8 +6,9 @@
 //! allocations whether it records metrics or not: every instrument is a
 //! handle resolved at construction.
 //!
-//! And dropping a TR* arena frees no large block whole (why that matters
-//! is on `TrStarStore`'s `Drop`).
+//! And dropping a built TR* arena frees no large block whole (why that
+//! matters, and why an adopted one has nothing to trim, is on the `Drop`
+//! of the built columns in `msj_exact::trstar`).
 //!
 //! The counter is the process-wide `#[global_allocator]`, but it counts
 //! per thread and only on the thread that asks, so neither the harness's

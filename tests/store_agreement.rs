@@ -15,6 +15,9 @@
 //!   are written through again — count the section once and answer
 //!   byte-identically — never panic, never wedge. Seeds come from
 //!   `MSJ_FAULT_SEED` when set, mirroring the CI chaos loop.
+//! * **Adoption** — the stored TR* arena is adopted where it lies in the
+//!   segment buffer: equal to a fresh build, never rebuilt on a clean
+//!   open, and Step 3 runs the writer's tests and hits.
 //! * **Crafted bytes** — a TR* arena with a valid checksum but a cyclic
 //!   child run is rejected by the loader's structural pass and rebuilt
 //!   like a corrupt one, and so is an R*-tree whose leaf names an object
@@ -484,6 +487,109 @@ fn crafted_cyclic_trstar_arena_degrades_not_hangs() {
     assert!(
         prom.contains("msj_store_checksum_failures_total{section=\"trstar\"} 1"),
         "the rejected arena must be counted:\n{prom}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `msj_step0_artifact_nanos_total` reading of `artifact`: 0 while
+/// every load adopted it, above 0 once one built it.
+fn artifact_nanos(engine: &SpatialEngine, artifact: &str) -> u64 {
+    let prom = engine.metrics().render_prometheus();
+    let series = format!("msj_step0_artifact_nanos_total{{artifact=\"{artifact}\"}} ");
+    let line = prom.lines().find_map(|l| l.strip_prefix(series.as_str()));
+    line.expect("series rendered").parse().expect("a count")
+}
+
+/// Step-3 tests and hits of the last run of the join of datasets 0 and 1.
+fn exact_counts(engine: &SpatialEngine) -> (u64, u64) {
+    let (a, b) = (engine.dataset(0).unwrap(), engine.dataset(1).unwrap());
+    let stats = engine
+        .prepare_join(&a, &b)
+        .last_stats()
+        .expect("the join ran");
+    (stats.exact_tests, stats.exact_hits)
+}
+
+#[test]
+fn stored_trstar_arena_is_adopted_in_place() {
+    // The TR* section is the arena's resident layout: an open views it
+    // inside the segment's buffer instead of copying it out or building
+    // it, and the arena it adopts is the one a build over the same
+    // relation makes. Step 3 then runs exactly the tests the writer ran.
+    let (a, b) = (
+        msj::datagen::small_carto(120, 24.0, 9116),
+        msj::datagen::small_carto(120, 24.0, 9117),
+    );
+    let requests = workload(&a);
+    let cfg = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    );
+    let ExactAlgorithm::TrStar { max_entries } = cfg.exact else {
+        panic!("the default exact step is TR*");
+    };
+    let dir = tmp_store("adopt");
+    let (reference, written) = {
+        let engine = SpatialEngine::new(cfg)
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        engine.register(a.clone());
+        engine.register(b.clone());
+        let answers = run(&engine, &requests);
+        (answers, exact_counts(&engine))
+    };
+    assert!(written.0 > 0 && written.1 > 0, "the join must reach Step 3");
+
+    let opened = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("cold start");
+    assert_eq!(run(&opened, &requests), reference, "adopted arena drifted");
+    assert_eq!(exact_counts(&opened), written, "Step 3 ran other tests");
+    assert_eq!(
+        artifact_nanos(&opened, "trstar"),
+        0,
+        "TR* was built, not adopted"
+    );
+    assert_no_checksum_failures(&opened.metrics().render_prometheus(), "clean open");
+    drop(opened);
+
+    let store = msj_store::Store::open(&dir).expect("open container");
+    for (id, relation) in [(0, &a), (1, &b)] {
+        let segment = store.read_dataset(id, None).expect("segment reads");
+        let section = segment.shared_section(msj_store::Section::TrStar);
+        let section = section.expect("written").expect("verifies");
+        let arena = msj::exact::TrStarStore::adopt(section.clone()).expect("adopts");
+        drop(segment); // the arena keeps the buffer alive
+        assert_eq!(arena, msj::exact::TrStarStore::build(relation, max_entries));
+        let trapezoids = arena.get(0).trapezoids().as_ptr().cast::<u8>();
+        assert!(
+            section.as_ptr_range().contains(&trapezoids),
+            "ds_{id}: the arena's trapezoids are not the section's bytes"
+        );
+    }
+
+    // A flipped byte in the section still fails its checksum: the arena
+    // is built instead, counted once, and answers the same.
+    let faulty = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::seeded(
+            seeds()[0],
+            FaultKind::StoreCorrupt {
+                section: StoreSection::TrStar,
+            },
+        ),
+    );
+    let engine = SpatialEngine::open(faulty, StoreConfig::new(&dir)).expect("open wedged");
+    assert_eq!(run(&engine, &requests), reference, "rebuilt arena drifted");
+    assert_eq!(exact_counts(&engine), written);
+    assert!(
+        artifact_nanos(&engine, "trstar") > 0,
+        "the corrupt arena is built"
+    );
+    let prom = engine.metrics().render_prometheus();
+    assert!(
+        prom.contains("msj_store_checksum_failures_total{section=\"trstar\"} 1"),
+        "the corrupt arena must be counted once:\n{prom}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
