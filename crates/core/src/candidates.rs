@@ -141,16 +141,18 @@ pub fn selection_source<'a>(
     config: &JoinConfig,
     relation: &'a Relation,
 ) -> Box<dyn CandidateSource + 'a> {
-    source_with(config, relation.into(), None, None, None)
+    let dispatch = config.kernel_dispatch();
+    source_with(config, dispatch, relation.into(), None, None, None)
 }
 
 /// The configured backend over explicit handles — `rel_b` is `None` for a
 /// single-relation source — plus optionally pre-built shared trees (the
 /// resident engine's: Step 0 ran at dataset registration). A missing tree
 /// is built here; the grid backend indexes nothing up front and ignores
-/// them.
+/// them. The source's wide scans run on `dispatch`.
 pub(crate) fn source_with<'a>(
     config: &JoinConfig,
+    dispatch: KernelDispatch,
     rel_a: RelHandle<'a>,
     rel_b: Option<RelHandle<'a>>,
     tree_a: Option<Arc<RStarTree>>,
@@ -162,18 +164,26 @@ pub(crate) fn source_with<'a>(
                 shared.unwrap_or_else(|| Arc::new(build_tree(config, relation)))
             };
             let tree_b = rel_b.map(|rel_b| tree(tree_b, &rel_b));
-            Box::new(RStarSource::new(config, tree(tree_a, &rel_a), tree_b))
+            Box::new(RStarSource {
+                tree_a: tree(tree_a, &rel_a),
+                tree_b,
+                batch: config.batch_pairs.max(1),
+                dispatch,
+            })
         }
         Backend::PartitionedSweep {
             tiles_per_axis,
             threads,
-        } => Box::new(GridSource::new(
-            config,
+        } => Box::new(GridSource {
             rel_a,
             rel_b,
             tiles_per_axis,
             threads,
-        )),
+            batch: config.batch_pairs.max(1),
+            dispatch,
+            index: OnceLock::new(),
+            join_items: OnceLock::new(),
+        }),
     }
 }
 
@@ -200,17 +210,6 @@ struct RStarSource {
     /// Kernel path for the traversal's wide scans, resolved once at
     /// source construction.
     dispatch: KernelDispatch,
-}
-
-impl RStarSource {
-    fn new(config: &JoinConfig, tree_a: Arc<RStarTree>, tree_b: Option<Arc<RStarTree>>) -> Self {
-        RStarSource {
-            tree_a,
-            tree_b,
-            batch: config.batch_pairs.max(1),
-            dispatch: config.kernel_dispatch(),
-        }
-    }
 }
 
 impl CandidateSource for RStarSource {
@@ -294,25 +293,6 @@ struct GridSource<'a> {
 }
 
 impl<'a> GridSource<'a> {
-    fn new(
-        config: &JoinConfig,
-        rel_a: RelHandle<'a>,
-        rel_b: Option<RelHandle<'a>>,
-        tiles_per_axis: usize,
-        threads: usize,
-    ) -> Self {
-        GridSource {
-            rel_a,
-            rel_b,
-            tiles_per_axis,
-            threads,
-            batch: config.batch_pairs.max(1),
-            dispatch: config.kernel_dispatch(),
-            index: OnceLock::new(),
-            join_items: OnceLock::new(),
-        }
-    }
-
     fn items(relation: &Relation) -> Vec<(Rect, ObjectId)> {
         relation.iter().map(|o| (o.mbr(), o.id)).collect()
     }
@@ -424,7 +404,15 @@ mod tests {
         rel_a: &'a Relation,
         rel_b: &'a Relation,
     ) -> Box<dyn CandidateSource + 'a> {
-        source_with(config, rel_a.into(), Some(rel_b.into()), None, None)
+        let dispatch = config.kernel_dispatch();
+        source_with(
+            config,
+            dispatch,
+            rel_a.into(),
+            Some(rel_b.into()),
+            None,
+            None,
+        )
     }
 
     fn sorted(mut v: Vec<(ObjectId, ObjectId)>) -> Vec<(ObjectId, ObjectId)> {

@@ -4,6 +4,7 @@ use crate::execution::Execution;
 use msj_approx::{ConservativeKind, ProgressiveKind};
 use msj_exact::ExactAlgorithm;
 use msj_fault::FaultConfig;
+use msj_geom::KernelDispatch;
 use msj_obs::ObsConfig;
 
 /// The Step-1 candidate backend (see [`crate::candidates`]).
@@ -54,9 +55,11 @@ pub const DEFAULT_BATCH_PAIRS: usize = 1024;
 /// many dataset combinations.
 pub const DEFAULT_PREPARED_CACHE_CAP: usize = 64;
 
-/// Complete configuration of one spatial-join execution (and of a
-/// resident [`crate::SpatialEngine`], which applies it to every dataset
-/// it registers).
+/// The plan of a spatial join — the paper's §5 *version*: which
+/// approximations are stored, which exact algorithm runs, and how the
+/// steps are scheduled. A resident [`crate::SpatialEngine`] applies it to
+/// every dataset it registers; the settings of the running engine
+/// itself are [`EngineConfig`]'s.
 ///
 /// The struct is `#[non_exhaustive]`: outside `msj-core` it is
 /// constructed through the presets ([`JoinConfig::default`],
@@ -114,23 +117,6 @@ pub struct JoinConfig {
     /// dispatch and synchronization; smaller ones bound latency and the
     /// in-flight candidate count. Clamped to at least 1.
     pub batch_pairs: usize,
-    /// Runtime observability: step/request timing, worker telemetry and
-    /// opt-in per-request traces ([`msj_obs::ObsConfig`]). Enabled by
-    /// default (no traces); [`msj_obs::ObsConfig::disabled`] skips every
-    /// clock read, leaving all `*_nanos` statistics at zero.
-    pub obs: ObsConfig,
-    /// Pin every hot-loop kernel to the scalar reference path instead of
-    /// the widest SIMD path the CPU supports. Results are byte-identical
-    /// either way (the agreement gate enforces it); this knob exists for
-    /// A/B measurement and as a belt-and-braces escape hatch. The
-    /// `MSJ_FORCE_SCALAR` environment variable forces scalar even when
-    /// this is `false`.
-    pub force_scalar: bool,
-    /// Deterministic fault injection ([`msj_fault::FaultConfig`]).
-    /// Disabled by default (one never-taken branch per batch); the
-    /// `MSJ_FAULT_PLAN` / `MSJ_FAULT_SEED` environment variables arm a
-    /// plan when this field is disabled.
-    pub fault: FaultConfig,
 }
 
 /// TR*-tree node capacity of [`JoinConfig::default`], measured on this
@@ -162,9 +148,6 @@ impl Default for JoinConfig {
             },
             execution: Execution::Serial,
             batch_pairs: DEFAULT_BATCH_PAIRS,
-            obs: ObsConfig::default(),
-            force_scalar: false,
-            fault: FaultConfig::disabled(),
         }
     }
 }
@@ -219,13 +202,12 @@ impl JoinConfig {
         JoinConfigBuilder { config: self }
     }
 
-    /// The kernel dispatch path this configuration selects: scalar when
-    /// [`JoinConfig::force_scalar`] (or the `MSJ_FORCE_SCALAR`
-    /// environment variable) is set, otherwise the widest path the CPU
-    /// supports. Resolved once per join/engine and threaded to every
-    /// kernel call site.
-    pub fn kernel_dispatch(&self) -> msj_geom::KernelDispatch {
-        msj_geom::KernelDispatch::select(self.force_scalar)
+    /// The kernel dispatch path a join under this plan runs on outside
+    /// an engine — and on a default engine: [`KernelDispatch::auto`], the
+    /// widest path the CPU supports unless the `MSJ_FORCE_SCALAR`
+    /// environment variable pins the scalar one.
+    pub fn kernel_dispatch(&self) -> KernelDispatch {
+        KernelDispatch::auto()
     }
 
     /// Extra leaf-entry bytes for the stored approximations (MBR itself
@@ -307,28 +289,64 @@ impl JoinConfigBuilder {
         self
     }
 
-    /// Observability: step timing, worker telemetry, per-request traces.
-    pub fn obs(mut self, obs: ObsConfig) -> Self {
-        self.config.obs = obs;
-        self
-    }
-
-    /// Pin every hot-loop kernel to the scalar reference path.
-    pub fn force_scalar(mut self, force: bool) -> Self {
-        self.config.force_scalar = force;
-        self
-    }
-
-    /// Deterministic fault-injection plan
-    /// ([`msj_fault::FaultConfig::disabled`] by default).
-    pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.config.fault = fault;
-        self
-    }
-
     /// Finalizes the configuration.
     pub fn build(self) -> JoinConfig {
         self.config
+    }
+}
+
+/// The configuration of a resident [`crate::SpatialEngine`]: the join
+/// plan it applies to every dataset and query, plus the settings of the
+/// running instance. Every [`JoinConfig`] converts into one with the
+/// instance defaults, so `SpatialEngine::new(JoinConfig::default())`
+/// reads as before; set the others with struct-update syntax.
+///
+/// ```
+/// use msj_core::{EngineConfig, JoinConfig, ObsConfig, SpatialEngine};
+///
+/// let engine = SpatialEngine::new(EngineConfig {
+///     obs: ObsConfig::with_traces(8),
+///     ..JoinConfig::version3().into()
+/// });
+/// assert_eq!(engine.config().join, JoinConfig::version3());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct EngineConfig {
+    /// The join plan.
+    pub join: JoinConfig,
+    /// Runtime observability: step/request timing, worker telemetry and
+    /// opt-in per-request traces ([`msj_obs::ObsConfig`]). Enabled by
+    /// default (no traces); [`msj_obs::ObsConfig::disabled`] skips every
+    /// clock read, leaving all `*_nanos` statistics at zero.
+    pub obs: ObsConfig,
+    /// Deterministic fault injection ([`msj_fault::FaultConfig`]),
+    /// disabled by default (one never-taken branch per batch). An armed
+    /// plan fires at most once per engine, across join runs, store loads
+    /// and a serving front's wire session alike.
+    pub fault: FaultConfig,
+    /// Pin every hot-loop kernel to the scalar reference path instead of
+    /// the widest SIMD path the CPU supports. Results are byte-identical
+    /// either way (the agreement gate enforces it); this knob exists for
+    /// A/B measurement. The `MSJ_FORCE_SCALAR` environment variable
+    /// forces scalar even when this is `false`.
+    pub force_scalar: bool,
+}
+
+impl From<JoinConfig> for EngineConfig {
+    fn from(join: JoinConfig) -> Self {
+        EngineConfig {
+            join,
+            ..EngineConfig::default()
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The kernel dispatch path the engine runs on: scalar when
+    /// [`EngineConfig::force_scalar`] (or `MSJ_FORCE_SCALAR`) is set,
+    /// otherwise the widest path the CPU supports.
+    pub fn kernel_dispatch(&self) -> KernelDispatch {
+        KernelDispatch::select(self.force_scalar)
     }
 }
 
@@ -422,9 +440,6 @@ mod tests {
             .exact(ExactAlgorithm::Quadratic)
             .execution(Execution::Fused { threads: 3 })
             .batch_pairs(64)
-            .obs(ObsConfig::disabled())
-            .force_scalar(true)
-            .fault(FaultConfig::seeded(7, msj_fault::FaultKind::WorkerPanic))
             .build();
         assert_eq!(
             c.backend,
@@ -441,24 +456,29 @@ mod tests {
         assert_eq!(c.exact, ExactAlgorithm::Quadratic);
         assert_eq!(c.execution, Execution::Fused { threads: 3 });
         assert_eq!(c.batch_pairs, 64);
-        assert_eq!(c.obs, ObsConfig::disabled());
-        assert!(!c.obs.enabled);
-        assert!(c.force_scalar);
-        assert_eq!(c.kernel_dispatch(), msj_geom::KernelDispatch::Scalar);
-        assert_eq!(
-            c.fault,
-            FaultConfig::seeded(7, msj_fault::FaultKind::WorkerPanic)
-        );
-        // Robustness knobs default to off.
-        assert_eq!(JoinConfig::default().fault, FaultConfig::disabled());
-        assert!(!JoinConfig::default().fault.enabled());
-        assert!(!JoinConfig::default().force_scalar);
-        // The default configuration keeps observability on (no traces).
-        assert!(JoinConfig::default().obs.enabled);
-        assert_eq!(JoinConfig::default().obs.trace_capacity, 0);
         // to_builder picks up a preset.
         let v2 = JoinConfig::version2().to_builder().build();
         assert_eq!(v2, JoinConfig::version2());
+    }
+
+    #[test]
+    fn engine_config_keeps_the_plan_and_instance_defaults() {
+        let c = EngineConfig::from(JoinConfig::version2());
+        assert_eq!(c.join, JoinConfig::version2());
+        assert_eq!(EngineConfig::default().join, JoinConfig::default());
+        // Robustness knobs default to off.
+        assert_eq!(c.fault, FaultConfig::disabled());
+        assert!(!c.force_scalar);
+        assert_eq!(c.kernel_dispatch(), KernelDispatch::auto());
+        assert_eq!(JoinConfig::default().kernel_dispatch(), c.kernel_dispatch());
+        // Observability stays on (no traces).
+        assert!(c.obs.enabled);
+        assert_eq!(c.obs.trace_capacity, 0);
+        let forced = EngineConfig {
+            force_scalar: true,
+            ..c
+        };
+        assert_eq!(forced.kernel_dispatch(), KernelDispatch::Scalar);
     }
 
     #[test]

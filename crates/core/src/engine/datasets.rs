@@ -5,7 +5,7 @@ use super::obs::{EngineObs, PERSIST};
 use super::types::{DatasetId, EngineError};
 use super::{lock, read, write, SpatialEngine};
 use crate::candidates;
-use crate::config::{Backend, JoinConfig};
+use crate::config::{Backend, EngineConfig, JoinConfig};
 use crate::queries::SelectionState;
 use msj_approx::{ConservativeStore, ProgressiveStore};
 use msj_exact::{ExactAlgorithm, TrStarStore};
@@ -131,11 +131,12 @@ impl DatasetArtifacts {
     /// the sections that were written but could not be used. With `obs`,
     /// every build is charged to its artifact's timer.
     pub fn build(
-        config: &JoinConfig,
+        engine: &EngineConfig,
         relation: &Arc<Relation>,
         stored: Option<&Segment>,
         obs: Option<&EngineObs>,
     ) -> (DatasetArtifacts, Vec<Section>) {
+        let config = &engine.join;
         let mut step0 = Step0 {
             stored,
             objects: relation.len(),
@@ -176,6 +177,7 @@ impl DatasetArtifacts {
         let selection = SelectionState::new(
             relation.clone(),
             config,
+            engine.kernel_dispatch(),
             tree.clone(),
             conservative.clone(),
             progressive.clone(),
@@ -331,7 +333,7 @@ impl SpatialEngine {
     /// `msj_store_checksum_failures_total{section}`); a corrupt manifest
     /// or relation section fails the open, since there is nothing to
     /// rebuild from.
-    pub fn open(config: JoinConfig, store: StoreConfig) -> io::Result<Self> {
+    pub fn open(config: impl Into<EngineConfig>, store: StoreConfig) -> io::Result<Self> {
         let engine = SpatialEngine::new(config).with_store(store)?;
         let backend = engine.store.as_ref().expect("store just armed");
         let ids = backend.store.dataset_ids()?;
@@ -443,10 +445,10 @@ impl SpatialEngine {
         &self,
         read: impl FnOnce(Option<msj_store::Tamper<'_>>) -> T,
     ) -> T {
-        let session = self.fault.session();
+        let session = self.fault.rearm();
         let mut fired = false;
         let mut hook = |section: Section, bytes: &mut [u8]| {
-            if let Some(seed) = session.corrupt_store(section.name()) {
+            if let Some(seed) = session.corrupt_store(section) {
                 fired = true;
                 if !bytes.is_empty() {
                     let idx = (msj_fault::splitmix64(seed) % bytes.len() as u64) as usize;
@@ -456,7 +458,6 @@ impl SpatialEngine {
         };
         let out = read(Some(&mut hook));
         if fired {
-            self.fault.spend();
             self.obs.fault_fired("store_corrupt");
         }
         out

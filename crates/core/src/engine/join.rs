@@ -4,9 +4,9 @@
 use super::datasets::{adopt, DatasetArtifacts, DatasetHandle};
 use super::obs::EngineObs;
 use super::types::{Admission, DatasetId, EngineError, JoinResponse, Request, Response};
-use super::{lock, FaultLatch, SpatialEngine};
+use super::{lock, SpatialEngine};
 use crate::candidates::{self, CandidateSource};
-use crate::config::JoinConfig;
+use crate::config::{EngineConfig, JoinConfig};
 use crate::cost::{estimate_cost, figure18_cost, CostModelParams, ExactCostKind};
 use crate::execution::{run_steps, Execution};
 use crate::filter::GeometricFilter;
@@ -14,6 +14,7 @@ use crate::pipeline::JoinResult;
 use crate::stats::MultiStepStats;
 use msj_approx::RasterStore;
 use msj_exact::{ExactAlgorithm, ExactProcessor};
+use msj_fault::FaultSession;
 use msj_geom::{panic_message, CancelToken, RelHandle, Relation, WorkerPanic};
 use msj_obs::Span;
 use msj_store::Section;
@@ -32,7 +33,8 @@ struct Serving {
     obs: Arc<EngineObs>,
     /// §5 constants for the trace-time estimate.
     params: CostModelParams,
-    fault: FaultLatch,
+    /// The engine's fault plan; every run arms a rearmed session of it.
+    fault: FaultSession,
 }
 
 /// A join with Step 0 (preprocessing, the paper's "insertion time") done:
@@ -81,7 +83,7 @@ impl PreparedJoin {
     /// the engine's cached pairs and the one-shot front. `filter` arrives
     /// with its pair-level raster stage already decided.
     fn assemble(
-        config: &JoinConfig,
+        config: &EngineConfig,
         (id_a, rel_a, arts_a): Side<'_>,
         (id_b, rel_b, arts_b): Side<'_>,
         filter: GeometricFilter,
@@ -91,9 +93,11 @@ impl PreparedJoin {
         let handle = |relation: &Arc<Relation>| RelHandle::from(relation.clone());
         let (tree_a, tree_b) = (arts_a.tree.clone(), arts_b.tree.clone());
         let (rel_a_h, rel_b_h) = (handle(rel_a), Some(handle(rel_b)));
-        let source = candidates::source_with(config, rel_a_h, rel_b_h, tree_a, tree_b);
+        let dispatch = config.kernel_dispatch();
+        let plan = &config.join;
+        let source = candidates::source_with(plan, dispatch, rel_a_h, rel_b_h, tree_a, tree_b);
         let exact = ExactProcessor::from_shared(
-            config.exact,
+            plan.exact,
             handle(rel_a),
             handle(rel_b),
             arts_a.trstar.clone(),
@@ -102,32 +106,34 @@ impl PreparedJoin {
         PreparedJoin {
             datasets: (id_a, id_b),
             sizes: (rel_a.len(), rel_b.len()),
-            execution: config.execution,
+            execution: plan.execution,
             source,
-            filter: filter.with_dispatch(config.kernel_dispatch()),
+            filter: filter.with_dispatch(dispatch),
             exact,
             step0_nanos,
             timed: config.obs.enabled,
-            exact_cost_kind: exact_cost_kind(config),
+            exact_cost_kind: exact_cost_kind(plan),
             serving,
             history: Mutex::new(VecDeque::with_capacity(RUN_HISTORY)),
         }
     }
 
     /// Step 0 for both relations from scratch, outside any engine — what
-    /// [`crate::MultiStepJoin::execute`] runs once and drops.
-    pub(crate) fn one_shot(config: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
-        let t_prep = config.obs.enabled.then(Instant::now);
+    /// [`crate::MultiStepJoin::execute`] runs once and drops: timed, on
+    /// the default kernel dispatch, with no fault plan.
+    pub(crate) fn one_shot(plan: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
+        let t_prep = Instant::now();
+        let config = EngineConfig::from(*plan);
         let (rel_a, rel_b) = (Arc::new(rel_a.clone()), Arc::new(rel_b.clone()));
-        let (arts_a, _) = DatasetArtifacts::build(config, &rel_a, None, None);
-        let (arts_b, _) = DatasetArtifacts::build(config, &rel_b, None, None);
-        let mut filter = shared_filter(config, &arts_a, &arts_b);
-        if config.raster {
+        let (arts_a, _) = DatasetArtifacts::build(&config, &rel_a, None, None);
+        let (arts_b, _) = DatasetArtifacts::build(&config, &rel_b, None, None);
+        let mut filter = shared_filter(plan, &arts_a, &arts_b);
+        if plan.raster {
             filter = filter.with_raster(&rel_a, &rel_b);
         }
-        let step0_nanos = t_prep.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let step0_nanos = t_prep.elapsed().as_nanos() as u64;
         let (a, b) = ((0, &rel_a, &arts_a), (1, &rel_b, &arts_b));
-        Self::assemble(config, a, b, filter, step0_nanos, None)
+        Self::assemble(&config, a, b, filter, step0_nanos, None)
     }
 
     /// Runs Steps 1–3 under the configured execution policy.
@@ -163,7 +169,7 @@ impl PreparedJoin {
         cancel: Option<&CancelToken>,
     ) -> Result<JoinResult, EngineError> {
         let serving = self.serving.as_ref();
-        let session = serving.map_or_else(msj_fault::FaultSession::inert, |s| s.fault.session());
+        let session = serving.map_or_else(FaultSession::inert, |s| s.fault.rearm());
         let recorder = serving.filter(|s| s.obs.enabled);
         // The trace carries the estimate the run would have been
         // admitted under — taken before this run extends the history.
@@ -184,7 +190,6 @@ impl PreparedJoin {
         }));
         let latency_nanos = t_run.map_or(0, |t| t.elapsed_nanos());
         if let (Some(site), Some(serving)) = (session.fired(), serving) {
-            serving.fault.spend();
             serving.obs.fault_fired(site);
         }
         let outcome = match outcome {
@@ -412,7 +417,7 @@ impl SpatialEngine {
         match self.cached_join((a.id(), b.id())) {
             Some(prepared) => prepared.admission_estimate(&self.params),
             None => {
-                let kind = exact_cost_kind(&self.config);
+                let kind = exact_cost_kind(&self.config.join);
                 (
                     a_priori_estimate(a.len(), b.len(), kind, &self.params),
                     false,
@@ -465,8 +470,8 @@ impl SpatialEngine {
         } else {
             self.artifacts(sb)
         };
-        let filter = shared_filter(&self.config, &arts_a, &arts_b);
-        let filter = if self.config.raster {
+        let filter = shared_filter(&self.config.join, &arts_a, &arts_b);
+        let filter = if self.config.join.raster {
             self.attach_raster(filter, a, b)
         } else {
             filter
@@ -482,7 +487,7 @@ impl SpatialEngine {
         let serving = Serving {
             obs: self.obs.clone(),
             params: self.params,
-            fault: self.fault.clone(),
+            fault: self.fault.rearm(),
         };
         PreparedJoin::assemble(
             &self.config,
@@ -586,8 +591,9 @@ impl SpatialEngine {
         }
         obs.admission_accept.inc();
         let prepared = self.prepare_join(&ha, &hb);
-        let result = prepared.try_run_with(execution.unwrap_or(self.config.execution), cancel)?;
-        let (stats, kind) = (&result.stats, exact_cost_kind(&self.config));
+        let plan = &self.config.join;
+        let result = prepared.try_run_with(execution.unwrap_or(plan.execution), cancel)?;
+        let (stats, kind) = (&result.stats, exact_cost_kind(plan));
         let cost = figure18_cost(stats, stats.mbr_join.io.logical, kind, &self.params);
         obs.admission_error(estimated_s, cost.total_s());
         Ok(Response::Join(JoinResponse {

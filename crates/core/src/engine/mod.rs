@@ -59,15 +59,15 @@ pub use types::{
     Admission, DatasetId, EngineError, JoinResponse, Request, Response, SelectionResponse,
 };
 
-use crate::config::{JoinConfig, DEFAULT_PREPARED_CACHE_CAP};
+use crate::config::{EngineConfig, DEFAULT_PREPARED_CACHE_CAP};
 use crate::cost::CostModelParams;
 use datasets::{DatasetState, StoreBackend};
 use join::PreparedCache;
-use msj_fault::{FaultConfig, FaultSession};
+use msj_fault::FaultSession;
 use msj_geom::CancelToken;
 use msj_obs::{MetricsRegistry, Trace};
 use obs::EngineObs;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // Every lock in the engine guards plain data (Vec pushes, HashMap
@@ -87,48 +87,23 @@ fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The engine's fault-injection plan plus its engine-wide latch: an armed
-/// plan fires at most once per engine, so the run after an injected
-/// failure is fault-free — exactly the recover-and-serve sequence the
-/// chaos suite exercises. Shared into every prepared join.
-#[derive(Clone)]
-struct FaultLatch {
-    plan: FaultConfig,
-    spent: Arc<AtomicBool>,
-}
-
-impl FaultLatch {
-    /// The plan armed for one run or load — inert once it has fired.
-    fn session(&self) -> FaultSession {
-        if self.spent.load(Ordering::Acquire) {
-            FaultSession::inert()
-        } else {
-            FaultSession::new(self.plan)
-        }
-    }
-
-    /// Records that the plan fired.
-    fn spend(&self) {
-        self.spent.store(true, Ordering::Release);
-    }
-}
-
 /// The resident spatial query engine (see the module docs).
 ///
 /// All methods take `&self`; the engine is `Send + Sync` and intended to
 /// be shared (`Arc<SpatialEngine>`) across serving threads.
 pub struct SpatialEngine {
-    config: JoinConfig,
+    config: EngineConfig,
     params: CostModelParams,
     /// The §5 admission limit in seconds, stored as `f64` bits so it can
     /// be tightened or lifted at runtime through `&self` (a serving
     /// front adjusts it under load). `+inf` means *no limit*.
     admission_limit_bits: AtomicU64,
-    /// Fault-injection plan resolved once at construction: the config's
-    /// plan when set, else whatever `MSJ_FAULT_SEED`/`MSJ_FAULT_PLAN`
-    /// name, else disabled. Resolving here keeps the per-run path free
-    /// of env lookups.
-    fault: FaultLatch,
+    /// The configured fault plan and its engine-wide latch: every join
+    /// run, store load and wire session arms a [`FaultSession::rearm`] of
+    /// it, so the plan fires at most once per engine and the run after
+    /// an injected failure is fault-free — the recover-and-serve sequence
+    /// the chaos suite exercises.
+    fault: FaultSession,
     /// Registry + trace ring, `Arc`-shared into every prepared join.
     obs: Arc<EngineObs>,
     datasets: RwLock<Vec<Arc<DatasetState>>>,
@@ -144,25 +119,21 @@ pub struct SpatialEngine {
 }
 
 impl SpatialEngine {
-    /// An engine applying `config` to every dataset it registers and
-    /// every query it serves.
-    pub fn new(config: JoinConfig) -> Self {
-        let plan = if config.fault.enabled() {
-            config.fault
-        } else {
-            FaultConfig::from_env()
-        };
+    /// An engine applying `config`'s join plan to every dataset it
+    /// registers and every query it serves. Takes a [`JoinConfig`]
+    /// (instance settings at their defaults) or an [`EngineConfig`].
+    ///
+    /// [`JoinConfig`]: crate::JoinConfig
+    pub fn new(config: impl Into<EngineConfig>) -> Self {
+        let config = config.into();
         SpatialEngine {
             obs: Arc::new(EngineObs::new(config.obs, config.kernel_dispatch())),
             prepared: Mutex::new(PreparedCache::new(DEFAULT_PREPARED_CACHE_CAP)),
-            tag: datasets::config_tag(&config),
+            tag: datasets::config_tag(&config.join),
+            fault: FaultSession::new(config.fault),
             config,
             params: CostModelParams::default(),
             admission_limit_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            fault: FaultLatch {
-                plan,
-                spent: Arc::new(AtomicBool::new(false)),
-            },
             datasets: RwLock::new(Vec::new()),
             store: None,
         }
@@ -207,8 +178,15 @@ impl SpatialEngine {
     }
 
     /// The configuration every dataset and query runs under.
-    pub fn config(&self) -> &JoinConfig {
+    pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// A session of the engine's fault plan for a serving front's own
+    /// (wire) injection sites. It shares the engine's latch: inert once
+    /// the plan has fired anywhere on this engine.
+    pub fn fault_session(&self) -> FaultSession {
+        self.fault.rearm()
     }
 
     /// Serves one request.

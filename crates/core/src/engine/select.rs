@@ -71,7 +71,7 @@ impl SpatialEngine {
         // The §5 model applied to one selection: every index node visit
         // as a page access, plus one object access + exact test per
         // unidentified candidate.
-        let kind = exact_cost_kind(&self.config);
+        let kind = exact_cost_kind(&self.config.join);
         let identified = (stats.filter_false_hits + stats.filter_hits) as f64;
         let cost = CostBreakdown {
             filter_yield_observed: if stats.candidates == 0 {

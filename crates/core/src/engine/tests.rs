@@ -1,10 +1,12 @@
 //! Unit tests of the resident engine.
 
 use super::*;
+use crate::config::JoinConfig;
 use crate::cost::{figure18_cost, ExactCostKind};
 use crate::execution::Execution;
 use crate::pipeline::MultiStepJoin;
 use msj_exact::OpCounts;
+use msj_fault::FaultConfig;
 use msj_geom::{ObjectId, Point, Rect};
 use msj_obs::ObsConfig;
 use std::time::Duration;
@@ -59,15 +61,17 @@ fn kernel_dispatch_gauge_marks_the_selected_path() {
         1.0
     );
     // Forcing scalar moves the marker.
-    let scalar = SpatialEngine::new(JoinConfig::builder().force_scalar(true).build());
+    let scalar = SpatialEngine::new(EngineConfig {
+        force_scalar: true,
+        ..EngineConfig::default()
+    });
     let snap = scalar.metrics().snapshot();
     assert_eq!(snap.gauge("msj_kernel_dispatch{path=\"scalar\"}"), 1.0);
     // Traces carry the same label per request.
-    let traced = SpatialEngine::new(
-        JoinConfig::builder()
-            .obs(msj_obs::ObsConfig::with_traces(8))
-            .build(),
-    );
+    let traced = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::with_traces(8),
+        ..EngineConfig::default()
+    });
     let h = traced.register(msj_datagen::small_carto(10, 16.0, 2004));
     let _ = traced.prepare_join(&h, &h).run();
     let traces = traced.recent_traces();
@@ -246,7 +250,10 @@ fn metrics_and_traces_populate_after_requests() {
     let a = msj_datagen::small_carto(40, 24.0, 1012);
     let b = msj_datagen::small_carto(40, 24.0, 1013);
     let world = a.bounding_rect().unwrap();
-    let engine = SpatialEngine::new(JoinConfig::builder().obs(ObsConfig::with_traces(8)).build());
+    let engine = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::with_traces(8),
+        ..EngineConfig::default()
+    });
     let (ha, hb) = (engine.register(a), engine.register(b));
     let p = Point::new(
         world.xmin() + world.width() * 0.5,
@@ -319,7 +326,10 @@ fn disabled_obs_is_silent_and_changes_nothing() {
     let a = msj_datagen::small_carto(40, 24.0, 1014);
     let b = msj_datagen::small_carto(40, 24.0, 1015);
     let on = SpatialEngine::new(JoinConfig::default());
-    let off = SpatialEngine::new(JoinConfig::builder().obs(ObsConfig::disabled()).build());
+    let off = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::disabled(),
+        ..EngineConfig::default()
+    });
     let (oa, ob) = (on.register(a.clone()), on.register(b.clone()));
     let (fa, fb) = (off.register(a), off.register(b));
     let want = on.prepare_join(&oa, &ob).run();
@@ -372,8 +382,11 @@ fn run_history_is_a_bounded_ring() {
 fn shed_requests_are_counted_and_traced() {
     let a = msj_datagen::small_carto(30, 24.0, 1018);
     let b = msj_datagen::small_carto(30, 24.0, 1019);
-    let engine = SpatialEngine::new(JoinConfig::builder().obs(ObsConfig::with_traces(4)).build())
-        .with_admission_limit(0.0);
+    let engine = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::with_traces(4),
+        ..EngineConfig::default()
+    })
+    .with_admission_limit(0.0);
     let (ha, hb) = (engine.register(a), engine.register(b));
     let denied = engine.submit(Request::Join {
         a: ha.id(),
@@ -660,15 +673,10 @@ fn explicit_cancellation_returns_cancelled() {
 fn injected_cancel_fault_stops_mid_run() {
     let a = msj_datagen::small_carto(80, 24.0, 1107);
     let b = msj_datagen::small_carto(80, 24.0, 1108);
-    let engine = SpatialEngine::new(
-        JoinConfig::builder()
-            .batch_pairs(16)
-            .fault(FaultConfig::seeded(
-                3,
-                msj_fault::FaultKind::CancelAtBatch { batch: 0 },
-            ))
-            .build(),
-    );
+    let engine = SpatialEngine::new(EngineConfig {
+        fault: FaultConfig::seeded(3, msj_fault::FaultKind::CancelAtBatch { batch: 0 }),
+        ..JoinConfig::builder().batch_pairs(16).build().into()
+    });
     let (ha, hb) = (engine.register(a), engine.register(b));
     let token = CancelToken::new();
     let err = engine
@@ -711,13 +719,14 @@ fn injected_worker_panic_is_contained_and_engine_stays_clean() {
             // Small batches guarantee every run sees at least
             // BATCH_SPREAD batch boundaries, so the seeded fault
             // always lands.
-            let engine = SpatialEngine::new(
-                JoinConfig::builder()
-                    .execution(execution)
-                    .batch_pairs(8)
-                    .fault(FaultConfig::seeded(seed, msj_fault::FaultKind::WorkerPanic))
-                    .build(),
-            );
+            let plan = JoinConfig::builder()
+                .execution(execution)
+                .batch_pairs(8)
+                .build();
+            let engine = SpatialEngine::new(EngineConfig {
+                fault: FaultConfig::seeded(seed, msj_fault::FaultKind::WorkerPanic),
+                ..plan.into()
+            });
             let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
             let request = Request::Join {
                 a: ha.id(),
@@ -759,13 +768,11 @@ fn injected_worker_panic_is_contained_and_engine_stays_clean() {
 fn failed_requests_are_traced_and_counted_per_kind() {
     let a = msj_datagen::small_carto(40, 24.0, 1113);
     let b = msj_datagen::small_carto(40, 24.0, 1114);
-    let engine = SpatialEngine::new(
-        JoinConfig::builder()
-            .obs(ObsConfig::with_traces(8))
-            .batch_pairs(8)
-            .fault(FaultConfig::seeded(9, msj_fault::FaultKind::WorkerPanic))
-            .build(),
-    );
+    let engine = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::with_traces(8),
+        fault: FaultConfig::seeded(9, msj_fault::FaultKind::WorkerPanic),
+        ..JoinConfig::builder().batch_pairs(8).build().into()
+    });
     let (ha, hb) = (engine.register(a), engine.register(b));
     let err = engine
         .submit(Request::Join {

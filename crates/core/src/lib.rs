@@ -60,6 +60,10 @@
 //! and **owns** each relation's artifacts, and join / point / window
 //! traffic is served through one [`Request`] / [`Response`] surface with
 //! §5 cost-model admission control (see the module docs for an example).
+//! It runs under an [`EngineConfig`]: the [`JoinConfig`] plan it applies
+//! to every dataset, plus the settings of the running instance —
+//! observability, the fault plan and the kernel pin. A `JoinConfig` alone
+//! converts into one with those at their defaults.
 //! Its modules follow its concerns: `datasets` (registry, Step 0 per
 //! relation, the persistent store and its residency budget), `join`
 //! (prepared joins, their cache, join requests), `select` (selections),
@@ -79,7 +83,7 @@ pub mod stats;
 pub use candidates::{
     selection_source, CandidateSource, PartitionSummary, SelectionStats, Step1Stats,
 };
-pub use config::{Backend, JoinConfig, JoinConfigBuilder, DEFAULT_BATCH_PAIRS};
+pub use config::{Backend, EngineConfig, JoinConfig, JoinConfigBuilder, DEFAULT_BATCH_PAIRS};
 pub use cost::{estimate_cost, figure18_cost, CostBreakdown, CostModelParams, ExactCostKind};
 pub use engine::{
     Admission, DatasetHandle, DatasetId, EngineError, JoinResponse, PreparedJoin, Request,
@@ -91,7 +95,7 @@ pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;
 pub use stats::MultiStepStats;
 // Re-exported observability surface (vendored `msj-obs`): configure via
-// [`JoinConfig::obs`], inspect via [`SpatialEngine::metrics`] /
+// [`EngineConfig::obs`], inspect via [`SpatialEngine::metrics`] /
 // [`SpatialEngine::recent_traces`].
 pub use msj_obs::{
     EngineSnapshot, Histogram, HistogramSnapshot, LaneRole, MetricsRegistry, ObsConfig, Step,
@@ -99,6 +103,6 @@ pub use msj_obs::{
 };
 // Robustness surface: deadlines / cooperative cancellation
 // ([`CancelToken`] on [`SpatialEngine::submit_with_cancel`]) and the
-// deterministic fault-injection plan ([`JoinConfig::fault`]).
+// deterministic fault-injection plan ([`EngineConfig::fault`]).
 pub use msj_fault::{FaultConfig, FaultKind};
 pub use msj_geom::{CancelReason, CancelToken};

@@ -24,7 +24,8 @@ pub struct JoinResult {
     pub worker_lanes: Vec<WorkerLaneSnapshot>,
 }
 
-/// The multi-step spatial join processor.
+/// The multi-step spatial join processor: one join under a
+/// [`JoinConfig`] plan, outside any engine.
 ///
 /// ```
 /// use msj_core::{JoinConfig, MultiStepJoin};
@@ -58,11 +59,12 @@ impl MultiStepJoin {
     /// configured [`crate::Execution`] policy: builds the same owned
     /// [`PreparedJoin`] a [`crate::SpatialEngine`] would (Step 0 from
     /// scratch, over a copy of each relation — the prepared join owns
-    /// its inputs), runs it once and drops it. The configuration's fault
-    /// plan is a request-serving concern and is not applied; nothing is recorded anywhere but in the returned
-    /// statistics. To pay Step 0 once for many runs, register the
-    /// relations on an engine and use
-    /// [`crate::SpatialEngine::prepare_join`].
+    /// its inputs), runs it once and drops it. The run is always timed,
+    /// picks its kernels by [`msj_geom::KernelDispatch::auto`] and has no
+    /// fault plan; nothing is recorded anywhere but in the returned
+    /// statistics. To pay Step 0 once for many runs — or to run under an
+    /// [`crate::EngineConfig`]'s settings — register the relations on an
+    /// engine and use [`crate::SpatialEngine::prepare_join`].
     pub fn execute(&self, rel_a: &Relation, rel_b: &Relation) -> JoinResult {
         PreparedJoin::one_shot(&self.config, rel_a, rel_b).run()
     }

@@ -156,18 +156,19 @@ impl SelectionState {
     pub fn new(
         relation: Arc<Relation>,
         config: &JoinConfig,
+        dispatch: KernelDispatch,
         tree: Option<Arc<RStarTree>>,
         conservative: Option<Arc<ConservativeStore>>,
         progressive: Option<Arc<ProgressiveStore>>,
     ) -> Self {
         let handle = RelHandle::from(relation.clone());
-        let source = candidates::source_with(config, handle, None, tree, None);
+        let source = candidates::source_with(config, dispatch, handle, None, tree, None);
         SelectionState {
             relation,
             source,
             conservative,
             progressive,
-            dispatch: config.kernel_dispatch(),
+            dispatch,
         }
     }
 
@@ -269,7 +270,8 @@ mod tests {
         let progressive = config
             .progressive
             .map(|k| Arc::new(ProgressiveStore::build(k, &relation)));
-        SelectionState::new(relation, config, None, conservative, progressive)
+        let dispatch = config.kernel_dispatch();
+        SelectionState::new(relation, config, dispatch, None, conservative, progressive)
     }
 
     fn select_all<P: Probe>(

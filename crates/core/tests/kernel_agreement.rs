@@ -10,7 +10,7 @@
 //! rely on: `force_scalar` is an observability knob, never a result
 //! knob.
 
-use msj_core::{Backend, Execution, JoinConfig, MultiStepJoin, SpatialEngine};
+use msj_core::{Backend, EngineConfig, Execution, JoinConfig, SpatialEngine};
 use msj_geom::{KernelDispatch, ObjectId, Point, Polygon, Rect, Relation, SpatialObject};
 
 fn square(id: ObjectId, x: f64, y: f64, side: f64) -> SpatialObject {
@@ -125,10 +125,18 @@ fn workloads() -> Vec<(&'static str, Relation, Relation)> {
 fn join_response_sets_are_byte_identical_simd_vs_scalar() {
     for (wname, a, b) in workloads() {
         for (cname, config) in configs() {
-            let wide = MultiStepJoin::new(config).execute(&a, &b);
-            let scalar_cfg = config.to_builder().force_scalar(true).build();
+            let join = |config: EngineConfig| {
+                let engine = SpatialEngine::new(config);
+                let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
+                engine.prepare_join(&ha, &hb).run()
+            };
+            let wide = join(config.into());
+            let scalar_cfg = EngineConfig {
+                force_scalar: true,
+                ..config.into()
+            };
             assert_eq!(scalar_cfg.kernel_dispatch(), KernelDispatch::Scalar);
-            let scalar = MultiStepJoin::new(scalar_cfg).execute(&a, &b);
+            let scalar = join(scalar_cfg);
             assert_eq!(
                 wide.pairs, scalar.pairs,
                 "{wname}/{cname}: response set diverged"
@@ -175,7 +183,10 @@ fn selection_response_sets_are_byte_identical_simd_vs_scalar() {
         };
         for (cname, config) in configs() {
             let wide = SpatialEngine::new(config);
-            let scalar = SpatialEngine::new(config.to_builder().force_scalar(true).build());
+            let scalar = SpatialEngine::new(EngineConfig {
+                force_scalar: true,
+                ..config.into()
+            });
             let hw = wide.register(rel.clone());
             let hs = scalar.register(rel.clone());
             for i in 0..24 {
@@ -209,13 +220,11 @@ fn env_override_pins_scalar() {
     // `KernelDispatch::select` honors the config knob; the env knob is
     // covered by `msj-geom` unit tests (process-global state is not
     // toggled here).
-    assert_eq!(
-        JoinConfig::builder()
-            .force_scalar(true)
-            .build()
-            .kernel_dispatch(),
-        KernelDispatch::Scalar
-    );
+    let forced = EngineConfig {
+        force_scalar: true,
+        ..EngineConfig::default()
+    };
+    assert_eq!(forced.kernel_dispatch(), KernelDispatch::Scalar);
     assert_eq!(
         JoinConfig::default().kernel_dispatch(),
         KernelDispatch::auto()

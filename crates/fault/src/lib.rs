@@ -4,8 +4,8 @@
 //! *manufactured on demand, deterministically*: the chaos suite replays
 //! the same seed and must see the same fault at the same site. This crate
 //! is the seed-driven fault plan shared by the execution engine
-//! (`msj-core`) and the chaos tests — vendored, dependency-free, and
-//! zero-cost when disabled (every injection hook is one branch on a
+//! (`msj-core`) and the chaos tests — vendored, and zero-cost when
+//! disabled (every injection hook is one branch on a
 //! `Copy` field).
 //!
 //! ## The model
@@ -26,23 +26,23 @@
 //!   [`FaultAction`] to take: panic, stall, cancel, or proceed.
 //! * [`FaultSession::corrupt_store`] — consulted at the persistent
 //!   store's load seam; a hit flips one seed-derived byte of the named
-//!   section so the corruption travels through the real checksum path.
+//!   [`msj_store::Section`] so the corruption travels through the real
+//!   checksum path.
 //!
-//! The session records the first site that fired ([`FaultSession::fired`])
-//! so the engine can turn every injected fault into a trace event and a
-//! metrics increment.
+//! A plan fires at most once across every session armed from it:
+//! [`FaultSession::rearm`] gives each run, store load or wire connection
+//! set its own counters but the one latch, so a run that starts while
+//! another is inside an injected stall cannot fire the plan again. Each
+//! session records whether it was the one that fired
+//! ([`FaultSession::fired`]) so the engine can turn every injected fault
+//! into a trace event and a metrics increment.
 //!
-//! ## Environment knobs
-//!
-//! [`FaultConfig::from_env`] reads:
-//!
-//! * `MSJ_FAULT_PLAN` — `worker_panic`, `slow_worker:<millis>`,
-//!   `cancel_at_batch:<n>`, or
-//!   `store_corrupt:<section>` (a persistent-store section name such as
-//!   `tree` or `raster_a`); unset or unparsable means *disabled*.
-//! * `MSJ_FAULT_SEED` — decimal `u64`, defaults to `0`.
+//! A plan is armed in code only — `msj_core::EngineConfig::fault` — and
+//! no environment variable arms one.
 
+use msj_store::Section;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// What the fault plan injects.
@@ -68,7 +68,7 @@ pub enum FaultKind {
     /// rebuild of the artifact.
     StoreCorrupt {
         /// Which section of the segment file the flip lands in.
-        section: StoreSection,
+        section: Section,
     },
     /// **Wire:** the connection is reset (closed with nothing written)
     /// just before the seed-selected response frame would go out.
@@ -88,52 +88,6 @@ pub enum FaultKind {
     /// discarded and the connection closed — the client must treat the
     /// EOF as request-failed, never as an empty result.
     DropBeforeReply,
-}
-
-/// The persistent-store section a [`FaultKind::StoreCorrupt`] plan
-/// targets. Mirrors `msj-store`'s section set by *name* (this crate
-/// stays dependency-free); the engine maps between the two at the load
-/// seam.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreSection {
-    Relation,
-    Tree,
-    Conservative,
-    Progressive,
-    TrStar,
-    RasterA,
-    RasterB,
-}
-
-impl StoreSection {
-    /// Every section, in segment-table order.
-    pub const ALL: [StoreSection; 7] = [
-        StoreSection::Relation,
-        StoreSection::Tree,
-        StoreSection::Conservative,
-        StoreSection::Progressive,
-        StoreSection::TrStar,
-        StoreSection::RasterA,
-        StoreSection::RasterB,
-    ];
-
-    /// The stable name used in fault plans and store metric labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreSection::Relation => "relation",
-            StoreSection::Tree => "tree",
-            StoreSection::Conservative => "conservative",
-            StoreSection::Progressive => "progressive",
-            StoreSection::TrStar => "trstar",
-            StoreSection::RasterA => "raster_a",
-            StoreSection::RasterB => "raster_b",
-        }
-    }
-
-    /// Parses a section name (the `store_corrupt:<section>` suffix).
-    pub fn parse(text: &str) -> Option<Self> {
-        StoreSection::ALL.into_iter().find(|s| s.name() == text)
-    }
 }
 
 impl FaultKind {
@@ -165,8 +119,8 @@ impl FaultKind {
 }
 
 /// The engine-facing fault plan: a [`FaultKind`] plus the seed that
-/// derives the injection site. `Copy` so it rides on `JoinConfig`
-/// unchanged; [`FaultConfig::disabled`] (the default) is the zero-cost
+/// derives the injection site. `Copy` so it rides on the engine's
+/// configuration; [`FaultConfig::disabled`] (the default) is the zero-cost
 /// no-op plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultConfig {
@@ -196,52 +150,6 @@ impl FaultConfig {
     /// Whether any fault is armed.
     pub const fn enabled(&self) -> bool {
         self.kind.is_some()
-    }
-
-    /// Reads `MSJ_FAULT_PLAN` / `MSJ_FAULT_SEED`; unset or unparsable
-    /// plan means [`disabled`](Self::disabled).
-    pub fn from_env() -> Self {
-        let seed = std::env::var("MSJ_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0);
-        let kind = std::env::var("MSJ_FAULT_PLAN")
-            .ok()
-            .and_then(|s| parse_plan(&s));
-        FaultConfig { seed, kind }
-    }
-}
-
-/// Parses a `MSJ_FAULT_PLAN` value; `None` when unrecognized.
-pub fn parse_plan(text: &str) -> Option<FaultKind> {
-    let text = text.trim();
-    if let Some(rest) = text.strip_prefix("slow_worker:") {
-        return rest
-            .parse::<u32>()
-            .ok()
-            .map(|millis| FaultKind::SlowWorker { millis });
-    }
-    if let Some(rest) = text.strip_prefix("cancel_at_batch:") {
-        return rest
-            .parse::<u32>()
-            .ok()
-            .map(|batch| FaultKind::CancelAtBatch { batch });
-    }
-    if let Some(rest) = text.strip_prefix("slow_client:") {
-        return rest
-            .parse::<u32>()
-            .ok()
-            .map(|millis| FaultKind::SlowClient { millis });
-    }
-    if let Some(rest) = text.strip_prefix("store_corrupt:") {
-        return StoreSection::parse(rest).map(|section| FaultKind::StoreCorrupt { section });
-    }
-    match text {
-        "worker_panic" => Some(FaultKind::WorkerPanic),
-        "conn_reset" => Some(FaultKind::ConnReset),
-        "partial_write" => Some(FaultKind::PartialWrite),
-        "drop_before_reply" => Some(FaultKind::DropBeforeReply),
-        _ => None,
     }
 }
 
@@ -282,8 +190,7 @@ pub enum WireAction {
 /// fire the plan.
 pub const BATCH_SPREAD: u64 = 4;
 
-/// splitmix64 — the one-instruction-deep seed mixer (Steele et al.),
-/// vendored so the crate stays dependency-free.
+/// splitmix64 — the one-instruction-deep seed mixer (Steele et al.).
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = x;
@@ -293,24 +200,42 @@ pub fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// One run's armed fault state: the per-run counters that make "first
-/// batch", "`n`-th batch" well-defined, plus the fired-site latch the
-/// engine reads back for observability.
+/// batch", "`n`-th batch" well-defined, the plan's latch it shares with
+/// every session [`rearm`](FaultSession::rearm)ed from it, and whether
+/// this session fired, which the engine reads back for observability.
 #[derive(Debug)]
 pub struct FaultSession {
     config: FaultConfig,
     /// Global batch counter across all workers (drives `CancelAtBatch`).
     batches: AtomicU64,
-    /// One-shot latch: worker-targeted faults fire exactly once per run.
+    /// The plan's one-shot latch, shared by every session armed from it:
+    /// the first hook to swap it fires the plan, once across all of them.
+    latch: Arc<AtomicBool>,
+    /// Whether this session's hook was the one that swapped the latch.
     fired: AtomicBool,
 }
 
 impl FaultSession {
-    /// Arms `config` for one run.
+    /// Arms `config` with a latch of its own.
     pub fn new(config: FaultConfig) -> Self {
         FaultSession {
             config,
             batches: AtomicU64::new(0),
+            latch: Arc::new(AtomicBool::new(false)),
             fired: AtomicBool::new(false),
+        }
+    }
+
+    /// A session of the same plan for one more run, store load or
+    /// serving front: counters of its own, this session's latch. Inert
+    /// once the plan has fired.
+    pub fn rearm(&self) -> FaultSession {
+        if self.latch.load(Ordering::Acquire) {
+            return FaultSession::inert();
+        }
+        FaultSession {
+            latch: self.latch.clone(),
+            ..FaultSession::new(self.config)
         }
     }
 
@@ -323,11 +248,6 @@ impl FaultSession {
     #[inline]
     pub fn armed(&self) -> bool {
         self.config.enabled()
-    }
-
-    /// The armed plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.config.seed
     }
 
     /// The 0-based global batch index a seed-targeted fault lands on:
@@ -422,16 +342,15 @@ impl FaultSession {
         }
     }
 
-    /// Whether the named persistent-store section should be corrupted on
-    /// this load (consulted at the store's read seam, once per session).
-    /// Returns the seed, which the caller uses to derive the flipped
-    /// byte's index — keeping the *where* of the corruption as
-    /// deterministic as every other fault site.
+    /// Whether `section` should be corrupted on this load (consulted at
+    /// the store's read seam). Returns the seed, which the caller uses to
+    /// derive the flipped byte's index — keeping the *where* of the
+    /// corruption as deterministic as every other fault site.
     #[inline]
-    pub fn corrupt_store(&self, section: &str) -> Option<u64> {
+    pub fn corrupt_store(&self, section: Section) -> Option<u64> {
         match self.config.kind {
             Some(FaultKind::StoreCorrupt { section: target })
-                if target.name() == section && self.latch() =>
+                if target == section && self.latch() =>
             {
                 Some(self.config.seed)
             }
@@ -439,8 +358,9 @@ impl FaultSession {
         }
     }
 
-    /// The site that fired this run, if any — the engine turns this into
-    /// a trace event and a `msj_fault_injected_total{site}` increment.
+    /// The site this session fired, if it won the plan's latch — the
+    /// engine turns this into a trace event and a
+    /// `msj_fault_injected_total{site}` increment.
     pub fn fired(&self) -> Option<&'static str> {
         if self.fired.load(Ordering::Acquire) {
             self.config.kind.map(|k| k.site())
@@ -454,9 +374,13 @@ impl FaultSession {
         format!("injected fault: worker_panic (seed {})", self.config.seed)
     }
 
-    /// Latches the one-shot flag; `true` for the caller that won.
+    /// Swaps the plan's latch; `true` for the one caller that won it.
     fn latch(&self) -> bool {
-        !self.fired.swap(true, Ordering::AcqRel)
+        let won = !self.latch.swap(true, Ordering::AcqRel);
+        if won {
+            self.fired.store(true, Ordering::Release);
+        }
+        won
     }
 }
 
@@ -471,7 +395,7 @@ mod tests {
         for w in 0..8 {
             assert_eq!(s.on_batch(w, 8), FaultAction::Proceed);
         }
-        assert_eq!(s.corrupt_store("tree"), None);
+        assert_eq!(s.corrupt_store(Section::Tree), None);
         assert_eq!(s.fired(), None);
     }
 
@@ -541,50 +465,39 @@ mod tests {
         let s = FaultSession::new(FaultConfig::seeded(
             13,
             FaultKind::StoreCorrupt {
-                section: StoreSection::RasterA,
+                section: Section::RasterA,
             },
         ));
-        assert_eq!(s.corrupt_store("tree"), None, "other sections untouched");
+        assert_eq!(
+            s.corrupt_store(Section::Tree),
+            None,
+            "other sections untouched"
+        );
         assert_eq!(s.fired(), None, "a miss must not consume the plan");
-        assert_eq!(s.corrupt_store("raster_a"), Some(13));
-        assert_eq!(s.corrupt_store("raster_a"), None, "one-shot");
+        assert_eq!(s.corrupt_store(Section::RasterA), Some(13));
+        assert_eq!(s.corrupt_store(Section::RasterA), None, "one-shot");
         assert_eq!(s.fired(), Some("store_corrupt"));
         assert_eq!(s.on_batch(0, 1), FaultAction::Proceed);
     }
 
     #[test]
-    fn plan_parsing_covers_every_kind_and_rejects_noise() {
-        assert_eq!(parse_plan("worker_panic"), Some(FaultKind::WorkerPanic));
+    fn rearmed_sessions_share_one_latch() {
+        let plan = FaultSession::new(FaultConfig::seeded(
+            5,
+            FaultKind::CancelAtBatch { batch: 0 },
+        ));
+        let (first, second) = (plan.rearm(), plan.rearm());
+        assert_eq!(second.on_batch(0, 1), FaultAction::Cancel);
         assert_eq!(
-            parse_plan("slow_worker:15"),
-            Some(FaultKind::SlowWorker { millis: 15 })
+            first.on_batch(0, 1),
+            FaultAction::Proceed,
+            "spent by the other"
         );
         assert_eq!(
-            parse_plan(" cancel_at_batch:3 "),
-            Some(FaultKind::CancelAtBatch { batch: 3 })
+            (first.fired(), second.fired()),
+            (None, Some("cancel_at_batch"))
         );
-        assert_eq!(parse_plan("conn_reset"), Some(FaultKind::ConnReset));
-        assert_eq!(parse_plan("partial_write"), Some(FaultKind::PartialWrite));
-        assert_eq!(
-            parse_plan("slow_client:40"),
-            Some(FaultKind::SlowClient { millis: 40 })
-        );
-        assert_eq!(
-            parse_plan("drop_before_reply"),
-            Some(FaultKind::DropBeforeReply)
-        );
-        for section in StoreSection::ALL {
-            assert_eq!(
-                parse_plan(&format!("store_corrupt:{}", section.name())),
-                Some(FaultKind::StoreCorrupt { section })
-            );
-        }
-        assert_eq!(parse_plan("slow_worker:"), None);
-        assert_eq!(parse_plan("slow_client:"), None);
-        assert_eq!(parse_plan("store_corrupt:"), None);
-        assert_eq!(parse_plan("store_corrupt:bogus"), None);
-        assert_eq!(parse_plan("unplugged"), None);
-        assert_eq!(parse_plan(""), None);
+        assert!(!plan.rearm().armed(), "a spent plan arms inert sessions");
     }
 
     #[test]
@@ -595,7 +508,7 @@ mod tests {
             (FaultKind::CancelAtBatch { batch: 0 }, "cancel_at_batch"),
             (
                 FaultKind::StoreCorrupt {
-                    section: StoreSection::Tree,
+                    section: Section::Tree,
                 },
                 "store_corrupt",
             ),

@@ -46,10 +46,39 @@ pub const FORCE_SCALAR_ENV: &str = "MSJ_FORCE_SCALAR";
 
 /// The kernel implementation family, chosen once per join (or probe
 /// session) and threaded through every hot loop under it.
+///
+/// A SIMD dispatch exists only by detection: [`KernelDispatch::detect`],
+/// [`KernelDispatch::select`] / [`KernelDispatch::auto`] and
+/// [`KernelDispatch::all_available`] are its only sources, so holding one
+/// proves the CPU runs its instructions. [`KernelDispatch::Scalar`] runs
+/// anywhere and is public; the SIMD paths cannot be named outside this
+/// crate:
+///
+/// ```
+/// use msj_geom::KernelDispatch;
+/// let scalar = KernelDispatch::Scalar;
+/// assert!(KernelDispatch::all_available().contains(&scalar));
+/// ```
+///
+/// ```compile_fail,E0599
+/// let avx2 = msj_geom::KernelDispatch::Avx2;
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KernelDispatch(Path);
+
+/// Prints the path alone (`Avx2`), as reports and fingerprints read it.
+impl std::fmt::Debug for KernelDispatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+/// The path a [`KernelDispatch`] names. Private: a wide variant is built
+/// only in this module, after the feature it needs was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelDispatch {
-    /// Portable scalar loops — the semantic reference every wide path is
-    /// checked against.
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum Path {
+    /// [`KernelDispatch::Scalar`].
     Scalar,
     /// 2-wide `f64` lanes via `core::arch::x86_64` SSE2.
     Sse2,
@@ -59,16 +88,21 @@ pub enum KernelDispatch {
 }
 
 impl KernelDispatch {
+    /// Portable scalar loops — the semantic reference every wide path is
+    /// checked against.
+    #[allow(non_upper_case_globals)]
+    pub const Scalar: KernelDispatch = KernelDispatch(Path::Scalar);
+
     /// The widest path this CPU supports, by runtime feature detection.
     /// Non-x86-64 targets always get [`KernelDispatch::Scalar`].
     pub fn detect() -> Self {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                return KernelDispatch::Avx2;
+                return KernelDispatch(Path::Avx2);
             }
             if std::arch::is_x86_feature_detected!("sse2") {
-                return KernelDispatch::Sse2;
+                return KernelDispatch(Path::Sse2);
             }
         }
         KernelDispatch::Scalar
@@ -94,10 +128,10 @@ impl KernelDispatch {
 
     /// Stable label for metrics and reports.
     pub fn label(&self) -> &'static str {
-        match self {
-            KernelDispatch::Scalar => "scalar",
-            KernelDispatch::Sse2 => "sse2",
-            KernelDispatch::Avx2 => "avx2",
+        match self.0 {
+            Path::Scalar => "scalar",
+            Path::Sse2 => "sse2",
+            Path::Avx2 => "avx2",
         }
     }
 
@@ -108,10 +142,10 @@ impl KernelDispatch {
         #[cfg(target_arch = "x86_64")]
         {
             if std::arch::is_x86_feature_detected!("sse2") {
-                all.push(KernelDispatch::Sse2);
+                all.push(KernelDispatch(Path::Sse2));
             }
             if std::arch::is_x86_feature_detected!("avx2") {
-                all.push(KernelDispatch::Avx2);
+                all.push(KernelDispatch(Path::Avx2));
             }
         }
         all
@@ -164,20 +198,19 @@ pub fn sweep_scan(
     if from >= xmin.len() {
         return 0;
     }
-    match d {
-        KernelDispatch::Scalar => {
-            sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
-        }
-        // SAFETY: `d == Sse2` only after `KernelDispatch::select` detected
-        // SSE2; the three columns are of equal length (asserted above).
+    match d.0 {
+        Path::Scalar => sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits),
+        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
+        // detected (`Path` is private to this module); the three columns
+        // are of equal length (asserted above).
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 => unsafe {
+        Path::Sse2 => unsafe {
             sweep_scan_sse2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
         },
-        // SAFETY: `d == Avx2` only after `KernelDispatch::select` detected
-        // AVX2 on this CPU; column lengths as for the SSE2 arm.
+        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
+        // detected on this CPU; column lengths as for the SSE2 arm.
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => unsafe {
+        Path::Avx2 => unsafe {
             sweep_scan_avx2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -340,16 +373,16 @@ pub fn rects_vs_rect(
         xmin.len() == ymin.len() && xmin.len() == xmax.len() && xmin.len() == ymax.len(),
         "rects_vs_rect columns differ in length"
     );
-    match d {
-        KernelDispatch::Scalar => rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, 0, hits),
-        // SAFETY: SSE2 was detected when `d` was selected; the four
-        // columns are of equal length (asserted above).
+    match d.0 {
+        Path::Scalar => rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, 0, hits),
+        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
+        // detected; the four columns are of equal length (asserted above).
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 => unsafe { rects_vs_rect_sse2(q, xmin, ymin, xmax, ymax, hits) },
-        // SAFETY: AVX2 was detected when `d` was selected; column lengths
-        // as for the SSE2 arm.
+        Path::Sse2 => unsafe { rects_vs_rect_sse2(q, xmin, ymin, xmax, ymax, hits) },
+        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
+        // detected; column lengths as for the SSE2 arm.
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => unsafe { rects_vs_rect_avx2(q, xmin, ymin, xmax, ymax, hits) },
+        Path::Avx2 => unsafe { rects_vs_rect_avx2(q, xmin, ymin, xmax, ymax, hits) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, 0, hits),
     }
@@ -466,20 +499,18 @@ pub fn rect_pairs_intersect(
     pairs: &[(u32, u32)],
     out: &mut Vec<bool>,
 ) {
-    match d {
-        KernelDispatch::Scalar => rect_pairs_scalar(rects_a, rects_b, pairs, out),
+    match d.0 {
+        Path::Scalar => rect_pairs_scalar(rects_a, rects_b, pairs, out),
         // Random-index pair gathering defeats 4-lane gathers (the
         // `kernels` bench measured `vgatherdpd` at ~0.5x scalar here),
         // so the widest path also runs the 2-lane direct-load form —
         // each pair's two rects are contiguous 32-byte loads.
-        // SAFETY: either variant implies SSE2 (detected at selection,
-        // and AVX2 hosts have it); every `(a, b)` in `pairs` is a Step-1
+        // SAFETY: either path implies SSE2 (a wide `Path` is built only
+        // after its feature was detected, and AVX2 hosts have SSE2); every `(a, b)` in `pairs` is a Step-1
         // candidate over the relations these two MER columns were built
         // from, so `a < rects_a.len()` and `b < rects_b.len()`.
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 | KernelDispatch::Avx2 => unsafe {
-            rect_pairs_sse2(rects_a, rects_b, pairs, out)
-        },
+        Path::Sse2 | Path::Avx2 => unsafe { rect_pairs_sse2(rects_a, rects_b, pairs, out) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rect_pairs_scalar(rects_a, rects_b, pairs, out),
     }
@@ -543,7 +574,7 @@ fn check_gathered_ids(d: KernelDispatch, rects: &[Rect], ids: &[u32]) {
         rects.len()
     );
     assert!(
-        d != KernelDispatch::Avx2 || max < 1 << 29,
+        d.0 != Path::Avx2 || max < 1 << 29,
         "gathered id {max} overflows an AVX2 gather lane"
     );
 }
@@ -559,16 +590,17 @@ pub fn rects_contain_point(
     out: &mut Vec<bool>,
 ) {
     check_gathered_ids(d, rects, ids);
-    match d {
-        KernelDispatch::Scalar => rects_contain_point_scalar(rects, ids, p, out),
-        // SAFETY: SSE2 was detected when `d` was selected; every id is
-        // `< rects.len()` (checked above).
+    match d.0 {
+        Path::Scalar => rects_contain_point_scalar(rects, ids, p, out),
+        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
+        // detected; every id is `< rects.len()` (checked above).
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 => unsafe { rects_contain_point_sse2(rects, ids, p, out) },
-        // SAFETY: AVX2 was detected when `d` was selected; every id is
-        // `< rects.len()` and `< 2^29` (checked above).
+        Path::Sse2 => unsafe { rects_contain_point_sse2(rects, ids, p, out) },
+        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
+        // detected; every id is `< rects.len()` and `< 2^29` (checked
+        // above).
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => unsafe { rects_contain_point_avx2(rects, ids, p, out) },
+        Path::Avx2 => unsafe { rects_contain_point_avx2(rects, ids, p, out) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rects_contain_point_scalar(rects, ids, p, out),
     }
@@ -645,16 +677,17 @@ pub fn rects_intersect_query(
     out: &mut Vec<bool>,
 ) {
     check_gathered_ids(d, rects, ids);
-    match d {
-        KernelDispatch::Scalar => rects_intersect_query_scalar(rects, ids, q, out),
-        // SAFETY: SSE2 was detected when `d` was selected; every id is
-        // `< rects.len()` (checked above).
+    match d.0 {
+        Path::Scalar => rects_intersect_query_scalar(rects, ids, q, out),
+        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
+        // detected; every id is `< rects.len()` (checked above).
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Sse2 => unsafe { rects_intersect_query_sse2(rects, ids, q, out) },
-        // SAFETY: AVX2 was detected when `d` was selected; every id is
-        // `< rects.len()` and `< 2^29` (checked above).
+        Path::Sse2 => unsafe { rects_intersect_query_sse2(rects, ids, q, out) },
+        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
+        // detected; every id is `< rects.len()` and `< 2^29` (checked
+        // above).
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => unsafe { rects_intersect_query_avx2(rects, ids, q, out) },
+        Path::Avx2 => unsafe { rects_intersect_query_avx2(rects, ids, q, out) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rects_intersect_query_scalar(rects, ids, q, out),
     }
@@ -746,6 +779,7 @@ mod tests {
     #[test]
     fn dispatch_selection_honors_force_scalar() {
         assert_eq!(KernelDispatch::select(true), KernelDispatch::Scalar);
+        assert_eq!(format!("{:?}", KernelDispatch::Scalar), "Scalar");
         assert!(KernelDispatch::all_available().contains(&KernelDispatch::auto()));
         assert_eq!(KernelDispatch::all_available()[0], KernelDispatch::Scalar);
         for d in KernelDispatch::all_available() {

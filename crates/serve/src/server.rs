@@ -30,7 +30,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use msj_core::{Request, SpatialEngine};
-use msj_fault::{FaultConfig, FaultSession, WireAction};
+use msj_fault::{FaultSession, WireAction};
 use msj_geom::{CancelToken, Point, Rect};
 use msj_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -69,9 +69,6 @@ pub struct ServeConfig {
     /// work before queued jobs are answered `Draining` and running ones
     /// are cancelled.
     pub drain_deadline: Duration,
-    /// Wire fault plan for chaos tests; when disabled, falls back to
-    /// `MSJ_FAULT_PLAN`/`MSJ_FAULT_SEED`.
-    pub fault: FaultConfig,
 }
 
 impl Default for ServeConfig {
@@ -87,7 +84,6 @@ impl Default for ServeConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(120),
             drain_deadline: Duration::from_secs(10),
-            fault: FaultConfig::disabled(),
         }
     }
 }
@@ -129,10 +125,9 @@ struct Shared {
     /// Connections whose threads are still running.
     open: AtomicUsize,
     shutdown: AtomicBool,
-    /// The wire fault plan; every writer consults it once per frame.
+    /// The engine's fault plan, armed at the wire; every writer consults
+    /// it once per frame.
     fault: FaultSession,
-    /// `msj_fault_injected_total{site}` of the armed wire fault plan.
-    fault_injected: Option<Arc<Counter>>,
     metrics: ServeMetrics,
 }
 
@@ -200,10 +195,10 @@ impl Shared {
     /// when it fires.
     fn wire_fault(&self) -> WireAction {
         let action = self.fault.on_response();
-        if action != WireAction::Proceed {
-            if let Some(injected) = &self.fault_injected {
-                injected.inc();
-            }
+        if let Some(site) = self.fault.fired().filter(|_| action != WireAction::Proceed) {
+            let site = [("site", site)];
+            let metrics = self.engine.metrics();
+            metrics.counter("msj_fault_injected_total", &site).inc();
         }
         action
     }
@@ -265,27 +260,17 @@ impl Server {
     pub fn start(engine: Arc<SpatialEngine>, config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let fault_config = if config.fault.enabled() {
-            config.fault
-        } else {
-            FaultConfig::from_env()
-        };
-        let fault_injected = fault_config.kind.map(|kind| {
-            let site = [("site", kind.site())];
-            engine.metrics().counter("msj_fault_injected_total", &site)
-        });
         let shared = Arc::new(Shared {
             metrics: describe_metrics(engine.metrics()),
             queues: QueueSet::new(config.queue_bound, config.batch_max),
-            engine,
             config,
             executing: Mutex::new(HashMap::new()),
             next_exec: AtomicUsize::new(0),
             inflight: AtomicUsize::new(0),
             open: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            fault: FaultSession::new(fault_config),
-            fault_injected,
+            fault: engine.fault_session(),
+            engine,
         });
 
         let workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))

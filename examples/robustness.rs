@@ -7,9 +7,11 @@
 //!   time and the partial candidate count;
 //! * an **explicit cancellation** from another thread stops an in-flight
 //!   join with `Cancelled`;
-//! * a deterministically **injected worker panic** (seed-driven
-//!   `msj-fault` plan) is contained to `WorkerPanicked` — and the *same*
-//!   engine then serves the identical request, byte-identically;
+//! * a deterministically **injected worker panic** (a seed-driven
+//!   `msj-fault` plan, armed in code on the engine's `EngineConfig`) is
+//!   contained to `WorkerPanicked` — and the *same* engine then serves
+//!   the identical request, byte-identically: a plan fires at most once
+//!   per engine;
 //! * the closing Prometheus exposition carries every failure counter.
 //!
 //! ```text
@@ -17,7 +19,8 @@
 //! ```
 
 use msj::core::{
-    CancelToken, EngineError, FaultConfig, FaultKind, JoinConfig, Request, Response, SpatialEngine,
+    CancelToken, EngineConfig, EngineError, FaultConfig, FaultKind, JoinConfig, Request, Response,
+    SpatialEngine,
 };
 use std::time::Duration;
 
@@ -29,11 +32,12 @@ fn pairs(engine: &SpatialEngine, request: Request) -> Vec<(u32, u32)> {
 }
 
 fn main() {
-    // Small batches so the seed-targeted fault plans land early.
-    let faulty = JoinConfig::builder()
-        .batch_pairs(64)
-        .fault(FaultConfig::seeded(42, FaultKind::WorkerPanic))
-        .build();
+    // Small batches so the seed-targeted fault plans land early; the
+    // plan is a setting of the engine, not of the join.
+    let faulty = EngineConfig {
+        fault: FaultConfig::seeded(42, FaultKind::WorkerPanic),
+        ..JoinConfig::builder().batch_pairs(64).build().into()
+    };
     let engine = SpatialEngine::new(faulty);
     let a = engine.register(msj::datagen::small_carto(400, 32.0, 5));
     let b = engine.register(msj::datagen::small_carto(400, 32.0, 6));

@@ -16,18 +16,21 @@
 //! cargo run --release --example serving
 //! ```
 
-use msj::core::{Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine};
+use msj::core::{EngineConfig, Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine};
 use msj::geom::{Point, Rect};
 use std::sync::Arc;
 
 fn main() {
-    // The builder is the way to assemble a non-preset configuration:
-    // fused execution across 4 workers, metrics plus a ring of the 16
-    // most recent request traces.
-    let config = JoinConfig::builder()
+    // The builder is the way to assemble a non-preset join plan (fused
+    // execution across 4 workers); the engine around it keeps metrics
+    // plus a ring of the 16 most recent request traces.
+    let plan = JoinConfig::builder()
         .execution(Execution::Fused { threads: 4 })
-        .obs(ObsConfig::with_traces(16))
         .build();
+    let config = EngineConfig {
+        obs: ObsConfig::with_traces(16),
+        ..plan.into()
+    };
 
     let engine = Arc::new(SpatialEngine::new(config));
     let forests = engine.register(msj::datagen::small_carto(300, 40.0, 7));

@@ -19,10 +19,12 @@
 //! needs.
 
 use msj::core::{
-    Backend, CancelToken, EngineError, Execution, FaultConfig, FaultKind, JoinConfig, Request,
-    Response, SpatialEngine,
+    Backend, CancelToken, EngineConfig, EngineError, Execution, FaultConfig, FaultKind, JoinConfig,
+    Request, Response, SpatialEngine,
 };
+use msj::fault::FaultSession;
 use msj::geom::Relation;
+use std::sync::Barrier;
 
 /// Small batches so every run crosses at least `msj::fault::BATCH_SPREAD`
 /// batch boundaries — a seed-targeted fault is then guaranteed to land.
@@ -57,16 +59,19 @@ fn matrix() -> Vec<(Backend, Execution)> {
         .collect()
 }
 
-fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> JoinConfig {
-    JoinConfig::builder()
+fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> EngineConfig {
+    let join = JoinConfig::builder()
         .backend(backend)
         .execution(execution)
         .batch_pairs(BATCH)
-        .fault(fault)
-        .build()
+        .build();
+    EngineConfig {
+        fault,
+        ..join.into()
+    }
 }
 
-fn engine_for(config: JoinConfig, a: &Relation, b: &Relation) -> (SpatialEngine, Request) {
+fn engine_for(config: EngineConfig, a: &Relation, b: &Relation) -> (SpatialEngine, Request) {
     let engine = SpatialEngine::new(config);
     let ha = engine.register(a.clone());
     let hb = engine.register(b.clone());
@@ -173,6 +178,43 @@ fn fault_matrix_agreement_and_recovery() {
             assert!(prom.contains("msj_request_cancelled_total 1"));
         }
     }
+}
+
+/// A plan fires at most once per engine even when runs overlap: two
+/// joins released together both arm the plan before either returns, and
+/// only the one that swaps the engine's latch first stalls.
+#[test]
+fn overlapping_runs_fire_the_plan_once_per_engine() {
+    let a = msj::datagen::small_carto(60, 24.0, 9011);
+    let b = msj::datagen::small_carto(60, 24.0, 9012);
+    // A seed that targets the first batch, so every run reaches it.
+    let stall = (0..)
+        .map(|seed| FaultConfig::seeded(seed, FaultKind::SlowWorker { millis: 600 }))
+        .find(|&plan| FaultSession::new(plan).target_batch() == 0)
+        .expect("some seed targets the first batch");
+    let (engine, request) = engine_for(
+        config(Backend::RStarTraversal, Execution::Serial, stall),
+        &a,
+        &b,
+    );
+    let start = Barrier::new(2);
+    let run = || {
+        start.wait();
+        join_pairs(
+            engine
+                .submit(request)
+                .expect("a straggler is not a failure"),
+        )
+    };
+    let [first, second] =
+        std::thread::scope(|s| [s.spawn(run), s.spawn(run)].map(|h| h.join().expect("run thread")));
+    assert_eq!(first, second);
+    assert_eq!(join_pairs(engine.submit(request).unwrap()), first);
+    let fired = engine
+        .metrics()
+        .snapshot()
+        .counter("msj_fault_injected_total{site=\"slow_worker\"}");
+    assert_eq!(fired, 1, "the plan fired in more than one run");
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! suite pins the PR-6 acceptance criterion: response sets with metrics
 //! and tracing enabled must be byte-identical to
 //! [`ObsConfig::disabled`] across {backend × execution × threads}, for
-//! one-shot joins and for the resident engine's whole request surface,
+//! prepared joins and for the resident engine's whole request surface,
 //! while the enabled side actually records what it watched.
 
 use msj::core::{
-    Backend, Execution, JoinConfig, MultiStepJoin, ObsConfig, Request, Response, SpatialEngine,
+    Backend, EngineConfig, Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine,
     StoreConfig,
 };
 use msj::geom::{Point, Rect};
@@ -19,7 +19,7 @@ fn workload(seed: u64) -> (msj::geom::Relation, msj::geom::Relation) {
     )
 }
 
-/// One-shot joins: every backend × execution cell produces the same
+/// Prepared joins: every backend × execution cell produces the same
 /// bytes (pairs, in order, plus the deterministic operation counts)
 /// whether observability is fully on (metrics + traces) or fully off.
 #[test]
@@ -43,9 +43,13 @@ fn tracing_on_and_off_are_byte_identical_across_the_matrix() {
                 let config = JoinConfig::builder()
                     .backend(backend)
                     .execution(execution)
-                    .obs(obs)
                     .build();
-                MultiStepJoin::new(config).execute(&a, &b)
+                let engine = SpatialEngine::new(EngineConfig {
+                    obs,
+                    ..config.into()
+                });
+                let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
+                engine.prepare_join(&ha, &hb).run()
             };
             let on = run(ObsConfig::with_traces(8));
             let off = run(ObsConfig::disabled());
@@ -93,7 +97,10 @@ fn engine_request_surface_agrees_with_observability_off() {
     );
 
     let serve = |obs: ObsConfig| {
-        let engine = SpatialEngine::new(JoinConfig::builder().obs(obs).build());
+        let engine = SpatialEngine::new(EngineConfig {
+            obs,
+            ..EngineConfig::default()
+        });
         let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
         let responses = engine.submit_batch([
             Request::Join {
@@ -201,7 +208,10 @@ fn registration_time_is_itemised_by_artifact() {
     let snap = memory_only.metrics().snapshot();
     assert!(snap.counter(&artifact("progressive")) > 0);
     assert_eq!(snap.counter(&artifact("persist")), 0);
-    let dark = SpatialEngine::new(JoinConfig::builder().obs(ObsConfig::disabled()).build());
+    let dark = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::disabled(),
+        ..EngineConfig::default()
+    });
     dark.register(a);
     assert_eq!(
         dark.metrics().snapshot().counter(&artifact("progressive")),
@@ -341,7 +351,10 @@ fn exposition_schema_and_counts_are_pinned() {
 
     // (iii) A dark engine under the same traffic keeps the schema and
     // records nothing — not even the dispatch marker.
-    let dark = SpatialEngine::new(JoinConfig::builder().obs(ObsConfig::disabled()).build());
+    let dark = SpatialEngine::new(EngineConfig {
+        obs: ObsConfig::disabled(),
+        ..EngineConfig::default()
+    });
     traffic(&dark);
     let prom = dark.metrics().render_prometheus();
     assert_eq!(exposition_keys(&prom), fresh);

@@ -23,8 +23,8 @@
 //! every reading): timed multi-threaded joins must not share the cores.
 
 use msj::core::{
-    CancelToken, EngineError, Execution, FaultConfig, FaultKind, JoinConfig, ObsConfig,
-    PreparedJoin, Request, Response, SpatialEngine, StoreConfig, DEFAULT_BATCH_PAIRS,
+    CancelToken, EngineConfig, EngineError, Execution, FaultConfig, FaultKind, JoinConfig,
+    ObsConfig, PreparedJoin, Request, Response, SpatialEngine, StoreConfig, DEFAULT_BATCH_PAIRS,
 };
 use msj::geom::Relation;
 use msj::serve::{Client, ServeConfig, Server, WireRequest, WireStatus};
@@ -55,7 +55,11 @@ fn skewed_pair() -> (Arc<Relation>, Arc<Relation>) {
 }
 
 /// Step 0 on a fresh engine: the owned prepared join of the pair.
-fn prepare(config: JoinConfig, a: &Arc<Relation>, b: &Arc<Relation>) -> Arc<PreparedJoin> {
+fn prepare(
+    config: impl Into<EngineConfig>,
+    a: &Arc<Relation>,
+    b: &Arc<Relation>,
+) -> Arc<PreparedJoin> {
     let engine = SpatialEngine::new(config);
     let (ha, hb) = (engine.register(a.clone()), engine.register(b.clone()));
     engine.prepare_join(&ha, &hb)
@@ -119,7 +123,11 @@ fn observability_costs_under_three_percent() {
     let (mut ratios, mut off, mut on) = (Vec::new(), f64::INFINITY, f64::INFINITY);
     for _ in 0..OBS_ROUNDS {
         let [p_off, p_on] = [ObsConfig::disabled(), ObsConfig::default()].map(|obs| {
-            let prepared = prepare(JoinConfig::builder().obs(obs).build(), &a, &b);
+            let config = EngineConfig {
+                obs,
+                ..EngineConfig::default()
+            };
+            let prepared = prepare(config, &a, &b);
             let _ = prepared.run_with(FUSED);
             prepared
         });
@@ -156,7 +164,11 @@ fn armed_but_silent_fault_hooks_cost_under_one_percent() {
     let config = JoinConfig::builder().execution(FUSED).build();
     let never = FaultConfig::seeded(SEED, FaultKind::CancelAtBatch { batch: u32::MAX });
     let disabled = prepare(config, &a, &b);
-    let armed = prepare(config.to_builder().fault(never).build(), &a, &b);
+    let armed = EngineConfig {
+        fault: never,
+        ..config.into()
+    };
+    let armed = prepare(armed, &a, &b);
     let run_armed = || {
         armed
             .try_run_with(FUSED, Some(&CancelToken::new()))

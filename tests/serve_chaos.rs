@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use msj::core::{JoinConfig, Request, SpatialEngine};
+use msj::core::{EngineConfig, Request, SpatialEngine};
 use msj::fault::{FaultConfig, FaultKind};
 use msj::geom::{Point, Rect};
 use msj::serve::{
@@ -100,7 +100,10 @@ fn wire_faults_never_corrupt_a_completed_response_and_the_server_survives() {
 
 fn run_chaos_cell(seed: u64, kind: FaultKind) {
     let cell = format!("seed {seed}, kind {:?}", kind);
-    let engine = Arc::new(SpatialEngine::new(JoinConfig::default()));
+    let engine = Arc::new(SpatialEngine::new(EngineConfig {
+        fault: FaultConfig::seeded(seed, kind),
+        ..EngineConfig::default()
+    }));
     let a = engine.register(msj::datagen::small_carto(50, 8.0, 5)).id();
     let b = engine.register(msj::datagen::small_carto(50, 8.0, 6)).id();
     let requests = workload(a, b);
@@ -119,14 +122,7 @@ fn run_chaos_cell(seed: u64, kind: FaultKind) {
         })
         .collect();
 
-    let server = Server::start(
-        engine.clone(),
-        ServeConfig {
-            fault: FaultConfig::seeded(seed, kind),
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server starts");
+    let server = Server::start(engine.clone(), ServeConfig::default()).expect("server starts");
 
     let mut client = Client::connect(server.addr()).expect("connect");
     let mut disconnects = 0;

@@ -15,7 +15,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use msj::core::{JoinConfig, Request, SpatialEngine};
+use msj::core::{EngineConfig, JoinConfig, Request, SpatialEngine};
 use msj::fault::{FaultConfig, FaultKind, FaultSession};
 use msj::serve::{
     encode_response, response_body_for, Client, ServeConfig, Server, WireRequest, WireRequestBody,
@@ -113,13 +113,13 @@ fn drive_client(
 /// check: the wire projection must not depend on which engine instance
 /// ran the request.
 fn build_engines(objects: usize) -> (Arc<SpatialEngine>, Arc<SpatialEngine>, u32, u32) {
-    build_engines_with(JoinConfig::default(), objects)
+    build_engines_with(EngineConfig::default(), objects)
 }
 
 /// [`build_engines`] with the serving engine under `serving`; the oracle
 /// twin always runs the default configuration.
 fn build_engines_with(
-    serving: JoinConfig,
+    serving: EngineConfig,
     objects: usize,
 ) -> (Arc<SpatialEngine>, Arc<SpatialEngine>, u32, u32) {
     let engine = Arc::new(SpatialEngine::new(serving));
@@ -220,7 +220,10 @@ fn tiny_drain_deadline_still_exits_bounded_with_explicit_abandonment() {
         .map(|seed| FaultConfig::seeded(seed, FaultKind::SlowWorker { millis: 1000 }))
         .find(|&plan| FaultSession::new(plan).target_batch() == 0)
         .expect("some seed targets the first batch");
-    let serving = JoinConfig::builder().fault(stall).build();
+    let serving = EngineConfig {
+        fault: stall,
+        ..EngineConfig::default()
+    };
     let (engine, oracle_engine, a, b) = build_engines_with(serving, 250);
     let requests: Vec<WireRequest> = (0..6).map(|i| WireRequest::join(i, a, b)).collect();
     let oracle = oracle_for(&oracle_engine, std::slice::from_ref(&requests));

@@ -14,7 +14,7 @@
 //! per thread and only on the thread that asks, so neither the harness's
 //! threads nor the other tests can disturb a measurement.
 
-use msj::core::{selection_source, JoinConfig, ObsConfig, Request, SpatialEngine};
+use msj::core::{selection_source, EngineConfig, JoinConfig, ObsConfig, Request, SpatialEngine};
 use msj::geom::{Point, Rect};
 use msj::sam::{tree_join, LruBuffer, PageLayout, RStarTree};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -151,7 +151,10 @@ fn observed_probes_allocate_no_more_than_dark_ones() {
     };
     let side = world.width() * 0.02_f64.sqrt();
     let probes_allocate = |obs: ObsConfig| {
-        let engine = SpatialEngine::new(JoinConfig::builder().obs(obs).build());
+        let engine = SpatialEngine::new(EngineConfig {
+            obs,
+            ..EngineConfig::default()
+        });
         let dataset = engine.register(rel.clone()).id();
         let probe_all = || {
             for i in 0..200 {

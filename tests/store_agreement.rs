@@ -34,12 +34,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use msj::core::{
-    Backend, Execution, FaultConfig, FaultKind, JoinConfig, Request, Response, SpatialEngine,
-    StoreConfig,
+    Backend, EngineConfig, Execution, FaultConfig, FaultKind, JoinConfig, Request, Response,
+    SpatialEngine, StoreConfig,
 };
 use msj::exact::ExactAlgorithm;
-use msj::fault::StoreSection;
 use msj::geom::{Point, Rect, Relation};
+use msj_store::Section;
 
 /// Small batches so fused runs cross several batch boundaries.
 const BATCH: usize = 16;
@@ -85,13 +85,16 @@ fn matrix() -> Vec<(Backend, Execution)> {
         .collect()
 }
 
-fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> JoinConfig {
-    JoinConfig::builder()
+fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> EngineConfig {
+    let join = JoinConfig::builder()
         .backend(backend)
         .execution(execution)
         .batch_pairs(BATCH)
-        .fault(fault)
-        .build()
+        .build();
+    EngineConfig {
+        fault,
+        ..join.into()
+    }
 }
 
 /// One request of every kind the engine serves, with selection geometry
@@ -192,7 +195,7 @@ fn reopened_engine_answers_identically() {
         );
         // A restored store must load clean: no checksum failures.
         let prom = reopened.metrics().render_prometheus();
-        for section in StoreSection::ALL {
+        for section in Section::ALL {
             assert!(
                 prom.contains(&format!(
                     "msj_store_checksum_failures_total{{section=\"{}\"}} 0",
@@ -294,10 +297,10 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
     let pair_file = dir.join("pair_0_1.msj");
     let pair_image = std::fs::read(&pair_file).expect("the join persisted its pair");
     let dataset_sections = [
-        StoreSection::Tree,
-        StoreSection::Conservative,
-        StoreSection::Progressive,
-        StoreSection::TrStar,
+        Section::Tree,
+        Section::Conservative,
+        Section::Progressive,
+        Section::TrStar,
     ];
     for &seed in &seeds() {
         // --- Step-0 sections: the load detects the flip, rebuilds the
@@ -331,7 +334,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         // rasterizes the pair again, runs Step 2a with the new signatures
         // and writes the segment through. A clean open then adopts that
         // segment as it is.
-        for section in [StoreSection::RasterA, StoreSection::RasterB] {
+        for section in [Section::RasterA, Section::RasterB] {
             let faulty = config(
                 Backend::RStarTraversal,
                 Execution::Serial,
@@ -390,7 +393,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
             FaultConfig::seeded(
                 seed,
                 FaultKind::StoreCorrupt {
-                    section: StoreSection::Relation,
+                    section: Section::Relation,
                 },
             ),
         );
@@ -447,7 +450,7 @@ const RASTER_A_TAG: u32 = 6;
 
 /// Seeds a store with the default pipeline and returns the directory,
 /// configuration, requests and reference answers.
-fn seeded_store(tag: &str) -> (PathBuf, JoinConfig, Vec<Request>, Vec<Vec<u64>>) {
+fn seeded_store(tag: &str) -> (PathBuf, EngineConfig, Vec<Request>, Vec<Vec<u64>>) {
     let a = msj::datagen::small_carto(120, 24.0, 9108);
     let b = msj::datagen::small_carto(120, 24.0, 9109);
     let requests = workload(&a);
@@ -525,7 +528,8 @@ fn stored_trstar_arena_is_adopted_in_place() {
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
-    );
+    )
+    .join;
     let ExactAlgorithm::TrStar { max_entries } = cfg.exact else {
         panic!("the default exact step is TR*");
     };
@@ -575,7 +579,7 @@ fn stored_trstar_arena_is_adopted_in_place() {
         FaultConfig::seeded(
             seeds()[0],
             FaultKind::StoreCorrupt {
-                section: StoreSection::TrStar,
+                section: Section::TrStar,
             },
         ),
     );
@@ -779,7 +783,8 @@ fn store_written_at_the_papers_capacity_is_refreshed_under_the_default() {
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
-    );
+    )
+    .join;
     let paper = cfg.to_builder().exact(JoinConfig::version3().exact).build();
     assert_ne!(paper.exact, cfg.exact, "the default carries the paper's M");
     let dir = tmp_store("capacity");
