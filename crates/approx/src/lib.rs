@@ -65,6 +65,4 @@ pub use raster::{
     auto_grid_bits, hilbert_index, raster_decide, rasterize, CellRun, RasterDecision, RasterGrid,
     RasterSignature, RasterStore, Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
 };
-pub use store::{
-    conservative_bytes, progressive_bytes, ConservativeStore, ConvexSlices, ProgressiveStore,
-};
+pub use store::{conservative_bytes, progressive_bytes, ConservativeStore, ProgressiveStore};

@@ -83,23 +83,6 @@ enum ConsColumns {
     Mixed(Vec<Conservative>),
 }
 
-/// Borrowed offsets + arena of a convex column — the raw material of the
-/// monomorphized filter plans (`msj-core`).
-#[derive(Debug, Clone, Copy)]
-pub struct ConvexSlices<'a> {
-    offsets: &'a [u32],
-    points: &'a [Point],
-}
-
-impl<'a> ConvexSlices<'a> {
-    /// The vertex ring of object `id`.
-    #[inline]
-    pub fn ring(&self, id: ObjectId) -> &'a [Point] {
-        let i = id as usize;
-        &self.points[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-}
-
 /// Precomputed approximations of one kind for every object of a relation,
 /// in columnar layout (see the module docs).
 #[derive(Debug, Clone)]
@@ -233,16 +216,6 @@ impl ConservativeStore {
     pub fn false_area_test_with(&self, id: ObjectId, other: &Self, other_id: ObjectId) -> bool {
         let inter = view_intersection_area(&self.view(id), &other.view(other_id));
         inter > self.false_area(id) + other.false_area(other_id)
-    }
-
-    /// The convex column, when this store's kind packs vertex rings —
-    /// the monomorphized filter plans build on this.
-    #[inline]
-    pub fn convex_slices(&self) -> Option<ConvexSlices<'_>> {
-        match &self.cols {
-            ConsColumns::Convex { offsets, points } => Some(ConvexSlices { offsets, points }),
-            _ => None,
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -630,19 +603,17 @@ mod tests {
             ConservativeKind::ConvexHull,
         ] {
             let store = ConservativeStore::build(kind, &rel);
-            let slices = store.convex_slices().expect("convex column");
+            assert!(matches!(store.cols, ConsColumns::Convex { .. }));
             for id in 0..3u32 {
-                assert!(slices.ring(id).len() >= 3, "{} ring {id}", kind.name());
                 match store.view(id) {
-                    ConsView::Convex(ring) => assert_eq!(ring, slices.ring(id)),
+                    ConsView::Convex(ring) => assert!(ring.len() >= 3, "{} ring {id}", kind.name()),
                     other => panic!("{}: non-convex view {other:?}", kind.name()),
                 }
             }
         }
-        // Closed-form kinds expose no convex column.
-        assert!(ConservativeStore::build(ConservativeKind::Mbr, &rel)
-            .convex_slices()
-            .is_none());
+        // Closed-form kinds pack no convex column.
+        let mbr = ConservativeStore::build(ConservativeKind::Mbr, &rel);
+        assert!(!matches!(mbr.cols, ConsColumns::Convex { .. }));
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! The `kernels` experiment: the vectorized hot-path kernels measured in
 //! isolation, per dispatch path.
 //!
-//! Two microbenches mirror the two batched loops the join pipeline runs
-//! per dispatch path (the same inputs every path, straight out of the
-//! skewed cartographic workload):
+//! One microbench mirrors the batched loop the join pipeline runs per
+//! dispatch path (the same inputs every path, straight out of the skewed
+//! cartographic workload):
 //!
 //! * **sweep** — the forward plane-sweep MBR kernel
 //!   ([`msj_geom::kernels::sweep_scan`]) over the xmin-sorted SoA
 //!   columns of both relations, exactly the Step-1 inner loop of the
-//!   partitioned backend and the R*-traversal's equal-level merge;
-//! * **mer-accept** — the pair-gathered MER fast-accept
-//!   ([`msj_geom::kernels::rect_pairs_intersect`]) over the candidate
-//!   stream, the Step-2 `ConvexMer` wide mask.
+//!   partitioned backend and the R*-traversal's equal-level merge.
 //!
 //! (Step 2a, [`msj_approx::raster_decide`], is one search-based function
-//! on every path, so it has no row here.)
+//! on every path, and Step 2's MER test is one rectangle comparison per
+//! candidate, so neither has a row here.)
 //!
 //! Every cell reports items/sec and ns/item; the FNV digest of each
 //! kernel's full output is asserted equal across dispatch paths —
@@ -28,7 +26,6 @@
 use super::ExpConfig;
 use crate::report::{f, section, Table};
 use crate::timing::timed;
-use msj_approx::{ProgressiveKind, ProgressiveStore};
 use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{checksum, fnv1a64, ObjectId, Rect, Relation};
 
@@ -40,8 +37,7 @@ const CHECKSUM_BYTES: usize = 8 << 20;
 struct KernelCell {
     kernel: &'static str,
     path: &'static str,
-    /// Items the kernel consumed per run (pair tests for the sweep,
-    /// candidate pairs for the mask kernels).
+    /// Items the kernel consumed per run (pair tests).
     items: u64,
     ns_per_item: f64,
     items_per_sec: f64,
@@ -116,7 +112,7 @@ fn run_sweep(d: KernelDispatch, a: &SweepSide, b: &SweepSide) -> (u64, Vec<(Obje
     (tests, pairs)
 }
 
-/// Measures the two kernels on every available dispatch path over the
+/// Measures the sweep kernel on every available dispatch path over the
 /// skewed cartographic workload; asserts cross-path digest agreement.
 fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
     let n = cfg.large_count() / 2;
@@ -124,16 +120,6 @@ fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
     let b = msj_datagen::skewed_carto(n, 24.0, cfg.seed + 1);
     let side_a = SweepSide::build(&a);
     let side_b = SweepSide::build(&b);
-
-    // The candidate stream and columnar payloads the mask kernels
-    // consume — built once, shared by every path.
-    let (_, candidates) = run_sweep(KernelDispatch::Scalar, &side_a, &side_b);
-    let mer_a = ProgressiveStore::build(ProgressiveKind::Mer, &a);
-    let mer_b = ProgressiveStore::build(ProgressiveKind::Mer, &b);
-    let (mers_a, mers_b) = (
-        mer_a.mer_column().expect("MER column"),
-        mer_b.mer_column().expect("MER column"),
-    );
 
     let mut cells: Vec<KernelCell> = Vec::new();
     let push = |kernel: &'static str,
@@ -164,7 +150,7 @@ fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
     for d in KernelDispatch::all_available() {
         let path = d.label();
 
-        // Kernel 1: the plane-sweep MBR join loop.
+        // The plane-sweep MBR join loop.
         let _ = run_sweep(d, &side_a, &side_b); // warm-up
         let ((tests, pairs), secs) = timed(|| run_sweep(d, &side_a, &side_b));
         let bytes: Vec<u8> = pairs
@@ -172,18 +158,6 @@ fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
             .flat_map(|&(x, y)| x.to_le_bytes().into_iter().chain(y.to_le_bytes()))
             .collect();
         push("sweep", path, tests, secs, fnv1a64(&bytes), &mut cells);
-
-        // Kernel 2: the pair-gathered MER fast-accept mask.
-        let run_mer = || {
-            let mut mask = Vec::new();
-            kernels::rect_pairs_intersect(d, mers_a, mers_b, &candidates, &mut mask);
-            mask
-        };
-        let _ = run_mer();
-        let (mask, secs) = timed(run_mer);
-        let bytes: Vec<u8> = mask.iter().map(|&hit| hit as u8).collect();
-        let items = candidates.len() as u64;
-        push("mer-accept", path, items, secs, fnv1a64(&bytes), &mut cells);
     }
     cells
 }
@@ -271,7 +245,6 @@ mod tests {
         };
         let report = kernels(&cfg);
         assert!(report.contains("sweep"));
-        assert!(report.contains("mer-accept"));
         assert!(report.contains("scalar"));
         assert!(report.contains("identical kernel outputs"));
         assert!(report.contains("checksum") && report.contains("fnv1a64"));

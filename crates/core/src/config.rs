@@ -128,18 +128,23 @@ pub struct JoinConfig {
 const MEASURED_TRSTAR_CAPACITY: usize = 6;
 
 impl Default for JoinConfig {
-    /// The paper's recommended configuration (§3.6, §5 version 3) —
-    /// 5-corner + MER in addition to the MBR, TR*-trees for the exact
-    /// step, 4 KB pages, a 128 KB LRU buffer for the §5 model — with one
-    /// constant measured instead of inherited: the TR*-tree node capacity
-    /// is 6, not the paper's 3 (see `MEASURED_TRSTAR_CAPACITY` in this
-    /// file).
+    /// The paper's §5 version 3 (5-corner + MER in addition to the MBR,
+    /// TR*-trees for the exact step, 4 KB pages, a 128 KB LRU buffer for
+    /// the §5 model) with two choices measured on this engine instead of
+    /// inherited:
+    ///
+    /// * no conservative approximation. Behind the raster stage the
+    ///   5-corner test costs more Step-2 time than the Step-3 tests it
+    ///   spares, and 40 B per object (`CHANGES.md` has the pairs), so the
+    ///   chain is raster → MER → TR*. [`JoinConfig::version3`] keeps 5-C;
+    /// * a TR*-tree node capacity of 6, not the paper's 3 (see
+    ///   `MEASURED_TRSTAR_CAPACITY` in this file).
     fn default() -> Self {
         JoinConfig {
             backend: Backend::RStarTraversal,
             page_size: 4096,
             buffer_bytes: 128 * 1024,
-            conservative: Some(ConservativeKind::FiveCorner),
+            conservative: None,
             progressive: Some(ProgressiveKind::Mer),
             false_area_test: false,
             raster: true,
@@ -182,6 +187,7 @@ impl JoinConfig {
     /// M = 3 (Figure 17) — the paper's final recommendation.
     pub fn version3() -> Self {
         JoinConfig {
+            conservative: Some(ConservativeKind::FiveCorner),
             exact: ExactAlgorithm::TrStar { max_entries: 3 },
             ..JoinConfig::default()
         }
@@ -355,18 +361,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_version3_but_for_the_measured_capacity() {
+    fn default_is_version3_but_for_5c_and_the_measured_capacity() {
         let (default, paper) = (JoinConfig::default(), JoinConfig::version3());
         assert_eq!(paper.exact, ExactAlgorithm::TrStar { max_entries: 3 });
+        assert_eq!(paper.conservative, Some(ConservativeKind::FiveCorner));
+        assert_eq!(paper.progressive, Some(ProgressiveKind::Mer));
         assert_eq!(
             JoinConfig {
+                conservative: paper.conservative,
                 exact: paper.exact,
                 ..default
             },
             paper
         );
-        assert_eq!(default.conservative, Some(ConservativeKind::FiveCorner));
+        // The default stores no conservative approximation: MER only,
+        // 16 extra leaf bytes where version 3 has 5-C's 40 + MER's 16.
+        assert_eq!(default.conservative, None);
         assert_eq!(default.progressive, Some(ProgressiveKind::Mer));
+        assert_eq!(default.extra_leaf_bytes(), 16);
+        assert_eq!(paper.extra_leaf_bytes(), 56);
+        // So a default R*-tree leaf holds 64 entries at 4 KB, not 39.
+        let leaf = |c: JoinConfig| {
+            msj_sam::PageLayout::with_extra_bytes(c.page_size, c.extra_leaf_bytes())
+                .max_leaf_entries()
+        };
+        assert_eq!((leaf(default), leaf(paper)), (64, 39));
         assert_eq!(
             default.exact,
             ExactAlgorithm::TrStar {

@@ -108,7 +108,7 @@ impl PreparedJoin {
             sizes: (rel_a.len(), rel_b.len()),
             execution: plan.execution,
             source,
-            filter: filter.with_dispatch(dispatch),
+            filter,
             exact,
             step0_nanos,
             timed: config.obs.enabled,

@@ -28,7 +28,7 @@
 //! or the workload is tiny; pick `Fused` on multi-core hardware.
 
 use crate::candidates::{CandidateSource, Step1Stats};
-use crate::filter::{FilterOutcome, FilterScratch, GeometricFilter};
+use crate::filter::{FilterOutcome, GeometricFilter};
 use crate::pipeline::JoinResult;
 use crate::stats::MultiStepStats;
 use msj_exact::{ExactProcessor, ExactTester};
@@ -119,7 +119,6 @@ struct FusedSink<'a> {
     stats: MultiStepStats,
     /// Scratch for batched classification (reused across batches).
     outcomes: Vec<FilterOutcome>,
-    filter_scratch: FilterScratch,
 }
 
 impl<'a> FusedSink<'a> {
@@ -131,7 +130,6 @@ impl<'a> FusedSink<'a> {
             pairs: Vec::new(),
             stats: MultiStepStats::default(),
             outcomes: Vec::new(),
-            filter_scratch: FilterScratch::default(),
         }
     }
 
@@ -227,7 +225,7 @@ impl PairSink for FusedSink<'_> {
         // raster prepass reports its own share of the time into the
         // Step-2a span; Step 2 covers it).
         time_step(spans, Step::Step2, || {
-            filter.classify_batch_observed(batch, &mut outcomes, &mut self.filter_scratch, spans)
+            filter.classify_batch_observed(batch, &mut outcomes, spans)
         });
         // Step 3 (plus cheap bookkeeping) for the whole batch.
         time_step(spans, Step::Step3, || self.apply_batch(batch, &outcomes));
@@ -508,9 +506,6 @@ pub(crate) fn run_steps(
     stats.step3_nanos = spans.get(Step::Step3);
     let steps123 = t_run.map_or(0, |t| t.elapsed_nanos());
     stats.step1_nanos = steps123.saturating_sub(stats.step2_nanos + stats.step3_nanos);
-    // The largest worker pool that actually ran anywhere in the
-    // execution: the engine's own sinks, or the backend's internal
-    // tile sweeps when Step 1 parallelized under a serial downstream.
     // The larger thread pool of the run: the executor's sinks, or the
     // grid backend's Step-1 tile sweeps.
     stats.threads_used = (workers as u64).max(step1.partition.map_or(1, |p| p.threads));

@@ -12,7 +12,7 @@
 //! of the pair's A (all cells) and F (FULL cells) Hilbert-run lists that
 //! prove disjointness (`A × A` empty), prove intersection (`A × F` or
 //! `F × A` non-empty), or fall through. The stage touches only the flat
-//! run arenas — the convex/MER columns are never loaded for candidates it
+//! run arenas — the approximation columns are never loaded for candidates it
 //! decides — and both relations are rasterized on one shared grid built
 //! in Step 0.
 //!
@@ -20,21 +20,21 @@
 //!
 //! The test chain — raster → conservative → progressive → (optional)
 //! false-area — is fixed per *join*, not per candidate: the configured
-//! approximation kinds decide it once. The filter therefore compiles a
-//! [`FilterPlan`] when it is built and
-//! [`GeometricFilter::classify_batch`] runs the chain as a monomorphized
-//! loop over the columnar store payloads (`msj-approx`'s run arenas /
-//! flat convex arena / MER rectangle column) — one plan dispatch per
-//! batch instead of four `Option`/enum branches per candidate. Per-pair
-//! [`GeometricFilter::classify`] remains as the reference chain; the two
-//! are outcome-identical by construction (and by test).
+//! approximation kinds decide it once, as a [`FilterPlan`] compiled when
+//! the filter is built. [`crate::JoinConfig::default`] stores no
+//! conservative approximation, so its chain is raster → MER: the
+//! conservative test runs only when a configuration asks for one (the
+//! paper's versions 2 and 3 store 5-C). Per-pair
+//! [`GeometricFilter::classify`] is the reference chain;
+//! [`GeometricFilter::classify_batch`] runs it over the raster stage's
+//! undecided remainder and is outcome-identical by construction (and by
+//! test).
 
 use msj_approx::{
     auto_grid_bits, raster_decide, ConservativeKind, ConservativeStore, ProgressiveKind,
     ProgressiveStore, RasterDecision, RasterGrid, RasterStore,
 };
-use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{convex_intersect, ObjectId, Relation};
+use msj_geom::{ObjectId, Relation};
 use msj_obs::{Span, Step, StepSpans};
 use std::sync::Arc;
 
@@ -57,30 +57,17 @@ pub enum FilterOutcome {
     Candidate,
 }
 
-/// Working columns of the batched plan loop, owned by the caller so that
-/// consecutive [`GeometricFilter::classify_batch_observed`] calls reuse
-/// them: the pairs the raster stage left undecided and their MER
-/// fast-accept lane.
-#[derive(Debug, Default)]
-pub struct FilterScratch {
-    undecided: Vec<(ObjectId, ObjectId)>,
-    mer_hits: Vec<bool>,
-}
-
-/// The monomorphized classification loop selected once per join (see the
-/// module docs). Which plan a filter compiled is observable for tests and
-/// reports via [`GeometricFilter::plan`].
+/// The classification loop selected once per join (see the module docs).
+/// Which plan a filter compiled is observable for tests and reports via
+/// [`GeometricFilter::plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterPlan {
     /// No approximations configured: every candidate stays a candidate.
     Passthrough,
-    /// Convex conservative rings (flat arena) + MER progressive columns,
-    /// no false-area test — the paper's recommended 5-C + MER
-    /// configuration and every other convex/MER combination.
-    ConvexMer,
-    /// The general view-dispatching chain: every other combination —
-    /// curved conservative kinds, MEC progressive stores, a conservative
-    /// or progressive store on its own, or the false-area test.
+    /// The view-dispatching chain over whatever is configured: the
+    /// default's MER column alone, the paper's 5-C + MER, curved
+    /// conservative kinds, MEC progressive stores, or the false-area
+    /// test.
     Generic,
 }
 
@@ -102,10 +89,6 @@ pub struct GeometricFilter {
     progressive_b: Option<Arc<ProgressiveStore>>,
     use_false_area: bool,
     plan: FilterPlan,
-    /// Kernel path for the batched MER fast-accept (Step 2a is one
-    /// function on every path). The per-pair reference chain stays
-    /// scalar; both are outcome-identical.
-    dispatch: KernelDispatch,
 }
 
 impl GeometricFilter {
@@ -148,23 +131,9 @@ impl GeometricFilter {
             progressive_b,
             use_false_area,
             plan: FilterPlan::Generic,
-            dispatch: KernelDispatch::auto(),
         };
         filter.plan = filter.compile();
         filter
-    }
-
-    /// Pins the kernel dispatch path of the batched loops (the engine
-    /// sets this from [`crate::JoinConfig::kernel_dispatch`]). Outcomes
-    /// are identical on every path.
-    pub fn with_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
-        self
-    }
-
-    /// The kernel dispatch path the batched loops run on.
-    pub fn dispatch(&self) -> KernelDispatch {
-        self.dispatch
     }
 
     /// Attaches the Step-2a raster stage: both relations rasterized on
@@ -207,12 +176,11 @@ impl GeometricFilter {
         } else {
             GeometricFilter::disabled()
         };
-        let filter = if config.raster {
+        if config.raster {
             filter.with_raster(rel_a, rel_b)
         } else {
             filter
-        };
-        filter.with_dispatch(config.kernel_dispatch())
+        }
     }
 
     /// A filter that does nothing (version 1: every candidate goes to the
@@ -223,20 +191,14 @@ impl GeometricFilter {
 
     /// Selects the batched loop the configured stores admit.
     fn compile(&self) -> FilterPlan {
-        let cons_convex = match (&self.conservative_a, &self.conservative_b) {
-            (Some(a), Some(b)) => Some(a.convex_slices().is_some() && b.convex_slices().is_some()),
-            (None, None) => None,
-            _ => Some(false),
-        };
-        let prog_mer = match (&self.progressive_a, &self.progressive_b) {
-            (Some(a), Some(b)) => Some(a.mer_column().is_some() && b.mer_column().is_some()),
-            (None, None) => None,
-            _ => Some(false),
-        };
-        match (cons_convex, prog_mer, self.use_false_area) {
-            (None, None, false) => FilterPlan::Passthrough,
-            (Some(true), Some(true), false) => FilterPlan::ConvexMer,
-            _ => FilterPlan::Generic,
+        let any_store = self.conservative_a.is_some()
+            || self.conservative_b.is_some()
+            || self.progressive_a.is_some()
+            || self.progressive_b.is_some();
+        if any_store || self.use_false_area {
+            FilterPlan::Generic
+        } else {
+            FilterPlan::Passthrough
         }
     }
 
@@ -260,8 +222,8 @@ impl GeometricFilter {
     ///
     /// Test order follows the paper, extended by Step 2a: the raster
     /// signature test first (a few list searches, decides both directions),
-    /// then the conservative test (§3.2 — most surviving disjoint pairs
-    /// die here), then the progressive hit test (§3.3), then optionally
+    /// then the conservative test when one is configured (§3.2), then the
+    /// progressive hit test (§3.3), then optionally
     /// the false-area test (§3.3 notes it adds almost nothing once
     /// progressive approximations are stored).
     ///
@@ -310,33 +272,29 @@ impl GeometricFilter {
     ///
     /// When the raster stage is active it runs first as its own loop
     /// over the whole batch — [`raster_decide`] on two run-list views per
-    /// pair, the convex/MER columns untouched — and only the undecided
-    /// remainder reaches the compiled [`FilterPlan`]: the plan dispatch
-    /// and the column lookups happen once per batch, and the per-pair
-    /// loop reads the columnar payloads directly — outcome-identical to
-    /// calling [`classify`](GeometricFilter::classify) per pair.
+    /// pair, the approximation columns untouched — and only the undecided
+    /// remainder reaches the compiled [`FilterPlan`], dispatched once per
+    /// batch — outcome-identical to calling
+    /// [`classify`](GeometricFilter::classify) per pair.
     pub fn classify_batch(
         &self,
         pairs: &[(ObjectId, ObjectId)],
         out: &mut Vec<FilterOutcome>,
     ) -> u64 {
         let spans = StepSpans::new();
-        self.classify_batch_observed(pairs, out, &mut FilterScratch::default(), Some(&spans));
+        self.classify_batch_observed(pairs, out, Some(&spans));
         spans.get(Step::Step2a)
     }
 
-    /// [`classify_batch`](GeometricFilter::classify_batch) for a caller
-    /// that classifies batch after batch: `scratch` carries the plan
-    /// loop's working columns from one call to the next, so a warm call
-    /// allocates nothing. Span accounting is explicit: the Step-2a raster
-    /// time lands in `spans` when given, and `None` skips the clock reads
-    /// entirely (the [`msj_obs::ObsConfig::disabled`] path). Outcomes are
-    /// identical either way.
+    /// [`classify_batch`](GeometricFilter::classify_batch) with explicit
+    /// span accounting: the Step-2a raster time lands in `spans` when
+    /// given, and `None` skips the clock reads entirely (the
+    /// [`msj_obs::ObsConfig::disabled`] path). Outcomes are identical
+    /// either way, and a call into a warm `out` allocates nothing.
     pub fn classify_batch_observed(
         &self,
         pairs: &[(ObjectId, ObjectId)],
         out: &mut Vec<FilterOutcome>,
-        scratch: &mut FilterScratch,
         spans: Option<&StepSpans>,
     ) {
         out.clear();
@@ -362,81 +320,11 @@ impl GeometricFilter {
                 out.extend(std::iter::repeat_n(FilterOutcome::Candidate, pairs.len()));
             }
         };
-        self.classify_plan_fill(pairs, out, scratch);
-    }
-
-    /// The compiled-plan loop (Step 2b): classifies every slot still
-    /// `Candidate` through the conservative/progressive chain, leaving
-    /// decided slots untouched. The plan dispatch and column lookups
-    /// happen once per call; the only buffers it fills are `scratch`'s.
-    fn classify_plan_fill(
-        &self,
-        pairs: &[(ObjectId, ObjectId)],
-        out: &mut [FilterOutcome],
-        scratch: &mut FilterScratch,
-    ) {
-        debug_assert_eq!(pairs.len(), out.len());
-        match self.plan {
-            FilterPlan::Passthrough => {}
-            FilterPlan::ConvexMer => {
-                let rings_a = self.conservative_a.as_ref().and_then(|s| s.convex_slices());
-                let rings_b = self.conservative_b.as_ref().and_then(|s| s.convex_slices());
-                let (Some(rings_a), Some(rings_b)) = (rings_a, rings_b) else {
-                    unreachable!("ConvexMer plan requires convex columns");
-                };
-                let mer_a = self.progressive_a.as_ref().and_then(|s| s.mer_column());
-                let mer_b = self.progressive_b.as_ref().and_then(|s| s.mer_column());
-                let (Some(mer_a), Some(mer_b)) = (mer_a, mer_b) else {
-                    unreachable!("ConvexMer plan requires MER columns");
-                };
-                // The MER fast-accept column is gathered wide for the
-                // whole undecided remainder up front, and the per-slot
-                // loop consumes that lane *before* the 5-corner SAT — the
-                // cheap test first. The outcome is the paper-order
-                // chain's ([`GeometricFilter::classify_chain`], the
-                // reference): MER ⊆ object ⊆ 5-corner and the SAT's
-                // tolerance only widens "intersects", so a MER hit is
-                // never a 5-corner miss; a pair where the orders disagreed
-                // would be a SAT false drop. NaN sentinel slots
-                // (degenerate MERs) compare false in every lane, exactly
-                // like `Progressive::Empty`.
-                let FilterScratch {
-                    undecided,
-                    mer_hits,
-                } = scratch;
-                undecided.clear();
-                undecided.extend(
-                    out.iter()
-                        .zip(pairs)
-                        .filter(|(slot, _)| **slot == FilterOutcome::Candidate)
-                        .map(|(_, &pair)| pair),
-                );
-                mer_hits.clear();
-                kernels::rect_pairs_intersect(self.dispatch, mer_a, mer_b, undecided, mer_hits);
-                let mut mer_hits = mer_hits.iter();
-                for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
-                    if *slot != FilterOutcome::Candidate {
-                        continue;
-                    }
-                    let mer_hit = *mer_hits.next().expect("one lane per undecided slot");
-                    debug_assert!(
-                        !mer_hit || convex_intersect(rings_a.ring(id_a), rings_b.ring(id_b)),
-                        "5-corner SAT drops ({id_a}, {id_b}) although their MERs intersect"
-                    );
-                    *slot = if mer_hit {
-                        FilterOutcome::HitProgressive
-                    } else if !convex_intersect(rings_a.ring(id_a), rings_b.ring(id_b)) {
-                        FilterOutcome::FalseHit
-                    } else {
-                        FilterOutcome::Candidate
-                    };
-                }
-            }
-            FilterPlan::Generic => {
-                for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
-                    if *slot == FilterOutcome::Candidate {
-                        *slot = self.classify_chain(id_a, id_b);
-                    }
+        // Step 2b: the compiled chain on every slot still `Candidate`.
+        if self.plan == FilterPlan::Generic {
+            for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
+                if *slot == FilterOutcome::Candidate {
+                    *slot = self.classify_chain(id_a, id_b);
                 }
             }
         }
@@ -532,7 +420,7 @@ mod tests {
             Some(ProgressiveKind::Mer),
             false,
         );
-        assert_eq!(f.plan(), FilterPlan::ConvexMer);
+        assert_eq!(f.plan(), FilterPlan::Generic);
         assert_eq!(f.classify(0, 0), FilterOutcome::HitProgressive);
     }
 
@@ -594,7 +482,9 @@ mod tests {
     }
 
     /// Every plan must classify batches exactly as the per-pair reference
-    /// chain — across kinds that compile to different plans.
+    /// chain — across kinds that compile to different plans, with and
+    /// without the raster stage in front, and for the default and the
+    /// paper's version 3 as the engine configures them.
     #[test]
     fn batch_classification_agrees_with_per_pair() {
         let a = msj_datagen::small_carto(40, 24.0, 7101);
@@ -614,7 +504,7 @@ mod tests {
                 Some(ConservativeKind::FiveCorner),
                 Some(ProgressiveKind::Mer),
                 false,
-            ), // ConvexMer
+            ), // Generic: 5-C + MER (version 3's chain)
             (Some(ConservativeKind::ConvexHull), None, false), // Generic
             (
                 Some(ConservativeKind::Mbr),
@@ -631,21 +521,26 @@ mod tests {
                 Some(ProgressiveKind::Mer),
                 true,
             ), // Generic (FA)
-            (None, Some(ProgressiveKind::Mer), false),         // Generic
+            (None, Some(ProgressiveKind::Mer), false),         // Generic: MER alone
             (None, None, false),                               // Passthrough
         ];
+        let mut filters = Vec::new();
         for (cons, prog, fa) in configs {
-            let f = GeometricFilter::build(&a, &b, cons, prog, fa);
+            filters.push(GeometricFilter::build(&a, &b, cons, prog, fa));
+            filters.push(GeometricFilter::build(&a, &b, cons, prog, fa).with_raster(&a, &b));
+        }
+        for config in [crate::JoinConfig::default(), crate::JoinConfig::version3()] {
+            let f = GeometricFilter::from_config(&config, &a, &b);
+            assert_eq!(f.plan(), FilterPlan::Generic);
+            assert!(f.raster_active());
+            filters.push(f);
+        }
+        for (i, f) in filters.iter().enumerate() {
             let mut batched = Vec::new();
             f.classify_batch(&pairs, &mut batched);
             let per_pair: Vec<FilterOutcome> =
                 pairs.iter().map(|&(x, y)| f.classify(x, y)).collect();
-            assert_eq!(
-                batched,
-                per_pair,
-                "plan {:?} ({cons:?}, {prog:?}, fa={fa}) diverged",
-                f.plan()
-            );
+            assert_eq!(batched, per_pair, "filter {i} ({:?}) diverged", f.plan());
             // Batch boundaries must not matter.
             let mut chunked = Vec::new();
             let mut scratch = Vec::new();
@@ -653,7 +548,7 @@ mod tests {
                 f.classify_batch(chunk, &mut scratch);
                 chunked.extend_from_slice(&scratch);
             }
-            assert_eq!(chunked, per_pair, "plan {:?} chunked", f.plan());
+            assert_eq!(chunked, per_pair, "filter {i} ({:?}) chunked", f.plan());
         }
     }
 
@@ -778,13 +673,13 @@ mod tests {
                 Some(ConservativeKind::FiveCorner),
                 Some(ProgressiveKind::Mer),
                 false,
-                FilterPlan::ConvexMer,
+                FilterPlan::Generic,
             ),
             (
                 Some(ConservativeKind::Rmbr),
                 Some(ProgressiveKind::Mer),
                 false,
-                FilterPlan::ConvexMer,
+                FilterPlan::Generic,
             ),
             (
                 Some(ConservativeKind::FourCorner),
@@ -811,6 +706,8 @@ mod tests {
                 true,
                 FilterPlan::Generic,
             ),
+            (None, None, true, FilterPlan::Generic),
+            (None, None, false, FilterPlan::Passthrough),
         ];
         for (cons, prog, fa, expect) in plans {
             let f = GeometricFilter::build(&a, &a.clone(), cons, prog, fa);

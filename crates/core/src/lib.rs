@@ -13,9 +13,10 @@
 //! 2. **Geometric filter** — the Step-2a raster pre-filter decides most
 //!    candidates by intersecting A/F Hilbert-run signatures
 //!    ([`JoinConfig::raster`], on by default); conservative
-//!    approximations identify false hits, progressive approximations and
-//!    the false-area test identify hits among the remainder, all without
-//!    touching the exact geometry ([`filter::GeometricFilter`]);
+//!    approximations (when configured — the default stores none)
+//!    identify false hits, progressive approximations and the false-area
+//!    test identify hits among the remainder, all without touching the
+//!    exact geometry ([`filter::GeometricFilter`]);
 //! 3. **Exact geometry processor** — the remaining candidates are decided
 //!    on the exact polygons ([`msj_exact::ExactProcessor`]; the paper's
 //!    recommendation is the TR*-tree).
@@ -90,7 +91,7 @@ pub use engine::{
     Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,
 };
 pub use execution::{fused_buffer_bound, Execution, FUSED_QUEUE_DEPTH};
-pub use filter::{FilterOutcome, FilterPlan, FilterScratch, GeometricFilter};
+pub use filter::{FilterOutcome, FilterPlan, GeometricFilter};
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;
 pub use stats::MultiStepStats;

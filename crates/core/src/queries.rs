@@ -7,8 +7,10 @@
 //!
 //! 1. R*-tree point/window query on the MBR keys → candidates;
 //! 2. geometric filter, cheapest proof first: the wide MER mask (a MER
-//!    hit is a hit), then the conservative test on MER misses only
-//!    (false-hit elimination), then a non-MER progressive test (MEC);
+//!    hit is a hit), then — only when a conservative approximation is
+//!    configured; the default stores none — the conservative test on MER
+//!    misses (false-hit elimination), then a non-MER progressive test
+//!    (MEC);
 //! 3. exact geometry test for the remainder, as one pass per batch.
 
 use crate::candidates::{self, CandidateSource, SelectionStats};
@@ -197,8 +199,9 @@ impl SelectionState {
         }
         let t_rest = spans.map(|_| Span::start());
         // `hit` starts as the wide MER mask over the arena. MER ⊆ object ⊆
-        // conservative, so every outcome and count is the paper-order
-        // chain's (the argument of the join's `FilterPlan::ConvexMer`).
+        // conservative, so testing a configured conservative approximation
+        // on MER misses only gives every outcome and count of the
+        // paper-order chain.
         let mers = self.progressive.as_deref().and_then(|p| p.mer_column());
         let mec = self.progressive.as_deref().filter(|_| mers.is_none());
         let conservative = self.conservative.as_deref();
@@ -293,6 +296,7 @@ mod tests {
         vec![
             JoinConfig::version1(),
             JoinConfig::default(),
+            JoinConfig::version3(),
             JoinConfig {
                 conservative: Some(ConservativeKind::ConvexHull),
                 progressive: Some(ProgressiveKind::Mec),

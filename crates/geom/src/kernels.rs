@@ -1,6 +1,7 @@
 //! Runtime-dispatched wide kernels for the engine's hot loops.
 //!
-//! Four kernels cover the inner loops of the Step 1 → 2a → 2 spine:
+//! Three kernels cover the inner loops of Step 1 and of the selections'
+//! MER test:
 //!
 //! * [`sweep_scan`] — the forward plane-sweep inner run (`msj-partition`
 //!   tile sweeps, `msj-sam` equal-level node sweeps): scan a window of
@@ -9,9 +10,6 @@
 //! * [`rects_vs_rect`] — one query rectangle against SoA MBR columns
 //!   (R*-tree directory pruning and window restriction over per-node
 //!   repacked entry columns);
-//! * [`rect_pairs_intersect`] — id-gathered rectangle-pair overlap over
-//!   two `Rect` columns (the MER fast-accept of the compiled filter
-//!   plan);
 //! * [`rects_contain_point`] / [`rects_intersect_query`] — id-gathered
 //!   point-in-rect and window-vs-rect masks (resident point/window
 //!   probes).
@@ -482,82 +480,7 @@ unsafe fn rects_vs_rect_sse2(
 }
 
 // ---------------------------------------------------------------------
-// Kernel 3: id-gathered rectangle-pair overlap (MER fast-accept).
-// ---------------------------------------------------------------------
-
-/// For every `(id_a, id_b)` pair pushes whether
-/// `rects_a[id_a].intersects(&rects_b[id_b])` — the MER fast-accept of
-/// the compiled `ConvexMer` filter plan. NaN-sentinel rectangles
-/// (empty MERs) produce `false` in every path.
-///
-/// `Rect` is `#[repr(C)]` over `[xmin, ymin, xmax, ymax]`, so the AVX2
-/// path gathers the four columns of four pairs at a time by object id.
-pub fn rect_pairs_intersect(
-    d: KernelDispatch,
-    rects_a: &[Rect],
-    rects_b: &[Rect],
-    pairs: &[(u32, u32)],
-    out: &mut Vec<bool>,
-) {
-    match d.0 {
-        Path::Scalar => rect_pairs_scalar(rects_a, rects_b, pairs, out),
-        // Random-index pair gathering defeats 4-lane gathers (the
-        // `kernels` bench measured `vgatherdpd` at ~0.5x scalar here),
-        // so the widest path also runs the 2-lane direct-load form —
-        // each pair's two rects are contiguous 32-byte loads.
-        // SAFETY: either path implies SSE2 (a wide `Path` is built only
-        // after its feature was detected, and AVX2 hosts have SSE2); every `(a, b)` in `pairs` is a Step-1
-        // candidate over the relations these two MER columns were built
-        // from, so `a < rects_a.len()` and `b < rects_b.len()`.
-        #[cfg(target_arch = "x86_64")]
-        Path::Sse2 | Path::Avx2 => unsafe { rect_pairs_sse2(rects_a, rects_b, pairs, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => rect_pairs_scalar(rects_a, rects_b, pairs, out),
-    }
-}
-
-fn rect_pairs_scalar(
-    rects_a: &[Rect],
-    rects_b: &[Rect],
-    pairs: &[(u32, u32)],
-    out: &mut Vec<bool>,
-) {
-    out.extend(
-        pairs
-            .iter()
-            .map(|&(a, b)| rects_a[a as usize].intersects(&rects_b[b as usize])),
-    );
-}
-
-/// # Safety
-///
-/// The CPU must support SSE2, and every pair must index inside its
-/// column (`a < rects_a.len()`, `b < rects_b.len()`): the loads are not
-/// bounds-checked. Each reads the 32 bytes of one `#[repr(C)]` `Rect` as
-/// `[xmin, ymin]` and `[xmax, ymax]`, unaligned.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn rect_pairs_sse2(
-    rects_a: &[Rect],
-    rects_b: &[Rect],
-    pairs: &[(u32, u32)],
-    out: &mut Vec<bool>,
-) {
-    use x86::*;
-    for &(a, b) in pairs {
-        let ra = rects_a.as_ptr().add(a as usize) as *const f64;
-        let rb = rects_b.as_ptr().add(b as usize) as *const f64;
-        let a_lo = _mm_loadu_pd(ra);
-        let a_hi = _mm_loadu_pd(ra.add(2));
-        let b_lo = _mm_loadu_pd(rb);
-        let b_hi = _mm_loadu_pd(rb.add(2));
-        let m = _mm_and_pd(_mm_cmple_pd(a_lo, b_hi), _mm_cmple_pd(b_lo, a_hi));
-        out.push(_mm_movemask_pd(m) == 0b11);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Kernel 4: id-gathered point-in-rect / window-vs-rect masks.
+// Kernel 3: id-gathered point-in-rect / window-vs-rect masks.
 // ---------------------------------------------------------------------
 
 /// Panics unless every id indexes `rects` and, on the AVX2 arm, is below
@@ -900,34 +823,6 @@ mod tests {
                     rects_vs_rect(d, &q, &xmin, &ymin, &xmax, &ymax, &mut got);
                     assert_eq!(got, want, "{d:?} n={n} nan={with_nan}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn rect_pairs_match_scalar_including_nan_sentinels() {
-        let mut rects_a: Vec<Rect> = (0..9)
-            .map(|i| Rect::from_bounds(i as f64, 0.0, i as f64 + 2.0, 2.0))
-            .collect();
-        let mut rects_b: Vec<Rect> = (0..9)
-            .map(|i| Rect::from_bounds(0.5 * i as f64, 1.0, 0.5 * i as f64 + 1.5, 3.0))
-            .collect();
-        rects_a[3] = nan_rect();
-        rects_b[5] = nan_rect();
-        for n in 0..=9usize {
-            let pairs: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, (n - 1 - i) as u32)).collect();
-            let mut want = Vec::new();
-            rect_pairs_scalar(&rects_a, &rects_b, &pairs, &mut want);
-            // NaN sentinel lanes never accept.
-            for (i, &(a, b)) in pairs.iter().enumerate() {
-                if a == 3 || b == 5 {
-                    assert!(!want[i], "NaN sentinel must not intersect");
-                }
-            }
-            for d in KernelDispatch::all_available() {
-                let mut got = Vec::new();
-                rect_pairs_intersect(d, &rects_a, &rects_b, &pairs, &mut got);
-                assert_eq!(got, want, "{d:?} n={n}");
             }
         }
     }

@@ -22,11 +22,13 @@ fn main() {
         forests.vertex_stats().0
     );
 
-    // The paper's §5 "version 3" — 5-corner + MER approximations stored
-    // in addition to the MBR, TR*-trees for the exact geometry step, at
-    // the node capacity this engine measured (6; `JoinConfig::version3()`
-    // keeps the paper's 3) — applied by a resident engine. Registration runs Step 0 once
-    // per relation and the engine owns the result.
+    // The default plan — raster signatures, the MER stored in addition to
+    // the MBR, TR*-trees for the exact geometry step at the node capacity
+    // this engine measured (6) — applied by a resident engine. It differs
+    // from the paper's §5 "version 3" (`JoinConfig::version3()`: 5-corner
+    // + MER, M = 3) where this machine's clock disagreed with the paper's
+    // cost model. Registration runs Step 0 once per relation and the
+    // engine owns the result.
     let engine = SpatialEngine::new(JoinConfig::default());
     let forests_handle = engine.register(forests.clone());
     let cities_handle = engine.register(cities.clone());

@@ -5,6 +5,7 @@
 //! prepared joins and for the resident engine's whole request surface,
 //! while the enabled side actually records what it watched.
 
+use msj::approx::ConservativeKind;
 use msj::core::{
     Backend, EngineConfig, Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine,
     StoreConfig,
@@ -17,6 +18,14 @@ fn workload(seed: u64) -> (msj::geom::Relation, msj::geom::Relation) {
         msj::datagen::small_carto(48, 24.0, seed),
         msj::datagen::small_carto(48, 24.0, seed + 1),
     )
+}
+
+/// The default plan with the paper's 5-corner conservative stage added
+/// back — the configuration that builds and stores every Step-0 artifact.
+fn with_five_corner() -> JoinConfig {
+    JoinConfig::builder()
+        .conservative(ConservativeKind::FiveCorner)
+        .build()
 }
 
 /// Prepared joins: every backend × execution cell produces the same
@@ -167,7 +176,7 @@ fn registration_time_is_itemised_by_artifact() {
     let (a, b) = workload(8301);
 
     let dir = std::env::temp_dir().join(format!("msj-obs-agreement-{}", std::process::id()));
-    let engine = SpatialEngine::new(JoinConfig::default())
+    let engine = SpatialEngine::new(with_five_corner())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
     engine.register(a.clone());
@@ -201,13 +210,15 @@ fn registration_time_is_itemised_by_artifact() {
         );
     }
 
-    // No store armed: nothing persists; observability off: nothing is
-    // timed at all.
+    // No store armed: nothing persists; the default plan builds no
+    // conservative approximation; observability off: nothing is timed
+    // at all.
     let memory_only = SpatialEngine::new(JoinConfig::default());
     memory_only.register(a.clone());
     let snap = memory_only.metrics().snapshot();
     assert!(snap.counter(&artifact("progressive")) > 0);
     assert_eq!(snap.counter(&artifact("persist")), 0);
+    assert_eq!(snap.counter(&artifact("conservative")), 0);
     let dark = SpatialEngine::new(EngineConfig {
         obs: ObsConfig::disabled(),
         ..EngineConfig::default()
@@ -333,21 +344,40 @@ fn exposition_schema_and_counts_are_pinned() {
         fresh
     );
 
-    // (ii) One of everything, on a store-backed engine, then a reopen.
+    // (ii) One of everything, on a store-backed engine that builds every
+    // Step-0 artifact (5-C included), then a reopen.
     let dir = std::env::temp_dir().join(format!("msj-obs-schema-{}", std::process::id()));
-    let engine = SpatialEngine::new(JoinConfig::default())
+    let engine = SpatialEngine::new(with_five_corner())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
     let join = traffic(&engine);
     let after = exposition_keys(&engine.metrics().render_prometheus());
     drop(engine);
-    let reopened = SpatialEngine::open(JoinConfig::default(), StoreConfig::new(&dir));
+    let reopened = SpatialEngine::open(with_five_corner(), StoreConfig::new(&dir));
     let reopened = reopened.expect("reopen");
     assert!(reopened.submit(join).is_ok());
     let cold = exposition_keys(&reopened.metrics().render_prometheus());
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(after, with_changes(&fresh, AFTER_TRAFFIC));
     assert_eq!(cold, with_changes(&fresh, AFTER_REOPEN));
+
+    // The default plan under the same traffic differs in one line: it
+    // builds no conservative approximation, so that timer stays at 0.
+    let engine = SpatialEngine::new(JoinConfig::default())
+        .with_store(StoreConfig::new(&dir))
+        .expect("arm store");
+    traffic(&engine);
+    let default_after = exposition_keys(&engine.metrics().render_prometheus());
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+    let conservative_idle = [(
+        "msj_step0_artifact_nanos_total{artifact=\"conservative\"}",
+        "0",
+    )];
+    assert_eq!(
+        default_after,
+        with_changes(&with_changes(&fresh, AFTER_TRAFFIC), &conservative_idle)
+    );
 
     // (iii) A dark engine under the same traffic keeps the schema and
     // records nothing — not even the dispatch marker.

@@ -27,12 +27,14 @@
 //!   *pair* segment beside current dataset files is rebuilt and
 //!   rewritten.
 //! * **Another configuration** — a directory written under the paper's
-//!   TR* node capacity opens under the default one: rebuilt once,
-//!   refreshed in place, adopted from then on.
+//!   TR* node capacity, or with a 5-corner conservative section, opens
+//!   under the default: rebuilt once, refreshed in place, adopted from
+//!   then on.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use msj::approx::ConservativeKind;
 use msj::core::{
     Backend, EngineConfig, Execution, FaultConfig, FaultKind, JoinConfig, Request, Response,
     SpatialEngine, StoreConfig,
@@ -95,6 +97,17 @@ fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> EngineC
         fault,
         ..join.into()
     }
+}
+
+/// `cfg` with the paper's 5-corner conservative stage added — the plan
+/// whose segments carry every dataset section, `Conservative` included.
+fn five_corner(mut cfg: EngineConfig) -> EngineConfig {
+    cfg.join = cfg
+        .join
+        .to_builder()
+        .conservative(ConservativeKind::FiveCorner)
+        .build();
+    cfg
 }
 
 /// One request of every kind the engine serves, with selection geometry
@@ -276,14 +289,32 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
     let a = msj::datagen::small_carto(120, 24.0, 9106);
     let b = msj::datagen::small_carto(120, 24.0, 9107);
     let requests = workload(&a);
-    let cfg = config(
+    let cfg = five_corner(config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
-    );
+    ));
 
-    // Seed the store once, clean, and take the reference answers. The
-    // join also writes the pair-raster segment the raster cases corrupt.
+    // The default plan stores no conservative approximation, so its
+    // segments have no `Conservative` section to corrupt.
+    let default_dir = tmp_store("chaos-default");
+    SpatialEngine::new(JoinConfig::default())
+        .with_store(StoreConfig::new(&default_dir))
+        .expect("arm store")
+        .register(a.clone());
+    let default_segment = msj_store::Store::open(&default_dir)
+        .and_then(|store| store.read_dataset(0, None))
+        .expect("segment reads");
+    assert!(default_segment.section(Section::Progressive).is_some());
+    assert!(
+        default_segment.section(Section::Conservative).is_none(),
+        "the default wrote a conservative section"
+    );
+    std::fs::remove_dir_all(&default_dir).ok();
+
+    // Seed the store once, clean, under a plan that writes every dataset
+    // section, and take the reference answers. The join also writes the
+    // pair-raster segment the raster cases corrupt.
     let dir = tmp_store("chaos");
     let reference = {
         let engine = SpatialEngine::new(cfg)
@@ -306,11 +337,11 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         // --- Step-0 sections: the load detects the flip, rebuilds the
         // artifact from the resident relation, and answers identically.
         for section in dataset_sections {
-            let faulty = config(
+            let faulty = five_corner(config(
                 Backend::RStarTraversal,
                 Execution::Serial,
                 FaultConfig::seeded(seed, FaultKind::StoreCorrupt { section }),
-            );
+            ));
             let engine =
                 SpatialEngine::open(faulty, StoreConfig::new(&dir)).expect("corrupt load wedged");
             assert_eq!(
@@ -335,11 +366,11 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         // and writes the segment through. A clean open then adopts that
         // segment as it is.
         for section in [Section::RasterA, Section::RasterB] {
-            let faulty = config(
+            let faulty = five_corner(config(
                 Backend::RStarTraversal,
                 Execution::Serial,
                 FaultConfig::seeded(seed, FaultKind::StoreCorrupt { section }),
-            );
+            ));
             let stored = file_id(&pair_file);
             let engine = SpatialEngine::open(faulty, StoreConfig::new(&dir)).expect("open wedged");
             assert_eq!(
@@ -387,7 +418,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
 
         // --- The relation section is the one artifact with no rebuild
         // source: the open must fail with a clean error, never panic.
-        let faulty = config(
+        let faulty = five_corner(config(
             Backend::RStarTraversal,
             Execution::Serial,
             FaultConfig::seeded(
@@ -396,7 +427,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
                     section: Section::Relation,
                 },
             ),
-        );
+        ));
         match SpatialEngine::open(faulty, StoreConfig::new(&dir)) {
             Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}"),
             Ok(_) => panic!("corrupt relation section must fail the open (seed {seed})"),
@@ -835,6 +866,92 @@ fn store_written_at_the_papers_capacity_is_refreshed_under_the_default() {
 }
 
 #[test]
+fn store_written_with_five_corner_opens_under_the_default() {
+    // The conservative kind is part of the config tag: a directory
+    // written under a plan that stores 5-C is a tag miss for the default,
+    // which stores none, not a corruption. Each dataset is rebuilt once,
+    // written back without its `Conservative` section, and adopted from
+    // then on.
+    let (a, b) = (
+        msj::datagen::small_carto(120, 24.0, 9118),
+        msj::datagen::small_carto(120, 24.0, 9119),
+    );
+    let requests = workload(&a);
+    let cfg = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    );
+    let old = five_corner(cfg);
+    let dir = tmp_store("five-corner");
+    {
+        let engine = SpatialEngine::new(old)
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        engine.register(a.clone());
+        engine.register(b.clone());
+        run(&engine, &requests);
+    }
+    let store = msj_store::Store::open(&dir).expect("open container");
+    let segment = |id| store.read_dataset(id, None).expect("segment reads");
+    let old_tags = [0, 1].map(|id| {
+        let segment = segment(id);
+        assert!(segment.section(Section::Conservative).is_some());
+        segment.config_tag
+    });
+
+    let fresh = SpatialEngine::new(cfg);
+    fresh.register(a);
+    fresh.register(b);
+    let reference = run(&fresh, &requests);
+    let tests_and_hits = exact_counts(&fresh);
+    let (da, db) = (fresh.dataset(0).unwrap(), fresh.dataset(1).unwrap());
+    let stats = fresh
+        .prepare_join(&da, &db)
+        .last_stats()
+        .expect("the join ran");
+    assert_eq!(
+        stats.filter_false_hits, 0,
+        "no conservative stage, no false hit"
+    );
+    let built = ["tree", "progressive", "trstar"];
+
+    let first = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("first open");
+    assert_eq!(run(&first, &requests), reference, "answers moved with 5-C");
+    assert_eq!(exact_counts(&first), tests_and_hits);
+    assert_no_checksum_failures(
+        &first.metrics().render_prometheus(),
+        "a tag miss is not a fault",
+    );
+    for artifact in built {
+        assert!(
+            artifact_nanos(&first, artifact) > 0,
+            "{artifact} not rebuilt"
+        );
+    }
+    assert_eq!(artifact_nanos(&first, "conservative"), 0);
+    drop(first);
+    for (id, old_tag) in (0..).zip(old_tags) {
+        let segment = segment(id);
+        assert_ne!(segment.config_tag, old_tag, "ds_{id} keeps the old tag");
+        assert!(segment.section(Section::Conservative).is_none());
+    }
+
+    let second = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("second open");
+    assert_eq!(run(&second, &requests), reference);
+    assert_eq!(exact_counts(&second), tests_and_hits);
+    assert_no_checksum_failures(&second.metrics().render_prometheus(), "clean open");
+    for artifact in built.iter().chain(&["conservative"]) {
+        assert_eq!(
+            artifact_nanos(&second, artifact),
+            0,
+            "the refreshed {artifact} section is adopted"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn reused_store_directory_does_not_serve_the_previous_pair() {
     // Engine A leaves `pair_0_1.msj` behind; engine B re-registers other
     // relations under the same ids. Adopting A's raster signatures for
@@ -874,11 +991,12 @@ fn section_of_another_length_is_rebuilt_not_adopted() {
     let a = msj::datagen::small_carto(120, 24.0, 9110);
     let b = msj::datagen::small_carto(90, 24.0, 9111);
     let requests = workload(&a);
-    let cfg = config(
+    // Under 5-C, so the `Conservative` section is transplanted too.
+    let cfg = five_corner(config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
-    );
+    ));
     let dir = tmp_store("length");
     let reference = {
         let engine = SpatialEngine::new(cfg)
