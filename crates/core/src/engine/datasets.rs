@@ -9,7 +9,7 @@ use crate::config::{Backend, EngineConfig, JoinConfig};
 use crate::queries::SelectionState;
 use msj_approx::{ConservativeStore, ProgressiveStore};
 use msj_exact::{ExactAlgorithm, TrStarStore};
-use msj_geom::{Relation, SharedBytes};
+use msj_geom::{LazyRelation, Relation, SharedBytes};
 use msj_obs::Gauge;
 use msj_sam::RStarTree;
 use msj_store::{Section, Segment, Store};
@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// One registered dataset: the relation (always resident) plus a
-/// residency slot for its Step-0 artifacts.
+/// One registered dataset: the relation (an opened store's validated
+/// image until first need) plus a residency slot for its Step-0 artifacts.
 ///
 /// The artifacts live behind an `RwLock<Option<…>>` so a store-backed
 /// engine can **evict** a cold dataset's artifacts under a byte budget
@@ -31,7 +31,6 @@ use std::time::Instant;
 /// eviction only drops this state's reference.
 pub(super) struct DatasetState {
     pub id: DatasetId,
-    pub relation: Arc<Relation>,
     /// Wall-clock of this dataset's share of Step 0 at registration (or
     /// of the store load that materialized it on an opened engine).
     pub step0_nanos: u64,
@@ -46,6 +45,7 @@ pub(super) struct DatasetState {
     /// budget evicts in.
     touched: AtomicU64,
     artifacts: RwLock<Option<Arc<DatasetArtifacts>>>,
+    pub relation: Arc<LazyRelation>,
 }
 
 /// Every per-relation Step-0 artifact the engine's configuration calls
@@ -132,7 +132,7 @@ impl DatasetArtifacts {
     /// every build is charged to its artifact's timer.
     pub fn build(
         engine: &EngineConfig,
-        relation: &Arc<Relation>,
+        relation: &Arc<LazyRelation>,
         stored: Option<&Segment>,
         obs: Option<&EngineObs>,
     ) -> (DatasetArtifacts, Vec<Section>) {
@@ -146,7 +146,7 @@ impl DatasetArtifacts {
         let tree = matches!(config.backend, Backend::RStarTraversal).then(|| {
             let decode = |b: SharedBytes| RStarTree::from_bytes(&b);
             step0.artifact(Section::Tree, decode, RStarTree::len, || {
-                candidates::build_tree(config, relation)
+                candidates::build_tree(config, relation.get())
             })
         });
         let conservative = config.conservative.map(|kind| {
@@ -154,7 +154,7 @@ impl DatasetArtifacts {
                 Section::Conservative,
                 |b| ConservativeStore::from_bytes(&b),
                 ConservativeStore::len,
-                || ConservativeStore::build(kind, relation),
+                || ConservativeStore::build(kind, relation.get()),
             )
         });
         let progressive = config.progressive.map(|kind| {
@@ -162,7 +162,7 @@ impl DatasetArtifacts {
                 Section::Progressive,
                 |b| ProgressiveStore::from_bytes(&b),
                 ProgressiveStore::len,
-                || ProgressiveStore::build(kind, relation),
+                || ProgressiveStore::build(kind, relation.get()),
             )
         });
         let trstar = match config.exact {
@@ -170,17 +170,18 @@ impl DatasetArtifacts {
                 Section::TrStar,
                 TrStarStore::adopt,
                 TrStarStore::len,
-                || TrStarStore::build(relation, max_entries),
+                || TrStarStore::build(relation.get(), max_entries),
             )),
             _ => None,
         };
         let selection = SelectionState::new(
-            relation.clone(),
+            relation.clone().into(),
             config,
             engine.kernel_dispatch(),
             tree.clone(),
             conservative.clone(),
             progressive.clone(),
+            trstar.clone(),
         );
         let artifacts = DatasetArtifacts {
             tree,
@@ -205,9 +206,10 @@ impl DatasetHandle {
         self.state.id
     }
 
-    /// The registered relation.
+    /// The registered relation — decoded here first if the dataset came
+    /// from a store and nothing has needed it yet.
     pub fn relation(&self) -> &Arc<Relation> {
-        &self.state.relation
+        self.state.relation.get()
     }
 
     /// Objects in the relation.
@@ -328,7 +330,10 @@ impl SpatialEngine {
     /// by a previous engine's write-through comes back registered, in id
     /// order, with its Step-0 artifacts **loaded** from the segment
     /// files (checksums verified per section) instead of rebuilt — the
-    /// store's cold-start path. An artifact section that fails its
+    /// store's cold-start path. The relation section is checksummed and
+    /// validated, and decoded only once something reads it (a rebuild,
+    /// the grid backend, a non-TR* exact step, a selection inside the TR*
+    /// margin, [`DatasetHandle::relation`]). An artifact section that fails its
     /// checksum or shape is rebuilt from the relation (counted under
     /// `msj_store_checksum_failures_total{section}`); a corrupt manifest
     /// or relation section fails the open, since there is nothing to
@@ -357,7 +362,7 @@ impl SpatialEngine {
     /// results. Accepts an owned [`Relation`] or an existing
     /// `Arc<Relation>` (no copy either way).
     pub fn register(&self, relation: impl Into<Arc<Relation>>) -> DatasetHandle {
-        let relation = relation.into();
+        let relation = Arc::new(LazyRelation::resident(relation.into()));
         let t_step0 = self.obs.enabled.then(Instant::now);
         let (artifacts, _) =
             DatasetArtifacts::build(&self.config, &relation, None, Some(&self.obs));
@@ -371,7 +376,10 @@ impl SpatialEngine {
             relation,
             artifacts,
             step0_nanos,
-            |id, relation, artifacts| self.persist_dataset(id, relation, artifacts).unwrap_or(0),
+            |id, relation, artifacts| {
+                let image = || relation.get().to_bytes();
+                self.persist_dataset(id, image, artifacts).unwrap_or(0)
+            },
         );
         DatasetHandle { state }
     }
@@ -382,10 +390,10 @@ impl SpatialEngine {
     /// enforced.
     fn install(
         &self,
-        relation: Arc<Relation>,
+        relation: Arc<LazyRelation>,
         artifacts: DatasetArtifacts,
         step0_nanos: u64,
-        bytes_for: impl FnOnce(DatasetId, &Relation, &DatasetArtifacts) -> u64,
+        bytes_for: impl FnOnce(DatasetId, &LazyRelation, &DatasetArtifacts) -> u64,
     ) -> Arc<DatasetState> {
         let mut datasets = write(&self.datasets);
         let id = datasets.len() as DatasetId;
@@ -407,18 +415,18 @@ impl SpatialEngine {
         state
     }
 
-    /// Writes one dataset's artifacts through to the armed store;
-    /// returns the segment size. `None` when no store is armed or the
-    /// write failed — the engine keeps serving from memory either way.
+    /// Writes one dataset's relation image (made only when a store is
+    /// armed) and artifacts through; returns the segment size, `None` with
+    /// no store or a failed write — the engine serves from memory either way.
     fn persist_dataset(
         &self,
         id: DatasetId,
-        relation: &Relation,
+        relation: impl FnOnce() -> Vec<u8>,
         artifacts: &DatasetArtifacts,
     ) -> Option<u64> {
         let backend = self.store.as_ref()?;
         self.obs.time_artifact(PERSIST, || {
-            let mut sections = vec![(Section::Relation, relation.to_bytes())];
+            let mut sections = vec![(Section::Relation, relation())];
             sections.extend(artifacts.tree.iter().map(|t| (Section::Tree, t.to_bytes())));
             // A `Mixed` conservative store has no image: its section is
             // left out and rebuilt on load.
@@ -470,11 +478,26 @@ impl SpatialEngine {
         let t_load = self.obs.enabled.then(Instant::now);
         let elapsed = || t_load.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let segment = self.with_store_fault(|tamper| backend.store.read_dataset(id, tamper))?;
-        let stored = segment
-            .section(Section::Relation)
-            .and_then(Result::ok)
-            .and_then(|bytes| Relation::from_bytes(bytes).ok());
-        let Some(relation) = stored.map(Arc::new) else {
+        // Validated, not decoded. The image stays in the segment's buffer
+        // only beside a TR* arena, which holds that buffer anyway, and
+        // never under a byte budget, so that eviction can free it.
+        let tr_star = matches!(self.config.join.exact, ExactAlgorithm::TrStar { .. });
+        let in_place = tr_star && backend.byte_budget.is_none();
+        let own = |b: SharedBytes| {
+            if in_place {
+                b
+            } else {
+                SharedBytes::copy_of(&b)
+            }
+        };
+        let image = segment
+            .shared_section(Section::Relation)
+            .and_then(Result::ok);
+        let decode = self.obs.relation_decode();
+        let stored = image
+            .clone()
+            .and_then(|b| LazyRelation::from_image(own(b), decode).ok());
+        let Some(mut relation) = stored.map(Arc::new) else {
             // The relation is the one section with no rebuild source;
             // without it the open fails.
             self.obs.store_load(elapsed(), &[Section::Relation]);
@@ -484,6 +507,11 @@ impl SpatialEngine {
             ));
         };
         let current = segment.config_tag == self.tag;
+        if !current {
+            // A stale segment is rebuilt from the relation in full: keep
+            // the relation decoded, not the stale segment's buffer.
+            relation = Arc::new(LazyRelation::resident(relation.get().clone()));
+        }
         let (artifacts, corrupt) = DatasetArtifacts::build(
             &self.config,
             &relation,
@@ -491,12 +519,11 @@ impl SpatialEngine {
             Some(&self.obs),
         );
         // A segment written under an artifact-shaping configuration this
-        // engine does not run was rebuilt in full: refresh it in place.
-        let refreshed = if current {
-            None
-        } else {
-            self.persist_dataset(id, &relation, &artifacts)
-        };
+        // engine does not run was rebuilt in full: refresh it in place,
+        // the relation section as it was read.
+        let stale = image.filter(|_| !current);
+        let refreshed =
+            stale.and_then(|image| self.persist_dataset(id, || image.to_vec(), &artifacts));
         let bytes = refreshed.unwrap_or(segment.bytes);
         let step0_nanos = elapsed();
         self.obs.store_load(step0_nanos, &corrupt);
@@ -535,8 +562,6 @@ impl SpatialEngine {
                 .ok()
                 .filter(|segment| segment.config_tag == self.tag)
         });
-        // The relation is already resident; only the artifact sections
-        // matter here.
         let (artifacts, corrupt) = DatasetArtifacts::build(
             &self.config,
             &state.relation,

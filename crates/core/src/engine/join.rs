@@ -15,7 +15,7 @@ use crate::stats::MultiStepStats;
 use msj_approx::RasterStore;
 use msj_exact::{ExactAlgorithm, ExactProcessor};
 use msj_fault::FaultSession;
-use msj_geom::{panic_message, CancelToken, RelHandle, Relation, WorkerPanic};
+use msj_geom::{panic_message, CancelToken, LazyRelation, RelHandle, Relation, WorkerPanic};
 use msj_obs::Span;
 use msj_store::Section;
 use std::collections::{HashMap, VecDeque};
@@ -76,7 +76,7 @@ pub struct PreparedJoin {
 
 /// One side of a join being assembled: the relation, its dataset id and
 /// its Step-0 artifacts.
-type Side<'a> = (DatasetId, &'a Arc<Relation>, &'a DatasetArtifacts);
+type Side<'a> = (DatasetId, &'a Arc<LazyRelation>, &'a DatasetArtifacts);
 
 impl PreparedJoin {
     /// The one assembly of Step-0 state into a runnable join — shared by
@@ -90,19 +90,18 @@ impl PreparedJoin {
         step0_nanos: u64,
         serving: Option<Serving>,
     ) -> PreparedJoin {
-        let handle = |relation: &Arc<Relation>| RelHandle::from(relation.clone());
+        // The relations go only where they are read, as lazy handles: a
+        // default join over stored artifacts decodes neither.
+        let handle = |relation: &Arc<LazyRelation>| RelHandle::from(relation.clone());
         let (tree_a, tree_b) = (arts_a.tree.clone(), arts_b.tree.clone());
         let (rel_a_h, rel_b_h) = (handle(rel_a), Some(handle(rel_b)));
         let dispatch = config.kernel_dispatch();
         let plan = &config.join;
         let source = candidates::source_with(plan, dispatch, rel_a_h, rel_b_h, tree_a, tree_b);
-        let exact = ExactProcessor::from_shared(
-            plan.exact,
-            handle(rel_a),
-            handle(rel_b),
-            arts_a.trstar.clone(),
-            arts_b.trstar.clone(),
-        );
+        let exact = match (arts_a.trstar.clone(), arts_b.trstar.clone()) {
+            (Some(a), Some(b)) => ExactProcessor::from_trees(plan.exact, a, b),
+            _ => ExactProcessor::with_handles(plan.exact, handle(rel_a), handle(rel_b)),
+        };
         PreparedJoin {
             datasets: (id_a, id_b),
             sizes: (rel_a.len(), rel_b.len()),
@@ -124,12 +123,13 @@ impl PreparedJoin {
     pub(crate) fn one_shot(plan: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
         let t_prep = Instant::now();
         let config = EngineConfig::from(*plan);
-        let (rel_a, rel_b) = (Arc::new(rel_a.clone()), Arc::new(rel_b.clone()));
+        let resident = |rel: &Relation| Arc::new(LazyRelation::resident(Arc::new(rel.clone())));
+        let (rel_a, rel_b) = (resident(rel_a), resident(rel_b));
         let (arts_a, _) = DatasetArtifacts::build(&config, &rel_a, None, None);
         let (arts_b, _) = DatasetArtifacts::build(&config, &rel_b, None, None);
         let mut filter = shared_filter(plan, &arts_a, &arts_b);
         if plan.raster {
-            filter = filter.with_raster(&rel_a, &rel_b);
+            filter = filter.with_raster(rel_a.get(), rel_b.get());
         }
         let step0_nanos = t_prep.elapsed().as_nanos() as u64;
         let (a, b) = ((0, &rel_a, &arts_a), (1, &rel_b, &arts_b));
@@ -516,12 +516,12 @@ impl SpatialEngine {
     ) -> GeometricFilter {
         let (sa, sb) = (&a.state, &b.state);
         let Some(backend) = &self.store else {
-            return filter.with_raster(&sa.relation, &sb.relation);
+            return filter.with_raster(sa.relation.get(), sb.relation.get());
         };
         let read = self.with_store_fault(|tamper| backend.store.read_pair(sa.id, sb.id, tamper));
         let stored = read.ok().flatten().filter(|p| p.config_tag == self.tag);
         let mut corrupt: Vec<Section> = Vec::new();
-        let mut side = |section, relation: &Relation| {
+        let mut side = |section, relation: &LazyRelation| {
             adopt(
                 stored.as_ref(),
                 section,
@@ -543,7 +543,7 @@ impl SpatialEngine {
             _ => {}
         }
         self.obs.checksum_failed(&corrupt);
-        let filter = filter.with_raster(&sa.relation, &sb.relation);
+        let filter = filter.with_raster(sa.relation.get(), sb.relation.get());
         if let Some((ra, rb)) = filter.raster_stores() {
             let sections = [
                 (Section::RasterA, ra.to_bytes()),

@@ -106,10 +106,12 @@ pub struct SpatialEngine {
     fault: FaultSession,
     /// Registry + trace ring, `Arc`-shared into every prepared join.
     obs: Arc<EngineObs>,
-    datasets: RwLock<Vec<Arc<DatasetState>>>,
     /// Prepared-join cache keyed by dataset-id pair, LRU-capped at
     /// [`DEFAULT_PREPARED_CACHE_CAP`].
     prepared: Mutex<PreparedCache>,
+    // After `prepared`: a dropped engine frees its joins, then each
+    // dataset's artifacts, then the relation (a steadier peak RSS).
+    datasets: RwLock<Vec<Arc<DatasetState>>>,
     /// The persistent artifact store, when armed
     /// ([`SpatialEngine::with_store`] / [`SpatialEngine::open`]).
     store: Option<StoreBackend>,

@@ -14,6 +14,7 @@
 use super::types::{DatasetId, EngineError};
 use crate::pipeline::JoinResult;
 use crate::SelectionResponse;
+use msj_geom::DecodeHook;
 use msj_obs::{
     Counter, Gauge, Histogram, LaneRole, MetricsRegistry, ObsConfig, Step, StepSpans, Trace,
     TraceRing, TraceSteps,
@@ -43,14 +44,22 @@ const LANE_ROLES: [LaneRole; 2] = [LaneRole::Backend, LaneRole::Consumer];
 
 /// `artifact` labels of `msj_step0_artifact_nanos_total` — what a
 /// registration spends its time on: the four per-dataset Step-0
-/// artifacts, under their [`Section`] names, and the write-through to the
-/// store.
-const STEP0_ARTIFACTS: [&str; 5] = ["tree", "conservative", "progressive", "trstar", PERSIST];
+/// artifacts and the relation's decode from an opened store (which
+/// happens on first need, not at the open), under their [`Section`]
+/// names, and the write-through to the store.
+const STEP0_ARTIFACTS: [&str; 6] = [
+    "tree",
+    "conservative",
+    "progressive",
+    "trstar",
+    "relation",
+    PERSIST,
+];
 pub(super) const PERSIST: &str = "persist";
 
 /// The handle at `label`'s position in the label list the handles were
 /// resolved from.
-fn labelled<'a, T>(labels: &[&str], handles: &'a [Arc<T>], label: &str) -> &'a T {
+fn labelled<'a, T>(labels: &[&str], handles: &'a [Arc<T>], label: &str) -> &'a Arc<T> {
     let slot = labels.iter().position(|known| *known == label);
     &handles[slot.expect("label is part of the pre-registered schema")]
 }
@@ -88,7 +97,7 @@ pub(super) struct EngineObs {
     /// By [`Section::ALL`].
     checksum_failures: [Arc<Counter>; 7],
     /// By [`STEP0_ARTIFACTS`].
-    step0_artifacts: [Arc<Counter>; 5],
+    step0_artifacts: [Arc<Counter>; 6],
     store_load_nanos: Arc<Histogram>,
     registration_nanos: Arc<Histogram>,
     datasets_registered: Arc<Counter>,
@@ -223,6 +232,14 @@ impl EngineObs {
         let nanos = start.elapsed().as_nanos() as u64;
         labelled(&STEP0_ARTIFACTS, &self.step0_artifacts, artifact).add(nanos);
         out
+    }
+
+    /// The timer of a lazily decoded relation: its decode is charged to
+    /// `msj_step0_artifact_nanos_total{artifact="relation"}`.
+    pub fn relation_decode(&self) -> Option<DecodeHook> {
+        let timer = labelled(&STEP0_ARTIFACTS, &self.step0_artifacts, "relation").clone();
+        self.enabled
+            .then(|| Box::new(move |nanos| timer.add(nanos)) as DecodeHook)
     }
 
     /// Pushes one trace — the request identity plus whatever `fill` sets

@@ -11,14 +11,16 @@
 //!    configured; the default stores none — the conservative test on MER
 //!    misses (false-hit elimination), then a non-MER progressive test
 //!    (MEC);
-//! 3. exact geometry test for the remainder, as one pass per batch.
+//! 3. exact test for the remainder, as one pass per batch: a descent of
+//!    the object's TR*-tree (§4.2) beyond [`msj_exact::SelectMargin`], the
+//!    region's edges inside it or without TR* — the same answers.
 
 use crate::candidates::{self, CandidateSource, SelectionStats};
 use crate::config::JoinConfig;
 use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
-use msj_exact::{region_contains_point, region_intersects_rect, OpCounts};
+use msj_exact::{region_contains_point, region_intersects_rect, OpCounts, TrStarStore, TrStarView};
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle, Relation};
+use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle};
 use msj_obs::{Span, Step, StepSpans};
 use msj_sam::RStarTree;
 use std::sync::Arc;
@@ -64,6 +66,9 @@ pub(crate) trait Probe: Copy {
     /// `true` proves a hit: the probe meets the enclosed shape.
     fn meets_progressive(&self, prog: &Progressive) -> bool;
 
+    /// Step 3 on the object's TR*-tree; `None` inside its margin.
+    fn meets_tree(&self, tree: TrStarView<'_>, counts: &mut OpCounts) -> Option<bool>;
+
     /// Step 3 on the exact geometry (closed semantics).
     fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool;
 }
@@ -94,6 +99,10 @@ impl Probe for Point {
             Progressive::Mer(r) => r.contains_point(*self),
             Progressive::Empty => false,
         }
+    }
+
+    fn meets_tree(&self, tree: TrStarView<'_>, counts: &mut OpCounts) -> Option<bool> {
+        tree.classify_point(*self, counts)
     }
 
     fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool {
@@ -134,6 +143,10 @@ impl Probe for Rect {
         }
     }
 
+    fn meets_tree(&self, tree: TrStarView<'_>, counts: &mut OpCounts) -> Option<bool> {
+        tree.classify_rect(self, counts)
+    }
+
     fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool {
         region_intersects_rect(region, self, counts)
     }
@@ -143,10 +156,12 @@ impl Probe for Rect {
 /// source plus `Arc`-shared approximation stores. This is what a
 /// [`crate::SpatialEngine`] dataset keeps registered.
 pub(crate) struct SelectionState {
-    relation: Arc<Relation>,
+    /// Read by Step 3 only without TR* or inside its margin (lazily).
+    relation: RelHandle<'static>,
     source: Box<dyn CandidateSource>,
     conservative: Option<Arc<ConservativeStore>>,
     progressive: Option<Arc<ProgressiveStore>>,
+    trstar: Option<Arc<TrStarStore>>,
     /// Kernel path of the wide MER probe masks; the rest of the chain
     /// stays scalar. Outcomes are identical on every path.
     dispatch: KernelDispatch,
@@ -156,20 +171,21 @@ impl SelectionState {
     /// Assembles the state around a Step-1 index and stores built once at
     /// dataset registration.
     pub fn new(
-        relation: Arc<Relation>,
+        relation: RelHandle<'static>,
         config: &JoinConfig,
         dispatch: KernelDispatch,
         tree: Option<Arc<RStarTree>>,
         conservative: Option<Arc<ConservativeStore>>,
         progressive: Option<Arc<ProgressiveStore>>,
+        trstar: Option<Arc<TrStarStore>>,
     ) -> Self {
-        let handle = RelHandle::from(relation.clone());
-        let source = candidates::source_with(config, dispatch, handle, None, tree, None);
+        let source = candidates::source_with(config, dispatch, relation.clone(), None, tree, None);
         SelectionState {
             relation,
             source,
             conservative,
             progressive,
+            trstar,
             dispatch,
         }
     }
@@ -239,9 +255,12 @@ impl SelectionState {
         }
         // Step 3 as its own pass over the undecided slots, in probe order.
         let t_exact = (spans.is_some() && !undecided.is_empty()).then(Span::start);
+        let trees = self.trstar.as_deref().map(TrStarStore::columns);
         for (slot, k) in undecided {
-            let region = &self.relation.object(all[slot]).region;
-            hit[slot] = probes[k].meets_region(region, &mut answers[k].1);
+            let (probe, id, ops) = (&probes[k], all[slot], &mut answers[k].1);
+            let decided = trees.and_then(|t| probe.meets_tree(t.get(id), ops));
+            hit[slot] = decided
+                .unwrap_or_else(|| probe.meets_region(&self.relation.object(id).region, ops));
         }
         let exact_nanos = t_exact.map_or(0, |t| t.elapsed_nanos());
         let mut offset = 0usize;
@@ -262,6 +281,7 @@ impl SelectionState {
 mod tests {
     use super::*;
     use msj_approx::{ConservativeKind, ProgressiveKind};
+    use msj_geom::Relation;
 
     /// Everything built from the relation alone — what the engine does at
     /// registration, without the engine.
@@ -273,8 +293,23 @@ mod tests {
         let progressive = config
             .progressive
             .map(|k| Arc::new(ProgressiveStore::build(k, &relation)));
+        let trstar = match config.exact {
+            msj_exact::ExactAlgorithm::TrStar { max_entries } => {
+                Some(Arc::new(TrStarStore::build(&relation, max_entries)))
+            }
+            _ => None,
+        };
         let dispatch = config.kernel_dispatch();
-        SelectionState::new(relation, config, dispatch, None, conservative, progressive)
+        let relation = RelHandle::from(relation);
+        SelectionState::new(
+            relation,
+            config,
+            dispatch,
+            None,
+            conservative,
+            progressive,
+            trstar,
+        )
     }
 
     fn select_all<P: Probe>(

@@ -7,7 +7,9 @@
 //! * its [`QueryStats`] (node visits, false hits, filter hits, exact
 //!   tests) and exact operation counts equal the paper-order chain —
 //!   conservative test first — recomputed here from the public stores
-//!   over the same candidates.
+//!   over the same candidates, Step 3 on the configured route (the
+//!   TR*-tree's three-way test, the region test inside its margin or
+//!   without TR*).
 //!
 //! The probes go where an order change could show: windows that contain
 //! whole objects, lie inside a MER, lie inside an object but outside its
@@ -20,12 +22,15 @@ use msj_approx::{
 };
 use msj_core::{selection_source, Backend, CandidateSource, JoinConfig, QueryStats, SpatialEngine};
 use msj_datagen::{generate_relation, BlobParams, LayoutParams};
-use msj_exact::{region_contains_point, region_intersects_rect, OpCounts};
+use msj_exact::{
+    region_contains_point, region_intersects_rect, ExactAlgorithm, OpCounts, TrStarStore,
+    TrStarView,
+};
 use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, Relation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// The five filter chains a selection can run.
+/// The six filter chains a selection can run.
 fn configs() -> Vec<(&'static str, JoinConfig)> {
     let chain = |cons, prog| {
         JoinConfig::builder()
@@ -34,7 +39,8 @@ fn configs() -> Vec<(&'static str, JoinConfig)> {
             .build()
     };
     vec![
-        ("5-C + MER", JoinConfig::default()),
+        ("default (MER only)", JoinConfig::default()),
+        ("version3", JoinConfig::version3()),
         (
             "hull + MEC",
             chain(
@@ -237,6 +243,7 @@ trait Shape: Copy + std::fmt::Debug {
     fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64);
     fn meets_conservative(self, cons: ConsView<'_>) -> bool;
     fn meets_progressive(self, prog: Progressive) -> bool;
+    fn meets_tree(self, tree: TrStarView<'_>, ops: &mut OpCounts) -> Option<bool>;
     fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool;
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool;
 }
@@ -256,6 +263,9 @@ impl Shape for Point {
             Progressive::Mer(r) => r.contains_point(self),
             Progressive::Empty => false,
         }
+    }
+    fn meets_tree(self, tree: TrStarView<'_>, ops: &mut OpCounts) -> Option<bool> {
+        tree.classify_point(self, ops)
     }
     fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool {
         region_contains_point(region, self, ops)
@@ -286,6 +296,9 @@ impl Shape for Rect {
             Progressive::Empty => false,
         }
     }
+    fn meets_tree(self, tree: TrStarView<'_>, ops: &mut OpCounts) -> Option<bool> {
+        tree.classify_rect(&self, ops)
+    }
     fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool {
         region_intersects_rect(region, &self, ops)
     }
@@ -302,6 +315,7 @@ struct PaperOrder<'a> {
     source: Box<dyn CandidateSource + 'a>,
     cons: Option<ConservativeStore>,
     prog: Option<ProgressiveStore>,
+    trees: Option<TrStarStore>,
 }
 
 impl<'a> PaperOrder<'a> {
@@ -313,11 +327,18 @@ impl<'a> PaperOrder<'a> {
                 .conservative
                 .map(|k| ConservativeStore::build(k, rel)),
             prog: config.progressive.map(|k| ProgressiveStore::build(k, rel)),
+            trees: match config.exact {
+                ExactAlgorithm::TrStar { max_entries } => {
+                    Some(TrStarStore::build(rel, max_entries))
+                }
+                _ => None,
+            },
         }
     }
 
     /// One candidate at a time: a conservative miss is a false hit, a
-    /// progressive hit is a hit, the rest go to the exact geometry.
+    /// progressive hit is a hit, the rest go to Step 3: the TR*-tree
+    /// decides where it can, the exact region the rest.
     fn answer<S: Shape>(&self, probe: S) -> Chain {
         let (candidates, node_visits) = probe.candidates(&*self.source);
         let mut chain = Chain {
@@ -337,7 +358,10 @@ impl<'a> PaperOrder<'a> {
                 chain.ids.push(id);
             } else {
                 chain.stats.exact_tests += 1;
-                if probe.meets_region(&self.rel.object(id).region, &mut chain.ops) {
+                let tree = self.trees.as_ref().map(|t| t.get(id));
+                let decided = tree.and_then(|t| probe.meets_tree(t, &mut chain.ops));
+                let region = &self.rel.object(id).region;
+                if decided.unwrap_or_else(|| probe.meets_region(region, &mut chain.ops)) {
                     chain.ids.push(id);
                 }
             }

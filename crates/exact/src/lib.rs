@@ -42,6 +42,6 @@ pub use cost::{OpCounts, Weights};
 pub use processor::{ExactAlgorithm, ExactProcessor, ExactTester};
 pub use quadratic::quadratic_intersects;
 pub use sweep::sweep_intersects;
-pub use trapezoid::{decompose, Trapezoid, XSpan};
+pub use trapezoid::{decompose, SelectMargin, Trapezoid, XSpan};
 pub use trstar::{trees_intersect, TrStarColumns, TrStarFormatError, TrStarStore, TrStarView};
 pub use window::{region_contains_point, region_intersects_rect};

@@ -37,15 +37,18 @@ impl ExactAlgorithm {
 /// is invested in the representation of the spatial objects", §4.2): trees
 /// are built once per relation and reused for every candidate pair. The
 /// stores sit behind [`Arc`] so a resident engine can build them once per
-/// registered dataset and share them across every prepared join; relations
-/// are held through [`RelHandle`], so an `ExactProcessor<'static>` owns
-/// its inputs outright.
+/// registered dataset and share them across every prepared join. A
+/// processor holds what its algorithm reads and nothing else: the two
+/// TR* arenas, or the two relations (through [`RelHandle`], so an
+/// `ExactProcessor<'static>` owns its inputs outright).
 pub struct ExactProcessor<'a> {
     algorithm: ExactAlgorithm,
-    rel_a: RelHandle<'a>,
-    rel_b: RelHandle<'a>,
-    trees_a: Option<Arc<TrStarStore>>,
-    trees_b: Option<Arc<TrStarStore>>,
+    inputs: Inputs<'a>,
+}
+
+enum Inputs<'a> {
+    Relations(RelHandle<'a>, RelHandle<'a>),
+    Trees(Arc<TrStarStore>, Arc<TrStarStore>),
 }
 
 impl<'a> ExactProcessor<'a> {
@@ -55,51 +58,39 @@ impl<'a> ExactProcessor<'a> {
     }
 
     /// Prepares the processor over explicit relation handles (borrowed or
-    /// `Arc`-shared).
+    /// `Arc`-shared); the TR* algorithm builds its arenas here and keeps
+    /// no relation.
     pub fn with_handles(
         algorithm: ExactAlgorithm,
         rel_a: RelHandle<'a>,
         rel_b: RelHandle<'a>,
     ) -> Self {
-        let (trees_a, trees_b) = match algorithm {
-            ExactAlgorithm::TrStar { max_entries } => (
-                Some(Arc::new(TrStarStore::build(&rel_a, max_entries))),
-                Some(Arc::new(TrStarStore::build(&rel_b, max_entries))),
+        let inputs = match algorithm {
+            ExactAlgorithm::TrStar { max_entries } => Inputs::Trees(
+                Arc::new(TrStarStore::build(&rel_a, max_entries)),
+                Arc::new(TrStarStore::build(&rel_b, max_entries)),
             ),
-            _ => (None, None),
+            _ => Inputs::Relations(rel_a, rel_b),
         };
-        ExactProcessor {
-            algorithm,
-            rel_a,
-            rel_b,
-            trees_a,
-            trees_b,
-        }
+        ExactProcessor { algorithm, inputs }
     }
 
-    /// Assembles a processor from pre-built shared TR*-tree stores (the
-    /// resident engine builds one store per registered dataset and reuses
-    /// it across prepared joins). The stores must be `Some` exactly when
-    /// `algorithm` is [`ExactAlgorithm::TrStar`] and must have been built
-    /// over the handed relations with the same `max_entries`.
-    pub fn from_shared(
+    /// A TR* processor over pre-built shared arenas (the resident engine
+    /// builds or adopts one per registered dataset and reuses it across
+    /// prepared joins). The arenas must have been built over the joined
+    /// relations with the node capacity `algorithm` names.
+    pub fn from_trees(
         algorithm: ExactAlgorithm,
-        rel_a: RelHandle<'a>,
-        rel_b: RelHandle<'a>,
-        trees_a: Option<Arc<TrStarStore>>,
-        trees_b: Option<Arc<TrStarStore>>,
+        trees_a: Arc<TrStarStore>,
+        trees_b: Arc<TrStarStore>,
     ) -> Self {
-        debug_assert_eq!(
+        assert!(
             matches!(algorithm, ExactAlgorithm::TrStar { .. }),
-            trees_a.is_some() && trees_b.is_some(),
-            "TR*-tree stores must match the configured algorithm"
+            "TR* arenas serve only the TR* algorithm"
         );
         ExactProcessor {
             algorithm,
-            rel_a,
-            rel_b,
-            trees_a,
-            trees_b,
+            inputs: Inputs::Trees(trees_a, trees_b),
         }
     }
 
@@ -111,14 +102,15 @@ impl<'a> ExactProcessor<'a> {
     /// lives is settled here, once, and every test then indexes plain
     /// slices.
     pub fn tester(&self) -> ExactTester<'_> {
-        let (a, b) = (&*self.rel_a, &*self.rel_b);
-        match self.algorithm {
-            ExactAlgorithm::Quadratic => ExactTester::Quadratic { a, b },
-            ExactAlgorithm::PlaneSweep { restrict } => ExactTester::PlaneSweep { a, b, restrict },
-            ExactAlgorithm::TrStar { .. } => ExactTester::TrStar {
-                a: prepared(&self.trees_a).columns(),
-                b: prepared(&self.trees_b).columns(),
+        match (&self.inputs, self.algorithm) {
+            (Inputs::Trees(a, b), _) => ExactTester::TrStar {
+                a: a.columns(),
+                b: b.columns(),
             },
+            (Inputs::Relations(a, b), ExactAlgorithm::PlaneSweep { restrict }) => {
+                ExactTester::PlaneSweep { a, b, restrict }
+            }
+            (Inputs::Relations(a, b), _) => ExactTester::Quadratic { a, b },
         }
     }
 
@@ -129,12 +121,6 @@ impl<'a> ExactProcessor<'a> {
     pub fn intersects(&self, id_a: ObjectId, id_b: ObjectId, counts: &mut OpCounts) -> bool {
         self.tester().intersects(id_a, id_b, counts)
     }
-}
-
-fn prepared(trees: &Option<Arc<TrStarStore>>) -> &TrStarStore {
-    trees
-        .as_deref()
-        .expect("TR* stores are prepared with the processor")
 }
 
 /// An [`ExactProcessor`] resolved for a run of tests

@@ -177,20 +177,162 @@ impl Trapezoid {
         (self.x_lo.0.abs().max(self.x_lo.1.abs())).max(self.x_hi.0.abs().max(self.x_hi.1.abs()))
     }
 
-    /// Whether `p` lies in the closed trapezoid.
-    pub fn contains_point(&self, p: Point) -> bool {
-        if p.y < self.y_lo || p.y > self.y_hi {
-            return false;
+    /// Three-way point test of a selection's Step 3: `Some(inside)` when
+    /// `p` sits beyond `margin` of this trapezoid's boundary, `None` when
+    /// it is too close to tell (see [`SelectMargin`] for what a decided
+    /// answer proves).
+    ///
+    /// `false` is claimed outside the grown MBR ([`SelectMargin::reach`]), or beyond a side of the
+    /// trapezoid extended by the cut slab at both ends; `true` only
+    /// inside the sides within the core band, the slab short of each end.
+    pub fn classify_point(&self, p: Point, margin: &SelectMargin) -> Option<bool> {
+        if !self.mbr().intersects(&margin.reach(&Rect::new(p, p))) {
+            return Some(false);
         }
-        let t = if self.y_hi > self.y_lo {
-            (p.y - self.y_lo) / (self.y_hi - self.y_lo)
-        } else {
-            0.0
-        };
-        let xl = self.x_lo.0 + t * (self.x_hi.0 - self.x_lo.0);
-        let xr = self.x_lo.1 + t * (self.x_hi.1 - self.x_lo.1);
-        let tol = 1e-12 * (xr - xl).abs().max(1.0);
-        xl - tol <= p.x && p.x <= xr + tol
+        let side = margin.side(self)?;
+        let (xl, xr) = self.cross_section(p.y, self.y_hi - self.y_lo);
+        if p.x < xl - side || xr + side < p.x {
+            return Some(false);
+        }
+        let slab = margin.slab();
+        let core = self.y_lo + slab <= p.y && p.y <= self.y_hi - slab;
+        (core && xl + side <= p.x && p.x <= xr - side).then_some(true)
+    }
+
+    /// Three-way closed window test of a selection's Step 3, with the
+    /// margins of [`Trapezoid::classify_point`]: `Some(true)` when a
+    /// horizontal line of `window` crosses the core band inside the sides,
+    /// `Some(false)` when `window` misses the grown MBR or lies clear of
+    /// one side of the extended trapezoid at both ends of the y-range the
+    /// two share (the sides are straight, so that clears all of it).
+    pub fn classify_rect(&self, window: &Rect, margin: &SelectMargin) -> Option<bool> {
+        if !self.mbr().intersects(&margin.reach(window)) {
+            return Some(false);
+        }
+        let (side, slab) = (margin.side(self)?, margin.slab());
+        let h = self.y_hi - self.y_lo;
+        let (ya, yb) = (
+            (self.y_lo + slab).max(window.ymin()),
+            (self.y_hi - slab).min(window.ymax()),
+        );
+        if ya <= yb {
+            for y in [ya, yb] {
+                let (xl, xr) = self.cross_section(y, h);
+                if (xl + side).max(window.xmin()) <= (xr - side).min(window.xmax()) {
+                    return Some(true);
+                }
+            }
+        }
+        // The grown MBR meets the window, so the extended y-ranges do.
+        let (ya, yb) = (
+            (self.y_lo - slab).max(window.ymin()),
+            (self.y_hi + slab).min(window.ymax()),
+        );
+        let ((l0, r0), (l1, r1)) = (self.cross_section(ya, h), self.cross_section(yb, h));
+        let left = r0 + side < window.xmin() && r1 + side < window.xmin();
+        let right = window.xmax() < l0 - side && window.xmax() < l1 - side;
+        (left || right).then_some(false)
+    }
+}
+
+/// The relative margin of a selection's three-way tests: `512 · u`,
+/// `u = f64::EPSILON / 2`, a quarter of which already covers the error
+/// budget below.
+const SELECT_MARGIN: f64 = 256.0 * f64::EPSILON;
+
+/// How close to its cut lines [`decompose`] may leave a trapezoid's
+/// boundary off the region's: its `1e-12` absolute tolerances merge
+/// vertex y's closer than that into one cut (a vertex may sit up to
+/// `1e-12` above the cut it was merged into), skip bands at most that
+/// thin, and drop edges at most that tall. Four times the tolerance.
+const CUT_SLAB: f64 = 4e-12;
+
+/// Objects narrower or lower than this are never decided on their
+/// trapezoids: the cut slabs would cover most of them, and a sliver
+/// next to a merged vertex can stick out of a trapezoid's MBR by
+/// `1e-12 ·` its sides' slope, which only the region test sees.
+const TINY_OBJECT: f64 = CUT_SLAB * (1u64 << 20) as f64;
+
+/// The margins of one object's three-way selection tests
+/// ([`Trapezoid::classify_point`], [`Trapezoid::classify_rect`] and the
+/// TR* descents over them), from its root rectangle.
+///
+/// A decided answer is the exact one, and so the closed region test's
+/// (`region_contains_point`, `region_intersects_rect`), which is exact
+/// as far out from the boundary as this margin reaches. With `X` / `Y`
+/// the largest |x| / |y| of the object and `u = f64::EPSILON / 2`:
+///
+/// * A computed cross-section side is within `30u · X` of the edge line
+///   it lies on: each corner `decompose` interpolates is within `11u · X`
+///   of its edge, and the cross-section interpolation adds `14u · X` and a
+///   subtraction, as in [`Trapezoid::decide_fast`].
+/// * The region test decides the side of an edge `(dx, h)` by
+///   `orient2d`, whose collinear band is `3.4u ·` the two products; in
+///   horizontal distance that is `≤ 7u · (X + Y · |dx| / h)`. Its
+///   ray cast's crossing `x` is within `5u · X`.
+/// * So `side = SELECT_MARGIN · (X + Y + Y · slant / h)` of the core
+///   band clears both by more than twice, and `pad = SELECT_MARGIN ·
+///   (X + Y)` around an MBR clears the normal-distance band of every
+///   edge the MBR holds.
+/// * Above its rounding, a trapezoid's sides lie on the region's edges
+///   except within `CUT_SLAB = 4e-12` of a cut. There the region may differ
+///   (a merged vertex, a skipped band), so `true` is claimed only in the
+///   *core band*, `slab = CUT_SLAB + pad` short of each end, and `false`
+///   only outside the MBR grown by `slab` in y, or beyond a side of the
+///   trapezoid *extended* by `slab` at both ends. A region sliver that no
+///   trapezoid covers lies in such a slab between the extended sides of
+///   a trapezoid that meets its vertex, and inside its grown MBR unless
+///   the vertex's edges are flatter than `pad / 1e-12`. That one case is
+///   not covered: it needs two vertex y's of one object within `1e-12`
+///   of each other. Objects under `TINY_OBJECT = 2²⁰ · CUT_SLAB`
+///   (≈ 4.2e-6) wide or tall are never decided on their trapezoids, so
+///   on the others it takes a coincidence of 2⁻²⁰ of the object's extent.
+#[derive(Debug, Clone, Copy)]
+pub struct SelectMargin {
+    pad: f64,
+    slope_pad: f64,
+}
+
+impl SelectMargin {
+    /// The margins for the trapezoids of an object whose root rectangle
+    /// is `root`; `None` for an object too small to decide on them.
+    pub fn of(root: &Rect) -> Option<SelectMargin> {
+        if !(root.width() >= TINY_OBJECT && root.height() >= TINY_OBJECT) {
+            return None;
+        }
+        let x = root.xmin().abs().max(root.xmax().abs());
+        let y = root.ymin().abs().max(root.ymax().abs());
+        Some(SelectMargin {
+            pad: SELECT_MARGIN * (x + y),
+            slope_pad: SELECT_MARGIN * y,
+        })
+    }
+
+    /// `probe` grown by `pad` in x and by `slab` in y. A trapezoid or
+    /// node whose MBR misses it holds nothing of the region, nor of the
+    /// band the region test may misjudge around it, that could meet the
+    /// probe: its MBR grown alike misses the probe.
+    pub fn reach(&self, probe: &Rect) -> Rect {
+        let slab = self.slab();
+        Rect::from_bounds(
+            probe.xmin() - self.pad,
+            probe.ymin() - slab,
+            probe.xmax() + self.pad,
+            probe.ymax() + slab,
+        )
+    }
+
+    /// How far the core band stops short of each end of a trapezoid, and
+    /// how far the grown MBR and the extended trapezoid reach past them.
+    fn slab(&self) -> f64 {
+        CUT_SLAB + self.pad
+    }
+
+    /// The side margin of `t`; `None` for a flat trapezoid (or NaN).
+    fn side(&self, t: &Trapezoid) -> Option<f64> {
+        let slant = (t.x_hi.0 - t.x_lo.0).abs().max((t.x_hi.1 - t.x_lo.1).abs());
+        let side = self.pad + self.slope_pad * slant / (t.y_hi - t.y_lo);
+        side.is_finite().then_some(side)
     }
 }
 
@@ -347,8 +489,10 @@ mod tests {
         let traps = decompose(&donut);
         assert!((total_area(&traps) - donut.area()).abs() < 1e-9);
         // No trapezoid may cover the hole center.
+        let margin = SelectMargin::of(&donut.mbr()).unwrap();
         for t in &traps {
-            assert!(!t.contains_point(Point::new(3.0, 3.0)) || t.area() == 0.0);
+            let hole = t.classify_point(Point::new(3.0, 3.0), &margin);
+            assert!(hole == Some(false) || t.area() == 0.0);
         }
     }
 
@@ -377,10 +521,24 @@ mod tests {
         };
         assert_eq!(t.mbr(), Rect::from_bounds(0.0, 0.0, 4.0, 2.0));
         assert!((t.area() - 6.0).abs() < 1e-12);
-        assert!(t.contains_point(Point::new(2.0, 1.0)));
-        assert!(t.contains_point(Point::new(0.5, 0.0)));
-        assert!(!t.contains_point(Point::new(0.2, 1.9)));
-        assert!(!t.contains_point(Point::new(2.0, 2.1)));
+        let margin = SelectMargin::of(&t.mbr()).unwrap();
+        let at = |x, y| t.classify_point(Point::new(x, y), &margin);
+        assert_eq!(at(2.0, 1.0), Some(true));
+        // On the bottom side: a cut line, so never decided.
+        assert_eq!(at(0.5, 0.0), None);
+        // One ulp outside the slanted left side, mid-band: too close.
+        assert_eq!(at(0.5 - 0.5 * f64::EPSILON, 1.0), None);
+        assert_eq!(at(0.2, 1.9), Some(false));
+        assert_eq!(at(2.0, 2.1), Some(false));
+        let window = |x0, y0, x1, y1| t.classify_rect(&Rect::from_bounds(x0, y0, x1, y1), &margin);
+        assert_eq!(window(1.5, 0.5, 2.5, 1.5), Some(true));
+        assert_eq!(window(-1.0, 1.2, 0.0, 1.8), Some(false));
+        assert_eq!(window(5.0, 0.5, 6.0, 1.5), Some(false));
+        // Sharing a corner with the bottom cut: undecided.
+        assert_eq!(window(-1.0, -1.0, 0.0, 0.0), None);
+        // Tiny objects are never decided on their trapezoids.
+        let tiny = Rect::from_bounds(0.0, 0.0, 1e-9, 1e-9);
+        assert!(SelectMargin::of(&tiny).is_none());
     }
 
     #[test]

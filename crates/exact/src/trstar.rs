@@ -48,7 +48,7 @@
 mod builder;
 
 use crate::cost::OpCounts;
-use crate::trapezoid::{decompose, Trapezoid, XSpan};
+use crate::trapezoid::{decompose, SelectMargin, Trapezoid, XSpan};
 use builder::TreeBuilder;
 use msj_geom::stack::InlineStack;
 use msj_geom::{cast_slice, ObjectId, Plain, Point, PolygonWithHoles, Rect, Relation, SharedBytes};
@@ -607,28 +607,53 @@ impl<'a> TrStarView<'a> {
         self.traps
     }
 
-    /// Counted point query: does any trapezoid contain `p`? Each directory
-    /// rectangle probe counts as a rectangle test, each leaf probe as a
-    /// trapezoid test.
-    pub fn contains_point(&self, p: Point, counts: &mut OpCounts) -> bool {
-        self.probe(p, counts, &mut InlineStack::new(0))
+    /// Three-way point test of a selection's Step 3 (§4.2: the exact step
+    /// walks the tree, never the edges): `Some(answer)` when the
+    /// trapezoids prove whether the closed region contains `p`, `None`
+    /// when `p` lies within the margin of [`SelectMargin`] and only the
+    /// region test can tell. Each node rectangle probe counts as a
+    /// rectangle test, each leaf probe as a trapezoid test.
+    pub fn classify_point(&self, p: Point, counts: &mut OpCounts) -> Option<bool> {
+        let decide = |t: &Trapezoid, m: &SelectMargin| t.classify_point(p, m);
+        self.classify(counts, &mut InlineStack::new(0), &Rect::new(p, p), decide)
     }
 
-    /// [`TrStarView::contains_point`] over a caller-owned stack (the
-    /// tests read the stack back to show it never spilled).
-    fn probe(&self, p: Point, counts: &mut OpCounts, stack: &mut InlineStack<u32>) -> bool {
+    /// [`TrStarView::classify_point`] for a closed window.
+    pub fn classify_rect(&self, window: &Rect, counts: &mut OpCounts) -> Option<bool> {
+        let decide = |t: &Trapezoid, m: &SelectMargin| t.classify_rect(window, m);
+        self.classify(counts, &mut InlineStack::new(0), window, decide)
+    }
+
+    /// The descent of both three-way tests, over a caller-owned stack (the
+    /// tests read it back to show it never spilled). A node is skipped
+    /// only when its rectangle misses the probe's [`SelectMargin::reach`],
+    /// which every trapezoid MBR below it then misses too — so a skip is
+    /// one of the trapezoids' own `Some(false)`s. One trapezoid's `true`
+    /// decides; `false` needs every reached trapezoid's.
+    fn classify(
+        &self,
+        counts: &mut OpCounts,
+        stack: &mut InlineStack<u32>,
+        probe: &Rect,
+        decide: impl Fn(&Trapezoid, &SelectMargin) -> Option<bool>,
+    ) -> Option<bool> {
+        let margin = SelectMargin::of(&self.root_rect())?;
+        let reach = margin.reach(probe);
+        let mut answer = Some(false);
         stack.push_if(0, true);
         while let Some(cur) = stack.pop() {
             let n = &self.nodes[cur as usize];
             counts.rect_rect += 1;
-            if !n.rect.contains_point(p) {
+            if !n.rect.intersects(&reach) {
                 continue;
             }
             if n.level == 0 {
                 for t in &self.traps[n.children()] {
                     counts.trapezoid += 1;
-                    if t.contains_point(p) {
-                        return true;
+                    match decide(t, &margin) {
+                        Some(true) => return Some(true),
+                        Some(false) => {}
+                        None => answer = None,
                     }
                 }
             } else {
@@ -637,7 +662,7 @@ impl<'a> TrStarView<'a> {
                 }
             }
         }
-        false
+        answer
     }
 }
 
@@ -784,22 +809,27 @@ mod tests {
         let tree = s.get(0);
         let mbr = b.mbr().inflated(0.5);
         let mut counts = OpCounts::new();
+        let mut decided = 0;
         for i in 0..25 {
             for j in 0..25 {
                 let p = Point::new(
                     mbr.xmin() + mbr.width() * i as f64 / 24.0,
                     mbr.ymin() + mbr.height() * j as f64 / 24.0,
                 );
-                // Skip points within a hair of the boundary: decomposition
-                // cuts introduce rounding exactly there.
-                let in_region = b.contains_point(p);
-                let in_tree = tree.contains_point(p, &mut counts);
-                if in_region != in_tree {
-                    let near_boundary = b.edges().any(|e| e.dist_to_point(p) < 1e-9 * mbr.width());
-                    assert!(near_boundary, "mismatch at {p:?} not near boundary");
+                if let Some(inside) = tree.classify_point(p, &mut counts) {
+                    assert_eq!(inside, b.contains_point(p), "{p:?}");
+                    decided += 1;
+                }
+                let w = Rect::from_bounds(p.x, p.y, p.x + 0.3, p.y + 0.2);
+                if let Some(meets) = tree.classify_rect(&w, &mut counts) {
+                    let reference = crate::window::region_intersects_rect_reference(&b, &w);
+                    assert_eq!(meets, reference, "{w:?}");
                 }
             }
         }
+        // The grid's row through the blob's bottom vertex is the only
+        // one near a cut line; everything else is decided.
+        assert!(decided >= 600, "{decided} of 625 decided");
         assert!(counts.rect_rect > 0 && counts.trapezoid > 0);
     }
 
@@ -1115,7 +1145,10 @@ mod tests {
                 }
                 for x in [0.3, 50.0] {
                     let mut stack = InlineStack::new(0);
-                    s.get(i).probe(Point::new(x, 0.2), &mut counts, &mut stack);
+                    let p = Point::new(x, 0.2);
+                    let decide = |t: &Trapezoid, m: &SelectMargin| t.classify_point(p, m);
+                    s.get(i)
+                        .classify(&mut counts, &mut stack, &Rect::new(p, p), decide);
                     assert!(!stack.spilled(), "M = {m}: point probe {i} spilled");
                 }
             }

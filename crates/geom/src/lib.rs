@@ -61,7 +61,7 @@ pub use clip::{
 pub use exec::{panic_message, resolve_threads, PairBatchBuffer, PairSink, WorkerPanic};
 pub use hull::{convex_contains_point, convex_hull};
 pub use kernels::KernelDispatch;
-pub use object::{ObjectId, RelHandle, Relation, SpatialObject};
+pub use object::{DecodeHook, LazyRelation, ObjectId, RelHandle, Relation, SpatialObject};
 pub use point::Point;
 pub use polygon::{Polygon, PolygonError, PolygonWithHoles};
 pub use predicates::{collinear, orient2d, orient2d_raw, Orientation};

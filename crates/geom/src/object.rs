@@ -4,10 +4,12 @@
 //! intersection join only the geometric attribute matters, so an object is
 //! an identifier plus a polygonal region.
 
-use crate::bytes::{Dec, DecResult, Enc};
+use crate::bytes::{Col, Dec, DecResult, Enc, SharedBytes};
 use crate::point::Point;
-use crate::polygon::{is_ccw, Polygon, PolygonWithHoles};
+use crate::polygon::{Polygon, PolygonWithHoles};
 use crate::rect::Rect;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Identifier of a spatial object within its relation.
 pub type ObjectId = u32;
@@ -186,7 +188,38 @@ impl Relation {
     /// position, and every ring goes through [`Polygon::new`]'s validation
     /// and must already be counter-clockwise (the only order `to_bytes`
     /// writes), so an accepted image re-encodes to the same bytes.
+    ///
+    /// This is [`Relation::validate_image`] followed by the build, which
+    /// cannot fail after it: the two passes share one ring check, so
+    /// exactly the images `validate_image` accepts decode.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
+        let image = Image::parse(bytes)?;
+        image.check()?;
+        Ok(image.build())
+    }
+
+    /// The validating pass of [`Relation::from_bytes`] alone: it reads
+    /// the image where it lies, allocates nothing, and returns the number
+    /// of objects of every image `from_bytes` accepts — and an error for
+    /// every image it refuses.
+    pub fn validate_image(bytes: &[u8]) -> DecResult<usize> {
+        let image = Image::parse(bytes)?;
+        image.check()?;
+        Ok(image.ids.len())
+    }
+}
+
+/// The four columns of a relation image, borrowed where they lie, with
+/// the offset tables checked against each other and the point arena.
+struct Image<'a> {
+    ids: Col<'a, u32>,
+    ring_offsets: Col<'a, u32>,
+    point_offsets: Col<'a, u32>,
+    points: Col<'a, f64>,
+}
+
+impl<'a> Image<'a> {
+    fn parse(bytes: &'a [u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
         let ids = d.u32s()?;
         let ring_offsets = d.u32s()?;
@@ -207,35 +240,162 @@ impl Relation {
         if point_offsets.get(total_rings) as usize * 2 != points.len() {
             return Err("relation point arena length mismatch");
         }
-        let ring = |r: usize| -> DecResult<Polygon> {
-            let lo = point_offsets.get(r) as usize;
-            let hi = point_offsets.get(r + 1) as usize;
-            if lo > hi || hi * 2 > points.len() {
-                return Err("relation point offsets not monotonic");
-            }
-            let vertices: Vec<Point> = (lo..hi)
-                .map(|i| Point::new(points.get(2 * i), points.get(2 * i + 1)))
-                .collect();
-            if !is_ccw(&vertices) {
-                return Err("relation ring is not counter-clockwise");
-            }
-            Polygon::new(vertices).map_err(|_| "relation ring fails polygon validation")
-        };
-        let mut objects = Vec::with_capacity(n);
+        Ok(Image {
+            ids,
+            ring_offsets,
+            point_offsets,
+            points,
+        })
+    }
+
+    fn point(&self, i: usize) -> Point {
+        Point::new(self.points.get(2 * i), self.points.get(2 * i + 1))
+    }
+
+    /// Every object owns at least one ring, in order, and every ring
+    /// passes [`Image::ring`].
+    fn check(&self) -> DecResult<()> {
+        let total_rings = self.point_offsets.len() - 1;
         let mut next_ring = 0;
-        for (i, id) in ids.iter().enumerate() {
-            let r_hi = ring_offsets.get(i + 1) as usize;
+        for i in 0..self.ids.len() {
+            let r_hi = self.ring_offsets.get(i + 1) as usize;
             if next_ring >= r_hi || r_hi > total_rings {
                 return Err("relation object has no rings");
             }
-            let outer = ring(next_ring)?;
-            let holes = (next_ring + 1..r_hi)
-                .map(ring)
-                .collect::<DecResult<Vec<_>>>()?;
-            objects.push(SpatialObject::new(id, PolygonWithHoles::new(outer, holes)));
+            for r in next_ring..r_hi {
+                self.ring(r)?;
+            }
             next_ring = r_hi;
         }
-        Ok(Relation::new(objects))
+        Ok(())
+    }
+
+    /// The point range of ring `r` — the one ring check of both passes:
+    /// counter-clockwise (so of positive area), then [`Polygon::new`]'s
+    /// vertex count and finiteness, in [`Relation::from_bytes`]' order.
+    fn ring(&self, r: usize) -> DecResult<std::ops::Range<usize>> {
+        let lo = self.point_offsets.get(r) as usize;
+        let hi = self.point_offsets.get(r + 1) as usize;
+        if lo > hi || hi * 2 > self.points.len() {
+            return Err("relation point offsets not monotonic");
+        }
+        // One read of each vertex: the shoelace sum of `Polygon::new`, the
+        // same products in the same order, and the finiteness check.
+        let n = hi - lo;
+        let (mut area2, mut finite) = (0.0, true);
+        if n > 0 {
+            let mut at = self.point(lo);
+            for i in 0..n {
+                let next = self.point(lo + (i + 1) % n);
+                area2 += at.cross(next);
+                finite &= at.is_finite();
+                at = next;
+            }
+        }
+        if area2.is_nan() || area2 <= 0.0 {
+            return Err("relation ring is not counter-clockwise");
+        }
+        if n < 3 || !finite {
+            return Err("relation ring fails polygon validation");
+        }
+        Ok(lo..hi)
+    }
+
+    /// The relation of an image [`Image::check`] accepted.
+    fn build(&self) -> Relation {
+        let polygon = |r: usize| {
+            let span = self.point_offsets.get(r) as usize..self.point_offsets.get(r + 1) as usize;
+            Polygon::from_ccw(span.map(|i| self.point(i)).collect())
+        };
+        let objects = (0..self.ids.len())
+            .map(|i| {
+                let rings =
+                    self.ring_offsets.get(i) as usize..self.ring_offsets.get(i + 1) as usize;
+                let outer = polygon(rings.start);
+                let holes = (rings.start + 1..rings.end).map(polygon).collect();
+                SpatialObject::new(i as ObjectId, PolygonWithHoles::new(outer, holes))
+            })
+            .collect();
+        Relation { objects }
+    }
+}
+
+/// A dataset's relation as a store open leaves it: the verified section
+/// image, decoded into a [`Relation`] once, on first [`LazyRelation::get`]
+/// — or a relation resident from the start. Its object count is known
+/// either way.
+pub struct LazyRelation {
+    len: usize,
+    image: Option<SharedBytes>,
+    decoded: OnceLock<Arc<Relation>>,
+    /// Told the decode's wall-clock in nanoseconds.
+    on_decode: Option<DecodeHook>,
+}
+
+/// What a [`LazyRelation`] tells the nanoseconds of its decode.
+pub type DecodeHook = Box<dyn Fn(u64) + Send + Sync>;
+
+impl LazyRelation {
+    /// A relation that is already decoded.
+    pub fn resident(relation: Arc<Relation>) -> Self {
+        LazyRelation {
+            len: relation.len(),
+            image: None,
+            decoded: OnceLock::from(relation),
+            on_decode: None,
+        }
+    }
+
+    /// Keeps `image` after [`Relation::validate_image`] accepts it; the
+    /// decode waits for the first [`LazyRelation::get`] and is reported
+    /// to `on_decode`.
+    pub fn from_image(image: SharedBytes, on_decode: Option<DecodeHook>) -> DecResult<Self> {
+        Ok(LazyRelation {
+            len: Relation::validate_image(&image)?,
+            image: Some(image),
+            decoded: OnceLock::new(),
+            on_decode,
+        })
+    }
+
+    /// Objects in the relation, decoded or not.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the relation has been decoded (or was resident).
+    pub fn is_decoded(&self) -> bool {
+        self.decoded.get().is_some()
+    }
+
+    /// The relation, decoded from the image on the first call.
+    pub fn get(&self) -> &Arc<Relation> {
+        self.decoded.get_or_init(|| {
+            let image = self
+                .image
+                .as_deref()
+                .expect("an undecoded relation has its image");
+            let start = self.on_decode.as_ref().map(|_| Instant::now());
+            let image = Image::parse(image).expect("the image was validated");
+            let relation = Arc::new(image.build());
+            if let (Some(hook), Some(start)) = (&self.on_decode, start) {
+                hook(start.elapsed().as_nanos() as u64);
+            }
+            relation
+        })
+    }
+}
+
+impl std::fmt::Debug for LazyRelation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LazyRelation")
+            .field("len", &self.len)
+            .field("decoded", &self.is_decoded())
+            .finish()
     }
 }
 
@@ -247,20 +407,24 @@ impl std::ops::Index<ObjectId> for Relation {
 }
 
 /// A relation either borrowed for the duration of one scoped execution or
-/// co-owned behind [`Arc`](std::sync::Arc) for resident, shareable state.
+/// co-owned behind [`Arc`] for resident, shareable state.
 ///
 /// Every prepared component (candidate sources, exact processors, query
 /// state) stores its relations through this handle, so the same code path
 /// serves both the classic borrow-based API
 /// (`RelHandle::from(&relation)`, lifetime `'a`) and the resident engine
 /// (`RelHandle::from(arc)`, lifetime `'static` — the shape an owned
-/// `PreparedJoin` needs to be cached and shared across threads).
+/// `PreparedJoin` needs to be cached and shared across threads). A
+/// [`LazyRelation`] handle decodes its relation on the first dereference,
+/// so a component that never reads it never decodes it.
 #[derive(Debug, Clone)]
 pub enum RelHandle<'a> {
     /// Borrowed for a scoped execution.
     Borrowed(&'a Relation),
-    /// Co-owned, resident state (the engine's registered datasets).
-    Shared(std::sync::Arc<Relation>),
+    /// Co-owned, resident state.
+    Shared(Arc<Relation>),
+    /// Co-owned, decoded on first use (the engine's registered datasets).
+    Lazy(Arc<LazyRelation>),
 }
 
 impl std::ops::Deref for RelHandle<'_> {
@@ -271,6 +435,7 @@ impl std::ops::Deref for RelHandle<'_> {
         match self {
             RelHandle::Borrowed(r) => r,
             RelHandle::Shared(r) => r,
+            RelHandle::Lazy(r) => r.get(),
         }
     }
 }
@@ -281,9 +446,15 @@ impl<'a> From<&'a Relation> for RelHandle<'a> {
     }
 }
 
-impl From<std::sync::Arc<Relation>> for RelHandle<'static> {
-    fn from(relation: std::sync::Arc<Relation>) -> Self {
+impl From<Arc<Relation>> for RelHandle<'static> {
+    fn from(relation: Arc<Relation>) -> Self {
         RelHandle::Shared(relation)
+    }
+}
+
+impl From<Arc<LazyRelation>> for RelHandle<'static> {
+    fn from(relation: Arc<LazyRelation>) -> Self {
+        RelHandle::Lazy(relation)
     }
 }
 
@@ -390,6 +561,66 @@ mod tests {
             Relation::from_bytes(&bytes).err(),
             Some("relation ring is not counter-clockwise")
         );
+    }
+
+    #[test]
+    fn validation_accepts_exactly_what_decodes() {
+        let outer = sq(0.0, 0.0, 10.0).outer().clone();
+        let hole = sq(4.0, 4.0, 2.0).outer().clone();
+        let rel = Relation::new(vec![
+            SpatialObject::new(0, PolygonWithHoles::new(outer, vec![hole])),
+            SpatialObject::new(1, sq(20.0, 0.0, 1.0)),
+        ]);
+        let bytes = rel.to_bytes();
+        let points = bytes.len() - 12 * 16;
+        let mut hostile = vec![bytes[..bytes.len() - 1].to_vec(), bytes[..40].to_vec()];
+        for (at, v) in [(points, f64::NAN), (points + 8, f64::INFINITY)] {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            hostile.push(bad);
+        }
+        let mut clockwise = bytes.clone();
+        for k in 0..16 {
+            clockwise.swap(points + 64 + 16 + k, points + 64 + 48 + k);
+        }
+        hostile.push(clockwise);
+        // One object whose only ring has no points, over an empty arena.
+        let mut image = Relation::from_regions(vec![sq(0.0, 0.0, 1.0)]).to_bytes();
+        image[40..44].copy_from_slice(&0u32.to_le_bytes()); // point offsets [0, 0]
+        image[44..52].copy_from_slice(&0u64.to_le_bytes()); // no points
+        image.truncate(52);
+        hostile.push(image);
+        assert_eq!(Relation::validate_image(&bytes), Ok(2));
+        for (i, image) in hostile.iter().enumerate() {
+            let decoded = Relation::from_bytes(image).map(|r| r.len());
+            assert!(decoded.is_err(), "hostile image {i} decodes");
+            assert_eq!(Relation::validate_image(image), decoded, "image {i}");
+        }
+    }
+
+    #[test]
+    fn a_lazy_relation_decodes_once_on_first_use() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let rel = Relation::from_regions(vec![sq(0.0, 0.0, 1.0), sq(2.0, 0.0, 1.0)]);
+        let bytes = rel.to_bytes();
+        let decodes = Arc::new(AtomicU64::new(0));
+        let seen = decodes.clone();
+        let hook: DecodeHook = Box::new(move |_| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        let lazy = LazyRelation::from_image(SharedBytes::copy_of(&bytes), Some(hook)).unwrap();
+        assert_eq!((lazy.len(), lazy.is_decoded()), (2, false));
+        let handle = RelHandle::from(Arc::new(lazy));
+        assert_eq!(handle.to_bytes(), bytes);
+        assert_eq!(handle.object(1).mbr(), rel.object(1).mbr());
+        assert_eq!(decodes.load(Ordering::Relaxed), 1);
+        let RelHandle::Lazy(lazy) = handle else {
+            unreachable!()
+        };
+        assert!(lazy.is_decoded());
+        let broken = SharedBytes::copy_of(&bytes[..bytes.len() - 8]);
+        assert!(LazyRelation::from_image(broken, None).is_err());
+        assert!(LazyRelation::resident(Arc::new(rel)).is_decoded());
     }
 
     #[test]

@@ -61,6 +61,13 @@ impl Polygon {
         Ok(Polygon { vertices, mbr })
     }
 
+    /// A polygon over a ring that already passed [`Polygon::new`]'s
+    /// checks in counter-clockwise order: the same value, without them.
+    pub(crate) fn from_ccw(vertices: Vec<Point>) -> Self {
+        let mbr = Rect::bounding(vertices.iter().copied()).expect("non-empty");
+        Polygon { vertices, mbr }
+    }
+
     /// The boundary vertices in counter-clockwise order.
     #[inline]
     pub fn vertices(&self) -> &[Point] {
@@ -188,12 +195,6 @@ fn shoelace_sum(vertices: &[Point]) -> f64 {
         s += vertices[i].cross(vertices[(i + 1) % n]);
     }
     s
-}
-
-/// Whether a vertex ring runs counter-clockwise — the order
-/// [`Polygon::new`] keeps as given (a clockwise ring it reverses).
-pub(crate) fn is_ccw(vertices: &[Point]) -> bool {
-    shoelace_sum(vertices) > 0.0
 }
 
 /// Even–odd crossing test for a point strictly against a ring's interior.

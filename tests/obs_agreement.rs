@@ -450,6 +450,7 @@ msj_request_latency_nanos_count{kind=\"window\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"conservative\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"persist\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"progressive\"} 0\n\
+msj_step0_artifact_nanos_total{artifact=\"relation\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"tree\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"trstar\"} 0\n\
 msj_step_nanos_total{step=\"step0\"} 0\n\

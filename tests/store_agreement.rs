@@ -683,6 +683,106 @@ fn crafted_relation_id_off_its_position_fails_the_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The byte range of object 0's outer ring in a relation image: its
+/// `(x, y)` records in the point arena. Layout per `msj_geom::object`:
+/// four counted columns — ids, ring offsets, point offsets, points.
+fn first_ring(image: &[u8]) -> std::ops::Range<usize> {
+    let count = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let rings_at = 8 + 4 * count(0);
+    let points_at = rings_at + 8 + 4 * count(rings_at);
+    let ring_end = u32::from_le_bytes(image[points_at + 12..points_at + 16].try_into().unwrap());
+    let arena = points_at + 8 + 4 * count(points_at) + 8;
+    arena..arena + 16 * ring_end as usize
+}
+
+#[test]
+fn crafted_relation_rings_fail_the_open() {
+    // Two checksummed relation sections the open's validating pass must
+    // refuse exactly as a decode would: object 0's outer ring reversed
+    // (clockwise), and one of its vertices NaN.
+    type Patch = fn(&mut [u8]);
+    let reverse: Patch = |ring| {
+        let records = ring.len() / 16;
+        for k in 0..records / 2 {
+            for b in 0..16 {
+                ring.swap(16 * k + b, 16 * (records - 1 - k) + b);
+            }
+        }
+    };
+    let nan: Patch = |ring| ring[16..24].copy_from_slice(&f64::NAN.to_le_bytes());
+    for (name, patch) in [("clockwise", reverse), ("nan", nan)] {
+        let (dir, cfg, _, _) = seeded_store(name);
+        reseal_segment(&dir, "ds_0.msj", RELATION_TAG, |_, image| {
+            let ring = first_ring(image);
+            assert!(ring.len() >= 48, "object 0 has a ring");
+            patch(&mut image[ring]);
+        });
+        match SpatialEngine::open(cfg, StoreConfig::new(&dir)) {
+            Err(err) => assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}"),
+            Ok(_) => panic!("a {name} relation ring must fail the open"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn opened_default_engine_serves_without_decoding_the_relation() {
+    // Selections refine on the adopted TR* arena and the join runs over
+    // the adopted tree, arena and stored pair raster: nothing reads the
+    // relation, so the open's validated image is never decoded — until a
+    // caller asks for the relation itself, which decodes it once, back
+    // to the stored bytes.
+    let (dir, cfg, requests, reference) = seeded_store("lazy");
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("cold start");
+    let a = msj::datagen::small_carto(120, 24.0, 9108);
+    let selections: Vec<Request> = a
+        .iter()
+        .take(16)
+        .flat_map(|o| {
+            let b = o.mbr();
+            let window = Rect::from_bounds(b.xmin(), b.ymin(), b.center().x, b.center().y);
+            [
+                Request::Point {
+                    dataset: 0,
+                    point: b.center(),
+                },
+                Request::Window { dataset: 1, window },
+            ]
+        })
+        .collect();
+    assert_eq!(selections.len(), 32);
+    let fresh = SpatialEngine::new(cfg);
+    fresh.register(a);
+    fresh.register(msj::datagen::small_carto(120, 24.0, 9109));
+    assert_eq!(run(&engine, &selections), run(&fresh, &selections));
+    assert_eq!(run(&engine, &requests), reference);
+    assert!(
+        pair_raster_decisions(&engine) > 0,
+        "the stored pair raster ran"
+    );
+    assert_no_checksum_failures(&engine.metrics().render_prometheus(), "clean open");
+    assert_eq!(
+        artifact_nanos(&engine, "relation"),
+        0,
+        "a relation was decoded"
+    );
+
+    let store = msj_store::Store::open(&dir).expect("open container");
+    let segment = store.read_dataset(0, None).expect("segment reads");
+    let stored = segment.section(Section::Relation).unwrap().unwrap();
+    let handle = engine.dataset(0).unwrap();
+    assert_eq!(handle.relation().to_bytes(), stored, "decoded relation");
+    let decoded = artifact_nanos(&engine, "relation");
+    assert!(decoded > 0, "the decode is timed");
+    assert_eq!(handle.relation().len(), handle.len());
+    assert_eq!(
+        artifact_nanos(&engine, "relation"),
+        decoded,
+        "decoded twice"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn version_1_segment_is_refused_with_a_typed_error() {
     // A v1 segment (TR* export columns) must not be mis-decoded as an
@@ -899,6 +999,15 @@ fn store_written_with_five_corner_opens_under_the_default() {
         assert!(segment.section(Section::Conservative).is_some());
         segment.config_tag
     });
+    let relation_image = |id| {
+        let segment = segment(id);
+        segment
+            .section(Section::Relation)
+            .unwrap()
+            .unwrap()
+            .to_vec()
+    };
+    let old_relations = [0, 1].map(relation_image);
 
     let fresh = SpatialEngine::new(cfg);
     fresh.register(a);
@@ -935,6 +1044,8 @@ fn store_written_with_five_corner_opens_under_the_default() {
         let segment = segment(id);
         assert_ne!(segment.config_tag, old_tag, "ds_{id} keeps the old tag");
         assert!(segment.section(Section::Conservative).is_none());
+        // The refresh wrote the stored relation image as it was.
+        assert_eq!(relation_image(id), old_relations[id as usize], "ds_{id}");
     }
 
     let second = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("second open");
@@ -948,6 +1059,11 @@ fn store_written_with_five_corner_opens_under_the_default() {
             "the refreshed {artifact} section is adopted"
         );
     }
+    assert_eq!(
+        artifact_nanos(&second, "relation"),
+        0,
+        "the refreshed store serves without decoding its relations"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
