@@ -26,7 +26,7 @@ use msj_geom::{
     CancelToken, KernelDispatch, ObjectId, PairBatchBuffer, PairSink, Point, Rect, RelHandle,
     Relation,
 };
-use msj_partition::{partition_join_funneled, GridIndex, PartitionSummary};
+use msj_partition::{partition_join_funneled, GridIndex, PartitionStats};
 use msj_sam::{tree_join_chunked, JoinControl, JoinStats, PageLayout, RStarTree};
 use std::sync::{Arc, OnceLock};
 
@@ -40,6 +40,41 @@ pub struct Step1Stats {
     pub join: JoinStats,
     /// Partition detail when the partitioned backend ran.
     pub partition: Option<PartitionSummary>,
+}
+
+/// Copyable summary of a [`PartitionStats`] (the full per-tile candidate
+/// vector lives on `msj_partition::PartitionStats`; this is the digest
+/// that travels inside [`crate::MultiStepStats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PartitionSummary {
+    /// Tiles per grid side.
+    pub tiles_per_axis: u64,
+    /// Tiles that emitted at least one candidate.
+    pub nonempty_tiles: u64,
+    /// Candidates of the busiest tile (skew indicator).
+    pub busiest_tile_candidates: u64,
+    /// Extra `(rectangle, tile)` assignments created by replication.
+    pub replicated_assignments: u64,
+    /// Sweep matches suppressed by reference-point deduplication.
+    pub dedup_skipped: u64,
+    /// Threads the Step-1 tile sweeps ran on.
+    pub threads: u64,
+    /// Mean tile assignments per input rectangle (1.0 = no replication).
+    pub replication_factor: f64,
+}
+
+impl From<&PartitionStats> for PartitionSummary {
+    fn from(stats: &PartitionStats) -> Self {
+        PartitionSummary {
+            tiles_per_axis: stats.tiles_per_axis as u64,
+            nonempty_tiles: stats.nonempty_tiles() as u64,
+            busiest_tile_candidates: stats.busiest_tile().map_or(0, |(_, c)| c),
+            replicated_assignments: stats.replicated_a() + stats.replicated_b(),
+            dedup_skipped: stats.dedup_skipped,
+            threads: stats.threads as u64,
+            replication_factor: stats.replication_factor(),
+        }
+    }
 }
 
 /// Step-1 statistics of one selection (point or window) probe.
@@ -125,7 +160,6 @@ pub(crate) fn source_with<'a>(
 ) -> Box<dyn CandidateSource + 'a> {
     match config.backend {
         Backend::RStarTraversal => {
-            // A shared tree leaves its relation unread (and undecoded).
             let tree = |shared: Option<Arc<RStarTree>>, relation: &RelHandle| {
                 shared.unwrap_or_else(|| Arc::new(build_tree(config, relation)))
             };

@@ -110,14 +110,8 @@ impl Step0<'_> {
         len: impl FnOnce(&T) -> usize,
         build: impl FnOnce() -> T,
     ) -> Arc<T> {
-        let adopted = adopt(
-            self.stored,
-            section,
-            self.objects,
-            from_bytes,
-            len,
-            &mut self.corrupt,
-        );
+        let (stored, objects) = (self.stored, self.objects);
+        let adopted = adopt(stored, section, objects, from_bytes, len, &mut self.corrupt);
         Arc::new(adopted.unwrap_or_else(|| match self.obs {
             Some(obs) => obs.time_artifact(section.name(), build),
             None => build(),
@@ -206,8 +200,7 @@ impl DatasetHandle {
         self.state.id
     }
 
-    /// The registered relation — decoded here first if the dataset came
-    /// from a store and nothing has needed it yet.
+    /// The registered relation (an opened one decoded on first need).
     pub fn relation(&self) -> &Arc<Relation> {
         self.state.relation.get()
     }
@@ -331,10 +324,9 @@ impl SpatialEngine {
     /// order, with its Step-0 artifacts **loaded** from the segment
     /// files (checksums verified per section) instead of rebuilt — the
     /// store's cold-start path. The relation section is checksummed and
-    /// validated, and decoded only once something reads it (a rebuild,
-    /// the grid backend, a non-TR* exact step, a selection inside the TR*
-    /// margin, [`DatasetHandle::relation`]). An artifact section that fails its
-    /// checksum or shape is rebuilt from the relation (counted under
+    /// validated, and decoded at the open only without TR*. An artifact
+    /// section that fails its checksum or shape is rebuilt from the
+    /// relation (counted under
     /// `msj_store_checksum_failures_total{section}`); a corrupt manifest
     /// or relation section fails the open, since there is nothing to
     /// rebuild from.
@@ -372,15 +364,10 @@ impl SpatialEngine {
         // the segment write happens there too — registration is cold
         // relative to serving, and concurrent registers must not race
         // for the same segment file.
-        let state = self.install(
-            relation,
-            artifacts,
-            step0_nanos,
-            |id, relation, artifacts| {
-                let image = || relation.get().to_bytes();
-                self.persist_dataset(id, image, artifacts).unwrap_or(0)
-            },
-        );
+        let state = self.install(relation, artifacts, step0_nanos, |id, rel, arts| {
+            self.persist_dataset(id, || rel.get().to_bytes(), arts)
+                .unwrap_or(0)
+        });
         DatasetHandle { state }
     }
 
@@ -434,12 +421,8 @@ impl SpatialEngine {
             sections.extend(conservative.map(|image| (Section::Conservative, image)));
             let progressive = artifacts.progressive.iter().map(|p| p.to_bytes());
             sections.extend(progressive.map(|image| (Section::Progressive, image)));
-            sections.extend(
-                artifacts
-                    .trstar
-                    .iter()
-                    .map(|t| (Section::TrStar, t.to_bytes())),
-            );
+            let trstar = artifacts.trstar.iter().map(|t| t.to_bytes());
+            sections.extend(trstar.map(|image| (Section::TrStar, image)));
             backend.store.write_dataset(id, self.tag, &sections).ok()
         })
     }
@@ -478,26 +461,17 @@ impl SpatialEngine {
         let t_load = self.obs.enabled.then(Instant::now);
         let elapsed = || t_load.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let segment = self.with_store_fault(|tamper| backend.store.read_dataset(id, tamper))?;
-        // Validated, not decoded. The image stays in the segment's buffer
-        // only beside a TR* arena, which holds that buffer anyway, and
-        // never under a byte budget, so that eviction can free it.
+        // Validated, not decoded: only TR* serves without the relation, so
+        // other configurations (and a stale segment's rebuild) decode it
+        // here. A byte budget copies the image out, so eviction frees it.
         let tr_star = matches!(self.config.join.exact, ExactAlgorithm::TrStar { .. });
-        let in_place = tr_star && backend.byte_budget.is_none();
-        let own = |b: SharedBytes| {
-            if in_place {
-                b
-            } else {
-                SharedBytes::copy_of(&b)
-            }
-        };
+        let copy = tr_star && backend.byte_budget.is_some();
+        let own = |b: SharedBytes| if copy { SharedBytes::copy_of(&b) } else { b };
         let image = segment
             .shared_section(Section::Relation)
             .and_then(Result::ok);
-        let decode = self.obs.relation_decode();
-        let stored = image
-            .clone()
-            .and_then(|b| LazyRelation::from_image(own(b), decode).ok());
-        let Some(mut relation) = stored.map(Arc::new) else {
+        let lazy = |b| LazyRelation::from_image(own(b), self.obs.relation_decode()).ok();
+        let Some(relation) = image.clone().and_then(lazy).map(Arc::new) else {
             // The relation is the one section with no rebuild source;
             // without it the open fails.
             self.obs.store_load(elapsed(), &[Section::Relation]);
@@ -506,12 +480,10 @@ impl SpatialEngine {
                 format!("dataset {id}: relation section missing or corrupt"),
             ));
         };
-        let current = segment.config_tag == self.tag;
-        if !current {
-            // A stale segment is rebuilt from the relation in full: keep
-            // the relation decoded, not the stale segment's buffer.
-            relation = Arc::new(LazyRelation::resident(relation.get().clone()));
+        if !tr_star {
+            relation.get();
         }
+        let current = segment.config_tag == self.tag;
         let (artifacts, corrupt) = DatasetArtifacts::build(
             &self.config,
             &relation,

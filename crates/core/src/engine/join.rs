@@ -15,7 +15,9 @@ use crate::stats::MultiStepStats;
 use msj_approx::RasterStore;
 use msj_exact::{ExactAlgorithm, ExactProcessor};
 use msj_fault::FaultSession;
-use msj_geom::{panic_message, CancelToken, LazyRelation, RelHandle, Relation, WorkerPanic};
+use msj_geom::{
+    panic_message, CancelToken, LazyRelation, RelHandle, Relation, SharedBytes, WorkerPanic,
+};
 use msj_obs::Span;
 use msj_store::Section;
 use std::collections::{HashMap, VecDeque};
@@ -90,8 +92,7 @@ impl PreparedJoin {
         step0_nanos: u64,
         serving: Option<Serving>,
     ) -> PreparedJoin {
-        // The relations go only where they are read, as lazy handles: a
-        // default join over stored artifacts decodes neither.
+        // Lazy handles, only where read: a default join decodes neither.
         let handle = |relation: &Arc<LazyRelation>| RelHandle::from(relation.clone());
         let (tree_a, tree_b) = (arts_a.tree.clone(), arts_b.tree.clone());
         let (rel_a_h, rel_b_h) = (handle(rel_a), Some(handle(rel_b)));
@@ -521,18 +522,12 @@ impl SpatialEngine {
         let read = self.with_store_fault(|tamper| backend.store.read_pair(sa.id, sb.id, tamper));
         let stored = read.ok().flatten().filter(|p| p.config_tag == self.tag);
         let mut corrupt: Vec<Section> = Vec::new();
-        let mut side = |section, relation: &LazyRelation| {
-            adopt(
-                stored.as_ref(),
-                section,
-                relation.len(),
-                |b| RasterStore::from_bytes(&b),
-                RasterStore::len,
-                &mut corrupt,
-            )
-        };
-        let ra = side(Section::RasterA, &sa.relation);
-        let rb = side(Section::RasterB, &sb.relation);
+        let decode = |b: SharedBytes| RasterStore::from_bytes(&b);
+        let (stored, len) = (stored.as_ref(), RasterStore::len);
+        let mut side =
+            |section, objects| adopt(stored, section, objects, decode, len, &mut corrupt);
+        let ra = side(Section::RasterA, sa.relation.len());
+        let rb = side(Section::RasterB, sb.relation.len());
         match (ra, rb) {
             (Some(ra), Some(rb)) if ra.grid() == rb.grid() => {
                 return filter.with_shared_raster(Arc::new(ra), Arc::new(rb));

@@ -109,8 +109,7 @@ pub struct SpatialEngine {
     /// Prepared-join cache keyed by dataset-id pair, LRU-capped at
     /// [`DEFAULT_PREPARED_CACHE_CAP`].
     prepared: Mutex<PreparedCache>,
-    // After `prepared`: a dropped engine frees its joins, then each
-    // dataset's artifacts, then the relation (a steadier peak RSS).
+    // Dropped after `prepared`, each artifacts before relation (steadier peak RSS).
     datasets: RwLock<Vec<Arc<DatasetState>>>,
     /// The persistent artifact store, when armed
     /// ([`SpatialEngine::with_store`] / [`SpatialEngine::open`]).

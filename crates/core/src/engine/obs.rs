@@ -44,8 +44,7 @@ const LANE_ROLES: [LaneRole; 2] = [LaneRole::Backend, LaneRole::Consumer];
 
 /// `artifact` labels of `msj_step0_artifact_nanos_total` — what a
 /// registration spends its time on: the four per-dataset Step-0
-/// artifacts and the relation's decode from an opened store (which
-/// happens on first need, not at the open), under their [`Section`]
+/// artifacts and an opened relation's decode, under their [`Section`]
 /// names, and the write-through to the store.
 const STEP0_ARTIFACTS: [&str; 6] = [
     "tree",
@@ -234,12 +233,11 @@ impl EngineObs {
         out
     }
 
-    /// The timer of a lazily decoded relation: its decode is charged to
-    /// `msj_step0_artifact_nanos_total{artifact="relation"}`.
+    /// What a lazily decoded relation charges its decode to.
     pub fn relation_decode(&self) -> Option<DecodeHook> {
         let timer = labelled(&STEP0_ARTIFACTS, &self.step0_artifacts, "relation").clone();
-        self.enabled
-            .then(|| Box::new(move |nanos| timer.add(nanos)) as DecodeHook)
+        let hook: DecodeHook = Box::new(move |nanos| timer.add(nanos));
+        self.enabled.then_some(hook)
     }
 
     /// Pushes one trace — the request identity plus whatever `fill` sets

@@ -31,8 +31,8 @@
 //! test).
 
 use msj_approx::{
-    auto_grid_bits, raster_decide, ConservativeStore, ProgressiveStore, RasterDecision, RasterGrid,
-    RasterStore,
+    auto_grid_bits, raster_decide, ConservativeKind, ConservativeStore, ProgressiveKind,
+    ProgressiveStore, RasterDecision, RasterGrid, RasterStore,
 };
 use msj_geom::{ObjectId, Relation};
 use msj_obs::{Span, Step, StepSpans};
@@ -92,6 +92,26 @@ pub struct GeometricFilter {
 }
 
 impl GeometricFilter {
+    /// Precomputes the configured approximations for both relations and
+    /// compiles the filter plan. No raster stage — attach one with
+    /// [`GeometricFilter::with_raster`] or go through
+    /// [`GeometricFilter::from_config`].
+    pub fn build(
+        rel_a: &Relation,
+        rel_b: &Relation,
+        conservative: Option<ConservativeKind>,
+        progressive: Option<ProgressiveKind>,
+        use_false_area: bool,
+    ) -> Self {
+        Self::from_shared(
+            conservative.map(|k| Arc::new(ConservativeStore::build(k, rel_a))),
+            conservative.map(|k| Arc::new(ConservativeStore::build(k, rel_b))),
+            progressive.map(|k| Arc::new(ProgressiveStore::build(k, rel_a))),
+            progressive.map(|k| Arc::new(ProgressiveStore::build(k, rel_b))),
+            use_false_area,
+        )
+    }
+
     /// Assembles a filter from pre-built shared stores (the resident
     /// engine's path: each store was built once when its dataset was
     /// registered) and compiles the plan.
@@ -141,17 +161,25 @@ impl GeometricFilter {
         self
     }
 
-    /// The filter a [`crate::JoinConfig`] asks for: the configured
-    /// approximations built for both relations, and the raster stage
-    /// when enabled.
+    /// The filter a [`crate::JoinConfig`] asks for: built stores when any
+    /// approximation is configured, the raster stage when enabled,
+    /// [`GeometricFilter::disabled`] otherwise.
     pub fn from_config(config: &crate::JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
-        let cons = |rel| (config.conservative).map(|k| Arc::new(ConservativeStore::build(k, rel)));
-        let prog = |rel| (config.progressive).map(|k| Arc::new(ProgressiveStore::build(k, rel)));
-        let (ca, cb, pa, pb) = (cons(rel_a), cons(rel_b), prog(rel_a), prog(rel_b));
-        let filter = Self::from_shared(ca, cb, pa, pb, config.false_area_test);
-        match config.raster {
-            true => filter.with_raster(rel_a, rel_b),
-            false => filter,
+        let filter = if config.conservative.is_some() || config.progressive.is_some() {
+            GeometricFilter::build(
+                rel_a,
+                rel_b,
+                config.conservative,
+                config.progressive,
+                config.false_area_test,
+            )
+        } else {
+            GeometricFilter::disabled()
+        };
+        if config.raster {
+            filter.with_raster(rel_a, rel_b)
+        } else {
+            filter
         }
     }
 
@@ -306,26 +334,6 @@ impl GeometricFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msj_approx::{ConservativeKind, ProgressiveKind};
-
-    /// The configured approximations built for both relations, no raster
-    /// stage.
-    fn build(
-        rel_a: &Relation,
-        rel_b: &Relation,
-        conservative: Option<ConservativeKind>,
-        progressive: Option<ProgressiveKind>,
-        use_false_area: bool,
-    ) -> GeometricFilter {
-        let config = crate::JoinConfig {
-            conservative,
-            progressive,
-            false_area_test: use_false_area,
-            raster: false,
-            ..crate::JoinConfig::default()
-        };
-        GeometricFilter::from_config(&config, rel_a, rel_b)
-    }
     use msj_geom::{Point, Polygon, SpatialObject};
 
     fn rel(regions: Vec<Vec<(f64, f64)>>) -> Relation {
@@ -383,7 +391,7 @@ mod tests {
     fn conservative_filter_identifies_bracket_false_hit() {
         let (a, b) = bracket_relations();
         // The brackets hug opposite corners: their hulls are disjoint.
-        let f = build(&a, &b, Some(ConservativeKind::ConvexHull), None, false);
+        let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, false);
         assert_eq!(f.plan(), FilterPlan::Generic);
         // MBRs do overlap (precondition of a candidate):
         assert!(a.object(0).mbr().intersects(&b.object(0).mbr()));
@@ -405,7 +413,7 @@ mod tests {
             (12.0, 12.0),
             (2.0, 12.0),
         ]]);
-        let f = build(
+        let f = GeometricFilter::build(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
@@ -431,7 +439,7 @@ mod tests {
             (1.0, 11.0),
         ]]);
         // Squares equal their hulls: false area 0, intersection large.
-        let f = build(&a, &b, Some(ConservativeKind::ConvexHull), None, true);
+        let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, true);
         // The false-area test forces the generic chain.
         assert_eq!(f.plan(), FilterPlan::Generic);
         assert_eq!(f.classify(0, 0), FilterOutcome::HitFalseArea);
@@ -444,7 +452,7 @@ mod tests {
         // miss each other.
         let a = rel(vec![vec![(0.0, 0.0), (0.4, 0.0), (10.0, 9.6), (9.6, 10.0)]]);
         let b = rel(vec![vec![(10.0, 0.4), (9.6, 0.0), (0.0, 9.6), (0.4, 10.0)]]);
-        let f = build(
+        let f = GeometricFilter::build(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
@@ -463,7 +471,7 @@ mod tests {
             (10.0, 10.0),
             (0.0, 10.0),
         ]]);
-        let f = build(
+        let f = GeometricFilter::build(
             &a,
             &a.clone(),
             Some(ConservativeKind::ConvexHull),
@@ -518,8 +526,8 @@ mod tests {
         ];
         let mut filters = Vec::new();
         for (cons, prog, fa) in configs {
-            filters.push(build(&a, &b, cons, prog, fa));
-            filters.push(build(&a, &b, cons, prog, fa).with_raster(&a, &b));
+            filters.push(GeometricFilter::build(&a, &b, cons, prog, fa));
+            filters.push(GeometricFilter::build(&a, &b, cons, prog, fa).with_raster(&a, &b));
         }
         for config in [crate::JoinConfig::default(), crate::JoinConfig::version3()] {
             let f = GeometricFilter::from_config(&config, &a, &b);
@@ -560,14 +568,14 @@ mod tests {
             }
         }
         assert!(pairs.len() > 50, "need a meaningful batch");
-        let plain = build(
+        let plain = GeometricFilter::build(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
             Some(ProgressiveKind::Mer),
             false,
         );
-        let rastered = build(
+        let rastered = GeometricFilter::build(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
@@ -702,7 +710,7 @@ mod tests {
             (None, None, false, FilterPlan::Passthrough),
         ];
         for (cons, prog, fa, expect) in plans {
-            let f = build(&a, &a.clone(), cons, prog, fa);
+            let f = GeometricFilter::build(&a, &a.clone(), cons, prog, fa);
             assert_eq!(f.plan(), expect, "({cons:?}, {prog:?}, fa={fa})");
         }
     }

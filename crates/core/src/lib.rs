@@ -81,7 +81,9 @@ pub mod pipeline;
 pub mod queries;
 pub mod stats;
 
-pub use candidates::{selection_source, CandidateSource, SelectionStats, Step1Stats};
+pub use candidates::{
+    selection_source, CandidateSource, PartitionSummary, SelectionStats, Step1Stats,
+};
 pub use config::{Backend, EngineConfig, JoinConfig, JoinConfigBuilder, DEFAULT_BATCH_PAIRS};
 pub use cost::{estimate_cost, figure18_cost, CostBreakdown, CostModelParams, ExactCostKind};
 pub use engine::{
@@ -90,7 +92,6 @@ pub use engine::{
 };
 pub use execution::{fused_buffer_bound, Execution, FUSED_QUEUE_DEPTH};
 pub use filter::{FilterOutcome, FilterPlan, GeometricFilter};
-pub use msj_partition::PartitionSummary;
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;
 pub use stats::MultiStepStats;

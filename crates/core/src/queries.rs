@@ -12,15 +12,15 @@
 //!    misses (false-hit elimination), then a non-MER progressive test
 //!    (MEC);
 //! 3. exact test for the remainder, as one pass per batch: a descent of
-//!    the object's TR*-tree (§4.2) beyond [`msj_exact::SelectMargin`], the
-//!    region's edges inside it or without TR* — the same answers.
+//!    the object's TR*-tree (§4.2, [`msj_exact::SelectionRefiner`]) where it
+//!    proves the answer, the region's edges elsewhere — the same answers.
 
 use crate::candidates::{self, CandidateSource, SelectionStats};
 use crate::config::JoinConfig;
 use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
-use msj_exact::{region_contains_point, region_intersects_rect, OpCounts, TrStarStore, TrStarView};
+use msj_exact::{OpCounts, SelectProbe, SelectionRefiner, TrStarStore};
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle};
+use msj_geom::{ObjectId, Point, Rect, RelHandle};
 use msj_obs::{Span, Step, StepSpans};
 use msj_sam::RStarTree;
 use std::sync::Arc;
@@ -42,7 +42,7 @@ pub struct QueryStats {
 
 /// What a selection shape — a point or a window — asks of each step of
 /// the pipeline. [`SelectionState::select`] is the one loop over it.
-pub(crate) trait Probe: Copy {
+pub(crate) trait Probe: Copy + SelectProbe {
     /// Request-kind label of this shape (`"point"` / `"window"`).
     const KIND: &'static str;
 
@@ -65,12 +65,6 @@ pub(crate) trait Probe: Copy {
 
     /// `true` proves a hit: the probe meets the enclosed shape.
     fn meets_progressive(&self, prog: &Progressive) -> bool;
-
-    /// Step 3 on the object's TR*-tree; `None` inside its margin.
-    fn meets_tree(&self, tree: TrStarView<'_>, counts: &mut OpCounts) -> Option<bool>;
-
-    /// Step 3 on the exact geometry (closed semantics).
-    fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool;
 }
 
 impl Probe for Point {
@@ -99,14 +93,6 @@ impl Probe for Point {
             Progressive::Mer(r) => r.contains_point(*self),
             Progressive::Empty => false,
         }
-    }
-
-    fn meets_tree(&self, tree: TrStarView<'_>, counts: &mut OpCounts) -> Option<bool> {
-        tree.classify_point(*self, counts)
-    }
-
-    fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool {
-        region_contains_point(region, *self, counts)
     }
 }
 
@@ -142,26 +128,16 @@ impl Probe for Rect {
             Progressive::Empty => false,
         }
     }
-
-    fn meets_tree(&self, tree: TrStarView<'_>, counts: &mut OpCounts) -> Option<bool> {
-        tree.classify_rect(self, counts)
-    }
-
-    fn meets_region(&self, region: &PolygonWithHoles, counts: &mut OpCounts) -> bool {
-        region_intersects_rect(region, self, counts)
-    }
 }
 
 /// The resident multi-step selection state over one relation: candidate
 /// source plus `Arc`-shared approximation stores. This is what a
 /// [`crate::SpatialEngine`] dataset keeps registered.
 pub(crate) struct SelectionState {
-    /// Read by Step 3 only without TR* or inside its margin (lazily).
-    relation: RelHandle<'static>,
     source: Box<dyn CandidateSource>,
     conservative: Option<Arc<ConservativeStore>>,
     progressive: Option<Arc<ProgressiveStore>>,
-    trstar: Option<Arc<TrStarStore>>,
+    refiner: SelectionRefiner,
     /// Kernel path of the wide MER probe masks; the rest of the chain
     /// stays scalar. Outcomes are identical on every path.
     dispatch: KernelDispatch,
@@ -181,11 +157,10 @@ impl SelectionState {
     ) -> Self {
         let source = candidates::source_with(config, dispatch, relation.clone(), None, tree, None);
         SelectionState {
-            relation,
+            refiner: SelectionRefiner::new(relation, trstar),
             source,
             conservative,
             progressive,
-            trstar,
             dispatch,
         }
     }
@@ -255,12 +230,8 @@ impl SelectionState {
         }
         // Step 3 as its own pass over the undecided slots, in probe order.
         let t_exact = (spans.is_some() && !undecided.is_empty()).then(Span::start);
-        let trees = self.trstar.as_deref().map(TrStarStore::columns);
         for (slot, k) in undecided {
-            let (probe, id, ops) = (&probes[k], all[slot], &mut answers[k].1);
-            let decided = trees.and_then(|t| probe.meets_tree(t.get(id), ops));
-            hit[slot] = decided
-                .unwrap_or_else(|| probe.meets_region(&self.relation.object(id).region, ops));
+            hit[slot] = (self.refiner).meets(all[slot], &probes[k], &mut answers[k].1);
         }
         let exact_nanos = t_exact.map_or(0, |t| t.elapsed_nanos());
         let mut offset = 0usize;

@@ -1,7 +1,7 @@
 //! Per-step statistics of one multi-step join execution.
 
+use crate::candidates::PartitionSummary;
 use msj_exact::OpCounts;
-use msj_partition::PartitionSummary;
 use msj_sam::JoinStats;
 
 /// What happened in each step of the join (the quantities behind

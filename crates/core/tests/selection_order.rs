@@ -7,9 +7,9 @@
 //! * its [`QueryStats`] (node visits, false hits, filter hits, exact
 //!   tests) and exact operation counts equal the paper-order chain —
 //!   conservative test first — recomputed here from the public stores
-//!   over the same candidates, Step 3 on the configured route (the
-//!   TR*-tree's three-way test, the region test inside its margin or
-//!   without TR*).
+//!   over the same candidates, Step 3 on the configured route
+//!   ([`msj_exact::SelectionRefiner`]: the TR*-tree where it proves the
+//!   answer, the region test elsewhere or without TR*).
 //!
 //! The probes go where an order change could show: windows that contain
 //! whole objects, lie inside a MER, lie inside an object but outside its
@@ -22,13 +22,11 @@ use msj_approx::{
 };
 use msj_core::{selection_source, Backend, CandidateSource, JoinConfig, QueryStats, SpatialEngine};
 use msj_datagen::{generate_relation, BlobParams, LayoutParams};
-use msj_exact::{
-    region_contains_point, region_intersects_rect, ExactAlgorithm, OpCounts, TrStarStore,
-    TrStarView,
-};
-use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, Relation};
+use msj_exact::{ExactAlgorithm, OpCounts, SelectProbe, SelectionRefiner, TrStarStore};
+use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle, Relation};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The six filter chains a selection can run.
 fn configs() -> Vec<(&'static str, JoinConfig)> {
@@ -238,13 +236,11 @@ struct Chain {
 
 /// What a probe shape needs for the chain — written out independently of
 /// the engine's own `Probe` trait.
-trait Shape: Copy + std::fmt::Debug {
+trait Shape: Copy + std::fmt::Debug + SelectProbe {
     /// Step 1's ids and node visits.
     fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64);
     fn meets_conservative(self, cons: ConsView<'_>) -> bool;
     fn meets_progressive(self, prog: Progressive) -> bool;
-    fn meets_tree(self, tree: TrStarView<'_>, ops: &mut OpCounts) -> Option<bool>;
-    fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool;
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool;
 }
 
@@ -263,12 +259,6 @@ impl Shape for Point {
             Progressive::Mer(r) => r.contains_point(self),
             Progressive::Empty => false,
         }
-    }
-    fn meets_tree(self, tree: TrStarView<'_>, ops: &mut OpCounts) -> Option<bool> {
-        tree.classify_point(self, ops)
-    }
-    fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool {
-        region_contains_point(region, self, ops)
     }
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool {
         region.contains_point(self)
@@ -296,12 +286,6 @@ impl Shape for Rect {
             Progressive::Empty => false,
         }
     }
-    fn meets_tree(self, tree: TrStarView<'_>, ops: &mut OpCounts) -> Option<bool> {
-        tree.classify_rect(&self, ops)
-    }
-    fn meets_region(self, region: &PolygonWithHoles, ops: &mut OpCounts) -> bool {
-        region_intersects_rect(region, &self, ops)
-    }
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool {
         msj_exact::window::region_intersects_rect_reference(region, &self)
     }
@@ -311,34 +295,35 @@ impl Shape for Rect {
 /// one configuration, built from the public stores and candidate source —
 /// nothing of the engine's resident state.
 struct PaperOrder<'a> {
-    rel: &'a Relation,
     source: Box<dyn CandidateSource + 'a>,
     cons: Option<ConservativeStore>,
     prog: Option<ProgressiveStore>,
-    trees: Option<TrStarStore>,
+    step3: SelectionRefiner,
 }
 
 impl<'a> PaperOrder<'a> {
     fn new(config: &JoinConfig, rel: &'a Relation) -> Self {
         PaperOrder {
-            rel,
             source: selection_source(config, rel),
             cons: config
                 .conservative
                 .map(|k| ConservativeStore::build(k, rel)),
             prog: config.progressive.map(|k| ProgressiveStore::build(k, rel)),
-            trees: match config.exact {
-                ExactAlgorithm::TrStar { max_entries } => {
-                    Some(TrStarStore::build(rel, max_entries))
-                }
-                _ => None,
-            },
+            step3: SelectionRefiner::new(
+                RelHandle::from(Arc::new(rel.clone())),
+                match config.exact {
+                    ExactAlgorithm::TrStar { max_entries } => {
+                        Some(Arc::new(TrStarStore::build(rel, max_entries)))
+                    }
+                    _ => None,
+                },
+            ),
         }
     }
 
     /// One candidate at a time: a conservative miss is a false hit, a
-    /// progressive hit is a hit, the rest go to Step 3: the TR*-tree
-    /// decides where it can, the exact region the rest.
+    /// progressive hit is a hit, the rest go to Step 3 on the configured
+    /// route.
     fn answer<S: Shape>(&self, probe: S) -> Chain {
         let (candidates, node_visits) = probe.candidates(&*self.source);
         let mut chain = Chain {
@@ -358,10 +343,7 @@ impl<'a> PaperOrder<'a> {
                 chain.ids.push(id);
             } else {
                 chain.stats.exact_tests += 1;
-                let tree = self.trees.as_ref().map(|t| t.get(id));
-                let decided = tree.and_then(|t| probe.meets_tree(t, &mut chain.ops));
-                let region = &self.rel.object(id).region;
-                if decided.unwrap_or_else(|| probe.meets_region(region, &mut chain.ops)) {
+                if self.step3.meets(id, &probe, &mut chain.ops) {
                     chain.ids.push(id);
                 }
             }

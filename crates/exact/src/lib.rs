@@ -32,6 +32,7 @@ pub mod containment;
 pub mod cost;
 pub mod processor;
 pub mod quadratic;
+pub mod selection;
 pub mod sweep;
 pub mod trapezoid;
 pub mod trstar;
@@ -41,7 +42,8 @@ pub use containment::{intersect_by_containment, point_in_region_counted};
 pub use cost::{OpCounts, Weights};
 pub use processor::{ExactAlgorithm, ExactProcessor, ExactTester};
 pub use quadratic::quadratic_intersects;
+pub use selection::{SelectProbe, SelectionRefiner};
 pub use sweep::sweep_intersects;
-pub use trapezoid::{decompose, SelectMargin, Trapezoid, XSpan};
+pub use trapezoid::{decompose, decomposes_exactly, SelectMargin, Trapezoid, XSpan};
 pub use trstar::{trees_intersect, TrStarColumns, TrStarFormatError, TrStarStore, TrStarView};
 pub use window::{region_contains_point, region_intersects_rect};

@@ -182,9 +182,10 @@ impl Trapezoid {
     /// it is too close to tell (see [`SelectMargin`] for what a decided
     /// answer proves).
     ///
-    /// `false` is claimed outside the grown MBR ([`SelectMargin::reach`]), or beyond a side of the
-    /// trapezoid extended by the cut slab at both ends; `true` only
-    /// inside the sides within the core band, the slab short of each end.
+    /// `false` is claimed outside the grown MBR ([`SelectMargin::reach`])
+    /// or beyond a side of the trapezoid extended by `pad` at both ends;
+    /// `true` only inside the sides within the *core band*, `pad` short of
+    /// each end.
     pub fn classify_point(&self, p: Point, margin: &SelectMargin) -> Option<bool> {
         if !self.mbr().intersects(&margin.reach(&Rect::new(p, p))) {
             return Some(false);
@@ -194,8 +195,8 @@ impl Trapezoid {
         if p.x < xl - side || xr + side < p.x {
             return Some(false);
         }
-        let slab = margin.slab();
-        let core = self.y_lo + slab <= p.y && p.y <= self.y_hi - slab;
+        let pad = margin.pad;
+        let core = self.y_lo + pad <= p.y && p.y <= self.y_hi - pad;
         (core && xl + side <= p.x && p.x <= xr - side).then_some(true)
     }
 
@@ -209,11 +210,11 @@ impl Trapezoid {
         if !self.mbr().intersects(&margin.reach(window)) {
             return Some(false);
         }
-        let (side, slab) = (margin.side(self)?, margin.slab());
+        let (side, pad) = (margin.side(self)?, margin.pad);
         let h = self.y_hi - self.y_lo;
         let (ya, yb) = (
-            (self.y_lo + slab).max(window.ymin()),
-            (self.y_hi - slab).min(window.ymax()),
+            (self.y_lo + pad).max(window.ymin()),
+            (self.y_hi - pad).min(window.ymax()),
         );
         if ya <= yb {
             for y in [ya, yb] {
@@ -225,8 +226,8 @@ impl Trapezoid {
         }
         // The grown MBR meets the window, so the extended y-ranges do.
         let (ya, yb) = (
-            (self.y_lo - slab).max(window.ymin()),
-            (self.y_hi + slab).min(window.ymax()),
+            (self.y_lo - pad).max(window.ymin()),
+            (self.y_hi + pad).min(window.ymax()),
         );
         let ((l0, r0), (l1, r1)) = (self.cross_section(ya, h), self.cross_section(yb, h));
         let left = r0 + side < window.xmin() && r1 + side < window.xmin();
@@ -240,22 +241,31 @@ impl Trapezoid {
 /// budget below.
 const SELECT_MARGIN: f64 = 256.0 * f64::EPSILON;
 
-/// How close to its cut lines [`decompose`] may leave a trapezoid's
-/// boundary off the region's: its `1e-12` absolute tolerances merge
-/// vertex y's closer than that into one cut (a vertex may sit up to
-/// `1e-12` above the cut it was merged into), skip bands at most that
-/// thin, and drop edges at most that tall. Four times the tolerance.
-const CUT_SLAB: f64 = 4e-12;
+/// The absolute tolerance of [`decompose`]: it merges vertex y's closer
+/// than this into one cut, skips bands at most this thin and drops edges
+/// at most this tall.
+const DECOMPOSE_TOLERANCE: f64 = 1e-12;
 
-/// Objects narrower or lower than this are never decided on their
-/// trapezoids: the cut slabs would cover most of them, and a sliver
-/// next to a merged vertex can stick out of a trapezoid's MBR by
-/// `1e-12 ·` its sides' slope, which only the region test sees.
-const TINY_OBJECT: f64 = CUT_SLAB * (1u64 << 20) as f64;
+/// Whether [`decompose`] lays out the object whose vertex y's (every
+/// ring) are `ys` exactly: no two of them are apart by more than zero and
+/// at most `decompose`'s `1e-12` tolerance. Only such a pair makes it merge a
+/// vertex into another's cut, skip a band or drop a slanted edge — and
+/// then the trapezoids can miss a sliver, a needle or a whole flat run
+/// of the region, anywhere within the object's MBR. Otherwise every cut
+/// is a vertex y, every band is bounded by the edges that cross it, and
+/// the trapezoids tile the closed region (for a simple region, the
+/// model's premise). Sorts `ys`.
+pub fn decomposes_exactly(ys: &mut [f64]) -> bool {
+    ys.sort_unstable_by(f64::total_cmp);
+    ys.windows(2)
+        .all(|w| w[1] == w[0] || w[1] - w[0] > DECOMPOSE_TOLERANCE)
+}
 
 /// The margins of one object's three-way selection tests
 /// ([`Trapezoid::classify_point`], [`Trapezoid::classify_rect`] and the
-/// TR* descents over them), from its root rectangle.
+/// TR* descents over them), from its root rectangle. They hold for an
+/// object [`decomposes_exactly`] accepts, whose trapezoids tile its
+/// closed region; the selection route asks only those.
 ///
 /// A decided answer is the exact one, and so the closed region test's
 /// (`region_contains_point`, `region_intersects_rect`), which is exact
@@ -274,19 +284,11 @@ const TINY_OBJECT: f64 = CUT_SLAB * (1u64 << 20) as f64;
 ///   band clears both by more than twice, and `pad = SELECT_MARGIN ·
 ///   (X + Y)` around an MBR clears the normal-distance band of every
 ///   edge the MBR holds.
-/// * Above its rounding, a trapezoid's sides lie on the region's edges
-///   except within `CUT_SLAB = 4e-12` of a cut. There the region may differ
-///   (a merged vertex, a skipped band), so `true` is claimed only in the
-///   *core band*, `slab = CUT_SLAB + pad` short of each end, and `false`
-///   only outside the MBR grown by `slab` in y, or beyond a side of the
-///   trapezoid *extended* by `slab` at both ends. A region sliver that no
-///   trapezoid covers lies in such a slab between the extended sides of
-///   a trapezoid that meets its vertex, and inside its grown MBR unless
-///   the vertex's edges are flatter than `pad / 1e-12`. That one case is
-///   not covered: it needs two vertex y's of one object within `1e-12`
-///   of each other. Objects under `TINY_OBJECT = 2²⁰ · CUT_SLAB`
-///   (≈ 4.2e-6) wide or tall are never decided on their trapezoids, so
-///   on the others it takes a coincidence of 2⁻²⁰ of the object's extent.
+/// * A trapezoid's y's are vertex y's, exact. `true` is claimed only in
+///   its *core band*, `pad` short of each end (where a horizontal edge
+///   may bound it), and `false` only outside the MBR grown by `pad`, or
+///   beyond a side of the trapezoid extended by `pad` at both ends (past
+///   an end, the next trapezoid along the edge answers for it).
 #[derive(Debug, Clone, Copy)]
 pub struct SelectMargin {
     pad: f64,
@@ -295,37 +297,22 @@ pub struct SelectMargin {
 
 impl SelectMargin {
     /// The margins for the trapezoids of an object whose root rectangle
-    /// is `root`; `None` for an object too small to decide on them.
-    pub fn of(root: &Rect) -> Option<SelectMargin> {
-        if !(root.width() >= TINY_OBJECT && root.height() >= TINY_OBJECT) {
-            return None;
-        }
+    /// is `root`.
+    pub fn of(root: &Rect) -> SelectMargin {
         let x = root.xmin().abs().max(root.xmax().abs());
         let y = root.ymin().abs().max(root.ymax().abs());
-        Some(SelectMargin {
+        SelectMargin {
             pad: SELECT_MARGIN * (x + y),
             slope_pad: SELECT_MARGIN * y,
-        })
+        }
     }
 
-    /// `probe` grown by `pad` in x and by `slab` in y. A trapezoid or
-    /// node whose MBR misses it holds nothing of the region, nor of the
-    /// band the region test may misjudge around it, that could meet the
-    /// probe: its MBR grown alike misses the probe.
+    /// `probe` grown by `pad`. A trapezoid or node whose MBR misses it
+    /// holds nothing of the region, nor of the band the region test may
+    /// misjudge around it, that could meet the probe: its MBR grown alike
+    /// misses the probe.
     pub fn reach(&self, probe: &Rect) -> Rect {
-        let slab = self.slab();
-        Rect::from_bounds(
-            probe.xmin() - self.pad,
-            probe.ymin() - slab,
-            probe.xmax() + self.pad,
-            probe.ymax() + slab,
-        )
-    }
-
-    /// How far the core band stops short of each end of a trapezoid, and
-    /// how far the grown MBR and the extended trapezoid reach past them.
-    fn slab(&self) -> f64 {
-        CUT_SLAB + self.pad
+        probe.inflated(self.pad)
     }
 
     /// The side margin of `t`; `None` for a flat trapezoid (or NaN).
@@ -354,7 +341,7 @@ pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
         .map(|p| p.y)
         .collect();
     ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ys.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+    ys.dedup_by(|a, b| (*a - *b).abs() < DECOMPOSE_TOLERANCE);
 
     // Collect all edges once.
     let edges: Vec<(Point, Point)> = region.edges().map(|e| (e.a, e.b)).collect();
@@ -369,7 +356,7 @@ pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
 
     for w in ys.windows(2) {
         let (y1, y2) = (w[0], w[1]);
-        if y2 - y1 <= 1e-12 {
+        if y2 - y1 <= DECOMPOSE_TOLERANCE {
             continue;
         }
         let ymid = 0.5 * (y1 + y2);
@@ -378,7 +365,8 @@ pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
             let (elo, ehi) = (a.y.min(b.y), a.y.max(b.y));
             // Edge must span the band: elo <= y1 and ehi >= y2 (no vertex
             // lies strictly inside a band).
-            if elo <= y1 + 1e-12 && ehi >= y2 - 1e-12 && ehi - elo > 1e-12 {
+            let tol = DECOMPOSE_TOLERANCE;
+            if elo <= y1 + tol && ehi >= y2 - tol && ehi - elo > tol {
                 let x_at = |y: f64| a.x + (y - a.y) / (b.y - a.y) * (b.x - a.x);
                 spans.push((x_at(y1), x_at(y2), x_at(ymid), idx));
             }
@@ -489,7 +477,7 @@ mod tests {
         let traps = decompose(&donut);
         assert!((total_area(&traps) - donut.area()).abs() < 1e-9);
         // No trapezoid may cover the hole center.
-        let margin = SelectMargin::of(&donut.mbr()).unwrap();
+        let margin = SelectMargin::of(&donut.mbr());
         for t in &traps {
             let hole = t.classify_point(Point::new(3.0, 3.0), &margin);
             assert!(hole == Some(false) || t.area() == 0.0);
@@ -521,10 +509,10 @@ mod tests {
         };
         assert_eq!(t.mbr(), Rect::from_bounds(0.0, 0.0, 4.0, 2.0));
         assert!((t.area() - 6.0).abs() < 1e-12);
-        let margin = SelectMargin::of(&t.mbr()).unwrap();
+        let margin = SelectMargin::of(&t.mbr());
         let at = |x, y| t.classify_point(Point::new(x, y), &margin);
         assert_eq!(at(2.0, 1.0), Some(true));
-        // On the bottom side: a cut line, so never decided.
+        // On the bottom side: within `pad` of an end, so never decided.
         assert_eq!(at(0.5, 0.0), None);
         // One ulp outside the slanted left side, mid-band: too close.
         assert_eq!(at(0.5 - 0.5 * f64::EPSILON, 1.0), None);
@@ -534,11 +522,32 @@ mod tests {
         assert_eq!(window(1.5, 0.5, 2.5, 1.5), Some(true));
         assert_eq!(window(-1.0, 1.2, 0.0, 1.8), Some(false));
         assert_eq!(window(5.0, 0.5, 6.0, 1.5), Some(false));
-        // Sharing a corner with the bottom cut: undecided.
+        // Sharing a corner with the bottom end: undecided.
         assert_eq!(window(-1.0, -1.0, 0.0, 0.0), None);
-        // Tiny objects are never decided on their trapezoids.
-        let tiny = Rect::from_bounds(0.0, 0.0, 1e-9, 1e-9);
-        assert!(SelectMargin::of(&tiny).is_none());
+    }
+
+    #[test]
+    fn only_vertex_ys_within_the_tolerance_make_a_decomposition_inexact() {
+        assert!(decomposes_exactly(&mut [2.0, 0.0, 1.0, 0.0, 2.0]));
+        assert!(decomposes_exactly(&mut [1e9, 1e9 + 1e-6, -0.0, 0.0]));
+        assert!(decomposes_exactly(&mut [0.0, 2e-12]));
+        assert!(!decomposes_exactly(&mut [1.0, 0.0, 0.5e-12]));
+        assert!(!decomposes_exactly(&mut [0.0, 1e-12]));
+        // A needle 0.5e-12 tall: `decompose` drops both of its edges, and
+        // its trapezoids cover none of it.
+        let needle = region(&[
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (1.0, 0.5),
+            (9.0, 0.5 + 0.5e-12),
+            (1.0, 0.5 + 1e-12),
+            (1.0, 1.0),
+            (0.0, 1.0),
+        ]);
+        let mut ys: Vec<f64> = needle.outer().vertices().iter().map(|p| p.y).collect();
+        assert!(!decomposes_exactly(&mut ys));
+        let traps = decompose(&needle);
+        assert!(traps.iter().all(|t| t.mbr().xmax() <= 1.0 + 1e-9));
     }
 
     #[test]

@@ -611,15 +611,17 @@ impl<'a> TrStarView<'a> {
     /// walks the tree, never the edges): `Some(answer)` when the
     /// trapezoids prove whether the closed region contains `p`, `None`
     /// when `p` lies within the margin of [`SelectMargin`] and only the
-    /// region test can tell. Each node rectangle probe counts as a
-    /// rectangle test, each leaf probe as a trapezoid test.
-    pub fn classify_point(&self, p: Point, counts: &mut OpCounts) -> Option<bool> {
+    /// region test can tell. Sound only for an object whose trapezoids
+    /// tile its region ([`crate::SelectionRefiner`] asks only those). Each node
+    /// rectangle probe counts as a rectangle test, each leaf probe as a
+    /// trapezoid test.
+    pub(crate) fn classify_point(&self, p: Point, counts: &mut OpCounts) -> Option<bool> {
         let decide = |t: &Trapezoid, m: &SelectMargin| t.classify_point(p, m);
         self.classify(counts, &mut InlineStack::new(0), &Rect::new(p, p), decide)
     }
 
     /// [`TrStarView::classify_point`] for a closed window.
-    pub fn classify_rect(&self, window: &Rect, counts: &mut OpCounts) -> Option<bool> {
+    pub(crate) fn classify_rect(&self, window: &Rect, counts: &mut OpCounts) -> Option<bool> {
         let decide = |t: &Trapezoid, m: &SelectMargin| t.classify_rect(window, m);
         self.classify(counts, &mut InlineStack::new(0), window, decide)
     }
@@ -637,7 +639,7 @@ impl<'a> TrStarView<'a> {
         probe: &Rect,
         decide: impl Fn(&Trapezoid, &SelectMargin) -> Option<bool>,
     ) -> Option<bool> {
-        let margin = SelectMargin::of(&self.root_rect())?;
+        let margin = SelectMargin::of(&self.root_rect());
         let reach = margin.reach(probe);
         let mut answer = Some(false);
         stack.push_if(0, true);
@@ -827,8 +829,7 @@ mod tests {
                 }
             }
         }
-        // The grid's row through the blob's bottom vertex is the only
-        // one near a cut line; everything else is decided.
+        // Only the points within the margin of the boundary are left.
         assert!(decided >= 600, "{decided} of 625 decided");
         assert!(counts.rect_rect > 0 && counts.trapezoid > 0);
     }

@@ -8,7 +8,7 @@ use crate::bytes::{Col, Dec, DecResult, Enc, SharedBytes};
 use crate::point::Point;
 use crate::polygon::{Polygon, PolygonWithHoles};
 use crate::rect::Rect;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Identifier of a spatial object within its relation.
@@ -25,6 +25,11 @@ pub struct SpatialObject {
 impl SpatialObject {
     pub fn new(id: ObjectId, region: PolygonWithHoles) -> Self {
         SpatialObject { id, region }
+    }
+
+    /// Appends the vertex y's of every ring to `out`.
+    pub fn vertex_ys(&self, out: &mut Vec<f64>) {
+        out.extend(rings(&self.region).flat_map(|r| r.vertices().iter().map(|p| p.y)));
     }
 
     /// The object's minimum bounding rectangle.
@@ -219,13 +224,27 @@ struct Image<'a> {
 }
 
 impl<'a> Image<'a> {
-    fn parse(bytes: &'a [u8]) -> DecResult<Self> {
+    /// The four columns where they lie, unchecked against each other.
+    fn columns(bytes: &'a [u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
-        let ids = d.u32s()?;
-        let ring_offsets = d.u32s()?;
-        let point_offsets = d.u32s()?;
-        let points = d.f64s()?;
+        let image = Image {
+            ids: d.u32s()?,
+            ring_offsets: d.u32s()?,
+            point_offsets: d.u32s()?,
+            points: d.f64s()?,
+        };
         d.finish()?;
+        Ok(image)
+    }
+
+    fn parse(bytes: &'a [u8]) -> DecResult<Self> {
+        let image = Image::columns(bytes)?;
+        let Image {
+            ids,
+            ring_offsets,
+            point_offsets,
+            points,
+        } = &image;
         if misplaced_id(ids.iter()).is_some() {
             return Err("relation ids are not their positions");
         }
@@ -240,12 +259,15 @@ impl<'a> Image<'a> {
         if point_offsets.get(total_rings) as usize * 2 != points.len() {
             return Err("relation point arena length mismatch");
         }
-        Ok(Image {
-            ids,
-            ring_offsets,
-            point_offsets,
-            points,
-        })
+        Ok(image)
+    }
+
+    /// Appends the vertex y's of object `i`, every ring, to `out`.
+    fn vertex_ys(&self, i: usize, out: &mut Vec<f64>) {
+        let rings = self.ring_offsets.get(i) as usize..self.ring_offsets.get(i + 1) as usize;
+        let lo = self.point_offsets.get(rings.start) as usize;
+        let hi = self.point_offsets.get(rings.end) as usize;
+        out.extend((lo..hi).map(|p| self.points.get(2 * p + 1)));
     }
 
     fn point(&self, i: usize) -> Point {
@@ -321,12 +343,13 @@ impl<'a> Image<'a> {
 }
 
 /// A dataset's relation as a store open leaves it: the verified section
-/// image, decoded into a [`Relation`] once, on first [`LazyRelation::get`]
-/// — or a relation resident from the start. Its object count is known
-/// either way.
+/// image, decoded into a [`Relation`] once, on first [`LazyRelation::get`],
+/// which then lets the image go — or a relation resident from the start.
+/// Its object count is known either way.
 pub struct LazyRelation {
     len: usize,
-    image: Option<SharedBytes>,
+    /// Until the decode.
+    image: Mutex<Option<SharedBytes>>,
     decoded: OnceLock<Arc<Relation>>,
     /// Told the decode's wall-clock in nanoseconds.
     on_decode: Option<DecodeHook>,
@@ -340,7 +363,7 @@ impl LazyRelation {
     pub fn resident(relation: Arc<Relation>) -> Self {
         LazyRelation {
             len: relation.len(),
-            image: None,
+            image: Mutex::new(None),
             decoded: OnceLock::from(relation),
             on_decode: None,
         }
@@ -352,7 +375,7 @@ impl LazyRelation {
     pub fn from_image(image: SharedBytes, on_decode: Option<DecodeHook>) -> DecResult<Self> {
         Ok(LazyRelation {
             len: Relation::validate_image(&image)?,
-            image: Some(image),
+            image: Mutex::new(Some(image)),
             decoded: OnceLock::new(),
             on_decode,
         })
@@ -372,21 +395,36 @@ impl LazyRelation {
         self.decoded.get().is_some()
     }
 
-    /// The relation, decoded from the image on the first call.
+    /// The image, while the relation is not decoded.
+    fn image(&self) -> Option<SharedBytes> {
+        self.image.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// The relation, decoded from the image on the first call, which
+    /// drops the image.
     pub fn get(&self) -> &Arc<Relation> {
         self.decoded.get_or_init(|| {
-            let image = self
-                .image
-                .as_deref()
-                .expect("an undecoded relation has its image");
+            let image = self.image().expect("an undecoded relation has its image");
             let start = self.on_decode.as_ref().map(|_| Instant::now());
-            let image = Image::parse(image).expect("the image was validated");
+            let image = Image::parse(&image).expect("the image was validated");
             let relation = Arc::new(image.build());
             if let (Some(hook), Some(start)) = (&self.on_decode, start) {
                 hook(start.elapsed().as_nanos() as u64);
             }
+            *self.image.lock().unwrap_or_else(|e| e.into_inner()) = None;
             relation
         })
+    }
+
+    /// Appends the vertex y's of object `id`, every ring, to `out` — read
+    /// from the image while there is one, so this never decodes.
+    pub fn vertex_ys(&self, id: ObjectId, out: &mut Vec<f64>) {
+        match self.image() {
+            Some(image) => Image::columns(&image)
+                .expect("the image was validated")
+                .vertex_ys(id as usize, out),
+            None => self.get().object(id).vertex_ys(out),
+        }
     }
 }
 
@@ -421,10 +459,20 @@ impl std::ops::Index<ObjectId> for Relation {
 pub enum RelHandle<'a> {
     /// Borrowed for a scoped execution.
     Borrowed(&'a Relation),
-    /// Co-owned, resident state.
-    Shared(Arc<Relation>),
-    /// Co-owned, decoded on first use (the engine's registered datasets).
+    /// Co-owned: resident, or decoded on first use (an opened store's
+    /// datasets).
     Lazy(Arc<LazyRelation>),
+}
+
+impl RelHandle<'_> {
+    /// Appends the vertex y's of object `id`, every ring, to `out`,
+    /// without decoding a lazy relation.
+    pub fn vertex_ys(&self, id: ObjectId, out: &mut Vec<f64>) {
+        match self {
+            RelHandle::Borrowed(r) => r.object(id).vertex_ys(out),
+            RelHandle::Lazy(r) => r.vertex_ys(id, out),
+        }
+    }
 }
 
 impl std::ops::Deref for RelHandle<'_> {
@@ -434,7 +482,6 @@ impl std::ops::Deref for RelHandle<'_> {
     fn deref(&self) -> &Relation {
         match self {
             RelHandle::Borrowed(r) => r,
-            RelHandle::Shared(r) => r,
             RelHandle::Lazy(r) => r.get(),
         }
     }
@@ -448,7 +495,7 @@ impl<'a> From<&'a Relation> for RelHandle<'a> {
 
 impl From<Arc<Relation>> for RelHandle<'static> {
     fn from(relation: Arc<Relation>) -> Self {
-        RelHandle::Shared(relation)
+        RelHandle::Lazy(Arc::new(LazyRelation::resident(relation)))
     }
 }
 
@@ -610,6 +657,10 @@ mod tests {
         });
         let lazy = LazyRelation::from_image(SharedBytes::copy_of(&bytes), Some(hook)).unwrap();
         assert_eq!((lazy.len(), lazy.is_decoded()), (2, false));
+        let (mut from_image, mut from_region) = (Vec::new(), Vec::new());
+        lazy.vertex_ys(1, &mut from_image);
+        rel.object(1).vertex_ys(&mut from_region);
+        assert_eq!((from_image, lazy.is_decoded()), (from_region, false));
         let handle = RelHandle::from(Arc::new(lazy));
         assert_eq!(handle.to_bytes(), bytes);
         assert_eq!(handle.object(1).mbr(), rel.object(1).mbr());
@@ -617,7 +668,13 @@ mod tests {
         let RelHandle::Lazy(lazy) = handle else {
             unreachable!()
         };
-        assert!(lazy.is_decoded());
+        assert!(
+            lazy.is_decoded() && lazy.image().is_none(),
+            "the decode drops the image"
+        );
+        let mut ys = Vec::new();
+        lazy.vertex_ys(0, &mut ys);
+        assert_eq!(ys, [0.0, 0.0, 1.0, 1.0]);
         let broken = SharedBytes::copy_of(&bytes[..bytes.len() - 8]);
         assert!(LazyRelation::from_image(broken, None).is_err());
         assert!(LazyRelation::resident(Arc::new(rel)).is_decoded());

@@ -36,4 +36,4 @@ pub mod stats;
 
 pub use grid::{Grid, GridIndex};
 pub use join::{partition_join, partition_join_funneled, tile_sweep, SweepScratch};
-pub use stats::{PartitionStats, PartitionSummary};
+pub use stats::PartitionStats;

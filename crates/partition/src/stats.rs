@@ -76,41 +76,6 @@ impl PartitionStats {
     }
 }
 
-/// Copyable summary of a [`PartitionStats`] (the full per-tile candidate
-/// vector lives on [`PartitionStats`]; this is the digest
-/// that travels inside `msj-core`'s join statistics).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PartitionSummary {
-    /// Tiles per grid side.
-    pub tiles_per_axis: u64,
-    /// Tiles that emitted at least one candidate.
-    pub nonempty_tiles: u64,
-    /// Candidates of the busiest tile (skew indicator).
-    pub busiest_tile_candidates: u64,
-    /// Extra `(rectangle, tile)` assignments created by replication.
-    pub replicated_assignments: u64,
-    /// Sweep matches suppressed by reference-point deduplication.
-    pub dedup_skipped: u64,
-    /// Threads the Step-1 tile sweeps ran on.
-    pub threads: u64,
-    /// Mean tile assignments per input rectangle (1.0 = no replication).
-    pub replication_factor: f64,
-}
-
-impl From<&PartitionStats> for PartitionSummary {
-    fn from(stats: &PartitionStats) -> Self {
-        PartitionSummary {
-            tiles_per_axis: stats.tiles_per_axis as u64,
-            nonempty_tiles: stats.nonempty_tiles() as u64,
-            busiest_tile_candidates: stats.busiest_tile().map_or(0, |(_, c)| c),
-            replicated_assignments: stats.replicated_a() + stats.replicated_b(),
-            dedup_skipped: stats.dedup_skipped,
-            threads: stats.threads as u64,
-            replication_factor: stats.replication_factor(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,9 @@
 //! A selection's Step 3 refines on the object's TR*-tree and decides only
-//! beyond a proven margin (`msj_exact::SelectMargin`); inside it, the
-//! region test decides. This file holds the precondition of that route:
-//! every answer the trees claim equals the region test's, on the probes
-//! where a margin could be wrong —
+//! beyond a proven margin (`msj_exact::SelectMargin`), and only on objects
+//! whose trapezoids tile the region (`msj_exact::decomposes_exactly`);
+//! elsewhere the region test decides. This file holds the precondition of
+//! that route: every answer the trees claim equals the region test's, on
+//! the probes where a margin could be wrong —
 //!
 //! * points on vertices, on edge midpoints, 1–4 ulp to either side of an
 //!   edge, on band cuts (every vertex y) and inside holes;
@@ -10,7 +11,9 @@
 //!   zero-width windows through a vertex;
 //!
 //! at three scales — a unit world, the same world scaled by 1e-9 (where
-//! `decompose`'s absolute `1e-12` cuts bite) and offset by 1e9 — under
+//! `decompose`'s absolute `1e-12` cuts bite) and offset by 1e9, each with
+//! a needle and a wedge thinner than those cuts where the scale can hold
+//! one (a few ulps thick at 1e9) — under
 //! `JoinConfig::default()`, `version3()` and the default at M = 3, plus
 //! one property test. The trees' own claims are checked per object; the
 //! engine's answers (ids, order and `QueryStats`) against the same filter
@@ -21,9 +24,13 @@
 
 use msj::core::{JoinConfig, SpatialEngine};
 use msj::exact::window::region_intersects_rect_reference;
-use msj::exact::{region_contains_point, ExactAlgorithm, OpCounts, TrStarStore};
-use msj::geom::{ObjectId, Point, Polygon, PolygonWithHoles, Rect, Relation};
+use msj::exact::{
+    decompose, decomposes_exactly, region_contains_point, ExactAlgorithm, OpCounts,
+    SelectionRefiner, TrStarStore,
+};
+use msj::geom::{ObjectId, Point, Polygon, PolygonWithHoles, Rect, RelHandle, Relation};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn configs() -> [(&'static str, JoinConfig); 3] {
     let m3 = JoinConfig::builder()
@@ -53,8 +60,48 @@ fn mapped(rel: &Relation, f: impl Fn(Point) -> Point) -> Relation {
     }))
 }
 
+/// A square of side `s` at `(x, y)` with a horizontal needle `thin` tall
+/// out of its right side, and a wedge along its top that ends `thin`
+/// above it — each with vertex y's closer than `decompose`'s cuts when
+/// `thin` is under 1e-12, so its trapezoids miss the needle or the wedge.
+fn thin_parts(x: f64, y: f64, s: f64, thin: f64) -> [PolygonWithHoles; 2] {
+    let ring = |v: &[(f64, f64)]| {
+        let v = v.iter().map(|&(dx, dy)| Point::new(x + dx * s, y + dy * s));
+        Polygon::new(v.collect()).expect("thin part").into()
+    };
+    let t = thin / s;
+    [
+        ring(&[
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (1.0, 0.5),
+            (3.0, 0.5 + t),
+            (1.0, 0.5 + 2.0 * t),
+            (1.0, 1.0),
+            (0.0, 1.0),
+        ]),
+        ring(&[
+            (0.0, 0.0),
+            (1.0, 0.0),
+            (1.0, 1.0),
+            (4.0, 1.0 + 0.9 * t),
+            (0.0, 1.0 + t),
+        ]),
+    ]
+}
+
+/// `rel` plus [`thin_parts`] beside its bounding box, `thin` tall or a
+/// few ulps where the coordinates cannot hold that.
+fn with_thin_parts(rel: Relation, thin: f64) -> Relation {
+    let b = rel.bounding_rect().expect("non-empty");
+    let s = 0.05 * b.width();
+    let thin = thin.max(8.0 * (b.ymax().next_up() - b.ymax()));
+    let parts = thin_parts(b.xmax() + s, b.ymin() + s, s, thin);
+    Relation::from_regions(rel.iter().map(|o| o.region.clone()).chain(parts))
+}
+
 /// The canonical relations in a unit world, scaled by 1e-9, and offset by
-/// 1e9.
+/// 1e9, each with its thin parts.
 fn scales() -> Vec<(&'static str, Relation)> {
     let base = Relation::from_regions(
         msj::datagen::small_carto(40, 24.0, 5101)
@@ -63,16 +110,12 @@ fn scales() -> Vec<(&'static str, Relation)> {
             .map(|o| o.region.clone()),
     );
     let unit = mapped(&base, |p| Point::new(p.x * 1e-3, p.y * 1e-3));
+    let tiny = mapped(&unit, |p| Point::new(p.x * 1e-9, p.y * 1e-9));
+    let offset = mapped(&unit, |p| Point::new(p.x + 1e9, p.y + 1e9));
     vec![
-        (
-            "tiny (unit x 1e-9)",
-            mapped(&unit, |p| Point::new(p.x * 1e-9, p.y * 1e-9)),
-        ),
-        (
-            "offset (unit + 1e9)",
-            mapped(&unit, |p| Point::new(p.x + 1e9, p.y + 1e9)),
-        ),
-        ("unit", unit),
+        ("tiny (unit x 1e-9)", with_thin_parts(tiny, 0.4e-12)),
+        ("offset (unit + 1e9)", with_thin_parts(offset, 0.4e-12)),
+        ("unit", with_thin_parts(unit, 0.4e-12)),
     ]
 }
 
@@ -150,15 +193,23 @@ struct Tally {
     probed: u64,
 }
 
+/// The Step-3 route of a selection over `rel` refining on `trees`.
+fn refiner(rel: &Relation, trees: TrStarStore) -> SelectionRefiner {
+    SelectionRefiner::new(
+        RelHandle::from(Arc::new(rel.clone())),
+        Some(Arc::new(trees)),
+    )
+}
+
 /// Every point and window the trees of `trees` claim an answer for, checked
 /// against the region test of the object the probe was made for.
-fn check_trees(rel: &Relation, trees: &TrStarStore, tally: &mut Tally) {
+fn check_trees(rel: &Relation, trees: TrStarStore, tally: &mut Tally) {
     let mut ops = OpCounts::new();
+    let trees = refiner(rel, trees);
     for o in rel.iter() {
-        let tree = trees.get(o.id);
         for p in points(&o.region) {
             tally.probed += 1;
-            if let Some(claim) = tree.classify_point(p, &mut ops) {
+            if let Some(claim) = trees.classify(o.id, &p, &mut ops) {
                 tally.decided += 1;
                 let reference = region_contains_point(&o.region, p, &mut OpCounts::new());
                 assert_eq!(claim, reference, "object {} point {p:?}", o.id);
@@ -166,7 +217,7 @@ fn check_trees(rel: &Relation, trees: &TrStarStore, tally: &mut Tally) {
         }
         for w in windows(&o.region) {
             tally.probed += 1;
-            if let Some(claim) = tree.classify_rect(&w, &mut ops) {
+            if let Some(claim) = trees.classify(o.id, &w, &mut ops) {
                 tally.decided += 1;
                 let reference = region_intersects_rect_reference(&o.region, &w);
                 assert_eq!(claim, reference, "object {} window {w:?}", o.id);
@@ -198,7 +249,7 @@ fn trstar_claims_equal_the_region_test_at_every_scale() {
             let ExactAlgorithm::TrStar { max_entries } = config.exact else {
                 unreachable!("every configuration here refines on TR*");
             };
-            check_trees(&rel, &TrStarStore::build(&rel, max_entries), &mut tally);
+            check_trees(&rel, TrStarStore::build(&rel, max_entries), &mut tally);
 
             // At 1e9 the 5-C conservative test itself rounds a candidate
             // inside its MER away (Step 2's debug assertion catches it),
@@ -284,7 +335,7 @@ proptest! {
         let (cx, cy) = (scale * rng.gen_range(-1e3..1e3), scale * rng.gen_range(-1e3..1e3));
         let region = star(cx, cy, &radii);
         let rel = Relation::from_regions([region.clone()]);
-        let tree = TrStarStore::build(&rel, m);
+        let trees = refiner(&rel, TrStarStore::build(&rel, m));
         let v = region.outer().vertices();
         let mut ops = OpCounts::new();
         for k in 0..32 {
@@ -293,13 +344,48 @@ proptest! {
             let (a, b) = (v[k % v.len()], v[(k + 1) % v.len()]);
             let on = Point::new(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y));
             let p = Point::new(ulps(on.x, d), on.y);
-            if let Some(claim) = tree.get(0).classify_point(p, &mut ops) {
+            if let Some(claim) = trees.classify(0, &p, &mut ops) {
                 prop_assert_eq!(claim, region_contains_point(&region, p, &mut OpCounts::new()));
             }
             let w = Rect::from_bounds(p.x, p.y, p.x + t * scale, p.y + (1.0 - t) * scale);
-            if let Some(claim) = tree.get(0).classify_rect(&w, &mut ops) {
+            if let Some(claim) = trees.classify(0, &w, &mut ops) {
                 prop_assert_eq!(claim, region_intersects_rect_reference(&region, &w));
             }
+        }
+    }
+}
+
+/// The thin parts' trapezoids miss the needle and the wedge, so the trees
+/// could claim `false` on them; the route never asks those trees, and
+/// every answer is the region test's.
+#[test]
+fn objects_their_trapezoids_do_not_tile_go_to_the_region_test() {
+    let parts = thin_parts(0.0, 0.0, 0.01, 0.4e-12);
+    let rel = Relation::from_regions(parts.clone());
+    let trees = refiner(&rel, TrStarStore::build(&rel, 6));
+    let mut ops = OpCounts::new();
+    for (id, region) in parts.iter().enumerate() {
+        let mut ys: Vec<f64> = region.outer().vertices().iter().map(|p| p.y).collect();
+        assert!(!decomposes_exactly(&mut ys), "part {id}");
+        // A point of the thin part, in the region but off every trapezoid.
+        let thin = Point::new(0.025, region.outer().vertices()[3].y);
+        assert!(region_contains_point(region, thin, &mut OpCounts::new()));
+        let covered = decompose(region)
+            .iter()
+            .any(|t| t.mbr().contains_point(thin));
+        assert!(!covered, "part {id}: the trapezoids cover the thin part");
+        for p in points(region).into_iter().chain([thin]) {
+            assert_eq!(
+                trees.classify(id as ObjectId, &p, &mut ops),
+                None,
+                "part {id} {p:?}"
+            );
+            let reference = region_contains_point(region, p, &mut OpCounts::new());
+            assert_eq!(
+                trees.meets(id as ObjectId, &p, &mut ops),
+                reference,
+                "part {id} {p:?}"
+            );
         }
     }
 }
