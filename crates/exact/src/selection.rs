@@ -12,7 +12,6 @@ use crate::trapezoid::decomposes_exactly;
 use crate::trstar::{TrStarStore, TrStarView};
 use crate::window::{region_contains_point, region_intersects_rect};
 use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle};
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A selection probe: a point or a closed window.
@@ -49,14 +48,15 @@ impl SelectProbe for Rect {
 /// configuration builds them, its TR*-trees.
 ///
 /// An object is asked on its tree only when [`decomposes_exactly`]
-/// accepts its vertex y's — checked on the object's first probe, read
-/// without decoding a lazy relation, and remembered. The region is read
-/// (and a lazy relation decoded) only for the probes the trees leave.
+/// accepts its vertex y's — checked for every object on the first
+/// probe, in one pass that reads a lazy relation's image without decoding
+/// it. The region is read (and a lazy relation decoded) only for the
+/// probes the trees leave.
 pub struct SelectionRefiner {
     relation: RelHandle<'static>,
     trees: Option<Arc<TrStarStore>>,
-    /// Per object: 0 not checked yet, 1 tiled exactly, 2 not.
-    tiled: OnceLock<Box<[AtomicU8]>>,
+    /// The objects whose trapezoids do not tile them, ascending.
+    untiled: OnceLock<Vec<ObjectId>>,
 }
 
 impl SelectionRefiner {
@@ -64,7 +64,7 @@ impl SelectionRefiner {
         SelectionRefiner {
             relation,
             trees,
-            tiled: OnceLock::new(),
+            untiled: OnceLock::new(),
         }
     }
 
@@ -88,20 +88,13 @@ impl SelectionRefiner {
     /// Object `id`'s tree, when there are trees and its trapezoids tile it.
     fn tree(&self, id: ObjectId) -> Option<TrStarView<'_>> {
         let trees = self.trees.as_deref()?;
-        let tiled = self
-            .tiled
-            .get_or_init(|| (0..trees.len()).map(|_| 0.into()).collect());
-        let tiled = &tiled[id as usize];
-        let exact = match tiled.load(Ordering::Relaxed) {
-            0 => {
-                let mut ys = Vec::new();
-                self.relation.vertex_ys(id, &mut ys);
-                let exact = decomposes_exactly(&mut ys);
-                tiled.store(if exact { 1 } else { 2 }, Ordering::Relaxed);
-                exact
-            }
-            known => known == 1,
-        };
-        exact.then(|| trees.get(id))
+        let untiled = self.untiled.get_or_init(|| {
+            let mut untiled = Vec::new();
+            self.relation.for_each_vertex_ys(|id, ys| {
+                untiled.extend((!decomposes_exactly(ys)).then_some(id));
+            });
+            untiled
+        });
+        untiled.binary_search(&id).is_err().then(|| trees.get(id))
     }
 }

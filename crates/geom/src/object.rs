@@ -27,11 +27,6 @@ impl SpatialObject {
         SpatialObject { id, region }
     }
 
-    /// Appends the vertex y's of every ring to `out`.
-    pub fn vertex_ys(&self, out: &mut Vec<f64>) {
-        out.extend(rings(&self.region).flat_map(|r| r.vertices().iter().map(|p| p.y)));
-    }
-
     /// The object's minimum bounding rectangle.
     #[inline]
     pub fn mbr(&self) -> Rect {
@@ -151,7 +146,32 @@ fn rings(region: &PolygonWithHoles) -> impl Iterator<Item = &Polygon> {
     std::iter::once(region.outer()).chain(region.holes())
 }
 
+/// Calls `f` with each object's id and the vertex y's of its every ring,
+/// `ys_of(i, ys)` appending object `i`'s, in one buffer it reuses.
+fn for_each_vertex_ys(
+    len: usize,
+    ys_of: impl Fn(usize, &mut Vec<f64>),
+    mut f: impl FnMut(ObjectId, &mut Vec<f64>),
+) {
+    let mut ys = Vec::new();
+    for i in 0..len {
+        ys.clear();
+        ys_of(i, &mut ys);
+        f(i as ObjectId, &mut ys);
+    }
+}
+
 impl Relation {
+    /// Calls `f` with each object's id and the vertex y's of its every
+    /// ring, in one buffer it reuses.
+    pub fn for_each_vertex_ys(&self, f: impl FnMut(ObjectId, &mut Vec<f64>)) {
+        let ys_of = |i: usize, ys: &mut Vec<f64>| {
+            let rings = rings(&self.objects[i].region);
+            ys.extend(rings.flat_map(|r| r.vertices().iter().map(|p| p.y)));
+        };
+        for_each_vertex_ys(self.len(), ys_of, f);
+    }
+
     /// The relation as its persistent image — four counted columns: the
     /// object ids, per-object ring offsets (`len + 1`, in rings), per-ring
     /// point offsets (`rings + 1`, in points) and the point arena as
@@ -263,7 +283,7 @@ impl<'a> Image<'a> {
     }
 
     /// Appends the vertex y's of object `i`, every ring, to `out`.
-    fn vertex_ys(&self, i: usize, out: &mut Vec<f64>) {
+    fn object_ys(&self, i: usize, out: &mut Vec<f64>) {
         let rings = self.ring_offsets.get(i) as usize..self.ring_offsets.get(i + 1) as usize;
         let lo = self.point_offsets.get(rings.start) as usize;
         let hi = self.point_offsets.get(rings.end) as usize;
@@ -416,14 +436,15 @@ impl LazyRelation {
         })
     }
 
-    /// Appends the vertex y's of object `id`, every ring, to `out` — read
+    /// Calls `f` with each object's id and vertex y's (every ring) — read
     /// from the image while there is one, so this never decodes.
-    pub fn vertex_ys(&self, id: ObjectId, out: &mut Vec<f64>) {
+    pub fn for_each_vertex_ys(&self, f: impl FnMut(ObjectId, &mut Vec<f64>)) {
         match self.image() {
-            Some(image) => Image::columns(&image)
-                .expect("the image was validated")
-                .vertex_ys(id as usize, out),
-            None => self.get().object(id).vertex_ys(out),
+            Some(image) => {
+                let image = Image::columns(&image).expect("the image was validated");
+                for_each_vertex_ys(self.len, |i, ys| image.object_ys(i, ys), f);
+            }
+            None => self.get().for_each_vertex_ys(f),
         }
     }
 }
@@ -465,12 +486,11 @@ pub enum RelHandle<'a> {
 }
 
 impl RelHandle<'_> {
-    /// Appends the vertex y's of object `id`, every ring, to `out`,
-    /// without decoding a lazy relation.
-    pub fn vertex_ys(&self, id: ObjectId, out: &mut Vec<f64>) {
+    /// [`Relation::for_each_vertex_ys`], without decoding a lazy relation.
+    pub fn for_each_vertex_ys(&self, f: impl FnMut(ObjectId, &mut Vec<f64>)) {
         match self {
-            RelHandle::Borrowed(r) => r.object(id).vertex_ys(out),
-            RelHandle::Lazy(r) => r.vertex_ys(id, out),
+            RelHandle::Borrowed(r) => r.for_each_vertex_ys(f),
+            RelHandle::Lazy(r) => r.for_each_vertex_ys(f),
         }
     }
 }
@@ -657,10 +677,11 @@ mod tests {
         });
         let lazy = LazyRelation::from_image(SharedBytes::copy_of(&bytes), Some(hook)).unwrap();
         assert_eq!((lazy.len(), lazy.is_decoded()), (2, false));
-        let (mut from_image, mut from_region) = (Vec::new(), Vec::new());
-        lazy.vertex_ys(1, &mut from_image);
-        rel.object(1).vertex_ys(&mut from_region);
-        assert_eq!((from_image, lazy.is_decoded()), (from_region, false));
+        let (mut from_region, mut from_image) = (Vec::new(), Vec::new());
+        rel.for_each_vertex_ys(|id, ys| from_region.push((id, ys.clone())));
+        lazy.for_each_vertex_ys(|id, ys| from_image.push((id, ys.clone())));
+        assert_eq!(from_region[1], (1, vec![0.0, 0.0, 1.0, 1.0]));
+        assert_eq!((&from_image, lazy.is_decoded()), (&from_region, false));
         let handle = RelHandle::from(Arc::new(lazy));
         assert_eq!(handle.to_bytes(), bytes);
         assert_eq!(handle.object(1).mbr(), rel.object(1).mbr());
@@ -672,9 +693,9 @@ mod tests {
             lazy.is_decoded() && lazy.image().is_none(),
             "the decode drops the image"
         );
-        let mut ys = Vec::new();
-        lazy.vertex_ys(0, &mut ys);
-        assert_eq!(ys, [0.0, 0.0, 1.0, 1.0]);
+        let mut after = Vec::new();
+        lazy.for_each_vertex_ys(|id, ys| after.push((id, ys.clone())));
+        assert_eq!(after, from_region);
         let broken = SharedBytes::copy_of(&bytes[..bytes.len() - 8]);
         assert!(LazyRelation::from_image(broken, None).is_err());
         assert!(LazyRelation::resident(Arc::new(rel)).is_decoded());
