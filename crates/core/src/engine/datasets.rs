@@ -19,8 +19,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-/// One registered dataset: the relation (an opened store's validated
-/// image until first need) plus a residency slot for its Step-0 artifacts.
+/// One registered dataset: the relation (under TR*, an opened store's
+/// validated image until first need) plus a residency slot for its
+/// Step-0 artifacts.
 ///
 /// The artifacts live behind an `RwLock<Option<…>>` so a store-backed
 /// engine can **evict** a cold dataset's artifacts under a byte budget

@@ -41,9 +41,9 @@
 //! ([`Segment::shared_section`]), which an artifact whose image is its
 //! resident layout — the TR* arena — keeps where it lies. An opening
 //! engine takes the relation section that way too, but only validates
-//! it (`Relation::validate_image`, no allocation) and keeps the range:
-//! the relation is decoded later, once, if something reads it, and a
-//! refresh writes the kept bytes back unchanged. Every section
+//! it (`Relation::validate_image`, no allocation); beside a TR* arena it
+//! keeps the range, and the relation is decoded later, once, if
+//! something reads it. A refresh writes the bytes back unchanged. Every section
 //! starts on a page boundary of the buffer, so a column of the image
 //! that is aligned within its section is aligned in memory. **Corruption
 //! is contained per section**: a bad
