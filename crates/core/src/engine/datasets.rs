@@ -32,6 +32,7 @@ use std::time::Instant;
 /// eviction only drops this state's reference.
 pub(super) struct DatasetState {
     pub id: DatasetId,
+    pub relation: Arc<LazyRelation>,
     /// Wall-clock of this dataset's share of Step 0 at registration (or
     /// of the store load that materialized it on an opened engine).
     pub step0_nanos: u64,
@@ -46,7 +47,6 @@ pub(super) struct DatasetState {
     /// budget evicts in.
     touched: AtomicU64,
     artifacts: RwLock<Option<Arc<DatasetArtifacts>>>,
-    pub relation: Arc<LazyRelation>,
 }
 
 /// Every per-relation Step-0 artifact the engine's configuration calls

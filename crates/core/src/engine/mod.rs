@@ -106,11 +106,10 @@ pub struct SpatialEngine {
     fault: FaultSession,
     /// Registry + trace ring, `Arc`-shared into every prepared join.
     obs: Arc<EngineObs>,
+    datasets: RwLock<Vec<Arc<DatasetState>>>,
     /// Prepared-join cache keyed by dataset-id pair, LRU-capped at
     /// [`DEFAULT_PREPARED_CACHE_CAP`].
     prepared: Mutex<PreparedCache>,
-    // Dropped after `prepared`, each artifacts before relation (steadier peak RSS).
-    datasets: RwLock<Vec<Arc<DatasetState>>>,
     /// The persistent artifact store, when armed
     /// ([`SpatialEngine::with_store`] / [`SpatialEngine::open`]).
     store: Option<StoreBackend>,
