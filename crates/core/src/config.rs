@@ -83,7 +83,7 @@ pub struct JoinConfig {
     /// otherwise).
     pub backend: Backend,
     /// R*-tree page size in bytes (the paper uses 2 KB and 4 KB); with
-    /// [`JoinConfig::extra_leaf_bytes`] it sets the tree's fanout.
+    /// [`JoinConfig::extra_leaf_bytes`], at least 16, it sets the fanout.
     pub page_size: usize,
     /// LRU buffer size in bytes of the paper's §3.4/§5 disk model (128 KB
     /// in §3.4; 32 pages in §5). The engine is in memory and simulates no
@@ -128,15 +128,15 @@ pub struct JoinConfig {
 const MEASURED_TRSTAR_CAPACITY: usize = 6;
 
 impl Default for JoinConfig {
-    /// The paper's §5 version 3 (5-corner + MER in addition to the MBR,
-    /// TR*-trees for the exact step, 4 KB pages, a 128 KB LRU buffer for
-    /// the §5 model) with two choices measured on this engine instead of
-    /// inherited:
+    /// The paper's §5 version 3 (TR*-trees for the exact step, 4 KB
+    /// pages, a 128 KB LRU buffer for the §5 model) with choices measured
+    /// on this engine instead of inherited (`CHANGES.md` has the pairs):
     ///
-    /// * no conservative approximation. Behind the raster stage the
-    ///   5-corner test costs more Step-2 time than the Step-3 tests it
-    ///   spares, and 40 B per object (`CHANGES.md` has the pairs), so the
-    ///   chain is raster → MER → TR*. [`JoinConfig::version3`] keeps 5-C;
+    /// * no approximation beyond the MBR, so the chain is raster → TR*.
+    ///   Behind the raster, 5-C costs more Step-2 time than it spares,
+    ///   and MER decides 28 of 237,786 filter-join candidates for half
+    ///   the set-up; windows prove hits from the MBR in Step 1 instead.
+    ///   [`JoinConfig::version3`] keeps 5-C and MER;
     /// * a TR*-tree node capacity of 6, not the paper's 3 (see
     ///   `MEASURED_TRSTAR_CAPACITY` in this file).
     fn default() -> Self {
@@ -145,7 +145,7 @@ impl Default for JoinConfig {
             page_size: 4096,
             buffer_bytes: 128 * 1024,
             conservative: None,
-            progressive: Some(ProgressiveKind::Mer),
+            progressive: None,
             false_area_test: false,
             raster: true,
             exact: ExactAlgorithm::TrStar {
@@ -188,6 +188,7 @@ impl JoinConfig {
     pub fn version3() -> Self {
         JoinConfig {
             conservative: Some(ConservativeKind::FiveCorner),
+            progressive: Some(ProgressiveKind::Mer),
             exact: ExactAlgorithm::TrStar { max_entries: 3 },
             ..JoinConfig::default()
         }
@@ -361,37 +362,54 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_version3_but_for_5c_and_the_measured_capacity() {
+    fn default_is_version3_but_for_its_approximations_and_the_measured_capacity() {
         let (default, paper) = (JoinConfig::default(), JoinConfig::version3());
         assert_eq!(paper.exact, ExactAlgorithm::TrStar { max_entries: 3 });
-        assert_eq!(paper.conservative, Some(ConservativeKind::FiveCorner));
-        assert_eq!(paper.progressive, Some(ProgressiveKind::Mer));
         assert_eq!(
             JoinConfig {
                 conservative: paper.conservative,
+                progressive: paper.progressive,
                 exact: paper.exact,
                 ..default
             },
             paper
         );
-        // The default stores no conservative approximation: MER only,
-        // 16 extra leaf bytes where version 3 has 5-C's 40 + MER's 16.
-        assert_eq!(default.conservative, None);
-        assert_eq!(default.progressive, Some(ProgressiveKind::Mer));
-        assert_eq!(default.extra_leaf_bytes(), 16);
+        // The default stores neither approximation: no extra leaf bytes,
+        // where version 3 has 5-C's 40 + MER's 16.
+        assert_eq!((default.conservative, default.progressive), (None, None));
+        assert_eq!(default.extra_leaf_bytes(), 0);
         assert_eq!(paper.extra_leaf_bytes(), 56);
-        // So a default R*-tree leaf holds 64 entries at 4 KB, not 39.
-        let leaf = |c: JoinConfig| {
-            msj_sam::PageLayout::with_extra_bytes(c.page_size, c.extra_leaf_bytes())
-                .max_leaf_entries()
-        };
-        assert_eq!((leaf(default), leaf(paper)), (64, 39));
         assert_eq!(
             default.exact,
             ExactAlgorithm::TrStar {
                 max_entries: MEASURED_TRSTAR_CAPACITY
             }
         );
+    }
+
+    #[test]
+    fn paper_presets_name_their_approximations() {
+        // Versions 2 and 3 store 5-C and MER whatever the default stores.
+        for paper in [JoinConfig::version2(), JoinConfig::version3()] {
+            assert_eq!(paper.conservative, Some(ConservativeKind::FiveCorner));
+            assert_eq!(paper.progressive, Some(ProgressiveKind::Mer));
+        }
+    }
+
+    #[test]
+    fn engine_leaves_keep_a_mer_slot() {
+        // A default R*-tree leaf holds 64 entries at 4 KB, as when the
+        // default stored a MER; version 3's holds 39.
+        let leaf = |c: JoinConfig| {
+            let rel = msj_datagen::small_carto(200, 24.0, 7);
+            crate::candidates::build_tree(&c, &rel)
+                .layout()
+                .max_leaf_entries()
+        };
+        assert_eq!(leaf(JoinConfig::default()), 64);
+        assert_eq!(leaf(JoinConfig::version3()), 39);
+        let bare = msj_sam::PageLayout::with_extra_bytes(4096, 0);
+        assert_eq!(bare.max_leaf_entries(), 85);
     }
 
     #[test]
@@ -506,6 +524,7 @@ mod tests {
         assert_eq!(JoinConfig::version2().extra_leaf_bytes(), 56);
         let rmbr_mer = JoinConfig {
             conservative: Some(ConservativeKind::Rmbr),
+            progressive: Some(ProgressiveKind::Mer),
             ..JoinConfig::default()
         };
         assert_eq!(rmbr_mer.extra_leaf_bytes(), 20 + 16);

@@ -22,9 +22,8 @@
 //! false-area — is fixed per *join*, not per candidate: the configured
 //! approximation kinds decide it once, as a [`FilterPlan`] compiled when
 //! the filter is built. [`crate::JoinConfig::default`] stores no
-//! conservative approximation, so its chain is raster → MER: the
-//! conservative test runs only when a configuration asks for one (the
-//! paper's versions 2 and 3 store 5-C). Per-pair
+//! approximation, so its chain is the raster stage alone: 5-C and MER
+//! run only where a configuration stores them (versions 2 and 3). Per-pair
 //! [`GeometricFilter::classify`] is the reference chain;
 //! [`GeometricFilter::classify_batch`] runs it over the raster stage's
 //! undecided remainder and is outcome-identical by construction (and by
@@ -62,10 +61,11 @@ pub enum FilterOutcome {
 /// [`GeometricFilter::plan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FilterPlan {
-    /// No approximations configured: every candidate stays a candidate.
+    /// No approximations configured — the default: every candidate the
+    /// raster stage leaves undecided stays a candidate.
     Passthrough,
-    /// The view-dispatching chain over whatever is configured: the
-    /// default's MER column alone, the paper's 5-C + MER, curved
+    /// The view-dispatching chain over whatever is configured: a MER
+    /// column alone, the paper's 5-C + MER, curved
     /// conservative kinds, MEC progressive stores, or the false-area
     /// test.
     Generic,
@@ -529,9 +529,13 @@ mod tests {
             filters.push(GeometricFilter::build(&a, &b, cons, prog, fa));
             filters.push(GeometricFilter::build(&a, &b, cons, prog, fa).with_raster(&a, &b));
         }
-        for config in [crate::JoinConfig::default(), crate::JoinConfig::version3()] {
+        let plans = [
+            (crate::JoinConfig::default(), FilterPlan::Passthrough),
+            (crate::JoinConfig::version3(), FilterPlan::Generic),
+        ];
+        for (config, plan) in plans {
             let f = GeometricFilter::from_config(&config, &a, &b);
-            assert_eq!(f.plan(), FilterPlan::Generic);
+            assert_eq!(f.plan(), plan);
             assert!(f.raster_active());
             filters.push(f);
         }

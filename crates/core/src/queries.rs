@@ -5,12 +5,11 @@
 //! point and window queries on the same storage organizations. The
 //! processor here mirrors the join pipeline:
 //!
-//! 1. R*-tree point/window query on the MBR keys → candidates;
-//! 2. geometric filter, cheapest proof first: the wide MER mask (a MER
-//!    hit is a hit), then — only when a conservative approximation is
-//!    configured; the default stores none — the conservative test on MER
-//!    misses (false-hit elimination), then a non-MER progressive test
-//!    (MEC);
+//! 1. R*-tree point/window query on the MBR keys → candidates, a window
+//!    proving those whose MBR extent it covers (on the leaf in hand);
+//! 2. geometric filter, where approximations are stored (the default
+//!    stores none), cheapest proof first: the wide MER mask, then the
+//!    conservative test on the rest, then a non-MER progressive (MEC);
 //! 3. exact test for the remainder, as one pass per batch: a descent of
 //!    the object's TR*-tree (§4.2, [`msj_exact::SelectionRefiner`]) where it
 //!    proves the answer, the region's edges elsewhere — the same answers.
@@ -32,7 +31,7 @@ pub struct QueryStats {
     pub candidates: u64,
     /// Candidates eliminated by the conservative approximation.
     pub filter_false_hits: u64,
-    /// Candidates confirmed by the progressive approximation.
+    /// Candidates proved hits by Step 1's MBR or the progressive test.
     pub filter_hits: u64,
     /// Candidates that required the exact geometry.
     pub exact_tests: u64,
@@ -46,11 +45,12 @@ pub(crate) trait Probe: Copy + SelectProbe {
     /// Request-kind label of this shape (`"point"` / `"window"`).
     const KIND: &'static str;
 
-    /// Step 1 for a batch of probes of this shape.
+    /// Step 1 for a batch of probes of this shape, with its MBR proofs.
     fn candidates(
         source: &dyn CandidateSource,
         probes: &[Self],
         out: &mut Vec<ObjectId>,
+        proved: &mut Vec<bool>,
         stats: &mut Vec<SelectionStats>,
     );
 
@@ -74,9 +74,11 @@ impl Probe for Point {
         source: &dyn CandidateSource,
         probes: &[Self],
         out: &mut Vec<ObjectId>,
+        proved: &mut Vec<bool>,
         stats: &mut Vec<SelectionStats>,
     ) {
-        source.point_candidates(probes, out, stats)
+        source.point_candidates(probes, out, stats);
+        proved.resize(out.len(), false); // a point proves nothing from an MBR
     }
 
     fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>) {
@@ -103,9 +105,10 @@ impl Probe for Rect {
         source: &dyn CandidateSource,
         probes: &[Self],
         out: &mut Vec<ObjectId>,
+        proved: &mut Vec<bool>,
         stats: &mut Vec<SelectionStats>,
     ) {
-        source.window_candidates(probes, out, stats)
+        source.window_candidates(probes, out, proved, stats)
     }
 
     fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>) {
@@ -113,20 +116,11 @@ impl Probe for Rect {
     }
 
     fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
-        match cons {
-            ConsView::Rect(r) => r.intersects(self),
-            ConsView::Circle(c) => c.intersects_rect(self),
-            ConsView::Ellipse(e) => e.intersects_convex(&self.corners()),
-            ConsView::Convex(ring) => msj_geom::convex_intersect(ring, &self.corners()),
-        }
+        cons.intersects(&ConsView::Rect(self))
     }
 
     fn meets_progressive(&self, prog: &Progressive) -> bool {
-        match prog {
-            Progressive::Mec(c) => c.intersects_rect(self),
-            Progressive::Mer(r) => r.intersects(self),
-            Progressive::Empty => false,
-        }
+        prog.intersects(&Progressive::Mer(*self))
     }
 }
 
@@ -182,28 +176,31 @@ impl SelectionState {
         mut emit: impl FnMut(Vec<ObjectId>, QueryStats, OpCounts),
     ) {
         let t_probe = spans.map(|_| Span::start());
-        let mut all = Vec::new();
+        let (mut all, mut hit) = (Vec::new(), Vec::new());
         let mut probe_stats = Vec::with_capacity(probes.len());
-        P::candidates(&*self.source, probes, &mut all, &mut probe_stats);
+        P::candidates(&*self.source, probes, &mut all, &mut hit, &mut probe_stats);
         if let (Some(spans), Some(t)) = (spans, t_probe) {
             spans.finish(Step::Step1, t);
         }
         let t_rest = spans.map(|_| Span::start());
-        // `hit` starts as the wide MER mask over the arena. MER ⊆ object ⊆
-        // conservative, so testing a configured conservative approximation
-        // on MER misses only gives every outcome and count of the
-        // paper-order chain.
+        // `hit` starts as Step 1's proofs and takes the wide MER mask.
+        // MER ⊆ object ⊆ conservative, so testing a configured
+        // conservative approximation on the rest only gives every outcome
+        // and count of the paper-order chain.
         let mers = self.progressive.as_deref().and_then(|p| p.mer_column());
         let mec = self.progressive.as_deref().filter(|_| mers.is_none());
         let conservative = self.conservative.as_deref();
-        let (mut hit, mut undecided) = (Vec::with_capacity(all.len()), Vec::new());
+        let (mut mer_hit, mut undecided) = (Vec::new(), Vec::new());
         let mut answers = Vec::with_capacity(probes.len());
         let mut offset = 0usize;
         for (probe, step1) in probes.iter().zip(&probe_stats) {
             let candidates = &all[offset..offset + step1.candidates as usize];
-            match mers {
-                Some(mers) => probe.mer_mask(self.dispatch, mers, candidates, &mut hit),
-                None => hit.resize(offset + candidates.len(), false),
+            if let Some(mers) = mers {
+                mer_hit.clear();
+                probe.mer_mask(self.dispatch, mers, candidates, &mut mer_hit);
+                for (h, m) in hit[offset..].iter_mut().zip(&mer_hit) {
+                    *h |= m;
+                }
             }
             let mut q = QueryStats {
                 candidates: step1.candidates,
@@ -213,7 +210,7 @@ impl SelectionState {
             let cons = |id| conservative.is_none_or(|c| probe.meets_conservative(&c.view(id)));
             for (slot, &id) in (offset..).zip(candidates) {
                 if hit[slot] {
-                    debug_assert!(cons(id), "conservative test drops {id} inside its MER");
+                    debug_assert!(cons(id), "conservative test drops {id}, a proved hit");
                     q.filter_hits += 1;
                 } else if !cons(id) {
                     q.filter_false_hits += 1;
@@ -419,7 +416,7 @@ mod tests {
     fn filter_reduces_exact_tests_for_point_queries() {
         let rel = msj_datagen::small_carto(80, 30.0, 19);
         let world = rel.bounding_rect().unwrap();
-        let with_filter = state(&rel, &JoinConfig::default());
+        let with_filter = state(&rel, &JoinConfig::version3());
         let without = state(&rel, &JoinConfig::version1());
         let mut exact_with = 0;
         let mut exact_without = 0;

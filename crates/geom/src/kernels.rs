@@ -12,7 +12,10 @@
 //!   repacked entry columns);
 //! * [`rects_contain_point`] / [`rects_intersect_query`] — id-gathered
 //!   point-in-rect and window-vs-rect masks (resident point/window
-//!   probes).
+//!   probes' MER test). Only a plan that stores a MER calls them, such
+//!   as the paper's versions 2 and 3. The default stores none, so a
+//!   default engine runs [`rects_vs_rect`] alone ([`sweep_scan`] serves
+//!   the partitioned backend).
 //!
 //! Each kernel has three implementations selected by [`KernelDispatch`]:
 //! a portable scalar loop (the semantic reference), an SSE2 path and an

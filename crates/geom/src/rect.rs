@@ -184,6 +184,23 @@ impl Rect {
             && other.hi.y <= self.hi.y
     }
 
+    /// Whether this window meets every region whose MBR is `mbr`, given
+    /// that it meets `mbr`: true when `mbr`'s x-extent lies inside the
+    /// window's x-range, or its y-extent inside the window's y-range.
+    ///
+    /// A region's outer ring is a closed connected curve touching all
+    /// four sides of its MBR (the premise of [`crate::validate`]), so it
+    /// meets every horizontal and every vertical line through the MBR.
+    /// Say the x-extent lies inside the window: take a `y` that the window
+    /// and the MBR share; the ring meets the line at `y` within the MBR's
+    /// x-extent, so inside the window. Comparisons of stored `f64`s only:
+    /// exact, with no margin.
+    #[inline]
+    pub fn covers_an_extent_of(&self, mbr: &Rect) -> bool {
+        ((self.lo.x <= mbr.lo.x) & (mbr.hi.x <= self.hi.x))
+            | ((self.lo.y <= mbr.lo.y) & (mbr.hi.y <= self.hi.y))
+    }
+
     /// The intersection rectangle, or `None` when disjoint.
     ///
     /// Used by the plane-sweep algorithm to *restrict the search space* to
@@ -303,6 +320,20 @@ mod tests {
         assert!(a.contains_point(Point::new(0.0, 0.0)));
         assert!(a.contains_point(Point::new(4.0, 4.0)));
         assert!(!a.contains_point(Point::new(4.0001, 1.0)));
+    }
+
+    #[test]
+    fn a_window_covers_an_extent_closed_on_either_axis() {
+        let mbr = r(2.0, 2.0, 4.0, 6.0);
+        // The x-extent inside, sides coinciding, the y-ranges overlapping.
+        assert!(r(2.0, 5.0, 4.0, 9.0).covers_an_extent_of(&mbr));
+        // The y-extent inside a zero-width window.
+        assert!(r(3.0, 2.0, 3.0, 6.0).covers_an_extent_of(&mbr));
+        // Neither extent: a window inside the MBR, one that crosses it
+        // short by one ulp on each axis.
+        assert!(!r(2.5, 2.5, 3.5, 5.5).covers_an_extent_of(&mbr));
+        let short = r(2.0f64.next_up(), 1.0, 5.0, 6.0f64.next_down());
+        assert!(!short.covers_an_extent_of(&mbr));
     }
 
     #[test]

@@ -181,10 +181,17 @@ impl GridIndex {
         tests
     }
 
-    /// Ids whose MBR intersects `window`. Every overlapping tile is
-    /// probed; a replicated rectangle is counted only in the tile holding
-    /// the reference point of its intersection with the window.
-    pub fn window_candidates(&self, window: Rect, out: &mut Vec<ObjectId>) -> u64 {
+    /// Ids whose MBR intersects `window`, each with whether the window
+    /// provably meets its object ([`Rect::covers_an_extent_of`]) pushed
+    /// onto `proved`. Every overlapping tile is probed; a replicated
+    /// rectangle is counted only in the tile holding the reference point
+    /// of its intersection with the window.
+    pub fn window_candidates(
+        &self,
+        window: Rect,
+        out: &mut Vec<ObjectId>,
+        proved: &mut Vec<bool>,
+    ) -> u64 {
         let Some(grid) = &self.grid else { return 0 };
         let Some(clipped) = grid.universe().intersection(&window) else {
             return 0;
@@ -195,6 +202,7 @@ impl GridIndex {
                 tests += 1;
                 if rect.intersects(&window) && grid.reference_tile(rect, &window) == tile {
                     out.push(*id);
+                    proved.push(window.covers_an_extent_of(rect));
                 }
             }
         }
@@ -289,17 +297,18 @@ mod tests {
                 let x = (i as f64 * 6.1) % 60.0;
                 let y = (i as f64 * 4.3) % 60.0;
                 let w = Rect::from_bounds(x, y, x + 14.0, y + 11.0);
-                let mut got = Vec::new();
-                index.window_candidates(w, &mut got);
+                let (mut got, mut proved) = (Vec::new(), Vec::new());
+                index.window_candidates(w, &mut got, &mut proved);
                 let mut deduped = got.clone();
                 deduped.sort_unstable();
                 deduped.dedup();
                 assert_eq!(got.len(), deduped.len(), "duplicates at tiles={tiles}");
+                let mut got: Vec<(ObjectId, bool)> = got.into_iter().zip(proved).collect();
                 got.sort_unstable();
-                let mut expect: Vec<ObjectId> = items
+                let mut expect: Vec<(ObjectId, bool)> = items
                     .iter()
                     .filter(|(r, _)| r.intersects(&w))
-                    .map(|(_, id)| *id)
+                    .map(|(r, id)| (*id, w.covers_an_extent_of(r)))
                     .collect();
                 expect.sort_unstable();
                 assert_eq!(got, expect, "window {w:?} tiles {tiles}");
@@ -311,12 +320,13 @@ mod tests {
     fn empty_index_returns_nothing() {
         let index = GridIndex::build(&[], 4);
         assert!(index.is_empty());
-        let mut out = Vec::new();
+        let (mut out, mut proved) = (Vec::new(), Vec::new());
         assert_eq!(index.point_candidates(Point::new(0.0, 0.0), &mut out), 0);
         assert_eq!(
-            index.window_candidates(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), &mut out),
+            index.window_candidates(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), &mut out, &mut proved),
             0
         );
+        assert!(proved.is_empty());
         assert!(out.is_empty());
     }
 }

@@ -356,7 +356,7 @@ impl RStarTree {
         pages: &mut impl PageObserver,
         out: &mut Vec<ObjectId>,
     ) -> u64 {
-        self.descend(pages, out, |r| r.contains_point(p))
+        self.descend(pages, |r| r.contains_point(p), |_, id| out.push(id))
     }
 
     /// Window query: appends to `out` the ids of all leaf entries
@@ -367,17 +367,40 @@ impl RStarTree {
         pages: &mut impl PageObserver,
         out: &mut Vec<ObjectId>,
     ) -> u64 {
-        self.descend(pages, out, |r| r.intersects(&window))
+        self.descend(pages, |r| r.intersects(&window), |_, id| out.push(id))
+    }
+
+    /// [`RStarTree::window_query`] that also pushes onto `proved`, per id
+    /// appended, whether the window provably meets that object — its MBR
+    /// has an extent inside the window ([`Rect::covers_an_extent_of`]),
+    /// decided on the leaf entry the descent already holds.
+    pub fn window_query_proving(
+        &self,
+        window: Rect,
+        pages: &mut impl PageObserver,
+        out: &mut Vec<ObjectId>,
+        proved: &mut Vec<bool>,
+    ) -> u64 {
+        self.descend(
+            pages,
+            |r| r.intersects(&window),
+            |r, id| {
+                out.push(id);
+                proved.push(window.covers_an_extent_of(r));
+            },
+        )
     }
 
     /// Depth-first descent over the builder-order columns on an inline
     /// stack: no allocation while at most
     /// [`INLINE_STACK`](msj_geom::stack::INLINE_STACK) subtrees wait.
+    /// Every entry where `hit` holds is followed, or at a leaf handed to
+    /// `found` with its object id.
     fn descend(
         &self,
         pages: &mut impl PageObserver,
-        out: &mut Vec<ObjectId>,
         hit: impl Fn(&Rect) -> bool,
+        mut found: impl FnMut(&Rect, ObjectId),
     ) -> u64 {
         let mut visits = 0;
         let mut stack = InlineStack::new(self.root);
@@ -387,7 +410,9 @@ impl RStarTree {
             pages.access(self.page_id(cur));
             let (rects, vals) = self.entries(cur);
             if self.node_level(cur) == 0 {
-                out.extend(rects.iter().zip(vals).filter(|e| hit(e.0)).map(|e| *e.1));
+                for (r, &id) in rects.iter().zip(vals).filter(|e| hit(e.0)) {
+                    found(r, id);
+                }
             } else {
                 for (r, &child) in rects.iter().zip(vals) {
                     stack.push_if(child, hit(r));
@@ -794,6 +819,37 @@ mod tests {
         }
         expect.sort_unstable();
         assert_eq!(hits, expect);
+    }
+
+    #[test]
+    fn window_proofs_equal_a_linear_scan_of_the_predicate() {
+        // Rectangles of every aspect on a coarse lattice, so that window
+        // sides coincide with MBR sides often.
+        let items: Vec<(Rect, ObjectId)> = (0..400u32)
+            .map(|i| {
+                let (x, y) = ((i * 7 % 40) as f64, (i * 13 % 40) as f64);
+                let (w, h) = ((i % 5) as f64, (i / 5 % 7) as f64);
+                (Rect::from_bounds(x, y, x + w, y + h), i)
+            })
+            .collect();
+        let tree = RStarTree::bulk_load(PageLayout::with_extra_bytes(512, 16), items.clone());
+        for k in 0..60u32 {
+            let (x, y) = ((k * 11 % 40) as f64, (k * 17 % 40) as f64);
+            let window = Rect::from_bounds(x, y, x + (k % 9) as f64, y + (k % 4) as f64);
+            let (mut ids, mut proved) = (Vec::new(), Vec::new());
+            let visits = tree.window_query_proving(window, &mut (), &mut ids, &mut proved);
+            let mut plain = Vec::new();
+            assert_eq!(visits, tree.window_query(window, &mut (), &mut plain));
+            assert_eq!(ids, plain, "{window:?}");
+            let mut got: Vec<(ObjectId, bool)> = ids.into_iter().zip(proved).collect();
+            got.sort_unstable();
+            let scan: Vec<(ObjectId, bool)> = items
+                .iter()
+                .filter(|(r, _)| r.intersects(&window))
+                .map(|(r, id)| (*id, window.covers_an_extent_of(r)))
+                .collect();
+            assert_eq!(got, scan, "{window:?}");
+        }
     }
 
     #[test]

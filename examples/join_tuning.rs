@@ -99,7 +99,7 @@ fn main() {
         "\nbest: {} — under the paper's cost model its §3.6 recommendation (a\n\
          tight conservative approximation plus a progressive one, exact step on\n\
          TR*-trees) should rank at or near the top. The engine's default (no\n\
-         conservative, MER, TR*) is chosen by measured time instead.",
+         conservative, no progressive, TR*) is chosen by measured time instead.",
         rows[0].1
     );
 }

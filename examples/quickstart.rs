@@ -22,8 +22,8 @@ fn main() {
         forests.vertex_stats().0
     );
 
-    // The default plan — raster signatures, the MER stored in addition to
-    // the MBR, TR*-trees for the exact geometry step at the node capacity
+    // The default plan — raster signatures, no approximation beyond the
+    // MBR, TR*-trees for the exact geometry step at the node capacity
     // this engine measured (6) — applied by a resident engine. It differs
     // from the paper's §5 "version 3" (`JoinConfig::version3()`: 5-corner
     // + MER, M = 3) where this machine's clock disagreed with the paper's

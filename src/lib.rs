@@ -44,10 +44,9 @@
 //! let forests = msj::datagen::small_carto(32, 24.0, 7);
 //! let cities = msj::datagen::small_carto(32, 24.0, 8);
 //!
-//! // The default chain: raster signatures, then the MER stored in addition
-//! // to the MBR, then TR*-trees for the exact step (node capacity 6,
-//! // measured). `JoinConfig::version3()` is the paper's choice: 5-corner
-//! // + MER and M = 3.
+//! // The default chain: raster → TR*. Raster signatures, then TR*-trees
+//! // for the exact step (node capacity 6, measured). `JoinConfig::version3()`
+//! // is the paper's choice: 5-corner + MER and M = 3.
 //! let join = MultiStepJoin::new(JoinConfig::default());
 //! let result = join.execute(&forests, &cities);
 //!

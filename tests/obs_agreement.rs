@@ -5,7 +5,7 @@
 //! prepared joins and for the resident engine's whole request surface,
 //! while the enabled side actually records what it watched.
 
-use msj::approx::ConservativeKind;
+use msj::approx::{ConservativeKind, ProgressiveKind};
 use msj::core::{
     Backend, EngineConfig, Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine,
     StoreConfig,
@@ -20,11 +20,12 @@ fn workload(seed: u64) -> (msj::geom::Relation, msj::geom::Relation) {
     )
 }
 
-/// The default plan with the paper's 5-corner conservative stage added
-/// back — the configuration that builds and stores every Step-0 artifact.
-fn with_five_corner() -> JoinConfig {
+/// The default plan with the paper's 5-corner and MER stages added back
+/// — the configuration that builds and stores every Step-0 artifact.
+fn with_approximations() -> JoinConfig {
     JoinConfig::builder()
         .conservative(ConservativeKind::FiveCorner)
+        .progressive(ProgressiveKind::Mer)
         .build()
 }
 
@@ -176,7 +177,7 @@ fn registration_time_is_itemised_by_artifact() {
     let (a, b) = workload(8301);
 
     let dir = std::env::temp_dir().join(format!("msj-obs-agreement-{}", std::process::id()));
-    let engine = SpatialEngine::new(with_five_corner())
+    let engine = SpatialEngine::new(with_approximations())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
     engine.register(a.clone());
@@ -211,17 +212,20 @@ fn registration_time_is_itemised_by_artifact() {
     }
 
     // No store armed: nothing persists; the default plan builds no
-    // conservative approximation; observability off: nothing is timed
+    // approximation, version 3 both; observability off: nothing is timed
     // at all.
     let memory_only = SpatialEngine::new(JoinConfig::default());
     memory_only.register(a.clone());
     let snap = memory_only.metrics().snapshot();
-    assert!(snap.counter(&artifact("progressive")) > 0);
+    assert_eq!(snap.counter(&artifact("progressive")), 0);
     assert_eq!(snap.counter(&artifact("persist")), 0);
     assert_eq!(snap.counter(&artifact("conservative")), 0);
+    let paper = SpatialEngine::new(JoinConfig::version3());
+    paper.register(a.clone());
+    assert!(paper.metrics().snapshot().counter(&artifact("progressive")) > 0);
     let dark = SpatialEngine::new(EngineConfig {
         obs: ObsConfig::disabled(),
-        ..EngineConfig::default()
+        ..JoinConfig::version3().into()
     });
     dark.register(a);
     assert_eq!(
@@ -347,13 +351,13 @@ fn exposition_schema_and_counts_are_pinned() {
     // (ii) One of everything, on a store-backed engine that builds every
     // Step-0 artifact (5-C included), then a reopen.
     let dir = std::env::temp_dir().join(format!("msj-obs-schema-{}", std::process::id()));
-    let engine = SpatialEngine::new(with_five_corner())
+    let engine = SpatialEngine::new(with_approximations())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
     let join = traffic(&engine);
     let after = exposition_keys(&engine.metrics().render_prometheus());
     drop(engine);
-    let reopened = SpatialEngine::open(with_five_corner(), StoreConfig::new(&dir));
+    let reopened = SpatialEngine::open(with_approximations(), StoreConfig::new(&dir));
     let reopened = reopened.expect("reopen");
     assert!(reopened.submit(join).is_ok());
     let cold = exposition_keys(&reopened.metrics().render_prometheus());
@@ -361,8 +365,8 @@ fn exposition_schema_and_counts_are_pinned() {
     assert_eq!(after, with_changes(&fresh, AFTER_TRAFFIC));
     assert_eq!(cold, with_changes(&fresh, AFTER_REOPEN));
 
-    // The default plan under the same traffic differs in one line: it
-    // builds no conservative approximation, so that timer stays at 0.
+    // The default plan under the same traffic differs in two lines: it
+    // builds no approximation, so those timers stay at 0.
     let engine = SpatialEngine::new(JoinConfig::default())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
@@ -370,13 +374,19 @@ fn exposition_schema_and_counts_are_pinned() {
     let default_after = exposition_keys(&engine.metrics().render_prometheus());
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();
-    let conservative_idle = [(
-        "msj_step0_artifact_nanos_total{artifact=\"conservative\"}",
-        "0",
-    )];
+    let approximations_idle = [
+        (
+            "msj_step0_artifact_nanos_total{artifact=\"conservative\"}",
+            "0",
+        ),
+        (
+            "msj_step0_artifact_nanos_total{artifact=\"progressive\"}",
+            "0",
+        ),
+    ];
     assert_eq!(
         default_after,
-        with_changes(&with_changes(&fresh, AFTER_TRAFFIC), &conservative_idle)
+        with_changes(&with_changes(&fresh, AFTER_TRAFFIC), &approximations_idle)
     );
 
     // (iii) A dark engine under the same traffic keeps the schema and

@@ -21,14 +21,21 @@
 //! linear scan too (at 1e9 the filter approximations round on their own,
 //! which is not this file's business). Each scale prints how often the
 //! trees decided.
+//!
+//! Step 1's window proof from the MBR (`Rect::covers_an_extent_of`) is
+//! held to the same standard with no approximation to round: at every
+//! scale, each proof and each default-engine window answer, on both
+//! backends, equals `region_intersects_rect` on every candidate, with
+//! windows flush with, or one ulp short of, an MBR side.
 
-use msj::core::{JoinConfig, SpatialEngine};
+use msj::core::{Backend, JoinConfig, SpatialEngine};
 use msj::exact::window::region_intersects_rect_reference;
 use msj::exact::{
-    decompose, decomposes_exactly, region_contains_point, ExactAlgorithm, OpCounts,
-    SelectionRefiner, TrStarStore,
+    decompose, decomposes_exactly, region_contains_point, region_intersects_rect, ExactAlgorithm,
+    OpCounts, SelectionRefiner, TrStarStore,
 };
 use msj::geom::{ObjectId, Point, Polygon, PolygonWithHoles, Rect, RelHandle, Relation};
+use msj::sam::{PageLayout, RStarTree};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -305,6 +312,87 @@ fn trstar_claims_equal_the_region_test_at_every_scale() {
         if scale == "unit" {
             assert!(tally.decided > 0, "the trees must decide something");
         }
+    }
+}
+
+/// Windows whose sides coincide with `b`'s — flush with one side, one
+/// ulp short of it, zero-width or zero-height on it — where Step 1's MBR
+/// proof ([`Rect::covers_an_extent_of`]) is decided by one comparison.
+fn mbr_windows(b: Rect) -> Vec<Rect> {
+    let s = 0.05 * b.width().max(b.height());
+    let (x0, y0, x1, y1) = (b.xmin(), b.ymin(), b.xmax(), b.ymax());
+    let (cx, cy) = (b.center().x, b.center().y);
+    vec![
+        b,
+        Rect::from_bounds(x0, y0 - s, x1, y0),
+        Rect::from_bounds(x0, y1, x1, y1 + s),
+        Rect::from_bounds(x0 - s, y0, x0, y1),
+        Rect::from_bounds(x1, y0, x1 + s, y1),
+        Rect::from_bounds(x0, cy, x1, cy),
+        Rect::from_bounds(cx, y0, cx, y1),
+        Rect::from_bounds(x0, y0, x0, y1),
+        Rect::from_bounds(x0, y1, x1, y1),
+        Rect::from_bounds(x0.next_up(), y0, x1, y1.next_down()),
+        Rect::from_bounds(x0, cy, x1.next_down(), cy + s),
+        Rect::from_bounds(cx, y0.next_up(), cx + s, y1),
+    ]
+}
+
+/// Step 1 proves a window's hit from the MBR alone. Every proof, and
+/// every answer of the default engine on both backends, equals
+/// `region_intersects_rect` on every candidate: at every scale, on holed
+/// regions, needles and slivers, with windows flush with an MBR side and
+/// zero-width or zero-height windows.
+#[test]
+fn window_answers_equal_the_region_test_on_every_candidate() {
+    let grid = JoinConfig::builder()
+        .backend(Backend::PartitionedSweep {
+            tiles_per_axis: 6,
+            threads: 1,
+        })
+        .build();
+    for (scale, rel) in scales() {
+        assert!(rel.iter().any(|o| !o.region.holes().is_empty()), "{scale}");
+        let keys = rel.iter().map(|o| (o.mbr(), o.id));
+        let tree = RStarTree::bulk_load(PageLayout::with_extra_bytes(4096, 16), keys);
+        let engines = [JoinConfig::default(), grid].map(|config| {
+            let engine = SpatialEngine::new(config);
+            let dataset = engine.register(rel.clone());
+            (engine, dataset)
+        });
+        let (mut proved_hits, mut candidates) = (0usize, 0usize);
+        for o in rel.iter() {
+            let windows: Vec<Rect> = (windows(&o.region).into_iter())
+                .chain(mbr_windows(o.mbr()))
+                .collect();
+            let meets = |id: ObjectId, w: &Rect| {
+                region_intersects_rect(&rel.object(id).region, w, &mut OpCounts::new())
+            };
+            for w in &windows {
+                let (mut ids, mut proved) = (Vec::new(), Vec::new());
+                tree.window_query_proving(*w, &mut (), &mut ids, &mut proved);
+                for (&id, &proof) in ids.iter().zip(&proved) {
+                    assert!(!proof || meets(id, w), "{scale}: {id} proved in {w:?}");
+                    proved_hits += proof as usize;
+                }
+                candidates += ids.len();
+            }
+            for (engine, dataset) in &engines {
+                let answers = engine.window_query_batch(dataset, &windows);
+                for (answer, w) in answers.iter().zip(&windows) {
+                    let mut got = answer.ids.clone();
+                    got.sort_unstable();
+                    let want: Vec<ObjectId> = (rel.iter())
+                        .filter(|c| c.mbr().intersects(w) && meets(c.id, w))
+                        .map(|c| c.id)
+                        .collect();
+                    let backend = engine.config().join.backend;
+                    assert_eq!(got, want, "{scale}, {backend:?}: window {w:?}");
+                }
+            }
+        }
+        println!("{scale}: Step 1 proved {proved_hits} of {candidates} window candidates");
+        assert!(proved_hits > 0, "{scale}: nothing proved");
     }
 }
 

@@ -114,14 +114,15 @@ fn a_warm_join_and_warm_probes_allocate_nothing() {
     let side = world.width() * 0.02_f64.sqrt();
     let window = |i: usize| Rect::new(at(i), Point::new(at(i).x + side, at(i).y + side));
     let mut ids = Vec::new();
-    let mut stats = Vec::new();
+    let (mut proved, mut stats) = (Vec::new(), Vec::new());
     let mut probe_all = |ids: &mut Vec<u32>| {
         let mut found = 0;
         for i in 0..1000 {
             ids.clear();
+            proved.clear();
             stats.clear();
             source.point_candidates(&[at(i)], ids, &mut stats);
-            source.window_candidates(&[window(i)], ids, &mut stats);
+            source.window_candidates(&[window(i)], ids, &mut proved, &mut stats);
             found += stats.iter().map(|probe| probe.candidates).sum::<u64>();
         }
         found

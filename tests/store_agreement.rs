@@ -27,17 +27,17 @@
 //!   *pair* segment beside current dataset files is rebuilt and
 //!   rewritten.
 //! * **Another configuration** — a directory written under the paper's
-//!   TR* node capacity, or with a 5-corner conservative section, opens
-//!   under the default: rebuilt once, refreshed in place, adopted from
-//!   then on.
+//!   TR* node capacity, with a 5-corner conservative section or with a
+//!   MER section, opens under the default: rebuilt once, refreshed in
+//!   place, adopted from then on.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use msj::approx::ConservativeKind;
+use msj::approx::{ConservativeKind, ProgressiveKind};
 use msj::core::{
-    Backend, EngineConfig, Execution, FaultConfig, FaultKind, JoinConfig, Request, Response,
-    SpatialEngine, StoreConfig,
+    Backend, EngineConfig, Execution, FaultConfig, FaultKind, JoinConfig, JoinConfigBuilder,
+    Request, Response, SpatialEngine, StoreConfig,
 };
 use msj::exact::ExactAlgorithm;
 use msj::geom::{Point, Rect, Relation};
@@ -99,14 +99,25 @@ fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> EngineC
     }
 }
 
-/// `cfg` with the paper's 5-corner conservative stage added — the plan
-/// whose segments carry every dataset section, `Conservative` included.
-fn five_corner(mut cfg: EngineConfig) -> EngineConfig {
-    cfg.join = cfg
-        .join
-        .to_builder()
-        .conservative(ConservativeKind::FiveCorner)
-        .build();
+/// `cfg` with the paper's 5-corner and MER stages added — the plan whose
+/// segments carry every dataset section, `Conservative` and `Progressive`
+/// included.
+fn with_approximations(cfg: EngineConfig) -> EngineConfig {
+    with_mer(with_join(cfg, |join| {
+        join.conservative(ConservativeKind::FiveCorner)
+    }))
+}
+
+/// `cfg` with a MER stored — the default's plan before it retired MER.
+fn with_mer(cfg: EngineConfig) -> EngineConfig {
+    with_join(cfg, |join| join.progressive(ProgressiveKind::Mer))
+}
+
+fn with_join(
+    mut cfg: EngineConfig,
+    edit: impl FnOnce(JoinConfigBuilder) -> JoinConfigBuilder,
+) -> EngineConfig {
+    cfg.join = edit(cfg.join.to_builder()).build();
     cfg
 }
 
@@ -289,14 +300,14 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
     let a = msj::datagen::small_carto(120, 24.0, 9106);
     let b = msj::datagen::small_carto(120, 24.0, 9107);
     let requests = workload(&a);
-    let cfg = five_corner(config(
+    let cfg = with_approximations(config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
     ));
 
-    // The default plan stores no conservative approximation, so its
-    // segments have no `Conservative` section to corrupt.
+    // The default plan stores no approximation, so its segments have no
+    // `Conservative` or `Progressive` section to corrupt.
     let default_dir = tmp_store("chaos-default");
     SpatialEngine::new(JoinConfig::default())
         .with_store(StoreConfig::new(&default_dir))
@@ -305,11 +316,13 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
     let default_segment = msj_store::Store::open(&default_dir)
         .and_then(|store| store.read_dataset(0, None))
         .expect("segment reads");
-    assert!(default_segment.section(Section::Progressive).is_some());
-    assert!(
-        default_segment.section(Section::Conservative).is_none(),
-        "the default wrote a conservative section"
-    );
+    for section in [Section::Conservative, Section::Progressive] {
+        assert!(
+            default_segment.section(section).is_none(),
+            "the default wrote a {} section",
+            section.name()
+        );
+    }
     std::fs::remove_dir_all(&default_dir).ok();
 
     // Seed the store once, clean, under a plan that writes every dataset
@@ -337,7 +350,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         // --- Step-0 sections: the load detects the flip, rebuilds the
         // artifact from the resident relation, and answers identically.
         for section in dataset_sections {
-            let faulty = five_corner(config(
+            let faulty = with_approximations(config(
                 Backend::RStarTraversal,
                 Execution::Serial,
                 FaultConfig::seeded(seed, FaultKind::StoreCorrupt { section }),
@@ -366,7 +379,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         // and writes the segment through. A clean open then adopts that
         // segment as it is.
         for section in [Section::RasterA, Section::RasterB] {
-            let faulty = five_corner(config(
+            let faulty = with_approximations(config(
                 Backend::RStarTraversal,
                 Execution::Serial,
                 FaultConfig::seeded(seed, FaultKind::StoreCorrupt { section }),
@@ -418,7 +431,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
 
         // --- The relation section is the one artifact with no rebuild
         // source: the open must fail with a clean error, never panic.
-        let faulty = five_corner(config(
+        let faulty = with_approximations(config(
             Backend::RStarTraversal,
             Execution::Serial,
             FaultConfig::seeded(
@@ -968,22 +981,48 @@ fn store_written_at_the_papers_capacity_is_refreshed_under_the_default() {
 #[test]
 fn store_written_with_five_corner_opens_under_the_default() {
     // The conservative kind is part of the config tag: a directory
-    // written under a plan that stores 5-C is a tag miss for the default,
-    // which stores none, not a corruption. Each dataset is rebuilt once,
-    // written back without its `Conservative` section, and adopted from
-    // then on.
-    let (a, b) = (
-        msj::datagen::small_carto(120, 24.0, 9118),
-        msj::datagen::small_carto(120, 24.0, 9119),
-    );
-    let requests = workload(&a);
+    // written under a plan that stores 5-C (and MER, as the default did
+    // then) is a tag miss for the default, which stores neither, not a
+    // corruption.
     let cfg = config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
     );
-    let old = five_corner(cfg);
-    let dir = tmp_store("five-corner");
+    let dropped = [Section::Conservative, Section::Progressive];
+    stale_plan_opens_under_the_default(with_approximations(cfg), cfg, &dropped, 9118);
+}
+
+#[test]
+fn store_written_with_mer_opens_under_the_default() {
+    // The progressive kind is part of the config tag too: a directory
+    // written under the default that stored a MER is a tag miss for
+    // today's, which stores none.
+    let cfg = config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    );
+    stale_plan_opens_under_the_default(with_mer(cfg), cfg, &[Section::Progressive], 9120);
+}
+
+/// A directory written under `old` opens under `cfg`: each dataset is
+/// rebuilt once, answers and Step-3 counts equal a fresh engine's, and
+/// its segment is written back without the `dropped` sections and with
+/// the stored relation image as it was. From then on every section is
+/// adopted, the relation undecoded.
+fn stale_plan_opens_under_the_default(
+    old: EngineConfig,
+    cfg: EngineConfig,
+    dropped: &[Section],
+    seed: u64,
+) {
+    let (a, b) = (
+        msj::datagen::small_carto(120, 24.0, seed),
+        msj::datagen::small_carto(120, 24.0, seed + 1),
+    );
+    let requests = workload(&a);
+    let dir = tmp_store("stale-plan");
     {
         let engine = SpatialEngine::new(old)
             .with_store(StoreConfig::new(&dir))
@@ -996,7 +1035,9 @@ fn store_written_with_five_corner_opens_under_the_default() {
     let segment = |id| store.read_dataset(id, None).expect("segment reads");
     let old_tags = [0, 1].map(|id| {
         let segment = segment(id);
-        assert!(segment.section(Section::Conservative).is_some());
+        for &section in dropped {
+            assert!(segment.section(section).is_some(), "{}", section.name());
+        }
         segment.config_tag
     });
     let relation_image = |id| {
@@ -1023,10 +1064,14 @@ fn store_written_with_five_corner_opens_under_the_default() {
         stats.filter_false_hits, 0,
         "no conservative stage, no false hit"
     );
-    let built = ["tree", "progressive", "trstar"];
+    let (built, idle) = (["tree", "trstar"], ["conservative", "progressive"]);
 
     let first = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("first open");
-    assert_eq!(run(&first, &requests), reference, "answers moved with 5-C");
+    assert_eq!(
+        run(&first, &requests),
+        reference,
+        "answers moved with the plan"
+    );
     assert_eq!(exact_counts(&first), tests_and_hits);
     assert_no_checksum_failures(
         &first.metrics().render_prometheus(),
@@ -1038,12 +1083,16 @@ fn store_written_with_five_corner_opens_under_the_default() {
             "{artifact} not rebuilt"
         );
     }
-    assert_eq!(artifact_nanos(&first, "conservative"), 0);
+    for artifact in idle {
+        assert_eq!(artifact_nanos(&first, artifact), 0, "{artifact} built");
+    }
     drop(first);
     for (id, old_tag) in (0..).zip(old_tags) {
         let segment = segment(id);
         assert_ne!(segment.config_tag, old_tag, "ds_{id} keeps the old tag");
-        assert!(segment.section(Section::Conservative).is_none());
+        for &section in dropped {
+            assert!(segment.section(section).is_none(), "{}", section.name());
+        }
         // The refresh wrote the stored relation image as it was.
         assert_eq!(relation_image(id), old_relations[id as usize], "ds_{id}");
     }
@@ -1052,7 +1101,7 @@ fn store_written_with_five_corner_opens_under_the_default() {
     assert_eq!(run(&second, &requests), reference);
     assert_eq!(exact_counts(&second), tests_and_hits);
     assert_no_checksum_failures(&second.metrics().render_prometheus(), "clean open");
-    for artifact in built.iter().chain(&["conservative"]) {
+    for artifact in built.iter().chain(&idle) {
         assert_eq!(
             artifact_nanos(&second, artifact),
             0,
@@ -1107,8 +1156,8 @@ fn section_of_another_length_is_rebuilt_not_adopted() {
     let a = msj::datagen::small_carto(120, 24.0, 9110);
     let b = msj::datagen::small_carto(90, 24.0, 9111);
     let requests = workload(&a);
-    // Under 5-C, so the `Conservative` section is transplanted too.
-    let cfg = five_corner(config(
+    // Under 5-C and MER, so those sections are transplanted too.
+    let cfg = with_approximations(config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
