@@ -332,7 +332,17 @@ impl SelectMargin {
 /// *same* pair of edges are merged vertically (a region between two
 /// straight edges across several bands is still one trapezoid), which
 /// brings the output size close to the minimal partition of [AA 83].
+///
+/// The trapezoids come in band order: by the band each one starts in,
+/// then left to right.
 pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
+    let mut traps = Vec::new();
+    decompose_into(region, &mut traps);
+    traps
+}
+
+/// [`decompose`] appending to `traps`, which the TR* arena packs in place.
+pub(crate) fn decompose_into(region: &PolygonWithHoles, traps: &mut Vec<Trapezoid>) {
     let mut ys: Vec<f64> = region
         .outer()
         .vertices()
@@ -346,7 +356,6 @@ pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
     // Collect all edges once.
     let edges: Vec<(Point, Point)> = region.edges().map(|e| (e.a, e.b)).collect();
 
-    let mut traps: Vec<Trapezoid> = Vec::with_capacity(2 * edges.len());
     // Open trapezoids from the previous band: (left edge id, right edge
     // id, index into `traps`). The trapezoid at that index still ends at
     // the previous band's top and can be extended.
@@ -400,7 +409,6 @@ pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
         }
         std::mem::swap(&mut open, &mut next_open);
     }
-    traps
 }
 
 #[cfg(test)]

@@ -11,6 +11,26 @@
 //! weight 28), and leaf trapezoid pairs decide (trapezoid intersection
 //! tests, weight 38).
 //!
+//! # Construction
+//!
+//! The trees are **packed**, not built by R* insertion as the paper's
+//! are (a deviation): an object's trapezoids stay in decomposition
+//! order, which is band order; an object of at most `M` trapezoids is
+//! one leaf, a larger one gets balanced leaves of `M − 1` consecutive
+//! trapezoids (at least two), and each directory level packs the level
+//! below in runs of `M` (see `pack.rs`). Nothing is chosen per
+//! entry, so building costs the decomposition and one pass over it; R*
+//! insertion (choose-subtree, forced reinsert, splits) was about two
+//! thirds of the build. The trees answer the same, and test a little
+//! more: on the seeded 300-pair set of `tests/agreement.rs`, rectangle
+//! tests went 4,713 → 4,973 (+5.5 %) and trapezoid tests 210 → 218 at
+//! M = 3, and 5,872 → 6,973 (+18.7 %) and 206 → 203 at M = 6; the
+//! benchmark's refine join (M = 6) went from 58.5k to 63.7k weighted
+//! operations (+8.8 %) at an unchanged join time, and the paper's Table 7
+//! TR* totals from 617 to 651 (Europe A) and 416 to 445 (BW A). Leaves
+//! of `M` made 70.8k weighted operations on that join, and an STR-packed
+//! prototype 89k.
+//!
 //! # Layout
 //!
 //! All trees of a relation live in one [`TrStarStore`] — a flat arena of
@@ -45,11 +65,10 @@
 //! heights up to 12 at M = 6 (31 at M = 3, 9 at M = 8); taller pairs
 //! spill to the heap and stay correct.
 
-mod builder;
+mod pack;
 
 use crate::cost::OpCounts;
-use crate::trapezoid::{decompose, SelectMargin, Trapezoid, XSpan};
-use builder::TreeBuilder;
+use crate::trapezoid::{decompose_into, SelectMargin, Trapezoid, XSpan};
 use msj_geom::stack::InlineStack;
 use msj_geom::{cast_slice, ObjectId, Plain, Point, PolygonWithHoles, Rect, Relation, SharedBytes};
 use std::fmt;
@@ -137,13 +156,9 @@ struct Built {
     traps: Vec<Trapezoid>,
 }
 
-impl Built {
-    /// Seals the object whose nodes and trapezoids were just appended.
-    fn close_object(&mut self) {
-        let as_offset = |len: usize| u32::try_from(len).expect("TR* arena exceeds u32 offsets");
-        self.node_offsets.push(as_offset(self.nodes.len()));
-        self.trap_offsets.push(as_offset(self.traps.len()));
-    }
+/// A column length as an offset-table entry.
+fn as_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("TR* arena exceeds u32 offsets")
 }
 
 impl Drop for Built {
@@ -220,22 +235,19 @@ impl TrStarStore {
     /// 3 makes the fewest weighted operations, 6–8 the fastest and
     /// smallest arena).
     ///
-    /// The two arena columns are sized from the relation's vertex count
-    /// before the first tree is built and trimmed after the last. Grown
-    /// by doubling instead, each of them is copied at 8, 16, … MB with
-    /// both copies alive — on a 10k-object relation that alone moved the
-    /// process's peak resident set by up to a quarter, depending on where
-    /// the allocator happened to place the copies.
+    /// The trapezoid column is sized from the relation's vertex count
+    /// before the first object is decomposed (a decomposition has at most
+    /// one trapezoid per vertex) and trimmed after the last; the node
+    /// column is sized exactly from the trapezoid counts before the first
+    /// tree is packed. Grown by doubling instead, each of them is copied
+    /// at 8, 16, … MB with both copies alive — on a 10k-object relation
+    /// that alone moved the process's peak resident set by up to a
+    /// quarter, depending on where the allocator happened to place the
+    /// copies.
     pub fn build(relation: &Relation, max_entries: usize) -> Self {
         let vertices = relation.iter().map(|o| o.region.num_vertices()).sum();
         let regions = relation.iter().map(|o| &o.region);
-        let (max_entries, mut built) = Self::build_columns(regions, max_entries, vertices);
-        built.nodes.shrink_to_fit();
-        built.traps.shrink_to_fit();
-        TrStarStore {
-            max_entries,
-            columns: Columns::Built(built),
-        }
+        Self::build_columns(regions, max_entries, vertices)
     }
 
     /// Builds one tree per region, in iteration order (object ids are
@@ -244,40 +256,29 @@ impl TrStarStore {
         regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
         max_entries: usize,
     ) -> Self {
-        let (max_entries, built) = Self::build_columns(regions, max_entries, 0);
-        TrStarStore {
-            max_entries,
-            columns: Columns::Built(built),
-        }
+        Self::build_columns(regions, max_entries, 0)
     }
 
-    /// The columns of [`TrStarStore::from_regions`] with room for regions
-    /// of `vertices` vertices in total, and the clamped node capacity: a
-    /// decomposition has at most one trapezoid per vertex, and the
-    /// generated relations need 1.1–1.73 nodes per `M − 1` vertices at
-    /// every M from 3 to 10 (0.22–0.33 per vertex at M = 6). The
-    /// reservation is 1.75; twice the need — what the M = 3 fit of
-    /// `3 / (M − 1)` gave at M = 6 — measured 2.6 MB more peak resident
-    /// set on a 10k-object relation. (An estimate only sizes the columns;
-    /// past it they grow as any `Vec`.)
+    /// [`TrStarStore::from_regions`] with room for `vertices` trapezoids:
+    /// every region is decomposed onto the trapezoid column, which is then
+    /// trimmed, and the trees are packed over it.
     fn build_columns<'r>(
         regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
         max_entries: usize,
         vertices: usize,
-    ) -> (u32, Built) {
+    ) -> Self {
         let max_entries = max_entries.clamp(2, u16::MAX as usize);
-        let mut built = Built {
-            node_offsets: vec![0],
-            trap_offsets: vec![0],
-            nodes: Vec::with_capacity(7 * vertices / (4 * (max_entries - 1))),
-            traps: Vec::with_capacity(vertices),
-        };
-        let mut builder = TreeBuilder::new(max_entries);
+        let mut traps = Vec::with_capacity(vertices);
+        let mut trap_offsets = vec![0];
         for region in regions {
-            builder.build(decompose(region));
-            builder.freeze_into(&mut built);
+            decompose_into(region, &mut traps);
+            trap_offsets.push(as_offset(traps.len()));
         }
-        (max_entries as u32, built)
+        traps.shrink_to_fit();
+        TrStarStore {
+            max_entries: max_entries as u32,
+            columns: Columns::Built(pack::pack(traps, trap_offsets, max_entries)),
+        }
     }
 
     /// The four columns as plain slices. Where they live — built here or
@@ -757,6 +758,7 @@ fn dual_traverse(
 mod tests {
     use super::*;
     use crate::quadratic::quadratic_intersects;
+    use crate::trapezoid::decompose;
     use msj_geom::Polygon;
 
     fn region(coords: &[(f64, f64)]) -> PolygonWithHoles {

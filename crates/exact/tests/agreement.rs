@@ -2,7 +2,7 @@
 //! and without restriction) and the TR*-tree must implement the *same*
 //! closed-region intersection predicate on arbitrary generated shapes.
 //! The TR*-tree side runs over the flat arena's views; a golden
-//! operation count pins its traversal order to the pointer tree's.
+//! operation count pins its traversal order and the packer's trees.
 
 use msj_datagen::{blob, carve_hole, BlobParams, HoleParams};
 use msj_exact::{quadratic_intersects, sweep_intersects, trees_intersect, OpCounts, TrStarStore};
@@ -58,19 +58,19 @@ fn golden_pairs() -> Vec<(PolygonWithHoles, PolygonWithHoles)> {
 }
 
 /// Totals recorded on `golden_pairs()`: hits, rectangle tests, trapezoid
-/// tests per node capacity — M = 3, 4, 5 at the pointer-forest
-/// `TrStarTree` with the generic SAT, M = 6 and 8 at the last commit
-/// whose leaf × leaf loop recomputed leaf `b`'s trapezoid MBRs per
-/// trapezoid of `a` (PR 21). A traversal that visits pairs in another
-/// order finds its hits at other moments and these move; a leaf loop
-/// that counts a hit's pretests differently (`j + 1`, not the whole
-/// leaf) moves the middle column alone.
+/// tests per node capacity, over the packed trees (one leaf up to `M`
+/// trapezoids, else leaves of `M − 1` in decomposition order). A
+/// traversal that visits pairs in another order, or a packer that groups
+/// trapezoids otherwise, finds the hits at other moments and moves the
+/// two counts; a leaf loop that counts a hit's pretests differently
+/// (`j + 1`, not the whole leaf) moves the middle column alone. The hits
+/// are the quadratic test's and never move.
 const GOLDEN: [(usize, u64, u64, u64); 5] = [
-    (3, 135, 4713, 210),
-    (4, 135, 4591, 202),
-    (5, 135, 4921, 203),
-    (6, 135, 5872, 206),
-    (8, 135, 7099, 186),
+    (3, 135, 4973, 218),
+    (4, 135, 5242, 209),
+    (5, 135, 6063, 209),
+    (6, 135, 6973, 203),
+    (8, 135, 9066, 198),
 ];
 
 /// Node capacities every agreement property runs at: the minimum, the
@@ -79,7 +79,7 @@ const GOLDEN: [(usize, u64, u64, u64); 5] = [
 const CAPACITIES: [usize; 6] = [2, 3, 4, 6, 8, 16];
 
 #[test]
-fn arena_traversal_repeats_the_pointer_forest_counts() {
+fn arena_traversal_repeats_the_recorded_counts() {
     let pairs = golden_pairs();
     assert!(pairs.iter().filter(|(a, _)| !a.holes().is_empty()).count() > 30);
     for (m, hits, rect_rect, trapezoid) in GOLDEN {
@@ -100,20 +100,20 @@ fn arena_traversal_repeats_the_pointer_forest_counts() {
     }
 }
 
-/// FNV-1a of `TrStarStore::to_bytes()` as the parent commit (PR 12,
-/// per-node `Vec` builder) wrote it: the image pins every split,
-/// forced reinsert and child order the builder chooses.
+/// Length and FNV-1a of `TrStarStore::to_bytes()` as the packer writes
+/// it: the image pins the trapezoid order, every leaf and directory run
+/// and the node count the packer chooses.
 #[test]
-fn builder_writes_the_parent_commits_arena_bytes() {
+fn packer_writes_the_recorded_arena_bytes() {
     let plain = msj_datagen::skewed_carto(1_500, 24.0, 7);
     let image = TrStarStore::build(&plain, 3).to_bytes();
-    assert_eq!(image.len(), 2_449_160);
-    assert_eq!(fnv1a64(&image), 0xd3d2_0be8_3b74_cd0a);
+    assert_eq!(image.len(), 2_387_640);
+    assert_eq!(fnv1a64(&image), 0x141a_97db_8c5f_1f76);
 
     let holed = msj_datagen::carto_with_holes(600, 30.0, 11);
     let image = TrStarStore::build(&holed, 5).to_bytes();
-    assert_eq!(image.len(), 1_123_824);
-    assert_eq!(fnv1a64(&image), 0x2c1c_ee04_dbba_a92f);
+    assert_eq!(image.len(), 1_067_944);
+    assert_eq!(fnv1a64(&image), 0xa379_18cf_fb4c_d225);
 }
 
 proptest! {

@@ -5,7 +5,8 @@
 //!
 //! 1. observability on vs off on the fused ×4 join: < 3 %;
 //! 2. fault hooks armed (never firing) vs disabled on the same join: < 1 %;
-//! 3. a deadline at half the join's wall: overshoot ≤ 2 × one batch;
+//! 3. a deadline at half the join's wall: median overshoot of five runs
+//!    ≤ 2 × one batch;
 //! 4. a cold [`SpatialEngine::open`] vs reading the same segment files
 //!    and verifying them with the store's checksum: ≤ 4.5 ×;
 //! 5. cross-request batching over the wire vs serial ping-pong: faster.
@@ -15,7 +16,9 @@
 //! store floor). Ratios are taken per round — both sides back to back, so
 //! a load spike inflates both and cancels — and the best round counts.
 //! The observability guard, whose budget sits inside the spread between
-//! engine instances, takes the median pair over many rounds instead. A
+//! engine instances, takes the median pair over many rounds instead, and
+//! the deadline guard, which times one run and not a ratio, the median
+//! of five runs. A
 //! debug build runs each workload once, at a tenth of the size, keeps the
 //! assertions that are not about time, and only reports the ratio.
 //!
@@ -189,8 +192,15 @@ fn armed_but_silent_fault_hooks_cost_under_one_percent() {
     verdict(off, JOIN_BASELINE_SECS, overhead < 0.01, reading);
 }
 
+/// Deadline runs of the deadline guard; the median overshoot counts.
+const DEADLINE_RUNS: usize = 5;
+
 /// Cancellation is cooperative at batch boundaries, so a blown deadline
-/// may be noticed up to one batch per worker late.
+/// may be noticed up to one batch per worker late. One scheduling stall
+/// of a 2-vCPU host can hold a single run several milliseconds past
+/// that, so the median of [`DEADLINE_RUNS`] runs is held to the bound: a
+/// stall in one run moves it little, a late cancellation check moves
+/// every run.
 #[test]
 fn deadline_overshoot_stays_within_two_batches() {
     let (a, b) = skewed_pair();
@@ -216,17 +226,25 @@ fn deadline_overshoot_stays_within_two_batches() {
     // work in the paper's cost units, which can sit far above wall-clock,
     // and the deadline must be one the join can actually blow.
     let deadline_secs = 0.5 * clean.admission.estimated_s.min(clean_secs);
-    let token = CancelToken::with_deadline(Duration::from_secs_f64(deadline_secs));
-    let start = Instant::now();
-    let outcome = engine.submit_with_cancel(request, &token);
-    let overshoot = (start.elapsed().as_secs_f64() - deadline_secs).max(0.0);
-    assert!(
-        matches!(outcome, Err(EngineError::DeadlineExceeded { .. })),
-        "deadline at 50% of the clean wall must trip, got {outcome:?}"
-    );
+    let mut overshoots: Vec<f64> = (0..DEADLINE_RUNS)
+        .map(|_| {
+            let token = CancelToken::with_deadline(Duration::from_secs_f64(deadline_secs));
+            let start = Instant::now();
+            let outcome = engine.submit_with_cancel(request, &token);
+            let overshoot = (start.elapsed().as_secs_f64() - deadline_secs).max(0.0);
+            assert!(
+                matches!(outcome, Err(EngineError::DeadlineExceeded { .. })),
+                "deadline at 50% of the clean wall must trip, got {outcome:?}"
+            );
+            overshoot
+        })
+        .collect();
+    let runs_ms: Vec<f64> = overshoots.iter().map(|o| o * 1e3).collect();
+    overshoots.sort_by(f64::total_cmp);
+    let overshoot = overshoots[DEADLINE_RUNS / 2];
     let bound = (2.0 * batch_secs).max(0.001);
     let reading = format!(
-        "deadline overshoot {:.3} ms vs the bound of 2 x one batch = {:.3} ms",
+        "deadline overshoot {:.3} ms, the median of {runs_ms:.1?} ms, vs the bound of 2 x one batch = {:.3} ms",
         overshoot * 1e3,
         bound * 1e3,
     );
@@ -241,10 +259,11 @@ fn deadline_overshoot_stays_within_two_batches() {
 /// relation, R*-tree and approximation columns and validating the arena:
 /// 1.4–3.3 × the floor, median 2.2, over 160 readings on a 2-vCPU host in
 /// both of its scheduling states. 4.5 × leaves head-room over that and
-/// fails an open that builds the TR* arena (16–24 ×) or the conservative
-/// columns instead of adopting them. It cannot catch a rebuilt R*-tree
-/// (≈ 2.3 ×: bulk loading costs ≈ 0.2 × the floor, inside the spread of a
-/// clean open), nor an arena copied out of the buffer (2.5–3.8 ×).
+/// fails an open that builds the TR* arena (8.3–11.3 × over six
+/// readings) or the conservative columns instead of adopting them. It
+/// cannot catch a rebuilt R*-tree (≈ 2.3 ×: bulk loading costs ≈ 0.2 ×
+/// the floor, inside the spread of a clean open), nor an arena copied out
+/// of the buffer (2.5–3.8 ×).
 #[test]
 fn cold_open_stays_within_four_and_a_half_read_and_checksum_floors() {
     let (a, b) = skewed_pair();
