@@ -8,7 +8,9 @@
 //! * **sweep** — the forward plane-sweep MBR kernel
 //!   ([`msj_geom::kernels::sweep_scan`]) over the xmin-sorted SoA
 //!   columns of both relations, exactly the Step-1 inner loop of the
-//!   partitioned backend and the R*-traversal's equal-level merge.
+//!   partitioned backend's tile sweeps. (The R*-traversal's node pairs
+//!   leave runs a few entries long after restriction; `msj-sam` sweeps
+//!   them inline.)
 //!
 //! (Step 2a, [`msj_approx::raster_decide`], is one search-based function
 //! on every path, and Step 2's MER test is one rectangle comparison per
@@ -170,8 +172,7 @@ pub fn kernels(cfg: &ExpConfig) -> String {
     );
     out.push_str(&format!(
         "auto-detected widest path: {}; every kernel's output digest is asserted\n\
-         equal across paths (the scalar-agreement gate); items = pair tests for\n\
-         the sweep, candidate pairs for the mask kernels\n\n",
+         equal across paths (the scalar-agreement gate); items = pair tests\n\n",
         KernelDispatch::auto().label()
     ));
     let cells = measure_kernels(cfg);

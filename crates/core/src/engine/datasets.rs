@@ -171,8 +171,7 @@ impl DatasetArtifacts {
         };
         let selection = SelectionState::new(
             relation.clone().into(),
-            config,
-            engine.kernel_dispatch(),
+            engine,
             tree.clone(),
             conservative.clone(),
             progressive.clone(),

@@ -8,17 +8,17 @@
 //! 1. R*-tree point/window query on the MBR keys → candidates, a window
 //!    proving those whose MBR extent it covers (on the leaf in hand);
 //! 2. geometric filter, where approximations are stored (the default
-//!    stores none), cheapest proof first: the wide MER mask, then the
-//!    conservative test on the rest, then a non-MER progressive (MEC);
+//!    stores none), cheapest proof first: the MER, then the conservative
+//!    test on the rest, then a non-MER progressive (MEC), one candidate
+//!    at a time;
 //! 3. exact test for the remainder, as one pass per batch: a descent of
 //!    the object's TR*-tree (§4.2, [`msj_exact::SelectionRefiner`]) where it
 //!    proves the answer, the region's edges elsewhere — the same answers.
 
 use crate::candidates::{self, CandidateSource, SelectionStats};
-use crate::config::JoinConfig;
+use crate::config::EngineConfig;
 use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
 use msj_exact::{OpCounts, SelectProbe, SelectionRefiner, TrStarStore};
-use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{ObjectId, Point, Rect, RelHandle};
 use msj_obs::{Span, Step, StepSpans};
 use msj_sam::RStarTree;
@@ -54,16 +54,12 @@ pub(crate) trait Probe: Copy + SelectProbe {
         stats: &mut Vec<SelectionStats>,
     );
 
-    /// The wide MER test: pushes, per candidate id, whether the probe
-    /// provably meets `mers[id]` (NaN-sentinel slots land `false`,
-    /// exactly like [`Progressive::Empty`]).
-    fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>);
-
     /// `false` proves a false hit: the probe misses the conservative
     /// approximation.
     fn meets_conservative(&self, cons: &ConsView<'_>) -> bool;
 
-    /// `true` proves a hit: the probe meets the enclosed shape.
+    /// `true` proves a hit: the probe meets the enclosed shape. A MER's
+    /// NaN sentinel meets nothing, like [`Progressive::Empty`].
     fn meets_progressive(&self, prog: &Progressive) -> bool;
 }
 
@@ -79,10 +75,6 @@ impl Probe for Point {
     ) {
         source.point_candidates(probes, out, stats);
         proved.resize(out.len(), false); // a point proves nothing from an MBR
-    }
-
-    fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>) {
-        kernels::rects_contain_point(d, mers, ids, *self, mask)
     }
 
     fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
@@ -111,10 +103,6 @@ impl Probe for Rect {
         source.window_candidates(probes, out, proved, stats)
     }
 
-    fn mer_mask(&self, d: KernelDispatch, mers: &[Rect], ids: &[ObjectId], mask: &mut Vec<bool>) {
-        kernels::rects_intersect_query(d, mers, ids, self, mask)
-    }
-
     fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
         cons.intersects(&ConsView::Rect(self))
     }
@@ -132,30 +120,27 @@ pub(crate) struct SelectionState {
     conservative: Option<Arc<ConservativeStore>>,
     progressive: Option<Arc<ProgressiveStore>>,
     refiner: SelectionRefiner,
-    /// Kernel path of the wide MER probe masks; the rest of the chain
-    /// stays scalar. Outcomes are identical on every path.
-    dispatch: KernelDispatch,
 }
 
 impl SelectionState {
     /// Assembles the state around a Step-1 index and stores built once at
-    /// dataset registration.
+    /// dataset registration, its source on the engine's kernel dispatch.
     pub fn new(
         relation: RelHandle<'static>,
-        config: &JoinConfig,
-        dispatch: KernelDispatch,
+        engine: &EngineConfig,
         tree: Option<Arc<RStarTree>>,
         conservative: Option<Arc<ConservativeStore>>,
         progressive: Option<Arc<ProgressiveStore>>,
         trstar: Option<Arc<TrStarStore>>,
     ) -> Self {
-        let source = candidates::source_with(config, dispatch, relation.clone(), None, tree, None);
+        let dispatch = engine.kernel_dispatch();
+        let source =
+            candidates::source_with(&engine.join, dispatch, relation.clone(), None, tree, None);
         SelectionState {
             refiner: SelectionRefiner::new(relation, trstar),
             source,
             conservative,
             progressive,
-            dispatch,
         }
     }
 
@@ -183,33 +168,31 @@ impl SelectionState {
             spans.finish(Step::Step1, t);
         }
         let t_rest = spans.map(|_| Span::start());
-        // `hit` starts as Step 1's proofs and takes the wide MER mask.
-        // MER ⊆ object ⊆ conservative, so testing a configured
-        // conservative approximation on the rest only gives every outcome
-        // and count of the paper-order chain.
+        // `hit` starts as Step 1's proofs. MER ⊆ object ⊆ conservative, so
+        // a stored MER tested first and a configured conservative
+        // approximation on the rest give every outcome and count of the
+        // paper-order chain; where rounding breaks that claim (the debug
+        // assertion), the MER's proof stands.
         let mers = self.progressive.as_deref().and_then(|p| p.mer_column());
         let mec = self.progressive.as_deref().filter(|_| mers.is_none());
         let conservative = self.conservative.as_deref();
-        let (mut mer_hit, mut undecided) = (Vec::new(), Vec::new());
+        let mut undecided = Vec::new();
         let mut answers = Vec::with_capacity(probes.len());
         let mut offset = 0usize;
         for (probe, step1) in probes.iter().zip(&probe_stats) {
             let candidates = &all[offset..offset + step1.candidates as usize];
-            if let Some(mers) = mers {
-                mer_hit.clear();
-                probe.mer_mask(self.dispatch, mers, candidates, &mut mer_hit);
-                for (h, m) in hit[offset..].iter_mut().zip(&mer_hit) {
-                    *h |= m;
-                }
-            }
             let mut q = QueryStats {
                 candidates: step1.candidates,
                 node_visits: step1.node_visits,
                 ..QueryStats::default()
             };
+            let mer = |id| {
+                mers.is_some_and(|m| probe.meets_progressive(&Progressive::Mer(m[id as usize])))
+            };
             let cons = |id| conservative.is_none_or(|c| probe.meets_conservative(&c.view(id)));
             for (slot, &id) in (offset..).zip(candidates) {
-                if hit[slot] {
+                if hit[slot] || mer(id) {
+                    hit[slot] = true;
                     debug_assert!(cons(id), "conservative test drops {id}, a proved hit");
                     q.filter_hits += 1;
                 } else if !cons(id) {
@@ -248,6 +231,7 @@ impl SelectionState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::JoinConfig;
     use msj_approx::{ConservativeKind, ProgressiveKind};
     use msj_geom::Relation;
 
@@ -267,12 +251,10 @@ mod tests {
             }
             _ => None,
         };
-        let dispatch = config.kernel_dispatch();
         let relation = RelHandle::from(relation);
         SelectionState::new(
             relation,
-            config,
-            dispatch,
+            &EngineConfig::from(*config),
             None,
             conservative,
             progressive,
@@ -373,8 +355,8 @@ mod tests {
     }
 
     /// How probes are grouped into batches never shows in an answer: the
-    /// batch's shared candidate arena and mask scratch are sliced per
-    /// query exactly as a batch of one would fill them.
+    /// batch's shared candidate arena is sliced per query exactly as a
+    /// batch of one would fill it.
     #[test]
     fn batched_queries_match_serial_per_query_for_all_configs() {
         let rel = msj_datagen::small_carto(60, 24.0, 21);

@@ -1,7 +1,7 @@
 //! Selections take the cheapest proof first — Step 1's MBR proof for
-//! windows, then the MER mask, then the conservative test on the
-//! candidates still unproved, then MEC, then Step 3 as one pass — and
-//! that order must be invisible in every answer:
+//! windows, then the MER, then the conservative test on the candidates
+//! still unproved, then MEC, then Step 3 as one pass — and that order
+//! must be invisible in every answer:
 //!
 //! * a query's ids equal a linear scan over the exact regions, and arrive
 //!   in Step-1 candidate order;

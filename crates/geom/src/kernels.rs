@@ -1,21 +1,24 @@
-//! Runtime-dispatched wide kernels for the engine's hot loops.
+//! Runtime-dispatched wide kernels for Step 1's hot loops.
 //!
-//! Three kernels cover the inner loops of Step 1 and of the selections'
-//! MER test:
+//! Two kernels, each SIMD arm kept for a measured gain on its layer
+//! (2-vCPU x86-64 VM, seed 1, pinned, medians of interleaved runs):
 //!
-//! * [`sweep_scan`] — the forward plane-sweep inner run (`msj-partition`
-//!   tile sweeps, `msj-sam` equal-level node sweeps): scan a window of
-//!   x-sorted entries, stop at the first `xmin > bound`, emit the
-//!   indices whose y-extent overlaps the query band;
-//! * [`rects_vs_rect`] — one query rectangle against SoA MBR columns
-//!   (R*-tree directory pruning and window restriction over per-node
-//!   repacked entry columns);
-//! * [`rects_contain_point`] / [`rects_intersect_query`] — id-gathered
-//!   point-in-rect and window-vs-rect masks (resident point/window
-//!   probes' MER test). Only a plan that stores a MER calls them, such
-//!   as the paper's versions 2 and 3. The default stores none, so a
-//!   default engine runs [`rects_vs_rect`] alone ([`sweep_scan`] serves
-//!   the partitioned backend).
+//! * [`rects_vs_rect`] — one query rectangle against SoA MBR columns:
+//!   the R*-tree join's window restriction over per-node repacked entry
+//!   columns, the default engine's one kernel. Traced `core.step1_ms`
+//!   over 6 rotated rounds, AVX2 / SSE2 / scalar: `join_refine_heavy`
+//!   7.93 / 8.12 / 8.14 ms, `join_filter_heavy` 8.32 / 8.64 / 9.09 ms
+//!   (AVX2 below scalar in 11 of 12 rounds, SSE2 in 9);
+//! * [`sweep_scan`] — the forward plane-sweep inner run of
+//!   `msj-partition`'s tile sweeps: scan a window of x-sorted entries,
+//!   stop at the first `xmin > bound`, emit the indices whose y-extent
+//!   overlaps the query band. `repro kernels`' sweep row: 5.7 / 3.6–3.9
+//!   / 2.6–2.8 ns per pair test, scalar / SSE2 / AVX2 (SSE2 1.5 ×, AVX2
+//!   2.1–2.2 × scalar, three runs).
+//!
+//! Selections test a stored MER with one comparison per candidate in
+//! their filter loop: id-gathered masks for it gained nothing under
+//! `version3()` and were removed.
 //!
 //! Each kernel has three implementations selected by [`KernelDispatch`]:
 //! a portable scalar loop (the semantic reference), an SSE2 path and an
@@ -28,8 +31,7 @@
 //!   exactly like the scalar `<=` / `>` it replaces;
 //! * the sweep stop test is `xmin > bound` (break) in both paths, so a
 //!   NaN `xmin` lane *continues* the scan in both;
-//! * NaN-sentinel rectangles (empty progressive MERs) never intersect
-//!   and never contain a point in either path.
+//! * a rectangle with a NaN bound meets nothing in either path.
 //!
 //! Dispatch is chosen **once per join** ([`KernelDispatch::select`]) and
 //! threaded through every call site; `force_scalar` (config) or the
@@ -38,7 +40,7 @@
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64 as x86;
 
-use crate::{Point, Rect};
+use crate::Rect;
 
 /// Environment variable that pins every kernel to the scalar reference
 /// path, overriding runtime CPU feature detection (any non-empty value
@@ -83,8 +85,7 @@ enum Path {
     Scalar,
     /// 2-wide `f64` lanes via `core::arch::x86_64` SSE2.
     Sse2,
-    /// 4-wide `f64` lanes (with id gathers) via `core::arch::x86_64`
-    /// AVX2.
+    /// 4-wide `f64` lanes via `core::arch::x86_64` AVX2.
     Avx2,
 }
 
@@ -482,213 +483,10 @@ unsafe fn rects_vs_rect_sse2(
     rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, k, hits);
 }
 
-// ---------------------------------------------------------------------
-// Kernel 3: id-gathered point-in-rect / window-vs-rect masks.
-// ---------------------------------------------------------------------
-
-/// Panics unless every id indexes `rects` and, on the AVX2 arm, is below
-/// 2^29 — the obligations of the gathered-id kernels' wide arms, which
-/// load `rects[id]` unchecked. Checked in every build before any arm
-/// runs, like the column lengths of [`sweep_scan`].
-fn check_gathered_ids(d: KernelDispatch, rects: &[Rect], ids: &[u32]) {
-    let Some(max) = ids.iter().copied().max() else {
-        return;
-    };
-    assert!(
-        (max as usize) < rects.len(),
-        "gathered id {max} out of range of {} rects",
-        rects.len()
-    );
-    assert!(
-        d.0 != Path::Avx2 || max < 1 << 29,
-        "gathered id {max} overflows an AVX2 gather lane"
-    );
-}
-
-/// For every id pushes whether `rects[id].contains_point(p)` (closed
-/// semantics). NaN-sentinel rectangles contain nothing in every path.
-/// Panics if an id is `≥ rects.len()` (or `≥ 2^29` on AVX2).
-pub fn rects_contain_point(
-    d: KernelDispatch,
-    rects: &[Rect],
-    ids: &[u32],
-    p: Point,
-    out: &mut Vec<bool>,
-) {
-    check_gathered_ids(d, rects, ids);
-    match d.0 {
-        Path::Scalar => rects_contain_point_scalar(rects, ids, p, out),
-        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
-        // detected; every id is `< rects.len()` (checked above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Sse2 => unsafe { rects_contain_point_sse2(rects, ids, p, out) },
-        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
-        // detected; every id is `< rects.len()` and `< 2^29` (checked
-        // above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Avx2 => unsafe { rects_contain_point_avx2(rects, ids, p, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => rects_contain_point_scalar(rects, ids, p, out),
-    }
-}
-
-fn rects_contain_point_scalar(rects: &[Rect], ids: &[u32], p: Point, out: &mut Vec<bool>) {
-    out.extend(ids.iter().map(|&id| rects[id as usize].contains_point(p)));
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2; every id must be `< rects.len()` (the
-/// gathers are unchecked) and `< 2^29`: `4 * id`, its `f64` index into
-/// the `#[repr(C)]` `Rect` column, must fit the gather's `i32` lane.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rects_contain_point_avx2(rects: &[Rect], ids: &[u32], p: Point, out: &mut Vec<bool>) {
-    use x86::*;
-    let base = rects.as_ptr() as *const f64;
-    let px = _mm256_set1_pd(p.x);
-    let py = _mm256_set1_pd(p.y);
-    let mut k = 0usize;
-    while k + 4 <= ids.len() {
-        let idx = _mm_slli_epi32::<2>(_mm_set_epi32(
-            ids[k + 3] as i32,
-            ids[k + 2] as i32,
-            ids[k + 1] as i32,
-            ids[k] as i32,
-        ));
-        let x0 = _mm256_i32gather_pd::<8>(base, idx);
-        let y0 = _mm256_i32gather_pd::<8>(base.add(1), idx);
-        let x1 = _mm256_i32gather_pd::<8>(base.add(2), idx);
-        let y1 = _mm256_i32gather_pd::<8>(base.add(3), idx);
-        let c1 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(x0, px);
-        let c2 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(px, x1);
-        let c3 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(y0, py);
-        let c4 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(py, y1);
-        let bits =
-            _mm256_movemask_pd(_mm256_and_pd(_mm256_and_pd(c1, c2), _mm256_and_pd(c3, c4))) as u32;
-        for lane in 0..4 {
-            out.push(bits & (1 << lane) != 0);
-        }
-        k += 4;
-    }
-    rects_contain_point_scalar(rects, &ids[k..], p, out);
-}
-
-/// # Safety
-///
-/// The CPU must support SSE2 and every id must be `< rects.len()`: the
-/// two 16-byte loads per id read one `#[repr(C)]` `Rect` unchecked.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn rects_contain_point_sse2(rects: &[Rect], ids: &[u32], p: Point, out: &mut Vec<bool>) {
-    use x86::*;
-    let pv = _mm_set_pd(p.y, p.x);
-    for &id in ids {
-        let r = rects.as_ptr().add(id as usize) as *const f64;
-        let lo = _mm_loadu_pd(r);
-        let hi = _mm_loadu_pd(r.add(2));
-        let m = _mm_and_pd(_mm_cmple_pd(lo, pv), _mm_cmple_pd(pv, hi));
-        out.push(_mm_movemask_pd(m) == 0b11);
-    }
-}
-
-/// For every id pushes whether `rects[id].intersects(q)` (closed
-/// semantics) — the window-probe companion of
-/// [`rects_contain_point`], with the same id checks.
-pub fn rects_intersect_query(
-    d: KernelDispatch,
-    rects: &[Rect],
-    ids: &[u32],
-    q: &Rect,
-    out: &mut Vec<bool>,
-) {
-    check_gathered_ids(d, rects, ids);
-    match d.0 {
-        Path::Scalar => rects_intersect_query_scalar(rects, ids, q, out),
-        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
-        // detected; every id is `< rects.len()` (checked above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Sse2 => unsafe { rects_intersect_query_sse2(rects, ids, q, out) },
-        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
-        // detected; every id is `< rects.len()` and `< 2^29` (checked
-        // above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Avx2 => unsafe { rects_intersect_query_avx2(rects, ids, q, out) },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => rects_intersect_query_scalar(rects, ids, q, out),
-    }
-}
-
-fn rects_intersect_query_scalar(rects: &[Rect], ids: &[u32], q: &Rect, out: &mut Vec<bool>) {
-    out.extend(ids.iter().map(|&id| rects[id as usize].intersects(q)));
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2; every id must be `< rects.len()` (the
-/// gathers are unchecked) and `< 2^29`: `4 * id`, its `f64` index into
-/// the `#[repr(C)]` `Rect` column, must fit the gather's `i32` lane.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn rects_intersect_query_avx2(rects: &[Rect], ids: &[u32], q: &Rect, out: &mut Vec<bool>) {
-    use x86::*;
-    let base = rects.as_ptr() as *const f64;
-    let qx0 = _mm256_set1_pd(q.xmin());
-    let qy0 = _mm256_set1_pd(q.ymin());
-    let qx1 = _mm256_set1_pd(q.xmax());
-    let qy1 = _mm256_set1_pd(q.ymax());
-    let mut k = 0usize;
-    while k + 4 <= ids.len() {
-        let idx = _mm_slli_epi32::<2>(_mm_set_epi32(
-            ids[k + 3] as i32,
-            ids[k + 2] as i32,
-            ids[k + 1] as i32,
-            ids[k] as i32,
-        ));
-        let x0 = _mm256_i32gather_pd::<8>(base, idx);
-        let y0 = _mm256_i32gather_pd::<8>(base.add(1), idx);
-        let x1 = _mm256_i32gather_pd::<8>(base.add(2), idx);
-        let y1 = _mm256_i32gather_pd::<8>(base.add(3), idx);
-        let c1 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(x0, qx1);
-        let c2 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(qx0, x1);
-        let c3 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(y0, qy1);
-        let c4 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(qy0, y1);
-        let bits =
-            _mm256_movemask_pd(_mm256_and_pd(_mm256_and_pd(c1, c2), _mm256_and_pd(c3, c4))) as u32;
-        for lane in 0..4 {
-            out.push(bits & (1 << lane) != 0);
-        }
-        k += 4;
-    }
-    rects_intersect_query_scalar(rects, &ids[k..], q, out);
-}
-
-/// # Safety
-///
-/// The CPU must support SSE2 and every id must be `< rects.len()`: the
-/// two 16-byte loads per id read one `#[repr(C)]` `Rect` unchecked.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn rects_intersect_query_sse2(rects: &[Rect], ids: &[u32], q: &Rect, out: &mut Vec<bool>) {
-    use x86::*;
-    let q_lo = _mm_set_pd(q.ymin(), q.xmin());
-    let q_hi = _mm_set_pd(q.ymax(), q.xmax());
-    for &id in ids {
-        let r = rects.as_ptr().add(id as usize) as *const f64;
-        let lo = _mm_loadu_pd(r);
-        let hi = _mm_loadu_pd(r.add(2));
-        let m = _mm_and_pd(_mm_cmple_pd(lo, q_hi), _mm_cmple_pd(q_lo, hi));
-        out.push(_mm_movemask_pd(m) == 0b11);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn nan_rect() -> Rect {
-        Rect::from_bounds(f64::NAN, f64::NAN, f64::NAN, f64::NAN)
-    }
+    use crate::Point;
 
     #[test]
     fn repr_c_rect_is_four_doubles() {
@@ -732,9 +530,29 @@ mod tests {
             .collect()
     }
 
+    /// A copy of a column that starts 8 bytes past a 16-byte boundary: a
+    /// sub-slice at offset 1 of a buffer one element longer (at 0 where
+    /// the allocator did not align the buffer to 16), so no lane load at
+    /// an even index is 16- or 32-byte aligned.
+    struct Misaligned(Vec<f64>, usize);
+
+    impl Misaligned {
+        fn new(col: &[f64]) -> Self {
+            let mut buf = vec![f64::NAN; col.len() + 1];
+            let at = usize::from((buf.as_ptr() as usize).is_multiple_of(16));
+            buf[at..at + col.len()].copy_from_slice(col);
+            Misaligned(buf, at)
+        }
+
+        fn col(&self) -> &[f64] {
+            &self.0[self.1..self.1 + self.0.len() - 1]
+        }
+    }
+
     /// Every kernel must agree with the scalar reference at every lane
-    /// boundary (`len % 4 ∈ {0,1,2,3}`, and smaller), with NaN lanes
-    /// mixed in.
+    /// boundary (`len % 4 ∈ {0,1,2,3}`, and smaller; `n = 0` is the
+    /// zero-length column), with NaN lanes mixed in, on columns as
+    /// allocated and on [`Misaligned`] copies of them.
     #[test]
     fn sweep_scan_matches_scalar_at_lane_boundaries() {
         for n in 0..=13usize {
@@ -749,19 +567,25 @@ mod tests {
                     });
                     let ymin = gen_vals(seed + 100, n, with_nan);
                     let ymax = gen_vals(seed + 200, n, with_nan);
+                    let shifted = [&xmin, &ymin, &ymax].map(|c| Misaligned::new(c));
+                    let [sx, sy, sz] = shifted.each_ref().map(Misaligned::col);
                     for from in [0usize, 1, n / 2, n.saturating_sub(1)] {
                         for bound in [-5.0, 0.0, 5.0, f64::NAN] {
                             let mut want = Vec::new();
                             let t0 = sweep_scan_scalar(
                                 bound, -3.0, 4.0, &xmin, &ymin, &ymax, from, &mut want,
                             );
-                            for d in KernelDispatch::all_available() {
-                                let mut got = Vec::new();
-                                let t = sweep_scan(
-                                    d, bound, -3.0, 4.0, &xmin, &ymin, &ymax, from, &mut got,
-                                );
-                                assert_eq!(got, want, "{d:?} n={n} from={from} bound={bound}");
-                                assert_eq!(t, t0, "{d:?} pair-test count diverged");
+                            for (x, y, z) in [(&xmin[..], &ymin[..], &ymax[..]), (sx, sy, sz)] {
+                                for d in KernelDispatch::all_available() {
+                                    let mut got = Vec::new();
+                                    let t =
+                                        sweep_scan(d, bound, -3.0, 4.0, x, y, z, from, &mut got);
+                                    let at = x.as_ptr() as usize % 16;
+                                    let cell =
+                                        format!("{d:?} n={n} from={from} bound={bound} at={at}");
+                                    assert_eq!(got, want, "{cell}");
+                                    assert_eq!(t, t0, "{cell}: pair-test count diverged");
+                                }
                             }
                         }
                     }
@@ -810,6 +634,7 @@ mod tests {
         }
     }
 
+    /// As for [`sweep_scan_matches_scalar_at_lane_boundaries`].
     #[test]
     fn rects_vs_rect_matches_scalar_at_lane_boundaries() {
         let q = Rect::from_bounds(-2.0, -2.0, 3.0, 3.0);
@@ -821,116 +646,18 @@ mod tests {
                 let ymax: Vec<f64> = ymin.iter().map(|v| v + 2.0).collect();
                 let mut want = Vec::new();
                 rects_vs_rect_scalar(&q, &xmin, &ymin, &xmax, &ymax, 0, &mut want);
-                for d in KernelDispatch::all_available() {
-                    let mut got = Vec::new();
-                    rects_vs_rect(d, &q, &xmin, &ymin, &xmax, &ymax, &mut got);
-                    assert_eq!(got, want, "{d:?} n={n} nan={with_nan}");
-                }
-            }
-        }
-    }
-
-    /// The gathered-id kernels check their ids in every build, on every
-    /// dispatch, before a wide arm loads: an id equal to `rects.len()`
-    /// panics, and short id lists — none, one, three (one short of an
-    /// AVX2 lane group), five (one past it) — agree with the scalar arm.
-    #[test]
-    fn gathered_ids_are_checked_before_any_load() {
-        let rects: Vec<Rect> = (0..6)
-            .map(|i| Rect::from_bounds(i as f64, 0.0, i as f64 + 1.5, 1.0))
-            .collect();
-        let (p, q) = (Point::new(2.2, 0.5), Rect::from_bounds(1.2, 0.2, 3.1, 0.4));
-        let past = rects.len() as u32;
-        for d in KernelDispatch::all_available() {
-            for ids in [vec![past], vec![0, 1, 2, past], vec![past, 0, 0, 0, 0]] {
-                assert!(
-                    panics(|| rects_contain_point(d, &rects, &ids, p, &mut Vec::new())),
-                    "{d:?} point kernel gathered {ids:?}"
-                );
-                assert!(
-                    panics(|| rects_intersect_query(d, &rects, &ids, &q, &mut Vec::new())),
-                    "{d:?} window kernel gathered {ids:?}"
-                );
-            }
-            for n in [0usize, 1, 3, 5] {
-                let ids: Vec<u32> = (0..n as u32).map(|i| (3 * i + 1) % past).collect();
-                let (mut want, mut got) = (Vec::new(), Vec::new());
-                rects_contain_point_scalar(&rects, &ids, p, &mut want);
-                rects_contain_point(d, &rects, &ids, p, &mut got);
-                assert_eq!(got, want, "{d:?} point, {n} ids");
-                let (mut want, mut got) = (Vec::new(), Vec::new());
-                rects_intersect_query_scalar(&rects, &ids, &q, &mut want);
-                rects_intersect_query(d, &rects, &ids, &q, &mut got);
-                assert_eq!(got, want, "{d:?} window, {n} ids");
-            }
-        }
-    }
-
-    /// The two selection kernels agree with scalar on every dispatch at
-    /// the edges of their contracts: closed contact (a point on an edge
-    /// or corner, a window sharing an edge or a corner, zero-width and
-    /// zero-area windows), gathered ids up to `rects.len() − 1`, repeated
-    /// ids, a NaN sentinel, and every id-list length from 0 to 17 (four
-    /// AVX2 lanes plus every remainder).
-    #[test]
-    fn point_and_window_masks_match_scalar() {
-        let mut rects: Vec<Rect> = (0..8)
-            .map(|i| Rect::from_bounds(i as f64, 0.0, i as f64 + 1.0, 1.0))
-            .collect();
-        rects[5] = nan_rect();
-        let last = rects.len() as u32 - 1;
-        let past = 1.0 + f64::EPSILON;
-        // Each probe with its answer for rects[0] = [0, 1]².
-        let points = [
-            (Point::new(0.5, 0.0), true),
-            (Point::new(0.0, 0.0), true),
-            (Point::new(1.0, 1.0), true),
-            (Point::new(past, 0.5), false),
-            (Point::new(0.5, -f64::MIN_POSITIVE), false),
-        ];
-        let windows = [
-            (Rect::from_bounds(1.0, 0.0, 2.0, 1.0), true),
-            (Rect::from_bounds(1.0, 1.0, 2.0, 2.0), true),
-            (Rect::from_bounds(1.0, 0.2, 1.0, 0.4), true),
-            (Rect::from_bounds(0.0, 0.0, 0.0, 0.0), true),
-            (Rect::from_bounds(past, 0.0, 2.0, 1.0), false),
-            (Rect::from_bounds(past, 0.2, past, 0.4), false),
-        ];
-        for &(p, want) in &points {
-            assert_eq!(rects[0].contains_point(p), want, "closed point {p:?}");
-        }
-        for (q, want) in &windows {
-            assert_eq!(rects[0].intersects(q), *want, "closed window {q:?}");
-        }
-        let pattern = [0, last, 0, 5, last, 3, last, 0];
-        for n in 0..=17usize {
-            let ids: Vec<u32> = (0..n).map(|i| pattern[i % pattern.len()]).collect();
-            for &(p, want) in &points {
-                let mut scalar = Vec::new();
-                rects_contain_point_scalar(&rects, &ids, p, &mut scalar);
-                for (&id, &got) in ids.iter().zip(&scalar) {
-                    assert_eq!(got, rects[id as usize].contains_point(p));
-                    assert!(id != 0 || got == want, "point {p:?} vs rect 0");
-                    assert!(id != 5 || !got, "NaN sentinel accepted");
-                }
-                for d in KernelDispatch::all_available() {
-                    let mut got = Vec::new();
-                    rects_contain_point(d, &rects, &ids, p, &mut got);
-                    assert_eq!(got, scalar, "{d:?} point {p:?} n={n}");
-                }
-            }
-            for (q, want) in &windows {
-                let mut scalar = Vec::new();
-                rects_intersect_query_scalar(&rects, &ids, q, &mut scalar);
-                for (&id, &got) in ids.iter().zip(&scalar) {
-                    assert_eq!(got, rects[id as usize].intersects(q));
-                    assert!(id != 0 || got == *want, "window {q:?} vs rect 0");
-                    assert!(id != 5 || !got, "NaN sentinel accepted");
-                }
-                for d in KernelDispatch::all_available() {
-                    let mut got = Vec::new();
-                    rects_intersect_query(d, &rects, &ids, q, &mut got);
-                    assert_eq!(got, scalar, "{d:?} window {q:?} n={n}");
+                let cols = [&xmin, &ymin, &xmax, &ymax];
+                let shifted = cols.map(|c| Misaligned::new(c));
+                for [x0, y0, x1, y1] in [
+                    cols.map(|c| &c[..]),
+                    shifted.each_ref().map(Misaligned::col),
+                ] {
+                    for d in KernelDispatch::all_available() {
+                        let mut got = Vec::new();
+                        rects_vs_rect(d, &q, x0, y0, x1, y1, &mut got);
+                        let at = x0.as_ptr() as usize % 16;
+                        assert_eq!(got, want, "{d:?} n={n} nan={with_nan} at={at}");
+                    }
                 }
             }
         }

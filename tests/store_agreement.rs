@@ -647,7 +647,7 @@ fn crafted_out_of_range_leaf_id_rebuilds_the_tree() {
     // A checksummed tree section whose first leaf entry names object
     // 5,000,000 of a 120-object relation. The leaf count still matches the
     // relation, so only the loader's permutation check stands between
-    // that id and the unchecked MER-mask gathers of every probe.
+    // that id and the per-object columns every probe indexes by it.
     // Tree image layout per `msj_sam::rstar`: a 36-byte header, then five
     // counted columns (levels, node rects, entry offsets, entry rects,
     // values); node 0 is a leaf, so its first entry is the first value.
