@@ -171,7 +171,7 @@ impl DatasetArtifacts {
         };
         let selection = SelectionState::new(
             relation.clone().into(),
-            engine,
+            config,
             tree.clone(),
             conservative.clone(),
             progressive.clone(),

@@ -16,9 +16,10 @@
 //!    proves the answer, the region's edges elsewhere — the same answers.
 
 use crate::candidates::{self, CandidateSource, SelectionStats};
-use crate::config::EngineConfig;
+use crate::config::JoinConfig;
 use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
 use msj_exact::{OpCounts, SelectProbe, SelectionRefiner, TrStarStore};
+use msj_geom::kernels::KernelDispatch;
 use msj_geom::{ObjectId, Point, Rect, RelHandle};
 use msj_obs::{Span, Step, StepSpans};
 use msj_sam::RStarTree;
@@ -124,18 +125,17 @@ pub(crate) struct SelectionState {
 
 impl SelectionState {
     /// Assembles the state around a Step-1 index and stores built once at
-    /// dataset registration, its source on the engine's kernel dispatch.
+    /// dataset registration; its source runs no join, so no SIMD kernel.
     pub fn new(
         relation: RelHandle<'static>,
-        engine: &EngineConfig,
+        config: &JoinConfig,
         tree: Option<Arc<RStarTree>>,
         conservative: Option<Arc<ConservativeStore>>,
         progressive: Option<Arc<ProgressiveStore>>,
         trstar: Option<Arc<TrStarStore>>,
     ) -> Self {
-        let dispatch = engine.kernel_dispatch();
-        let source =
-            candidates::source_with(&engine.join, dispatch, relation.clone(), None, tree, None);
+        let dispatch = KernelDispatch::Scalar;
+        let source = candidates::source_with(config, dispatch, relation.clone(), None, tree, None);
         SelectionState {
             refiner: SelectionRefiner::new(relation, trstar),
             source,
@@ -231,7 +231,6 @@ impl SelectionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::JoinConfig;
     use msj_approx::{ConservativeKind, ProgressiveKind};
     use msj_geom::Relation;
 
@@ -252,14 +251,7 @@ mod tests {
             _ => None,
         };
         let relation = RelHandle::from(relation);
-        SelectionState::new(
-            relation,
-            &EngineConfig::from(*config),
-            None,
-            conservative,
-            progressive,
-            trstar,
-        )
+        SelectionState::new(relation, config, None, conservative, progressive, trstar)
     }
 
     fn select_all<P: Probe>(
