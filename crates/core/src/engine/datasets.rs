@@ -288,7 +288,9 @@ pub(super) fn config_tag(config: &JoinConfig) -> u64 {
     bytes.push(config.progressive.map_or(0xFF, |k| k.code()));
     match config.exact {
         ExactAlgorithm::TrStar { max_entries } => {
-            bytes.push(1);
+            // 2 since `decompose` cuts at every distinct vertex y (1 merged
+            // y's within 1e-12): a segment of the tolerant arena is rebuilt.
+            bytes.push(2);
             bytes.extend((max_entries as u64).to_le_bytes());
         }
         _ => bytes.push(0),

@@ -1,4 +1,4 @@
-//! Step two: the geometric filter (§3), with a **compiled filter plan**.
+//! Step two: the geometric filter (§3).
 //!
 //! Candidates from the MBR-join are classified using the stored
 //! approximations into *hits* (certainly intersecting), *false hits*
@@ -16,15 +16,14 @@
 //! decides — and both relations are rasterized on one shared grid built
 //! in Step 0.
 //!
-//! ## The compiled plan
+//! ## The chain
 //!
 //! The test chain — raster → conservative → progressive → (optional)
-//! false-area — is fixed per *join*, not per candidate: the configured
-//! approximation kinds decide it once, as a [`FilterPlan`] compiled when
-//! the filter is built. [`crate::JoinConfig::default`] stores no
-//! approximation, so its chain is the raster stage alone: 5-C and MER
-//! run only where a configuration stores them (versions 2 and 3). Per-pair
-//! [`GeometricFilter::classify`] is the reference chain;
+//! false-area — is fixed per *join* by the configured approximation
+//! kinds. [`crate::JoinConfig::default`] stores no approximation, so its
+//! chain is the raster stage alone: 5-C and MER run only where a
+//! configuration stores them (versions 2 and 3). Per-pair
+//! [`GeometricFilter::classify`] is the reference;
 //! [`GeometricFilter::classify_batch`] runs it over the raster stage's
 //! undecided remainder and is outcome-identical by construction (and by
 //! test).
@@ -56,23 +55,8 @@ pub enum FilterOutcome {
     Candidate,
 }
 
-/// The classification loop selected once per join (see the module docs).
-/// Which plan a filter compiled is observable for tests and reports via
-/// [`GeometricFilter::plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterPlan {
-    /// No approximations configured — the default: every candidate the
-    /// raster stage leaves undecided stays a candidate.
-    Passthrough,
-    /// The view-dispatching chain over whatever is configured: a MER
-    /// column alone, the paper's 5-C + MER, curved
-    /// conservative kinds, MEC progressive stores, or the false-area
-    /// test.
-    Generic,
-}
-
-/// The geometric filter: per-relation columnar approximation stores, the
-/// configured tests, and the plan compiled from them.
+/// The geometric filter: per-relation columnar approximation stores and
+/// the configured tests.
 ///
 /// Every store sits behind [`Arc`]: the resident engine builds the
 /// conservative/progressive stores once per registered dataset and every
@@ -88,14 +72,12 @@ pub struct GeometricFilter {
     progressive_a: Option<Arc<ProgressiveStore>>,
     progressive_b: Option<Arc<ProgressiveStore>>,
     use_false_area: bool,
-    plan: FilterPlan,
 }
 
 impl GeometricFilter {
-    /// Precomputes the configured approximations for both relations and
-    /// compiles the filter plan. No raster stage — attach one with
-    /// [`GeometricFilter::with_raster`] or go through
-    /// [`GeometricFilter::from_config`].
+    /// Precomputes the configured approximations for both relations. No
+    /// raster stage — attach one with [`GeometricFilter::with_raster`] or
+    /// go through [`GeometricFilter::from_config`].
     pub fn build(
         rel_a: &Relation,
         rel_b: &Relation,
@@ -114,7 +96,7 @@ impl GeometricFilter {
 
     /// Assembles a filter from pre-built shared stores (the resident
     /// engine's path: each store was built once when its dataset was
-    /// registered) and compiles the plan.
+    /// registered).
     pub fn from_shared(
         conservative_a: Option<Arc<ConservativeStore>>,
         conservative_b: Option<Arc<ConservativeStore>>,
@@ -122,7 +104,7 @@ impl GeometricFilter {
         progressive_b: Option<Arc<ProgressiveStore>>,
         use_false_area: bool,
     ) -> Self {
-        let mut filter = GeometricFilter {
+        GeometricFilter {
             raster_a: None,
             raster_b: None,
             conservative_a,
@@ -130,10 +112,7 @@ impl GeometricFilter {
             progressive_a,
             progressive_b,
             use_false_area,
-            plan: FilterPlan::Generic,
-        };
-        filter.plan = filter.compile();
-        filter
+        }
     }
 
     /// Attaches the Step-2a raster stage: both relations rasterized on
@@ -187,24 +166,6 @@ impl GeometricFilter {
     /// exact step).
     pub fn disabled() -> Self {
         Self::from_shared(None, None, None, None, false)
-    }
-
-    /// Selects the batched loop the configured stores admit.
-    fn compile(&self) -> FilterPlan {
-        let any_store = self.conservative_a.is_some()
-            || self.conservative_b.is_some()
-            || self.progressive_a.is_some()
-            || self.progressive_b.is_some();
-        if any_store || self.use_false_area {
-            FilterPlan::Generic
-        } else {
-            FilterPlan::Passthrough
-        }
-    }
-
-    /// The plan compiled for this filter.
-    pub fn plan(&self) -> FilterPlan {
-        self.plan
     }
 
     /// Whether the Step-2a raster stage runs (signatures built for both
@@ -273,8 +234,8 @@ impl GeometricFilter {
     /// When the raster stage is active it runs first as its own loop
     /// over the whole batch — [`raster_decide`] on two run-list views per
     /// pair, the approximation columns untouched — and only the undecided
-    /// remainder reaches the compiled [`FilterPlan`], dispatched once per
-    /// batch — outcome-identical to calling
+    /// remainder reaches the approximation chain, when one is configured —
+    /// outcome-identical to calling
     /// [`classify`](GeometricFilter::classify) per pair.
     pub fn classify_batch(
         &self,
@@ -320,8 +281,14 @@ impl GeometricFilter {
                 out.extend(std::iter::repeat_n(FilterOutcome::Candidate, pairs.len()));
             }
         };
-        // Step 2b: the compiled chain on every slot still `Candidate`.
-        if self.plan == FilterPlan::Generic {
+        // Step 2b: the chain on every slot still `Candidate`, when a store
+        // or the false-area test is configured.
+        let chain = self.conservative_a.is_some()
+            || self.conservative_b.is_some()
+            || self.progressive_a.is_some()
+            || self.progressive_b.is_some()
+            || self.use_false_area;
+        if chain {
             for (slot, &(id_a, id_b)) in out.iter_mut().zip(pairs) {
                 if *slot == FilterOutcome::Candidate {
                     *slot = self.classify_chain(id_a, id_b);
@@ -379,7 +346,6 @@ mod tests {
     fn disabled_filter_passes_everything_through() {
         let (a, b) = bracket_relations();
         let f = GeometricFilter::disabled();
-        assert_eq!(f.plan(), FilterPlan::Passthrough);
         assert_eq!(f.classify(0, 0), FilterOutcome::Candidate);
         let mut out = Vec::new();
         f.classify_batch(&[(0, 0)], &mut out);
@@ -392,7 +358,6 @@ mod tests {
         let (a, b) = bracket_relations();
         // The brackets hug opposite corners: their hulls are disjoint.
         let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, false);
-        assert_eq!(f.plan(), FilterPlan::Generic);
         // MBRs do overlap (precondition of a candidate):
         assert!(a.object(0).mbr().intersects(&b.object(0).mbr()));
         assert_eq!(f.classify(0, 0), FilterOutcome::FalseHit);
@@ -420,7 +385,6 @@ mod tests {
             Some(ProgressiveKind::Mer),
             false,
         );
-        assert_eq!(f.plan(), FilterPlan::Generic);
         assert_eq!(f.classify(0, 0), FilterOutcome::HitProgressive);
     }
 
@@ -440,8 +404,6 @@ mod tests {
         ]]);
         // Squares equal their hulls: false area 0, intersection large.
         let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, true);
-        // The false-area test forces the generic chain.
-        assert_eq!(f.plan(), FilterPlan::Generic);
         assert_eq!(f.classify(0, 0), FilterOutcome::HitFalseArea);
     }
 
@@ -481,10 +443,10 @@ mod tests {
         assert_eq!(f.classify(0, 0), FilterOutcome::HitProgressive);
     }
 
-    /// Every plan must classify batches exactly as the per-pair reference
-    /// chain — across kinds that compile to different plans, with and
-    /// without the raster stage in front, and for the default and the
-    /// paper's version 3 as the engine configures them.
+    /// Every chain must classify batches exactly as the per-pair reference
+    /// — across kinds, none at all included, with and without the raster
+    /// stage in front, and for the default and the paper's version 3 as
+    /// the engine configures them.
     #[test]
     fn batch_classification_agrees_with_per_pair() {
         let a = msj_datagen::small_carto(40, 24.0, 7101);
@@ -504,38 +466,33 @@ mod tests {
                 Some(ConservativeKind::FiveCorner),
                 Some(ProgressiveKind::Mer),
                 false,
-            ), // Generic: 5-C + MER (version 3's chain)
-            (Some(ConservativeKind::ConvexHull), None, false), // Generic
+            ), // 5-C + MER (version 3's chain)
+            (Some(ConservativeKind::ConvexHull), None, false),
             (
                 Some(ConservativeKind::Mbr),
                 Some(ProgressiveKind::Mer),
                 false,
-            ), // Generic
+            ),
             (
                 Some(ConservativeKind::Mbc),
                 Some(ProgressiveKind::Mec),
                 false,
-            ), // Generic
+            ),
             (
                 Some(ConservativeKind::FiveCorner),
                 Some(ProgressiveKind::Mer),
                 true,
-            ), // Generic (FA)
-            (None, Some(ProgressiveKind::Mer), false),         // Generic: MER alone
-            (None, None, false),                               // Passthrough
+            ), // with the false-area test
+            (None, Some(ProgressiveKind::Mer), false), // MER alone
+            (None, None, false),                       // no chain
         ];
         let mut filters = Vec::new();
         for (cons, prog, fa) in configs {
             filters.push(GeometricFilter::build(&a, &b, cons, prog, fa));
             filters.push(GeometricFilter::build(&a, &b, cons, prog, fa).with_raster(&a, &b));
         }
-        let plans = [
-            (crate::JoinConfig::default(), FilterPlan::Passthrough),
-            (crate::JoinConfig::version3(), FilterPlan::Generic),
-        ];
-        for (config, plan) in plans {
+        for config in [crate::JoinConfig::default(), crate::JoinConfig::version3()] {
             let f = GeometricFilter::from_config(&config, &a, &b);
-            assert_eq!(f.plan(), plan);
             assert!(f.raster_active());
             filters.push(f);
         }
@@ -544,7 +501,7 @@ mod tests {
             f.classify_batch(&pairs, &mut batched);
             let per_pair: Vec<FilterOutcome> =
                 pairs.iter().map(|&(x, y)| f.classify(x, y)).collect();
-            assert_eq!(batched, per_pair, "filter {i} ({:?}) diverged", f.plan());
+            assert_eq!(batched, per_pair, "filter {i} diverged");
             // Batch boundaries must not matter.
             let mut chunked = Vec::new();
             let mut scratch = Vec::new();
@@ -552,7 +509,7 @@ mod tests {
                 f.classify_batch(chunk, &mut scratch);
                 chunked.extend_from_slice(&scratch);
             }
-            assert_eq!(chunked, per_pair, "filter {i} ({:?}) chunked", f.plan());
+            assert_eq!(chunked, per_pair, "filter {i} chunked");
         }
     }
 
@@ -588,7 +545,6 @@ mod tests {
         )
         .with_raster(&a, &b);
         assert!(rastered.raster_active() && !plain.raster_active());
-        assert_eq!(rastered.plan(), plain.plan(), "raster is plan-orthogonal");
 
         let mut with = Vec::new();
         let mut without = Vec::new();
@@ -654,8 +610,8 @@ mod tests {
         // Version 1 keeps its contract: no filtering whatsoever.
         let v1 = GeometricFilter::from_config(&crate::JoinConfig::version1(), &a, &a.clone());
         assert!(!v1.raster_active());
-        assert_eq!(v1.plan(), FilterPlan::Passthrough);
-        // Raster composes with a passthrough plan (no approximations).
+        assert_eq!(v1.classify(0, 0), FilterOutcome::Candidate);
+        // Raster composes with no approximation chain.
         let raster_only = crate::JoinConfig {
             conservative: None,
             progressive: None,
@@ -663,59 +619,8 @@ mod tests {
         };
         let f = GeometricFilter::from_config(&raster_only, &a, &a.clone());
         assert!(f.raster_active());
-        assert_eq!(f.plan(), FilterPlan::Passthrough);
         let (ra, rb) = f.raster_stores().expect("stores built");
         assert_eq!(ra.grid(), rb.grid(), "one shared grid");
         assert_eq!(ra.len(), a.len());
-    }
-
-    #[test]
-    fn plan_compilation_matches_configuration() {
-        let a = msj_datagen::small_carto(10, 20.0, 7103);
-        let plans = [
-            (
-                Some(ConservativeKind::FiveCorner),
-                Some(ProgressiveKind::Mer),
-                false,
-                FilterPlan::Generic,
-            ),
-            (
-                Some(ConservativeKind::Rmbr),
-                Some(ProgressiveKind::Mer),
-                false,
-                FilterPlan::Generic,
-            ),
-            (
-                Some(ConservativeKind::FourCorner),
-                None,
-                false,
-                FilterPlan::Generic,
-            ),
-            (
-                Some(ConservativeKind::FiveCorner),
-                Some(ProgressiveKind::Mec),
-                false,
-                FilterPlan::Generic,
-            ),
-            (
-                Some(ConservativeKind::Mbr),
-                None,
-                false,
-                FilterPlan::Generic,
-            ),
-            (None, Some(ProgressiveKind::Mer), false, FilterPlan::Generic),
-            (
-                Some(ConservativeKind::FiveCorner),
-                Some(ProgressiveKind::Mer),
-                true,
-                FilterPlan::Generic,
-            ),
-            (None, None, true, FilterPlan::Generic),
-            (None, None, false, FilterPlan::Passthrough),
-        ];
-        for (cons, prog, fa, expect) in plans {
-            let f = GeometricFilter::build(&a, &a.clone(), cons, prog, fa);
-            assert_eq!(f.plan(), expect, "({cons:?}, {prog:?}, fa={fa})");
-        }
     }
 }

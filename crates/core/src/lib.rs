@@ -24,9 +24,9 @@
 //! Candidates are streamed between steps — no intermediate candidate sets
 //! are materialized (§2.4) — in batches ([`JoinConfig::batch_pairs`]):
 //! Step 1 delivers candidate runs through
-//! [`msj_geom::PairSink::consume_batch`], Step 2 classifies each run via a
-//! [`filter::FilterPlan`] compiled once per join over `msj-approx`'s
-//! columnar stores, and [`MultiStepStats`] carries the per-step
+//! [`msj_geom::PairSink::consume_batch`], Step 2 classifies each run
+//! ([`GeometricFilter::classify_batch`]) over `msj-approx`'s columnar
+//! stores, and [`MultiStepStats`] carries the per-step
 //! cardinalities and wall-clock that feed every evaluation table.
 //! [`cost`] implements the §5 total-cost model of Figure 18.
 //!
@@ -91,7 +91,7 @@ pub use engine::{
     Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,
 };
 pub use execution::{fused_buffer_bound, Execution, FUSED_QUEUE_DEPTH};
-pub use filter::{FilterOutcome, FilterPlan, GeometricFilter};
+pub use filter::{FilterOutcome, GeometricFilter};
 pub use pipeline::{ground_truth_join, JoinResult, MultiStepJoin};
 pub use queries::QueryStats;
 pub use stats::MultiStepStats;

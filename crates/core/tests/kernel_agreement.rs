@@ -1,9 +1,11 @@
 //! Kernel agreement: the SIMD dispatch paths must produce the
-//! byte-identical response set as the scalar reference — across both
-//! Step-1 backends, both tree loaders, serial and fused execution,
-//! thread counts 1/4, on cartographic, skewed, holed, and pathological
-//! datasets. Selections (point/window) are held to the same standard,
-//! since they consume the wide MER probe masks.
+//! byte-identical join response set as the scalar reference — across
+//! both Step-1 backends, serial and fused execution, thread counts 1/4,
+//! on cartographic, skewed, holed, and pathological datasets.
+//! Selections run no SIMD kernel; their answers are held by
+//! `tests/selection_order.rs`, `candidates.rs`'s
+//! `selection_probes_agree_across_backends` and the workspace's
+//! `tests/selection_trstar_agreement.rs`.
 //!
 //! Per-kernel unit agreement (lane boundaries, NaN lanes) lives in
 //! `msj-geom`; this suite proves the end-to-end gate the benchmarks
@@ -11,7 +13,7 @@
 //! knob.
 
 use msj_core::{Backend, EngineConfig, Execution, JoinConfig, SpatialEngine};
-use msj_geom::{KernelDispatch, ObjectId, Point, Polygon, Rect, Relation, SpatialObject};
+use msj_geom::{KernelDispatch, ObjectId, Point, Polygon, Relation, SpatialObject};
 
 fn square(id: ObjectId, x: f64, y: f64, side: f64) -> SpatialObject {
     SpatialObject::new(
@@ -171,46 +173,6 @@ fn join_response_sets_are_byte_identical_simd_vs_scalar() {
                 wide.stats.exact_tests, scalar.stats.exact_tests,
                 "{wname}/{cname}: exact_tests"
             );
-        }
-    }
-}
-
-#[test]
-fn selection_response_sets_are_byte_identical_simd_vs_scalar() {
-    for (wname, rel, _) in workloads() {
-        let Some(world) = rel.bounding_rect() else {
-            continue;
-        };
-        for (cname, config) in configs() {
-            let wide = SpatialEngine::new(config);
-            let scalar = SpatialEngine::new(EngineConfig {
-                force_scalar: true,
-                ..config.into()
-            });
-            let hw = wide.register(rel.clone());
-            let hs = scalar.register(rel.clone());
-            for i in 0..24 {
-                let p = Point::new(
-                    world.xmin() + world.width() * (i as f64 * 0.37).fract(),
-                    world.ymin() + world.height() * (i as f64 * 0.61).fract(),
-                );
-                let got_w = wide.point_query_batch(&hw, &[p]).remove(0);
-                let got_s = scalar.point_query_batch(&hs, &[p]).remove(0);
-                assert_eq!(
-                    got_w.ids, got_s.ids,
-                    "{wname}/{cname}: point response diverged at {p:?}"
-                );
-                assert_eq!(got_w.stats, got_s.stats, "{wname}/{cname}: point stats");
-                let side = world.width() * (0.02 + 0.07 * (i as f64 * 0.13).fract());
-                let win = Rect::from_bounds(p.x, p.y, p.x + side, p.y + side);
-                let got_w = wide.window_query_batch(&hw, &[win]).remove(0);
-                let got_s = scalar.window_query_batch(&hs, &[win]).remove(0);
-                assert_eq!(
-                    got_w.ids, got_s.ids,
-                    "{wname}/{cname}: window response diverged at {win:?}"
-                );
-                assert_eq!(got_w.stats, got_s.stats, "{wname}/{cname}: window stats");
-            }
         }
     }
 }

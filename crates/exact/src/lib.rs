@@ -44,6 +44,6 @@ pub use processor::{ExactAlgorithm, ExactProcessor, ExactTester};
 pub use quadratic::quadratic_intersects;
 pub use selection::{SelectProbe, SelectionRefiner};
 pub use sweep::sweep_intersects;
-pub use trapezoid::{decompose, decomposes_exactly, SelectMargin, Trapezoid, XSpan};
+pub use trapezoid::{decompose, SelectMargin, Trapezoid, XSpan};
 pub use trstar::{trees_intersect, TrStarColumns, TrStarFormatError, TrStarStore, TrStarView};
 pub use window::{region_contains_point, region_intersects_rect};

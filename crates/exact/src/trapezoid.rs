@@ -4,8 +4,10 @@
 //! the paper chooses trapezoids because "single trapezoids as well as sets
 //! of trapezoids can accurately be approximated by MBRs". We use the
 //! horizontal-band decomposition: the region is cut at every distinct
-//! vertex y-coordinate, producing trapezoids with horizontal top/bottom
-//! sides (triangles appear as degenerate trapezoids). Holes are handled by
+//! vertex y-coordinate, with no tolerance, producing trapezoids with
+//! horizontal top/bottom sides (triangles appear as degenerate
+//! trapezoids) that tile the closed region however thin a part of it
+//! is — the premise of the TR*-tree's exact answers. Holes are handled by
 //! the even–odd pairing of band crossings. The paper cites the minimum
 //! partition of [AA 83]; the TR*-tree only needs *a* partition into
 //! trapezoids, so we take the simpler band decomposition and merge
@@ -241,31 +243,10 @@ impl Trapezoid {
 /// budget below.
 const SELECT_MARGIN: f64 = 256.0 * f64::EPSILON;
 
-/// The absolute tolerance of [`decompose`]: it merges vertex y's closer
-/// than this into one cut, skips bands at most this thin and drops edges
-/// at most this tall.
-const DECOMPOSE_TOLERANCE: f64 = 1e-12;
-
-/// Whether [`decompose`] lays out the object whose vertex y's (every
-/// ring) are `ys` exactly: no two of them are apart by more than zero and
-/// at most `decompose`'s `1e-12` tolerance. Only such a pair makes it merge a
-/// vertex into another's cut, skip a band or drop a slanted edge — and
-/// then the trapezoids can miss a sliver, a needle or a whole flat run
-/// of the region, anywhere within the object's MBR. Otherwise every cut
-/// is a vertex y, every band is bounded by the edges that cross it, and
-/// the trapezoids tile the closed region (for a simple region, the
-/// model's premise). Sorts `ys`.
-pub fn decomposes_exactly(ys: &mut [f64]) -> bool {
-    ys.sort_unstable_by(f64::total_cmp);
-    ys.windows(2)
-        .all(|w| w[1] == w[0] || w[1] - w[0] > DECOMPOSE_TOLERANCE)
-}
-
 /// The margins of one object's three-way selection tests
 /// ([`Trapezoid::classify_point`], [`Trapezoid::classify_rect`] and the
-/// TR* descents over them), from its root rectangle. They hold for an
-/// object [`decomposes_exactly`] accepts, whose trapezoids tile its
-/// closed region; the selection route asks only those.
+/// TR* descents over them), from its root rectangle. They hold because
+/// [`decompose`]'s trapezoids tile the object's closed region.
 ///
 /// A decided answer is the exact one, and so the closed region test's
 /// (`region_contains_point`, `region_intersects_rect`), which is exact
@@ -325,13 +306,14 @@ impl SelectMargin {
 
 /// Decomposes a polygonal region into trapezoids by horizontal bands.
 ///
-/// Every distinct vertex y becomes a cut line. Within a band no vertex
-/// occurs strictly inside, so every non-horizontal edge either spans the
-/// band or misses it; spanning edges sorted by x pair up even–odd into the
-/// interior trapezoids. Trapezoids of consecutive bands bounded by the
-/// *same* pair of edges are merged vertically (a region between two
-/// straight edges across several bands is still one trapezoid), which
-/// brings the output size close to the minimal partition of [AA 83].
+/// Every distinct vertex y becomes a cut line, however close to the
+/// next. Within a band no vertex occurs strictly inside, so every
+/// non-horizontal edge either spans the band or misses it; spanning
+/// edges sorted by x pair up even–odd into the interior trapezoids.
+/// Trapezoids of consecutive bands bounded by the *same* pair of edges
+/// are merged vertically (a region between two straight edges across
+/// several bands is still one trapezoid), which brings the output size
+/// close to the minimal partition of [AA 83].
 ///
 /// The trapezoids come in band order: by the band each one starts in,
 /// then left to right.
@@ -351,7 +333,7 @@ pub(crate) fn decompose_into(region: &PolygonWithHoles, traps: &mut Vec<Trapezoi
         .map(|p| p.y)
         .collect();
     ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ys.dedup_by(|a, b| (*a - *b).abs() < DECOMPOSE_TOLERANCE);
+    ys.dedup();
 
     // Collect all edges once.
     let edges: Vec<(Point, Point)> = region.edges().map(|e| (e.a, e.b)).collect();
@@ -365,17 +347,13 @@ pub(crate) fn decompose_into(region: &PolygonWithHoles, traps: &mut Vec<Trapezoi
 
     for w in ys.windows(2) {
         let (y1, y2) = (w[0], w[1]);
-        if y2 - y1 <= DECOMPOSE_TOLERANCE {
-            continue;
-        }
         let ymid = 0.5 * (y1 + y2);
         spans.clear();
         for (idx, &(a, b)) in edges.iter().enumerate() {
             let (elo, ehi) = (a.y.min(b.y), a.y.max(b.y));
-            // Edge must span the band: elo <= y1 and ehi >= y2 (no vertex
-            // lies strictly inside a band).
-            let tol = DECOMPOSE_TOLERANCE;
-            if elo <= y1 + tol && ehi >= y2 - tol && ehi - elo > tol {
+            // Edge must span the band (no vertex lies strictly inside a
+            // band); a horizontal edge spans none.
+            if elo <= y1 && ehi >= y2 {
                 let x_at = |y: f64| a.x + (y - a.y) / (b.y - a.y) * (b.x - a.x);
                 spans.push((x_at(y1), x_at(y2), x_at(ymid), idx));
             }
@@ -535,14 +513,9 @@ mod tests {
     }
 
     #[test]
-    fn only_vertex_ys_within_the_tolerance_make_a_decomposition_inexact() {
-        assert!(decomposes_exactly(&mut [2.0, 0.0, 1.0, 0.0, 2.0]));
-        assert!(decomposes_exactly(&mut [1e9, 1e9 + 1e-6, -0.0, 0.0]));
-        assert!(decomposes_exactly(&mut [0.0, 2e-12]));
-        assert!(!decomposes_exactly(&mut [1.0, 0.0, 0.5e-12]));
-        assert!(!decomposes_exactly(&mut [0.0, 1e-12]));
-        // A needle 0.5e-12 tall: `decompose` drops both of its edges, and
-        // its trapezoids cover none of it.
+    fn a_needle_thinner_than_any_tolerance_gets_its_band() {
+        // A needle 1e-12 tall at its base, out to x = 9: every vertex y
+        // is a cut, so its two bands are kept and bounded by its edges.
         let needle = region(&[
             (0.0, 0.0),
             (1.0, 0.0),
@@ -552,10 +525,16 @@ mod tests {
             (1.0, 1.0),
             (0.0, 1.0),
         ]);
-        let mut ys: Vec<f64> = needle.outer().vertices().iter().map(|p| p.y).collect();
-        assert!(!decomposes_exactly(&mut ys));
         let traps = decompose(&needle);
-        assert!(traps.iter().all(|t| t.mbr().xmax() <= 1.0 + 1e-9));
+        assert!((total_area(&traps) - needle.area()).abs() < 1e-15);
+        let tip = Point::new(8.0, 0.5 + 0.5e-12);
+        let covering = traps.iter().find(|t| {
+            let h = t.y_hi - t.y_lo;
+            let (xl, xr) = t.cross_section(tip.y, h);
+            t.y_lo <= tip.y && tip.y <= t.y_hi && xl <= tip.x && tip.x <= xr
+        });
+        let t = covering.expect("a trapezoid covers the needle");
+        assert!(t.y_hi - t.y_lo < 1e-12 && t.mbr().xmax() == 9.0, "{t:?}");
     }
 
     #[test]

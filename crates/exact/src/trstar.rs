@@ -612,10 +612,9 @@ impl<'a> TrStarView<'a> {
     /// walks the tree, never the edges): `Some(answer)` when the
     /// trapezoids prove whether the closed region contains `p`, `None`
     /// when `p` lies within the margin of [`SelectMargin`] and only the
-    /// region test can tell. Sound only for an object whose trapezoids
-    /// tile its region ([`crate::SelectionRefiner`] asks only those). Each node
-    /// rectangle probe counts as a rectangle test, each leaf probe as a
-    /// trapezoid test.
+    /// region test can tell. Sound because [`crate::decompose`]'s
+    /// trapezoids tile the object's region. Each node rectangle probe
+    /// counts as a rectangle test, each leaf probe as a trapezoid test.
     pub(crate) fn classify_point(&self, p: Point, counts: &mut OpCounts) -> Option<bool> {
         let decide = |t: &Trapezoid, m: &SelectMargin| t.classify_point(p, m);
         self.classify(counts, &mut InlineStack::new(0), &Rect::new(p, p), decide)

@@ -43,7 +43,7 @@ const OBJECTS: usize = if OPTIMISED { 10_000 } else { 1_000 };
 /// Runs per side of the cold-open ratio; the fastest counts.
 const ROUNDS: usize = if OPTIMISED { 3 } else { 1 };
 
-/// Below this baseline a join ratio is timer noise.
+/// Below this baseline the deadline guard's overshoot is timer noise.
 const JOIN_BASELINE_SECS: f64 = 0.020;
 
 const THREADS: usize = 4;
@@ -103,11 +103,11 @@ fn verdict(baseline: f64, noise: f64, holds: bool, reading: String) {
 const OBS_PAIRS: (usize, usize) = if OPTIMISED { (12, 4) } else { (1, 1) };
 const FAULT_PAIRS: (usize, usize) = if OPTIMISED { (32, 24) } else { (1, 1) };
 
-/// The fault-hook guard's floor. Its median of 768 pairs, not the length
-/// of one join, holds its noise down, so it binds on joins shorter than
-/// [`JOIN_BASELINE_SECS`]: a quiet 2-vCPU host runs the fused ×4 join in
-/// ≈ 18 ms.
-const FAULT_BASELINE_SECS: f64 = 0.010;
+/// The overhead guards' floor. Their median of many pairs, not the
+/// length of one join, holds their noise down, so they bind on joins
+/// shorter than [`JOIN_BASELINE_SECS`]: a quiet 2-vCPU host runs the
+/// fused ×4 join in ≈ 18 ms.
+const PAIRED_BASELINE_SECS: f64 = 0.010;
 
 /// `(median on/off pair ratio − 1, fastest off, fastest on)`. Per round,
 /// a fresh engine per side (`prepare(on)`: Step 0 and one warm-up join),
@@ -179,7 +179,7 @@ fn observability_costs_under_three_percent() {
         on * 1e3,
         off * 1e3,
     );
-    verdict(off, JOIN_BASELINE_SECS, overhead < 0.03, reading);
+    verdict(off, PAIRED_BASELINE_SECS, overhead < 0.03, reading);
 }
 
 /// The armed run (a live token polled every batch, an enabled plan that
@@ -222,7 +222,7 @@ fn armed_but_silent_fault_hooks_cost_under_one_percent() {
         on * 1e3,
         off * 1e3,
     );
-    verdict(off, FAULT_BASELINE_SECS, overhead < 0.01, reading);
+    verdict(off, PAIRED_BASELINE_SECS, overhead < 0.01, reading);
 }
 
 /// Deadline runs of the deadline guard; the median overshoot counts.

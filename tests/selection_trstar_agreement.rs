@@ -1,9 +1,9 @@
 //! A selection's Step 3 refines on the object's TR*-tree and decides only
-//! beyond a proven margin (`msj_exact::SelectMargin`), and only on objects
-//! whose trapezoids tile the region (`msj_exact::decomposes_exactly`);
-//! elsewhere the region test decides. This file holds the precondition of
-//! that route: every answer the trees claim equals the region test's, on
-//! the probes where a margin could be wrong —
+//! beyond a proven margin (`msj_exact::SelectMargin`), which holds because
+//! an object's trapezoids tile its region (`decompose` cuts at every
+//! distinct vertex y); elsewhere the region test decides. This file holds
+//! the precondition of that route: every answer the trees claim equals
+//! the region test's, on the probes where a margin could be wrong —
 //!
 //! * points on vertices, on edge midpoints, 1–4 ulp to either side of an
 //!   edge, on band cuts (every vertex y) and inside holes;
@@ -11,9 +11,9 @@
 //!   zero-width windows through a vertex;
 //!
 //! at three scales — a unit world, the same world scaled by 1e-9 (where
-//! `decompose`'s absolute `1e-12` cuts bite) and offset by 1e9, each with
-//! a needle and a wedge thinner than those cuts where the scale can hold
-//! one (a few ulps thick at 1e9) — under
+//! vertex y's lie closer than 1e-12) and offset by 1e9, each with a
+//! needle and a wedge 0.4e-12 thin where the scale can hold one (a few
+//! ulps thick at 1e9) — under
 //! `JoinConfig::default()`, `version3()` and the default at M = 3, plus
 //! one property test. The trees' own claims are checked per object; the
 //! engine's answers (ids, order and `QueryStats`) against the same filter
@@ -21,6 +21,10 @@
 //! linear scan too (at 1e9 the filter approximations round on their own,
 //! which is not this file's business). Each scale prints how often the
 //! trees decided.
+//!
+//! The TR* join over the same relations is held to the quadratic
+//! reference, with boxes that meet a thin part only along its needle or
+//! wedge.
 //!
 //! Step 1's window proof from the MBR (`Rect::covers_an_extent_of`) is
 //! held to the same standard with no approximation to round: at every
@@ -31,8 +35,8 @@
 use msj::core::{Backend, JoinConfig, SpatialEngine};
 use msj::exact::window::region_intersects_rect_reference;
 use msj::exact::{
-    decompose, decomposes_exactly, region_contains_point, region_intersects_rect, ExactAlgorithm,
-    OpCounts, SelectionRefiner, TrStarStore,
+    decompose, region_contains_point, region_intersects_rect, ExactAlgorithm, OpCounts,
+    SelectionRefiner, TrStarStore, Trapezoid,
 };
 use msj::geom::{ObjectId, Point, Polygon, PolygonWithHoles, Rect, RelHandle, Relation};
 use msj::sam::{PageLayout, RStarTree};
@@ -67,10 +71,9 @@ fn mapped(rel: &Relation, f: impl Fn(Point) -> Point) -> Relation {
     }))
 }
 
-/// A square of side `s` at `(x, y)` with a horizontal needle `thin` tall
-/// out of its right side, and a wedge along its top that ends `thin`
-/// above it — each with vertex y's closer than `decompose`'s cuts when
-/// `thin` is under 1e-12, so its trapezoids miss the needle or the wedge.
+/// A square of side `s` at `(x, y)` with a horizontal needle `2 · thin`
+/// tall at its base out of its right side (tip at `x + 3s`), and a wedge
+/// along its top that ends `thin` above it (tip at `x + 4s`).
 fn thin_parts(x: f64, y: f64, s: f64, thin: f64) -> [PolygonWithHoles; 2] {
     let ring = |v: &[(f64, f64)]| {
         let v = v.iter().map(|&(dx, dy)| Point::new(x + dx * s, y + dy * s));
@@ -443,37 +446,117 @@ proptest! {
     }
 }
 
-/// The thin parts' trapezoids miss the needle and the wedge, so the trees
-/// could claim `false` on them; the route never asks those trees, and
-/// every answer is the region test's.
+/// Whether `t` covers `p`: `p` lies in its y-range and between its sides
+/// there.
+fn covers(t: &Trapezoid, p: Point) -> bool {
+    let f = (p.y - t.y_lo) / (t.y_hi - t.y_lo);
+    let (xl, xr) = (
+        t.x_lo.0 + f * (t.x_hi.0 - t.x_lo.0),
+        t.x_lo.1 + f * (t.x_hi.1 - t.x_lo.1),
+    );
+    t.y_lo <= p.y && p.y <= t.y_hi && xl <= p.x && p.x <= xr
+}
+
+/// Every vertex y is a cut, so the trapezoids cover the thin point of a
+/// needle and of a wedge 0.4e-12 thin, and every claim the trees make
+/// there, and on the adversarial points, is the region test's.
 #[test]
-fn objects_their_trapezoids_do_not_tile_go_to_the_region_test() {
+fn the_trapezoids_cover_needles_and_wedges_thinner_than_1e_12() {
     let parts = thin_parts(0.0, 0.0, 0.01, 0.4e-12);
     let rel = Relation::from_regions(parts.clone());
     let trees = refiner(&rel, TrStarStore::build(&rel, 6));
     let mut ops = OpCounts::new();
     for (id, region) in parts.iter().enumerate() {
-        let mut ys: Vec<f64> = region.outer().vertices().iter().map(|p| p.y).collect();
-        assert!(!decomposes_exactly(&mut ys), "part {id}");
-        // A point of the thin part, in the region but off every trapezoid.
+        // A point of the thin part, at the y of its tip.
         let thin = Point::new(0.025, region.outer().vertices()[3].y);
         assert!(region_contains_point(region, thin, &mut OpCounts::new()));
-        let covered = decompose(region)
-            .iter()
-            .any(|t| t.mbr().contains_point(thin));
-        assert!(!covered, "part {id}: the trapezoids cover the thin part");
+        let covered = decompose(region).iter().any(|t| covers(t, thin));
+        assert!(covered, "part {id}: no trapezoid covers the thin part");
         for p in points(region).into_iter().chain([thin]) {
-            assert_eq!(
-                trees.classify(id as ObjectId, &p, &mut ops),
-                None,
-                "part {id} {p:?}"
-            );
             let reference = region_contains_point(region, p, &mut OpCounts::new());
+            if let Some(claim) = trees.classify(id as ObjectId, &p, &mut ops) {
+                assert_eq!(claim, reference, "part {id} {p:?}");
+            }
             assert_eq!(
                 trees.meets(id as ObjectId, &p, &mut ops),
                 reference,
                 "part {id} {p:?}"
             );
+        }
+    }
+}
+
+/// The relation the joins below pair with one of [`scales`]: its objects
+/// shifted by a fraction of their spread, and one box per thin part that
+/// meets it only along its needle or its wedge (the last two ids).
+fn join_partner(rel: &Relation) -> Relation {
+    let n = rel.len() - 2;
+    // The needle part's square: its MBR is `s` tall from `(x, y)`.
+    let needle = rel.object(n as ObjectId).mbr();
+    let (x, y, s) = (needle.xmin(), needle.ymin(), needle.height());
+    let base = Relation::from_regions(rel.iter().take(n).map(|o| o.region.clone()));
+    let (dx, dy) = (0.37 * s, 0.21 * s);
+    let shifted = mapped(&base, |p| Point::new(p.x + dx, p.y + dy));
+    let r#box = |x0: f64, y0: f64, x1: f64, y1: f64| {
+        // At 1e9 the shoelace sum of a quadrilateral this small is
+        // rounding noise (multiples of 128), and for a rectangle it
+        // cancels to 0, which `Polygon::new` refuses: the top-left corner
+        // is raised until it reads otherwise.
+        let ring = (0..16).find_map(|k| {
+            let v = [(x0, y0), (x1, y0), (x1, y1), (x0, y1 + 0.01 * k as f64)];
+            Polygon::new(v.map(|(u, w)| Point::new(x + u * s, y + w * s)).to_vec()).ok()
+        });
+        PolygonWithHoles::from(ring.expect("box"))
+    };
+    let boxes = [r#box(2.0, 0.3, 2.5, 0.7), r#box(2.5, 0.8, 3.5, 1.2)];
+    Relation::from_regions(shifted.iter().map(|o| o.region.clone()).chain(boxes))
+}
+
+/// The default engine's join of each scale's relation with
+/// [`join_partner`], against `version1()` with the quadratic exact step:
+/// equal at unit scale and at 1e9; at 1e-9 it holds every reference pair
+/// (the SAT's absolute tolerance adds pairs there, see ROADMAP); and the
+/// two boxes that meet a thin part only along its needle or wedge are hits.
+#[test]
+fn trstar_join_finds_every_pair_the_quadratic_reference_finds() {
+    let reference = JoinConfig::version1()
+        .to_builder()
+        .exact(ExactAlgorithm::Quadratic)
+        .build();
+    for (scale, rel) in scales() {
+        let partner = join_partner(&rel);
+        let pairs = |config| {
+            let engine = SpatialEngine::new(config);
+            let (a, b) = (
+                engine.register(rel.clone()),
+                engine.register(partner.clone()),
+            );
+            let mut pairs = engine.prepare_join(&a, &b).run().pairs;
+            pairs.sort_unstable();
+            pairs
+        };
+        let (got, want) = (pairs(JoinConfig::default()), pairs(reference));
+        let missed: Vec<_> = want
+            .iter()
+            .filter(|p| got.binary_search(p).is_err())
+            .collect();
+        let extra = got.len() + missed.len() - want.len();
+        println!(
+            "{scale}: {} reference pairs, {} missed, {extra} extra",
+            want.len(),
+            missed.len()
+        );
+        assert!(missed.is_empty(), "{scale}: TR* misses {missed:?}");
+        if !scale.starts_with("tiny") {
+            assert_eq!(extra, 0, "{scale}: TR* adds pairs");
+        }
+        let (n, m) = (rel.len() as ObjectId, partner.len() as ObjectId);
+        for thin in [(n - 2, m - 2), (n - 1, m - 1)] {
+            assert!(
+                want.contains(&thin),
+                "{scale}: {thin:?} not a reference hit"
+            );
+            assert!(got.contains(&thin), "{scale}: {thin:?} missed");
         }
     }
 }
