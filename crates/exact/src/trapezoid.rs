@@ -8,7 +8,8 @@
 //! horizontal top/bottom sides (triangles appear as degenerate
 //! trapezoids) that tile the closed region however thin a part of it
 //! is — the premise of the TR*-tree's exact answers. Holes are handled by
-//! the even–odd pairing of band crossings. The paper cites the minimum
+//! the even–odd pairing of band crossings, which one bottom-up sweep
+//! carries from band to band. The paper cites the minimum
 //! partition of [AA 83]; the TR*-tree only needs *a* partition into
 //! trapezoids, so we take the simpler band decomposition and merge
 //! vertically adjacent pieces bounded by the same edge pair (see
@@ -309,83 +310,99 @@ impl SelectMargin {
 /// Every distinct vertex y becomes a cut line, however close to the
 /// next. Within a band no vertex occurs strictly inside, so every
 /// non-horizontal edge either spans the band or misses it; spanning
-/// edges sorted by x pair up even–odd into the interior trapezoids.
-/// Trapezoids of consecutive bands bounded by the *same* pair of edges
-/// are merged vertically (a region between two straight edges across
-/// several bands is still one trapezoid), which brings the output size
-/// close to the minimal partition of [AA 83].
+/// edges sorted by x at mid-band pair up even–odd into the interior
+/// trapezoids. Trapezoids of consecutive bands bounded by the *same*
+/// pair of edges are merged vertically (a region between two straight
+/// edges across several bands is still one trapezoid), which brings the
+/// output size close to the minimal partition of [AA 83]: a valid region
+/// gets at most one per vertex plus one per hole beyond the first.
 ///
 /// The trapezoids come in band order: by the band each one starts in,
-/// then left to right.
+/// then left to right (edges level at mid-band in ring order).
+///
+/// One sweep over the vertices sorted by y carries the `k` edges spanning
+/// a band into the next, `O(v log v)` plus `O(k)` a band while no edges
+/// cross; [`TrStarStore::build`](crate::TrStarStore::build) reuses its scratch.
 pub fn decompose(region: &PolygonWithHoles) -> Vec<Trapezoid> {
     let mut traps = Vec::new();
-    decompose_into(region, &mut traps);
+    Decomposer::default().decompose_into(region, &mut traps);
     traps
 }
 
-/// [`decompose`] appending to `traps`, which the TR* arena packs in place.
-pub(crate) fn decompose_into(region: &PolygonWithHoles, traps: &mut Vec<Trapezoid>) {
-    let mut ys: Vec<f64> = region
-        .outer()
-        .vertices()
-        .iter()
-        .chain(region.holes().iter().flat_map(|h| h.vertices().iter()))
-        .map(|p| p.y)
-        .collect();
-    ys.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    ys.dedup();
+/// [`decompose`]'s scratch, reused across the objects of a relation.
+#[derive(Default)]
+pub(crate) struct Decomposer {
+    /// Edge `i` runs from vertex `i` to the next of its ring (outer first).
+    edges: Vec<(Point, Point)>,
+    /// Per vertex: y, id, id of the edge ending there; by y, then id.
+    vertices: Vec<(f64, usize, usize)>,
+    /// The edges spanning the band by x at mid-band: x at bottom, top, middle; id.
+    spans: Vec<(f64, f64, f64, usize)>,
+    /// Per edge: right edge and trapezoid of the last band it bounded on the left.
+    open: Vec<(usize, usize)>,
+}
 
-    // Collect all edges once.
-    let edges: Vec<(Point, Point)> = region.edges().map(|e| (e.a, e.b)).collect();
-
-    // Open trapezoids from the previous band: (left edge id, right edge
-    // id, index into `traps`). The trapezoid at that index still ends at
-    // the previous band's top and can be extended.
-    let mut open: Vec<(usize, usize, usize)> = Vec::new();
-    let mut next_open: Vec<(usize, usize, usize)> = Vec::new();
-    let mut spans: Vec<(f64, f64, f64, usize)> = Vec::new(); // x@y1, x@y2, x@mid, edge id
-
-    for w in ys.windows(2) {
-        let (y1, y2) = (w[0], w[1]);
-        let ymid = 0.5 * (y1 + y2);
+impl Decomposer {
+    /// [`decompose`] appending to `traps`, which the TR* arena packs in place.
+    pub(crate) fn decompose_into(&mut self, region: &PolygonWithHoles, traps: &mut Vec<Trapezoid>) {
+        let (edges, vertices, spans) = (&mut self.edges, &mut self.vertices, &mut self.spans);
+        edges.clear();
+        vertices.clear();
+        for ring in std::iter::once(region.outer()).chain(region.holes()) {
+            let (ring, first) = (ring.vertices(), edges.len());
+            let next = ring.iter().skip(1).chain(&ring[..1]);
+            for (i, (&a, &b)) in ring.iter().zip(next).enumerate() {
+                let ending = first + i.checked_sub(1).unwrap_or(ring.len() - 1);
+                vertices.push((a.y, first + i, ending));
+                edges.push((a, b));
+            }
+        }
+        vertices.sort_by(|p, q| p.0.partial_cmp(&q.0).expect("finite"));
+        self.open.clear();
+        self.open.resize(edges.len(), (usize::MAX, usize::MAX));
         spans.clear();
-        for (idx, &(a, b)) in edges.iter().enumerate() {
-            let (elo, ehi) = (a.y.min(b.y), a.y.max(b.y));
-            // Edge must span the band (no vertex lies strictly inside a
-            // band); a horizontal edge spans none.
-            if elo <= y1 && ehi >= y2 {
-                let x_at = |y: f64| a.x + (y - a.y) / (b.y - a.y) * (b.x - a.x);
-                spans.push((x_at(y1), x_at(y2), x_at(ymid), idx));
+        let x_at = |(a, b): (Point, Point), y: f64| a.x + (y - a.y) / (b.y - a.y) * (b.x - a.x);
+        let top = |id: usize| edges[id].0.y.max(edges[id].1.y);
+        // Each band is cut at the first of its equal vertex y's in ring order.
+        let mut cuts = vertices.chunk_by(|p, q| p.0 == q.0).peekable();
+        while let (Some(at), Some(above)) = (cuts.next(), cuts.peek()) {
+            let (y1, y2) = (at[0].0, above[0].0);
+            let ymid = 0.5 * (y1 + y2);
+            // No vertex y lies strictly inside the band: edges ending at y1
+            // leave, the rest carry their top x down, edges rising from y1 join.
+            spans.retain_mut(|s| {
+                *s = (s.1, x_at(edges[s.3], y2), x_at(edges[s.3], ymid), s.3);
+                top(s.3) > y1
+            });
+            for id in at.iter().flat_map(|v| [v.1, v.2]).filter(|&e| top(e) > y1) {
+                let e = edges[id];
+                spans.push((x_at(e, y1), x_at(e, y2), x_at(e, ymid), id));
+            }
+            // Ties in edge-id order, as a stable sort in ring order leaves
+            // them; the last band's run plus the joining edges is one merge.
+            spans.sort_by(|p, q| p.2.partial_cmp(&q.2).expect("finite").then(p.3.cmp(&q.3)));
+            // Even-odd pairing: spans 0-1, 2-3, ... bound interior trapezoids.
+            for pair in spans.chunks_exact(2) {
+                let (left, right) = (pair[0], pair[1]);
+                let (r, t) = self.open[left.3];
+                // The band below's trapezoid on the same edge pair extends
+                // (straight sides, so the union stays a trapezoid).
+                let t = if r == right.3 && traps[t].y_hi == y1 {
+                    traps[t].y_hi = y2;
+                    traps[t].x_hi = XSpan(left.1, right.1);
+                    t
+                } else {
+                    traps.push(Trapezoid {
+                        y_lo: y1,
+                        y_hi: y2,
+                        x_lo: XSpan(left.0, right.0),
+                        x_hi: XSpan(left.1, right.1),
+                    });
+                    traps.len() - 1
+                };
+                self.open[left.3] = (right.3, t);
             }
         }
-        spans.sort_by(|p, q| p.2.partial_cmp(&q.2).expect("finite"));
-        // Even-odd pairing: spans 0-1, 2-3, ... bound interior trapezoids.
-        next_open.clear();
-        let mut i = 0;
-        while i + 1 < spans.len() {
-            let left = spans[i];
-            let right = spans[i + 1];
-            // Extend the previous band's trapezoid when the same edge
-            // pair bounds it (the bounding lines are straight, so the
-            // union stays a trapezoid).
-            if let Some(&(_, _, t_idx)) =
-                open.iter().find(|&&(l, r, _)| l == left.3 && r == right.3)
-            {
-                traps[t_idx].y_hi = y2;
-                traps[t_idx].x_hi = XSpan(left.1, right.1);
-                next_open.push((left.3, right.3, t_idx));
-            } else {
-                traps.push(Trapezoid {
-                    y_lo: y1,
-                    y_hi: y2,
-                    x_lo: XSpan(left.0, right.0),
-                    x_hi: XSpan(left.1, right.1),
-                });
-                next_open.push((left.3, right.3, traps.len() - 1));
-            }
-            i += 2;
-        }
-        std::mem::swap(&mut open, &mut next_open);
     }
 }
 

@@ -68,7 +68,7 @@
 mod pack;
 
 use crate::cost::OpCounts;
-use crate::trapezoid::{decompose_into, SelectMargin, Trapezoid, XSpan};
+use crate::trapezoid::{Decomposer, SelectMargin, Trapezoid, XSpan};
 use msj_geom::stack::InlineStack;
 use msj_geom::{cast_slice, ObjectId, Plain, Point, PolygonWithHoles, Rect, Relation, SharedBytes};
 use std::fmt;
@@ -235,19 +235,20 @@ impl TrStarStore {
     /// 3 makes the fewest weighted operations, 6–8 the fastest and
     /// smallest arena).
     ///
-    /// The trapezoid column is sized from the relation's vertex count
-    /// before the first object is decomposed (a decomposition has at most
-    /// one trapezoid per vertex) and trimmed after the last; the node
-    /// column is sized exactly from the trapezoid counts before the first
-    /// tree is packed. Grown by doubling instead, each of them is copied
-    /// at 8, 16, … MB with both copies alive — on a 10k-object relation
-    /// that alone moved the process's peak resident set by up to a
-    /// quarter, depending on where the allocator happened to place the
-    /// copies.
+    /// Every object is decomposed with one scratch onto a trapezoid
+    /// column sized from the relation's vertex and hole counts (a valid
+    /// region has at most one trapezoid per vertex plus one per hole
+    /// beyond the first) and trimmed after the last; the node column is
+    /// sized exactly from the trapezoid counts before the first tree is
+    /// packed. Grown by doubling instead, each of them is copied at 8,
+    /// 16, … MB with both copies alive — on a 10k-object relation that
+    /// alone moved the process's peak resident set by up to a quarter,
+    /// depending on where the allocator happened to place the copies.
     pub fn build(relation: &Relation, max_entries: usize) -> Self {
-        let vertices = relation.iter().map(|o| o.region.num_vertices()).sum();
+        let bound = |g: &PolygonWithHoles| g.num_vertices() + g.holes().len();
+        let room = relation.iter().map(|o| bound(&o.region)).sum();
         let regions = relation.iter().map(|o| &o.region);
-        Self::build_columns(regions, max_entries, vertices)
+        Self::build_columns(regions, max_entries, room)
     }
 
     /// Builds one tree per region, in iteration order (object ids are
@@ -259,19 +260,20 @@ impl TrStarStore {
         Self::build_columns(regions, max_entries, 0)
     }
 
-    /// [`TrStarStore::from_regions`] with room for `vertices` trapezoids:
+    /// [`TrStarStore::from_regions`] with room for `room` trapezoids:
     /// every region is decomposed onto the trapezoid column, which is then
     /// trimmed, and the trees are packed over it.
     fn build_columns<'r>(
         regions: impl IntoIterator<Item = &'r PolygonWithHoles>,
         max_entries: usize,
-        vertices: usize,
+        room: usize,
     ) -> Self {
         let max_entries = max_entries.clamp(2, u16::MAX as usize);
-        let mut traps = Vec::with_capacity(vertices);
+        let mut traps = Vec::with_capacity(room);
         let mut trap_offsets = vec![0];
+        let mut decomposer = Decomposer::default();
         for region in regions {
-            decompose_into(region, &mut traps);
+            decomposer.decompose_into(region, &mut traps);
             trap_offsets.push(as_offset(traps.len()));
         }
         traps.shrink_to_fit();
