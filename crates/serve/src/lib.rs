@@ -4,18 +4,18 @@
 //! speaking the length-prefixed protocol of [`protocol`], over blocking
 //! `std::net` sockets and plain threads — no external dependencies and
 //! no `unsafe`: one thread accepts, each connection has a reader and a
-//! writer thread, and a worker pool runs the engine. The design goal is
+//! writer thread, and a worker pool runs the joins. The design goal is
 //! the robustness story of the paper's §5 engineering: a server that
 //! **refuses load it cannot carry** instead of degrading for everyone.
 //!
-//! - **Bounded queues, wire backpressure.** Requests land in bounded
-//!   per-dataset-pair queues. A full queue — or a §5 cost estimate over
-//!   the admission limit — answers an immediate 429-style
-//!   [`protocol::WireStatus::Shed`] whose `retry_after_ms` is derived
-//!   from the same cost model that refused the work. A connection's
-//!   replies wait in a bounded outbox; while it is full the server stops
-//!   reading that connection, so TCP pushes back on a client that does
-//!   not read, and no other connection waits for it.
+//! - **Bounded queues, wire backpressure.** Joins land in bounded
+//!   per-dataset-pair queues. A full queue, a connection at its
+//!   in-flight cap, or a §5 cost estimate over the admission limit
+//!   answers an immediate 429-style [`protocol::WireStatus::Shed`] whose
+//!   `retry_after_ms` is derived from the same cost model. A
+//!   connection's replies wait in a bounded outbox; while it is full the
+//!   server stops reading that connection, so TCP pushes back on a
+//!   client that does not read, and no other connection waits for it.
 //! - **Client deadlines.** A nonzero `deadline_ms` in the request
 //!   header arms the engine's one and only cancellation mechanism
 //!   ([`msj_core::CancelToken::with_deadline`]) at admission, so queue
@@ -33,11 +33,12 @@
 //!   with [`protocol::WireStatus::Draining`], and exits within the
 //!   configured drain deadline (cancelling still-running work through
 //!   the same token path when the deadline passes).
-//! - **Cross-request batching.** Concurrent point/window probes against
-//!   the same dataset are drained from the queue as one batch and run
-//!   through the engine's shared-descent batch path — under load the
-//!   served throughput exceeds per-query serving, and every completed
-//!   response stays **byte-identical** to its in-process equivalent.
+//! - **Selections on the reader, batched.** A connection's reader
+//!   answers the point and window probes of each read itself, same-kind
+//!   runs through the engine's shared-descent batch path, and writes the
+//!   replies when its writer is idle: a µs probe never waits on a
+//!   thread hand-off, and every completed response stays
+//!   **byte-identical** to its in-process equivalent.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -21,8 +21,9 @@
 //! measurement stays observable through the engine's metrics registry and
 //! traces.
 
-use msj_core::{EngineError, JoinResponse, Response, SelectionResponse};
+use msj_core::{EngineError, JoinResponse, Request, Response, SelectionResponse};
 use msj_exact::OpCounts;
+use msj_geom::{Point, Rect};
 
 /// Default cap on the size of one *request* frame body. Requests are
 /// tiny (tens of bytes); anything larger is a confused or hostile
@@ -130,6 +131,36 @@ impl WireRequest {
     }
 }
 
+impl WireRequestBody {
+    /// The engine request this body asks for, with the engine's default
+    /// execution; `None` for `Metrics`, which the server answers itself.
+    pub fn to_request(&self) -> Option<Request> {
+        Some(match *self {
+            WireRequestBody::Join { a, b } => Request::Join {
+                a,
+                b,
+                execution: None,
+            },
+            WireRequestBody::SelfJoin { dataset } => Request::SelfJoin {
+                dataset,
+                execution: None,
+            },
+            WireRequestBody::Point { dataset, x, y } => Request::Point {
+                dataset,
+                point: Point::new(x, y),
+            },
+            WireRequestBody::Window { dataset, bounds } => Request::Window {
+                dataset,
+                window: Rect::new(
+                    Point::new(bounds[0], bounds[1]),
+                    Point::new(bounds[2], bounds[3]),
+                ),
+            },
+            WireRequestBody::Metrics => return None,
+        })
+    }
+}
+
 /// Response status byte. The numeric values are the wire protocol —
 /// append-only, never reordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,22 +210,6 @@ impl WireStatus {
             10 => WireStatus::Internal,
             _ => return None,
         })
-    }
-
-    /// The status's stable display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WireStatus::Ok => "ok",
-            WireStatus::Shed => "shed",
-            WireStatus::DeadlineExceeded => "deadline_exceeded",
-            WireStatus::Draining => "draining",
-            WireStatus::Cancelled => "cancelled",
-            WireStatus::UnknownDataset => "unknown_dataset",
-            WireStatus::WorkerPanicked => "worker_panicked",
-            WireStatus::BadRequest => "bad_request",
-            WireStatus::FrameTooLarge => "frame_too_large",
-            WireStatus::Internal => "internal",
-        }
     }
 }
 
@@ -368,6 +383,19 @@ fn put_ops(out: &mut Vec<u8>, ops: &OpCounts) {
     }
 }
 
+/// Reserves a frame's length prefix at the end of `out` and returns
+/// where the frame starts; [`end_frame`] fills the prefix in.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    out.extend_from_slice(&[0; 4]);
+    out.len() - 4
+}
+
+/// Writes the length of the frame begun at `at` into its prefix.
+fn end_frame(out: &mut [u8], at: usize) {
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
 /// A bounds-checked little-endian reader over one frame body.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -461,37 +489,36 @@ impl<'a> Reader<'a> {
 
 /// Encodes a request into a complete frame (length prefix included).
 pub fn encode_request(req: &WireRequest) -> Vec<u8> {
-    let mut body = Vec::with_capacity(32);
-    put_u64(&mut body, req.request_id);
-    put_u32(&mut body, req.deadline_ms);
+    let mut frame = Vec::with_capacity(64);
+    let at = begin_frame(&mut frame);
+    put_u64(&mut frame, req.request_id);
+    put_u32(&mut frame, req.deadline_ms);
     match req.body {
         WireRequestBody::Join { a, b } => {
-            body.push(KIND_JOIN);
-            put_u32(&mut body, a);
-            put_u32(&mut body, b);
+            frame.push(KIND_JOIN);
+            put_u32(&mut frame, a);
+            put_u32(&mut frame, b);
         }
         WireRequestBody::SelfJoin { dataset } => {
-            body.push(KIND_SELF_JOIN);
-            put_u32(&mut body, dataset);
+            frame.push(KIND_SELF_JOIN);
+            put_u32(&mut frame, dataset);
         }
         WireRequestBody::Point { dataset, x, y } => {
-            body.push(KIND_POINT);
-            put_u32(&mut body, dataset);
-            put_f64(&mut body, x);
-            put_f64(&mut body, y);
+            frame.push(KIND_POINT);
+            put_u32(&mut frame, dataset);
+            put_f64(&mut frame, x);
+            put_f64(&mut frame, y);
         }
         WireRequestBody::Window { dataset, bounds } => {
-            body.push(KIND_WINDOW);
-            put_u32(&mut body, dataset);
+            frame.push(KIND_WINDOW);
+            put_u32(&mut frame, dataset);
             for v in bounds {
-                put_f64(&mut body, v);
+                put_f64(&mut frame, v);
             }
         }
-        WireRequestBody::Metrics => body.push(KIND_METRICS),
+        WireRequestBody::Metrics => frame.push(KIND_METRICS),
     }
-    let mut frame = Vec::with_capacity(body.len() + 4);
-    put_u32(&mut frame, body.len() as u32);
-    frame.extend_from_slice(&body);
+    end_frame(&mut frame, at);
     frame
 }
 
@@ -529,16 +556,23 @@ pub fn decode_request(body: &[u8]) -> Result<WireRequest, String> {
 
 /// Encodes a response into a complete frame (length prefix included).
 pub fn encode_response(request_id: u64, body: &ResponseBody) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    put_u64(&mut payload, request_id);
-    payload.push(body.status() as u8);
+    let mut frame = Vec::with_capacity(64);
+    encode_response_into(&mut frame, request_id, body);
+    frame
+}
+
+/// Appends a response's complete frame to `out`.
+pub(crate) fn encode_response_into(out: &mut Vec<u8>, request_id: u64, body: &ResponseBody) {
+    let at = begin_frame(out);
+    put_u64(out, request_id);
+    out.push(body.status() as u8);
     match body {
         ResponseBody::Join { pairs, stats, ops } => {
-            payload.push(0); // shape: join
-            put_u64(&mut payload, pairs.len() as u64);
+            out.push(0); // shape: join
+            put_u64(out, pairs.len() as u64);
             for &(a, b) in pairs {
-                put_u32(&mut payload, a);
-                put_u32(&mut payload, b);
+                put_u32(out, a);
+                put_u32(out, b);
             }
             for v in [
                 stats.candidates,
@@ -552,15 +586,15 @@ pub fn encode_response(request_id: u64, body: &ResponseBody) -> Vec<u8> {
                 stats.exact_hits,
                 stats.result_pairs,
             ] {
-                put_u64(&mut payload, v);
+                put_u64(out, v);
             }
-            put_ops(&mut payload, ops);
+            put_ops(out, ops);
         }
         ResponseBody::Selection { ids, stats, ops } => {
-            payload.push(1); // shape: selection
-            put_u64(&mut payload, ids.len() as u64);
+            out.push(1); // shape: selection
+            put_u64(out, ids.len() as u64);
             for &id in ids {
-                put_u32(&mut payload, id);
+                put_u32(out, id);
             }
             for v in [
                 stats.candidates,
@@ -568,47 +602,44 @@ pub fn encode_response(request_id: u64, body: &ResponseBody) -> Vec<u8> {
                 stats.filter_hits,
                 stats.exact_tests,
             ] {
-                put_u64(&mut payload, v);
+                put_u64(out, v);
             }
-            put_ops(&mut payload, ops);
+            put_ops(out, ops);
         }
         ResponseBody::Text(text) => {
-            payload.push(2); // shape: text
-            put_str(&mut payload, text);
+            out.push(2); // shape: text
+            put_str(out, text);
         }
         ResponseBody::Shed {
             retry_after_ms,
             reason,
             from_history,
         } => {
-            put_u64(&mut payload, *retry_after_ms);
-            payload.push(*reason as u8);
-            payload.push(u8::from(*from_history));
+            put_u64(out, *retry_after_ms);
+            out.push(*reason as u8);
+            out.push(u8::from(*from_history));
         }
         ResponseBody::DeadlineExceeded {
             elapsed_ms,
             partial_candidates,
         } => {
-            put_u64(&mut payload, *elapsed_ms);
-            put_u64(&mut payload, *partial_candidates);
+            put_u64(out, *elapsed_ms);
+            put_u64(out, *partial_candidates);
         }
         ResponseBody::Draining => {}
         ResponseBody::Cancelled { partial_candidates } => {
-            put_u64(&mut payload, *partial_candidates);
+            put_u64(out, *partial_candidates);
         }
-        ResponseBody::UnknownDataset { id } => put_u32(&mut payload, *id),
+        ResponseBody::UnknownDataset { id } => put_u32(out, *id),
         ResponseBody::WorkerPanicked { worker, message } => {
-            put_u32(&mut payload, *worker);
-            put_str(&mut payload, message);
+            put_u32(out, *worker);
+            put_str(out, message);
         }
-        ResponseBody::BadRequest { message } => put_str(&mut payload, message),
-        ResponseBody::FrameTooLarge { declared } => put_u32(&mut payload, *declared),
-        ResponseBody::Internal { message } => put_str(&mut payload, message),
+        ResponseBody::BadRequest { message } => put_str(out, message),
+        ResponseBody::FrameTooLarge { declared } => put_u32(out, *declared),
+        ResponseBody::Internal { message } => put_str(out, message),
     }
-    let mut frame = Vec::with_capacity(payload.len() + 4);
-    put_u32(&mut frame, payload.len() as u32);
-    frame.extend_from_slice(&payload);
-    frame
+    end_frame(out, at);
 }
 
 /// Decodes one response frame body (the bytes after the length prefix).

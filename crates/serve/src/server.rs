@@ -1,25 +1,28 @@
-//! The serving front: blocking threads over `std::net` sockets, a
-//! bounded-queue admission gate, a worker pool that batches same-dataset
-//! probes, and a graceful drain path.
+//! The serving front: blocking threads over `std::net` sockets, an
+//! admission gate, selections answered on their connection's reader,
+//! bounded join queues served by a worker pool, and a graceful drain.
 //!
 //! One thread accepts connections, and runs the drain once
-//! [`Server::shutdown`] wakes it. Each connection has two threads of its
-//! own: a *reader* that parses frames and runs admission, and a *writer*
-//! that flushes the connection's outbox. `workers` threads pull admitted
-//! jobs from the bounded `QueueSet` and run them through the engine. A
-//! job carries its connection's outbox, so the worker appends the encoded
-//! reply there and never touches a socket.
+//! [`Server::shutdown`] wakes it. Each connection has a *reader* and a
+//! *writer* thread. The reader admits every complete frame of a read,
+//! then answers the read's points and windows itself, each same-kind run
+//! of at most `batch_max` through one batch call: a probe takes
+//! microseconds, less than a hand-off to another thread. Joins go to the
+//! bounded `QueueSet`, where `workers` threads run them and append each
+//! reply to the job's connection outbox, never touching a socket. Whoever
+//! holds the outbox's `writing` claim writes: the writer, or the reader,
+//! which writes its own replies when the writer is idle.
 //!
 //! Admission happens *before* a request costs anything: draining, frame
-//! and dataset validation, the per-connection in-flight cap, and the
-//! bounded queue are all checked on the reader, and every refusal is an
+//! and dataset validation, the per-connection in-flight cap, and a join's
+//! queue bound are all checked on the reader, and every refusal is an
 //! explicit wire response carrying a §5-derived `retry_after_ms` where
-//! retrying makes sense. A reader stops reading while its outbox holds
-//! `OUTBOX_BYTES` unwritten, so a client that does not read its replies
-//! is pushed back by TCP instead of buffered, and delays no other
-//! connection. Nothing is ever silently dropped: every admitted request
-//! is answered exactly once, or its connection is closed by a timeout or
-//! an injected fault — never neither.
+//! retrying makes sense. A reader stops reading while it writes or while
+//! its outbox holds `OUTBOX_BYTES` unwritten, so a client that does not
+//! read its replies is pushed back by TCP instead of buffered, and delays
+//! no other connection. Nothing is ever silently dropped: every admitted
+//! request is answered exactly once, or its connection is closed by a
+//! timeout or an injected fault — never neither.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -35,8 +38,8 @@ use msj_geom::{CancelToken, Point, Rect};
 use msj_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 use crate::protocol::{
-    decode_request, encode_response, response_body_for, retry_after_ms, selection_body,
-    ResponseBody, ShedReason, WireRequestBody, MAX_REQUEST_FRAME,
+    decode_request, encode_response, encode_response_into, response_body_for, retry_after_ms,
+    selection_body, ResponseBody, ShedReason, WireRequestBody, MAX_REQUEST_FRAME,
 };
 use crate::queue::{Job, QueueKey, QueueSet};
 
@@ -47,11 +50,14 @@ pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (read it back via
     /// [`Server::addr`]).
     pub addr: String,
-    /// Engine worker threads pulling from the queues.
+    /// Engine worker threads running joins from the queues. Selections
+    /// run on their connection's reader instead.
     pub workers: usize,
-    /// Per-dataset-pair queue bound; a full queue sheds.
+    /// Per-dataset-pair join queue bound; a full queue sheds the join.
+    /// Selections are bounded by `conn_inflight_cap` and TCP push-back.
     pub queue_bound: usize,
-    /// Largest same-kind selection run popped as one shared descent.
+    /// Largest same-kind run of a read's selections answered as one
+    /// shared descent.
     pub batch_max: usize,
     /// Largest accepted request-frame body, in bytes.
     pub max_frame: u32,
@@ -66,7 +72,7 @@ pub struct ServeConfig {
     /// How long a quiet connection (no pending work either way) is kept.
     pub idle_timeout: Duration,
     /// Budget for [`Server::shutdown`] to complete queued and in-flight
-    /// work before queued jobs are answered `Draining` and running ones
+    /// work before queued joins are answered `Draining` and running ones
     /// are cancelled.
     pub drain_deadline: Duration,
 }
@@ -89,12 +95,12 @@ impl Default for ServeConfig {
 }
 
 /// What the drain accomplished, reported by [`Server::join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DrainReport {
     /// Whether every admitted request was answered and flushed within
     /// the drain deadline (plus a short cancellation grace).
     pub clean: bool,
-    /// Queued jobs answered `Draining` because the deadline passed.
+    /// Queued joins answered `Draining` because the deadline passed.
     pub abandoned_queued: usize,
     /// In-flight requests cancelled when the deadline passed.
     pub cancelled_inflight: usize,
@@ -116,7 +122,7 @@ struct Shared {
     engine: Arc<SpatialEngine>,
     config: ServeConfig,
     queues: QueueSet,
-    /// Cancel tokens of requests a worker is executing right now, so the
+    /// Cancel tokens of joins a worker is executing right now, so the
     /// drain deadline can cancel them through the one token path.
     executing: Mutex<HashMap<u64, CancelToken>>,
     next_exec: AtomicUsize,
@@ -125,8 +131,8 @@ struct Shared {
     /// Connections whose threads are still running.
     open: AtomicUsize,
     shutdown: AtomicBool,
-    /// The engine's fault plan, armed at the wire; every writer consults
-    /// it once per frame.
+    /// The engine's fault plan, armed at the wire; whoever writes a frame
+    /// consults it once.
     fault: FaultSession,
     metrics: ServeMetrics,
 }
@@ -136,7 +142,6 @@ struct Shared {
 /// up by name.
 struct ServeMetrics {
     join_queue_depth: Arc<Gauge>,
-    selection_queue_depth: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
     batch_size: Arc<Histogram>,
     e2e: Arc<Histogram>,
@@ -163,14 +168,9 @@ impl Shared {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    fn publish_depths(&self) {
-        let (join, select) = self.queues.depths();
-        self.metrics.join_queue_depth.set(join as f64);
-        self.metrics.selection_queue_depth.set(select as f64);
-    }
-
-    fn count_shed(&self, reason: ShedReason) {
-        self.metrics.shed[reason as usize].inc();
+    fn publish_depth(&self) {
+        let depth = self.queues.depth();
+        self.metrics.join_queue_depth.set(depth as f64);
     }
 
     fn count_open(&self, opened: bool) {
@@ -180,15 +180,6 @@ impl Shared {
             self.open.fetch_sub(1, Ordering::AcqRel) - 1
         };
         self.metrics.connections_open.set(open as f64);
-    }
-
-    /// Hands an admitted request's reply to its connection's writer.
-    fn answer(&self, job: &Job, body: &ResponseBody) {
-        self.metrics
-            .e2e
-            .record(job.received.elapsed().as_nanos() as u64);
-        job.reply.push(encode_response(job.request_id, body), true);
-        self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
     /// The wire fault plan's verdict on the next frame written, counted
@@ -217,31 +208,8 @@ impl Shared {
     /// The §5 estimate feeding a shed's retry hint — history-informed
     /// when the engine has run the pair before, a-priori otherwise.
     fn estimate(&self, body: &WireRequestBody) -> (f64, bool) {
-        let request = match *body {
-            WireRequestBody::Join { a, b } => Request::Join {
-                a,
-                b,
-                execution: None,
-            },
-            WireRequestBody::SelfJoin { dataset } => Request::SelfJoin {
-                dataset,
-                execution: None,
-            },
-            WireRequestBody::Point { dataset, x, y } => Request::Point {
-                dataset,
-                point: Point::new(x, y),
-            },
-            WireRequestBody::Window { dataset, bounds } => Request::Window {
-                dataset,
-                window: Rect::new(
-                    Point::new(bounds[0], bounds[1]),
-                    Point::new(bounds[2], bounds[3]),
-                ),
-            },
-            WireRequestBody::Metrics => return (0.0, false),
-        };
-        self.engine
-            .estimate_request(&request)
+        body.to_request()
+            .and_then(|request| self.engine.estimate_request(&request))
             .unwrap_or((0.0, false))
     }
 }
@@ -262,7 +230,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             metrics: describe_metrics(engine.metrics()),
-            queues: QueueSet::new(config.queue_bound, config.batch_max),
+            queues: QueueSet::new(config.queue_bound),
             config,
             executing: Mutex::new(HashMap::new()),
             next_exec: AtomicUsize::new(0),
@@ -317,11 +285,7 @@ impl Server {
     /// Waits for the drain to finish and reports what it took.
     pub fn join(mut self) -> DrainReport {
         let handle = self.handle.take().expect("join called once");
-        handle.join().unwrap_or(DrainReport {
-            clean: false,
-            abandoned_queued: 0,
-            cancelled_inflight: 0,
-        })
+        handle.join().unwrap_or_default()
     }
 }
 
@@ -331,11 +295,11 @@ impl Server {
 fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
     reg.describe(
         "msj_queue_depth",
-        "Requests waiting in the bounded serving queues, by queue kind.",
+        "Joins waiting in the bounded serving queues, by queue kind.",
     );
     reg.describe(
         "msj_queue_wait_nanos",
-        "Time admitted requests spent queued before a worker picked them up.",
+        "Time from admission until a worker starts the join or a reader the selection's run.",
     );
     reg.describe(
         "msj_request_shed_total",
@@ -353,7 +317,7 @@ fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
     );
     reg.describe(
         "msj_serve_batch_size",
-        "Jobs dispatched per worker pull (selection runs batch).",
+        "Requests per dispatch: one per join, the run's length per selection run.",
     );
     reg.describe(
         "msj_serve_e2e_nanos",
@@ -365,11 +329,10 @@ fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
     );
     reg.describe(
         "msj_serve_requests_total",
-        "Requests admitted into the serving queues, by kind.",
+        "Requests admitted for serving, by kind.",
     );
     let metrics = ServeMetrics {
         join_queue_depth: reg.gauge("msj_queue_depth", &[("queue", "join")]),
-        selection_queue_depth: reg.gauge("msj_queue_depth", &[("queue", "selection")]),
         queue_wait: reg.histogram("msj_queue_wait_nanos", &[]),
         batch_size: reg.histogram("msj_serve_batch_size", &[]),
         e2e: reg.histogram("msj_serve_e2e_nanos", &[]),
@@ -388,7 +351,6 @@ fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
         draining_responses: reg.counter("msj_draining_responses_total", &[]),
     };
     metrics.join_queue_depth.set(0.0);
-    metrics.selection_queue_depth.set(0.0);
     metrics.connections_open.set(0.0);
     metrics
 }
@@ -399,44 +361,21 @@ fn describe_metrics(reg: &MetricsRegistry) -> ServeMetrics {
 
 fn worker_loop(shared: &Shared) {
     let metrics = &shared.metrics;
-    let mut batch: Vec<Job> = Vec::new();
-    loop {
-        batch.clear();
-        let Some(key) = shared.queues.pop_batch(&mut batch) else {
-            return;
-        };
-        shared.publish_depths();
-        let picked = Instant::now();
-        for job in &batch {
-            let waited = picked.duration_since(job.received);
-            metrics.queue_wait.record(waited.as_nanos() as u64);
-        }
-        metrics.batch_size.record(batch.len() as u64);
-
-        match key {
-            QueueKey::Join(..) => {
-                let job = batch.pop().expect("join batches hold one job");
-                let body = run_join(shared, &job);
-                shared.answer(&job, &body);
-            }
-            QueueKey::Select(dataset) => run_selection_batch(shared, dataset, &mut batch),
-        }
+    while let Some(job) = shared.queues.pop() {
+        shared.publish_depth();
+        metrics
+            .queue_wait
+            .record(job.received.elapsed().as_nanos() as u64);
+        metrics.batch_size.record(1);
+        let body = run_join(shared, &job);
+        metrics.e2e.record(job.received.elapsed().as_nanos() as u64);
+        job.reply.push(&encode_response(job.request_id, &body));
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 fn run_join(shared: &Shared, job: &Job) -> ResponseBody {
-    let request = match job.body {
-        WireRequestBody::Join { a, b } => Request::Join {
-            a,
-            b,
-            execution: None,
-        },
-        WireRequestBody::SelfJoin { dataset } => Request::SelfJoin {
-            dataset,
-            execution: None,
-        },
-        ref other => unreachable!("join queue held {other:?}"),
-    };
+    let request = job.body.to_request().expect("the join queue holds joins");
     // Park the token where the drain deadline can reach it, run, unpark.
     let slot = shared.next_exec.fetch_add(1, Ordering::Relaxed) as u64;
     shared
@@ -451,94 +390,37 @@ fn run_join(shared: &Shared, job: &Job) -> ResponseBody {
     if let ResponseBody::Shed { reason, .. } = body {
         // Engine-side §5 admission refusals surface as wire sheds; keep
         // the shed counter complete across both shed sites.
-        shared.count_shed(reason);
+        shared.metrics.shed[reason as usize].inc();
     }
     body
-}
-
-fn run_selection_batch(shared: &Shared, dataset: u32, batch: &mut Vec<Job>) {
-    // Jobs whose deadline expired while queued answer without touching
-    // the engine — the partial-work accounting is zero by construction.
-    let mut live: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch.drain(..) {
-        if job.cancel.is_cancelled() {
-            let body = match job.cancel.reason() {
-                Some(msj_geom::CancelReason::DeadlineExpired) => ResponseBody::DeadlineExceeded {
-                    elapsed_ms: job.cancel.elapsed().as_millis() as u64,
-                    partial_candidates: 0,
-                },
-                _ => ResponseBody::Cancelled {
-                    partial_candidates: 0,
-                },
-            };
-            shared.answer(&job, &body);
-        } else {
-            live.push(job);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    let Some(handle) = shared.engine.dataset(dataset) else {
-        for job in &live {
-            shared.answer(job, &ResponseBody::UnknownDataset { id: dataset });
-        }
-        return;
-    };
-    // One shared descent for the whole same-kind run: the queue
-    // guarantees the batch is homogeneous.
-    let responses = match live[0].body {
-        WireRequestBody::Point { .. } => {
-            let points: Vec<Point> = live
-                .iter()
-                .map(|job| match job.body {
-                    WireRequestBody::Point { x, y, .. } => Point::new(x, y),
-                    ref other => unreachable!("mixed selection batch: {other:?}"),
-                })
-                .collect();
-            shared.engine.point_query_batch(&handle, &points)
-        }
-        WireRequestBody::Window { .. } => {
-            let windows: Vec<Rect> = live
-                .iter()
-                .map(|job| match job.body {
-                    WireRequestBody::Window { bounds, .. } => Rect::new(
-                        Point::new(bounds[0], bounds[1]),
-                        Point::new(bounds[2], bounds[3]),
-                    ),
-                    ref other => unreachable!("mixed selection batch: {other:?}"),
-                })
-                .collect();
-            shared.engine.window_query_batch(&handle, &windows)
-        }
-        ref other => unreachable!("selection queue held {other:?}"),
-    };
-    debug_assert_eq!(responses.len(), live.len());
-    for (job, response) in live.iter().zip(responses) {
-        shared.answer(job, &selection_body(&response));
-    }
 }
 
 // ---------------------------------------------------------------------
 // Connections
 // ---------------------------------------------------------------------
 
-/// Where a connection's replies wait for its writer. Every admitted
+/// Where a connection's replies wait to be written. Every admitted join's
 /// [`Job`] carries its connection's outbox, so whoever answers the job —
-/// a worker, or the drain — appends the frame here.
+/// a worker, or the drain — appends the frame here; the reader hands its
+/// own replies over in one piece per read.
 #[derive(Debug)]
 pub(crate) struct Outbox {
     state: Mutex<OutboxState>,
-    /// Signalled on every change the reader or the writer waits for.
+    /// Signalled on a change the reader or the writer may be waiting
+    /// for, and only while one of them is.
     changed: Condvar,
 }
 
 #[derive(Debug)]
 struct OutboxState {
-    /// Encoded frames the writer has not taken yet.
-    frames: Vec<Vec<u8>>,
-    /// Bytes in `frames` plus those the writer holds unwritten.
+    /// Whole encoded frames no one has claimed for writing yet.
+    pending: Vec<u8>,
+    /// Bytes in `pending` plus those a writing thread holds unwritten.
     unwritten: usize,
+    /// Whether the reader or the writer is writing claimed frames now.
+    writing: bool,
+    /// Threads blocked on `changed`.
+    waiting: usize,
     /// Admitted requests from this connection not yet answered.
     inflight: usize,
     /// When a byte was last read or written.
@@ -550,12 +432,27 @@ struct OutboxState {
     closed: bool,
 }
 
+impl OutboxState {
+    /// Claims the writing, moving every pending frame into `out` (which
+    /// is empty); `false` when someone writes already or nothing waits.
+    fn claim(&mut self, out: &mut Vec<u8>) -> bool {
+        if self.writing || self.closed || self.pending.is_empty() {
+            return false;
+        }
+        self.writing = true;
+        std::mem::swap(out, &mut self.pending);
+        true
+    }
+}
+
 impl Outbox {
     pub(crate) fn new() -> Outbox {
         Outbox {
             state: Mutex::new(OutboxState {
-                frames: Vec::new(),
+                pending: Vec::new(),
                 unwritten: 0,
+                writing: false,
+                waiting: 0,
                 inflight: 0,
                 last_activity: Instant::now(),
                 input_done: false,
@@ -569,21 +466,47 @@ impl Outbox {
         self.state.lock().expect("outbox lock poisoned")
     }
 
-    /// Changes the state, then wakes whoever waits on it.
-    fn update(&self, change: impl FnOnce(&mut OutboxState)) {
-        change(&mut self.lock());
-        self.changed.notify_all();
+    /// Blocks until the next change.
+    fn wait<'a>(&self, mut s: MutexGuard<'a, OutboxState>) -> MutexGuard<'a, OutboxState> {
+        s.waiting += 1;
+        s = self.changed.wait(s).expect("outbox lock poisoned");
+        s.waiting -= 1;
+        s
     }
 
-    /// Appends a reply frame; `answered` settles one admitted request.
-    fn push(&self, frame: Vec<u8>, answered: bool) {
+    /// Changes the state, then wakes whoever waits on it.
+    fn update(&self, change: impl FnOnce(&mut OutboxState)) {
+        let mut s = self.lock();
+        change(&mut s);
+        if s.waiting > 0 {
+            self.changed.notify_all();
+        }
+    }
+
+    /// Appends the reply frame to one admitted request.
+    fn push(&self, frame: &[u8]) {
         self.update(|s| {
-            s.inflight -= usize::from(answered);
+            s.inflight -= 1;
             if !s.closed {
                 s.unwritten += frame.len();
-                s.frames.push(frame);
+                s.pending.extend_from_slice(frame);
             }
         });
+    }
+
+    /// The reader's hand-off of its frames, `answered` of them to admitted
+    /// requests; `true` when it claimed the writing of every pending frame,
+    /// now in `frames`. Wakes no one: a writing writer takes them next.
+    fn hand_off(&self, frames: &mut Vec<u8>, answered: usize) -> bool {
+        let mut s = self.lock();
+        s.inflight -= answered;
+        if s.closed {
+            frames.clear();
+            return false;
+        }
+        s.unwritten += frames.len();
+        s.pending.append(frames);
+        s.claim(frames)
     }
 
     /// Counts one more admitted request, unless `cap` are in flight
@@ -604,10 +527,6 @@ impl Outbox {
         (s.inflight == 0 && s.unwritten == 0).then(|| s.last_activity.elapsed())
     }
 
-    fn unwritten(&self) -> usize {
-        self.lock().unwritten
-    }
-
     fn touch(&self) {
         self.lock().last_activity = Instant::now();
     }
@@ -617,30 +536,31 @@ impl Outbox {
     fn wait_for_room(&self) -> bool {
         let mut s = self.lock();
         while s.unwritten >= OUTBOX_BYTES && !s.closed {
-            s = self.changed.wait(s).expect("outbox lock poisoned");
+            s = self.wait(s);
         }
         !s.closed
     }
 
-    /// Blocks until there are frames to write and moves them into `out`;
-    /// `false` once the connection is over.
-    fn take(&self, out: &mut Vec<Vec<u8>>) -> bool {
+    /// The writer's claim: blocks until it holds the writing with frames
+    /// in `out`; `false` once the connection is over.
+    fn take(&self, out: &mut Vec<u8>) -> bool {
         let mut s = self.lock();
         loop {
-            if s.closed || (s.input_done && s.inflight == 0 && s.frames.is_empty()) {
+            if s.closed || (s.input_done && s.inflight == 0 && s.pending.is_empty()) {
                 return false;
             }
-            if !s.frames.is_empty() {
-                std::mem::swap(out, &mut s.frames);
+            if s.claim(out) {
                 return true;
             }
-            s = self.changed.wait(s).expect("outbox lock poisoned");
+            s = self.wait(s);
         }
     }
 
-    /// Settles `bytes` the writer took: written, or discarded by a fault.
+    /// Releases the writing claim over `bytes` claimed bytes: written,
+    /// or discarded by a fault.
     fn wrote(&self, bytes: usize) {
         self.update(|s| {
+            s.writing = false;
             s.unwritten -= bytes;
             s.last_activity = Instant::now();
         });
@@ -660,9 +580,47 @@ impl Connection {
     fn close(&self) {
         self.outbox.update(|s| {
             s.closed = true;
-            s.unwritten -= s.frames.drain(..).map(|f| f.len()).sum::<usize>();
+            s.unwritten -= s.pending.len();
+            s.pending.clear();
         });
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// The reader's and the writer's one write path: writes claimed frames,
+    /// consulting the wire fault plan per frame, and releases the claim. A
+    /// fault, an error or `write_timeout` without progress closes the
+    /// connection and returns `false`.
+    fn write_claimed(&self, shared: &Shared, bytes: &mut Vec<u8>) -> bool {
+        let taken = bytes.len();
+        let (mut at, mut end) = (0, taken);
+        while at < taken {
+            let header = bytes[at..at + 4].try_into().expect("four header bytes");
+            let next = at + 4 + u32::from_le_bytes(header) as usize;
+            match shared.wire_fault() {
+                WireAction::Proceed => {}
+                // A deliberately slow wire: the reply still goes out,
+                // later. Only this connection waits.
+                WireAction::SlowThenProceed(stall) => std::thread::sleep(stall),
+                // Computed, then never sent: the client must treat the
+                // close as request-failed.
+                WireAction::ConnReset | WireAction::DropBeforeReply => end = at,
+                WireAction::PartialWrite => end = at + ((next - at) / 2).max(1),
+            }
+            if end < taken {
+                break;
+            }
+            at = next;
+        }
+        let written = (&self.stream).write_all(&bytes[..end]);
+        bytes.clear();
+        self.outbox.wrote(taken);
+        match written {
+            Ok(()) if end == taken => return true,
+            Err(e) if stalled(&e) => shared.metrics.conn_timeouts[WRITE].inc(),
+            _ => {}
+        }
+        self.close();
+        false
     }
 }
 
@@ -704,23 +662,18 @@ fn serve(listener: TcpListener, shared: Arc<Shared>, workers: Vec<JoinHandle<()>
 }
 
 /// The drain state machine: waits until every admitted request is
-/// answered and written, answering the queue `Draining` and cancelling
-/// running work once the deadline passes.
+/// answered and written, answering the queued joins `Draining` and
+/// cancelling running ones once the deadline passes.
 fn drain(shared: &Shared, conns: &[(Weak<Connection>, JoinHandle<()>)]) -> DrainReport {
     let started = Instant::now();
-    let mut report = DrainReport {
-        clean: false,
-        abandoned_queued: 0,
-        cancelled_inflight: 0,
-    };
+    let mut report = DrainReport::default();
     let mut deadline_fired = false;
     loop {
-        let settled = shared.queues.is_empty()
-            && shared.inflight.load(Ordering::Acquire) == 0
+        let settled = shared.inflight.load(Ordering::Acquire) == 0
             && conns
                 .iter()
                 .filter_map(|(conn, _)| conn.upgrade())
-                .all(|conn| conn.outbox.unwritten() == 0);
+                .all(|conn| conn.outbox.lock().unwritten == 0);
         if settled {
             report.clean = !deadline_fired;
             return report;
@@ -734,11 +687,11 @@ fn drain(shared: &Shared, conns: &[(Weak<Connection>, JoinHandle<()>)]) -> Drain
             for job in shared.queues.drain_all() {
                 report.abandoned_queued += 1;
                 shared.metrics.draining_responses.inc();
-                let frame = encode_response(job.request_id, &ResponseBody::Draining);
-                job.reply.push(frame, true);
+                job.reply
+                    .push(&encode_response(job.request_id, &ResponseBody::Draining));
                 shared.inflight.fetch_sub(1, Ordering::AcqRel);
             }
-            shared.publish_depths();
+            shared.publish_depth();
             for token in shared.executing.lock().expect("executing").values() {
                 token.cancel();
                 report.cancelled_inflight += 1;
@@ -754,6 +707,8 @@ fn drain(shared: &Shared, conns: &[(Weak<Connection>, JoinHandle<()>)]) -> Drain
 /// Starts a connection's thread, which reads and starts its writer.
 fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> (Weak<Connection>, JoinHandle<()>) {
     let _ = stream.set_nodelay(true);
+    let timeout = shared.config.write_timeout.max(Duration::from_millis(1));
+    let _ = stream.set_write_timeout(Some(timeout));
     let outbox = Arc::new(Outbox::new());
     let conn = Arc::new(Connection { stream, outbox });
     shared.metrics.connections_total.inc();
@@ -769,6 +724,12 @@ fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> (Weak<Connection
             shared: &shared,
             conn: &conn,
             admitted: HashMap::new(),
+            frames: Vec::new(),
+            answered: 0,
+            selections: Vec::new(),
+            live: Vec::new(),
+            points: Vec::new(),
+            windows: Vec::new(),
         }
         .run();
         let _ = writer.join();
@@ -777,47 +738,11 @@ fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) -> (Weak<Connection
     (weak, thread)
 }
 
-/// A connection's writer: flushes the outbox until the connection is
-/// over, applying the wire fault plan once per frame. A write that makes
-/// no progress for `write_timeout` closes the connection.
+/// A connection's writer: writes what others leave in the outbox until
+/// the connection is over.
 fn write_loop(shared: &Shared, conn: &Connection) {
-    let timeout = shared.config.write_timeout.max(Duration::from_millis(1));
-    let _ = conn.stream.set_write_timeout(Some(timeout));
-    let (mut frames, mut bytes) = (Vec::new(), Vec::new());
-    while conn.outbox.take(&mut frames) {
-        let taken = frames.iter().map(Vec::len).sum();
-        let mut last = false;
-        bytes.clear();
-        for frame in frames.drain(..) {
-            match shared.wire_fault() {
-                WireAction::Proceed => {}
-                // A deliberately slow wire: the reply still goes out,
-                // later. Only this connection waits.
-                WireAction::SlowThenProceed(stall) => std::thread::sleep(stall),
-                // Computed, then never sent: the client must treat the
-                // close as request-failed.
-                WireAction::ConnReset | WireAction::DropBeforeReply => {
-                    bytes.clear();
-                    last = true;
-                    break;
-                }
-                WireAction::PartialWrite => {
-                    bytes.extend_from_slice(&frame[..(frame.len() / 2).max(1)]);
-                    last = true;
-                    break;
-                }
-            }
-            bytes.extend_from_slice(&frame);
-        }
-        let written = (&conn.stream).write_all(&bytes);
-        conn.outbox.wrote(taken);
-        match written {
-            Ok(()) if !last => continue,
-            Err(e) if stalled(&e) => shared.metrics.conn_timeouts[WRITE].inc(),
-            _ => {}
-        }
-        break;
-    }
+    let mut bytes = Vec::new();
+    while conn.outbox.take(&mut bytes) && conn.write_claimed(shared, &mut bytes) {}
     conn.close();
 }
 
@@ -829,12 +754,33 @@ fn stalled(e: &io::Error) -> bool {
     )
 }
 
-/// A connection's reader: reads frames and admits each one.
+/// Which run a selection belongs to: whether it is a point probe, and
+/// its dataset.
+fn run_key(body: &WireRequestBody) -> (bool, u32) {
+    match *body {
+        WireRequestBody::Point { dataset, .. } => (true, dataset),
+        WireRequestBody::Window { dataset, .. } => (false, dataset),
+        ref other => unreachable!("a reader runs selections only, not {other:?}"),
+    }
+}
+
+/// A connection's reader: reads frames, admits each one, answers the
+/// selections among them and writes its replies when the writer is idle.
 struct Reader<'a> {
     shared: &'a Shared,
     conn: &'a Connection,
     /// `msj_serve_requests_total{kind}` handles, by request kind.
     admitted: HashMap<&'static str, Arc<Counter>>,
+    /// Reply frames encoded since the last hand-off to the outbox, and
+    /// how many of them answer admitted requests.
+    frames: Vec<u8>,
+    answered: usize,
+    /// Selections admitted from the current read, in arrival order.
+    selections: Vec<Job>,
+    /// One run's still-live selections (indices into it) and their probes.
+    live: Vec<usize>,
+    points: Vec<Point>,
+    windows: Vec<Rect>,
 }
 
 impl Reader<'_> {
@@ -890,7 +836,10 @@ impl Reader<'_> {
                 frame_started = Some(Instant::now());
             }
             inbuf.extend_from_slice(&chunk[..n]);
-            let Some(used) = self.admit_frames(&inbuf) else {
+            let used = self.admit_frames(&inbuf);
+            self.run_selections();
+            self.hand_off();
+            let Some(used) = used else {
                 break;
             };
             if used > 0 {
@@ -925,13 +874,112 @@ impl Reader<'_> {
         Some(at)
     }
 
-    fn reply(&self, request_id: u64, body: &ResponseBody) {
-        let frame = encode_response(request_id, body);
-        self.conn.outbox.push(frame, false);
+    /// Encodes a reply for the next hand-off.
+    fn reply(&mut self, request_id: u64, body: &ResponseBody) {
+        encode_response_into(&mut self.frames, request_id, body);
+    }
+
+    /// A 429 now, with the model's guess at when the `ahead` requests
+    /// before a retry will have cleared.
+    fn shed(&mut self, id: u64, body: &WireRequestBody, reason: ShedReason, ahead: usize) {
+        self.shared.metrics.shed[reason as usize].inc();
+        let (estimate, from_history) = self.shared.estimate(body);
+        let retry_after_ms = retry_after_ms(estimate, ahead as u64);
+        let shed = ResponseBody::Shed {
+            retry_after_ms,
+            reason,
+            from_history,
+        };
+        self.reply(id, &shed);
+    }
+
+    /// Encodes the reply to an admitted request for the next hand-off.
+    fn answer(&mut self, job: &Job, body: &ResponseBody) {
+        let waited = job.received.elapsed().as_nanos() as u64;
+        self.shared.metrics.e2e.record(waited);
+        self.reply(job.request_id, body);
+        self.answered += 1;
+    }
+
+    /// Hands the encoded replies to the outbox and, when no one writes
+    /// yet, writes everything pending itself.
+    fn hand_off(&mut self) {
+        let answered = std::mem::take(&mut self.answered);
+        if self.conn.outbox.hand_off(&mut self.frames, answered) {
+            self.conn.write_claimed(self.shared, &mut self.frames);
+        }
+        // Settled once their replies are in the outbox, as a worker's are.
+        self.shared.inflight.fetch_sub(answered, Ordering::AcqRel);
+    }
+
+    /// Answers the read's selections in arrival order, each run of at
+    /// most `batch_max` through one batch call.
+    fn run_selections(&mut self) {
+        let jobs = std::mem::take(&mut self.selections);
+        let batch_max = self.shared.config.batch_max.max(1);
+        let mut rest = &jobs[..];
+        while let Some(first) = rest.first() {
+            let n = rest
+                .iter()
+                .take(batch_max)
+                .take_while(|job| run_key(&job.body) == run_key(&first.body))
+                .count();
+            self.run_batch(&rest[..n]);
+            rest = &rest[n..];
+        }
+        self.selections = jobs;
+        self.selections.clear();
+    }
+
+    /// One run: a selection whose deadline passed before the run began
+    /// answers without touching the engine, so its partial work is zero
+    /// by construction; the rest share one descent.
+    fn run_batch(&mut self, run: &[Job]) {
+        let metrics = &self.shared.metrics;
+        let started = Instant::now();
+        metrics.batch_size.record(run.len() as u64);
+        let mut live = std::mem::take(&mut self.live);
+        for (i, job) in run.iter().enumerate() {
+            let waited = started.duration_since(job.received).as_nanos() as u64;
+            metrics.queue_wait.record(waited);
+            if job.cancel.is_cancelled() {
+                let expired = ResponseBody::DeadlineExceeded {
+                    elapsed_ms: job.cancel.elapsed().as_millis() as u64,
+                    partial_candidates: 0,
+                };
+                self.answer(job, &expired);
+                continue;
+            }
+            live.push(i);
+            match job.body.to_request() {
+                Some(Request::Point { point, .. }) => self.points.push(point),
+                Some(Request::Window { window, .. }) => self.windows.push(window),
+                _ => unreachable!("a run holds points or windows"),
+            }
+        }
+        if !live.is_empty() {
+            let engine = &self.shared.engine;
+            let (_, target) = run_key(&run[0].body);
+            let dataset = engine
+                .dataset(target)
+                .expect("admission checked the dataset");
+            let responses = if self.points.is_empty() {
+                engine.window_query_batch(&dataset, &self.windows)
+            } else {
+                engine.point_query_batch(&dataset, &self.points)
+            };
+            for (&i, response) in live.iter().zip(&responses) {
+                self.answer(&run[i], &selection_body(response));
+            }
+        }
+        live.clear();
+        self.live = live;
+        self.points.clear();
+        self.windows.clear();
     }
 
     /// Admission: every path out of this function is an explicit wire
-    /// response or an enqueued job.
+    /// response, an enqueued join or a selection for this read's runs.
     fn handle_frame(&mut self, body: &[u8]) {
         let shared = self.shared;
         let reg = shared.engine.metrics();
@@ -950,21 +998,13 @@ impl Reader<'_> {
         if matches!(request.body, WireRequestBody::Metrics) {
             return self.reply(id, &ResponseBody::Text(reg.render_prometheus()));
         }
-        // Validate dataset ids before the request costs a queue slot.
+        // Validate dataset ids before the request costs anything.
         if let Some(unknown) = shared.unknown_dataset(&request.body) {
             return self.reply(id, &ResponseBody::UnknownDataset { id: unknown });
         }
-        let key = QueueKey::for_body(&request.body).expect("metrics handled above");
         let cap = shared.config.conn_inflight_cap;
         if let Err(inflight_here) = self.conn.outbox.admit(cap) {
-            shared.count_shed(ShedReason::ConnCap);
-            let (estimate, from_history) = shared.estimate(&request.body);
-            let shed = ResponseBody::Shed {
-                retry_after_ms: retry_after_ms(estimate, inflight_here as u64),
-                reason: ShedReason::ConnCap,
-                from_history,
-            };
-            return self.reply(id, &shed);
+            return self.shed(id, &request.body, ShedReason::ConnCap, inflight_here);
         }
         let cancel = if request.deadline_ms > 0 {
             CancelToken::with_deadline(Duration::from_millis(u64::from(request.deadline_ms)))
@@ -979,34 +1019,24 @@ impl Reader<'_> {
             cancel,
             received: Instant::now(),
         };
-        let pending_ahead = shared.queues.pending_for(key) as u64;
         // Counted before the push: a worker may answer the job at once.
         shared.inflight.fetch_add(1, Ordering::AcqRel);
-        match shared.queues.try_push(key, job) {
-            Ok(()) => {
-                // Resolved on a kind's first admitted request: the family
-                // has no samples before traffic, and the exposition says so.
-                let admitted = self
-                    .admitted
-                    .entry(kind)
-                    .or_insert_with(|| reg.counter("msj_serve_requests_total", &[("kind", kind)]));
-                admitted.inc();
-                shared.publish_depths();
+        if let Some(key) = QueueKey::for_body(&job.body) {
+            if let Err((job, waiting)) = shared.queues.try_push(key, job) {
+                self.answered += 1;
+                return self.shed(id, &job.body, ShedReason::QueueFull, waiting);
             }
-            Err(job) => {
-                // Queue at the bound: 429 now, with the model's guess at
-                // when that backlog will have cleared.
-                shared.inflight.fetch_sub(1, Ordering::AcqRel);
-                shared.count_shed(ShedReason::QueueFull);
-                let (estimate, from_history) = shared.estimate(&job.body);
-                let shed = ResponseBody::Shed {
-                    retry_after_ms: retry_after_ms(estimate, pending_ahead),
-                    reason: ShedReason::QueueFull,
-                    from_history,
-                };
-                job.reply.push(encode_response(id, &shed), true);
-            }
+            shared.publish_depth();
+        } else {
+            self.selections.push(job);
         }
+        // Resolved on a kind's first admitted request: the family has no
+        // samples before traffic, and the exposition says so.
+        let admitted = self
+            .admitted
+            .entry(kind)
+            .or_insert_with(|| reg.counter("msj_serve_requests_total", &[("kind", kind)]));
+        admitted.inc();
     }
 }
 
@@ -1055,29 +1085,7 @@ mod tests {
     }
 
     fn to_request(body: &WireRequestBody) -> Request {
-        match *body {
-            WireRequestBody::Join { a, b } => Request::Join {
-                a,
-                b,
-                execution: None,
-            },
-            WireRequestBody::SelfJoin { dataset } => Request::SelfJoin {
-                dataset,
-                execution: None,
-            },
-            WireRequestBody::Point { dataset, x, y } => Request::Point {
-                dataset,
-                point: Point::new(x, y),
-            },
-            WireRequestBody::Window { dataset, bounds } => Request::Window {
-                dataset,
-                window: Rect::new(
-                    Point::new(bounds[0], bounds[1]),
-                    Point::new(bounds[2], bounds[3]),
-                ),
-            },
-            WireRequestBody::Metrics => unreachable!(),
-        }
+        body.to_request().expect("an engine request")
     }
 
     #[test]
@@ -1408,6 +1416,160 @@ mod tests {
         }
         server.shutdown();
         assert!(server.join().clean);
+    }
+
+    /// One pipelined burst mixing every engine request: the reader
+    /// answers and writes the selections while the writer sends the
+    /// workers' join replies, and every frame arrives whole and equal to
+    /// the encoding of the same request submitted in-process.
+    #[test]
+    fn a_pipelined_mixed_burst_is_answered_whole_by_reader_and_writer() {
+        let (engine, a, b) = engine_with_datasets();
+        let config = ServeConfig {
+            conn_inflight_cap: 1024,
+            ..ServeConfig::default()
+        };
+        let server = start(engine.clone(), config);
+        let mut raw = TcpStream::connect(server.addr()).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let requests: Vec<WireRequest> = (0..480)
+            .map(|id| {
+                let t = (id * 37 % 1000) as f64;
+                match id % 24 {
+                    7 => WireRequest::join(id, a, b),
+                    19 => WireRequest::self_join(id, b),
+                    k if k % 5 == 0 => WireRequest::window(id, b, [t, t, t + 150.0, t + 90.0]),
+                    k if k % 5 == 3 => WireRequest::point(id, b, t, 1000.0 - t),
+                    _ => WireRequest::point(id, a, t, t / 2.0),
+                }
+            })
+            .collect();
+        let burst: Vec<u8> = requests.iter().flat_map(encode_request).collect();
+        raw.write_all(&burst).expect("send");
+        raw.shutdown(Shutdown::Write).expect("half-close");
+        let mut replies = frames_until_eof(&mut raw);
+        replies.sort_by_key(|(id, _)| *id);
+        assert_eq!(replies.len(), requests.len(), "replies lost or repeated");
+        for (request, (id, frame)) in requests.iter().zip(&replies) {
+            assert_eq!(*id, request.request_id);
+            let body = response_body_for(&engine.submit(to_request(&request.body)));
+            assert_eq!(*frame, encode_response(*id, &body), "reply {id}");
+        }
+        let ids = |body: &ResponseBody| match body {
+            ResponseBody::Selection { ids, .. } => ids.len(),
+            _ => 0,
+        };
+        let found: usize = replies
+            .iter()
+            .map(|(_, frame)| ids(&decode_response(&frame[4..]).unwrap().1))
+            .sum();
+        assert!(found > 0, "every selection of the burst came back empty");
+        server.shutdown();
+        assert!(server.join().clean);
+    }
+
+    /// A read's selections run in arrival order, each run of at most
+    /// `batch_max` same-kind probes of one dataset through one batch
+    /// call: 3 points, 2 windows, then 11 points under a cap of 4 run as
+    /// 3, 2, 4, 4 and 3.
+    #[test]
+    fn a_reads_selections_run_in_capped_same_kind_runs() {
+        let (engine, a, _) = engine_with_datasets();
+        let config = ServeConfig {
+            batch_max: 4,
+            ..ServeConfig::default()
+        };
+        let server = start(engine.clone(), config);
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let requests: Vec<WireRequest> = (0..16)
+            .map(|id| match id {
+                3 | 4 => WireRequest::window(id, a, [100.0, 100.0, 400.0, 400.0]),
+                _ => WireRequest::point(id, a, 500.0, 500.0),
+            })
+            .collect();
+        let burst: Vec<u8> = requests.iter().flat_map(encode_request).collect();
+        client.send_raw(&burst).expect("send");
+        for _ in &requests {
+            let reply = client.recv().expect("reply");
+            assert!(reply.body.is_ok(), "{:?}", reply.body);
+        }
+        let runs = engine.metrics().histogram("msj_serve_batch_size", &[]);
+        assert_eq!((runs.count(), runs.sum()), (5, 16));
+        server.shutdown();
+        server.join();
+    }
+
+    /// A selection whose deadline passed before its run answers
+    /// `DeadlineExceeded` without touching the engine. The probe comes
+    /// first in one write, and the 200 metrics scrapes behind it, each
+    /// rendered as the read is admitted, hold its run back well past
+    /// its 1 ms.
+    #[test]
+    fn a_selection_expired_before_its_run_answers_deadline_exceeded() {
+        let (engine, a, _) = engine_with_datasets();
+        let server = start(engine, ServeConfig::default());
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let probe = WireRequest::point(1, a, 500.0, 500.0).with_deadline_ms(1);
+        let mut burst = encode_request(&probe);
+        for id in 2..=200 {
+            burst.extend(encode_request(&WireRequest::metrics(id)));
+        }
+        client.send_raw(&burst).expect("send");
+        let mut expired = None;
+        for _ in 1..=200 {
+            let reply = client.recv().expect("reply");
+            if reply.request_id == 1 {
+                expired = Some(reply.body);
+            }
+        }
+        match expired.expect("the probe was answered") {
+            ResponseBody::DeadlineExceeded {
+                partial_candidates, ..
+            } => assert_eq!(partial_candidates, 0),
+            other => panic!("an expired probe answered {other:?}"),
+        }
+        server.shutdown();
+        server.join();
+    }
+
+    /// A pipelined burst over the per-connection cap sheds the excess
+    /// `ConnCap` with a retry hint, though selections never queue.
+    #[test]
+    fn pipelined_points_over_the_connection_cap_shed_with_a_retry_hint() {
+        let (engine, a, _) = engine_with_datasets();
+        let config = ServeConfig {
+            conn_inflight_cap: 4,
+            ..ServeConfig::default()
+        };
+        let server = start(engine.clone(), config);
+        let mut client = Client::connect(server.addr()).expect("connect");
+        let burst: Vec<u8> = (0..64)
+            .flat_map(|id| encode_request(&WireRequest::point(id, a, 400.0, 600.0)))
+            .collect();
+        client.send_raw(&burst).expect("send");
+        let (mut answered, mut shed) = (0, 0);
+        for _ in 0..64 {
+            match client.recv().expect("reply").body {
+                ResponseBody::Shed {
+                    reason: ShedReason::ConnCap,
+                    retry_after_ms,
+                    ..
+                } => {
+                    assert!(retry_after_ms >= 1);
+                    shed += 1;
+                }
+                body => {
+                    assert!(body.is_ok(), "{body:?}");
+                    answered += 1;
+                }
+            }
+        }
+        assert!(shed > 0, "a cap of 4 never shed under 64 pipelined points");
+        assert!(answered >= 4, "only {answered} points answered");
+        let conn_cap = "msj_request_shed_total{reason=\"conn_cap\"}";
+        assert_eq!(engine.metrics().snapshot().counter(conn_cap), shed);
+        server.shutdown();
+        server.join();
     }
 
     /// One connection that streams probes and never reads its replies is

@@ -3,7 +3,7 @@
 //!
 //! Starts an engine + server in-process, drives it from concurrent
 //! client threads (pipelined point probes plus joins against an
-//! undersized queue so some requests shed), and prints:
+//! undersized join queue so some requests shed), and prints:
 //!
 //! * the per-status outcome tally (completed / shed / other) with the
 //!   first observed `retry_after_ms` backpressure hint;
@@ -38,15 +38,16 @@ fn main() {
         .register(msj::datagen::small_carto(400, 12.0, 8))
         .id();
 
-    // A deliberately tight front: the queue bound is well under the
-    // pipelined burst (8 × 208 requests), so the overload machinery
-    // engages — most probes coalesce into batches and complete, the
-    // overflow sheds with a retry hint.
+    // A deliberately tight front: the join queue bound is well under the
+    // 64 pipelined joins, and each connection pipelines more requests
+    // than its in-flight cap (64), so the overload machinery engages —
+    // the admitted probes are answered in batches on their connection's
+    // reader, and the overflow of both kinds sheds with a retry hint.
     let server = Server::start(
         engine.clone(),
         ServeConfig {
             workers: 2,
-            queue_bound: 256,
+            queue_bound: 4,
             batch_max: 32,
             ..ServeConfig::default()
         },
@@ -62,18 +63,20 @@ fn main() {
                 let mut client =
                     Client::connect_with_timeout(addr, Duration::from_secs(60)).expect("connect");
                 let mut sent = 0;
-                // Pipelined probes: concurrent same-dataset selections
-                // are what the server coalesces into shared descents.
+                // Joins first, so they reach the join queue before the
+                // probes fill the connection's in-flight cap.
+                for _ in 0..JOINS_PER_CLIENT {
+                    client.send(&WireRequest::join(sent, a, b)).expect("send");
+                    sent += 1;
+                }
+                // Pipelined probes: the selections of one read are what
+                // the server coalesces into shared descents.
                 for i in 0..POINTS_PER_CLIENT {
                     let t = (c * POINTS_PER_CLIENT + i) as f64
                         / (CLIENTS as u64 * POINTS_PER_CLIENT) as f64;
                     client
                         .send(&WireRequest::point(sent, a, t, 1.0 - t))
                         .expect("send");
-                    sent += 1;
-                }
-                for _ in 0..JOINS_PER_CLIENT {
-                    client.send(&WireRequest::join(sent, a, b)).expect("send");
                     sent += 1;
                 }
                 let (mut ok, mut shed, mut other) = (0, 0, 0);
