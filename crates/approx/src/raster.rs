@@ -35,15 +35,17 @@
 //! which is what a parcel-against-region candidate (3 runs against 100)
 //! needs.
 //!
-//! Building a signature costs what it emits ([`Rasterizer`]): each edge
-//! decides the cells of each row it crosses from its x-span in that row,
-//! by a proven margin, and runs the exact segment–rectangle test only on
-//! the few cells within the margin; interior cells are filled per row by
-//! binary-searching the even–odd crossing pairs over the cell centres;
-//! a Hilbert-quadrant descent over a summed-area table emits the runs in
-//! curve order. The cells are exactly those of the per-cell statement —
-//! `intersects_rect` on every cell of each edge's range, centre parity
-//! for the rest — which `tests/raster_proptests.rs` keeps as the oracle.
+//! Building a signature costs its boundary, not its area
+//! ([`Rasterizer`]): each edge decides the cells of each row it crosses
+//! from its x-span in that row, by a proven margin, and runs the exact
+//! segment–rectangle test only on the few cells within the margin. The
+//! sorted Hilbert ids of those PARTIAL cells form runs, and each gap of
+//! the curve between two runs, which no edge touches, is wholly inside or
+//! wholly outside the object: one even–odd parity probe at its first
+//! cell's centre decides it. The cells are exactly those of the per-cell
+//! statement — `intersects_rect` on every cell of each edge's range,
+//! centre parity for the rest — which `tests/raster_proptests.rs` keeps
+//! as the oracle.
 //!
 //! This is the A/F form of APRIL (Georgiadis, Tzirita Zacharatou &
 //! Mamoulis, "Raster Interval Object Approximations for Spatial
@@ -151,29 +153,63 @@ impl RasterGrid {
     }
 }
 
+/// One level of the Hilbert curve as a four-state machine, for both
+/// directions. A state is the transform the curve has accumulated on the
+/// way down to a square, `swap | flip << 1` (transpose, rotate by 180°;
+/// they commute). The encoder `.0[state << 2 | bx << 1 | by]` holds the
+/// quadrant's digit on the curve, the decoder `.1[state << 2 | digit]`
+/// the cell bits `bx << 1 | by`, each `| next_state << 2`.
+const HILBERT: ([u8; 16], [u8; 16]) = {
+    let (mut encode, mut decode) = ([0u8; 16], [0u8; 16]);
+    let mut i = 0;
+    while i < 16 {
+        let (state, bx, by) = (i >> 2, (i >> 1) & 1, i & 1);
+        let (swap, flip) = (state & 1, state >> 1);
+        // The quadrant in the square's own frame.
+        let (rx, ry) = if swap == 1 { (by, bx) } else { (bx, by) };
+        let (rx, ry) = (rx ^ flip, ry ^ flip);
+        let digit = (3 * rx) ^ ry;
+        // The lower-left quadrant is entered transposed, the lower-right
+        // anti-transposed.
+        let next = if ry == 0 {
+            (swap ^ 1) | (flip ^ rx) << 1
+        } else {
+            state
+        };
+        encode[i] = (digit | next << 2) as u8;
+        decode[state << 2 | digit] = ((bx << 1 | by) | next << 2) as u8;
+        i += 1;
+    }
+    (encode, decode)
+};
+
 /// Maps cell coordinates to their index on the Hilbert curve of order
-/// `bits` (the classic `xy2d` construction). Hilbert order keeps
-/// spatially adjacent cells numerically adjacent, so contiguous object
-/// areas collapse into few intervals.
-pub fn hilbert_index(bits: u32, mut x: u32, mut y: u32) -> u32 {
-    let n = 1u32 << bits;
-    let mut d = 0u32;
-    let mut s = n >> 1;
-    while s > 0 {
-        let rx = u32::from(x & s > 0);
-        let ry = u32::from(y & s > 0);
-        d += s * s * ((3 * rx) ^ ry);
-        // Rotate the quadrant so the curve connects.
-        if ry == 0 {
-            if rx == 1 {
-                x = n.wrapping_sub(1).wrapping_sub(x);
-                y = n.wrapping_sub(1).wrapping_sub(y);
-            }
-            std::mem::swap(&mut x, &mut y);
-        }
-        s >>= 1;
+/// `bits` (the classic `xy2d` curve, one table step per level). Hilbert
+/// order keeps spatially adjacent cells numerically adjacent, so
+/// contiguous object areas collapse into few intervals.
+#[inline]
+pub fn hilbert_index(bits: u32, x: u32, y: u32) -> u32 {
+    let (mut d, mut state) = (0u32, 0usize);
+    for level in (0..bits).rev() {
+        let cell = ((x >> level & 1) << 1 | (y >> level & 1)) as usize;
+        let step = HILBERT.0[state << 2 | cell];
+        (d, state) = (d << 2 | u32::from(step & 3), usize::from(step >> 2));
     }
     d
+}
+
+/// The cell at index `d` on the Hilbert curve of order `bits`: the
+/// inverse of [`hilbert_index`].
+#[inline]
+pub fn hilbert_cell(bits: u32, d: u32) -> (u32, u32) {
+    let (mut x, mut y, mut state) = (0u32, 0u32, 0usize);
+    for level in (0..bits).rev() {
+        let step = HILBERT.1[state << 2 | (d >> (2 * level) & 3) as usize];
+        x |= u32::from(step >> 1 & 1) << level;
+        y |= u32::from(step & 1) << level;
+        state = usize::from(step >> 2);
+    }
+    (x, y)
 }
 
 /// One run of consecutive Hilbert cell IDs, `start..end` (8 bytes).
@@ -257,37 +293,35 @@ fn runs_overlap(xs: &[CellRun], ys: &[CellRun]) -> bool {
 }
 
 /// The rasterizer's margin per unit of `|x|`, derived at
-/// [`Rasterizer::classify`].
+/// [`Rasterizer::append`].
 const MARGIN: f64 = 64.0 * f64::EPSILON;
 
-/// Reusable working memory of the rasterizer: the class grid over the
-/// cell block of one region's MBR and the scratch of both steps —
-/// [`Rasterizer::classify`] fills the grid, [`Rasterizer::emit`] turns it
-/// into run lists. [`RasterStore::build`] runs one of these over a whole
-/// relation without allocating per object.
+/// Reusable working memory of the rasterizer: pass 1's marks over the cell
+/// block of one region's MBR, the marked cells' Hilbert ids, and the
+/// crossings of the rows pass 2 asks about. [`RasterStore::build`] runs
+/// one of these over a whole relation without allocating per object.
 #[derive(Debug, Default)]
 pub struct Rasterizer {
-    bits: u32,
-    cx0: u32,
-    cy0: u32,
-    w: usize,
-    h: usize,
-    /// Row-major over the block: 0 = outside, 1 = PARTIAL, 2 = FULL.
-    classes: Vec<u8>,
+    /// Row-major over the block: whether pass 1 has marked the cell.
+    marked: Vec<bool>,
+    /// The Hilbert ids of the marked (PARTIAL) cells.
+    ids: Vec<u32>,
     edges: Vec<Segment>,
+    /// Per block row, its range in `crossings` once built.
+    rows: Vec<Option<(usize, usize)>>,
     crossings: Vec<f64>,
-    /// Summed-area table over `classes`, `(w + 1) × (h + 1)`: stored
-    /// cells in the low half of each entry, FULL cells in the high half.
-    sat: Vec<u64>,
 }
 
 impl Rasterizer {
-    /// Classifies every cell of `region`'s MBR block on `grid`, in two
-    /// passes. The result is, cell for cell, what the per-cell statement
-    /// gives (`tests/raster_proptests.rs` keeps it as the oracle): a cell
-    /// is PARTIAL when an edge whose cell range contains it intersects it
-    /// ([`Segment::intersects_rect`]), and otherwise FULL when its centre
-    /// lies inside the region.
+    /// Rasterizes `region` on `grid` and appends its A and F lists to
+    /// `all` and `full` (arenas that may already hold other objects' runs;
+    /// nothing before their current ends is touched, and no run coalesces
+    /// with another object's). The cells are, cell for cell, what the
+    /// per-cell statement gives (`tests/raster_proptests.rs` keeps it as
+    /// the oracle): a cell of the MBR block is PARTIAL when an edge whose
+    /// cell range contains it intersects it ([`Segment::intersects_rect`]),
+    /// and otherwise FULL when its centre lies inside the region. The work
+    /// is the boundary cells plus one probe per gap between them.
     ///
     /// 1. **boundary** — each edge walks the rows of its cell range. In a
     ///    row whose y-band `[y0, y1]` its closed y-range misses, it
@@ -301,21 +335,27 @@ impl Rasterizer {
     ///      or when `sx0 < x0 − m` and `sx1 > x1 + m`;
     ///    * `intersects_rect` only inside the margin — a few cells per
     ///      edge and row, where a span end is within `m` of a cell side.
-    /// 2. **interior** — per cell row, one even–odd scanline through the
-    ///    row centre collects the crossings of all rings; the unmarked
-    ///    cells whose centre lies in `(c[j], c[j+1]]` for even `j` are
-    ///    FULL, found by two binary searches over the row's cell centres
-    ///    (monotone in the column: every step of their arithmetic is).
-    ///    That is the parity of the crossings strictly left of the centre.
-    ///    A cell untouched by any edge is entirely inside or entirely
-    ///    outside, so the centre decides exactly.
+    ///
+    ///    Each newly marked cell pushes its [`hilbert_index`].
+    /// 2. **gaps** — the sorted ids form the PARTIAL runs. Consecutive
+    ///    Hilbert cells share a side, so a gap between runs (or before the
+    ///    first, or after the last up to `4^bits`), which no edge touches,
+    ///    lies wholly inside or wholly outside the region, and its first
+    ///    cell ([`hilbert_cell`]) decides it. Outside the block, the gap is
+    ///    empty. Inside, it is FULL when the cell centre's even–odd parity
+    ///    is odd: the count of the row's crossings strictly left of the
+    ///    centre, over one scanline through the row centre (half-open
+    ///    rule, as in the point-in-polygon test), built on the row's first
+    ///    probe. An unmarked cell's centre is never on the boundary (the
+    ///    edge would intersect the cell), so the parity is exact.
     ///
     /// **The margin.** `m = 64ε · X`, with `ε = f64::EPSILON` and `X` the
     /// largest `|x|` of the region's MBR and of the block's cell lines
     /// (`|x|` of every edge endpoint and cell side is at most `X`):
     ///
-    /// * A span end is within `6ε · X` of the exact x of the edge at its
-    ///   band-clamped parameter: three roundings make `t` (the clamp only
+    /// * A span end is within `7ε · X` of the exact x of the edge at its
+    ///   band-clamped parameter: four roundings make `t` (the difference,
+    ///   the edge's `dy`, its reciprocal and the product; the clamp only
     ///   narrows the error), three more `a.x + t · (b.x − a.x)`, and
     ///   `|b.x − a.x| ≤ 2X`.
     /// * `orient2d` has the right sign whenever it is not `Collinear`, and
@@ -328,7 +368,7 @@ impl Rasterizer {
     ///   Corner tests against the axis-parallel cell sides, and all of a
     ///   horizontal edge's, are exact.
     ///
-    /// So with `m ≥ 6εX + 12εX` plus the rounding of the comparisons
+    /// So with `m ≥ 7εX + 12εX` plus the rounding of the comparisons
     /// (64 leaves room):
     ///
     /// * **miss** — the exact span is more than `12ε · X` outside the
@@ -343,19 +383,30 @@ impl Rasterizer {
     ///   properly: its endpoints are strictly on either side, and a corner
     ///   of that side is correctly signed or `Collinear` and inside the
     ///   edge's box. A corner outside the box lies at least
-    ///   `(m − 6εX) · |slope|` above or below the edge's line, against a
+    ///   `(m − 7εX) · |slope|` above or below the edge's line, against a
     ///   `Collinear` band of at most `12ε · X · |slope|` there.
-    pub fn classify(&mut self, grid: &RasterGrid, region: &PolygonWithHoles) {
+    pub fn append(
+        &mut self,
+        grid: &RasterGrid,
+        region: &PolygonWithHoles,
+        all: &mut Vec<CellRun>,
+        full: &mut Vec<CellRun>,
+    ) {
+        let Rasterizer {
+            marked,
+            ids,
+            edges,
+            rows,
+            crossings,
+        } = self;
         let mbr = region.mbr();
         let (cx0, cy0, cx1, cy1) = grid.cell_range(&mbr);
-        let w = (cx1 - cx0 + 1) as usize;
-        let h = (cy1 - cy0 + 1) as usize;
-        (self.bits, self.cx0, self.cy0, self.w, self.h) = (grid.bits, cx0, cy0, w, h);
-        let classes = &mut self.classes;
-        classes.clear();
-        classes.resize(w * h, 0);
-        self.edges.clear();
-        self.edges.extend(region.edges());
+        let (w, h) = ((cx1 - cx0 + 1) as usize, (cy1 - cy0 + 1) as usize);
+        marked.clear();
+        marked.resize(w * h, false);
+        ids.clear();
+        edges.clear();
+        edges.extend(region.edges());
         let (left, right) = (
             grid.cell_rect(cx0, cy0).xmin(),
             grid.cell_rect(cx1, cy0).xmax(),
@@ -369,9 +420,10 @@ impl Rasterizer {
                 .max(right.abs());
 
         // Pass 1: boundary cells, decided by margin from each row's span.
-        for edge in &self.edges {
+        for edge in edges.iter() {
             let (ex0, ey0, ex1, ey1) = grid.cell_range(&edge.mbr());
             let (ylo, yhi) = (edge.a.y.min(edge.b.y), edge.a.y.max(edge.b.y));
+            let (dx, inv_dy) = (edge.b.x - edge.a.x, 1.0 / (edge.b.y - edge.a.y));
             for cy in ey0.max(cy0)..=ey1.min(cy1) {
                 let band = grid.cell_rect(ex0, cy);
                 if yhi < band.ymin() || ylo > band.ymax() {
@@ -382,20 +434,17 @@ impl Rasterizer {
                 let (x0, x1) = if edge.a.y == edge.b.y {
                     (edge.a.x.min(edge.b.x), edge.a.x.max(edge.b.x))
                 } else {
-                    let t0 = ((band.ymin() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
-                    let t1 = ((band.ymax() - edge.a.y) / (edge.b.y - edge.a.y)).clamp(0.0, 1.0);
-                    (
-                        edge.a.x + t0 * (edge.b.x - edge.a.x),
-                        edge.a.x + t1 * (edge.b.x - edge.a.x),
-                    )
+                    let t0 = ((band.ymin() - edge.a.y) * inv_dy).clamp(0.0, 1.0);
+                    let t1 = ((band.ymax() - edge.a.y) * inv_dy).clamp(0.0, 1.0);
+                    (edge.a.x + t0 * dx, edge.a.x + t1 * dx)
                 };
                 let (sx0, sx1) = (x0.min(x1), x0.max(x1));
                 let lo = grid.col(sx0).saturating_sub(1).max(ex0.max(cx0));
                 let hi = (grid.col(sx1) + 1).min(ex1.min(cx1));
-                let row = &mut classes[(cy - cy0) as usize * w..][..w];
+                let row = &mut marked[(cy - cy0) as usize * w..][..w];
                 for cx in lo..=hi {
                     let slot = &mut row[(cx - cx0) as usize];
-                    if *slot != 0 {
+                    if *slot {
                         continue;
                     }
                     let cell = grid.cell_rect(cx, cy);
@@ -409,96 +458,50 @@ impl Rasterizer {
                         edge.intersects_rect(&cell)
                     };
                     if hit {
-                        *slot = 1;
+                        *slot = true;
+                        ids.push(hilbert_index(grid.bits, cx, cy));
                     }
                 }
             }
         }
 
-        // Pass 2: interior fill by scanline parity at row centres.
-        let crossings = &mut self.crossings;
-        for cy in cy0..=cy1 {
-            let y = grid.cell_rect(cx0, cy).center().y;
-            crossings.clear();
-            for e in &self.edges {
-                // Half-open rule, identical to the point-in-polygon test.
-                if (e.a.y > y) != (e.b.y > y) {
-                    crossings.push(e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x));
-                }
+        // Pass 2: the PARTIAL runs, and between them the gaps, each
+        // decided by its first cell.
+        ids.sort_unstable();
+        rows.clear();
+        rows.resize(h, None);
+        crossings.clear();
+        let mut gap_is_full = |d: u32| {
+            let (cx, cy) = hilbert_cell(grid.bits, d);
+            if !((cx0..=cx1).contains(&cx) && (cy0..=cy1).contains(&cy)) {
+                return false;
             }
-            crossings.sort_unstable_by(f64::total_cmp);
-            // The first column whose centre lies right of `x`. An
-            // unmarked cell's centre is never on the boundary (the edge
-            // would intersect the cell), so the parity is exact.
-            let first_right_of = |x: f64| {
-                let (mut lo, mut hi) = (cx0, cx1 + 1);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if grid.cell_rect(mid, cy).center().x <= x {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
+            let centre = grid.cell_rect(cx, cy).center();
+            let (start, end) = *rows[(cy - cy0) as usize].get_or_insert_with(|| {
+                let (y, start) = (centre.y, crossings.len());
+                for e in edges.iter() {
+                    if (e.a.y > y) != (e.b.y > y) {
+                        crossings.push(e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x));
                     }
                 }
-                (lo - cx0) as usize
-            };
-            let row = &mut classes[(cy - cy0) as usize * w..][..w];
-            for pair in crossings.chunks(2) {
-                let start = first_right_of(pair[0]);
-                let end = pair.get(1).map_or(w, |&x| first_right_of(x));
-                for slot in &mut row[start..end.max(start)] {
-                    if *slot == 0 {
-                        *slot = 2;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The stored cells of the classified block, row-major:
-    /// `(cx, cy, is_full)`.
-    pub fn cells(&self) -> impl Iterator<Item = (u32, u32, bool)> + '_ {
-        let at = |i: usize| {
-            (
-                self.cx0 + (i % self.w) as u32,
-                self.cy0 + (i / self.w) as u32,
-            )
+                crossings[start..].sort_unstable_by(f64::total_cmp);
+                (start, crossings.len())
+            });
+            crossings[start..end].partition_point(|&c| c < centre.x) % 2 == 1
         };
-        let stored = self.classes.iter().enumerate().filter(|(_, &c)| c != 0);
-        stored.map(move |(i, &c)| (at(i).0, at(i).1, c == 2))
-    }
-
-    /// Appends the classified block's A and F lists to `all` and `full`
-    /// (arenas that may already hold other objects' runs; nothing before
-    /// their current ends is touched).
-    ///
-    /// The block is walked by a recursive descent through the Hilbert
-    /// curve's quadrants, clipped to the block: cells arrive in curve
-    /// order, so each run extends the list's last run or opens a new one
-    /// — no per-cell index computation, no sort. A summed-area table over
-    /// the class grid counts a quadrant's stored and FULL cells in four
-    /// loads, so an empty quadrant is skipped and a uniformly FULL one is
-    /// emitted as a single run without being entered.
-    pub fn emit(&mut self, all: &mut Vec<CellRun>, full: &mut Vec<CellRun>) {
-        let (w, h) = (self.w, self.h);
-        self.sat.clear();
-        self.sat.resize((w + 1) * (h + 1), 0);
-        for (y, classes) in self.classes.chunks_exact(w).enumerate() {
-            let (above, below) = self.sat[y * (w + 1)..].split_at_mut(w + 1);
-            let mut row = 0u64;
-            for ((out, &up), &class) in below[1..=w].iter_mut().zip(&above[1..]).zip(classes) {
-                row += [0, 1, 1 | 1 << 32][class as usize];
-                *out = up + row;
+        let (bases, cells) = ((all.len(), full.len()), 1 << (2 * grid.bits));
+        // `gap` is the first cell after the last PARTIAL cell seen.
+        let mut gap = 0;
+        for d in ids.iter().copied().chain([cells]) {
+            if gap < d && gap_is_full(gap) {
+                push_run(all, bases.0, gap, d);
+                push_run(full, bases.1, gap, d);
             }
+            if d < cells {
+                push_run(all, bases.0, d, d + 1);
+            }
+            gap = d + 1;
         }
-        let (block, bases) = (&*self, (all.len(), full.len()));
-        Emission {
-            block,
-            all,
-            full,
-            bases,
-        }
-        .descend(0, 0, 1 << self.bits, 0, false, false);
     }
 }
 
@@ -514,75 +517,12 @@ fn push_run(list: &mut Vec<CellRun>, base: usize, start: u32, end: u32) {
     }
 }
 
-/// The state of one [`Rasterizer::emit`] descent.
-struct Emission<'a> {
-    block: &'a Rasterizer,
-    all: &'a mut Vec<CellRun>,
-    full: &'a mut Vec<CellRun>,
-    /// Where this object's lists begin in `all` and `full`.
-    bases: (usize, usize),
-}
-
-impl Emission<'_> {
-    /// Emits the cells of the curve's sub-square at `(x, y)` with side
-    /// `size`, whose first cell has Hilbert index `d`. `(swap, flip)` is
-    /// the coordinate transform [`hilbert_index`] has accumulated on the
-    /// way down to this square: transpose and/or rotate by 180° (the two
-    /// generate every orientation the curve takes, and they commute).
-    fn descend(&mut self, x: u32, y: u32, size: u32, d: u32, swap: bool, flip: bool) {
-        let b = self.block;
-        // Clip to the block, in block-local cell coordinates.
-        let x0 = x.max(b.cx0) - b.cx0;
-        let y0 = y.max(b.cy0) - b.cy0;
-        let x1 = ((x + size).min(b.cx0 + b.w as u32)).saturating_sub(b.cx0);
-        let y1 = ((y + size).min(b.cy0 + b.h as u32)).saturating_sub(b.cy0);
-        if x0 >= x1 || y0 >= y1 {
-            return;
-        }
-        let at = |x: u32, y: u32| b.sat[y as usize * (b.w + 1) + x as usize];
-        let count =
-            (at(x1, y1).wrapping_sub(at(x0, y1))).wrapping_sub(at(x1, y0).wrapping_sub(at(x0, y0)));
-        let (stored, full) = (count as u32, (count >> 32) as u32);
-        let area = size * size;
-        if stored == 0 {
-            return;
-        }
-        if full == area || size == 1 {
-            push_run(self.all, self.bases.0, d, d + area);
-            if full == area {
-                push_run(self.full, self.bases.1, d, d + area);
-            }
-            return;
-        }
-        // The curve visits a square's quadrants in the order (0,0), (0,1),
-        // (1,1), (1,0) of its *transformed* coordinates; the first is
-        // entered transposed, the last anti-transposed.
-        let half = size / 2;
-        for (q, (rx, ry)) in [(0, 0), (0, 1), (1, 1), (1, 0)].into_iter().enumerate() {
-            let (mut qx, mut qy) = if flip { (1 - rx, 1 - ry) } else { (rx, ry) };
-            if swap {
-                std::mem::swap(&mut qx, &mut qy);
-            }
-            self.descend(
-                x + qx * half,
-                y + qy * half,
-                half,
-                d + q as u32 * half * half,
-                swap ^ (q == 0 || q == 3),
-                flip ^ (q == 3),
-            );
-        }
-    }
-}
-
 /// Rasterizes one region on `grid` into its `(A, F)` run lists: every
 /// cell intersecting the closed region is in A, every cell inside it in
 /// F, both in canonical Hilbert-order form.
 pub fn rasterize(grid: &RasterGrid, region: &PolygonWithHoles) -> (Vec<CellRun>, Vec<CellRun>) {
-    let mut rasterizer = Rasterizer::default();
     let (mut all, mut full) = (Vec::new(), Vec::new());
-    rasterizer.classify(grid, region);
-    rasterizer.emit(&mut all, &mut full);
+    Rasterizer::default().append(grid, region, &mut all, &mut full);
     (all, full)
 }
 
@@ -675,8 +615,7 @@ impl RasterStore {
         let (mut all, mut full) = (RunColumn::new(), RunColumn::new());
         let mut rasterizer = Rasterizer::default();
         for o in relation.iter() {
-            rasterizer.classify(grid, &o.region);
-            rasterizer.emit(&mut all.runs, &mut full.runs);
+            rasterizer.append(grid, &o.region, &mut all.runs, &mut full.runs);
             all.seal();
             full.seal();
         }
@@ -912,6 +851,43 @@ mod tests {
                     1,
                     "bits {bits}: step {d} not a neighbor"
                 );
+            }
+        }
+    }
+
+    /// The classic `xy2d` loop, the reference for the table-driven
+    /// [`hilbert_index`].
+    fn xy2d(bits: u32, mut x: u32, mut y: u32) -> u32 {
+        let n = 1u32 << bits;
+        let (mut d, mut s) = (0u32, n >> 1);
+        while s > 0 {
+            let rx = u32::from(x & s > 0);
+            let ry = u32::from(y & s > 0);
+            d += s * s * ((3 * rx) ^ ry);
+            if ry == 0 {
+                if rx == 1 {
+                    x = n.wrapping_sub(1).wrapping_sub(x);
+                    y = n.wrapping_sub(1).wrapping_sub(y);
+                }
+                std::mem::swap(&mut x, &mut y);
+            }
+            s >>= 1;
+        }
+        d
+    }
+
+    /// At every supported order, `hilbert_index` is the classic curve and
+    /// `hilbert_cell` inverts it: on every cell up to 10 bits, on every
+    /// 61st row beyond.
+    #[test]
+    fn hilbert_cell_inverts_hilbert_index() {
+        for bits in 1..=MAX_GRID_BITS {
+            for y in (0..1u32 << bits).step_by(if bits <= 10 { 1 } else { 61 }) {
+                for x in 0..1u32 << bits {
+                    let d = hilbert_index(bits, x, y);
+                    assert_eq!(d, xy2d(bits, x, y), "bits {bits}, cell ({x}, {y})");
+                    assert_eq!(hilbert_cell(bits, d), (x, y), "bits {bits}, index {d}");
+                }
             }
         }
     }

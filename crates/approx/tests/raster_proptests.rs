@@ -19,12 +19,14 @@
 //!   intersection of the cell sets, on seeded random list pairs of every
 //!   length ratio the join sees and on the shapes a search gets wrong
 //!   first (empty lists, touching runs, overlap only at the far end);
-//! * **emit** — the Hilbert-quadrant descent ≡ per-cell
-//!   [`hilbert_index`] + sort + run merge over the same class grid.
+//! * **rasterize** — [`rasterize`] (margin rule over each edge's rows,
+//!   then one parity probe per Hilbert gap between PARTIAL runs) ≡ the
+//!   per-cell statement of the classification, each stored cell's
+//!   [`hilbert_index`], a sort and a run merge.
 
 use msj_approx::raster::{
-    hilbert_index, raster_decide, rasterize, CellRun, RasterDecision, RasterGrid, RasterSignature,
-    Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
+    hilbert_cell, hilbert_index, raster_decide, rasterize, CellRun, RasterDecision, RasterGrid,
+    RasterSignature, Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
 };
 use msj_datagen::{blob, BlobParams};
 use msj_geom::{Point, Polygon, PolygonWithHoles, Rect};
@@ -416,16 +418,61 @@ fn decide_agrees_on_the_shapes_a_search_gets_wrong_first() {
     }
 }
 
-// ---- emit: Hilbert-quadrant descent ≡ per-cell index + sort ----
+// ---- rasterize ≡ per-cell oracle + per-cell index + sort ----
 
-/// The emission step [`Rasterizer::emit`] replaced, verbatim: every
-/// stored cell of the class grid gets its [`hilbert_index`], the cells
-/// are sorted, and consecutive cells of one class merge into a run.
-fn emit_by_sort(bits: u32, block: &Rasterizer) -> Vec<TaggedRun> {
-    let mut cells: Vec<(u32, bool)> = block
-        .cells()
-        .map(|(cx, cy, full)| (hilbert_index(bits, cx, cy), full))
-        .collect();
+/// The classification [`rasterize`] replaced, as a per-cell statement
+/// over the region's MBR block: a cell is PARTIAL when an edge whose cell
+/// range contains it intersects it (`Segment::intersects_rect`), and
+/// otherwise FULL when its centre has odd even–odd parity (half-open
+/// crossings strictly left of the centre). The edge loop and the row's
+/// crossings are hoisted out of the cell loop; every cell still gets its
+/// own test. Returns each stored cell's [`hilbert_index`] and class.
+fn classify_per_cell(grid: &RasterGrid, region: &PolygonWithHoles) -> Vec<(u32, bool)> {
+    let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
+    let w = (cx1 - cx0 + 1) as usize;
+    let mut partial = vec![false; w * (cy1 - cy0 + 1) as usize];
+    for e in region.edges() {
+        let (ex0, ey0, ex1, ey1) = grid.cell_range(&e.mbr());
+        // A cell whose centre lies off the edge's line by more than its
+        // diagonal is at least half a diagonal away from the line, which
+        // dwarfs the rounding of `intersects_rect` on every grid of this
+        // file (its cells are 8/4096 or larger, the rounding ~1e-6 at a
+        // 1e9 offset): skip it.
+        let (dir, len) = (e.b - e.a, e.a.dist(e.b));
+        for cy in ey0..=ey1 {
+            for cx in ex0..=ex1 {
+                let cell = grid.cell_rect(cx, cy);
+                let off = (cell.center() - e.a).cross(dir).abs() / len;
+                if off <= cell.width().hypot(cell.height()) && e.intersects_rect(&cell) {
+                    partial[(cy - cy0) as usize * w + (cx - cx0) as usize] = true;
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for cy in cy0..=cy1 {
+        let y = grid.cell_rect(cx0, cy).center().y;
+        let crossings: Vec<f64> = region
+            .edges()
+            .filter(|e| (e.a.y > y) != (e.b.y > y))
+            .map(|e| e.a.x + (y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x))
+            .collect();
+        for cx in cx0..=cx1 {
+            let centre = grid.cell_rect(cx, cy).center();
+            let partial = partial[(cy - cy0) as usize * w + (cx - cx0) as usize];
+            let odd = crossings.iter().filter(|&&c| c < centre.x).count() % 2 == 1;
+            if partial || odd {
+                out.push((hilbert_index(grid.bits(), cx, cy), !partial));
+            }
+        }
+    }
+    out
+}
+
+/// The oracle's `(A, F)` lists: its cells sorted by Hilbert id, merged
+/// into class-tagged runs, then split into the canonical lists.
+fn oracle_lists(grid: &RasterGrid, region: &PolygonWithHoles) -> (Vec<CellRun>, Vec<CellRun>) {
+    let mut cells = classify_per_cell(grid, region);
     cells.sort_unstable_by_key(|&(d, _)| d);
     let mut runs: Vec<TaggedRun> = Vec::new();
     for (d, full) in cells {
@@ -438,21 +485,30 @@ fn emit_by_sort(bits: u32, block: &Rasterizer) -> Vec<TaggedRun> {
             }),
         }
     }
-    runs
+    af_lists(&runs)
 }
 
-/// Descent and sort path on one region. Canonical lists are a unique
-/// encoding of their cell sets, so list equality is cell-for-cell
-/// equality.
-fn assert_emission_agrees(grid: &RasterGrid, region: &PolygonWithHoles, what: &str) {
-    let mut block = Rasterizer::default();
-    block.classify(grid, region);
-    let (mut all, mut full) = (Vec::new(), Vec::new());
-    block.emit(&mut all, &mut full);
-    let expect = af_lists(&emit_by_sort(grid.bits(), &block));
-    assert!(all == expect.0, "{what}: A list diverged");
-    assert!(full == expect.1, "{what}: F list diverged");
-    assert_eq!((all, full), rasterize(grid, region), "{what}: rasterize");
+/// [`rasterize`] against the oracle on one region. Canonical lists are a
+/// unique encoding of their cell sets, so list equality is cell-for-cell
+/// equality; a divergence is reported by cell.
+fn assert_rasterize_agrees(grid: &RasterGrid, region: &PolygonWithHoles, what: &str) {
+    let got = rasterize(grid, region);
+    let want = oracle_lists(grid, region);
+    if got != want {
+        let cells = |(all, full): &(Vec<CellRun>, Vec<CellRun>)| -> HashSet<(u32, u32, bool)> {
+            signature_cells(all, full)
+                .into_iter()
+                .map(|(d, full)| {
+                    let (cx, cy) = hilbert_cell(grid.bits(), d);
+                    (cx, cy, full)
+                })
+                .collect()
+        };
+        let (got, want) = (cells(&got), cells(&want));
+        let extra: Vec<_> = got.difference(&want).take(4).collect();
+        let missing: Vec<_> = want.difference(&got).take(4).collect();
+        panic!("{what}: rasterize diverged; extra {extra:?}, missing {missing:?}");
+    }
 }
 
 /// The crossing slivers of `tests/raster_agreement.rs`.
@@ -486,8 +542,12 @@ fn needle_regions() -> Vec<PolygonWithHoles> {
         .collect()
 }
 
+/// The shapes that stress the run and gap structure: whole cartographic
+/// relations on their own world (objects far apart on the curve), the
+/// needles (long PARTIAL stretches, no FULL cell), an object covering the
+/// whole grid (one run) and one inside a single cell.
 #[test]
-fn quadrant_descent_emits_what_the_sort_path_emitted() {
+fn rasterize_emits_the_oracle_lists_on_the_emission_shapes() {
     let regions_of = |rel: msj_geom::Relation| -> Vec<PolygonWithHoles> {
         rel.iter().map(|o| o.region.clone()).collect()
     };
@@ -511,27 +571,33 @@ fn quadrant_descent_emits_what_the_sort_path_emitted() {
             let world = Rect::bounding_rects(regions.iter().map(|r| r.mbr())).unwrap();
             let grid = RasterGrid::new(world, bits);
             for (i, region) in regions.iter().enumerate() {
-                assert_emission_agrees(&grid, region, &format!("{name}[{i}] at {bits} bits"));
+                assert_rasterize_agrees(&grid, region, &format!("{name}[{i}] at {bits} bits"));
             }
         }
         // An object covering the whole grid, and one inside a single cell
         // (of the finest grid, away from every cell boundary).
         let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0);
         let grid = RasterGrid::new(world, bits);
-        let rect =
-            |r: Rect| -> PolygonWithHoles { Polygon::new(r.corners().to_vec()).unwrap().into() };
-        assert_emission_agrees(&grid, &rect(world), &format!("whole grid at {bits} bits"));
+        let whole = rect_region(0.0, 0.0, 8.0, 8.0);
+        assert_eq!(
+            rasterize(&grid, &whole).0,
+            [CellRun {
+                start: 0,
+                end: 1 << (2 * bits)
+            }]
+        );
+        assert_rasterize_agrees(&grid, &whole, &format!("whole grid at {bits} bits"));
         let cell = 8.0 / 4096.0;
-        let speck = Rect::from_bounds(
+        let speck = rect_region(
             5.0 + 0.25 * cell,
             3.0 + 0.25 * cell,
             5.0 + 0.75 * cell,
             3.0 + 0.75 * cell,
         );
-        let (all, full) = rasterize(&grid, &rect(speck));
+        let (all, full) = rasterize(&grid, &speck);
         assert_eq!((all.len(), full.len()), (1, 0), "speck at {bits} bits");
         assert_eq!(all[0].end - all[0].start, 1);
-        assert_emission_agrees(&grid, &rect(speck), &format!("speck at {bits} bits"));
+        assert_rasterize_agrees(&grid, &speck, &format!("speck at {bits} bits"));
     }
 }
 
@@ -540,71 +606,91 @@ fn quadrant_descent_emits_what_the_sort_path_emitted() {
 #[test]
 fn emission_never_coalesces_across_objects() {
     let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 8.0, 8.0), 3);
-    let rect = |x0, y0, x1, y1| -> PolygonWithHoles {
-        Polygon::new(Rect::from_bounds(x0, y0, x1, y1).corners().to_vec())
-            .unwrap()
-            .into()
-    };
     // Hilbert cells 0..4 (the lower-left 2×2 block) and 4..8 (the block
     // to its right: the curve enters the lower-left quadrant transposed).
-    let first = rasterize(&grid, &rect(0.1, 0.1, 1.9, 1.9));
-    let second = rasterize(&grid, &rect(2.1, 0.1, 3.9, 1.9));
+    let first = rasterize(&grid, &rect_region(0.1, 0.1, 1.9, 1.9));
+    let second = rasterize(&grid, &rect_region(2.1, 0.1, 3.9, 1.9));
     assert_eq!((first.0[0].start, first.0[0].end), (0, 4));
     assert_eq!((second.0[0].start, second.0[0].end), (4, 8));
-    let mut block = Rasterizer::default();
     let (mut all, mut full) = (first.0.clone(), first.1.clone());
-    block.classify(&grid, &rect(2.1, 0.1, 3.9, 1.9));
-    block.emit(&mut all, &mut full);
+    Rasterizer::default().append(&grid, &rect_region(2.1, 0.1, 3.9, 1.9), &mut all, &mut full);
     assert_eq!(all, [first.0, second.0].concat());
     assert_eq!(full, [first.1, second.1].concat());
 }
 
-// ---- classify: margin rule + span fill ≡ per-cell oracle ----
-
-/// The classification [`Rasterizer::classify`] replaced, as a per-cell
-/// statement: a cell is PARTIAL when an edge whose cell range contains it
-/// intersects it (`Segment::intersects_rect`), and otherwise FULL when
-/// its centre has odd even–odd parity (half-open crossings strictly left
-/// of the centre). Row-major over the region's block, like
-/// [`Rasterizer::cells`].
-fn classify_per_cell(grid: &RasterGrid, region: &PolygonWithHoles) -> Vec<(u32, u32, bool)> {
-    let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
-    let edges: Vec<_> = region.edges().collect();
-    let ranges: Vec<_> = edges.iter().map(|e| grid.cell_range(&e.mbr())).collect();
-    let mut out = Vec::new();
-    for cy in cy0..=cy1 {
-        for cx in cx0..=cx1 {
-            let cell = grid.cell_rect(cx, cy);
-            let partial = edges.iter().zip(&ranges).any(|(e, &(ex0, ey0, ex1, ey1))| {
-                (ex0..=ex1).contains(&cx) && (ey0..=ey1).contains(&cy) && e.intersects_rect(&cell)
-            });
-            let centre = cell.center();
-            let crossings = edges
-                .iter()
-                .filter(|e| {
-                    (e.a.y > centre.y) != (e.b.y > centre.y)
-                        && e.a.x + (centre.y - e.a.y) / (e.b.y - e.a.y) * (e.b.x - e.a.x) < centre.x
-                })
-                .count();
-            if partial || crossings % 2 == 1 {
-                out.push((cx, cy, !partial));
+/// The gap rule's edge cases: a region strictly larger than its grid has
+/// no PARTIAL cell on it, so the leading gap is the whole curve and is
+/// FULL; in a holed region and a U the curve leaves the block, or enters
+/// the hole or the notch, between boundary runs, and a gap of interior
+/// cells can start at a cell the curve reaches from outside the block.
+#[test]
+fn gaps_decide_by_their_first_cell() {
+    for bits in [2u32, 4, 7] {
+        let grid = RasterGrid::new(Rect::from_bounds(0.0, 0.0, 8.0, 8.0), bits);
+        let cells = 1 << (2 * bits);
+        let beyond = rect_region(-1.0, -1.0, 9.0, 9.0);
+        let (all, full) = rasterize(&grid, &beyond);
+        let whole = [CellRun {
+            start: 0,
+            end: cells,
+        }];
+        assert_eq!(
+            (&all[..], &full[..]),
+            (&whole[..], &whole[..]),
+            "{bits} bits"
+        );
+        assert_rasterize_agrees(&grid, &beyond, &format!("beyond the grid at {bits} bits"));
+    }
+    let holed = PolygonWithHoles::new(
+        Polygon::new(Rect::from_bounds(0.3, 0.3, 7.7, 7.7).corners().to_vec()).unwrap(),
+        vec![Polygon::new(Rect::from_bounds(2.2, 2.2, 5.8, 5.8).corners().to_vec()).unwrap()],
+    );
+    let u = Polygon::new(
+        [
+            (1.3, 0.7),
+            (6.6, 0.7),
+            (6.6, 7.4),
+            (4.9, 7.4),
+            (4.9, 2.1),
+            (3.1, 2.1),
+            (3.1, 7.4),
+            (1.3, 7.4),
+        ]
+        .iter()
+        .map(|&(x, y)| Point::new(x, y))
+        .collect(),
+    )
+    .unwrap()
+    .into();
+    for offset in [Point::new(0.0, 0.0), Point::new(-1e9, 1e9)] {
+        for (name, region) in [("holed", &holed), ("U", &u)] {
+            let region = region.translated(offset);
+            for bits in 2..=9 {
+                let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0).translated(offset);
+                let grid = RasterGrid::new(world, bits);
+                let what = format!("{name} {offset:?} at {bits} bits");
+                assert_rasterize_agrees(&grid, &region, &what);
+                // From 5 bits on, the hole or notch holds empty gaps that
+                // start inside the block, and the curve leaves the block
+                // between runs. An empty gap is one between two A runs.
+                let (all, full) = rasterize(&grid, &region);
+                let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
+                let in_block = |d: u32| {
+                    let (cx, cy) = hilbert_cell(bits, d);
+                    (cx0..=cx1).contains(&cx) && (cy0..=cy1).contains(&cy)
+                };
+                let gaps: Vec<u32> = all.windows(2).map(|pair| pair[0].end).collect();
+                if bits >= 5 {
+                    assert!(gaps.iter().any(|&d| in_block(d)), "{what}: no inner gap");
+                    assert!(gaps.iter().any(|&d| !in_block(d)), "{what}: no outer gap");
+                    assert!(!full.is_empty(), "{what}: no FULL gap");
+                }
             }
         }
     }
-    out
 }
 
-fn assert_classification_agrees(grid: &RasterGrid, region: &PolygonWithHoles, what: &str) {
-    let mut block = Rasterizer::default();
-    block.classify(grid, region);
-    let got: Vec<_> = block.cells().collect();
-    let want = classify_per_cell(grid, region);
-    if got != want {
-        let diff: Vec<_> = got.iter().filter(|c| !want.contains(c)).take(4).collect();
-        let missing: Vec<_> = want.iter().filter(|c| !got.contains(c)).take(4).collect();
-        panic!("{what}: classification diverged; extra {diff:?}, missing {missing:?}");
-    }
-}
+// ---- the margin rule + gap parity ≡ per-cell oracle ----
 
 /// An axis-parallel rectangle region.
 fn rect_region(x0: f64, y0: f64, x1: f64, y1: f64) -> PolygonWithHoles {
@@ -682,7 +768,7 @@ fn lattice_stars(count: u64) -> Vec<PolygonWithHoles> {
 /// offset that keeps lattice coordinates exact and on one that rounds
 /// them.
 #[test]
-fn classify_agrees_with_the_per_cell_oracle() {
+fn rasterize_agrees_with_the_per_cell_oracle() {
     let mut shapes: Vec<(String, PolygonWithHoles, f64)> = Vec::new();
     for seed in 0..24u64 {
         shapes.push((
@@ -711,7 +797,7 @@ fn classify_agrees_with_the_per_cell_oracle() {
             let region = region.translated(offset);
             for bits in [3u32, 5, 7] {
                 let grid = grid_for(&region, bits, *pad);
-                assert_classification_agrees(&grid, &region, &format!("{name} {offset:?} {bits}"));
+                assert_rasterize_agrees(&grid, &region, &format!("{name} {offset:?} {bits}"));
             }
         }
         let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0).translated(offset);
@@ -720,11 +806,7 @@ fn classify_agrees_with_the_per_cell_oracle() {
             let region = region.translated(offset);
             for bits in [3u32, 4, 6, 8] {
                 let grid = RasterGrid::new(world, bits);
-                assert_classification_agrees(
-                    &grid,
-                    &region,
-                    &format!("lattice {i} {offset:?} {bits}"),
-                );
+                assert_rasterize_agrees(&grid, &region, &format!("lattice {i} {offset:?} {bits}"));
             }
         }
     }
@@ -758,7 +840,7 @@ fn rows_that_the_row_lookup_rounds_onto_are_skipped() {
             ])
             .unwrap()
             .into();
-            assert_classification_agrees(&grid, &region, &format!("offset {offset}, row {r}"));
+            assert_rasterize_agrees(&grid, &region, &format!("offset {offset}, row {r}"));
         }
     }
     assert!(found > 100, "only {found} row lines round");
