@@ -62,7 +62,7 @@ pub use quality::{
     progressive_quality,
 };
 pub use raster::{
-    auto_grid_bits, hilbert_cell, hilbert_index, raster_decide, rasterize, CellRun, RasterDecision,
-    RasterGrid, RasterSignature, RasterStore, Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
+    auto_grid_bits, hilbert_index, raster_decide, rasterize, CellRun, RasterDecision, RasterGrid,
+    RasterSignature, RasterStore, Rasterizer, MAX_GRID_BITS, MIN_GRID_BITS,
 };
 pub use store::{conservative_bytes, progressive_bytes, ConservativeStore, ProgressiveStore};

@@ -35,7 +35,8 @@
 //! which is what a parcel-against-region candidate (3 runs against 100)
 //! needs.
 //!
-//! Building a signature costs its boundary, not its area
+//! Building a signature costs its boundary, and its area only as one
+//! cleared byte per cell of its MBR block, pass 1's dedup
 //! ([`Rasterizer`]): each edge decides the cells of each row it crosses
 //! from its x-span in that row, by a proven margin, and runs the exact
 //! segment–rectangle test only on the few cells within the margin. The
@@ -125,7 +126,10 @@ impl RasterGrid {
         )
     }
 
-    /// The cell column of coordinate `x`, clamped to the grid.
+    /// The cell column the quotient `(x − origin.x) / cell_w` gives `x`,
+    /// clamped to the grid. Within an ulp or so of a cell line it can be
+    /// the column on the other side of the line from the one
+    /// [`RasterGrid::cell_rect`] draws around `x`.
     #[inline]
     fn col(&self, x: f64) -> u32 {
         let n = self.cells_per_axis();
@@ -133,7 +137,7 @@ impl RasterGrid {
         (i.max(0.0) as u32).min(n - 1)
     }
 
-    /// The cell row of coordinate `y`, clamped to the grid.
+    /// The cell row of coordinate `y`, as [`RasterGrid::col`] for `x`.
     #[inline]
     fn row(&self, y: f64) -> u32 {
         let n = self.cells_per_axis();
@@ -141,15 +145,34 @@ impl RasterGrid {
         (i.max(0.0) as u32).min(n - 1)
     }
 
-    /// Inclusive cell range `(cx0, cy0, cx1, cy1)` covering `r`.
+    /// Inclusive cell range `(cx0, cy0, cx1, cy1)` covering `r`, as
+    /// [`RasterGrid::cell_rect`] draws the cells: each bound is the last
+    /// cell whose lower side is at or below the coordinate (the first
+    /// cell below the grid, the last above it). The quotient's cell is
+    /// moved by one where it lies across a side; the rasterizer's gaps
+    /// rest on every cell an edge touches lying in the edge's range.
     #[inline]
     pub fn cell_range(&self, r: &Rect) -> (u32, u32, u32, u32) {
-        (
-            self.col(r.xmin()),
-            self.row(r.ymin()),
-            self.col(r.xmax()),
-            self.row(r.ymax()),
-        )
+        let n = self.cells_per_axis();
+        let x = |v: f64| snap(self.col(v), v, self.origin.x, self.cell_w, n);
+        let y = |v: f64| snap(self.row(v), v, self.origin.y, self.cell_h, n);
+        (x(r.xmin()), y(r.ymin()), x(r.xmax()), y(r.ymax()))
+    }
+}
+
+/// Moves the quotient's cell `i` of `v`, on an axis of `n` cells of size
+/// `c` from `o`, to the last cell whose lower side `o + i · c` (computed
+/// as [`RasterGrid::cell_rect`] computes it) is at or below `v`. The
+/// quotient errs by less than a cell wherever cells are wider than a few
+/// ulps of the coordinates, so one step is enough.
+#[inline]
+fn snap(i: u32, v: f64, o: f64, c: f64, n: u32) -> u32 {
+    if i + 1 < n && o + (i + 1) as f64 * c <= v {
+        i + 1
+    } else if i > 0 && v < o + i as f64 * c {
+        i - 1
+    } else {
+        i
     }
 }
 
@@ -321,7 +344,8 @@ impl Rasterizer {
     /// the oracle): a cell of the MBR block is PARTIAL when an edge whose
     /// cell range contains it intersects it ([`Segment::intersects_rect`]),
     /// and otherwise FULL when its centre lies inside the region. The work
-    /// is the boundary cells plus one probe per gap between them.
+    /// is the boundary cells plus one probe per gap between them, and a
+    /// cleared mark byte per cell of the block.
     ///
     /// 1. **boundary** — each edge walks the rows of its cell range. In a
     ///    row whose y-band `[y0, y1]` its closed y-range misses, it
@@ -348,6 +372,20 @@ impl Rasterizer {
     ///    rule, as in the point-in-polygon test), built on the row's first
     ///    probe. An unmarked cell's centre is never on the boundary (the
     ///    edge would intersect the cell), so the parity is exact.
+    ///
+    ///    "No edge touches" needs every cell an edge touches inside the
+    ///    edge's cell range: where the boundary passes between the centres
+    ///    of two neighbours, the cell holding the crossing point is in the
+    ///    range of the edge through it, is walked and is marked. So
+    ///    [`RasterGrid::cell_range`] puts a coordinate in the cell that
+    ///    [`RasterGrid::cell_rect`]'s sides put it in, not where the
+    ///    quotient rounds it. Otherwise an edge an ulp above a row line
+    ///    that the quotient puts below it marks no cell, and a gap runs
+    ///    from inside the region across it (out of the block above a top
+    ///    edge, into the hole below a hole's top edge). The same argument
+    ///    keeps a FULL gap inside the block: a cell beyond the block has
+    ///    its centre outside the MBR. Within a row, the walk's quotient
+    ///    columns `±1` still reach every cell the edge can touch.
     ///
     /// **The margin.** `m = 64ε · X`, with `ε = f64::EPSILON` and `X` the
     /// largest `|x|` of the region's MBR and of the block's cell lines

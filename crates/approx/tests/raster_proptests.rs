@@ -812,36 +812,132 @@ fn rasterize_agrees_with_the_per_cell_oracle() {
     }
 }
 
-/// Regions whose top vertex lies one ulp below a row line that the grid's
-/// own row lookup rounds it onto: that row is in the edges' cell ranges,
-/// but its band misses them, so the rasterizer must skip it rather than
-/// read a point span there as a hit.
+/// Coordinates an ulp off a cell line that the quotient
+/// `(v − origin) / cell` rounds across the line, on rows and on columns,
+/// in both directions. [`RasterGrid::cell_range`] must put them where the
+/// sides of [`RasterGrid::cell_rect`] do: an edge an ulp above a line lies
+/// in the row above it, and an edge an ulp below one in the row below.
+/// On each such line: a triangle whose top vertex is an ulp below it, and
+/// a rectangle and a holed square whose top edge, or whose hole's top
+/// edge, is an ulp above it (turned a quarter for columns). Each agrees
+/// with the oracle, stores no cell outside its MBR block, keeps its FULL
+/// cells inside the region, and stores the cells above a top edge an ulp
+/// over the line, which the region enters.
 #[test]
-fn rows_that_the_row_lookup_rounds_onto_are_skipped() {
-    let mut found = 0;
-    // The lookup rounds onto a line only where the world's offset is not
-    // large against its size.
-    for offset in [0.3, -0.7, -7.9] {
-        let world = Rect::from_bounds(0.0, 0.0, 8.0, 8.0).translated(Point::new(offset, offset));
-        let grid = RasterGrid::new(world, 8);
-        for r in 1..256 {
-            let line = grid.cell_rect(0, r).ymin();
-            let below = line.next_down();
-            let x = grid.cell_rect(100, r).center().x;
-            let top = Point::new(x, below);
-            if grid.cell_range(&Rect::new(top, top)).1 != r {
-                continue;
+fn coordinates_the_quotient_rounds_across_a_cell_line_stay_exact() {
+    let (mut below, mut above) = ([0; 2], [0; 2]);
+    // The quotient rounds across a line only where the world's offset is
+    // not large against its size, and above one only where the cell lines
+    // `offset + r · size / 256` themselves round: not on a dyadic size.
+    let worlds = [
+        (8.0, [0.3, -0.7, -7.9]),
+        (10.1, [-0.7, -1.3, -3.7]),
+        (3.3, [-0.7, -1.3, -3.7]),
+    ];
+    for (size, offsets) in worlds {
+        for offset in offsets {
+            let world =
+                Rect::from_bounds(0.0, 0.0, size, size).translated(Point::new(offset, offset));
+            let grid = RasterGrid::new(world, 8);
+            let (origin, cell) = (world.xmin(), size / 256.0);
+            let quotient = |v: f64| ((v - origin) / cell).floor();
+            for (axis, columns) in [(0, false), (1, true)] {
+                // `at(u, v)`: `v` across the lines of this axis, `u` along them.
+                let at = |u: f64, v: f64| {
+                    if columns {
+                        Point::new(v, u)
+                    } else {
+                        Point::new(u, v)
+                    }
+                };
+                let index = |p: Point| {
+                    let (cx0, cy0, cx1, cy1) = grid.cell_range(&Rect::new(p, p));
+                    assert_eq!((cx0, cy0), (cx1, cy1));
+                    if columns {
+                        cx0
+                    } else {
+                        cy0
+                    }
+                };
+                let u = |k: u32| grid.cell_rect(k, k).center().x;
+                let polygon = |pts: &[(f64, f64)]| {
+                    Polygon::new(pts.iter().map(|&(u, v)| at(u, v)).collect()).unwrap()
+                };
+                for r in 40..240 {
+                    let line = grid.cell_rect(r, r).ymin();
+                    let (down, up) = (line.next_down(), line.next_up());
+                    assert_eq!(
+                        [
+                            index(at(u(100), down)),
+                            index(at(u(100), line)),
+                            index(at(u(100), up))
+                        ],
+                        [r - 1, r, r],
+                        "world {size} at {offset}, axis {axis}, line {r}"
+                    );
+                    let mut regions: Vec<(&str, PolygonWithHoles)> = Vec::new();
+                    if quotient(down) == r as f64 {
+                        below[axis] += 1;
+                        let tip = [
+                            (u(100) - 15.7 * cell, down - 23.3 * cell),
+                            (u(100) + 8.6 * cell, down - 31.1 * cell),
+                        ];
+                        regions.push((
+                            "triangle",
+                            polygon(&[tip[0], tip[1], (u(100), down)]).into(),
+                        ));
+                    }
+                    if quotient(up) == r as f64 - 1.0 {
+                        above[axis] += 1;
+                        let (u0, u1, v0) = (u(90), u(110), up - 10.4 * cell);
+                        regions.push((
+                            "rectangle",
+                            polygon(&[(u0, v0), (u1, v0), (u1, up), (u0, up)]).into(),
+                        ));
+                        let (o0, o1, w0, w1) = (u(80), u(120), v0 - 3.3 * cell, up + 7.4 * cell);
+                        regions.push((
+                            "holed square",
+                            PolygonWithHoles::new(
+                                polygon(&[(o0, w0), (o1, w0), (o1, w1), (o0, w1)]),
+                                vec![polygon(&[(u0, v0), (u1, v0), (u1, up), (u0, up)])],
+                            ),
+                        ));
+                    }
+                    for (name, region) in regions {
+                        let what =
+                            format!("{name}, world {size} at {offset}, axis {axis}, line {r}");
+                        assert_rasterize_agrees(&grid, &region, &what);
+                        let (all, full) = rasterize(&grid, &region);
+                        let (cx0, cy0, cx1, cy1) = grid.cell_range(&region.mbr());
+                        for (d, is_full) in signature_cells(&all, &full) {
+                            let (cx, cy) = hilbert_cell(grid.bits(), d);
+                            let cell = grid.cell_rect(cx, cy);
+                            assert!(
+                                (cx0..=cx1).contains(&cx) && (cy0..=cy1).contains(&cy),
+                                "{what}: cell ({cx}, {cy}) outside the block"
+                            );
+                            assert!(
+                                !is_full || cell_inside(&region, &cell),
+                                "{what}: FULL cell ({cx}, {cy}) leaves the region"
+                            );
+                        }
+                        if name == "rectangle" {
+                            let sliver = at(u(100), up);
+                            let (cx, cy, _, _) = grid.cell_range(&Rect::new(sliver, sliver));
+                            let d = hilbert_index(grid.bits(), cx, cy);
+                            assert!(
+                            all.iter().any(|a| a.start <= d && d < a.end),
+                            "{what}: the cell above the line, which the region enters, is not stored"
+                        );
+                        }
+                    }
+                }
             }
-            found += 1;
-            let region: PolygonWithHoles = Polygon::new(vec![
-                Point::new(x - 0.5, below - 0.75),
-                Point::new(x + 0.25, below - 1.0),
-                top,
-            ])
-            .unwrap()
-            .into();
-            assert_rasterize_agrees(&grid, &region, &format!("offset {offset}, row {r}"));
         }
     }
-    assert!(found > 100, "only {found} row lines round");
+    // Both directions occur on both axes.
+    assert!(
+        below.iter().all(|&n| n > 100) && above.iter().all(|&n| n > 10),
+        "lines rounded across: below {below:?}, above {above:?}"
+    );
 }
