@@ -62,8 +62,8 @@ impl ConservativeKind {
         }
     }
 
-    /// Stable on-disk code for the persistent store. Inverse of
-    /// [`ConservativeKind::from_code`]; never renumber existing codes.
+    /// Stable code the engine's store configuration tag fingerprints;
+    /// never renumber existing codes.
     pub fn code(self) -> u8 {
         match self {
             ConservativeKind::Mbr => 0,
@@ -74,20 +74,6 @@ impl ConservativeKind {
             ConservativeKind::FiveCorner => 5,
             ConservativeKind::ConvexHull => 6,
         }
-    }
-
-    /// Decodes an on-disk kind code.
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => ConservativeKind::Mbr,
-            1 => ConservativeKind::Mbc,
-            2 => ConservativeKind::Mbe,
-            3 => ConservativeKind::Rmbr,
-            4 => ConservativeKind::FourCorner,
-            5 => ConservativeKind::FiveCorner,
-            6 => ConservativeKind::ConvexHull,
-            _ => return None,
-        })
     }
 }
 
@@ -110,21 +96,12 @@ impl ProgressiveKind {
         }
     }
 
-    /// Stable on-disk code for the persistent store.
+    /// Stable code the engine's store configuration tag fingerprints.
     pub fn code(self) -> u8 {
         match self {
             ProgressiveKind::Mec => 0,
             ProgressiveKind::Mer => 1,
         }
-    }
-
-    /// Decodes an on-disk kind code.
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => ProgressiveKind::Mec,
-            1 => ProgressiveKind::Mer,
-            _ => return None,
-        })
     }
 }
 

@@ -33,7 +33,6 @@ use crate::ellipse::Ellipse;
 use crate::false_area::view_intersection_area;
 use crate::kinds::{ConsView, Conservative, ConservativeKind, Progressive, ProgressiveKind};
 use crate::mer::{MerScratch, MerSearchStats};
-use msj_geom::bytes::{Col, Dec, DecResult, Enc};
 use msj_geom::{ObjectId, Point, Rect, Relation};
 
 /// Byte size of a stored conservative approximation, following §3.4/§5:
@@ -92,11 +91,6 @@ pub struct ConservativeStore {
     /// `area(approx) − area(object)` per object — only the false-area
     /// test reads this column.
     false_area: Vec<f64>,
-    /// Total stored bytes across all objects under the §3.4 byte model,
-    /// computed at build time from the per-object approximations (before
-    /// MBR fallbacks are boxed into rings, so fallbacks keep their 16-B
-    /// MBR price).
-    total_bytes: usize,
 }
 
 impl ConservativeStore {
@@ -112,14 +106,6 @@ impl ConservativeStore {
             .zip(relation.iter())
             .map(|(a, o)| (a.area() - o.area()).max(0.0))
             .collect();
-        let total_bytes = match kind {
-            // Hull storage varies per object (16 B for MBR fallbacks).
-            ConservativeKind::ConvexHull => approxes
-                .iter()
-                .map(|a| conservative_bytes(kind, Some(a)))
-                .sum(),
-            kind => approxes.len() * conservative_bytes(kind, None),
-        };
         let cols = match kind {
             ConservativeKind::Mbr => ConsColumns::Rects(
                 approxes
@@ -186,7 +172,6 @@ impl ConservativeStore {
             kind,
             cols,
             false_area,
-            total_bytes,
         }
     }
 
@@ -330,202 +315,6 @@ impl ProgressiveStore {
     }
 }
 
-/// A fixed-width scalar column cut into `STRIDE`-scalar records; `Err`
-/// when the column is not a whole number of records.
-fn records<'a, const STRIDE: usize>(
-    scalars: Col<'a, f64>,
-) -> DecResult<impl ExactSizeIterator<Item = [f64; STRIDE]> + 'a> {
-    if !scalars.len().is_multiple_of(STRIDE) {
-        return Err("approximation column shape mismatch");
-    }
-    Ok((0..scalars.len() / STRIDE)
-        .map(move |i| std::array::from_fn(|k| scalars.get(STRIDE * i + k))))
-}
-
-fn ordered_rect(bounds: [f64; 4]) -> DecResult<Rect> {
-    Rect::from_ordered_bounds(bounds).ok_or("rectangle bounds not ordered")
-}
-
-impl ConservativeStore {
-    /// The store as its persistent image: the kind code (`u32`), the §3.4
-    /// byte-model total (`u64`, kept so images stay byte-identical to the
-    /// ones already on disk), then three counted columns —
-    /// convex ring offsets (`len + 1` entries, in points; empty for the
-    /// fixed-width kinds), the payload flattened to scalars (MBR 4 per
-    /// object, MBC 3, MBE 5, the convex kinds 2 per arena point) and the
-    /// per-object false area. Returns `None` for the rare `Mixed` escape
-    /// hatch (a curved kind that degenerated to MBR fallbacks on some
-    /// objects) — those stores are rebuilt from the relation on load
-    /// instead of persisted.
-    pub fn to_bytes(&self) -> Option<Vec<u8>> {
-        let (offsets, scalars): (&[u32], usize) = match &self.cols {
-            ConsColumns::Rects(rects) => (&[], 4 * rects.len()),
-            ConsColumns::Circles(circles) => (&[], 3 * circles.len()),
-            ConsColumns::Ellipses(ellipses) => (&[], 5 * ellipses.len()),
-            ConsColumns::Convex { offsets, points } => (offsets, 2 * points.len()),
-            ConsColumns::Mixed(_) => return None,
-        };
-        let mut e =
-            Enc::with_capacity(36 + 4 * offsets.len() + 8 * (scalars + self.false_area.len()));
-        e.u32(self.kind.code() as u32);
-        e.u64(self.total_bytes as u64);
-        e.u32s(offsets);
-        e.count(scalars);
-        match &self.cols {
-            ConsColumns::Rects(rects) => rects.iter().for_each(|r| e.f64x(r.bounds())),
-            ConsColumns::Circles(circles) => circles
-                .iter()
-                .for_each(|c| e.f64x([c.center.x, c.center.y, c.radius])),
-            ConsColumns::Ellipses(ellipses) => ellipses
-                .iter()
-                .for_each(|el| e.f64x([el.center.x, el.center.y, el.a, el.b, el.angle])),
-            ConsColumns::Convex { points, .. } => points.iter().for_each(|p| e.f64x([p.x, p.y])),
-            ConsColumns::Mixed(_) => unreachable!("returned above"),
-        }
-        e.f64s(&self.false_area);
-        Some(e.into_bytes())
-    }
-
-    /// Adopts a [`ConservativeStore::to_bytes`] image — a linear pass over
-    /// the scalar columns, no hull/ellipse/circle recomputation. The
-    /// result is column-identical to the store that was written.
-    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
-        let mut d = Dec::new(bytes);
-        let kind = u8::try_from(d.u32()?)
-            .ok()
-            .and_then(ConservativeKind::from_code)
-            .ok_or("unknown conservative kind code")?;
-        let total_bytes = usize::try_from(d.u64()?).map_err(|_| "byte total overflow")?;
-        let offsets = d.u32s()?;
-        let scalars = d.f64s()?;
-        let false_area = d.f64s()?;
-        d.finish()?;
-        let n = false_area.len();
-        let fixed_width = |records: usize| {
-            if records == n && offsets.is_empty() {
-                Ok(())
-            } else {
-                Err("conservative column shape mismatch")
-            }
-        };
-        let cols = match kind {
-            ConservativeKind::Mbr => {
-                let records = records::<4>(scalars)?;
-                fixed_width(records.len())?;
-                ConsColumns::Rects(records.map(ordered_rect).collect::<DecResult<_>>()?)
-            }
-            ConservativeKind::Mbc => {
-                let records = records::<3>(scalars)?;
-                fixed_width(records.len())?;
-                ConsColumns::Circles(
-                    records
-                        .map(|[x, y, r]| Circle::new(Point::new(x, y), r))
-                        .collect(),
-                )
-            }
-            ConservativeKind::Mbe => {
-                let records = records::<5>(scalars)?;
-                fixed_width(records.len())?;
-                ConsColumns::Ellipses(
-                    records
-                        .map(|[x, y, a, b, angle]| Ellipse {
-                            center: Point::new(x, y),
-                            a,
-                            b,
-                            angle,
-                        })
-                        .collect(),
-                )
-            }
-            ConservativeKind::Rmbr
-            | ConservativeKind::FourCorner
-            | ConservativeKind::FiveCorner
-            | ConservativeKind::ConvexHull => {
-                let offsets = offsets.to_vec();
-                if offsets.len() != n + 1 || offsets[0] != 0 {
-                    return Err("convex offset table malformed");
-                }
-                if offsets.windows(2).any(|w| w[0] > w[1]) {
-                    return Err("convex offsets not monotonic");
-                }
-                let points = records::<2>(scalars)?;
-                if points.len() != offsets[n] as usize {
-                    return Err("convex point arena length mismatch");
-                }
-                ConsColumns::Convex {
-                    offsets,
-                    points: points.map(|[x, y]| Point::new(x, y)).collect(),
-                }
-            }
-        };
-        Ok(ConservativeStore {
-            kind,
-            cols,
-            false_area: false_area.to_vec(),
-            total_bytes,
-        })
-    }
-}
-
-impl ProgressiveStore {
-    /// The store as its persistent image: the kind code (`u32`) and one
-    /// counted scalar column, 4 per object for MER, 3 for MEC. NaN
-    /// sentinel slots (empty approximations) are written like any other
-    /// bit pattern.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let scalars = match &self.cols {
-            ProgColumns::Mers(rects) => 4 * rects.len(),
-            ProgColumns::Mecs(circles) => 3 * circles.len(),
-        };
-        let mut e = Enc::with_capacity(12 + 8 * scalars);
-        e.u32(self.kind.code() as u32);
-        e.count(scalars);
-        match &self.cols {
-            ProgColumns::Mers(rects) => rects.iter().for_each(|r| e.f64x(r.bounds())),
-            ProgColumns::Mecs(circles) => circles
-                .iter()
-                .for_each(|c| e.f64x([c.center.x, c.center.y, c.radius])),
-        }
-        e.into_bytes()
-    }
-
-    /// Adopts a [`ProgressiveStore::to_bytes`] image, column-identical to
-    /// the store that was written. A MER slot is either an ordered
-    /// rectangle or exactly the empty sentinel.
-    pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
-        let mut d = Dec::new(bytes);
-        let kind = u8::try_from(d.u32()?)
-            .ok()
-            .and_then(ProgressiveKind::from_code)
-            .ok_or("unknown progressive kind code")?;
-        let scalars = d.f64s()?;
-        d.finish()?;
-        let cols = match kind {
-            ProgressiveKind::Mer => {
-                let empty = nan_rect();
-                let empty_bits = empty.bounds().map(f64::to_bits);
-                ProgColumns::Mers(
-                    records::<4>(scalars)?
-                        .map(|slot| {
-                            if slot.map(f64::to_bits) == empty_bits {
-                                Ok(empty)
-                            } else {
-                                ordered_rect(slot)
-                            }
-                        })
-                        .collect::<DecResult<_>>()?,
-                )
-            }
-            ProgressiveKind::Mec => ProgColumns::Mecs(
-                records::<3>(scalars)?
-                    .map(|[x, y, r]| Circle::new(Point::new(x, y), r))
-                    .collect(),
-            ),
-        };
-        Ok(ProgressiveStore { kind, cols })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,74 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn conservative_image_round_trips_for_every_kind() {
-        let rel = small_relation();
-        for kind in ConservativeKind::ALL {
-            let store = ConservativeStore::build(kind, &rel);
-            let bytes = store.to_bytes().expect("no MBR fallbacks here");
-            let back = ConservativeStore::from_bytes(&bytes).expect("own image decodes");
-            assert_eq!(
-                back.to_bytes().as_deref(),
-                Some(&bytes[..]),
-                "{}",
-                kind.name()
-            );
-            assert_eq!(back.kind, kind);
-            assert_eq!(back.total_bytes, store.total_bytes);
-            assert_eq!(back.false_area, store.false_area);
-            for id in 0..3u32 {
-                assert_eq!(back.view(id).area(), store.view(id).area());
-            }
-        }
-        let mixed = ConservativeStore {
-            kind: ConservativeKind::Mbc,
-            cols: ConsColumns::Mixed(vec![Conservative::Mbr(Rect::from_bounds(
-                0.0, 0.0, 1.0, 1.0,
-            ))]),
-            false_area: vec![0.0],
-            total_bytes: 16,
-        };
-        assert!(mixed.to_bytes().is_none(), "the escape hatch has no image");
-    }
-
-    #[test]
-    fn conservative_image_of_the_wrong_shape_is_refused() {
-        let rel = small_relation();
-        let hull = ConservativeStore::build(ConservativeKind::ConvexHull, &rel)
-            .to_bytes()
-            .unwrap();
-        // Same columns under a fixed-width kind's code: the offset table
-        // must be empty there.
-        let mut as_mbr = hull.clone();
-        as_mbr[0] = ConservativeKind::Mbr.code();
-        assert!(ConservativeStore::from_bytes(&as_mbr).is_err());
-        let mut unknown = hull;
-        unknown[0] = 200;
-        assert_eq!(
-            ConservativeStore::from_bytes(&unknown).err(),
-            Some("unknown conservative kind code")
-        );
-    }
-
-    #[test]
-    fn progressive_image_round_trips_with_empty_slots() {
-        let rel = small_relation();
-        for kind in ProgressiveKind::ALL {
-            let mut store = ProgressiveStore::build(kind, &rel);
-            match &mut store.cols {
-                ProgColumns::Mers(rects) => rects[1] = nan_rect(),
-                ProgColumns::Mecs(circles) => circles[1] = nan_circle(),
-            }
-            let bytes = store.to_bytes();
-            let back = ProgressiveStore::from_bytes(&bytes).expect("own image decodes");
-            assert_eq!(back.to_bytes(), bytes, "{}", kind.name());
-            assert_eq!(back.get(0), store.get(0));
-            assert_eq!(back.get(1), Progressive::Empty);
-            assert_eq!(back.len(), 3);
-        }
-    }
-
-    #[test]
     fn byte_model_matches_paper_constants() {
         assert_eq!(conservative_bytes(ConservativeKind::Mbr, None), 16);
         assert_eq!(conservative_bytes(ConservativeKind::Rmbr, None), 20);
@@ -720,22 +441,34 @@ mod tests {
         assert_eq!(progressive_bytes(ProgressiveKind::Mec), 12);
     }
 
+    /// The §3.4 bytes of each object's `kind` approximation.
+    fn stored_bytes(kind: ConservativeKind, rel: &Relation) -> Vec<usize> {
+        rel.iter()
+            .map(|o| conservative_bytes(kind, Some(&Conservative::compute(kind, o))))
+            .collect()
+    }
+
     #[test]
     fn hull_bytes_vary_per_object() {
         let rel = small_relation();
-        let store = ConservativeStore::build(ConservativeKind::ConvexHull, &rel);
-        // Triangle hull: 3 vertices → 6 params → 24 bytes.
-        match store.view(1) {
-            ConsView::Convex(ring) => assert_eq!(8 * ring.len(), 24),
-            other => panic!("hull view {other:?}"),
+        let kind = ConservativeKind::ConvexHull;
+        // Square, triangle and the L's five-vertex hull: two 4-byte
+        // parameters per vertex.
+        let bytes = stored_bytes(kind, &rel);
+        assert_eq!(bytes, [32, 24, 40]);
+        let store = ConservativeStore::build(kind, &rel);
+        for (id, want) in (0..).zip(bytes) {
+            match store.view(id) {
+                ConsView::Convex(ring) => assert_eq!(8 * ring.len(), want, "hull {id}"),
+                other => panic!("hull view {other:?}"),
+            }
         }
-        assert!(store.total_bytes > 0);
     }
 
     #[test]
     fn fixed_kind_bytes_are_constant_per_object() {
         let rel = small_relation();
-        let store = ConservativeStore::build(ConservativeKind::FiveCorner, &rel);
-        assert_eq!(store.total_bytes, 3 * 40);
+        let bytes = stored_bytes(ConservativeKind::FiveCorner, &rel);
+        assert_eq!(bytes.iter().sum::<usize>(), 3 * 40);
     }
 }

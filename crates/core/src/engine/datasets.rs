@@ -113,10 +113,15 @@ impl Step0<'_> {
     ) -> Arc<T> {
         let (stored, objects) = (self.stored, self.objects);
         let adopted = adopt(stored, section, objects, from_bytes, len, &mut self.corrupt);
-        Arc::new(adopted.unwrap_or_else(|| match self.obs {
-            Some(obs) => obs.time_artifact(section.name(), build),
+        adopted.map_or_else(|| self.built(section.name(), build), Arc::new)
+    }
+
+    /// One artifact built from the relation, charged to `artifact`'s timer.
+    fn built<T>(&self, artifact: &str, build: impl FnOnce() -> T) -> Arc<T> {
+        Arc::new(match self.obs {
+            Some(obs) => obs.time_artifact(artifact, build),
             None => build(),
-        }))
+        })
     }
 }
 
@@ -144,22 +149,15 @@ impl DatasetArtifacts {
                 candidates::build_tree(config, relation.get())
             })
         });
-        let conservative = config.conservative.map(|kind| {
-            step0.artifact(
-                Section::Conservative,
-                |b| ConservativeStore::from_bytes(&b),
-                ConservativeStore::len,
-                || ConservativeStore::build(kind, relation.get()),
-            )
-        });
-        let progressive = config.progressive.map(|kind| {
-            step0.artifact(
-                Section::Progressive,
-                |b| ProgressiveStore::from_bytes(&b),
-                ProgressiveStore::len,
-                || ProgressiveStore::build(kind, relation.get()),
-            )
-        });
+        // The store keeps no approximation: an engine that runs one
+        // builds it at every load.
+        let rel = || relation.get();
+        let conservative = config
+            .conservative
+            .map(|kind| step0.built("conservative", || ConservativeStore::build(kind, rel())));
+        let progressive = config
+            .progressive
+            .map(|kind| step0.built("progressive", || ProgressiveStore::build(kind, rel())));
         let trstar = match config.exact {
             ExactAlgorithm::TrStar { max_entries } => Some(step0.artifact(
                 Section::TrStar,
@@ -325,10 +323,10 @@ impl SpatialEngine {
     /// by a previous engine's write-through comes back registered, in id
     /// order, with its Step-0 artifacts **loaded** from the segment
     /// files (checksums verified per section) instead of rebuilt — the
-    /// store's cold-start path. The relation section is checksummed and
-    /// validated, and decoded at the open only without TR*. An artifact
-    /// section that fails its checksum or shape is rebuilt from the
-    /// relation (counted under
+    /// store's cold-start path; approximations, never stored, are built.
+    /// The relation section is checksummed and validated, and decoded at
+    /// the open only without TR*. An artifact section that fails its
+    /// checksum or shape is rebuilt from the relation (counted under
     /// `msj_store_checksum_failures_total{section}`); a corrupt manifest
     /// or relation section fails the open, since there is nothing to
     /// rebuild from.
@@ -417,12 +415,6 @@ impl SpatialEngine {
         self.obs.time_artifact(PERSIST, || {
             let mut sections = vec![(Section::Relation, relation())];
             sections.extend(artifacts.tree.iter().map(|t| (Section::Tree, t.to_bytes())));
-            // A `Mixed` conservative store has no image: its section is
-            // left out and rebuilt on load.
-            let conservative = artifacts.conservative.iter().filter_map(|c| c.to_bytes());
-            sections.extend(conservative.map(|image| (Section::Conservative, image)));
-            let progressive = artifacts.progressive.iter().map(|p| p.to_bytes());
-            sections.extend(progressive.map(|image| (Section::Progressive, image)));
             let trstar = artifacts.trstar.iter().map(|t| t.to_bytes());
             sections.extend(trstar.map(|image| (Section::TrStar, image)));
             backend.store.write_dataset(id, self.tag, &sections).ok()

@@ -43,9 +43,9 @@ const FAULT_SITES: [&str; 8] = [
 const LANE_ROLES: [LaneRole; 2] = [LaneRole::Backend, LaneRole::Consumer];
 
 /// `artifact` labels of `msj_step0_artifact_nanos_total` — what a
-/// registration spends its time on: the four per-dataset Step-0
-/// artifacts and an opened relation's decode, under their [`Section`]
-/// names, and the write-through to the store.
+/// registration or a load spends its time on: the four per-dataset Step-0
+/// artifacts (the stored ones under their [`Section`] names), an opened
+/// relation's decode, and the write-through to the store.
 const STEP0_ARTIFACTS: [&str; 6] = [
     "tree",
     "conservative",
@@ -94,7 +94,7 @@ pub(super) struct EngineObs {
     /// By [`FAULT_SITES`].
     fault_injected: [Arc<Counter>; 8],
     /// By [`Section::ALL`].
-    checksum_failures: [Arc<Counter>; 7],
+    checksum_failures: [Arc<Counter>; 5],
     /// By [`STEP0_ARTIFACTS`].
     step0_artifacts: [Arc<Counter>; 6],
     store_load_nanos: Arc<Histogram>,

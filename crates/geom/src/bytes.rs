@@ -346,14 +346,6 @@ impl Enc {
             self.u32(v);
         }
     }
-
-    /// A counted `f64` column.
-    pub fn f64s(&mut self, vs: &[f64]) {
-        self.count(vs.len());
-        for &v in vs {
-            self.f64(v);
-        }
-    }
 }
 
 /// Why a [`Dec`] read — or an artifact's `from_bytes` built on it —
@@ -554,7 +546,8 @@ mod tests {
         e.u64(u64::MAX - 1);
         e.f64(f64::NAN);
         e.u32s(&[1, 2, 3]);
-        e.f64s(&[-0.0, 1.5]);
+        e.count(2);
+        e.f64x([-0.0, 1.5]);
         e.count(0);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);

@@ -1,12 +1,11 @@
 //! # msj-store — persistent page-aligned section container
 //!
 //! Step 0 of the multi-step pipeline (Brinkhoff, Kriegel, Schneider,
-//! Seeger; SIGMOD 1994) — R*-tree construction, conservative /
-//! progressive approximation stores, TR* decompositions and raster
-//! signatures — is by far the most expensive phase of a join. This crate
-//! keeps the bytes of those artifacts on disk so an engine restart is a
-//! **load** instead of a rebuild, and so a registered set larger than RAM
-//! can be served by evicting and reloading cold datasets.
+//! Seeger; SIGMOD 1994) — R*-tree construction, TR* decompositions and
+//! raster signatures — is by far the most expensive phase of a join. This
+//! crate keeps the bytes of those artifacts on disk so an engine restart
+//! is a **load** instead of a rebuild, and so a registered set larger than
+//! RAM can be served by evicting and reloading cold datasets.
 //!
 //! ## Segment format
 //!
@@ -55,13 +54,13 @@
 //! ## What this crate does not know
 //!
 //! A section is an opaque byte string with a name. What is *in* it — an
-//! R*-tree, approximation columns, a TR* arena, raster signatures, the
-//! relation itself — is the business of the artifact that owns the
-//! format: each one is its own persistent image (`to_bytes` / validating
-//! `from_bytes`, written over [`msj_geom::bytes`]), and the engine
-//! decides which sections a file must carry and what to do when one is
-//! missing or fails. The crate therefore depends on `msj-geom` alone, for
-//! the aligned buffer and the checksum; CI keeps it that way.
+//! R*-tree, a TR* arena, raster signatures, the relation itself — is the
+//! business of the artifact that owns the format: each one is its own
+//! persistent image (`to_bytes` / validating `from_bytes`, written over
+//! [`msj_geom::bytes`]), and the engine decides which sections a file
+//! must carry and what to do when one is missing or fails. The crate
+//! therefore depends on `msj-geom` alone, for the aligned buffer and the
+//! checksum; CI keeps it that way.
 
 use msj_geom::{checksum, AlignedBuf, SharedBytes, PAGE_SIZE};
 use std::fs;
@@ -101,10 +100,6 @@ pub enum Section {
     Relation = 1,
     /// STR-packed R*-tree node arena.
     Tree = 2,
-    /// Conservative approximation columns + false-area table.
-    Conservative = 3,
-    /// Progressive approximation columns.
-    Progressive = 4,
     /// TR* trapezoid decompositions.
     TrStar = 5,
     /// Raster signatures (A and F run columns) of pair side A.
@@ -113,13 +108,16 @@ pub enum Section {
     RasterB = 7,
 }
 
+/// Tags of the conservative (3) and progressive (4) approximation columns,
+/// which are no longer stored: an entry with one is extent-checked, then
+/// skipped. The engine builds approximations from the relation at load.
+const RETIRED_TAGS: [u32; 2] = [3, 4];
+
 impl Section {
     /// Every section kind, in tag order.
-    pub const ALL: [Section; 7] = [
+    pub const ALL: [Section; 5] = [
         Section::Relation,
         Section::Tree,
-        Section::Conservative,
-        Section::Progressive,
         Section::TrStar,
         Section::RasterA,
         Section::RasterB,
@@ -130,8 +128,6 @@ impl Section {
         match self {
             Section::Relation => "relation",
             Section::Tree => "tree",
-            Section::Conservative => "conservative",
-            Section::Progressive => "progressive",
             Section::TrStar => "trstar",
             Section::RasterA => "raster_a",
             Section::RasterB => "raster_b",
@@ -385,8 +381,11 @@ impl Store {
         let mut sections = Vec::with_capacity(count);
         for i in 0..count {
             let at = MANIFEST_HEAD + i * SECTION_ENTRY;
-            let section = Section::from_tag(read_u32(m, at))
-                .ok_or_else(|| bad_data("unknown section tag"))?;
+            let tag = read_u32(m, at);
+            let section = Section::from_tag(tag);
+            if section.is_none() && !RETIRED_TAGS.contains(&tag) {
+                return Err(bad_data("unknown section tag"));
+            }
             let offset = read_u64(m, at + 8) as usize;
             let len = read_u64(m, at + 16) as usize;
             if !offset.is_multiple_of(PAGE_SIZE)
@@ -394,6 +393,7 @@ impl Store {
             {
                 return Err(bad_data("section extent out of bounds"));
             }
+            let Some(section) = section else { continue };
             sections.push(SectionEntry {
                 section,
                 offset,

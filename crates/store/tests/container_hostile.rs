@@ -11,7 +11,11 @@
 //!   [`SectionError::Checksum`]; every other section still verifies;
 //! * every truncation of the file fails it;
 //! * a manifest stamped version 3 — summed either way — is refused as an
-//!   "unsupported store version", as version 3 refused version 2.
+//!   "unsupported store version", as version 3 refused version 2;
+//! * a re-summed manifest whose entries carry the retired tags 3 and 4
+//!   (the conservative and progressive columns older writers stored)
+//!   reads without those entries, while any other unknown tag fails the
+//!   file.
 
 use msj_geom::{checksum, fnv1a64, PAGE_SIZE};
 use msj_store::{Section, SectionError, Store};
@@ -19,9 +23,12 @@ use std::io::ErrorKind;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
-/// Offset of the format version and of the manifest checksum in page 0,
-/// per the module docs of `msj-store`.
+/// Offset of the format version, of the section table and of the
+/// manifest checksum in page 0, and the bytes of one table entry (its tag
+/// first), per the module docs of `msj-store`.
 const VERSION_AT: usize = 8;
+const TABLE_AT: usize = 48;
+const ENTRY: usize = 32;
 const MANIFEST_SUM_AT: usize = PAGE_SIZE - 8;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -43,11 +50,11 @@ fn mask(rng: &mut u64) -> u8 {
     (splitmix64(rng) % 255 + 1) as u8
 }
 
-/// Every section kind once: empty, one byte, odd, one page exactly, a page
-/// and a bit; the last one empty, so the final page is claimed by an
-/// extent that ends exactly at the end of the file.
+/// Every section kind once: odd, one page exactly, one byte, a page and a
+/// bit; the last one empty, so the final page is claimed by an extent that
+/// ends exactly at the end of the file.
 fn all_sections() -> Vec<(Section, Vec<u8>)> {
-    let sizes = [100, 0, 4096, 1, 4097, 9, 0];
+    let sizes = [100, 4096, 1, 4097, 0];
     let mut rng = 0xC0_57A1_u64;
     Section::ALL
         .into_iter()
@@ -188,5 +195,49 @@ fn a_version_3_manifest_is_refused_however_it_is_summed() {
     // The current version summed the old way is a corrupt manifest.
     let err = stamped(4, fnv1a64);
     assert!(err.contains("manifest checksum mismatch"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn retired_tags_are_skipped_and_unknown_tags_refused() {
+    let dir = tmp_dir("tags");
+    let store = Store::open(&dir).unwrap();
+    let sections = all_sections();
+    let (path, bytes) = written(&store, &dir);
+    // The segment with table entry `i` tagged `tag` (and, when given, its
+    // length set), the manifest re-summed as a writer would have.
+    let retagged = |edits: &[(usize, u32, Option<u64>)]| {
+        let mut file = bytes.clone();
+        for &(i, tag, len) in edits {
+            let at = TABLE_AT + i * ENTRY;
+            file[at..at + 4].copy_from_slice(&tag.to_le_bytes());
+            if let Some(len) = len {
+                file[at + 16..at + 24].copy_from_slice(&len.to_le_bytes());
+            }
+        }
+        let manifest_sum = checksum(&file[..MANIFEST_SUM_AT]);
+        file[MANIFEST_SUM_AT..PAGE_SIZE].copy_from_slice(&manifest_sum.to_le_bytes());
+        std::fs::write(&path, &file).unwrap();
+        store.read_dataset(0, None)
+    };
+    let retired = [1, 3];
+    let load = retagged(&[(retired[0], 3, None), (retired[1], 4, None)])
+        .expect("retired tags are skipped");
+    for (i, (section, payload)) in sections.iter().enumerate() {
+        let expect = (!retired.contains(&i)).then_some(Ok(&payload[..]));
+        assert_eq!(load.section(*section), expect, "{}", section.name());
+    }
+    // A retired entry is still extent-checked before it is skipped.
+    let past_the_end = Some(bytes.len() as u64);
+    let err = retagged(&[(retired[0], 3, past_the_end)]).err().unwrap();
+    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("extent out of bounds"), "{err}");
+    for tag in [0, 8] {
+        let err = retagged(&[(retired[0], tag, None), (retired[1], 4, None)])
+            .err()
+            .unwrap();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "tag {tag}: {err}");
+        assert!(err.to_string().contains("unknown section tag"), "{err}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

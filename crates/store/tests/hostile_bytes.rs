@@ -2,8 +2,8 @@
 //!
 //! A section payload is untrusted input: the checksum only says the bytes
 //! are the bytes that were written, not that a friend wrote them. For each
-//! of the six images — relation, R*-tree, conservative, progressive, TR*
-//! arena, raster — **every truncation prefix** and **every single-byte
+//! of the four images a segment carries — relation, R*-tree, TR* arena,
+//! raster — **every truncation prefix** and **every single-byte
 //! flip** (a seeded mask and the top bit at each position) must come back
 //! from `from_bytes` as an `Err`, or as a value whose `to_bytes` is exactly
 //! the input. Never a panic; and a count prefix blown up to 2⁵⁶ by a flip
@@ -15,9 +15,7 @@
 //! permutation of the object ids is refused, flip by flip, and so is a
 //! relation image whose ids stop being their positions.
 
-use msj_approx::{
-    ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore, RasterGrid, RasterStore,
-};
+use msj_approx::{RasterGrid, RasterStore};
 use msj_exact::TrStarStore;
 use msj_geom::Relation;
 use msj_sam::{PageLayout, RStarTree};
@@ -40,11 +38,6 @@ fn images() -> Vec<(&'static str, Vec<u8>, Reencode)> {
         tree.height() >= 3,
         "the tree image must hold directory levels"
     );
-    let cons = |kind| {
-        ConservativeStore::build(kind, &rel)
-            .to_bytes()
-            .expect("no MBR fallbacks in this relation")
-    };
     let grid = RasterGrid::covering(&rel, &other, 4).expect("non-empty workspace");
     vec![
         ("relation", rel.to_bytes(), |b| {
@@ -53,27 +46,6 @@ fn images() -> Vec<(&'static str, Vec<u8>, Reencode)> {
         ("tree", tree.to_bytes(), |b| {
             Some(RStarTree::from_bytes(b).ok()?.to_bytes())
         }),
-        (
-            "conservative 5-corner",
-            cons(ConservativeKind::FiveCorner),
-            |b| ConservativeStore::from_bytes(b).ok()?.to_bytes(),
-        ),
-        ("conservative mbr", cons(ConservativeKind::Mbr), |b| {
-            ConservativeStore::from_bytes(b).ok()?.to_bytes()
-        }),
-        ("conservative mbe", cons(ConservativeKind::Mbe), |b| {
-            ConservativeStore::from_bytes(b).ok()?.to_bytes()
-        }),
-        (
-            "progressive mer",
-            ProgressiveStore::build(ProgressiveKind::Mer, &rel).to_bytes(),
-            |b| Some(ProgressiveStore::from_bytes(b).ok()?.to_bytes()),
-        ),
-        (
-            "progressive mec",
-            ProgressiveStore::build(ProgressiveKind::Mec, &rel).to_bytes(),
-            |b| Some(ProgressiveStore::from_bytes(b).ok()?.to_bytes()),
-        ),
         ("trstar", TrStarStore::build(&other, 3).to_bytes(), |b| {
             Some(TrStarStore::from_bytes(b).ok()?.to_bytes())
         }),

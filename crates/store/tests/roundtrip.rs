@@ -6,10 +6,7 @@
 //! sections since version 3. Damaged manifests and truncated files are
 //! `container_hostile.rs`.
 
-use msj_approx::{
-    auto_grid_bits, ConservativeKind, ConservativeStore, ProgressiveKind, ProgressiveStore,
-    RasterGrid, RasterStore,
-};
+use msj_approx::{auto_grid_bits, RasterGrid, RasterStore};
 use msj_exact::TrStarStore;
 use msj_geom::{fnv1a64, Relation};
 use msj_sam::{PageLayout, RStarTree};
@@ -22,14 +19,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Payloads of awkward sizes: empty, one byte, one page exactly, a page
-/// and a bit.
+/// Payloads of awkward sizes: one page exactly, empty, one byte, a page
+/// and a bit. The container does not know which sections a dataset file
+/// carries, so a raster section stands in for a fourth.
 fn opaque_sections() -> Vec<(Section, Vec<u8>)> {
     let bytes = |n: usize, salt: u8| (0..n).map(|i| (i as u8).wrapping_mul(31) ^ salt).collect();
     vec![
         (Section::Relation, bytes(4096, 1)),
         (Section::Tree, bytes(0, 2)),
-        (Section::Conservative, bytes(1, 3)),
+        (Section::RasterA, bytes(1, 3)),
         (Section::TrStar, bytes(4097, 4)),
     ]
 }
@@ -52,7 +50,7 @@ fn opaque_sections_round_trip() {
     for (section, payload) in &sections {
         assert_eq!(load.section(*section), Some(Ok(payload.as_slice())));
     }
-    assert_eq!(load.section(Section::Progressive), None, "never written");
+    assert_eq!(load.section(Section::RasterB), None, "never written");
 
     assert!(store.read_pair(0, 1, None).unwrap().is_none());
     let pair = [
@@ -119,20 +117,17 @@ fn writing_a_dataset_retires_the_pairs_that_name_it() {
 /// that configuration builds them (4 KB pages with the 5-corner + MER
 /// leaf bytes, STR loading, TR* with M = 3, the auto-sized shared grid).
 /// The two `TrStar` rows are the packed arena's; the R*-inserted arena
-/// it replaced was 74312 / 79968 bytes.
-const GOLDEN_DATASETS: [[(Section, usize, u64); 5]; 2] = [
+/// it replaced was 74312 / 79968 bytes. The 5-corner and MER columns
+/// that segment also carried are no longer stored.
+const GOLDEN_DATASETS: [[(Section, usize, u64); 3]; 2] = [
     [
         (Section::Relation, 15720, 0xe141d5463cabec31),
         (Section::Tree, 2000, 0x6671a81e1110c3e4),
-        (Section::Conservative, 4456, 0x6d98878c1d7139de),
-        (Section::Progressive, 1548, 0x70d5bb344027fae0),
         (Section::TrStar, 71712, 0xd6a24c0a5da1f8e2),
     ],
     [
         (Section::Relation, 16952, 0x2095bb9243a6f68d),
         (Section::Tree, 2000, 0xe4e0db782eb0188c),
-        (Section::Conservative, 4424, 0x9efc5b022a14adb1),
-        (Section::Progressive, 1548, 0xdb10f278f1d4411b),
         (Section::TrStar, 77968, 0xd7a28f8e8cdf5ac3),
     ],
 ];
@@ -143,15 +138,11 @@ const GOLDEN_PAIR: [(Section, usize, u64); 2] = [
     (Section::RasterB, 4188, 0x43a97613a6349392),
 ];
 
-fn dataset_images(rel: &Relation) -> [Vec<u8>; 5] {
+fn dataset_images(rel: &Relation) -> [Vec<u8>; 3] {
     let layout = PageLayout::with_extra_bytes(4096, 40 + 16);
     [
         rel.to_bytes(),
         RStarTree::bulk_load(layout, rel.iter().map(|o| (o.mbr(), o.id))).to_bytes(),
-        ConservativeStore::build(ConservativeKind::FiveCorner, rel)
-            .to_bytes()
-            .expect("convex kinds always have an image"),
-        ProgressiveStore::build(ProgressiveKind::Mer, rel).to_bytes(),
         TrStarStore::build(rel, 3).to_bytes(),
     ]
 }

@@ -27,9 +27,12 @@
 //!   *pair* segment beside current dataset files is rebuilt and
 //!   rewritten.
 //! * **Another configuration** — a directory written under the paper's
-//!   TR* node capacity, with a 5-corner conservative section or with a
-//!   MER section, opens under the default: rebuilt once, refreshed in
-//!   place, adopted from then on.
+//!   TR* node capacity, under a plan that runs 5-corner and MER or under
+//!   one that runs MER, opens under the default: rebuilt once, refreshed
+//!   in place, adopted from then on.
+//! * **Approximations** — the store keeps none: a plan that runs 5-corner
+//!   and MER writes the default's dataset sections and builds both at
+//!   every open.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,16 +102,15 @@ fn config(backend: Backend, execution: Execution, fault: FaultConfig) -> EngineC
     }
 }
 
-/// `cfg` with the paper's 5-corner and MER stages added — the plan whose
-/// segments carry every dataset section, `Conservative` and `Progressive`
-/// included.
+/// `cfg` with the paper's 5-corner and MER stages added — the plan that
+/// builds every per-dataset Step-0 artifact.
 fn with_approximations(cfg: EngineConfig) -> EngineConfig {
     with_mer(with_join(cfg, |join| {
         join.conservative(ConservativeKind::FiveCorner)
     }))
 }
 
-/// `cfg` with a MER stored — the default's plan before it retired MER.
+/// `cfg` with a MER run — the default's plan before it retired MER.
 fn with_mer(cfg: EngineConfig) -> EngineConfig {
     with_join(cfg, |join| join.progressive(ProgressiveKind::Mer))
 }
@@ -306,28 +308,10 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
         FaultConfig::disabled(),
     ));
 
-    // The default plan stores no approximation, so its segments have no
-    // `Conservative` or `Progressive` section to corrupt.
-    let default_dir = tmp_store("chaos-default");
-    SpatialEngine::new(JoinConfig::default())
-        .with_store(StoreConfig::new(&default_dir))
-        .expect("arm store")
-        .register(a.clone());
-    let default_segment = msj_store::Store::open(&default_dir)
-        .and_then(|store| store.read_dataset(0, None))
-        .expect("segment reads");
-    for section in [Section::Conservative, Section::Progressive] {
-        assert!(
-            default_segment.section(section).is_none(),
-            "the default wrote a {} section",
-            section.name()
-        );
-    }
-    std::fs::remove_dir_all(&default_dir).ok();
-
     // Seed the store once, clean, under a plan that writes every dataset
-    // section, and take the reference answers. The join also writes the
-    // pair-raster segment the raster cases corrupt.
+    // section and builds both approximations at every open, and take the
+    // reference answers. The join also writes the pair-raster segment the
+    // raster cases corrupt.
     let dir = tmp_store("chaos");
     let reference = {
         let engine = SpatialEngine::new(cfg)
@@ -340,12 +324,7 @@ fn corrupt_dataset_sections_degrade_not_wedge() {
 
     let pair_file = dir.join("pair_0_1.msj");
     let pair_image = std::fs::read(&pair_file).expect("the join persisted its pair");
-    let dataset_sections = [
-        Section::Tree,
-        Section::Conservative,
-        Section::Progressive,
-        Section::TrStar,
-    ];
+    let dataset_sections = [Section::Tree, Section::TrStar];
     for &seed in &seeds() {
         // --- Step-0 sections: the load detects the flip, rebuilds the
         // artifact from the resident relation, and answers identically.
@@ -980,43 +959,47 @@ fn store_written_at_the_papers_capacity_is_refreshed_under_the_default() {
 
 #[test]
 fn store_written_with_five_corner_opens_under_the_default() {
-    // The conservative kind is part of the config tag: a directory
-    // written under a plan that stores 5-C (and MER, as the default did
-    // then) is a tag miss for the default, which stores neither, not a
-    // corruption.
+    // The conservative kind is part of the config tag, because the
+    // R*-tree's leaf capacity follows it: a directory written under a
+    // plan that runs 5-C (and MER, as the default did then) is a tag miss
+    // for the default, which runs neither, not a corruption.
     let cfg = config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
     );
-    let dropped = [Section::Conservative, Section::Progressive];
-    stale_plan_opens_under_the_default(with_approximations(cfg), cfg, &dropped, 9118);
+    stale_plan_opens_under_the_default(with_approximations(cfg), cfg, 9118);
 }
 
 #[test]
 fn store_written_with_mer_opens_under_the_default() {
     // The progressive kind is part of the config tag too: a directory
-    // written under the default that stored a MER is a tag miss for
-    // today's, which stores none.
+    // written under the default that ran a MER is a tag miss for
+    // today's, which runs none.
     let cfg = config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
     );
-    stale_plan_opens_under_the_default(with_mer(cfg), cfg, &[Section::Progressive], 9120);
+    stale_plan_opens_under_the_default(with_mer(cfg), cfg, 9120);
 }
+
+/// The sections a dataset segment holds, in tag order.
+fn stored_sections(segment: &msj_store::Segment) -> Vec<Section> {
+    let written = |&s: &Section| segment.section(s).is_some();
+    Section::ALL.into_iter().filter(written).collect()
+}
+
+/// What every dataset segment holds, whatever approximations the plan
+/// runs.
+const DATASET_SECTIONS: [Section; 3] = [Section::Relation, Section::Tree, Section::TrStar];
 
 /// A directory written under `old` opens under `cfg`: each dataset is
 /// rebuilt once, answers and Step-3 counts equal a fresh engine's, and
-/// its segment is written back without the `dropped` sections and with
-/// the stored relation image as it was. From then on every section is
+/// its segment is written back with the same sections and with the
+/// stored relation image as it was. From then on every section is
 /// adopted, the relation undecoded.
-fn stale_plan_opens_under_the_default(
-    old: EngineConfig,
-    cfg: EngineConfig,
-    dropped: &[Section],
-    seed: u64,
-) {
+fn stale_plan_opens_under_the_default(old: EngineConfig, cfg: EngineConfig, seed: u64) {
     let (a, b) = (
         msj::datagen::small_carto(120, 24.0, seed),
         msj::datagen::small_carto(120, 24.0, seed + 1),
@@ -1035,9 +1018,7 @@ fn stale_plan_opens_under_the_default(
     let segment = |id| store.read_dataset(id, None).expect("segment reads");
     let old_tags = [0, 1].map(|id| {
         let segment = segment(id);
-        for &section in dropped {
-            assert!(segment.section(section).is_some(), "{}", section.name());
-        }
+        assert_eq!(stored_sections(&segment), DATASET_SECTIONS, "ds_{id}");
         segment.config_tag
     });
     let relation_image = |id| {
@@ -1090,9 +1071,7 @@ fn stale_plan_opens_under_the_default(
     for (id, old_tag) in (0..).zip(old_tags) {
         let segment = segment(id);
         assert_ne!(segment.config_tag, old_tag, "ds_{id} keeps the old tag");
-        for &section in dropped {
-            assert!(segment.section(section).is_none(), "{}", section.name());
-        }
+        assert_eq!(stored_sections(&segment), DATASET_SECTIONS, "ds_{id}");
         // The refresh wrote the stored relation image as it was.
         assert_eq!(relation_image(id), old_relations[id as usize], "ds_{id}");
     }
@@ -1113,6 +1092,59 @@ fn stale_plan_opens_under_the_default(
         0,
         "the refreshed store serves without decoding its relations"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_written_with_approximations_reopens_and_builds_them() {
+    // The store keeps no approximation: a plan that runs 5-C and MER
+    // writes the same dataset sections as the default, and an open under
+    // that plan builds both approximations from the relation and answers
+    // as a fresh engine does, adopting everything that is stored.
+    let cfg = with_approximations(config(
+        Backend::RStarTraversal,
+        Execution::Serial,
+        FaultConfig::disabled(),
+    ));
+    let (a, b) = (
+        msj::datagen::small_carto(120, 24.0, 9122),
+        msj::datagen::small_carto(120, 24.0, 9123),
+    );
+    let requests = workload(&a);
+    let dir = tmp_store("approximations");
+    {
+        let engine = SpatialEngine::new(cfg)
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        engine.register(a.clone());
+        engine.register(b.clone());
+        run(&engine, &requests);
+    }
+    let store = msj_store::Store::open(&dir).expect("open container");
+    for id in [0, 1] {
+        let segment = store.read_dataset(id, None).expect("segment reads");
+        assert_eq!(stored_sections(&segment), DATASET_SECTIONS, "ds_{id}");
+    }
+
+    let fresh = SpatialEngine::new(cfg);
+    fresh.register(a);
+    fresh.register(b);
+    let reference = run(&fresh, &requests);
+    let tests_and_hits = exact_counts(&fresh);
+
+    let opened = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("open");
+    for artifact in ["conservative", "progressive"] {
+        assert!(
+            artifact_nanos(&opened, artifact) > 0,
+            "{artifact} not built"
+        );
+    }
+    assert_eq!(run(&opened, &requests), reference);
+    assert_eq!(exact_counts(&opened), tests_and_hits);
+    assert_no_checksum_failures(&opened.metrics().render_prometheus(), "clean open");
+    for artifact in ["tree", "trstar"] {
+        assert_eq!(artifact_nanos(&opened, artifact), 0, "{artifact} rebuilt");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1156,12 +1188,11 @@ fn section_of_another_length_is_rebuilt_not_adopted() {
     let a = msj::datagen::small_carto(120, 24.0, 9110);
     let b = msj::datagen::small_carto(90, 24.0, 9111);
     let requests = workload(&a);
-    // Under 5-C and MER, so those sections are transplanted too.
-    let cfg = with_approximations(config(
+    let cfg = config(
         Backend::RStarTraversal,
         Execution::Serial,
         FaultConfig::disabled(),
-    ));
+    );
     let dir = tmp_store("length");
     let reference = {
         let engine = SpatialEngine::new(cfg)
