@@ -9,7 +9,7 @@ use crate::config::{Backend, EngineConfig, JoinConfig};
 use crate::queries::SelectionState;
 use msj_approx::{ConservativeStore, ProgressiveStore};
 use msj_exact::{ExactAlgorithm, TrStarStore};
-use msj_geom::{LazyRelation, Relation, SharedBytes};
+use msj_geom::{bytes::shrink_before_free, LazyRelation, Relation, SharedBytes};
 use msj_obs::Gauge;
 use msj_sam::RStarTree;
 use msj_store::{Section, Segment, Store};
@@ -25,11 +25,10 @@ use std::time::Instant;
 ///
 /// The artifacts live behind an `RwLock<Option<…>>` so a store-backed
 /// engine can **evict** a cold dataset's artifacts under a byte budget
-/// and re-materialize them on next touch — from the persistent store
-/// when one is armed (each section's image decoded, the TR* arena's kept in place), from
-/// the relation otherwise (a full Step-0 rebuild). In-flight work is
-/// never invalidated: anything using the artifacts holds the `Arc`, so
-/// eviction only drops this state's reference.
+/// and re-materialize them on next touch — from the persistent store when
+/// one is armed ([`adopt`]), from the relation otherwise (a full Step-0
+/// rebuild). In-flight work is never invalidated: anything using the
+/// artifacts holds the `Arc`, so eviction only drops this state's reference.
 pub(super) struct DatasetState {
     pub id: DatasetId,
     pub relation: Arc<LazyRelation>,
@@ -64,13 +63,12 @@ pub(super) struct DatasetArtifacts {
     pub selection: SelectionState,
 }
 
-/// The one way a stored section becomes a resident artifact: its verified
-/// bytes (decoded, or kept as a range of the segment's shared buffer) must
-/// be adopted by `from_bytes` *and* describe exactly the
-/// `objects` of the relation the artifact is about to be attached to — a
-/// checksum-valid image of another length would index out of bounds at
-/// query time. `None` means rebuild; a section that was written but cannot
-/// be adopted is listed in `corrupt` for
+/// The one way a stored section becomes a resident artifact: its verified bytes
+/// (decoded, or kept as a range of the segment's mapping) must be adopted by
+/// `from_bytes` *and* describe exactly the `objects` of the relation the
+/// artifact is about to be attached to — a checksum-valid image of another
+/// length would index out of bounds at query time. `None` means rebuild; a
+/// section that was written but cannot be adopted is listed in `corrupt` for
 /// `msj_store_checksum_failures_total`, one that was never written is not.
 pub(super) fn adopt<T, E>(
     stored: Option<&Segment>,
@@ -403,8 +401,8 @@ impl SpatialEngine {
     }
 
     /// Writes one dataset's relation image (made only when a store is
-    /// armed) and artifacts through; returns the segment size, `None` with
-    /// no store or a failed write — the engine serves from memory either way.
+    /// armed) and artifacts through, trimming each image before it is freed;
+    /// returns the segment size, `None` with no store or a failed write.
     fn persist_dataset(
         &self,
         id: DatasetId,
@@ -417,7 +415,9 @@ impl SpatialEngine {
             sections.extend(artifacts.tree.iter().map(|t| (Section::Tree, t.to_bytes())));
             let trstar = artifacts.trstar.iter().map(|t| t.to_bytes());
             sections.extend(trstar.map(|image| (Section::TrStar, image)));
-            backend.store.write_dataset(id, self.tag, &sections).ok()
+            let size = backend.store.write_dataset(id, self.tag, &sections).ok();
+            sections.iter_mut().for_each(|(_, v)| shrink_before_free(v));
+            size
         })
     }
 

@@ -69,6 +69,7 @@ mod pack;
 
 use crate::cost::OpCounts;
 use crate::trapezoid::{Decomposer, SelectMargin, Trapezoid, XSpan};
+use msj_geom::bytes::shrink_before_free;
 use msj_geom::stack::InlineStack;
 use msj_geom::{cast_slice, ObjectId, Plain, Point, PolygonWithHoles, Rect, Relation, SharedBytes};
 use std::fmt;
@@ -162,29 +163,16 @@ fn as_offset(len: usize) -> u32 {
 }
 
 impl Drop for Built {
-    /// Trims the two big columns to one element before the allocator
-    /// frees them, so that no multi-MB block is ever freed whole.
+    /// Trims the two big columns (≈ 10 MB per 10k objects) before the
+    /// allocator frees them, so that no multi-MB block is ever freed
+    /// whole; [`msj_geom::bytes::shrink_before_free`] says why.
     ///
-    /// glibc serves a column of this size (≈ 10 MB per 10k objects) with
-    /// `mmap`, and *freeing* an mmapped block raises its mmap threshold
-    /// to that block's size for the rest of the process. After the first
-    /// dropped relation, whether some later 5–10 MB buffer of the caller
-    /// grows by `mremap` or by copy — both copies resident — depended on
-    /// how its size compared with this arena's: a serving process's peak
-    /// resident set flipped by 5 MB from run to run on exactly that. A
-    /// shrinking `realloc` hands the pages back without the side effect;
-    /// under any other allocator it is one cheap call.
-    ///
-    /// An adopted arena has no block of its own to trim: its columns are
-    /// the segment's `AlignedBuf`, freed whole when the last handle on it
-    /// goes, like the buffer of every segment a load reads. Only a
-    /// process that opens a store frees one, and reading the segment had
-    /// already made that buffer an mmapped block of the same size.
+    /// An adopted arena has no block of its own to trim: its columns lie
+    /// in the segment's mapping, which is unmapped, not freed, when the
+    /// last handle on it goes, and so moves no allocator threshold.
     fn drop(&mut self) {
-        self.nodes.clear();
-        self.nodes.shrink_to(1);
-        self.traps.clear();
-        self.traps.shrink_to(1);
+        shrink_before_free(&mut self.nodes);
+        shrink_before_free(&mut self.traps);
     }
 }
 

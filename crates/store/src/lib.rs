@@ -32,9 +32,10 @@
 //! deliberate forger, which is why every artifact's `from_bytes` still
 //! validates what it adopts.
 //!
-//! Readers pull the whole file into one page-aligned buffer
-//! ([`msj_geom::AlignedBuf`]), verify the manifest, and hand each section
-//! back verified: as a `&[u8]` borrowed from that buffer
+//! Readers map the whole file privately, unpopulated, as one
+//! page-aligned buffer ([`msj_geom::AlignedBuf::map`]; a read into a
+//! heap buffer off 64-bit Linux), verify the manifest, and hand each
+//! section back verified: as a `&[u8]` borrowed from that buffer
 //! ([`Segment::section`]), which a decoder copies out of, or as a
 //! [`msj_geom::SharedBytes`] that shares the buffer behind an `Arc`
 //! ([`Segment::shared_section`]), which an artifact whose image is its
@@ -44,12 +45,24 @@
 //! keeps the range, and the relation is decoded later, once, if
 //! something reads it. A refresh writes the bytes back unchanged. Every section
 //! starts on a page boundary of the buffer, so a column of the image
-//! that is aligned within its section is aligned in memory. **Corruption
-//! is contained per section**: a bad
-//! checksum surfaces as [`SectionError::Checksum`] for that section only,
-//! so the engine rebuilds that one artifact — a dataset's from its
-//! relation, a pair's raster signatures from both relations — instead of
-//! refusing the dataset. Only a corrupt manifest fails the whole file.
+//! that is aligned within its section is aligned in memory. A page is
+//! read when a checksum or a decoder first touches it, from the page
+//! cache, and never copied: an adopted arena borrows the cache directly.
+//!
+//! **A segment file is never rewritten in place.** Every write goes to a
+//! temporary file that is renamed over the segment, and stale pair files
+//! are unlinked, so an open mapping keeps the inode it mapped, with the
+//! bytes it was verified against, until its last section goes — a
+//! directory removed or a segment replaced under a serving engine
+//! changes none of its answers. Editing a segment in place while it is
+//! mapped would change those bytes under the engine, and truncating one
+//! would fault the process (`SIGBUS`).
+//!
+//! **Corruption is contained per section**: a bad checksum surfaces as
+//! [`SectionError::Checksum`] for that section only, so the engine
+//! rebuilds that one artifact — a dataset's from its relation, a pair's
+//! raster signatures from both relations — instead of refusing the
+//! dataset. Only a corrupt manifest fails the whole file.
 //!
 //! ## What this crate does not know
 //!
@@ -64,7 +77,7 @@
 
 use msj_geom::{checksum, AlignedBuf, SharedBytes, PAGE_SIZE};
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -150,10 +163,12 @@ pub enum SectionError {
     Checksum,
 }
 
-/// Hook invoked on each raw section payload after the file is read and
+/// Hook invoked on each raw section payload after the file is mapped and
 /// before checksum verification — the seam `msj-fault`'s
 /// `store_corrupt(section)` byte flip targets, so injected corruption
-/// flows through the same verification path real corruption would.
+/// flows through the same verification path real corruption would. The
+/// payload is this load's own copy: the mapping is private, a flipped
+/// byte copies only the page it lies on, and the file is untouched.
 pub type Tamper<'a> = &'a mut dyn FnMut(Section, &mut [u8]);
 
 /// A dataset directory of segment files.
@@ -346,13 +361,13 @@ impl Store {
         expect_ids: (u32, u32),
         mut tamper: Option<Tamper<'_>>,
     ) -> io::Result<Segment> {
-        let meta = fs::metadata(path)?;
-        let size = usize::try_from(meta.len()).map_err(|_| bad_data("segment too large"))?;
+        // Sized from the handle that is mapped: a path's metadata may
+        // describe the file a later rename replaced.
+        let mut buf = AlignedBuf::map(&fs::File::open(path)?)?;
+        let size = buf.len();
         if size < PAGE_SIZE || size % PAGE_SIZE != 0 {
             return Err(bad_data("segment size is not a page multiple"));
         }
-        let mut buf = AlignedBuf::zeroed(size);
-        fs::File::open(path)?.read_exact(buf.as_mut_slice())?;
 
         let m = &buf.as_slice()[..PAGE_SIZE];
         // The version says how the manifest is summed, so it is read
@@ -402,9 +417,8 @@ impl Store {
             });
         }
         if let Some(hook) = tamper.as_mut() {
-            // In place: the buffer is this load's own copy of the file,
-            // and a fault must corrupt exactly the bytes the checksum
-            // guards.
+            // In place, in this load's private pages (see `Tamper`): a
+            // fault must corrupt exactly the bytes the checksum guards.
             for e in &sections {
                 hook(
                     e.section,
@@ -428,16 +442,16 @@ struct SectionEntry {
     checksum: u64,
 }
 
-/// One segment file, read and manifest-verified; sections verify as they
-/// are asked for.
+/// One segment file, mapped and manifest-verified; sections verify as
+/// they are asked for.
 pub struct Segment {
     /// The writer's configuration tag.
     pub config_tag: u64,
     /// Total file bytes (a dataset's footprint for residency budgets).
     pub bytes: u64,
     sections: Vec<SectionEntry>,
-    /// The whole file, shared with every section handed out by
-    /// [`Segment::shared_section`].
+    /// The whole file's mapping, shared with every section handed out by
+    /// [`Segment::shared_section`] and unmapped with the last of them.
     buf: Arc<AlignedBuf>,
 }
 
@@ -450,8 +464,8 @@ impl Segment {
         Some(verified.map(|range| &self.buf.as_slice()[range]))
     }
 
-    /// [`Segment::section`] as a range of the segment's buffer that
-    /// keeps the buffer alive: an artifact adopted from it in place
+    /// [`Segment::section`] as a range of the segment's mapping that
+    /// keeps the mapping alive: an artifact adopted from it in place
     /// outlives the segment. The range starts on a page boundary.
     pub fn shared_section(&self, section: Section) -> Option<Result<SharedBytes, SectionError>> {
         let verified = self.verified(section)?;

@@ -15,7 +15,10 @@
 //! * a re-summed manifest whose entries carry the retired tags 3 and 4
 //!   (the conservative and progressive columns older writers stored)
 //!   reads without those entries, while any other unknown tag fails the
-//!   file.
+//!   file;
+//! * a file cut to a non-page multiple, or to a page boundary short of an
+//!   extent, is refused by the size of the handle it was mapped from,
+//!   before any section is viewed.
 
 use msj_geom::{checksum, fnv1a64, PAGE_SIZE};
 use msj_store::{Section, SectionError, Store};
@@ -238,6 +241,35 @@ fn retired_tags_are_skipped_and_unknown_tags_refused() {
             .unwrap();
         assert_eq!(err.kind(), ErrorKind::InvalidData, "tag {tag}: {err}");
         assert!(err.to_string().contains("unknown section tag"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_short_file_is_refused_before_any_section_is_viewed() {
+    let dir = tmp_dir("short");
+    let store = Store::open(&dir).unwrap();
+    let (path, bytes) = written(&store, &dir);
+    let full = bytes.len();
+    let refused_as = |cut: usize, why: &str| {
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let err = refused(&store);
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{cut} of {full}: {err}");
+        assert!(err.to_string().contains(why), "{cut} of {full}: {err}");
+    };
+    for cut in [
+        full - 1,
+        full - PAGE_SIZE + 1,
+        PAGE_SIZE + 100,
+        PAGE_SIZE - 1,
+        0,
+    ] {
+        refused_as(cut, "not a page multiple");
+    }
+    // Whole pages, but the last extent — a payload of a page and a byte —
+    // ends past the cut.
+    for pages in 1..full / PAGE_SIZE {
+        refused_as(pages * PAGE_SIZE, "section extent out of bounds");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -33,6 +33,11 @@
 //! * **Approximations** — the store keeps none: a plan that runs 5-corner
 //!   and MER writes the default's dataset sections and builds both at
 //!   every open.
+//! * **Mapping** — an open maps its segments privately: a `store_corrupt`
+//!   fault flips bytes in the load's own pages and leaves every file on
+//!   disk byte-identical, and an opened engine answers identically after
+//!   its store directory is removed or its dataset segment is replaced by
+//!   a rename, since its mappings keep the inodes they were opened from.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1263,4 +1268,92 @@ fn section_of_another_length_is_rebuilt_not_adopted() {
         )));
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every file in `dir` by name, with its bytes.
+fn store_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("store directory")
+        .map(|entry| {
+            let path = entry.expect("entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).expect("read segment"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_store_corrupt_fault_leaves_every_segment_file_as_it_was() {
+    let (dir, cfg, requests, reference) = seeded_store("fault-on-disk");
+    let files = store_files(&dir);
+    assert!(files.iter().any(|(name, _)| name == "pair_0_1.msj"));
+    let seed = seeds()[0];
+    for section in Section::ALL {
+        let faulty = EngineConfig {
+            fault: FaultConfig::seeded(seed, FaultKind::StoreCorrupt { section }),
+            ..cfg
+        };
+        match SpatialEngine::open(faulty, StoreConfig::new(&dir)) {
+            // The one section with no rebuild source fails the open.
+            Err(err) => {
+                assert_eq!(section, Section::Relation, "{err}");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+            }
+            Ok(engine) => {
+                assert_ne!(section, Section::Relation, "a corrupt relation opened");
+                assert_eq!(run(&engine, &requests), reference, "{}", section.name());
+                let prom = engine.metrics().render_prometheus();
+                let counted = format!(
+                    "msj_store_checksum_failures_total{{section=\"{}\"}} 1",
+                    section.name()
+                );
+                assert!(prom.contains(&counted), "{counted} missing:\n{prom}");
+                // The flipped page is the load's own, while it is mapped.
+                assert_eq!(store_files(&dir), files, "{} fault", section.name());
+            }
+        }
+        assert_eq!(store_files(&dir), files, "{} fault", section.name());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_opened_engine_answers_after_its_store_directory_is_removed() {
+    let (dir, cfg, requests, reference) = seeded_store("removed");
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("cold start");
+    std::fs::remove_dir_all(&dir).expect("remove the store");
+    // The relation is decoded from its mapping only now, after its file
+    // is gone; the pair, never read, is rasterized again and its write
+    // fails quietly.
+    assert_eq!(run(&engine, &requests), reference);
+    assert_no_checksum_failures(&engine.metrics().render_prometheus(), "removed store");
+}
+
+#[test]
+fn an_opened_engine_answers_after_its_segment_is_replaced_by_a_rename() {
+    let (dir, cfg, requests, reference) = seeded_store("renamed");
+    let engine = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("cold start");
+    // Another valid segment for dataset 0, written where the store writes
+    // (a temp file renamed over the segment), as a re-register would.
+    let donor = tmp_store("renamed-donor");
+    let other = SpatialEngine::new(cfg)
+        .with_store(StoreConfig::new(&donor))
+        .expect("arm store");
+    other.register(msj::datagen::small_carto(150, 24.0, 9112));
+    drop(other);
+    let segment = dir.join("ds_0.msj");
+    let stored = file_id(&segment);
+    let tmp = dir.join("ds_0.msj.tmp");
+    std::fs::copy(donor.join("ds_0.msj"), &tmp).expect("copy donor");
+    std::fs::rename(&tmp, &segment).expect("rename over ds_0");
+    assert_ne!(file_id(&segment), stored, "a new inode holds the name");
+    assert_eq!(run(&engine, &requests), reference, "the opened engine");
+    assert_no_checksum_failures(&engine.metrics().render_prometheus(), "replaced");
+    // A fresh open reads the new segment.
+    let fresh = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("open the new file");
+    assert_eq!(fresh.dataset(0).unwrap().len(), 150);
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(&donor).ok();
 }
