@@ -22,8 +22,8 @@ impl SeriesData {
     /// Runs the MBR-join and the exact ground truth for a series.
     pub fn build(series: TestSeries) -> Self {
         let layout = PageLayout::baseline(4096);
-        let ta = RStarTree::insert_all(layout, series.a.iter().map(|o| (o.mbr(), o.id)));
-        let tb = RStarTree::insert_all(layout, series.b.iter().map(|o| (o.mbr(), o.id)));
+        let ta = RStarTree::bulk_load(layout, series.a.iter().map(|o| (o.mbr(), o.id)));
+        let tb = RStarTree::bulk_load(layout, series.b.iter().map(|o| (o.mbr(), o.id)));
         let mut candidates = Vec::new();
         tree_join(&ta, &tb, &mut (), |a, b| candidates.push((a, b)));
 

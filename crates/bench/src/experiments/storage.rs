@@ -56,7 +56,7 @@ fn build_tree(
             rel.iter().map(|o| (o.mbr(), o.id)).collect(),
         ),
     };
-    RStarTree::insert_all(layout, keys)
+    RStarTree::bulk_load(layout, keys)
 }
 
 /// Physical page accesses of the Figure 10 workloads on one tree pair.
@@ -202,8 +202,8 @@ pub fn fig11(cfg: &ExpConfig) -> String {
     for page_size in [2048usize, 4096] {
         // Baseline: MBR-only layout.
         let base_layout = PageLayout::baseline(page_size);
-        let base_a = RStarTree::insert_all(base_layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
-        let base_b = RStarTree::insert_all(base_layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
+        let base_a = RStarTree::bulk_load(base_layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
+        let base_b = RStarTree::bulk_load(base_layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
         let mut buffer = LruBuffer::with_bytes(BUFFER_BYTES, page_size);
         let base_stats = tree_join(&base_a, &base_b, &mut buffer, |_, _| {});
 
@@ -212,8 +212,8 @@ pub fn fig11(cfg: &ExpConfig) -> String {
             let cons_b = ConservativeStore::build(kind, &rel_b);
             let extra = conservative_bytes(kind, None) + progressive_bytes(ProgressiveKind::Mer);
             let layout = PageLayout::with_extra_bytes(page_size, extra);
-            let ta = RStarTree::insert_all(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
-            let tb = RStarTree::insert_all(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
+            let ta = RStarTree::bulk_load(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
+            let tb = RStarTree::bulk_load(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
             let mut buffer = LruBuffer::with_bytes(BUFFER_BYTES, page_size);
             let mut identified = 0u64;
             let approx_stats = tree_join(&ta, &tb, &mut buffer, |a, b| {
@@ -263,8 +263,11 @@ mod tests {
 
     #[test]
     fn workloads_produce_io() {
-        let rel_a = msj_datagen::large_relation(300, 0, 4);
-        let rel_b = msj_datagen::large_relation(300, 1, 4);
+        // Enough objects that a packed tree (88 pages) outgrows the 64-page
+        // buffer: at 300 its 15 pages were all touched by 50 windows of
+        // either size, and which size read one page more was chance.
+        let rel_a = msj_datagen::large_relation(2000, 0, 4);
+        let rel_b = msj_datagen::large_relation(2000, 1, 4);
         let kind = ConservativeKind::FiveCorner;
         let sa = ConservativeStore::build(kind, &rel_a);
         let sb = ConservativeStore::build(kind, &rel_b);

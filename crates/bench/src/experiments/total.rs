@@ -166,8 +166,8 @@ pub fn ablation_buffer(cfg: &ExpConfig) -> String {
     let rel_b = msj_datagen::large_relation(count, 1, cfg.seed);
     let page_size = 4096usize;
     let layout = PageLayout::baseline(page_size);
-    let ta = RStarTree::insert_all(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
-    let tb = RStarTree::insert_all(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
+    let ta = RStarTree::bulk_load(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
+    let tb = RStarTree::bulk_load(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
     let total_pages = (ta.num_pages() + tb.num_pages()) as f64;
 
     let mut t = Table::new([
@@ -207,8 +207,8 @@ pub fn ablation_joinstrategy(cfg: &ExpConfig) -> String {
     let rel_b = msj_datagen::large_relation(count, 1, cfg.seed);
     let page_size = 4096usize;
     let layout = PageLayout::baseline(page_size);
-    let ta = RStarTree::insert_all(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
-    let tb = RStarTree::insert_all(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
+    let ta = RStarTree::bulk_load(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
+    let tb = RStarTree::bulk_load(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
     let outer: Vec<(msj_geom::Rect, u32)> = rel_a.iter().map(|o| (o.mbr(), o.id)).collect();
     let inner: Vec<(msj_geom::Rect, u32)> = rel_b.iter().map(|o| (o.mbr(), o.id)).collect();
 

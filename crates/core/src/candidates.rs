@@ -190,11 +190,9 @@ pub(crate) fn source_with<'a>(
     }
 }
 
-/// Step 0 for one relation: STR bulk loading (the whole relation is in
-/// hand, so pages come fully packed from one sort). The engine calls
-/// this once per registered dataset; the borrowed sources call it per
-/// source.
-/// Leaves keep a MER's 16 B per entry at least: 64 per 4 KB, as measured.
+/// Step 0 for one relation: STR bulk loading, once per registered dataset
+/// (per source for the borrowed sources). Leaves keep a MER's 16 B per
+/// entry at least: 64 per 4 KB, as measured.
 pub(crate) fn build_tree(config: &JoinConfig, relation: &Relation) -> RStarTree {
     let extra = progressive_bytes(ProgressiveKind::Mer).max(config.extra_leaf_bytes());
     let layout = PageLayout::with_extra_bytes(config.page_size, extra);

@@ -291,10 +291,10 @@ pub(super) fn config_tag(config: &JoinConfig) -> u64 {
         }
         _ => bytes.push(0),
     }
-    // Where the tree-loader choice used to be tagged: trees are always
-    // STR-packed (the former 0), so segments written before the choice
-    // went away keep matching.
-    bytes.push(0);
+    // The tree image's version, in the slot that once tagged the tree
+    // loader: 1 since nodes store entries in sweep order only, so a
+    // builder-order segment (0) is rebuilt, not counted corrupt.
+    bytes.push(1);
     bytes.push(config.raster as u8);
     // Where an explicit grid resolution used to be tagged: grids are
     // always auto-sized (the former 0).

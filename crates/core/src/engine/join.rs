@@ -62,7 +62,7 @@ pub struct PreparedJoin {
     sizes: (usize, usize),
     execution: Execution,
     source: Box<dyn CandidateSource>,
-    filter: GeometricFilter,
+    pub(super) filter: GeometricFilter,
     exact: ExactProcessor<'static>,
     /// Step-0 wall-clock, attached to every run's statistics.
     step0_nanos: u64,

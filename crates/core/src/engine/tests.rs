@@ -52,6 +52,24 @@ fn engine_join_matches_one_shot_pipeline() {
 }
 
 #[test]
+fn a_self_join_rasterizes_its_relation_once() {
+    let rel = msj_datagen::small_carto(60, 24.0, 1004);
+    // The one-shot pipeline holds two copies of the relation, so it
+    // rasterizes each side on its own: the reference for the pairs.
+    let expect = MultiStepJoin::new(JoinConfig::default()).execute(&rel, &rel);
+    let engine = SpatialEngine::new(JoinConfig::default());
+    let h = engine.register(rel);
+    let prepared = engine.prepare_join(&h, &h);
+    let (ra, rb) = prepared.filter.raster_stores().expect("raster stage");
+    assert!(std::ptr::eq(ra, rb), "one store serves both sides");
+    let got = prepared.run();
+    assert_eq!(got.pairs, expect.pairs);
+    assert_eq!(got.stats.raster_hits, expect.stats.raster_hits);
+    assert_eq!(got.stats.raster_drops, expect.stats.raster_drops);
+    assert!(got.stats.raster_hits + got.stats.raster_drops > 0);
+}
+
+#[test]
 fn kernel_dispatch_gauge_marks_the_selected_path() {
     let engine = SpatialEngine::new(JoinConfig::default());
     let snap = engine.metrics().snapshot();

@@ -115,18 +115,20 @@ impl GeometricFilter {
         }
     }
 
-    /// Attaches the Step-2a raster stage: both relations rasterized on
-    /// one shared grid, auto-sized from the workload
-    /// ([`auto_grid_bits`]). A no-op when the workspace has no finite,
-    /// non-empty extent to grid ([`RasterGrid::covering`]).
+    /// Attaches the Step-2a raster stage: both relations rasterized on one
+    /// grid sized by [`auto_grid_bits`], a self-join's relation once; a
+    /// no-op when the workspace has no finite, non-empty extent to grid.
     pub fn with_raster(self, rel_a: &Relation, rel_b: &Relation) -> Self {
         let bits = auto_grid_bits(rel_a, rel_b);
-        if let Some(grid) = RasterGrid::covering(rel_a, rel_b, bits) {
-            let store_a = Arc::new(RasterStore::build(&grid, rel_a));
-            let store_b = Arc::new(RasterStore::build(&grid, rel_b));
-            return self.with_shared_raster(store_a, store_b);
-        }
-        self
+        let Some(grid) = RasterGrid::covering(rel_a, rel_b, bits) else {
+            return self;
+        };
+        let store_a = Arc::new(RasterStore::build(&grid, rel_a));
+        let store_b = match std::ptr::eq(rel_a, rel_b) {
+            true => store_a.clone(),
+            false => Arc::new(RasterStore::build(&grid, rel_b)),
+        };
+        self.with_shared_raster(store_a, store_b)
     }
 
     /// Attaches pre-built Step-2a raster stores — the engine's

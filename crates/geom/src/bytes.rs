@@ -519,6 +519,14 @@ impl Enc {
             self.u32(v);
         }
     }
+
+    /// A counted `f64` column.
+    pub fn f64s(&mut self, vs: &[f64]) {
+        self.count(vs.len());
+        for &v in vs {
+            self.f64(v);
+        }
+    }
 }
 
 /// Why a [`Dec`] read — or an artifact's `from_bytes` built on it —

@@ -172,7 +172,7 @@ impl Side {
         node: u32,
         hits: &mut Vec<u32>,
     ) -> u64 {
-        let all = tree.sweep(node);
+        let all = tree.entries(node);
         hits.clear();
         kernels::rects_vs_rect(
             dispatch, window, all.xmin, all.ymin, all.xmax, all.ymax, hits,
@@ -184,7 +184,7 @@ impl Side {
             self.ymin.push(all.ymin[k]);
             self.ymax.push(all.ymax[k]);
             self.xmax.push(all.xmax[k]);
-            self.val.push(tree.entry_val(all.perm[k]));
+            self.val.push(all.vals[k]);
         }
         all.xmin.len() as u64
     }
@@ -255,8 +255,8 @@ impl<F: FnMut(ObjectId, ObjectId), O: PageObserver> Traversal<'_, F, O> {
 
         if la != lb {
             // Trees of different height: descend the deeper side against
-            // the whole other node, children in builder order, every
-            // entry one MBR test.
+            // the whole other node, children in sweep order, every entry
+            // one MBR test.
             let (deep, page, other) = if la > lb {
                 (a, pa, b.node_rect(pb))
             } else {
@@ -264,10 +264,10 @@ impl<F: FnMut(ObjectId, ObjectId), O: PageObserver> Traversal<'_, F, O> {
             };
             self.stats.io.logical += 1;
             self.pages.access(deep.page_id(page));
-            let (rects, children) = deep.entries(page);
-            self.stats.mbr_tests += rects.len() as u64;
-            for (rect, &child) in rects.iter().zip(children) {
-                if rect.intersects(&other) {
+            let entries = deep.entries(page);
+            self.stats.mbr_tests += entries.len() as u64;
+            for (k, &child) in entries.vals.iter().enumerate() {
+                if entries.rect(k).intersects(&other) {
                     let pair = if la > lb { (child, pb) } else { (pa, child) };
                     self.scratch.pending.push(pair);
                 }
@@ -387,7 +387,7 @@ mod tests {
     }
 
     fn build(items: &[(Rect, ObjectId)], page: usize) -> RStarTree {
-        RStarTree::insert_all(
+        RStarTree::bulk_load(
             PageLayout {
                 page_size: page,
                 leaf_entry_bytes: 48,

@@ -18,23 +18,20 @@
 //!
 //! # One form of the tree
 //!
-//! A tree is a frozen, flat column arena ([`rstar`]) and nothing else
-//! traverses anything else. Five builder-order columns — node levels,
-//! node rectangles, entry offsets, entry rectangles, entry values — are
-//! the persistent image, byte for byte: `to_bytes` writes them,
-//! `from_bytes` validates and adopts them. Beside them sits the one
-//! derived structure: every node's entries once more as `xmin` / `ymin` /
-//! `ymax` / `xmax` columns stably sorted by `xmin`, plus the permutation
-//! back. [BKS 93a] assumes entries are *kept* in sweep order on the
-//! page; here they are, so a join sorts nothing — it masks, merges and
-//! emits — and because a subsequence of a stable sort is the stable sort
-//! of the subsequence, the candidate stream, its order and every
-//! `mbr_tests` / I/O count are exactly those of sorting per node pair.
-//! Growable nodes with parent pointers exist only inside the insertion
-//! path (`insert_all` / `insert` / `delete`: thaw → mutate → freeze).
+//! A tree is a frozen, flat column arena ([`rstar`]) built by STR
+//! packing, and nothing traverses anything else. Its eight columns — node
+//! levels, node rectangles, entry offsets, the entries' `xmin` / `ymin` /
+//! `ymax` / `xmax`, entry values — are the persistent image, byte for
+//! byte: `to_bytes` writes them, `from_bytes` validates and adopts them.
+//! Each node's entries are stored once, stably sorted by `xmin`: [BKS 93a]
+//! assumes entries are *kept* in sweep order on the page, and here they
+//! are, so a join sorts nothing — it masks, merges and emits — and
+//! because a subsequence of a stable sort is the stable sort of the
+//! subsequence, the candidate stream of equal-level node pairs, its
+//! order and every `mbr_tests` / I/O count are exactly those of sorting
+//! per node pair. Descents read the same order.
 
 pub mod buffer;
-mod builder;
 pub mod inl;
 pub mod join;
 pub mod rstar;

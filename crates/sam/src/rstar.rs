@@ -9,35 +9,28 @@
 //!
 //! # The arena
 //!
-//! Nodes are numbered in the order their builder created them; every
-//! column below is indexed by that number, or by a position in the entry
-//! run `entry_offsets[node]..entry_offsets[node + 1]`.
+//! Nodes are numbered in the order [`RStarTree::bulk_load`] packed them;
+//! every column below is indexed by that number, or by a position in the
+//! entry run `entry_offsets[node]..entry_offsets[node + 1]`. There are
+//! eight columns: `levels`, `node_rects`, `entry_offsets`, the entry
+//! rectangles as four `f64` columns (`xmin`, `ymin`, `ymax`, `xmax`), and
+//! one `u32` value column (object id at level 0, child node above).
 //!
-//! * **The image** — `levels`, `node_rects`, `entry_offsets`, the entry
-//!   rectangles and one `u32` value column (object id at level 0, child
-//!   node above), in builder order. These five columns, after the layout
-//!   scalars, *are* [`RStarTree::to_bytes`]; [`RStarTree::from_bytes`]
-//!   validates and adopts them. Point and window descents read them, as
-//!   does the pruning step between trees of unequal height, so results
-//!   arrive in builder order.
-//! * **Derived, never stored** — per node, a copy of the entry
-//!   rectangles as four `f64` sweep columns (`xmin`, `ymin`, `ymax`,
-//!   `xmax`) *stably sorted by `xmin`*, with the `u32` permutation back to
-//!   the builder-order entry. [`tree_join`](crate::tree_join) restricts
-//!   and plane-sweeps these without sorting: a subsequence of a stably
-//!   sorted column is the stable sort of that subsequence, so the order
-//!   [BKS 93a] would establish per node pair — ties included — is the
-//!   order already on the "page". They are derived in the same pass that
-//!   appends (or adopts) a node's entries.
+//! Each node's entries are kept in one order, **stably sorted by
+//! `xmin`** — [BKS 93a]'s plane-sweep order, ties in the order STR packed
+//! them. [`tree_join`](crate::tree_join) restricts and sweeps these
+//! columns without sorting: a subsequence of a stably sorted column is
+//! the stable sort of that subsequence, so the order a per-visit sort
+//! would establish — ties included — is the order already on the "page".
+//! Point and window descents and the pruning step between trees of
+//! unequal height read the same order, so their results arrive in it.
 //!
-//! Insertion and deletion (the R* heuristics) live in the private
-//! `builder` module: [`RStarTree::insert`] / [`RStarTree::delete`] thaw
-//! the arena into growable nodes, mutate, and freeze again — linear in
-//! the tree, so build from a batch with [`RStarTree::insert_all`] or
-//! [`RStarTree::bulk_load`] and keep single edits for small trees.
+//! After the layout scalars the columns *are* [`RStarTree::to_bytes`];
+//! [`RStarTree::from_bytes`] validates them, sweep order included, and
+//! adopts them without sorting. A tree is built only by STR packing and
+//! is not edited afterwards.
 
 use crate::buffer::{PageId, PageObserver};
-use crate::builder::{group_rect, TreeBuilder};
 use msj_geom::bytes::{Col, Dec, DecResult, Enc};
 use msj_geom::stack::InlineStack;
 use msj_geom::{ObjectId, Point, Rect};
@@ -91,11 +84,6 @@ impl PageLayout {
     }
 }
 
-/// The rectangle an empty node carries.
-pub(crate) fn empty_rect() -> Rect {
-    Rect::from_bounds(0.0, 0.0, 0.0, 0.0)
-}
-
 static TREE_TAG: AtomicU32 = AtomicU32::new(1);
 
 /// The paged R*-tree (see the [module docs](self) for the column arena).
@@ -110,33 +98,34 @@ pub struct RStarTree {
     levels: Vec<u32>,
     node_rects: Vec<Rect>,
     entry_offsets: Vec<u32>,
-    entry_rects: Vec<Rect>,
-    vals: Vec<u32>,
-    sweep: SweepColumns,
-}
-
-/// The derived half of the arena: every node's entry run stably sorted by
-/// `xmin`, as the four columns the plane sweep scans plus the position of
-/// each sorted entry in the builder-order columns.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct SweepColumns {
     xmin: Vec<f64>,
     ymin: Vec<f64>,
     ymax: Vec<f64>,
     xmax: Vec<f64>,
-    perm: Vec<u32>,
+    vals: Vec<u32>,
 }
 
-/// One node's slice of the sweep columns.
+/// One node's entries in sweep order: the four rectangle columns and the
+/// value of each entry (object id at level 0, child node above).
 #[derive(Clone, Copy)]
-pub(crate) struct SweepNode<'a> {
+pub(crate) struct Entries<'a> {
     pub xmin: &'a [f64],
     pub ymin: &'a [f64],
     pub ymax: &'a [f64],
     pub xmax: &'a [f64],
-    /// Where each sorted entry sits in the builder-order columns
-    /// ([`RStarTree::entry_val`] resolves it).
-    pub perm: &'a [u32],
+    pub vals: &'a [u32],
+}
+
+impl Entries<'_> {
+    pub fn len(&self) -> usize {
+        self.vals.len()
+    }
+
+    /// The rectangle of entry `k`.
+    #[inline]
+    pub fn rect(&self, k: usize) -> Rect {
+        Rect::from_bounds(self.xmin[k], self.ymin[k], self.xmax[k], self.ymax[k])
+    }
 }
 
 impl RStarTree {
@@ -145,114 +134,50 @@ impl RStarTree {
         RStarTree::bulk_load(layout, [])
     }
 
-    /// A tree of `len` objects with no nodes yet, paging through `tag`.
-    pub(crate) fn bare(layout: PageLayout, tag: u32, len: usize) -> Self {
-        RStarTree {
-            layout,
-            root: 0,
-            len,
-            tag,
-            levels: Vec::new(),
-            node_rects: Vec::new(),
-            entry_offsets: vec![0],
-            entry_rects: Vec::new(),
-            vals: Vec::new(),
-            sweep: SweepColumns::default(),
-        }
-    }
-
-    /// Appends the next node to the image columns and returns its number.
-    pub(crate) fn push_node(&mut self, level: u32, rect: Rect, entries: &[(Rect, u32)]) -> u32 {
-        let node = self.levels.len() as u32;
-        self.levels.push(level);
-        self.node_rects.push(rect);
-        self.entry_rects.extend(entries.iter().map(|e| e.0));
-        self.vals.extend(entries.iter().map(|e| e.1));
-        self.entry_offsets.push(self.vals.len() as u32);
-        node
-    }
-
-    /// Freezes the image columns under `root`: derives the sweep columns,
-    /// one pass over the nodes. Sorting `(xmin, position)` pairs leaves
-    /// entries of equal `xmin` in builder order — the stable sort by
-    /// `xmin` that a per-visit sort of any restricted subset would yield.
-    pub(crate) fn seal(mut self, root: u32) -> Self {
-        self.root = root;
-        let rects = &self.entry_rects;
-        // Sized up front: growing five columns of a large tree by
-        // doubling costs as much as deriving them.
-        let column = || Vec::with_capacity(rects.len());
-        let mut sweep = SweepColumns {
-            xmin: column(),
-            ymin: column(),
-            ymax: column(),
-            xmax: column(),
-            perm: Vec::with_capacity(rects.len()),
-        };
-        let mut keys = Vec::new();
-        for span in self.entry_offsets.windows(2) {
-            let node = &rects[span[0] as usize..span[1] as usize];
-            stable_order(&mut keys, span[0], node.iter().map(Rect::xmin));
-            let sorted = || keys.iter().map(|&(_, i)| &rects[i as usize]);
-            sweep.xmin.extend(sorted().map(Rect::xmin));
-            sweep.ymin.extend(sorted().map(Rect::ymin));
-            sweep.ymax.extend(sorted().map(Rect::ymax));
-            sweep.xmax.extend(sorted().map(Rect::xmax));
-            sweep.perm.extend(keys.iter().map(|k| k.1));
-        }
-        self.sweep = sweep;
-        self
-    }
-
-    /// Builds a tree by inserting `(rect, id)` pairs one at a time, in
-    /// order — N top-down R* insertions, exactly as a dynamic workload
-    /// would produce them (splits, forced reinserts and all).
-    ///
-    /// This is **not** a bulk loader: pages end up ~70 % full and the
-    /// build costs N · O(log N) node traversals. When the whole relation
-    /// is available up front, use [`RStarTree::bulk_load`] instead.
-    pub fn insert_all<I: IntoIterator<Item = (Rect, ObjectId)>>(
-        layout: PageLayout,
-        items: I,
-    ) -> Self {
-        let mut builder = TreeBuilder::new(layout);
-        for (rect, id) in items {
-            builder.insert(rect, id);
-        }
-        builder.freeze(TREE_TAG.fetch_add(1, Ordering::Relaxed))
-    }
-
     /// Builds a tree by **sort-tile-recursive (STR) bulk loading**
     /// (Leutenegger et al. 1997): sort the keys by x-center, cut them
     /// into ⌈√P⌉ vertical slices (P = pages needed), sort each slice by
     /// y-center, and pack consecutive runs into completely filled pages;
-    /// repeat one level up until a single root remains.
+    /// repeat one level up until a single root remains. Each packed run
+    /// is stored stably sorted by `xmin`, the sweep order.
     ///
-    /// Compared with [`RStarTree::insert_all`] the build is one sort plus
-    /// a linear packing pass per level, every page except the last per
-    /// level is 100 % full (fewer pages → fewer I/Os per query/join), and
-    /// the result is deterministic in the input order of ties. The tree
-    /// is a regular [`RStarTree`] afterwards: inserts and deletes work,
-    /// queries and joins are answered identically to an incrementally
-    /// built tree (only page boundaries — and therefore I/O counts and
-    /// candidate *order* — differ).
+    /// The build is one sort plus a linear packing pass per level, every
+    /// page except the last per level is 100 % full, and the result is
+    /// deterministic in the input order of ties.
     pub fn bulk_load<I: IntoIterator<Item = (Rect, ObjectId)>>(
         layout: PageLayout,
         items: I,
     ) -> Self {
         let mut items: Vec<(Rect, ObjectId)> = items.into_iter().collect();
-        let tag = TREE_TAG.fetch_add(1, Ordering::Relaxed);
-        let mut tree = RStarTree::bare(layout, tag, items.len());
-        tree.entry_rects.reserve(items.len());
-        tree.vals.reserve(items.len());
+        // Sized up front: growing five entry columns of a large tree by
+        // doubling costs as much as filling them.
+        let entries = entry_count(layout, items.len());
+        let column = || Vec::with_capacity(entries);
+        let mut tree = RStarTree {
+            layout,
+            root: 0,
+            len: items.len(),
+            tag: TREE_TAG.fetch_add(1, Ordering::Relaxed),
+            levels: Vec::new(),
+            node_rects: Vec::new(),
+            entry_offsets: vec![0],
+            xmin: column(),
+            ymin: column(),
+            ymax: column(),
+            xmax: column(),
+            vals: Vec::with_capacity(entries),
+        };
+        let mut keys = Vec::new();
         let mut pack = |level: u32, run: &[(Rect, u32)]| {
-            let rect = group_rect(run).unwrap_or_else(empty_rect);
-            (rect, tree.push_node(level, rect, run))
+            let rect = group_rect(run);
+            stable_order(&mut keys, 0, run.iter().map(|e| e.0.xmin()));
+            let sorted = keys.iter().map(|k| run[k.1 as usize]);
+            (rect, tree.push_node(level, rect, sorted))
         };
         if items.len() <= layout.max_leaf_entries() {
-            // Single leaf root, in input order; also covers the empty tree.
+            // Single leaf root; also covers the empty tree.
             pack(0, &items);
-            return tree.seal(0);
+            return tree;
         }
         // Pack the leaf level from the raw keys, then directory levels
         // from the level below until one node remains.
@@ -269,7 +194,30 @@ impl RStarTree {
             });
             level_nodes = next_level;
         }
-        tree.seal(level_nodes[0].1)
+        tree.root = level_nodes[0].1;
+        tree
+    }
+
+    /// Appends the next node, its entries already in sweep order, and
+    /// returns its number.
+    fn push_node(
+        &mut self,
+        level: u32,
+        rect: Rect,
+        entries: impl Iterator<Item = (Rect, u32)>,
+    ) -> u32 {
+        let node = self.levels.len() as u32;
+        self.levels.push(level);
+        self.node_rects.push(rect);
+        for (r, val) in entries {
+            self.xmin.push(r.xmin());
+            self.ymin.push(r.ymin());
+            self.ymax.push(r.ymax());
+            self.xmax.push(r.xmax());
+            self.vals.push(val);
+        }
+        self.entry_offsets.push(self.vals.len() as u32);
+        node
     }
 
     pub fn layout(&self) -> PageLayout {
@@ -311,7 +259,7 @@ impl RStarTree {
         let (fill, leaves) = (0..self.num_pages() as u32)
             .filter(|&n| self.node_level(n) == 0)
             .fold((0.0, 0usize), |(fill, leaves), n| {
-                (fill + self.span(n).len() as f64 / cap, leaves + 1)
+                (fill + self.entries(n).len() as f64 / cap, leaves + 1)
             });
         if leaves == 0 {
             0.0
@@ -324,28 +272,6 @@ impl RStarTree {
     #[inline]
     pub fn page_id(&self, node: u32) -> PageId {
         ((self.tag as u64) << 32) | node as u64
-    }
-
-    /// Inserts one object key (thaw → R* insertion → freeze: linear in the
-    /// tree; see the [module docs](self)).
-    pub fn insert(&mut self, rect: Rect, id: ObjectId) {
-        let mut builder = TreeBuilder::thaw(self);
-        builder.insert(rect, id);
-        *self = builder.freeze(self.tag);
-    }
-
-    /// Deletes the entry `(rect, id)` from the tree (R-tree deletion with
-    /// underflow reinsertion, [Gut 84] §3.3 adapted to the R* variant;
-    /// thaw → mutate → freeze like [`RStarTree::insert`]).
-    ///
-    /// Returns `true` when the entry existed.
-    pub fn delete(&mut self, rect: Rect, id: ObjectId) -> bool {
-        let mut builder = TreeBuilder::thaw(self);
-        let found = builder.delete(rect, id);
-        if found {
-            *self = builder.freeze(self.tag);
-        }
-        found
     }
 
     /// Point query: appends to `out` the ids of all leaf entries whose
@@ -391,9 +317,8 @@ impl RStarTree {
         )
     }
 
-    /// Depth-first descent over the builder-order columns on an inline
-    /// stack: no allocation while at most
-    /// [`INLINE_STACK`](msj_geom::stack::INLINE_STACK) subtrees wait.
+    /// Depth-first descent on an inline stack: no allocation while at
+    /// most [`INLINE_STACK`](msj_geom::stack::INLINE_STACK) subtrees wait.
     /// Every entry where `hit` holds is followed, or at a leaf handed to
     /// `found` with its object id.
     fn descend(
@@ -408,14 +333,17 @@ impl RStarTree {
         while let Some(cur) = stack.pop() {
             visits += 1;
             pages.access(self.page_id(cur));
-            let (rects, vals) = self.entries(cur);
+            let node = self.entries(cur);
             if self.node_level(cur) == 0 {
-                for (r, &id) in rects.iter().zip(vals).filter(|e| hit(e.0)) {
-                    found(r, id);
+                for (k, &id) in node.vals.iter().enumerate() {
+                    let r = node.rect(k);
+                    if hit(&r) {
+                        found(&r, id);
+                    }
                 }
             } else {
-                for (r, &child) in rects.iter().zip(vals) {
-                    stack.push_if(child, hit(r));
+                for (k, &child) in node.vals.iter().enumerate() {
+                    stack.push_if(child, hit(&node.rect(k)));
                 }
             }
         }
@@ -430,67 +358,51 @@ impl RStarTree {
         self.node_rects[node as usize]
     }
 
-    fn span(&self, node: u32) -> std::ops::Range<usize> {
-        self.entry_offsets[node as usize] as usize..self.entry_offsets[node as usize + 1] as usize
-    }
-
-    /// The entries of `node` in builder order: rectangles and values
-    /// (object ids at level 0, child nodes above).
-    pub(crate) fn entries(&self, node: u32) -> (&[Rect], &[u32]) {
-        let span = self.span(node);
-        (&self.entry_rects[span.clone()], &self.vals[span])
-    }
-
-    /// The entries of `node` in sweep order.
-    pub(crate) fn sweep(&self, node: u32) -> SweepNode<'_> {
-        let span = self.span(node);
-        SweepNode {
-            xmin: &self.sweep.xmin[span.clone()],
-            ymin: &self.sweep.ymin[span.clone()],
-            ymax: &self.sweep.ymax[span.clone()],
-            xmax: &self.sweep.xmax[span.clone()],
-            perm: &self.sweep.perm[span],
+    /// The entries of `node`, in sweep order.
+    pub(crate) fn entries(&self, node: u32) -> Entries<'_> {
+        let span = self.entry_offsets[node as usize] as usize
+            ..self.entry_offsets[node as usize + 1] as usize;
+        Entries {
+            xmin: &self.xmin[span.clone()],
+            ymin: &self.ymin[span.clone()],
+            ymax: &self.ymax[span.clone()],
+            xmax: &self.xmax[span.clone()],
+            vals: &self.vals[span],
         }
     }
 
-    /// The value (object id or child node) of builder-order entry `i` —
-    /// what a [`SweepNode::perm`] element resolves to.
-    #[inline]
-    pub(crate) fn entry_val(&self, i: u32) -> u32 {
-        self.vals[i as usize]
-    }
-
     /// Structural invariant checks (used by tests): entry capacities,
-    /// rectangle containment, level consistency, and object count.
+    /// sweep order, rectangle containment, level consistency, and object
+    /// count.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut seen = 0usize;
         let mut stack = vec![self.root];
         while let Some(cur) = stack.pop() {
             let (level, rect) = (self.node_level(cur), self.node_rect(cur));
-            let (rects, vals) = self.entries(cur);
-            if cur != self.root && rects.is_empty() {
+            let node = self.entries(cur);
+            if cur != self.root && node.len() == 0 {
                 return Err(format!("empty non-root node {cur}"));
             }
-            if rects.len() > self.layout.max_entries(level) {
-                return Err(format!(
-                    "node {cur} over capacity: {} > {}",
-                    rects.len(),
-                    self.layout.max_entries(level)
-                ));
+            if node.len() > self.layout.max_entries(level) {
+                let max = self.layout.max_entries(level);
+                return Err(format!("node {cur} over capacity: {} > {max}", node.len()));
             }
-            if !rects.iter().all(|r| rect.contains_rect(r)) {
+            if node.xmin.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("node {cur} entries out of sweep order"));
+            }
+            if !(0..node.len()).all(|k| rect.contains_rect(&node.rect(k))) {
                 return Err(format!("node {cur} rect does not cover an entry"));
             }
             if level == 0 {
-                seen += rects.len();
+                seen += node.len();
                 continue;
             }
-            for (r, &child) in rects.iter().zip(vals) {
+            for (k, &child) in node.vals.iter().enumerate() {
                 if self.node_level(child) + 1 != level {
                     let child_level = self.node_level(child);
                     return Err(format!("child level {child_level} under level {level}"));
                 }
-                if *r != self.node_rect(child) {
+                if node.rect(k) != self.node_rect(child) {
                     return Err(format!("stale dir rect for child {child}"));
                 }
                 stack.push(child);
@@ -504,38 +416,44 @@ impl RStarTree {
 
     /// The tree as its persistent image: the page layout, root, and object
     /// count (`page_size`, `leaf_entry_bytes`, `dir_entry_bytes` as `u64`,
-    /// `root: u32`, `len: u64`), then the five builder-order columns of the
-    /// arena, each counted — per-node levels, per-node rectangles (4
-    /// `f64`s: xmin, ymin, xmax, ymax), per-node entry offsets
-    /// (`nodes + 1`), entry rectangles and entry values. Entry kind is
-    /// implied by the owning node's level (level 0 holds leaf entries,
-    /// higher levels directory entries), so the value column packs object
-    /// ids and child pointers into one `u32` lane. The buffer tag and the
-    /// sweep columns are derived state and are not written.
+    /// `root: u32`, `len: u64`), then the arena's columns, each counted —
+    /// per-node levels, per-node rectangles (4 `f64`s: xmin, ymin, xmax,
+    /// ymax), per-node entry offsets (`nodes + 1`), the entries' `xmin`,
+    /// `ymin`, `ymax` and `xmax`, and the entry values, every node's run
+    /// in sweep order. Entry kind is implied by the owning node's level
+    /// (level 0 holds leaf entries, higher levels directory entries), so
+    /// the value column packs object ids and child pointers into one
+    /// `u32` lane. The buffer tag is process-local and is not written.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (n, total) = (self.num_pages(), self.vals.len());
-        let mut e = Enc::with_capacity(36 + 5 * 8 + 4 * (2 * n + 1 + total) + 32 * (n + total));
+        let mut e = Enc::with_capacity(36 + 8 * 8 + 4 * (2 * n + 1 + total) + 32 * (n + total));
         e.u64(self.layout.page_size as u64);
         e.u64(self.layout.leaf_entry_bytes as u64);
         e.u64(self.layout.dir_entry_bytes as u64);
         e.u32(self.root);
         e.u64(self.len as u64);
         e.u32s(&self.levels);
-        write_rects(&mut e, &self.node_rects);
+        e.count(4 * n);
+        for r in &self.node_rects {
+            e.f64x(r.bounds());
+        }
         e.u32s(&self.entry_offsets);
-        write_rects(&mut e, &self.entry_rects);
+        for column in [&self.xmin, &self.ymin, &self.ymax, &self.xmax] {
+            e.f64s(column);
+        }
         e.u32s(&self.vals);
         e.into_bytes()
     }
 
     /// Adopts an [`RStarTree::to_bytes`] image — one validating pass over
-    /// the columns and one pass deriving each node's sweep order, no STR
-    /// repacking or reinsertion. The tree receives a fresh buffer tag
-    /// (process-local state). Structural validation rejects malformed
-    /// images (a child exactly one level below its parent rules out
-    /// cycles) and any image whose leaf ids are not a permutation of
-    /// `0..len` — so only a tree over a relation's own ids round-trips;
-    /// the result traverses identically to the tree that was written.
+    /// the columns, no sorting, no STR repacking. The tree receives a
+    /// fresh buffer tag (process-local state). Structural validation
+    /// rejects malformed images (a child exactly one level below its
+    /// parent rules out cycles), rectangles whose bounds are not ordered,
+    /// a node whose entries are out of sweep order, and any image whose
+    /// leaf ids are not a permutation of `0..len` — so only a tree over a
+    /// relation's own ids round-trips; the result traverses identically
+    /// to the tree that was written.
     pub fn from_bytes(bytes: &[u8]) -> DecResult<Self> {
         let mut d = Dec::new(bytes);
         let mut layout_field = || -> DecResult<usize> {
@@ -554,7 +472,7 @@ impl RStarTree {
         let levels = d.u32s()?;
         let node_rects = d.f64s()?;
         let offsets = d.u32s()?;
-        let entry_rects = d.f64s()?;
+        let [xmin, ymin, ymax, xmax] = [d.f64s()?, d.f64s()?, d.f64s()?, d.f64s()?];
         let vals = d.u32s()?;
         d.finish()?;
 
@@ -569,7 +487,8 @@ impl RStarTree {
             return Err("entry offset table malformed");
         }
         let total = vals.len();
-        if offsets.get(n) as usize != total || entry_rects.len() != 4 * total {
+        let entry_columns = [&xmin, &ymin, &ymax, &xmax];
+        if offsets.get(n) as usize != total || entry_columns.iter().any(|c| c.len() != total) {
             return Err("entry column length mismatch");
         }
         if root as usize >= n {
@@ -581,6 +500,14 @@ impl RStarTree {
             let (lo, hi) = (offsets.get(i) as usize, offsets.get(i + 1) as usize);
             if lo > hi || hi > total {
                 return Err("entry offsets not monotonic");
+            }
+            for j in lo..hi {
+                if !(xmin.get(j) <= xmax.get(j) && ymin.get(j) <= ymax.get(j)) {
+                    return Err("rectangle bounds not ordered");
+                }
+                if j > lo && xmin.get(j - 1) > xmin.get(j) {
+                    return Err("entries not in sweep order");
+                }
             }
             if level == 0 {
                 leaf_entries += (hi - lo) as u64;
@@ -612,17 +539,41 @@ impl RStarTree {
                 }
             }
         }
-        let tag = TREE_TAG.fetch_add(1, Ordering::Relaxed);
-        let image = RStarTree {
+        Ok(RStarTree {
+            layout,
+            root,
+            len: leaf_entries as usize,
+            tag: TREE_TAG.fetch_add(1, Ordering::Relaxed),
             levels: levels.to_vec(),
             node_rects: read_rects(&node_rects)?,
             entry_offsets: offsets.to_vec(),
-            entry_rects: read_rects(&entry_rects)?,
+            xmin: xmin.to_vec(),
+            ymin: ymin.to_vec(),
+            ymax: ymax.to_vec(),
+            xmax: xmax.to_vec(),
             vals: vals.to_vec(),
-            ..RStarTree::bare(layout, tag, leaf_entries as usize)
-        };
-        Ok(image.seal(root))
+        })
     }
+}
+
+/// MBR of an entry group; the empty rectangle at the origin for an empty
+/// group (the root of an empty tree).
+fn group_rect(group: &[(Rect, u32)]) -> Rect {
+    let rects = group.iter().map(|e| e.0);
+    rects
+        .reduce(|a, b| a.union(&b))
+        .unwrap_or(Rect::from_bounds(0.0, 0.0, 0.0, 0.0))
+}
+
+/// Entries of an STR-packed tree over `n` keys: the keys plus one
+/// directory entry per node below the root.
+fn entry_count(layout: PageLayout, n: usize) -> usize {
+    let (mut total, mut nodes) = (n, n.div_ceil(layout.max_leaf_entries()));
+    while nodes > 1 {
+        total += nodes;
+        nodes = nodes.div_ceil(layout.max_dir_entries());
+    }
+    total
 }
 
 /// Fills `keys` with `(sort key, position)` of every value, positions
@@ -639,14 +590,6 @@ fn stable_order(keys: &mut Vec<(u64, u32)>, first: u32, values: impl Iterator<It
 fn sort_key(x: f64) -> u64 {
     let bits = (x + 0.0).to_bits();
     bits ^ (((bits as i64) >> 63) as u64 | 1 << 63)
-}
-
-/// A counted column of rectangles, 4 scalars each.
-fn write_rects(e: &mut Enc, rects: &[Rect]) {
-    e.count(4 * rects.len());
-    for r in rects {
-        e.f64x(r.bounds());
-    }
 }
 
 /// The rectangles of a 4-scalars-per-rectangle column.
@@ -706,18 +649,30 @@ mod tests {
         out
     }
 
-    fn grid_tree(n_side: usize, layout: PageLayout) -> RStarTree {
-        let mut tree = RStarTree::new(layout);
+    fn grid_items(n_side: usize) -> Vec<(Rect, ObjectId)> {
+        let mut items = Vec::new();
         let mut id = 0u32;
         for i in 0..n_side {
             for j in 0..n_side {
                 let x = i as f64 * 10.0;
                 let y = j as f64 * 10.0;
-                tree.insert(Rect::from_bounds(x, y, x + 8.0, y + 8.0), id);
+                items.push((Rect::from_bounds(x, y, x + 8.0, y + 8.0), id));
                 id += 1;
             }
         }
-        tree
+        items
+    }
+
+    fn grid_tree(n_side: usize, layout: PageLayout) -> RStarTree {
+        RStarTree::bulk_load(layout, grid_items(n_side))
+    }
+
+    fn small_pages(page_size: usize) -> PageLayout {
+        PageLayout {
+            page_size,
+            leaf_entry_bytes: 48,
+            dir_entry_bytes: 20,
+        }
     }
 
     #[test]
@@ -758,28 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn invariants_hold_after_many_inserts() {
-        // A small page size forces many splits and reinserts.
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = grid_tree(20, layout);
-        assert_eq!(tree.len(), 400);
-        tree.check_invariants().expect("invariants");
-        assert!(tree.height() >= 2);
-        assert!(tree.num_pages() > 10);
-    }
-
-    #[test]
     fn point_queries_find_exactly_the_covering_objects() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = grid_tree(10, layout);
+        let tree = grid_tree(10, small_pages(256));
         let mut buffer = LruBuffer::new(1024);
         // Inside cell (3, 4): object id 3*10+4 = 34.
         let hits = point_hits(&tree, Point::new(34.0, 44.0), &mut buffer);
@@ -792,33 +727,23 @@ mod tests {
 
     #[test]
     fn window_query_matches_linear_scan() {
-        let layout = PageLayout {
-            page_size: 512,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = grid_tree(12, layout);
+        let items = grid_items(12);
+        let tree = RStarTree::bulk_load(small_pages(512), items.iter().copied());
         let mut buffer = LruBuffer::new(1024);
-        let window = Rect::from_bounds(15.0, 25.0, 47.0, 58.0);
-        let mut hits = window_hits(&tree, window, &mut buffer);
-        hits.sort_unstable();
-        // Linear reference.
-        let mut expect = Vec::new();
-        for i in 0..12u32 {
-            for j in 0..12u32 {
-                let r = Rect::from_bounds(
-                    i as f64 * 10.0,
-                    j as f64 * 10.0,
-                    i as f64 * 10.0 + 8.0,
-                    j as f64 * 10.0 + 8.0,
-                );
-                if r.intersects(&window) {
-                    expect.push(i * 12 + j);
-                }
-            }
+        for window in [
+            Rect::from_bounds(15.0, 25.0, 47.0, 58.0),
+            Rect::from_bounds(-10.0, -10.0, 5.0, 5.0),
+            Rect::from_bounds(0.0, 0.0, 130.0, 130.0),
+        ] {
+            let mut hits = window_hits(&tree, window, &mut buffer);
+            hits.sort_unstable();
+            let expect: Vec<ObjectId> = items
+                .iter()
+                .filter(|(r, _)| r.intersects(&window))
+                .map(|&(_, id)| id)
+                .collect();
+            assert_eq!(hits, expect, "{window:?}");
         }
-        expect.sort_unstable();
-        assert_eq!(hits, expect);
     }
 
     #[test]
@@ -854,22 +779,8 @@ mod tests {
 
     #[test]
     fn smaller_pages_make_taller_trees() {
-        let small = grid_tree(
-            16,
-            PageLayout {
-                page_size: 256,
-                leaf_entry_bytes: 48,
-                dir_entry_bytes: 20,
-            },
-        );
-        let large = grid_tree(
-            16,
-            PageLayout {
-                page_size: 4096,
-                leaf_entry_bytes: 48,
-                dir_entry_bytes: 20,
-            },
-        );
+        let small = grid_tree(16, small_pages(256));
+        let large = grid_tree(16, small_pages(4096));
         assert!(small.height() > large.height());
         assert!(small.num_pages() > large.num_pages());
     }
@@ -884,12 +795,7 @@ mod tests {
 
     #[test]
     fn buffer_counts_fewer_physical_reads_when_warm() {
-        let layout = PageLayout {
-            page_size: 512,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = grid_tree(12, layout);
+        let tree = grid_tree(12, small_pages(512));
         let mut buffer = LruBuffer::new(1024);
         let w = Rect::from_bounds(0.0, 0.0, 120.0, 120.0);
         window_hits(&tree, w, &mut buffer);
@@ -902,12 +808,7 @@ mod tests {
 
     #[test]
     fn descents_count_their_node_visits_with_or_without_a_buffer() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = grid_tree(12, layout);
+        let tree = grid_tree(12, small_pages(256));
         let mut buffer = LruBuffer::new(8);
         for w in [
             Rect::from_bounds(15.0, 25.0, 47.0, 58.0),
@@ -928,96 +829,42 @@ mod tests {
     }
 
     #[test]
-    fn avg_leaf_fill_is_reasonable() {
-        let layout = PageLayout {
-            page_size: 512,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = grid_tree(16, layout);
-        let fill = tree.avg_leaf_fill();
-        assert!(fill > 0.4 && fill <= 1.0, "fill {fill}");
-    }
-
-    #[test]
-    fn empty_and_single_entry_trees() {
-        let layout = PageLayout::baseline(4096);
-        let empty = RStarTree::new(layout);
-        assert!(empty.is_empty());
-        assert_eq!(empty.height(), 1);
-        let mut one = RStarTree::new(layout);
-        one.insert(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), 7);
-        let mut buffer = LruBuffer::new(8);
-        assert_eq!(point_hits(&one, Point::new(0.5, 0.5), &mut buffer), vec![7]);
-        one.check_invariants().unwrap();
-    }
-
-    fn grid_items(n_side: usize) -> Vec<(Rect, ObjectId)> {
-        let mut items = Vec::new();
-        let mut id = 0u32;
-        for i in 0..n_side {
-            for j in 0..n_side {
-                let x = i as f64 * 10.0;
-                let y = j as f64 * 10.0;
-                items.push((Rect::from_bounds(x, y, x + 8.0, y + 8.0), id));
-                id += 1;
-            }
-        }
-        items
-    }
-
-    #[test]
     fn bulk_load_satisfies_invariants_and_packs_pages() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let items = grid_items(20);
-        let packed = RStarTree::bulk_load(layout, items.iter().copied());
+        let packed = grid_tree(20, small_pages(256));
         packed.check_invariants().expect("packed invariants");
         assert_eq!(packed.len(), 400);
-        let incremental = RStarTree::insert_all(layout, items.iter().copied());
-        // STR packs pages full; incremental insertion cannot do better.
-        assert!(packed.avg_leaf_fill() > incremental.avg_leaf_fill());
-        assert!(packed.avg_leaf_fill() > 0.9, "{}", packed.avg_leaf_fill());
-        assert!(packed.num_pages() < incremental.num_pages());
+        // 5 keys per leaf, 12 entries per directory page: 80 full
+        // leaves under 7 directory pages under the root.
+        assert_eq!(packed.avg_leaf_fill(), 1.0);
+        assert_eq!((packed.num_pages(), packed.height()), (80 + 7 + 1, 3));
     }
 
     #[test]
-    fn bulk_load_answers_queries_like_incremental_insertion() {
-        let layout = PageLayout {
-            page_size: 384,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let items = grid_items(13);
-        let packed = RStarTree::bulk_load(layout, items.iter().copied());
-        let incremental = RStarTree::insert_all(layout, items.iter().copied());
-        let mut b1 = LruBuffer::new(4096);
-        let mut b2 = LruBuffer::new(4096);
-        for window in [
-            Rect::from_bounds(15.0, 25.0, 47.0, 58.0),
-            Rect::from_bounds(-10.0, -10.0, 5.0, 5.0),
-            Rect::from_bounds(0.0, 0.0, 130.0, 130.0),
-        ] {
-            let mut a = window_hits(&packed, window, &mut b1);
-            let mut b = window_hits(&incremental, window, &mut b2);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
-        let p = Point::new(34.0, 44.0);
+    fn entries_are_kept_in_sweep_order_with_ties_in_packing_order() {
+        // One leaf: the descent reads its entries in the order stored.
+        let xs = [2.0, 1.0, 2.0, -0.0, 1.0, 0.0];
+        let items = xs
+            .iter()
+            .zip(0u32..)
+            .map(|(&x, id)| (Rect::from_bounds(x, 0.0, x + 1.0, 1.0), id));
+        let leaf = RStarTree::bulk_load(PageLayout::baseline(4096), items);
+        let all = Rect::from_bounds(-5.0, -5.0, 5.0, 5.0);
         assert_eq!(
-            point_hits(&packed, p, &mut b1),
-            point_hits(&incremental, p, &mut b2)
+            window_hits(&leaf, all, &mut LruBuffer::new(4)),
+            [3, 5, 1, 4, 0, 2]
         );
+        // Every node of a packed tree, every level.
+        let tree = grid_tree(20, small_pages(256));
+        for node in 0..tree.num_pages() as u32 {
+            let xmin = tree.entries(node).xmin;
+            assert!(xmin.windows(2).all(|w| w[0] <= w[1]), "node {node}");
+        }
     }
 
     #[test]
     fn bulk_load_edge_cases() {
         let layout = PageLayout::baseline(4096);
-        let empty = RStarTree::bulk_load(layout, std::iter::empty());
+        let empty = RStarTree::new(layout);
         assert!(empty.is_empty());
         assert_eq!(empty.height(), 1);
         empty.check_invariants().unwrap();
@@ -1042,20 +889,17 @@ mod tests {
             assert_eq!(tree.len(), n);
             tree.check_invariants()
                 .unwrap_or_else(|e| panic!("n={n}: {e}"));
+            // The columns were sized to the entries up front.
+            assert_eq!(tree.vals.len(), entry_count(layout, n), "n={n}");
+            assert_eq!(tree.xmin.capacity(), tree.xmin.len(), "n={n}");
         }
     }
 
     #[test]
     fn bulk_load_is_deterministic() {
-        let layout = PageLayout {
-            page_size: 512,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let items = grid_items(15);
-        let t1 = RStarTree::bulk_load(layout, items.iter().copied());
-        let t2 = RStarTree::bulk_load(layout, items.iter().copied());
-        assert_eq!(t1.num_pages(), t2.num_pages());
+        let t1 = grid_tree(15, small_pages(512));
+        let t2 = grid_tree(15, small_pages(512));
+        assert_eq!(t1.to_bytes(), t2.to_bytes());
         let mut b1 = LruBuffer::new(4096);
         let mut b2 = LruBuffer::new(4096);
         let w = Rect::from_bounds(0.0, 0.0, 160.0, 160.0);
@@ -1064,36 +908,13 @@ mod tests {
     }
 
     #[test]
-    fn bulk_loaded_trees_accept_inserts_and_deletes() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let items = grid_items(12);
-        let mut tree = RStarTree::bulk_load(layout, items.iter().copied());
-        // Delete a third of the objects, insert them back shifted.
-        for &(rect, id) in items.iter().step_by(3) {
-            assert!(tree.delete(rect, id), "delete {id}");
-        }
-        tree.check_invariants().expect("after deletes");
-        for &(rect, id) in items.iter().step_by(3) {
-            tree.insert(rect.translated(Point::new(1.0, 1.0)), id);
-        }
-        tree.check_invariants().expect("after reinserts");
-        assert_eq!(tree.len(), 144);
-    }
-
-    #[test]
     fn image_round_trips_and_traverses_identically() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
+        let layout = small_pages(256);
+        let mut reversed = grid_items(2);
+        reversed.reverse();
         for tree in [
             RStarTree::bulk_load(layout, grid_items(14)),
-            RStarTree::insert_all(layout, grid_items(9)),
+            RStarTree::bulk_load(layout, reversed),
             RStarTree::new(layout),
         ] {
             let bytes = tree.to_bytes();
@@ -1103,7 +924,6 @@ mod tests {
                 bytes,
                 "the image is the arena, byte for byte"
             );
-            assert_eq!(back.sweep, tree.sweep, "sweep order derived on adopt");
             back.check_invariants().unwrap();
             assert_eq!((back.len(), back.height()), (tree.len(), tree.height()));
             assert_ne!(back.page_id(0), tree.page_id(0), "fresh buffer tag");
@@ -1119,12 +939,7 @@ mod tests {
 
     #[test]
     fn image_with_a_child_on_the_wrong_level_is_refused() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = RStarTree::bulk_load(layout, grid_items(14));
+        let tree = grid_tree(14, small_pages(256));
         assert!(tree.height() >= 3);
         let mut bytes = tree.to_bytes();
         // The level column follows the 36-byte header and its own count;
@@ -1137,12 +952,7 @@ mod tests {
 
     #[test]
     fn image_with_leaf_ids_outside_a_permutation_is_refused() {
-        let layout = PageLayout {
-            page_size: 256,
-            leaf_entry_bytes: 48,
-            dir_entry_bytes: 20,
-        };
-        let tree = RStarTree::bulk_load(layout, grid_items(10));
+        let tree = grid_tree(10, small_pages(256));
         assert_eq!((tree.len(), tree.levels[0]), (100, 0));
         let bytes = tree.to_bytes();
         // The value column closes the image, and node 0 is a leaf: its
@@ -1158,6 +968,25 @@ mod tests {
         assert_eq!(with_leaf(0, 5_000_000), refused, "far out of range");
         assert_eq!(with_leaf(0, 100), refused, "one past the last object");
         assert_eq!(with_leaf(0, tree.vals[1]), refused, "an id twice");
+    }
+
+    #[test]
+    fn image_with_an_entry_out_of_order_is_refused() {
+        let tree = RStarTree::bulk_load(small_pages(256), grid_items(2));
+        assert_eq!(tree.num_pages(), 1);
+        let bytes = tree.to_bytes();
+        // The value column (4 entries) closes the image, behind the four
+        // rectangle columns in the order xmin, ymin, ymax, xmax.
+        let col = |c: usize| bytes.len() - (8 + 16) - (4 - c) * (8 + 32) + 8;
+        let with = |c: usize, k: usize, v: f64| {
+            let mut image = bytes.clone();
+            image[col(c) + 8 * k..col(c) + 8 * k + 8].copy_from_slice(&v.to_le_bytes());
+            RStarTree::from_bytes(&image).err()
+        };
+        assert_eq!(with(0, 0, 0.0), None, "the stored value");
+        assert_eq!(with(0, 0, 0.5), Some("entries not in sweep order"));
+        assert_eq!(with(3, 1, -1.0), Some("rectangle bounds not ordered"));
+        assert_eq!(with(0, 3, f64::NAN), Some("rectangle bounds not ordered"));
     }
 
     #[test]

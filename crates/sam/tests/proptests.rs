@@ -1,6 +1,7 @@
-//! Property tests for the R*-tree: queries and the tree join must agree
-//! with linear-scan references on arbitrary rectangle sets, and the
-//! structural invariants must survive any insertion sequence.
+//! Property tests for the STR-packed R*-tree: queries and the tree join
+//! must agree with linear-scan references (`nested_loops_join` for the
+//! join) on arbitrary rectangle sets, and the structural invariants —
+//! sweep order included — must hold for any input.
 
 use msj_geom::{ObjectId, Point, Rect};
 use msj_sam::{nested_loops_join, tree_join, LruBuffer, PageLayout, RStarTree};
@@ -51,22 +52,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn invariants_hold_for_any_insertion_order(
-        items in items_strategy(300),
-        layout in layout_strategy(),
-    ) {
-        let tree = RStarTree::insert_all(layout, items.iter().copied());
-        prop_assert_eq!(tree.len(), items.len());
-        tree.check_invariants().map_err(TestCaseError::fail)?;
-    }
-
-    #[test]
     fn window_query_equals_linear_scan(
         items in items_strategy(200),
         layout in layout_strategy(),
         window in rect_strategy(),
     ) {
-        let tree = RStarTree::insert_all(layout, items.iter().copied());
+        let tree = RStarTree::bulk_load(layout, items.iter().copied());
         let mut buffer = LruBuffer::new(1 << 16);
         let mut got = window_hits(&tree, window, &mut buffer);
         got.sort_unstable();
@@ -86,7 +77,7 @@ proptest! {
         x in -110.0f64..140.0,
         y in -110.0f64..140.0,
     ) {
-        let tree = RStarTree::insert_all(layout, items.iter().copied());
+        let tree = RStarTree::bulk_load(layout, items.iter().copied());
         let mut buffer = LruBuffer::new(1 << 16);
         let p = Point::new(x, y);
         let mut got = point_hits(&tree, p, &mut buffer);
@@ -107,8 +98,8 @@ proptest! {
         layout_a in layout_strategy(),
         layout_b in layout_strategy(),
     ) {
-        let ta = RStarTree::insert_all(layout_a, items_a.iter().copied());
-        let tb = RStarTree::insert_all(layout_b, items_b.iter().copied());
+        let ta = RStarTree::bulk_load(layout_a, items_a.iter().copied());
+        let tb = RStarTree::bulk_load(layout_b, items_b.iter().copied());
         let mut buffer = LruBuffer::new(1 << 16);
         let mut got = Vec::new();
         tree_join(&ta, &tb, &mut buffer, |a, b| got.push((a, b)));
@@ -127,60 +118,14 @@ proptest! {
         let tree = RStarTree::bulk_load(layout, items.iter().copied());
         prop_assert_eq!(tree.len(), items.len());
         tree.check_invariants().map_err(TestCaseError::fail)?;
-        // STR packs pages: never more than the incremental build, and at
-        // most ⌈N / cap⌉ leaves.
-        let incremental = RStarTree::insert_all(layout, items.iter().copied());
-        prop_assert!(tree.num_pages() <= incremental.num_pages());
-    }
-
-    #[test]
-    fn bulk_load_queries_equal_incremental_insertion(
-        items in items_strategy(200),
-        layout in layout_strategy(),
-        window in rect_strategy(),
-        x in -110.0f64..140.0,
-        y in -110.0f64..140.0,
-    ) {
-        let packed = RStarTree::bulk_load(layout, items.iter().copied());
-        let incremental = RStarTree::insert_all(layout, items.iter().copied());
-        let mut b1 = LruBuffer::new(1 << 16);
-        let mut b2 = LruBuffer::new(1 << 16);
-        let mut got = window_hits(&packed, window, &mut b1);
-        let mut expect = window_hits(&incremental, window, &mut b2);
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-        let p = Point::new(x, y);
-        let mut got = point_hits(&packed, p, &mut b1);
-        let mut expect = point_hits(&incremental, p, &mut b2);
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn bulk_load_join_equals_incremental_join(
-        items_a in items_strategy(120),
-        items_b in items_strategy(120),
-        layout in layout_strategy(),
-    ) {
-        let mut packed = Vec::new();
-        {
-            let ta = RStarTree::bulk_load(layout, items_a.iter().copied());
-            let tb = RStarTree::bulk_load(layout, items_b.iter().copied());
-            let mut buffer = LruBuffer::new(1 << 16);
-            tree_join(&ta, &tb, &mut buffer, |a, b| packed.push((a, b)));
-        }
-        let mut incremental = Vec::new();
-        {
-            let ta = RStarTree::insert_all(layout, items_a.iter().copied());
-            let tb = RStarTree::insert_all(layout, items_b.iter().copied());
-            let mut buffer = LruBuffer::new(1 << 16);
-            tree_join(&ta, &tb, &mut buffer, |a, b| incremental.push((a, b)));
-        }
-        packed.sort_unstable();
-        incremental.sort_unstable();
-        prop_assert_eq!(packed, incremental);
+        // STR packs pages: exactly ⌈N / cap⌉ leaves hold the N keys.
+        let cap = layout.max_leaf_entries();
+        let leaves = items.len().div_ceil(cap);
+        let keys = tree.avg_leaf_fill() * (leaves * cap) as f64;
+        prop_assert_eq!(keys.round() as usize, items.len());
+        let image = tree.to_bytes();
+        let back = RStarTree::from_bytes(&image).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(back.to_bytes(), image);
     }
 
     #[test]
@@ -189,8 +134,8 @@ proptest! {
         items_b in items_strategy(80),
     ) {
         let layout = PageLayout::baseline(512);
-        let ta = RStarTree::insert_all(layout, items_a.iter().copied());
-        let tb = RStarTree::insert_all(layout, items_b.iter().copied());
+        let ta = RStarTree::bulk_load(layout, items_a.iter().copied());
+        let tb = RStarTree::bulk_load(layout, items_b.iter().copied());
         let mut buffer = LruBuffer::new(1 << 16);
         let mut ab = Vec::new();
         tree_join(&ta, &tb, &mut buffer, |a, b| ab.push((a, b)));

@@ -119,10 +119,15 @@ fn a_flip_inside_one_section_fails_that_section_alone() {
     // The writer lays the payloads out in table order after the manifest,
     // each from a page boundary; the layout is checked by content below.
     let clean = store.read_dataset(0, None).unwrap();
+    for (section, payload) in &sections {
+        assert_eq!(clean.section(*section), Some(Ok(&payload[..])));
+    }
+    // A segment maps its file, and the flips below rewrite that file in
+    // place: `clean` is read out and unmapped before the first of them.
+    drop(clean);
     let mut offset = PAGE_SIZE;
     let mut rng = 0xF11E_u64;
     for (section, payload) in &sections {
-        assert_eq!(clean.section(*section), Some(Ok(&payload[..])));
         let here = offset;
         offset += payload.len().div_ceil(PAGE_SIZE) * PAGE_SIZE;
         if payload.is_empty() {

@@ -79,12 +79,12 @@ fn assert_searchable(store: &RasterStore) {
     }
 }
 
-/// `(first byte, count)` of the five counted columns of an R*-tree image
-/// — levels, node rects, entry offsets, entry rects, values — walked
-/// past its 36-byte layout header.
-fn tree_columns(image: &[u8]) -> [(usize, usize); 5] {
+/// `(first byte, count)` of the eight counted columns of an R*-tree image
+/// — levels, node rects, entry offsets, the entries' xmin, ymin, ymax and
+/// xmax, values — walked past its 36-byte layout header.
+fn tree_columns(image: &[u8]) -> [(usize, usize); 8] {
     let mut at = 36;
-    [4, 8, 4, 8, 4].map(|width| {
+    [4, 8, 4, 8, 8, 8, 8, 4].map(|width| {
         let count = u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
         let column = (at + 8, count);
         at += 8 + width * count;
@@ -101,7 +101,7 @@ fn every_leaf_id_flip_is_refused() {
     let rel = msj_datagen::carto_with_holes(7, 9.0, 31);
     let layout = PageLayout::baseline(4096);
     let image = RStarTree::bulk_load(layout, rel.iter().map(|o| (o.mbr(), o.id))).to_bytes();
-    let [levels, _, offsets, _, vals] = tree_columns(&image);
+    let [levels, _, offsets, .., vals] = tree_columns(&image);
     assert_eq!(
         vals.0 + 4 * vals.1,
         image.len(),
@@ -127,6 +127,66 @@ fn every_leaf_id_flip_is_refused() {
         }
     }
     assert_eq!(flips, 8 * rel.len(), "every object's leaf id was flipped");
+}
+
+/// Every node stores its entries stably sorted by `xmin`, and the join
+/// sweeps them without sorting: an image whose entries are out of that
+/// order would re-encode faithfully and answer wrong, so it must be
+/// refused. In every node, each adjacent pair of entries of distinct
+/// `xmin` is swapped — all five of its columns — one pair at a time.
+#[test]
+fn every_sweep_order_break_is_refused() {
+    let rel = msj_datagen::carto_with_holes(7, 9.0, 31);
+    // One leaf root, and a three-level tree of two entries per page.
+    let two_per_page = PageLayout {
+        page_size: 96,
+        leaf_entry_bytes: 48,
+        dir_entry_bytes: 48,
+    };
+    let layouts = [PageLayout::baseline(4096), two_per_page];
+    for layout in layouts {
+        let image = RStarTree::bulk_load(layout, rel.iter().map(|o| (o.mbr(), o.id))).to_bytes();
+        let [levels, _, offsets, xmin, ymin, ymax, xmax, vals] = tree_columns(&image);
+        let u32_at = |i: usize| {
+            let at = offsets.0 + 4 * i;
+            u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize
+        };
+        let xmin_at = |j: usize| {
+            let at = xmin.0 + 8 * j;
+            f64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+        };
+        let (mut nodes, mut swaps) = (0, 0);
+        for node in 0..levels.1 {
+            let run = u32_at(node)..u32_at(node + 1);
+            let pairs: Vec<usize> = run
+                .clone()
+                .skip(1)
+                .filter(|&j| xmin_at(j - 1) != xmin_at(j))
+                .collect();
+            nodes += usize::from(!pairs.is_empty());
+            for j in pairs {
+                let mut swapped = image.clone();
+                for (start, width) in [
+                    (xmin.0, 8),
+                    (ymin.0, 8),
+                    (ymax.0, 8),
+                    (xmax.0, 8),
+                    (vals.0, 4),
+                ] {
+                    let at = start + width * (j - 1);
+                    swapped[at..at + 2 * width].rotate_left(width);
+                }
+                assert_eq!(
+                    RStarTree::from_bytes(&swapped).err(),
+                    Some("entries not in sweep order"),
+                    "node {node}: entries {} and {j} swapped",
+                    j - 1
+                );
+                swaps += 1;
+            }
+        }
+        assert!(nodes >= 1 && swaps >= nodes, "{nodes} nodes, {swaps} swaps");
+    }
 }
 
 /// A relation's ids index every per-object column downstream: an id that

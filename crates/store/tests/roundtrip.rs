@@ -118,16 +118,19 @@ fn writing_a_dataset_retires_the_pairs_that_name_it() {
 /// leaf bytes, STR loading, TR* with M = 3, the auto-sized shared grid).
 /// The two `TrStar` rows are the packed arena's; the R*-inserted arena
 /// it replaced was 74312 / 79968 bytes. The 5-corner and MER columns
-/// that segment also carried are no longer stored.
+/// that segment also carried are no longer stored. The two `Tree` rows
+/// are the sweep-order image's: eight counted columns, each node's
+/// entries stored once sorted by `xmin` (the builder-order image was
+/// 2000 bytes, `0x6671a81e1110c3e4` / `0xe4e0db782eb0188c`).
 const GOLDEN_DATASETS: [[(Section, usize, u64); 3]; 2] = [
     [
         (Section::Relation, 15720, 0xe141d5463cabec31),
-        (Section::Tree, 2000, 0x6671a81e1110c3e4),
+        (Section::Tree, 2024, 0x7a3e906cc127101c),
         (Section::TrStar, 71712, 0xd6a24c0a5da1f8e2),
     ],
     [
         (Section::Relation, 16952, 0x2095bb9243a6f68d),
-        (Section::Tree, 2000, 0xe4e0db782eb0188c),
+        (Section::Tree, 2024, 0x0a8501a600f84b48),
         (Section::TrStar, 77968, 0xd7a28f8e8cdf5ac3),
     ],
 ];

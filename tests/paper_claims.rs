@@ -18,8 +18,8 @@ fn series_data() -> (Relation, Relation, Vec<(u32, u32)>, Vec<bool>) {
     let base = msj::datagen::small_carto(120, 40.0, 11);
     let series = msj::datagen::strategy_a("claims", &base, msj::datagen::world(), 0.5, 0.5);
     let layout = PageLayout::baseline(4096);
-    let ta = RStarTree::insert_all(layout, series.a.iter().map(|o| (o.mbr(), o.id)));
-    let tb = RStarTree::insert_all(layout, series.b.iter().map(|o| (o.mbr(), o.id)));
+    let ta = RStarTree::bulk_load(layout, series.a.iter().map(|o| (o.mbr(), o.id)));
+    let tb = RStarTree::bulk_load(layout, series.b.iter().map(|o| (o.mbr(), o.id)));
     let mut buffer = LruBuffer::new(1024);
     let mut candidates = Vec::new();
     tree_join(&ta, &tb, &mut buffer, |a, b| candidates.push((a, b)));
@@ -202,11 +202,11 @@ fn approximation_gain_exceeds_storage_loss() {
     let rel_a = msj::datagen::large_relation(1500, 0, 31);
     let rel_b = msj::datagen::large_relation(1500, 1, 31);
     let page = 2048usize;
-    let base_a = RStarTree::insert_all(
+    let base_a = RStarTree::bulk_load(
         PageLayout::baseline(page),
         rel_a.iter().map(|o| (o.mbr(), o.id)),
     );
-    let base_b = RStarTree::insert_all(
+    let base_b = RStarTree::bulk_load(
         PageLayout::baseline(page),
         rel_b.iter().map(|o| (o.mbr(), o.id)),
     );
@@ -218,8 +218,8 @@ fn approximation_gain_exceeds_storage_loss() {
     let mer_a = ProgressiveStore::build(ProgressiveKind::Mer, &rel_a);
     let mer_b = ProgressiveStore::build(ProgressiveKind::Mer, &rel_b);
     let layout = PageLayout::with_extra_bytes(page, 56);
-    let ta = RStarTree::insert_all(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
-    let tb = RStarTree::insert_all(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
+    let ta = RStarTree::bulk_load(layout, rel_a.iter().map(|o| (o.mbr(), o.id)));
+    let tb = RStarTree::bulk_load(layout, rel_b.iter().map(|o| (o.mbr(), o.id)));
     let mut buffer = LruBuffer::with_bytes(128 * 1024, page);
     let mut identified = 0i64;
     let stats = tree_join(&ta, &tb, &mut buffer, |x, y| {

@@ -21,29 +21,24 @@ fn window_hits(tree: &RStarTree, window: Rect, buffer: &mut LruBuffer) -> Vec<u3
 
 #[test]
 fn rstar_with_all_identical_rectangles() {
-    // Every key identical: splits cannot separate by geometry at all.
+    // Every key identical: packing cannot separate by geometry at all.
     let rect = Rect::from_bounds(5.0, 5.0, 6.0, 6.0);
     let layout = PageLayout {
         page_size: 256,
         leaf_entry_bytes: 48,
         dir_entry_bytes: 20,
     };
-    let mut tree = RStarTree::new(layout);
-    for id in 0..200u32 {
-        tree.insert(rect, id);
-    }
+    let tree = RStarTree::bulk_load(layout, (0..200u32).map(|id| (rect, id)));
     tree.check_invariants()
         .expect("invariants with identical keys");
     let mut buffer = LruBuffer::new(1 << 12);
     let hits = point_hits(&tree, Point::new(5.5, 5.5), &mut buffer);
     assert_eq!(hits.len(), 200);
-    // Delete half of them again.
-    for id in 0..100u32 {
-        assert!(tree.delete(rect, id));
-    }
-    tree.check_invariants()
-        .expect("invariants after deleting half");
-    assert_eq!(tree.len(), 100);
+    // Every key ties in every sort: the image still round-trips.
+    let back = RStarTree::from_bytes(&tree.to_bytes()).expect("own image");
+    back.check_invariants()
+        .expect("invariants of the adopted image");
+    assert_eq!(point_hits(&back, Point::new(5.5, 5.5), &mut buffer), hits);
 }
 
 #[test]
@@ -60,7 +55,7 @@ fn rstar_with_zero_extent_rectangles() {
             (Rect::new(p, p), i as u32)
         })
         .collect();
-    let tree = RStarTree::insert_all(layout, items.iter().copied());
+    let tree = RStarTree::bulk_load(layout, items.iter().copied());
     tree.check_invariants().expect("invariants with point keys");
     let mut buffer = LruBuffer::new(1 << 12);
     let hits = point_hits(&tree, Point::new(3.0, 4.0), &mut buffer);
@@ -81,7 +76,7 @@ fn rstar_with_huge_coordinates() {
             )
         })
         .collect();
-    let tree = RStarTree::insert_all(layout, items.iter().copied());
+    let tree = RStarTree::bulk_load(layout, items.iter().copied());
     tree.check_invariants().expect("invariants at 1e12 scale");
     let mut buffer = LruBuffer::new(1 << 12);
     let w = Rect::from_bounds(0.0, 0.0, 2.0 * scale, 2.0 * scale);

@@ -632,15 +632,16 @@ fn crafted_out_of_range_leaf_id_rebuilds_the_tree() {
     // 5,000,000 of a 120-object relation. The leaf count still matches the
     // relation, so only the loader's permutation check stands between
     // that id and the per-object columns every probe indexes by it.
-    // Tree image layout per `msj_sam::rstar`: a 36-byte header, then five
-    // counted columns (levels, node rects, entry offsets, entry rects,
-    // values); node 0 is a leaf, so its first entry is the first value.
+    // Tree image layout per `msj_sam::rstar`: a 36-byte header, then
+    // eight counted columns (levels, node rects, entry offsets, the
+    // entries' xmin, ymin, ymax, xmax, values); node 0 is a leaf, so its
+    // first entry is the first value.
     let (dir, cfg, requests, reference) = seeded_store("leafid");
     reseal_segment(&dir, "ds_0.msj", TREE_TAG, |_, image| {
         let count = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
         assert_eq!(image[44..48], 0u32.to_le_bytes(), "node 0 is a leaf");
         let mut at = 36;
-        for width in [4, 8, 4, 8] {
+        for width in [4, 8, 4, 8, 8, 8, 8] {
             at += 8 + width * count(at);
         }
         let values = count(at);
@@ -894,6 +895,105 @@ fn version_2_pair_segment_is_rebuilt_and_rewritten_not_degraded() {
         assert_eq!(image, pair.section(section).unwrap().unwrap());
         assert!(image.len() < v2_len, "the A/F image is the smaller one");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The default plan's configuration tag before nodes stored their
+/// entries in sweep order only, as that commit wrote it.
+const PREVIOUS_TREE_IMAGE_TAG: u64 = 0x159e_dd29_a8b2_d689;
+
+/// A tree section in the layout written under [`PREVIOUS_TREE_IMAGE_TAG`]:
+/// the same header, levels, node rectangles and offsets, then one counted
+/// column of entry rectangles (xmin, ymin, xmax, ymax each) and the
+/// values — five columns where the current image has eight.
+fn previous_tree_image(image: &[u8]) -> Vec<u8> {
+    let count = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let mut at = 36;
+    for width in [4, 8, 4] {
+        at += 8 + width * count(at);
+    }
+    let mut old = image[..at].to_vec();
+    let entries = count(at);
+    let column = |c: usize| at + c * (8 + 8 * entries) + 8;
+    let scalar = |c: usize, k: usize| &image[column(c) + 8 * k..column(c) + 8 * k + 8];
+    old.extend((4 * entries as u64).to_le_bytes());
+    for k in 0..entries {
+        for c in [0, 1, 3, 2] {
+            old.extend(scalar(c, k));
+        }
+    }
+    old.extend(&image[column(4) - 8..]);
+    old
+}
+
+#[test]
+fn segment_of_the_previous_tree_image_is_rebuilt_not_counted_corrupt() {
+    // Dataset and pair files as the commit before this tree image wrote
+    // them: its tag, its five-column tree section, everything else as
+    // now. The tag misses, so the open rebuilds every artifact once,
+    // answers like a fresh engine, counts nothing as corrupt and writes
+    // the current image back; the next open adopts it.
+    let (dir, cfg, requests, reference) = seeded_store("prevtree");
+    let store = msj_store::Store::open(&dir).expect("open container");
+    let current = [0, 1].map(|id| store.read_dataset(id, None).expect("segment reads"));
+    assert!(current
+        .iter()
+        .all(|s| s.config_tag != PREVIOUS_TREE_IMAGE_TAG));
+    // Read before the dataset writes below retire it.
+    let pair = store
+        .read_pair(0, 1, None)
+        .unwrap()
+        .expect("pair persisted");
+    for (id, segment) in (0..).zip(&current) {
+        let sections: Vec<(Section, Vec<u8>)> = DATASET_SECTIONS
+            .iter()
+            .map(|&section| {
+                let image = segment.section(section).unwrap().unwrap();
+                let image = match section {
+                    Section::Tree => previous_tree_image(image),
+                    _ => image.to_vec(),
+                };
+                (section, image)
+            })
+            .collect();
+        let old_tree = &sections[1].1;
+        assert_eq!(
+            old_tree.len() + 24,
+            segment.section(Section::Tree).unwrap().unwrap().len()
+        );
+        assert!(
+            msj::sam::RStarTree::from_bytes(old_tree).is_err(),
+            "the previous layout must not pass for the current one"
+        );
+        store
+            .write_dataset(id, PREVIOUS_TREE_IMAGE_TAG, &sections)
+            .expect("write the previous segment");
+    }
+    let (ra, rb) = (Section::RasterA, Section::RasterB);
+    let raster = |s| (s, pair.section(s).unwrap().unwrap().to_vec());
+    store
+        .write_pair(0, 1, PREVIOUS_TREE_IMAGE_TAG, &[raster(ra), raster(rb)])
+        .expect("write the previous pair");
+
+    let first = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("first open");
+    assert_eq!(run(&first, &requests), reference, "answers moved");
+    let prom = first.metrics().render_prometheus();
+    assert_no_checksum_failures(&prom, "a tag miss is not a fault");
+    assert!(artifact_nanos(&first, "tree") > 0, "tree not rebuilt");
+    drop(first);
+    for (id, segment) in (0..).zip(&current) {
+        let rewritten = store.read_dataset(id, None).expect("segment reads");
+        assert_eq!(rewritten.config_tag, segment.config_tag, "ds_{id}");
+        for section in DATASET_SECTIONS {
+            let image = |s: &msj_store::Segment| s.section(section).unwrap().unwrap().to_vec();
+            assert_eq!(image(&rewritten), image(segment), "ds_{id} {section:?}");
+        }
+    }
+
+    let second = SpatialEngine::open(cfg, StoreConfig::new(&dir)).expect("second open");
+    assert_eq!(run(&second, &requests), reference);
+    assert_no_checksum_failures(&second.metrics().render_prometheus(), "clean open");
+    assert_eq!(artifact_nanos(&second, "tree"), 0, "tree rebuilt again");
     std::fs::remove_dir_all(&dir).ok();
 }
 

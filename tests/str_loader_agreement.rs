@@ -1,9 +1,9 @@
 //! The batched hot path's acceptance matrix: over STR-packed trees, join
 //! *results* are the same across workload shapes × Step-1 backends ×
-//! execution policies. (That an STR-packed and an incrementally grown
-//! R*-tree deliver the same candidate set — page boundaries, I/O and
-//! candidate *order* aside — is `msj-sam`'s to say:
-//! `crates/sam/tests/proptests.rs::bulk_load_join_equals_incremental_join`.)
+//! execution policies. (That an STR-packed R*-tree join delivers exactly
+//! the candidate set of the nested-loops MBR join — candidate *order*
+//! aside — is `msj-sam`'s to say:
+//! `crates/sam/tests/proptests.rs::tree_join_equals_nested_loops`.)
 
 use msj::core::{Backend, Execution, JoinConfig, MultiStepJoin};
 use msj::geom::{ObjectId, Point, Polygon, Relation};
