@@ -1,10 +1,9 @@
-//! Pluggable Step-1 candidate backends.
+//! Pluggable Step-1 candidate backends for joins.
 //!
-//! Step 1 of the multi-step pipeline only has to deliver every pair of
-//! objects whose MBRs intersect (for joins) or every object whose MBR
-//! meets the query point/window (for selections); *how* the candidates
-//! are found is an implementation choice. [`CandidateSource`] abstracts
-//! that choice so joins and selections are backend-agnostic:
+//! Step 1 of a join only has to deliver every pair of objects whose MBRs
+//! intersect; *how* the candidates are found is an implementation
+//! choice. [`CandidateSource`] abstracts that choice so joins are
+//! backend-agnostic:
 //!
 //! * [`Backend::RStarTraversal`] — the paper's synchronized R*-tree
 //!   traversal ([BKS 93a]), the default;
@@ -15,7 +14,9 @@
 //!
 //! Both deliver the identical candidate *set*; downstream filter and
 //! exact steps are provably unaffected (the property tests in
-//! `tests/backend_agreement.rs` assert it).
+//! `tests/backend_agreement.rs` assert it). Selections are not a
+//! backend's business: every dataset's R*-tree serves them
+//! ([`crate::queries`]).
 //!
 //! A source is a serial producer: it delivers every batch on the calling
 //! thread, into one sink, and spawns nothing for Steps 2–3. Scheduling
@@ -24,10 +25,9 @@
 use crate::config::{Backend, JoinConfig};
 use msj_approx::{progressive_bytes, ProgressiveKind};
 use msj_geom::{
-    CancelToken, KernelDispatch, ObjectId, PairBatchBuffer, PairSink, Point, Rect, RelHandle,
-    Relation,
+    CancelToken, KernelDispatch, ObjectId, PairBatchBuffer, PairSink, Rect, RelHandle, Relation,
 };
-use msj_partition::{partition_join_funneled, GridIndex, PartitionStats};
+use msj_partition::{partition_join_funneled, PartitionStats};
 use msj_sam::{tree_join_chunked, JoinControl, JoinStats, PageLayout, RStarTree};
 use std::sync::{Arc, OnceLock};
 
@@ -78,26 +78,16 @@ impl From<&PartitionStats> for PartitionSummary {
     }
 }
 
-/// Step-1 statistics of one selection (point or window) probe.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SelectionStats {
-    /// Candidate ids delivered (MBR hits).
-    pub candidates: u64,
-    /// R*-tree nodes the probe visited (0 for the grid, which has none).
-    pub node_visits: u64,
-}
-
-/// A prepared Step-1 backend over one or two relations (the engine's
-/// prepared joins and registered datasets; [`selection_source`] builds a
-/// borrowed one).
+/// A prepared Step-1 backend over two relations (a self-join's one
+/// relation on both sides).
 ///
 /// Candidate delivery is serial: one [`PairSink`], on the calling thread,
 /// in batches of at most [`JoinConfig::batch_pairs`] — the executor
 /// decides whether Steps 2–3 run right there or on its worker pool.
 ///
-/// Every method takes `&self` and takes no lock on the way (the grid's
-/// lazily built state is a `OnceLock`), so a prepared source is resident,
-/// `Sync`, and serves concurrent joins and probes from an `Arc`-shared
+/// It takes `&self` and no lock on the way (the grid's lazily collected
+/// MBR lists are a `OnceLock`), so a prepared source is resident, `Sync`,
+/// and serves concurrent joins from an `Arc`-shared
 /// [`crate::PreparedJoin`] side by side.
 pub trait CandidateSource: Send + Sync {
     /// The backend's display name (used by reports and benches).
@@ -112,68 +102,30 @@ pub trait CandidateSource: Send + Sync {
     /// boundary once the token reads cancelled, reporting the partial
     /// counts accumulated so far; it is otherwise identical without it.
     fn join_candidates(&self, sink: &mut dyn PairSink, cancel: Option<&CancelToken>) -> Step1Stats;
-
-    /// Point probes, batch-shaped (a single probe is a batch of one):
-    /// for each point in order, every id of the primary relation whose
-    /// MBR contains it is appended to `out` contiguously and one
-    /// [`SelectionStats`] (segment length = `candidates`) is pushed onto
-    /// `stats`. How probes are grouped shows in neither the ids, nor
-    /// their order, nor the statistics.
-    fn point_candidates(
-        &self,
-        points: &[Point],
-        out: &mut Vec<ObjectId>,
-        stats: &mut Vec<SelectionStats>,
-    );
-
-    /// Window probes — ids whose MBR intersects each window, each with
-    /// [`Rect::covers_an_extent_of`] (a proved hit) pushed onto `proved`;
-    /// same contract as [`point_candidates`](CandidateSource::point_candidates).
-    fn window_candidates(
-        &self,
-        windows: &[Rect],
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-        stats: &mut Vec<SelectionStats>,
-    );
 }
 
-/// Builds the configured backend over one relation (Step 1 of selection
-/// queries; a join over this source is a self-join).
-pub fn selection_source<'a>(
-    config: &JoinConfig,
-    relation: &'a Relation,
-) -> Box<dyn CandidateSource + 'a> {
-    let dispatch = config.kernel_dispatch();
-    source_with(config, dispatch, relation.into(), None, None, None)
-}
+/// One side of a join's Step 1: the relation and its R*-tree, both built
+/// or adopted at Step 0.
+pub(crate) type Step1Side = (RelHandle<'static>, Arc<RStarTree>);
 
-/// The configured backend over explicit handles — `rel_b` is `None` for a
-/// single-relation source — plus optionally pre-built shared trees (the
-/// resident engine's: Step 0 ran at dataset registration). A missing tree
-/// is built here; the grid backend indexes nothing up front and ignores
-/// them. The source's wide scans run on `dispatch`.
-pub(crate) fn source_with<'a>(
+/// The configured backend over two sides. The R*-tree traversal joins
+/// the sides' trees; the grid backend collects the relations' MBRs on
+/// its first run and ignores the trees. The source's wide scans run on
+/// `dispatch`.
+pub(crate) fn source_with(
     config: &JoinConfig,
     dispatch: KernelDispatch,
-    rel_a: RelHandle<'a>,
-    rel_b: Option<RelHandle<'a>>,
-    tree_a: Option<Arc<RStarTree>>,
-    tree_b: Option<Arc<RStarTree>>,
-) -> Box<dyn CandidateSource + 'a> {
+    (rel_a, tree_a): Step1Side,
+    (rel_b, tree_b): Step1Side,
+) -> Box<dyn CandidateSource> {
+    let batch = config.batch_pairs.max(1);
     match config.backend {
-        Backend::RStarTraversal => {
-            let tree = |shared: Option<Arc<RStarTree>>, relation: &RelHandle| {
-                shared.unwrap_or_else(|| Arc::new(build_tree(config, relation)))
-            };
-            let tree_b = rel_b.map(|rel_b| tree(tree_b, &rel_b));
-            Box::new(RStarSource {
-                tree_a: tree(tree_a, &rel_a),
-                tree_b,
-                batch: config.batch_pairs.max(1),
-                dispatch,
-            })
-        }
+        Backend::RStarTraversal => Box::new(RStarSource {
+            tree_a,
+            tree_b,
+            batch,
+            dispatch,
+        }),
         Backend::PartitionedSweep {
             tiles_per_axis,
             threads,
@@ -182,17 +134,16 @@ pub(crate) fn source_with<'a>(
             rel_b,
             tiles_per_axis,
             threads,
-            batch: config.batch_pairs.max(1),
+            batch,
             dispatch,
-            index: OnceLock::new(),
             join_items: OnceLock::new(),
         }),
     }
 }
 
 /// Step 0 for one relation: STR bulk loading, once per registered dataset
-/// (per source for the borrowed sources). Leaves keep a MER's 16 B per
-/// entry at least: 64 per 4 KB, as measured.
+/// on either backend. Leaves keep a MER's 16 B per entry at least: 64 per
+/// 4 KB, as measured.
 pub(crate) fn build_tree(config: &JoinConfig, relation: &Relation) -> RStarTree {
     let extra = progressive_bytes(ProgressiveKind::Mer).max(config.extra_leaf_bytes());
     let layout = PageLayout::with_extra_bytes(config.page_size, extra);
@@ -201,13 +152,10 @@ pub(crate) fn build_tree(config: &JoinConfig, relation: &Relation) -> RStarTree 
 
 /// The default backend: paged R*-trees, synchronized traversal. Trees are
 /// `Arc`-shared so registered datasets pay Step 0 once; the source holds
-/// nothing mutable, so concurrent runs and probes never wait on each
-/// other.
+/// nothing mutable, so concurrent runs never wait on each other.
 struct RStarSource {
     tree_a: Arc<RStarTree>,
-    /// `None` for single-relation (selection) sources; joins then run
-    /// `tree_a ⋈ tree_a`.
-    tree_b: Option<Arc<RStarTree>>,
+    tree_b: Arc<RStarTree>,
     /// Candidate pairs per batched delivery / cross-thread chunk.
     batch: usize,
     /// Kernel path for the traversal's wide scans, resolved once at
@@ -221,8 +169,6 @@ impl CandidateSource for RStarSource {
     }
 
     fn join_candidates(&self, sink: &mut dyn PairSink, cancel: Option<&CancelToken>) -> Step1Stats {
-        let tree_a = &*self.tree_a;
-        let tree_b = self.tree_b.as_deref().unwrap_or(tree_a);
         let control = JoinControl {
             dispatch: self.dispatch,
             cancel,
@@ -231,6 +177,7 @@ impl CandidateSource for RStarSource {
         // The traversal's chunks double as sink batches — one virtual
         // dispatch per `batch` pairs, and the one chunk buffer refilled
         // in place.
+        let (tree_a, tree_b) = (&*self.tree_a, &*self.tree_b);
         let join = tree_join_chunked(&control, tree_a, tree_b, &mut (), |chunk| {
             sink.consume_batch(chunk)
         });
@@ -239,45 +186,17 @@ impl CandidateSource for RStarSource {
             partition: None,
         }
     }
-
-    fn point_candidates(
-        &self,
-        points: &[Point],
-        out: &mut Vec<ObjectId>,
-        stats: &mut Vec<SelectionStats>,
-    ) {
-        let tree = &*self.tree_a;
-        for &p in points {
-            stats.push(probe(out, |out| tree.point_query(p, &mut (), out)));
-        }
-    }
-
-    fn window_candidates(
-        &self,
-        windows: &[Rect],
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-        stats: &mut Vec<SelectionStats>,
-    ) {
-        let tree = &*self.tree_a;
-        for &w in windows {
-            stats.push(probe(out, |out| {
-                tree.window_query_proving(w, &mut (), out, proved)
-            }));
-        }
-    }
 }
 
 /// One relation's `(MBR, id)` list — a side of the partitioned join.
 type MbrItems = Vec<(Rect, ObjectId)>;
-type MbrItemsSlice<'b> = &'b [(Rect, ObjectId)];
 
 /// The partitioned backend: uniform grid, per-tile plane sweeps,
 /// reference-point deduplication, the tile sweeps on `threads` scoped
 /// threads of its own.
-struct GridSource<'a> {
-    rel_a: RelHandle<'a>,
-    rel_b: Option<RelHandle<'a>>,
+struct GridSource {
+    rel_a: RelHandle<'static>,
+    rel_b: RelHandle<'static>,
     tiles_per_axis: usize,
     /// Step-1 tile-sweep threads (`Backend::PartitionedSweep::threads`).
     threads: usize,
@@ -286,43 +205,21 @@ struct GridSource<'a> {
     /// Kernel path for the tile sweeps, resolved once at source
     /// construction.
     dispatch: KernelDispatch,
-    /// Single-relation grid for selection probes, built on first use.
-    index: OnceLock<GridIndex>,
-    /// `(items_a, items_b)` MBR lists for joins, collected on first use
-    /// and reused across repeated `PreparedJoin` runs (`items_b` is
-    /// `None` for self-joins — side A doubles as side B).
-    join_items: OnceLock<(MbrItems, Option<MbrItems>)>,
+    /// `(items_a, items_b)` MBR lists, collected on first use and reused
+    /// across repeated `PreparedJoin` runs.
+    join_items: OnceLock<(MbrItems, MbrItems)>,
 }
 
-impl<'a> GridSource<'a> {
-    fn items(relation: &Relation) -> Vec<(Rect, ObjectId)> {
-        relation.iter().map(|o| (o.mbr(), o.id)).collect()
-    }
-
-    fn join_items(&self) -> (MbrItemsSlice<'_>, MbrItemsSlice<'_>) {
-        let (a, b) = self.join_items.get_or_init(|| {
-            (
-                Self::items(&self.rel_a),
-                self.rel_b.as_deref().map(Self::items),
-            )
-        });
-        let a: MbrItemsSlice = a;
-        (a, b.as_deref().unwrap_or(a))
-    }
-
-    fn index(&self) -> &GridIndex {
-        self.index
-            .get_or_init(|| GridIndex::build(&Self::items(&self.rel_a), self.tiles_per_axis))
-    }
-}
-
-impl CandidateSource for GridSource<'_> {
+impl CandidateSource for GridSource {
     fn name(&self) -> &'static str {
         "partitioned-sweep"
     }
 
     fn join_candidates(&self, sink: &mut dyn PairSink, cancel: Option<&CancelToken>) -> Step1Stats {
-        let (items_a, items_b) = self.join_items();
+        let items = |rel: &Relation| rel.iter().map(|o| (o.mbr(), o.id)).collect();
+        let (items_a, items_b) = self
+            .join_items
+            .get_or_init(|| (items(&self.rel_a), items(&self.rel_b)));
         // Tile sweeps may parallelize internally (`threads`) but funnel
         // into the calling thread in deterministic tile order, re-batched
         // caller-side so the sink still sees runs.
@@ -347,73 +244,24 @@ impl CandidateSource for GridSource<'_> {
             partition: Some(PartitionSummary::from(&stats)),
         }
     }
-
-    fn point_candidates(
-        &self,
-        points: &[Point],
-        out: &mut Vec<ObjectId>,
-        stats: &mut Vec<SelectionStats>,
-    ) {
-        let index = self.index();
-        for &p in points {
-            stats.push(probe(out, |out| no_nodes(index.point_candidates(p, out))));
-        }
-    }
-
-    fn window_candidates(
-        &self,
-        windows: &[Rect],
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-        stats: &mut Vec<SelectionStats>,
-    ) {
-        let index = self.index();
-        for &w in windows {
-            stats.push(probe(out, |out| {
-                no_nodes(index.window_candidates(w, out, proved))
-            }));
-        }
-    }
-}
-
-/// One probe appending into `out`; `descend` returns its node visits.
-fn probe(
-    out: &mut Vec<ObjectId>,
-    descend: impl FnOnce(&mut Vec<ObjectId>) -> u64,
-) -> SelectionStats {
-    let before = out.len();
-    let node_visits = descend(out);
-    SelectionStats {
-        candidates: (out.len() - before) as u64,
-        node_visits,
-    }
-}
-
-/// A grid probe's node visits: none. (The probe returns its bucket tests,
-/// which selections do not report.)
-fn no_nodes(_bucket_tests: u64) -> u64 {
-    0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The configured backend over a borrowed relation pair.
-    fn join_source<'a>(
+    /// The configured backend over two relations, each with the tree
+    /// Step 0 builds for it.
+    fn join_source(
         config: &JoinConfig,
-        rel_a: &'a Relation,
-        rel_b: &'a Relation,
-    ) -> Box<dyn CandidateSource + 'a> {
-        let dispatch = config.kernel_dispatch();
-        source_with(
-            config,
-            dispatch,
-            rel_a.into(),
-            Some(rel_b.into()),
-            None,
-            None,
-        )
+        rel_a: &Relation,
+        rel_b: &Relation,
+    ) -> Box<dyn CandidateSource> {
+        let side = |rel: &Relation| -> Step1Side {
+            let tree = Arc::new(build_tree(config, rel));
+            (Arc::new(rel.clone()).into(), tree)
+        };
+        source_with(config, config.kernel_dispatch(), side(rel_a), side(rel_b))
     }
 
     fn sorted(mut v: Vec<(ObjectId, ObjectId)>) -> Vec<(ObjectId, ObjectId)> {
@@ -486,55 +334,12 @@ mod tests {
     }
 
     #[test]
-    fn selection_probes_agree_across_backends() {
-        let rel = msj_datagen::small_carto(50, 24.0, 321);
-        let world = rel.bounding_rect().unwrap();
-        let sources: Vec<_> = configs()
-            .iter()
-            .map(|c| selection_source(c, &rel))
-            .collect();
-        for i in 0..30 {
-            let p = Point::new(
-                world.xmin() + world.width() * (i as f64 * 0.37).fract(),
-                world.ymin() + world.height() * (i as f64 * 0.61).fract(),
-            );
-            let window = Rect::from_bounds(
-                p.x,
-                p.y,
-                p.x + world.width() * 0.1,
-                p.y + world.height() * 0.08,
-            );
-            let mut expect_point: Option<Vec<ObjectId>> = None;
-            let mut expect_window: Option<Vec<(ObjectId, bool)>> = None;
-            for source in &sources {
-                let (mut got, mut stats) = (Vec::new(), Vec::new());
-                source.point_candidates(&[p], &mut got, &mut stats);
-                assert_eq!(stats[0].candidates, got.len() as u64);
-                got.sort_unstable();
-                match &expect_point {
-                    None => expect_point = Some(got),
-                    Some(e) => assert_eq!(&got, e, "{} point probe", source.name()),
-                }
-                let (mut got, mut proved) = (Vec::new(), Vec::new());
-                source.window_candidates(&[window], &mut got, &mut proved, &mut stats);
-                let mut got: Vec<_> = got.into_iter().zip(proved).collect();
-                got.sort_unstable();
-                match &expect_window {
-                    None => expect_window = Some(got),
-                    Some(e) => assert_eq!(&got, e, "{} window probe", source.name()),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn self_join_source_works_without_second_relation() {
+    fn a_self_join_pairs_every_object_with_itself() {
         let rel = msj_datagen::small_carto(25, 20.0, 331);
         for config in configs() {
-            let source = selection_source(&config, &rel);
+            let source = join_source(&config, &rel, &rel);
             let mut pairs = Vec::new();
             source.join_candidates(&mut |x, y| pairs.push((x, y)), None);
-            // Every object pairs with itself in a self-join.
             for o in rel.iter() {
                 assert!(pairs.contains(&(o.id, o.id)), "{} missing ({0}, {0})", o.id);
             }

@@ -16,7 +16,8 @@ pub enum Backend {
     RStarTraversal,
     /// Uniform-grid partitioned plane sweep with reference-point
     /// deduplication, tiles executed over scoped threads
-    /// (`msj-partition`).
+    /// (`msj-partition`). A join algorithm only: selections descend the
+    /// dataset's R*-tree, which the engine builds on either backend.
     PartitionedSweep {
         /// Tiles per grid side (the grid has `tiles_per_axis²` tiles).
         tiles_per_axis: usize,
@@ -90,7 +91,10 @@ pub struct JoinConfig {
     /// buffer; the paper tables size theirs from this.
     pub buffer_bytes: usize,
     /// Conservative approximation stored in addition to the MBR; `None`
-    /// disables the false-hit filter (version 1 of §5).
+    /// disables the false-hit filter (version 1 of §5). This and the next
+    /// two fields are §5's versions 2 and 3: a one-shot
+    /// [`crate::MultiStepJoin`] runs them, [`crate::SpatialEngine::new`]
+    /// refuses a plan that sets any of them.
     pub conservative: Option<ConservativeKind>,
     /// Progressive approximation stored in addition; `None` disables the
     /// hit filter.
@@ -313,9 +317,9 @@ impl JoinConfigBuilder {
 ///
 /// let engine = SpatialEngine::new(EngineConfig {
 ///     obs: ObsConfig::with_traces(8),
-///     ..JoinConfig::version3().into()
+///     ..JoinConfig::version1().into()
 /// });
-/// assert_eq!(engine.config().join, JoinConfig::version3());
+/// assert_eq!(engine.config().join, JoinConfig::version1());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineConfig {

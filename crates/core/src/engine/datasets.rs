@@ -5,9 +5,8 @@ use super::obs::{EngineObs, PERSIST};
 use super::types::{DatasetId, EngineError};
 use super::{lock, read, write, SpatialEngine};
 use crate::candidates;
-use crate::config::{Backend, EngineConfig, JoinConfig};
+use crate::config::{EngineConfig, JoinConfig};
 use crate::queries::SelectionState;
-use msj_approx::{ConservativeStore, ProgressiveStore};
 use msj_exact::{ExactAlgorithm, TrStarStore};
 use msj_geom::{bytes::shrink_before_free, LazyRelation, Relation, SharedBytes};
 use msj_obs::Gauge;
@@ -51,11 +50,10 @@ pub(super) struct DatasetState {
 /// Every per-relation Step-0 artifact the engine's configuration calls
 /// for, all `Arc`-shared — the evictable half of a [`DatasetState`].
 pub(super) struct DatasetArtifacts {
-    /// The paged R*-tree (only under [`Backend::RStarTraversal`]; the
-    /// partitioned backend indexes lazily inside its sources).
-    pub tree: Option<Arc<RStarTree>>,
-    pub conservative: Option<Arc<ConservativeStore>>,
-    pub progressive: Option<Arc<ProgressiveStore>>,
+    /// The paged R*-tree, on either backend: the R*-tree traversal joins
+    /// it and every selection descends it (the grid joins on its own
+    /// tiles).
+    pub tree: Arc<RStarTree>,
     /// TR*-tree object representations (only when the exact step is
     /// [`ExactAlgorithm::TrStar`]).
     pub trstar: Option<Arc<TrStarStore>>,
@@ -111,15 +109,10 @@ impl Step0<'_> {
     ) -> Arc<T> {
         let (stored, objects) = (self.stored, self.objects);
         let adopted = adopt(stored, section, objects, from_bytes, len, &mut self.corrupt);
-        adopted.map_or_else(|| self.built(section.name(), build), Arc::new)
-    }
-
-    /// One artifact built from the relation, charged to `artifact`'s timer.
-    fn built<T>(&self, artifact: &str, build: impl FnOnce() -> T) -> Arc<T> {
-        Arc::new(match self.obs {
-            Some(obs) => obs.time_artifact(artifact, build),
+        Arc::new(adopted.unwrap_or_else(|| match self.obs {
+            Some(obs) => obs.time_artifact(section.name(), build),
             None => build(),
-        })
+        }))
     }
 }
 
@@ -141,21 +134,10 @@ impl DatasetArtifacts {
             obs,
             corrupt: Vec::new(),
         };
-        let tree = matches!(config.backend, Backend::RStarTraversal).then(|| {
-            let decode = |b: SharedBytes| RStarTree::from_bytes(&b);
-            step0.artifact(Section::Tree, decode, RStarTree::len, || {
-                candidates::build_tree(config, relation.get())
-            })
+        let decode = |b: SharedBytes| RStarTree::from_bytes(&b);
+        let tree = step0.artifact(Section::Tree, decode, RStarTree::len, || {
+            candidates::build_tree(config, relation.get())
         });
-        // The store keeps no approximation: an engine that runs one
-        // builds it at every load.
-        let rel = || relation.get();
-        let conservative = config
-            .conservative
-            .map(|kind| step0.built("conservative", || ConservativeStore::build(kind, rel())));
-        let progressive = config
-            .progressive
-            .map(|kind| step0.built("progressive", || ProgressiveStore::build(kind, rel())));
         let trstar = match config.exact {
             ExactAlgorithm::TrStar { max_entries } => Some(step0.artifact(
                 Section::TrStar,
@@ -165,18 +147,9 @@ impl DatasetArtifacts {
             )),
             _ => None,
         };
-        let selection = SelectionState::new(
-            relation.clone().into(),
-            config,
-            tree.clone(),
-            conservative.clone(),
-            progressive.clone(),
-            trstar.clone(),
-        );
+        let selection = SelectionState::new(relation.clone().into(), tree.clone(), trstar.clone());
         let artifacts = DatasetArtifacts {
             tree,
-            conservative,
-            progressive,
             trstar,
             selection,
         };
@@ -269,19 +242,19 @@ pub(super) struct StoreBackend {
 }
 
 /// Fingerprint of the configuration fields that shape Step-0 artifacts
-/// (tree layout, approximation kinds, exact representations, raster
-/// grid). A persisted segment whose tag differs was built under an
-/// incompatible configuration; the engine rebuilds from the relation
-/// instead of loading it.
+/// (tree layout, exact representations, raster grid). A persisted
+/// segment whose tag differs was built under an incompatible
+/// configuration; the engine rebuilds from the relation instead of
+/// loading it.
 pub(super) fn config_tag(config: &JoinConfig) -> u64 {
     let mut bytes = Vec::with_capacity(64);
-    bytes.push(match config.backend {
-        Backend::RStarTraversal => 1u8,
-        Backend::PartitionedSweep { .. } => 2,
-    });
+    // The backend's slot reads the R*-tree's 1 on both: each stores the
+    // tree, so a directory the grid (2) wrote without one is rebuilt once.
+    bytes.push(1u8);
     bytes.extend((config.page_size as u64).to_le_bytes());
-    bytes.push(config.conservative.map_or(0xFF, |k| k.code()));
-    bytes.push(config.progressive.map_or(0xFF, |k| k.code()));
+    // The two approximation-kind slots read "none": the engine runs no
+    // approximation, so a segment written under 5-C or MER is rebuilt.
+    bytes.extend([0xFF, 0xFF]);
     match config.exact {
         ExactAlgorithm::TrStar { max_entries } => {
             // 2 since `decompose` cuts at every distinct vertex y (1 merged
@@ -321,7 +294,7 @@ impl SpatialEngine {
     /// by a previous engine's write-through comes back registered, in id
     /// order, with its Step-0 artifacts **loaded** from the segment
     /// files (checksums verified per section) instead of rebuilt — the
-    /// store's cold-start path; approximations, never stored, are built.
+    /// store's cold-start path.
     /// The relation section is checksummed and validated, and decoded at
     /// the open only without TR*. An artifact section that fails its
     /// checksum or shape is rebuilt from the relation (counted under
@@ -346,10 +319,9 @@ impl SpatialEngine {
         Ok(engine)
     }
 
-    /// Registers a relation: runs its share of Step 0 (index build,
-    /// approximation stores, exact-step representations — whatever the
-    /// engine configuration calls for) and takes ownership of the
-    /// results. Accepts an owned [`Relation`] or an existing
+    /// Registers a relation: runs its share of Step 0 (the R*-tree and,
+    /// under TR*, the exact-step representations) and takes ownership of
+    /// the results. Accepts an owned [`Relation`] or an existing
     /// `Arc<Relation>` (no copy either way).
     pub fn register(&self, relation: impl Into<Arc<Relation>>) -> DatasetHandle {
         let relation = Arc::new(LazyRelation::resident(relation.into()));
@@ -412,7 +384,7 @@ impl SpatialEngine {
         let backend = self.store.as_ref()?;
         self.obs.time_artifact(PERSIST, || {
             let mut sections = vec![(Section::Relation, relation())];
-            sections.extend(artifacts.tree.iter().map(|t| (Section::Tree, t.to_bytes())));
+            sections.push((Section::Tree, artifacts.tree.to_bytes()));
             let trstar = artifacts.trstar.iter().map(|t| t.to_bytes());
             sections.extend(trstar.map(|image| (Section::TrStar, image)));
             let size = backend.store.write_dataset(id, self.tag, &sections).ok();

@@ -40,8 +40,8 @@ struct Serving {
 }
 
 /// A join with Step 0 (preprocessing, the paper's "insertion time") done:
-/// the Step-1 candidate source, the approximation stores and the
-/// exact-step object representations are built, and Steps 1–3 can run —
+/// the Step-1 candidate source, the filter's stores and the exact-step
+/// object representations are built, and Steps 1–3 can run —
 /// repeatedly, under any [`Execution`] policy — without paying that cost
 /// again. It is an **owned** value with no borrowed lifetime: both
 /// relations and their Step-0 state are co-owned behind `Arc`, so it can
@@ -94,11 +94,10 @@ impl PreparedJoin {
     ) -> PreparedJoin {
         // Lazy handles, only where read: a default join decodes neither.
         let handle = |relation: &Arc<LazyRelation>| RelHandle::from(relation.clone());
-        let (tree_a, tree_b) = (arts_a.tree.clone(), arts_b.tree.clone());
-        let (rel_a_h, rel_b_h) = (handle(rel_a), Some(handle(rel_b)));
-        let dispatch = config.kernel_dispatch();
+        let side_a = (handle(rel_a), arts_a.tree.clone());
+        let side_b = (handle(rel_b), arts_b.tree.clone());
         let plan = &config.join;
-        let source = candidates::source_with(plan, dispatch, rel_a_h, rel_b_h, tree_a, tree_b);
+        let source = candidates::source_with(plan, config.kernel_dispatch(), side_a, side_b);
         let exact = match (arts_a.trstar.clone(), arts_b.trstar.clone()) {
             (Some(a), Some(b)) => ExactProcessor::from_trees(plan.exact, a, b),
             _ => ExactProcessor::with_handles(plan.exact, handle(rel_a), handle(rel_b)),
@@ -120,20 +119,24 @@ impl PreparedJoin {
 
     /// Step 0 for both relations from scratch, outside any engine — what
     /// [`crate::MultiStepJoin::execute`] runs once and drops: timed, on
-    /// the default kernel dispatch, with no fault plan.
+    /// the default kernel dispatch, with no fault plan. The filter is the
+    /// plan's whole Step 2 ([`GeometricFilter::from_config`]), §5's
+    /// approximations included. A self-join (`rel_a` is `rel_b`) copies
+    /// and prepares its relation once and uses it on both sides.
     pub(crate) fn one_shot(plan: &JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
         let t_prep = Instant::now();
         let config = EngineConfig::from(*plan);
-        let resident = |rel: &Relation| Arc::new(LazyRelation::resident(Arc::new(rel.clone())));
-        let (rel_a, rel_b) = (resident(rel_a), resident(rel_b));
-        let (arts_a, _) = DatasetArtifacts::build(&config, &rel_a, None, None);
-        let (arts_b, _) = DatasetArtifacts::build(&config, &rel_b, None, None);
-        let mut filter = shared_filter(plan, &arts_a, &arts_b);
-        if plan.raster {
-            filter = filter.with_raster(rel_a.get(), rel_b.get());
-        }
+        let step0 = |rel: &Relation| {
+            let rel = Arc::new(LazyRelation::resident(Arc::new(rel.clone())));
+            let (artifacts, _) = DatasetArtifacts::build(&config, &rel, None, None);
+            (rel, artifacts)
+        };
+        let a = step0(rel_a);
+        let b = (!std::ptr::eq(rel_a, rel_b)).then(|| step0(rel_b));
+        let ((rel_a, arts_a), (rel_b, arts_b)) = (&a, b.as_ref().unwrap_or(&a));
+        let filter = GeometricFilter::from_config(plan, rel_a.get(), rel_b.get());
         let step0_nanos = t_prep.elapsed().as_nanos() as u64;
-        let (a, b) = ((0, &rel_a, &arts_a), (1, &rel_b, &arts_b));
+        let (a, b) = ((0, rel_a, arts_a), (1, rel_b, arts_b));
         Self::assemble(&config, a, b, filter, step0_nanos, None)
     }
 
@@ -306,22 +309,6 @@ pub(super) fn exact_cost_kind(config: &JoinConfig) -> ExactCostKind {
     }
 }
 
-/// The conservative / progressive filter over two datasets' shared
-/// stores, before any raster stage is attached.
-fn shared_filter(
-    config: &JoinConfig,
-    arts_a: &DatasetArtifacts,
-    arts_b: &DatasetArtifacts,
-) -> GeometricFilter {
-    GeometricFilter::from_shared(
-        arts_a.conservative.clone(),
-        arts_b.conservative.clone(),
-        arts_a.progressive.clone(),
-        arts_b.progressive.clone(),
-        config.false_area_test,
-    )
-}
-
 /// The engine's prepared-join cache: id-pair keyed, bounded by an LRU
 /// count cap. Entries carry a recency stamp refreshed on every hit; an
 /// insert beyond the cap evicts the stalest pair (its Step-0 state is
@@ -438,10 +425,10 @@ impl SpatialEngine {
     /// is `prepare_join(&h, &h)`. Panics if either handle was registered
     /// on a different engine.
     ///
-    /// Per-dataset Step-0 state (trees, approximation stores, TR*
-    /// representations) is *shared* with the datasets — only the
-    /// pair-level state (the raster signatures on the pair's shared
-    /// grid, the Step-1 source wiring) is built here.
+    /// Per-dataset Step-0 state (trees and TR* representations) is
+    /// *shared* with the datasets — only the pair-level state (the raster
+    /// signatures on the pair's shared grid, the Step-1 source wiring) is
+    /// built here.
     pub fn prepare_join(&self, a: &DatasetHandle, b: &DatasetHandle) -> Arc<PreparedJoin> {
         self.assert_registered(a);
         self.assert_registered(b);
@@ -471,11 +458,9 @@ impl SpatialEngine {
         } else {
             self.artifacts(sb)
         };
-        let filter = shared_filter(&self.config.join, &arts_a, &arts_b);
-        let filter = if self.config.join.raster {
-            self.attach_raster(filter, a, b)
-        } else {
-            filter
+        let filter = match self.config.join.raster {
+            true => self.attach_raster(a, b),
+            false => GeometricFilter::disabled(),
         };
         // A self-join shares one dataset on both sides — count its
         // registration cost once.
@@ -500,22 +485,20 @@ impl SpatialEngine {
         )
     }
 
-    /// Pair-level Step 0: gives `filter` its Step-2a raster stage. Like
-    /// every dataset artifact, the pair's signatures are adopted from its
-    /// persisted segment when both sides decode, each is as long as its
-    /// relation and the two share one grid. Otherwise — no segment, a
-    /// stale tag, a corrupt side or a grid mismatch — both relations are
-    /// rasterized on one shared grid (signatures are only comparable on
-    /// the same grid, so they cannot be a per-dataset artifact) and
-    /// written through. A section that was written but could not be used
-    /// is counted under `msj_store_checksum_failures_total`.
-    fn attach_raster(
-        &self,
-        filter: GeometricFilter,
-        a: &DatasetHandle,
-        b: &DatasetHandle,
-    ) -> GeometricFilter {
+    /// Pair-level Step 0: the Step-2a raster stage, the engine's whole
+    /// Step 2. Like every dataset artifact, the pair's signatures are
+    /// adopted from its persisted segment when both sides decode, each is
+    /// as long as its relation and the two share one grid; a self-join
+    /// decodes `RasterA` alone and serves both sides from it. Otherwise —
+    /// no segment, a stale tag, a corrupt side or a grid mismatch — both
+    /// relations are rasterized on one shared grid (signatures are only
+    /// comparable on the same grid, so they cannot be a per-dataset
+    /// artifact) and written through. A section that was written but
+    /// could not be used is counted under
+    /// `msj_store_checksum_failures_total`.
+    fn attach_raster(&self, a: &DatasetHandle, b: &DatasetHandle) -> GeometricFilter {
         let (sa, sb) = (&a.state, &b.state);
+        let filter = GeometricFilter::disabled();
         let Some(backend) = &self.store else {
             return filter.with_raster(sa.relation.get(), sb.relation.get());
         };
@@ -526,11 +509,14 @@ impl SpatialEngine {
         let (stored, len) = (stored.as_ref(), RasterStore::len);
         let mut side =
             |section, objects| adopt(stored, section, objects, decode, len, &mut corrupt);
-        let ra = side(Section::RasterA, sa.relation.len());
-        let rb = side(Section::RasterB, sb.relation.len());
+        let ra = side(Section::RasterA, sa.relation.len()).map(Arc::new);
+        let rb = match Arc::ptr_eq(sa, sb) {
+            true => ra.clone(),
+            false => side(Section::RasterB, sb.relation.len()).map(Arc::new),
+        };
         match (ra, rb) {
             (Some(ra), Some(rb)) if ra.grid() == rb.grid() => {
-                return filter.with_shared_raster(Arc::new(ra), Arc::new(rb));
+                return filter.with_shared_raster(ra, rb);
             }
             // Signatures on two grids are not comparable: neither side
             // can be trusted.

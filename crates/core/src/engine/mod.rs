@@ -2,8 +2,8 @@
 //! unified query-serving surface.
 //!
 //! The paper's whole economy is that Step-0 preprocessing — R*-trees,
-//! approximation stores, raster signatures, TR*-tree object
-//! representations — is built *once* and amortized over many executions
+//! raster signatures, TR*-tree object representations — is built *once*
+//! and amortized over many executions
 //! ("time and storage is invested in the representation of the spatial
 //! objects", §4.2). A [`SpatialEngine`] makes that shape first-class:
 //!
@@ -123,9 +123,22 @@ impl SpatialEngine {
     /// registers and every query it serves. Takes a [`JoinConfig`]
     /// (instance settings at their defaults) or an [`EngineConfig`].
     ///
+    /// # Panics
+    ///
+    /// If the plan sets `conservative`, `progressive` or
+    /// `false_area_test`: the engine's Step 2 is the raster stage alone.
+    /// The paper's §5 versions 2 and 3 run as a one-shot
+    /// [`crate::MultiStepJoin`].
+    ///
     /// [`JoinConfig`]: crate::JoinConfig
     pub fn new(config: impl Into<EngineConfig>) -> Self {
         let config = config.into();
+        let plan = &config.join;
+        assert!(
+            plan.conservative.is_none() && plan.progressive.is_none() && !plan.false_area_test,
+            "SpatialEngine runs no conservative, progressive or false-area stage; \
+             run the paper's versions 2 and 3 through MultiStepJoin"
+        );
         SpatialEngine {
             obs: Arc::new(EngineObs::new(config.obs, config.kernel_dispatch())),
             prepared: Mutex::new(PreparedCache::new(DEFAULT_PREPARED_CACHE_CAP)),

@@ -43,17 +43,10 @@ const FAULT_SITES: [&str; 8] = [
 const LANE_ROLES: [LaneRole; 2] = [LaneRole::Backend, LaneRole::Consumer];
 
 /// `artifact` labels of `msj_step0_artifact_nanos_total` — what a
-/// registration or a load spends its time on: the four per-dataset Step-0
-/// artifacts (the stored ones under their [`Section`] names), an opened
-/// relation's decode, and the write-through to the store.
-const STEP0_ARTIFACTS: [&str; 6] = [
-    "tree",
-    "conservative",
-    "progressive",
-    "trstar",
-    "relation",
-    PERSIST,
-];
+/// registration or a load spends its time on: the two per-dataset Step-0
+/// artifacts (under their [`Section`] names), an opened relation's
+/// decode, and the write-through to the store.
+const STEP0_ARTIFACTS: [&str; 4] = ["tree", "trstar", "relation", PERSIST];
 pub(super) const PERSIST: &str = "persist";
 
 /// The handle at `label`'s position in the label list the handles were
@@ -96,7 +89,7 @@ pub(super) struct EngineObs {
     /// By [`Section::ALL`].
     checksum_failures: [Arc<Counter>; 5],
     /// By [`STEP0_ARTIFACTS`].
-    step0_artifacts: [Arc<Counter>; 6],
+    step0_artifacts: [Arc<Counter>; 4],
     store_load_nanos: Arc<Histogram>,
     registration_nanos: Arc<Histogram>,
     datasets_registered: Arc<Counter>,

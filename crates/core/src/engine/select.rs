@@ -14,12 +14,12 @@ use msj_obs::{Span, StepSpans};
 impl SpatialEngine {
     /// Serves a batch of point selections against one dataset — every
     /// object whose region contains the point, closed semantics — through
-    /// one Step-1 pass and one filter pass (three steps: index probe,
-    /// approximation filter, exact containment). This is the cross-request
-    /// batching path of a serving front; [`submit`](SpatialEngine::submit)
-    /// sends a single [`crate::Request::Point`] through it as a batch of
-    /// one. Nothing in a query's response depends on what it is batched
-    /// with.
+    /// one Step-1 pass and one exact pass (the R*-tree probe, whose MBR
+    /// proofs are the whole filter, then exact containment). This is the
+    /// cross-request batching path of a serving front;
+    /// [`submit`](SpatialEngine::submit) sends a single
+    /// [`crate::Request::Point`] through it as a batch of one. Nothing in
+    /// a query's response depends on what it is batched with.
     pub fn point_query_batch(
         &self,
         dataset: &DatasetHandle,
@@ -72,7 +72,7 @@ impl SpatialEngine {
         // as a page access, plus one object access + exact test per
         // unidentified candidate.
         let kind = exact_cost_kind(&self.config.join);
-        let identified = (stats.filter_false_hits + stats.filter_hits) as f64;
+        let identified = stats.filter_hits as f64;
         let cost = CostBreakdown {
             filter_yield_observed: if stats.candidates == 0 {
                 0.0

@@ -54,9 +54,18 @@ fn engine_join_matches_one_shot_pipeline() {
 #[test]
 fn a_self_join_rasterizes_its_relation_once() {
     let rel = msj_datagen::small_carto(60, 24.0, 1004);
-    // The one-shot pipeline holds two copies of the relation, so it
-    // rasterizes each side on its own: the reference for the pairs.
-    let expect = MultiStepJoin::new(JoinConfig::default()).execute(&rel, &rel);
+    // The one-shot pipeline copies and prepares a self-join's relation
+    // once, like the engine: one raster store on both sides.
+    let one_shot = PreparedJoin::one_shot(&JoinConfig::default(), &rel, &rel);
+    let (ra, rb) = one_shot.filter.raster_stores().expect("raster stage");
+    assert!(std::ptr::eq(ra, rb), "the one-shot join holds one store");
+    let expect = one_shot.run();
+    assert_eq!(
+        expect.pairs,
+        MultiStepJoin::new(JoinConfig::default())
+            .execute(&rel, &rel)
+            .pairs
+    );
     let engine = SpatialEngine::new(JoinConfig::default());
     let h = engine.register(rel);
     let prepared = engine.prepare_join(&h, &h);
@@ -67,6 +76,69 @@ fn a_self_join_rasterizes_its_relation_once() {
     assert_eq!(got.stats.raster_hits, expect.stats.raster_hits);
     assert_eq!(got.stats.raster_drops, expect.stats.raster_drops);
     assert!(got.stats.raster_hits + got.stats.raster_drops > 0);
+}
+
+#[test]
+fn a_reopened_self_join_adopts_its_pair_raster_once() {
+    let rel = msj_datagen::small_carto(60, 24.0, 1005);
+    let dir = std::env::temp_dir().join(format!("msj-engine-self-join-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let engine = SpatialEngine::new(JoinConfig::default())
+            .with_store(StoreConfig::new(&dir))
+            .expect("arm store");
+        let h = engine.register(rel.clone());
+        engine.prepare_join(&h, &h).run();
+    }
+    let pair_file = dir.join("pair_0_0.msj");
+    let inode = |path: &std::path::Path| {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).expect("pair persisted"))
+    };
+    let written = inode(&pair_file);
+    let fresh = SpatialEngine::new(JoinConfig::default());
+    let h = fresh.register(rel);
+    let expect = fresh.prepare_join(&h, &h).run();
+
+    let opened = SpatialEngine::open(JoinConfig::default(), StoreConfig::new(&dir)).expect("open");
+    let h = opened.dataset(0).expect("dataset 0");
+    let prepared = opened.prepare_join(&h, &h);
+    let (ra, rb) = prepared.filter.raster_stores().expect("raster stage");
+    assert!(std::ptr::eq(ra, rb), "one adopted store serves both sides");
+    assert_eq!(
+        inode(&pair_file),
+        written,
+        "adopted, not rebuilt and rewritten"
+    );
+    let got = prepared.run();
+    assert_eq!(got.pairs, expect.pairs);
+    assert_eq!(got.stats.raster_hits, expect.stats.raster_hits);
+    assert_eq!(got.stats.raster_drops, expect.stats.raster_drops);
+    drop(opened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The engine's Step 2 is the raster stage alone: a plan with any of
+/// §5's approximation stages belongs to `MultiStepJoin`.
+fn refused(edit: impl FnOnce(crate::JoinConfigBuilder) -> crate::JoinConfigBuilder) {
+    SpatialEngine::new(edit(JoinConfig::builder()).build());
+}
+
+#[test]
+#[should_panic(expected = "MultiStepJoin")]
+fn the_engine_refuses_a_conservative_approximation() {
+    refused(|plan| plan.conservative(msj_approx::ConservativeKind::FiveCorner));
+}
+
+#[test]
+#[should_panic(expected = "MultiStepJoin")]
+fn the_engine_refuses_a_progressive_approximation() {
+    refused(|plan| plan.progressive(msj_approx::ProgressiveKind::Mer));
+}
+
+#[test]
+#[should_panic(expected = "MultiStepJoin")]
+fn the_engine_refuses_the_false_area_test() {
+    refused(|plan| plan.false_area_test(true));
 }
 
 #[test]

@@ -20,17 +20,18 @@
 //!
 //! The test chain — raster → conservative → progressive → (optional)
 //! false-area — is fixed per *join* by the configured approximation
-//! kinds. [`crate::JoinConfig::default`] stores no approximation, so its
-//! chain is the raster stage alone: 5-C and MER run only where a
-//! configuration stores them (versions 2 and 3). Per-pair
+//! kinds. The resident [`crate::SpatialEngine`] runs the raster stage
+//! alone; 5-C and MER run only in a one-shot [`crate::MultiStepJoin`]
+//! (and the paper tables) whose plan configures them (versions 2 and 3),
+//! built by [`GeometricFilter::from_config`]. Per-pair
 //! [`GeometricFilter::classify`] is the reference;
 //! [`GeometricFilter::classify_batch`] runs it over the raster stage's
 //! undecided remainder and is outcome-identical by construction (and by
 //! test).
 
 use msj_approx::{
-    auto_grid_bits, raster_decide, ConservativeKind, ConservativeStore, ProgressiveKind,
-    ProgressiveStore, RasterDecision, RasterGrid, RasterStore,
+    auto_grid_bits, raster_decide, ConservativeStore, ProgressiveStore, RasterDecision, RasterGrid,
+    RasterStore,
 };
 use msj_geom::{ObjectId, Relation};
 use msj_obs::{Span, Step, StepSpans};
@@ -58,11 +59,10 @@ pub enum FilterOutcome {
 /// The geometric filter: per-relation columnar approximation stores and
 /// the configured tests.
 ///
-/// Every store sits behind [`Arc`]: the resident engine builds the
-/// conservative/progressive stores once per registered dataset and every
-/// prepared join over that dataset shares them; the raster stores are
-/// pair-level (both relations must be rasterized on one shared grid) and
-/// are shared across repeated runs of the same prepared join.
+/// Every store sits behind [`Arc`]: a self-join's relation has one store
+/// on both sides, and the raster stores, pair-level (both relations must
+/// be rasterized on one shared grid), are shared across repeated runs of
+/// the same prepared join.
 pub struct GeometricFilter {
     /// Step-2a raster signatures, both relations on one shared grid.
     raster_a: Option<Arc<RasterStore>>,
@@ -75,46 +75,6 @@ pub struct GeometricFilter {
 }
 
 impl GeometricFilter {
-    /// Precomputes the configured approximations for both relations. No
-    /// raster stage — attach one with [`GeometricFilter::with_raster`] or
-    /// go through [`GeometricFilter::from_config`].
-    pub fn build(
-        rel_a: &Relation,
-        rel_b: &Relation,
-        conservative: Option<ConservativeKind>,
-        progressive: Option<ProgressiveKind>,
-        use_false_area: bool,
-    ) -> Self {
-        Self::from_shared(
-            conservative.map(|k| Arc::new(ConservativeStore::build(k, rel_a))),
-            conservative.map(|k| Arc::new(ConservativeStore::build(k, rel_b))),
-            progressive.map(|k| Arc::new(ProgressiveStore::build(k, rel_a))),
-            progressive.map(|k| Arc::new(ProgressiveStore::build(k, rel_b))),
-            use_false_area,
-        )
-    }
-
-    /// Assembles a filter from pre-built shared stores (the resident
-    /// engine's path: each store was built once when its dataset was
-    /// registered).
-    pub fn from_shared(
-        conservative_a: Option<Arc<ConservativeStore>>,
-        conservative_b: Option<Arc<ConservativeStore>>,
-        progressive_a: Option<Arc<ProgressiveStore>>,
-        progressive_b: Option<Arc<ProgressiveStore>>,
-        use_false_area: bool,
-    ) -> Self {
-        GeometricFilter {
-            raster_a: None,
-            raster_b: None,
-            conservative_a,
-            conservative_b,
-            progressive_a,
-            progressive_b,
-            use_false_area,
-        }
-    }
-
     /// Attaches the Step-2a raster stage: both relations rasterized on one
     /// grid sized by [`auto_grid_bits`], a self-join's relation once; a
     /// no-op when the workspace has no finite, non-empty extent to grid.
@@ -123,11 +83,7 @@ impl GeometricFilter {
         let Some(grid) = RasterGrid::covering(rel_a, rel_b, bits) else {
             return self;
         };
-        let store_a = Arc::new(RasterStore::build(&grid, rel_a));
-        let store_b = match std::ptr::eq(rel_a, rel_b) {
-            true => store_a.clone(),
-            false => Arc::new(RasterStore::build(&grid, rel_b)),
-        };
+        let (store_a, store_b) = per_side(rel_a, rel_b, |rel| RasterStore::build(&grid, rel));
         self.with_shared_raster(store_a, store_b)
     }
 
@@ -142,32 +98,45 @@ impl GeometricFilter {
         self
     }
 
-    /// The filter a [`crate::JoinConfig`] asks for: built stores when any
-    /// approximation is configured, the raster stage when enabled,
-    /// [`GeometricFilter::disabled`] otherwise.
+    /// The filter a [`crate::JoinConfig`] asks for: the configured
+    /// conservative and progressive stores built for both relations (a
+    /// self-join's once), the false-area test when enabled, and the
+    /// raster stage in front when on. This is §5's versions 2 and 3 for
+    /// the one-shot join and the paper tables; the resident engine runs
+    /// the raster stage alone.
     pub fn from_config(config: &crate::JoinConfig, rel_a: &Relation, rel_b: &Relation) -> Self {
-        let filter = if config.conservative.is_some() || config.progressive.is_some() {
-            GeometricFilter::build(
-                rel_a,
-                rel_b,
-                config.conservative,
-                config.progressive,
-                config.false_area_test,
-            )
-        } else {
-            GeometricFilter::disabled()
+        let (conservative_a, conservative_b) = (config.conservative)
+            .map(|kind| per_side(rel_a, rel_b, |rel| ConservativeStore::build(kind, rel)))
+            .unzip();
+        let (progressive_a, progressive_b) = (config.progressive)
+            .map(|kind| per_side(rel_a, rel_b, |rel| ProgressiveStore::build(kind, rel)))
+            .unzip();
+        let filter = GeometricFilter {
+            conservative_a,
+            conservative_b,
+            progressive_a,
+            progressive_b,
+            use_false_area: config.false_area_test,
+            ..GeometricFilter::disabled()
         };
-        if config.raster {
-            filter.with_raster(rel_a, rel_b)
-        } else {
-            filter
+        match config.raster {
+            true => filter.with_raster(rel_a, rel_b),
+            false => filter,
         }
     }
 
     /// A filter that does nothing (version 1: every candidate goes to the
     /// exact step).
     pub fn disabled() -> Self {
-        Self::from_shared(None, None, None, None, false)
+        GeometricFilter {
+            raster_a: None,
+            raster_b: None,
+            conservative_a: None,
+            conservative_b: None,
+            progressive_a: None,
+            progressive_b: None,
+            use_false_area: false,
+        }
     }
 
     /// Whether the Step-2a raster stage runs (signatures built for both
@@ -300,10 +269,42 @@ impl GeometricFilter {
     }
 }
 
+/// One store per side, built once when both sides are one relation.
+fn per_side<T>(
+    rel_a: &Relation,
+    rel_b: &Relation,
+    build: impl Fn(&Relation) -> T,
+) -> (Arc<T>, Arc<T>) {
+    let a = Arc::new(build(rel_a));
+    let b = match std::ptr::eq(rel_a, rel_b) {
+        true => a.clone(),
+        false => Arc::new(build(rel_b)),
+    };
+    (a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msj_approx::{ConservativeKind, ProgressiveKind};
     use msj_geom::{Point, Polygon, SpatialObject};
+
+    /// The filter of a plan with these approximations and no raster stage.
+    fn chain(
+        rel_a: &Relation,
+        rel_b: &Relation,
+        conservative: Option<ConservativeKind>,
+        progressive: Option<ProgressiveKind>,
+        false_area: bool,
+    ) -> GeometricFilter {
+        let config = crate::JoinConfig::builder()
+            .conservative(conservative)
+            .progressive(progressive)
+            .false_area_test(false_area)
+            .raster(false)
+            .build();
+        GeometricFilter::from_config(&config, rel_a, rel_b)
+    }
 
     fn rel(regions: Vec<Vec<(f64, f64)>>) -> Relation {
         Relation::new(
@@ -359,7 +360,7 @@ mod tests {
     fn conservative_filter_identifies_bracket_false_hit() {
         let (a, b) = bracket_relations();
         // The brackets hug opposite corners: their hulls are disjoint.
-        let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, false);
+        let f = chain(&a, &b, Some(ConservativeKind::ConvexHull), None, false);
         // MBRs do overlap (precondition of a candidate):
         assert!(a.object(0).mbr().intersects(&b.object(0).mbr()));
         assert_eq!(f.classify(0, 0), FilterOutcome::FalseHit);
@@ -380,7 +381,7 @@ mod tests {
             (12.0, 12.0),
             (2.0, 12.0),
         ]]);
-        let f = GeometricFilter::build(
+        let f = chain(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
@@ -405,7 +406,7 @@ mod tests {
             (1.0, 11.0),
         ]]);
         // Squares equal their hulls: false area 0, intersection large.
-        let f = GeometricFilter::build(&a, &b, Some(ConservativeKind::ConvexHull), None, true);
+        let f = chain(&a, &b, Some(ConservativeKind::ConvexHull), None, true);
         assert_eq!(f.classify(0, 0), FilterOutcome::HitFalseArea);
     }
 
@@ -416,7 +417,7 @@ mod tests {
         // miss each other.
         let a = rel(vec![vec![(0.0, 0.0), (0.4, 0.0), (10.0, 9.6), (9.6, 10.0)]]);
         let b = rel(vec![vec![(10.0, 0.4), (9.6, 0.0), (0.0, 9.6), (0.4, 10.0)]]);
-        let f = GeometricFilter::build(
+        let f = chain(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
@@ -435,7 +436,7 @@ mod tests {
             (10.0, 10.0),
             (0.0, 10.0),
         ]]);
-        let f = GeometricFilter::build(
+        let f = chain(
             &a,
             &a.clone(),
             Some(ConservativeKind::ConvexHull),
@@ -490,8 +491,8 @@ mod tests {
         ];
         let mut filters = Vec::new();
         for (cons, prog, fa) in configs {
-            filters.push(GeometricFilter::build(&a, &b, cons, prog, fa));
-            filters.push(GeometricFilter::build(&a, &b, cons, prog, fa).with_raster(&a, &b));
+            filters.push(chain(&a, &b, cons, prog, fa));
+            filters.push(chain(&a, &b, cons, prog, fa).with_raster(&a, &b));
         }
         for config in [crate::JoinConfig::default(), crate::JoinConfig::version3()] {
             let f = GeometricFilter::from_config(&config, &a, &b);
@@ -531,14 +532,14 @@ mod tests {
             }
         }
         assert!(pairs.len() > 50, "need a meaningful batch");
-        let plain = GeometricFilter::build(
+        let plain = chain(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),
             Some(ProgressiveKind::Mer),
             false,
         );
-        let rastered = GeometricFilter::build(
+        let rastered = chain(
             &a,
             &b,
             Some(ConservativeKind::FiveCorner),

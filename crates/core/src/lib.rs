@@ -12,11 +12,11 @@
 //!    ([`config::Backend::PartitionedSweep`]);
 //! 2. **Geometric filter** — the Step-2a raster pre-filter decides most
 //!    candidates by intersecting A/F Hilbert-run signatures
-//!    ([`JoinConfig::raster`], on by default); conservative
-//!    approximations (when configured — the default stores none)
-//!    identify false hits, progressive approximations and the false-area
-//!    test identify hits among the remainder, all without touching the
-//!    exact geometry ([`filter::GeometricFilter`]);
+//!    ([`JoinConfig::raster`], on by default), without touching the exact
+//!    geometry ([`filter::GeometricFilter`]). A one-shot
+//!    [`MultiStepJoin`] under the paper's versions 2 and 3 adds their
+//!    conservative and progressive approximations and the false-area
+//!    test; the resident engine runs the raster stage alone;
 //! 3. **Exact geometry processor** — the remaining candidates are decided
 //!    on the exact polygons ([`msj_exact::ExactProcessor`]; the paper's
 //!    recommendation is the TR*-tree).
@@ -41,10 +41,11 @@
 //!   same thing from scratch, runs it once and drops it.
 //! * **Selections** (point / window queries, §2) run through one
 //!   batch-shaped loop, [`queries`], generic over the probe shape; a
-//!   single query is a batch of one.
-//! * **Step 1** is one trait, [`CandidateSource`]: one join method and
-//!   one method per selection shape, implemented by the R*-tree
-//!   traversal and the partitioned sweep.
+//!   single query is a batch of one. Their Step 1 is the dataset's
+//!   R*-tree on either backend, Step 3 the TR*-trees or the region, and
+//!   nothing in between.
+//! * **Step 1 of a join** is one trait, [`CandidateSource`], implemented
+//!   by the R*-tree traversal and the partitioned sweep.
 //!
 //! The [`Execution`] policy on [`JoinConfig`] decides how a join's steps
 //! are scheduled: [`Execution::Serial`] runs all three on the calling
@@ -81,9 +82,7 @@ pub mod pipeline;
 pub mod queries;
 pub mod stats;
 
-pub use candidates::{
-    selection_source, CandidateSource, PartitionSummary, SelectionStats, Step1Stats,
-};
+pub use candidates::{CandidateSource, PartitionSummary, Step1Stats};
 pub use config::{Backend, EngineConfig, JoinConfig, JoinConfigBuilder, DEFAULT_BATCH_PAIRS};
 pub use cost::{estimate_cost, figure18_cost, CostBreakdown, CostModelParams, ExactCostKind};
 pub use engine::{

@@ -56,10 +56,13 @@ impl MultiStepJoin {
     }
 
     /// Runs the full three-step join of `rel_a` with `rel_b` under the
-    /// configured [`crate::Execution`] policy: builds the same owned
-    /// [`PreparedJoin`] a [`crate::SpatialEngine`] would (Step 0 from
+    /// configured [`crate::Execution`] policy: builds the owned
+    /// [`PreparedJoin`] a [`crate::SpatialEngine`] runs (Step 0 from
     /// scratch, over a copy of each relation — the prepared join owns
-    /// its inputs), runs it once and drops it. The run is always timed,
+    /// its inputs; a self-join's one copy serves both sides), its Step 2
+    /// the plan's whole filter, §5's approximations included
+    /// ([`crate::GeometricFilter::from_config`]), runs it once and drops
+    /// it. The run is always timed,
     /// picks its kernels by [`msj_geom::KernelDispatch::auto`] and has no
     /// fault plan; nothing is recorded anywhere but in the returned
     /// statistics. To pay Step 0 once for many runs — or to run under an

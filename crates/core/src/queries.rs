@@ -3,23 +3,19 @@
 //! The join is the paper's subject, but the same multi-step architecture
 //! serves the selective queries it builds on — and Figure 10 measures
 //! point and window queries on the same storage organizations. The
-//! processor here mirrors the join pipeline:
+//! processor here mirrors the join pipeline, with one route per step on
+//! either join backend:
 //!
-//! 1. R*-tree point/window query on the MBR keys → candidates, a window
-//!    proving those whose MBR extent it covers (on the leaf in hand);
-//! 2. geometric filter, where approximations are stored (the default
-//!    stores none), cheapest proof first: the MER, then the conservative
-//!    test on the rest, then a non-MER progressive (MEC), one candidate
-//!    at a time;
+//! 1. the dataset's R*-tree, point/window query on the MBR keys →
+//!    candidates, a window proving those whose MBR extent it covers (on
+//!    the leaf in hand);
+//! 2. no approximation test: the engine stores none beyond the MBR, so
+//!    Step 1's proofs are the whole filter;
 //! 3. exact test for the remainder, as one pass per batch: a descent of
 //!    the object's TR*-tree (§4.2, [`msj_exact::SelectionRefiner`]) where it
 //!    proves the answer, the region's edges elsewhere — the same answers.
 
-use crate::candidates::{self, CandidateSource, SelectionStats};
-use crate::config::JoinConfig;
-use msj_approx::{ConsView, ConservativeStore, Progressive, ProgressiveStore};
 use msj_exact::{OpCounts, SelectProbe, SelectionRefiner, TrStarStore};
-use msj_geom::kernels::KernelDispatch;
 use msj_geom::{ObjectId, Point, Rect, RelHandle};
 use msj_obs::{Span, Step, StepSpans};
 use msj_sam::RStarTree;
@@ -30,117 +26,63 @@ use std::sync::Arc;
 pub struct QueryStats {
     /// Candidates produced by the index (MBR hits).
     pub candidates: u64,
-    /// Candidates eliminated by the conservative approximation.
-    pub filter_false_hits: u64,
-    /// Candidates proved hits by Step 1's MBR or the progressive test.
+    /// Candidates proved hits by Step 1's MBR.
     pub filter_hits: u64,
     /// Candidates that required the exact geometry.
     pub exact_tests: u64,
-    /// Index nodes the probe visited (0 on the grid backend).
+    /// R*-tree nodes the probe visited.
     pub node_visits: u64,
 }
 
-/// What a selection shape — a point or a window — asks of each step of
-/// the pipeline. [`SelectionState::select`] is the one loop over it.
+/// What a selection shape — a point or a window — asks of Step 1.
+/// [`SelectionState::select`] is the one loop over it.
 pub(crate) trait Probe: Copy + SelectProbe {
     /// Request-kind label of this shape (`"point"` / `"window"`).
     const KIND: &'static str;
 
-    /// Step 1 for a batch of probes of this shape, with its MBR proofs.
-    fn candidates(
-        source: &dyn CandidateSource,
-        probes: &[Self],
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-        stats: &mut Vec<SelectionStats>,
-    );
-
-    /// `false` proves a false hit: the probe misses the conservative
-    /// approximation.
-    fn meets_conservative(&self, cons: &ConsView<'_>) -> bool;
-
-    /// `true` proves a hit: the probe meets the enclosed shape. A MER's
-    /// NaN sentinel meets nothing, like [`Progressive::Empty`].
-    fn meets_progressive(&self, prog: &Progressive) -> bool;
+    /// Step 1 for one probe: appends the ids whose MBR meets it to `out`
+    /// and, per id, whether the MBR alone proves a hit to `proved`;
+    /// returns the node visits.
+    fn descend(self, tree: &RStarTree, out: &mut Vec<ObjectId>, proved: &mut Vec<bool>) -> u64;
 }
 
 impl Probe for Point {
     const KIND: &'static str = "point";
 
-    fn candidates(
-        source: &dyn CandidateSource,
-        probes: &[Self],
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-        stats: &mut Vec<SelectionStats>,
-    ) {
-        source.point_candidates(probes, out, stats);
+    fn descend(self, tree: &RStarTree, out: &mut Vec<ObjectId>, proved: &mut Vec<bool>) -> u64 {
+        let visits = tree.point_query(self, &mut (), out);
         proved.resize(out.len(), false); // a point proves nothing from an MBR
-    }
-
-    fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
-        cons.contains_point(*self)
-    }
-
-    fn meets_progressive(&self, prog: &Progressive) -> bool {
-        match prog {
-            Progressive::Mec(c) => c.contains_point(*self),
-            Progressive::Mer(r) => r.contains_point(*self),
-            Progressive::Empty => false,
-        }
+        visits
     }
 }
 
 impl Probe for Rect {
     const KIND: &'static str = "window";
 
-    fn candidates(
-        source: &dyn CandidateSource,
-        probes: &[Self],
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-        stats: &mut Vec<SelectionStats>,
-    ) {
-        source.window_candidates(probes, out, proved, stats)
-    }
-
-    fn meets_conservative(&self, cons: &ConsView<'_>) -> bool {
-        cons.intersects(&ConsView::Rect(self))
-    }
-
-    fn meets_progressive(&self, prog: &Progressive) -> bool {
-        prog.intersects(&Progressive::Mer(*self))
+    fn descend(self, tree: &RStarTree, out: &mut Vec<ObjectId>, proved: &mut Vec<bool>) -> u64 {
+        tree.window_query_proving(self, &mut (), out, proved)
     }
 }
 
-/// The resident multi-step selection state over one relation: candidate
-/// source plus `Arc`-shared approximation stores. This is what a
+/// The resident multi-step selection state over one relation: its
+/// R*-tree and its Step-3 refiner. This is what a
 /// [`crate::SpatialEngine`] dataset keeps registered.
 pub(crate) struct SelectionState {
-    source: Box<dyn CandidateSource>,
-    conservative: Option<Arc<ConservativeStore>>,
-    progressive: Option<Arc<ProgressiveStore>>,
+    tree: Arc<RStarTree>,
     refiner: SelectionRefiner,
 }
 
 impl SelectionState {
-    /// Assembles the state around a Step-1 index and stores built once at
-    /// dataset registration; its source runs no join, so no SIMD kernel.
+    /// Assembles the state around a tree and TR*-trees built (or adopted)
+    /// once at dataset registration.
     pub fn new(
         relation: RelHandle<'static>,
-        config: &JoinConfig,
-        tree: Option<Arc<RStarTree>>,
-        conservative: Option<Arc<ConservativeStore>>,
-        progressive: Option<Arc<ProgressiveStore>>,
+        tree: Arc<RStarTree>,
         trstar: Option<Arc<TrStarStore>>,
     ) -> Self {
-        let dispatch = KernelDispatch::Scalar;
-        let source = candidates::source_with(config, dispatch, relation.clone(), None, tree, None);
         SelectionState {
+            tree,
             refiner: SelectionRefiner::new(relation, trstar),
-            source,
-            conservative,
-            progressive,
         }
     }
 
@@ -151,7 +93,7 @@ impl SelectionState {
     /// batch of one: the batch shares one set of scratch buffers, and
     /// nothing emitted depends on how probes are grouped.
     ///
-    /// With `spans`, the index probes land in `Step1`, the filter chain
+    /// With `spans`, the index probes land in `Step1`, the candidate loop
     /// in `Step2` and the exact tests in `Step3`; `None` skips every
     /// clock read. Results are identical either way.
     pub fn select<P: Probe>(
@@ -162,51 +104,36 @@ impl SelectionState {
     ) {
         let t_probe = spans.map(|_| Span::start());
         let (mut all, mut hit) = (Vec::new(), Vec::new());
-        let mut probe_stats = Vec::with_capacity(probes.len());
-        P::candidates(&*self.source, probes, &mut all, &mut hit, &mut probe_stats);
+        let mut answers = Vec::with_capacity(probes.len());
+        for &probe in probes {
+            let before = all.len();
+            let node_visits = probe.descend(&self.tree, &mut all, &mut hit);
+            let q = QueryStats {
+                candidates: (all.len() - before) as u64,
+                node_visits,
+                ..QueryStats::default()
+            };
+            answers.push((q, OpCounts::new()));
+        }
         if let (Some(spans), Some(t)) = (spans, t_probe) {
             spans.finish(Step::Step1, t);
         }
         let t_rest = spans.map(|_| Span::start());
-        // `hit` starts as Step 1's proofs. MER ⊆ object ⊆ conservative, so
-        // a stored MER tested first and a configured conservative
-        // approximation on the rest give every outcome and count of the
-        // paper-order chain; where rounding breaks that claim (the debug
-        // assertion), the MER's proof stands.
-        let mers = self.progressive.as_deref().and_then(|p| p.mer_column());
-        let mec = self.progressive.as_deref().filter(|_| mers.is_none());
-        let conservative = self.conservative.as_deref();
+        // `hit` holds Step 1's proofs; every other candidate goes to
+        // Step 3.
         let mut undecided = Vec::new();
-        let mut answers = Vec::with_capacity(probes.len());
         let mut offset = 0usize;
-        for (probe, step1) in probes.iter().zip(&probe_stats) {
-            let candidates = &all[offset..offset + step1.candidates as usize];
-            let mut q = QueryStats {
-                candidates: step1.candidates,
-                node_visits: step1.node_visits,
-                ..QueryStats::default()
-            };
-            let mer = |id| {
-                mers.is_some_and(|m| probe.meets_progressive(&Progressive::Mer(m[id as usize])))
-            };
-            let cons = |id| conservative.is_none_or(|c| probe.meets_conservative(&c.view(id)));
-            for (slot, &id) in (offset..).zip(candidates) {
-                if hit[slot] || mer(id) {
-                    hit[slot] = true;
-                    debug_assert!(cons(id), "conservative test drops {id}, a proved hit");
-                    q.filter_hits += 1;
-                } else if !cons(id) {
-                    q.filter_false_hits += 1;
-                } else if mec.is_some_and(|p| probe.meets_progressive(&p.get(id))) {
-                    hit[slot] = true;
+        for (k, (q, _)) in answers.iter_mut().enumerate() {
+            let slots = offset..offset + q.candidates as usize;
+            offset = slots.end;
+            for slot in slots {
+                if hit[slot] {
                     q.filter_hits += 1;
                 } else {
                     q.exact_tests += 1;
-                    undecided.push((slot, answers.len()));
+                    undecided.push((slot, k));
                 }
             }
-            offset += candidates.len();
-            answers.push((q, OpCounts::new()));
         }
         // Step 3 as its own pass over the undecided slots, in probe order.
         let t_exact = (spans.is_some() && !undecided.is_empty()).then(Span::start);
@@ -231,27 +158,21 @@ impl SelectionState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msj_approx::{ConservativeKind, ProgressiveKind};
+    use crate::config::JoinConfig;
     use msj_geom::Relation;
 
     /// Everything built from the relation alone — what the engine does at
     /// registration, without the engine.
     fn state(rel: &Relation, config: &JoinConfig) -> SelectionState {
         let relation = Arc::new(rel.clone());
-        let conservative = config
-            .conservative
-            .map(|k| Arc::new(ConservativeStore::build(k, &relation)));
-        let progressive = config
-            .progressive
-            .map(|k| Arc::new(ProgressiveStore::build(k, &relation)));
+        let tree = Arc::new(crate::candidates::build_tree(config, rel));
         let trstar = match config.exact {
             msj_exact::ExactAlgorithm::TrStar { max_entries } => {
                 Some(Arc::new(TrStarStore::build(&relation, max_entries)))
             }
             _ => None,
         };
-        let relation = RelHandle::from(relation);
-        SelectionState::new(relation, config, None, conservative, progressive, trstar)
+        SelectionState::new(RelHandle::from(relation), tree, trstar)
     }
 
     fn select_all<P: Probe>(
@@ -268,29 +189,14 @@ mod tests {
         (ids, stats)
     }
 
+    /// Step 3 with and without TR*-trees, at the measured and the
+    /// paper's node capacity.
     fn processor_configs() -> Vec<JoinConfig> {
-        use crate::config::Backend;
+        let paper_capacity = msj_exact::ExactAlgorithm::TrStar { max_entries: 3 };
         vec![
             JoinConfig::version1(),
             JoinConfig::default(),
-            JoinConfig::version3(),
-            JoinConfig {
-                conservative: Some(ConservativeKind::ConvexHull),
-                progressive: Some(ProgressiveKind::Mec),
-                ..JoinConfig::default()
-            },
-            JoinConfig {
-                conservative: Some(ConservativeKind::Mbe),
-                progressive: None,
-                ..JoinConfig::default()
-            },
-            JoinConfig {
-                backend: Backend::PartitionedSweep {
-                    tiles_per_axis: 6,
-                    threads: 1,
-                },
-                ..JoinConfig::default()
-            },
+            JoinConfig::builder().exact(paper_capacity).build(),
         ]
     }
 
@@ -314,10 +220,7 @@ mod tests {
                     .collect();
                 expect.sort_unstable();
                 assert_eq!(got, expect, "point {p:?} config {config:?}");
-                assert_eq!(
-                    stats.candidates,
-                    stats.filter_false_hits + stats.filter_hits + stats.exact_tests
-                );
+                assert_eq!(stats.candidates, stats.filter_hits + stats.exact_tests);
             }
         }
     }
@@ -384,27 +287,5 @@ mod tests {
                 assert_eq!(batched[i], single, "window {w:?} config {config:?}");
             }
         }
-    }
-
-    #[test]
-    fn filter_reduces_exact_tests_for_point_queries() {
-        let rel = msj_datagen::small_carto(80, 30.0, 19);
-        let world = rel.bounding_rect().unwrap();
-        let with_filter = state(&rel, &JoinConfig::version3());
-        let without = state(&rel, &JoinConfig::version1());
-        let mut exact_with = 0;
-        let mut exact_without = 0;
-        for i in 0..60 {
-            let p = Point::new(
-                world.xmin() + world.width() * (i as f64 * 0.17).fract(),
-                world.ymin() + world.height() * (i as f64 * 0.29).fract(),
-            );
-            exact_with += select_one(&with_filter, p).1.exact_tests;
-            exact_without += select_one(&without, p).1.exact_tests;
-        }
-        assert!(
-            exact_with < exact_without,
-            "filter should cut exact point tests: {exact_with} vs {exact_without}"
-        );
     }
 }

@@ -39,6 +39,9 @@ pub struct MultiStepStats {
     /// MBR-join candidate count.
     pub raster_inconclusive: u64,
     /// Step 2: false hits identified by the conservative approximation.
+    /// This and the next two count only in a one-shot
+    /// [`crate::MultiStepJoin`] whose plan runs §5's approximations; on a
+    /// [`crate::SpatialEngine`] they read 0.
     pub filter_false_hits: u64,
     /// Step 2: hits identified by the progressive approximation.
     pub filter_hits_progressive: u64,

@@ -1,54 +1,40 @@
 //! Selections take the cheapest proof first — Step 1's MBR proof for
-//! windows, then the MER, then the conservative test on the candidates
-//! still unproved, then MEC, then Step 3 as one pass — and that order
-//! must be invisible in every answer:
+//! windows, then Step 3 as one pass — and that order must be invisible
+//! in every answer:
 //!
 //! * a query's ids equal a linear scan over the exact regions, and arrive
 //!   in Step-1 candidate order;
-//! * its [`QueryStats`] (node visits, false hits, filter hits, exact
-//!   tests) and exact operation counts equal the paper-order chain —
-//!   the MBR proof, then the conservative test — recomputed here from
-//!   the public stores over the same candidates, Step 3 on the
-//!   configured route
-//!   ([`msj_exact::SelectionRefiner`]: the TR*-tree where it proves the
-//!   answer, the region test elsewhere or without TR*).
+//! * its [`QueryStats`] (node visits, filter hits, exact tests) and exact
+//!   operation counts equal the one-candidate-at-a-time chain — the MBR
+//!   proof, then Step 3 — recomputed here from an R*-tree built apart
+//!   from the engine over the same relation, Step 3 on the configured
+//!   route ([`msj_exact::SelectionRefiner`]: the TR*-tree where it proves
+//!   the answer, the region test elsewhere or without TR*).
+//!
+//! The engine descends the dataset's R*-tree on either join backend, so
+//! the grid backend answers exactly as the default does.
 //!
 //! The probes go where an order change could show: windows that contain
 //! whole objects, lie inside a MER, lie inside an object but outside its
 //! MER, lie inside a hole or only touch a boundary; points on vertices,
-//! on edges and inside holes. `MER ⊆ object ⊆ conservative approximation`
-//! is a floating-point claim there, so CI also runs this file in release.
+//! on edges and inside holes. A window's MBR proof is a floating-point
+//! claim there, so CI also runs this file in release.
 
-use msj_approx::{
-    ConsView, ConservativeKind, ConservativeStore, Progressive, ProgressiveKind, ProgressiveStore,
-};
-use msj_core::{selection_source, Backend, CandidateSource, JoinConfig, QueryStats, SpatialEngine};
+use msj_approx::{Progressive, ProgressiveKind, ProgressiveStore};
+use msj_core::{Backend, JoinConfig, QueryStats, SpatialEngine};
 use msj_datagen::{generate_relation, BlobParams, LayoutParams};
 use msj_exact::{ExactAlgorithm, OpCounts, SelectProbe, SelectionRefiner, TrStarStore};
 use msj_geom::{ObjectId, Point, PolygonWithHoles, Rect, RelHandle, Relation};
+use msj_sam::{PageLayout, RStarTree};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// The six filter chains a selection can run.
+/// The three plans a selection can run under: Step 3 with TR*-trees,
+/// Step 3 on the region alone, and the grid's join backend.
 fn configs() -> Vec<(&'static str, JoinConfig)> {
-    let chain = |cons, prog| {
-        JoinConfig::builder()
-            .conservative(cons)
-            .progressive(prog)
-            .build()
-    };
     vec![
-        ("default (no approximation)", JoinConfig::default()),
-        ("version3", JoinConfig::version3()),
-        (
-            "hull + MEC",
-            chain(
-                Some(ConservativeKind::ConvexHull),
-                Some(ProgressiveKind::Mec),
-            ),
-        ),
-        ("MBE only", chain(Some(ConservativeKind::Mbe), None)),
+        ("default", JoinConfig::default()),
         ("version1", JoinConfig::version1()),
         (
             "grid backend",
@@ -240,32 +226,20 @@ struct Chain {
 /// the engine's own `Probe` trait.
 trait Shape: Copy + std::fmt::Debug + SelectProbe {
     /// Step 1's ids and node visits.
-    fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64);
+    fn candidates(self, tree: &RStarTree) -> (Vec<ObjectId>, u64);
     /// Whether the candidate's MBR alone proves a hit.
     fn proved_by_mbr(self, mbr: Rect) -> bool;
-    fn meets_conservative(self, cons: ConsView<'_>) -> bool;
-    fn meets_progressive(self, prog: Progressive) -> bool;
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool;
 }
 
 impl Shape for Point {
-    fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64) {
-        let (mut ids, mut stats) = (Vec::new(), Vec::new());
-        source.point_candidates(&[self], &mut ids, &mut stats);
-        (ids, stats[0].node_visits)
+    fn candidates(self, tree: &RStarTree) -> (Vec<ObjectId>, u64) {
+        let mut ids = Vec::new();
+        let visits = tree.point_query(self, &mut (), &mut ids);
+        (ids, visits)
     }
     fn proved_by_mbr(self, _: Rect) -> bool {
         false
-    }
-    fn meets_conservative(self, cons: ConsView<'_>) -> bool {
-        cons.contains_point(self)
-    }
-    fn meets_progressive(self, prog: Progressive) -> bool {
-        match prog {
-            Progressive::Mec(c) => c.contains_point(self),
-            Progressive::Mer(r) => r.contains_point(self),
-            Progressive::Empty => false,
-        }
     }
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool {
         region.contains_point(self)
@@ -273,10 +247,10 @@ impl Shape for Point {
 }
 
 impl Shape for Rect {
-    fn candidates(self, source: &dyn CandidateSource) -> (Vec<ObjectId>, u64) {
-        let (mut ids, mut stats) = (Vec::new(), Vec::new());
-        source.window_candidates(&[self], &mut ids, &mut Vec::new(), &mut stats);
-        (ids, stats[0].node_visits)
+    fn candidates(self, tree: &RStarTree) -> (Vec<ObjectId>, u64) {
+        let mut ids = Vec::new();
+        let visits = tree.window_query(self, &mut (), &mut ids);
+        (ids, visits)
     }
     /// The MBR's x-extent inside the window's x-range, or its y-extent
     /// inside the y-range: the region, connected and touching all four
@@ -285,46 +259,27 @@ impl Shape for Rect {
         (self.xmin() <= mbr.xmin() && mbr.xmax() <= self.xmax())
             || (self.ymin() <= mbr.ymin() && mbr.ymax() <= self.ymax())
     }
-    fn meets_conservative(self, cons: ConsView<'_>) -> bool {
-        match cons {
-            ConsView::Rect(r) => r.intersects(&self),
-            ConsView::Circle(c) => c.intersects_rect(&self),
-            ConsView::Ellipse(e) => e.intersects_convex(&self.corners()),
-            ConsView::Convex(ring) => msj_geom::convex_intersect(ring, &self.corners()),
-        }
-    }
-    fn meets_progressive(self, prog: Progressive) -> bool {
-        match prog {
-            Progressive::Mec(c) => c.intersects_rect(&self),
-            Progressive::Mer(r) => r.intersects(&self),
-            Progressive::Empty => false,
-        }
-    }
     fn in_linear_scan(self, region: &PolygonWithHoles) -> bool {
         msj_exact::window::region_intersects_rect_reference(region, &self)
     }
 }
 
-/// The conservative-first chain of the paper (§2) over one relation under
-/// one configuration, built from the public stores and candidate source —
-/// nothing of the engine's resident state.
-struct PaperOrder<'a> {
+/// The MBR-then-exact chain over one relation under one configuration,
+/// built from the public tree and refiner — nothing of the engine's
+/// resident state.
+struct Reference<'a> {
     rel: &'a Relation,
-    source: Box<dyn CandidateSource + 'a>,
-    cons: Option<ConservativeStore>,
-    prog: Option<ProgressiveStore>,
+    tree: RStarTree,
     step3: SelectionRefiner,
 }
 
-impl<'a> PaperOrder<'a> {
+impl<'a> Reference<'a> {
     fn new(config: &JoinConfig, rel: &'a Relation) -> Self {
-        PaperOrder {
+        // The engine's leaf layout: a MER's 16 B per entry beside the MBR.
+        let layout = PageLayout::with_extra_bytes(config.page_size, 16);
+        Reference {
             rel,
-            source: selection_source(config, rel),
-            cons: config
-                .conservative
-                .map(|k| ConservativeStore::build(k, rel)),
-            prog: config.progressive.map(|k| ProgressiveStore::build(k, rel)),
+            tree: RStarTree::bulk_load(layout, rel.iter().map(|o| (o.mbr(), o.id))),
             step3: SelectionRefiner::new(
                 RelHandle::from(Arc::new(rel.clone())),
                 match config.exact {
@@ -337,11 +292,10 @@ impl<'a> PaperOrder<'a> {
         }
     }
 
-    /// One candidate at a time: an MBR proof is a hit, a conservative
-    /// miss is a false hit, a progressive hit is a hit, the rest go to
+    /// One candidate at a time: an MBR proof is a hit, the rest go to
     /// Step 3 on the configured route.
     fn answer<S: Shape>(&self, probe: S) -> Chain {
-        let (candidates, node_visits) = probe.candidates(&*self.source);
+        let (candidates, node_visits) = probe.candidates(&self.tree);
         let mut chain = Chain {
             ids: Vec::new(),
             stats: QueryStats {
@@ -353,11 +307,6 @@ impl<'a> PaperOrder<'a> {
         };
         for id in candidates {
             if probe.proved_by_mbr(self.rel.object(id).mbr()) {
-                chain.stats.filter_hits += 1;
-                chain.ids.push(id);
-            } else if (self.cons.as_ref()).is_some_and(|c| !probe.meets_conservative(c.view(id))) {
-                chain.stats.filter_false_hits += 1;
-            } else if (self.prog.as_ref()).is_some_and(|p| probe.meets_progressive(p.get(id))) {
                 chain.stats.filter_hits += 1;
                 chain.ids.push(id);
             } else {
@@ -388,7 +337,7 @@ fn linear_scan<S: Shape>(rel: &Relation, probes: &[S]) -> Vec<Vec<ObjectId>> {
 /// the chain; returns the chain's counts summed over the batch.
 fn check<S: Shape>(
     name: &str,
-    chain: &PaperOrder,
+    chain: &Reference,
     probes: &[S],
     scans: &[Vec<ObjectId>],
     answers: Vec<msj_core::SelectionResponse>,
@@ -409,7 +358,6 @@ fn check<S: Shape>(
             answer.exact_ops, want.ops,
             "{name}: {probe:?} exact op counts"
         );
-        total.filter_false_hits += want.stats.filter_false_hits;
         total.filter_hits += want.stats.filter_hits;
         total.exact_tests += want.stats.exact_tests;
     }
@@ -417,7 +365,7 @@ fn check<S: Shape>(
 }
 
 #[test]
-fn selections_answer_like_the_conservative_first_chain() {
+fn selections_answer_like_the_mbr_then_exact_chain() {
     for (rel_name, rel) in relations() {
         if rel_name == "carto_with_holes" {
             assert!(rel.iter().any(|o| !o.region.holes().is_empty()));
@@ -427,23 +375,18 @@ fn selections_answer_like_the_conservative_first_chain() {
         for (config_name, config) in configs() {
             let engine = SpatialEngine::new(config);
             let dataset = engine.register(rel.clone());
-            let chain = PaperOrder::new(&config, &rel);
+            let chain = Reference::new(&config, &rel);
             let name = format!("{config_name} on {rel_name}");
             let p = engine.point_query_batch(&dataset, &points);
             let p = check(&name, &chain, &points, &point_scans, p);
             let w = engine.window_query_batch(&dataset, &windows);
             let w = check(&name, &chain, &windows, &window_scans, w);
-            // Every stage of the chain must have had work to do, or the
-            // comparison proves nothing about its order.
+            // Both steps must have had work to do, or the comparison
+            // proves nothing about their order.
             for (shape, t) in [("points", p), ("windows", w)] {
                 assert!(t.exact_tests > 0, "{name}: no {shape} reached Step 3");
-                if config.conservative.is_some() {
-                    assert!(t.filter_false_hits > 0, "{name}: {shape} dropped nothing");
-                }
-                if config.progressive.is_some() || shape == "windows" {
-                    assert!(t.filter_hits > 0, "{name}: {shape} identified nothing");
-                }
             }
+            assert!(w.filter_hits > 0, "{name}: windows proved nothing");
         }
     }
 }

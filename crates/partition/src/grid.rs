@@ -1,5 +1,4 @@
-//! The uniform grid: tile addressing, MBR-to-tile assignment, and the
-//! single-relation [`GridIndex`] for selection queries.
+//! The uniform grid: tile addressing and MBR-to-tile assignment.
 
 use msj_geom::{ObjectId, Point, Rect};
 
@@ -46,10 +45,6 @@ impl Grid {
     /// Total number of tiles (`n²`).
     pub fn tile_count(&self) -> usize {
         self.tiles_per_axis * self.tiles_per_axis
-    }
-
-    pub fn universe(&self) -> Rect {
-        self.universe
     }
 
     /// Column index of an x coordinate, clamped into the grid.
@@ -121,112 +116,9 @@ impl Grid {
     }
 }
 
-/// A grid over one relation's MBRs: the Step-1 candidate index for
-/// selection (point / window) queries.
-///
-/// Candidates are MBR hits exactly as with the R*-tree; the multi-step
-/// filter and exact steps downstream are unchanged.
-#[derive(Debug, Clone)]
-pub struct GridIndex {
-    grid: Option<Grid>,
-    buckets: Vec<Vec<(Rect, ObjectId)>>,
-    /// Total tile assignments (≥ item count; the excess is replication).
-    pub assignments: u64,
-    len: usize,
-}
-
-impl GridIndex {
-    /// Builds the index with `tiles_per_axis` tiles per side.
-    pub fn build(items: &[(Rect, ObjectId)], tiles_per_axis: usize) -> Self {
-        let Some(grid) = Grid::covering(items, &[], tiles_per_axis) else {
-            return GridIndex {
-                grid: None,
-                buckets: Vec::new(),
-                assignments: 0,
-                len: 0,
-            };
-        };
-        let (buckets, assignments) = grid.assign(items);
-        GridIndex {
-            grid: Some(grid),
-            buckets,
-            assignments,
-            len: items.len(),
-        }
-    }
-
-    /// Number of indexed items.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Ids whose MBR contains `p`. Exactly one tile is probed (a point
-    /// lies in one tile), so no deduplication is needed.
-    pub fn point_candidates(&self, p: Point, out: &mut Vec<ObjectId>) -> u64 {
-        let Some(grid) = &self.grid else { return 0 };
-        if !grid.universe().contains_point(p) {
-            return 0;
-        }
-        let mut tests = 0u64;
-        for (rect, id) in &self.buckets[grid.tile_of(p)] {
-            tests += 1;
-            if rect.contains_point(p) {
-                out.push(*id);
-            }
-        }
-        tests
-    }
-
-    /// Ids whose MBR intersects `window`, each with whether the window
-    /// provably meets its object ([`Rect::covers_an_extent_of`]) pushed
-    /// onto `proved`. Every overlapping tile is probed; a replicated
-    /// rectangle is counted only in the tile holding the reference point
-    /// of its intersection with the window.
-    pub fn window_candidates(
-        &self,
-        window: Rect,
-        out: &mut Vec<ObjectId>,
-        proved: &mut Vec<bool>,
-    ) -> u64 {
-        let Some(grid) = &self.grid else { return 0 };
-        let Some(clipped) = grid.universe().intersection(&window) else {
-            return 0;
-        };
-        let mut tests = 0u64;
-        for tile in grid.tiles_of(&clipped) {
-            for (rect, id) in &self.buckets[tile] {
-                tests += 1;
-                if rect.intersects(&window) && grid.reference_tile(rect, &window) == tile {
-                    out.push(*id);
-                    proved.push(window.covers_an_extent_of(rect));
-                }
-            }
-        }
-        tests
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn items() -> Vec<(Rect, ObjectId)> {
-        let mut v = Vec::new();
-        let mut id = 0;
-        for i in 0..10 {
-            for j in 0..10 {
-                let x = i as f64 * 7.0;
-                let y = j as f64 * 7.0;
-                v.push((Rect::from_bounds(x, y, x + 9.5, y + 9.5), id));
-                id += 1;
-            }
-        }
-        v
-    }
 
     #[test]
     fn every_point_lies_in_exactly_one_tile() {
@@ -267,66 +159,5 @@ mod tests {
             .tiles_of(&Rect::from_bounds(5.0, 5.0, 5.0, 5.0))
             .collect();
         assert_eq!(tiles, vec![0]);
-    }
-
-    #[test]
-    fn point_candidates_match_linear_scan() {
-        let items = items();
-        let index = GridIndex::build(&items, 5);
-        for i in 0..30 {
-            let p = Point::new((i as f64 * 3.7) % 75.0, (i as f64 * 5.3) % 75.0);
-            let mut got = Vec::new();
-            index.point_candidates(p, &mut got);
-            got.sort_unstable();
-            let mut expect: Vec<ObjectId> = items
-                .iter()
-                .filter(|(r, _)| r.contains_point(p))
-                .map(|(_, id)| *id)
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "point {p:?}");
-        }
-    }
-
-    #[test]
-    fn window_candidates_match_linear_scan_without_duplicates() {
-        let items = items();
-        for tiles in [1, 3, 8] {
-            let index = GridIndex::build(&items, tiles);
-            for i in 0..25 {
-                let x = (i as f64 * 6.1) % 60.0;
-                let y = (i as f64 * 4.3) % 60.0;
-                let w = Rect::from_bounds(x, y, x + 14.0, y + 11.0);
-                let (mut got, mut proved) = (Vec::new(), Vec::new());
-                index.window_candidates(w, &mut got, &mut proved);
-                let mut deduped = got.clone();
-                deduped.sort_unstable();
-                deduped.dedup();
-                assert_eq!(got.len(), deduped.len(), "duplicates at tiles={tiles}");
-                let mut got: Vec<(ObjectId, bool)> = got.into_iter().zip(proved).collect();
-                got.sort_unstable();
-                let mut expect: Vec<(ObjectId, bool)> = items
-                    .iter()
-                    .filter(|(r, _)| r.intersects(&w))
-                    .map(|(r, id)| (*id, w.covers_an_extent_of(r)))
-                    .collect();
-                expect.sort_unstable();
-                assert_eq!(got, expect, "window {w:?} tiles {tiles}");
-            }
-        }
-    }
-
-    #[test]
-    fn empty_index_returns_nothing() {
-        let index = GridIndex::build(&[], 4);
-        assert!(index.is_empty());
-        let (mut out, mut proved) = (Vec::new(), Vec::new());
-        assert_eq!(index.point_candidates(Point::new(0.0, 0.0), &mut out), 0);
-        assert_eq!(
-            index.window_candidates(Rect::from_bounds(0.0, 0.0, 1.0, 1.0), &mut out, &mut proved),
-            0
-        );
-        assert!(proved.is_empty());
-        assert!(out.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! # msj-partition — the partitioned parallel MBR join
 //!
-//! An alternative Step-1 candidate backend for the multi-step pipeline,
+//! An alternative Step-1 candidate backend for the multi-step join,
 //! following the uniform-grid partitioning of Tsitsigkos & Mamoulis
 //! (*"Parallel In-Memory Evaluation of Spatial Joins"*, SIGSPATIAL 2019)
 //! rather than the paper's synchronized R*-tree traversal:
@@ -22,9 +22,8 @@
 //!    own worker pool, fed from the calling thread.
 //!
 //! [`PartitionStats`] surfaces per-tile candidate counts, replication and
-//! dedup counters. [`GridIndex`] reuses the same grid for single-relation
-//! point/window candidate lookups, making the grid a complete drop-in for
-//! the R*-tree in Step 1 of both joins and selection queries.
+//! dedup counters. The grid is a join algorithm only: selections descend
+//! each dataset's R*-tree, which the engine builds on either backend.
 //!
 //! The candidate *set* is provably identical to any other MBR join: a
 //! pair is emitted iff the rectangles intersect, and the reference point
@@ -34,6 +33,6 @@ pub mod grid;
 pub mod join;
 pub mod stats;
 
-pub use grid::{Grid, GridIndex};
+pub use grid::Grid;
 pub use join::{partition_join, partition_join_funneled, tile_sweep, SweepScratch};
 pub use stats::PartitionStats;

@@ -770,7 +770,7 @@ pub fn selection_body(resp: &SelectionResponse) -> ResponseBody {
         ids: resp.ids.clone(),
         stats: SelectionWireStats {
             candidates: resp.stats.candidates,
-            filter_false_hits: resp.stats.filter_false_hits,
+            filter_false_hits: 0, // the engine runs no conservative test
             filter_hits: resp.stats.filter_hits,
             exact_tests: resp.stats.exact_tests,
         },

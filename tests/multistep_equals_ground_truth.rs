@@ -28,6 +28,26 @@ fn carto_workload_all_versions() {
     }
 }
 
+/// The paper's three versions on cartography with holes, one-shot: the
+/// data `engine_serving.rs` joins through the engine under the plans the
+/// engine runs.
+#[test]
+fn holed_carto_workload_all_versions() {
+    let a = msj::datagen::carto_with_holes(36, 24.0, 9009);
+    let b = msj::datagen::carto_with_holes(36, 24.0, 9010);
+    let expect = sorted(ground_truth_join(&a, &b));
+    assert!(a.iter().any(|o| !o.region.holes().is_empty()));
+    assert!(expect.len() > 10, "workload must produce hits");
+    for config in [
+        JoinConfig::version1(),
+        JoinConfig::version2(),
+        JoinConfig::version3(),
+    ] {
+        let got = sorted(MultiStepJoin::new(config).execute(&a, &b).pairs);
+        assert_eq!(got, expect, "{config:?}");
+    }
+}
+
 #[test]
 fn strategy_b_series_is_exact() {
     let base = msj::datagen::small_carto(40, 24.0, 7);

@@ -5,7 +5,6 @@
 //! prepared joins and for the resident engine's whole request surface,
 //! while the enabled side actually records what it watched.
 
-use msj::approx::{ConservativeKind, ProgressiveKind};
 use msj::core::{
     Backend, EngineConfig, Execution, JoinConfig, ObsConfig, Request, Response, SpatialEngine,
     StoreConfig,
@@ -18,15 +17,6 @@ fn workload(seed: u64) -> (msj::geom::Relation, msj::geom::Relation) {
         msj::datagen::small_carto(48, 24.0, seed),
         msj::datagen::small_carto(48, 24.0, seed + 1),
     )
-}
-
-/// The default plan with the paper's 5-corner and MER stages added back
-/// — the configuration that builds and stores every Step-0 artifact.
-fn with_approximations() -> JoinConfig {
-    JoinConfig::builder()
-        .conservative(ConservativeKind::FiveCorner)
-        .progressive(ProgressiveKind::Mer)
-        .build()
 }
 
 /// Prepared joins: every backend × execution cell produces the same
@@ -173,11 +163,11 @@ fn engine_request_surface_agrees_with_observability_off() {
 #[test]
 fn registration_time_is_itemised_by_artifact() {
     let artifact = |name: &str| format!("msj_step0_artifact_nanos_total{{artifact=\"{name}\"}}");
-    let built = ["tree", "conservative", "progressive", "trstar"];
+    let built = ["tree", "trstar"];
     let (a, b) = workload(8301);
 
     let dir = std::env::temp_dir().join(format!("msj-obs-agreement-{}", std::process::id()));
-    let engine = SpatialEngine::new(with_approximations())
+    let engine = SpatialEngine::new(JoinConfig::default())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
     engine.register(a.clone());
@@ -211,27 +201,19 @@ fn registration_time_is_itemised_by_artifact() {
         );
     }
 
-    // No store armed: nothing persists; the default plan builds no
-    // approximation, version 3 both; observability off: nothing is timed
-    // at all.
+    // No store armed: nothing persists; observability off: nothing is
+    // timed at all.
     let memory_only = SpatialEngine::new(JoinConfig::default());
     memory_only.register(a.clone());
     let snap = memory_only.metrics().snapshot();
-    assert_eq!(snap.counter(&artifact("progressive")), 0);
+    assert!(snap.counter(&artifact("tree")) > 0);
     assert_eq!(snap.counter(&artifact("persist")), 0);
-    assert_eq!(snap.counter(&artifact("conservative")), 0);
-    let paper = SpatialEngine::new(JoinConfig::version3());
-    paper.register(a.clone());
-    assert!(paper.metrics().snapshot().counter(&artifact("progressive")) > 0);
     let dark = SpatialEngine::new(EngineConfig {
         obs: ObsConfig::disabled(),
-        ..JoinConfig::version3().into()
+        ..EngineConfig::default()
     });
     dark.register(a);
-    assert_eq!(
-        dark.metrics().snapshot().counter(&artifact("progressive")),
-        0
-    );
+    assert_eq!(dark.metrics().snapshot().counter(&artifact("tree")), 0);
 }
 
 /// One exposition line per instrument, values normalised to what is
@@ -348,46 +330,21 @@ fn exposition_schema_and_counts_are_pinned() {
         fresh
     );
 
-    // (ii) One of everything, on a store-backed engine that builds every
-    // Step-0 artifact (5-C included), then a reopen.
+    // (ii) One of everything, on a store-backed engine, then a reopen.
     let dir = std::env::temp_dir().join(format!("msj-obs-schema-{}", std::process::id()));
-    let engine = SpatialEngine::new(with_approximations())
+    let engine = SpatialEngine::new(JoinConfig::default())
         .with_store(StoreConfig::new(&dir))
         .expect("arm store");
     let join = traffic(&engine);
     let after = exposition_keys(&engine.metrics().render_prometheus());
     drop(engine);
-    let reopened = SpatialEngine::open(with_approximations(), StoreConfig::new(&dir));
+    let reopened = SpatialEngine::open(JoinConfig::default(), StoreConfig::new(&dir));
     let reopened = reopened.expect("reopen");
     assert!(reopened.submit(join).is_ok());
     let cold = exposition_keys(&reopened.metrics().render_prometheus());
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(after, with_changes(&fresh, AFTER_TRAFFIC));
     assert_eq!(cold, with_changes(&fresh, AFTER_REOPEN));
-
-    // The default plan under the same traffic differs in two lines: it
-    // builds no approximation, so those timers stay at 0.
-    let engine = SpatialEngine::new(JoinConfig::default())
-        .with_store(StoreConfig::new(&dir))
-        .expect("arm store");
-    traffic(&engine);
-    let default_after = exposition_keys(&engine.metrics().render_prometheus());
-    drop(engine);
-    std::fs::remove_dir_all(&dir).ok();
-    let approximations_idle = [
-        (
-            "msj_step0_artifact_nanos_total{artifact=\"conservative\"}",
-            "0",
-        ),
-        (
-            "msj_step0_artifact_nanos_total{artifact=\"progressive\"}",
-            "0",
-        ),
-    ];
-    assert_eq!(
-        default_after,
-        with_changes(&with_changes(&fresh, AFTER_TRAFFIC), &approximations_idle)
-    );
 
     // (iii) A dark engine under the same traffic keeps the schema and
     // records nothing — not even the dispatch marker.
@@ -457,9 +414,7 @@ msj_request_latency_nanos_count{kind=\"join\"} 0\n\
 msj_request_latency_nanos_count{kind=\"point\"} 0\n\
 msj_request_latency_nanos_count{kind=\"self_join\"} 0\n\
 msj_request_latency_nanos_count{kind=\"window\"} 0\n\
-msj_step0_artifact_nanos_total{artifact=\"conservative\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"persist\"} 0\n\
-msj_step0_artifact_nanos_total{artifact=\"progressive\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"relation\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"tree\"} 0\n\
 msj_step0_artifact_nanos_total{artifact=\"trstar\"} 0\n\
@@ -498,15 +453,7 @@ const AFTER_TRAFFIC: &[(&str, &str)] = &[
     ("msj_request_latency_nanos_count{kind=\"point\"}", "1"),
     ("msj_request_latency_nanos_count{kind=\"self_join\"}", "1"),
     ("msj_request_latency_nanos_count{kind=\"window\"}", "1"),
-    (
-        "msj_step0_artifact_nanos_total{artifact=\"conservative\"}",
-        "+",
-    ),
     ("msj_step0_artifact_nanos_total{artifact=\"persist\"}", "+"),
-    (
-        "msj_step0_artifact_nanos_total{artifact=\"progressive\"}",
-        "+",
-    ),
     ("msj_step0_artifact_nanos_total{artifact=\"tree\"}", "+"),
     ("msj_step0_artifact_nanos_total{artifact=\"trstar\"}", "+"),
     ("msj_step_nanos_total{step=\"step0\"}", "+"),
@@ -530,17 +477,6 @@ const AFTER_REOPEN: &[(&str, &str)] = &[
     ("msj_admission_error_ratio", "+"),
     ("msj_prepared_cache_misses_total", "1"),
     ("msj_request_latency_nanos_count{kind=\"join\"}", "1"),
-    // The store keeps no approximation: the open decodes the relations
-    // and builds both from them.
-    (
-        "msj_step0_artifact_nanos_total{artifact=\"conservative\"}",
-        "+",
-    ),
-    (
-        "msj_step0_artifact_nanos_total{artifact=\"progressive\"}",
-        "+",
-    ),
-    ("msj_step0_artifact_nanos_total{artifact=\"relation\"}", "+"),
     ("msj_step_nanos_total{step=\"step1\"}", "+"),
     ("msj_step_nanos_total{step=\"step2\"}", "+"),
     ("msj_step_nanos_total{step=\"step2a\"}", "+"),

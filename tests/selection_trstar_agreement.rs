@@ -14,13 +14,11 @@
 //! vertex y's lie closer than 1e-12) and offset by 1e9, each with a
 //! needle and a wedge 0.4e-12 thin where the scale can hold one (a few
 //! ulps thick at 1e9) — under
-//! `JoinConfig::default()`, `version3()` and the default at M = 3, plus
+//! `JoinConfig::default()` and the default at the paper's M = 3, plus
 //! one property test. The trees' own claims are checked per object; the
-//! engine's answers (ids, order and `QueryStats`) against the same filter
-//! chain with Step 3 on the region test, and in the unit world against a
-//! linear scan too (at 1e9 the filter approximations round on their own,
-//! which is not this file's business). Each scale prints how often the
-//! trees decided.
+//! engine's answers (ids, order and `QueryStats`) against the same plan
+//! with Step 3 on the region test, and in the unit world against a
+//! linear scan too. Each scale prints how often the trees decided.
 //!
 //! The TR* join over the same relations is held to the quadratic
 //! reference, with boxes that meet a thin part only along its needle or
@@ -43,15 +41,11 @@ use msj::sam::{PageLayout, RStarTree};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-fn configs() -> [(&'static str, JoinConfig); 3] {
+fn configs() -> [(&'static str, JoinConfig); 2] {
     let m3 = JoinConfig::builder()
         .exact(ExactAlgorithm::TrStar { max_entries: 3 })
         .build();
-    [
-        ("default", JoinConfig::default()),
-        ("version3", JoinConfig::version3()),
-        ("default at M = 3", m3),
-    ]
+    [("default", JoinConfig::default()), ("default at M = 3", m3)]
 }
 
 /// `rel` with every vertex mapped through `f` (an affine map that keeps
@@ -261,14 +255,8 @@ fn trstar_claims_equal_the_region_test_at_every_scale() {
             };
             check_trees(&rel, TrStarStore::build(&rel, max_entries), &mut tally);
 
-            // At 1e9 the 5-C conservative test itself rounds a candidate
-            // inside its MER away (Step 2's debug assertion catches it),
-            // so version3's chain is compared through the trees alone.
-            if config.conservative.is_some() && scale.starts_with("offset") {
-                continue;
-            }
-            // The same filter chain with Step 3 on the region test: what
-            // the engine answered before selections refined on TR*.
+            // The same plan with Step 3 on the region test: what the
+            // engine answered before selections refined on TR*.
             let region_twin = (config.to_builder())
                 .exact(ExactAlgorithm::PlaneSweep { restrict: true })
                 .build();

@@ -14,7 +14,7 @@
 //! per thread and only on the thread that asks, so neither the harness's
 //! threads nor the other tests can disturb a measurement.
 
-use msj::core::{selection_source, EngineConfig, JoinConfig, ObsConfig, Request, SpatialEngine};
+use msj::core::{EngineConfig, JoinConfig, ObsConfig, Request, SpatialEngine};
 use msj::geom::{Point, Rect};
 use msj::sam::{tree_join, LruBuffer, PageLayout, RStarTree};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,8 +102,7 @@ fn a_warm_join_and_warm_probes_allocate_nothing() {
     assert_eq!(again.mbr_tests, warm.mbr_tests);
     assert_eq!(allocations, 0, "a warm tree_join allocated");
 
-    // The probes, through the `CandidateSource` the engine uses.
-    let source = selection_source(&config, &rel_a);
+    // The probes, down the tree as the engine's selections descend it.
     let world = rel_a.bounding_rect().expect("non-empty relation");
     let at = |i: usize| {
         Point::new(
@@ -114,16 +113,15 @@ fn a_warm_join_and_warm_probes_allocate_nothing() {
     let side = world.width() * 0.02_f64.sqrt();
     let window = |i: usize| Rect::new(at(i), Point::new(at(i).x + side, at(i).y + side));
     let mut ids = Vec::new();
-    let (mut proved, mut stats) = (Vec::new(), Vec::new());
+    let mut proved = Vec::new();
     let mut probe_all = |ids: &mut Vec<u32>| {
         let mut found = 0;
         for i in 0..1000 {
             ids.clear();
             proved.clear();
-            stats.clear();
-            source.point_candidates(&[at(i)], ids, &mut stats);
-            source.window_candidates(&[window(i)], ids, &mut proved, &mut stats);
-            found += stats.iter().map(|probe| probe.candidates).sum::<u64>();
+            tree_a.point_query(at(i), &mut (), ids);
+            tree_a.window_query_proving(window(i), &mut (), ids, &mut proved);
+            found += ids.len() as u64;
         }
         found
     };
