@@ -225,7 +225,7 @@ fn traverse<F: FnMut(ObjectId, ObjectId), O: PageObserver>(
         stats: JoinStats::default(),
         on_pair,
     };
-    traversal.visit(a.root_page(), b.root_page());
+    traversal.visit(a.root, b.root);
     let mut stats = traversal.stats;
     stats.io.physical = pages.physical() - start;
     stats

@@ -38,7 +38,12 @@
 //!   runs through the engine's shared-descent batch path, and writes the
 //!   replies when its writer is idle: a µs probe never waits on a
 //!   thread hand-off, and every completed response stays
-//!   **byte-identical** to its in-process equivalent.
+//!   **byte-identical** to its in-process equivalent. The writer sleeps
+//!   until a worker's reply, the end of input or a close gives it work;
+//!   a reply the reader writes itself wakes no one.
+//! - **A buffered client.** [`Client::recv`] takes as many whole replies
+//!   per `read` as the socket holds; one that times out mid-frame keeps
+//!   the bytes it read, and the next call finishes that frame.
 //!
 //! ```no_run
 //! use std::sync::Arc;

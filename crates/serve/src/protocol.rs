@@ -490,36 +490,41 @@ impl<'a> Reader<'a> {
 /// Encodes a request into a complete frame (length prefix included).
 pub fn encode_request(req: &WireRequest) -> Vec<u8> {
     let mut frame = Vec::with_capacity(64);
-    let at = begin_frame(&mut frame);
-    put_u64(&mut frame, req.request_id);
-    put_u32(&mut frame, req.deadline_ms);
+    encode_request_into(&mut frame, req);
+    frame
+}
+
+/// Appends a request's complete frame to `frame`.
+pub(crate) fn encode_request_into(frame: &mut Vec<u8>, req: &WireRequest) {
+    let at = begin_frame(frame);
+    put_u64(frame, req.request_id);
+    put_u32(frame, req.deadline_ms);
     match req.body {
         WireRequestBody::Join { a, b } => {
             frame.push(KIND_JOIN);
-            put_u32(&mut frame, a);
-            put_u32(&mut frame, b);
+            put_u32(frame, a);
+            put_u32(frame, b);
         }
         WireRequestBody::SelfJoin { dataset } => {
             frame.push(KIND_SELF_JOIN);
-            put_u32(&mut frame, dataset);
+            put_u32(frame, dataset);
         }
         WireRequestBody::Point { dataset, x, y } => {
             frame.push(KIND_POINT);
-            put_u32(&mut frame, dataset);
-            put_f64(&mut frame, x);
-            put_f64(&mut frame, y);
+            put_u32(frame, dataset);
+            put_f64(frame, x);
+            put_f64(frame, y);
         }
         WireRequestBody::Window { dataset, bounds } => {
             frame.push(KIND_WINDOW);
-            put_u32(&mut frame, dataset);
+            put_u32(frame, dataset);
             for v in bounds {
-                put_f64(&mut frame, v);
+                put_f64(frame, v);
             }
         }
         WireRequestBody::Metrics => frame.push(KIND_METRICS),
     }
-    end_frame(&mut frame, at);
-    frame
+    end_frame(frame, at);
 }
 
 /// Decodes one request frame body (the bytes after the length prefix).

@@ -11,7 +11,9 @@
 //! bounded `QueueSet`, where `workers` threads run them and append each
 //! reply to the job's connection outbox, never touching a socket. Whoever
 //! holds the outbox's `writing` claim writes: the writer, or the reader,
-//! which writes its own replies when the writer is idle.
+//! which writes its own replies when the writer is idle. A parked writer
+//! is woken only by frames it can claim, the end of input or a close, and
+//! a parked reader only by freed room or a close (see `Outbox`).
 //!
 //! Admission happens *before* a request costs anything: draining, frame
 //! and dataset validation, the per-connection in-flight cap, and a join's
@@ -403,12 +405,21 @@ fn run_join(shared: &Shared, job: &Job) -> ResponseBody {
 /// [`Job`] carries its connection's outbox, so whoever answers the job —
 /// a worker, or the drain — appends the frame here; the reader hands its
 /// own replies over in one piece per read.
+///
+/// The writer and the reader may park on it, each on a condvar of its
+/// own, and a change signals a parked thread only when it can act: the
+/// writer on frames it can claim (a worker's push, or a released claim
+/// with frames pushed meanwhile), on the end of input with nothing in
+/// flight or pending, or on close; the reader on room freed below
+/// `OUTBOX_BYTES`, or on close. A reply the reader writes itself wakes
+/// no one.
 #[derive(Debug)]
 pub(crate) struct Outbox {
     state: Mutex<OutboxState>,
-    /// Signalled on a change the reader or the writer may be waiting
-    /// for, and only while one of them is.
-    changed: Condvar,
+    /// Where the writer parks, in [`Outbox::take`], and the reader, in
+    /// [`Outbox::wait_for_room`].
+    writer: Condvar,
+    reader: Condvar,
 }
 
 #[derive(Debug)]
@@ -419,8 +430,9 @@ struct OutboxState {
     unwritten: usize,
     /// Whether the reader or the writer is writing claimed frames now.
     writing: bool,
-    /// Threads blocked on `changed`.
-    waiting: usize,
+    /// Whether the writer / the reader is parked and not yet signalled.
+    writer_parked: bool,
+    reader_parked: bool,
     /// Admitted requests from this connection not yet answered.
     inflight: usize,
     /// When a byte was last read or written.
@@ -443,6 +455,22 @@ impl OutboxState {
         std::mem::swap(out, &mut self.pending);
         true
     }
+
+    /// Whether the writer is done: the connection is closed, or the
+    /// reader stopped and every reply is answered and claimed.
+    fn over(&self) -> bool {
+        self.closed || (self.input_done && self.inflight == 0 && self.pending.is_empty())
+    }
+
+    /// Whether a parked writer could claim frames or end now.
+    fn writer_can_act(&self) -> bool {
+        self.over() || (!self.writing && !self.pending.is_empty())
+    }
+
+    /// Whether a parked reader could read again or end now.
+    fn reader_can_act(&self) -> bool {
+        self.closed || self.unwritten < OUTBOX_BYTES
+    }
 }
 
 impl Outbox {
@@ -452,13 +480,15 @@ impl Outbox {
                 pending: Vec::new(),
                 unwritten: 0,
                 writing: false,
-                waiting: 0,
+                writer_parked: false,
+                reader_parked: false,
                 inflight: 0,
                 last_activity: Instant::now(),
                 input_done: false,
                 closed: false,
             }),
-            changed: Condvar::new(),
+            writer: Condvar::new(),
+            reader: Condvar::new(),
         }
     }
 
@@ -466,20 +496,17 @@ impl Outbox {
         self.state.lock().expect("outbox lock poisoned")
     }
 
-    /// Blocks until the next change.
-    fn wait<'a>(&self, mut s: MutexGuard<'a, OutboxState>) -> MutexGuard<'a, OutboxState> {
-        s.waiting += 1;
-        s = self.changed.wait(s).expect("outbox lock poisoned");
-        s.waiting -= 1;
-        s
-    }
-
-    /// Changes the state, then wakes whoever waits on it.
+    /// Changes the state, then signals each parked thread that can act.
     fn update(&self, change: impl FnOnce(&mut OutboxState)) {
         let mut s = self.lock();
         change(&mut s);
-        if s.waiting > 0 {
-            self.changed.notify_all();
+        if s.writer_parked && s.writer_can_act() {
+            s.writer_parked = false;
+            self.writer.notify_one();
+        }
+        if s.reader_parked && s.reader_can_act() {
+            s.reader_parked = false;
+            self.reader.notify_one();
         }
     }
 
@@ -535,8 +562,9 @@ impl Outbox {
     /// closed.
     fn wait_for_room(&self) -> bool {
         let mut s = self.lock();
-        while s.unwritten >= OUTBOX_BYTES && !s.closed {
-            s = self.wait(s);
+        while !s.reader_can_act() {
+            s.reader_parked = true;
+            s = self.reader.wait(s).expect("outbox lock poisoned");
         }
         !s.closed
     }
@@ -546,14 +574,25 @@ impl Outbox {
     fn take(&self, out: &mut Vec<u8>) -> bool {
         let mut s = self.lock();
         loop {
-            if s.closed || (s.input_done && s.inflight == 0 && s.pending.is_empty()) {
+            if s.over() {
                 return false;
             }
             if s.claim(out) {
                 return true;
             }
-            s = self.wait(s);
+            s.writer_parked = true;
+            s = self.writer.wait(s).expect("outbox lock poisoned");
         }
+    }
+
+    /// Ends the connection's replies: pending frames are discarded, and
+    /// both threads are signalled if parked.
+    fn close(&self) {
+        self.update(|s| {
+            s.closed = true;
+            s.unwritten -= s.pending.len();
+            s.pending.clear();
+        });
     }
 
     /// Releases the writing claim over `bytes` claimed bytes: written,
@@ -578,11 +617,7 @@ impl Connection {
     /// Ends the connection now: unwritten replies are discarded, and
     /// shutting the socket wakes a blocked reader or writer.
     fn close(&self) {
-        self.outbox.update(|s| {
-            s.closed = true;
-            s.unwritten -= s.pending.len();
-            s.pending.clear();
-        });
+        self.outbox.close();
         let _ = self.stream.shutdown(Shutdown::Both);
     }
 
@@ -1708,6 +1743,102 @@ mod tests {
         closed_by_server(&mut raw);
         server.shutdown();
         server.join();
+    }
+
+    /// Blocks until the writer (`writer`) or the reader is parked on the
+    /// outbox; panics after 5 s.
+    fn until_parked(outbox: &Outbox, writer: bool) {
+        let until = Instant::now() + Duration::from_secs(5);
+        loop {
+            let s = outbox.lock();
+            if (writer && s.writer_parked) || (!writer && s.reader_parked) {
+                return;
+            }
+            drop(s);
+            assert!(Instant::now() < until, "the thread never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Runs `wait` on a thread of its own, returning a receiver of its
+    /// result.
+    fn parked_on<T: Send + 'static>(
+        outbox: &Arc<Outbox>,
+        wait: impl FnOnce(&Outbox) -> T + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let outbox = outbox.clone();
+        std::thread::spawn(move || tx.send(wait(&outbox)));
+        rx
+    }
+
+    const WOKEN: Duration = Duration::from_secs(5);
+
+    /// A reply the reader writes itself, claimed and released while the
+    /// writer is parked, leaves the writer unsignalled; a worker's push
+    /// signals it once, and it then holds the frame.
+    #[test]
+    fn the_outbox_wakes_the_writer_only_when_it_can_act() {
+        let outbox = Arc::new(Outbox::new());
+        outbox.admit(8).expect("room");
+        outbox.admit(8).expect("room");
+        let writer = parked_on(&outbox, |o| {
+            let mut out = Vec::new();
+            (o.take(&mut out), out)
+        });
+        until_parked(&outbox, true);
+        let mut frames = encode_response(1, &ResponseBody::Draining);
+        assert!(outbox.hand_off(&mut frames, 1), "the reader claims");
+        outbox.wrote(frames.len());
+        assert!(
+            outbox.lock().writer_parked,
+            "the reader's own reply woke the writer"
+        );
+        let frame = encode_response(2, &ResponseBody::Draining);
+        outbox.push(&frame);
+        let (claimed, out) = writer.recv_timeout(WOKEN).expect("a push was lost");
+        assert!(claimed);
+        assert_eq!(out, frame);
+    }
+
+    /// Freed room after a full outbox, `input_done` with nothing in
+    /// flight, and a close each wake the thread that waits on them.
+    #[test]
+    fn room_input_done_and_close_wake_the_thread_that_waits() {
+        // Room: the reader waits on a full outbox until its claim is freed.
+        let outbox = Arc::new(Outbox::new());
+        outbox.admit(1).expect("room");
+        outbox.push(&vec![0; OUTBOX_BYTES]);
+        let mut claimed = Vec::new();
+        assert!(outbox.take(&mut claimed));
+        let reader = parked_on(&outbox, Outbox::wait_for_room);
+        until_parked(&outbox, false);
+        outbox.wrote(claimed.len());
+        assert!(reader.recv_timeout(WOKEN).expect("freed room was lost"));
+
+        // The end of input: nothing in flight, so the writer ends.
+        let outbox = Arc::new(Outbox::new());
+        let writer = parked_on(&outbox, |o| o.take(&mut Vec::new()));
+        until_parked(&outbox, true);
+        outbox.update(|s| s.input_done = true);
+        assert!(!writer.recv_timeout(WOKEN).expect("input_done was lost"));
+
+        // Close: both threads, parked at once, end.
+        let outbox = Arc::new(Outbox::new());
+        outbox.admit(1).expect("room");
+        outbox.push(&vec![0; OUTBOX_BYTES]);
+        assert!(outbox.take(&mut Vec::new()));
+        let writer = parked_on(&outbox, |o| o.take(&mut Vec::new()));
+        let reader = parked_on(&outbox, Outbox::wait_for_room);
+        until_parked(&outbox, true);
+        until_parked(&outbox, false);
+        outbox.close();
+        assert!(!writer
+            .recv_timeout(WOKEN)
+            .expect("close was lost on the writer"));
+        assert!(!reader
+            .recv_timeout(WOKEN)
+            .expect("close was lost on the reader"));
     }
 
     #[test]
