@@ -3,8 +3,7 @@
 //! Prints every table and figure of the paper's evaluation section as
 //! plain text, plus two engine tables the repository benchmark cannot
 //! produce because it pins one CPU and has no per-dispatch metric:
-//! `fused` (serial vs `Execution::Fused`) and `kernels` (scalar / SSE2 /
-//! AVX2). The `repro` binary dispatches on [`experiments::registry`].
+//! `fused` (serial vs `Execution::Fused`) and `kernels` (scalar / AVX2). The `repro` binary dispatches on [`experiments::registry`].
 //! Numbers that are compared across commits come from `benchmark/`, not
 //! from here.
 //!

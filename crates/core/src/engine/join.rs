@@ -20,13 +20,9 @@ use msj_geom::{
 };
 use msj_obs::Span;
 use msj_store::Section;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Per-run statistics a [`PreparedJoin`] retains as admission history
-/// ([`PreparedJoin::run_history`]).
-pub const RUN_HISTORY: usize = 32;
 
 /// What an engine's [`PreparedJoin`] answers to and a one-shot join
 /// ([`crate::MultiStepJoin::execute`]) does not: instruments, §5
@@ -53,9 +49,8 @@ struct Serving {
 /// under fused execution) and the identical statistics but for the
 /// wall-clock `*_nanos` and the fused fan-out's
 /// `peak_buffered_candidates`, whether runs follow each other or overlap
-/// on several threads. The [`RUN_HISTORY`] most recent runs' statistics
-/// are retained as the admission history the engine's §5 cost model
-/// estimates from.
+/// on several threads. The latest run's statistics are retained as the
+/// admission history the engine's §5 cost model estimates from.
 pub struct PreparedJoin {
     datasets: (DatasetId, DatasetId),
     /// Objects per side — all the a-priori §5 estimate needs.
@@ -71,9 +66,8 @@ pub struct PreparedJoin {
     timed: bool,
     exact_cost_kind: ExactCostKind,
     serving: Option<Serving>,
-    /// Bounded ring of per-run statistics, newest last (admission
-    /// history).
-    history: Mutex<VecDeque<MultiStepStats>>,
+    /// The latest run's statistics (admission history).
+    last: Mutex<Option<MultiStepStats>>,
 }
 
 /// One side of a join being assembled: the relation, its dataset id and
@@ -113,7 +107,7 @@ impl PreparedJoin {
             timed: config.obs.enabled,
             exact_cost_kind: exact_cost_kind(plan),
             serving,
-            history: Mutex::new(VecDeque::with_capacity(RUN_HISTORY)),
+            last: Mutex::new(None),
         }
     }
 
@@ -223,12 +217,7 @@ impl PreparedJoin {
         };
         match &outcome {
             Ok(result) => {
-                let mut history = lock(&self.history);
-                if history.len() == RUN_HISTORY {
-                    history.pop_front();
-                }
-                history.push_back(result.stats);
-                drop(history);
+                *lock(&self.last) = Some(result.stats);
                 if let Some(s) = recorder {
                     let kind = join_kind(self.datasets);
                     s.obs
@@ -252,13 +241,7 @@ impl PreparedJoin {
 
     /// Statistics of the most recent run, if any ran yet.
     pub fn last_stats(&self) -> Option<MultiStepStats> {
-        lock(&self.history).back().copied()
-    }
-
-    /// Statistics of up to [`RUN_HISTORY`] most recent runs, oldest
-    /// first.
-    pub fn run_history(&self) -> Vec<MultiStepStats> {
-        lock(&self.history).iter().copied().collect()
+        *lock(&self.last)
     }
 
     /// The §5 modeled cost this join would be admitted under right now:

@@ -54,7 +54,7 @@ mod select;
 mod types;
 
 pub use datasets::{DatasetHandle, StoreConfig};
-pub use join::{PreparedJoin, RUN_HISTORY};
+pub use join::PreparedJoin;
 pub use types::{
     Admission, DatasetId, EngineError, JoinResponse, Request, Response, SelectionResponse,
 };

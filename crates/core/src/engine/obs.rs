@@ -72,7 +72,7 @@ pub(super) struct EngineObs {
     /// Whether the engine records at all; callers consult it before
     /// paying for a clock read.
     pub enabled: bool,
-    /// Kernel dispatch label (`"scalar"`/`"sse2"`/`"avx2"`) the engine's
+    /// Kernel dispatch label (`"scalar"`/`"avx2"`) the engine's
     /// batched loops run on — stamped onto every trace.
     dispatch: &'static str,
     /// By [`REQUEST_KINDS`].
@@ -159,7 +159,7 @@ impl EngineObs {
         };
         // The dispatch gauge family carries every path the engine could
         // run on; the selected one sits at 1.
-        for path in ["scalar", "sse2", "avx2"] {
+        for path in ["scalar", "avx2"] {
             let gauge = held(
                 live,
                 registry.gauge("msj_kernel_dispatch", &[("path", path)]),

@@ -448,24 +448,18 @@ fn disabled_obs_is_silent_and_changes_nothing() {
 }
 
 #[test]
-fn run_history_is_a_bounded_ring() {
+fn last_stats_holds_the_latest_run() {
     let a = msj_datagen::small_carto(12, 16.0, 1016);
     let b = msj_datagen::small_carto(12, 16.0, 1017);
     let engine = SpatialEngine::new(JoinConfig::default());
     let (ha, hb) = (engine.register(a), engine.register(b));
     let prepared = engine.prepare_join(&ha, &hb);
-    for _ in 0..RUN_HISTORY + 5 {
-        prepared.run();
+    assert_eq!(prepared.last_stats(), None);
+    for _ in 0..3 {
+        // The whole struct, wall-clock fields included.
+        let stats = prepared.run().stats;
+        assert_eq!(prepared.last_stats(), Some(stats));
     }
-    let history = prepared.run_history();
-    assert_eq!(history.len(), RUN_HISTORY);
-    assert_eq!(
-        history.last().unwrap().result_pairs,
-        prepared.last_stats().unwrap().result_pairs
-    );
-    assert!(history
-        .iter()
-        .all(|s| s.result_pairs == prepared.last_stats().unwrap().result_pairs));
 }
 
 #[test]

@@ -87,7 +87,7 @@ pub use config::{Backend, EngineConfig, JoinConfig, JoinConfigBuilder, DEFAULT_B
 pub use cost::{estimate_cost, figure18_cost, CostBreakdown, CostModelParams, ExactCostKind};
 pub use engine::{
     Admission, DatasetHandle, DatasetId, EngineError, JoinResponse, PreparedJoin, Request,
-    Response, SelectionResponse, SpatialEngine, StoreConfig, RUN_HISTORY,
+    Response, SelectionResponse, SpatialEngine, StoreConfig,
 };
 pub use execution::{fused_buffer_bound, Execution, FUSED_QUEUE_DEPTH};
 pub use filter::{FilterOutcome, GeometricFilter};

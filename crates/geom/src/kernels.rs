@@ -1,30 +1,35 @@
 //! Runtime-dispatched wide kernels for Step 1's hot loops.
 //!
-//! Two kernels, each SIMD arm kept for a measured gain on its layer
+//! Two kernels, each AVX2 arm kept for a measured gain on its layer
 //! (2-vCPU x86-64 VM, seed 1, pinned, medians of interleaved runs):
 //!
 //! * [`rects_vs_rect`] — one query rectangle against SoA MBR columns:
 //!   the R*-tree join's window restriction over per-node repacked entry
 //!   columns, the default engine's one kernel. Traced `core.step1_ms`
-//!   over 6 rotated rounds, AVX2 / SSE2 / scalar: `join_refine_heavy`
-//!   7.93 / 8.12 / 8.14 ms, `join_filter_heavy` 8.32 / 8.64 / 9.09 ms
-//!   (AVX2 below scalar in 11 of 12 rounds, SSE2 in 9);
+//!   over 6 rotated rounds, AVX2 / scalar: `join_refine_heavy` 7.93 /
+//!   8.14 ms, `join_filter_heavy` 8.32 / 9.09 ms (AVX2 below scalar in
+//!   11 of 12 rounds);
 //! * [`sweep_scan`] — the forward plane-sweep inner run of
 //!   `msj-partition`'s tile sweeps: scan a window of x-sorted entries,
 //!   stop at the first `xmin > bound`, emit the indices whose y-extent
-//!   overlaps the query band. `repro kernels`' sweep row: 5.7 / 3.6–3.9
-//!   / 2.6–2.8 ns per pair test, scalar / SSE2 / AVX2 (SSE2 1.5 ×, AVX2
-//!   2.1–2.2 × scalar, three runs).
+//!   overlaps the query band. `repro kernels`' sweep row: 5.7 / 2.6–2.8
+//!   ns per pair test, scalar / AVX2 (2.1–2.2 × scalar, three runs).
 //!
 //! Selections test a stored MER with one comparison per candidate in
 //! their filter loop: id-gathered masks for it gained nothing under
 //! `version3()` and were removed.
 //!
-//! Each kernel has three implementations selected by [`KernelDispatch`]:
-//! a portable scalar loop (the semantic reference), an SSE2 path and an
-//! AVX2 path (`core::arch::x86_64` behind `is_x86_feature_detected!`).
-//! The wide paths are outcome-identical to the scalar reference for
-//! *arbitrary* inputs, including NaN lanes:
+//! **Host policy:** AVX2 where `is_x86_feature_detected!("avx2")` says
+//! so, the portable scalar loop (the semantic reference) everywhere
+//! else — x86-64 without AVX2 as on aarch64. There is no middle tier: an
+//! SSE2 arm read 8.12 ms on `join_refine_heavy` and 8.64 ms on
+//! `join_filter_heavy` in the rounds above (≤ 1 % of a join's time) and
+//! 1.5 × scalar on the sweep row, a gain only on hosts no benchmark
+//! workload measures, so it was removed with its two `unsafe` functions
+//! and their dispatch blocks.
+//!
+//! The AVX2 paths (`core::arch::x86_64`) are outcome-identical to the
+//! scalar reference for *arbitrary* inputs, including NaN lanes:
 //!
 //! * every wide comparison uses an **ordered** predicate (`_CMP_LE_OQ`,
 //!   `_CMP_GT_OQ`), which is `false` when either operand is NaN —
@@ -50,12 +55,11 @@ pub const FORCE_SCALAR_ENV: &str = "MSJ_FORCE_SCALAR";
 /// The kernel implementation family, chosen once per join (or probe
 /// session) and threaded through every hot loop under it.
 ///
-/// A SIMD dispatch exists only by detection: [`KernelDispatch::detect`],
-/// [`KernelDispatch::select`] / [`KernelDispatch::auto`] and
-/// [`KernelDispatch::all_available`] are its only sources, so holding one
-/// proves the CPU runs its instructions. [`KernelDispatch::Scalar`] runs
-/// anywhere and is public; the SIMD paths cannot be named outside this
-/// crate:
+/// The AVX2 dispatch exists only by detection: [`KernelDispatch::select`]
+/// / [`KernelDispatch::auto`] and [`KernelDispatch::all_available`] are
+/// its only sources, so holding one proves the CPU runs its
+/// instructions. [`KernelDispatch::Scalar`] runs anywhere and is public;
+/// the AVX2 path cannot be named outside this crate:
 ///
 /// ```
 /// use msj_geom::KernelDispatch;
@@ -76,15 +80,13 @@ impl std::fmt::Debug for KernelDispatch {
     }
 }
 
-/// The path a [`KernelDispatch`] names. Private: a wide variant is built
-/// only in this module, after the feature it needs was detected.
+/// The path a [`KernelDispatch`] names. Private: the wide variant is
+/// built only in this module, after AVX2 was detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 enum Path {
     /// [`KernelDispatch::Scalar`].
     Scalar,
-    /// 2-wide `f64` lanes via `core::arch::x86_64` SSE2.
-    Sse2,
     /// 4-wide `f64` lanes via `core::arch::x86_64` AVX2.
     Avx2,
 }
@@ -95,30 +97,15 @@ impl KernelDispatch {
     #[allow(non_upper_case_globals)]
     pub const Scalar: KernelDispatch = KernelDispatch(Path::Scalar);
 
-    /// The widest path this CPU supports, by runtime feature detection.
-    /// Non-x86-64 targets always get [`KernelDispatch::Scalar`].
-    pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return KernelDispatch(Path::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("sse2") {
-                return KernelDispatch(Path::Sse2);
-            }
-        }
-        KernelDispatch::Scalar
-    }
-
     /// The dispatch a join should run with: the scalar reference when
     /// `force_scalar` is set (configuration knob) or the
     /// [`FORCE_SCALAR_ENV`] environment variable is present and not `0`,
-    /// otherwise the detected widest path.
+    /// otherwise AVX2 where detected and scalar elsewhere.
     pub fn select(force_scalar: bool) -> Self {
         if force_scalar || env_force_scalar() {
             KernelDispatch::Scalar
         } else {
-            KernelDispatch::detect()
+            detect()
         }
     }
 
@@ -132,7 +119,6 @@ impl KernelDispatch {
     pub fn label(&self) -> &'static str {
         match self.0 {
             Path::Scalar => "scalar",
-            Path::Sse2 => "sse2",
             Path::Avx2 => "avx2",
         }
     }
@@ -140,18 +126,20 @@ impl KernelDispatch {
     /// Every dispatch this CPU can actually run, scalar first — the
     /// matrix agreement tests and the bench iterate over this.
     pub fn all_available() -> Vec<KernelDispatch> {
-        let mut all = vec![KernelDispatch::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("sse2") {
-                all.push(KernelDispatch(Path::Sse2));
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                all.push(KernelDispatch(Path::Avx2));
-            }
-        }
+        let mut all = vec![KernelDispatch::Scalar, detect()];
+        all.dedup();
         all
     }
+}
+
+/// AVX2 when this CPU has it, else the scalar reference (always on
+/// non-x86-64 targets).
+fn detect() -> KernelDispatch {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        return KernelDispatch(Path::Avx2);
+    }
+    KernelDispatch::Scalar
 }
 
 /// Read once per process: [`KernelDispatch::auto`] sits on per-join and
@@ -202,15 +190,9 @@ pub fn sweep_scan(
     }
     match d.0 {
         Path::Scalar => sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits),
-        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
-        // detected (`Path` is private to this module); the three columns
-        // are of equal length (asserted above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Sse2 => unsafe {
-            sweep_scan_sse2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
-        },
         // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
-        // detected on this CPU; column lengths as for the SSE2 arm.
+        // detected on this CPU (`Path` is private to this module); the
+        // three columns are of equal length (asserted above).
         #[cfg(target_arch = "x86_64")]
         Path::Avx2 => unsafe {
             sweep_scan_avx2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
@@ -301,58 +283,6 @@ unsafe fn sweep_scan_avx2(
     tests + sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, k, hits)
 }
 
-/// # Safety
-///
-/// The CPU must support SSE2, and `ymin` / `ymax` must be at least as
-/// long as `xmin`, the only length the 2-lane loads are checked against.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sweep_scan_sse2(
-    bound_x: f64,
-    q_ymin: f64,
-    q_ymax: f64,
-    xmin: &[f64],
-    ymin: &[f64],
-    ymax: &[f64],
-    from: usize,
-    hits: &mut Vec<u32>,
-) -> u64 {
-    use x86::*;
-    let n = xmin.len();
-    let bound = _mm_set1_pd(bound_x);
-    let band_lo = _mm_set1_pd(q_ymin);
-    let band_hi = _mm_set1_pd(q_ymax);
-    let mut tests = 0u64;
-    let mut k = from;
-    while k + 2 <= n {
-        let xs = _mm_loadu_pd(xmin.as_ptr().add(k));
-        let stop = _mm_movemask_pd(_mm_cmpgt_pd(xs, bound)) as u32;
-        let live = if stop == 0 {
-            2
-        } else {
-            stop.trailing_zeros() as usize
-        };
-        if live > 0 {
-            let ylo = _mm_loadu_pd(ymin.as_ptr().add(k));
-            let yhi = _mm_loadu_pd(ymax.as_ptr().add(k));
-            let c = _mm_and_pd(_mm_cmple_pd(band_lo, yhi), _mm_cmple_pd(ylo, band_hi));
-            let mut m = (_mm_movemask_pd(c) as u32) & ((1u32 << live) - 1);
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                hits.push((k + lane) as u32);
-                m &= m - 1;
-            }
-            tests += live as u64;
-        }
-        if live < 2 {
-            return tests;
-        }
-        k += 2;
-    }
-    tests + sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, k, hits)
-}
-
 // ---------------------------------------------------------------------
 // Kernel 2: one query rectangle vs SoA MBR columns (full scan).
 // ---------------------------------------------------------------------
@@ -377,12 +307,8 @@ pub fn rects_vs_rect(
     );
     match d.0 {
         Path::Scalar => rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, 0, hits),
-        // SAFETY: a `Path::Sse2` dispatch is built only after SSE2 was
-        // detected; the four columns are of equal length (asserted above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Sse2 => unsafe { rects_vs_rect_sse2(q, xmin, ymin, xmax, ymax, hits) },
         // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
-        // detected; column lengths as for the SSE2 arm.
+        // detected; the four columns are of equal length (asserted above).
         #[cfg(target_arch = "x86_64")]
         Path::Avx2 => unsafe { rects_vs_rect_avx2(q, xmin, ymin, xmax, ymax, hits) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -445,44 +371,6 @@ unsafe fn rects_vs_rect_avx2(
     rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, k, hits);
 }
 
-/// # Safety
-///
-/// The CPU must support SSE2, and `ymin` / `xmax` / `ymax` must be at
-/// least as long as `xmin` (the loop bound of every 2-lane load).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn rects_vs_rect_sse2(
-    q: &Rect,
-    xmin: &[f64],
-    ymin: &[f64],
-    xmax: &[f64],
-    ymax: &[f64],
-    hits: &mut Vec<u32>,
-) {
-    use x86::*;
-    let n = xmin.len();
-    let qx0 = _mm_set1_pd(q.xmin());
-    let qy0 = _mm_set1_pd(q.ymin());
-    let qx1 = _mm_set1_pd(q.xmax());
-    let qy1 = _mm_set1_pd(q.ymax());
-    let mut k = 0usize;
-    while k + 2 <= n {
-        let c1 = _mm_cmple_pd(_mm_loadu_pd(xmin.as_ptr().add(k)), qx1);
-        let c2 = _mm_cmple_pd(qx0, _mm_loadu_pd(xmax.as_ptr().add(k)));
-        let c3 = _mm_cmple_pd(_mm_loadu_pd(ymin.as_ptr().add(k)), qy1);
-        let c4 = _mm_cmple_pd(qy0, _mm_loadu_pd(ymax.as_ptr().add(k)));
-        let m = _mm_and_pd(_mm_and_pd(c1, c2), _mm_and_pd(c3, c4));
-        let mut bits = _mm_movemask_pd(m) as u32;
-        while bits != 0 {
-            let lane = bits.trailing_zeros() as usize;
-            hits.push((k + lane) as u32);
-            bits &= bits - 1;
-        }
-        k += 2;
-    }
-    rects_vs_rect_scalar(q, xmin, ymin, xmax, ymax, k, hits);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,9 +394,15 @@ mod tests {
         assert_eq!(format!("{:?}", KernelDispatch::Scalar), "Scalar");
         assert!(KernelDispatch::all_available().contains(&KernelDispatch::auto()));
         assert_eq!(KernelDispatch::all_available()[0], KernelDispatch::Scalar);
-        for d in KernelDispatch::all_available() {
-            assert!(!d.label().is_empty());
-        }
+        // Scalar, or scalar and AVX2: no middle tier.
+        let labels: Vec<&str> = KernelDispatch::all_available()
+            .iter()
+            .map(KernelDispatch::label)
+            .collect();
+        assert!(
+            labels == ["scalar"] || labels == ["scalar", "avx2"],
+            "{labels:?}"
+        );
     }
 
     /// Deterministic pseudo-random f64 in a small range, with occasional

@@ -39,7 +39,7 @@ pub struct Trace {
     /// Result rows (pairs or selected objects).
     pub results: u64,
     /// Kernel dispatch path the request's batched loops ran on
-    /// (`"scalar"` / `"sse2"` / `"avx2"`), chosen once per engine.
+    /// (`"scalar"` / `"avx2"`), chosen once per engine.
     pub dispatch: &'static str,
     pub steps: TraceSteps,
 }

@@ -50,37 +50,27 @@ struct TileResult {
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     hits: Vec<u32>,
-    ax: Vec<f64>,
-    ay0: Vec<f64>,
-    ay1: Vec<f64>,
-    axm: Vec<f64>,
-    bx: Vec<f64>,
-    by0: Vec<f64>,
-    by1: Vec<f64>,
-    bxm: Vec<f64>,
+    a: Columns,
+    b: Columns,
 }
 
-impl SweepScratch {
-    fn repack(&mut self, side_a: &[(Rect, ObjectId)], side_b: &[(Rect, ObjectId)]) {
-        self.ax.clear();
-        self.ay0.clear();
-        self.ay1.clear();
-        self.axm.clear();
-        for (r, _) in side_a {
-            self.ax.push(r.xmin());
-            self.ay0.push(r.ymin());
-            self.ay1.push(r.ymax());
-            self.axm.push(r.xmax());
-        }
-        self.bx.clear();
-        self.by0.clear();
-        self.by1.clear();
-        self.bxm.clear();
-        for (r, _) in side_b {
-            self.bx.push(r.xmin());
-            self.by0.push(r.ymin());
-            self.by1.push(r.ymax());
-            self.bxm.push(r.xmax());
+/// The columns [`kernels::sweep_scan`] scans of one x-sorted side.
+#[derive(Debug, Default)]
+struct Columns {
+    xmin: Vec<f64>,
+    ymin: Vec<f64>,
+    ymax: Vec<f64>,
+}
+
+impl Columns {
+    fn repack(&mut self, side: &[(Rect, ObjectId)]) {
+        self.xmin.clear();
+        self.ymin.clear();
+        self.ymax.clear();
+        for (r, _) in side {
+            self.xmin.push(r.xmin());
+            self.ymin.push(r.ymin());
+            self.ymax.push(r.ymax());
         }
     }
 }
@@ -105,60 +95,53 @@ pub fn tile_sweep(
     let mut dedup_skipped = 0u64;
     side_a.sort_unstable_by(|p, q| p.0.xmin().partial_cmp(&q.0.xmin()).expect("finite xmin"));
     side_b.sort_unstable_by(|p, q| p.0.xmin().partial_cmp(&q.0.xmin()).expect("finite xmin"));
-    scratch.repack(side_a, side_b);
+    scratch.a.repack(side_a);
+    scratch.b.repack(side_b);
+    let (side_a, side_b) = (&*side_a, &*side_b);
 
-    // The kernel handles the x-break and the y-band test of each run; the
-    // reference-point dedup (the pair is replicated into every tile both
-    // rectangles overlap, but counts only where the lower-left corner of
-    // their intersection falls) stays scalar over the few survivors.
+    // The side whose next rectangle starts first probes the other side's
+    // run from that side's cursor. The kernel handles the x-break and the
+    // y-band test of each run; the reference-point dedup (the pair is
+    // replicated into every tile both rectangles overlap, but counts only
+    // where the lower-left corner of their intersection falls) stays
+    // scalar over the few survivors.
     let mut i = 0;
     let mut j = 0;
     while i < side_a.len() && j < side_b.len() {
-        if scratch.ax[i] <= scratch.bx[j] {
-            let (ra, ida) = side_a[i];
-            scratch.hits.clear();
-            pair_tests += kernels::sweep_scan(
-                dispatch,
-                scratch.axm[i],
-                scratch.ay0[i],
-                scratch.ay1[i],
-                &scratch.bx,
-                &scratch.by0,
-                &scratch.by1,
-                j,
-                &mut scratch.hits,
-            );
-            for &k in &scratch.hits {
-                let (rb, idb) = side_b[k as usize];
-                if grid.reference_tile(&ra, &rb) == tile {
-                    on_pair(ida, idb);
-                } else {
-                    dedup_skipped += 1;
-                }
+        let a_probes = scratch.a.xmin[i] <= scratch.b.xmin[j];
+        let (probe, others, cols, from) = if a_probes {
+            (side_a[i], side_b, &scratch.b, j)
+        } else {
+            (side_b[j], side_a, &scratch.a, i)
+        };
+        scratch.hits.clear();
+        pair_tests += kernels::sweep_scan(
+            dispatch,
+            probe.0.xmax(),
+            probe.0.ymin(),
+            probe.0.ymax(),
+            &cols.xmin,
+            &cols.ymin,
+            &cols.ymax,
+            from,
+            &mut scratch.hits,
+        );
+        for &k in &scratch.hits {
+            let other = others[k as usize];
+            let ((ra, ida), (rb, idb)) = if a_probes {
+                (probe, other)
+            } else {
+                (other, probe)
+            };
+            if grid.reference_tile(&ra, &rb) == tile {
+                on_pair(ida, idb);
+            } else {
+                dedup_skipped += 1;
             }
+        }
+        if a_probes {
             i += 1;
         } else {
-            let (rb, idb) = side_b[j];
-            scratch.hits.clear();
-            pair_tests += kernels::sweep_scan(
-                dispatch,
-                scratch.bxm[j],
-                scratch.by0[j],
-                scratch.by1[j],
-                &scratch.ax,
-                &scratch.ay0,
-                &scratch.ay1,
-                i,
-                &mut scratch.hits,
-            );
-            for &k in &scratch.hits {
-                let (ra, ida) = side_a[k as usize];
-                if grid.reference_tile(&ra, &rb) == tile {
-                    on_pair(ida, idb);
-                } else {
-                    dedup_skipped += 1;
-                }
-            }
             j += 1;
         }
     }

@@ -399,7 +399,6 @@ msj_fault_injected_total{site=\"store_corrupt\"} 0\n\
 msj_fault_injected_total{site=\"worker_panic\"} 0\n\
 msj_kernel_dispatch{path=\"avx2\"} *\n\
 msj_kernel_dispatch{path=\"scalar\"} *\n\
-msj_kernel_dispatch{path=\"sse2\"} *\n\
 msj_prepared_cache_evictions_total 0\n\
 msj_prepared_cache_hits_total 0\n\
 msj_prepared_cache_misses_total 0\n\
