@@ -1,24 +1,25 @@
-//! The `kernels` experiment: the vectorized hot-path kernels measured in
-//! isolation, per dispatch path.
+//! The `kernels` experiment: the engine's vectorized Step-1 kernel
+//! measured in isolation, per dispatch path.
 //!
-//! One microbench mirrors the batched loop the join pipeline runs per
-//! dispatch path (the same inputs every path, straight out of the skewed
+//! One microbench mirrors the loop the join pipeline runs per dispatch
+//! path (the same inputs every path, straight out of the skewed
 //! cartographic workload):
 //!
-//! * **sweep** — the forward plane-sweep MBR kernel
-//!   ([`msj_geom::kernels::sweep_scan`]) over the xmin-sorted SoA
-//!   columns of both relations, exactly the Step-1 inner loop of the
-//!   partitioned backend's tile sweeps. (The R*-traversal's node pairs
-//!   leave runs a few entries long after restriction; `msj-sam` sweeps
-//!   them inline.)
+//! * **rects_vs_rect** — the window restriction of the R*-tree join
+//!   ([`msj_geom::kernels::rects_vs_rect`]): relation A's MBRs packed
+//!   into leaf-sized SoA runs in STR order, each run scanned against the
+//!   intersection of its bounding rectangle with every B MBR that meets
+//!   it, as `msj-sam`'s traversal restricts a node's entries to the
+//!   window of a node pair.
 //!
-//! (Step 2a, [`msj_approx::raster_decide`], is one search-based function
+//! (The partitioned backend's tile sweep is a plain scalar loop,
+//! Step 2a, [`msj_approx::raster_decide`], is one search-based function
 //! on every path, and Step 2's MER test is one rectangle comparison per
-//! candidate, so neither has a row here.)
+//! candidate, so none of them has a row here.)
 //!
-//! Every cell reports items/sec and ns/item; the FNV digest of each
-//! kernel's full output is asserted equal across dispatch paths —
-//! the scalar-agreement gate, measured rather than assumed.
+//! Every cell reports items/sec and ns/item; the FNV digest of the
+//! kernel's full output is asserted equal across dispatch paths — the
+//! scalar-agreement gate, measured rather than assumed.
 //!
 //! A second table, **checksum**, prices the two 64-bit hashes of
 //! [`msj_geom::bytes`] over one 8 MiB buffer in GB/s: the
@@ -29,17 +30,20 @@ use super::ExpConfig;
 use crate::report::{f, section, Table};
 use crate::timing::timed;
 use msj_geom::kernels::{self, KernelDispatch};
-use msj_geom::{checksum, fnv1a64, ObjectId, Rect, Relation};
+use msj_geom::{checksum, fnv1a64, Rect, Relation};
 
 /// Bytes the checksum rows hash: more than a typical last-level cache,
 /// and about one and a half `ingest_reopen` dataset segments.
 const CHECKSUM_BYTES: usize = 8 << 20;
 
+/// Entries per packed run: the engine's leaf fan-out (64 per 4 KB page).
+const FANOUT: usize = 64;
+
 /// One measured cell: a kernel on a dispatch path.
 struct KernelCell {
     kernel: &'static str,
     path: &'static str,
-    /// Items the kernel consumed per run (pair tests).
+    /// Items the kernel consumed per run (rectangle tests).
     items: u64,
     ns_per_item: f64,
     items_per_sec: f64,
@@ -50,116 +54,101 @@ struct KernelCell {
     digest: u64,
 }
 
-/// xmin-sorted SoA columns of one relation's MBRs (the layout the
-/// partitioned sweep repacks per tile).
-struct SweepSide {
-    ids: Vec<ObjectId>,
+/// One leaf-sized run of MBRs as SoA columns, with the windows it is
+/// restricted to.
+struct Run {
     xmin: Vec<f64>,
     ymin: Vec<f64>,
     xmax: Vec<f64>,
     ymax: Vec<f64>,
+    windows: Vec<Rect>,
 }
 
-impl SweepSide {
-    fn build(rel: &Relation) -> Self {
-        let mut rects: Vec<(Rect, ObjectId)> = rel.iter().map(|o| (o.mbr(), o.id)).collect();
-        rects.sort_by(|p, q| p.0.xmin().partial_cmp(&q.0.xmin()).expect("finite xmin"));
-        let mut side = SweepSide {
-            ids: Vec::with_capacity(rects.len()),
-            xmin: Vec::with_capacity(rects.len()),
-            ymin: Vec::with_capacity(rects.len()),
-            xmax: Vec::with_capacity(rects.len()),
-            ymax: Vec::with_capacity(rects.len()),
-        };
-        for (r, id) in rects {
-            side.ids.push(id);
-            side.xmin.push(r.xmin());
-            side.ymin.push(r.ymin());
-            side.xmax.push(r.xmax());
-            side.ymax.push(r.ymax());
+/// Packs `a`'s MBRs into [`FANOUT`]-entry runs in STR order (x slabs,
+/// then y within a slab) and gives each run the intersection of its
+/// bounding rectangle with every MBR of `b` that meets it.
+fn packed_runs(a: &Relation, b: &Relation) -> Vec<Run> {
+    let by = |key: fn(&Rect) -> f64| {
+        move |p: &Rect, q: &Rect| key(p).partial_cmp(&key(q)).expect("finite bounds")
+    };
+    let mut rects: Vec<Rect> = a.iter().map(|o| o.mbr()).collect();
+    rects.sort_by(by(Rect::xmin));
+    let runs = rects.len().div_ceil(FANOUT);
+    let slab = FANOUT * (runs as f64).sqrt().ceil().max(1.0) as usize;
+    let others: Vec<Rect> = b.iter().map(|o| o.mbr()).collect();
+    let mut out = Vec::with_capacity(runs);
+    for slab in rects.chunks_mut(slab) {
+        slab.sort_by(by(Rect::ymin));
+        for run in slab.chunks(FANOUT) {
+            let bound = Rect::bounding_rects(run.iter().copied()).expect("non-empty run");
+            out.push(Run {
+                xmin: run.iter().map(Rect::xmin).collect(),
+                ymin: run.iter().map(Rect::ymin).collect(),
+                xmax: run.iter().map(Rect::xmax).collect(),
+                ymax: run.iter().map(Rect::ymax).collect(),
+                windows: others
+                    .iter()
+                    .filter_map(|r| bound.intersection(r))
+                    .collect(),
+            });
         }
-        side
     }
+    out
 }
 
-/// One full forward plane sweep over both sorted sides — the tile_sweep
-/// merge loop with the whole workload as a single tile. Returns
-/// (pair tests, hit pairs).
-fn run_sweep(d: KernelDispatch, a: &SweepSide, b: &SweepSide) -> (u64, Vec<(ObjectId, ObjectId)>) {
+/// Restricts every run to each of its windows. Returns (rectangle tests,
+/// the indices every restriction kept, in order).
+fn run_restrictions(d: KernelDispatch, runs: &[Run]) -> (u64, Vec<u32>) {
     let mut tests = 0u64;
-    let mut pairs = Vec::new();
+    let mut kept = Vec::new();
     let mut hits: Vec<u32> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.ids.len() && j < b.ids.len() {
-        if a.xmin[i] <= b.xmin[j] {
+    for run in runs {
+        for window in &run.windows {
             hits.clear();
-            tests += kernels::sweep_scan(
-                d, a.xmax[i], a.ymin[i], a.ymax[i], &b.xmin, &b.ymin, &b.ymax, j, &mut hits,
+            kernels::rects_vs_rect(
+                d, window, &run.xmin, &run.ymin, &run.xmax, &run.ymax, &mut hits,
             );
-            for &k in &hits {
-                pairs.push((a.ids[i], b.ids[k as usize]));
-            }
-            i += 1;
-        } else {
-            hits.clear();
-            tests += kernels::sweep_scan(
-                d, b.xmax[j], b.ymin[j], b.ymax[j], &a.xmin, &a.ymin, &a.ymax, i, &mut hits,
-            );
-            for &k in &hits {
-                pairs.push((a.ids[k as usize], b.ids[j]));
-            }
-            j += 1;
+            tests += run.xmin.len() as u64;
+            kept.extend_from_slice(&hits);
         }
     }
-    (tests, pairs)
+    (tests, kept)
 }
 
-/// Measures the sweep kernel on every available dispatch path over the
-/// skewed cartographic workload; asserts cross-path digest agreement.
+/// Measures the restriction kernel on every available dispatch path
+/// over the skewed cartographic workload; asserts cross-path digest
+/// agreement.
 fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
     let n = cfg.large_count() / 2;
     let a = msj_datagen::skewed_carto(n, 24.0, cfg.seed);
     let b = msj_datagen::skewed_carto(n, 24.0, cfg.seed + 1);
-    let side_a = SweepSide::build(&a);
-    let side_b = SweepSide::build(&b);
+    let runs = packed_runs(&a, &b);
 
     let mut cells: Vec<KernelCell> = Vec::new();
-    let push = |kernel: &'static str,
-                path: &'static str,
-                items: u64,
-                secs: f64,
-                digest: u64,
-                cells: &mut Vec<KernelCell>| {
-        let scalar_ns = cells
-            .iter()
-            .find(|c| c.kernel == kernel && c.path == "scalar")
-            .map(|c| c.ns_per_item);
+    for d in KernelDispatch::all_available() {
+        let _ = run_restrictions(d, &runs); // warm-up
+        let ((items, kept), secs) = timed(|| run_restrictions(d, &runs));
+        let bytes: Vec<u8> = kept.iter().flat_map(|k| k.to_le_bytes()).collect();
+        let digest = fnv1a64(&bytes);
         let ns = secs * 1e9 / items.max(1) as f64;
-        if let Some(expect) = cells.iter().find(|c| c.kernel == kernel).map(|c| c.digest) {
-            assert_eq!(digest, expect, "{kernel}/{path}: output digest diverged");
+        let scalar = cells.first();
+        if let Some(expect) = scalar {
+            assert_eq!(
+                digest,
+                expect.digest,
+                "{}: output digest diverged",
+                d.label()
+            );
         }
         cells.push(KernelCell {
-            kernel,
-            path,
+            kernel: "rects_vs_rect",
+            path: d.label(),
             items,
             ns_per_item: ns,
             items_per_sec: items as f64 / secs.max(1e-12),
-            speedup_vs_scalar: scalar_ns.map_or(1.0, |s| s / ns.max(1e-12)),
+            speedup_vs_scalar: scalar.map_or(1.0, |s| s.ns_per_item / ns.max(1e-12)),
             digest,
         });
-    };
-
-    for d in KernelDispatch::all_available() {
-        let path = d.label();
-
-        // The plane-sweep MBR join loop.
-        let _ = run_sweep(d, &side_a, &side_b); // warm-up
-        let ((tests, pairs), secs) = timed(|| run_sweep(d, &side_a, &side_b));
-        let bytes: Vec<u8> = pairs
-            .iter()
-            .flat_map(|&(x, y)| x.to_le_bytes().into_iter().chain(y.to_le_bytes()))
-            .collect();
-        push("sweep", path, tests, secs, fnv1a64(&bytes), &mut cells);
     }
     cells
 }
@@ -168,11 +157,11 @@ fn measure_kernels(cfg: &ExpConfig) -> Vec<KernelCell> {
 pub fn kernels(cfg: &ExpConfig) -> String {
     let mut out = section(
         "kernels",
-        "vectorized hot-path kernels: per-dispatch microbenchmarks",
+        "the vectorized Step-1 kernel: per-dispatch microbenchmark",
     );
     out.push_str(&format!(
-        "auto-detected widest path: {}; every kernel's output digest is asserted\n\
-         equal across paths (the scalar-agreement gate); items = pair tests\n\n",
+        "auto-detected widest path: {}; the kernel's output digest is asserted\n\
+         equal across paths (the scalar-agreement gate); items = rectangle tests\n\n",
         KernelDispatch::auto().label()
     ));
     let cells = measure_kernels(cfg);
@@ -245,31 +234,34 @@ mod tests {
             scale: Scale::Quick,
         };
         let report = kernels(&cfg);
-        assert!(report.contains("sweep"));
+        assert!(report.contains("rects_vs_rect"));
         assert!(report.contains("scalar"));
         assert!(report.contains("identical kernel outputs"));
         assert!(report.contains("checksum") && report.contains("fnv1a64"));
     }
 
     #[test]
-    fn sweep_matches_quadratic_reference() {
-        let a = msj_datagen::small_carto(30, 20.0, 41);
-        let b = msj_datagen::small_carto(30, 20.0, 42);
-        let (sa, sb) = (SweepSide::build(&a), SweepSide::build(&b));
-        let mut expect: Vec<(ObjectId, ObjectId)> = Vec::new();
-        for oa in a.iter() {
-            for ob in b.iter() {
-                if oa.mbr().intersects(&ob.mbr()) {
-                    expect.push((oa.id, ob.id));
+    fn restrictions_match_the_rectangle_test() {
+        let a = msj_datagen::small_carto(300, 20.0, 41);
+        let b = msj_datagen::small_carto(300, 20.0, 42);
+        let runs = packed_runs(&a, &b);
+        assert_eq!(runs.iter().map(|r| r.xmin.len()).sum::<usize>(), a.len());
+        let mut expect = Vec::new();
+        for run in &runs {
+            for window in &run.windows {
+                for k in 0..run.xmin.len() {
+                    let r = Rect::from_bounds(run.xmin[k], run.ymin[k], run.xmax[k], run.ymax[k]);
+                    if r.intersects(window) {
+                        expect.push(k as u32);
+                    }
                 }
             }
         }
-        expect.sort_unstable();
+        assert!(!expect.is_empty());
         for d in KernelDispatch::all_available() {
-            let (tests, mut pairs) = run_sweep(d, &sa, &sb);
-            pairs.sort_unstable();
-            assert_eq!(pairs, expect, "{}", d.label());
-            assert!(tests >= pairs.len() as u64);
+            let (tests, kept) = run_restrictions(d, &runs);
+            assert_eq!(kept, expect, "{}", d.label());
+            assert!(tests >= kept.len() as u64);
         }
     }
 }

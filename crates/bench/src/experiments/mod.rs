@@ -243,7 +243,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "kernels",
-            description: "vectorized hot-path kernels: per-dispatch microbenchmarks",
+            description: "the vectorized Step-1 kernel: per-dispatch microbenchmark",
             run: kernels::kernels,
         },
     ]

@@ -10,7 +10,7 @@
 //! * [`Backend::PartitionedSweep`] — the uniform-grid partitioned join of
 //!   `msj-partition` (Tsitsigkos & Mamoulis 2019): per-tile plane sweeps
 //!   with reference-point deduplication, executed over the backend's own
-//!   scoped tile threads.
+//!   scoped tile threads; the independent Step 1 an oracle joins with.
 //!
 //! Both deliver the identical candidate *set*; downstream filter and
 //! exact steps are provably unaffected (the property tests in
@@ -109,9 +109,9 @@ pub trait CandidateSource: Send + Sync {
 pub(crate) type Step1Side = (RelHandle<'static>, Arc<RStarTree>);
 
 /// The configured backend over two sides. The R*-tree traversal joins
-/// the sides' trees; the grid backend collects the relations' MBRs on
-/// its first run and ignores the trees. The source's wide scans run on
-/// `dispatch`.
+/// the sides' trees, its wide scans on `dispatch`; the grid backend
+/// collects the relations' MBRs on its first run and ignores the trees,
+/// so that it stays independent of the tree build ([`GridSource`]).
 pub(crate) fn source_with(
     config: &JoinConfig,
     dispatch: KernelDispatch,
@@ -135,7 +135,6 @@ pub(crate) fn source_with(
             tiles_per_axis,
             threads,
             batch,
-            dispatch,
             join_items: OnceLock::new(),
         }),
     }
@@ -193,7 +192,11 @@ type MbrItems = Vec<(Rect, ObjectId)>;
 
 /// The partitioned backend: uniform grid, per-tile plane sweeps,
 /// reference-point deduplication, the tile sweeps on `threads` scoped
-/// threads of its own.
+/// threads of its own. Its MBR lists come from the relations, not the
+/// R*-trees' leaves: an oracle joining on it shares no code with the
+/// default Step 1, so a `bulk_load` bug that drops an entry shows as a
+/// disagreement instead of passing unseen. The price is a relation
+/// decode on the first grid join over an opened store.
 struct GridSource {
     rel_a: RelHandle<'static>,
     rel_b: RelHandle<'static>,
@@ -202,9 +205,6 @@ struct GridSource {
     threads: usize,
     /// Candidate pairs per batched sink delivery.
     batch: usize,
-    /// Kernel path for the tile sweeps, resolved once at source
-    /// construction.
-    dispatch: KernelDispatch,
     /// `(items_a, items_b)` MBR lists, collected on first use and reused
     /// across repeated `PreparedJoin` runs.
     join_items: OnceLock<(MbrItems, MbrItems)>,
@@ -225,7 +225,6 @@ impl CandidateSource for GridSource {
         // caller-side so the sink still sees runs.
         let mut buffer = PairBatchBuffer::new(sink, self.batch);
         let stats = partition_join_funneled(
-            self.dispatch,
             items_a,
             items_b,
             self.tiles_per_axis,

@@ -14,10 +14,11 @@ pub enum Backend {
     /// default.
     #[default]
     RStarTraversal,
-    /// Uniform-grid partitioned plane sweep with reference-point
-    /// deduplication, tiles executed over scoped threads
-    /// (`msj-partition`). A join algorithm only: selections descend the
-    /// dataset's R*-tree, which the engine builds on either backend.
+    /// Uniform-grid partitioned plane sweep with reference-point dedup
+    /// on scoped tile threads (`msj-partition`): the oracle's independent
+    /// Step 1, one scalar sweep per tile, and a join algorithm only. Not
+    /// the fast path: a join re-buckets, sorts and sweeps every tile, and
+    /// the R*-tree that selections descend is built once per dataset.
     PartitionedSweep {
         /// Tiles per grid side (the grid has `tiles_per_axis²` tiles).
         tiles_per_axis: usize,

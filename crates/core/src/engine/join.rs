@@ -472,13 +472,13 @@ impl SpatialEngine {
     /// Step 2. Like every dataset artifact, the pair's signatures are
     /// adopted from its persisted segment when both sides decode, each is
     /// as long as its relation and the two share one grid; a self-join
-    /// decodes `RasterA` alone and serves both sides from it. Otherwise —
-    /// no segment, a stale tag, a corrupt side or a grid mismatch — both
+    /// writes and decodes `RasterA` alone (an older `RasterB` beside it
+    /// is never read) and serves both sides from it. Otherwise — no
+    /// segment, a stale tag, a corrupt side or a grid mismatch — both
     /// relations are rasterized on one shared grid (signatures are only
     /// comparable on the same grid, so they cannot be a per-dataset
     /// artifact) and written through. A section that was written but
-    /// could not be used is counted under
-    /// `msj_store_checksum_failures_total`.
+    /// could not be used is counted under `msj_store_checksum_failures_total`.
     fn attach_raster(&self, a: &DatasetHandle, b: &DatasetHandle) -> GeometricFilter {
         let (sa, sb) = (&a.state, &b.state);
         let filter = GeometricFilter::disabled();
@@ -509,10 +509,10 @@ impl SpatialEngine {
         self.obs.checksum_failed(&corrupt);
         let filter = filter.with_raster(sa.relation.get(), sb.relation.get());
         if let Some((ra, rb)) = filter.raster_stores() {
-            let sections = [
-                (Section::RasterA, ra.to_bytes()),
-                (Section::RasterB, rb.to_bytes()),
-            ];
+            let mut sections = vec![(Section::RasterA, ra.to_bytes())];
+            if !Arc::ptr_eq(sa, sb) {
+                sections.push((Section::RasterB, rb.to_bytes()));
+            }
             let _ = backend.store.write_pair(sa.id, sb.id, self.tag, &sections);
         }
         filter

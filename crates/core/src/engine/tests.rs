@@ -80,6 +80,7 @@ fn a_self_join_rasterizes_its_relation_once() {
 
 #[test]
 fn a_reopened_self_join_adopts_its_pair_raster_once() {
+    use msj_store::{Section, Store};
     let rel = msj_datagen::small_carto(60, 24.0, 1005);
     let dir = std::env::temp_dir().join(format!("msj-engine-self-join-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -90,30 +91,60 @@ fn a_reopened_self_join_adopts_its_pair_raster_once() {
         let h = engine.register(rel.clone());
         engine.prepare_join(&h, &h).run();
     }
-    let pair_file = dir.join("pair_0_0.msj");
-    let inode = |path: &std::path::Path| {
-        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).expect("pair persisted"))
-    };
-    let written = inode(&pair_file);
+    let store = Store::open(&dir).expect("store");
+    let pair = store
+        .read_pair(0, 0, None)
+        .expect("read")
+        .expect("pair persisted");
+    let raster = pair.section(Section::RasterA).expect("RasterA written");
+    let raster = raster.expect("RasterA verifies").to_vec();
+    assert!(
+        pair.section(Section::RasterB).is_none(),
+        "one raster stored"
+    );
     let fresh = SpatialEngine::new(JoinConfig::default());
     let h = fresh.register(rel);
     let expect = fresh.prepare_join(&h, &h).run();
 
-    let opened = SpatialEngine::open(JoinConfig::default(), StoreConfig::new(&dir)).expect("open");
-    let h = opened.dataset(0).expect("dataset 0");
-    let prepared = opened.prepare_join(&h, &h);
-    let (ra, rb) = prepared.filter.raster_stores().expect("raster stage");
-    assert!(std::ptr::eq(ra, rb), "one adopted store serves both sides");
-    assert_eq!(
-        inode(&pair_file),
-        written,
-        "adopted, not rebuilt and rewritten"
-    );
-    let got = prepared.run();
-    assert_eq!(got.pairs, expect.pairs);
-    assert_eq!(got.stats.raster_hits, expect.stats.raster_hits);
-    assert_eq!(got.stats.raster_drops, expect.stats.raster_drops);
-    drop(opened);
+    // Adopted once, not rebuilt and rewritten, with no section refused —
+    // from this build's pair file, then from one holding both sides, as
+    // an older build wrote it.
+    let pair_file = dir.join("pair_0_0.msj");
+    let inode = |path: &std::path::Path| {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).expect("pair persisted"))
+    };
+    let both = [
+        (Section::RasterA, raster.clone()),
+        (Section::RasterB, raster),
+    ];
+    for sections in [None, Some(both)] {
+        if let Some(sections) = sections {
+            store
+                .write_pair(0, 0, pair.config_tag, &sections)
+                .expect("rewrite pair");
+        }
+        let written = inode(&pair_file);
+        let opened =
+            SpatialEngine::open(JoinConfig::default(), StoreConfig::new(&dir)).expect("open");
+        let h = opened.dataset(0).expect("dataset 0");
+        let prepared = opened.prepare_join(&h, &h);
+        let (ra, rb) = prepared.filter.raster_stores().expect("raster stage");
+        assert!(std::ptr::eq(ra, rb), "one adopted store serves both sides");
+        assert_eq!(inode(&pair_file), written, "adopted, not rebuilt");
+        let snap = opened.metrics().snapshot();
+        for section in Section::ALL {
+            let key = format!(
+                "msj_store_checksum_failures_total{{section=\"{}\"}}",
+                section.name()
+            );
+            assert_eq!(snap.counters.get(&key), Some(&0), "{key}");
+        }
+        let got = prepared.run();
+        assert_eq!(got.pairs, expect.pairs);
+        assert_eq!(got.stats.raster_hits, expect.stats.raster_hits);
+        assert_eq!(got.stats.raster_drops, expect.stats.raster_drops);
+    }
+    drop(pair);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -30,8 +30,8 @@ fn square(id: ObjectId, x: f64, y: f64, side: f64) -> SpatialObject {
 }
 
 /// Degenerate-path stress: stacked identical squares, needle slivers, a
-/// far-away huge-coordinate cluster — the shapes that exercise sweep
-/// early-stop lanes, duplicate keys, and extreme dynamic range.
+/// far-away huge-coordinate cluster — the shapes that exercise the
+/// sweeps' early stop, duplicate keys, and extreme dynamic range.
 fn pathological(offset: f64) -> Relation {
     let mut objects = Vec::new();
     let mut id = 0;

@@ -1,42 +1,34 @@
-//! Runtime-dispatched wide kernels for Step 1's hot loops.
+//! The runtime-dispatched wide kernel of Step 1's hot loop.
 //!
-//! Two kernels, each AVX2 arm kept for a measured gain on its layer
+//! One kernel, its AVX2 arm kept for a measured gain on its layer
 //! (2-vCPU x86-64 VM, seed 1, pinned, medians of interleaved runs):
+//! [`rects_vs_rect`] — one query rectangle against SoA MBR columns, the
+//! R*-tree join's window restriction over per-node repacked entry
+//! columns. Traced `core.step1_ms` over 6 rotated rounds, AVX2 / scalar:
+//! `join_refine_heavy` 7.93 / 8.14 ms, `join_filter_heavy` 8.32 /
+//! 9.09 ms (AVX2 below scalar in 11 of 12 rounds).
 //!
-//! * [`rects_vs_rect`] — one query rectangle against SoA MBR columns:
-//!   the R*-tree join's window restriction over per-node repacked entry
-//!   columns, the default engine's one kernel. Traced `core.step1_ms`
-//!   over 6 rotated rounds, AVX2 / scalar: `join_refine_heavy` 7.93 /
-//!   8.14 ms, `join_filter_heavy` 8.32 / 9.09 ms (AVX2 below scalar in
-//!   11 of 12 rounds);
-//! * [`sweep_scan`] — the forward plane-sweep inner run of
-//!   `msj-partition`'s tile sweeps: scan a window of x-sorted entries,
-//!   stop at the first `xmin > bound`, emit the indices whose y-extent
-//!   overlaps the query band. `repro kernels`' sweep row: 5.7 / 2.6–2.8
-//!   ns per pair test, scalar / AVX2 (2.1–2.2 × scalar, three runs).
-//!
-//! Selections test a stored MER with one comparison per candidate in
-//! their filter loop: id-gathered masks for it gained nothing under
-//! `version3()` and were removed.
+//! `msj-partition`'s tile sweep is a plain scalar loop: the grid is the
+//! oracle's independent Step 1 and runs in no measured phase of any
+//! benchmark workload, so a wide arm there (an AVX2 one ran 2.1–2.2 × its
+//! scalar loop) gains nothing measured. Selections test a stored MER with
+//! one comparison per candidate in their filter loop: id-gathered masks
+//! for it gained nothing under `version3()` and were removed.
 //!
 //! **Host policy:** AVX2 where `is_x86_feature_detected!("avx2")` says
 //! so, the portable scalar loop (the semantic reference) everywhere
 //! else — x86-64 without AVX2 as on aarch64. There is no middle tier: an
 //! SSE2 arm read 8.12 ms on `join_refine_heavy` and 8.64 ms on
-//! `join_filter_heavy` in the rounds above (≤ 1 % of a join's time) and
-//! 1.5 × scalar on the sweep row, a gain only on hosts no benchmark
-//! workload measures, so it was removed with its two `unsafe` functions
-//! and their dispatch blocks.
+//! `join_filter_heavy` in the rounds above (≤ 1 % of a join's time), a
+//! gain only on hosts no benchmark workload measures, so it was removed
+//! with its `unsafe` function and its dispatch block.
 //!
-//! The AVX2 paths (`core::arch::x86_64`) are outcome-identical to the
-//! scalar reference for *arbitrary* inputs, including NaN lanes:
-//!
-//! * every wide comparison uses an **ordered** predicate (`_CMP_LE_OQ`,
-//!   `_CMP_GT_OQ`), which is `false` when either operand is NaN —
-//!   exactly like the scalar `<=` / `>` it replaces;
-//! * the sweep stop test is `xmin > bound` (break) in both paths, so a
-//!   NaN `xmin` lane *continues* the scan in both;
-//! * a rectangle with a NaN bound meets nothing in either path.
+//! The AVX2 path (`core::arch::x86_64`) is outcome-identical to the
+//! scalar reference for *arbitrary* inputs, including NaN lanes: every
+//! wide comparison uses the **ordered** predicate `_CMP_LE_OQ`, which is
+//! `false` when either operand is NaN — exactly like the scalar `<=` it
+//! replaces — so a rectangle with a NaN bound meets nothing in either
+//! path.
 //!
 //! Dispatch is chosen **once per join** ([`KernelDispatch::select`]) and
 //! threaded through every call site; `force_scalar` (config) or the
@@ -47,7 +39,7 @@ use std::arch::x86_64 as x86;
 
 use crate::Rect;
 
-/// Environment variable that pins every kernel to the scalar reference
+/// Environment variable that pins the kernel to the scalar reference
 /// path, overriding runtime CPU feature detection (any non-empty value
 /// other than `0`; read when the process first selects a dispatch).
 pub const FORCE_SCALAR_ENV: &str = "MSJ_FORCE_SCALAR";
@@ -151,141 +143,6 @@ fn env_force_scalar() -> bool {
         std::env::var_os(FORCE_SCALAR_ENV).is_some_and(|v| !v.is_empty() && v != *"0")
     })
 }
-
-// ---------------------------------------------------------------------
-// Kernel 1: forward-sweep inner run over x-sorted SoA columns.
-// ---------------------------------------------------------------------
-
-/// Scans `from..` of the x-sorted columns, stopping at the first entry
-/// with `xmin[k] > bound_x` (the plane-sweep break), and pushes the
-/// index of every scanned entry whose y-extent overlaps the query band
-/// (`q_ymin <= ymax[k] && ymin[k] <= q_ymax`). Returns the number of
-/// entries scanned before the break — the `pair_tests` / `mbr_tests`
-/// statistic of the callers, which must stay byte-identical across
-/// dispatch paths.
-///
-/// Indices are pushed in ascending order, exactly like the scalar loop.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_scan(
-    d: KernelDispatch,
-    bound_x: f64,
-    q_ymin: f64,
-    q_ymax: f64,
-    xmin: &[f64],
-    ymin: &[f64],
-    ymax: &[f64],
-    from: usize,
-    hits: &mut Vec<u32>,
-) -> u64 {
-    // The wide arms load `ymin` / `ymax` at every index below
-    // `xmin.len()`, so unequal columns are refused before any load, and a
-    // start at or past the end scans nothing (it would also overflow the
-    // lane loop's `k + 4`).
-    assert!(
-        xmin.len() == ymin.len() && xmin.len() == ymax.len(),
-        "sweep_scan columns differ in length"
-    );
-    if from >= xmin.len() {
-        return 0;
-    }
-    match d.0 {
-        Path::Scalar => sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits),
-        // SAFETY: a `Path::Avx2` dispatch is built only after AVX2 was
-        // detected on this CPU (`Path` is private to this module); the
-        // three columns are of equal length (asserted above).
-        #[cfg(target_arch = "x86_64")]
-        Path::Avx2 => unsafe {
-            sweep_scan_avx2(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, from, hits),
-    }
-}
-
-/// The reference loop. NaN `xmin` never satisfies `> bound_x`, so the
-/// scan continues past it; NaN y-extents never satisfy the band test.
-#[allow(clippy::too_many_arguments)]
-fn sweep_scan_scalar(
-    bound_x: f64,
-    q_ymin: f64,
-    q_ymax: f64,
-    xmin: &[f64],
-    ymin: &[f64],
-    ymax: &[f64],
-    from: usize,
-    hits: &mut Vec<u32>,
-) -> u64 {
-    let mut tests = 0u64;
-    for k in from..xmin.len() {
-        if xmin[k] > bound_x {
-            break;
-        }
-        tests += 1;
-        if (q_ymin <= ymax[k]) & (ymin[k] <= q_ymax) {
-            hits.push(k as u32);
-        }
-    }
-    tests
-}
-
-/// # Safety
-///
-/// The CPU must support AVX2, and `ymin` / `ymax` must be at least as
-/// long as `xmin`, the only length the 4-lane loads are checked against.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn sweep_scan_avx2(
-    bound_x: f64,
-    q_ymin: f64,
-    q_ymax: f64,
-    xmin: &[f64],
-    ymin: &[f64],
-    ymax: &[f64],
-    from: usize,
-    hits: &mut Vec<u32>,
-) -> u64 {
-    use x86::*;
-    let n = xmin.len();
-    let bound = _mm256_set1_pd(bound_x);
-    let band_lo = _mm256_set1_pd(q_ymin);
-    let band_hi = _mm256_set1_pd(q_ymax);
-    let mut tests = 0u64;
-    let mut k = from;
-    while k + 4 <= n {
-        let xs = _mm256_loadu_pd(xmin.as_ptr().add(k));
-        // Stop lanes: xmin > bound (ordered: NaN lanes keep scanning,
-        // like the scalar break test).
-        let stop = _mm256_movemask_pd(_mm256_cmp_pd::<{ _CMP_GT_OQ }>(xs, bound)) as u32;
-        let live = if stop == 0 {
-            4
-        } else {
-            stop.trailing_zeros() as usize
-        };
-        if live > 0 {
-            let ylo = _mm256_loadu_pd(ymin.as_ptr().add(k));
-            let yhi = _mm256_loadu_pd(ymax.as_ptr().add(k));
-            let c1 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(band_lo, yhi);
-            let c2 = _mm256_cmp_pd::<{ _CMP_LE_OQ }>(ylo, band_hi);
-            let mut m = (_mm256_movemask_pd(_mm256_and_pd(c1, c2)) as u32) & ((1u32 << live) - 1);
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                hits.push((k + lane) as u32);
-                m &= m - 1;
-            }
-            tests += live as u64;
-        }
-        if live < 4 {
-            return tests;
-        }
-        k += 4;
-    }
-    tests + sweep_scan_scalar(bound_x, q_ymin, q_ymax, xmin, ymin, ymax, k, hits)
-}
-
-// ---------------------------------------------------------------------
-// Kernel 2: one query rectangle vs SoA MBR columns (full scan).
-// ---------------------------------------------------------------------
 
 /// Pushes the index of every column entry whose rectangle intersects
 /// `q` (closed semantics, [`Rect::intersects`]), in ascending order.
@@ -443,72 +300,18 @@ mod tests {
         }
     }
 
-    /// Every kernel must agree with the scalar reference at every lane
-    /// boundary (`len % 4 ∈ {0,1,2,3}`, and smaller; `n = 0` is the
-    /// zero-length column), with NaN lanes mixed in, on columns as
-    /// allocated and on [`Misaligned`] copies of them.
-    #[test]
-    fn sweep_scan_matches_scalar_at_lane_boundaries() {
-        for n in 0..=13usize {
-            for with_nan in [false, true] {
-                for seed in 1..=6u64 {
-                    let mut xmin = gen_vals(seed, n, with_nan);
-                    // Mostly sorted like real input, but leave NaNs and
-                    // occasional disorder in place: the kernel contract
-                    // is agreement on *arbitrary* input.
-                    xmin.sort_unstable_by(|a, b| {
-                        a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)
-                    });
-                    let ymin = gen_vals(seed + 100, n, with_nan);
-                    let ymax = gen_vals(seed + 200, n, with_nan);
-                    let shifted = [&xmin, &ymin, &ymax].map(|c| Misaligned::new(c));
-                    let [sx, sy, sz] = shifted.each_ref().map(Misaligned::col);
-                    for from in [0usize, 1, n / 2, n.saturating_sub(1)] {
-                        for bound in [-5.0, 0.0, 5.0, f64::NAN] {
-                            let mut want = Vec::new();
-                            let t0 = sweep_scan_scalar(
-                                bound, -3.0, 4.0, &xmin, &ymin, &ymax, from, &mut want,
-                            );
-                            for (x, y, z) in [(&xmin[..], &ymin[..], &ymax[..]), (sx, sy, sz)] {
-                                for d in KernelDispatch::all_available() {
-                                    let mut got = Vec::new();
-                                    let t =
-                                        sweep_scan(d, bound, -3.0, 4.0, x, y, z, from, &mut got);
-                                    let at = x.as_ptr() as usize % 16;
-                                    let cell =
-                                        format!("{d:?} n={n} from={from} bound={bound} at={at}");
-                                    assert_eq!(got, want, "{cell}");
-                                    assert_eq!(t, t0, "{cell}: pair-test count diverged");
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Whether `f` panics.
     fn panics(f: impl FnOnce() + std::panic::UnwindSafe) -> bool {
         std::panic::catch_unwind(f).is_err()
     }
 
     /// The callers' length obligations are checked in every build, on
-    /// every dispatch, before a wide load: a column shorter or longer
-    /// than `xmin` panics, and a start at or past the end scans nothing.
+    /// every dispatch, before a wide load: a column shorter than `xmin`
+    /// panics.
     #[test]
     fn kernel_columns_are_checked_before_any_load() {
         let col = |n: usize| (0..n).map(|i| i as f64).collect::<Vec<f64>>();
         for d in KernelDispatch::all_available() {
-            for (xn, yn, zn) in [(9, 8, 9), (9, 9, 8), (8, 9, 9), (9, 0, 9), (9, 9, 10)] {
-                let (x, y, z) = (col(xn), col(yn), col(zn));
-                assert!(
-                    panics(|| {
-                        sweep_scan(d, f64::MAX, -1e9, 1e9, &x, &y, &z, 0, &mut Vec::new());
-                    }),
-                    "{d:?} sweep_scan took columns {xn}/{yn}/{zn}"
-                );
-            }
             for short in 0..4 {
                 let mut cols = [col(9), col(9), col(9), col(9)];
                 cols[short].pop();
@@ -519,16 +322,13 @@ mod tests {
                     "{d:?} rects_vs_rect took a short column {short}"
                 );
             }
-            let x = col(9);
-            for from in [9, 10, 13, usize::MAX - 3, usize::MAX] {
-                let mut hits = Vec::new();
-                let tests = sweep_scan(d, f64::MAX, -1e9, 1e9, &x, &x, &x, from, &mut hits);
-                assert_eq!((tests, hits.len()), (0, 0), "{d:?} from {from}");
-            }
         }
     }
 
-    /// As for [`sweep_scan_matches_scalar_at_lane_boundaries`].
+    /// The wide path must agree with the scalar reference at every lane
+    /// boundary (`len % 4 ∈ {0,1,2,3}`, and smaller; `n = 0` is the
+    /// zero-length column), with NaN lanes mixed in, on columns as
+    /// allocated and on [`Misaligned`] copies of them.
     #[test]
     fn rects_vs_rect_matches_scalar_at_lane_boundaries() {
         let q = Rect::from_bounds(-2.0, -2.0, 3.0, 3.0);

@@ -1,12 +1,11 @@
 //! The partitioned MBR join: per-tile plane sweeps executed in parallel
 //! over scoped threads, funneled onto the calling thread in tile order
-//! ([`partition_join`], or [`partition_join_funneled`] with an explicit
-//! kernel dispatch and cancel token). The tile threads are Step 1's own;
-//! whatever runs downstream of the calling thread schedules itself.
+//! ([`partition_join`], or [`partition_join_funneled`] with a cancel
+//! token). The tile threads are Step 1's own; whatever runs downstream
+//! of the calling thread schedules itself.
 
 use crate::grid::Grid;
 use crate::stats::PartitionStats;
-use msj_geom::kernels::{self, KernelDispatch};
 use msj_geom::{panic_message, resolve_threads, CancelToken, ObjectId, Rect, WorkerPanic};
 use std::thread::ScopedJoinHandle;
 
@@ -43,100 +42,56 @@ struct TileResult {
     dedup_skipped: u64,
 }
 
-/// Reusable sweep scratch: the wide-kernel hit list and the x-sorted
-/// rectangle columns of the current tile. One instance serves a whole
-/// tile loop (one per worker), so repacking never reallocates in steady
-/// state.
-#[derive(Debug, Default)]
-pub struct SweepScratch {
-    hits: Vec<u32>,
-    a: Columns,
-    b: Columns,
-}
-
-/// The columns [`kernels::sweep_scan`] scans of one x-sorted side.
-#[derive(Debug, Default)]
-struct Columns {
-    xmin: Vec<f64>,
-    ymin: Vec<f64>,
-    ymax: Vec<f64>,
-}
-
-impl Columns {
-    fn repack(&mut self, side: &[(Rect, ObjectId)]) {
-        self.xmin.clear();
-        self.ymin.clear();
-        self.ymax.clear();
-        for (r, _) in side {
-            self.xmin.push(r.xmin());
-            self.ymin.push(r.ymin());
-            self.ymax.push(r.ymax());
-        }
-    }
-}
-
-/// Forward plane sweep over one tile's two rectangle lists (already
-/// bucketed; sorted here by `xmin`), reporting intersecting pairs whose
-/// reference point lies in `tile`, on an explicit kernel dispatch path
-/// and with caller-owned scratch. After sorting, both sides are repacked
-/// into SoA columns and the inner x-overlapping runs execute as wide
-/// scans; the emitted pairs, their order, and both counters are
-/// byte-identical across paths.
-pub fn tile_sweep(
-    dispatch: KernelDispatch,
+/// One tile's mini-join into `result`, whose pair buffer is reused: a
+/// forward plane sweep over the tile's two rectangle lists (sorted here
+/// by `xmin`), reporting the intersecting pairs whose reference point
+/// lies in `tile`.
+fn tile_sweep(
     grid: &Grid,
     tile: usize,
     side_a: &mut [(Rect, ObjectId)],
     side_b: &mut [(Rect, ObjectId)],
-    scratch: &mut SweepScratch,
-    on_pair: &mut impl FnMut(ObjectId, ObjectId),
-) -> (u64, u64) {
-    let mut pair_tests = 0u64;
-    let mut dedup_skipped = 0u64;
+    result: &mut TileResult,
+) {
+    result.pairs.clear();
+    (result.pair_tests, result.dedup_skipped) = (0, 0);
+    if side_a.is_empty() || side_b.is_empty() {
+        return;
+    }
     side_a.sort_unstable_by(|p, q| p.0.xmin().partial_cmp(&q.0.xmin()).expect("finite xmin"));
     side_b.sort_unstable_by(|p, q| p.0.xmin().partial_cmp(&q.0.xmin()).expect("finite xmin"));
-    scratch.a.repack(side_a);
-    scratch.b.repack(side_b);
     let (side_a, side_b) = (&*side_a, &*side_b);
 
-    // The side whose next rectangle starts first probes the other side's
-    // run from that side's cursor. The kernel handles the x-break and the
-    // y-band test of each run; the reference-point dedup (the pair is
-    // replicated into every tile both rectangles overlap, but counts only
-    // where the lower-left corner of their intersection falls) stays
-    // scalar over the few survivors.
-    let mut i = 0;
-    let mut j = 0;
+    // The side whose next rectangle starts first probes the other side
+    // from that side's cursor, up to the first rectangle that starts
+    // right of the probe: every one scanned overlaps it in x and costs a
+    // pair test in y. A pair is replicated into every tile both
+    // rectangles overlap, but counts only where the lower-left corner of
+    // their intersection falls.
+    let (mut i, mut j) = (0, 0);
     while i < side_a.len() && j < side_b.len() {
-        let a_probes = scratch.a.xmin[i] <= scratch.b.xmin[j];
-        let (probe, others, cols, from) = if a_probes {
-            (side_a[i], side_b, &scratch.b, j)
+        let a_probes = side_a[i].0.xmin() <= side_b[j].0.xmin();
+        let (probe, others) = if a_probes {
+            (side_a[i], &side_b[j..])
         } else {
-            (side_b[j], side_a, &scratch.a, i)
+            (side_b[j], &side_a[i..])
         };
-        scratch.hits.clear();
-        pair_tests += kernels::sweep_scan(
-            dispatch,
-            probe.0.xmax(),
-            probe.0.ymin(),
-            probe.0.ymax(),
-            &cols.xmin,
-            &cols.ymin,
-            &cols.ymax,
-            from,
-            &mut scratch.hits,
-        );
-        for &k in &scratch.hits {
-            let other = others[k as usize];
-            let ((ra, ida), (rb, idb)) = if a_probes {
-                (probe, other)
-            } else {
-                (other, probe)
-            };
-            if grid.reference_tile(&ra, &rb) == tile {
-                on_pair(ida, idb);
-            } else {
-                dedup_skipped += 1;
+        for &other in others {
+            if other.0.xmin() > probe.0.xmax() {
+                break;
+            }
+            result.pair_tests += 1;
+            if probe.0.ymin() <= other.0.ymax() && other.0.ymin() <= probe.0.ymax() {
+                let ((ra, ida), (rb, idb)) = if a_probes {
+                    (probe, other)
+                } else {
+                    (other, probe)
+                };
+                if grid.reference_tile(&ra, &rb) == tile {
+                    result.pairs.push((ida, idb));
+                } else {
+                    result.dedup_skipped += 1;
+                }
             }
         }
         if a_probes {
@@ -145,7 +100,6 @@ pub fn tile_sweep(
             j += 1;
         }
     }
-    (pair_tests, dedup_skipped)
 }
 
 /// Below this many total tile assignments the sweeps of
@@ -216,26 +170,16 @@ pub fn partition_join<F: FnMut(ObjectId, ObjectId)>(
     threads: usize,
     on_pair: F,
 ) -> PartitionStats {
-    partition_join_funneled(
-        KernelDispatch::auto(),
-        a,
-        b,
-        tiles_per_axis,
-        threads,
-        None,
-        on_pair,
-    )
+    partition_join_funneled(a, b, tiles_per_axis, threads, None, on_pair)
 }
 
-/// [`partition_join`] with an explicit kernel dispatch path and an
-/// optional cooperative [`CancelToken`], polled at every tile boundary
-/// (sweep side and replay side). On one thread each tile is delivered as
-/// soon as it is swept; parallel sweeps are replayed in tile order once
-/// all have run. Once cancelled, no further tiles are
-/// swept and no further pairs are replayed; the stats cover exactly the
-/// tiles that ran. `None` is the zero-overhead path.
+/// [`partition_join`] with an optional cooperative [`CancelToken`],
+/// polled at every tile boundary (sweep side and replay side). On one
+/// thread each tile is delivered as soon as it is swept; parallel sweeps
+/// are replayed in tile order once all have run. Once cancelled, no
+/// further tiles are swept and no further pairs are replayed; the stats
+/// cover exactly the tiles that ran. `None` is the zero-overhead path.
 pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
-    dispatch: KernelDispatch,
     a: &[(Rect, ObjectId)],
     b: &[(Rect, ObjectId)],
     tiles_per_axis: usize,
@@ -268,19 +212,16 @@ pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
     if workers <= 1 {
         // Each tile goes out as soon as it is swept: the sink overlaps
         // the sweep, and one tile's pairs are all that is ever held.
-        let mut scratch = SweepScratch::default();
         let mut result = TileResult::default();
         for tile in 0..tile_count {
             if cancel.is_some_and(|c| c.is_cancelled()) {
                 break; // tile boundary: stop sweeping and delivering
             }
-            run_tile(
-                dispatch,
+            tile_sweep(
                 &prep.grid,
                 tile,
                 &mut prep.buckets_a[tile],
                 &mut prep.buckets_b[tile],
-                &mut scratch,
                 &mut result,
             );
             deliver(&mut result);
@@ -310,20 +251,11 @@ pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
             .into_iter()
             .map(|own| {
                 scope.spawn(move || {
-                    let mut scratch = SweepScratch::default();
                     for (tile, result, bucket_a, bucket_b) in own {
                         if cancel.is_some_and(|c| c.is_cancelled()) {
                             break; // tile boundary: drop remaining tiles
                         }
-                        run_tile(
-                            dispatch,
-                            grid,
-                            tile,
-                            bucket_a,
-                            bucket_b,
-                            &mut scratch,
-                            result,
-                        );
+                        tile_sweep(grid, tile, bucket_a, bucket_b, result);
                     }
                 })
             })
@@ -340,34 +272,6 @@ pub fn partition_join_funneled<F: FnMut(ObjectId, ObjectId)>(
         deliver(result);
     }
     stats
-}
-
-/// One tile's mini-join into `result`, whose pair buffer is reused (an
-/// empty side sweeps nothing).
-fn run_tile(
-    dispatch: KernelDispatch,
-    grid: &Grid,
-    tile: usize,
-    bucket_a: &mut [(Rect, ObjectId)],
-    bucket_b: &mut [(Rect, ObjectId)],
-    scratch: &mut SweepScratch,
-    result: &mut TileResult,
-) {
-    let pairs = &mut result.pairs;
-    pairs.clear();
-    (result.pair_tests, result.dedup_skipped) = if bucket_a.is_empty() || bucket_b.is_empty() {
-        (0, 0)
-    } else {
-        tile_sweep(
-            dispatch,
-            grid,
-            tile,
-            bucket_a,
-            bucket_b,
-            scratch,
-            &mut |x, y| pairs.push((x, y)),
-        )
-    };
 }
 
 #[cfg(test)]
@@ -411,14 +315,13 @@ mod tests {
         let a = grid_items(10, 0.0, 8.0);
         let b = grid_items(10, 4.0, 8.0);
         let expect = reference(&a, &b);
-        let auto = KernelDispatch::auto();
 
         // Pre-cancelled: no tile sweeps, no pairs arrive, stats stay
         // well-formed.
         for threads in [1usize, 4] {
             let token = CancelToken::new();
             token.cancel();
-            let stats = partition_join_funneled(auto, &a, &b, 4, threads, Some(&token), |_, _| {
+            let stats = partition_join_funneled(&a, &b, 4, threads, Some(&token), |_, _| {
                 panic!("no pairs expected")
             });
             assert_eq!(stats.candidates(), 0, "threads {threads}");
@@ -428,7 +331,7 @@ mod tests {
         // tile boundary, and what arrived is a subset of the full join.
         let token = CancelToken::new();
         let mut got = Vec::new();
-        partition_join_funneled(auto, &a, &b, 4, 1, Some(&token), |x, y| {
+        partition_join_funneled(&a, &b, 4, 1, Some(&token), |x, y| {
             got.push((x, y));
             if got.len() == 8 {
                 token.cancel();
@@ -467,25 +370,6 @@ mod tests {
             let mut got = Vec::new();
             partition_join(&a, &b, 4, threads, |x, y| got.push((x, y)));
             assert_eq!(got, first, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn every_dispatch_path_emits_identical_pairs_and_stats() {
-        // Large rectangles force replication + dedup; odd counts hit the
-        // kernel tails.
-        let a = grid_items(7, 0.0, 23.0);
-        let b = grid_items(7, 9.0, 23.0);
-        type Cell = (Vec<(ObjectId, ObjectId)>, u64, u64);
-        let mut reference: Option<Cell> = None;
-        for d in KernelDispatch::all_available() {
-            let mut got = Vec::new();
-            let stats = partition_join_funneled(d, &a, &b, 5, 2, None, |x, y| got.push((x, y)));
-            let cell = (got, stats.pair_tests, stats.dedup_skipped);
-            match &reference {
-                None => reference = Some(cell),
-                Some(want) => assert_eq!(&cell, want, "dispatch {}", d.label()),
-            }
         }
     }
 

@@ -1156,15 +1156,25 @@ fn parent_directory_opens(
         image.to_vec()
     };
     let current = [0, 1].map(segment);
-    // Read before the dataset writes below retire them.
+    // Read before the dataset writes below retire them. A self-join's
+    // pair holds `RasterA` alone; an older writer stored that one raster
+    // as both sides.
     let pairs = [(0, 1), (0, 0)].map(|(x, y)| {
         let pair = store
             .read_pair(x, y, None)
             .unwrap()
             .expect("pair persisted");
+        let side_b = if x == y {
+            Section::RasterA
+        } else {
+            Section::RasterB
+        };
         (
             (x, y),
-            [Section::RasterA, Section::RasterB].map(|s| (s, image(&pair, s))),
+            [
+                (Section::RasterA, image(&pair, Section::RasterA)),
+                (Section::RasterB, image(&pair, side_b)),
+            ],
         )
     });
     for (id, (segment, rel)) in (0..).zip(current.iter().zip([&a, &b])) {
@@ -1216,7 +1226,13 @@ fn parent_directory_opens(
             .unwrap()
             .expect("pair rewritten");
         assert_eq!(pair.config_tag, current[0].config_tag, "pair_{x}_{y}");
-        for (section, old_image) in sections {
+        let rasters = if x == y { 1 } else { 2 };
+        assert_eq!(
+            stored_sections(&pair),
+            [Section::RasterA, Section::RasterB][..rasters],
+            "pair_{x}_{y}"
+        );
+        for (section, old_image) in &sections[..rasters] {
             assert_eq!(
                 &image(&pair, *section),
                 old_image,
